@@ -151,7 +151,7 @@ func ablationConvOp(b *testing.B) (qnn.ElementOp, *paillier.CipherTensor, *paill
 	for i := range x.Data() {
 		x.Data()[i] = r.Float64() - 0.5
 	}
-	ct, err := paillier.EncryptTensor(&k.PublicKey, rand.Reader, qnn.ScaleInput(x, 100), 2)
+	ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), qnn.ScaleInput(x, 100), 2, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -190,8 +190,9 @@ func goSources(dir string) ([]string, error) {
 // LoadModule loads every package of the loader's module whose directory
 // matches one of the patterns. Patterns follow the go tool's shape:
 // "./..." loads everything, "./dir/..." a subtree, "./dir" one package.
-// Directories named testdata, hidden directories, and _-prefixed
-// directories are skipped.
+// Directories named testdata, hidden directories, _-prefixed directories
+// and nested modules (a directory with its own go.mod, such as bench/)
+// are skipped, as the go tool skips them.
 func (l *Loader) LoadModule(patterns []string) ([]*Package, error) {
 	if l.root == "" {
 		return nil, fmt.Errorf("analysis: loader has no module root")
@@ -265,6 +266,11 @@ func (l *Loader) matchDirs(patterns []string) ([]string, error) {
 			name := d.Name()
 			if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			if path != l.root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir // a module of its own
+				}
 			}
 			add(path)
 			return nil

@@ -16,8 +16,8 @@ import (
 //
 // The check walks a package-local call graph: a function "derives" if it
 // (or a package function it calls) performs homomorphic arithmetic, and a
-// return path is "blinded" if a blinding call (freshBlinding / Blinding /
-// Encrypt* / Rerandomize*) is definitely executed before it, or the
+// return path is "blinded" if a blinding call (freshBlinding — public or
+// key-holder — / draw / Blinding / Encrypt* / Rerandomize*) is definitely executed before it, or the
 // returned expression itself comes from an always-blinding function. The
 // per-path question is answered by a forward must-analysis over the
 // shared CFG (cfg.go / dataflow.go): the blinded fact meets with AND at
@@ -38,7 +38,8 @@ var RerandomizeAnalyzer = &Analyzer{
 // are themselves the re-randomization operation). A call to any of these,
 // resolved to the package under analysis, marks the path blinded.
 var blindingNames = map[string]bool{
-	"freshBlinding":       true,
+	"freshBlinding":       true, // PublicKey's r^n and PrivateKey's CRT sampler alike
+	"draw":                true, // the metered draw from any Blinder
 	"encryptWithBlinding": true,
 	"Blinding":            true,
 	"blinding":            true,

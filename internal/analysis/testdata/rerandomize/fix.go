@@ -142,3 +142,39 @@ func (k *Key) NilOnEmpty(cts []*Ciphertext) *Ciphertext {
 	acc.Mod(acc, k.n2)
 	return k.Rerandomize(&Ciphertext{c: acc})
 }
+
+// KeyHolder mirrors paillier.PrivateKey: it embeds the public key and
+// has a blinding source of its own (the CRT sampler), which shadows the
+// public one.
+type KeyHolder struct {
+	Key
+	p2, q2 *big.Int
+}
+
+// freshBlinding is the fixture's stand-in for the key holder's sampler.
+func (h *KeyHolder) freshBlinding() *big.Int {
+	return new(big.Int).Mul(h.p2, h.q2)
+}
+
+// draw is the fixture's stand-in for the metered draw every encrypt path
+// takes its factor through.
+func draw(h *KeyHolder) *big.Int { return h.freshBlinding() }
+
+// SealGood is a key-holder encryption: the embedding (1 + m·n) is
+// multiplied by a factor drawn from the key holder's source.
+func (h *KeyHolder) SealGood(m *big.Int) *Ciphertext {
+	c := new(big.Int).Mul(m, h.n)
+	c.Add(c, big.NewInt(1))
+	c.Mul(c, draw(h))
+	c.Mod(c, h.n2)
+	return &Ciphertext{c: c}
+}
+
+// SealBad skips the source and returns the deterministic embedding: an
+// encrypt that drops its blinding is flagged whichever key it runs under.
+func (h *KeyHolder) SealBad(m *big.Int) *Ciphertext {
+	c := new(big.Int).Mul(m, h.n)
+	c.Add(c, big.NewInt(1))
+	c.Mod(c, h.n2)
+	return &Ciphertext{c: c} // want "without re-randomization"
+}

@@ -115,7 +115,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	xi := tensor.Map(xb, func(v *big.Int) int64 { return v.Int64() })
-	ct, err := paillier.EncryptTensor(&kp.PublicKey, rand.Reader, xi, 1)
+	ct, err := paillier.EncryptTensor(&kp.PublicKey, kp.Blinder(rand.Reader), xi, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

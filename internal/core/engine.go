@@ -150,7 +150,9 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	cfg := protocol.Config{Factor: opts.Factor, Workers: 1}
 	var pool *paillier.Pool
 	if opts.Pool {
-		pool = paillier.NewPool(&key.PublicKey, nil, 64, 2)
+		// The client-side pool belongs to the key holder: its refill
+		// workers (and its miss path) draw from the CRT sampler.
+		pool = paillier.NewPrivatePool(key, nil, 64, 2)
 		cfg.Pool = pool
 	}
 	// The model provider's linear kernel re-randomizes every output

@@ -23,6 +23,10 @@ func TestFig1SmallKeys(t *testing.T) {
 	if res.Rows[1].Encrypt <= res.Rows[0].Encrypt {
 		t.Errorf("encrypt did not grow with key size: %v vs %v", res.Rows[0].Encrypt, res.Rows[1].Encrypt)
 	}
+	// The key holder's CRT blinding must undercut the public r^n.
+	if res.Rows[1].EncryptKeyHolder >= res.Rows[1].Encrypt {
+		t.Errorf("key-holder encrypt (%v) not cheaper than public encrypt (%v)", res.Rows[1].EncryptKeyHolder, res.Rows[1].Encrypt)
+	}
 	// Homomorphic add must be far cheaper than encryption (Fig 1 shape).
 	if res.Rows[1].Add*10 > res.Rows[1].Encrypt {
 		t.Errorf("add (%v) not ≪ encrypt (%v)", res.Rows[1].Add, res.Rows[1].Encrypt)

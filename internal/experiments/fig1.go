@@ -12,13 +12,16 @@ import (
 // Fig1Row is one key-size point of the paper's Figure 1 benchmark:
 // average per-tensor latency of encryption, decryption, homomorphic
 // scalar multiplication (constant 10^6), and homomorphic addition over a
-// 28×28 tensor.
+// 28×28 tensor. Encrypt is the public-key price the figure reports (one
+// r^n mod n² per element); EncryptKeyHolder is what the data provider,
+// who holds p and q, pays for the same ciphertext distribution.
 type Fig1Row struct {
-	KeyBits   int
-	Encrypt   time.Duration
-	Decrypt   time.Duration
-	ScalarMul time.Duration
-	Add       time.Duration
+	KeyBits          int
+	Encrypt          time.Duration
+	EncryptKeyHolder time.Duration
+	Decrypt          time.Duration
+	ScalarMul        time.Duration
+	Add              time.Duration
 }
 
 // Fig1Result holds the figure's series.
@@ -49,7 +52,7 @@ func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig1 keygen %d: %w", bits, err)
 		}
-		var encT, decT, mulT, addT time.Duration
+		var encT, encKeyT, decT, mulT, addT time.Duration
 		for rep := 0; rep < reps; rep++ {
 			// A synthetic MNIST-like image: pixel values 0..255.
 			msgs := make([]*big.Int, elems)
@@ -65,6 +68,14 @@ func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
 				}
 			}
 			encT += time.Since(start)
+
+			start = time.Now()
+			for _, m := range msgs {
+				if _, err = key.Encrypt(rand.Reader, m); err != nil {
+					return nil, err
+				}
+			}
+			encKeyT += time.Since(start)
 
 			prods := make([]*paillier.Ciphertext, elems)
 			start = time.Now()
@@ -97,11 +108,12 @@ func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
 			decT += time.Since(start)
 		}
 		res.Rows = append(res.Rows, Fig1Row{
-			KeyBits:   bits,
-			Encrypt:   encT / time.Duration(reps),
-			Decrypt:   decT / time.Duration(reps),
-			ScalarMul: mulT / time.Duration(reps),
-			Add:       addT / time.Duration(reps),
+			KeyBits:          bits,
+			Encrypt:          encT / time.Duration(reps),
+			EncryptKeyHolder: encKeyT / time.Duration(reps),
+			Decrypt:          decT / time.Duration(reps),
+			ScalarMul:        mulT / time.Duration(reps),
+			Add:              addT / time.Duration(reps),
 		})
 	}
 	return res, nil
@@ -109,12 +121,13 @@ func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
 
 // Render formats the figure's series as text.
 func (r *Fig1Result) Render() string {
-	header := []string{"key bits", "encrypt/tensor", "decrypt/tensor", "scalar-mul/tensor", "add/tensor"}
+	header := []string{"key bits", "encrypt/tensor", "key-holder encrypt/tensor", "decrypt/tensor", "scalar-mul/tensor", "add/tensor"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			fmt.Sprint(row.KeyBits),
 			row.Encrypt.String(),
+			row.EncryptKeyHolder.String(),
 			row.Decrypt.String(),
 			row.ScalarMul.String(),
 			row.Add.String(),

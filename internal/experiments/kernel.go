@@ -72,7 +72,7 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 		}
 		xs := make([]*paillier.Ciphertext, cols)
 		for i := range xs {
-			xs[i], err = key.PublicKey.EncryptInt64(rand.Reader, rng.Int63n(2000)-1000)
+			xs[i], err = key.EncryptInt64(rand.Reader, rng.Int63n(2000)-1000)
 			if err != nil {
 				return nil, err
 			}

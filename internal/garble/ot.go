@@ -30,13 +30,14 @@ func NewOT(bits int) (*OT, error) {
 	return &OT{receiverKey: key}, nil
 }
 
-// Choose produces the receiver's first message for choice bit b.
+// Choose produces the receiver's first message for choice bit b. The
+// receiver owns the key, so it encrypts as the key holder.
 func (o *OT) Choose(b bool) (*paillier.Ciphertext, error) {
 	v := int64(0)
 	if b {
 		v = 1
 	}
-	return o.receiverKey.PublicKey.EncryptInt64(rand.Reader, v)
+	return o.receiverKey.EncryptInt64(rand.Reader, v)
 }
 
 // Transfer is the sender's reply: E(m0) · E(b)^{m1−m0}.

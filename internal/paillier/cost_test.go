@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ppstream/internal/obs"
+	"ppstream/internal/tensor"
 )
 
 // fakeTracked is a Blinder whose hit/miss signal is fixed, making the
@@ -198,5 +199,38 @@ func TestMatVecMeteredMatchesUnmetered(t *testing.T) {
 	st := m.Snapshot()
 	if st.Rerands != 2 || st.MulMods == 0 {
 		t.Fatalf("matvec accounting looks wrong: %+v", st)
+	}
+}
+
+// TestEncryptTensorCost pins the key holder's accounting: without a pool
+// every encryption is two half-size exponentiations and no pool counter
+// moves; through a pool, hits cost none and misses cost two.
+func TestEncryptTensorCost(t *testing.T) {
+	k := key(t)
+	in := tensor.New[int64](5)
+	var m obs.CostMeter
+	if _, err := EncryptTensor(&k.PublicKey, k.Blinder(nil), in, 2, &m); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Snapshot(), (obs.CostStats{Encrypts: 5, ModExps: 10, MulMods: 10}); got != want {
+		t.Fatalf("inline key-holder cost = %+v, want %+v", got, want)
+	}
+	var pub obs.CostMeter
+	if _, err := EncryptTensor(&k.PublicKey, NewRandBlinder(&k.PublicKey, nil), in, 1, &pub); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pub.Snapshot(), (obs.CostStats{Encrypts: 5, ModExps: 5, MulMods: 10}); got != want {
+		t.Fatalf("public cost = %+v, want %+v", got, want)
+	}
+
+	p := NewPrivatePool(k, nil, 4, 1)
+	defer p.Close()
+	var pm obs.CostMeter
+	if _, err := EncryptTensor(&k.PublicKey, p, in, 1, &pm); err != nil {
+		t.Fatal(err)
+	}
+	st := pm.Snapshot()
+	if st.Encrypts != 5 || st.MulMods != 10 || st.PoolHits+st.PoolMisses != 5 || st.ModExps != 2*st.PoolMisses {
+		t.Fatalf("pooled key-holder cost = %+v", st)
 	}
 }

@@ -65,7 +65,9 @@ func (pk *PublicKey) encryptWithBlinding(m, rn *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{c: c}, nil
 }
 
-// freshBlinding samples r uniform in Z_n* and returns r^n mod n².
+// freshBlinding samples r uniform in Z_n* and returns r^n mod n² — the
+// only way to a blinding factor for a party that knows n alone (the
+// model provider): one n-bit exponentiation modulo the 2n-bit n².
 func (pk *PublicKey) freshBlinding(random io.Reader) (*big.Int, error) {
 	if random == nil {
 		random = rand.Reader
@@ -83,6 +85,69 @@ func (pk *PublicKey) freshBlinding(random io.Reader) (*big.Int, error) {
 		}
 		return r.Exp(r, pk.N, pk.N2), nil
 	}
+}
+
+// freshBlinding is the key holder's blinding source: it samples
+// y_p ∈ [1, p−1] and y_q ∈ [1, q−1] and returns the element of Z*_{n²}
+// that is y_p^p modulo p² and y_q^q modulo q² — two half-size
+// exponentiations against PublicKey.freshBlinding's one full-size one.
+//
+// The result is distributed exactly as r^n mod n² for r uniform in Z*_n.
+// Z*_{p²} is cyclic of order p(p−1) and gcd(q, p(p−1)) = 1 (newPrivateKey
+// rejects q | p−1), so x ↦ x^n = (x^q)^p maps it onto its unique subgroup
+// of order p−1, and r^n mod p² is uniform there when r mod p is uniform.
+// y ↦ y^p mod p² depends only on y mod p and is injective on Z*_p
+// (y^p ≡ y mod p), hence a bijection from Z*_p onto the same subgroup;
+// likewise modulo q², independently, and CRT glues the two halves.
+//
+// The exponents p and q are secret and math/big is not constant-time —
+// the exposure Decrypt already has (honest-but-curious model only).
+func (sk *PrivateKey) freshBlinding(random io.Reader) (*big.Int, error) {
+	if random == nil {
+		random = rand.Reader
+	}
+	yp, err := rand.Int(random, sk.pMinus1)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: sampling blinding: %w", err)
+	}
+	yq, err := rand.Int(random, sk.qMinus1)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: sampling blinding: %w", err)
+	}
+	return sk.nthResidue(yp.Add(yp, one), yq.Add(yq, one)), nil
+}
+
+// nthResidue is the sampler's deterministic core: for yp ∈ [1, p−1] and
+// yq ∈ [1, q−1] it returns the x ∈ Z*_{n²} with x ≡ yp^p (mod p²) and
+// x ≡ yq^q (mod q²). It overwrites both arguments, and the one n²-sized
+// scratch value it allocates is the result, so a draw allocates about
+// what the single full-size exponentiation does.
+func (sk *PrivateKey) nthResidue(yp, yq *big.Int) *big.Int {
+	yp.Exp(yp, sk.P, sk.p2)
+	yq.Exp(yq, sk.Q, sk.q2)
+	// CRT: x = yq + q²·((yp − yq)·(q²)⁻¹ mod p²) < n².
+	yp.Sub(yp, yq)
+	x := new(big.Int).Mul(yp, sk.q2InvP2)
+	yp.Mod(x, sk.p2)
+	x.Mul(yp, sk.q2)
+	return x.Add(x, yq)
+}
+
+// Encrypt is encryption by the key holder: the same ciphertext
+// distribution as PublicKey.Encrypt, with the blinding factor drawn from
+// the CRT sampler. It shadows the embedded public method so a party
+// holding sk never pays the public-key price.
+func (sk *PrivateKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
+	rn, err := sk.freshBlinding(random)
+	if err != nil {
+		return nil, err
+	}
+	return sk.encryptWithBlinding(m, rn)
+}
+
+// EncryptInt64 encrypts a signed 64-bit message as the key holder.
+func (sk *PrivateKey) EncryptInt64(random io.Reader, m int64) (*Ciphertext, error) {
+	return sk.Encrypt(random, big.NewInt(m))
 }
 
 // encode maps a signed message into Z_n: non-negative messages map to

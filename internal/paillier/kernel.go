@@ -56,9 +56,11 @@ func weightMagnitude(w int64) uint64 {
 	return uint64(-(w + 1)) + 1
 }
 
-// Blinder supplies r^n mod n² blinding factors for output
-// re-randomization. Pool implements Blinder with precomputed factors;
-// NewRandBlinder computes them inline.
+// Blinder supplies r^n mod n² blinding factors: to the linear kernel for
+// output re-randomization and to EncryptTensor for fresh encryptions.
+// NewRandBlinder and PrivateKey.Blinder compute them inline — the first
+// for a party that knows only n, the second for the key holder — and a
+// Pool serves either kind precomputed.
 type Blinder interface {
 	Blinding() (*big.Int, error)
 }
@@ -71,19 +73,60 @@ type trackedBlinder interface {
 	BlindingTracked() (rn *big.Int, pooled bool, err error)
 }
 
-type randBlinder struct {
-	pk     *PublicKey
-	random io.Reader
+// sampler is the inline Blinder: every call computes one factor from
+// random through fresh, which is PublicKey.freshBlinding or
+// PrivateKey.freshBlinding. modExps is what a call costs, so accounting
+// stays honest about which of the two ran: one full-size exponentiation,
+// or two half-size ones (counted the way a CRT decryption is).
+type sampler struct {
+	fresh   func(io.Reader) (*big.Int, error)
+	random  io.Reader
+	modExps uint64
 }
 
-// NewRandBlinder returns a Blinder that computes each factor inline from
-// random (nil means crypto/rand.Reader). It is the fallback when no Pool
-// is attached; each factor costs one full n-bit exponentiation.
-func NewRandBlinder(pk *PublicKey, random io.Reader) Blinder {
-	return randBlinder{pk: pk, random: random}
+func (s sampler) Blinding() (*big.Int, error) { return s.fresh(s.random) }
+
+// NewRandBlinder returns the public Blinder: each factor is r^n mod n²
+// for a fresh r from random (nil means crypto/rand.Reader), one full
+// n-bit exponentiation. It is the model provider's fallback when no Pool
+// is attached.
+func NewRandBlinder(pk *PublicKey, random io.Reader) Blinder { return pk.sampler(random) }
+
+func (pk *PublicKey) sampler(random io.Reader) sampler {
+	return sampler{fresh: pk.freshBlinding, random: random, modExps: 1}
 }
 
-func (b randBlinder) Blinding() (*big.Int, error) { return b.pk.freshBlinding(b.random) }
+// Blinder returns the key holder's Blinder: identically distributed
+// factors from the CRT sampler (see PrivateKey.freshBlinding), read from
+// random (nil means crypto/rand.Reader).
+func (sk *PrivateKey) Blinder(random io.Reader) Blinder { return sk.sampler(random) }
+
+func (sk *PrivateKey) sampler(random io.Reader) sampler {
+	return sampler{fresh: sk.freshBlinding, random: random, modExps: 2}
+}
+
+// draw takes one factor from b for a metered caller. pooled reports a
+// precomputed factor; otherwise modExps is the number of exponentiations
+// the inline computation just cost (1 for a Blinder from outside this
+// package, which can only be a public one).
+func draw(b Blinder) (rn *big.Int, pooled bool, modExps uint64, err error) {
+	modExps = 1
+	switch s := b.(type) {
+	case *Pool:
+		modExps = s.src.modExps
+	case sampler:
+		modExps = s.modExps
+	}
+	if tb, ok := b.(trackedBlinder); ok {
+		rn, pooled, err = tb.BlindingTracked()
+	} else {
+		rn, err = b.Blinding()
+	}
+	if pooled {
+		modExps = 0
+	}
+	return rn, pooled, modExps, err
+}
 
 // KernelMetrics receives kernel phase timings. Either callback may be
 // nil. The protocol layer wires these to the "kernel.precompute" and
@@ -169,30 +212,26 @@ func (ev *Evaluator) CostMeter() *obs.CostMeter {
 // Blinding returns one fresh r^n factor from the evaluator's supply,
 // counting the re-randomization (and pool hit/miss) into the cost meter.
 func (ev *Evaluator) Blinding() (*big.Int, error) {
-	rn, pooled, err := ev.blinding()
+	rn, st, err := ev.blinding()
 	if err != nil {
 		return nil, err
 	}
-	if ev.cost != nil {
-		st := obs.CostStats{Rerands: 1}
-		if pooled {
-			st.PoolHits = 1
-		} else {
-			st.PoolMisses = 1
-			st.ModExps = 1 // inline r^n exponentiation on the critical path
-		}
-		ev.cost.Add(st)
-	}
+	ev.cost.Add(st)
 	return rn, nil
 }
 
-// blinding draws one factor and reports whether it was precomputed.
-func (ev *Evaluator) blinding() (*big.Int, bool, error) {
-	if tb, ok := ev.blinder.(trackedBlinder); ok {
-		return tb.BlindingTracked()
+// blinding draws one factor and returns what the re-randomization it is
+// for costs apart from applying it: a pool hit, or a miss and the inline
+// exponentiations on the critical path.
+func (ev *Evaluator) blinding() (*big.Int, obs.CostStats, error) {
+	rn, pooled, modExps, err := draw(ev.blinder)
+	st := obs.CostStats{Rerands: 1, ModExps: modExps}
+	if pooled {
+		st.PoolHits = 1
+	} else {
+		st.PoolMisses = 1
 	}
-	rn, err := ev.blinder.Blinding()
-	return rn, false, err
+	return rn, st, err
 }
 
 // maxWindow bounds table memory: 2^6−1 entries per used side per input.
@@ -410,20 +449,14 @@ func (k *LinearKernel) Dot(idx []int, ws []int64, bias *big.Int) (*Ciphertext, e
 	// Re-randomize: the product's randomness so far is only inherited from
 	// the inputs (and is absent entirely for an all-zero row), so multiply
 	// in a fresh r^n before the ciphertext leaves the model provider.
-	rn, pooled, err := k.ev.blinding()
+	rn, blindCost, err := k.ev.blinding()
 	if err != nil {
 		return nil, err
 	}
 	acc.Mul(acc, rn)
 	acc.Mod(acc, n2)
 	st.MulMods++
-	st.Rerands++
-	if pooled {
-		st.PoolHits++
-	} else {
-		st.PoolMisses++
-		st.ModExps++
-	}
+	st.Add(blindCost)
 	k.ev.cost.Add(st)
 	if m := k.ev.metrics.Load(); m != nil && m.Dot != nil {
 		m.Dot(time.Since(start))

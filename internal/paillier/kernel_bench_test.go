@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -138,6 +139,34 @@ func BenchmarkMatVecScaledMetered(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ev.MatVec(w, bias, xs, 1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBlinding prices one blinding factor from each source: the
+// public r^n mod n² (one full-size exponentiation) against the key
+// holder's CRT sampler (two half-size ones), at the benchmark's key sizes.
+func BenchmarkBlinding(b *testing.B) {
+	for _, bits := range []int{256, 512, 1024} {
+		k, err := GenerateKey(rand.Reader, bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, src := range []struct {
+			name    string
+			blinder Blinder
+		}{
+			{"public", NewRandBlinder(&k.PublicKey, nil)},
+			{"keyholder", k.Blinder(nil)},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", src.name, bits), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := src.blinder.Blinding(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

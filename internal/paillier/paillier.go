@@ -49,7 +49,7 @@ type PublicKey struct {
 }
 
 // PrivateKey holds the factorization of n and the CRT precomputation used
-// for fast decryption.
+// for fast decryption and for the key holder's blinding sampler.
 type PrivateKey struct {
 	PublicKey
 	P, Q *big.Int // prime factors of n
@@ -59,6 +59,7 @@ type PrivateKey struct {
 	qMinus1 *big.Int // q−1
 	hp, hq  *big.Int // CRT decryption constants
 	qInvP   *big.Int // q⁻¹ mod p
+	q2InvP2 *big.Int // (q²)⁻¹ mod p², CRT coefficient lifting (mod p², mod q²) to mod n²
 	halfN   *big.Int // ⌊n/2⌋, signed-decode threshold
 }
 
@@ -108,14 +109,8 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		if n.BitLen() != bits {
 			continue
 		}
-		// gcd(n, (p−1)(q−1)) must be 1; with p ≠ q both prime and the
-		// same bit length this holds, but verify defensively.
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		phi := new(big.Int).Mul(pm1, qm1)
-		if new(big.Int).GCD(nil, nil, n, phi).Cmp(one) != 0 {
-			continue
-		}
+		// With p ≠ q both prime and the same bit length newPrivateKey's
+		// gcd(n, (p−1)(q−1)) = 1 guard cannot fire.
 		return newPrivateKey(p, q)
 	}
 }
@@ -135,8 +130,17 @@ func NewPrivateKeyFromPrimes(p, q *big.Int) (*PrivateKey, error) {
 	return newPrivateKey(p, q)
 }
 
+// newPrivateKey derives every precomputed constant from two distinct
+// primes. It rejects pairs with gcd(n, (p−1)(q−1)) ≠ 1 — q | p−1 or
+// p | q−1 — for which x ↦ x^n is not a bijection on the n-th residues:
+// decryption is then ambiguous and the key holder's blinding sampler
+// (PrivateKey.freshBlinding) would no longer match r^n mod n².
 func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	n := new(big.Int).Mul(p, q)
+	phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+	if new(big.Int).GCD(nil, nil, n, phi).Cmp(one) != 0 {
+		return nil, errors.New("paillier: gcd(n, (p−1)(q−1)) ≠ 1 (one prime divides the other's predecessor)")
+	}
 	n2 := new(big.Int).Mul(n, n)
 	key := &PrivateKey{
 		PublicKey: PublicKey{N: n, N2: n2},
@@ -164,6 +168,8 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	if key.qInvP.ModInverse(q, p) == nil {
 		return nil, errors.New("paillier: q not invertible mod p (bad primes)")
 	}
+	// q is invertible mod p (checked above), hence q² is mod p².
+	key.q2InvP2 = new(big.Int).ModInverse(key.q2, key.p2)
 	return key, nil
 }
 

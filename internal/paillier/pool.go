@@ -1,7 +1,6 @@
 package paillier
 
 import (
-	"crypto/rand"
 	"io"
 	"math/big"
 	"sync"
@@ -15,11 +14,13 @@ import (
 // (paper Fig. 3, step 2.3) sits on the inference critical path, so hiding
 // the r^n exponentiation off-path is one of the practical optimizations
 // the streaming design enables: blinding factors are produced while other
-// pipeline stages run. The model provider's linear kernel draws from the
-// same supply to re-randomize its outputs (Pool implements Blinder).
+// pipeline stages run. The model provider's linear kernel draws from its
+// own Pool to re-randomize its outputs (Pool implements Blinder). A Pool
+// precomputes with the sampler of whoever built it: NewPool for a party
+// that knows only n, NewPrivatePool for the key holder.
 type Pool struct {
 	pk           *PublicKey
-	random       io.Reader
+	src          sampler
 	ch           chan *big.Int
 	closeCh      chan struct{}
 	wg           sync.WaitGroup
@@ -32,8 +33,9 @@ type Pool struct {
 type PoolOption func(*Pool)
 
 // WithPrecomputeHook registers fn to be called once per blinding factor
-// the fill workers precompute in the background. Each precomputed factor
-// costs one full r^n modular exponentiation that never shows up in any
+// the fill workers precompute in the background, with the number of
+// exponentiations it cost (one full r^n under NewPool, two half-size
+// ones under NewPrivatePool). That work never shows up in any
 // request's cost meter (it happens off-path, before the request that
 // will consume it exists), so the serving plane uses this hook to charge
 // those exponentiations into the process-wide "cost.modexps" counter —
@@ -45,11 +47,21 @@ func WithPrecomputeHook(fn func(n uint64)) PoolOption {
 }
 
 // NewPool starts workers goroutines filling a buffer of capacity size with
-// fresh blinding factors. Close must be called to release the workers.
+// fresh blinding factors computed from the public key alone (one full
+// r^n exponentiation each). Close must be called to release the workers.
 func NewPool(pk *PublicKey, random io.Reader, size, workers int, opts ...PoolOption) *Pool {
-	if random == nil {
-		random = rand.Reader
-	}
+	return newPool(pk, pk.sampler(random), size, workers, opts)
+}
+
+// NewPrivatePool is NewPool for the key holder: the fill workers and the
+// inline fallback on an empty buffer both draw from the CRT sampler (see
+// PrivateKey.freshBlinding), so no encryption by the data provider pays
+// the public-key price whether or not it hits the pool.
+func NewPrivatePool(sk *PrivateKey, random io.Reader, size, workers int, opts ...PoolOption) *Pool {
+	return newPool(&sk.PublicKey, sk.sampler(random), size, workers, opts)
+}
+
+func newPool(pk *PublicKey, src sampler, size, workers int, opts []PoolOption) *Pool {
 	if size < 1 {
 		size = 1
 	}
@@ -58,7 +70,7 @@ func NewPool(pk *PublicKey, random io.Reader, size, workers int, opts ...PoolOpt
 	}
 	p := &Pool{
 		pk:      pk,
-		random:  random,
+		src:     src,
 		ch:      make(chan *big.Int, size),
 		closeCh: make(chan struct{}),
 	}
@@ -85,7 +97,7 @@ func (p *Pool) fill() {
 	defer p.alive.Add(-1)
 	backoff := fillBackoffStart
 	for {
-		rn, err := p.pk.freshBlinding(p.random)
+		rn, err := p.src.Blinding()
 		if err != nil {
 			// Transient randomness failure: back off and retry instead of
 			// exiting — a dead worker would silently degrade every future
@@ -103,7 +115,7 @@ func (p *Pool) fill() {
 		}
 		backoff = fillBackoffStart
 		if p.onPrecompute != nil {
-			p.onPrecompute(1)
+			p.onPrecompute(p.src.modExps)
 		}
 		select {
 		case p.ch <- rn:
@@ -138,7 +150,7 @@ func (p *Pool) BlindingTracked() (*big.Int, bool, error) {
 	case rn := <-p.ch:
 		return rn, true, nil
 	default:
-		rn, err := p.pk.freshBlinding(p.random)
+		rn, err := p.src.Blinding()
 		return rn, false, err
 	}
 }

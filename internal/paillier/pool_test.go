@@ -9,8 +9,10 @@ import (
 	"time"
 )
 
-// flakyReader fails its first `failures` reads, then delegates to the
-// underlying reader — a transient entropy outage.
+var errEntropy = errors.New("simulated entropy outage")
+
+// flakyReader fails its first `failures` reads with errEntropy, then
+// delegates to the underlying reader — a transient entropy outage.
 type flakyReader struct {
 	failures atomic.Int64
 	under    io.Reader
@@ -18,7 +20,7 @@ type flakyReader struct {
 
 func (f *flakyReader) Read(p []byte) (int, error) {
 	if f.failures.Add(-1) >= 0 {
-		return 0, errors.New("simulated entropy outage")
+		return 0, errEntropy
 	}
 	return f.under.Read(p)
 }

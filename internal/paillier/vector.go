@@ -3,11 +3,12 @@ package paillier
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"ppstream/internal/obs"
 	"ppstream/internal/tensor"
 )
 
@@ -16,17 +17,26 @@ import (
 // linear stages.
 type CipherTensor = tensor.Tensor[*Ciphertext]
 
-// EncryptTensor encrypts an int64 tensor element-wise, parallelizing
-// across workers goroutines (0 means GOMAXPROCS). Encryption dominates the
-// data provider's cost (paper Fig. 1), so this is the hottest path on that
-// side.
-func EncryptTensor(pk *PublicKey, random io.Reader, t *tensor.Tensor[int64], workers int) (*CipherTensor, error) {
+// EncryptTensor encrypts an int64 tensor element-wise under pk, drawing
+// one blinding factor per element from b and parallelizing across
+// workers goroutines (0 means GOMAXPROCS). Encryption dominates the data
+// provider's cost (paper Fig. 1), so this is the hottest path on that
+// side; the key holder passes its own Blinder (PrivateKey.Blinder or a
+// NewPrivatePool) and never pays r^n mod n². m, when non-nil, receives
+// the crypto-op counts: the encryptions and their two modular
+// multiplications each, the exponentiations of every factor computed
+// inline, and — when b is a Pool — its hits and misses.
+func EncryptTensor(pk *PublicKey, b Blinder, t *tensor.Tensor[int64], workers int, m *obs.CostMeter) (*CipherTensor, error) {
 	out := tensor.New[*Ciphertext](t.Shape()...)
 	in, od := t.Data(), out.Data()
 	var firstErr error
 	var mu sync.Mutex
+	var hits, modExps atomic.Uint64
 	parallelFor(len(in), workers, func(i int) {
-		ct, err := pk.EncryptInt64(random, in[i])
+		rn, pooled, exps, err := draw(b)
+		if err == nil {
+			od[i], err = pk.encryptWithBlinding(big.NewInt(in[i]), rn)
+		}
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -35,11 +45,21 @@ func EncryptTensor(pk *PublicKey, random io.Reader, t *tensor.Tensor[int64], wor
 			mu.Unlock()
 			return
 		}
-		od[i] = ct
+		if pooled {
+			hits.Add(1)
+		}
+		modExps.Add(exps)
 	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	n := uint64(len(in))
+	st := obs.CostStats{Encrypts: n, MulMods: 2 * n, ModExps: modExps.Load()}
+	if _, ok := b.(trackedBlinder); ok {
+		st.PoolHits = hits.Load()
+		st.PoolMisses = n - st.PoolHits
+	}
+	m.Add(st)
 	return out, nil
 }
 

@@ -10,7 +10,7 @@ import (
 func TestEncryptDecryptTensorRoundTrip(t *testing.T) {
 	k := key(t)
 	in := tensor.MustFromSlice([]int64{1, -2, 3, -4, 5, 0}, 2, 3)
-	ct, err := EncryptTensor(&k.PublicKey, rand.Reader, in, 4)
+	ct, err := EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), in, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

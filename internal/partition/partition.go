@@ -10,7 +10,11 @@
 // ciphertexts it receives, so the communication saving is physically
 // exercised (copied bytes), not just accounted: with partitioning off,
 // every thread copies the entire input tensor, as in the paper's
-// baseline where "the whole input tensor is fed to each thread".
+// baseline where "the whole input tensor is fed to each thread". Each
+// thread then evaluates its whole output range through one linear kernel
+// over that view (qnn.ElementOp.ComputeRange), so the per-input
+// preprocessing is shared within a thread exactly as Op.Apply shares it
+// within a layer.
 package partition
 
 import (
@@ -157,40 +161,27 @@ func Execute(ev *paillier.Evaluator, op qnn.ElementOp, x *paillier.CipherTensor,
 		go func(task Task) {
 			defer wg.Done()
 			// Materialize the thread's input view: copy the ciphertext
-			// values it receives (the "communication" of Section IV-D).
-			var get func(int) *paillier.Ciphertext
-			var copied int
+			// values it receives (the "communication" of Section IV-D),
+			// indexed by input offset and nil where nothing was sent.
+			view := make([]*paillier.Ciphertext, len(xd))
+			copied := len(task.Inputs)
 			if task.Inputs == nil {
-				view := make([]*paillier.Ciphertext, len(xd))
+				copied = len(xd)
 				for i, c := range xd {
 					view[i] = copyCiphertext(c)
 				}
-				copied = len(xd)
-				get = func(i int) *paillier.Ciphertext { return view[i] }
 			} else {
-				view := make(map[int]*paillier.Ciphertext, len(task.Inputs))
 				for _, off := range task.Inputs {
 					view[off] = copyCiphertext(xd[off])
-				}
-				copied = len(task.Inputs)
-				get = func(i int) *paillier.Ciphertext {
-					c, ok := view[i]
-					if !ok {
-						panic(fmt.Sprintf("partition: thread read unplanned input offset %d", i))
-					}
-					return c
 				}
 			}
 			statsMu.Lock()
 			stats.ElementsSent += copied
 			statsMu.Unlock()
-			for idx := task.Lo; idx < task.Hi; idx++ {
-				ct, err := op.ComputeElement(ev, get, in, idx, inExp)
-				if err != nil {
-					errCh <- fmt.Errorf("partition: op %s element %d: %w", op.Name(), idx, err)
-					return
-				}
-				od[idx] = ct
+			// One kernel per task: the thread's inverses and power tables
+			// are built once over its view and shared by all its elements.
+			if err := op.ComputeRange(ev, view, in, task.Lo, task.Hi, inExp, od[task.Lo:task.Hi]); err != nil {
+				errCh <- fmt.Errorf("partition: op %s elements [%d,%d): %w", op.Name(), task.Lo, task.Hi, err)
 			}
 		}(task)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"ppstream/internal/nn"
+	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
 	"ppstream/internal/qnn"
 	"ppstream/internal/tensor"
@@ -116,58 +117,77 @@ func TestPlanOpFCNeedsWholeInput(t *testing.T) {
 	}
 }
 
-// TestExecuteMatchesReference: partitioned execution (both modes) equals
-// the unpartitioned qnn path exactly.
+// TestExecuteMatchesReference: partitioned execution — one kernel per
+// task — decrypts identically to the unpartitioned Op.Apply for FC and
+// conv at 1, 2 and 3 threads, with and without input partitioning, and
+// inverts each input at most once per thread (the one-row path it
+// replaced inverted once per negative weight per element).
 func TestExecuteMatchesReference(t *testing.T) {
 	k := key(t)
 	const F = 100
+	r := mathrand.New(mathrand.NewSource(5))
 	p := tensor.ConvParams{InC: 1, InH: 4, InW: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv, err := nn.NewConv("c", p, mathrand.New(mathrand.NewSource(5)))
+	conv, err := nn.NewConv("c", p, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, _ := qnn.Quantize(conv, F)
-	x := tensor.Zeros(1, 4, 4)
-	for i := range x.Data() {
-		x.Data()[i] = float64(i%7)/7 - 0.5
-	}
-	scaled := qnn.ScaleInput(x, F)
-	ct, err := paillier.EncryptTensor(&k.PublicKey, rand.Reader, scaled, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := op.Apply(paillier.NewEvaluator(&k.PublicKey), ct, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDec, err := paillier.DecryptTensorBig(k, ref, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inputPart := range []bool{false, true} {
-		out, stats, err := Execute(paillier.NewEvaluator(&k.PublicKey), op.(qnn.ElementOp), ct, 1, 3, inputPart)
+	for _, c := range []struct {
+		layer nn.Layer
+		in    tensor.Shape
+	}{
+		{conv, tensor.Shape{1, 4, 4}},
+		{nn.NewFC("fc", 16, 5, r), tensor.Shape{16}},
+	} {
+		op, err := qnn.Quantize(c.layer, F)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := paillier.DecryptTensorBig(k, out, 4)
+		x := tensor.Zeros(c.in...)
+		for i := range x.Data() {
+			x.Data()[i] = float64(i%7)/7 - 0.5
+		}
+		ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), qnn.ScaleInput(x, F), 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range refDec.Data() {
-			if refDec.AtFlat(i).Cmp(dec.AtFlat(i)) != 0 {
-				t.Fatalf("inputPart=%v element %d differs", inputPart, i)
-			}
+		ref, err := op.Apply(paillier.NewEvaluator(&k.PublicKey), ct, 1, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if inputPart {
-			if stats.ElementsSent >= stats.ElementsTotal {
-				t.Errorf("input partitioning saved nothing: %+v", stats)
-			}
-			if stats.Saved() <= 0 {
-				t.Errorf("Saved() = %v", stats.Saved())
-			}
-		} else {
-			if stats.ElementsSent != stats.ElementsTotal {
-				t.Errorf("baseline should send everything: %+v", stats)
+		refDec, err := paillier.DecryptTensorBig(k, ref, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 2, 3} {
+			for _, inputPart := range []bool{false, true} {
+				var m obs.CostMeter
+				ev := paillier.NewEvaluator(&k.PublicKey, paillier.WithCostMeter(&m))
+				out, stats, err := Execute(ev, op.(qnn.ElementOp), ct, 1, threads, inputPart)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := paillier.DecryptTensorBig(k, out, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range refDec.Data() {
+					if refDec.AtFlat(i).Cmp(dec.AtFlat(i)) != 0 {
+						t.Fatalf("%s threads=%d inputPart=%v element %d differs", op.Name(), threads, inputPart, i)
+					}
+				}
+				if inv := m.Snapshot().ModInverses; inv > uint64(threads*c.in.Size()) {
+					t.Errorf("%s threads=%d inputPart=%v: %d modinverses for %d inputs", op.Name(), threads, inputPart, inv, c.in.Size())
+				}
+				// At 3 threads a task no longer spans a whole filter, so its
+				// receptive fields stop covering the whole input.
+				_, isConv := c.layer.(*nn.Conv)
+				if inputPart && isConv && threads == 3 {
+					if stats.ElementsSent >= stats.ElementsTotal || stats.Saved() <= 0 {
+						t.Errorf("input partitioning saved nothing: %+v", stats)
+					}
+				} else if stats.ElementsSent != stats.ElementsTotal {
+					t.Errorf("%s threads=%d inputPart=%v should send everything: %+v", op.Name(), threads, inputPart, stats)
+				}
 			}
 		}
 	}
@@ -194,7 +214,7 @@ func TestExecuteStageSequence(t *testing.T) {
 		x.Data()[i] = r.Float64() - 0.5
 	}
 	scaled := qnn.ScaleInput(x, F)
-	ct, err := paillier.EncryptTensor(&k.PublicKey, rand.Reader, scaled, 4)
+	ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), scaled, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,13 @@ func TestInferTracedCarriesCostAnnotations(t *testing.T) {
 	if kernelCost.CipherBytesIn == 0 || kernelCost.CipherBytesOut == 0 {
 		t.Errorf("server-kernel segments carry no ciphertext traffic: %+v", kernelCost)
 	}
-	if encCost.Encrypts == 0 {
-		t.Errorf("client-encrypt segment carries no encryption cost: %+v", encCost)
+	// The client holds the key: each encryption is a CRT blinding, two
+	// half-size exponentiations, counted the way a CRT decryption is.
+	if encCost.Encrypts == 0 || encCost.ModExps != 2*encCost.Encrypts {
+		t.Errorf("client-encrypt segment: want 2 modexps per encryption, got %+v", encCost)
 	}
-	if nlCost.Decrypts == 0 || nlCost.Encrypts == 0 {
-		t.Errorf("client-nonlinear segments carry no decrypt/re-encrypt cost: %+v", nlCost)
+	if nlCost.Decrypts == 0 || nlCost.Encrypts == 0 || nlCost.ModExps != 2*(nlCost.Decrypts+nlCost.Encrypts) {
+		t.Errorf("client-nonlinear segments: want 2 modexps per decrypt and per re-encrypt, got %+v", nlCost)
 	}
 	if wireCost.CipherBytesIn == 0 || wireCost.CipherBytesOut == 0 {
 		t.Errorf("wire segments carry no ciphertext byte counts: %+v", wireCost)

@@ -94,14 +94,14 @@ type Config struct {
 	// per-stage plan overrides it.
 	Workers int
 	// Pool, when non-nil, provides precomputed encryption blinding for
-	// the data provider's re-encryption step. The model provider's linear
-	// kernel also draws output re-randomization factors from it unless
-	// BlindPool overrides.
+	// the data provider's encryption and re-encryption steps. It belongs
+	// to the key holder: build it with paillier.NewPrivatePool. Without
+	// one the data provider computes each factor inline from its key.
 	Pool *paillier.Pool
 	// BlindPool, when non-nil, supplies the model provider's output
 	// re-randomization factors (the kernel blinds every ciphertext before
-	// it leaves the provider). Falls back to Pool, then to inline
-	// crypto/rand factors.
+	// it leaves the provider). Falls back to inline crypto/rand factors
+	// from the public key.
 	BlindPool *paillier.Pool
 }
 
@@ -160,8 +160,6 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 	var evOpts []paillier.EvalOption
 	if blind := cfg.BlindPool; blind != nil {
 		evOpts = append(evOpts, paillier.WithBlinder(blind))
-	} else if cfg.Pool != nil {
-		evOpts = append(evOpts, paillier.WithBlinder(cfg.Pool))
 	}
 	mp := &ModelProvider{
 		pk:      pk,
@@ -219,7 +217,10 @@ func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*D
 		sk:      sk,
 		factor:  cfg.Factor,
 		workers: cfg.Workers,
-		pool:    cfg.Pool,
+		blind:   sk.Blinder(nil),
+	}
+	if cfg.Pool != nil {
+		dp.blind = cfg.Pool
 	}
 	for _, m := range merged {
 		if m.Kind != nn.NonLinear {
@@ -682,8 +683,10 @@ type DataProvider struct {
 	sk      *paillier.PrivateKey
 	factor  int64
 	workers int
-	pool    *paillier.Pool
-	stages  []*nonLinearStage
+	// blind is the one source of encryption blinding: the key holder's
+	// inline CRT sampler, or the key holder's Pool when one is configured.
+	blind  paillier.Blinder
+	stages []*nonLinearStage
 
 	planMu sync.RWMutex
 	plan   []backend.Kind
@@ -744,8 +747,9 @@ func (dp *DataProvider) Encrypt(req uint64, x *tensor.Dense) (*Envelope, error) 
 }
 
 // EncryptMetered is Encrypt with crypto-op accounting into m (nil skips
-// accounting): encryption counts, blinding-pool hits/misses, and the
-// inline exponentiations misses cost.
+// accounting): encryption counts, blinding-pool hits/misses, and the two
+// half-size exponentiations of every blinding factor the key holder
+// computes inline.
 func (dp *DataProvider) EncryptMetered(req uint64, x *tensor.Dense, m *obs.CostMeter) (*Envelope, error) {
 	scaled := qnn.ScaleInput(x, dp.factor)
 	ct, err := dp.encryptTensor(scaled, m)
@@ -758,34 +762,7 @@ func (dp *DataProvider) EncryptMetered(req uint64, x *tensor.Dense, m *obs.CostM
 }
 
 func (dp *DataProvider) encryptTensor(t *tensor.Tensor[int64], m *obs.CostMeter) (*paillier.CipherTensor, error) {
-	if dp.pool != nil {
-		var st obs.CostStats
-		out := tensor.New[*paillier.Ciphertext](t.Shape()...)
-		for i, v := range t.Data() {
-			ct, pooled, err := dp.pool.EncryptTracked(big.NewInt(v))
-			if err != nil {
-				return nil, err
-			}
-			st.Encrypts++
-			st.MulMods += 2 // (1+m·n) fold + blinding apply
-			if pooled {
-				st.PoolHits++
-			} else {
-				st.PoolMisses++
-				st.ModExps++ // inline r^n on the critical path
-			}
-			out.SetFlat(i, ct)
-		}
-		m.Add(st)
-		return out, nil
-	}
-	ct, err := paillier.EncryptTensor(&dp.sk.PublicKey, nil, t, dp.workers)
-	if err != nil {
-		return nil, err
-	}
-	n := uint64(t.Size())
-	m.Add(obs.CostStats{Encrypts: n, ModExps: n, MulMods: 2 * n})
-	return ct, nil
+	return paillier.EncryptTensor(&dp.sk.PublicKey, dp.blind, t, dp.workers, m)
 }
 
 // ProcessNonLinear executes round r's steps at the data provider:

@@ -2,7 +2,6 @@ package qnn
 
 import (
 	"fmt"
-	"math/big"
 
 	"ppstream/internal/paillier"
 	"ppstream/internal/tensor"
@@ -20,11 +19,14 @@ type ElementOp interface {
 	// outIdx reads. A nil return means the whole input is required
 	// (fully-connected operations support only output partitioning).
 	InputNeeds(in tensor.Shape, outIdx int) []int
-	// ComputeElement evaluates one output element through an input
-	// accessor, allowing the caller to substitute a partitioned
-	// sub-tensor view. The evaluator re-randomizes the element before it
-	// is returned.
-	ComputeElement(ev *paillier.Evaluator, get func(int) *paillier.Ciphertext, in tensor.Shape, outIdx, inExp int) (*paillier.Ciphertext, error)
+	// ComputeRange evaluates output elements [lo, hi) into out, which has
+	// hi−lo entries, over view: one thread's copy of the input, indexed
+	// by flat input offset and nil at offsets the thread was not sent.
+	// Reading an unsent offset is an error. Dot-product ops build ONE
+	// linear kernel over view for the whole range, so every input's
+	// inverse and power tables are computed once per thread, not once per
+	// element; every element is re-randomized before it is returned.
+	ComputeRange(ev *paillier.Evaluator, view []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error
 }
 
 // OutSize implements ElementOp for QFC.
@@ -38,24 +40,9 @@ func (q *QFC) OutSize(in tensor.Shape) (int, error) {
 // InputNeeds implements ElementOp: fully-connected rows read everything.
 func (q *QFC) InputNeeds(tensor.Shape, int) []int { return nil }
 
-// ComputeElement implements ElementOp.
-func (q *QFC) ComputeElement(ev *paillier.Evaluator, get func(int) *paillier.Ciphertext, in tensor.Shape, outIdx, inExp int) (*paillier.Ciphertext, error) {
-	n := in.Size()
-	xs := make([]*paillier.Ciphertext, 0, n)
-	ws := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		w := q.W[outIdx][i]
-		if w == 0 {
-			continue
-		}
-		xs = append(xs, get(i))
-		ws = append(ws, w)
-	}
-	var bias *big.Int
-	if q.B[outIdx] != 0 {
-		bias = biasAt(q.B[outIdx], q.F, inExp+1)
-	}
-	return ev.Dot(xs, ws, bias)
+// ComputeRange implements ElementOp.
+func (q *QFC) ComputeRange(ev *paillier.Evaluator, view []*paillier.Ciphertext, _ tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
+	return q.rows(ev, view, lo, hi, inExp, 1, out)
 }
 
 // OutSize implements ElementOp for QConv.
@@ -82,26 +69,9 @@ func (q *QConv) InputNeeds(_ tensor.Shape, outIdx int) []int {
 	return needs
 }
 
-// ComputeElement implements ElementOp.
-func (q *QConv) ComputeElement(ev *paillier.Evaluator, get func(int) *paillier.Ciphertext, _ tensor.Shape, outIdx, inExp int) (*paillier.Ciphertext, error) {
-	positions := q.P.OutH() * q.P.OutW()
-	f := outIdx / positions
-	pos := outIdx % positions
-	row := q.Rows[pos]
-	xs := make([]*paillier.Ciphertext, 0, len(row))
-	ws := make([]int64, 0, len(row))
-	for k, off := range row {
-		if off < 0 || q.W[f][k] == 0 {
-			continue
-		}
-		xs = append(xs, get(off))
-		ws = append(ws, q.W[f][k])
-	}
-	var bias *big.Int
-	if q.B[f] != 0 {
-		bias = biasAt(q.B[f], q.F, inExp+1)
-	}
-	return ev.Dot(xs, ws, bias)
+// ComputeRange implements ElementOp.
+func (q *QConv) ComputeRange(ev *paillier.Evaluator, view []*paillier.Ciphertext, _ tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
+	return q.elements(ev, view, lo, hi, inExp, 1, out)
 }
 
 // OutSize implements ElementOp for QAffine.
@@ -115,29 +85,22 @@ func (q *QAffine) OutSize(in tensor.Shape) (int, error) {
 // InputNeeds implements ElementOp: element-wise ops read one element.
 func (q *QAffine) InputNeeds(_ tensor.Shape, outIdx int) []int { return []int{outIdx} }
 
-// ComputeElement implements ElementOp.
-func (q *QAffine) ComputeElement(ev *paillier.Evaluator, get func(int) *paillier.Ciphertext, in tensor.Shape, outIdx, inExp int) (*paillier.Ciphertext, error) {
+// ComputeRange implements ElementOp.
+func (q *QAffine) ComputeRange(ev *paillier.Evaluator, view []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
 	idx, err := q.coeffIndex(in)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pk := ev.PublicKey()
-	c := idx(outIdx)
-	ct, err := pk.MulScalarInt64(get(outIdx), q.Scale[c])
-	if err != nil {
-		return nil, err
-	}
-	if q.Shift != nil && q.Shift[c] != 0 {
-		ct, err = pk.AddPlain(ct, biasAt(q.Shift[c], q.F, inExp+1))
-		if err != nil {
-			return nil, err
+	for i := lo; i < hi; i++ {
+		if view[i] == nil {
+			return fmt.Errorf("qnn: %s element %d reads an input offset its thread was not sent", q.name, i)
+		}
+		if out[i-lo], err = q.element(ev, view[i], idx(i), inExp); err != nil {
+			return err
 		}
 	}
-	rn, err := ev.Blinding()
-	if err != nil {
-		return nil, err
-	}
-	return pk.RerandomizeWith(ct, rn), nil
+	ev.CostMeter().Add(q.cost(idx, lo, hi))
+	return nil
 }
 
 // OutSize implements ElementOp for QFlatten.
@@ -146,7 +109,13 @@ func (q *QFlatten) OutSize(in tensor.Shape) (int, error) { return in.Size(), nil
 // InputNeeds implements ElementOp.
 func (q *QFlatten) InputNeeds(_ tensor.Shape, outIdx int) []int { return []int{outIdx} }
 
-// ComputeElement implements ElementOp: identity.
-func (q *QFlatten) ComputeElement(_ *paillier.Evaluator, get func(int) *paillier.Ciphertext, _ tensor.Shape, outIdx, _ int) (*paillier.Ciphertext, error) {
-	return get(outIdx), nil
+// ComputeRange implements ElementOp: identity.
+func (q *QFlatten) ComputeRange(_ *paillier.Evaluator, view []*paillier.Ciphertext, _ tensor.Shape, lo, hi, _ int, out []*paillier.Ciphertext) error {
+	for i := lo; i < hi; i++ {
+		if view[i] == nil {
+			return fmt.Errorf("qnn: %s element %d reads an input offset its thread was not sent", q.name, i)
+		}
+		out[i-lo] = view[i]
+	}
+	return nil
 }

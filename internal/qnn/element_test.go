@@ -10,7 +10,7 @@ import (
 	"ppstream/internal/tensor"
 )
 
-// TestElementOpsMatchApply verifies each op's per-element path equals its
+// TestElementOpsMatchApply verifies each op's per-range path equals its
 // bulk Apply path — the invariant the partitioning executor relies on.
 func TestElementOpsMatchApply(t *testing.T) {
 	k := key(t)
@@ -55,7 +55,7 @@ func TestElementOpsMatchApply(t *testing.T) {
 			for i := range x.Data() {
 				x.Data()[i] = r.Float64() - 0.5
 			}
-			ct, err := paillier.EncryptTensor(&k.PublicKey, rand.Reader, ScaleInput(x, F), 2)
+			ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), ScaleInput(x, F), 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,35 +75,41 @@ func TestElementOpsMatchApply(t *testing.T) {
 				t.Fatalf("OutSize %d vs Apply size %d", n, bulk.Size())
 			}
 			xs := ct.Flatten().Data()
-			get := func(i int) *paillier.Ciphertext { return xs[i] }
-			for idx := 0; idx < n; idx++ {
-				elem, err := eop.ComputeElement(paillier.NewEvaluator(&k.PublicKey), get, c.in, idx, 1)
-				if err != nil {
-					t.Fatal(err)
+			check := func(lo, hi int, view []*paillier.Ciphertext) {
+				t.Helper()
+				elems := make([]*paillier.Ciphertext, hi-lo)
+				if err := eop.ComputeRange(paillier.NewEvaluator(&k.PublicKey), view, c.in, lo, hi, 1, elems); err != nil {
+					t.Fatalf("%s elements [%d,%d): %v", c.name, lo, hi, err)
 				}
-				got, err := k.Decrypt(elem)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Cmp(bulkDec.AtFlat(idx)) != 0 {
-					t.Fatalf("%s element %d: %v vs bulk %v", c.name, idx, got, bulkDec.AtFlat(idx))
-				}
-				// InputNeeds must cover every offset ComputeElement reads.
-				needs := eop.InputNeeds(c.in, idx)
-				if needs != nil {
-					allowed := map[int]bool{}
-					for _, off := range needs {
-						allowed[off] = true
-					}
-					guarded := func(i int) *paillier.Ciphertext {
-						if !allowed[i] {
-							t.Fatalf("%s element %d read offset %d outside InputNeeds", c.name, idx, i)
-						}
-						return xs[i]
-					}
-					if _, err := eop.ComputeElement(paillier.NewEvaluator(&k.PublicKey), guarded, c.in, idx, 1); err != nil {
+				for i, elem := range elems {
+					got, err := k.Decrypt(elem)
+					if err != nil {
 						t.Fatal(err)
 					}
+					if got.Cmp(bulkDec.AtFlat(lo+i)) != 0 {
+						t.Fatalf("%s element %d: %v vs bulk %v", c.name, lo+i, got, bulkDec.AtFlat(lo+i))
+					}
+				}
+			}
+			// One kernel over the whole input for the whole range, and for
+			// a proper sub-range.
+			check(0, n, xs)
+			check(n/3, n-1, xs)
+			// InputNeeds must cover every offset an element reads: a view
+			// holding only those offsets suffices, an empty one does not.
+			for idx := 0; idx < n; idx++ {
+				needs := eop.InputNeeds(c.in, idx)
+				if needs == nil {
+					continue
+				}
+				view := make([]*paillier.Ciphertext, len(xs))
+				for _, off := range needs {
+					view[off] = xs[off]
+				}
+				check(idx, idx+1, view)
+				empty := make([]*paillier.Ciphertext, len(xs))
+				if err := eop.ComputeRange(paillier.NewEvaluator(&k.PublicKey), empty, c.in, idx, idx+1, 1, make([]*paillier.Ciphertext, 1)); err == nil {
+					t.Fatalf("%s element %d computed from a view it was sent nothing of", c.name, idx)
 				}
 			}
 		})
@@ -137,7 +143,7 @@ func TestApplyPlainMatchesCipherAllOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := paillier.EncryptTensor(&k.PublicKey, rand.Reader, scaled, 2)
+		ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), scaled, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

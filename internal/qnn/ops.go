@@ -53,23 +53,32 @@ func (q *QFC) OutShape(in tensor.Shape) (tensor.Shape, error) {
 // re-randomized. One kernel preprocessing pass (shared inverses, windowed
 // power tables) serves every row.
 func (q *QFC) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
-	xs := x.Flatten().Data()
-	if len(xs) != len(q.W[0]) {
-		return nil, fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, len(q.W[0]), len(xs))
-	}
-	use, maxBits, err := paillier.ScanColumnUse(q.W, len(xs))
-	if err != nil {
-		return nil, err
-	}
-	kern, err := ev.NewLinearKernel(xs, use, len(q.W), maxBits, workers)
-	if err != nil {
-		return nil, err
-	}
 	out := tensor.New[*paillier.Ciphertext](len(q.W))
-	od := out.Data()
+	if err := q.rows(ev, x.Flatten().Data(), 0, len(q.W), inExp, workers, out.Data()); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// rows evaluates output rows [lo, hi) into out through one kernel over
+// xs whose column use and window are sized from those rows alone — the
+// whole layer for Apply, one thread's share for ComputeRange.
+func (q *QFC) rows(ev *paillier.Evaluator, xs []*paillier.Ciphertext, lo, hi, inExp, workers int, out []*paillier.Ciphertext) error {
+	if len(xs) != len(q.W[0]) {
+		return fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, len(q.W[0]), len(xs))
+	}
+	use, maxBits, err := paillier.ScanColumnUse(q.W[lo:hi], len(xs))
+	if err != nil {
+		return err
+	}
+	kern, err := ev.NewLinearKernel(xs, use, hi-lo, maxBits, workers)
+	if err != nil {
+		return err
+	}
 	var mu sync.Mutex
 	var firstErr error
-	parallelRange(len(q.W), workers, func(o int) {
+	parallelRange(hi-lo, workers, func(i int) {
+		o := lo + i
 		var bias *big.Int
 		if q.B[o] != 0 {
 			bias = biasAt(q.B[o], q.F, inExp+1)
@@ -83,12 +92,9 @@ func (q *QFC) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, wor
 			mu.Unlock()
 			return
 		}
-		od[o] = ct
+		out[i] = ct
 	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }
 
 // ApplyPlain implements Op over big integers.
@@ -202,25 +208,32 @@ func (q *QConv) OutShape(in tensor.Shape) (tensor.Shape, error) {
 // ciphertext's inverse and power tables are computed once even though
 // overlapping receptive fields read it many times.
 func (q *QConv) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
-	xs := x.Flatten().Data()
-	if len(xs) != q.P.InC*q.P.InH*q.P.InW {
-		return nil, fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, q.P.InC*q.P.InH*q.P.InW, len(xs))
-	}
-	oh, ow := q.P.OutH(), q.P.OutW()
-	use, maxBits := q.scanUse(len(xs))
-	total := q.P.OutC * oh * ow
-	kern, err := ev.NewLinearKernel(xs, use, total, maxBits, workers)
-	if err != nil {
+	out := tensor.New[*paillier.Ciphertext](q.P.OutC, q.P.OutH(), q.P.OutW())
+	if err := q.elements(ev, x.Flatten().Data(), 0, out.Size(), inExp, workers, out.Data()); err != nil {
 		return nil, err
 	}
-	out := tensor.New[*paillier.Ciphertext](q.P.OutC, oh, ow)
-	od := out.Data()
+	return out, nil
+}
+
+// elements evaluates flat output elements [lo, hi) into out through one
+// kernel over xs whose column use and window are sized from those
+// elements alone — the whole layer for Apply, one thread's share for
+// ComputeRange (xs is then nil outside the share's receptive fields).
+func (q *QConv) elements(ev *paillier.Evaluator, xs []*paillier.Ciphertext, lo, hi, inExp, workers int, out []*paillier.Ciphertext) error {
+	if len(xs) != q.P.InC*q.P.InH*q.P.InW {
+		return fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, q.P.InC*q.P.InH*q.P.InW, len(xs))
+	}
+	use, maxBits := q.scanUse(len(xs), lo, hi)
+	kern, err := ev.NewLinearKernel(xs, use, hi-lo, maxBits, workers)
+	if err != nil {
+		return err
+	}
+	positions := q.P.OutH() * q.P.OutW()
 	var mu sync.Mutex
 	var firstErr error
-	parallelRange(total, workers, func(idx int) {
-		f := idx / (oh * ow)
-		pos := idx % (oh * ow)
-		ct, err := q.applyOne(kern, f, pos, inExp)
+	parallelRange(hi-lo, workers, func(i int) {
+		idx := lo + i
+		ct, err := q.applyOne(kern, idx/positions, idx%positions, inExp)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -229,41 +242,30 @@ func (q *QConv) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, w
 			mu.Unlock()
 			return
 		}
-		od[idx] = ct
+		out[i] = ct
 	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }
 
-// scanUse derives the per-input-offset column usage of the convolution:
-// kernel position k's sign profile across filters, scattered through the
-// receptive-field offsets of every output position.
-func (q *QConv) scanUse(inputs int) ([]paillier.ColumnUse, int) {
-	rowLen := q.P.InC * q.P.KH * q.P.KW
-	colUse := make([]paillier.ColumnUse, rowLen)
+// scanUse derives, per input offset, the signs of the weights output
+// elements [lo, hi) multiply it by, and their largest weight bit length.
+func (q *QConv) scanUse(inputs, lo, hi int) ([]paillier.ColumnUse, int) {
+	positions := q.P.OutH() * q.P.OutW()
+	use := make([]paillier.ColumnUse, inputs)
 	maxBits := 0
-	for f := range q.W {
-		for k, w := range q.W[f] {
-			if w == 0 {
+	for idx := lo; idx < hi; idx++ {
+		w := q.W[idx/positions]
+		for k, off := range q.Rows[idx%positions] {
+			if off < 0 || w[k] == 0 {
 				continue
 			}
-			if w > 0 {
-				colUse[k] |= paillier.UsePos
+			if w[k] > 0 {
+				use[off] |= paillier.UsePos
 			} else {
-				colUse[k] |= paillier.UseNeg
+				use[off] |= paillier.UseNeg
 			}
-			if b := paillier.WeightBits(w); b > maxBits {
+			if b := paillier.WeightBits(w[k]); b > maxBits {
 				maxBits = b
-			}
-		}
-	}
-	use := make([]paillier.ColumnUse, inputs)
-	for _, row := range q.Rows {
-		for k, off := range row {
-			if off >= 0 {
-				use[off] |= colUse[k]
 			}
 		}
 	}
@@ -391,24 +393,12 @@ func (q *QAffine) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp,
 	if err != nil {
 		return nil, err
 	}
-	pk := ev.PublicKey()
 	out := tensor.New[*paillier.Ciphertext](x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	var mu sync.Mutex
 	var firstErr error
 	parallelRange(len(xd), workers, func(i int) {
-		c := idx(i)
-		ct, err := pk.MulScalarInt64(xd[i], q.Scale[c])
-		if err == nil && q.Shift != nil && q.Shift[c] != 0 {
-			ct, err = pk.AddPlain(ct, biasAt(q.Shift[c], q.F, inExp+1))
-		}
-		if err == nil {
-			var rn *big.Int
-			rn, err = ev.Blinding()
-			if err == nil {
-				ct = pk.RerandomizeWith(ct, rn)
-			}
-		}
+		ct, err := q.element(ev, xd[i], idx(i), inExp)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -422,26 +412,49 @@ func (q *QAffine) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp,
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if m := ev.CostMeter(); m != nil {
-		// The affine op's cost outside Blinding (which counts its own
-		// rerands and pool hits/misses) is deterministic per element: one
-		// scalar exponentiation, an inverse for negative scales, one mulmod
-		// per non-zero shift, one mulmod applying the blinding factor.
-		var st obs.CostStats
-		for i := range xd {
-			c := idx(i)
-			st.ModExps++
-			if q.Scale[c] < 0 {
-				st.ModInverses++
-			}
-			if q.Shift != nil && q.Shift[c] != 0 {
-				st.MulMods++
-			}
+	ev.CostMeter().Add(q.cost(idx, 0, len(xd)))
+	return out, nil
+}
+
+// element computes E(x)^{Scale[c]}·E(Shift[c]) for coefficient index c,
+// re-randomized.
+func (q *QAffine) element(ev *paillier.Evaluator, x *paillier.Ciphertext, c, inExp int) (*paillier.Ciphertext, error) {
+	pk := ev.PublicKey()
+	ct, err := pk.MulScalarInt64(x, q.Scale[c])
+	if err != nil {
+		return nil, err
+	}
+	if q.Shift != nil && q.Shift[c] != 0 {
+		ct, err = pk.AddPlain(ct, biasAt(q.Shift[c], q.F, inExp+1))
+		if err != nil {
+			return nil, err
+		}
+	}
+	rn, err := ev.Blinding()
+	if err != nil {
+		return nil, err
+	}
+	return pk.RerandomizeWith(ct, rn), nil
+}
+
+// cost is what elements [lo, hi) cost outside Blinding (which counts its
+// own rerands and pool hits/misses), deterministic per element: one
+// scalar exponentiation, an inverse for negative scales, one mulmod per
+// non-zero shift, one mulmod applying the blinding factor.
+func (q *QAffine) cost(idx func(int) int, lo, hi int) obs.CostStats {
+	var st obs.CostStats
+	for i := lo; i < hi; i++ {
+		c := idx(i)
+		st.ModExps++
+		if q.Scale[c] < 0 {
+			st.ModInverses++
+		}
+		if q.Shift != nil && q.Shift[c] != 0 {
 			st.MulMods++
 		}
-		m.Add(st)
+		st.MulMods++
 	}
-	return out, nil
+	return st
 }
 
 // ApplyPlain implements Op.

@@ -34,7 +34,7 @@ func rng() *mathrand.Rand { return mathrand.New(mathrand.NewSource(3)) }
 func encryptFloats(t *testing.T, k *paillier.PrivateKey, x *tensor.Dense, F int64) *paillier.CipherTensor {
 	t.Helper()
 	scaled := ScaleInput(x, F)
-	ct, err := paillier.EncryptTensor(&k.PublicKey, rand.Reader, scaled, 4)
+	ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), scaled, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestApplyStagePlainMatchesCipher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := paillier.EncryptTensor(&k.PublicKey, rand.Reader, scaled, 2)
+	ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), scaled, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
