@@ -178,46 +178,6 @@ func BenchmarkAblationPartitionedConv(b *testing.B) {
 	}
 }
 
-// --- Plaintext packing (encryption amortization) ---------------------------
-//
-// Packing multiple plaintext slots per ciphertext divides the number of
-// public-key encryptions for the data provider's dominant cost
-// (Fig. 1: encryption is the slowest primitive).
-
-func BenchmarkAblationEncryptUnpacked(b *testing.B) {
-	k := benchPaillierKey(b)
-	vals := make([]int64, 64)
-	for i := range vals {
-		vals[i] = int64(i * 17)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, v := range vals {
-			if _, err := k.PublicKey.EncryptInt64(rand.Reader, v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkAblationEncryptPacked(b *testing.B) {
-	k := benchPaillierKey(b)
-	packing, err := paillier.NewPacking(&k.PublicKey, 24, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vals := make([]int64, 64)
-	for i := range vals {
-		vals[i] = int64(i * 17)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := packing.EncryptPacked(&k.PublicKey, rand.Reader, vals); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Garbling scheme: point-and-permute vs half-gates -----------------------
 //
 // Half-gates halves the garbled tables (2 vs 4 rows per AND), the

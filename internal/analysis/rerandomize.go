@@ -28,6 +28,15 @@ import (
 // puts blinding at the egress boundary, i.e. the kernel and protocol
 // layers), and *Ref-suffixed differential-test reference implementations,
 // which are documented as never leaving the model provider.
+//
+// The kernel's row producer, Dot, is unblinded too: a round's rows are
+// blinded together, a slot-full per factor, when Pack folds them into the
+// reply. That exemption is earned, not granted: it holds only while the
+// package has a Pack that blinds on every path, and the second half of
+// the analyzer (checkEnvelopes, run on every package) requires that an
+// Envelope's ciphertext field is only ever filled from Pack, from a fresh
+// encryption, or by the wire decoder — so no row can reach the data
+// provider except through Pack.
 var RerandomizeAnalyzer = &Analyzer{
 	Name: "rerandomize",
 	Doc:  "exported paillier ciphertext producers must re-randomize on every return path",
@@ -84,7 +93,25 @@ type rerandomizer struct {
 	alwaysBlinds map[*types.Func]bool
 }
 
+// rowProducer is the kernel's unblinded row function and packer the
+// function whose blinding makes that acceptable.
+const (
+	rowProducer = "Dot"
+	packer      = "Pack"
+)
+
+// sealingNames are the calls whose ciphertext results may fill an
+// Envelope: the reply packer, and the encryptions of the data provider's
+// own values. FromWire, which carries the peer's ciphertexts rather than
+// deriving any, is exempt as a whole.
+var sealingNames = map[string]bool{
+	packer:          true,
+	"EncryptTensor": true,
+	"encryptTensor": true,
+}
+
 func runRerandomize(pass *Pass) error {
+	checkEnvelopes(pass)
 	if pkgBase(pass.Pkg.Path) != "paillier" {
 		return nil
 	}
@@ -117,11 +144,117 @@ func runRerandomize(pass *Pass) error {
 		if blindingNames[name] || homomorphicPrimitives[name] || strings.HasSuffix(name, "Ref") {
 			continue
 		}
+		if name == rowProducer && r.packs() {
+			continue
+		}
 		for _, bad := range r.blindViolations(fd.Body) {
 			r.pass.Reportf(bad.Pos(), "exported %s returns a homomorphically-derived ciphertext without re-randomization on this path: multiply in a fresh r^n blinding factor before the ciphertext leaves the model provider (paper §III-B)", name)
 		}
 	}
 	return nil
+}
+
+// packs reports whether the package has a packer that blinds on every
+// return path — the condition under which rowProducer may stay unblinded.
+func (r *rerandomizer) packs() bool {
+	for obj := range r.decls {
+		if obj.Name() == packer && r.alwaysBlinds[obj] {
+			return true
+		}
+	}
+	return false
+}
+
+// checkEnvelopes enforces the other side of the row exemption in whatever
+// package builds protocol envelopes: every value stored in the CT field
+// of a struct type named Envelope — by composite literal or by assignment
+// — must be the result of a sealing call (sealingNames), directly or
+// through a local the function assigned from one.
+func checkEnvelopes(pass *Pass) {
+	info := pass.Pkg.Info
+	isEnvelope := func(t types.Type) bool {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := t.(*types.Named)
+		return ok && named.Obj().Name() == "Envelope"
+	}
+	for _, file := range pass.Pkg.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || fd.Name.Name == "FromWire" {
+				continue
+			}
+			// sealed holds the locals assigned from a sealing call.
+			sealed := map[types.Object]bool{}
+			isSealed := func(e ast.Expr) bool {
+				switch ex := ast.Unparen(e).(type) {
+				case *ast.CallExpr:
+					switch f := ast.Unparen(ex.Fun).(type) {
+					case *ast.Ident:
+						return sealingNames[f.Name]
+					case *ast.SelectorExpr:
+						return sealingNames[f.Sel.Name]
+					}
+				case *ast.Ident:
+					if tv, ok := info.Types[ex]; ok && tv.IsNil() {
+						return true
+					}
+					return sealed[info.ObjectOf(ex)]
+				}
+				return false
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if st, ok := n.(*ast.AssignStmt); ok && len(st.Rhs) == 1 && isSealed(st.Rhs[0]) {
+					for _, lhs := range st.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok && info.ObjectOf(id) != nil {
+							sealed[info.ObjectOf(id)] = true
+						}
+					}
+				}
+				return true
+			})
+			report := func(e ast.Expr) {
+				pass.Reportf(e.Pos(), "Envelope.CT filled outside %s: kernel rows are unblinded, so a ciphertext may enter an envelope only from %s, from a fresh encryption, or in FromWire (paper §III-B)", packer, packer)
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch nn := n.(type) {
+				case *ast.CompositeLit:
+					tv, ok := info.Types[nn]
+					if !ok || !isEnvelope(tv.Type) {
+						return true
+					}
+					for i, elt := range nn.Elts {
+						kv, keyed := elt.(*ast.KeyValueExpr)
+						if !keyed {
+							// Positional literal: element i is field i.
+							if st, ok := tv.Type.Underlying().(*types.Struct); ok && i < st.NumFields() && st.Field(i).Name() == "CT" && !isSealed(elt) {
+								report(elt)
+							}
+							continue
+						}
+						if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "CT" && !isSealed(kv.Value) {
+							report(kv.Value)
+						}
+					}
+				case *ast.AssignStmt:
+					if len(nn.Lhs) != len(nn.Rhs) {
+						return true
+					}
+					for i, lhs := range nn.Lhs {
+						sel, ok := lhs.(*ast.SelectorExpr)
+						if !ok || sel.Sel.Name != "CT" {
+							continue
+						}
+						if tv, ok := info.Types[sel.X]; ok && isEnvelope(tv.Type) && !isSealed(nn.Rhs[i]) {
+							report(nn.Rhs[i])
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // calleeObj resolves a call expression to its function object, or nil.

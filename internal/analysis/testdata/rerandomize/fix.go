@@ -178,3 +178,57 @@ func (h *KeyHolder) SealBad(m *big.Int) *Ciphertext {
 	c.Mod(c, h.n2)
 	return &Ciphertext{c: c} // want "without re-randomization"
 }
+
+// Dot is the kernel's row producer: it derives and does not blind, like
+// BadDot, and is let through only because this package has a Pack that
+// blinds on every path — the row's one way out (see SealReplyGood).
+func (k *Key) Dot(row []int64, cts []*Ciphertext) *Ciphertext {
+	acc := big.NewInt(1)
+	for i, w := range row {
+		t := new(big.Int).Exp(cts[i].c, big.NewInt(w), k.n2)
+		acc.Mul(acc, t)
+		acc.Mod(acc, k.n2)
+	}
+	return &Ciphertext{c: acc}
+}
+
+// Pack folds rows into one ciphertext and blinds it: the packer whose
+// blinding earns Dot its exemption.
+func (k *Key) Pack(rows []*Ciphertext) []*Ciphertext {
+	acc := big.NewInt(1)
+	for _, r := range rows {
+		acc.Mul(acc, acc)
+		acc.Mul(acc, r.c)
+		acc.Mod(acc, k.n2)
+	}
+	acc.Mul(acc, k.freshBlinding())
+	acc.Mod(acc, k.n2)
+	return []*Ciphertext{{c: acc}}
+}
+
+// Envelope mirrors protocol.Envelope: what crosses to the other party.
+type Envelope struct {
+	Req uint64
+	CT  []*Ciphertext
+}
+
+// SealReplyGood builds a reply the only allowed way: its ciphertexts
+// come out of Pack, by literal and by assignment.
+func (k *Key) SealReplyGood(rows []*Ciphertext) (*Envelope, *Envelope) {
+	packed := k.Pack(rows)
+	lit := &Envelope{Req: 1, CT: packed}
+	set := &Envelope{Req: 2}
+	set.CT = k.Pack(rows)
+	return lit, set
+}
+
+// SealReplyBad puts kernel rows into an envelope directly: each escapes
+// with only its inputs' randomness, the leak Pack exists to close.
+func (k *Key) SealReplyBad(row []int64, cts []*Ciphertext) (*Envelope, *Envelope) {
+	rows := []*Ciphertext{k.Dot(row, cts)}
+	lit := &Envelope{Req: 1, CT: rows} // want "Envelope.CT filled outside Pack"
+	set := &Envelope{Req: 2}
+	set.CT, set.Req = rows, 3 // want "Envelope.CT filled outside Pack"
+	*set = Envelope{4, rows}  // want "Envelope.CT filled outside Pack"
+	return lit, set
+}

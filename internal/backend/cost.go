@@ -6,9 +6,11 @@ package backend
 // against reality. The constants encode the structural facts:
 //
 //   - A Paillier weight-multiplication is a short modexp (weight-bits
-//     modular multiplications over n²); every output additionally pays
-//     a full-width re-randomization modexp, which dominates. Both scale
-//     ~quadratically with key size.
+//     modular multiplications over n²). Outputs leave packed, several to
+//     a reply ciphertext: each reply ciphertext pays a full-width
+//     re-randomization modexp (and a decryption on the other side), which
+//     dominates, and each output packed in behind the first pays its
+//     slot's worth of squarings. All scale ~quadratically with key size.
 //   - A Beaver-triple multiplication is a handful of native 64-bit
 //     operations. The ss-gc backend's real expense is the garbled-
 //     circuit ReLU that follows a linear round: a fixed base-OT setup
@@ -17,7 +19,8 @@ package backend
 const (
 	// paillierPerMul is one ciphertext^weight step at reference key size.
 	paillierPerMul = 10
-	// paillierPerOut is one output re-randomization at reference key size.
+	// paillierPerOut is one reply ciphertext's re-randomization at
+	// reference key size.
 	paillierPerOut = 3000
 	// ssgcPerMul is one Beaver-triple multiplication.
 	ssgcPerMul = 0.1
@@ -44,6 +47,11 @@ type CostShape struct {
 	Muls int
 	// Outs counts output elements.
 	Outs int
+	// Replies counts the ciphertexts a paillier-he reply carries them in
+	// (⌈Outs/slots⌉), and SlotBits the squarings each of the other
+	// Outs−Replies outputs costs to be shifted into its slot.
+	Replies  int
+	SlotBits int
 	// KeyBits is the Paillier key size in bits.
 	KeyBits int
 	// ReluFollows marks a following ReLU stage (ss-gc pays GC there).
@@ -62,7 +70,8 @@ func keyFactor(keyBits int) float64 {
 
 // EstimateCost implements LayerBackend.
 func (paillierBackend) EstimateCost(c CostShape) float64 {
-	return (paillierPerMul*float64(c.Muls) + paillierPerOut*float64(c.Outs)) * keyFactor(c.KeyBits)
+	packed := float64((c.Outs - c.Replies) * c.SlotBits)
+	return (paillierPerMul*(float64(c.Muls)+packed) + paillierPerOut*float64(c.Replies)) * keyFactor(c.KeyBits)
 }
 
 // EstimateCost implements LayerBackend.

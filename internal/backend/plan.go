@@ -71,6 +71,11 @@ type LayerInfo struct {
 	Muls int
 	// Outs counts the round's output elements.
 	Outs int
+	// Replies counts the ciphertexts a paillier-he reply packs the outputs
+	// into under the session's key, SlotBits the width of one output's
+	// slot there (from the stage's output bound).
+	Replies  int
+	SlotBits int
 	// ReluFollows marks that the following nonlinear stage starts with
 	// ReLU, so the ss-gc backend would run a garbled circuit there.
 	ReluFollows bool
@@ -134,7 +139,11 @@ func PlanFor(profile Profile, layers []LayerInfo, boundary, keyBits int) (*Plan,
 	kinds := Kinds()
 	ilpLayers := make([]ilp.BackendLayer, len(layers))
 	for l, info := range layers {
-		cs := CostShape{Muls: info.Muls, Outs: info.Outs, KeyBits: keyBits, ReluFollows: info.ReluFollows}
+		cs := CostShape{
+			Muls: info.Muls, Outs: info.Outs,
+			Replies: info.Replies, SlotBits: info.SlotBits,
+			KeyBits: keyBits, ReluFollows: info.ReluFollows,
+		}
 		choices := make([]ilp.BackendChoice, len(kinds))
 		for b, k := range kinds {
 			be, err := For(k)

@@ -14,9 +14,13 @@ import (
 // scalar multiplication (constant 10^6), and homomorphic addition over a
 // 28×28 tensor. Encrypt is the public-key price the figure reports (one
 // r^n mod n² per element); EncryptKeyHolder is what the data provider,
-// who holds p and q, pays for the same ciphertext distribution.
+// who holds p and q, pays for the same ciphertext distribution. Replies
+// is how many ciphertexts the tensor's elements would take as a protocol
+// round's packed reply: the number of blindings and decryptions a round
+// of this size costs.
 type Fig1Row struct {
 	KeyBits          int
+	Replies          int
 	Encrypt          time.Duration
 	EncryptKeyHolder time.Duration
 	Decrypt          time.Duration
@@ -24,10 +28,12 @@ type Fig1Row struct {
 	Add              time.Duration
 }
 
-// Fig1Result holds the figure's series.
+// Fig1Result holds the figure's series. SlotBits is the reply slot width
+// of the figure's operation, x + 10^6·x over int64-range x.
 type Fig1Result struct {
 	TensorElems int
 	Reps        int
+	SlotBits    int
 	Rows        []Fig1Row
 }
 
@@ -47,6 +53,8 @@ func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
 	const elems = 28 * 28
 	res := &Fig1Result{TensorElems: elems, Reps: reps}
 	scalar := big.NewInt(1_000_000)
+	// |x + 10^6·x| ≤ (10^6 + 1)·2^63; a slot is one bit wider than that.
+	res.SlotBits = 1 + new(big.Int).Lsh(big.NewInt(1_000_001), 63).BitLen()
 	for _, bits := range keyBits {
 		key, err := paillier.GenerateKey(rand.Reader, bits)
 		if err != nil {
@@ -109,6 +117,7 @@ func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
 		}
 		res.Rows = append(res.Rows, Fig1Row{
 			KeyBits:          bits,
+			Replies:          key.PackedLen(elems, res.SlotBits),
 			Encrypt:          encT / time.Duration(reps),
 			EncryptKeyHolder: encKeyT / time.Duration(reps),
 			Decrypt:          decT / time.Duration(reps),
@@ -121,7 +130,7 @@ func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
 
 // Render formats the figure's series as text.
 func (r *Fig1Result) Render() string {
-	header := []string{"key bits", "encrypt/tensor", "key-holder encrypt/tensor", "decrypt/tensor", "scalar-mul/tensor", "add/tensor"}
+	header := []string{"key bits", "encrypt/tensor", "key-holder encrypt/tensor", "decrypt/tensor", "scalar-mul/tensor", "add/tensor", "outputs", "reply cts"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
@@ -131,8 +140,10 @@ func (r *Fig1Result) Render() string {
 			row.Decrypt.String(),
 			row.ScalarMul.String(),
 			row.Add.String(),
+			fmt.Sprint(r.TensorElems),
+			fmt.Sprint(row.Replies),
 		})
 	}
-	return fmt.Sprintf("Fig 1: Paillier benchmark (28×28 tensor, scalar 10^6, %d reps)\n%s",
-		r.Reps, renderTable(header, rows))
+	return fmt.Sprintf("Fig 1: Paillier benchmark (28×28 tensor, scalar 10^6, %d reps)\n%sreply cts: the tensor as one protocol round's packed reply (%d-bit slots)\n",
+		r.Reps, renderTable(header, rows), r.SlotBits)
 }

@@ -8,16 +8,20 @@ import (
 	"time"
 
 	"ppstream/internal/paillier"
+	"ppstream/internal/qnn"
 )
 
 // KernelRow is one key-size point of the linear-kernel benchmark: average
 // per-layer latency of the two-phase kernel (shared inverses + interleaved
 // multi-exponentiation, blinded outputs) against the pre-kernel row-by-row
 // reference, over a fully-connected layer with ~60% negative weights.
+// Replies is how many ciphertexts the layer's Rows outputs would leave the
+// model provider in as a protocol round at this key size.
 type KernelRow struct {
 	KeyBits int
 	Kernel  time.Duration
 	Ref     time.Duration
+	Replies int
 }
 
 // Speedup is the reference-to-kernel latency ratio.
@@ -28,10 +32,12 @@ func (r KernelRow) Speedup() float64 {
 	return float64(r.Ref) / float64(r.Kernel)
 }
 
-// KernelResult holds the benchmark's series.
+// KernelResult holds the benchmark's series. SlotBits is the reply slot
+// width the layer's output bound implies.
 type KernelResult struct {
 	Rows, Cols int
 	Reps       int
+	SlotBits   int
 	Series     []KernelRow
 }
 
@@ -62,9 +68,12 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 		}
 	}
 	bias := make([]int64, rows)
+	fbias := make([]float64, rows)
 	for o := range bias {
 		bias[o] = rng.Int63n(1 << 20)
+		fbias[o] = float64(bias[o])
 	}
+	res.SlotBits = 1 + qnn.StageBound([]qnn.Op{&qnn.QFC{F: 1, W: w, B: fbias}}).BitLen()
 	for _, bits := range keyBits {
 		key, err := paillier.GenerateKey(rand.Reader, bits)
 		if err != nil {
@@ -99,7 +108,7 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 				return nil, fmt.Errorf("experiments: kernel differential failure at %d bits row %d", bits, o)
 			}
 		}
-		row := KernelRow{KeyBits: bits}
+		row := KernelRow{KeyBits: bits, Replies: key.PackedLen(rows, res.SlotBits)}
 		for rep := 0; rep < reps; rep++ {
 			start := time.Now()
 			if _, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1); err != nil {
@@ -123,10 +132,11 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 func (r *KernelResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Linear kernel: %dx%d FC layer, ~60%% negative 16-17 bit weights, avg of %d reps\n", r.Rows, r.Cols, r.Reps)
-	fmt.Fprintf(&b, "%-8s  %12s  %12s  %8s\n", "keybits", "kernel", "reference", "speedup")
+	fmt.Fprintf(&b, "%-8s  %12s  %12s  %8s  %8s  %10s\n", "keybits", "kernel", "reference", "speedup", "outputs", "reply cts")
 	for _, row := range r.Series {
-		fmt.Fprintf(&b, "%-8d  %12s  %12s  %7.2fx\n",
-			row.KeyBits, row.Kernel.Round(time.Microsecond), row.Ref.Round(time.Microsecond), row.Speedup())
+		fmt.Fprintf(&b, "%-8d  %12s  %12s  %7.2fx  %8d  %10d\n",
+			row.KeyBits, row.Kernel.Round(time.Microsecond), row.Ref.Round(time.Microsecond), row.Speedup(), r.Rows, row.Replies)
 	}
+	fmt.Fprintf(&b, "reply cts: the %d outputs as one protocol round's packed reply (%d-bit slots)\n", r.Rows, r.SlotBits)
 	return b.String()
 }

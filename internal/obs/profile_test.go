@@ -19,7 +19,11 @@ func TestProfileLoopCapturesAndPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until at least one capture lands (CPU + heap), bounded.
+	// Wait, bounded, until the directory holds exactly one capture (CPU +
+	// heap). While the next capture is being written it briefly holds two
+	// before the prune — a slow poll can land there, so that state is
+	// waited out rather than failed on; a prune that never happens runs
+	// into the deadline.
 	deadline := time.After(5 * time.Second)
 	for {
 		entries, err := os.ReadDir(dir)
@@ -35,15 +39,12 @@ func TestProfileLoopCapturesAndPrunes(t *testing.T) {
 				heap++
 			}
 		}
-		if cpu >= 1 && heap >= 1 {
-			if cpu > 1 || heap > 1 {
-				t.Errorf("prune kept %d cpu / %d heap profiles, want <=1 each", cpu, heap)
-			}
+		if cpu == 1 && heap == 1 {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("no profiles captured; dir holds %d entries", len(entries))
+			t.Fatalf("never saw one capture pruned to Keep=1; dir holds %d cpu / %d heap profiles", cpu, heap)
 		case <-time.After(20 * time.Millisecond):
 		}
 	}

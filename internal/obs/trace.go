@@ -185,7 +185,8 @@ var segmentOrder = map[string]int{
 	"server-queue":     3,
 	"server-kernel":    4,
 	"server-permute":   5,
-	"client-nonlinear": 6,
+	"server-pack":      6,
+	"client-nonlinear": 7,
 }
 
 // Breakdown aggregates merged traces into per-segment-label rows with

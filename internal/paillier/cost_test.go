@@ -27,8 +27,8 @@ func (f fakeTracked) BlindingTracked() (*big.Int, bool, error) {
 }
 
 // TestKernelCostExactCounts pins the kernel's deterministic op accounting
-// for a fixed window: table builds, inverses, digit multiplies, bias and
-// blinding applications.
+// for a fixed window: table builds, inverses, digit multiplies and the
+// bias fold — and no blinding, which is Pack's.
 func TestKernelCostExactCounts(t *testing.T) {
 	k := key(t)
 	var m obs.CostMeter
@@ -37,7 +37,7 @@ func TestKernelCostExactCounts(t *testing.T) {
 	xs := encryptVec(t, k, []int64{4, 7})
 	// ws = [3, −1]: column 0 positive, column 1 negative; maxBits = 2 so a
 	// window-2 evaluation is a single digit round with no squarings.
-	ct, err := ev.Dot(xs, []int64{3, -1}, big.NewInt(5))
+	ct, err := dotRow(ev, xs, []int64{3, -1}, big.NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +48,10 @@ func TestKernelCostExactCounts(t *testing.T) {
 	st := m.Snapshot()
 	// Precompute: tableLen = 2²−1 = 3, so 2 mulmods per built table; one
 	// positive table + one negative table + 1 inverse.
-	// Dot: 2 digit multiplies + 1 bias fold + 1 blinding apply = 4 mulmods,
-	// plus 1 rerand that missed (randBlinder) = 1 modexp.
+	// Dot: 2 digit multiplies + 1 bias fold = 3 mulmods.
 	want := obs.CostStats{
-		ModExps:     1,
-		MulMods:     2 + 2 + 4,
+		MulMods:     2 + 2 + 3,
 		ModInverses: 1,
-		Rerands:     1,
-		PoolMisses:  1,
 	}
 	if st != want {
 		t.Fatalf("cost = %+v, want %+v", st, want)
@@ -73,7 +69,7 @@ func TestKernelCostSquarings(t *testing.T) {
 	xs := encryptVec(t, k, []int64{2})
 	// w = 13 = 0b1101: maxBits 4, window 2 → 2 digit rounds → one squaring
 	// block of 2; digits are 0b11 and 0b01, both non-zero → 2 multiplies.
-	ct, err := ev.Dot(xs, []int64{13}, nil)
+	ct, err := dotRow(ev, xs, []int64{13}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +78,9 @@ func TestKernelCostSquarings(t *testing.T) {
 	}
 	st := m.Snapshot()
 	// Precompute: one positive table, 2 mulmods. Dot: 2 squarings + 2 digit
-	// multiplies + 1 blinding apply = 5.
-	if st.MulMods != 2+5 {
-		t.Fatalf("mulmods = %d, want 7 (%+v)", st.MulMods, st)
+	// multiplies = 4.
+	if st.MulMods != 2+4 {
+		t.Fatalf("mulmods = %d, want 6 (%+v)", st.MulMods, st)
 	}
 	if st.ModInverses != 0 {
 		t.Fatalf("modinverses = %d, want 0", st.ModInverses)
@@ -101,10 +97,10 @@ func TestWithCostIsolation(t *testing.T) {
 	ev1, ev2 := base.WithCost(&m1), base.WithCost(&m2)
 
 	xs := encryptVec(t, k, []int64{1, 2, 3})
-	if _, err := ev1.Dot(xs, []int64{1, 1, 1}, nil); err != nil {
+	if _, err := dotRow(ev1, xs, []int64{1, 1, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev2.Dot(xs, []int64{1, 0, 0}, nil); err != nil {
+	if _, err := dotRow(ev2, xs, []int64{1, 0, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	st1, st2 := m1.Snapshot(), m2.Snapshot()
@@ -123,7 +119,7 @@ func TestWithCostIsolation(t *testing.T) {
 }
 
 // TestBlindingCostHitMiss checks that pool hits and misses are attributed
-// correctly through Evaluator.Blinding.
+// correctly through the evaluator's re-randomization.
 func TestBlindingCostHitMiss(t *testing.T) {
 	k := key(t)
 	for _, pooled := range []bool{true, false} {
@@ -131,11 +127,11 @@ func TestBlindingCostHitMiss(t *testing.T) {
 		ev := NewEvaluator(&k.PublicKey,
 			WithBlinder(fakeTracked{pk: &k.PublicKey, pooled: pooled}),
 			WithCostMeter(&m))
-		if _, err := ev.Blinding(); err != nil {
+		if _, err := ev.rerandomize(encryptVec(t, k, []int64{1})[0]); err != nil {
 			t.Fatal(err)
 		}
 		st := m.Snapshot()
-		if st.Rerands != 1 {
+		if st.Rerands != 1 || st.MulMods != 1 {
 			t.Fatalf("pooled=%v: rerands = %d, want 1", pooled, st.Rerands)
 		}
 		if pooled && (st.PoolHits != 1 || st.PoolMisses != 0 || st.ModExps != 0) {

@@ -14,11 +14,12 @@ package paillier
 //     bit per input, and each non-zero w-bit digit costs one table lookup
 //     and one modular multiplication.
 //
-// Every row's output is re-randomized with a fresh r^n blinding factor
-// before it leaves the kernel, so outputs are semantically-secure fresh
-// encryptions even when a row's weights are all zero (previously such rows
-// produced the deterministic embedding of the bias — a privacy bug) and
-// are unlinkable to the input ciphertexts.
+// A row is NOT re-randomized here: its randomness is only inherited from
+// the inputs, and an all-zero row is the deterministic embedding of its
+// bias. Rows stay inside the model provider; the one place a ciphertext is
+// blinded before it leaves is Evaluator.Pack (pack.go), which folds a
+// slot-full of rows into one reply ciphertext and pays one r^n for all of
+// them. MatVec, which hands its rows to the caller, blinds each itself.
 
 import (
 	"fmt"
@@ -56,8 +57,8 @@ func weightMagnitude(w int64) uint64 {
 	return uint64(-(w + 1)) + 1
 }
 
-// Blinder supplies r^n mod n² blinding factors: to the linear kernel for
-// output re-randomization and to EncryptTensor for fresh encryptions.
+// Blinder supplies r^n mod n² blinding factors: to Evaluator.Pack for
+// reply re-randomization and to EncryptTensor for fresh encryptions.
 // NewRandBlinder and PrivateKey.Blinder compute them inline — the first
 // for a party that knows only n, the second for the key holder — and a
 // Pool serves either kind precomputed.
@@ -134,7 +135,7 @@ func draw(b Blinder) (rn *big.Int, pooled bool, modExps uint64, err error) {
 type KernelMetrics struct {
 	// Precompute observes one per-layer preprocessing pass.
 	Precompute func(time.Duration)
-	// Dot observes one per-row multi-exponentiation (including blinding).
+	// Dot observes one per-row multi-exponentiation.
 	Dot func(time.Duration)
 }
 
@@ -209,15 +210,16 @@ func (ev *Evaluator) CostMeter() *obs.CostMeter {
 	return ev.cost
 }
 
-// Blinding returns one fresh r^n factor from the evaluator's supply,
-// counting the re-randomization (and pool hit/miss) into the cost meter.
-func (ev *Evaluator) Blinding() (*big.Int, error) {
+// rerandomize multiplies one fresh factor from the evaluator's supply into
+// ct, counting the draw and the multiplication into the cost meter.
+func (ev *Evaluator) rerandomize(ct *Ciphertext) (*Ciphertext, error) {
 	rn, st, err := ev.blinding()
 	if err != nil {
 		return nil, err
 	}
+	st.MulMods++
 	ev.cost.Add(st)
-	return rn, nil
+	return ev.pk.RerandomizeWith(ct, rn), nil
 }
 
 // blinding draws one factor and returns what the re-randomization it is
@@ -367,11 +369,12 @@ func powerTable(b *big.Int, size int, n2 *big.Int) []*big.Int {
 	return t
 }
 
-// Dot evaluates one row: the encryption of Σ_j w_j·m_{idx[j]} + bias,
-// re-randomized with a fresh blinding factor. idx maps row positions to
-// kernel input columns; a nil idx means position j reads column j (and
-// then len(ws) must equal the kernel's input count). A nil or zero bias
-// adds nothing.
+// Dot evaluates one row: an encryption of Σ_j w_j·m_{idx[j]} + bias that
+// is NOT re-randomized — it must pass through Evaluator.Pack (or be
+// blinded by the caller, as MatVec does) before it leaves the model
+// provider. idx maps row positions to kernel input columns; a nil idx
+// means position j reads column j (and then len(ws) must equal the
+// kernel's input count). A nil or zero bias adds nothing.
 func (k *LinearKernel) Dot(idx []int, ws []int64, bias *big.Int) (*Ciphertext, error) {
 	if idx != nil && len(idx) != len(ws) {
 		return nil, fmt.Errorf("paillier: dot index list %d != weights %d", len(idx), len(ws))
@@ -446,17 +449,6 @@ func (k *LinearKernel) Dot(idx []int, ws []int64, bias *big.Int) (*Ciphertext, e
 		acc.Mod(acc, n2)
 		st.MulMods++
 	}
-	// Re-randomize: the product's randomness so far is only inherited from
-	// the inputs (and is absent entirely for an all-zero row), so multiply
-	// in a fresh r^n before the ciphertext leaves the model provider.
-	rn, blindCost, err := k.ev.blinding()
-	if err != nil {
-		return nil, err
-	}
-	acc.Mul(acc, rn)
-	acc.Mod(acc, n2)
-	st.MulMods++
-	st.Add(blindCost)
 	k.ev.cost.Add(st)
 	if m := k.ev.metrics.Load(); m != nil && m.Dot != nil {
 		m.Dot(time.Since(start))
@@ -491,27 +483,11 @@ func ScanColumnUse(w [][]int64, cols int) ([]ColumnUse, int, error) {
 	return use, maxBits, nil
 }
 
-// Dot evaluates a single homomorphic dot product Σ w_i·m_i + bias over
-// the evaluator (one-row kernel: inverses are still computed at most once
-// per input and squarings are shared across the whole row).
-func (ev *Evaluator) Dot(xs []*Ciphertext, ws []int64, bias *big.Int) (*Ciphertext, error) {
-	if len(xs) != len(ws) {
-		return nil, fmt.Errorf("paillier: dot length mismatch: %d inputs vs %d weights", len(xs), len(ws))
-	}
-	use, maxBits, err := ScanColumnUse([][]int64{ws}, len(ws))
-	if err != nil {
-		return nil, err
-	}
-	k, err := ev.NewLinearKernel(xs, use, 1, maxBits, 1)
-	if err != nil {
-		return nil, err
-	}
-	return k.Dot(nil, ws, bias)
-}
-
 // MatVec evaluates an encrypted fully-connected layer through the
 // two-phase kernel: one preprocessing pass over the input vector, then
-// the rows in parallel, each output re-randomized.
+// the rows in parallel. Its rows go straight to the caller, so unlike the
+// protocol's stages (which blind once per packed reply) it re-randomizes
+// every row itself.
 func (ev *Evaluator) MatVec(w [][]int64, bias []int64, xs []*Ciphertext, workers int) ([]*Ciphertext, error) {
 	outN := len(w)
 	if bias != nil && len(bias) != outN {
@@ -534,6 +510,9 @@ func (ev *Evaluator) MatVec(w [][]int64, bias []int64, xs []*Ciphertext, workers
 			b = big.NewInt(bias[o])
 		}
 		ct, err := k.Dot(nil, w[o], b)
+		if err == nil {
+			ct, err = ev.rerandomize(ct)
+		}
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {

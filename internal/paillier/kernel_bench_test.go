@@ -105,7 +105,7 @@ func BenchmarkKernelPrecompute(b *testing.B) {
 }
 
 // BenchmarkKernelDot isolates one row's interleaved multi-exponentiation
-// over a prebuilt kernel (includes output blinding).
+// over a prebuilt kernel (no blinding: that is Pack's).
 func BenchmarkKernelDot(b *testing.B) {
 	k, w, bias, xs := benchLayer(b, benchRows, benchCols)
 	ev := NewEvaluator(&k.PublicKey)
@@ -168,5 +168,44 @@ func BenchmarkBlinding(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkPack prices getting one slot-full of rows to the data provider
+// both ways, at the benchmark's key sizes and a 77-bit slot: "packed" is
+// Pack — S−1 shifts of 77 squarings and ONE blinding — and "blinded" is
+// what it replaced, a blinding factor per row.
+func BenchmarkPack(b *testing.B) {
+	const slotBits = 77
+	for _, bits := range []int{256, 512, 1024} {
+		k, err := GenerateKey(rand.Reader, bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := make([]*Ciphertext, k.Slots(slotBits))
+		for i := range rows {
+			if rows[i], err = k.Encrypt(rand.Reader, big.NewInt(int64(i-3))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ev := NewEvaluator(&k.PublicKey)
+		b.Run(fmt.Sprintf("packed/%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.Pack(rows, slotBits, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("blinded/%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, row := range rows {
+					if _, err := ev.rerandomize(row); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

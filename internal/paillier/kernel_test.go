@@ -98,7 +98,7 @@ func TestKernelMinInt64Weight(t *testing.T) {
 	k := key(t)
 	xs := encryptVec(t, k, []int64{3})
 	ws := []int64{math.MinInt64}
-	got, err := DotScaled(&k.PublicKey, xs, ws, 5)
+	got, err := dotRow(NewEvaluator(&k.PublicKey), xs, ws, big.NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestKernelWindowsAgree(t *testing.T) {
 	}
 	for win := uint(1); win <= maxWindow; win++ {
 		ev := NewEvaluator(&k.PublicKey, WithWindow(win))
-		ct, err := ev.Dot(xs, ws, big.NewInt(21))
+		ct, err := dotRow(ev, xs, ws, big.NewInt(21))
 		if err != nil {
 			t.Fatalf("window %d: %v", win, err)
 		}

@@ -130,24 +130,6 @@ func DecryptTensorBig(sk *PrivateKey, t *CipherTensor, workers int) (*tensor.Ten
 	return out, nil
 }
 
-// DotScaled computes the encryption of Σ_i w_i·m_i + b from the encrypted
-// inputs E(m_i), integer weights w_i, and integer bias b — the paper's
-// Eq. (3): Π_i E(m_i)^{w_i} · (1 + b·n) mod n² — through the two-phase
-// linear kernel (see kernel.go): negative-weight inverses are computed
-// once per input and the row is evaluated with interleaved
-// multi-exponentiation. The output is re-randomized with a fresh r^n
-// factor, so it is a semantically-secure fresh encryption even when every
-// weight is zero. For evaluating many rows over the same inputs, use
-// Evaluator.MatVec (or Evaluator.NewLinearKernel directly) so the
-// preprocessing is shared.
-func DotScaled(pk *PublicKey, xs []*Ciphertext, ws []int64, bias int64) (*Ciphertext, error) {
-	var b *big.Int
-	if bias != 0 {
-		b = big.NewInt(bias)
-	}
-	return NewEvaluator(pk).Dot(xs, ws, b)
-}
-
 // MatVecScaled evaluates an encrypted fully-connected layer: for weight
 // matrix W ([out][in] int64), encrypted input x, and bias b, returns the
 // encrypted output vector of length out. The per-input preprocessing

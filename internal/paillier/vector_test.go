@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"math/big"
 	"testing"
 
 	"ppstream/internal/tensor"
@@ -36,9 +37,23 @@ func TestDecryptTensorNilElement(t *testing.T) {
 	}
 }
 
-// TestDotScaled verifies the encrypted linear operation of paper Eq. (3):
+// dotRow evaluates one row through a one-row kernel, the way qnn's ops
+// evaluate each of theirs.
+func dotRow(ev *Evaluator, xs []*Ciphertext, ws []int64, bias *big.Int) (*Ciphertext, error) {
+	use, maxBits, err := ScanColumnUse([][]int64{ws}, len(xs))
+	if err != nil {
+		return nil, err
+	}
+	k, err := ev.NewLinearKernel(xs, use, 1, maxBits, 1)
+	if err != nil {
+		return nil, err
+	}
+	return k.Dot(nil, ws, bias)
+}
+
+// TestKernelRow verifies the encrypted linear operation of paper Eq. (3):
 // Σ w_i·m_i + b computed as Π E(m_i)^{w_i}·E(b).
-func TestDotScaled(t *testing.T) {
+func TestKernelRow(t *testing.T) {
 	k := key(t)
 	ms := []int64{3, -1, 4, 1, -5}
 	ws := []int64{2, 7, -1, 8, 2}
@@ -51,7 +66,7 @@ func TestDotScaled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ct, err := DotScaled(&k.PublicKey, xs, ws, bias)
+	ct, err := dotRow(NewEvaluator(&k.PublicKey), xs, ws, big.NewInt(bias))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,25 +79,25 @@ func TestDotScaled(t *testing.T) {
 		want += ws[i] * ms[i]
 	}
 	if got != want {
-		t.Errorf("DotScaled = %d, want %d", got, want)
+		t.Errorf("row = %d, want %d", got, want)
 	}
 }
 
-func TestDotScaledErrors(t *testing.T) {
+func TestKernelRowErrors(t *testing.T) {
 	k := key(t)
 	x, _ := k.PublicKey.EncryptInt64(rand.Reader, 1)
-	if _, err := DotScaled(&k.PublicKey, []*Ciphertext{x}, []int64{1, 2}, 0); err == nil {
+	if _, err := dotRow(NewEvaluator(&k.PublicKey), []*Ciphertext{x}, []int64{1, 2}, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := DotScaled(&k.PublicKey, []*Ciphertext{nil}, []int64{1}, 0); err == nil {
+	if _, err := dotRow(NewEvaluator(&k.PublicKey), []*Ciphertext{nil}, []int64{1}, nil); err == nil {
 		t.Error("nil ciphertext accepted")
 	}
 }
 
-func TestDotScaledAllZeroWeights(t *testing.T) {
+func TestKernelRowAllZeroWeights(t *testing.T) {
 	k := key(t)
 	x, _ := k.PublicKey.EncryptInt64(rand.Reader, 123)
-	ct, err := DotScaled(&k.PublicKey, []*Ciphertext{x}, []int64{0}, 9)
+	ct, err := dotRow(NewEvaluator(&k.PublicKey), []*Ciphertext{x}, []int64{0}, big.NewInt(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,13 +195,14 @@ var (
 	e2eKeyErr  error
 )
 
-// e2eKey1024 returns a shared 1024-bit key: large enough that the ILP's
+// e2eKey2048 returns a shared 2048-bit key: large enough that the ILP's
 // Paillier cost estimate genuinely loses to ss-gc on ReLU-followed
-// rounds, so the mixed plan picks all three backends on its own.
-func e2eKey1024(t *testing.T) *paillier.PrivateKey {
+// rounds even when the round's outputs pack into one reply ciphertext,
+// so the mixed plan picks all three backends on its own.
+func e2eKey2048(t *testing.T) *paillier.PrivateKey {
 	t.Helper()
 	e2eKeyOnce.Do(func() {
-		e2eKey, e2eKeyErr = paillier.GenerateKey(rand.Reader, 1024)
+		e2eKey, e2eKeyErr = paillier.GenerateKey(rand.Reader, 2048)
 	})
 	if e2eKeyErr != nil {
 		t.Fatal(e2eKeyErr)
@@ -218,7 +219,7 @@ func e2eKey1024(t *testing.T) *paillier.PrivateKey {
 func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 	RegisterServiceWire()
 	netw := buildNet3(t)
-	k := e2eKey1024(t)
+	k := e2eKey2048(t)
 	reg := obs.NewRegistry("mixed-e2e")
 
 	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
@@ -327,7 +328,7 @@ func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 func TestPrivacyMaxClientNeverWeakens(t *testing.T) {
 	RegisterServiceWire()
 	netw := buildNet3(t)
-	k := e2eKey1024(t)
+	k := e2eKey2048(t)
 
 	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
 	if err != nil {

@@ -5,7 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"ppstream/internal/models"
 	"ppstream/internal/obs"
+	"ppstream/internal/paillier"
+	"ppstream/internal/qnn"
 	"ppstream/internal/tensor"
 )
 
@@ -171,5 +174,84 @@ func TestCostNoCrossRequestBleed(t *testing.T) {
 		if c := trees[i].Cost(); c.CipherBytesIn == 0 || c.CipherBytesOut == 0 {
 			t.Errorf("request %d recorded no ciphertext traffic: %+v", i, c)
 		}
+	}
+}
+
+// TestHeartRoundCosts pins the per-round crypto counts of one Heart
+// inference at a 1024-bit key (14 slots of 73 bits): one re-randomization
+// and one decryption per reply ciphertext — 4 for the 26 outputs — and
+// the pack's squarings and offset/blind multiplies on top of the kernel's
+// own modular multiplications.
+func TestHeartRoundCosts(t *testing.T) {
+	spec, _ := models.ByName("Heart")
+	net, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := keyOfBits(t, 1024)
+	proto, err := Build(net, k, Config{Factor: 100, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Zeros(13)
+	for i := range x.Data() {
+		x.Data()[i] = float64(i%5)*0.3 - 0.4
+	}
+	env, err := proto.Data.Encrypt(1, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slotBits, slots = 73, 14
+	outs := []int{16, 8, 2}
+	replies := []uint64{2, 1, 1}
+	for r := range outs {
+		// The kernel alone, over the same input, for the baseline count.
+		var kernelOnly obs.CostMeter
+		st := proto.Model.stages[r]
+		if st.slotBits != slotBits || k.Slots(slotBits) != slots {
+			t.Fatalf("round %d: %d-bit slots, %d per ciphertext", r, st.slotBits, k.Slots(st.slotBits))
+		}
+		var server, client obs.CostMeter
+		inCT := env.CT
+		env, _, err = proto.Model.ProcessLinearMetered(r, env, &server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == 0 {
+			// Round 0's input is not permuted, so the bare kernel can be
+			// replayed over it to separate its count from the pack's.
+			if _, _, err := qnn.ApplyStage(paillier.NewEvaluator(&k.PublicKey, paillier.WithCostMeter(&kernelOnly)), st.ops, inCT, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+			packMulMods := uint64(0)
+			for left := outs[r]; left > 0; left -= slots {
+				packMulMods += uint64((min(left, slots)-1)*(slotBits+1) + 2)
+			}
+			if got, want := server.Snapshot().MulMods, kernelOnly.Snapshot().MulMods+packMulMods; got != want {
+				t.Errorf("round 0 server mulmods = %d, want kernel %d + pack %d", got, kernelOnly.Snapshot().MulMods, packMulMods)
+			}
+		}
+		sc := server.Snapshot()
+		if sc.Rerands != replies[r] || sc.PoolHits+sc.PoolMisses != replies[r] || sc.ModExps != replies[r] {
+			t.Errorf("round %d server: %+v, want %d re-randomizations, each one inline exponentiation", r, sc, replies[r])
+		}
+		if uint64(env.CT.Size()) != replies[r] || env.Shape.Size() != outs[r] {
+			t.Errorf("round %d reply: %d ciphertexts for %v", r, env.CT.Size(), env.Shape)
+		}
+		env, err = proto.Data.ProcessNonLinearMetered(r, env, &client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := client.Snapshot()
+		reenc := uint64(0)
+		if r < len(outs)-1 {
+			reenc = uint64(outs[r])
+		}
+		if cc.Decrypts != replies[r] || cc.Encrypts != reenc || cc.ModExps != 2*(replies[r]+reenc) {
+			t.Errorf("round %d client: %+v, want %d decrypts and %d re-encryptions at 2 modexps each", r, cc, replies[r], reenc)
+		}
+	}
+	if env.Result == nil {
+		t.Fatal("no result")
 	}
 }

@@ -47,8 +47,16 @@ type Envelope struct {
 	// backend negotiation).
 	Backend backend.Kind
 	// CT is the encrypted tensor (paillier-he rounds). Between the model
-	// and data provider it is obfuscated except in the last round.
+	// and data provider it is obfuscated except in the last round. On the
+	// way to the model provider it holds one value per ciphertext; on the
+	// way back it is a packed reply (SlotBits != 0).
 	CT *paillier.CipherTensor
+	// SlotBits and Shape describe a packed reply: CT is then the vector of
+	// ⌈Shape.Size()/S⌉ ciphertexts paillier.Evaluator.Pack built, each
+	// carrying up to S = PublicKey.Slots(SlotBits) values of the logical
+	// tensor Shape in SlotBits-wide slots.
+	SlotBits int
+	Shape    tensor.Shape
 	// Sh is the additively shared tensor (ss-gc rounds).
 	Sh *tensor.Tensor[secshare.Shares]
 	// Plain is the plaintext integer tensor (clear rounds past the
@@ -72,8 +80,13 @@ func (env *Envelope) BackendKind() backend.Kind {
 }
 
 // payload views the envelope's activation tensor as a backend payload,
-// verifying the representation matching the declared kind is present.
+// verifying the representation matching the declared kind is present. A
+// packed reply is not a round input: the kernel needs one value per
+// ciphertext.
 func (env *Envelope) payload() (*backend.Payload, error) {
+	if env.SlotBits != 0 {
+		return nil, fmt.Errorf("protocol: a packed reply cannot be a round input")
+	}
 	p := &backend.Payload{Kind: env.BackendKind(), CT: env.CT, Sh: env.Sh, Plain: env.Plain, Exp: env.Exp}
 	if _, err := p.Shape(); err != nil {
 		return nil, err
@@ -81,9 +94,29 @@ func (env *Envelope) payload() (*backend.Payload, error) {
 	return p, nil
 }
 
-// envelopeWith wraps a backend payload back into an envelope.
-func envelopeWith(req uint64, p *backend.Payload, obfuscated bool) *Envelope {
-	return &Envelope{Req: req, Backend: p.Kind, CT: p.CT, Sh: p.Sh, Plain: p.Plain, Exp: p.Exp, Obfuscated: obfuscated}
+// SlotError reports a key too small to carry one value of a linear
+// stage's output bound: the stage's replies could not be decoded, so the
+// roles refuse to build.
+type SlotError struct {
+	Stage    string
+	SlotBits int
+	KeyBits  int
+}
+
+func (e *SlotError) Error() string {
+	return fmt.Sprintf("protocol: stage %s needs %d-bit reply slots, more than a %d-bit key holds", e.Stage, e.SlotBits, e.KeyBits)
+}
+
+// stageSlotBits derives a linear stage's reply slot width from its output
+// bound: one bit more than the bound's length, so that value + 2^(W−1)
+// lies in (0, 2^W) for every value the stage can produce. A key that
+// cannot hold one such slot is a *SlotError.
+func stageSlotBits(stage string, ops []qnn.Op, pk *paillier.PublicKey) (int, error) {
+	slotBits := 1 + qnn.StageBound(ops).BitLen()
+	if pk.Slots(slotBits) < 1 {
+		return 0, &SlotError{Stage: stage, SlotBits: slotBits, KeyBits: pk.Bits()}
+	}
+	return slotBits, nil
 }
 
 // Config parameterizes protocol construction.
@@ -183,9 +216,14 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 		if i+1 < len(merged)-1 && len(merged[i+1].Layers) > 0 {
 			_, reluFollows = merged[i+1].Layers[0].(*nn.ReLU)
 		}
+		slotBits, err := stageSlotBits(m.Name(), ops, pk)
+		if err != nil {
+			return nil, err
+		}
 		mp.stages = append(mp.stages, &linearStage{
 			name:        m.Name(),
 			ops:         ops,
+			slotBits:    slotBits,
 			inShape:     m.InShape.Clone(),
 			outShape:    m.OutShape.Clone(),
 			threads:     cfg.Workers,
@@ -199,9 +237,11 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 }
 
 // BuildDataProvider constructs the data-provider role alone: it needs
-// the private key and the network ARCHITECTURE. Linear-layer weights are
-// never read — only layer kinds and shapes — so the data provider can be
-// built from an architecture skeleton without the vendor's parameters.
+// the private key and the network ARCHITECTURE — layer kinds and shapes —
+// so it can be built from a skeleton without the vendor's parameters.
+// Whatever linear weights net does carry are used for one thing: the slot
+// width their output bound needs, below which a packed reply is refused
+// (a zeroed skeleton makes that check vacuous).
 func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*DataProvider, error) {
 	if cfg.Factor <= 0 {
 		return nil, fmt.Errorf("protocol: scaling factor %d must be positive", cfg.Factor)
@@ -222,12 +262,21 @@ func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*D
 	if cfg.Pool != nil {
 		dp.blind = cfg.Pool
 	}
+	slotBits := 0
 	for _, m := range merged {
 		if m.Kind != nn.NonLinear {
+			ops, err := qnn.QuantizeStage(m, cfg.Factor)
+			if err != nil {
+				return nil, err
+			}
+			if slotBits, err = stageSlotBits(m.Name(), ops, &sk.PublicKey); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		dp.stages = append(dp.stages, &nonLinearStage{
 			layers:   m.Layers,
+			slotBits: slotBits,
 			inShape:  m.InShape.Clone(),
 			outShape: m.OutShape.Clone(),
 			threads:  cfg.Workers,
@@ -361,6 +410,8 @@ type linearStage struct {
 	// reluFollows marks that the intermediate nonlinear stage after this
 	// round starts with ReLU (the ss-gc backend garbles there).
 	reluFollows bool
+	// slotBits is the reply slot width W (stageSlotBits), fixed at Build.
+	slotBits int
 }
 
 // execStage views a linear stage as a backend stage description.
@@ -417,8 +468,9 @@ func (mp *ModelProvider) Instrument(reg *obs.Registry) {
 func (mp *ModelProvider) Stages() int { return len(mp.stages) }
 
 // LayerInfos returns the planner's view of every linear round: the
-// non-zero weight multiplication count, output size, and whether a
-// garbled ReLU would follow — the inputs backend.PlanFor consumes.
+// non-zero weight multiplication count, output size, how many reply
+// ciphertexts those outputs pack into, and whether a garbled ReLU would
+// follow — the inputs backend.PlanFor consumes.
 func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 	out := make([]backend.LayerInfo, len(mp.stages))
 	for r, st := range mp.stages {
@@ -430,10 +482,13 @@ func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 				shape = next
 			}
 		}
+		outs := st.outShape.Size()
 		out[r] = backend.LayerInfo{
 			Name:        st.name,
 			Muls:        muls,
-			Outs:        st.outShape.Size(),
+			Outs:        outs,
+			Replies:     mp.pk.PackedLen(outs, st.slotBits),
+			SlotBits:    st.slotBits,
 			ReluFollows: st.reluFollows,
 		}
 	}
@@ -528,12 +583,15 @@ func (mp *ModelProvider) Forget(req uint64) {
 }
 
 // LinearTiming splits one linear round's server-side work into the
-// homomorphic kernel proper and the obfuscation bookkeeping around it
-// (inverse permutation on entry plus permutation on exit), feeding the
-// "server-kernel" / "server-permute" trace segments.
+// homomorphic kernel proper, the obfuscation bookkeeping around it
+// (inverse permutation on entry plus permutation on exit), and packing
+// the permuted rows into the blinded reply (paillier-he rounds only),
+// feeding the "server-kernel" / "server-permute" / "server-pack" trace
+// segments.
 type LinearTiming struct {
 	Kernel  time.Duration
 	Permute time.Duration
+	Pack    time.Duration
 }
 
 // ProcessLinear executes round r's steps at the model provider: inverse
@@ -612,6 +670,10 @@ func (mp *ModelProvider) processLinear(r int, env *Envelope, ev *paillier.Evalua
 		tm.Permute += time.Since(permStart)
 		p = restored
 	}
+	if kind == backend.PaillierHE && p.Exp != 1 {
+		// The reply's slot width is derived for inputs at scale F¹.
+		return nil, tm, fmt.Errorf("protocol: linear stage %d input at scale exponent %d, want 1", r, p.Exp)
+	}
 	size, err := p.Size()
 	if err != nil {
 		return nil, tm, err
@@ -645,26 +707,37 @@ func (mp *ModelProvider) processLinear(r int, env *Envelope, ev *paillier.Evalua
 	}
 	tm.Kernel = time.Since(kernelStart)
 
-	last := r == len(mp.stages)-1
-	if last {
-		// Step 3.4: send without obfuscation so SoftMax can run.
-		return envelopeWith(env.Req, out, false), tm, nil
+	// Step 3.4: the last round goes out without obfuscation so SoftMax
+	// can run.
+	obfuscated := r < len(mp.stages)-1
+	if obfuscated {
+		outSize, err := out.Size()
+		if err != nil {
+			return nil, tm, err
+		}
+		permStart := time.Now()
+		perm, err := mp.rounds(env.Req).Next(outSize)
+		if err != nil {
+			return nil, tm, err
+		}
+		if out, err = out.ApplyPerm(perm); err != nil {
+			return nil, tm, err
+		}
+		tm.Permute += time.Since(permStart)
 	}
-	outSize, err := out.Size()
-	if err != nil {
-		return nil, tm, err
+	reply := &Envelope{Req: env.Req, Backend: kind, Sh: out.Sh, Plain: out.Plain, Exp: out.Exp, Obfuscated: obfuscated}
+	if kind == backend.PaillierHE {
+		// The kernel's rows are unblinded; Pack is where they are
+		// re-randomized, a slot-full per blinding factor.
+		packStart := time.Now()
+		packed, err := ev.Pack(out.CT.Data(), st.slotBits, st.threads)
+		if err != nil {
+			return nil, tm, err
+		}
+		tm.Pack = time.Since(packStart)
+		reply.CT, reply.SlotBits, reply.Shape = packed, st.slotBits, out.CT.Shape()
 	}
-	permStart := time.Now()
-	perm, err := mp.rounds(env.Req).Next(outSize)
-	if err != nil {
-		return nil, tm, err
-	}
-	obf, err := out.ApplyPerm(perm)
-	if err != nil {
-		return nil, tm, err
-	}
-	tm.Permute += time.Since(permStart)
-	return envelopeWith(env.Req, obf, true), tm, nil
+	return reply, tm, nil
 }
 
 // nonLinearStage is one data-provider stage.
@@ -673,6 +746,10 @@ type nonLinearStage struct {
 	inShape  tensor.Shape
 	outShape tensor.Shape
 	threads  int
+	// slotBits is the slot width this side's copy of the preceding linear
+	// stage implies; a packed reply with narrower slots could overflow
+	// them and is refused.
+	slotBits int
 }
 
 // DataProvider holds the private key, encrypts inputs, and evaluates
@@ -774,10 +851,10 @@ func (dp *DataProvider) ProcessNonLinear(r int, env *Envelope) (*Envelope, error
 }
 
 // ProcessNonLinearMetered is ProcessNonLinear with crypto-op accounting
-// into m (nil skips accounting): decryption counts — each CRT decryption
-// is two half-size exponentiations — plus the re-encryption costs; for
-// ss-gc rounds the garbled-circuit ReLU gates, extension OTs, and opened
-// share words land in m instead.
+// into m (nil skips accounting): decryption counts — one per packed reply
+// ciphertext, each two half-size exponentiations — plus the re-encryption
+// costs; for ss-gc rounds the garbled-circuit ReLU gates, extension OTs,
+// and opened share words land in m instead.
 func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.CostMeter) (*Envelope, error) {
 	if r < 0 || r >= len(dp.stages) {
 		return nil, fmt.Errorf("protocol: no non-linear stage %d", r)
@@ -800,8 +877,14 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 		if env.CT == nil {
 			return nil, fmt.Errorf("protocol: non-linear stage %d received no ciphertext", r)
 		}
+		if env.SlotBits < st.slotBits {
+			return nil, fmt.Errorf("protocol: round %d reply has %d-bit slots, this stage's bound needs %d", r, env.SlotBits, st.slotBits)
+		}
+		if env.Shape.Size() != st.inShape.Size() {
+			return nil, fmt.Errorf("protocol: round %d reply packs %v, stage expects %v", r, env.Shape, st.inShape)
+		}
 		var err error
-		bigT, err = paillier.DecryptTensorBig(dp.sk, env.CT, st.threads)
+		bigT, err = dp.sk.Unpack(env.CT, env.SlotBits, st.inShape.Size(), st.threads)
 		if err != nil {
 			return nil, err
 		}

@@ -449,8 +449,8 @@ func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Networ
 	cfg.Log.Info("session plan solved",
 		"profile", string(effProfile), "boundary", plan.Boundary,
 		"paillier_rounds", paillierRounds, "rounds", mp.Stages())
-	// Per-session blinding pool: the kernel re-randomizes every output
-	// ciphertext, and pooled r^n factors keep those exponentiations off
+	// Per-session blinding pool: every packed reply ciphertext is
+	// re-randomized, and pooled r^n factors keep those exponentiations off
 	// the round-trip critical path. Each precomputed factor is one real
 	// modular exponentiation the fill worker performs off-path, so it is
 	// charged into the process-wide modexp counter here — per-request
@@ -680,7 +680,8 @@ func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Networ
 		slog.Slow("slow linear round", elapsed,
 			"req", env.Req, "round", frame.Round,
 			"kernel_ms", float64(timing.Kernel)/float64(time.Millisecond),
-			"permute_ms", float64(timing.Permute)/float64(time.Millisecond))
+			"permute_ms", float64(timing.Permute)/float64(time.Millisecond),
+			"pack_ms", float64(timing.Pack)/float64(time.Millisecond))
 		wireEnv, err := ToWire(result)
 		if err != nil {
 			recordFatal(err)
@@ -705,6 +706,7 @@ func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Networ
 			obs.Segment{Party: "server", Name: "queue", Round: frame.Round, Dur: queueWait},
 			obs.Segment{Party: "server", Name: "kernel", Round: frame.Round, Dur: timing.Kernel, Cost: &cost, Backend: string(roundKind)},
 			obs.Segment{Party: "server", Name: "permute", Round: frame.Round, Dur: timing.Permute},
+			obs.Segment{Party: "server", Name: "pack", Round: frame.Round, Dur: timing.Pack},
 		)
 		reply := &roundFrame{Round: frame.Round, Env: wireEnv, TC: frame.TC}
 		if frame.Round == 0 {

@@ -197,6 +197,12 @@ type WireEnvelope struct {
 	// Plain carries sign-magnitude big integers (leading sign byte, 0
 	// positive / 1 negative, then big-endian magnitude) for clear rounds.
 	Plain [][]byte
+	// SlotBits, when non-zero, marks Cipher as a packed paillier-he reply:
+	// Shape is still the logical tensor shape, and Cipher carries
+	// ⌈Shape.Size()/S⌉ ciphertexts of S = ⌊(bitlen(n)−2)/SlotBits⌋ values
+	// each. Zero is one value per ciphertext (every client-to-server
+	// frame).
+	SlotBits int
 }
 
 // maxPlainElementBytes bounds one clear-round integer's magnitude. Stage
@@ -226,6 +232,9 @@ func ToWire(env *Envelope) (*WireEnvelope, error) {
 			return nil, errors.New("protocol: envelope has neither ciphertext nor result")
 		}
 		w.Shape = env.CT.Shape().Clone()
+		if env.SlotBits != 0 {
+			w.SlotBits, w.Shape = env.SlotBits, env.Shape.Clone()
+		}
 		w.Cipher = make([][]byte, env.CT.Size())
 		for i, ct := range env.CT.Data() {
 			if ct == nil {
@@ -294,10 +303,20 @@ func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 	}
 	switch kind {
 	case backend.PaillierHE:
-		if len(w.Cipher) != shape.Size() {
+		ctShape := shape
+		if w.SlotBits != 0 {
+			// A packed reply: the count is checked against the logical size
+			// (which a hostile shape can overflow to anything) before it
+			// sizes an allocation.
+			if n := pk.PackedLen(shape.Size(), w.SlotBits); n == 0 || len(w.Cipher) != n {
+				return nil, fmt.Errorf("protocol: %d ciphertexts for shape %v at %d slot bits under a %d-bit key", len(w.Cipher), shape, w.SlotBits, pk.Bits())
+			}
+			ctShape = tensor.Shape{len(w.Cipher)}
+			env.SlotBits, env.Shape = w.SlotBits, shape
+		} else if len(w.Cipher) != shape.Size() {
 			return nil, fmt.Errorf("protocol: %d ciphertexts for shape %v", len(w.Cipher), shape)
 		}
-		ct := tensor.New[*paillier.Ciphertext](shape...)
+		ct := tensor.New[*paillier.Ciphertext](ctShape...)
 		for i, raw := range w.Cipher {
 			v := new(big.Int).SetBytes(raw)
 			c, err := paillier.NewCiphertextFromValue(v, pk)

@@ -1,0 +1,149 @@
+package qnn
+
+import (
+	"math"
+	"math/big"
+	"testing"
+
+	"ppstream/internal/nn"
+	"ppstream/internal/tensor"
+)
+
+// TestBoundSoundAtInt64Extremes feeds every kind of op the inputs that
+// maximize its outputs — each element at ±2⁶³⁻ with the sign of the
+// weight that multiplies it, per output element, plus the all-min, all-max
+// and alternating vectors — through ApplyPlain, and requires that no
+// output exceeds the op's reported bound, alone and chained through a
+// stage the way StageBound propagates it.
+func TestBoundSoundAtInt64Extremes(t *testing.T) {
+	const F = 1_000_000
+	r := rng()
+	conv, err := nn.NewConv("c", tensor.ConvParams{InC: 2, InH: 4, InW: 4, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bn := nn.NewBatchNorm("bn", 3)
+	bn.Gamma = tensor.MustFromSlice([]float64{-1.7, 0, 2.3}, 3)
+	bn.Beta = tensor.MustFromSlice([]float64{0.5, -40, 7}, 3)
+	bn.Mean = tensor.MustFromSlice([]float64{3, -2, 0.1}, 3)
+	scale := tensor.Zeros(48)
+	for i := range scale.Data() {
+		scale.Data()[i] = r.NormFloat64() * 3
+	}
+	fc := nn.NewFC("fc", 48, 5, r)
+	fc.B.Fill(-123.456)
+	stage := []nn.Layer{conv, bn, nn.NewFlatten("fl"), &nn.ElemScale{LayerName: "es", Scale: scale}, fc}
+
+	ops := make([]Op, len(stage))
+	for i, l := range stage {
+		if ops[i], err = Quantize(l, F); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// extremes returns the input vectors to try for one op: the fixed
+	// patterns, and per output element the sign pattern that pushes it
+	// furthest up (its negation pushes it furthest down).
+	extremes := func(op Op, shape tensor.Shape) []*tensor.Tensor[*big.Int] {
+		n := shape.Size()
+		lo, hi := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
+		fill := func(pick func(i int) *big.Int) *tensor.Tensor[*big.Int] {
+			x := tensor.New[*big.Int](shape...)
+			for i := 0; i < n; i++ {
+				x.SetFlat(i, pick(i))
+			}
+			return x
+		}
+		out := []*tensor.Tensor[*big.Int]{
+			fill(func(int) *big.Int { return lo }),
+			fill(func(int) *big.Int { return hi }),
+			fill(func(i int) *big.Int {
+				if i%2 == 0 {
+					return lo
+				}
+				return hi
+			}),
+		}
+		// Probe each input's effect on each output with unit vectors, then
+		// aim every input at that output.
+		zero := fill(func(int) *big.Int { return new(big.Int) })
+		base, err := op.ApplyPlain(zero, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		signs := make([][]int, base.Size())
+		for o := range signs {
+			signs[o] = make([]int, n)
+		}
+		for i := 0; i < n; i++ {
+			unit := fill(func(j int) *big.Int {
+				if j == i {
+					return big.NewInt(1)
+				}
+				return new(big.Int)
+			})
+			got, err := op.ApplyPlain(unit, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for o := range signs {
+				signs[o][i] = got.AtFlat(o).Cmp(base.AtFlat(o))
+			}
+		}
+		for o := range signs {
+			for _, flip := range []int{1, -1} {
+				out = append(out, fill(func(i int) *big.Int {
+					if signs[o][i]*flip < 0 {
+						return lo
+					}
+					return hi
+				}))
+			}
+		}
+		return out
+	}
+
+	shape := tensor.Shape{2, 4, 4}
+	in := inputBound
+	for _, op := range ops {
+		bound := op.Bound(in, 1)
+		worst := new(big.Int)
+		for _, x := range extremes(op, shape) {
+			got, err := op.ApplyPlain(x, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got.Data() {
+				if v.CmpAbs(bound) > 0 {
+					t.Fatalf("%s output %d = %s exceeds its bound %s", op.Name(), i, v, bound)
+				}
+				if v.CmpAbs(worst) > 0 {
+					worst.Abs(v)
+				}
+			}
+		}
+		// The bound is tight to within the −2⁶³ vs 2⁶³−1 asymmetry and the
+		// bias: a loose one would waste slot bits.
+		if worst.BitLen() < bound.BitLen()-1 {
+			t.Errorf("%s: worst output has %d bits, bound %d — not tight", op.Name(), worst.BitLen(), bound.BitLen())
+		}
+		if shape, err = op.OutShape(shape); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Chained: the stage bound covers the stage's outputs for extreme
+	// stage inputs, with exponents threaded as ApplyStagePlain does.
+	stageBound := StageBound(ops)
+	for _, x := range extremes(ops[0], tensor.Shape{2, 4, 4}) {
+		got, _, err := ApplyStagePlain(ops, x, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got.Data() {
+			if v.CmpAbs(stageBound) > 0 {
+				t.Fatalf("stage output %d = %s exceeds the stage bound %s", i, v, stageBound)
+			}
+		}
+	}
+}

@@ -25,7 +25,7 @@ type ElementOp interface {
 	// Reading an unsent offset is an error. Dot-product ops build ONE
 	// linear kernel over view for the whole range, so every input's
 	// inverse and power tables are computed once per thread, not once per
-	// element; every element is re-randomized before it is returned.
+	// element. Like Apply's, the elements are not re-randomized.
 	ComputeRange(ev *paillier.Evaluator, view []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error
 }
 

@@ -49,9 +49,9 @@ func (q *QFC) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{len(q.W)}, nil
 }
 
-// Apply implements Op: row o computes Π E(x_i)^{W[o][i]} · E(b_o·F^(exp+1)),
-// re-randomized. One kernel preprocessing pass (shared inverses, windowed
-// power tables) serves every row.
+// Apply implements Op: row o computes Π E(x_i)^{W[o][i]} · E(b_o·F^(exp+1)).
+// One kernel preprocessing pass (shared inverses, windowed power tables)
+// serves every row.
 func (q *QFC) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
 	out := tensor.New[*paillier.Ciphertext](len(q.W))
 	if err := q.rows(ev, x.Flatten().Data(), 0, len(q.W), inExp, workers, out.Data()); err != nil {
@@ -95,6 +95,11 @@ func (q *QFC) rows(ev *paillier.Evaluator, xs []*paillier.Ciphertext, lo, hi, in
 		out[i] = ct
 	})
 	return firstErr
+}
+
+// Bound implements Op: the worst row.
+func (q *QFC) Bound(in *big.Int, inExp int) *big.Int {
+	return worstRowBound(q.W, q.B, q.F, in, inExp)
 }
 
 // ApplyPlain implements Op over big integers.
@@ -293,6 +298,12 @@ func (q *QConv) applyOne(kern *paillier.LinearKernel, f, pos, inExp int) (*paill
 	return kern.Dot(idx, weights, bias)
 }
 
+// Bound implements Op: the worst filter over a receptive field without
+// padding (padding only drops terms).
+func (q *QConv) Bound(in *big.Int, inExp int) *big.Int {
+	return worstRowBound(q.W, q.B, q.F, in, inExp)
+}
+
 // ApplyPlain implements Op.
 func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], error) {
 	xs := x.Flatten().Data()
@@ -385,9 +396,7 @@ func (q *QAffine) coeffIndex(in tensor.Shape) (func(int) int, error) {
 	}
 }
 
-// Apply implements Op: element i becomes E(x_i)^{Scale[c]}·E(Shift[c]),
-// re-randomized with a fresh blinding factor (a zero scale would
-// otherwise emit a deterministic ciphertext).
+// Apply implements Op: element i becomes E(x_i)^{Scale[c]}·E(Shift[c]).
 func (q *QAffine) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
 	idx, err := q.coeffIndex(x.Shape())
 	if err != nil {
@@ -416,8 +425,7 @@ func (q *QAffine) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp,
 	return out, nil
 }
 
-// element computes E(x)^{Scale[c]}·E(Shift[c]) for coefficient index c,
-// re-randomized.
+// element computes E(x)^{Scale[c]}·E(Shift[c]) for coefficient index c.
 func (q *QAffine) element(ev *paillier.Evaluator, x *paillier.Ciphertext, c, inExp int) (*paillier.Ciphertext, error) {
 	pk := ev.PublicKey()
 	ct, err := pk.MulScalarInt64(x, q.Scale[c])
@@ -425,22 +433,14 @@ func (q *QAffine) element(ev *paillier.Evaluator, x *paillier.Ciphertext, c, inE
 		return nil, err
 	}
 	if q.Shift != nil && q.Shift[c] != 0 {
-		ct, err = pk.AddPlain(ct, biasAt(q.Shift[c], q.F, inExp+1))
-		if err != nil {
-			return nil, err
-		}
+		return pk.AddPlain(ct, biasAt(q.Shift[c], q.F, inExp+1))
 	}
-	rn, err := ev.Blinding()
-	if err != nil {
-		return nil, err
-	}
-	return pk.RerandomizeWith(ct, rn), nil
+	return ct, nil
 }
 
-// cost is what elements [lo, hi) cost outside Blinding (which counts its
-// own rerands and pool hits/misses), deterministic per element: one
+// cost is what elements [lo, hi) cost, deterministic per element: one
 // scalar exponentiation, an inverse for negative scales, one mulmod per
-// non-zero shift, one mulmod applying the blinding factor.
+// non-zero shift.
 func (q *QAffine) cost(idx func(int) int, lo, hi int) obs.CostStats {
 	var st obs.CostStats
 	for i := lo; i < hi; i++ {
@@ -452,9 +452,23 @@ func (q *QAffine) cost(idx func(int) int, lo, hi int) obs.CostStats {
 		if q.Shift != nil && q.Shift[c] != 0 {
 			st.MulMods++
 		}
-		st.MulMods++
 	}
 	return st
+}
+
+// Bound implements Op: the worst coefficient pair.
+func (q *QAffine) Bound(in *big.Int, inExp int) *big.Int {
+	worst := new(big.Int)
+	for c := range q.Scale {
+		var shift float64
+		if q.Shift != nil {
+			shift = q.Shift[c]
+		}
+		if b := rowBound(q.Scale[c:c+1], shift, q.F, in, inExp); b.Cmp(worst) > 0 {
+			worst = b
+		}
+	}
+	return worst
 }
 
 // ApplyPlain implements Op.
@@ -496,6 +510,9 @@ func (q *QFlatten) OutShape(in tensor.Shape) (tensor.Shape, error) {
 func (q *QFlatten) Apply(_ *paillier.Evaluator, x *paillier.CipherTensor, _, _ int) (*paillier.CipherTensor, error) {
 	return x.Flatten(), nil
 }
+
+// Bound implements Op: values pass through.
+func (q *QFlatten) Bound(in *big.Int, _ int) *big.Int { return in }
 
 // ApplyPlain implements Op.
 func (q *QFlatten) ApplyPlain(x *tensor.Tensor[*big.Int], _ int) (*tensor.Tensor[*big.Int], error) {

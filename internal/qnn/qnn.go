@@ -34,14 +34,19 @@ type Op interface {
 	ScaleSteps() int
 	// Apply evaluates the op over an encrypted tensor whose plaintexts
 	// are at scale F^inExp, using up to workers goroutines, and returns
-	// the encrypted result at scale F^(inExp+ScaleSteps()). The evaluator
-	// supplies the public key plus the blinding factors used to
-	// re-randomize every output ciphertext.
+	// the encrypted result at scale F^(inExp+ScaleSteps()). The result
+	// is NOT re-randomized: it may feed the stage's next op, but only
+	// paillier.Evaluator.Pack may hand it to the data provider.
 	Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp int, workers int) (*paillier.CipherTensor, error)
 	// ApplyPlain evaluates the same arithmetic over plaintext big
 	// integers; CipherBase/PlainBase baselines and tests use it to check
 	// the ciphertext path bit-for-bit.
 	ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], error)
+	// Bound returns the largest magnitude any output element can take
+	// when every input element's magnitude is at most in, at input scale
+	// F^inExp. It is sound for every input, not only typical ones: the
+	// reply's slot width is derived from it (StageBound).
+	Bound(in *big.Int, inExp int) *big.Int
 }
 
 // Quantize converts a linear nn layer into its homomorphic form with
@@ -119,6 +124,45 @@ func ApplyStagePlain(ops []Op, x *tensor.Tensor[*big.Int], inExp int) (*tensor.T
 		exp += op.ScaleSteps()
 	}
 	return cur, exp, nil
+}
+
+// inputBound is the largest magnitude of a stage input: the data provider
+// encrypts int64 values (ScaleInput), so |x| ≤ 2^63.
+var inputBound = new(big.Int).Lsh(big.NewInt(1), 63)
+
+// StageBound returns the largest magnitude any output element of the
+// stage can take over int64-range inputs at scale F¹ — what every round's
+// input is. The model provider sizes its reply slots from it.
+func StageBound(ops []Op) *big.Int {
+	bound, exp := inputBound, 1
+	for _, op := range ops {
+		bound = op.Bound(bound, exp)
+		exp += op.ScaleSteps()
+	}
+	return bound
+}
+
+// rowBound bounds |Σ_i w_i·x_i + bias·F^(inExp+1)| over |x_i| ≤ in: the
+// row's L1 norm times in, plus the materialized bias's magnitude.
+func rowBound(ws []int64, bias float64, F int64, in *big.Int, inExp int) *big.Int {
+	l1, t := new(big.Int), new(big.Int)
+	for _, w := range ws {
+		l1.Add(l1, t.Abs(t.SetInt64(w)))
+	}
+	l1.Mul(l1, in)
+	return l1.Add(l1, t.Abs(biasAt(bias, F, inExp+1)))
+}
+
+// worstRowBound is the largest rowBound over the rows of w, each with its
+// own bias.
+func worstRowBound(w [][]int64, bias []float64, F int64, in *big.Int, inExp int) *big.Int {
+	worst := new(big.Int)
+	for o, row := range w {
+		if b := rowBound(row, bias[o], F, in, inExp); b.Cmp(worst) > 0 {
+			worst = b
+		}
+	}
+	return worst
 }
 
 // ScaleInput converts a float tensor to the integer representation at
