@@ -130,7 +130,7 @@ func TestCryptorandSkipsNonCriticalPackages(t *testing.T) {
 func TestRerandomizeFixture(t *testing.T) {
 	// The fixture reproduces the PR 2 unblinded-row pattern (BadDot) and
 	// a branch that leaks an unblinded early return (BranchDot).
-	// It also holds the row exemption's good side: an unblinded Dot beside
+	// It also holds the row exemption's good side: an unblinded Rows beside
 	// a blinding Pack, and envelopes filled from Pack or not.
 	checkFixture(t, fixturePkg(t, "rerandomize", "fix/paillier"), RerandomizeAnalyzer)
 }

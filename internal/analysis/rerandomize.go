@@ -29,7 +29,7 @@ import (
 // layers), and *Ref-suffixed differential-test reference implementations,
 // which are documented as never leaving the model provider.
 //
-// The kernel's row producer, Dot, is unblinded too: a round's rows are
+// The kernel's row evaluator, Rows, is unblinded too: a round's rows are
 // blinded together, a slot-full per factor, when Pack folds them into the
 // reply. That exemption is earned, not granted: it holds only while the
 // package has a Pack that blinds on every path, and the second half of
@@ -93,10 +93,10 @@ type rerandomizer struct {
 	alwaysBlinds map[*types.Func]bool
 }
 
-// rowProducer is the kernel's unblinded row function and packer the
+// rowProducer is the kernel's unblinded row evaluator and packer the
 // function whose blinding makes that acceptable.
 const (
-	rowProducer = "Dot"
+	rowProducer = "Rows"
 	packer      = "Pack"
 )
 
@@ -378,6 +378,13 @@ func (r *rerandomizer) typeHasCiphertext(t types.Type, depth int) bool {
 		return r.typeHasCiphertext(tt.Elem(), depth+1)
 	case *types.Map:
 		return r.typeHasCiphertext(tt.Elem(), depth+1)
+	case *types.Tuple:
+		// return f(...) with a multi-valued f: any member counts.
+		for i := 0; i < tt.Len(); i++ {
+			if r.typeHasCiphertext(tt.At(i).Type(), depth+1) {
+				return true
+			}
+		}
 	}
 	return false
 }

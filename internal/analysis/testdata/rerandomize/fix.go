@@ -179,21 +179,36 @@ func (h *KeyHolder) SealBad(m *big.Int) *Ciphertext {
 	return &Ciphertext{c: c} // want "without re-randomization"
 }
 
-// Dot is the kernel's row producer: it derives and does not blind, like
+// Rows is the kernel's row evaluator: it derives and does not blind, like
 // BadDot, and is let through only because this package has a Pack that
-// blinds on every path — the row's one way out (see SealReplyGood).
-func (k *Key) Dot(row []int64, cts []*Ciphertext) *Ciphertext {
-	acc := big.NewInt(1)
-	for i, w := range row {
-		t := new(big.Int).Exp(cts[i].c, big.NewInt(w), k.n2)
-		acc.Mul(acc, t)
-		acc.Mod(acc, k.n2)
+// blinds on every path — the rows' one way out (see SealReplyGood). Like
+// the real one it hands on the results of an unexported helper whole; a
+// multi-valued call in a return is still a ciphertext leaving.
+func (k *Key) Rows(cts []*Ciphertext, rows [][]int64) ([]*Ciphertext, error) {
+	return k.rows(cts, rows)
+}
+
+func (k *Key) rows(cts []*Ciphertext, rows [][]int64) ([]*Ciphertext, error) {
+	out := make([]*Ciphertext, len(rows))
+	for o, row := range rows {
+		acc := big.NewInt(1)
+		for i, w := range row {
+			t := new(big.Int).Exp(cts[i].c, big.NewInt(w), k.n2)
+			acc.Mul(acc, t)
+			acc.Mod(acc, k.n2)
+		}
+		out[o] = &Ciphertext{c: acc}
 	}
-	return &Ciphertext{c: acc}
+	return out, nil
+}
+
+// RowsUnder is Rows by another name: the exemption is Rows' alone.
+func (k *Key) RowsUnder(cts []*Ciphertext, rows [][]int64) ([]*Ciphertext, error) {
+	return k.rows(cts, rows) // want "without re-randomization"
 }
 
 // Pack folds rows into one ciphertext and blinds it: the packer whose
-// blinding earns Dot its exemption.
+// blinding earns Rows its exemption.
 func (k *Key) Pack(rows []*Ciphertext) []*Ciphertext {
 	acc := big.NewInt(1)
 	for _, r := range rows {
@@ -225,7 +240,7 @@ func (k *Key) SealReplyGood(rows []*Ciphertext) (*Envelope, *Envelope) {
 // SealReplyBad puts kernel rows into an envelope directly: each escapes
 // with only its inputs' randomness, the leak Pack exists to close.
 func (k *Key) SealReplyBad(row []int64, cts []*Ciphertext) (*Envelope, *Envelope) {
-	rows := []*Ciphertext{k.Dot(row, cts)}
+	rows, _ := k.Rows(cts, [][]int64{row})
 	lit := &Envelope{Req: 1, CT: rows} // want "Envelope.CT filled outside Pack"
 	set := &Envelope{Req: 2}
 	set.CT, set.Req = rows, 3 // want "Envelope.CT filled outside Pack"

@@ -15,10 +15,10 @@ import (
 
 func TestBenchJSONRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	res := &KernelResult{
-		Rows: 32, Cols: 128, Reps: 2,
-		Series: []KernelRow{{KeyBits: 256, Kernel: 5 * time.Millisecond, Ref: 20 * time.Millisecond}},
-	}
+	res := &KernelResult{Reps: 2, Shapes: []KernelShape{{
+		Rows: 32, Cols: 128,
+		Series: []KernelRow{{KeyBits: 256, Kernel: 5 * time.Millisecond, Ref: 20 * time.Millisecond, Strategy: "tables"}},
+	}}}
 	host := BenchHost{GOOS: "linux", GOARCH: "amd64", NumCPU: 4}
 	path, err := WriteBenchJSON(dir, "kernel", Config{KeyBits: 256}.withDefaults(), host, res)
 	if err != nil {
@@ -44,9 +44,12 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("result decoded as %T", rec.Result)
 	}
-	series, ok := result["Series"].([]any)
-	if !ok || len(series) != 1 {
-		t.Fatalf("series lost in round trip: %v", result["Series"])
+	shapes, ok := result["Shapes"].([]any)
+	if !ok || len(shapes) != 1 {
+		t.Fatalf("shapes lost in round trip: %v", result["Shapes"])
+	}
+	if series, ok := shapes[0].(map[string]any)["Series"].([]any); !ok || len(series) != 1 {
+		t.Fatalf("series lost in round trip: %v", shapes[0])
 	}
 	// No temp litter from the atomic write.
 	entries, err := os.ReadDir(dir)

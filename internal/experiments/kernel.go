@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/rand"
 	"fmt"
+	"math/big"
 	mrand "math/rand"
 	"strings"
 	"time"
@@ -11,17 +12,23 @@ import (
 	"ppstream/internal/qnn"
 )
 
-// KernelRow is one key-size point of the linear-kernel benchmark: average
-// per-layer latency of the two-phase kernel (shared inverses + interleaved
-// multi-exponentiation, blinded outputs) against the pre-kernel row-by-row
-// reference, over a fully-connected layer with ~60% negative weights.
-// Replies is how many ciphertexts the layer's Rows outputs would leave the
-// model provider in as a protocol round at this key size.
+// KernelRow is one (shape, key size) point of the linear-kernel benchmark:
+// average per-layer latency of the kernel (sign split, counted strategy,
+// batched inversion, blinded outputs) against the pre-kernel row-by-row
+// reference, and the plan the kernel's count picked for the layer — its
+// strategy and digit width, and the modular multiplications and inversions
+// it predicted, which are what a cost meter reads afterwards. Replies is
+// how many ciphertexts the layer's outputs would leave the model provider
+// in as a protocol round at this key size.
 type KernelRow struct {
-	KeyBits int
-	Kernel  time.Duration
-	Ref     time.Duration
-	Replies int
+	KeyBits     int
+	Kernel      time.Duration
+	Ref         time.Duration
+	Replies     int
+	Strategy    string
+	Window      uint
+	MulMods     uint64
+	ModInverses uint64
 }
 
 // Speedup is the reference-to-kernel latency ratio.
@@ -32,20 +39,45 @@ func (r KernelRow) Speedup() float64 {
 	return float64(r.Ref) / float64(r.Kernel)
 }
 
-// KernelResult holds the benchmark's series. SlotBits is the reply slot
+// KernelShape is one layer shape's series. SlotBits is the reply slot
 // width the layer's output bound implies.
-type KernelResult struct {
+type KernelShape struct {
 	Rows, Cols int
-	Reps       int
+	Weights    string
 	SlotBits   int
 	Series     []KernelRow
 }
 
+// KernelResult holds the benchmark's shapes.
+type KernelResult struct {
+	Reps   int
+	Shapes []KernelShape
+}
+
+// kernelShapes are the two sides of the kernel's strategy choice, as in
+// internal/paillier's BenchmarkMatVec*: few short rows of wide weights —
+// the post-scaling regime where the reference pays one ModInverse per
+// negative weight per row, and the count picks power tables — and long
+// rows of narrow weights, as MNIST's first layer quantizes at factor 100,
+// where it picks buckets.
+var kernelShapes = []struct {
+	rows, cols int
+	weights    string
+	weight     func(rng *mrand.Rand) int64
+}{
+	{32, 128, "~60% negative, 16-17 bits", func(rng *mrand.Rand) int64 {
+		mag := rng.Int63n(1<<17-1<<16) + 1<<16
+		if rng.Intn(10) < 6 {
+			mag = -mag
+		}
+		return mag
+	}},
+	{64, 784, "signed, at most 4 bits", func(rng *mrand.Rand) int64 { return rng.Int63n(31) - 15 }},
+}
+
 // Kernel benchmarks the homomorphic linear kernel against the scalar
-// reference for each key size: a 32×128 layer with 16–17-bit weight
-// magnitudes, ~60% of them negative — the post-scaling regime where the
-// reference pays one ModInverse per negative weight per row. Both paths
-// are checked to decrypt identically before timing.
+// reference for each shape and key size. Both paths are checked to
+// decrypt identically before timing.
 func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 	if len(keyBits) == 0 {
 		keyBits = []int{256, 512, 1024}
@@ -53,90 +85,103 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 	if reps <= 0 {
 		reps = 3
 	}
-	const rows, cols = 32, 128
-	res := &KernelResult{Rows: rows, Cols: cols, Reps: reps}
+	res := &KernelResult{Reps: reps}
 	rng := mrand.New(mrand.NewSource(99))
-	w := make([][]int64, rows)
-	for o := range w {
-		w[o] = make([]int64, cols)
-		for i := range w[o] {
-			mag := rng.Int63n(1<<17-1<<16) + 1<<16
-			if rng.Intn(10) < 6 {
-				mag = -mag
-			}
-			w[o][i] = mag
-		}
-	}
-	bias := make([]int64, rows)
-	fbias := make([]float64, rows)
-	for o := range bias {
-		bias[o] = rng.Int63n(1 << 20)
-		fbias[o] = float64(bias[o])
-	}
-	res.SlotBits = 1 + qnn.StageBound([]qnn.Op{&qnn.QFC{F: 1, W: w, B: fbias}}).BitLen()
-	for _, bits := range keyBits {
-		key, err := paillier.GenerateKey(rand.Reader, bits)
-		if err != nil {
+	keys := make([]*paillier.PrivateKey, len(keyBits))
+	for i, bits := range keyBits {
+		var err error
+		if keys[i], err = paillier.GenerateKey(rand.Reader, bits); err != nil {
 			return nil, fmt.Errorf("experiments: kernel keygen %d: %w", bits, err)
 		}
-		xs := make([]*paillier.Ciphertext, cols)
-		for i := range xs {
-			xs[i], err = key.EncryptInt64(rand.Reader, rng.Int63n(2000)-1000)
+	}
+	for _, sh := range kernelShapes {
+		w := make([][]int64, sh.rows)
+		for o := range w {
+			w[o] = make([]int64, sh.cols)
+			for i := range w[o] {
+				w[o][i] = sh.weight(rng)
+			}
+		}
+		bias := make([]int64, sh.rows)
+		fbias := make([]float64, sh.rows)
+		rows := make([]paillier.Row, sh.rows)
+		for o := range bias {
+			bias[o] = rng.Int63n(1 << 20)
+			fbias[o] = float64(bias[o])
+			rows[o] = paillier.Row{W: w[o], Bias: big.NewInt(bias[o])}
+		}
+		shape := KernelShape{Rows: sh.rows, Cols: sh.cols, Weights: sh.weights,
+			SlotBits: 1 + qnn.StageBound([]qnn.Op{&qnn.QFC{F: 1, W: w, B: fbias}}).BitLen()}
+		for _, key := range keys {
+			xs := make([]*paillier.Ciphertext, sh.cols)
+			for i := range xs {
+				var err error
+				if xs[i], err = key.EncryptInt64(rand.Reader, rng.Int63n(2000)-1000); err != nil {
+					return nil, err
+				}
+			}
+			// Correctness gate before timing.
+			got, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1)
 			if err != nil {
 				return nil, err
 			}
-		}
-		// Correctness gate before timing.
-		got, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1)
-		if err != nil {
-			return nil, err
-		}
-		want, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs, 1)
-		if err != nil {
-			return nil, err
-		}
-		for o := range got {
-			g, err := key.Decrypt(got[o])
+			want, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs, 1)
 			if err != nil {
 				return nil, err
 			}
-			wv, err := key.Decrypt(want[o])
+			for o := range got {
+				g, err := key.Decrypt(got[o])
+				if err != nil {
+					return nil, err
+				}
+				wv, err := key.Decrypt(want[o])
+				if err != nil {
+					return nil, err
+				}
+				if g.Cmp(wv) != 0 {
+					return nil, fmt.Errorf("experiments: kernel differential failure at %dx%d, %d bits, row %d", sh.rows, sh.cols, key.Bits(), o)
+				}
+			}
+			plan, err := paillier.PlanRows(xs, rows)
 			if err != nil {
 				return nil, err
 			}
-			if g.Cmp(wv) != 0 {
-				return nil, fmt.Errorf("experiments: kernel differential failure at %d bits row %d", bits, o)
+			row := KernelRow{KeyBits: key.Bits(), Replies: key.PackedLen(sh.rows, shape.SlotBits),
+				Strategy: plan.Strategy.String(), Window: plan.Window, MulMods: plan.MulMods, ModInverses: plan.ModInverses}
+			for rep := 0; rep < reps; rep++ {
+				start := time.Now()
+				if _, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1); err != nil {
+					return nil, err
+				}
+				row.Kernel += time.Since(start)
+				start = time.Now()
+				if _, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs, 1); err != nil {
+					return nil, err
+				}
+				row.Ref += time.Since(start)
 			}
+			row.Kernel /= time.Duration(reps)
+			row.Ref /= time.Duration(reps)
+			shape.Series = append(shape.Series, row)
 		}
-		row := KernelRow{KeyBits: bits, Replies: key.PackedLen(rows, res.SlotBits)}
-		for rep := 0; rep < reps; rep++ {
-			start := time.Now()
-			if _, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1); err != nil {
-				return nil, err
-			}
-			row.Kernel += time.Since(start)
-			start = time.Now()
-			if _, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs, 1); err != nil {
-				return nil, err
-			}
-			row.Ref += time.Since(start)
-		}
-		row.Kernel /= time.Duration(reps)
-		row.Ref /= time.Duration(reps)
-		res.Series = append(res.Series, row)
+		res.Shapes = append(res.Shapes, shape)
 	}
 	return res, nil
 }
 
-// Render formats the benchmark as a table.
+// Render formats the benchmark as one table per shape.
 func (r *KernelResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Linear kernel: %dx%d FC layer, ~60%% negative 16-17 bit weights, avg of %d reps\n", r.Rows, r.Cols, r.Reps)
-	fmt.Fprintf(&b, "%-8s  %12s  %12s  %8s  %8s  %10s\n", "keybits", "kernel", "reference", "speedup", "outputs", "reply cts")
-	for _, row := range r.Series {
-		fmt.Fprintf(&b, "%-8d  %12s  %12s  %7.2fx  %8d  %10d\n",
-			row.KeyBits, row.Kernel.Round(time.Microsecond), row.Ref.Round(time.Microsecond), row.Speedup(), r.Rows, row.Replies)
+	for _, sh := range r.Shapes {
+		fmt.Fprintf(&b, "Linear kernel: %dx%d FC layer, weights %s, avg of %d reps\n", sh.Rows, sh.Cols, sh.Weights, r.Reps)
+		fmt.Fprintf(&b, "%-8s  %12s  %12s  %8s  %-10s  %9s  %10s  %10s\n", "keybits", "kernel", "reference", "speedup", "strategy", "mulmods", "inversions", "reply cts")
+		for _, row := range sh.Series {
+			fmt.Fprintf(&b, "%-8d  %12s  %12s  %7.2fx  %-10s  %9d  %10d  %10d\n",
+				row.KeyBits, row.Kernel.Round(time.Microsecond), row.Ref.Round(time.Microsecond), row.Speedup(),
+				fmt.Sprintf("%s/%d", row.Strategy, row.Window), row.MulMods, row.ModInverses, row.Replies)
+		}
+		fmt.Fprintf(&b, "strategy/window, mulmods, inversions: what the kernel's count picked and predicted for its %d rows (blinding them is extra)\n", sh.Rows)
+		fmt.Fprintf(&b, "reply cts: the %d outputs as one protocol round's packed reply (%d-bit slots)\n\n", sh.Rows, sh.SlotBits)
 	}
-	fmt.Fprintf(&b, "reply cts: the %d outputs as one protocol round's packed reply (%d-bit slots)\n", r.Rows, r.SlotBits)
 	return b.String()
 }

@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"math/big"
+	mrand "math/rand"
 	"testing"
 
 	"ppstream/internal/obs"
@@ -26,64 +27,121 @@ func (f fakeTracked) BlindingTracked() (*big.Int, bool, error) {
 	return rn, f.pooled, err
 }
 
-// TestKernelCostExactCounts pins the kernel's deterministic op accounting
-// for a fixed window: table builds, inverses, digit multiplies and the
-// bias fold — and no blinding, which is Pack's.
-func TestKernelCostExactCounts(t *testing.T) {
+// TestRowsCostByHand pins the count on a call small enough to derive by
+// hand, under each strategy: xs = [x0, x1], rows [13, −1]+5 and [−2, 3].
+//
+// Finish, either way: the bias multiplies row 0's numerator (1); two
+// denominators cost 3·(2−1) in the batched inversion and one ModInverse;
+// each row divides its numerator (2) — 6.
+//
+// Tables are cheapest at window 2: both columns get x, x², x³ (2 each);
+// 13 = (3,1) is two lookups and one block of 2 squarings (3); 1, 2 and 3
+// are single lookups (0). 4 + 3 + 6 = 13.
+// Buckets are cheapest at window 1, plain square-and-multiply with nothing
+// to collapse: 13 = 0b1101 is 3 squarings and 2 multiplies after the
+// leading bit (5), 2 = 0b10 one squaring (1), 3 = 0b11 one of each (2),
+// 1 nothing. 8 + 6 = 14.
+func TestRowsCostByHand(t *testing.T) {
 	k := key(t)
-	var m obs.CostMeter
-	ev := NewEvaluator(&k.PublicKey, WithWindow(2), WithCostMeter(&m))
-
 	xs := encryptVec(t, k, []int64{4, 7})
-	// ws = [3, −1]: column 0 positive, column 1 negative; maxBits = 2 so a
-	// window-2 evaluation is a single digit round with no squarings.
-	ct, err := dotRow(ev, xs, []int64{3, -1}, big.NewInt(5))
+	rows := []Row{{W: []int64{13, -1}, Bias: big.NewInt(5)}, {W: []int64{-2, 3}}}
+	costs, err := countRows(xs, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := k.DecryptInt64(ct); err != nil || got != 3*4-7+5 {
-		t.Fatalf("dot = %d, %v; want 10", got, err)
-	}
-
-	st := m.Snapshot()
-	// Precompute: tableLen = 2²−1 = 3, so 2 mulmods per built table; one
-	// positive table + one negative table + 1 inverse.
-	// Dot: 2 digit multiplies + 1 bias fold = 3 mulmods.
-	want := obs.CostStats{
-		MulMods:     2 + 2 + 3,
-		ModInverses: 1,
-	}
-	if st != want {
-		t.Fatalf("cost = %+v, want %+v", st, want)
+	for _, tc := range []struct {
+		among []Strategy
+		want  RowPlan
+	}{
+		{[]Strategy{Tables}, RowPlan{Strategy: Tables, Window: 2, MulMods: 13, ModInverses: 1}},
+		{[]Strategy{Buckets}, RowPlan{Strategy: Buckets, Window: 1, MulMods: 14, ModInverses: 1}},
+		{[]Strategy{Tables, Buckets}, RowPlan{Strategy: Tables, Window: 2, MulMods: 13, ModInverses: 1}},
+	} {
+		if got := costs.cheapest(tc.among...); got != tc.want {
+			t.Errorf("among %v: plan %+v, want %+v", tc.among, got, tc.want)
+		}
+		var m obs.CostMeter
+		out, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, 1, tc.among...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, want := range []int64{13*4 - 7 + 5, -2*4 + 3*7} {
+			if got, err := k.DecryptInt64(out[o]); err != nil || got != want {
+				t.Errorf("among %v: row %d = %d, %v; want %d", tc.among, o, got, err, want)
+			}
+		}
+		if got, want := m.Snapshot(), (obs.CostStats{MulMods: tc.want.MulMods, ModInverses: 1}); got != want {
+			t.Errorf("among %v: metered %+v, want %+v", tc.among, got, want)
+		}
 	}
 }
 
-// TestKernelCostSquarings checks the shared-squaring count: a multi-digit
-// weight costs window squarings per non-leading digit round, once for the
-// whole row.
-func TestKernelCostSquarings(t *testing.T) {
+// TestRowsCostSharedSquarings checks that a product squares once for all
+// its inputs: [201, 77] = [0b11001001, 0b1001101] at window 1 is ONE chain
+// of 7 squarings and 4 + 4 − 1 multiplies, 14 — not the 7 + 6 squarings of
+// two separate exponentiations — and no wider window beats it (window 2
+// costs 6 + 5 and then 4 more, for tables or to collapse buckets).
+func TestRowsCostSharedSquarings(t *testing.T) {
 	k := key(t)
-	var m obs.CostMeter
-	ev := NewEvaluator(&k.PublicKey, WithWindow(2), WithCostMeter(&m))
+	xs := encryptVec(t, k, []int64{2, -3})
+	rows := []Row{{W: []int64{201, 77}}}
+	for _, s := range []Strategy{Tables, Buckets} {
+		var m obs.CostMeter
+		out, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, 1, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := k.DecryptInt64(out[0]); err != nil || got != 201*2-77*3 {
+			t.Fatalf("%v: row = %d, %v; want %d", s, got, err, 201*2-77*3)
+		}
+		if got := m.Snapshot(); got != (obs.CostStats{MulMods: 14}) {
+			t.Errorf("%v: metered %+v, want 14 mulmods", s, got)
+		}
+	}
+}
 
-	xs := encryptVec(t, k, []int64{2})
-	// w = 13 = 0b1101: maxBits 4, window 2 → 2 digit rounds → one squaring
-	// block of 2; digits are 0b11 and 0b01, both non-zero → 2 multiplies.
-	ct, err := dotRow(ev, xs, []int64{13}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := k.DecryptInt64(ct); err != nil || got != 26 {
-		t.Fatalf("dot = %d, %v; want 26", got, err)
-	}
-	st := m.Snapshot()
-	// Precompute: one positive table, 2 mulmods. Dot: 2 squarings + 2 digit
-	// multiplies = 4.
-	if st.MulMods != 2+4 {
-		t.Fatalf("mulmods = %d, want 6 (%+v)", st.MulMods, st)
-	}
-	if st.ModInverses != 0 {
-		t.Fatalf("modinverses = %d, want 0", st.ModInverses)
+// TestRowsMeteredEqualsPredicted: over random dense and indexed layers of
+// every weight width, what the meter reads after a call is exactly what
+// the count said it would be, for both strategies and any worker count —
+// the meter counts the multiplications as they run, so this is the check
+// that countRows and the evaluation agree.
+func TestRowsMeteredEqualsPredicted(t *testing.T) {
+	k := key(t)
+	rng := mrand.New(mrand.NewSource(3))
+	for trial := 0; trial < 40; trial++ {
+		cols := 1 + rng.Intn(12)
+		xs := encryptVec(t, k, make([]int64, cols))
+		w := randomWeights(rng, 1+rng.Intn(9), cols, 1+rng.Intn(63))
+		rows := make([]Row, len(w))
+		for o := range rows {
+			rows[o].W = w[o]
+			if trial%2 == 1 {
+				// Indexed: a random selection of columns, repeats allowed.
+				rows[o].Idx = make([]int, rng.Intn(2*cols))
+				rows[o].W = make([]int64, len(rows[o].Idx))
+				for j := range rows[o].Idx {
+					rows[o].Idx[j] = rng.Intn(cols)
+					rows[o].W[j] = w[o][rows[o].Idx[j]]
+				}
+			}
+			if rng.Intn(2) == 0 {
+				rows[o].Bias = big.NewInt(rng.Int63n(99) - 49)
+			}
+		}
+		costs, err := countRows(xs, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, among := range [][]Strategy{{Tables}, {Buckets}, {Tables, Buckets}} {
+			plan := costs.cheapest(among...)
+			var m obs.CostMeter
+			if _, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, 1+trial%3, among...); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.Snapshot(), (obs.CostStats{MulMods: plan.MulMods, ModInverses: plan.ModInverses}); got != want {
+				t.Errorf("trial %d, %v: metered %+v, predicted %+v", trial, among, got, plan)
+			}
+		}
 	}
 }
 
@@ -92,7 +150,7 @@ func TestKernelCostSquarings(t *testing.T) {
 // attribution property the session layer relies on.
 func TestWithCostIsolation(t *testing.T) {
 	k := key(t)
-	base := NewEvaluator(&k.PublicKey, WithWindow(2))
+	base := NewEvaluator(&k.PublicKey)
 	var m1, m2 obs.CostMeter
 	ev1, ev2 := base.WithCost(&m1), base.WithCost(&m2)
 
@@ -100,7 +158,7 @@ func TestWithCostIsolation(t *testing.T) {
 	if _, err := dotRow(ev1, xs, []int64{1, 1, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dotRow(ev2, xs, []int64{1, 0, 0}, nil); err != nil {
+	if _, err := dotRow(ev2, xs, []int64{2, 0, -1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	st1, st2 := m1.Snapshot(), m2.Snapshot()

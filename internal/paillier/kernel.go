@@ -1,18 +1,24 @@
 package paillier
 
-// This file implements the model provider's homomorphic linear kernel as a
-// two-phase layer evaluation (the exponentiation-dominated hot path of the
-// paper's Figs. 1 and 9–11):
+// This file implements the model provider's homomorphic linear kernel
+// (the exponentiation-dominated hot path of the paper's Figs. 1 and 9–11)
+// as one row evaluator, Evaluator.Rows, that sees every row of a call —
+// the layer for qnn's Op.Apply, one thread's share for ComputeRange:
 //
-//  1. a per-input preprocessing pass (LinearKernel construction) computes
-//     each ciphertext's n²-inverse at most ONCE and builds small windowed
-//     power tables x_i^1..x_i^(2^w−1) (and the same for x_i^{-1} when any
-//     row uses a negative weight), shared by every row of the layer;
-//  2. a per-row pass (LinearKernel.Dot) evaluates Π_i E(m_i)^{w_i} with
-//     interleaved multi-exponentiation (Shamir/Straus): the accumulator is
-//     squared once per exponent bit for the WHOLE row rather than once per
-//     bit per input, and each non-zero w-bit digit costs one table lookup
-//     and one modular multiplication.
+//  1. every row Π_i E(m_i)^{w_i} is split by weight sign into a numerator
+//     and a denominator product of positive powers, so no input is ever
+//     inverted, and ONE Montgomery-trick batched inversion per call turns
+//     all the denominators into divisors (1 ModInverse + 3 multiplies per
+//     row with negative weights);
+//  2. the products are evaluated by whichever of two strategies — shared
+//     per-column power tables with Straus interleaving, or per-row
+//     Pippenger buckets — runs fewer modular multiplications, counted
+//     exactly over the call's own weights (countRows);
+//  3. every modular multiplication goes through modMul, which does not
+//     allocate.
+//
+// Nothing is kept between calls: the count is recomputed from the weights
+// each time, and tables live for one call.
 //
 // A row is NOT re-randomized here: its randomness is only inherited from
 // the inputs, and an all-zero row is the deterministic embedding of its
@@ -22,6 +28,7 @@ package paillier
 // them. MatVec, which hands its rows to the caller, blinds each itself.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -33,28 +40,12 @@ import (
 	"ppstream/internal/obs"
 )
 
-// ColumnUse records how a linear layer uses one input column: whether any
-// row multiplies it by a positive and/or a negative weight. The kernel
-// builds only the power tables a column actually needs.
-type ColumnUse uint8
-
-const (
-	// UsePos marks a column multiplied by at least one positive weight.
-	UsePos ColumnUse = 1 << iota
-	// UseNeg marks a column multiplied by at least one negative weight
-	// (requires the ciphertext's n²-inverse).
-	UseNeg
-)
-
-// WeightBits returns the bit length of |w|, safe for math.MinInt64.
-func WeightBits(w int64) int { return bits.Len64(weightMagnitude(w)) }
-
-// weightMagnitude returns |w| as a uint64, safe for math.MinInt64.
+// weightMagnitude returns |w| as a uint64, safe for math.MinInt64 and
+// branch-free: sign is all ones for a negative w, and (w XOR sign) − sign
+// is two's-complement negation done in unsigned arithmetic.
 func weightMagnitude(w int64) uint64 {
-	if w >= 0 {
-		return uint64(w)
-	}
-	return uint64(-(w + 1)) + 1
+	sign := uint64(w >> 63)
+	return (uint64(w) ^ sign) - sign
 }
 
 // Blinder supplies r^n mod n² blinding factors: to Evaluator.Pack for
@@ -133,20 +124,22 @@ func draw(b Blinder) (rn *big.Int, pooled bool, modExps uint64, err error) {
 // nil. The protocol layer wires these to the "kernel.precompute" and
 // "kernel.dot" histograms on the metrics endpoint.
 type KernelMetrics struct {
-	// Precompute observes one per-layer preprocessing pass.
+	// Precompute observes, once per Rows call, everything that is not a
+	// row's own products: the count, the power tables (when the call uses
+	// them) and the batched inversion.
 	Precompute func(time.Duration)
-	// Dot observes one per-row multi-exponentiation.
+	// Dot observes one row's numerator and denominator products.
 	Dot func(time.Duration)
 }
 
-// Evaluator bundles the public key with the blinding supply and kernel
-// configuration for model-provider-side homomorphic evaluation. A nil
+// Evaluator bundles the public key with the blinding supply and the
+// kernel's timing and cost sinks for model-provider-side homomorphic
+// evaluation; the kernel itself has nothing to configure. A nil
 // blinder defaults to inline crypto/rand factors; attach a Pool to move
 // the blinding exponentiations off the critical path.
 type Evaluator struct {
 	pk      *PublicKey
 	blinder Blinder
-	window  uint
 	metrics atomic.Pointer[KernelMetrics]
 	// cost, when non-nil, accumulates the crypto-op counts of every kernel
 	// and blinding operation run through this evaluator. Per-request
@@ -160,10 +153,6 @@ type EvalOption func(*Evaluator)
 
 // WithBlinder sets the blinding factor supply (e.g. a *Pool).
 func WithBlinder(b Blinder) EvalOption { return func(ev *Evaluator) { ev.blinder = b } }
-
-// WithWindow forces the multi-exponentiation window width (1..maxWindow);
-// 0 keeps the per-layer automatic choice.
-func WithWindow(w uint) EvalOption { return func(ev *Evaluator) { ev.window = w } }
 
 // WithMetrics sets the kernel timing callbacks.
 func WithMetrics(m KernelMetrics) EvalOption { return func(ev *Evaluator) { ev.metrics.Store(&m) } }
@@ -191,11 +180,11 @@ func (ev *Evaluator) PublicKey() *PublicKey { return ev.pk }
 func (ev *Evaluator) SetMetrics(m KernelMetrics) { ev.metrics.Store(&m) }
 
 // WithCost derives an evaluator that shares this one's key, blinding
-// supply, window, and timing callbacks but accumulates crypto-op counts
+// supply and timing callbacks but accumulates crypto-op counts
 // into m. Sessions keep one shared evaluator and derive a metered view
 // per request, so concurrent requests never bleed counts into each other.
 func (ev *Evaluator) WithCost(m *obs.CostMeter) *Evaluator {
-	d := &Evaluator{pk: ev.pk, blinder: ev.blinder, window: ev.window, cost: m}
+	d := &Evaluator{pk: ev.pk, blinder: ev.blinder, cost: m}
 	if km := ev.metrics.Load(); km != nil {
 		d.metrics.Store(km)
 	}
@@ -236,283 +225,549 @@ func (ev *Evaluator) blinding() (*big.Int, obs.CostStats, error) {
 	return rn, st, err
 }
 
-// maxWindow bounds table memory: 2^6−1 entries per used side per input.
+// maxWindow bounds the digit width either strategy may use: 2^6−1 table
+// entries per used column, or as many buckets per worker.
 const maxWindow = 6
 
-// pickWindow selects the window width minimizing the estimated modular
-// multiplication count: rows·digits·(1−2^{−w}) digit-multiplies per row
-// plus (2^w−2) table-build multiplies, amortized over the layer's rows.
-// Squarings are ~maxBits per row regardless of w, so they do not affect
-// the choice.
-func pickWindow(rows, maxBits int) uint {
-	if rows < 1 {
-		rows = 1
+// Row is one output of a linear layer: the encryption of
+// Σ_j W[j]·m[Idx[j]] + Bias over the inputs of the Rows call it is part of.
+type Row struct {
+	// Idx maps row positions to input columns; nil means position j reads
+	// column j, and then len(W) must equal the call's input count.
+	Idx []int
+	W   []int64
+	// Bias is added to the plaintext; nil or zero adds nothing.
+	Bias *big.Int
+}
+
+// Strategy is how the rows of one call evaluate their products.
+type Strategy uint8
+
+const (
+	// Tables builds x, x², …, x^tableLen once per used input column and
+	// evaluates each product by Straus interleaving: one squaring chain per
+	// product, one table lookup and multiply per non-zero digit. Cheapest
+	// when short rows read each column many times (conv, small FC).
+	Tables Strategy = iota
+	// Buckets precomputes nothing per column: each product multiplies every
+	// input into the bucket of its weight digit and collapses the buckets
+	// with running products (Pippenger). Cheapest for long rows of narrow
+	// weights, where a column's table would serve too few rows to pay back.
+	Buckets
+)
+
+func (s Strategy) String() string {
+	if s == Tables {
+		return "tables"
 	}
-	if maxBits < 1 {
-		maxBits = 1
+	return "buckets"
+}
+
+// RowPlan is how one Rows call evaluates its rows: the strategy and digit
+// width that run the fewest modular multiplications over the call's
+// weights, and exactly how many multiplications and inversions that is —
+// what a cost meter on the evaluator will read afterwards.
+type RowPlan struct {
+	Strategy    Strategy
+	Window      uint
+	MulMods     uint64
+	ModInverses uint64
+}
+
+// PlanRows returns the plan Rows would follow for these inputs and rows,
+// or the error it would fail with before doing any arithmetic.
+func PlanRows(xs []*Ciphertext, rows []Row) (RowPlan, error) {
+	costs, err := countRows(xs, rows)
+	if err != nil {
+		return RowPlan{}, err
 	}
-	best, bestCost := uint(1), float64(0)
-	for w := 1; w <= maxWindow; w++ {
-		digits := (maxBits + w - 1) / w
-		nonZero := 1 - 1/float64(uint64(1)<<uint(w))
-		cost := float64(rows)*float64(digits)*nonZero + float64(uint64(1)<<uint(w)-2)
-		if w == 1 || cost < bestCost {
-			best, bestCost = uint(w), cost
+	return costs.cheapest(Tables, Buckets), nil
+}
+
+// rowCosts is the exact operation count of one Rows call under every
+// (strategy, window) pair, from one pass over the call's weights.
+type rowCosts struct {
+	// used[i]: some row multiplies input i by a non-zero weight.
+	used []bool
+	// largest is the largest weight magnitude in the call.
+	largest     uint64
+	mulMods     [2][maxWindow + 1]uint64
+	modInverses uint64
+}
+
+// tableLen is the power table length of every used column under Tables at
+// window w: no w-bit digit of any weight is larger.
+func (c *rowCosts) tableLen(w uint) int {
+	return int(min(uint64(1)<<w-1, c.largest))
+}
+
+// countRows validates the rows against xs — every column a non-zero weight
+// reads must be in range and sent — and counts what each strategy would
+// cost, so that no arithmetic runs on a call that is going to fail and the
+// choice between strategies is a count, not a model.
+//
+// Per product (one sign of one row) with nz non-zero w-bit digits, its
+// highest digit position top, and d_p the largest digit at position p
+// (summed over the positions that have a non-zero digit):
+//
+//	tables:  w·top squarings + nz − 1 multiplies
+//	buckets: the same + Σ_p (d_p − 1)
+//
+// A position with nz_p digits in u_p buckets costs nz_p − u_p to fill
+// them, (u_p − 1) + (d_p − 1) to collapse them and one to merge into the
+// product — which the first position does by copying. Tables pays
+// tableLen − 1 per used column instead. Both add the finish: one multiply
+// per non-zero bias on a row with positive weights, three per row with
+// negative weights after the first for the batched inversion, and one per
+// such row to divide (unless its numerator is 1).
+func countRows(xs []*Ciphertext, rows []Row) (*rowCosts, error) {
+	c := &rowCosts{used: make([]bool, len(xs))}
+	var usedCols, dens int
+	var finish uint64
+	for r := range rows {
+		row := &rows[r]
+		if row.Idx != nil && len(row.Idx) != len(row.W) {
+			return nil, fmt.Errorf("paillier: row %d index list %d != weights %d", r, len(row.Idx), len(row.W))
+		}
+		if row.Idx == nil && len(row.W) != len(xs) {
+			return nil, fmt.Errorf("paillier: row %d length %d != input %d", r, len(row.W), len(xs))
+		}
+		// Per sign: how many weights, their set bits, their largest magnitude.
+		var weights, ones [2]int
+		var largest [2]uint64
+		for j, wt := range row.W {
+			if wt == 0 {
+				continue
+			}
+			col := j
+			if row.Idx != nil {
+				col = row.Idx[j]
+			}
+			if col < 0 || col >= len(xs) {
+				return nil, fmt.Errorf("paillier: row %d column %d out of range [0,%d)", r, col, len(xs))
+			}
+			if xs[col] == nil || xs[col].c == nil {
+				return nil, fmt.Errorf("paillier: row %d reads input %d, which was not sent (nil ciphertext)", r, col)
+			}
+			if !c.used[col] {
+				c.used[col] = true
+				usedCols++
+			}
+			s, m := uint64(wt)>>63, weightMagnitude(wt)
+			weights[s]++
+			ones[s] += bits.OnesCount64(m)
+			largest[s] = max(largest[s], m)
+		}
+		c.largest = max(c.largest, largest[0], largest[1])
+		for w := uint(1); w <= maxWindow; w++ {
+			// Digits per weight, over both signs; a product's own top
+			// position may be lower.
+			positions := (bits.Len64(largest[0]|largest[1]) + int(w) - 1) / int(w)
+			nz, collapse := ones, [2]int{} // w == 1: every non-zero digit is 1, one bucket
+			switch {
+			case w == 1:
+			case positions <= 1: // one digit per weight, the weight itself
+				nz, collapse = weights, [2]int{int(largest[0]) - 1, int(largest[1]) - 1}
+			default:
+				nz, collapse = digitStats(row.W, w, positions)
+			}
+			for s := range weights {
+				if weights[s] == 0 {
+					continue
+				}
+				top := (bits.Len64(largest[s]) - 1) / int(w)
+				n := uint64(int(w)*top + nz[s] - 1)
+				c.mulMods[Tables][w] += n
+				c.mulMods[Buckets][w] += n + uint64(collapse[s])
+			}
+		}
+		bias := row.Bias != nil && row.Bias.Sign() != 0
+		if bias && weights[0] > 0 {
+			finish++
+		}
+		if weights[1] > 0 {
+			dens++
+			if bias || weights[0] > 0 {
+				finish++
+			}
+		}
+	}
+	if dens > 0 {
+		c.modInverses = 1
+		finish += 3 * uint64(dens-1)
+	}
+	for w := uint(1); w <= maxWindow; w++ {
+		c.mulMods[Buckets][w] += finish
+		c.mulMods[Tables][w] += finish + uint64(usedCols*(c.tableLen(w)-1))
+	}
+	return c, nil
+}
+
+// digitStats cuts every weight into that many w-bit digits, w ≥ 2, and
+// returns, per sign, how many digits are non-zero and Σ_p (d_p − 1) over
+// the digit positions in use, d_p being the largest digit at position p.
+// It runs once per row and window on the kernel's critical path, so the
+// inner loop is branch-free: weight signs and digit values are as good as
+// random, and a mispredicted branch costs more than the arithmetic.
+func digitStats(ws []int64, w uint, positions int) (nz, collapse [2]int) {
+	var largest [2][32]uint64
+	mask := uint64(1)<<w - 1
+	for _, wt := range ws {
+		s, m := uint64(wt)>>63, weightMagnitude(wt)
+		for p := 0; p < positions; p++ {
+			d := m >> (uint(p) * w) & mask
+			nz[s] += int((d + mask) >> w) // 1 unless d == 0
+			largest[s][p] = max(largest[s][p], d)
+		}
+	}
+	for s := range largest {
+		for _, d := range largest[s][:positions] {
+			if d != 0 {
+				collapse[s] += int(d) - 1
+			}
+		}
+	}
+	return nz, collapse
+}
+
+// cheapest returns the (strategy, window) pair among the given strategies
+// that runs the fewest modular multiplications; ties go to the strategy
+// listed first, then to the narrower window.
+func (c *rowCosts) cheapest(among ...Strategy) RowPlan {
+	best := RowPlan{ModInverses: c.modInverses}
+	for i, s := range among {
+		for w := uint(1); w <= maxWindow; w++ {
+			if n := c.mulMods[s][w]; (i == 0 && w == 1) || n < best.MulMods {
+				best.Strategy, best.Window, best.MulMods = s, w, n
+			}
 		}
 	}
 	return best
 }
 
-// LinearKernel holds the per-input preprocessing of one linear layer
-// evaluation: shared inverses and windowed power tables over a fixed
-// input ciphertext vector. It is safe for concurrent Dot calls.
-type LinearKernel struct {
-	ev     *Evaluator
-	window uint
-	mask   uint64
-	// pos[i][d-1] = x_i^d mod n² for d = 1..2^window−1; nil when no row
-	// uses column i with a positive weight. neg is the same over x_i^{-1}.
-	pos [][]*big.Int
-	neg [][]*big.Int
+// modMul multiplies modulo m without allocating once its scratch has
+// grown: the double-width product lands in prod, and QuoRem writes the
+// remainder straight into the destination with quo reused. n counts the
+// multiplications done, which is what the kernel's cost accounting
+// reports. One per goroutine; operands must be non-negative.
+type modMul struct {
+	m         *big.Int
+	prod, quo big.Int
+	n         uint64
 }
 
-// NewLinearKernel runs the preprocessing phase over the layer's input
-// ciphertexts: for every column i with use[i] != 0 it computes the
-// n²-inverse (once, if needed) and the windowed power tables, in parallel
-// across workers goroutines. rows and maxWeightBits size the automatic
-// window choice; rows is the number of Dot calls that will share the
-// tables.
-func (ev *Evaluator) NewLinearKernel(xs []*Ciphertext, use []ColumnUse, rows, maxWeightBits, workers int) (*LinearKernel, error) {
-	if len(use) != len(xs) {
-		return nil, fmt.Errorf("paillier: kernel use list %d != inputs %d", len(use), len(xs))
-	}
-	start := time.Now()
-	window := ev.window
-	if window == 0 {
-		window = pickWindow(rows, maxWeightBits)
-	}
-	if window > maxWindow {
-		window = maxWindow
-	}
-	k := &LinearKernel{
-		ev:     ev,
-		window: window,
-		mask:   uint64(1)<<window - 1,
-		pos:    make([][]*big.Int, len(xs)),
-		neg:    make([][]*big.Int, len(xs)),
-	}
-	tableLen := int(k.mask)
-	n2 := ev.pk.N2
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(len(xs), workers, func(i int) {
-		u := use[i]
-		if u == 0 {
-			return
-		}
-		fail := func(err error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-		if xs[i] == nil || xs[i].c == nil {
-			fail(fmt.Errorf("paillier: nil ciphertext at %d", i))
-			return
-		}
-		if u&UsePos != 0 {
-			k.pos[i] = powerTable(xs[i].c, tableLen, n2)
-		}
-		if u&UseNeg != 0 {
-			inv := new(big.Int).ModInverse(xs[i].c, n2)
-			if inv == nil {
-				fail(fmt.Errorf("paillier: ciphertext %d not invertible", i))
-				return
-			}
-			k.neg[i] = powerTable(inv, tableLen, n2)
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if ev.cost != nil {
-		// The preprocessing cost is deterministic in the usage map: each
-		// built table is tableLen−1 modular multiplications, each negative
-		// side one modular inversion on top.
-		var st obs.CostStats
-		for _, u := range use {
-			if u&UsePos != 0 {
-				st.MulMods += uint64(tableLen - 1)
-			}
-			if u&UseNeg != 0 {
-				st.ModInverses++
-				st.MulMods += uint64(tableLen - 1)
-			}
-		}
-		ev.cost.Add(st)
-	}
-	if m := ev.metrics.Load(); m != nil && m.Precompute != nil {
-		m.Precompute(time.Since(start))
-	}
-	return k, nil
+// mul sets dst = a·b mod m. dst may alias a or b.
+func (mm *modMul) mul(dst, a, b *big.Int) {
+	mm.prod.Mul(a, b)
+	mm.quo.QuoRem(&mm.prod, mm.m, dst)
+	mm.n++
 }
 
-// powerTable returns [b, b², …, b^size] mod n².
-func powerTable(b *big.Int, size int, n2 *big.Int) []*big.Int {
-	t := make([]*big.Int, size)
-	t[0] = new(big.Int).Set(b)
+// powerTable returns [b, b², …, b^size] mod mm.m.
+func powerTable(mm *modMul, b *big.Int, size int) []big.Int {
+	t := make([]big.Int, size)
+	t[0].Set(b)
 	for d := 1; d < size; d++ {
-		p := new(big.Int).Mul(t[d-1], b)
-		t[d] = p.Mod(p, n2)
+		mm.mul(&t[d], &t[d-1], b)
 	}
 	return t
 }
 
-// Dot evaluates one row: an encryption of Σ_j w_j·m_{idx[j]} + bias that
-// is NOT re-randomized — it must pass through Evaluator.Pack (or be
-// blinded by the caller, as MatVec does) before it leaves the model
-// provider. idx maps row positions to kernel input columns; a nil idx
-// means position j reads column j (and then len(ws) must equal the
-// kernel's input count). A nil or zero bias adds nothing.
-func (k *LinearKernel) Dot(idx []int, ws []int64, bias *big.Int) (*Ciphertext, error) {
-	if idx != nil && len(idx) != len(ws) {
-		return nil, fmt.Errorf("paillier: dot index list %d != weights %d", len(idx), len(ws))
-	}
-	if idx == nil && len(ws) != len(k.pos) {
-		return nil, fmt.Errorf("paillier: dot length mismatch: %d inputs vs %d weights", len(k.pos), len(ws))
-	}
-	start := time.Now()
-	n2 := k.ev.pk.N2
-	maxBits := 0
-	for _, w := range ws {
-		if b := WeightBits(w); b > maxBits {
-			maxBits = b
-		}
-	}
-	// st batches this row's op counts locally; one atomic Add into the
-	// meter at the end keeps accounting off the hot path.
-	var st obs.CostStats
-	acc := big.NewInt(1)
-	if maxBits > 0 {
-		digits := (maxBits + int(k.window) - 1) / int(k.window)
-		started := false
-		for d := digits - 1; d >= 0; d-- {
-			if started {
-				for s := uint(0); s < k.window; s++ {
-					acc.Mul(acc, acc)
-					acc.Mod(acc, n2)
-				}
-				st.MulMods += uint64(k.window)
-			}
-			shift := uint(d) * k.window
-			for j, w := range ws {
-				if w == 0 {
-					continue
-				}
-				dig := (weightMagnitude(w) >> shift) & k.mask
-				if dig == 0 {
-					continue
-				}
-				col := j
-				if idx != nil {
-					col = idx[j]
-				}
-				if col < 0 || col >= len(k.pos) {
-					return nil, fmt.Errorf("paillier: dot column %d out of range [0,%d)", col, len(k.pos))
-				}
-				var tbl []*big.Int
-				if w > 0 {
-					tbl = k.pos[col]
-				} else {
-					tbl = k.neg[col]
-				}
-				if tbl == nil {
-					return nil, fmt.Errorf("paillier: column %d has no power table for weight sign (ColumnUse mismatch)", col)
-				}
-				acc.Mul(acc, tbl[dig-1])
-				acc.Mod(acc, n2)
-				st.MulMods++
-				started = true
-			}
-		}
-	}
-	if bias != nil && bias.Sign() != 0 {
-		enc, err := k.ev.pk.encode(bias)
-		if err != nil {
-			return nil, err
-		}
-		t := new(big.Int).Mul(enc, k.ev.pk.N)
-		t.Add(t, one)
-		t.Mod(t, n2)
-		acc.Mul(acc, t)
-		acc.Mod(acc, n2)
-		st.MulMods++
-	}
-	k.ev.cost.Add(st)
-	if m := k.ev.metrics.Load(); m != nil && m.Dot != nil {
-		m.Dot(time.Since(start))
-	}
-	return &Ciphertext{c: acc}, nil
+// Rows evaluates the rows of one linear call over the input ciphertexts
+// xs, up to workers at a time (0 means GOMAXPROCS): row i of the result
+// encrypts Σ_j W[j]·m[Idx[j]] + Bias of rows[i]. The rows are NOT
+// re-randomized — they must pass through Evaluator.Pack (or be blinded by
+// the caller, as MatVec does) before they leave the model provider.
+//
+// xs may hold nil at columns no row reads with a non-zero weight (a
+// partition thread's view); a row that does read one, or a column out of
+// range, fails the call before any arithmetic, and inputs whose product
+// is not invertible modulo n² (one shares a factor with n) fail it at the
+// batched inversion.
+func (ev *Evaluator) Rows(xs []*Ciphertext, rows []Row, workers int) ([]*Ciphertext, error) {
+	return ev.rows(xs, rows, workers, Tables, Buckets)
 }
 
-// ScanColumnUse derives the per-column usage and the maximum weight bit
-// length from a weight matrix whose rows align with the input vector
-// (fully-connected layout).
-func ScanColumnUse(w [][]int64, cols int) ([]ColumnUse, int, error) {
-	use := make([]ColumnUse, cols)
-	maxBits := 0
-	for o, row := range w {
-		if len(row) != cols {
-			return nil, 0, fmt.Errorf("paillier: row %d length %d != input %d", o, len(row), cols)
+// rows is Rows restricted to the given strategies, which is how tests pin
+// one.
+func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, workers int, among ...Strategy) ([]*Ciphertext, error) {
+	start := time.Now()
+	costs, err := countRows(xs, rows)
+	if err != nil {
+		return nil, err
+	}
+	plan := costs.cheapest(among...)
+	metrics := ev.metrics.Load()
+	n2 := ev.pk.N2
+	var mulMods atomic.Uint64
+
+	var powers [][]big.Int
+	if size := costs.tableLen(plan.Window); plan.Strategy == Tables && size > 0 {
+		powers = make([][]big.Int, len(xs))
+		parallelChunks(len(xs), workers, func(lo, hi int) {
+			mm := modMul{m: n2}
+			for i := lo; i < hi; i++ {
+				if costs.used[i] {
+					powers[i] = powerTable(&mm, xs[i].c, size)
+				}
+			}
+			mulMods.Add(mm.n)
+		})
+	}
+	setup := time.Since(start)
+
+	nums, dens := make([]*big.Int, len(rows)), make([]*big.Int, len(rows))
+	var mu sync.Mutex
+	var firstErr error
+	parallelChunks(len(rows), workers, func(lo, hi int) {
+		p := newProducts(n2, xs, powers, plan)
+		for i := lo; i < hi; i++ {
+			t := time.Now()
+			var err error
+			if nums[i], dens[i], err = p.row(ev.pk, &rows[i]); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("paillier: row %d bias: %w", i, err)
+				}
+				mu.Unlock()
+				return
+			}
+			if metrics != nil && metrics.Dot != nil {
+				metrics.Dot(time.Since(t))
+			}
 		}
-		for i, wv := range row {
-			if wv == 0 {
+		mulMods.Add(p.mm.n)
+	})
+	if firstErr != nil {
+		return nil, firstErr
+	}
+
+	start = time.Now()
+	mm := modMul{m: n2}
+	inverses, err := divide(&mm, nums, dens)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Ciphertext, len(rows))
+	for i, c := range nums {
+		out[i] = &Ciphertext{c: c}
+	}
+	ev.cost.Add(obs.CostStats{MulMods: mulMods.Load() + mm.n, ModInverses: inverses})
+	if metrics != nil && metrics.Precompute != nil {
+		metrics.Precompute(setup + time.Since(start))
+	}
+	return out, nil
+}
+
+// divide finishes a call's rows in place: nums[i] becomes nums[i]/dens[i]
+// mod mm.m wherever dens[i] is non-nil (a nil numerator stands for 1, and
+// is replaced by 1 where there is no denominator either). All the
+// denominators are inverted together by Montgomery's trick: one
+// ModInverse of their product and three multiplications per denominator
+// after the first. It returns how many inversions it ran, 0 or 1.
+func divide(mm *modMul, nums, dens []*big.Int) (inverses uint64, err error) {
+	var with []int
+	for i, d := range dens {
+		if d != nil {
+			with = append(with, i)
+		} else if nums[i] == nil {
+			nums[i] = big.NewInt(1)
+		}
+	}
+	if len(with) == 0 {
+		return 0, nil
+	}
+	// prefix[k] = dens[with[0]]·…·dens[with[k]].
+	prefix := make([]big.Int, len(with))
+	prefix[0].Set(dens[with[0]])
+	for k := 1; k < len(with); k++ {
+		mm.mul(&prefix[k], &prefix[k-1], dens[with[k]])
+	}
+	inv := new(big.Int).ModInverse(&prefix[len(with)-1], mm.m)
+	if inv == nil {
+		return 0, errors.New("paillier: kernel inputs not invertible modulo n² (a ciphertext shares a factor with n)")
+	}
+	// Walking back, inv is the inverse of prefix[k]: times prefix[k−1] it
+	// is the k-th denominator's own inverse, times that denominator it is
+	// the inverse of prefix[k−1].
+	for k := len(with) - 1; k >= 0; k-- {
+		i, own := with[k], inv
+		if k > 0 {
+			own = &prefix[k-1]
+			mm.mul(own, inv, own)
+			mm.mul(inv, inv, dens[i])
+		}
+		if nums[i] == nil {
+			nums[i] = own
+		} else {
+			mm.mul(nums[i], nums[i], own)
+		}
+	}
+	return 1, nil
+}
+
+// products evaluates one goroutine's rows under a plan. The bucket and
+// collapse scratch is reused from row to row and dropped with the call.
+type products struct {
+	mm     modMul
+	xs     []*Ciphertext
+	powers [][]big.Int // tables: powers[col][d−1] = xs[col]^d
+	plan   RowPlan
+	// buckets: bucket[d] is the running product of the inputs whose current
+	// digit is d — nil when empty, the input itself while it is the only
+	// one, &store[d] after that.
+	bucket   []*big.Int
+	store    []big.Int
+	run, sum big.Int
+}
+
+func newProducts(n2 *big.Int, xs []*Ciphertext, powers [][]big.Int, plan RowPlan) *products {
+	p := &products{mm: modMul{m: n2}, xs: xs, powers: powers, plan: plan}
+	if plan.Strategy == Buckets {
+		p.bucket = make([]*big.Int, 1<<plan.Window)
+		p.store = make([]big.Int, 1<<plan.Window)
+	}
+	return p
+}
+
+// row returns the row's numerator — the product over its positive
+// weights, times the embedding 1 + bias·n of a non-zero bias — and its
+// denominator, the product over its negative weights; nil stands for 1.
+// Both are fresh values the caller owns.
+func (p *products) row(pk *PublicKey, r *Row) (num, den *big.Int, err error) {
+	var maxBits [2]int
+	for _, wt := range r.W {
+		if wt > 0 {
+			maxBits[0] = max(maxBits[0], bits.Len64(uint64(wt)))
+		} else if wt < 0 {
+			maxBits[1] = max(maxBits[1], bits.Len64(weightMagnitude(wt)))
+		}
+	}
+	num, den = p.product(r, false, maxBits[0]), p.product(r, true, maxBits[1])
+	if r.Bias != nil && r.Bias.Sign() != 0 {
+		enc, err := pk.encode(r.Bias)
+		if err != nil {
+			return nil, nil, err
+		}
+		// enc < n, so 1 + enc·n is already reduced modulo n².
+		enc.Mul(enc, pk.N).Add(enc, one)
+		if num == nil {
+			num = enc
+		} else {
+			p.mm.mul(num, num, enc)
+		}
+	}
+	return num, den, nil
+}
+
+// product returns Π xs[col(j)]^|W[j]| over the row's weights of one sign,
+// whose longest magnitude has maxBits bits; nil when there are none. The
+// weights are read one window-wide digit position at a time from the top,
+// the accumulator squared window times between positions (Horner), and
+// each position's factor Π_j x_j^digit_j comes from the power tables, one
+// lookup at a time, or from the buckets.
+func (p *products) product(r *Row, negative bool, maxBits int) *big.Int {
+	if maxBits == 0 {
+		return nil
+	}
+	w := p.plan.Window
+	mask := uint64(1)<<w - 1
+	var acc *big.Int
+	times := func(f *big.Int) {
+		if acc == nil {
+			acc = new(big.Int).Set(f)
+		} else {
+			p.mm.mul(acc, acc, f)
+		}
+	}
+	for pos := (maxBits - 1) / int(w); pos >= 0; pos-- {
+		if acc != nil {
+			for s := uint(0); s < w; s++ {
+				p.mm.mul(acc, acc, acc)
+			}
+		}
+		shift := uint(pos) * w
+		largest := 0 // highest bucket filled at this position
+		for j, wt := range r.W {
+			if wt == 0 || (wt < 0) != negative {
 				continue
 			}
-			if wv > 0 {
-				use[i] |= UsePos
+			d := int((weightMagnitude(wt) >> shift) & mask)
+			if d == 0 {
+				continue
+			}
+			col := j
+			if r.Idx != nil {
+				col = r.Idx[j]
+			}
+			if p.plan.Strategy == Tables {
+				times(&p.powers[col][d-1])
+				continue
+			}
+			if b := p.bucket[d]; b == nil {
+				p.bucket[d] = p.xs[col].c
 			} else {
-				use[i] |= UseNeg
+				p.mm.mul(&p.store[d], b, p.xs[col].c)
+				p.bucket[d] = &p.store[d]
 			}
-			if b := WeightBits(wv); b > maxBits {
-				maxBits = b
-			}
+			largest = max(largest, d)
+		}
+		if largest > 0 {
+			times(p.collapse(largest))
 		}
 	}
-	return use, maxBits, nil
+	return acc
 }
 
-// MatVec evaluates an encrypted fully-connected layer through the
-// two-phase kernel: one preprocessing pass over the input vector, then
-// the rows in parallel. Its rows go straight to the caller, so unlike the
-// protocol's stages (which blind once per packed reply) it re-randomizes
-// every row itself.
+// collapse empties the buckets and returns Π_d bucket[d]^d for d up to
+// largest, the highest bucket in use: walking down, run is the product of
+// the buckets seen so far and sum the product of every value run has
+// taken, so bucket d is multiplied in d times. The result aliases an
+// input or scratch the next collapse overwrites.
+func (p *products) collapse(largest int) *big.Int {
+	var run, sum *big.Int
+	for d := largest; d >= 1; d-- {
+		if b := p.bucket[d]; b != nil {
+			p.bucket[d] = nil
+			if run == nil {
+				run = b
+			} else {
+				p.mm.mul(&p.run, run, b)
+				run = &p.run
+			}
+		}
+		if sum == nil {
+			sum = run
+		} else {
+			p.mm.mul(&p.sum, sum, run)
+			sum = &p.sum
+		}
+	}
+	return sum
+}
+
+// MatVec evaluates an encrypted fully-connected layer through Rows. Its
+// rows go straight to the caller, so unlike the protocol's stages (which
+// blind once per packed reply) it re-randomizes every row itself.
 func (ev *Evaluator) MatVec(w [][]int64, bias []int64, xs []*Ciphertext, workers int) ([]*Ciphertext, error) {
-	outN := len(w)
-	if bias != nil && len(bias) != outN {
-		return nil, fmt.Errorf("paillier: bias length %d != rows %d", len(bias), outN)
+	if bias != nil && len(bias) != len(w) {
+		return nil, fmt.Errorf("paillier: bias length %d != rows %d", len(bias), len(w))
 	}
-	use, maxBits, err := ScanColumnUse(w, len(xs))
+	rows := make([]Row, len(w))
+	for o := range w {
+		rows[o].W = w[o]
+		if bias != nil && bias[o] != 0 {
+			rows[o].Bias = big.NewInt(bias[o])
+		}
+	}
+	out, err := ev.Rows(xs, rows, workers)
 	if err != nil {
 		return nil, err
 	}
-	k, err := ev.NewLinearKernel(xs, use, outN, maxBits, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Ciphertext, outN)
 	var firstErr error
 	var mu sync.Mutex
-	parallelFor(outN, workers, func(o int) {
-		var b *big.Int
-		if bias != nil && bias[o] != 0 {
-			b = big.NewInt(bias[o])
-		}
-		ct, err := k.Dot(nil, w[o], b)
-		if err == nil {
-			ct, err = ev.rerandomize(ct)
-		}
+	parallelFor(len(out), workers, func(o int) {
+		ct, err := ev.rerandomize(out[o])
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {

@@ -10,29 +10,49 @@ import (
 	"ppstream/internal/obs"
 )
 
-// benchLayer builds a rows×cols layer with ~60% negative weights at
-// 16–17-bit magnitudes — the post-scaling regime where the pre-kernel path
-// pays one ModInverse per negative weight per row.
-func benchLayer(b *testing.B, rows, cols int) (*PrivateKey, [][]int64, []int64, []*Ciphertext) {
+// benchShape is one layer shape the kernel benchmarks run: between them
+// the two put a workload on each side of the strategy choice.
+type benchShape struct {
+	name       string
+	rows, cols int
+	// weight draws one weight.
+	weight func(rng *mrand.Rand) int64
+}
+
+var benchShapes = []benchShape{
+	// Few short rows of wide weights, ~60% negative at 16–17 bits: the
+	// post-scaling regime where the pre-kernel path pays one ModInverse per
+	// negative weight per row, and where the count picks tables.
+	{"32x128", 32, 128, func(rng *mrand.Rand) int64 {
+		mag := rng.Int63n(1<<17-1<<16) + 1<<16
+		if rng.Intn(10) < 6 {
+			mag = -mag
+		}
+		return mag
+	}},
+	// Long rows of narrow weights, signed and at most 4 bits, as MNIST's
+	// first layer quantizes at factor 100: a column's table would serve 64
+	// rows at most, and the count picks buckets.
+	{"64x784", 64, 784, func(rng *mrand.Rand) int64 { return rng.Int63n(31) - 15 }},
+}
+
+// layer builds the shape's weights, biases and encrypted inputs.
+func (sh benchShape) layer(b *testing.B) (*PrivateKey, [][]int64, []int64, []*Ciphertext) {
 	b.Helper()
 	k := key(b)
 	rng := mrand.New(mrand.NewSource(42))
-	w := make([][]int64, rows)
+	w := make([][]int64, sh.rows)
 	for o := range w {
-		w[o] = make([]int64, cols)
+		w[o] = make([]int64, sh.cols)
 		for i := range w[o] {
-			mag := rng.Int63n(1<<17-1<<16) + 1<<16
-			if rng.Intn(10) < 6 {
-				mag = -mag
-			}
-			w[o][i] = mag
+			w[o][i] = sh.weight(rng)
 		}
 	}
-	bias := make([]int64, rows)
+	bias := make([]int64, sh.rows)
 	for o := range bias {
 		bias[o] = rng.Int63n(1 << 20)
 	}
-	xs := make([]*Ciphertext, cols)
+	xs := make([]*Ciphertext, sh.cols)
 	for i := range xs {
 		ct, err := k.PublicKey.EncryptInt64(rand.Reader, rng.Int63n(2000)-1000)
 		if err != nil {
@@ -43,86 +63,83 @@ func benchLayer(b *testing.B, rows, cols int) (*PrivateKey, [][]int64, []int64, 
 	return k, w, bias, xs
 }
 
-const (
-	benchRows = 32
-	benchCols = 128
-)
-
-// BenchmarkMatVecScaled measures the two-phase kernel (shared inverses +
-// interleaved multi-exponentiation, blinded outputs).
-func BenchmarkMatVecScaled(b *testing.B) {
-	k, w, bias, xs := benchLayer(b, benchRows, benchCols)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MatVecScaled(&k.PublicKey, w, bias, xs, 1); err != nil {
-			b.Fatal(err)
-		}
+// forShapes runs one sub-benchmark per shape.
+func forShapes(b *testing.B, run func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext)) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			k, w, bias, xs := sh.layer(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b, k, w, bias, xs)
+		})
 	}
 }
 
-// BenchmarkMatVecScaledPooled is the kernel with pooled blinding factors —
-// the production configuration, where re-randomization is off-path.
-func BenchmarkMatVecScaledPooled(b *testing.B) {
-	k, w, bias, xs := benchLayer(b, benchRows, benchCols)
-	p := NewPool(&k.PublicKey, rand.Reader, 2*benchRows*8, 2)
-	defer p.Close()
-	ev := NewEvaluator(&k.PublicKey, WithBlinder(p))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.MatVec(w, bias, xs, 1); err != nil {
-			b.Fatal(err)
+// BenchmarkMatVecScaled measures the kernel (sign split, counted strategy,
+// batched inversion) with every output blinded inline.
+func BenchmarkMatVecScaled(b *testing.B) {
+	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
+		for i := 0; i < b.N; i++ {
+			if _, err := MatVecScaled(&k.PublicKey, w, bias, xs, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+}
+
+// BenchmarkMatVecScaledPooled is the kernel with pooled blinding factors —
+// re-randomization off the critical path.
+func BenchmarkMatVecScaledPooled(b *testing.B) {
+	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
+		p := NewPool(&k.PublicKey, rand.Reader, 2*len(w)*8, 2)
+		defer p.Close()
+		ev := NewEvaluator(&k.PublicKey, WithBlinder(p))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.MatVec(w, bias, xs, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkMatVecScaledRef is the pre-kernel row-by-row baseline
 // (per-weight exponentiations, inverses recomputed per row, unblinded).
 func BenchmarkMatVecScaledRef(b *testing.B) {
-	k, w, bias, xs := benchLayer(b, benchRows, benchCols)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MatVecScaledRef(&k.PublicKey, w, bias, xs, 1); err != nil {
-			b.Fatal(err)
+	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
+		for i := 0; i < b.N; i++ {
+			if _, err := MatVecScaledRef(&k.PublicKey, w, bias, xs, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
-// BenchmarkKernelPrecompute isolates the preprocessing phase: inverses and
-// windowed power tables over the input vector.
-func BenchmarkKernelPrecompute(b *testing.B) {
-	k, w, _, xs := benchLayer(b, benchRows, benchCols)
-	ev := NewEvaluator(&k.PublicKey)
-	use, maxBits, err := ScanColumnUse(w, benchCols)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.NewLinearKernel(xs, use, benchRows, maxBits, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelDot isolates one row's interleaved multi-exponentiation
-// over a prebuilt kernel (no blinding: that is Pack's).
-func BenchmarkKernelDot(b *testing.B) {
-	k, w, bias, xs := benchLayer(b, benchRows, benchCols)
-	ev := NewEvaluator(&k.PublicKey)
-	use, maxBits, err := ScanColumnUse(w, benchCols)
-	if err != nil {
-		b.Fatal(err)
-	}
-	kern, err := ev.NewLinearKernel(xs, use, benchRows, maxBits, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bg := big.NewInt(bias[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := kern.Dot(nil, w[0], bg); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkMatVecRows prices each strategy alone on each shape — unblinded
+// rows, as the protocol's stages evaluate them — and reports the count
+// that would have chosen between them.
+func BenchmarkMatVecRows(b *testing.B) {
+	for _, s := range []Strategy{Tables, Buckets} {
+		b.Run(s.String(), func(b *testing.B) {
+			forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
+				rows := make([]Row, len(w))
+				for o := range rows {
+					rows[o] = Row{W: w[o], Bias: big.NewInt(bias[o])}
+				}
+				costs, err := countRows(xs, rows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ev := NewEvaluator(&k.PublicKey)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := ev.rows(xs, rows, 1, s); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(costs.cheapest(s).MulMods), "mulmods/op")
+			})
+		})
 	}
 }
 
@@ -130,17 +147,18 @@ func BenchmarkKernelDot(b *testing.B) {
 // meter attached — compare the two to measure the accounting overhead
 // (acceptance bound: < 2%).
 func BenchmarkMatVecScaledMetered(b *testing.B) {
-	k, w, bias, xs := benchLayer(b, benchRows, benchCols)
-	p := NewPool(&k.PublicKey, rand.Reader, 2*benchRows*8, 2)
-	defer p.Close()
-	var m obs.CostMeter
-	ev := NewEvaluator(&k.PublicKey, WithBlinder(p), WithCostMeter(&m))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.MatVec(w, bias, xs, 1); err != nil {
-			b.Fatal(err)
+	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
+		p := NewPool(&k.PublicKey, rand.Reader, 2*len(w)*8, 2)
+		defer p.Close()
+		var m obs.CostMeter
+		ev := NewEvaluator(&k.PublicKey, WithBlinder(p), WithCostMeter(&m))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.MatVec(w, bias, xs, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkBlinding prices one blinding factor from each source: the

@@ -5,7 +5,10 @@ import (
 	"math"
 	"math/big"
 	mrand "math/rand"
+	"strings"
 	"testing"
+
+	"ppstream/internal/obs"
 )
 
 // encryptVec encrypts a plaintext vector with the test key.
@@ -92,9 +95,6 @@ func TestKernelMinInt64Weight(t *testing.T) {
 	if weightMagnitude(math.MinInt64) != 1<<63 {
 		t.Fatalf("weightMagnitude(MinInt64) = %d", weightMagnitude(math.MinInt64))
 	}
-	if WeightBits(math.MinInt64) != 64 {
-		t.Fatalf("WeightBits(MinInt64) = %d", WeightBits(math.MinInt64))
-	}
 	k := key(t)
 	xs := encryptVec(t, k, []int64{3})
 	ws := []int64{math.MinInt64}
@@ -113,29 +113,175 @@ func TestKernelMinInt64Weight(t *testing.T) {
 	}
 }
 
-// TestKernelWindowsAgree pins every window width to the same decrypted
-// result, so the auto-selected window cannot silently change semantics.
-func TestKernelWindowsAgree(t *testing.T) {
-	k := key(t)
-	ms := []int64{9, -4, 0, 777, -123}
-	ws := []int64{-300, 12345, 99, -1, 0}
-	xs := encryptVec(t, k, ms)
-	var want int64 = 21
-	for i := range ms {
-		want += ws[i] * ms[i]
+// keyOfBits generates a key of the given size for tests that sweep sizes.
+func keyOfBits(t testing.TB, bits int) *PrivateKey {
+	t.Helper()
+	k, err := GenerateKey(rand.Reader, bits)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for win := uint(1); win <= maxWindow; win++ {
-		ev := NewEvaluator(&k.PublicKey, WithWindow(win))
-		ct, err := dotRow(ev, xs, ws, big.NewInt(21))
-		if err != nil {
-			t.Fatalf("window %d: %v", win, err)
+	return k
+}
+
+// randomWeights draws a rows×cols matrix of weights up to maxBits bits, a
+// third of them zero and half of the rest negative.
+func randomWeights(rng *mrand.Rand, rows, cols, maxBits int) [][]int64 {
+	w := make([][]int64, rows)
+	for o := range w {
+		w[o] = make([]int64, cols)
+		for i := range w[o] {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			v := rng.Int63()>>(63-maxBits) | 1
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			w[o][i] = v
 		}
-		got, err := k.DecryptInt64(ct)
-		if err != nil {
-			t.Fatal(err)
+	}
+	return w
+}
+
+// TestRowsStrategiesSameRingElement: rows are unblinded and deterministic,
+// so both strategies and the scalar reference must produce the SAME ring
+// element, not merely ciphertexts that decrypt alike — over random layers
+// at three key sizes and weights from 1 to 63 bits, with the edge rows: an
+// all-zero row (exactly the bias embedding 1 + b·n), an all-negative row,
+// math.MinInt64, and a one-column layer.
+func TestRowsStrategiesSameRingElement(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(15))
+	for _, keyBits := range []int{256, 512, 1024} {
+		k := keyOfBits(t, keyBits)
+		ev := NewEvaluator(&k.PublicKey)
+		for _, weightBits := range []int{1, 4, 16, 63} {
+			for _, cols := range []int{1, 7} {
+				w := randomWeights(rng, 5, cols, weightBits)
+				allNeg := make([]int64, cols)
+				for i := range allNeg {
+					allNeg[i] = -(rng.Int63()>>(63-weightBits) | 1)
+				}
+				edge := make([]int64, cols)
+				edge[0] = math.MinInt64
+				w = append(w, make([]int64, cols), allNeg, edge)
+				bias := make([]int64, len(w))
+				for o := range bias {
+					bias[o] = rng.Int63n(1<<40) - 1<<39
+				}
+				bias[0] = 0
+				ms := make([]int64, cols)
+				for i := range ms {
+					ms[i] = rng.Int63n(2000) - 1000
+				}
+				xs := encryptVec(t, k, ms)
+				rows := make([]Row, len(w))
+				for o := range rows {
+					rows[o] = Row{W: w[o], Bias: big.NewInt(bias[o])}
+				}
+				want, err := MatVecScaledRef(&k.PublicKey, w, bias, xs, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range []Strategy{Tables, Buckets} {
+					got, err := ev.rows(xs, rows, 2, s)
+					if err != nil {
+						t.Fatalf("%d-bit key, %d-bit weights, %d cols, %v: %v", keyBits, weightBits, cols, s, err)
+					}
+					for o := range got {
+						if got[o].c.Cmp(want[o].c) != 0 {
+							t.Errorf("%d-bit key, %d-bit weights, %d cols, %v: row %d differs from the reference ring element", keyBits, weightBits, cols, s, o)
+						}
+					}
+					// The all-zero row is its bias embedding, bit for bit.
+					zero := len(w) - 3
+					embed, err := k.PublicKey.EncryptWithBlinding(big.NewInt(bias[zero]), big.NewInt(1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[zero].c.Cmp(embed.c) != 0 {
+						t.Errorf("%d-bit key, %v: all-zero row is not 1 + b·n", keyBits, s)
+					}
+				}
+			}
 		}
-		if got != want {
-			t.Errorf("window %d: %d, want %d", win, got, want)
+	}
+}
+
+// TestRowsSparseIndexed exercises the idx-mapped form the convolution path
+// uses — positions address a subset of the columns, some twice, and the
+// view is nil where no row reads — on both strategies, against the dense
+// reference over the same weights.
+func TestRowsSparseIndexed(t *testing.T) {
+	k := key(t)
+	ev := NewEvaluator(&k.PublicKey)
+	ms := []int64{10, 20, 30, 40, 50}
+	xs := encryptVec(t, k, ms)
+	rows := []Row{
+		{Idx: []int{0, 2, 3}, W: []int64{7, -3, 2}, Bias: big.NewInt(-5)},
+		{Idx: []int{3, 3, 0}, W: []int64{100, -37, -1}},
+		{Idx: []int{}, W: []int64{}, Bias: big.NewInt(4)},
+		{Idx: []int{2}, W: []int64{-9}},
+	}
+	dense := [][]int64{{7, 0, -3, 2, 0}, {-1, 0, 0, 63, 0}, {0, 0, 0, 0, 0}, {0, 0, -9, 0, 0}}
+	want, err := MatVecScaledRef(&k.PublicKey, dense, []int64{-5, 0, 4, 0}, xs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := append([]*Ciphertext(nil), xs...)
+	view[1], view[4] = nil, nil // never read
+	for _, s := range []Strategy{Tables, Buckets} {
+		got, err := ev.rows(view, rows, 1, s)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		for o := range got {
+			if got[o].c.Cmp(want[o].c) != 0 {
+				t.Errorf("%v: indexed row %d differs from the dense reference", s, o)
+			}
+		}
+	}
+}
+
+// TestRowsRejectsUnsentAndCorruptInputs: a row that reads a nil view entry
+// or a column out of range fails before any arithmetic, a batch whose
+// denominators are not invertible fails at the inversion, and none of it
+// panics — under either strategy.
+func TestRowsRejectsUnsentAndCorruptInputs(t *testing.T) {
+	k := key(t)
+	ev := NewEvaluator(&k.PublicKey)
+	good := encryptVec(t, k, []int64{1, 2, 3})
+	unsent := []*Ciphertext{good[0], nil, good[2]}
+	// p shares a factor with n, so it has no inverse modulo n².
+	corrupt := []*Ciphertext{good[0], UnsafeCiphertext(new(big.Int).Set(k.P)), good[2]}
+	for _, tc := range []struct {
+		name string
+		xs   []*Ciphertext
+		rows []Row
+		want string // substring of the error; "" means the call succeeds
+	}{
+		{"unsent entry read", unsent, []Row{{W: []int64{1, 5, 0}}}, "not sent"},
+		{"unsent entry read through idx", unsent, []Row{{W: []int64{1, 0, 0}}, {Idx: []int{2, 1}, W: []int64{3, -4}}}, "not sent"},
+		{"unsent entry under a zero weight", unsent, []Row{{W: []int64{1, 0, -2}}}, ""},
+		{"nil ciphertext value", []*Ciphertext{good[0], {}, good[2]}, []Row{{W: []int64{0, 1, 0}}}, "not sent"},
+		{"column past the end", good, []Row{{Idx: []int{0, 3}, W: []int64{1, 1}}}, "out of range"},
+		{"negative column", good, []Row{{Idx: []int{-1}, W: []int64{1}}}, "out of range"},
+		{"index and weight lengths differ", good, []Row{{Idx: []int{0}, W: []int64{1, 1}}}, "index list"},
+		{"dense row of the wrong length", good, []Row{{W: []int64{1}}}, "length"},
+		{"denominator shares a factor with n", corrupt, []Row{{W: []int64{2, 0, -1}}, {W: []int64{0, -3, 1}}}, "not invertible"},
+		{"corrupt input only in a numerator", corrupt, []Row{{W: []int64{0, 3, -1}}}, ""},
+	} {
+		for _, s := range []Strategy{Tables, Buckets} {
+			var m obs.CostMeter
+			_, err := ev.WithCost(&m).rows(tc.xs, tc.rows, 2, s)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s, %v: %v", tc.name, s, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s, %v: error %v, want one containing %q", tc.name, s, err, tc.want)
+			}
+			if st := m.Snapshot(); tc.want != "" && tc.want != "not invertible" && !st.IsZero() {
+				t.Errorf("%s, %v: arithmetic ran before the rejection: %+v", tc.name, s, st)
+			}
 		}
 	}
 }
@@ -201,85 +347,6 @@ func TestEvaluatorWithPool(t *testing.T) {
 		}
 		if got != wv {
 			t.Errorf("row %d = %d, want %d", o, got, wv)
-		}
-	}
-}
-
-// TestKernelColumnUseMismatch: a Dot whose weight signs are not covered by
-// the ColumnUse scan must fail loudly, not read a nil table.
-func TestKernelColumnUseMismatch(t *testing.T) {
-	k := key(t)
-	ev := NewEvaluator(&k.PublicKey)
-	xs := encryptVec(t, k, []int64{1, 2})
-	kern, err := ev.NewLinearKernel(xs, []ColumnUse{UsePos, UsePos}, 1, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kern.Dot(nil, []int64{3, -5}, nil); err == nil {
-		t.Error("negative weight without UseNeg table accepted")
-	}
-	if _, err := kern.Dot([]int{0, 7}, []int64{1, 1}, nil); err == nil {
-		t.Error("out-of-range column accepted")
-	}
-	if _, err := kern.Dot([]int{0}, []int64{1, 1}, nil); err == nil {
-		t.Error("index/weight length mismatch accepted")
-	}
-	if _, err := kern.Dot(nil, []int64{1}, nil); err == nil {
-		t.Error("weight/input length mismatch accepted")
-	}
-}
-
-// TestKernelSparseIndexedDot exercises the idx-mapped form used by the
-// convolution path: positions address a subset of kernel columns.
-func TestKernelSparseIndexedDot(t *testing.T) {
-	k := key(t)
-	ev := NewEvaluator(&k.PublicKey)
-	ms := []int64{10, 20, 30, 40}
-	xs := encryptVec(t, k, ms)
-	use := []ColumnUse{UsePos | UseNeg, 0, UseNeg, UsePos}
-	kern, err := ev.NewLinearKernel(xs, use, 2, 12, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := kern.Dot([]int{0, 2, 3}, []int64{7, -3, 2}, big.NewInt(-5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := k.DecryptInt64(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(7*10 - 3*30 + 2*40 - 5)
-	if got != want {
-		t.Errorf("indexed dot = %d, want %d", got, want)
-	}
-}
-
-// TestScanColumnUse checks the sign profile derivation.
-func TestScanColumnUse(t *testing.T) {
-	use, maxBits, err := ScanColumnUse([][]int64{{1, -2, 0}, {4, 8, 0}}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if use[0] != UsePos || use[1] != UsePos|UseNeg || use[2] != 0 {
-		t.Errorf("use = %v", use)
-	}
-	if maxBits != 4 {
-		t.Errorf("maxBits = %d, want 4", maxBits)
-	}
-	if _, _, err := ScanColumnUse([][]int64{{1, 2}}, 3); err == nil {
-		t.Error("ragged row accepted")
-	}
-}
-
-// TestPickWindowBounds keeps the automatic window inside [1, maxWindow].
-func TestPickWindowBounds(t *testing.T) {
-	for _, rows := range []int{0, 1, 32, 4096} {
-		for _, bits := range []int{0, 1, 17, 64} {
-			w := pickWindow(rows, bits)
-			if w < 1 || w > maxWindow {
-				t.Fatalf("pickWindow(%d, %d) = %d", rows, bits, w)
-			}
 		}
 	}
 }

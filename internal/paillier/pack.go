@@ -47,7 +47,7 @@ func (pk *PublicKey) PackedLen(count, slotBits int) int {
 //
 // evaluated by Horner's rule, with offset = Σ_j 2^(j·W+W−1) and a fresh
 // r^n per group — the only re-randomization a row gets, and the reason
-// LinearKernel.Dot may leave rows unblinded. The last group may be
+// Evaluator.Rows may leave rows unblinded. The last group may be
 // partial. Every row plaintext must lie strictly inside ±2^(slotBits−1).
 // The 2^W-th power goes through Exp so that the W squarings run on
 // math/big's Montgomery path; they are counted as modular
@@ -83,7 +83,7 @@ func (ev *Evaluator) Pack(rows []*Ciphertext, slotBits, workers int) (*CipherTen
 // packGroup folds one group of at most Slots rows, first row in the
 // lowest slot, and blinds the result; shift is 2^slotBits.
 func (ev *Evaluator) packGroup(group []*Ciphertext, slotBits int, shift *big.Int) (*Ciphertext, error) {
-	n2 := ev.pk.N2
+	mm := modMul{m: ev.pk.N2}
 	acc, offset := new(big.Int), new(big.Int)
 	for j := len(group) - 1; j >= 0; j-- {
 		if group[j] == nil || group[j].c == nil {
@@ -92,9 +92,8 @@ func (ev *Evaluator) packGroup(group []*Ciphertext, slotBits int, shift *big.Int
 		if j == len(group)-1 {
 			acc.Set(group[j].c)
 		} else {
-			acc.Exp(acc, shift, n2)
-			acc.Mul(acc, group[j].c)
-			acc.Mod(acc, n2)
+			acc.Exp(acc, shift, mm.m)
+			mm.mul(acc, acc, group[j].c)
 		}
 		offset.SetBit(offset, j*slotBits+slotBits-1, 1)
 	}
@@ -104,10 +103,8 @@ func (ev *Evaluator) packGroup(group []*Ciphertext, slotBits int, shift *big.Int
 	}
 	// offset < 2^(S·W) ≤ n/2, so 1 + offset·n is already reduced.
 	offset.Mul(offset, ev.pk.N)
-	acc.Mul(acc, offset.Add(offset, one))
-	acc.Mod(acc, n2)
-	acc.Mul(acc, rn)
-	acc.Mod(acc, n2)
+	mm.mul(acc, acc, offset.Add(offset, one))
+	mm.mul(acc, acc, rn)
 	st.MulMods += uint64((len(group)-1)*(slotBits+1) + 2)
 	ev.cost.Add(st)
 	return &Ciphertext{c: acc}, nil

@@ -132,9 +132,8 @@ func DecryptTensorBig(sk *PrivateKey, t *CipherTensor, workers int) (*tensor.Ten
 
 // MatVecScaled evaluates an encrypted fully-connected layer: for weight
 // matrix W ([out][in] int64), encrypted input x, and bias b, returns the
-// encrypted output vector of length out. The per-input preprocessing
-// (inverses, power tables) is shared across all rows, rows run in
-// parallel, and every output is re-randomized. Blinding factors are
+// encrypted output vector of length out, through Evaluator.Rows with
+// every output re-randomized. Blinding factors are
 // computed inline from crypto/rand; use an Evaluator with an attached
 // Pool to take them off the critical path.
 func MatVecScaled(pk *PublicKey, w [][]int64, bias []int64, x []*Ciphertext, workers int) ([]*Ciphertext, error) {
@@ -231,6 +230,17 @@ func MatVecScaledRef(pk *PublicKey, w [][]int64, bias []int64, x []*Ciphertext, 
 // parallelFor runs f(i) for i in [0,n) across the given number of worker
 // goroutines (0 or negative means GOMAXPROCS), blocking until done.
 func parallelFor(n, workers int, f func(int)) {
+	parallelChunks(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f(i)
+		}
+	})
+}
+
+// parallelChunks splits [0,n) into one contiguous chunk per worker
+// goroutine (0 or negative means GOMAXPROCS) and runs f(lo, hi) on each,
+// blocking until done — for work that wants per-goroutine scratch.
+func parallelChunks(n, workers int, f func(lo, hi int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -238,29 +248,19 @@ func parallelFor(n, workers int, f func(int)) {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
+		if n > 0 {
+			f(0, n)
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
+			f(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }

@@ -37,18 +37,13 @@ func TestDecryptTensorNilElement(t *testing.T) {
 	}
 }
 
-// dotRow evaluates one row through a one-row kernel, the way qnn's ops
-// evaluate each of theirs.
+// dotRow evaluates one dense row through a one-row Rows call.
 func dotRow(ev *Evaluator, xs []*Ciphertext, ws []int64, bias *big.Int) (*Ciphertext, error) {
-	use, maxBits, err := ScanColumnUse([][]int64{ws}, len(xs))
+	out, err := ev.Rows(xs, []Row{{W: ws, Bias: bias}}, 1)
 	if err != nil {
 		return nil, err
 	}
-	k, err := ev.NewLinearKernel(xs, use, 1, maxBits, 1)
-	if err != nil {
-		return nil, err
-	}
-	return k.Dot(nil, ws, bias)
+	return out[0], nil
 }
 
 // TestKernelRow verifies the encrypted linear operation of paper Eq. (3):

@@ -11,9 +11,9 @@
 // exercised (copied bytes), not just accounted: with partitioning off,
 // every thread copies the entire input tensor, as in the paper's
 // baseline where "the whole input tensor is fed to each thread". Each
-// thread then evaluates its whole output range through one linear kernel
-// over that view (qnn.ElementOp.ComputeRange), so the per-input
-// preprocessing is shared within a thread exactly as Op.Apply shares it
+// thread then evaluates its whole output range through one kernel call
+// over that view (qnn.ElementOp.ComputeRange), so what the kernel shares
+// between rows is shared within a thread exactly as Op.Apply shares it
 // within a layer.
 package partition
 
@@ -178,8 +178,8 @@ func Execute(ev *paillier.Evaluator, op qnn.ElementOp, x *paillier.CipherTensor,
 			statsMu.Lock()
 			stats.ElementsSent += copied
 			statsMu.Unlock()
-			// One kernel per task: the thread's inverses and power tables
-			// are built once over its view and shared by all its elements.
+			// One kernel call per task: whatever it shares between rows is
+			// built once over the thread's view for all its elements.
 			if err := op.ComputeRange(ev, view, in, task.Lo, task.Hi, inExp, od[task.Lo:task.Hi]); err != nil {
 				errCh <- fmt.Errorf("partition: op %s elements [%d,%d): %w", op.Name(), task.Lo, task.Hi, err)
 			}

@@ -181,7 +181,9 @@ func TestCostNoCrossRequestBleed(t *testing.T) {
 // inference at a 1024-bit key (14 slots of 73 bits): one re-randomization
 // and one decryption per reply ciphertext — 4 for the 26 outputs — and
 // the pack's squarings and offset/blind multiplies on top of the kernel's
-// own modular multiplications.
+// own modular multiplications, which are a function of the weights alone:
+// 551, 382 and 73 (power tables at windows 3, 3 and 1) with ONE modular
+// inversion per round, where the per-column kernel ran 34.
 func TestHeartRoundCosts(t *testing.T) {
 	spec, _ := models.ByName("Heart")
 	net, err := spec.Build()
@@ -204,6 +206,7 @@ func TestHeartRoundCosts(t *testing.T) {
 	const slotBits, slots = 73, 14
 	outs := []int{16, 8, 2}
 	replies := []uint64{2, 1, 1}
+	kernelMulMods := []uint64{551, 382, 73}
 	for r := range outs {
 		// The kernel alone, over the same input, for the baseline count.
 		var kernelOnly obs.CostMeter
@@ -223,15 +226,18 @@ func TestHeartRoundCosts(t *testing.T) {
 			if _, _, err := qnn.ApplyStage(paillier.NewEvaluator(&k.PublicKey, paillier.WithCostMeter(&kernelOnly)), st.ops, inCT, 1, 1); err != nil {
 				t.Fatal(err)
 			}
-			packMulMods := uint64(0)
-			for left := outs[r]; left > 0; left -= slots {
-				packMulMods += uint64((min(left, slots)-1)*(slotBits+1) + 2)
-			}
-			if got, want := server.Snapshot().MulMods, kernelOnly.Snapshot().MulMods+packMulMods; got != want {
-				t.Errorf("round 0 server mulmods = %d, want kernel %d + pack %d", got, kernelOnly.Snapshot().MulMods, packMulMods)
+			if got, want := kernelOnly.Snapshot(), (obs.CostStats{MulMods: kernelMulMods[0], ModInverses: 1}); got != want {
+				t.Errorf("round 0 bare kernel = %+v, want %+v", got, want)
 			}
 		}
 		sc := server.Snapshot()
+		packMulMods := uint64(0)
+		for left := outs[r]; left > 0; left -= slots {
+			packMulMods += uint64((min(left, slots)-1)*(slotBits+1) + 2)
+		}
+		if sc.MulMods != kernelMulMods[r]+packMulMods || sc.ModInverses != 1 {
+			t.Errorf("round %d server: %d mulmods and %d inversions, want kernel %d + pack %d and one inversion", r, sc.MulMods, sc.ModInverses, kernelMulMods[r], packMulMods)
+		}
 		if sc.Rerands != replies[r] || sc.PoolHits+sc.PoolMisses != replies[r] || sc.ModExps != replies[r] {
 			t.Errorf("round %d server: %+v, want %d re-randomizations, each one inline exponentiation", r, sc, replies[r])
 		}

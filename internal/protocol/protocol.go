@@ -452,8 +452,9 @@ func (mp *ModelProvider) PublicKey() *paillier.PublicKey { return mp.pk }
 func (mp *ModelProvider) Evaluator() *paillier.Evaluator { return mp.eval }
 
 // Instrument publishes the linear kernel's phase timings to reg as the
-// "kernel.precompute" (per-layer preprocessing: shared inverses and
-// power tables) and "kernel.dot" (per-row multi-exponentiation)
+// "kernel.precompute" (per kernel call: the operation count, power
+// tables when the call uses them, the batched inversion) and
+// "kernel.dot" (per row: its numerator and denominator products)
 // histograms.
 func (mp *ModelProvider) Instrument(reg *obs.Registry) {
 	if reg == nil {

@@ -22,10 +22,11 @@ type ElementOp interface {
 	// ComputeRange evaluates output elements [lo, hi) into out, which has
 	// hi−lo entries, over view: one thread's copy of the input, indexed
 	// by flat input offset and nil at offsets the thread was not sent.
-	// Reading an unsent offset is an error. Dot-product ops build ONE
-	// linear kernel over view for the whole range, so every input's
-	// inverse and power tables are computed once per thread, not once per
-	// element. Like Apply's, the elements are not re-randomized.
+	// Reading an unsent offset is an error. Dot-product ops hand the whole
+	// range to ONE paillier.Rows call, so what the kernel shares between
+	// rows (power tables, the batched inversion) is paid once per thread,
+	// not once per element. Like Apply's, the elements are not
+	// re-randomized.
 	ComputeRange(ev *paillier.Evaluator, view []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error
 }
 

@@ -50,8 +50,6 @@ func (q *QFC) OutShape(in tensor.Shape) (tensor.Shape, error) {
 }
 
 // Apply implements Op: row o computes Π E(x_i)^{W[o][i]} · E(b_o·F^(exp+1)).
-// One kernel preprocessing pass (shared inverses, windowed power tables)
-// serves every row.
 func (q *QFC) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
 	out := tensor.New[*paillier.Ciphertext](len(q.W))
 	if err := q.rows(ev, x.Flatten().Data(), 0, len(q.W), inExp, workers, out.Data()); err != nil {
@@ -60,41 +58,31 @@ func (q *QFC) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, wor
 	return out, nil
 }
 
-// rows evaluates output rows [lo, hi) into out through one kernel over
-// xs whose column use and window are sized from those rows alone — the
-// whole layer for Apply, one thread's share for ComputeRange.
+// rows evaluates output rows [lo, hi) into out in one paillier.Rows call,
+// which picks its strategy from those rows alone — the whole layer for
+// Apply, one thread's share for ComputeRange.
 func (q *QFC) rows(ev *paillier.Evaluator, xs []*paillier.Ciphertext, lo, hi, inExp, workers int, out []*paillier.Ciphertext) error {
 	if len(xs) != len(q.W[0]) {
 		return fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, len(q.W[0]), len(xs))
 	}
-	use, maxBits, err := paillier.ScanColumnUse(q.W[lo:hi], len(xs))
+	cts, err := ev.Rows(xs, q.kernelRows(lo, hi, inExp), workers)
 	if err != nil {
-		return err
+		return fmt.Errorf("qnn: %s rows [%d,%d): %w", q.name, lo, hi, err)
 	}
-	kern, err := ev.NewLinearKernel(xs, use, hi-lo, maxBits, workers)
-	if err != nil {
-		return err
+	copy(out, cts)
+	return nil
+}
+
+// kernelRows returns output rows [lo, hi) the way the kernel takes them.
+func (q *QFC) kernelRows(lo, hi, inExp int) []paillier.Row {
+	rows := make([]paillier.Row, hi-lo)
+	for i := range rows {
+		rows[i].W = q.W[lo+i]
+		if b := q.B[lo+i]; b != 0 {
+			rows[i].Bias = biasAt(b, q.F, inExp+1)
+		}
 	}
-	var mu sync.Mutex
-	var firstErr error
-	parallelRange(hi-lo, workers, func(i int) {
-		o := lo + i
-		var bias *big.Int
-		if q.B[o] != 0 {
-			bias = biasAt(q.B[o], q.F, inExp+1)
-		}
-		ct, err := kern.Dot(nil, q.W[o], bias)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = ct
-	})
-	return firstErr
+	return rows
 }
 
 // Bound implements Op: the worst row.
@@ -208,10 +196,9 @@ func (q *QConv) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{q.P.OutC, q.P.OutH(), q.P.OutW()}, nil
 }
 
-// Apply implements Op. A single kernel preprocessing pass over the input
-// tensor serves every (filter, position) output element: each input
-// ciphertext's inverse and power tables are computed once even though
-// overlapping receptive fields read it many times.
+// Apply implements Op: one paillier.Rows call over the input tensor serves
+// every (filter, position) output element, so whatever it shares between
+// rows is shared across overlapping receptive fields too.
 func (q *QConv) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
 	out := tensor.New[*paillier.Ciphertext](q.P.OutC, q.P.OutH(), q.P.OutW())
 	if err := q.elements(ev, x.Flatten().Data(), 0, out.Size(), inExp, workers, out.Data()); err != nil {
@@ -220,82 +207,47 @@ func (q *QConv) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, w
 	return out, nil
 }
 
-// elements evaluates flat output elements [lo, hi) into out through one
-// kernel over xs whose column use and window are sized from those
-// elements alone — the whole layer for Apply, one thread's share for
-// ComputeRange (xs is then nil outside the share's receptive fields).
+// elements evaluates flat output elements [lo, hi) into out in one
+// paillier.Rows call, which picks its strategy from those elements alone —
+// the whole layer for Apply, one thread's share for ComputeRange (xs is
+// then nil outside the share's receptive fields).
 func (q *QConv) elements(ev *paillier.Evaluator, xs []*paillier.Ciphertext, lo, hi, inExp, workers int, out []*paillier.Ciphertext) error {
 	if len(xs) != q.P.InC*q.P.InH*q.P.InW {
 		return fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, q.P.InC*q.P.InH*q.P.InW, len(xs))
 	}
-	use, maxBits := q.scanUse(len(xs), lo, hi)
-	kern, err := ev.NewLinearKernel(xs, use, hi-lo, maxBits, workers)
+	cts, err := ev.Rows(xs, q.kernelRows(lo, hi, inExp), workers)
 	if err != nil {
-		return err
+		return fmt.Errorf("qnn: %s elements [%d,%d): %w", q.name, lo, hi, err)
 	}
-	positions := q.P.OutH() * q.P.OutW()
-	var mu sync.Mutex
-	var firstErr error
-	parallelRange(hi-lo, workers, func(i int) {
-		idx := lo + i
-		ct, err := q.applyOne(kern, idx/positions, idx%positions, inExp)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = ct
-	})
-	return firstErr
+	copy(out, cts)
+	return nil
 }
 
-// scanUse derives, per input offset, the signs of the weights output
-// elements [lo, hi) multiply it by, and their largest weight bit length.
-func (q *QConv) scanUse(inputs, lo, hi int) ([]paillier.ColumnUse, int) {
+// kernelRows returns flat output elements [lo, hi) the way the kernel
+// takes them: each is the row of its filter's non-zero weights over the
+// in-bounds offsets of its receptive field (padding contributes nothing).
+func (q *QConv) kernelRows(lo, hi, inExp int) []paillier.Row {
 	positions := q.P.OutH() * q.P.OutW()
-	use := make([]paillier.ColumnUse, inputs)
-	maxBits := 0
-	for idx := lo; idx < hi; idx++ {
-		w := q.W[idx/positions]
-		for k, off := range q.Rows[idx%positions] {
-			if off < 0 || w[k] == 0 {
-				continue
-			}
-			if w[k] > 0 {
-				use[off] |= paillier.UsePos
-			} else {
-				use[off] |= paillier.UseNeg
-			}
-			if b := paillier.WeightBits(w[k]); b > maxBits {
-				maxBits = b
-			}
+	bias := make([]*big.Int, len(q.B))
+	for f, b := range q.B {
+		if b != 0 {
+			bias[f] = biasAt(b, q.F, inExp+1)
 		}
 	}
-	return use, maxBits
-}
-
-// applyOne computes one output element: the homomorphic dot product of
-// filter f with the receptive field at output position pos, through the
-// shared kernel.
-func (q *QConv) applyOne(kern *paillier.LinearKernel, f, pos, inExp int) (*paillier.Ciphertext, error) {
-	row := q.Rows[pos]
-	idx := make([]int, 0, len(row))
-	weights := make([]int64, 0, len(row))
-	for k, off := range row {
-		if off < 0 || q.W[f][k] == 0 {
-			continue // padding or zero weight contributes nothing
+	rows := make([]paillier.Row, hi-lo)
+	idx := make([]int, 0, len(rows)*len(q.W[0]))
+	weights := make([]int64, 0, cap(idx))
+	for i := range rows {
+		f, from := (lo+i)/positions, len(idx)
+		for k, off := range q.Rows[(lo+i)%positions] {
+			if off >= 0 && q.W[f][k] != 0 {
+				idx = append(idx, off)
+				weights = append(weights, q.W[f][k])
+			}
 		}
-		idx = append(idx, off)
-		weights = append(weights, q.W[f][k])
+		rows[i] = paillier.Row{Idx: idx[from:], W: weights[from:], Bias: bias[f]}
 	}
-	var bias *big.Int
-	if q.B[f] != 0 {
-		bias = biasAt(q.B[f], q.F, inExp+1)
-	}
-	return kern.Dot(idx, weights, bias)
+	return rows
 }
 
 // Bound implements Op: the worst filter over a receptive field without

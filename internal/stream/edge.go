@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
+	"unsafe"
 
 	"ppstream/internal/obs"
 )
@@ -109,6 +111,31 @@ type tcpEdge struct {
 	// Optional obs instrumentation (see NewInstrumentedTCPEdge).
 	framesSent *obs.Counter
 	framesRecv *obs.Counter
+}
+
+// gobFreeList is where a gob.Encoder keeps its list of recycled
+// encoderStates, found by name once; ok is false if a future encoding/gob
+// lays the Encoder out differently, and then forgetEncoderStates does
+// nothing.
+var gobFreeList, gobFreeListOK = func() (uintptr, bool) {
+	f, ok := reflect.TypeOf((*gob.Encoder)(nil)).Elem().FieldByName("freeList")
+	return f.Offset, ok && f.Type.Kind() == reflect.Pointer
+}()
+
+// forgetEncoderStates empties enc's list of recycled encoderStates. gob
+// encodes an interface payload into a buffer borrowed from a package-wide
+// sync.Pool, and a recycled encoderState keeps pointing at the last
+// buffer it wrote to. A frame's payload grows that buffer to the frame's
+// size (128 KB for MNIST's 784 input ciphertexts), and if the next frame
+// goes out before two collections have emptied the pool it borrows the
+// same buffer again — so on a connection whose peers produce little
+// garbage the largest frame's buffer stays reachable from the Encoder for
+// as long as the connection lives, long after the pool has let go of it.
+// Dropping the list costs a handful of small allocations per frame.
+func forgetEncoderStates(enc *gob.Encoder) {
+	if gobFreeListOK {
+		*(*unsafe.Pointer)(unsafe.Add(unsafe.Pointer(enc), gobFreeList)) = nil
+	}
 }
 
 // RegisterWireType registers a payload type for TCP transport. Call once
@@ -258,6 +285,7 @@ func (e *tcpEdge) Send(ctx context.Context, m *Message) error {
 	if err := e.enc.Encode(&frame); err != nil {
 		return fmt.Errorf("stream: tcp send: %w", err)
 	}
+	forgetEncoderStates(e.enc)
 	if e.framesSent != nil {
 		e.framesSent.Inc()
 	}

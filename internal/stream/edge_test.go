@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,5 +183,54 @@ func TestAssembleValidation(t *testing.T) {
 	}
 	if st.Name() != "s" {
 		t.Errorf("stage name %q", st.Name())
+	}
+}
+
+// TestTCPEdgeDoesNotPinLargestFrame: after a large frame and then a small
+// one, the connection may keep ONE frame-sized buffer (the Encoder's own)
+// but not a second — the pooled buffer gob encoded the large payload into,
+// which a recycled encoderState would otherwise keep reachable for the
+// life of the connection once the small frame has borrowed it too. The
+// test runs on one processor with the collector held off while the frames
+// go out — a peer that produces little garbage between the frames of a
+// request — because that is when the small frame is sure to find the large
+// one's buffer still in the pool.
+func TestTCPEdgeDoesNotPinLargestFrame(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	RegisterWireType(&wirePayload{})
+	send, recv := tcpEdgePair(t, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	exchange := func(note string) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- send.Send(ctx, &Message{Seq: 1, Payload: &wirePayload{Note: note}}) }()
+		if _, err := recv.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveHeap := func() uint64 {
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	exchange("warm-up: type descriptors, decoder engines")
+	before := liveHeap()
+
+	const frame = 4 << 20
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	exchange(strings.Repeat("x", frame))
+	exchange("small")
+	grew := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(send) // the connection is still up when the heap is read
+	runtime.KeepAlive(recv)
+	if grew > frame*3/2 {
+		t.Errorf("live heap grew by %d bytes after a %d-byte frame: more than one frame-sized buffer survives", grew, frame)
 	}
 }
