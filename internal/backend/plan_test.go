@@ -24,17 +24,20 @@ func heartLayers() []LayerInfo {
 // blinding exponentiation, which a garbled ReLU undercut. One blinding
 // per reply ciphertext reverses that at these sizes — measured, not only
 // modelled: Heart at 1024 bits runs [paillier-he paillier-he clear]
-// about a tenth faster than [paillier-he ss-gc clear].
+// about a tenth faster than [paillier-he ss-gc clear]. Re-pinned when the
+// slot widths began to follow the models' declared input domains (73–76
+// bits and 4 / 19 replies before): narrower slots make the Paillier rounds
+// cheaper still, so the assignments hold with more margin.
 func TestPlanPinnedModels(t *testing.T) {
 	heart1024 := []LayerInfo{
-		{Name: "fc1", Muls: 204, Outs: 16, Replies: 2, SlotBits: 73, ReluFollows: true},
-		{Name: "fc2", Muls: 126, Outs: 8, Replies: 1, SlotBits: 73, ReluFollows: true},
-		{Name: "fc3", Muls: 16, Outs: 2, Replies: 1, SlotBits: 73},
+		{Name: "fc1", Muls: 204, Outs: 16, Replies: 1, SlotBits: 23, ReluFollows: true},
+		{Name: "fc2", Muls: 126, Outs: 8, Replies: 1, SlotBits: 25, ReluFollows: true},
+		{Name: "fc3", Muls: 16, Outs: 2, Replies: 1, SlotBits: 27},
 	}
 	mnist512 := []LayerInfo{
-		{Name: "flatten+fc1", Muls: 47235, Outs: 64, Replies: 11, SlotBits: 76, ReluFollows: true},
-		{Name: "fc2", Muls: 2005, Outs: 32, Replies: 6, SlotBits: 74, ReluFollows: true},
-		{Name: "fc3", Muls: 318, Outs: 10, Replies: 2, SlotBits: 74},
+		{Name: "flatten+fc1", Muls: 47235, Outs: 64, Replies: 3, SlotBits: 20, ReluFollows: true},
+		{Name: "fc2", Muls: 2005, Outs: 32, Replies: 2, SlotBits: 23, ReluFollows: true},
+		{Name: "fc3", Muls: 318, Outs: 10, Replies: 1, SlotBits: 26},
 	}
 	for _, c := range []struct {
 		name    string

@@ -103,7 +103,10 @@ func (e *Engine) Shutdown() error {
 // its result is ready, ctx expires, or the runtime shuts down. Safe for
 // concurrent use; each caller gets exactly its own result. A request
 // that fails inside the pipeline returns a *RequestError naming the
-// failing stage, while other in-flight requests proceed undisturbed.
+// failing stage, while other in-flight requests proceed undisturbed. An
+// input outside the model's input domain is refused up front with the
+// data provider's *protocol.InputRangeError: it takes no shed slot or
+// window permit and never reaches a stage.
 func (e *Engine) Submit(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *stream.Trace, error) {
 	e.serveMu.Lock()
 	d, shed := e.disp, e.shed
@@ -116,6 +119,10 @@ func (e *Engine) Submit(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *s
 	countErr := func() {
 		e.reg.Counter("serve.requests.err").Inc()
 		e.reg.LiveCounter("serve.requests.err").Inc()
+	}
+	if err := e.Protocol.Data.CheckInput(x); err != nil {
+		countErr()
+		return nil, nil, err
 	}
 	if err := shed.Acquire(); err != nil {
 		e.reg.Counter("serve.requests.shed").Inc()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -232,4 +233,56 @@ func TestInferStreamLeaksNoGoroutines(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Errorf("goroutines grew from %d to %d after ephemeral batches", before, runtime.NumGoroutine())
+}
+
+// TestEngineSubmitRefusesOutOfRangeInput: an input outside the model's
+// declared domain gets its one terminal outcome — the data provider's
+// typed *protocol.InputRangeError, counted as a failed request — before
+// the runtime spends anything on it: no shed slot or window permit is held
+// afterwards (both are 1 here, so a leak would fail the next request), no
+// stage ran (so no permutation state exists to leak), and the engine keeps
+// serving. The sequential walk refuses the same input the same way.
+func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
+	net := smallNet(t)
+	net.InputMax = 3
+	eng, err := NewEngine(net, key(t), Options{Factor: 1000, ProfileReps: 1, Window: 1, MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := eng.Serve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ran := func() uint64 { return eng.Stats().Histograms["stage.encrypt.busy"].Count }
+	before := ran()
+	for i, bad := range []*tensor.Dense{
+		tensor.MustFromSlice([]float64{0, 0, 3.5, 0}, 4),
+		tensor.MustFromSlice([]float64{0, 0, math.NaN(), 0}, 4),
+		tensor.MustFromSlice([]float64{0, 0, math.Inf(-1), 0}, 4),
+	} {
+		_, trace, err := eng.Submit(ctx, bad)
+		var rangeErr *protocol.InputRangeError
+		if !errors.As(err, &rangeErr) || rangeErr.Index != 2 || rangeErr.Max != 3 {
+			t.Fatalf("Submit(out of domain %d) = %v, want an *InputRangeError for element 2", i, err)
+		}
+		if trace != nil {
+			t.Error("a refused request produced a trace")
+		}
+		if _, _, err := eng.InferOne(uint64(100+i), bad); !errors.As(err, &rangeErr) {
+			t.Errorf("InferOne(out of domain %d) = %v, want an *InputRangeError", i, err)
+		}
+	}
+	snap := eng.Stats()
+	if snap.Counters["serve.requests.err"] != 3 || snap.Gauges["serve.inflight"] != 0 || ran() != before {
+		t.Errorf("after 3 refused requests: %d counted, %d in flight, %d reached the encrypt stage",
+			snap.Counters["serve.requests.err"], snap.Gauges["serve.inflight"], ran()-before)
+	}
+	if _, _, err := eng.Submit(ctx, tensor.MustFromSlice([]float64{3, -3, 0.5, 0}, 4)); err != nil {
+		t.Fatalf("in-domain request after refused ones: %v", err)
+	}
+	if ran() != before+1 {
+		t.Errorf("the in-domain request ran the encrypt stage %d times", ran()-before)
+	}
 }

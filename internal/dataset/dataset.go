@@ -22,11 +22,23 @@ import (
 type Dataset struct {
 	Name       string
 	NumClasses int
-	TrainX     []*tensor.Dense
-	TrainY     []int
-	TestX      []*tensor.Dense
-	TestY      []int
+	// InputMax is the generator's guarantee on every sample element:
+	// |x| ≤ InputMax (ImageMax or TabularMax; Validate checks it). A model
+	// serving this dataset declares it as nn.Network.InputMax.
+	InputMax float64
+	TrainX   []*tensor.Dense
+	TrainY   []int
+	TestX    []*tensor.Dense
+	TestY    []int
 }
+
+const (
+	// ImageMax bounds image pixels: both image generators clamp to [0, 1].
+	ImageMax = 1.0
+	// TabularMax bounds tabular features: Tabular clamps every feature to
+	// ±TabularMax, far outside anything its Gaussian clusters draw.
+	TabularMax = 64.0
+)
 
 // InputShape returns the shape of one sample.
 func (d *Dataset) InputShape() tensor.Shape {
@@ -59,6 +71,14 @@ func (d *Dataset) Validate() error {
 			}
 			if ys[i] < 0 || ys[i] >= d.NumClasses {
 				return fmt.Errorf("dataset %s: %s label %d out of range [0,%d)", d.Name, part, ys[i], d.NumClasses)
+			}
+			if d.InputMax <= 0 {
+				continue
+			}
+			for _, v := range x.Data() {
+				if !(math.Abs(v) <= d.InputMax) {
+					return fmt.Errorf("dataset %s: %s sample %d holds %v, outside ±%v", d.Name, part, i, v, d.InputMax)
+				}
 			}
 		}
 		return nil
@@ -112,13 +132,13 @@ func Tabular(cfg TabularConfig) (*Dataset, error) {
 			c := rng.Intn(cfg.Classes)
 			x := tensor.Zeros(cfg.Features)
 			for f := 0; f < cfg.Features; f++ {
-				x.Data()[f] = means[c][f] + rng.NormFloat64()*cfg.Noise
+				x.Data()[f] = math.Max(-TabularMax, math.Min(TabularMax, means[c][f]+rng.NormFloat64()*cfg.Noise))
 			}
 			xs[i], ys[i] = x, c
 		}
 		return xs, ys
 	}
-	d := &Dataset{Name: cfg.Name, NumClasses: cfg.Classes}
+	d := &Dataset{Name: cfg.Name, NumClasses: cfg.Classes, InputMax: TabularMax}
 	d.TrainX, d.TrainY = sample(cfg.Train)
 	d.TestX, d.TestY = sample(cfg.Test)
 	return d, d.Validate()
@@ -170,7 +190,7 @@ func Digits(cfg ImageConfig) (*Dataset, error) {
 		}
 		return xs, ys
 	}
-	d := &Dataset{Name: cfg.Name, NumClasses: cfg.Classes}
+	d := &Dataset{Name: cfg.Name, NumClasses: cfg.Classes, InputMax: ImageMax}
 	d.TrainX, d.TrainY = sample(cfg.Train)
 	d.TestX, d.TestY = sample(cfg.Test)
 	return d, d.Validate()
@@ -291,7 +311,7 @@ func Textures(cfg ImageConfig) (*Dataset, error) {
 		}
 		return xs, ys
 	}
-	d := &Dataset{Name: cfg.Name, NumClasses: cfg.Classes}
+	d := &Dataset{Name: cfg.Name, NumClasses: cfg.Classes, InputMax: ImageMax}
 	d.TrainX, d.TrainY = sample(cfg.Train)
 	d.TestX, d.TestY = sample(cfg.Test)
 	return d, d.Validate()

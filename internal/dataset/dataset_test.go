@@ -25,6 +25,27 @@ func TestTabularGeneration(t *testing.T) {
 	if len(seen) != 2 {
 		t.Errorf("classes present: %v", seen)
 	}
+	// Features are clamped to the declared domain, and Validate holds
+	// every sample to it.
+	wide, err := Tabular(TabularConfig{Name: "wide", Features: 4, Classes: 2, Train: 50, Test: 5, Seed: 2, Separation: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clamped := 0
+	for _, x := range wide.TrainX {
+		for _, v := range x.Data() {
+			if v == TabularMax || v == -TabularMax {
+				clamped++
+			}
+		}
+	}
+	if wide.InputMax != TabularMax || clamped == 0 {
+		t.Errorf("separation 500: domain ±%v, %d features at the clamp", wide.InputMax, clamped)
+	}
+	wide.TrainX[0].Data()[0] = TabularMax + 1
+	if err := wide.Validate(); err == nil {
+		t.Error("a sample outside the declared domain validated")
+	}
 }
 
 func TestTabularDeterministic(t *testing.T) {

@@ -29,7 +29,7 @@ type Fig1Row struct {
 }
 
 // Fig1Result holds the figure's series. SlotBits is the reply slot width
-// of the figure's operation, x + 10^6·x over int64-range x.
+// of the figure's operation, x + 10^6·x over the figure's pixels 0..255.
 type Fig1Result struct {
 	TensorElems int
 	Reps        int
@@ -53,8 +53,9 @@ func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
 	const elems = 28 * 28
 	res := &Fig1Result{TensorElems: elems, Reps: reps}
 	scalar := big.NewInt(1_000_000)
-	// |x + 10^6·x| ≤ (10^6 + 1)·2^63; a slot is one bit wider than that.
-	res.SlotBits = 1 + new(big.Int).Lsh(big.NewInt(1_000_001), 63).BitLen()
+	// |x + 10^6·x| ≤ (10^6 + 1)·255 over the pixels below; a slot is one
+	// bit wider than that.
+	res.SlotBits = 1 + big.NewInt(1_000_001*255).BitLen()
 	for _, bits := range keyBits {
 		key, err := paillier.GenerateKey(rand.Reader, bits)
 		if err != nil {

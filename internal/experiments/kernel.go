@@ -8,8 +8,10 @@ import (
 	"strings"
 	"time"
 
+	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
 	"ppstream/internal/qnn"
+	"ppstream/internal/tensor"
 )
 
 // KernelRow is one (shape, key size) point of the linear-kernel benchmark:
@@ -75,6 +77,35 @@ var kernelShapes = []struct {
 	{64, 784, "signed, at most 4 bits", func(rng *mrand.Rand) int64 { return rng.Int63n(31) - 15 }},
 }
 
+// kernelInputMax bounds the benchmark's encrypted inputs.
+const kernelInputMax = 1000
+
+// kernelSlotBits sizes the layer's reply slots the way a serving round's
+// are: the integer layer as a one-stage network at factor 1 whose declared
+// input domain is the benchmark's, through the protocol's stage walk.
+func kernelSlotBits(w [][]int64, bias []int64) (int, error) {
+	fc := &nn.FC{LayerName: "fc", W: tensor.Zeros(len(w), len(w[0])), B: tensor.Zeros(len(w))}
+	for o, row := range w {
+		fc.B.Data()[o] = float64(bias[o])
+		for i, v := range row {
+			fc.W.Set(float64(v), o, i)
+		}
+	}
+	net, err := nn.NewNetwork("kernel-bench", tensor.Shape{len(w[0])}, fc, nn.NewSoftMax("softmax"))
+	if err != nil {
+		return 0, err
+	}
+	merged, err := nn.Merge(net)
+	if err != nil {
+		return 0, err
+	}
+	stages, err := qnn.Walk(merged, kernelInputMax, 1)
+	if err != nil {
+		return 0, err
+	}
+	return stages[0].SlotBits(), nil
+}
+
 // Kernel benchmarks the homomorphic linear kernel against the scalar
 // reference for each shape and key size. Both paths are checked to
 // decrypt identically before timing.
@@ -103,20 +134,21 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 			}
 		}
 		bias := make([]int64, sh.rows)
-		fbias := make([]float64, sh.rows)
 		rows := make([]paillier.Row, sh.rows)
 		for o := range bias {
 			bias[o] = rng.Int63n(1 << 20)
-			fbias[o] = float64(bias[o])
 			rows[o] = paillier.Row{W: w[o], Bias: big.NewInt(bias[o])}
 		}
-		shape := KernelShape{Rows: sh.rows, Cols: sh.cols, Weights: sh.weights,
-			SlotBits: 1 + qnn.StageBound([]qnn.Op{&qnn.QFC{F: 1, W: w, B: fbias}}).BitLen()}
+		slotBits, err := kernelSlotBits(w, bias)
+		if err != nil {
+			return nil, err
+		}
+		shape := KernelShape{Rows: sh.rows, Cols: sh.cols, Weights: sh.weights, SlotBits: slotBits}
 		for _, key := range keys {
 			xs := make([]*paillier.Ciphertext, sh.cols)
 			for i := range xs {
 				var err error
-				if xs[i], err = key.EncryptInt64(rand.Reader, rng.Int63n(2000)-1000); err != nil {
+				if xs[i], err = key.EncryptInt64(rand.Reader, rng.Int63n(2*kernelInputMax)-kernelInputMax); err != nil {
 					return nil, err
 				}
 			}

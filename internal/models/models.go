@@ -108,8 +108,28 @@ func (s Spec) Dataset() (*dataset.Dataset, error) {
 	}
 }
 
-// Build constructs the untrained network for the spec.
+// InputMax is the input domain the spec's dataset guarantees and its
+// network declares: tabular features are clamped to ±dataset.TabularMax,
+// image pixels to [0, dataset.ImageMax].
+func (s Spec) InputMax() float64 {
+	if s.Healthcare() {
+		return dataset.TabularMax
+	}
+	return dataset.ImageMax
+}
+
+// Build constructs the untrained network for the spec, declaring the
+// input domain its dataset guarantees.
 func (s Spec) Build() (*nn.Network, error) {
+	net, err := s.build()
+	if err != nil {
+		return nil, err
+	}
+	net.InputMax = s.InputMax()
+	return net, nil
+}
+
+func (s Spec) build() (*nn.Network, error) {
 	rng := rand.New(rand.NewSource(s.Seed + 1000))
 	switch s.Arch {
 	case "3FC":

@@ -58,6 +58,16 @@ func TestBuildAllArchitectures(t *testing.T) {
 		if err := net.Validate(); err != nil {
 			t.Errorf("%s validate: %v", s.Name, err)
 		}
+		// The declared input domain is the dataset's guarantee, which
+		// dataset.Validate has checked on every sample.
+		ds, err := s.Dataset()
+		if err != nil {
+			t.Errorf("%s dataset: %v", s.Name, err)
+			continue
+		}
+		if net.InputMax <= 0 || net.InputMax != ds.InputMax {
+			t.Errorf("%s declares input domain ±%v, its dataset guarantees ±%v", s.Name, net.InputMax, ds.InputMax)
+		}
 		// each model must merge into an alternating protocol-shaped chain
 		merged, err := nn.Merge(net)
 		if err != nil {

@@ -9,6 +9,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"ppstream/internal/tensor"
 )
@@ -85,6 +86,23 @@ type ElementWise interface {
 	Layer
 	// ApplyElement computes the activation for a single element.
 	ApplyElement(v float64) float64
+}
+
+// ElementWiseBound returns the largest magnitude layers, applied in order,
+// can produce from elements of magnitude at most in. Every ElementWise
+// function here (ReLU, Sigmoid) is monotone, so its extremes over [−b, b]
+// sit at the ends: max(|f(b)|, |f(−b)|). A layer that is not element-wise
+// has no such bound and yields +Inf.
+func ElementWiseBound(layers []Layer, in float64) float64 {
+	b := math.Abs(in)
+	for _, l := range layers {
+		ew, ok := l.(ElementWise)
+		if !ok {
+			return math.Inf(1)
+		}
+		b = math.Max(math.Abs(ew.ApplyElement(b)), math.Abs(ew.ApplyElement(-b)))
+	}
+	return b
 }
 
 // Splitter is implemented by mixed layers that can decompose into a

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"ppstream/internal/tensor"
 )
@@ -13,6 +14,11 @@ type Network struct {
 	ModelName  string
 	InputShape tensor.Shape
 	Layers     []Layer
+	// InputMax declares the network's input domain in real units: every
+	// input element satisfies |x| ≤ InputMax. The protocol sizes its reply
+	// slots from it and the data provider refuses inputs outside it. Zero
+	// means undeclared: any input whose scaled value fits int64.
+	InputMax float64
 }
 
 // NewNetwork creates a network and validates that the layer shapes chain
@@ -32,6 +38,9 @@ func (n *Network) Validate() error {
 	}
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("nn: network %q has no layers", n.ModelName)
+	}
+	if !(n.InputMax >= 0) || math.IsInf(n.InputMax, 0) {
+		return fmt.Errorf("nn: network %q declares input domain ±%v", n.ModelName, n.InputMax)
 	}
 	shape := n.InputShape
 	for i, l := range n.Layers {
@@ -135,7 +144,7 @@ func (n *Network) Clone() *Network {
 	for i, l := range n.Layers {
 		layers[i] = cloneLayer(l)
 	}
-	return &Network{ModelName: n.ModelName, InputShape: n.InputShape.Clone(), Layers: layers}
+	return &Network{ModelName: n.ModelName, InputShape: n.InputShape.Clone(), Layers: layers, InputMax: n.InputMax}
 }
 
 func cloneLayer(l Layer) Layer {
@@ -217,5 +226,10 @@ func ReplaceMaxPool(n *Network) (*Network, error) {
 		}
 		shape = next
 	}
-	return NewNetwork(n.ModelName, n.InputShape, out...)
+	replaced, err := NewNetwork(n.ModelName, n.InputShape, out...)
+	if err != nil {
+		return nil, err
+	}
+	replaced.InputMax = n.InputMax
+	return replaced, nil
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -34,6 +35,13 @@ func TestNetworkValidate(t *testing.T) {
 	}
 	if _, err := NewNetwork("bad", tensor.Shape{0}, NewReLU("r")); err == nil {
 		t.Error("invalid input shape accepted")
+	}
+	for _, max := range []float64{-1, math.NaN(), math.Inf(1)} {
+		net := smallNet(t)
+		net.InputMax = max
+		if err := net.Validate(); err == nil {
+			t.Errorf("input domain ±%v accepted", max)
+		}
 	}
 }
 
@@ -349,10 +357,96 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.ModelName != "roundtrip" {
 		t.Errorf("model name lost: %q", loaded.ModelName)
 	}
+	if loaded.InputMax != 0 {
+		t.Errorf("an undeclared input domain loaded as ±%v", loaded.InputMax)
+	}
+	net.InputMax = 1
+	buf.Reset()
+	if err := Save(net, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if declared, err := Load(&buf); err != nil || declared.InputMax != 1 || declared.Clone().InputMax != 1 {
+		t.Errorf("declared input domain ±1 did not survive save, load and clone: %+v, %v", declared, err)
+	}
 	// Loaded network must remain trainable (grads allocated).
 	fc := loaded.Layers[5].(*FC)
 	if len(fc.Grads()) != 2 || fc.Grads()[0] == nil {
 		t.Error("loaded FC lost gradient buffers")
+	}
+}
+
+// TestLoadsFileWrittenBeforeInputMax: the model file is gob and the field
+// is additive. A file with the three fields the format had before the
+// input domain existed loads, computes the same outputs and declares no
+// domain — so it serves with the slot widths it always had.
+func TestLoadsFileWrittenBeforeInputMax(t *testing.T) {
+	net := smallNet(t)
+	old := struct {
+		Name   string
+		Input  []int
+		Layers []layerBlob
+	}{Name: net.ModelName, Input: net.InputShape}
+	for _, l := range net.Layers {
+		lb, err := encodeLayer(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Layers = append(old.Layers, lb)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("loading a pre-InputMax file: %v", err)
+	}
+	if loaded.InputMax != 0 {
+		t.Errorf("pre-InputMax file declares input domain ±%v", loaded.InputMax)
+	}
+	x := tensor.MustFromSlice([]float64{0.2, -1.5, 3, 0}, 4)
+	want, _ := net.Forward(x)
+	got, err := loaded.Forward(x)
+	if err != nil || !tensor.AllClose(want, got, 0) {
+		t.Errorf("pre-InputMax file computes %v (%v), want %v", got, err, want)
+	}
+}
+
+// TestElementWiseBound: the bound of a run of element-wise layers over
+// [−b, b] is taken at the ends, layer by layer; anything position-
+// dependent has none.
+func TestElementWiseBound(t *testing.T) {
+	relu, sig := NewReLU("r"), NewSigmoid("s")
+	for _, c := range []struct {
+		layers []Layer
+		in     float64
+		want   float64
+	}{
+		{nil, 7, 7},
+		{[]Layer{relu}, 7, 7},
+		{[]Layer{relu}, -7, 7},
+		{[]Layer{sig}, 2, sig.ApplyElement(2)},
+		{[]Layer{relu, sig}, 2, sig.ApplyElement(2)},
+		{[]Layer{sig, relu}, 0, 0.5},
+		{[]Layer{relu, NewSoftMax("sm")}, 2, math.Inf(1)},
+	} {
+		if got := ElementWiseBound(c.layers, c.in); got != c.want {
+			t.Errorf("ElementWiseBound(%d layers, %v) = %v, want %v", len(c.layers), c.in, got, c.want)
+		}
+	}
+	// Sound on a grid, not only at the ends.
+	for _, layers := range [][]Layer{{relu}, {sig}, {relu, sig}, {sig, relu}} {
+		const b = 3.0
+		bound := ElementWiseBound(layers, b)
+		for v := -b; v <= b; v += 1.0 / 64 {
+			y := v
+			for _, l := range layers {
+				y = l.(ElementWise).ApplyElement(y)
+			}
+			if math.Abs(y) > bound {
+				t.Fatalf("%d layers at %v give %v, above the bound %v", len(layers), v, y, bound)
+			}
+		}
 	}
 }
 

@@ -43,11 +43,14 @@ type networkBlob struct {
 	Name   string
 	Input  []int
 	Layers []layerBlob
+	// InputMax is Network.InputMax; a file written before the field
+	// existed decodes it as 0, undeclared.
+	InputMax float64
 }
 
 // Save writes the network to w in gob format.
 func Save(n *Network, w io.Writer) error {
-	blob := networkBlob{Name: n.ModelName, Input: n.InputShape}
+	blob := networkBlob{Name: n.ModelName, Input: n.InputShape, InputMax: n.InputMax}
 	for _, l := range n.Layers {
 		lb, err := encodeLayer(l)
 		if err != nil {
@@ -72,7 +75,11 @@ func Load(r io.Reader) (*Network, error) {
 		}
 		layers[i] = l
 	}
-	return NewNetwork(blob.Name, blob.Input, layers...)
+	n := &Network{ModelName: blob.Name, InputShape: tensor.Shape(blob.Input).Clone(), Layers: layers, InputMax: blob.InputMax}
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // SaveFile writes the network to the named file.

@@ -171,3 +171,63 @@ func FuzzKernelRows(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPackUnpack packs and unpacks a reply at any slot width from 2 to 81
+// bits — the range-tight widths the stage walk produces (17–28) and the
+// saturated int64 ones (73–80) — with each value at a slot extreme
+// ±(2^(W−1) − 1), zero, or arbitrary inside the slot, over full and
+// partial groups. Pack → decrypt → Unpack must be the identity.
+//
+// Layout: byte 0 picks W, byte 1 the count; each value is a selector byte
+// (0 +extreme, 1 −extreme, 2 zero, else sign in bit 0) followed, for an
+// arbitrary value, by ten magnitude bytes reduced into the slot. A short
+// input reads as zeros.
+func FuzzPackUnpack(f *testing.F) {
+	sk, err := GenerateKey(nil, 128)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// MNIST-2's chained widths: all extremes up, all down, alternating
+	// over two full groups and a partial one.
+	f.Add([]byte{17 - 2, 15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{23 - 2, 11, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{25 - 2, 10, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
+	f.Add([]byte{77 - 2, 2, 1, 0, 2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		slotBits := 2 + int(next())%80
+		extreme := new(big.Int).Lsh(one, uint(slotBits-1))
+		extreme.Sub(extreme, one)
+		vals := make([]*big.Int, 1+int(next())%(2*sk.Slots(slotBits)+1))
+		for i := range vals {
+			switch sel := next(); sel {
+			case 0:
+				vals[i] = extreme
+			case 1:
+				vals[i] = new(big.Int).Neg(extreme)
+			case 2:
+				vals[i] = new(big.Int)
+			default:
+				var raw [10]byte
+				for j := range raw {
+					raw[j] = next()
+				}
+				v := new(big.Int).SetBytes(raw[:])
+				v.Mod(v, new(big.Int).Add(extreme, one))
+				if sel&1 != 0 {
+					v.Neg(v)
+				}
+				vals[i] = v
+			}
+		}
+		packRoundTrip(t, sk, vals, slotBits)
+	})
+}

@@ -5,7 +5,7 @@ package paillier
 // ciphertext whose plaintext carries the S values in disjoint W-bit
 // slots, and blinds that ciphertext once. The data provider then pays one
 // decryption per S values and splits the plaintext (Unpack). W comes from
-// the stage's output bound (qnn.StageBound), so a slot cannot overflow
+// the stage's chained output bound (qnn.Walk), so a slot cannot overflow
 // into its neighbour: slot j holds v_j + 2^(W−1) ∈ (0, 2^W) for every
 // |v_j| < 2^(W−1). Only this direction can be packed — the kernel's dot
 // product needs its inputs one per ciphertext.

@@ -178,9 +178,11 @@ func TestCostNoCrossRequestBleed(t *testing.T) {
 }
 
 // TestHeartRoundCosts pins the per-round crypto counts of one Heart
-// inference at a 1024-bit key (14 slots of 73 bits): one re-randomization
-// and one decryption per reply ciphertext — 4 for the 26 outputs — and
-// the pack's squarings and offset/blind multiplies on top of the kernel's
+// inference at a 1024-bit key. The slot widths are the chained ones — the
+// model declares |x| ≤ 64, so the rounds need 23, 25 and 27 bits (44, 40
+// and 37 slots) where the int64 start gave 73 (14 slots) — so each round's
+// outputs fit one reply: one re-randomization and one decryption per reply
+// ciphertext — 3 for the 26 outputs, 4 before — and the pack's squarings and offset/blind multiplies on top of the kernel's
 // own modular multiplications, which are a function of the weights alone:
 // 551, 382 and 73 (power tables at windows 3, 3 and 1) with ONE modular
 // inversion per round, where the per-column kernel ran 34.
@@ -203,16 +205,17 @@ func TestHeartRoundCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const slotBits, slots = 73, 14
+	slotBits := []int{23, 25, 27}
 	outs := []int{16, 8, 2}
-	replies := []uint64{2, 1, 1}
+	replies := []uint64{1, 1, 1}
 	kernelMulMods := []uint64{551, 382, 73}
 	for r := range outs {
 		// The kernel alone, over the same input, for the baseline count.
 		var kernelOnly obs.CostMeter
 		st := proto.Model.stages[r]
-		if st.slotBits != slotBits || k.Slots(slotBits) != slots {
-			t.Fatalf("round %d: %d-bit slots, %d per ciphertext", r, st.slotBits, k.Slots(st.slotBits))
+		slots := k.Slots(slotBits[r])
+		if st.slotBits != slotBits[r] {
+			t.Fatalf("round %d: %d-bit slots, want %d", r, st.slotBits, slotBits[r])
 		}
 		var server, client obs.CostMeter
 		inCT := env.CT
@@ -233,7 +236,7 @@ func TestHeartRoundCosts(t *testing.T) {
 		sc := server.Snapshot()
 		packMulMods := uint64(0)
 		for left := outs[r]; left > 0; left -= slots {
-			packMulMods += uint64((min(left, slots)-1)*(slotBits+1) + 2)
+			packMulMods += uint64((min(left, slots)-1)*(slotBits[r]+1) + 2)
 		}
 		if sc.MulMods != kernelMulMods[r]+packMulMods || sc.ModInverses != 1 {
 			t.Errorf("round %d server: %d mulmods and %d inversions, want kernel %d + pack %d and one inversion", r, sc.MulMods, sc.ModInverses, kernelMulMods[r], packMulMods)

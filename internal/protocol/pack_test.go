@@ -125,7 +125,9 @@ func TestSlotErrorAtBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Eight weights of 10⁶ at F = 10¹²: a row's L1 norm is 8·10¹⁸ ≥ 2⁶²,
-	// so with 2⁶³ inputs the bound needs a 127-bit slot.
+	// so with 2⁶³ inputs — the network declares no input domain, and the
+	// chain then starts where it always did — the bound needs a 127-bit
+	// slot.
 	net.Layers[0].(*nn.FC).W.Fill(1e6)
 	_, err = Build(net, k, Config{Factor: 1e12})
 	var slotErr *SlotError
@@ -194,7 +196,11 @@ func TestClientRefusesNarrowSlots(t *testing.T) {
 
 // TestLayerInfosHeart pins what the planner sees of the benchmark's Heart
 // model at its key size and factor: backend.TestPlanPinnedModels plans
-// from a copy of these numbers.
+// from a copy of these numbers. The widths are the chained ones (re-pinned
+// from 73/73/73 and 2+1+1 replies): round 0 starts from the declared
+// |x| ≤ 64, not 2⁶³, and each later round from the previous bound through
+// ReLU. The same network with no declared domain — what a model file
+// written before the field existed loads as — keeps the old numbers.
 func TestLayerInfosHeart(t *testing.T) {
 	spec, err := models.ByName("Heart")
 	if err != nil {
@@ -204,19 +210,105 @@ func TestLayerInfosHeart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := BuildModelProvider(net, &keyOfBits(t, 1024).PublicKey, Config{Factor: 100})
-	if err != nil {
-		t.Fatal(err)
+	undeclared := net.Clone()
+	undeclared.InputMax = 0
+	for _, c := range []struct {
+		net  *nn.Network
+		want []backend.LayerInfo
+	}{
+		{net, []backend.LayerInfo{
+			{Muls: 204, Outs: 16, Replies: 1, SlotBits: 23, ReluFollows: true},
+			{Muls: 126, Outs: 8, Replies: 1, SlotBits: 25, ReluFollows: true},
+			{Muls: 16, Outs: 2, Replies: 1, SlotBits: 27},
+		}},
+		{undeclared, []backend.LayerInfo{
+			{Muls: 204, Outs: 16, Replies: 2, SlotBits: 73, ReluFollows: true},
+			{Muls: 126, Outs: 8, Replies: 1, SlotBits: 73, ReluFollows: true},
+			{Muls: 16, Outs: 2, Replies: 1, SlotBits: 73},
+		}},
+	} {
+		mp, err := BuildModelProvider(c.net, &keyOfBits(t, 1024).PublicKey, Config{Factor: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, got := range mp.LayerInfos() {
+			got.Name = ""
+			if got != c.want[r] {
+				t.Errorf("input domain ±%v round %d: %+v, want %+v", c.net.InputMax, r, got, c.want[r])
+			}
+		}
 	}
-	want := []backend.LayerInfo{
-		{Muls: 204, Outs: 16, Replies: 2, SlotBits: 73, ReluFollows: true},
-		{Muls: 126, Outs: 8, Replies: 1, SlotBits: 73, ReluFollows: true},
-		{Muls: 16, Outs: 2, Replies: 1, SlotBits: 73},
-	}
-	for r, got := range mp.LayerInfos() {
-		got.Name = ""
-		if got != want[r] {
-			t.Errorf("round %d: %+v, want %+v", r, got, want[r])
+}
+
+// TestBenchShapesReplyCounts pins, for the benchmark's four workloads
+// (model, key size, profile, clear boundary; factor 100), how many reply
+// ciphertexts one request costs: the planner's LayerInfos().Replies over
+// the plan's Paillier rounds, the packed length of each reply on the way,
+// and the data provider's metered decryptions are the same number — 88, 6,
+// 3 and 2, where the int64-wide slots needed 407, 19, 4 and 3.
+func TestBenchShapesReplyCounts(t *testing.T) {
+	for _, c := range []struct {
+		workload, model string
+		keyBits         int
+		profile         backend.Profile
+		boundary, want  int
+	}{
+		{"conv-engine", "MNIST-2", 256, backend.ProfilePrivacyMax, 0, 88},
+		{"mnist-fc-stream", "MNIST-1", 512, backend.ProfilePrivacyMax, 0, 6},
+		{"heart-seq", "Heart", 1024, backend.ProfilePrivacyMax, 0, 3},
+		{"heart-mixed", "Heart", 1024, backend.ProfileMixed, 2, 2},
+	} {
+		spec, err := models.ByName(c.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := keyOfBits(t, c.keyBits)
+		proto, err := Build(net, k, Config{Factor: 100, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := proto.ApplyProfile(c.profile, c.boundary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned := 0
+		infos := proto.Model.LayerInfos()
+		for r, kind := range plan.Assignment {
+			if kind == backend.PaillierHE {
+				planned += infos[r].Replies
+			}
+		}
+		x := tensor.Zeros(net.InputShape...)
+		for i := range x.Data() {
+			x.Data()[i] = float64(i%4) * 0.25
+		}
+		env, err := proto.Data.Encrypt(1, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := 0
+		var client obs.CostMeter
+		for r := 0; r < proto.Rounds(); r++ {
+			if env, err = proto.Model.ProcessLinear(r, env); err != nil {
+				t.Fatal(err)
+			}
+			if env.CT != nil {
+				if got, want := env.CT.Size(), k.PackedLen(infos[r].Outs, infos[r].SlotBits); got != want {
+					t.Errorf("%s round %d: reply of %d ciphertexts, PackedLen %d", c.workload, r, got, want)
+				}
+				sent += env.CT.Size()
+			}
+			if env, err = proto.Data.ProcessNonLinearMetered(r, env, &client); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proto.Model.Forget(1)
+		if decrypts := int(client.Snapshot().Decrypts); planned != c.want || sent != c.want || decrypts != c.want {
+			t.Errorf("%s (%v): %d replies planned, %d sent, %d decrypted, want %d of each", c.workload, plan.Assignment, planned, sent, decrypts, c.want)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/big"
 	"sync"
 	"time"
@@ -107,16 +108,24 @@ func (e *SlotError) Error() string {
 	return fmt.Sprintf("protocol: stage %s needs %d-bit reply slots, more than a %d-bit key holds", e.Stage, e.SlotBits, e.KeyBits)
 }
 
-// stageSlotBits derives a linear stage's reply slot width from its output
-// bound: one bit more than the bound's length, so that value + 2^(W−1)
-// lies in (0, 2^W) for every value the stage can produce. A key that
-// cannot hold one such slot is a *SlotError.
-func stageSlotBits(stage string, ops []qnn.Op, pk *paillier.PublicKey) (int, error) {
-	slotBits := 1 + qnn.StageBound(ops).BitLen()
-	if pk.Slots(slotBits) < 1 {
-		return 0, &SlotError{Stage: stage, SlotBits: slotBits, KeyBits: pk.Bits()}
+// InputRangeError reports an inference input the data provider refuses to
+// encrypt: element Index is NaN, infinite, or larger in magnitude than
+// Max. Max is the network's declared input domain (nn.Network.InputMax)
+// when Declared — the reply slot widths hold only inside it — and
+// otherwise the magnitude at which Value·F no longer fits the int64 the
+// protocol encrypts.
+type InputRangeError struct {
+	Index    int
+	Value    float64
+	Max      float64
+	Declared bool
+}
+
+func (e *InputRangeError) Error() string {
+	if e.Declared {
+		return fmt.Sprintf("protocol: input element %d = %v is outside the model's declared input domain ±%v", e.Index, e.Value, e.Max)
 	}
-	return slotBits, nil
+	return fmt.Sprintf("protocol: input element %d = %v does not fit int64 at the session's scaling factor (|x| must stay below %v)", e.Index, e.Value, e.Max)
 }
 
 // Config parameterizes protocol construction.
@@ -173,20 +182,43 @@ func validateWorkflow(net *nn.Network) ([]*nn.PrimitiveLayer, error) {
 	return merged, nil
 }
 
-// BuildModelProvider constructs the model-provider role alone: it needs
-// the network (its own weights) and only the data provider's PUBLIC key.
-// This is the entry point for a real split deployment (cmd/ppserver).
-func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*ModelProvider, error) {
+// walkStages is the shared front of both role builders: it checks the
+// configuration and the workflow shape, then runs the one stage walk
+// (qnn.Walk) that quantizes every linear stage at cfg.Factor and chains
+// the network's declared input domain into each stage's reply slot width.
+// A key that cannot hold one slot of some stage is a *SlotError. The
+// workflow alternates from a linear start to a non-linear finish, so round
+// r's linear stage is stages[r] = merged[2r] and its non-linear stage
+// merged[2r+1].
+func walkStages(net *nn.Network, pk *paillier.PublicKey, cfg *Config) (merged []*nn.PrimitiveLayer, stages []qnn.Stage, err error) {
 	if cfg.Factor <= 0 {
-		return nil, fmt.Errorf("protocol: scaling factor %d must be positive", cfg.Factor)
+		return nil, nil, fmt.Errorf("protocol: scaling factor %d must be positive", cfg.Factor)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	if err := pk.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	merged, err := validateWorkflow(net)
+	if merged, err = validateWorkflow(net); err != nil {
+		return nil, nil, err
+	}
+	if stages, err = qnn.Walk(merged, net.InputMax, cfg.Factor); err != nil {
+		return nil, nil, err
+	}
+	for r, st := range stages {
+		if w := st.SlotBits(); pk.Slots(w) < 1 {
+			return nil, nil, &SlotError{Stage: merged[2*r].Name(), SlotBits: w, KeyBits: pk.Bits()}
+		}
+	}
+	return merged, stages, nil
+}
+
+// BuildModelProvider constructs the model-provider role alone: it needs
+// the network (its own weights) and only the data provider's PUBLIC key.
+// This is the entry point for a real split deployment (cmd/ppserver).
+func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*ModelProvider, error) {
+	merged, stages, err := walkStages(net, pk, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -201,89 +233,59 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 		workers: cfg.Workers,
 		state:   map[uint64]*obfuscate.Rounds{},
 	}
-	for i, m := range merged {
-		if m.Kind != nn.Linear {
-			continue
-		}
-		ops, err := qnn.QuantizeStage(m, cfg.Factor)
-		if err != nil {
-			return nil, err
-		}
+	for r, st := range stages {
+		m, next := merged[2*r], merged[2*r+1]
 		// The ss-gc backend pays a garbled-circuit ReLU on the nonlinear
 		// side of intermediate rounds; the final nonlinear stage runs in
 		// the clear on the reconstructed result, so it never garbles.
 		reluFollows := false
-		if i+1 < len(merged)-1 && len(merged[i+1].Layers) > 0 {
-			_, reluFollows = merged[i+1].Layers[0].(*nn.ReLU)
-		}
-		slotBits, err := stageSlotBits(m.Name(), ops, pk)
-		if err != nil {
-			return nil, err
+		if r < len(stages)-1 && len(next.Layers) > 0 {
+			_, reluFollows = next.Layers[0].(*nn.ReLU)
 		}
 		mp.stages = append(mp.stages, &linearStage{
 			name:        m.Name(),
-			ops:         ops,
-			slotBits:    slotBits,
+			ops:         st.Ops,
+			slotBits:    st.SlotBits(),
 			inShape:     m.InShape.Clone(),
 			outShape:    m.OutShape.Clone(),
 			threads:     cfg.Workers,
 			reluFollows: reluFollows,
 		})
 	}
-	if len(mp.stages) == 0 {
-		return nil, fmt.Errorf("protocol: network has no linear stages")
-	}
 	return mp, nil
 }
 
 // BuildDataProvider constructs the data-provider role alone: it needs
-// the private key and the network ARCHITECTURE — layer kinds and shapes —
-// so it can be built from a skeleton without the vendor's parameters.
-// Whatever linear weights net does carry are used for one thing: the slot
-// width their output bound needs, below which a packed reply is refused
-// (a zeroed skeleton makes that check vacuous).
+// the private key and the network ARCHITECTURE — layer kinds, shapes and
+// the declared input domain — so it can be built from a skeleton without
+// the vendor's parameters. Whatever linear weights net does carry are used
+// for one thing: the slot width their chained output bound needs, below
+// which a packed reply is refused (a zeroed skeleton makes that check
+// vacuous).
 func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*DataProvider, error) {
-	if cfg.Factor <= 0 {
-		return nil, fmt.Errorf("protocol: scaling factor %d must be positive", cfg.Factor)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	merged, err := validateWorkflow(net)
+	merged, stages, err := walkStages(net, &sk.PublicKey, &cfg)
 	if err != nil {
 		return nil, err
 	}
 	dp := &DataProvider{
-		sk:      sk,
-		factor:  cfg.Factor,
-		workers: cfg.Workers,
-		blind:   sk.Blinder(nil),
+		sk:       sk,
+		factor:   cfg.Factor,
+		inputMax: net.InputMax,
+		workers:  cfg.Workers,
+		blind:    sk.Blinder(nil),
 	}
 	if cfg.Pool != nil {
 		dp.blind = cfg.Pool
 	}
-	slotBits := 0
-	for _, m := range merged {
-		if m.Kind != nn.NonLinear {
-			ops, err := qnn.QuantizeStage(m, cfg.Factor)
-			if err != nil {
-				return nil, err
-			}
-			if slotBits, err = stageSlotBits(m.Name(), ops, &sk.PublicKey); err != nil {
-				return nil, err
-			}
-			continue
-		}
+	for r, st := range stages {
+		m := merged[2*r+1]
 		dp.stages = append(dp.stages, &nonLinearStage{
 			layers:   m.Layers,
-			slotBits: slotBits,
+			slotBits: st.SlotBits(),
 			inShape:  m.InShape.Clone(),
 			outShape: m.OutShape.Clone(),
 			threads:  cfg.Workers,
 		})
-	}
-	if len(dp.stages) == 0 {
-		return nil, fmt.Errorf("protocol: network has no non-linear stages")
 	}
 	return dp, nil
 }
@@ -758,9 +760,11 @@ type nonLinearStage struct {
 // each round's payload per its backend (decrypt / reconstruct shares /
 // pass plaintext through) and re-encodes for the next round's backend.
 type DataProvider struct {
-	sk      *paillier.PrivateKey
-	factor  int64
-	workers int
+	sk     *paillier.PrivateKey
+	factor int64
+	// inputMax is the network's declared input domain (0 = undeclared).
+	inputMax float64
+	workers  int
 	// blind is the one source of encryption blinding: the key holder's
 	// inline CRT sampler, or the key holder's Pool when one is configured.
 	blind  paillier.Blinder
@@ -818,6 +822,26 @@ func (dp *DataProvider) SetStageThreads(r, threads int) error {
 // Stages returns the number of non-linear stages.
 func (dp *DataProvider) Stages() int { return len(dp.stages) }
 
+// CheckInput is the honest-client contract as a check: every element of x
+// must be a number inside the network's declared input domain — the
+// values the reply slots were sized for — and its scaled value x·F must
+// fit the int64 that is encrypted. The first offender is returned as an
+// *InputRangeError.
+func (dp *DataProvider) CheckInput(x *tensor.Dense) error {
+	F := float64(dp.factor)
+	for i, v := range x.Data() {
+		a := math.Abs(v)
+		// Written so that NaN fails both.
+		if dp.inputMax > 0 && !(a <= dp.inputMax) {
+			return &InputRangeError{Index: i, Value: v, Max: dp.inputMax, Declared: true}
+		}
+		if !(a*F < 0x1p63) {
+			return &InputRangeError{Index: i, Value: v, Max: 0x1p63 / F}
+		}
+	}
+	return nil
+}
+
 // Encrypt performs step 1.1: scale the raw input to exponent 1 and
 // encrypt it element-wise.
 func (dp *DataProvider) Encrypt(req uint64, x *tensor.Dense) (*Envelope, error) {
@@ -827,8 +851,12 @@ func (dp *DataProvider) Encrypt(req uint64, x *tensor.Dense) (*Envelope, error) 
 // EncryptMetered is Encrypt with crypto-op accounting into m (nil skips
 // accounting): encryption counts, blinding-pool hits/misses, and the two
 // half-size exponentiations of every blinding factor the key holder
-// computes inline.
+// computes inline. An input CheckInput refuses is refused before any
+// encryption.
 func (dp *DataProvider) EncryptMetered(req uint64, x *tensor.Dense, m *obs.CostMeter) (*Envelope, error) {
+	if err := dp.CheckInput(x); err != nil {
+		return nil, err
+	}
 	scaled := qnn.ScaleInput(x, dp.factor)
 	ct, err := dp.encryptTensor(scaled, m)
 	if err != nil {

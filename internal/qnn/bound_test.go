@@ -5,12 +5,128 @@ import (
 	"math/big"
 	"testing"
 
+	"ppstream/internal/models"
 	"ppstream/internal/nn"
 	"ppstream/internal/tensor"
 )
 
-// TestBoundSoundAtInt64Extremes feeds every kind of op the inputs that
-// maximize its outputs — each element at ±2⁶³⁻ with the sign of the
+// stage0Rows returns the coefficient rows of the stage's outputs over its
+// flat input — every row of a fully-connected stage, every filter of a
+// convolution at its centre position — for aiming inputs at them. All
+// nine Table III models open with one such op, after at most a Flatten.
+func stage0Rows(t *testing.T, ops []Op, inputs int) [][]int64 {
+	t.Helper()
+	for _, op := range ops {
+		switch q := op.(type) {
+		case *QFlatten:
+			continue
+		case *QFC:
+			return q.W
+		case *QConv:
+			centre := q.Rows[len(q.Rows)/2]
+			rows := make([][]int64, len(q.W))
+			for f, filter := range q.W {
+				rows[f] = make([]int64, inputs)
+				for k, at := range centre {
+					if at >= 0 {
+						rows[f][at] = filter[k]
+					}
+				}
+			}
+			return rows
+		}
+		break
+	}
+	t.Fatalf("stage 0 opens with %T, want a dot-product op", ops[0])
+	return nil
+}
+
+// TestWalkSoundOnTableIIIModels is the chained bound's soundness, by
+// machine, on all nine Table III models at the benchmark's factor: inputs
+// at ± the declared maximum, sign-matched to push each stage-0 output (see
+// stage0Rows) furthest up and furthest down, plus the all-max and all-min
+// vectors, go through the plaintext reference exactly as the two parties
+// compute it — ScaleInput, ApplyStagePlain, Descale, the element-wise
+// layers, ScaleInput again — and at every stage every input must stay
+// within Stage.In and every output within Stage.Out, float roundings
+// included. A stage whose input the chain had to saturate at 2⁶³ (VGG's
+// deepest) is bounded by construction and ends the walk.
+func TestWalkSoundOnTableIIIModels(t *testing.T) {
+	const F = 100
+	for _, spec := range models.All() {
+		net, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.InputMax != spec.InputMax() || net.InputMax <= 0 {
+			t.Fatalf("%s declares input domain %v, its dataset guarantees %v", spec.Name, net.InputMax, spec.InputMax())
+		}
+		merged, err := nn.Merge(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages, err := Walk(merged, net.InputMax, F)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := net.InputShape.Size()
+		aim := func(sign func(i int) bool) *tensor.Dense {
+			x := tensor.Zeros(net.InputShape...)
+			for i := range x.Data() {
+				x.Data()[i] = net.InputMax
+				if !sign(i) {
+					x.Data()[i] = -net.InputMax
+				}
+			}
+			return x
+		}
+		inputs := []*tensor.Dense{aim(func(int) bool { return true }), aim(func(int) bool { return false })}
+		for _, row := range stage0Rows(t, stages[0].Ops, n) {
+			inputs = append(inputs, aim(func(i int) bool { return row[i] >= 0 }), aim(func(i int) bool { return row[i] < 0 }))
+		}
+		for _, x := range inputs {
+			cur := ScaleInput(x, F)
+			for r, st := range stages {
+				if st.In.Cmp(int64Bound) == 0 {
+					break
+				}
+				for i, v := range cur.Data() {
+					if big.NewInt(v).CmpAbs(st.In) > 0 {
+						t.Fatalf("%s round %d input %d = %d exceeds the chained bound %s", spec.Name, r, i, v, st.In)
+					}
+				}
+				shaped, err := tensor.Map(cur, func(v int64) *big.Int { return big.NewInt(v) }).Reshape(merged[2*r].InShape...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, exp, err := ApplyStagePlain(st.Ops, shaped, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range out.Data() {
+					if v.CmpAbs(st.Out) > 0 {
+						t.Fatalf("%s round %d output %d = %s exceeds the chained bound %s", spec.Name, r, i, v, st.Out)
+					}
+				}
+				if r == len(stages)-1 {
+					break
+				}
+				vals, err := Descale(out, F, exp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, l := range merged[2*r+1].Layers {
+					vals = tensor.Map(vals, l.(nn.ElementWise).ApplyElement)
+				}
+				cur = ScaleInput(vals, F)
+			}
+		}
+	}
+}
+
+// TestBoundSoundAtInt64Extremes is the undeclared-domain case of the chain
+// (Walk starts a network that declares no input domain at 2⁶³): it feeds
+// every kind of op the inputs that maximize its outputs — each element at ±2⁶³⁻ with the sign of the
 // weight that multiplies it, per output element, plus the all-min, all-max
 // and alternating vectors — through ApplyPlain, and requires that no
 // output exceeds the op's reported bound, alone and chained through a
@@ -104,7 +220,7 @@ func TestBoundSoundAtInt64Extremes(t *testing.T) {
 	}
 
 	shape := tensor.Shape{2, 4, 4}
-	in := inputBound
+	in := int64Bound
 	for _, op := range ops {
 		bound := op.Bound(in, 1)
 		worst := new(big.Int)
@@ -134,7 +250,7 @@ func TestBoundSoundAtInt64Extremes(t *testing.T) {
 
 	// Chained: the stage bound covers the stage's outputs for extreme
 	// stage inputs, with exponents threaded as ApplyStagePlain does.
-	stageBound := StageBound(ops)
+	stageBound := StageBound(ops, int64Bound)
 	for _, x := range extremes(ops[0], tensor.Shape{2, 4, 4}) {
 		got, _, err := ApplyStagePlain(ops, x, 1)
 		if err != nil {

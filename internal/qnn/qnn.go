@@ -10,7 +10,8 @@
 // F^exp after decryption to recover real values, applies the non-linear
 // functions in plaintext, and re-scales to F¹ for the next round. Paillier
 // plaintexts are big integers, so growing magnitudes stay exact as long
-// as they remain below n/2 — Guard checks that bound.
+// as they remain below n/2 — Walk bounds every stage's outputs and the
+// protocol refuses a key too small for them at Build.
 package qnn
 
 import (
@@ -45,7 +46,7 @@ type Op interface {
 	// Bound returns the largest magnitude any output element can take
 	// when every input element's magnitude is at most in, at input scale
 	// F^inExp. It is sound for every input, not only typical ones: the
-	// reply's slot width is derived from it (StageBound).
+	// reply's slot width is derived from it (Walk).
 	Bound(in *big.Int, inExp int) *big.Int
 }
 
@@ -126,20 +127,83 @@ func ApplyStagePlain(ops []Op, x *tensor.Tensor[*big.Int], inExp int) (*tensor.T
 	return cur, exp, nil
 }
 
-// inputBound is the largest magnitude of a stage input: the data provider
-// encrypts int64 values (ScaleInput), so |x| ≤ 2^63.
-var inputBound = new(big.Int).Lsh(big.NewInt(1), 63)
+// int64Bound is the largest magnitude an encrypted activation can have:
+// the data provider encrypts int64 values (ScaleInput), so |x| ≤ 2^63.
+// The chain of input bounds saturates here.
+var int64Bound = new(big.Int).Lsh(big.NewInt(1), 63)
 
 // StageBound returns the largest magnitude any output element of the
-// stage can take over int64-range inputs at scale F¹ — what every round's
-// input is. The model provider sizes its reply slots from it.
-func StageBound(ops []Op) *big.Int {
-	bound, exp := inputBound, 1
+// stage can take when every input element's magnitude is at most in, at
+// scale F¹ — what every round's input is.
+func StageBound(ops []Op, in *big.Int) *big.Int {
+	bound, exp := in, 1
 	for _, op := range ops {
 		bound = op.Bound(bound, exp)
 		exp += op.ScaleSteps()
 	}
 	return bound
+}
+
+// Stage is one linear stage as Walk leaves it: its quantized ops and the
+// magnitude bounds that hold for every input the network's declared
+// domain admits.
+type Stage struct {
+	Ops []Op
+	// In bounds the stage's input elements and Out its output elements,
+	// as integers at scale F¹ and F^(1+StageScaleSteps(Ops)).
+	In, Out *big.Int
+}
+
+// SlotBits is the reply slot width W the stage's outputs need: one bit
+// more than the bound's length, so that value + 2^(W−1) lies in (0, 2^W)
+// for every value the stage can produce.
+func (s Stage) SlotBits() int { return 1 + s.Out.BitLen() }
+
+// Walk quantizes every linear stage of the merged network at F and chains
+// the magnitude bound through it: round 0 starts from the declared input
+// domain |x| ≤ inputMax in real units (0 = undeclared: anything ScaleInput
+// can represent, 2^63), each linear stage maps its input bound to
+// StageBound, and the next round starts from that bound descaled, pushed
+// through the element-wise layers between the two stages and rescaled the
+// way the data provider does it (scaledBound). It is the one derivation of
+// the slot widths both protocol roles and the planners use.
+func Walk(merged []*nn.PrimitiveLayer, inputMax float64, F int64) ([]Stage, error) {
+	in := int64Bound
+	if inputMax > 0 {
+		in = scaledBound(inputMax, F)
+	}
+	var stages []Stage
+	for _, m := range merged {
+		if m.Kind != nn.Linear {
+			if n := len(stages); n > 0 {
+				last := &stages[n-1]
+				div := new(big.Float).SetInt(powF(F, 1+StageScaleSteps(last.Ops)))
+				real := descale(last.Out, div)
+				in = scaledBound(nn.ElementWiseBound(m.Layers, real), F)
+			}
+			continue
+		}
+		ops, err := QuantizeStage(m, F)
+		if err != nil {
+			return nil, err
+		}
+		stages = append(stages, Stage{Ops: ops, In: in, Out: StageBound(ops, in)})
+	}
+	return stages, nil
+}
+
+// scaledBound bounds |ScaleInput(x)| over |x| ≤ real: s = ⌈real·F⌉, plus
+// what the data provider's float arithmetic can add on the way from the
+// exact bound to the integer it encrypts — math.Round's half and Sigmoid's
+// last-place wobble (the +1), and the roundings of Descale and of the
+// product, under 2⁻⁴⁹ relative together (the s≫49, zero below 2⁴⁹) —
+// saturating at what an int64 holds.
+func scaledBound(real float64, F int64) *big.Int {
+	s := math.Ceil(real * float64(F))
+	if !(s < 0x1p62) {
+		return int64Bound
+	}
+	return big.NewInt(int64(s) + 1 + int64(s)>>49)
 }
 
 // rowBound bounds |Σ_i w_i·x_i + bias·F^(inExp+1)| over |x_i| ≤ in: the
@@ -185,23 +249,15 @@ func Descale(x *tensor.Tensor[*big.Int], F int64, exp int) (*tensor.Dense, error
 		if v == nil {
 			return nil, fmt.Errorf("qnn: nil value at offset %d", i)
 		}
-		q := new(big.Float).Quo(new(big.Float).SetInt(v), div)
-		f, _ := q.Float64()
-		od[i] = f
+		od[i] = descale(v, div)
 	}
 	return out, nil
 }
 
-// Guard reports an error if a value at the given magnitude bound and
-// exponent could overflow the Paillier message space n/2.
-func Guard(pk *paillier.PublicKey, maxAbs float64, F int64, exp int) error {
-	bound := new(big.Float).SetFloat64(maxAbs)
-	bound.Mul(bound, new(big.Float).SetInt(powF(F, exp)))
-	limit := new(big.Float).SetInt(new(big.Int).Rsh(pk.N, 1))
-	if bound.Cmp(limit) >= 0 {
-		return fmt.Errorf("qnn: magnitude %.3g at scale F^%d exceeds the message space of a %d-bit key", maxAbs, exp, pk.Bits())
-	}
-	return nil
+// descale returns v/div as the nearest float64.
+func descale(v *big.Int, div *big.Float) float64 {
+	f, _ := new(big.Float).Quo(new(big.Float).SetInt(v), div).Float64()
+	return f
 }
 
 func powF(F int64, exp int) *big.Int {

@@ -290,16 +290,6 @@ func TestScaleInputDescaleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGuard(t *testing.T) {
-	k := key(t)
-	if err := Guard(&k.PublicKey, 100, 1_000_000, 3); err != nil {
-		t.Errorf("reasonable magnitude rejected: %v", err)
-	}
-	if err := Guard(&k.PublicKey, 1e45, 1_000_000, 6); err == nil {
-		t.Error("overflow-scale magnitude accepted")
-	}
-}
-
 func TestGatherRowsMatchesIm2Col(t *testing.T) {
 	p := tensor.ConvParams{InC: 2, InH: 5, InW: 5, OutC: 1, KH: 3, KW: 3, Stride: 2, Pad: 1}
 	x := tensor.Zeros(p.InC, p.InH, p.InW)
