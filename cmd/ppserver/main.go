@@ -73,7 +73,7 @@ func main() {
 	window := flag.Int("window", protocol.DefaultSessionWindow, "concurrent in-flight round frames per session")
 	idleTTL := flag.Duration("idlettl", protocol.DefaultIdleTTL, "evict per-request state after this much inactivity")
 	maxInFlight := flag.Int64("maxinflight", 0, "shed new requests beyond this many in flight across all sessions (0 disables)")
-	shedLatency := flag.Duration("shed", 0, "shed new requests while the recent p95 round latency exceeds this (0 disables)")
+	shedLatency := flag.Duration("shed", 0, "shed new requests while the recent p95 request latency exceeds this (0 disables)")
 	rateLimit := flag.Int("ratelimit", 0, "throttle new requests beyond this many per -ratewindow (0 disables)")
 	rateWindow := flag.Duration("ratewindow", time.Second, "sliding window for -ratelimit")
 	metricsAddr := flag.String("metrics", "", "serve metrics (JSON + Prometheus) + health + pprof on this address (e.g. :7200; empty disables)")

@@ -82,7 +82,7 @@ func main() {
 				log.Fatalf("model provider: malformed frame: %v", err)
 			}
 			round := int(msg.Seq) // client tags the round in Seq
-			out, err := proto.Model.ProcessLinear(round, env)
+			out, _, err := proto.Model.ProcessLinearMetered(round, env, nil)
 			if err != nil {
 				log.Fatalf("model provider: round %d: %v", round, err)
 			}
@@ -109,7 +109,7 @@ func main() {
 	plain, _ := net.Forward(x)
 
 	start := time.Now()
-	env, err := proto.Data.Encrypt(1, x)
+	env, err := proto.Data.EncryptMetered(1, x, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Decrypt, run the non-linear stage, re-encrypt (or finish).
-		env, err = proto.Data.ProcessNonLinear(r, env)
+		env, err = proto.Data.ProcessNonLinearMetered(r, env, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

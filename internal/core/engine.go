@@ -126,10 +126,15 @@ type Engine struct {
 	keyBits     int
 	reg         *obs.Registry
 
+	// shed (nil unless Options.MaxInFlight or ShedLatency is set) and life
+	// front every Submit; they are engine-scoped, so the shedder's latency
+	// window survives Serve/Shutdown cycles.
+	shed *protocol.Shedder
+	life *protocol.Lifecycle
+
 	// serveMu guards the persistent serving runtime (see serve.go).
 	serveMu sync.Mutex
 	disp    *stream.Dispatcher
-	shed    *protocol.Shedder
 }
 
 // NewEngine builds the engine: protocol construction, offline profiling,
@@ -225,6 +230,14 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	if err != nil {
 		return nil, fmt.Errorf("core: backend planning: %w", err)
 	}
+	if opts.MaxInFlight > 0 || opts.ShedLatency > 0 {
+		e.shed = protocol.NewShedder(protocol.ShedConfig{
+			MaxInFlight:   int64(opts.MaxInFlight),
+			LatencyTarget: opts.ShedLatency,
+			Registry:      e.reg,
+		})
+	}
+	e.life = protocol.NewLifecycle(proto.Model, protocol.SessionConfig{Shed: e.shed, Registry: e.reg})
 	return e, nil
 }
 
@@ -259,7 +272,7 @@ func (e *Engine) profile(sample *tensor.Dense, reps int) ([]float64, error) {
 	e.EncryptTime = 0
 	for rep := 0; rep < reps; rep++ {
 		encStart := time.Now()
-		env, err := e.Protocol.Data.Encrypt(uint64(1_000_000+rep), sample)
+		env, err := e.Protocol.Data.EncryptMetered(uint64(1_000_000+rep), sample, nil)
 		e.EncryptTime += time.Since(encStart).Seconds()
 		if err != nil {
 			return nil, err
@@ -268,14 +281,14 @@ func (e *Engine) profile(sample *tensor.Dense, reps int) ([]float64, error) {
 		mi := 0
 		for r := 0; r < rounds; r++ {
 			start := time.Now()
-			env, err = e.Protocol.Model.ProcessLinear(r, env)
+			env, _, err = e.Protocol.Model.ProcessLinearMetered(r, env, nil)
 			if err != nil {
 				return nil, err
 			}
 			times[mi] += time.Since(start).Seconds()
 			mi++
 			start = time.Now()
-			env, err = e.Protocol.Data.ProcessNonLinear(r, env)
+			env, err = e.Protocol.Data.ProcessNonLinearMetered(r, env, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -429,7 +442,7 @@ func (e *Engine) Pipeline() (*stream.Pipeline, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: encrypt stage expects *tensor.Dense, got %T", m.Payload)
 			}
-			env, err := e.Protocol.Data.Encrypt(m.Seq, x)
+			env, err := e.Protocol.Data.EncryptMetered(m.Seq, x, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -446,14 +459,13 @@ func (e *Engine) Pipeline() (*stream.Pipeline, error) {
 				if !ok {
 					return nil, fmt.Errorf("core: linear stage expects envelope, got %T", m.Payload)
 				}
-				out, err := e.Protocol.Model.ProcessLinear(r, env)
+				out, _, err := e.Protocol.Model.ProcessLinearMetered(r, env, nil)
 				if err != nil {
 					return nil, err
 				}
 				return &stream.Message{Payload: out}, nil
 			},
 		})
-		last := r == rounds-1
 		handlers = append(handlers, stream.HandlerFunc{
 			StageName: fmt.Sprintf("nonlinear-%d", r),
 			Fn: func(_ context.Context, m *stream.Message) (*stream.Message, error) {
@@ -461,12 +473,9 @@ func (e *Engine) Pipeline() (*stream.Pipeline, error) {
 				if !ok {
 					return nil, fmt.Errorf("core: non-linear stage expects envelope, got %T", m.Payload)
 				}
-				out, err := e.Protocol.Data.ProcessNonLinear(r, env)
+				out, err := e.Protocol.Data.ProcessNonLinearMetered(r, env, nil)
 				if err != nil {
 					return nil, err
-				}
-				if last {
-					e.Protocol.Model.Forget(env.Req)
 				}
 				return &stream.Message{Payload: out}, nil
 			},

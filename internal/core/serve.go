@@ -64,16 +64,6 @@ func (e *Engine) Serve(ctx context.Context) error {
 		return err
 	}
 	e.disp = d
-	if e.shed == nil && (e.opts.MaxInFlight > 0 || e.opts.ShedLatency > 0) {
-		// Built once and kept across Serve/Shutdown cycles: the latency
-		// window it accumulates stays meaningful, and GaugeFunc must not
-		// be registered twice.
-		e.shed = protocol.NewShedder(protocol.ShedConfig{
-			MaxInFlight:   int64(e.opts.MaxInFlight),
-			LatencyTarget: e.opts.ShedLatency,
-			Registry:      e.reg,
-		})
-	}
 	e.reg.GaugeFunc("serve.inflight", d.InFlight)
 	return nil
 }
@@ -101,59 +91,60 @@ func (e *Engine) Shutdown() error {
 
 // Submit runs one inference through the serving runtime, blocking until
 // its result is ready, ctx expires, or the runtime shuts down. Safe for
-// concurrent use; each caller gets exactly its own result. A request
-// that fails inside the pipeline returns a *RequestError naming the
-// failing stage, while other in-flight requests proceed undisturbed. An
-// input outside the model's input domain is refused up front with the
-// data provider's *protocol.InputRangeError: it takes no shed slot or
-// window permit and never reaches a stage.
+// concurrent use; each caller gets exactly its own result. Every call
+// that finds the runtime up is one request of the engine's
+// protocol.Lifecycle: admitted (or shed), run, and finished with exactly
+// one outcome. A request that fails inside the pipeline returns a
+// *RequestError naming the failing stage, while other in-flight requests
+// proceed undisturbed. An input outside the model's input domain is
+// refused with the data provider's *protocol.InputRangeError before it
+// takes a window permit or reaches a stage.
+//
+// A request the pipeline accepted finishes when it leaves the pipeline,
+// on the dispatcher's reader and with its real outcome, whether or not
+// its submitter is still waiting: a ctx expiry returns at once, while the
+// request keeps its admission slot and permutation state until then. A
+// request that ends before the pipeline accepts it finishes here.
 func (e *Engine) Submit(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *stream.Trace, error) {
 	e.serveMu.Lock()
-	d, shed := e.disp, e.shed
+	d := e.disp
 	e.serveMu.Unlock()
 	if d == nil {
 		return nil, nil, ErrNotServing
 	}
-	// Cumulative counters answer "since boot"; the live siblings answer
-	// "right now" for /debug/live and ppbench top's rate columns.
-	countErr := func() {
-		e.reg.Counter("serve.requests.err").Inc()
-		e.reg.LiveCounter("serve.requests.err").Inc()
-	}
-	if err := e.Protocol.Data.CheckInput(x); err != nil {
-		countErr()
-		return nil, nil, err
-	}
-	if err := shed.Acquire(); err != nil {
-		e.reg.Counter("serve.requests.shed").Inc()
-		e.reg.LiveCounter("serve.requests.shed").Inc()
-		return nil, nil, err
-	}
-	defer shed.Release()
-	start := time.Now()
-	m, err := d.Do(ctx, x)
+	req, err := e.life.AdmitUndispatched(time.Now())
 	if err != nil {
-		countErr()
 		return nil, nil, err
 	}
-	elapsed := time.Since(start)
-	shed.Observe(elapsed)
-	e.reg.Histogram("serve.latency").Observe(elapsed)
-	e.reg.LiveHistogram("serve.latency").Observe(elapsed)
+	var f *stream.Future
+	if err = e.Protocol.Data.CheckInput(x); err == nil {
+		f, err = d.Submit(ctx, x, func(m *stream.Message) {
+			// The pipeline's sequence number is the request ID its stages
+			// key the permutation state by.
+			req.Dispatched(m.Seq)
+			_, _, err := result(m)
+			e.life.Finish(req, err)
+		})
+	}
+	if err != nil {
+		e.life.Finish(req, err)
+		return nil, nil, err
+	}
+	m, err := f.Wait(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return result(m)
+}
+
+// result reads a message that left the pipeline as its request's outcome.
+func result(m *stream.Message) (*tensor.Dense, *stream.Trace, error) {
 	if m.Err != "" {
-		countErr()
-		// The failed message skipped the remaining stages, including the
-		// final one that drops the request's obfuscation state — release
-		// it here so failed requests do not leak permutations.
-		e.Protocol.Model.Forget(m.Seq)
 		return nil, m.Trace, &RequestError{Seq: m.Seq, Stage: m.FailedStage, Msg: m.Err}
 	}
 	env, ok := m.Payload.(*protocol.Envelope)
 	if !ok || env.Result == nil {
-		countErr()
 		return nil, m.Trace, &RequestError{Seq: m.Seq, Msg: fmt.Sprintf("no result in payload %T", m.Payload)}
 	}
-	e.reg.Counter("serve.requests.ok").Inc()
-	e.reg.LiveCounter("serve.requests.ok").Inc()
 	return env.Result, m.Trace, nil
 }

@@ -286,3 +286,108 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 		t.Errorf("the in-domain request ran the encrypt stage %d times", ran()-before)
 	}
 }
+
+// TestEngineSubmitEarlyEndsSpareRequestZero: a Submit that ends before the
+// pipeline accepts it — shed, or refused for its input — has no request ID
+// yet, so finishing it must not drop the permutation state of the request
+// that holds ID 0, the first one after every Serve.
+func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
+	net := smallNet(t)
+	net.InputMax = 3
+	eng, err := NewEngine(net, key(t), Options{Factor: 1000, ProfileReps: 1, Window: 4, MaxInFlight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	good := tensor.MustFromSlice([]float64{3, -3, 0.5, 0}, 4)
+	bad := tensor.MustFromSlice([]float64{0, 0, 3.5, 0}, 4)
+	for trial := 0; trial < 10; trial++ {
+		if err := eng.Serve(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// Four submitters of a refused input against two admission slots:
+		// each attempt ends early, as err when it gets a slot and as shed
+		// when it does not, and none is ever dispatched — ID 0 is the good
+		// request's.
+		stop := make(chan struct{})
+		var early sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			early.Add(1)
+			go func() {
+				defer early.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					var rangeErr *protocol.InputRangeError
+					if _, _, err := eng.Submit(ctx, bad); !errors.As(err, &rangeErr) && !errors.Is(err, protocol.ErrShed) {
+						t.Errorf("refused input: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		_, _, err := eng.Submit(ctx, good)
+		for errors.Is(err, protocol.ErrShed) {
+			_, _, err = eng.Submit(ctx, good)
+		}
+		close(stop)
+		early.Wait()
+		if err != nil {
+			t.Fatalf("trial %d: request 0 among early-ending submits: %v", trial, err)
+		}
+		if err := eng.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEngineSubmitAbandoned: a submitter whose ctx is cancelled while its
+// request is inside the pipeline gets the ctx error at once, but the
+// request still reaches exactly one outcome — its real one, when it leaves
+// the pipeline — and only then gives back the one admission slot.
+func TestEngineSubmitAbandoned(t *testing.T) {
+	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, ProfileReps: 1, Window: 8, MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := eng.Serve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	subCtx, abandon := context.WithCancel(ctx)
+	go func() {
+		for eng.Stats().Gauges["serve.inflight"] == 0 && subCtx.Err() == nil {
+			runtime.Gosched()
+		}
+		abandon()
+	}()
+	x := randInputs(1)[0]
+	_, _, subErr := eng.Submit(subCtx, x)
+	abandon()
+	if subErr != nil && !errors.Is(subErr, context.Canceled) {
+		t.Fatalf("abandoned submit: %v", subErr)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		snap := eng.Stats()
+		if snap.Counters["serve.requests.ok"] == 1 && snap.Gauges["requests.active"] == 0 && eng.shed.InFlight() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned request never finished ok: %d ok, %d err, %d active, %d slots held",
+				snap.Counters["serve.requests.ok"], snap.Counters["serve.requests.err"],
+				snap.Gauges["requests.active"], eng.shed.InFlight())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, err := eng.Submit(ctx, x); err != nil {
+		t.Fatalf("submit after the abandoned request finished: %v", err)
+	}
+}

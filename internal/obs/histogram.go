@@ -59,6 +59,9 @@ func (h *Histogram) Observe(d time.Duration) { h.ObserveNanos(d.Nanoseconds()) }
 
 // ObserveNanos records one duration given in nanoseconds.
 func (h *Histogram) ObserveNanos(v int64) {
+	if h == nil {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
@@ -99,6 +102,9 @@ type HistogramSnapshot struct {
 // Snapshot summarizes the histogram. An empty histogram yields the zero
 // snapshot.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
 	n := h.count.Load()
 	if n == 0 {
 		return HistogramSnapshot{}
@@ -129,6 +135,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // q outside (0, 1] is clamped into the range, so callers can never read
 // a bucket upper bound that no sample actually reached.
 func (h *Histogram) Quantile(q float64) time.Duration {
+	if h == nil {
+		return 0
+	}
 	counts := make([]uint64, len(h.buckets))
 	var total uint64
 	for i := range h.buckets {

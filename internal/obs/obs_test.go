@@ -222,3 +222,42 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Errorf("total counter %d, want %d", total, 8*2000)
 	}
 }
+
+// TestNilRegistryMetricsAreNoOps: a nil Registry hands out nil metrics, and
+// every method of every one of them — writers and readers — is a no-op
+// returning zero, so unobserved code paths need no guards.
+func TestNilRegistryMetricsAreNoOps(t *testing.T) {
+	var r *Registry
+	r.GaugeFunc("f", func() int64 { return 1 })
+
+	c := r.Counter("c")
+	c.Inc()
+	c.Add(2)
+	g := r.Gauge("g")
+	g.Set(3)
+	g.Add(1)
+	h := r.Histogram("h")
+	h.Observe(time.Millisecond)
+	h.ObserveNanos(5)
+	if c.Value() != 0 || g.Value() != 0 || h.Quantile(0.5) != 0 || h.Snapshot() != (HistogramSnapshot{}) {
+		t.Error("nil cumulative metrics must read as zero")
+	}
+
+	lc := r.LiveCounter("lc")
+	lc.SetClock(time.Now)
+	lc.Inc()
+	lc.Add(2)
+	if lc.Window() != 0 || lc.Value() != 0 || lc.ValueOver(time.Second) != 0 ||
+		lc.Rate(time.Second) != 0 || lc.Snapshot() != (WindowedCounterSnapshot{}) {
+		t.Error("nil windowed counter must read as zero")
+	}
+
+	lh := r.LiveHistogram("lh")
+	lh.SetClock(time.Now)
+	lh.Observe(time.Millisecond)
+	lh.ObserveNanos(5)
+	if lh.Window() != 0 || lh.CountOver(time.Second) != 0 || lh.QuantileOver(time.Second, 0.5) != 0 ||
+		lh.Snapshot() != (WindowedHistogramSnapshot{}) || lh.SnapshotOver(time.Second) != (WindowedHistogramSnapshot{}) {
+		t.Error("nil windowed histogram must read as zero")
+	}
+}

@@ -6,29 +6,53 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter. Like the logger
+// and the recorders, a nil metric is a no-op and a nil Registry hands out
+// nil metrics, so unobserved paths need no guards.
 type Counter struct{ v atomic.Uint64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is an atomic instantaneous value (queue depth, active sessions).
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) {
+	if g != nil {
+		g.v.Store(n)
+	}
+}
 
 // Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+func (g *Gauge) Add(delta int64) {
+	if g != nil {
+		g.v.Add(delta)
+	}
+}
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
 
 // Registry is a named collection of metrics. Lookup methods get-or-create
 // under a short lock; the returned primitives are then updated lock-free,
@@ -68,6 +92,9 @@ func (r *Registry) Name() string { return r.name }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	c := r.counters[name]
 	r.mu.RUnlock()
@@ -85,6 +112,9 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	g := r.gauges[name]
 	r.mu.RUnlock()
@@ -104,6 +134,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // values that already live elsewhere, like channel-edge queue depths.
 // Re-registering a name replaces the callback.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	r.gaugeFuncs[name] = fn
 	r.mu.Unlock()
@@ -112,6 +145,9 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 // Histogram returns the named latency histogram, creating it (with the
 // default exponential bounds) on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	h := r.hists[name]
 	r.mu.RUnlock()
@@ -132,6 +168,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 // first use. Live metrics reuse the names of their cumulative siblings —
 // they live in a separate namespace in snapshots and expositions.
 func (r *Registry) LiveCounter(name string) *WindowedCounter {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	c := r.liveCounters[name]
 	r.mu.RUnlock()
@@ -150,6 +189,9 @@ func (r *Registry) LiveCounter(name string) *WindowedCounter {
 // LiveHistogram returns the named windowed latency histogram (default
 // live-window geometry), creating it on first use.
 func (r *Registry) LiveHistogram(name string) *WindowedHistogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	h := r.liveHists[name]
 	r.mu.RUnlock()

@@ -74,10 +74,17 @@ func NewWindowedCounter(width time.Duration, buckets int) *WindowedCounter {
 
 // SetClock replaces the counter's time source — a test hook so window
 // expiry is exercised without sleeping. Not for production use.
-func (w *WindowedCounter) SetClock(now func() time.Time) { w.now = now }
+func (w *WindowedCounter) SetClock(now func() time.Time) {
+	if w != nil {
+		w.now = now
+	}
+}
 
 // Window returns the counter's total span.
 func (w *WindowedCounter) Window() time.Duration {
+	if w == nil {
+		return 0
+	}
 	return time.Duration(w.width * int64(len(w.buckets)))
 }
 
@@ -104,6 +111,9 @@ func (w *WindowedCounter) bucketFor(nanos int64) *windowBucket {
 
 // Add counts n events at the current instant.
 func (w *WindowedCounter) Add(n uint64) {
+	if w == nil {
+		return
+	}
 	w.bucketFor(w.now().UnixNano()).n.Add(n)
 }
 
@@ -117,6 +127,9 @@ func (w *WindowedCounter) Value() uint64 { return w.ValueOver(w.Window()) }
 // (clamped to the window). A bucket contributes when any part of it
 // overlaps (now-d, now].
 func (w *WindowedCounter) ValueOver(d time.Duration) uint64 {
+	if w == nil {
+		return 0
+	}
 	if d <= 0 || d > w.Window() {
 		d = w.Window()
 	}
@@ -136,6 +149,9 @@ func (w *WindowedCounter) ValueOver(d time.Duration) uint64 {
 
 // Rate returns events per second over the trailing duration d.
 func (w *WindowedCounter) Rate(d time.Duration) float64 {
+	if w == nil {
+		return 0
+	}
 	if d <= 0 || d > w.Window() {
 		d = w.Window()
 	}
@@ -152,6 +168,9 @@ type WindowedCounterSnapshot struct {
 
 // Snapshot summarizes the full window.
 func (w *WindowedCounter) Snapshot() WindowedCounterSnapshot {
+	if w == nil {
+		return WindowedCounterSnapshot{}
+	}
 	win := w.Window()
 	n := w.ValueOver(win)
 	return WindowedCounterSnapshot{Window: win, Count: n, Rate: float64(n) / win.Seconds()}
@@ -202,10 +221,17 @@ func NewWindowedHistogram(width time.Duration, buckets int) *WindowedHistogram {
 
 // SetClock replaces the histogram's time source — a test hook so window
 // expiry is exercised without sleeping. Not for production use.
-func (h *WindowedHistogram) SetClock(now func() time.Time) { h.now = now }
+func (h *WindowedHistogram) SetClock(now func() time.Time) {
+	if h != nil {
+		h.now = now
+	}
+}
 
 // Window returns the histogram's total span.
 func (h *WindowedHistogram) Window() time.Duration {
+	if h == nil {
+		return 0
+	}
 	return time.Duration(h.width * int64(len(h.buckets)))
 }
 
@@ -233,6 +259,9 @@ func (h *WindowedHistogram) Observe(d time.Duration) { h.ObserveNanos(d.Nanoseco
 
 // ObserveNanos records one duration given in nanoseconds.
 func (h *WindowedHistogram) ObserveNanos(v int64) {
+	if h == nil {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
@@ -248,6 +277,9 @@ func (h *WindowedHistogram) ObserveNanos(v int64) {
 
 // merge collects the trailing-d value-bucket counts, total, and sum.
 func (h *WindowedHistogram) merge(d time.Duration) (counts []uint64, total uint64, sum int64) {
+	if h == nil {
+		return nil, 0, 0
+	}
 	if d <= 0 || d > h.Window() {
 		d = h.Window()
 	}

@@ -201,7 +201,7 @@ func TestHeartRoundCosts(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = float64(i%5)*0.3 - 0.4
 	}
-	env, err := proto.Data.Encrypt(1, x)
+	env, err := proto.Data.EncryptMetered(1, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,9 @@ const (
 	// state the janitor already evicted (idle TTL or deadline). The
 	// obfuscation chain is broken; the inference cannot continue.
 	CodeEvicted = 4
+	// CodeBadRound: a round frame named a round the model does not have.
+	// Rejected before admission; nothing was created for it.
+	CodeBadRound = 5
 )
 
 // Sentinel errors surfaced by the client for typed error frames and by
@@ -40,6 +43,8 @@ var (
 	ErrDeadline = errors.New("protocol: request deadline exceeded")
 	// ErrEvicted is the stale-request rejection (CodeEvicted).
 	ErrEvicted = errors.New("protocol: request state evicted")
+	// ErrBadRound is the out-of-range round rejection (CodeBadRound).
+	ErrBadRound = errors.New("protocol: round out of range")
 	// ErrSessionDown marks transport-level session failure (connection
 	// reset, server gone). The whole inference may be retried on a fresh
 	// session; no mid-protocol state survives.
@@ -57,6 +62,8 @@ func codeSentinel(code int) error {
 		return ErrDeadline
 	case CodeEvicted:
 		return ErrEvicted
+	case CodeBadRound:
+		return ErrBadRound
 	default:
 		return nil
 	}
@@ -73,6 +80,8 @@ func codeOf(err error) int {
 		return CodeDeadline
 	case errors.Is(err, ErrEvicted):
 		return CodeEvicted
+	case errors.Is(err, ErrBadRound):
+		return CodeBadRound
 	default:
 		return CodeNone
 	}

@@ -82,7 +82,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rf); err != nil {
 			return
 		}
-		_ = rf.TC.valid() // nil-safe by contract
+		_ = rf.TC.traceID() // nil-safe by contract
 		_ = fromWireSpans(rf.Spans)
 		if rf.Env != nil {
 			var before, after runtime.MemStats

@@ -33,9 +33,9 @@ func TestServeSessionObservedMetrics(t *testing.T) {
 
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- ServeSessionObserved(ctx, serverIn, serverOut, netw, factor, 4, reg)
+		serveErr <- ServeSessionConfig(ctx, serverIn, serverOut, netw, SessionConfig{Factor: factor, MaxWorkers: 4, Registry: reg})
 	}()
-	client, err := NewClient(ctx, clientIn, clientOut, netw, k, factor, 2)
+	client, err := NewClientOpts(ctx, clientIn, clientOut, netw, k, factor, ClientOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

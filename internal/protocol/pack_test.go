@@ -73,7 +73,7 @@ func TestReplyEgressInvariant(t *testing.T) {
 				}
 			}
 		}
-		in, err := proto.Data.Encrypt(1, tensor.MustFromSlice([]float64{0.3, -0.7, 1.1, 0}, 4))
+		in, err := proto.Data.EncryptMetered(1, tensor.MustFromSlice([]float64{0.3, -0.7, 1.1, 0}, 4), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestReplyEgressInvariant(t *testing.T) {
 					t.Errorf("partitioned=%v round %d: reply ciphertext %d identical across two runs — an unblinded row left the model provider", partitioned, r, i)
 				}
 			}
-			if in, err = proto.Data.ProcessNonLinear(r, replies[0]); err != nil {
+			if in, err = proto.Data.ProcessNonLinearMetered(r, replies[0], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -160,36 +160,36 @@ func TestClientRefusesNarrowSlots(t *testing.T) {
 	if narrow.stages[0].slotBits >= real.Model.stages[0].slotBits {
 		t.Fatalf("zeroed weights imply %d-bit slots, real ones %d", narrow.stages[0].slotBits, real.Model.stages[0].slotBits)
 	}
-	in, err := real.Data.Encrypt(1, tensor.MustFromSlice([]float64{0.3, -0.7, 1.1, 0}, 4))
+	in, err := real.Data.EncryptMetered(1, tensor.MustFromSlice([]float64{0.3, -0.7, 1.1, 0}, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := narrow.ProcessLinear(0, in)
+	reply, _, err := narrow.ProcessLinearMetered(0, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := real.Data.ProcessNonLinear(0, reply); err == nil {
+	if _, err := real.Data.ProcessNonLinearMetered(0, reply, nil); err == nil {
 		t.Error("client accepted a reply with slots narrower than its stage bound needs")
 	}
 
-	good, err := real.Model.ProcessLinear(0, in)
+	good, _, err := real.Model.ProcessLinearMetered(0, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrongSize := *good
 	wrongSize.Shape = tensor.Shape{good.Shape.Size() + 1}
-	if _, err := real.Data.ProcessNonLinear(0, &wrongSize); err == nil {
+	if _, err := real.Data.ProcessNonLinearMetered(0, &wrongSize, nil); err == nil {
 		t.Error("client accepted a reply packing the wrong number of values")
 	}
 	unpacked := *good
 	unpacked.SlotBits, unpacked.Shape = 0, nil
-	if _, err := real.Data.ProcessNonLinear(0, &unpacked); err == nil {
+	if _, err := real.Data.ProcessNonLinearMetered(0, &unpacked, nil); err == nil {
 		t.Error("client accepted an unpacked reply")
 	}
-	if _, err := real.Model.ProcessLinear(1, good); err == nil {
+	if _, _, err := real.Model.ProcessLinearMetered(1, good, nil); err == nil {
 		t.Error("model provider accepted a packed reply as a round input")
 	}
-	if _, err := real.Data.ProcessNonLinear(0, good); err != nil {
+	if _, err := real.Data.ProcessNonLinearMetered(0, good, nil); err != nil {
 		t.Errorf("the honest reply: %v", err)
 	}
 }
@@ -286,14 +286,14 @@ func TestBenchShapesReplyCounts(t *testing.T) {
 		for i := range x.Data() {
 			x.Data()[i] = float64(i%4) * 0.25
 		}
-		env, err := proto.Data.Encrypt(1, x)
+		env, err := proto.Data.EncryptMetered(1, x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sent := 0
 		var client obs.CostMeter
 		for r := 0; r < proto.Rounds(); r++ {
-			if env, err = proto.Model.ProcessLinear(r, env); err != nil {
+			if env, _, err = proto.Model.ProcessLinearMetered(r, env, nil); err != nil {
 				t.Fatal(err)
 			}
 			if env.CT != nil {

@@ -155,7 +155,8 @@ type Protocol struct {
 	Data  *DataProvider
 	// Merged is the alternating stage list the roles were built from.
 	Merged []*nn.PrimitiveLayer
-	cfg    Config
+	// life finishes Infer's requests; it has no shedder and no sinks.
+	life *Lifecycle
 }
 
 // validateWorkflow merges the network and checks the workflow's
@@ -222,6 +223,10 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 	if err != nil {
 		return nil, err
 	}
+	return newModelProvider(merged, stages, pk, cfg), nil
+}
+
+func newModelProvider(merged []*nn.PrimitiveLayer, stages []qnn.Stage, pk *paillier.PublicKey, cfg Config) *ModelProvider {
 	var evOpts []paillier.EvalOption
 	if blind := cfg.BlindPool; blind != nil {
 		evOpts = append(evOpts, paillier.WithBlinder(blind))
@@ -252,7 +257,7 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 			reluFollows: reluFollows,
 		})
 	}
-	return mp, nil
+	return mp
 }
 
 // BuildDataProvider constructs the data-provider role alone: it needs
@@ -267,10 +272,14 @@ func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*D
 	if err != nil {
 		return nil, err
 	}
+	return newDataProvider(net.InputMax, merged, stages, sk, cfg), nil
+}
+
+func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, stages []qnn.Stage, sk *paillier.PrivateKey, cfg Config) *DataProvider {
 	dp := &DataProvider{
 		sk:       sk,
 		factor:   cfg.Factor,
-		inputMax: net.InputMax,
+		inputMax: inputMax,
 		workers:  cfg.Workers,
 		blind:    sk.Blinder(nil),
 	}
@@ -287,7 +296,7 @@ func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*D
 			threads:  cfg.Workers,
 		})
 	}
-	return dp, nil
+	return dp
 }
 
 // Build validates the network's protocol shape, quantizes its linear
@@ -296,25 +305,13 @@ func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*D
 // stays inside the data provider; the model provider receives only the
 // public key.
 func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, error) {
-	mp, err := BuildModelProvider(net, &key.PublicKey, cfg)
+	merged, stages, err := walkStages(net, &key.PublicKey, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	dp, err := BuildDataProvider(net, key, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(mp.stages) != len(dp.stages) {
-		return nil, fmt.Errorf("protocol: %d linear vs %d non-linear stages — workflow requires pairs", len(mp.stages), len(dp.stages))
-	}
-	merged, err := validateWorkflow(net)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	return &Protocol{Model: mp, Data: dp, Merged: merged, cfg: cfg}, nil
+	mp := newModelProvider(merged, stages, &key.PublicKey, cfg)
+	dp := newDataProvider(net.InputMax, merged, stages, key, cfg)
+	return &Protocol{Model: mp, Data: dp, Merged: merged, life: NewLifecycle(mp, SessionConfig{})}, nil
 }
 
 // BuildAuto selects the scaling factor with the paper's algorithm on the
@@ -371,26 +368,25 @@ func (p *Protocol) ApplyProfile(profile backend.Profile, boundary int) (*backend
 // the reference execution used by tests, the CipherBase baseline, and
 // offline profiling. The streaming engine (internal/core) runs the same
 // per-stage methods inside pipeline stages.
-func (p *Protocol) Infer(req uint64, x *tensor.Dense) (*tensor.Dense, error) {
-	env, err := p.Data.Encrypt(req, x)
+func (p *Protocol) Infer(req uint64, x *tensor.Dense) (out *tensor.Dense, err error) {
+	// No shedder: admission cannot fail.
+	r, _ := p.life.Admit(req, "", time.Now())
+	defer func() { p.life.Finish(r, err) }()
+	env, err := p.Data.EncryptMetered(req, x, nil)
 	if err != nil {
 		return nil, err
 	}
-	rounds := p.Rounds()
-	for r := 0; r < rounds; r++ {
-		env, err = p.Model.ProcessLinear(r, env)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: round %d linear: %w", r, err)
+	for round := 0; round < p.Rounds(); round++ {
+		if env, _, err = p.Model.ProcessLinearMetered(round, env, nil); err != nil {
+			return nil, fmt.Errorf("protocol: round %d linear: %w", round, err)
 		}
-		env, err = p.Data.ProcessNonLinear(r, env)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: round %d non-linear: %w", r, err)
+		if env, err = p.Data.ProcessNonLinearMetered(round, env, nil); err != nil {
+			return nil, fmt.Errorf("protocol: round %d non-linear: %w", round, err)
 		}
 	}
 	if env.Result == nil {
 		return nil, fmt.Errorf("protocol: workflow ended without a result")
 	}
-	p.Model.Forget(req)
 	return env.Result, nil
 }
 
@@ -597,35 +593,6 @@ type LinearTiming struct {
 	Pack    time.Duration
 }
 
-// ProcessLinear executes round r's steps at the model provider: inverse
-// obfuscation (rounds > 0), the round's linear stage on the backend the
-// session plan assigns, and obfuscation (except the last round) — steps
-// 1.3–1.4, 2.5–2.7, and 3.2–3.3 of Figure 3.
-func (mp *ModelProvider) ProcessLinear(r int, env *Envelope) (*Envelope, error) {
-	out, _, err := mp.ProcessLinearTimed(r, env)
-	return out, err
-}
-
-// ProcessLinearTimed is ProcessLinear reporting how the round's wall
-// time divided between the execution kernel and permutation work.
-func (mp *ModelProvider) ProcessLinearTimed(r int, env *Envelope) (*Envelope, LinearTiming, error) {
-	return mp.processLinear(r, env, mp.eval, nil)
-}
-
-// ProcessLinearMetered is ProcessLinearTimed with crypto-op accounting:
-// the round runs through a metered view of the provider's evaluator so
-// its op counts land in m without touching other requests sharing the
-// evaluator; non-Paillier backends meter their share, garbled-circuit,
-// and plaintext op counts into m directly. A nil meter falls back to the
-// unmetered path.
-func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostMeter) (*Envelope, LinearTiming, error) {
-	ev := mp.eval
-	if m != nil {
-		ev = ev.WithCost(m)
-	}
-	return mp.processLinear(r, env, ev, m)
-}
-
 // cryptoSeed draws a secshare engine seed from crypto/rand: the triple
 // dealer's stream must be unpredictable across rounds and requests.
 func cryptoSeed() (int64, error) {
@@ -636,8 +603,22 @@ func cryptoSeed() (int64, error) {
 	return int64(binary.BigEndian.Uint64(b[:])), nil
 }
 
-func (mp *ModelProvider) processLinear(r int, env *Envelope, ev *paillier.Evaluator, m *obs.CostMeter) (*Envelope, LinearTiming, error) {
+// ProcessLinearMetered executes round r's steps at the model provider:
+// inverse obfuscation (rounds > 0), the round's linear stage on the
+// backend the session plan assigns, and obfuscation (except the last
+// round) — steps 1.3–1.4, 2.5–2.7, and 3.2–3.3 of Figure 3. It reports how
+// the round's wall time divided between the execution kernel, permutation
+// work and reply packing, and accounts crypto ops into m (nil skips
+// accounting): the round runs through a metered view of the provider's
+// evaluator so its op counts land in m without touching other requests
+// sharing the evaluator; non-Paillier backends meter their share,
+// garbled-circuit, and plaintext op counts into m directly.
+func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostMeter) (*Envelope, LinearTiming, error) {
 	var tm LinearTiming
+	ev := mp.eval
+	if m != nil {
+		ev = ev.WithCost(m)
+	}
 	if r < 0 || r >= len(mp.stages) {
 		return nil, tm, fmt.Errorf("protocol: no linear stage %d", r)
 	}
@@ -842,13 +823,8 @@ func (dp *DataProvider) CheckInput(x *tensor.Dense) error {
 	return nil
 }
 
-// Encrypt performs step 1.1: scale the raw input to exponent 1 and
-// encrypt it element-wise.
-func (dp *DataProvider) Encrypt(req uint64, x *tensor.Dense) (*Envelope, error) {
-	return dp.EncryptMetered(req, x, nil)
-}
-
-// EncryptMetered is Encrypt with crypto-op accounting into m (nil skips
+// EncryptMetered performs step 1.1: scale the raw input to exponent 1 and
+// encrypt it element-wise, accounting crypto ops into m (nil skips
 // accounting): encryption counts, blinding-pool hits/misses, and the two
 // half-size exponentiations of every blinding factor the key holder
 // computes inline. An input CheckInput refuses is refused before any
@@ -871,19 +847,14 @@ func (dp *DataProvider) encryptTensor(t *tensor.Tensor[int64], m *obs.CostMeter)
 	return paillier.EncryptTensor(&dp.sk.PublicKey, dp.blind, t, dp.workers, m)
 }
 
-// ProcessNonLinear executes round r's steps at the data provider:
+// ProcessNonLinearMetered executes round r's steps at the data provider:
 // decrypt, apply the non-linear functions, and re-encrypt (intermediate
 // rounds) or produce the final result (last round) — steps 2.1–2.4 and
-// 3.5–3.7 of Figure 3.
-func (dp *DataProvider) ProcessNonLinear(r int, env *Envelope) (*Envelope, error) {
-	return dp.ProcessNonLinearMetered(r, env, nil)
-}
-
-// ProcessNonLinearMetered is ProcessNonLinear with crypto-op accounting
-// into m (nil skips accounting): decryption counts — one per packed reply
-// ciphertext, each two half-size exponentiations — plus the re-encryption
-// costs; for ss-gc rounds the garbled-circuit ReLU gates, extension OTs,
-// and opened share words land in m instead.
+// 3.5–3.7 of Figure 3 — accounting crypto ops into m (nil skips
+// accounting): decryption counts — one per packed reply ciphertext, each
+// two half-size exponentiations — plus the re-encryption costs; for ss-gc
+// rounds the garbled-circuit ReLU gates, extension OTs, and opened share
+// words land in m instead.
 func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.CostMeter) (*Envelope, error) {
 	if r < 0 || r >= len(dp.stages) {
 		return nil, fmt.Errorf("protocol: no non-linear stage %d", r)

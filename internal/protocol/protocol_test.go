@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ppstream/internal/backend"
 	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
 	"ppstream/internal/tensor"
@@ -214,11 +215,11 @@ func TestObfuscationActuallyPermutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.MustFromSlice([]float64{0.5, -0.25, 1, 0.75}, 4)
-	env, err := proto.Data.Encrypt(7, x)
+	env, err := proto.Data.EncryptMetered(7, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := proto.Model.ProcessLinear(0, env)
+	mid, _, err := proto.Model.ProcessLinearMetered(0, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,18 +232,18 @@ func TestObfuscationActuallyPermutes(t *testing.T) {
 	// The data provider decrypts the permuted values; inverting at the
 	// model provider must restore the linear-stage output order: finish
 	// the round and confirm end-to-end correctness.
-	next, err := proto.Data.ProcessNonLinear(0, mid)
+	next, err := proto.Data.ProcessNonLinearMetered(0, mid, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := proto.Model.ProcessLinear(1, next)
+	fin, _, err := proto.Model.ProcessLinearMetered(1, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fin.Obfuscated {
 		t.Error("last round must not be obfuscated (step 3.4)")
 	}
-	res, err := proto.Data.ProcessNonLinear(1, fin)
+	res, err := proto.Data.ProcessNonLinearMetered(1, fin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,26 +261,37 @@ func TestProtocolStateValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4)
-	env, _ := proto.Data.Encrypt(1, x)
+	env, _ := proto.Data.EncryptMetered(1, x, nil)
 	// Round 1 without round 0's obfuscation state must fail.
-	if _, err := proto.Model.ProcessLinear(1, env); err == nil {
+	if _, _, err := proto.Model.ProcessLinearMetered(1, env, nil); err == nil {
 		t.Error("round 1 accepted non-obfuscated input")
 	}
 	// Out-of-range rounds.
-	if _, err := proto.Model.ProcessLinear(9, env); err == nil {
+	if _, _, err := proto.Model.ProcessLinearMetered(9, env, nil); err == nil {
 		t.Error("unknown linear round accepted")
 	}
-	if _, err := proto.Data.ProcessNonLinear(9, env); err == nil {
+	if _, err := proto.Data.ProcessNonLinearMetered(9, env, nil); err == nil {
 		t.Error("unknown non-linear round accepted")
 	}
 	// Obfuscated input to round 0.
 	envObf := &Envelope{Req: 2, CT: env.CT, Exp: 1, Obfuscated: true}
-	if _, err := proto.Model.ProcessLinear(0, envObf); err == nil {
+	if _, _, err := proto.Model.ProcessLinearMetered(0, envObf, nil); err == nil {
 		t.Error("round 0 accepted obfuscated input")
 	}
 	// Missing ciphertext.
-	if _, err := proto.Model.ProcessLinear(0, &Envelope{Req: 3, Exp: 1}); err == nil {
+	if _, _, err := proto.Model.ProcessLinearMetered(0, &Envelope{Req: 3, Exp: 1}, nil); err == nil {
 		t.Error("empty envelope accepted")
+	}
+	// A walk that fails mid-protocol (the roles disagree on round 1's
+	// backend, after round 0 drew a permutation) leaves no state behind.
+	if err := proto.Data.SetBackendPlan([]backend.Kind{backend.PaillierHE, backend.SSGC}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proto.Infer(4, x); err == nil {
+		t.Error("Infer succeeded across mismatched plans")
+	}
+	if _, leaked := proto.Model.state[4]; leaked {
+		t.Error("failed Infer left its permutation chain in the model provider")
 	}
 }
 
@@ -291,7 +303,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.MustFromSlice([]float64{0.1, 0.2, 0.3, 0.4}, 4)
-	env, err := proto.Data.Encrypt(5, x)
+	env, err := proto.Data.EncryptMetered(5, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

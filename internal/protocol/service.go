@@ -161,595 +161,83 @@ const DefaultSessionWindow = 8
 // SessionConfig.IdleTTL is unset.
 const DefaultIdleTTL = 2 * time.Minute
 
-// ServeSession runs the model-provider side of one client session: it
-// reads the Hello, builds the role for the client's key, and answers
-// each round until the client closes. maxWorkers bounds the per-stage
-// threads a client may request.
-func ServeSession(ctx context.Context, in, out stream.Edge, net *nn.Network, factor int64, maxWorkers int) error {
-	return ServeSessionConfig(ctx, in, out, net, SessionConfig{Factor: factor, MaxWorkers: maxWorkers})
-}
+// session is the model-provider side of one negotiated connection: the
+// provider built for the client's key, the solved backend plan, the
+// request lifecycle, and the index of live requests that round frames are
+// routed by. A request leaves the index exactly once — in finish, the
+// janitor's sweep, or close — and whoever removed it calls
+// Lifecycle.Finish.
+type session struct {
+	ctx   context.Context
+	out   stream.Edge
+	reg   *obs.Registry
+	pk    *paillier.PublicKey
+	mp    *ModelProvider
+	life  *Lifecycle
+	blind *paillier.Pool
+	// planCodes and profile ride every round-0 reply.
+	planCodes []int32
+	profile   string
 
-// ServeSessionObserved is ServeSession publishing session metrics to reg
-// (which may be nil): "sessions.total" / "sessions.active",
-// "rounds.served" / "rounds.errors", "requests.completed" /
-// "requests.evicted", the aggregate per-round linear processing
-// histogram "round.linear", and per-round-index histograms
-// "round.<idx>.linear" mirroring the paper's per-stage latency tables.
-func ServeSessionObserved(ctx context.Context, in, out stream.Edge, net *nn.Network, factor int64, maxWorkers int, reg *obs.Registry) error {
-	return ServeSessionConfig(ctx, in, out, net, SessionConfig{Factor: factor, MaxWorkers: maxWorkers, Registry: reg})
-}
+	roundsServed, roundErrs            *obs.Counter
+	roundTime, kernelTime, permuteTime *obs.Histogram
+	// perRound[r] is "round.<r>.linear", resolved once per session: a frame
+	// can name only a round that has one.
+	perRound []*obs.Histogram
 
-// reqState is the session's per-request bookkeeping: the last round the
-// request completed, when it was last seen (feeding idle eviction), and
-// the server-side trace spans accumulated so far (shipped to the client
-// with the final round's reply).
-type reqState struct {
-	lastRound int
-	lastSeen  time.Time
-	// started is the request's first-round arrival; the span between it
-	// and last-round completion is the server-observed request latency
-	// fed to the windowed serve.latency view and the SLO engine.
-	started time.Time
-	// deadline is the absolute point the client's propagated budget runs
-	// out, refreshed from each frame's DeadlineMS; zero means none.
-	deadline time.Time
-	// shedHeld marks that this request holds an admission slot in the
-	// session's shared Shedder, released when the entry is removed.
-	shedHeld bool
-	spans    []obs.Segment
-}
-
-// sessionReqs tracks live requests under one session. Admission-slot
-// release is tied to entry removal (drop, expire, session close) so a
-// slot can never be released twice or leak past the request.
-type sessionReqs struct {
-	shed *Shedder // may be nil: admit everything
-	mu   sync.Mutex
-	live map[uint64]*reqState
-}
-
-// admitResult classifies what admit decided for one round frame.
-type admitResult int
-
-const (
-	// admitOK: the request is live (created now or known) and may process.
-	admitOK admitResult = iota
-	// admitStale: a round > 0 frame for a request with no live state —
-	// it was evicted (idle or deadline) or never admitted; its
-	// obfuscation chain is gone, so the frame must be rejected.
-	admitStale
-	// admitShed: admission control rejected a new request's first round.
-	admitShed
-)
-
-// admit is the session's single admission point: it creates state for a
-// new request's round-0 frame (consulting the shedder first), refreshes
-// bookkeeping for known requests, and rejects stale mid-protocol frames.
-// arrived stamps a new request's start; deadline, when non-zero,
-// replaces the request's eviction deadline.
-func (s *sessionReqs) admit(req uint64, round int, arrived time.Time, deadline time.Time) (admitResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.live[req]
-	if st == nil {
-		if round > 0 {
-			return admitStale, nil
-		}
-		//pplint:ignore pairedrelease the slot's ownership transfers to s.live[req] (shedHeld) on the success path; release happens at drop/expire/releaseAll when the entry leaves the live map, not in this frame
-		if err := s.shed.Acquire(); err != nil {
-			return admitShed, err
-		}
-		st = &reqState{shedHeld: s.shed != nil, started: arrived}
-		s.live[req] = st
-	}
-	st.lastRound = round
-	st.lastSeen = time.Now()
-	if !deadline.IsZero() {
-		st.deadline = deadline
-	}
-	return admitOK, nil
-}
-
-// addSpans appends server-side trace segments to a live request. The
-// client keeps at most one frame of a request in flight, so per-request
-// appends never race with themselves.
-func (s *sessionReqs) addSpans(req uint64, segs ...obs.Segment) {
-	s.mu.Lock()
-	if st := s.live[req]; st != nil {
-		st.spans = append(st.spans, segs...)
-	}
-	s.mu.Unlock()
-}
-
-// takeSpans returns the request's accumulated spans and its first-round
-// arrival time (zero when the request is unknown).
-func (s *sessionReqs) takeSpans(req uint64) ([]obs.Segment, time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.live[req]; st != nil {
-		return st.spans, st.started
-	}
-	return nil, time.Time{}
-}
-
-func (s *sessionReqs) drop(req uint64) {
-	s.mu.Lock()
-	st := s.live[req]
-	delete(s.live, req)
-	s.mu.Unlock()
-	if st != nil && st.shedHeld {
-		s.shed.Release()
-	}
-}
-
-// expire removes requests idle longer than ttl (returned in idle) and
-// requests whose propagated deadline has passed (returned in expired).
-func (s *sessionReqs) expire(ttl time.Duration) (idle, expired []uint64) {
-	now := time.Now()
-	cutoff := now.Add(-ttl)
-	released := 0
-	s.mu.Lock()
-	for req, st := range s.live {
-		switch {
-		case !st.deadline.IsZero() && now.After(st.deadline):
-			expired = append(expired, req)
-		case st.lastSeen.Before(cutoff):
-			idle = append(idle, req)
-		default:
-			continue
-		}
-		if st.shedHeld {
-			released++
-		}
-		delete(s.live, req)
-	}
-	s.mu.Unlock()
-	for ; released > 0; released-- {
-		s.shed.Release()
-	}
-	return idle, expired
-}
-
-// releaseAll drops every live entry, releasing held admission slots —
-// the session is ending and its shedder outlives it.
-func (s *sessionReqs) releaseAll() {
-	released := 0
-	s.mu.Lock()
-	for req, st := range s.live {
-		if st.shedHeld {
-			released++
-		}
-		delete(s.live, req)
-	}
-	s.mu.Unlock()
-	for ; released > 0; released-- {
-		s.shed.Release()
-	}
-}
-
-func (s *sessionReqs) count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.live))
+	mu    sync.Mutex
+	live  map[uint64]*Request
+	fatal error
 }
 
 // ServeSessionConfig runs one multiplexed model-provider session: round
 // frames from different in-flight requests interleave on the connection
 // pair, are processed concurrently up to cfg.Window, and are answered
 // tagged with the request ID they carry in Seq so the client can demux.
-// Per-request obfuscation state is dropped when a request finishes its
-// last round and evicted after cfg.IdleTTL of inactivity.
+// Every request the session admits ends in exactly one Lifecycle.Finish:
+// on its last round, on a failed round, on its deadline, after
+// cfg.IdleTTL of inactivity, or when the session ends.
 func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) error {
-	reg := cfg.Registry
-	window := cfg.Window
-	if window <= 0 {
-		window = DefaultSessionWindow
-	}
-	ttl := cfg.IdleTTL
-	if ttl <= 0 {
-		ttl = DefaultIdleTTL
-	}
-	var roundsServed, roundErrs *obs.Counter
-	var roundTime, kernelTime, permuteTime *obs.Histogram
-	var liveLatency *obs.WindowedHistogram
-	var liveOK, liveErr, liveShed *obs.WindowedCounter
-	if reg != nil {
-		reg.Counter("sessions.total").Inc()
-		active := reg.Gauge("sessions.active")
-		active.Add(1)
-		defer active.Add(-1)
-		roundsServed = reg.Counter("rounds.served")
-		roundErrs = reg.Counter("rounds.errors")
-		roundTime = reg.Histogram("round.linear")
-		kernelTime = reg.Histogram("round.kernel")
-		permuteTime = reg.Histogram("round.permute")
-		// Windowed views of the serving outcome: what the server is doing
-		// NOW, for /debug/live, ppbench top, and the SLO engine's peers.
-		liveLatency = reg.LiveHistogram("serve.latency")
-		liveOK = reg.LiveCounter("serve.requests.ok")
-		liveErr = reg.LiveCounter("serve.requests.err")
-		liveShed = reg.LiveCounter("serve.requests.shed")
-	}
-	first, err := in.Recv(ctx)
+	cfg.Registry.Counter("sessions.total").Inc()
+	active := cfg.Registry.Gauge("sessions.active")
+	active.Add(1)
+	defer active.Add(-1)
+	s, err := openSession(ctx, in, out, net, cfg)
 	if err != nil {
-		return fmt.Errorf("protocol: session hello: %w", err)
-	}
-	hello, ok := first.Payload.(*Hello)
-	if !ok {
-		return fmt.Errorf("protocol: expected Hello, got %T", first.Payload)
-	}
-	if hello.Factor != cfg.Factor {
-		return fmt.Errorf("protocol: client factor %d does not match server's %d", hello.Factor, cfg.Factor)
-	}
-	pk, err := helloPublicKey(hello)
-	if err != nil {
-		cfg.Log.Warn("session hello rejected", "err", err.Error())
-		// Reject the session but tell the client why: an error frame
-		// outside any request is session-fatal on the client side.
-		if out != nil {
-			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err.Error()})
-		}
 		return err
 	}
-	workers := hello.Workers
-	if workers < 1 {
-		workers = 1
+	if cfg.Window <= 0 {
+		cfg.Window = DefaultSessionWindow
 	}
-	if cfg.MaxWorkers > 0 && workers > cfg.MaxWorkers {
-		workers = cfg.MaxWorkers
+	if cfg.IdleTTL <= 0 {
+		cfg.IdleTTL = DefaultIdleTTL
 	}
-	// Backend negotiation: the session runs under the stricter of the
-	// server's policy and the client's request. A malformed profile is a
-	// session-fatal hello error, like a bad key.
-	reqProfile, err := backend.ParseProfile(hello.Profile)
-	if err != nil {
-		cfg.Log.Warn("session hello rejected", "err", err.Error())
-		if out != nil {
-			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err.Error()})
-		}
-		return err
-	}
-	srvProfile, err := backend.ParseProfile(string(cfg.Profile))
-	if err != nil {
-		return fmt.Errorf("protocol: session profile policy: %w", err)
-	}
-	effProfile := backend.Stricter(srvProfile, reqProfile)
-	mp, err := BuildModelProvider(net, pk, Config{Factor: cfg.Factor, Workers: workers})
-	if err != nil {
-		return fmt.Errorf("protocol: building provider for session: %w", err)
-	}
-	// Solve the per-round backend assignment for this session. An
-	// uncertified boundary (<= 0) clamps to the round count: no clear
-	// execution anywhere.
-	boundary := cfg.ClearBoundary
-	if boundary <= 0 {
-		boundary = mp.Stages()
-	}
-	plan, err := backend.PlanFor(effProfile, mp.LayerInfos(), boundary, pk.N.BitLen())
-	if err != nil {
-		return fmt.Errorf("protocol: solving backend plan: %w", err)
-	}
-	if err := mp.SetBackendPlan(plan.Assignment); err != nil {
-		return err
-	}
-	planCodes := plan.Codes()
-	// The plan as backend-kind strings, attached to flight records so
-	// /debug/flight entries join against the span store and show which
-	// backend mix produced each trace.
-	planStrs := make([]string, len(plan.Assignment))
-	for i, k := range plan.Assignment {
-		planStrs[i] = string(k)
-	}
-	paillierRounds := 0
-	for _, k := range plan.Assignment {
-		if k == backend.PaillierHE {
-			paillierRounds++
-		}
-	}
-	cfg.Log.Info("session plan solved",
-		"profile", string(effProfile), "boundary", plan.Boundary,
-		"paillier_rounds", paillierRounds, "rounds", mp.Stages())
-	// Per-session blinding pool: every packed reply ciphertext is
-	// re-randomized, and pooled r^n factors keep those exponentiations off
-	// the round-trip critical path. Each precomputed factor is one real
-	// modular exponentiation the fill worker performs off-path, so it is
-	// charged into the process-wide modexp counter here — per-request
-	// meters only ever see the pool misses they caused inline. The pool
-	// is sized to the plan's actual Paillier rounds: a mixed or latency
-	// session that runs most rounds on ss-gc or clear precomputes less.
-	var poolOpts []paillier.PoolOption
-	if reg != nil {
-		poolModExps := reg.Counter("cost.modexps")
-		poolOpts = append(poolOpts, paillier.WithPrecomputeHook(poolModExps.Add))
-	}
-	poolSize := 24 * paillierRounds
-	if poolSize > 64 {
-		poolSize = 64
-	}
-	if poolSize < 8 {
-		poolSize = 8
-	}
-	blind := paillier.NewPool(pk, nil, poolSize, 1, poolOpts...)
-	defer blind.Close()
-	if reg != nil {
-		reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
-	}
-	mp.SetBlindPool(blind)
-	mp.Instrument(reg)
-	if cfg.Limiter != nil {
-		mp.SetLimiter(cfg.Limiter)
-	}
-	lastRound := mp.Stages() - 1
+	return s.serve(in, cfg.Window, cfg.IdleTTL)
+}
 
-	reqs := &sessionReqs{shed: cfg.Shed, live: map[uint64]*reqState{}}
-	// The shedder outlives this session: return any slots still held by
-	// live requests when the session ends, whatever the reason.
-	defer reqs.releaseAll()
-	if reg != nil {
-		reg.GaugeFunc("requests.active", reqs.count)
-	}
-	// Janitor: evict per-request state abandoned mid-protocol so it does
-	// not accumulate for the life of the session.
+// serve is the session's receive loop: each round frame is handled in its
+// own goroutine (bounded by window) so independent requests genuinely
+// overlap on the linear stages. Per-request ordering is preserved by the
+// client, which never has more than one outstanding frame per request.
+// The janitor runs beside the loop; once both have stopped, close
+// finishes whatever no one else will.
+func (s *session) serve(in stream.Edge, window int, ttl time.Duration) error {
+	jctx, stopJanitor := context.WithCancel(s.ctx)
 	janitorDone := make(chan struct{})
-	defer close(janitorDone)
 	go func() {
-		tick := ttl / 4
-		if tick < 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-		ticker := time.NewTicker(tick)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-janitorDone:
-				return
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				idle, expired := reqs.expire(ttl)
-				for _, req := range idle {
-					mp.Forget(req)
-					if reg != nil {
-						reg.Counter("requests.evicted").Inc()
-					}
-				}
-				for _, req := range expired {
-					mp.Forget(req)
-					if reg != nil {
-						reg.Counter("requests.deadline_evicted").Inc()
-					}
-				}
-			}
-		}
+		defer close(janitorDone)
+		s.janitor(jctx, ttl)
 	}()
-
-	// Frame workers: each round frame is handled in its own goroutine
-	// (bounded by window) so independent requests genuinely overlap on
-	// the linear stages. Per-request ordering is preserved by the client,
-	// which never has more than one outstanding frame per request.
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, window)
-		fatalMu sync.Mutex
-		fatal   error
-	)
-	recordFatal := func(err error) {
-		fatalMu.Lock()
-		if fatal == nil {
-			fatal = err
-		}
-		fatalMu.Unlock()
-	}
-	sessionErr := func() error {
-		fatalMu.Lock()
-		defer fatalMu.Unlock()
-		return fatal
-	}
-	handle := func(msg *stream.Message, frame *roundFrame, arrived time.Time) {
-		start := time.Now()
-		queueWait := start.Sub(arrived)
-		slog := cfg.Log
-		traceID := ""
-		if frame.TC.valid() {
-			slog = slog.WithTrace(frame.TC.ID)
-			traceID = frame.TC.ID
-		}
-		env, err := FromWire(frame.Env, pk)
-		if err != nil {
-			// Malformed client frame: reply with an error message but
-			// keep the session alive.
-			if roundErrs != nil {
-				roundErrs.Inc()
-			}
-			slog.Warn("malformed round frame", "round", frame.Round, "err", err.Error())
-			if sendErr := out.Send(ctx, &stream.Message{Seq: msg.Seq, Err: err.Error()}); sendErr != nil {
-				recordFatal(sendErr)
-			}
-			return
-		}
-		// reject answers a frame with a typed error and no processing; the
-		// code tells the client whether a retry can succeed.
-		reject := func(cause error) {
-			if roundErrs != nil {
-				roundErrs.Inc()
-			}
-			slog.Warn("round rejected", "req", env.Req, "round", frame.Round, "err", cause.Error())
-			if sendErr := out.Send(ctx, &stream.Message{
-				Seq: msg.Seq, Err: cause.Error(), ErrCode: codeOf(cause),
-			}); sendErr != nil {
-				recordFatal(sendErr)
-			}
-		}
-		var deadline time.Time
-		if frame.DeadlineMS > 0 {
-			deadline = arrived.Add(time.Duration(frame.DeadlineMS) * time.Millisecond)
-		}
-		switch verdict, admitErr := reqs.admit(env.Req, frame.Round, arrived, deadline); verdict {
-		case admitStale:
-			// The janitor evicted this request's state (idle or deadline)
-			// while the client was still driving rounds: its permutation
-			// chain is gone, so processing the frame would return garbage.
-			// Answer with a clean typed error instead.
-			if reg != nil {
-				reg.Counter("requests.stale_rounds").Inc()
-			}
-			reject(fmt.Errorf("%w: no state for request %d round %d", ErrEvicted, env.Req, frame.Round))
-			return
-		case admitShed:
-			if liveShed != nil {
-				liveShed.Inc()
-			}
-			// A shed request is availability-bad; its empty server tree is
-			// still offered to the span store (always-keep on error) so the
-			// rejection is joinable by trace ID.
-			cfg.SLO.Observe(0, true)
-			cfg.Traces.Record(serverTree(traceID, env.Req, nil), admitErr)
-			reject(admitErr)
-			return
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			// The budget ran out while the frame sat in the session queue;
-			// processing it would waste crypto work the client will discard.
-			if reg != nil {
-				reg.Counter("requests.deadline_expired").Inc()
-			}
-			spans, started := reqs.takeSpans(env.Req)
-			if started.IsZero() {
-				started = arrived
-			}
-			deadlineErr := fmt.Errorf("%w: request %d budget of %dms spent before round %d started",
-				ErrDeadline, env.Req, frame.DeadlineMS, frame.Round)
-			if liveErr != nil {
-				liveErr.Inc()
-			}
-			cfg.SLO.Observe(time.Since(started), true)
-			cfg.Traces.Record(serverTree(traceID, env.Req, spans), deadlineErr)
-			reqs.drop(env.Req)
-			mp.Forget(env.Req)
-			reject(deadlineErr)
-			return
-		}
-		// One meter per round frame: round index == linear-stage index, so
-		// the snapshot IS the per-layer cost profile the trace segment
-		// carries. Profiling labels attribute CPU samples the same way.
-		var meter obs.CostMeter
-		var result *Envelope
-		var timing LinearTiming
-		pprof.Do(ctx, pprof.Labels(
-			"stage", "linear",
-			"round", strconv.Itoa(frame.Round),
-			"trace", traceID,
-		), func(context.Context) {
-			result, timing, err = mp.ProcessLinearMetered(frame.Round, env, &meter)
-		})
-		elapsed := time.Since(start)
-		if reg != nil {
-			roundTime.Observe(elapsed)
-			kernelTime.Observe(timing.Kernel)
-			permuteTime.Observe(timing.Permute)
-			reg.Histogram(fmt.Sprintf("round.%d.linear", frame.Round)).Observe(elapsed)
-		}
-		if err != nil {
-			if roundErrs != nil {
-				roundErrs.Inc()
-			}
-			slog.Warn("round failed", "req", env.Req, "round", frame.Round, "err", err.Error())
-			spans, started := reqs.takeSpans(env.Req)
-			if started.IsZero() {
-				started = arrived
-			}
-			tree := serverTree(traceID, env.Req, spans)
-			cfg.Flight.RecordPlan(tree, planStrs, err)
-			cfg.Traces.Record(tree, err)
-			if liveErr != nil {
-				liveErr.Inc()
-			}
-			cfg.SLO.Observe(time.Since(started), true)
-			// The request is dead on this side: release its permutation
-			// state now rather than waiting for the TTL.
-			reqs.drop(env.Req)
-			mp.Forget(env.Req)
-			if sendErr := out.Send(ctx, &stream.Message{
-				Seq: msg.Seq, Err: err.Error(), ErrCode: codeOf(err),
-			}); sendErr != nil {
-				recordFatal(sendErr)
-			}
-			return
-		}
-		cfg.Shed.Observe(elapsed)
-		slog.Slow("slow linear round", elapsed,
-			"req", env.Req, "round", frame.Round,
-			"kernel_ms", float64(timing.Kernel)/float64(time.Millisecond),
-			"permute_ms", float64(timing.Permute)/float64(time.Millisecond),
-			"pack_ms", float64(timing.Pack)/float64(time.Millisecond))
-		wireEnv, err := ToWire(result)
-		if err != nil {
-			recordFatal(err)
-			return
-		}
-		// This round's cost profile: the metered crypto ops plus the
-		// activation traffic both ways. It rides on the kernel segment
-		// (the work it explains) and folds into both the process-wide
-		// cost counters and the executing backend's labeled counters
-		// (cost.paillier_he.*, cost.ss_gc.*, cost.clear.*).
-		roundKind := mp.RoundBackend(frame.Round)
-		cost := meter.Snapshot()
-		cost.CipherBytesIn = frame.Env.CipherBytes()
-		cost.CipherBytesOut = wireEnv.CipherBytes()
-		obs.AddCostToRegistry(reg, cost)
-		obs.AddCostToRegistryLabeled(reg, roundKind.MetricName(), cost)
-		// Record this round's server spans under the request; on the last
-		// round they travel back to the client for the merged trace tree.
-		// The kernel span carries the backend that executed it, so the
-		// merged TraceTree shows the ILP's per-round assignment.
-		reqs.addSpans(env.Req,
-			obs.Segment{Party: "server", Name: "queue", Round: frame.Round, Dur: queueWait},
-			obs.Segment{Party: "server", Name: "kernel", Round: frame.Round, Dur: timing.Kernel, Cost: &cost, Backend: string(roundKind)},
-			obs.Segment{Party: "server", Name: "permute", Round: frame.Round, Dur: timing.Permute},
-			obs.Segment{Party: "server", Name: "pack", Round: frame.Round, Dur: timing.Pack},
-		)
-		reply := &roundFrame{Round: frame.Round, Env: wireEnv, TC: frame.TC}
-		if frame.Round == 0 {
-			// The solved plan rides every round-0 reply (requests share the
-			// session plan, so repeats are idempotent on the client).
-			reply.Plan = planCodes
-			reply.Profile = string(effProfile)
-		}
-		if frame.Round == lastRound {
-			// The request's last linear round: its obfuscation state is
-			// fully consumed; drop the entry instead of leaking it.
-			spans, started := reqs.takeSpans(env.Req)
-			if started.IsZero() {
-				started = arrived
-			}
-			reply.Spans = toWireSpans(spans)
-			tree := serverTree(traceID, env.Req, spans)
-			cfg.Flight.RecordPlan(tree, planStrs, nil)
-			cfg.Traces.Record(tree, nil)
-			// The server-observed request latency: first-round arrival to
-			// last-round completion, queueing included.
-			reqLatency := time.Since(started)
-			if liveLatency != nil {
-				liveLatency.Observe(reqLatency)
-				liveOK.Inc()
-			}
-			cfg.SLO.Observe(reqLatency, false)
-			reqs.drop(env.Req)
-			mp.Forget(env.Req)
-			if reg != nil {
-				reg.Counter("requests.completed").Inc()
-			}
-		}
-		if roundsServed != nil {
-			roundsServed.Inc()
-		}
-		if err := out.Send(ctx, &stream.Message{Seq: msg.Seq, Payload: reply}); err != nil {
-			recordFatal(err)
-		}
-	}
+	defer func() {
+		stopJanitor()
+		<-janitorDone
+		s.close()
+	}()
+	var frames sync.WaitGroup
+	sem := make(chan struct{}, window)
 	var loopErr error
-	for loopErr == nil && sessionErr() == nil {
-		msg, err := in.Recv(ctx)
+	for loopErr == nil && s.sessionErr() == nil {
+		msg, err := in.Recv(s.ctx)
 		if err != nil {
 			if !errors.Is(err, stream.ErrEdgeClosed) {
 				loopErr = err
@@ -764,43 +252,409 @@ func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Networ
 		arrived := time.Now()
 		select {
 		case sem <- struct{}{}:
-		case <-ctx.Done():
-			loopErr = ctx.Err()
+		case <-s.ctx.Done():
+			loopErr = s.ctx.Err()
+			continue
 		}
-		if loopErr != nil {
-			break
-		}
-		wg.Add(1)
+		frames.Add(1)
 		go func() {
-			defer wg.Done()
+			defer frames.Done()
 			defer func() { <-sem }()
-			handle(msg, frame, arrived)
+			s.handle(msg, frame, arrived)
 		}()
 	}
-	wg.Wait()
+	frames.Wait()
 	// Polite termination: tell the client no more replies are coming so
 	// its reader goroutine unblocks.
-	if out != nil {
-		_ = out.CloseSend()
+	if s.out != nil {
+		_ = s.out.CloseSend()
 	}
 	if loopErr != nil {
 		return loopErr
 	}
-	return sessionErr()
+	return s.sessionErr()
 }
 
-// serverTree assembles the server-side view of one request for the
-// flight recorder: the spans accumulated so far under the request's
-// trace ID (or a request-derived ID for untraced clients), with Total as
-// the server's summed busy time — the server cannot know the client's
-// end-to-end latency.
-func serverTree(traceID string, req uint64, spans []obs.Segment) *obs.TraceTree {
-	if traceID == "" {
-		traceID = "req-" + strconv.FormatUint(req, 10)
+// openSession reads the Hello, negotiates the backend plan, and builds the
+// session for the client's key. A Hello the client can fix (bad key, bad
+// profile) is answered with an error frame outside any request, which is
+// session-fatal on the client side.
+func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) (*session, error) {
+	first, err := in.Recv(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: session hello: %w", err)
 	}
-	tree := &obs.TraceTree{ID: traceID, Segments: spans}
-	tree.Total = tree.Sum()
-	return tree
+	hello, ok := first.Payload.(*Hello)
+	if !ok {
+		return nil, fmt.Errorf("protocol: expected Hello, got %T", first.Payload)
+	}
+	if hello.Factor != cfg.Factor {
+		return nil, fmt.Errorf("protocol: client factor %d does not match server's %d", hello.Factor, cfg.Factor)
+	}
+	pk, err := helloPublicKey(hello)
+	var reqProfile backend.Profile
+	if err == nil {
+		reqProfile, err = backend.ParseProfile(hello.Profile)
+	}
+	if err != nil {
+		cfg.Log.Warn("session hello rejected", "err", err.Error())
+		if out != nil {
+			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err.Error()})
+		}
+		return nil, err
+	}
+	srvProfile, err := backend.ParseProfile(string(cfg.Profile))
+	if err != nil {
+		return nil, fmt.Errorf("protocol: session profile policy: %w", err)
+	}
+	// The session runs under the stricter of the server's policy and the
+	// client's request.
+	effProfile := backend.Stricter(srvProfile, reqProfile)
+	workers := hello.Workers
+	if workers < 1 {
+		workers = 1
+	}
+	if cfg.MaxWorkers > 0 && workers > cfg.MaxWorkers {
+		workers = cfg.MaxWorkers
+	}
+	mp, err := BuildModelProvider(net, pk, Config{Factor: cfg.Factor, Workers: workers})
+	if err != nil {
+		return nil, fmt.Errorf("protocol: building provider for session: %w", err)
+	}
+	// An uncertified boundary (<= 0) clamps to the round count: no clear
+	// execution anywhere.
+	boundary := cfg.ClearBoundary
+	if boundary <= 0 {
+		boundary = mp.Stages()
+	}
+	plan, err := backend.PlanFor(effProfile, mp.LayerInfos(), boundary, pk.N.BitLen())
+	if err != nil {
+		return nil, fmt.Errorf("protocol: solving backend plan: %w", err)
+	}
+	if err := mp.SetBackendPlan(plan.Assignment); err != nil {
+		return nil, err
+	}
+	paillierRounds := 0
+	for _, k := range plan.Assignment {
+		if k == backend.PaillierHE {
+			paillierRounds++
+		}
+	}
+	cfg.Log.Info("session plan solved",
+		"profile", string(effProfile), "boundary", plan.Boundary,
+		"paillier_rounds", paillierRounds, "rounds", mp.Stages())
+	reg := cfg.Registry
+	// Per-session blinding pool: every packed reply ciphertext is
+	// re-randomized, and pooled r^n factors keep those exponentiations off
+	// the round-trip critical path. Each precomputed factor is one real
+	// modular exponentiation the fill worker performs off-path, so it is
+	// charged into the process-wide modexp counter here — per-request
+	// meters only ever see the pool misses they caused inline. The pool
+	// is sized to the plan's actual Paillier rounds: a mixed or latency
+	// session that runs most rounds on ss-gc or clear precomputes less.
+	blind := paillier.NewPool(pk, nil, min(max(24*paillierRounds, 8), 64), 1,
+		paillier.WithPrecomputeHook(reg.Counter("cost.modexps").Add))
+	reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
+	mp.SetBlindPool(blind)
+	mp.Instrument(reg)
+	if cfg.Limiter != nil {
+		mp.SetLimiter(cfg.Limiter)
+	}
+	s := &session{
+		ctx: ctx, out: out, reg: reg, pk: pk, mp: mp, blind: blind,
+		life:      NewLifecycle(mp, cfg),
+		planCodes: plan.Codes(), profile: string(effProfile),
+		roundsServed: reg.Counter("rounds.served"),
+		roundErrs:    reg.Counter("rounds.errors"),
+		roundTime:    reg.Histogram("round.linear"),
+		kernelTime:   reg.Histogram("round.kernel"),
+		permuteTime:  reg.Histogram("round.permute"),
+		perRound:     make([]*obs.Histogram, mp.Stages()),
+		live:         map[uint64]*Request{},
+	}
+	for r := range s.perRound {
+		s.perRound[r] = reg.Histogram("round." + strconv.Itoa(r) + ".linear")
+	}
+	return s, nil
+}
+
+// close ends what the session still holds once the janitor and the frame
+// workers have stopped: requests live at teardown finish as ErrSessionDown
+// — the shedder outlives the connection — and the blinding pool's workers
+// stop.
+func (s *session) close() {
+	s.mu.Lock()
+	left := s.live
+	s.live = map[uint64]*Request{}
+	s.mu.Unlock()
+	for _, req := range left {
+		s.life.Finish(req, fmt.Errorf("%w: session ended with request %d mid-protocol", ErrSessionDown, req.ID))
+	}
+	s.blind.Close()
+}
+
+// janitor evicts requests abandoned mid-protocol — past their propagated
+// deadline, or idle longer than ttl — so their state does not accumulate
+// for the life of the session.
+func (s *session) janitor(ctx context.Context, ttl time.Duration) {
+	ticker := time.NewTicker(max(ttl/4, 10*time.Millisecond))
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case now := <-ticker.C:
+			s.sweep(now, ttl)
+		}
+	}
+}
+
+// sweep finishes every live request whose deadline has passed
+// (ErrDeadline, "requests.deadline_evicted") or that has been idle longer
+// than ttl (ErrEvicted, "requests.evicted").
+func (s *session) sweep(now time.Time, ttl time.Duration) {
+	var expired, idle []*Request
+	s.mu.Lock()
+	for id, req := range s.live {
+		switch {
+		case !req.deadline.IsZero() && now.After(req.deadline):
+			expired = append(expired, req)
+		case now.Sub(req.lastSeen) > ttl:
+			idle = append(idle, req)
+		default:
+			continue
+		}
+		delete(s.live, id)
+	}
+	s.mu.Unlock()
+	for _, req := range expired {
+		s.reg.Counter("requests.deadline_evicted").Inc()
+		s.life.Finish(req, fmt.Errorf("%w: request %d evicted mid-protocol", ErrDeadline, req.ID))
+	}
+	for _, req := range idle {
+		s.reg.Counter("requests.evicted").Inc()
+		s.life.Finish(req, fmt.Errorf("%w: request %d idle for more than %v", ErrEvicted, req.ID, ttl))
+	}
+}
+
+// admit routes a round frame to its request. A round-0 frame for an
+// unknown ID starts one (the shedder may refuse it); a later round for an
+// unknown ID is stale — the request was finished (evicted, failed) or
+// never admitted, its permutation chain is gone, and processing the frame
+// would return garbage. Either way the janitor's bookkeeping is refreshed:
+// deadline, when non-zero, replaces the request's eviction deadline.
+func (s *session) admit(id uint64, frame *roundFrame, arrived, deadline time.Time) (*Request, error) {
+	// touch refreshes what the janitor evicts on.
+	touch := func(req *Request) {
+		req.lastSeen = time.Now()
+		if !deadline.IsZero() {
+			req.deadline = deadline
+		}
+	}
+	s.mu.Lock()
+	req := s.live[id]
+	if req != nil {
+		touch(req)
+	}
+	s.mu.Unlock()
+	if req != nil {
+		return req, nil
+	}
+	if frame.Round > 0 {
+		s.reg.Counter("requests.stale_rounds").Inc()
+		return nil, fmt.Errorf("%w: no state for request %d round %d", ErrEvicted, id, frame.Round)
+	}
+	// Outside the lock: a refusal publishes its shed outcome to every sink.
+	req, err := s.life.Admit(id, frame.TC.traceID(), arrived)
+	if err != nil {
+		return nil, err
+	}
+	touch(req)
+	s.mu.Lock()
+	_, twin := s.live[id]
+	if !twin {
+		s.live[id] = req
+	}
+	s.mu.Unlock()
+	if twin {
+		// A client keeps one frame per request in flight. A second round-0
+		// frame racing the first under one ID breaks that, and ends both:
+		// this one here, its twin when it next needs the permutation state
+		// this Finish drops.
+		err = fmt.Errorf("protocol: request %d opened twice", id)
+		s.life.Finish(req, err)
+		return nil, err
+	}
+	return req, nil
+}
+
+// finish ends req with err unless the janitor or close already did,
+// and reports whether this call was the one.
+func (s *session) finish(req *Request, err error) bool {
+	s.mu.Lock()
+	mine := s.live[req.ID] == req
+	if mine {
+		delete(s.live, req.ID)
+	}
+	s.mu.Unlock()
+	if mine {
+		s.life.Finish(req, err)
+	}
+	return mine
+}
+
+// addSpans appends server-side trace segments to req while it is live.
+// The client keeps at most one frame of a request in flight, so
+// per-request appends never race with themselves.
+func (s *session) addSpans(req *Request, segs ...obs.Segment) {
+	s.mu.Lock()
+	if s.live[req.ID] == req {
+		req.spans = append(req.spans, segs...)
+	}
+	s.mu.Unlock()
+}
+
+func (s *session) recordFatal(err error) {
+	s.mu.Lock()
+	if s.fatal == nil {
+		s.fatal = err
+	}
+	s.mu.Unlock()
+}
+
+func (s *session) sessionErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fatal
+}
+
+// reject answers a frame with a typed error and no reply payload; the
+// code tells the client whether a retry can succeed. The session stays
+// alive.
+func (s *session) reject(seq uint64, frame *roundFrame, cause error) {
+	s.roundErrs.Inc()
+	s.life.logFor(frame.TC.traceID()).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
+	if err := s.out.Send(s.ctx, &stream.Message{Seq: seq, Err: cause.Error(), ErrCode: codeOf(cause)}); err != nil {
+		s.recordFatal(err)
+	}
+}
+
+// handle answers one round frame: range-check the round, decode, route
+// to the request (admitting a new one), run the linear round, reply. A
+// frame that fails before its request exists is only rejected; a failure
+// after that finishes the request.
+func (s *session) handle(msg *stream.Message, frame *roundFrame, arrived time.Time) {
+	start := time.Now()
+	if frame.Round < 0 || frame.Round >= len(s.perRound) {
+		s.reject(msg.Seq, frame, fmt.Errorf("%w: round %d outside [0, %d)", ErrBadRound, frame.Round, len(s.perRound)))
+		return
+	}
+	env, err := FromWire(frame.Env, s.pk)
+	if err != nil {
+		s.reject(msg.Seq, frame, err)
+		return
+	}
+	var deadline time.Time
+	if frame.DeadlineMS > 0 {
+		deadline = arrived.Add(time.Duration(frame.DeadlineMS) * time.Millisecond)
+	}
+	req, err := s.admit(env.Req, frame, arrived, deadline)
+	if err != nil {
+		s.reject(msg.Seq, frame, err)
+		return
+	}
+	var reply *roundFrame
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		// The budget ran out while the frame sat in the session queue;
+		// processing it would waste crypto work the client will discard.
+		s.reg.Counter("requests.deadline_expired").Inc()
+		err = fmt.Errorf("%w: request %d budget of %dms spent before round %d started",
+			ErrDeadline, env.Req, frame.DeadlineMS, frame.Round)
+	} else {
+		reply, err = s.round(req, frame, env, start, start.Sub(arrived))
+	}
+	if err != nil {
+		s.finish(req, err)
+		s.reject(msg.Seq, frame, err)
+		return
+	}
+	s.roundsServed.Inc()
+	if err := s.out.Send(s.ctx, &stream.Message{Seq: msg.Seq, Payload: reply}); err != nil {
+		s.recordFatal(err)
+	}
+}
+
+// round runs one admitted frame's linear round and builds its reply,
+// finishing the request when the round was its last.
+func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start time.Time, queueWait time.Duration) (*roundFrame, error) {
+	// One meter per round frame: round index == linear-stage index, so the
+	// snapshot IS the per-layer cost profile the trace segment carries.
+	// Profiling labels attribute CPU samples the same way.
+	var (
+		meter  obs.CostMeter
+		result *Envelope
+		timing LinearTiming
+		err    error
+	)
+	pprof.Do(s.ctx, pprof.Labels(
+		"stage", "linear",
+		"round", strconv.Itoa(frame.Round),
+		"trace", req.TraceID,
+	), func(context.Context) {
+		result, timing, err = s.mp.ProcessLinearMetered(frame.Round, env, &meter)
+	})
+	elapsed := time.Since(start)
+	s.roundTime.Observe(elapsed)
+	s.kernelTime.Observe(timing.Kernel)
+	s.permuteTime.Observe(timing.Permute)
+	s.perRound[frame.Round].Observe(elapsed)
+	if err != nil {
+		return nil, err
+	}
+	s.life.logFor(req.TraceID).Slow("slow linear round", elapsed,
+		"req", req.ID, "round", frame.Round,
+		"kernel_ms", float64(timing.Kernel)/float64(time.Millisecond),
+		"permute_ms", float64(timing.Permute)/float64(time.Millisecond),
+		"pack_ms", float64(timing.Pack)/float64(time.Millisecond))
+	wireEnv, err := ToWire(result)
+	if err != nil {
+		return nil, err
+	}
+	// This round's cost profile: the metered crypto ops plus the
+	// activation traffic both ways. It rides on the kernel segment (the
+	// work it explains) and folds into both the process-wide cost counters
+	// and the executing backend's labeled counters (cost.paillier_he.*,
+	// cost.ss_gc.*, cost.clear.*).
+	kind := s.mp.RoundBackend(frame.Round)
+	cost := meter.Snapshot()
+	cost.CipherBytesIn = frame.Env.CipherBytes()
+	cost.CipherBytesOut = wireEnv.CipherBytes()
+	obs.AddCostToRegistry(s.reg, cost)
+	obs.AddCostToRegistryLabeled(s.reg, kind.MetricName(), cost)
+	// The kernel span carries the backend that executed it, so the merged
+	// TraceTree shows the ILP's per-round assignment.
+	s.addSpans(req,
+		obs.Segment{Party: "server", Name: "queue", Round: frame.Round, Dur: queueWait},
+		obs.Segment{Party: "server", Name: "kernel", Round: frame.Round, Dur: timing.Kernel, Cost: &cost, Backend: string(kind)},
+		obs.Segment{Party: "server", Name: "permute", Round: frame.Round, Dur: timing.Permute},
+		obs.Segment{Party: "server", Name: "pack", Round: frame.Round, Dur: timing.Pack},
+	)
+	reply := &roundFrame{Round: frame.Round, Env: wireEnv, TC: frame.TC}
+	if frame.Round == 0 {
+		// The solved plan rides every round-0 reply (requests share the
+		// session plan, so repeats are idempotent on the client).
+		reply.Plan, reply.Profile = s.planCodes, s.profile
+	}
+	if frame.Round == len(s.perRound)-1 {
+		// The request's last linear round: its spans travel back to the
+		// client for the merged trace tree. Losing the finish to the
+		// janitor means the request already ended as evicted.
+		if !s.finish(req, nil) {
+			return nil, fmt.Errorf("%w: request %d evicted during its last round", ErrEvicted, req.ID)
+		}
+		reply.Spans = toWireSpans(req.spans)
+	}
+	return reply, nil
 }
 
 // ClientOptions parameterizes the data-provider session client.
@@ -868,30 +722,14 @@ type Client struct {
 	readerDone chan struct{}
 }
 
-// NewClient builds the data-provider role, sends the Hello, and returns
-// a client ready to Infer with the default in-flight window. The
-// architecture network may be a skeleton; its linear weights are not
-// read.
-func NewClient(ctx context.Context, in, out stream.Edge, arch *nn.Network, sk *paillier.PrivateKey, factor int64, workers int) (*Client, error) {
-	return NewClientOpts(ctx, in, out, arch, sk, factor, ClientOptions{Workers: workers})
-}
-
-// NewClientOpts is NewClient with an explicit in-flight window. ctx
-// bounds the session's reader goroutine as well as the Hello send.
+// NewClientOpts builds the data-provider role, sends the Hello, and
+// returns a client ready to Infer. The architecture network may be a
+// skeleton; its linear weights are not read. ctx bounds the session's
+// reader goroutine as well as the Hello send.
 func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, sk *paillier.PrivateKey, factor int64, opts ClientOptions) (*Client, error) {
 	dp, err := BuildDataProvider(arch, sk, Config{Factor: factor, Workers: opts.Workers})
 	if err != nil {
 		return nil, err
-	}
-	merged, err := validateWorkflow(arch)
-	if err != nil {
-		return nil, err
-	}
-	rounds := 0
-	for _, m := range merged {
-		if m.Kind == nn.Linear {
-			rounds++
-		}
 	}
 	window := opts.Window
 	if window <= 0 {
@@ -906,17 +744,16 @@ func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, s
 		return nil, err
 	}
 	c := &Client{
-		dp: dp, pk: &sk.PublicKey, in: in, out: out, rounds: rounds,
+		dp: dp, pk: &sk.PublicKey, in: in, out: out, rounds: dp.Stages(),
 		window:     make(chan struct{}, window),
 		pending:    map[uint64]chan *stream.Message{},
 		readerDone: make(chan struct{}),
 		deadline:   opts.Deadline,
 		retry:      opts.Retry.withDefaults(),
 		profile:    profile,
-	}
-	if opts.Registry != nil {
-		c.retryAttempts = opts.Registry.Counter("retry.attempts")
-		c.retryGiveups = opts.Registry.Counter("retry.giveups")
+
+		retryAttempts: opts.Registry.Counter("retry.attempts"),
+		retryGiveups:  opts.Registry.Counter("retry.giveups"),
 	}
 	go c.readLoop(ctx)
 	return c, nil
@@ -1057,61 +894,9 @@ func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dens
 			return nil, nil, err
 		}
 		wireCosts[round].CipherBytesOut = w.CipherBytes()
-		var msg *stream.Message
-		for attempt := 1; ; attempt++ {
-			frame := &roundFrame{Round: round, Env: w, TC: tc}
-			if !deadline.IsZero() {
-				remaining := time.Until(deadline)
-				if remaining <= 0 {
-					return nil, nil, fmt.Errorf("%w: budget spent before round %d", ErrDeadline, round)
-				}
-				if frame.DeadlineMS = remaining.Milliseconds(); frame.DeadlineMS < 1 {
-					frame.DeadlineMS = 1
-				}
-			}
-			if err := c.out.Send(ctx, &stream.Message{Seq: req, Payload: frame}); err != nil {
-				if ctx.Err() != nil {
-					return nil, nil, err
-				}
-				return nil, nil, fmt.Errorf("%w: %w", ErrSessionDown, err)
-			}
-			select {
-			case m, ok := <-ch:
-				if !ok {
-					return nil, nil, c.sessionErr()
-				}
-				msg = m
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-			if msg.Err == "" {
-				break
-			}
-			rerr := &RoundError{Round: round, Code: msg.ErrCode, Msg: msg.Err}
-			// Only a first-round throttle/shed rejection is retryable in
-			// session: the server rejected it before creating any
-			// per-request state, so resending the identical frame starts
-			// clean. Later rounds are non-idempotent — the server's
-			// permutation state advances each round — and fail through.
-			if round != 0 || !Retryable(rerr) {
-				return nil, nil, rerr
-			}
-			if attempt >= c.retry.MaxAttempts {
-				if c.retryGiveups != nil {
-					c.retryGiveups.Inc()
-				}
-				return nil, nil, fmt.Errorf("protocol: retries exhausted: %w", rerr)
-			}
-			if c.retryAttempts != nil {
-				c.retryAttempts.Inc()
-			}
-			if err := retrySleep(ctx, c.retry.backoff(attempt)); err != nil {
-				return nil, nil, err
-			}
-		}
-		frame, ok := msg.Payload.(*roundFrame)
-		if !ok {
-			return nil, nil, fmt.Errorf("protocol: expected round frame, got %T", msg.Payload)
+		frame, err := c.exchange(ctx, ch, req, &roundFrame{Round: round, Env: w, TC: tc}, deadline)
+		if err != nil {
+			return nil, nil, err
 		}
 		if round == 0 {
 			// The server's solved backend plan rides the round-0 reply;
@@ -1145,6 +930,59 @@ func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dens
 	}
 	tree := mergeTrace(tc.ID, time.Since(begin), queueWait, encDur, roundtrips, nonlinear, serverSegs, encCost, wireCosts, nlCosts, c.dp.BackendPlan())
 	return env.Result, tree, nil
+}
+
+// exchange sends one round frame for req, stamped with what is left of
+// deadline, and waits on ch for the server's reply frame. Only a
+// first-round throttle/shed rejection is retried in session: the server
+// rejected it before creating any per-request state, so resending the
+// identical frame starts clean. Later rounds are non-idempotent — the
+// server's permutation state advances each round — and fail through.
+func (c *Client) exchange(ctx context.Context, ch <-chan *stream.Message, req uint64, frame *roundFrame, deadline time.Time) (*roundFrame, error) {
+	for attempt := 1; ; attempt++ {
+		if !deadline.IsZero() {
+			remaining := time.Until(deadline)
+			if remaining <= 0 {
+				return nil, fmt.Errorf("%w: budget spent before round %d", ErrDeadline, frame.Round)
+			}
+			frame.DeadlineMS = max(remaining.Milliseconds(), 1)
+		}
+		if err := c.out.Send(ctx, &stream.Message{Seq: req, Payload: frame}); err != nil {
+			if ctx.Err() != nil {
+				return nil, err
+			}
+			return nil, fmt.Errorf("%w: %w", ErrSessionDown, err)
+		}
+		var msg *stream.Message
+		select {
+		case m, ok := <-ch:
+			if !ok {
+				return nil, c.sessionErr()
+			}
+			msg = m
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if msg.Err == "" {
+			reply, ok := msg.Payload.(*roundFrame)
+			if !ok {
+				return nil, fmt.Errorf("protocol: expected round frame, got %T", msg.Payload)
+			}
+			return reply, nil
+		}
+		rerr := &RoundError{Round: frame.Round, Code: msg.ErrCode, Msg: msg.Err}
+		if frame.Round != 0 || !Retryable(rerr) {
+			return nil, rerr
+		}
+		if attempt >= c.retry.MaxAttempts {
+			c.retryGiveups.Inc()
+			return nil, fmt.Errorf("protocol: retries exhausted: %w", rerr)
+		}
+		c.retryAttempts.Inc()
+		if err := retrySleep(ctx, c.retry.backoff(attempt)); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // applyPlan installs the server's solved backend plan from a round-0

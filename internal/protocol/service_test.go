@@ -34,10 +34,10 @@ func TestServiceSessionEndToEnd(t *testing.T) {
 
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- ServeSession(ctx, serverIn, serverOut, netw, factor, 4)
+		serveErr <- ServeSessionConfig(ctx, serverIn, serverOut, netw, SessionConfig{Factor: factor, MaxWorkers: 4})
 	}()
 
-	client, err := NewClient(ctx, clientIn, clientOut, netw, k, factor, 2)
+	client, err := NewClientOpts(ctx, clientIn, clientOut, netw, k, factor, ClientOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestServiceRejectsFactorMismatch(t *testing.T) {
 
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- ServeSession(ctx, serverIn, nil, netw, 1000, 4)
+		serveErr <- ServeSessionConfig(ctx, serverIn, nil, netw, SessionConfig{Factor: 1000, MaxWorkers: 4})
 	}()
 	hello := &Hello{N: k.N.Bytes(), Factor: 999, Workers: 1}
 	if err := clientOut.Send(ctx, &stream.Message{Payload: hello}); err != nil {
@@ -105,7 +105,7 @@ func hostileHello(t *testing.T, hello *Hello) (error, *stream.Message) {
 	defer cancel()
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- ServeSession(ctx, serverIn, serverOut, netw, 1000, 4)
+		serveErr <- ServeSessionConfig(ctx, serverIn, serverOut, netw, SessionConfig{Factor: 1000, MaxWorkers: 4})
 	}()
 	if err := clientOut.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		t.Fatal(err)
@@ -195,16 +195,16 @@ func TestDataProviderNeedsNoWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.MustFromSlice([]float64{0.4, -0.2, 1.0, 0.3}, 4)
-	env, err := dp.Encrypt(1, x)
+	env, err := dp.EncryptMetered(1, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < dp.Stages(); r++ {
-		env, err = mp.ProcessLinear(r, env)
+		env, _, err = mp.ProcessLinearMetered(r, env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err = dp.ProcessNonLinear(r, env)
+		env, err = dp.ProcessNonLinearMetered(r, env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

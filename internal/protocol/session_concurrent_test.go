@@ -172,7 +172,7 @@ func TestSessionIdleEviction(t *testing.T) {
 	if err := edge.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
-	env, err := proto.Data.Encrypt(1, tensor.Zeros(4))
+	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

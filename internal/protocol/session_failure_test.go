@@ -12,17 +12,19 @@ import (
 	"ppstream/internal/tensor"
 )
 
-// startRawSession spins up a server session over TCP and returns a raw
-// client edge plus the registry, with the Hello already exchanged — the
-// harness for tests that drive round frames by hand.
-func startRawSession(t *testing.T, cfg SessionConfig) (stream.Edge, *obs.Registry, chan error, context.Context) {
+// openRawSession spins up a server session over TCP with the Hello already
+// exchanged and returns the session value beside a raw client edge — the
+// harness for tests that drive round frames by hand and inspect what the
+// session still holds afterwards.
+func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, chan error, context.Context) {
 	t.Helper()
 	RegisterServiceWire()
-	k := key(t)
-	netw := buildNet(t)
 	cfg.Factor = 1000
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry("raw-session")
+	}
+	if cfg.IdleTTL <= 0 {
+		cfg.IdleTTL = DefaultIdleTTL
 	}
 	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
 	if err != nil {
@@ -30,19 +32,29 @@ func startRawSession(t *testing.T, cfg SessionConfig) (stream.Edge, *obs.Registr
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	t.Cleanup(cancel)
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverEdge, serverEdge, netw, cfg)
-	}()
 	edge, err := stream.DialEdge(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := &Hello{N: k.N.Bytes(), Factor: 1000, Workers: 1}
+	hello := &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1}
 	if err := edge.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
-	return edge, cfg.Registry, serveErr, ctx
+	s, err := openSession(ctx, serverEdge, serverEdge, buildNet(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.serve(serverEdge, DefaultSessionWindow, cfg.IdleTTL) }()
+	return s, edge, serveErr, ctx
+}
+
+// startRawSession is openRawSession for tests that need only the wire and
+// the registry.
+func startRawSession(t *testing.T, cfg SessionConfig) (stream.Edge, *obs.Registry, chan error, context.Context) {
+	t.Helper()
+	s, edge, serveErr, ctx := openRawSession(t, cfg)
+	return edge, s.reg, serveErr, ctx
 }
 
 // roundZero encrypts a fresh input for req and returns its round-0 wire
@@ -53,7 +65,7 @@ func roundZero(t *testing.T, req uint64) *WireEnvelope {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := proto.Data.Encrypt(req, tensor.Zeros(4))
+	env, err := proto.Data.EncryptMetered(req, tensor.Zeros(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +87,7 @@ func TestSessionEvictionRaceTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := proto.Data.Encrypt(1, tensor.Zeros(4))
+	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +109,7 @@ func TestSessionEvictionRaceTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	renv.Req = 1
-	renv, err = proto.Data.ProcessNonLinear(0, renv)
+	renv, err = proto.Data.ProcessNonLinearMetered(0, renv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +202,7 @@ func TestSessionShedTypedRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := proto.Data.Encrypt(1, tensor.Zeros(4))
+	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +234,7 @@ func TestSessionShedTypedRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	renv.Req = 1
-	renv, err = proto.Data.ProcessNonLinear(0, renv)
+	renv, err = proto.Data.ProcessNonLinearMetered(0, renv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +325,7 @@ func TestClientRetriesRoundZero(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				out, err := proto.Model.ProcessLinear(frame.Round, env)
+				out, _, err := proto.Model.ProcessLinearMetered(frame.Round, env, nil)
 				if err != nil {
 					return err
 				}

@@ -60,7 +60,7 @@ func TestProtocolOverTCP(t *testing.T) {
 				errCh <- err
 				return
 			}
-			out, err := proto.Model.ProcessLinear(int(msg.Seq), env)
+			out, _, err := proto.Model.ProcessLinearMetered(int(msg.Seq), env, nil)
 			if err != nil {
 				errCh <- err
 				return
@@ -86,7 +86,7 @@ func TestProtocolOverTCP(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = r.NormFloat64()
 	}
-	env, err := proto.Data.Encrypt(1, x)
+	env, err := proto.Data.EncryptMetered(1, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestProtocolOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err = proto.Data.ProcessNonLinear(round, env)
+		env, err = proto.Data.ProcessNonLinearMetered(round, env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestConcurrentRequests(t *testing.T) {
 			x.Data()[j] = r.NormFloat64()
 		}
 		inputs[i] = x
-		env, err := proto.Data.Encrypt(uint64(i), x)
+		env, err := proto.Data.EncryptMetered(uint64(i), x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,11 +194,11 @@ func TestConcurrentRequests(t *testing.T) {
 	// map must keep each request's permutations separate.
 	for round := 0; round < proto.Rounds(); round++ {
 		for i := range envs {
-			out, err := proto.Model.ProcessLinear(round, envs[i])
+			out, _, err := proto.Model.ProcessLinearMetered(round, envs[i], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			envs[i], err = proto.Data.ProcessNonLinear(round, out)
+			envs[i], err = proto.Data.ProcessNonLinearMetered(round, out, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

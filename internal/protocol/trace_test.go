@@ -41,7 +41,7 @@ func traceSession(t *testing.T, cfg SessionConfig) (*Client, chan error, context
 	go func() {
 		serveErr <- ServeSessionConfig(ctx, serverIn, serverOut, netw, cfg)
 	}()
-	client, err := NewClient(ctx, clientIn, clientOut, netw, k, cfg.Factor, 2)
+	client, err := NewClientOpts(ctx, clientIn, clientOut, netw, k, cfg.Factor, ClientOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

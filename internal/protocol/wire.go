@@ -29,9 +29,13 @@ type TraceContext struct {
 	ID  string
 }
 
-// valid reports whether a received trace context should be honoured.
-func (tc *TraceContext) valid() bool {
-	return tc != nil && tc.Ver == TraceV1 && tc.ID != ""
+// traceID returns a received trace context's ID, or "" when the context
+// is absent or of a version that must not be honoured.
+func (tc *TraceContext) traceID() string {
+	if tc != nil && tc.Ver == TraceV1 {
+		return tc.ID
+	}
+	return ""
 }
 
 // WireSpan is the gob form of one server-side trace segment, shipped

@@ -36,7 +36,7 @@ type Dispatcher struct {
 	failed    atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan *Message
+	pending map[uint64]waiter
 	err     error
 	closed  bool
 	// submitting counts Submit calls past the closed-check that have not
@@ -54,6 +54,13 @@ type Dispatcher struct {
 	readerDone chan struct{}
 }
 
+// waiter is one in-flight request's completion route: the channel its
+// Future reads and the hook its submitter registered, if any.
+type waiter struct {
+	ch   chan *Message
+	done func(*Message)
+}
+
 // NewDispatcher starts the pipeline and its completion reader. window > 0
 // bounds the number of concurrently in-flight requests (backpressure for
 // submitters beyond the pipeline's own edge buffers); window <= 0 leaves
@@ -64,7 +71,7 @@ func NewDispatcher(ctx context.Context, p *Pipeline, window int) (*Dispatcher, e
 	}
 	d := &Dispatcher{
 		p:          p,
-		pending:    map[uint64]chan *Message{},
+		pending:    map[uint64]waiter{},
 		down:       make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
@@ -99,11 +106,14 @@ func (d *Dispatcher) read(ctx context.Context) {
 			<-d.window
 		}
 		d.mu.Lock()
-		ch := d.pending[m.Seq]
+		w, ok := d.pending[m.Seq]
 		delete(d.pending, m.Seq)
 		d.mu.Unlock()
-		if ch != nil {
-			ch <- m // buffered: never blocks the reader
+		if ok {
+			if w.done != nil {
+				w.done(m)
+			}
+			w.ch <- m // buffered: never blocks the reader
 		}
 	}
 }
@@ -118,11 +128,15 @@ func (d *Dispatcher) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
-	for seq, ch := range d.pending {
-		close(ch)
-		delete(d.pending, seq)
-	}
+	stranded := d.pending
+	d.pending = map[uint64]waiter{}
 	d.mu.Unlock()
+	for seq, w := range stranded {
+		if w.done != nil {
+			w.done(&Message{Seq: seq, Err: err.Error()})
+		}
+		close(w.ch)
+	}
 	d.downOnce.Do(func() { close(d.down) })
 }
 
@@ -166,7 +180,14 @@ func (d *Dispatcher) terminalErr() error {
 // the pipeline's first edge) is full; a dispatcher that terminated while
 // the caller was waiting returns the terminal error rather than blocking
 // forever on slots no reader will ever release.
-func (d *Dispatcher) Submit(ctx context.Context, payload any) (*Future, error) {
+//
+// done, when non-nil, runs exactly once for a request Submit accepted, on
+// the dispatcher's reader goroutine, before the Future is woken and
+// whether or not anyone still waits on it: with the request's final
+// message when it leaves the pipeline, or with a message carrying only its
+// Seq and the terminal error when the dispatcher terminates with it still
+// inside. It may already have run when Submit returns.
+func (d *Dispatcher) Submit(ctx context.Context, payload any, done func(*Message)) (*Future, error) {
 	if d.window != nil {
 		select {
 		case d.window <- struct{}{}:
@@ -199,7 +220,7 @@ func (d *Dispatcher) Submit(ctx context.Context, payload any) (*Future, error) {
 	}
 	seq := d.p.Reserve()
 	ch := make(chan *Message, 1)
-	d.pending[seq] = ch
+	d.pending[seq] = waiter{ch: ch, done: done}
 	d.submitting.Add(1)
 	d.mu.Unlock()
 
@@ -209,10 +230,15 @@ func (d *Dispatcher) Submit(ctx context.Context, payload any) (*Future, error) {
 	if err != nil {
 		d.inflight.Add(-1)
 		d.mu.Lock()
+		_, unclaimed := d.pending[seq]
 		delete(d.pending, seq)
 		d.mu.Unlock()
 		release()
-		return nil, err
+		if unclaimed {
+			return nil, err
+		}
+		// The dispatcher terminated first and has already handed the
+		// request to done: the Future reports that same terminal error.
 	}
 	return &Future{d: d, seq: seq, ch: ch}, nil
 }
@@ -220,7 +246,7 @@ func (d *Dispatcher) Submit(ctx context.Context, payload any) (*Future, error) {
 // Do is Submit followed by Wait: the synchronous per-request call most
 // submitters want.
 func (d *Dispatcher) Do(ctx context.Context, payload any) (*Message, error) {
-	f, err := d.Submit(ctx, payload)
+	f, err := d.Submit(ctx, payload, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -86,11 +87,11 @@ func TestDispatcherErrorIsolation(t *testing.T) {
 	}
 	defer d.Close()
 
-	bad, err := d.Submit(ctx, -7)
+	bad, err := d.Submit(ctx, -7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := d.Submit(ctx, 5)
+	good, err := d.Submit(ctx, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +136,16 @@ func TestDispatcherWindowBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, 1); err != nil {
+	if _, err := d.Submit(ctx, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, 2); err != nil {
+	if _, err := d.Submit(ctx, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Third submit must block on the window.
 	blocked, bcancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer bcancel()
-	if _, err := d.Submit(blocked, 3); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := d.Submit(blocked, 3, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("window did not bound admission: %v", err)
 	}
 	if got := d.InFlight(); got != 2 {
@@ -165,7 +166,7 @@ func TestDispatcherClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := d.Submit(ctx, 3)
+	f, err := d.Submit(ctx, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestDispatcherClose(t *testing.T) {
 	if err := <-closeErr; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, 4); !errors.Is(err, ErrDispatcherClosed) {
+	if _, err := d.Submit(ctx, 4, nil); !errors.Is(err, ErrDispatcherClosed) {
 		t.Errorf("submit after close: %v", err)
 	}
 }
@@ -207,7 +208,7 @@ func TestDispatcherSubmitCloseRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				f, err := d.Submit(ctx, i)
+				f, err := d.Submit(ctx, i, nil)
 				if err != nil {
 					return // lost the race with Close: acceptable
 				}
@@ -251,14 +252,14 @@ func TestDispatcherFailReleasesWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, 1); err != nil { // fills the window
+	if _, err := d.Submit(ctx, 1, nil); err != nil { // fills the window
 		t.Fatal(err)
 	}
 	cancel() // kills the reader with the slot still held
 	waitCtx, waitCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer waitCancel()
 	for {
-		_, err := d.Submit(waitCtx, 2)
+		_, err := d.Submit(waitCtx, 2, nil)
 		if err == nil {
 			// Won the race with the reader's own demise; the slot came
 			// back, try again until the failure is recorded.
@@ -268,5 +269,62 @@ func TestDispatcherFailReleasesWindow(t *testing.T) {
 			t.Fatal("Submit hung on a window slot the failed reader will never release")
 		}
 		break // terminal dispatcher error: the fix works
+	}
+}
+
+// TestDispatcherDoneHook: a request's done hook runs exactly once with the
+// message it left the pipeline with, before its waiter wakes and even when
+// nobody waits; a request stranded inside a pipeline that stopped gets the
+// terminal error under its own Seq instead.
+func TestDispatcherDoneHook(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	d, err := NewDispatcher(ctx, dispPipeline(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	waited, err := d.Submit(ctx, 5, func(m *Message) { calls.Add(int64(m.Payload.(int))) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := waited.Wait(ctx); err != nil || calls.Load() != 11 {
+		t.Fatalf("waiter woke (err %v) with done total %d, want 11", err, calls.Load())
+	}
+	if _, err := d.Submit(ctx, 7, func(m *Message) { calls.Add(int64(m.Payload.(int))) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil { // drains the abandoned request
+		t.Fatal(err)
+	}
+	if calls.Load() != 11+15 {
+		t.Errorf("done total %d after an abandoned request drained, want 26", calls.Load())
+	}
+
+	stallCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	release := make(chan struct{}) // holds the request inside while the reader dies
+	defer close(release)
+	p, err := NewPipeline(1, HandlerFunc{StageName: "stall", Fn: func(_ context.Context, m *Message) (*Message, error) {
+		<-release
+		return m, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = NewDispatcher(stallCtx, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	stranded := make(chan *Message, 2)
+	f, err := d.Submit(ctx, 1, func(m *Message) { stranded <- m })
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if _, err := f.Wait(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stranded waiter: %v, want the dispatcher's terminal error", err)
+	}
+	if m := <-stranded; m.Seq != f.Seq() || m.Err == "" || len(stranded) != 0 {
+		t.Errorf("stranded request's done saw %+v (%d more calls), want one message with Seq %d and the terminal error", m, len(stranded), f.Seq())
 	}
 }
