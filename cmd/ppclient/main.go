@@ -11,6 +11,10 @@
 //
 //	ppclient -model models/Heart.gob -addr 127.0.0.1:7100 -factor 10000 -n 3
 //
+// The connection speaks wire format v1 (DESIGN.md); client and server must
+// be builds of the same wire version, and a mismatch ends the session with
+// an "unsupported wire version" error instead of a misparse.
+//
 // With -concurrency C > 1, C goroutines share the single multiplexed
 // session: their round frames interleave on one connection and the
 // client prints aggregate throughput alongside per-inference results.

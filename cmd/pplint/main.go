@@ -94,11 +94,7 @@ func run(patterns []string, update bool, rules string, asJSON bool) error {
 	if typeErrs > 0 {
 		return fmt.Errorf("%d type errors — analysis would be unreliable", typeErrs)
 	}
-	analyzers := analysis.Analyzers(analysis.WirecompatConfig{
-		LockPath: filepath.Join(root, analysis.DefaultWireLockPath),
-		Structs:  analysis.DefaultWireStructs(),
-		Update:   update,
-	})
+	analyzers := analysis.Analyzers(analysis.DefaultWireConfig(filepath.Join(root, analysis.DefaultWireLockPath), update))
 	if rules != "" {
 		want := map[string]bool{}
 		for _, r := range strings.Split(rules, ",") {

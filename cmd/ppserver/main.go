@@ -8,6 +8,11 @@
 //
 //	ppserver -model models/Heart.gob -listen :7100 -factor 10000 -metrics :7200
 //
+// Connections speak wire format v1 (DESIGN.md): a client that opens with
+// anything else — another version, or the gob stream of a build before the
+// format existed — is answered with one "unsupported wire version" error
+// frame and dropped; the model file is the only gob left.
+//
 // Each session is multiplexed: round frames from different in-flight
 // requests interleave on one connection and are processed concurrently
 // up to -window; per-request state abandoned mid-protocol is evicted

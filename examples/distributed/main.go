@@ -1,5 +1,5 @@
 // Distributed: runs the two providers as separate services connected by
-// real TCP sockets on loopback, exchanging gob-encoded wire envelopes —
+// real TCP sockets on loopback, exchanging wire-format v1 envelopes —
 // the deployment shape of the paper's testbed. The model-provider
 // service owns the weights and the obfuscation state; the data-provider
 // client owns the private key and the raw inputs. Only ciphertexts cross

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -207,11 +209,10 @@ func TestWirecompatFixture(t *testing.T) {
 	// int32), a removed field Hello.Gone, and a removed struct Dropped.
 	// Hello also carries two ADDITIVE fields the lock predates (Profile,
 	// Plan — the backend-negotiation evolution); those must not fire.
+	// Frame is a struct of the versioned format whose field set changed
+	// all three ways while WireVersion stayed at the locked 3.
 	pkg := fixturePkg(t, "wirecompat", "fix/protocol")
-	a := NewWirecompatAnalyzer(WirecompatConfig{
-		LockPath: filepath.Join("testdata", "wirecompat", "wire.lock"),
-		Structs:  map[string][]string{"fix/protocol": {"Hello"}},
-	})
+	a := NewWirecompatAnalyzer(fixtureWireConfig(filepath.Join("testdata", "wirecompat", "wire.lock")))
 	diags, err := Run([]*Package{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
@@ -224,6 +225,9 @@ func TestWirecompatFixture(t *testing.T) {
 		{filepath.Join("testdata", "wirecompat", "fix.go"), "Hello.Factor retyped from int64 to int32"},
 		{filepath.Join("testdata", "wirecompat", "wire.lock"), "Hello.Gone (string) was removed"},
 		{filepath.Join("testdata", "wirecompat", "wire.lock"), "Dropped.Field (int) was removed"},
+		{filepath.Join("testdata", "wirecompat", "fix.go"), "frame field Frame.Seq retyped from uint32 to uint64 without WireVersion changing"},
+		{filepath.Join("testdata", "wirecompat", "wire.lock"), "frame field Frame.Flags (uint8) was removed without WireVersion changing"},
+		{filepath.Join("testdata", "wirecompat", "fix.go"), "frame field Frame.Added (int) was added without WireVersion changing"},
 	}
 	if len(diags) != len(expects) {
 		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(expects), diags)
@@ -249,15 +253,52 @@ func TestWirecompatFixture(t *testing.T) {
 	}
 }
 
+// fixtureWireConfig is the fixture package's schema: Hello as a gob
+// struct, Frame as a frame of the format WireVersion versions.
+func fixtureWireConfig(lock string) WirecompatConfig {
+	return WirecompatConfig{
+		LockPath:     lock,
+		Structs:      map[string][]string{"fix/protocol": {"Hello"}},
+		Frames:       map[string][]string{"fix/protocol": {"Frame"}},
+		VersionPkg:   "fix/protocol",
+		VersionConst: "WireVersion",
+	}
+}
+
+// TestWirecompatVersionBump: once the version constant differs from the
+// locked one, frame changes are what the bump is for — the only
+// diagnostic asks for the lock to be regenerated — while the gob structs
+// are held to additive evolution as before.
+func TestWirecompatVersionBump(t *testing.T) {
+	pkg := fixturePkg(t, "wirecompat", "fix/protocol")
+	lock := filepath.Join(t.TempDir(), "wire.lock")
+	old := "fix/protocol Frame Flags uint8\nfix/protocol Frame Seq uint32\nfix/protocol const WireVersion 2\nfix/protocol Hello Gone string\n"
+	if err := os.WriteFile(lock, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	diags, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(fixtureWireConfig(lock))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 2 {
+		t.Fatalf("got %d diagnostics, want the version notice and Hello.Gone:\n%v", len(diags), diags)
+	}
+	for _, want := range []string{"wire version changed from 2 to 3: run pplint -update", "Hello.Gone (string) was removed"} {
+		if !slices.ContainsFunc(diags, func(d Diagnostic) bool { return strings.Contains(d.Msg, want) }) {
+			t.Errorf("missing diagnostic %q:\n%v", want, diags)
+		}
+	}
+}
+
 func TestWirecompatUpdateRoundTrip(t *testing.T) {
 	pkg := fixturePkg(t, "wirecompat", "fix/protocol")
 	lock := filepath.Join(t.TempDir(), "wire.lock")
-	structs := map[string][]string{"fix/protocol": {"Hello"}}
+	cfg := fixtureWireConfig(lock)
+	update := cfg
+	update.Update = true
 
 	// -update writes a lock reflecting the current tree.
-	if _, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(WirecompatConfig{
-		LockPath: lock, Structs: structs, Update: true,
-	})}); err != nil {
+	if _, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(update)}); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(lock)
@@ -266,9 +307,7 @@ func TestWirecompatUpdateRoundTrip(t *testing.T) {
 	}
 
 	// Diffing the unchanged tree against the fresh lock is clean.
-	diags, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(WirecompatConfig{
-		LockPath: lock, Structs: structs,
-	})})
+	diags, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +316,7 @@ func TestWirecompatUpdateRoundTrip(t *testing.T) {
 	}
 
 	// A second -update is byte-identical (deterministic output).
-	if _, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(WirecompatConfig{
-		LockPath: lock, Structs: structs, Update: true,
-	})}); err != nil {
+	if _, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(update)}); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(lock)

@@ -19,3 +19,16 @@ type Hello struct {
 }
 
 var _ = Hello{hidden: 0}
+
+// WireVersion is the fixture's wire-format version; the fixture lock
+// records the same value, so Frame below changed without it.
+const WireVersion = 3
+
+// Frame mirrors a frame of the versioned binary format. Against the
+// fixture lock, Seq was retyped (uint32 → uint64), Flags was removed and
+// Added was added — each a diagnostic while WireVersion is still 3, and
+// none once the lock records another version.
+type Frame struct {
+	Seq   uint64
+	Added int
+}

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -13,9 +14,18 @@ import (
 type WirecompatConfig struct {
 	// LockPath is the committed golden-schema file.
 	LockPath string
-	// Structs maps package import paths to the gob wire structs whose
-	// exported fields are locked.
+	// Structs maps package import paths to the gob structs (the on-disk
+	// key and model formats) whose exported fields are locked and may
+	// only be added to.
 	Structs map[string][]string
+	// Frames maps package import paths to the structs of the versioned
+	// binary wire format (stream/wire.go). Their exported field sets must
+	// equal the lock exactly — unless the version constant differs from
+	// the locked one, which is the one legitimate way to change them.
+	Frames map[string][]string
+	// VersionPkg and VersionConst name the wire format's version, an
+	// untyped integer constant, locked beside the frames.
+	VersionPkg, VersionConst string
 	// Update regenerates the lock from the current tree instead of
 	// diffing against it.
 	Update bool
@@ -25,35 +35,52 @@ type WirecompatConfig struct {
 // wire schema.
 const DefaultWireLockPath = "internal/protocol/wire.lock"
 
-// DefaultWireStructs lists every gob struct that crosses a process
-// boundary: the protocol session frames (internal/protocol/wire.go and
-// service.go), the stream layer's TCP frame and trace records, the
-// persisted Paillier key format, and the persisted model format.
-func DefaultWireStructs() map[string][]string {
-	return map[string][]string{
-		"ppstream/internal/protocol": {"Hello", "roundFrame", "TraceContext", "WireSpan", "WireCost", "WireEnvelope"},
-		"ppstream/internal/stream":   {"Message", "Span", "Trace", "wireFrame"},
-		"ppstream/internal/paillier": {"wireKey"},
-		"ppstream/internal/nn":       {"tensorBlob", "layerBlob", "networkBlob"},
+// DefaultWireConfig is the repository's schema: the gob structs that
+// outlive a process (the persisted Paillier key and model formats), and
+// the frames of the binary wire format — the protocol session frames
+// (internal/protocol/wire.go and service.go) and the stream layer's
+// message and trace records — locked together with stream.WireVersion.
+func DefaultWireConfig(lockPath string, update bool) WirecompatConfig {
+	return WirecompatConfig{
+		LockPath: lockPath,
+		Update:   update,
+		Structs: map[string][]string{
+			"ppstream/internal/paillier": {"wireKey"},
+			"ppstream/internal/nn":       {"tensorBlob", "layerBlob", "networkBlob"},
+		},
+		Frames: map[string][]string{
+			"ppstream/internal/protocol": {"Hello", "roundFrame", "TraceContext", "WireSpan", "WireCost", "WireEnvelope"},
+			"ppstream/internal/stream":   {"Message", "Span", "Trace"},
+		},
+		VersionPkg:   "ppstream/internal/stream",
+		VersionConst: "WireVersion",
 	}
 }
 
-// wireField is one locked (package, struct, field, type) entry.
+// wireField is one locked (package, struct, field, type) entry. The
+// version constant is locked as the entry (package, "const", name, value).
 type wireField struct {
 	Pkg, Struct, Field, Type string
 }
+
+// versionStruct is the Struct of the version constant's lock entry; no Go
+// struct can be named by a keyword.
+const versionStruct = "const"
 
 func (f wireField) key() string { return f.Pkg + " " + f.Struct + " " + f.Field }
 
 // NewWirecompatAnalyzer builds the wire-schema analyzer.
 //
-// Invariant: the gob wire format must evolve additively. Old peers decode
-// frames with unknown fields skipped and missing fields zero, so ADDING a
-// field keeps both directions interoperating — but REMOVING or RETYPING
-// one silently breaks every deployed peer (gob fails or, worse, decodes
-// garbage). The analyzer extracts the exported field sets of the wire
-// structs and diffs them against the committed lock; pplint -update
-// regenerates the lock when an additive change lands.
+// Invariants: the gob formats must evolve additively. Old readers decode
+// blobs with unknown fields skipped and missing fields zero, so ADDING a
+// field keeps old files readable — but REMOVING or RETYPING one silently
+// breaks them (gob fails or, worse, decodes garbage). The binary wire
+// format has no such slack: a frame is fixed-width fields in a fixed
+// order, so ANY change to a frame struct's field set is a new format and
+// must come with a new version constant, which a peer of the old format
+// then refuses at the preface instead of misparsing. The analyzer
+// extracts the exported field sets and the constant and diffs them
+// against the committed lock; pplint -update regenerates it.
 func NewWirecompatAnalyzer(cfg WirecompatConfig) *Analyzer {
 	state := &wirecompatState{
 		cfg:      cfg,
@@ -63,7 +90,7 @@ func NewWirecompatAnalyzer(cfg WirecompatConfig) *Analyzer {
 	}
 	return &Analyzer{
 		Name:   "wirecompat",
-		Doc:    "gob wire structs must evolve additively against the committed wire.lock schema",
+		Doc:    "gob structs must evolve additively, and wire frames only with the version constant, against the committed wire.lock schema",
 		Run:    state.run,
 		Finish: state.finish,
 	}
@@ -77,12 +104,23 @@ type wirecompatState struct {
 }
 
 func (s *wirecompatState) run(pass *Pass) error {
-	names, ok := s.cfg.Structs[pass.Pkg.Path]
-	if !ok {
+	names := append(append([]string(nil), s.cfg.Structs[pass.Pkg.Path]...), s.cfg.Frames[pass.Pkg.Path]...)
+	scope := pass.Pkg.Types.Scope()
+	if pass.Pkg.Path == s.cfg.VersionPkg {
+		s.visited[pass.Pkg.Path] = true
+		c, ok := scope.Lookup(s.cfg.VersionConst).(*types.Const)
+		if !ok {
+			pass.Reportf(pass.Pkg.Files[0].Pos(), "wire version constant %s not found in %s", s.cfg.VersionConst, pass.Pkg.Path)
+		} else {
+			entry := wireField{Pkg: pass.Pkg.Path, Struct: versionStruct, Field: s.cfg.VersionConst, Type: c.Val().ExactString()}
+			s.current[entry.key()] = entry
+			s.fieldPos[entry.key()] = pass.Pkg.Fset.Position(c.Pos())
+		}
+	}
+	if len(names) == 0 {
 		return nil
 	}
 	s.visited[pass.Pkg.Path] = true
-	scope := pass.Pkg.Types.Scope()
 	for _, name := range names {
 		obj := scope.Lookup(name)
 		if obj == nil {
@@ -98,7 +136,7 @@ func (s *wirecompatState) run(pass *Pass) error {
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			if !f.Exported() {
-				continue // gob only encodes exported fields
+				continue // neither gob nor the frame codecs carry unexported fields
 			}
 			entry := wireField{
 				Pkg:    pass.Pkg.Path,
@@ -129,35 +167,82 @@ func (s *wirecompatState) finish(report func(Diagnostic)) error {
 		}
 		return err
 	}
+	// A version constant that differs from the locked one is the
+	// legitimate way to change frames: one diagnostic asks for the lock to
+	// follow, and the frames are not diffed against the format they left.
+	versionKey := wireField{Pkg: s.cfg.VersionPkg, Struct: versionStruct, Field: s.cfg.VersionConst}.key()
+	bumped := false
+	lockedKeys := map[string]bool{}
 	for _, entry := range locked {
-		if !s.visited[entry.Pkg] {
+		lockedKeys[entry.key()] = true
+		if cur, ok := s.current[versionKey]; ok && entry.key() == versionKey && cur.Type != entry.Type {
+			bumped = true
+			report(Diagnostic{
+				Pos:  s.fieldPos[versionKey],
+				Rule: "wirecompat",
+				Msg:  fmt.Sprintf("wire version changed from %s to %s: run pplint -update so the lock records the new format", entry.Type, cur.Type),
+			})
+		}
+	}
+	unversioned := fmt.Sprintf("without %s changing: a peer of the old format would misparse the frame instead of refusing the connection — bump the version and run pplint -update", s.cfg.VersionConst)
+	for _, entry := range locked {
+		if !s.visited[entry.Pkg] || entry.Struct == versionStruct {
 			continue // package outside this run's patterns
+		}
+		frame := slices.Contains(s.cfg.Frames[entry.Pkg], entry.Struct)
+		if frame && bumped {
+			continue
 		}
 		cur, ok := s.current[entry.key()]
 		if !ok {
+			msg := fmt.Sprintf("wire field %s.%s (%s) was removed: the gob format must evolve additively — old files still carry it (run pplint -update only for intentional, coordinated breaks)", entry.Struct, entry.Field, entry.Type)
+			if frame {
+				msg = fmt.Sprintf("frame field %s.%s (%s) was removed %s", entry.Struct, entry.Field, entry.Type, unversioned)
+			}
 			report(Diagnostic{
 				Pos:  token.Position{Filename: s.cfg.LockPath, Line: lockLines[entry.key()]},
 				Rule: "wirecompat",
-				Msg:  fmt.Sprintf("wire field %s.%s (%s) was removed: the gob wire format must evolve additively — old peers still send/expect it (run pplint -update only for intentional, coordinated breaks)", entry.Struct, entry.Field, entry.Type),
+				Msg:  msg,
 			})
 			continue
 		}
 		if cur.Type != entry.Type {
-			report(Diagnostic{
-				Pos:  s.fieldPos[entry.key()],
-				Rule: "wirecompat",
-				Msg:  fmt.Sprintf("wire field %s.%s retyped from %s to %s: gob decodes this as garbage or an error on old peers — add a new field instead", entry.Struct, entry.Field, entry.Type, cur.Type),
-			})
+			msg := fmt.Sprintf("wire field %s.%s retyped from %s to %s: gob decodes this as garbage or an error on old files — add a new field instead", entry.Struct, entry.Field, entry.Type, cur.Type)
+			if frame {
+				msg = fmt.Sprintf("frame field %s.%s retyped from %s to %s %s", entry.Struct, entry.Field, entry.Type, cur.Type, unversioned)
+			}
+			report(Diagnostic{Pos: s.fieldPos[entry.key()], Rule: "wirecompat", Msg: msg})
 		}
+	}
+	if bumped {
+		return nil
+	}
+	var added []string
+	for key, cur := range s.current {
+		if !lockedKeys[key] && slices.Contains(s.cfg.Frames[cur.Pkg], cur.Struct) {
+			added = append(added, key)
+		}
+	}
+	sort.Strings(added)
+	for _, key := range added {
+		cur := s.current[key]
+		report(Diagnostic{
+			Pos:  s.fieldPos[key],
+			Rule: "wirecompat",
+			Msg:  fmt.Sprintf("frame field %s.%s (%s) was added %s", cur.Struct, cur.Field, cur.Type, unversioned),
+		})
 	}
 	return nil
 }
 
 const lockHeader = `# pplint wirecompat schema lock — generated by "pplint -update"; do not edit.
-# One line per exported field of every gob wire struct:
+# One line per exported field of every locked struct, and one for the wire
+# format's version constant:
 #   <package> <struct> <field> <type>
-# Removing or retyping a locked field fails pplint: the wire format must
-# evolve additively so old peers keep interoperating.
+#   <package> const <name> <value>
+# The gob structs (internal/nn, internal/paillier: formats on disk) may
+# only gain fields. The others are frames of the binary wire format: any
+# change to them fails pplint unless the version constant changed too.
 `
 
 func (s *wirecompatState) writeLock() error {

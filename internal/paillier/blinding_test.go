@@ -102,6 +102,76 @@ func TestKeyHolderBlindingProperties(t *testing.T) {
 	}
 }
 
+// TestEncodeEdges pins encode at the ends of the message space: ±(⌊n/2⌋−1)
+// and everything shorter encode, ±⌊n/2⌋ and beyond are refused, a
+// non-negative message comes back as given and a negative one as n + m —
+// and neither AddPlain nor the kernel's bias writes through what encode
+// handed them.
+func TestEncodeEdges(t *testing.T) {
+	for _, bits := range []int{256, 512} {
+		sk, err := GenerateKey(rand.Reader, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk := &sk.PublicKey
+		edge := new(big.Int).Sub(sk.halfN, one)
+		for _, m := range []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(-1), edge, new(big.Int).Neg(edge),
+			new(big.Int).Lsh(one, uint(bits-3)), new(big.Int).Neg(new(big.Int).Lsh(one, uint(bits-2)))} {
+			if m.CmpAbs(sk.halfN) >= 0 {
+				continue // 2^(bits−2) can reach ⌊n/2⌋ only when n is a power of two
+			}
+			before := new(big.Int).Set(m)
+			enc, err := pk.encode(m)
+			if err != nil {
+				t.Fatalf("%d bits: encode(%v): %v", bits, m, err)
+			}
+			want := m
+			if m.Sign() < 0 {
+				want = new(big.Int).Add(pk.N, m)
+			}
+			if enc.Cmp(want) != 0 {
+				t.Fatalf("%d bits: encode(%v) = %v, want %v", bits, m, enc, want)
+			}
+			if (enc == m) != (m.Sign() >= 0) {
+				t.Fatalf("%d bits: encode(%v) copied a non-negative message or aliased a negative one", bits, m)
+			}
+			if got := sk.decode(enc); got.Cmp(m) != 0 {
+				t.Fatalf("%d bits: decode(encode(%v)) = %v", bits, m, got)
+			}
+			zero, err := sk.Encrypt(nil, new(big.Int))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := pk.AddPlain(zero, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := sk.Decrypt(sum); err != nil || got.Cmp(m) != 0 {
+				t.Fatalf("%d bits: 0 + %v decrypts to %v, %v", bits, m, got, err)
+			}
+			// The bias over an encryption of zero: the row decrypts to it.
+			out, err := NewEvaluator(pk).Rows([]*Ciphertext{zero}, []Row{{W: []int64{1}, Bias: m}}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := sk.Decrypt(out[0]); err != nil || got.Cmp(m) != 0 {
+				t.Fatalf("%d bits: bias %v decrypts to %v, %v", bits, m, got, err)
+			}
+			if m.Cmp(before) != 0 {
+				t.Fatalf("%d bits: message %v was overwritten with %v", bits, before, m)
+			}
+		}
+		for _, m := range []*big.Int{sk.halfN, new(big.Int).Neg(sk.halfN), new(big.Int).Add(sk.halfN, one), pk.N, new(big.Int).Lsh(one, uint(bits))} {
+			if _, err := pk.encode(m); err == nil {
+				t.Fatalf("%d bits: encode accepted %v, magnitude ≥ ⌊n/2⌋", bits, m)
+			}
+			if _, err := pk.AddPlain(&Ciphertext{c: big.NewInt(1)}, m); err == nil {
+				t.Fatalf("%d bits: AddPlain accepted %v", bits, m)
+			}
+		}
+	}
+}
+
 // TestKeyHolderRandFailureSurfaces: a failing reader is the error of
 // every key-holder encrypt path and a retry in a key-holder Pool — never
 // a fall-back to the public sampler or to other randomness.

@@ -17,23 +17,37 @@ type Ciphertext struct {
 // Value returns a copy of the ciphertext's ring element.
 func (ct *Ciphertext) Value() *big.Int { return new(big.Int).Set(ct.c) }
 
-// NewCiphertextFromValue wraps a ring element (e.g. received over the
-// network) into a Ciphertext, validating its range under the public key.
-func NewCiphertextFromValue(v *big.Int, pk *PublicKey) (*Ciphertext, error) {
-	if v == nil {
-		return nil, errors.New("paillier: nil ciphertext value")
-	}
-	if v.Sign() < 0 || v.Cmp(pk.N2) >= 0 {
-		return nil, errors.New("paillier: ciphertext out of range [0, n²)")
-	}
-	return &Ciphertext{c: new(big.Int).Set(v)}, nil
-}
-
 // UnsafeCiphertext wraps a raw ring element as a Ciphertext without
 // range validation. It exists for zero-copy plumbing inside the runtime
-// (thread-local views, wire decoding after validation); use
-// NewCiphertextFromValue for untrusted inputs.
+// (thread-local views); untrusted inputs go through ParseCiphertext and
+// PublicKey.CheckCiphertext.
 func UnsafeCiphertext(v *big.Int) *Ciphertext { return &Ciphertext{c: v} }
+
+// ByteLen returns the length of the ring element's big-endian form: at
+// most ⌈bitlen(n²)/8⌉, and the width FillBytes needs.
+func (ct *Ciphertext) ByteLen() int { return (ct.c.BitLen() + 7) / 8 }
+
+// FillBytes writes the ring element into b as exactly len(b) big-endian
+// bytes, zero-extended; len(b) must be at least ByteLen. With ParseCiphertext
+// it is the fixed-width pair the wire codec moves ciphertexts through: one
+// copy out of the big.Int, one copy into a new one.
+func (ct *Ciphertext) FillBytes(b []byte) { ct.c.FillBytes(b) }
+
+// ParseCiphertext reads a big-endian ring element of any width. It knows
+// no key, so the result is unvalidated: pass it to PublicKey.CheckCiphertext
+// before computing on it.
+func ParseCiphertext(b []byte) *Ciphertext { return &Ciphertext{c: new(big.Int).SetBytes(b)} }
+
+// CheckCiphertext reports an error unless ct is an element of Z_{n²}.
+func (pk *PublicKey) CheckCiphertext(ct *Ciphertext) error {
+	if ct == nil || ct.c == nil {
+		return errors.New("paillier: nil ciphertext")
+	}
+	if ct.c.Sign() < 0 || ct.c.Cmp(pk.N2) >= 0 {
+		return errors.New("paillier: ciphertext out of range [0, n²)")
+	}
+	return nil
+}
 
 // Encrypt encrypts a signed big integer message m, |m| < n/2, producing
 // c = (1 + m·n)·r^n mod n² for a fresh random unit r.
@@ -151,15 +165,18 @@ func (sk *PrivateKey) EncryptInt64(random io.Reader, m int64) (*Ciphertext, erro
 }
 
 // encode maps a signed message into Z_n: non-negative messages map to
-// themselves, negative messages m to n + m. The message magnitude must be
-// below n/2 so decoding is unambiguous.
+// themselves — returned as given, not copied, so callers only read the
+// result — and negative messages m to n + m. The message magnitude must be
+// below ⌊n/2⌋ so decoding is unambiguous; anything two bits shorter than n
+// is, and only longer messages pay for the exact comparison.
 func (pk *PublicKey) encode(m *big.Int) (*big.Int, error) {
-	halfN := new(big.Int).Rsh(pk.N, 1)
-	if new(big.Int).Abs(m).Cmp(halfN) >= 0 {
-		return nil, fmt.Errorf("paillier: message magnitude %d bits exceeds n/2 (%d-bit key)", m.BitLen(), pk.N.BitLen())
+	if m.BitLen() >= pk.N.BitLen()-1 {
+		if halfN := new(big.Int).Rsh(pk.N, 1); m.CmpAbs(halfN) >= 0 {
+			return nil, fmt.Errorf("paillier: message magnitude %d bits exceeds n/2 (%d-bit key)", m.BitLen(), pk.N.BitLen())
+		}
 	}
 	if m.Sign() >= 0 {
-		return new(big.Int).Set(m), nil
+		return m, nil
 	}
 	return new(big.Int).Add(pk.N, m), nil
 }
@@ -175,11 +192,8 @@ func (sk *PrivateKey) decode(m *big.Int) *big.Int {
 // Decrypt recovers the signed message from a ciphertext using CRT-
 // accelerated decryption: work modulo p² and q² separately and recombine.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
-	if ct == nil || ct.c == nil {
-		return nil, errors.New("paillier: nil ciphertext")
-	}
-	if ct.c.Sign() < 0 || ct.c.Cmp(sk.N2) >= 0 {
-		return nil, errors.New("paillier: ciphertext out of range")
+	if err := sk.CheckCiphertext(ct); err != nil {
+		return nil, err
 	}
 	// mp = L_p(c^{p−1} mod p²)·hp mod p
 	mp := new(big.Int).Exp(ct.c, sk.pMinus1, sk.p2)

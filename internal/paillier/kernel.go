@@ -649,12 +649,14 @@ func (p *products) row(pk *PublicKey, r *Row) (num, den *big.Int, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// enc < n, so 1 + enc·n is already reduced modulo n².
-		enc.Mul(enc, pk.N).Add(enc, one)
+		// enc < n, so 1 + enc·n is already reduced modulo n². enc may be
+		// the row's own bias, so the product goes into a fresh value.
+		b := new(big.Int).Mul(enc, pk.N)
+		b.Add(b, one)
 		if num == nil {
-			num = enc
+			num = b
 		} else {
-			p.mm.mul(num, num, enc)
+			p.mm.mul(num, num, b)
 		}
 	}
 	return num, den, nil

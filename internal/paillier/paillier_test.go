@@ -160,28 +160,6 @@ func TestRerandomize(t *testing.T) {
 	}
 }
 
-func TestNewCiphertextFromValue(t *testing.T) {
-	k := key(t)
-	e, _ := k.PublicKey.EncryptInt64(rand.Reader, 5)
-	ct, err := NewCiphertextFromValue(e.Value(), &k.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := k.DecryptInt64(ct)
-	if got != 5 {
-		t.Errorf("reconstructed ciphertext decrypts to %d", got)
-	}
-	if _, err := NewCiphertextFromValue(nil, &k.PublicKey); err == nil {
-		t.Error("nil value accepted")
-	}
-	if _, err := NewCiphertextFromValue(new(big.Int).Neg(one), &k.PublicKey); err == nil {
-		t.Error("negative value accepted")
-	}
-	if _, err := NewCiphertextFromValue(k.N2, &k.PublicKey); err == nil {
-		t.Error("value ≥ n² accepted")
-	}
-}
-
 func TestDecryptRejectsBadInput(t *testing.T) {
 	k := key(t)
 	if _, err := k.Decrypt(nil); err == nil {
@@ -254,5 +232,48 @@ func TestScalarMulProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCiphertextFixedWidthRoundTrip: FillBytes into any width of at least
+// ByteLen and ParseCiphertext back is the identity, and CheckCiphertext
+// draws the line at n² that ParseCiphertext, which knows no key, cannot.
+func TestCiphertextFixedWidthRoundTrip(t *testing.T) {
+	k := key(t)
+	width := (k.N2.BitLen() + 7) / 8
+	for _, m := range []int64{0, 1, -1, 123456789} {
+		ct, err := k.EncryptInt64(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct.ByteLen() > width {
+			t.Fatalf("ByteLen %d exceeds the %d bytes of n²", ct.ByteLen(), width)
+		}
+		for _, w := range []int{ct.ByteLen(), width, width + 3} {
+			b := make([]byte, w)
+			ct.FillBytes(b)
+			back := ParseCiphertext(b)
+			if back.c.Cmp(ct.c) != 0 {
+				t.Fatalf("width %d: round trip changed the ring element", w)
+			}
+			if err := k.CheckCiphertext(back); err != nil {
+				t.Fatalf("width %d: %v", w, err)
+			}
+			if got, err := k.DecryptInt64(back); err != nil || got != m {
+				t.Fatalf("width %d: decrypts to %d, %v; want %d", w, got, err, m)
+			}
+		}
+	}
+	if err := k.CheckCiphertext(ParseCiphertext(k.N2.Bytes())); err == nil {
+		t.Error("CheckCiphertext accepted n²")
+	}
+	if err := k.CheckCiphertext(nil); err == nil {
+		t.Error("CheckCiphertext accepted nil")
+	}
+	if err := k.CheckCiphertext(&Ciphertext{c: big.NewInt(-1)}); err == nil {
+		t.Error("CheckCiphertext accepted a negative value")
+	}
+	if err := k.CheckCiphertext(ParseCiphertext(nil)); err != nil {
+		t.Errorf("zero is inside [0, n²): %v", err)
 	}
 }

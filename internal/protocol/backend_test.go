@@ -109,11 +109,14 @@ func TestWireRoundTripClearEnvelope(t *testing.T) {
 		}
 	}
 
-	// Malformed plaintext elements must be rejected, not decoded.
+	// Malformed plaintext vectors must be rejected. (A bad sign byte or an
+	// over-wide element never gets this far: TestHostilePeerFields shows
+	// the edge decoder refusing them.)
 	for name, mut := range map[string]func(*WireEnvelope){
-		"empty element":  func(w *WireEnvelope) { w.Plain[0] = nil },
-		"bad sign byte":  func(w *WireEnvelope) { w.Plain[1] = []byte{7, 1} },
-		"oversized":      func(w *WireEnvelope) { w.Plain[2] = make([]byte, 5000) },
+		"nil element": func(w *WireEnvelope) { w.Plain = append([]*big.Int{nil}, w.Plain[1:]...) },
+		"oversized": func(w *WireEnvelope) {
+			w.Plain = append([]*big.Int{new(big.Int).Lsh(big.NewInt(1), 8*maxPlainElementBytes)}, w.Plain[1:]...)
+		},
 		"count mismatch": func(w *WireEnvelope) { w.Plain = w.Plain[:2] },
 	} {
 		bad, err := ToWire(env)

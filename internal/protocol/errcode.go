@@ -8,10 +8,9 @@ import (
 // Error codes classify error frames on the wire so a client can tell a
 // retryable rejection (throttle, shed) from a fatal protocol error
 // without parsing message text. The numeric values ride in
-// stream.Message.ErrCode — additive, so frames from peers predating the
-// field decode as CodeNone.
+// stream.Message.ErrCode, a fixed field of every frame header.
 const (
-	// CodeNone marks an unclassified error (or a frame from an old peer).
+	// CodeNone marks an unclassified error.
 	CodeNone = 0
 	// CodeThrottled: the model provider's rate limiter rejected the
 	// request's first round. Retryable after backoff.

@@ -1,103 +1,96 @@
 package protocol
 
 import (
-	"bytes"
-	"encoding/gob"
-	"math"
 	"runtime"
 	"testing"
 
 	"ppstream/internal/paillier"
+	"ppstream/internal/stream"
 )
 
-// FuzzWireFrameDecode drives the full receive path of a session frame
-// with adversarial bytes: gob decode into roundFrame, then the same
-// validation the server/client readers run — FromWire under the public
-// key, span conversion, and trace-context validation. None of it may
-// panic, and FromWire may not allocate more than a small multiple of the
-// frame it was handed: a packed reply's slot bits, ciphertext count and
-// logical shape are all the peer's to choose; the network is untrusted
-// (Section II-C).
+// FuzzWireFrameDecode drives the full receive path of a session with
+// adversarial bytes: the TCP edge's decoder — preface, frame header, body —
+// and then the validation the server/client readers run on what it
+// delivers: FromWire under the public key, span conversion, trace-context
+// validation. None of it may panic, and all of it together may not
+// allocate more than wireAllocPerByte times the bytes it was given plus
+// the edge's fixed buffers: every count, width, shape and slot size in a
+// frame is the peer's to choose; the network is untrusted (Section II-C).
 func FuzzWireFrameDecode(f *testing.F) {
+	RegisterServiceWire()
 	k, err := paillier.GenerateKey(nil, 256)
 	if err != nil {
 		f.Fatal(err)
 	}
 	pk := &k.PublicKey
 
-	seed := func(rf roundFrame) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	for _, m := range goldenFrames() {
+		f.Add(encodeFrames(f, true, m))
 	}
-	seed(roundFrame{
-		Round: 1,
-		Env: &WireEnvelope{
-			Req:    7,
-			Shape:  []int{2},
-			Cipher: [][]byte{{0x05}, {0x09}},
-			Exp:    3,
-		},
-		TC: &TraceContext{Ver: TraceV1, ID: "fuzz-req"},
-	})
-	seed(roundFrame{
-		Round: 2,
-		Env: &WireEnvelope{
-			Req:         7,
-			Result:      []float64{1.5, -2.5},
-			ResultShape: []int{2},
-		},
-		Spans: []WireSpan{{Party: "data", Name: "relu", Round: 1, Nanos: 42}, {Party: "x", Nanos: -1}},
-	})
 	// Packed replies (256-bit key: three 77-bit slots per ciphertext): an
 	// honest one, then slot bits, counts and shapes chosen to make the
-	// decoder divide by zero, overflow the logical size, or size an
+	// receiver divide by zero, overflow the logical size, or size an
 	// allocation from it.
 	packed := func(slotBits int, shape []int, ciphers int) {
 		env := &WireEnvelope{Req: 9, Shape: shape, SlotBits: slotBits, Exp: 2, Obfuscated: true}
 		for i := 0; i < ciphers; i++ {
-			env.Cipher = append(env.Cipher, []byte{byte(i + 1)})
+			env.Cipher = append(env.Cipher, paillier.ParseCiphertext([]byte{byte(i + 1)}))
 		}
-		seed(roundFrame{Round: 1, Env: env})
+		f.Add(encodeFrames(f, false, &stream.Message{Seq: 9, Payload: &roundFrame{Round: 1, Env: env}}))
 	}
 	packed(77, []int{6}, 2)
 	packed(77, []int{7}, 2)
 	packed(77, []int{2, 3}, 6)
-	packed(-5, []int{4}, 4)
-	packed(math.MaxInt, []int{1}, 1)
-	packed(1, []int{1 << 40}, 1)
-	packed(254, []int{math.MaxInt}, 3)
-	packed(77, []int{1 << 32, 1 << 32}, 0)
-	packed(77, []int{1 << 62, 2, 2}, 1)
-	packed(77, []int{math.MaxInt, math.MaxInt}, 1)
+	packed(maxSlotBits, []int{1}, 1)
+	packed(1, []int{maxWireElements}, 1)
+	packed(254, []int{maxWireElements}, 3)
+	packed(77, []int{1 << 10, 1 << 10}, 0)
+	packed(77, []int{1 << 18, 2, 2}, 1)
 	f.Add([]byte{})
+	f.Add(preface)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
 		}
-		var rf roundFrame
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rf); err != nil {
-			return
-		}
-		_ = rf.TC.traceID() // nil-safe by contract
-		_ = fromWireSpans(rf.Spans)
-		if rf.Env != nil {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			env, err := FromWire(rf.Env, pk)
-			runtime.ReadMemStats(&after)
-			if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<16); got > ceiling {
-				t.Fatalf("FromWire allocated %d bytes for a %d-byte frame (ceiling %d)", got, len(data), ceiling)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msgs, _ := decodeFrames(data)
+		for _, m := range msgs {
+			var w *WireEnvelope
+			switch p := m.Payload.(type) {
+			case *roundFrame:
+				_ = p.TC.traceID() // nil-safe by contract
+				_ = fromWireSpans(p.Spans)
+				w = p.Env
+			case *WireEnvelope:
+				w = p
 			}
-			if err == nil && env.CT == nil && env.Result == nil {
-				t.Fatal("FromWire accepted an envelope with neither ciphertext nor result")
+			if w == nil {
+				continue
+			}
+			env, err := FromWire(w, pk)
+			if err == nil && env.CT == nil && env.Sh == nil && env.Plain == nil && env.Result == nil {
+				t.Fatal("FromWire accepted an envelope that carries nothing")
 			}
 			if err == nil && env.SlotBits != 0 && env.CT.Size() != pk.PackedLen(env.Shape.Size(), env.SlotBits) {
 				t.Fatalf("FromWire accepted %d ciphertexts for %v at %d slot bits", env.CT.Size(), env.Shape, env.SlotBits)
 			}
 		}
+		runtime.ReadMemStats(&after)
+		if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(wireAllocPerByte*len(data)+wireAllocFixed); got > ceiling {
+			t.Fatalf("decoding a %d-byte stream allocated %d bytes (ceiling %d)", len(data), got, ceiling)
+		}
 	})
 }
+
+// What the receive path may allocate for a stream of n bytes: the fixed
+// part is the edge's read buffer and, for the one frame whose announced
+// body can exceed what arrived, each vector's first stream.WireChunk
+// elements (spans are the largest, 72 bytes each); per byte, the worst case
+// is a vector of one-byte ciphertexts, each a slot in a slice that doubles
+// as it grows, a Ciphertext, a big.Int and its minimum limb allocation.
+const (
+	wireAllocPerByte = 192
+	wireAllocFixed   = 256 << 10
+)

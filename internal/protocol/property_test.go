@@ -80,7 +80,7 @@ func FuzzFromWire(f *testing.F) {
 		w := &WireEnvelope{
 			Req:        req,
 			Shape:      []int{dim},
-			Cipher:     [][]byte{cipher},
+			Cipher:     []*paillier.Ciphertext{paillier.ParseCiphertext(cipher)},
 			Exp:        exp,
 			Obfuscated: obf,
 		}

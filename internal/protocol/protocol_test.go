@@ -347,13 +347,13 @@ func TestFromWireRejectsMalformed(t *testing.T) {
 		t.Error("nil frame accepted")
 	}
 	// shape/cipher mismatch
-	w := &WireEnvelope{Shape: []int{4}, Cipher: [][]byte{{1}}}
+	w := &WireEnvelope{Shape: []int{4}, Cipher: []*paillier.Ciphertext{paillier.ParseCiphertext([]byte{1})}}
 	if _, err := FromWire(w, &k.PublicKey); err == nil {
 		t.Error("cipher-count mismatch accepted")
 	}
 	// out-of-range ciphertext
 	huge := append([]byte{0xFF}, k.N2.Bytes()...)
-	w2 := &WireEnvelope{Shape: []int{1}, Cipher: [][]byte{huge}}
+	w2 := &WireEnvelope{Shape: []int{1}, Cipher: []*paillier.Ciphertext{paillier.ParseCiphertext(huge)}}
 	if _, err := FromWire(w2, &k.PublicKey); err == nil {
 		t.Error("oversized ciphertext accepted")
 	}

@@ -34,17 +34,17 @@ type Hello struct {
 	// Workers requests a per-stage thread count on the server (bounded
 	// by the server's own cap).
 	Workers int
-	// Profile is the deployment profile the client requests (additive:
-	// empty from older clients selects privacy-max, the legacy
-	// all-Paillier protocol). The server takes the stricter of this and
-	// its own policy.
+	// Profile is the deployment profile the client requests (empty
+	// selects privacy-max, the all-Paillier protocol). The server takes
+	// the stricter of this and its own policy.
 	Profile string
 }
 
-// maxHelloKeyBytes bounds the modulus a client may announce (32768-bit
-// keys), so a hostile Hello cannot make the server allocate and exponentiate
-// over arbitrarily large integers.
-const maxHelloKeyBytes = 4096
+// maxHelloKeyBytes bounds the modulus a client may announce (16384-bit
+// keys, whose ciphertexts are the widest element an edge carries), so a
+// hostile Hello cannot make the server allocate and exponentiate over
+// arbitrarily large integers.
+const maxHelloKeyBytes = stream.MaxWireElement / 2
 
 // helloPublicKey validates the client's announced modulus and builds the
 // session public key. A zero, tiny, or mismatched modulus would otherwise
@@ -68,8 +68,7 @@ func helloPublicKey(hello *Hello) (*paillier.PublicKey, error) {
 // roundFrame tags a wire envelope with its round index for the service
 // loop. TC carries the request's distributed trace context; Spans carries
 // the server's recorded spans back to the client on the final round's
-// reply. Both fields are gob-compatible extensions: frames from peers
-// predating them decode with the fields nil, and old peers skip them.
+// reply.
 type roundFrame struct {
 	Round int
 	Env   *WireEnvelope
@@ -77,24 +76,23 @@ type roundFrame struct {
 	Spans []WireSpan
 	// DeadlineMS is the client's remaining per-request budget in
 	// milliseconds at send time — relative, so no cross-party clock sync
-	// is needed. Zero means no deadline (including frames from peers
-	// predating the field). The server refreshes its absolute deadline
-	// from this on every frame and evicts expired requests.
+	// is needed. Zero means no deadline. The server refreshes its absolute
+	// deadline from this on every frame and evicts expired requests.
 	DeadlineMS int64
 	// Plan and Profile ride the server's round-0 reply: the session's
 	// solved per-round backend assignment (backend.Kind wire codes) and
-	// the effective profile it was solved under. Additive: replies from
-	// servers predating backend negotiation carry neither, and the client
-	// falls back to the legacy all-Paillier protocol.
+	// the effective profile it was solved under. A reply that carries
+	// neither leaves the client on the all-Paillier protocol.
 	Plan    []int32
 	Profile string
 }
 
-// RegisterServiceWire registers the session frame types with gob.
+// RegisterServiceWire registers the wire decoders of the session's frame
+// types.
 func RegisterServiceWire() {
 	RegisterWire()
-	stream.RegisterWireType(&Hello{})
-	stream.RegisterWireType(&roundFrame{})
+	stream.RegisterWireType(tagHello, func(r *stream.WireReader) any { return decodeHello(r) })
+	stream.RegisterWireType(tagRoundFrame, func(r *stream.WireReader) any { return decodeRoundFrame(r) })
 }
 
 // SessionConfig parameterizes the server side of one multiplexed
@@ -202,15 +200,15 @@ func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Networ
 	active := cfg.Registry.Gauge("sessions.active")
 	active.Add(1)
 	defer active.Add(-1)
-	s, err := openSession(ctx, in, out, net, cfg)
-	if err != nil {
-		return err
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultSessionWindow
 	}
 	if cfg.IdleTTL <= 0 {
 		cfg.IdleTTL = DefaultIdleTTL
+	}
+	s, err := openSession(ctx, in, out, net, cfg)
+	if err != nil {
+		return err
 	}
 	return s.serve(in, cfg.Window, cfg.IdleTTL)
 }
@@ -278,10 +276,17 @@ func (s *session) serve(in stream.Edge, window int, ttl time.Duration) error {
 // openSession reads the Hello, negotiates the backend plan, and builds the
 // session for the client's key. A Hello the client can fix (bad key, bad
 // profile) is answered with an error frame outside any request, which is
-// session-fatal on the client side.
+// session-fatal on the client side — and so is an opening the edge refused
+// to parse: another wire version (a gob peer's first bytes are that too),
+// or a field over its limit.
 func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) (*session, error) {
 	first, err := in.Recv(ctx)
 	if err != nil {
+		var refused *stream.WireError
+		if out != nil && (errors.Is(err, stream.ErrWireVersion) || errors.As(err, &refused)) {
+			cfg.Log.Warn("session hello refused", "err", err.Error())
+			_ = out.Send(ctx, &stream.Message{Err: err.Error()})
+		}
 		return nil, fmt.Errorf("protocol: session hello: %w", err)
 	}
 	hello, ok := first.Payload.(*Hello)
@@ -327,17 +332,21 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 	if boundary <= 0 {
 		boundary = mp.Stages()
 	}
-	plan, err := backend.PlanFor(effProfile, mp.LayerInfos(), boundary, pk.N.BitLen())
+	infos := mp.LayerInfos()
+	plan, err := backend.PlanFor(effProfile, infos, boundary, pk.N.BitLen())
 	if err != nil {
 		return nil, fmt.Errorf("protocol: solving backend plan: %w", err)
 	}
 	if err := mp.SetBackendPlan(plan.Assignment); err != nil {
 		return nil, err
 	}
-	paillierRounds := 0
-	for _, k := range plan.Assignment {
+	// replies is how many packed reply ciphertexts — one blinding factor
+	// each — a request takes from the pool over its Paillier rounds.
+	paillierRounds, replies := 0, 0
+	for r, k := range plan.Assignment {
 		if k == backend.PaillierHE {
 			paillierRounds++
+			replies += infos[r].Replies
 		}
 	}
 	cfg.Log.Info("session plan solved",
@@ -350,9 +359,11 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 	// modular exponentiation the fill worker performs off-path, so it is
 	// charged into the process-wide modexp counter here — per-request
 	// meters only ever see the pool misses they caused inline. The pool
-	// is sized to the plan's actual Paillier rounds: a mixed or latency
-	// session that runs most rounds on ss-gc or clear precomputes less.
-	blind := paillier.NewPool(pk, nil, min(max(24*paillierRounds, 8), 64), 1,
+	// holds what the session can consume at once and no more — the plan's
+	// replies per request times the requests the window admits — because
+	// every factor is a public-key r^n paid at the Hello whether or not a
+	// request ever draws it.
+	blind := paillier.NewPool(pk, nil, max(replies*cfg.Window, 1), 1,
 		paillier.WithPrecomputeHook(reg.Counter("cost.modexps").Add))
 	reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
 	mp.SetBlindPool(blind)

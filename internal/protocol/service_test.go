@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"context"
+	"errors"
 	mathrand "math/rand"
 	"net"
 	"strings"
@@ -155,6 +156,31 @@ func TestServiceRejectsOversizedKey(t *testing.T) {
 	}
 	if reply == nil || reply.Err == "" {
 		t.Error("client did not receive an error frame")
+	}
+}
+
+// TestServiceRefusesForeignWire: a peer that opens with anything but the
+// v1 preface — here the first bytes of a gob stream, what every peer
+// before wire format v1 sent — ends the session with stream.ErrWireVersion
+// and is told why in an error frame; nothing hangs and nothing panics.
+func TestServiceRefusesForeignWire(t *testing.T) {
+	RegisterServiceWire()
+	netw := buildNet(t)
+	c2s1, s2c1 := net.Pipe()
+	c2s2, s2c2 := net.Pipe()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	serveErr := make(chan error, 1)
+	go func() {
+		serveErr <- ServeSessionConfig(ctx, stream.NewTCPEdge(s2c1), stream.NewTCPEdge(c2s2), netw, SessionConfig{Factor: 1000, MaxWorkers: 4})
+	}()
+	go c2s1.Write([]byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'w', 'i', 'r', 'e', 'F', 'r', 'a', 'm', 'e'})
+	reply, err := stream.NewTCPEdge(s2c2).Recv(ctx)
+	if err != nil || !strings.Contains(reply.Err, "unsupported wire version") {
+		t.Errorf("peer received %+v, %v; want the version error", reply, err)
+	}
+	if err := <-serveErr; !errors.Is(err, stream.ErrWireVersion) {
+		t.Errorf("server ended with %v, want stream.ErrWireVersion", err)
 	}
 }
 

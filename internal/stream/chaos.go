@@ -47,7 +47,7 @@ type ChaosConfig struct {
 	// later operation fails the same way.
 	ResetProb float64
 	// CorruptProb flips one random bit of a written buffer (conns only),
-	// corrupting the peer's gob stream mid-frame.
+	// corrupting the peer's frame stream mid-frame.
 	CorruptProb float64
 }
 
@@ -205,7 +205,7 @@ func (e *ChaosEdge) CloseSend() error {
 
 // ChaosConn wraps a net.Conn with byte-level fault injection: delays on
 // both directions, single-bit corruption of written buffers (the peer's
-// gob decoder sees a poisoned stream), and connection resets that close
+// frame decoder sees a poisoned stream), and connection resets that close
 // the underlying conn. Wrap the conn BEFORE handing it to NewTCPEdge so
 // the whole frame codec rides the injected transport.
 type ChaosConn struct {

@@ -1,14 +1,12 @@
 package stream
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"sync"
-	"unsafe"
 
 	"ppstream/internal/obs"
 )
@@ -18,7 +16,7 @@ import (
 var ErrEdgeClosed = errors.New("stream: edge closed")
 
 // Edge is a one-directional message link between stages. In-process edges
-// are channels; TCP edges carry gob frames between servers.
+// are channels; TCP edges carry wire-format frames between servers.
 type Edge interface {
 	// Send delivers a message, blocking while the edge is full.
 	Send(ctx context.Context, m *Message) error
@@ -80,31 +78,21 @@ type depthReporter interface {
 // Depth reports the channel edge's occupancy and capacity.
 func (e *channelEdge) Depth() (int, int) { return len(e.ch), cap(e.ch) }
 
-// wireFrame is the gob envelope for TCP edges. Close frames carry no
-// payload. The trace rides along so distributed pipelines keep the
-// per-stage breakdown, and failure metadata (FailedStage/FailedPayload)
-// survives the hop so a downstream submitter can diagnose errors raised
-// on the remote side. New fields are gob-compatible in both directions:
-// older peers ignore them and leave them zero.
-type wireFrame struct {
-	Seq           uint64
-	Err           string
-	ErrCode       int
-	Close         bool
-	Payload       any
-	Trace         *Trace
-	FailedStage   string
-	FailedPayload any
-}
-
-// tcpEdge carries messages over a TCP connection using gob encoding.
-// Payload concrete types must be registered with gob (RegisterWireType).
+// tcpEdge carries messages over a TCP connection in wire format v1 (see
+// wire.go). Payloads must implement WirePayload and have their tag
+// registered (RegisterWireType). Each direction's state — the fixed buffer
+// and, on the sending side, the preface — is set up by that direction's
+// first frame, so an edge used one way pays for one way.
 type tcpEdge struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
 
-	sendMu    sync.Mutex
+	sendMu  sync.Mutex
+	w       *WireWriter
+	sendErr error // sticky: a frame that failed part-way leaves the stream unframed
+
+	r       *WireReader
+	recvErr error // sticky, for the same reason
+
 	closeOnce sync.Once
 	closeErr  error
 
@@ -113,39 +101,10 @@ type tcpEdge struct {
 	framesRecv *obs.Counter
 }
 
-// gobFreeList is where a gob.Encoder keeps its list of recycled
-// encoderStates, found by name once; ok is false if a future encoding/gob
-// lays the Encoder out differently, and then forgetEncoderStates does
-// nothing.
-var gobFreeList, gobFreeListOK = func() (uintptr, bool) {
-	f, ok := reflect.TypeOf((*gob.Encoder)(nil)).Elem().FieldByName("freeList")
-	return f.Offset, ok && f.Type.Kind() == reflect.Pointer
-}()
-
-// forgetEncoderStates empties enc's list of recycled encoderStates. gob
-// encodes an interface payload into a buffer borrowed from a package-wide
-// sync.Pool, and a recycled encoderState keeps pointing at the last
-// buffer it wrote to. A frame's payload grows that buffer to the frame's
-// size (128 KB for MNIST's 784 input ciphertexts), and if the next frame
-// goes out before two collections have emptied the pool it borrows the
-// same buffer again — so on a connection whose peers produce little
-// garbage the largest frame's buffer stays reachable from the Encoder for
-// as long as the connection lives, long after the pool has let go of it.
-// Dropping the list costs a handful of small allocations per frame.
-func forgetEncoderStates(enc *gob.Encoder) {
-	if gobFreeListOK {
-		*(*unsafe.Pointer)(unsafe.Add(unsafe.Pointer(enc), gobFreeList)) = nil
-	}
-}
-
-// RegisterWireType registers a payload type for TCP transport. Call once
-// per concrete payload type before dialing/listening.
-func RegisterWireType(v any) { gob.Register(v) }
-
 // NewTCPEdge wraps an established connection as an Edge. The caller is
 // responsible for pairing one sender and one receiver per connection.
 func NewTCPEdge(conn net.Conn) Edge {
-	return &tcpEdge{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	return &tcpEdge{conn: conn}
 }
 
 // countingConn wraps a net.Conn, publishing transferred byte counts.
@@ -173,7 +132,8 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // NewInstrumentedTCPEdge wraps conn as a TCP edge that publishes wire
 // counters to reg: "<prefix>.bytes_sent", "<prefix>.bytes_recv",
 // "<prefix>.frames_sent", and "<prefix>.frames_recv". Byte counts cover
-// the gob stream including close frames; frame counts cover messages.
+// the preface and every frame including close frames; frame counts cover
+// messages.
 // Multiple edges may share a prefix to aggregate (e.g. all sessions of
 // one server under "tcp").
 func NewInstrumentedTCPEdge(conn net.Conn, reg *obs.Registry, prefix string) Edge {
@@ -275,51 +235,90 @@ func (e *tcpEdge) Send(ctx context.Context, m *Message) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	e.sendMu.Lock()
-	defer e.sendMu.Unlock()
-	frame := wireFrame{
-		Seq: m.Seq, Err: m.Err, ErrCode: m.ErrCode, Payload: m.Payload, Trace: m.Trace,
-		FailedStage: m.FailedStage, FailedPayload: m.FailedPayload,
+	// Sizing pass, outside the lock: the header announces the body length,
+	// and whatever cannot be encoded fails here, before a byte is written.
+	var size WireWriter
+	flags, tag := encodeBody(&size, m)
+	if size.err == nil && size.n > MaxFrameBody {
+		size.err = &WireError{Field: "body length", Msg: fmt.Sprintf("%d, limit %d", size.n, MaxFrameBody)}
 	}
-	//pplint:ignore lockscope sendMu exists precisely to serialize whole gob frames onto the shared encoder; holding it across exactly one Encode is the framing invariant, and no other lock nests under it
-	if err := e.enc.Encode(&frame); err != nil {
-		return fmt.Errorf("stream: tcp send: %w", err)
+	if size.err != nil {
+		return fmt.Errorf("stream: tcp send: %w", size.err)
 	}
-	forgetEncoderStates(e.enc)
+	if err := e.writeFrame(m, flags, tag, size.n); err != nil {
+		return err
+	}
 	if e.framesSent != nil {
 		e.framesSent.Inc()
 	}
 	return nil
 }
 
+// writeFrame streams m's frame, whose header the sizing pass worked out,
+// through the edge's fixed buffer, behind the connection preface if it is
+// the first.
+func (e *tcpEdge) writeFrame(m *Message, flags uint8, tag uint16, bodyLen int) error {
+	e.sendMu.Lock()
+	defer e.sendMu.Unlock()
+	if e.sendErr != nil {
+		return e.sendErr
+	}
+	if e.w == nil {
+		e.w = &WireWriter{out: e.conn, buf: make([]byte, MaxWireElement)}
+		copy(e.w.Next(len(wireMagic)), wireMagic)
+		e.w.U16(WireVersion)
+	}
+	w := e.w
+	w.n = 0
+	encodeHeader(w, m.Seq, m.ErrCode, flags, tag, bodyLen)
+	encodeBody(w, m)
+	if w.n != headerLen+bodyLen {
+		w.Fail(fmt.Errorf("payload %T encoded %d bytes after announcing %d", m.Payload, w.n-headerLen, bodyLen))
+	}
+	if w.err == nil {
+		//pplint:ignore lockscope sendMu exists to keep concurrent senders' frames from interleaving, and a frame streams through one fixed buffer instead of being assembled first, so the lock spans its writes (this one and Next's when the buffer fills); no other lock nests under it
+		_, w.err = e.conn.Write(w.buf[:w.used])
+	}
+	w.used = 0
+	if w.err != nil {
+		e.sendErr = fmt.Errorf("stream: tcp send: %w", w.err)
+	}
+	return e.sendErr
+}
+
 func (e *tcpEdge) Recv(ctx context.Context) (*Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var frame wireFrame
-	if err := e.dec.Decode(&frame); err != nil {
-		return nil, fmt.Errorf("stream: tcp recv: %w", err)
+	if e.recvErr != nil {
+		return nil, e.recvErr
 	}
-	if frame.Close {
-		return nil, ErrEdgeClosed
+	m, err := e.recv()
+	if err != nil {
+		if !errors.Is(err, ErrEdgeClosed) {
+			err = fmt.Errorf("stream: tcp recv: %w", err)
+		}
+		e.recvErr = err
+		return nil, err
 	}
 	if e.framesRecv != nil {
 		e.framesRecv.Inc()
 	}
-	return &Message{
-		Seq: frame.Seq, Err: frame.Err, ErrCode: frame.ErrCode, Payload: frame.Payload, Trace: frame.Trace,
-		FailedStage: frame.FailedStage, FailedPayload: frame.FailedPayload,
-	}, nil
+	return m, nil
+}
+
+func (e *tcpEdge) recv() (*Message, error) {
+	if e.r == nil {
+		br := bufio.NewReaderSize(e.conn, MaxWireElement)
+		if err := readPreface(br); err != nil {
+			return nil, err
+		}
+		e.r = &WireReader{br: br}
+	}
+	return readFrame(e.r)
 }
 
 func (e *tcpEdge) CloseSend() error {
-	e.closeOnce.Do(func() {
-		e.sendMu.Lock()
-		defer e.sendMu.Unlock()
-		//pplint:ignore lockscope the close frame rides the same one-frame-per-sendMu-hold invariant as Send; see above
-		if err := e.enc.Encode(&wireFrame{Close: true}); err != nil {
-			e.closeErr = err
-		}
-	})
+	e.closeOnce.Do(func() { e.closeErr = e.writeFrame(&Message{}, flagClose, 0, 0) })
 	return e.closeErr
 }

@@ -6,7 +6,7 @@
 // requests occupy different stages simultaneously (pipeline parallelism).
 //
 // Stages connect through Edges. The in-process edge is a bounded channel;
-// the TCP edge carries gob-encoded frames between processes/servers, so
+// the TCP edge carries wire-format v1 frames (wire.go) between servers, so
 // the same pipeline runs single-process or genuinely distributed.
 package stream
 
@@ -27,8 +27,8 @@ import (
 type Message struct {
 	// Seq orders requests; stages preserve arrival order per edge.
 	Seq uint64
-	// Payload is stage-specific data. For TCP edges the concrete type
-	// must be gob-registered.
+	// Payload is stage-specific data. To cross a TCP edge it must
+	// implement WirePayload, its tag registered with RegisterWireType.
 	Payload any
 	// Err carries a processing failure downstream so the submitter
 	// learns about it; stages pass errored messages through untouched.
@@ -37,14 +37,14 @@ type Message struct {
 	// internal/protocol's Code* constants): it lets a remote peer
 	// distinguish retryable rejections (throttle, shed) from fatal
 	// protocol errors without parsing the message text. Zero means
-	// unclassified — frames from peers predating the field decode as 0.
+	// unclassified. It travels as 32 bits in the frame header.
 	ErrCode int
 	// FailedStage names the stage whose handler produced Err.
 	FailedStage string
 	// FailedPayload preserves the payload that was fed to the failing
 	// stage, so the submitter can diagnose or retry the request.
 	// In-process edges carry it as-is; TCP edges require the concrete
-	// type to be gob-registered (like Payload).
+	// type to be a registered WirePayload (like Payload).
 	FailedPayload any
 	// Enqueued is stamped when the message enters an edge, feeding the
 	// queue-wait metric.

@@ -192,13 +192,30 @@ func TestNewPipelineValidation(t *testing.T) {
 	p.Close()
 }
 
+// wirePayload is the tests' TCP payload: an integer and a note of up to
+// 8 MB (TestTCPEdgeDoesNotPinLargestFrame sends a 4 MB one).
 type wirePayload struct {
 	Value int
 	Note  string
 }
 
+const wirePayloadTag = 0xFF01
+
+func (p *wirePayload) WireTag() uint16 { return wirePayloadTag }
+
+func (p *wirePayload) EncodeWire(w *WireWriter) {
+	w.I64(int64(p.Value))
+	w.Bytes([]byte(p.Note))
+}
+
+func registerWirePayload() {
+	RegisterWireType(wirePayloadTag, func(r *WireReader) any {
+		return &wirePayload{Value: int(r.I64()), Note: string(r.Bytes("note", 8<<20))}
+	})
+}
+
 func TestTCPEdgeRoundTrip(t *testing.T) {
-	RegisterWireType(&wirePayload{})
+	registerWirePayload()
 	recvEdge, addr, err := ListenEdge("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +250,7 @@ func TestTCPEdgeRoundTrip(t *testing.T) {
 }
 
 func TestTCPEdgeErrorMessage(t *testing.T) {
-	RegisterWireType(&wirePayload{})
+	registerWirePayload()
 	recvEdge, addr, err := ListenEdge("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

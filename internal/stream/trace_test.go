@@ -216,7 +216,7 @@ func TestSubmitConcurrentSeq(t *testing.T) {
 // TestInstrumentedTCPEdge checks wire byte/frame counters and that the
 // trace survives the TCP hop.
 func TestInstrumentedTCPEdge(t *testing.T) {
-	RegisterWireType(&wirePayload{})
+	registerWirePayload()
 	reg := obs.NewRegistry("wire")
 	a, b := net.Pipe()
 	sender := NewInstrumentedTCPEdge(a, reg, "tcp")
