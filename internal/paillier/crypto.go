@@ -17,12 +17,6 @@ type Ciphertext struct {
 // Value returns a copy of the ciphertext's ring element.
 func (ct *Ciphertext) Value() *big.Int { return new(big.Int).Set(ct.c) }
 
-// UnsafeCiphertext wraps a raw ring element as a Ciphertext without
-// range validation. It exists for zero-copy plumbing inside the runtime
-// (thread-local views); untrusted inputs go through ParseCiphertext and
-// PublicKey.CheckCiphertext.
-func UnsafeCiphertext(v *big.Int) *Ciphertext { return &Ciphertext{c: v} }
-
 // ByteLen returns the length of the ring element's big-endian form: at
 // most ⌈bitlen(n²)/8⌉, and the width FillBytes needs.
 func (ct *Ciphertext) ByteLen() int { return (ct.c.BitLen() + 7) / 8 }
@@ -70,10 +64,10 @@ func (pk *PublicKey) encryptWithBlinding(m, rn *big.Int) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	// (1 + m·n) mod n²
+	// enc < n, so 1 + enc·n ≤ 1 + (n−1)·n < n²: nothing to reduce before
+	// the blinding goes in.
 	c := new(big.Int).Mul(enc, pk.N)
 	c.Add(c, one)
-	c.Mod(c, pk.N2)
 	c.Mul(c, rn)
 	c.Mod(c, pk.N2)
 	return &Ciphertext{c: c}, nil
@@ -248,9 +242,9 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
+	// As in encryptWithBlinding, 1 + enc·n is already below n².
 	c := new(big.Int).Mul(enc, pk.N)
 	c.Add(c, one)
-	c.Mod(c, pk.N2)
 	c.Mul(c, a.c)
 	c.Mod(c, pk.N2)
 	return &Ciphertext{c: c}, nil

@@ -172,6 +172,40 @@ func FuzzKernelRows(f *testing.F) {
 	})
 }
 
+// FuzzModMul multiplies two byte strings reduced into [0, m) through the
+// helper, for any modulus of the test set (sel picks it), and through
+// Mul+Mod; then squares the result in place.
+func FuzzModMul(f *testing.F) {
+	ordinary, awkward := testModuli()
+	moduli := append(ordinary, awkward...)
+	mms := make([]modMul, len(moduli))
+	for i, m := range moduli {
+		mms[i] = modMul{m: m, mu: reciprocal(m)}
+	}
+	f.Add(byte(0), []byte{}, []byte{1})
+	f.Add(byte(3), bytes.Repeat([]byte{0xff}, 512), bytes.Repeat([]byte{0xff}, 512))
+	// n²−1 on the awkward moduli: both operands are 2^k − 1 mod n² there.
+	f.Add(byte(4), awkward[0].Bytes(), []byte{0xff, 0xff})
+	f.Add(byte(7), bytes.Repeat([]byte{0xfe}, 600), awkward[3].Bytes())
+	f.Fuzz(func(t *testing.T, sel byte, ab, bb []byte) {
+		if len(ab) > 1024 || len(bb) > 1024 {
+			return
+		}
+		mm := &mms[int(sel)%len(mms)]
+		a, b := new(big.Int).SetBytes(ab), new(big.Int).SetBytes(bb)
+		a.Mod(a, mm.m)
+		b.Mod(b, mm.m)
+		got, before := new(big.Int), mm.n
+		if mm.mul(got, a, b); got.Cmp(refMul(a, b, mm.m)) != 0 {
+			t.Fatalf("%x · %x mod %x = %x, want %x", a, b, mm.m, got, refMul(a, b, mm.m))
+		}
+		sq := refMul(got, got, mm.m)
+		if mm.mul(got, got, got); got.Cmp(sq) != 0 || mm.n != before+2 {
+			t.Fatalf("(%x · %x)² mod %x = %x, want %x; counted %d multiplications", a, b, mm.m, got, sq, mm.n-before)
+		}
+	})
+}
+
 // FuzzPackUnpack packs and unpacks a reply at any slot width from 2 to 81
 // bits — the range-tight widths the stage walk produces (17–28) and the
 // saturated int64 ones (73–80) — with each value at a slot extreme

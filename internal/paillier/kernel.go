@@ -15,7 +15,8 @@ package paillier
 //     Pippenger buckets — runs fewer modular multiplications, counted
 //     exactly over the call's own weights (countRows);
 //  3. every modular multiplication goes through modMul, which does not
-//     allocate.
+//     allocate and does not divide: it reduces by a reciprocal of n² that
+//     the Evaluator computes once (Barrett).
 //
 // Nothing is kept between calls: the count is recomputed from the weights
 // each time, and tables live for one call.
@@ -138,7 +139,10 @@ type KernelMetrics struct {
 // blinder defaults to inline crypto/rand factors; attach a Pool to move
 // the blinding exponentiations off the critical path.
 type Evaluator struct {
-	pk      *PublicKey
+	pk *PublicKey
+	// mu is modMul's reciprocal of n², computed once in NewEvaluator and
+	// shared by every WithCost view.
+	mu      *big.Int
 	blinder Blinder
 	metrics atomic.Pointer[KernelMetrics]
 	// cost, when non-nil, accumulates the crypto-op counts of every kernel
@@ -162,7 +166,7 @@ func WithCostMeter(m *obs.CostMeter) EvalOption { return func(ev *Evaluator) { e
 
 // NewEvaluator creates an evaluator for the given public key.
 func NewEvaluator(pk *PublicKey, opts ...EvalOption) *Evaluator {
-	ev := &Evaluator{pk: pk}
+	ev := &Evaluator{pk: pk, mu: reciprocal(pk.N2)}
 	for _, o := range opts {
 		o(ev)
 	}
@@ -184,7 +188,7 @@ func (ev *Evaluator) SetMetrics(m KernelMetrics) { ev.metrics.Store(&m) }
 // into m. Sessions keep one shared evaluator and derive a metered view
 // per request, so concurrent requests never bleed counts into each other.
 func (ev *Evaluator) WithCost(m *obs.CostMeter) *Evaluator {
-	d := &Evaluator{pk: ev.pk, blinder: ev.blinder, cost: m}
+	d := &Evaluator{pk: ev.pk, mu: ev.mu, blinder: ev.blinder, cost: m}
 	if km := ev.metrics.Load(); km != nil {
 		d.metrics.Store(km)
 	}
@@ -275,9 +279,10 @@ type RowPlan struct {
 }
 
 // PlanRows returns the plan Rows would follow for these inputs and rows,
-// or the error it would fail with before doing any arithmetic.
+// or the error it would fail with before doing any arithmetic — except
+// for an input outside [0, n²), which takes the key PlanRows does not have.
 func PlanRows(xs []*Ciphertext, rows []Row) (RowPlan, error) {
-	costs, err := countRows(xs, rows)
+	costs, err := countRows(xs, rows, nil)
 	if err != nil {
 		return RowPlan{}, err
 	}
@@ -302,9 +307,10 @@ func (c *rowCosts) tableLen(w uint) int {
 }
 
 // countRows validates the rows against xs — every column a non-zero weight
-// reads must be in range and sent — and counts what each strategy would
-// cost, so that no arithmetic runs on a call that is going to fail and the
-// choice between strategies is a count, not a model.
+// reads must be in range, sent and, when n2 is given, an element of
+// [0, n²), which is what bounds modMul's correction — and counts what each
+// strategy would cost, so that no arithmetic runs on a call that is going
+// to fail and the choice between strategies is a count, not a model.
 //
 // Per product (one sign of one row) with nz non-zero w-bit digits, its
 // highest digit position top, and d_p the largest digit at position p
@@ -320,7 +326,7 @@ func (c *rowCosts) tableLen(w uint) int {
 // per non-zero bias on a row with positive weights, three per row with
 // negative weights after the first for the batched inversion, and one per
 // such row to divide (unless its numerator is 1).
-func countRows(xs []*Ciphertext, rows []Row) (*rowCosts, error) {
+func countRows(xs []*Ciphertext, rows []Row, n2 *big.Int) (*rowCosts, error) {
 	c := &rowCosts{used: make([]bool, len(xs))}
 	var usedCols, dens int
 	var finish uint64
@@ -350,6 +356,9 @@ func countRows(xs []*Ciphertext, rows []Row) (*rowCosts, error) {
 				return nil, fmt.Errorf("paillier: row %d reads input %d, which was not sent (nil ciphertext)", r, col)
 			}
 			if !c.used[col] {
+				if x := xs[col].c; n2 != nil && (x.Sign() < 0 || x.Cmp(n2) >= 0) {
+					return nil, fmt.Errorf("paillier: row %d reads input %d, which is outside [0, n²)", r, col)
+				}
 				c.used[col] = true
 				usedCols++
 			}
@@ -446,20 +455,43 @@ func (c *rowCosts) cheapest(among ...Strategy) RowPlan {
 }
 
 // modMul multiplies modulo m without allocating once its scratch has
-// grown: the double-width product lands in prod, and QuoRem writes the
-// remainder straight into the destination with quo reused. n counts the
-// multiplications done, which is what the kernel's cost accounting
-// reports. One per goroutine; operands must be non-negative.
+// grown, and without dividing: with k = bitlen(m) and the reciprocal
+// mu = ⌊2^(2k)/m⌋, the quotient of t = a·b < m² is estimated as
+// ((t ≫ (k−1))·mu) ≫ (k+1), which is never above ⌊t/m⌋ and at most 2
+// below it (Barrett; HAC 14.42), so t − estimate·m is reduced by at most
+// two subtractions. n counts the multiplications done, which is what the
+// kernel's cost accounting reports. One per goroutine; operands must lie
+// in [0, m), which Rows and Pack check of every ciphertext they are given.
 type modMul struct {
-	m         *big.Int
-	prod, quo big.Int
-	n         uint64
+	m, mu         *big.Int
+	prod, hi, quo big.Int
+	n             uint64
 }
 
-// mul sets dst = a·b mod m. dst may alias a or b.
+// reciprocal returns ⌊2^(2k)/m⌋ for k = bitlen(m).
+func reciprocal(m *big.Int) *big.Int {
+	mu := new(big.Int).Lsh(one, 2*uint(m.BitLen()))
+	return mu.Quo(mu, m)
+}
+
+// modMul returns a multiplier modulo n² for one goroutine.
+func (ev *Evaluator) modMul() modMul { return modMul{m: ev.pk.N2, mu: ev.mu} }
+
+// mul sets dst = a·b mod m. dst may alias a or b. No Mul below writes
+// into one of its own operands, which would make math/big allocate.
 func (mm *modMul) mul(dst, a, b *big.Int) {
+	k := uint(mm.m.BitLen())
 	mm.prod.Mul(a, b)
-	mm.quo.QuoRem(&mm.prod, mm.m, dst)
+	mm.hi.Rsh(&mm.prod, k-1)
+	mm.quo.Mul(&mm.hi, mm.mu)
+	mm.quo.Rsh(&mm.quo, k+1)
+	mm.hi.Mul(&mm.quo, mm.m)
+	dst.Sub(&mm.prod, &mm.hi)
+	if dst.Cmp(mm.m) >= 0 {
+		if dst.Sub(dst, mm.m); dst.Cmp(mm.m) >= 0 {
+			dst.Sub(dst, mm.m)
+		}
+	}
 	mm.n++
 }
 
@@ -492,20 +524,19 @@ func (ev *Evaluator) Rows(xs []*Ciphertext, rows []Row, workers int) ([]*Ciphert
 // one.
 func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, workers int, among ...Strategy) ([]*Ciphertext, error) {
 	start := time.Now()
-	costs, err := countRows(xs, rows)
+	costs, err := countRows(xs, rows, ev.pk.N2)
 	if err != nil {
 		return nil, err
 	}
 	plan := costs.cheapest(among...)
 	metrics := ev.metrics.Load()
-	n2 := ev.pk.N2
 	var mulMods atomic.Uint64
 
 	var powers [][]big.Int
 	if size := costs.tableLen(plan.Window); plan.Strategy == Tables && size > 0 {
 		powers = make([][]big.Int, len(xs))
 		parallelChunks(len(xs), workers, func(lo, hi int) {
-			mm := modMul{m: n2}
+			mm := ev.modMul()
 			for i := lo; i < hi; i++ {
 				if costs.used[i] {
 					powers[i] = powerTable(&mm, xs[i].c, size)
@@ -520,7 +551,7 @@ func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, workers int, among ...St
 	var mu sync.Mutex
 	var firstErr error
 	parallelChunks(len(rows), workers, func(lo, hi int) {
-		p := newProducts(n2, xs, powers, plan)
+		p := newProducts(ev.modMul(), xs, powers, plan)
 		for i := lo; i < hi; i++ {
 			t := time.Now()
 			var err error
@@ -543,7 +574,7 @@ func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, workers int, among ...St
 	}
 
 	start = time.Now()
-	mm := modMul{m: n2}
+	mm := ev.modMul()
 	inverses, err := divide(&mm, nums, dens)
 	if err != nil {
 		return nil, err
@@ -621,8 +652,8 @@ type products struct {
 	run, sum big.Int
 }
 
-func newProducts(n2 *big.Int, xs []*Ciphertext, powers [][]big.Int, plan RowPlan) *products {
-	p := &products{mm: modMul{m: n2}, xs: xs, powers: powers, plan: plan}
+func newProducts(mm modMul, xs []*Ciphertext, powers [][]big.Int, plan RowPlan) *products {
+	p := &products{mm: mm, xs: xs, powers: powers, plan: plan}
 	if plan.Strategy == Buckets {
 		p.bucket = make([]*big.Int, 1<<plan.Window)
 		p.store = make([]big.Int, 1<<plan.Window)

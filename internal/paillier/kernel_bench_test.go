@@ -126,7 +126,7 @@ func BenchmarkMatVecRows(b *testing.B) {
 				for o := range rows {
 					rows[o] = Row{W: w[o], Bias: big.NewInt(bias[o])}
 				}
-				costs, err := countRows(xs, rows)
+				costs, err := countRows(xs, rows, k.N2)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,6 +223,62 @@ func BenchmarkPack(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkModMul prices one multiplication modulo n² at 256–2048-bit
+// keys two ways: "quorem" is the helper's body before it stopped dividing
+// (the product into reused scratch, QuoRem into the destination), and
+// "reciprocal" is modMul.
+func BenchmarkModMul(b *testing.B) {
+	ordinary, _ := testModuli()
+	for _, m := range ordinary {
+		rng := mrand.New(mrand.NewSource(7))
+		x, y, dst := new(big.Int).Rand(rng, m), new(big.Int).Rand(rng, m), new(big.Int)
+		b.Run(fmt.Sprintf("quorem/%d", (m.BitLen()+1)/2), func(b *testing.B) {
+			var prod, quo big.Int
+			for i := 0; i < b.N; i++ {
+				prod.Mul(x, y)
+				quo.QuoRem(&prod, m, dst)
+			}
+		})
+		b.Run(fmt.Sprintf("reciprocal/%d", (m.BitLen()+1)/2), func(b *testing.B) {
+			mm := modMul{m: m, mu: reciprocal(m)}
+			for i := 0; i < b.N; i++ {
+				mm.mul(dst, x, y)
+			}
+		})
+	}
+}
+
+// BenchmarkPackShift prices moving Pack's accumulator up one slot — its
+// 2^W-th power — at each benchmark workload's key size and a slot width
+// its stages chain to: "squarings" is what packGroup runs, W squarings
+// through modMul, and "exp" is the big.Int.Exp call they replaced, which
+// sets up a Montgomery form and a window table for every call.
+func BenchmarkPackShift(b *testing.B) {
+	for _, c := range []struct{ bits, slotBits int }{{256, 18}, {512, 22}, {1024, 23}} {
+		k := keyOfBits(b, c.bits)
+		x, err := k.Encrypt(rand.Reader, big.NewInt(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		acc := new(big.Int)
+		b.Run(fmt.Sprintf("squarings/%d/W%d", c.bits, c.slotBits), func(b *testing.B) {
+			mm := NewEvaluator(&k.PublicKey).modMul()
+			for i := 0; i < b.N; i++ {
+				acc.Set(x.c)
+				for s := 0; s < c.slotBits; s++ {
+					mm.mul(acc, acc, acc)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("exp/%d/W%d", c.bits, c.slotBits), func(b *testing.B) {
+			shift := new(big.Int).Lsh(one, uint(c.slotBits))
+			for i := 0; i < b.N; i++ {
+				acc.Exp(x.c, shift, k.N2)
 			}
 		})
 	}

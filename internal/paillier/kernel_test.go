@@ -252,7 +252,7 @@ func TestRowsRejectsUnsentAndCorruptInputs(t *testing.T) {
 	good := encryptVec(t, k, []int64{1, 2, 3})
 	unsent := []*Ciphertext{good[0], nil, good[2]}
 	// p shares a factor with n, so it has no inverse modulo n².
-	corrupt := []*Ciphertext{good[0], UnsafeCiphertext(new(big.Int).Set(k.P)), good[2]}
+	corrupt := []*Ciphertext{good[0], {c: k.P}, good[2]}
 	for _, tc := range []struct {
 		name string
 		xs   []*Ciphertext

@@ -48,22 +48,27 @@ func (pk *PublicKey) PackedLen(count, slotBits int) int {
 // evaluated by Horner's rule, with offset = Σ_j 2^(j·W+W−1) and a fresh
 // r^n per group — the only re-randomization a row gets, and the reason
 // Evaluator.Rows may leave rows unblinded. The last group may be
-// partial. Every row plaintext must lie strictly inside ±2^(slotBits−1).
-// The 2^W-th power goes through Exp so that the W squarings run on
-// math/big's Montgomery path; they are counted as modular
-// multiplications, which is what they are.
+// partial. Every row plaintext must lie strictly inside ±2^(slotBits−1),
+// and every row must be an element of [0, n²): one that is not fails the
+// call before any arithmetic, because modMul's operands must be reduced.
+// The 2^W-th power is W squarings through modMul, counted like every
+// other modular multiplication.
 func (ev *Evaluator) Pack(rows []*Ciphertext, slotBits, workers int) (*CipherTensor, error) {
 	s := ev.pk.Slots(slotBits)
 	if s < 1 || len(rows) == 0 {
 		return nil, fmt.Errorf("paillier: cannot pack %d rows into %d-bit slots under a %d-bit key", len(rows), slotBits, ev.pk.Bits())
 	}
-	shift := new(big.Int).Lsh(one, uint(slotBits))
+	for i, row := range rows {
+		if err := ev.pk.CheckCiphertext(row); err != nil {
+			return nil, fmt.Errorf("paillier: packing row %d: %w", i, err)
+		}
+	}
 	out := tensor.New[*Ciphertext](ev.pk.PackedLen(len(rows), slotBits))
 	od := out.Data()
 	var mu sync.Mutex
 	var firstErr error
 	parallelFor(len(od), workers, func(g int) {
-		ct, err := ev.packGroup(rows[g*s:min(len(rows), (g+1)*s)], slotBits, shift)
+		ct, err := ev.packGroup(rows[g*s:min(len(rows), (g+1)*s)], slotBits)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -81,18 +86,17 @@ func (ev *Evaluator) Pack(rows []*Ciphertext, slotBits, workers int) (*CipherTen
 }
 
 // packGroup folds one group of at most Slots rows, first row in the
-// lowest slot, and blinds the result; shift is 2^slotBits.
-func (ev *Evaluator) packGroup(group []*Ciphertext, slotBits int, shift *big.Int) (*Ciphertext, error) {
-	mm := modMul{m: ev.pk.N2}
+// lowest slot, and blinds the result.
+func (ev *Evaluator) packGroup(group []*Ciphertext, slotBits int) (*Ciphertext, error) {
+	mm := ev.modMul()
 	acc, offset := new(big.Int), new(big.Int)
 	for j := len(group) - 1; j >= 0; j-- {
-		if group[j] == nil || group[j].c == nil {
-			return nil, fmt.Errorf("nil ciphertext in slot %d", j)
-		}
 		if j == len(group)-1 {
 			acc.Set(group[j].c)
 		} else {
-			acc.Exp(acc, shift, mm.m)
+			for s := 0; s < slotBits; s++ {
+				mm.mul(acc, acc, acc)
+			}
 			mm.mul(acc, acc, group[j].c)
 		}
 		offset.SetBit(offset, j*slotBits+slotBits-1, 1)
@@ -105,7 +109,7 @@ func (ev *Evaluator) packGroup(group []*Ciphertext, slotBits int, shift *big.Int
 	offset.Mul(offset, ev.pk.N)
 	mm.mul(acc, acc, offset.Add(offset, one))
 	mm.mul(acc, acc, rn)
-	st.MulMods += uint64((len(group)-1)*(slotBits+1) + 2)
+	st.MulMods += mm.n
 	ev.cost.Add(st)
 	return &Ciphertext{c: acc}, nil
 }

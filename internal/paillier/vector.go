@@ -1,5 +1,13 @@
 package paillier
 
+// This file holds the tensor-wide forms of encryption and decryption, the
+// MatVecScaled convenience over Evaluator.MatVec, and the pre-kernel scalar
+// evaluation DotScaledRef / MatVecScaledRef. The *Ref pair is reference
+// only and has three consumers: the kernel's differential tests
+// (kernel_test.go compares ring elements against it),
+// BenchmarkMatVecScaledRef, and the baseline column of `ppbench kernel`
+// (internal/experiments/kernel.go). Nothing on the serving path calls it.
+
 import (
 	"errors"
 	"fmt"
@@ -141,7 +149,8 @@ func MatVecScaled(pk *PublicKey, w [][]int64, bias []int64, x []*Ciphertext, wor
 }
 
 // DotScaledRef is the pre-kernel scalar implementation of Eq. (3), kept
-// as the reference for differential tests. It exponentiates each input
+// as the reference for differential tests (consumers: the file header).
+// It exponentiates each input
 // independently (recomputing inverses per weight) and does NOT
 // re-randomize its output — its randomness is only inherited from the
 // inputs, so it must not be used on ciphertexts that leave the model

@@ -136,8 +136,7 @@ func (c CommStats) Saved() float64 {
 // Execute runs one quantized op over threads with the given partitioning
 // mode and returns the output ciphertext tensor at exponent
 // inExp+op.ScaleSteps(), plus the communication accounting. Each thread
-// receives a physically copied view of the input elements its task
-// needs.
+// receives a view of the input elements its task needs.
 func Execute(ev *paillier.Evaluator, op qnn.ElementOp, x *paillier.CipherTensor, inExp, threads int, inputPartition bool) (*paillier.CipherTensor, CommStats, error) {
 	in := x.Shape()
 	tasks, err := PlanOp(op, in, threads, inputPartition)
@@ -160,23 +159,20 @@ func Execute(ev *paillier.Evaluator, op qnn.ElementOp, x *paillier.CipherTensor,
 		wg.Add(1)
 		go func(task Task) {
 			defer wg.Done()
-			// Materialize the thread's input view: copy the ciphertext
-			// values it receives (the "communication" of Section IV-D),
-			// indexed by input offset and nil where nothing was sent.
-			view := make([]*paillier.Ciphertext, len(xd))
-			copied := len(task.Inputs)
-			if task.Inputs == nil {
-				copied = len(xd)
-				for i, c := range xd {
-					view[i] = copyCiphertext(c)
-				}
-			} else {
+			// The thread's input view, indexed by input offset and nil where
+			// nothing was sent. Ciphertexts are immutable, so the view shares
+			// them with the stage; ElementsSent counts what a thread on
+			// another server would have received (the "communication" of
+			// Section IV-D).
+			view, sent := xd, len(xd)
+			if task.Inputs != nil {
+				view, sent = make([]*paillier.Ciphertext, len(xd)), len(task.Inputs)
 				for _, off := range task.Inputs {
-					view[off] = copyCiphertext(xd[off])
+					view[off] = xd[off]
 				}
 			}
 			statsMu.Lock()
-			stats.ElementsSent += copied
+			stats.ElementsSent += sent
 			statsMu.Unlock()
 			// One kernel call per task: whatever it shares between rows is
 			// built once over the thread's view for all its elements.
@@ -212,13 +208,4 @@ func ExecuteStage(ev *paillier.Evaluator, ops []qnn.Op, x *paillier.CipherTensor
 		exp += op.ScaleSteps()
 	}
 	return cur, exp, stats, nil
-}
-
-// copyCiphertext deep-copies a ciphertext, modelling the bytes a thread
-// receives from its stage.
-func copyCiphertext(c *paillier.Ciphertext) *paillier.Ciphertext {
-	if c == nil {
-		return nil
-	}
-	return paillier.UnsafeCiphertext(c.Value()) // Value already copies
 }
