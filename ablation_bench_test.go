@@ -10,6 +10,7 @@ package ppstream
 import (
 	"crypto/rand"
 	mathrand "math/rand"
+	"sync"
 	"testing"
 
 	"ppstream/internal/garble"
@@ -20,6 +21,22 @@ import (
 	"ppstream/internal/simulate"
 	"ppstream/internal/tensor"
 )
+
+var (
+	benchKeyOnce sync.Once
+	benchKey     *paillier.PrivateKey
+)
+
+func benchPaillierKey(b *testing.B) *paillier.PrivateKey {
+	benchKeyOnce.Do(func() {
+		k, err := paillier.GenerateKey(rand.Reader, 512)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchKey = k
+	})
+	return benchKey
+}
 
 // --- CRT decryption (Section V: GMP-style modular arithmetic) -------------
 

@@ -1,296 +1,218 @@
-// Command ppbench regenerates the paper's evaluation tables and figures
-// (Section VI). Each subcommand prints the same rows/series the paper
-// reports; `ppbench all` runs the full suite.
+// Command ppbench answers the paper's questions: it regenerates the
+// evaluation tables and figures (Section VI), runs the two gated serving
+// harnesses, and renders the operator views over a running ppserver.
+// Performance questions — throughput, latency, per-layer waterfalls,
+// per-backend and per-stage costs — belong to bench/ (see BENCHMARK.json),
+// which measures them with a pinned processor and paired runs.
 //
 // Usage:
 //
-//	ppbench [flags] <fig1|table3|table4|table5|fig6|fig7|fig8|fig9|table6|table7|stages|serve|trace|backends|chaos|swarm|top|traces|all>
+//	ppbench [flags] <subcommand>
 //
-// Flags:
-//
-//	-keybits N     Paillier key size for latency experiments (default 512)
-//	-requests N    streaming batch size (default 8)
-//	-reps N        offline profiling repetitions (default 2)
-//	-trials N      statistical trial count (default 3)
-//	-quick         smallest model subsets (CI mode)
-//	-real          wall-clock measurement instead of the calibrated
-//	               latency model (use on multi-core hosts)
-//	-json          also write a versioned BENCH_<experiment>.json record
-//	               (kernel, serve, trace, backends) for CI artifact upload
-//
-// `ppbench top` is a live console view over a running ppserver's
-// /metrics endpoint: per-tick request/round throughput, crypto-op rates
-// from the cost meters, and per-stage latency percentiles — plus the
-// windowed last-minute rates when the server exposes /debug/live. It
-// takes -addr (the ppserver -metrics address), -every, and -iters.
-//
-// `ppbench traces` lists a running ppserver's tail-sampled span store
-// (/debug/traces) and renders the slowest retained trace; it takes
-// -addr, -since, -minms, and -limit.
-//
-// `ppbench swarm` is the open-loop Poisson load harness: it deploys a
-// live server, sweeps offered load past saturation, reports the
-// latency-vs-load knee, and fails when the SLO burn-rate engine, the
-// windowed metrics, or the span store disagree with the run's own
-// ground truth.
+// The subcommands table below is the one description of what this binary
+// does: it drives the usage text (`ppbench` with no arguments prints it
+// with the flags), dispatch, and what `all` runs.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"ppstream/internal/experiments"
 )
 
-func main() {
-	keyBits := flag.Int("keybits", 512, "Paillier key size in bits (paper: 2048)")
-	requests := flag.Int("requests", 8, "streaming batch size for effective-latency runs")
-	reps := flag.Int("reps", 2, "offline profiling repetitions (paper: 100)")
-	trials := flag.Int("trials", 3, "trials for statistical measurements")
-	quick := flag.Bool("quick", false, "restrict to the smallest model subsets")
-	real := flag.Bool("real", false, "wall-clock latency (multi-core hosts) instead of the calibrated model")
-	jsonOut := flag.Bool("json", false, "also write a versioned BENCH_<experiment>.json record (kernel, serve, trace)")
-	addr := flag.String("addr", "127.0.0.1:7200", "metrics endpoint for `top`/`traces` (ppserver -metrics address)")
-	every := flag.Duration("every", 2*time.Second, "poll interval for `top`")
-	iters := flag.Int("iters", 0, "frames to render for `top` (0 = until interrupted)")
-	since := flag.String("since", "", "for `traces`: only records from the trailing window (e.g. 10m) or an RFC3339 instant")
-	minMS := flag.Float64("minms", 0, "for `traces`: only requests at least this many milliseconds")
-	limit := flag.Int("limit", 0, "for `traces`: record cap (0 = server default)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ppbench [flags] <experiment>\n\nexperiments:\n")
-		fmt.Fprintf(os.Stderr, "  fig1     Paillier benchmark vs key size\n")
-		fmt.Fprintf(os.Stderr, "  kernel   linear kernel vs scalar reference (speedup per key size)\n")
-		fmt.Fprintf(os.Stderr, "  table3   dataset/model inventory\n")
-		fmt.Fprintf(os.Stderr, "  table4   accuracy vs scaling factor (training set)\n")
-		fmt.Fprintf(os.Stderr, "  table5   accuracy vs scaling factor (testing set)\n")
-		fmt.Fprintf(os.Stderr, "  fig6     latency vs scaling factor\n")
-		fmt.Fprintf(os.Stderr, "  fig7     load-balanced allocation on/off\n")
-		fmt.Fprintf(os.Stderr, "  fig8     PlainBase/CipherBase/PP-Stream\n")
-		fmt.Fprintf(os.Stderr, "  fig9     tensor partitioning on/off\n")
-		fmt.Fprintf(os.Stderr, "  table6   obfuscation leakage (distance correlation)\n")
-		fmt.Fprintf(os.Stderr, "  table7   comparison with state-of-the-art systems\n")
-		fmt.Fprintf(os.Stderr, "  stages   per-stage latency percentiles (p50/p95/p99) from real streaming runs\n")
-		fmt.Fprintf(os.Stderr, "  serve    sustained throughput over one multiplexed TCP session at varying client concurrency\n")
-		fmt.Fprintf(os.Stderr, "  trace    merged cross-party trace over TCP: per-segment (client/wire/server) p50/p95/p99\n")
-		fmt.Fprintf(os.Stderr, "  backends per-round crypto-backend comparison: one live TCP session per profile (latency/privacy-max/mixed), per-round kernel medians and per-backend cost counters\n")
-		fmt.Fprintf(os.Stderr, "  chaos    fault-injection smoke: injected delays/resets plus shed/throttle pressure; fails on lost requests or goroutine leaks\n")
-		fmt.Fprintf(os.Stderr, "  swarm    open-loop Poisson load sweep over a live server: latency-vs-load knee, SLO burn-rate alert, span-store retention, windowed-metric cross-checks\n")
-		fmt.Fprintf(os.Stderr, "  top      live console view over a running ppserver's /metrics and /debug/live (see -addr, -every, -iters)\n")
-		fmt.Fprintf(os.Stderr, "  traces   list a running ppserver's tail-sampled span store (see -addr, -since, -minms, -limit)\n")
-		fmt.Fprintf(os.Stderr, "  all      everything above\n\nflags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	cfg := experiments.Config{
-		KeyBits:     *keyBits,
-		Requests:    *requests,
-		ProfileReps: *reps,
-		Trials:      *trials,
-		Quick:       *quick,
-		RealTime:    *real,
-	}
-	name := flag.Arg(0)
-	if name == "top" {
-		if err := experiments.Top(os.Stdout, experiments.TopOptions{Addr: *addr, Every: *every, Iterations: *iters}); err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench top: %v\n", err)
-			os.Exit(1)
+// options carries every flag value to the subcommand that reads it.
+type options struct {
+	cfg experiments.Config
+	// top / traces
+	addr  string
+	every time.Duration
+	iters int
+	since string
+	minMS float64
+	limit int
+}
+
+// group orders the usage text and decides what `all` runs.
+type group int
+
+const (
+	paper group = iota // a table or figure of the paper (plus kernel); run by `all`
+	gate               // a serving harness whose exit code is a CI verdict
+	view               // an operator view over a running ppserver
+)
+
+var groupTitles = []string{
+	paper: "paper tables and figures",
+	gate:  "gated harnesses (exit code is the verdict)",
+	view:  "operator views over a running ppserver",
+}
+
+type subcommand struct {
+	name  string
+	group group
+	help  string
+	run   func(w io.Writer, o options) error
+}
+
+// renderer is what every experiment result offers.
+type renderer interface{ Render() string }
+
+// printed adapts an experiment returning (result, error) to a run func.
+func printed[R renderer](f func(experiments.Config) (R, error)) func(io.Writer, options) error {
+	return func(w io.Writer, o options) error {
+		res, err := f(o.cfg)
+		if err != nil {
+			return err
 		}
-		return
-	}
-	if name == "traces" {
-		if err := experiments.Traces(os.Stdout, experiments.TracesOptions{Addr: *addr, Since: *since, MinMS: *minMS, Limit: *limit}); err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench traces: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(name, cfg, *jsonOut); err != nil {
-		fmt.Fprintf(os.Stderr, "ppbench %s: %v\n", name, err)
-		os.Exit(1)
+		fmt.Fprint(w, res.Render())
+		return nil
 	}
 }
 
-// benchHost pins the run environment recorded in BENCH_*.json.
-func benchHost() experiments.BenchHost {
-	return experiments.BenchHost{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU()}
-}
-
-// emitJSON writes the benchmark's machine-readable record next to the
-// console output and announces the artifact path.
-func emitJSON(name string, cfg experiments.Config, result any) error {
-	path, err := experiments.WriteBenchJSON(".", name, cfg, benchHost(), result)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\n[wrote %s]\n", path)
-	return nil
-}
-
-func run(name string, cfg experiments.Config, jsonOut bool) error {
-	start := time.Now()
-	defer func() { fmt.Printf("\n[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond)) }()
-	switch name {
-	case "fig1":
+// subcommands is the one ordered list behind usage, dispatch and `all`.
+var subcommands = []subcommand{
+	{"fig1", paper, "Paillier benchmark vs key size", printed(func(c experiments.Config) (*experiments.Fig1Result, error) {
 		bits := []int{256, 512, 1024, 2048}
-		if cfg.Quick {
+		if c.Quick {
 			bits = []int{256, 512}
 		}
-		res, err := experiments.Fig1(bits, cfg.Trials)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "kernel":
+		return experiments.Fig1(bits, c.Trials)
+	})},
+	{"kernel", paper, "linear kernel vs scalar reference: strategy, op counts and speedup per key size (README and EXPERIMENTS.md cite it; not a paper figure)", printed(func(c experiments.Config) (*experiments.KernelResult, error) {
 		bits := []int{256, 512, 1024}
-		if cfg.Quick {
+		if c.Quick {
 			bits = []int{256}
 		}
-		res, err := experiments.Kernel(bits, cfg.Trials)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if jsonOut {
-			if err := emitJSON(name, cfg, res); err != nil {
-				return err
-			}
-		}
-	case "table3":
-		fmt.Print(experiments.Table3Render())
-	case "table4", "table5":
-		train, test, err := experiments.Tables4And5(cfg)
-		if err != nil {
-			return err
-		}
-		if name == "table4" {
-			fmt.Print(train.Render())
-		} else {
-			fmt.Print(test.Render())
-		}
-	case "fig6":
-		res, err := experiments.Fig6(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "fig7":
-		res, err := experiments.Fig7(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "fig8":
-		res, err := experiments.Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "fig9":
-		res, err := experiments.Fig9(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "table6":
-		res, err := experiments.Table6(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "table7":
-		res, err := experiments.Table7(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "stages":
-		results, err := experiments.StageBreakdowns(cfg)
-		if err != nil {
-			return err
-		}
-		for i, res := range results {
-			if i > 0 {
-				fmt.Println()
-			}
-			fmt.Print(res.Render())
-		}
-	case "serve":
-		res, err := experiments.ServeBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if jsonOut {
-			if err := emitJSON(name, cfg, res); err != nil {
-				return err
-			}
-		}
-	case "trace":
-		res, err := experiments.TraceBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if jsonOut {
-			if err := emitJSON(name, cfg, res); err != nil {
-				return err
-			}
-		}
-	case "backends":
-		res, err := experiments.BackendsBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		if jsonOut {
-			if err := emitJSON(name, cfg, res); err != nil {
-				return err
-			}
-		}
-	case "chaos":
-		res, err := experiments.Chaos(cfg)
+		return experiments.Kernel(bits, c.Trials)
+	})},
+	{"table3", paper, "dataset/model inventory", func(w io.Writer, _ options) error {
+		fmt.Fprint(w, experiments.Table3Render())
+		return nil
+	}},
+	{"table4", paper, "Exp#1: accuracy vs scaling factor (training set)", printed(func(c experiments.Config) (*experiments.AccuracyResult, error) {
+		train, _, err := experiments.Tables4And5(c)
+		return train, err
+	})},
+	{"table5", paper, "Exp#1: accuracy vs scaling factor (testing set)", printed(func(c experiments.Config) (*experiments.AccuracyResult, error) {
+		_, test, err := experiments.Tables4And5(c)
+		return test, err
+	})},
+	{"fig6", paper, "Exp#1: latency vs scaling factor", printed(experiments.Fig6)},
+	{"fig8", paper, "Exp#2: PlainBase/CipherBase/PP-Stream", printed(experiments.Fig8)},
+	{"fig7", paper, "Exp#3: load-balanced allocation on/off", printed(experiments.Fig7)},
+	{"fig9", paper, "Exp#4: tensor partitioning on/off", printed(experiments.Fig9)},
+	{"table6", paper, "Exp#5: obfuscation leakage (distance correlation)", printed(experiments.Table6)},
+	{"table7", paper, "Exp#6: comparison with state-of-the-art systems", printed(experiments.Table7)},
+	{"chaos", gate, "fault-injection smoke: injected delays/resets plus shed/throttle pressure; fails on lost requests, goroutine leaks or unobserved retries", func(w io.Writer, o options) error {
+		res, err := experiments.Chaos(o.cfg)
+		// The accounting is printed even when an invariant failed: it is
+		// what a red CI run is debugged from.
 		if res != nil {
-			fmt.Print(res.Render())
+			fmt.Fprint(w, res.Render())
 		}
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			if err := emitJSON(name, cfg, res); err != nil {
-				return err
-			}
-		}
-	case "swarm":
-		res, err := experiments.Swarm(cfg)
+		return err
+	}},
+	{"swarm", gate, "open-loop Poisson load sweep over a live server: latency-vs-load knee, SLO burn-rate alert, span-store retention, windowed-metric cross-checks", func(w io.Writer, o options) error {
+		res, err := experiments.Swarm(o.cfg)
 		if res != nil {
-			fmt.Print(res.Render())
-			// Write the artifact even on a failed invariant: the sweep is
-			// the thing worth debugging from CI.
-			if jsonOut {
-				if jerr := emitJSON(name, cfg, res); jerr != nil && err == nil {
-					err = jerr
-				}
-			}
+			fmt.Fprint(w, res.Render())
 		}
-		if err != nil {
-			return err
+		return err
+	}},
+	{"top", view, "live console view over /metrics and /debug/live (see -addr, -every, -iters)", func(w io.Writer, o options) error {
+		return experiments.Top(w, experiments.TopOptions{Addr: o.addr, Every: o.every, Iterations: o.iters})
+	}},
+	{"traces", view, "list the tail-sampled span store (see -addr, -since, -minms, -limit)", func(w io.Writer, o options) error {
+		return experiments.Traces(w, experiments.TracesOptions{Addr: o.addr, Since: o.since, MinMS: o.minMS, Limit: o.limit})
+	}},
+}
+
+// resolve maps a command-line name to the subcommands it runs: itself,
+// or for `all` every paper subcommand in table order.
+func resolve(name string) ([]subcommand, bool) {
+	var out []subcommand
+	for _, sc := range subcommands {
+		if sc.name == name || (name == "all" && sc.group == paper) {
+			out = append(out, sc)
 		}
-	case "all":
-		for _, sub := range []string{"fig1", "kernel", "table3", "table4", "table5", "fig6", "fig8", "fig7", "fig9", "table6", "table7", "stages"} {
-			if err := run(sub, cfg, jsonOut); err != nil {
-				return fmt.Errorf("%s: %w", sub, err)
-			}
-			fmt.Println()
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q (run with no arguments for usage)", name)
 	}
-	return nil
+	return out, len(out) > 0
+}
+
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintf(w, "usage: ppbench [flags] <subcommand>\n")
+	last := group(-1)
+	for _, sc := range subcommands {
+		if sc.group != last {
+			fmt.Fprintf(w, "\n%s:\n", groupTitles[sc.group])
+			last = sc.group
+		}
+		fmt.Fprintf(w, "  %-8s %s\n", sc.name, sc.help)
+	}
+	fmt.Fprintf(w, "\n  %-8s every paper table and figure above, in order — not the gates, not the views\n\nflags:\n", "all")
+	fs.PrintDefaults()
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: 0 on success, 1 when a subcommand
+// failed (for a gate: an invariant did not hold), 2 with the usage text
+// when the command line names no subcommand this binary has.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("ppbench", flag.ContinueOnError)
+	fs.IntVar(&o.cfg.KeyBits, "keybits", 512, "Paillier key size in bits (paper: 2048)")
+	fs.IntVar(&o.cfg.Requests, "requests", 8, "streaming batch size for effective-latency runs")
+	fs.IntVar(&o.cfg.ProfileReps, "reps", 2, "offline profiling repetitions (paper: 100)")
+	fs.IntVar(&o.cfg.Trials, "trials", 3, "trials for statistical measurements")
+	fs.BoolVar(&o.cfg.Quick, "quick", false, "restrict to the smallest model subsets (CI mode)")
+	fs.BoolVar(&o.cfg.RealTime, "real", false, "wall-clock latency (multi-core hosts) instead of the calibrated model")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7200", "metrics endpoint for top and traces (the ppserver -metrics address)")
+	fs.DurationVar(&o.every, "every", 2*time.Second, "poll interval for top")
+	fs.IntVar(&o.iters, "iters", 0, "frames to render for top (0 = until interrupted)")
+	fs.StringVar(&o.since, "since", "", "for traces: only records from the trailing window (e.g. 10m) or an RFC3339 instant")
+	fs.Float64Var(&o.minMS, "minms", 0, "for traces: only requests at least this many milliseconds")
+	fs.IntVar(&o.limit, "limit", 0, "for traces: record cap (0 = server default)")
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		// Parse has printed the error and the usage.
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	name := fs.Arg(0)
+	todo, ok := resolve(name)
+	if !ok {
+		fmt.Fprintf(stderr, "ppbench: no subcommand %q\n", name)
+		fs.Usage()
+		return 2
+	}
+	for i, sc := range todo {
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		start := time.Now()
+		if err := sc.run(stdout, o); err != nil {
+			fmt.Fprintf(stderr, "ppbench %s: %v\n", sc.name, err)
+			return 1
+		}
+		if sc.group != view {
+			fmt.Fprintf(stdout, "\n[%s completed in %v]\n", sc.name, time.Since(start).Round(time.Millisecond))
+		}
+	}
+	return 0
 }

@@ -22,9 +22,6 @@ const (
 	ProfileMixed Profile = "mixed"
 )
 
-// Profiles lists the named deployment profiles.
-func Profiles() []Profile { return []Profile{ProfileLatency, ProfilePrivacyMax, ProfileMixed} }
-
 // ParseProfile parses a profile name; empty selects privacy-max (the
 // legacy behavior — old clients that send no profile get the paper's
 // protocol).

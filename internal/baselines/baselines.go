@@ -14,6 +14,13 @@
 //   - The reported latencies of SecureML, CryptoNets, and CryptoDL from
 //     their publications, which the paper itself compares against
 //     (starred rows of Table VII).
+//
+// Consumers: `ppbench fig8` runs PlainBase and CipherBase, `ppbench
+// table7` runs the EzPC-style engine and prints ReportedLatencies
+// (internal/experiments/latency.go, table7.go). The SecureML-style engine
+// (secureml.go) is run by this package's tests only — Table VII prints
+// SecureML's published number, as the paper does. Nothing on the serving
+// path imports this package.
 package baselines
 
 import (

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ppstream/internal/nn"
 	"ppstream/internal/obs"
 	"ppstream/internal/protocol"
 	"ppstream/internal/stream"
@@ -24,6 +25,36 @@ import (
 // throttle/shed rejections are retried, torn sessions are redialed,
 // every request ends in exactly one of completed / gave-up / fatal, and
 // no goroutine outlives the run.
+
+// serveFactor is the scaling factor both gated harnesses (chaos, swarm)
+// agree on; the tiny FC net below is well-conditioned at 1000.
+const serveFactor = 1000
+
+// serveNet builds the small two-round network the gated harnesses serve.
+// It is deliberately tiny: they exercise the serving runtime's failure
+// and overload paths, not kernel throughput (bench/ measures that).
+func serveNet() (*nn.Network, error) {
+	r := mathrand.New(mathrand.NewSource(17))
+	return nn.NewNetwork("serve-bench", tensor.Shape{4},
+		nn.NewFC("fc1", 4, 6, r),
+		nn.NewReLU("relu1"),
+		nn.NewFC("fc2", 6, 3, r),
+		nn.NewSoftMax("softmax"),
+	)
+}
+
+// serveInputs draws n inputs for serveNet from r.
+func serveInputs(r *mathrand.Rand, n int) []*tensor.Dense {
+	inputs := make([]*tensor.Dense, n)
+	for i := range inputs {
+		x := tensor.Zeros(4)
+		for j := range x.Data() {
+			x.Data()[j] = r.NormFloat64()
+		}
+		inputs[i] = x
+	}
+	return inputs
+}
 
 // ChaosResult is one chaos run's accounting. The invariant the run
 // asserts is Completed + GaveUp + Fatal == Requests: the failure layer
@@ -195,15 +226,7 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 		Budget:      time.Minute,
 	}, clientReg)
 
-	inputs := make([]*tensor.Dense, requests)
-	r := mathrand.New(mathrand.NewSource(29))
-	for i := range inputs {
-		x := tensor.Zeros(4)
-		for j := range x.Data() {
-			x.Data()[j] = r.NormFloat64()
-		}
-		inputs[i] = x
-	}
+	inputs := serveInputs(mathrand.New(mathrand.NewSource(29)), requests)
 
 	var (
 		mu   sync.Mutex
@@ -249,16 +272,13 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 	connMu.Unlock()
 	sessions.Wait()
 
-	counter := func(snap obs.Snapshot, name string) uint64 {
-		return snap.Counters[name]
-	}
-	clientSnap := clientReg.Snapshot()
-	serverSnap := serverReg.Snapshot()
-	res.Retries = counter(clientSnap, "retry.attempts")
-	res.Redials = counter(clientSnap, "retry.redials")
-	res.Giveups = counter(clientSnap, "retry.giveups")
-	res.Shed = counter(serverSnap, "shed.rejected.total")
-	res.Throttled = counter(serverSnap, "rounds.errors")
+	client := clientReg.Snapshot().Counters
+	server := serverReg.Snapshot().Counters
+	res.Retries = client["retry.attempts"]
+	res.Redials = client["retry.redials"]
+	res.Giveups = client["retry.giveups"]
+	res.Shed = server["shed.rejected.total"]
+	res.Throttled = server["rounds.errors"]
 	chaosMu.Lock()
 	for _, cc := range chaosConns {
 		st := cc.Stats()
@@ -279,19 +299,26 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
+	return res, res.validate()
+}
+
+// validate is the invariant list a chaos run must satisfy to gate CI:
+// no request is lost, no goroutine outlives the run, the injected faults
+// were actually retried, and the failure layer let something through.
+func (r *ChaosResult) validate() error {
 	switch {
-	case !res.chaosAccounted():
-		return res, fmt.Errorf("experiments: chaos lost requests: %d completed + %d gave up + %d fatal != %d submitted",
-			res.Completed, res.GaveUp, res.Fatal, res.Requests)
-	case res.chaosLeaked():
-		return res, fmt.Errorf("experiments: chaos leaked goroutines: %d before, %d after",
-			res.GoroutinesBefore, res.GoroutinesAfter)
-	case res.Retries == 0 && res.Redials == 0:
-		return res, errors.New("experiments: chaos observed no retries or redials — fault injection is not biting")
-	case res.Completed == 0:
-		return res, errors.New("experiments: chaos completed no requests — the failure layer is rejecting everything")
+	case !r.chaosAccounted():
+		return fmt.Errorf("experiments: chaos lost requests: %d completed + %d gave up + %d fatal != %d submitted",
+			r.Completed, r.GaveUp, r.Fatal, r.Requests)
+	case r.chaosLeaked():
+		return fmt.Errorf("experiments: chaos leaked goroutines: %d before, %d after",
+			r.GoroutinesBefore, r.GoroutinesAfter)
+	case r.Retries == 0 && r.Redials == 0:
+		return errors.New("experiments: chaos observed no retries or redials — fault injection is not biting")
+	case r.Completed == 0:
+		return errors.New("experiments: chaos completed no requests — the failure layer is rejecting everything")
 	}
-	return res, nil
+	return nil
 }
 
 // Render formats the chaos run's accounting.

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI). Each experiment is a function returning typed
 // rows plus a Render method producing the same series the paper reports;
-// cmd/ppbench and the repository's bench_test.go both drive these.
+// cmd/ppbench drives these. The package also holds ppbench's two gated
+// serving harnesses (chaos, swarm) and its operator views (top, traces).
+// Performance measurement is not here: bench/ owns it.
 //
 // Absolute numbers differ from the paper's 9-server Xeon testbed (this
 // is a pure-Go reproduction on one host); EXPERIMENTS.md records the
@@ -91,13 +93,6 @@ func preparedModel(name string) (*nn.Network, *dataset.Dataset, error) {
 	return net, ds, nil
 }
 
-// ResetModelCache clears the trained-model cache (tests).
-func ResetModelCache() {
-	cacheMu.Lock()
-	modelCache = map[string]*prepared{}
-	cacheMu.Unlock()
-}
-
 // renderTable formats rows as an aligned text table.
 func renderTable(header []string, rows [][]string) string {
 	widths := make([]int, len(header))
@@ -132,7 +127,3 @@ func renderTable(header []string, rows [][]string) string {
 	}
 	return b.String()
 }
-
-// allSpecs returns the Table III registry (indirection for table
-// rendering without importing models in every file).
-func allSpecs() []models.Spec { return models.All() }

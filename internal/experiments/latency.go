@@ -192,76 +192,6 @@ func BreakdownFromTraces(model string, traces []*stream.Trace) *StageBreakdownRe
 	return res
 }
 
-// StageBreakdown runs cfg.Requests inferences through one model's real
-// streaming pipeline and returns the measured per-stage breakdown.
-func StageBreakdown(cfg Config, name string) (*StageBreakdownResult, error) {
-	cfg = cfg.withDefaults()
-	net, ds, err := preparedModel(name)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := models.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	factor, err := SelectedFactor(name)
-	if err != nil {
-		return nil, err
-	}
-	key, err := sharedKey(cfg.KeyBits)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.Options{
-		Factor:          factor,
-		Topology:        topologyFor(spec, 12),
-		LoadBalance:     true,
-		TensorPartition: true,
-		ProfileReps:     cfg.ProfileReps,
-		ProfileSample:   ds.TestX[0],
-	}
-	if prof := cachedProfile(name, factor, cfg.KeyBits); prof != nil {
-		opts.ProfiledTimes = prof.times
-		opts.ProfiledEncrypt = prof.encrypt
-	}
-	eng, err := core.NewEngine(net, key, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.ProfiledTimes == nil {
-		storeProfile(name, factor, cfg.KeyBits, eng)
-	}
-	defer eng.Close()
-	n := cfg.Requests
-	if n > len(ds.TestX) {
-		n = len(ds.TestX)
-	}
-	_, stats, err := eng.InferStream(context.Background(), ds.TestX[:n])
-	if err != nil {
-		return nil, err
-	}
-	return BreakdownFromTraces(name, stats.Traces), nil
-}
-
-// StageBreakdowns runs StageBreakdown for a representative model set
-// (one healthcare MLP and one MNIST model; quick mode keeps just the
-// former).
-func StageBreakdowns(cfg Config) ([]*StageBreakdownResult, error) {
-	names := []string{"Heart", "MNIST-1"}
-	if cfg.Quick {
-		names = []string{"Heart"}
-	}
-	out := make([]*StageBreakdownResult, 0, len(names))
-	for _, name := range names {
-		res, err := StageBreakdown(cfg, name)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: stage breakdown %s: %w", name, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 func fmtDur(d time.Duration) string {
 	return d.Round(time.Microsecond).String()
 }

@@ -9,22 +9,24 @@ import (
 	"sync"
 	"time"
 
+	"ppstream/internal/nn"
 	"ppstream/internal/obs"
+	"ppstream/internal/paillier"
 	"ppstream/internal/protocol"
 	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
 
 // This file implements `ppbench swarm`: an open-loop load harness over a
-// live TCP deployment of the serving plane. Unlike the closed-loop
-// ServeBench (whose workers wait for each completion before submitting
-// again, so offered load self-throttles under overload), the swarm fires
-// requests on a Poisson arrival schedule regardless of how the server is
-// coping — the only way to see the latency-vs-offered-load knee and to
-// exercise the shedder the way real traffic does. The run doubles as a
-// ground-truth check on the live telemetry plane: the windowed serve
-// metrics, the SLO burn-rate engine, and the tail-sampled trace store
-// are all asserted against the client's own accounting.
+// live TCP deployment of the serving plane. A closed-loop driver's
+// workers wait for each completion before submitting again, so offered
+// load self-throttles under overload; the swarm fires requests on a
+// Poisson arrival schedule regardless of how the server is coping — the
+// only way to see the latency-vs-offered-load knee and to exercise the
+// shedder the way real traffic does. The run doubles as a ground-truth
+// check on the live telemetry plane: the windowed serve metrics, the SLO
+// burn-rate engine, and the tail-sampled trace store are all asserted
+// against the client's own accounting.
 
 // Swarm deployment shape: enough client sessions that the server-global
 // shedder (not the per-session window) is the contended resource at
@@ -38,67 +40,68 @@ const (
 // SwarmPoint is one offered-load level's measurement.
 type SwarmPoint struct {
 	// Offered is the open-loop arrival rate, requests/second.
-	Offered  float64 `json:"offered_rps"`
-	Arrivals int     `json:"arrivals"`
+	Offered  float64
+	Arrivals int
 	// Completed / Rejected / Failed partition the arrivals: rejected
 	// means a retryable shed/throttle rejection, failed anything else.
-	Completed int           `json:"completed"`
-	Rejected  int           `json:"rejected"`
-	Failed    int           `json:"failed"`
-	Elapsed   time.Duration `json:"elapsed_ns"`
+	Completed int
+	Rejected  int
+	Failed    int
+	Elapsed   time.Duration
 	// Achieved is the completion throughput, requests/second.
-	Achieved float64       `json:"achieved_rps"`
-	P50      time.Duration `json:"p50_ns"`
-	P95      time.Duration `json:"p95_ns"`
-	P99      time.Duration `json:"p99_ns"`
+	Achieved float64
+	P50      time.Duration
+	P95      time.Duration
+	P99      time.Duration
 }
 
 // SwarmResult is the swarm run's full accounting: the offered-load
 // sweep, the detected knee, and the telemetry-plane cross-checks.
 type SwarmResult struct {
-	KeyBits int `json:"key_bits"`
+	KeyBits int
 	// Baseline percentiles from an unloaded sequential warm-up; the SLO
 	// latency target and the knee's p99 threshold derive from these.
-	BaselineP50 time.Duration `json:"baseline_p50_ns"`
-	BaselineP99 time.Duration `json:"baseline_p99_ns"`
-	Points      []SwarmPoint  `json:"points"`
+	BaselineP50 time.Duration
+	BaselineP99 time.Duration
+	Points      []SwarmPoint
 	// KneeIndex is the first sweep point where the server stopped
 	// keeping up: achieved < 85% of offered, or p99 beyond 3× the first
 	// (low-load) point's p99 — the sequential baseline is not the
 	// reference because even healthy interleaving inflates tail latency
 	// over a one-at-a-time run. -1 when the sweep never found one.
-	KneeIndex   int     `json:"knee_index"`
-	KneeOffered float64 `json:"knee_offered_rps"`
+	KneeIndex   int
+	KneeOffered float64
 	// SLO is the engine's final evaluation; FastAlertFired reports
 	// whether any objective's fast-burn alert was firing by the end of
 	// the overload point, FastAlertBeforeKnee whether one was already
 	// firing after the first (unloaded) point — it must not be.
-	SLO                 []obs.SLOStatus `json:"slo"`
-	FastAlertFired      bool            `json:"fast_alert_fired"`
-	FastAlertBeforeKnee bool            `json:"fast_alert_before_knee"`
+	SLO                 []obs.SLOStatus
+	FastAlertFired      bool
+	FastAlertBeforeKnee bool
 	// SlowTraceID names a retained merged (client+server) trace slower
 	// than baseline p99 — the "why was this one slow" artifact the span
 	// store exists for.
-	SlowTraceID       string `json:"slow_trace_id"`
-	SlowTraceRetained bool   `json:"slow_trace_retained"`
+	SlowTraceID       string
+	SlowTraceRetained bool
 	// LiveOK / CumulativeOK cross-check the windowed serve counter
 	// against the since-boot counter; they must agree when the whole run
 	// fits inside the live window (LiveChecked).
-	LiveOK       uint64 `json:"live_ok"`
-	CumulativeOK uint64 `json:"cumulative_ok"`
-	LiveChecked  bool   `json:"live_checked"`
+	LiveOK       uint64
+	CumulativeOK uint64
+	LiveChecked  bool
 
-	Elapsed time.Duration `json:"elapsed_ns"`
+	Elapsed time.Duration
 
 	// Traces is the harness's span store (memory-mode), kept so callers
 	// — `ppbench swarm` tests, the /debug/traces handler — can query the
 	// retained traces after the run.
-	Traces *obs.TraceStore `json:"-"`
+	Traces *obs.TraceStore
 }
 
 // swarmValidate is the invariant list a swarm run must satisfy to gate
-// CI: the knee exists, the SLO engine saw it, the span store kept the
-// evidence, and the windowed metrics agree with ground truth.
+// CI: the sweep is a sweep, the knee exists, the SLO engine saw it, the
+// span store kept the evidence, and the windowed metrics agree with
+// ground truth.
 func (r *SwarmResult) swarmValidate() error {
 	total := 0
 	for _, p := range r.Points {
@@ -107,14 +110,18 @@ func (r *SwarmResult) swarmValidate() error {
 	switch {
 	case total == 0:
 		return fmt.Errorf("experiments: swarm completed no requests")
+	case len(r.Points) < 3:
+		return fmt.Errorf("experiments: swarm swept %d offered-load points, need at least 3 to place a knee", len(r.Points))
 	case r.KneeIndex < 0:
 		return fmt.Errorf("experiments: swarm found no knee up to %.1f req/s — overload point too gentle",
 			r.Points[len(r.Points)-1].Offered)
 	case !r.FastAlertFired:
 		return fmt.Errorf("experiments: overload did not trip the SLO fast-burn alert")
+	// FastAlertBeforeKnee is sampled after point 0 only. When point 0 is
+	// itself the knee, an alert there fired at the knee, not before it.
 	case r.KneeIndex > 0 && r.FastAlertBeforeKnee:
 		return fmt.Errorf("experiments: SLO fast-burn alert fired before the knee (false positive)")
-	case !r.SlowTraceRetained:
+	case !r.SlowTraceRetained || r.SlowTraceID == "":
 		return fmt.Errorf("experiments: span store retained no slow merged trace")
 	case r.LiveChecked && r.LiveOK != r.CumulativeOK:
 		return fmt.Errorf("experiments: windowed serve.requests.ok (%d) disagrees with cumulative (%d)",
@@ -132,21 +139,6 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	protocol.RegisterServiceWire()
 	begin := time.Now()
 
-	// Phase 1 — baseline: sequential requests on a throwaway unloaded
-	// session give the zero-queueing latency the knee thresholds and the
-	// SLO latency target are calibrated from.
-	baseLats, _, _, err := serveLevel(cfg, 1, 8, false)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: swarm baseline: %w", err)
-	}
-	sort.Slice(baseLats, func(i, j int) bool { return baseLats[i] < baseLats[j] })
-	res := &SwarmResult{
-		KeyBits:     cfg.KeyBits,
-		BaselineP50: percentile(baseLats, 0.50),
-		BaselineP99: percentile(baseLats, 0.99),
-		KneeIndex:   -1,
-	}
-
 	netw, err := serveNet()
 	if err != nil {
 		return nil, err
@@ -154,6 +146,24 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	key, err := sharedKey(cfg.KeyBits)
 	if err != nil {
 		return nil, err
+	}
+	r := mathrand.New(mathrand.NewSource(41))
+	inputs := serveInputs(r, 64)
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+
+	// Phase 1 — baseline: sequential requests on a throwaway unloaded
+	// session give the zero-queueing latency the knee thresholds and the
+	// SLO latency target are calibrated from.
+	baseLats, err := swarmBaseline(ctx, netw, key, inputs[:8])
+	if err != nil {
+		return nil, fmt.Errorf("experiments: swarm baseline: %w", err)
+	}
+	res := &SwarmResult{
+		KeyBits:     cfg.KeyBits,
+		BaselineP50: percentile(baseLats, 0.50),
+		BaselineP99: percentile(baseLats, 0.99),
+		KneeIndex:   -1,
 	}
 
 	// Phase 2 — deployment: a real listener, one session per client
@@ -189,8 +199,6 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 		return nil, err
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
-	defer cancel()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -247,16 +255,6 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	if cfg.Quick {
 		multiples = []float64{0.2, 1, 8}
 	}
-	r := mathrand.New(mathrand.NewSource(41))
-	inputs := make([]*tensor.Dense, 64)
-	for i := range inputs {
-		x := tensor.Zeros(4)
-		for j := range x.Data() {
-			x.Data()[j] = r.NormFloat64()
-		}
-		inputs[i] = x
-	}
-
 	perPoint := cfg.Requests * 6
 	if perPoint < 24 {
 		perPoint = 24
@@ -338,6 +336,60 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	res.Elapsed = time.Since(begin)
 
 	return res, res.swarmValidate()
+}
+
+// swarmBaseline runs the inputs one at a time over a throwaway TCP
+// session of its own (no shedder, limiter or SLO engine — the engine's
+// latency target is derived from this result) and returns the sorted
+// per-request latencies.
+func swarmBaseline(ctx context.Context, netw *nn.Network, key *paillier.PrivateKey, inputs []*tensor.Dense) ([]time.Duration, error) {
+	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	serveErr := make(chan error, 1)
+	go func() {
+		serveErr <- protocol.ServeSessionConfig(ctx, serverEdge, serverEdge, netw, protocol.SessionConfig{
+			Factor:     serveFactor,
+			MaxWorkers: 2,
+			Window:     1,
+		})
+	}()
+	clientEdge, err := stream.DialEdge(addr)
+	if err != nil {
+		return nil, err
+	}
+	client, err := protocol.NewClientOpts(ctx, clientEdge, clientEdge, netw, key, serveFactor,
+		protocol.ClientOptions{Workers: 1, Window: 1})
+	if err != nil {
+		return nil, err
+	}
+	lats := make([]time.Duration, 0, len(inputs))
+	for i, x := range inputs {
+		start := time.Now()
+		if _, err := client.Infer(ctx, x); err != nil {
+			_ = client.Close() // the request error is the one worth reporting
+			return nil, fmt.Errorf("request %d: %w", i, err)
+		}
+		lats = append(lats, time.Since(start))
+	}
+	if err := client.Close(); err != nil {
+		return nil, err
+	}
+	if err := <-serveErr; err != nil {
+		return nil, fmt.Errorf("server session: %w", err)
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return lats, nil
+}
+
+// percentile reads the p-quantile off an ascending latency slice.
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(p * float64(len(sorted)-1))
+	return sorted[idx]
 }
 
 // swarmPoint fires n Poisson arrivals at the offered rate and waits for

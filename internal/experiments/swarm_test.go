@@ -91,6 +91,52 @@ func TestSwarmSmoke(t *testing.T) {
 	t.Log("\n" + out)
 }
 
+// TestSwarmValidate: one row per invariant the gate decides on, over a
+// synthetic sweep, so each condition fails a unit test rather than only
+// a CI run of the harness.
+func TestSwarmValidate(t *testing.T) {
+	healthy := func() *SwarmResult {
+		return &SwarmResult{
+			Points: []SwarmPoint{
+				{Offered: 10, Arrivals: 24, Completed: 24, Achieved: 10},
+				{Offered: 50, Arrivals: 24, Completed: 24, Achieved: 48},
+				{Offered: 400, Arrivals: 48, Completed: 20, Rejected: 28, Achieved: 90},
+			},
+			KneeIndex: 2, KneeOffered: 400,
+			FastAlertFired:    true,
+			SlowTraceRetained: true, SlowTraceID: "t-slow",
+			LiveOK: 68, CumulativeOK: 68, LiveChecked: true,
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*SwarmResult)
+		wantErr string // substring; "" = the run passes
+	}{
+		{"healthy", func(*SwarmResult) {}, ""},
+		{"nothing completed", func(r *SwarmResult) {
+			for i := range r.Points {
+				r.Points[i].Completed = 0
+			}
+		}, "completed no requests"},
+		{"fewer than three points", func(r *SwarmResult) { r.Points, r.KneeIndex = r.Points[1:], 1 }, "need at least 3"},
+		{"no knee", func(r *SwarmResult) { r.KneeIndex = -1 }, "no knee"},
+		{"alert not fired", func(r *SwarmResult) { r.FastAlertFired = false }, "did not trip"},
+		{"alert before the knee", func(r *SwarmResult) { r.FastAlertBeforeKnee = true }, "before the knee"},
+		// The first point failing to keep up is the knee; an alert after
+		// it fired at the knee and is not a false positive.
+		{"alert at a knee on point 0", func(r *SwarmResult) { r.KneeIndex, r.FastAlertBeforeKnee = 0, true }, ""},
+		{"slow trace not retained", func(r *SwarmResult) { r.SlowTraceRetained, r.SlowTraceID = false, "" }, "no slow merged trace"},
+		{"slow trace without an ID", func(r *SwarmResult) { r.SlowTraceID = "" }, "no slow merged trace"},
+		{"live disagrees with cumulative", func(r *SwarmResult) { r.LiveOK-- }, "disagrees with cumulative"},
+		{"run outlived the live window", func(r *SwarmResult) { r.LiveOK, r.LiveChecked = 3, false }, ""},
+	} {
+		r := healthy()
+		tc.mutate(r)
+		checkVerdict(t, tc.name, r.swarmValidate(), tc.wantErr)
+	}
+}
+
 // TestRenderTraceRecords: the ppbench traces table lists every record
 // and expands the slowest retained tree.
 func TestRenderTraceRecords(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ppstream/internal/baselines"
+	"ppstream/internal/models"
 )
 
 // Table7Row is one system×model latency entry.
@@ -89,7 +90,7 @@ func (r *Table7Result) Render() string {
 func Table3Render() string {
 	header := []string{"dataset", "model", "train", "test", "servers (model/data)", "generated train/test"}
 	var rows [][]string
-	for _, s := range allSpecs() {
+	for _, s := range models.All() {
 		rows = append(rows, []string{
 			s.Name, s.Arch,
 			fmt.Sprint(s.PaperTrain), fmt.Sprint(s.PaperTest),

@@ -58,7 +58,7 @@ func Top(w io.Writer, opts TopOptions) error {
 		if frame > 0 {
 			time.Sleep(opts.Every)
 		}
-		snap, err := fetchSnapshot(client, url)
+		snap, err := fetchRegistry(client, url, func(s *obs.Snapshot) bool { return s.Name != "" || len(s.Counters) > 0 })
 		if err != nil {
 			failures++
 			if failures >= 2 {
@@ -70,17 +70,15 @@ func Top(w io.Writer, opts TopOptions) error {
 		failures = 0
 		// Best-effort: older servers have no /debug/live; fall back to
 		// the cumulative-diff rates alone.
-		live, _ := fetchLive(client, liveURL)
+		live, _ := fetchRegistry(client, liveURL, func(s *obs.LiveSnapshot) bool { return s.Name != "" || len(s.Counters) > 0 })
 		fmt.Fprint(w, renderTopFrame(snap, prev, live, opts.Every))
 		prev = snap
 	}
 	return nil
 }
 
-// fetchLive fetches the windowed-metric snapshot, tolerating the
-// multi-registry array form. Any error (including 404 from servers
-// predating /debug/live) returns nil.
-func fetchLive(client *http.Client, url string) (*obs.LiveSnapshot, error) {
+// getBody fetches url and returns at most limit bytes of a 200 response.
+func getBody(client *http.Client, url string, limit int64) ([]byte, error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
@@ -89,45 +87,27 @@ func fetchLive(client *http.Client, url string) (*obs.LiveSnapshot, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %s", resp.Status)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	var snap obs.LiveSnapshot
-	if err := json.Unmarshal(data, &snap); err == nil && (snap.Name != "" || len(snap.Counters) > 0) {
-		return &snap, nil
-	}
-	var snaps []obs.LiveSnapshot
-	if err := json.Unmarshal(data, &snaps); err != nil || len(snaps) == 0 {
-		return nil, fmt.Errorf("unrecognized live payload (%d bytes)", len(data))
-	}
-	return &snaps[0], nil
+	return io.ReadAll(io.LimitReader(resp.Body, limit))
 }
 
-// fetchSnapshot fetches and decodes one registry snapshot. A multi-
-// registry endpoint returns an array; the first registry wins.
-func fetchSnapshot(client *http.Client, url string) (*obs.Snapshot, error) {
-	resp, err := client.Get(url)
+// fetchRegistry fetches and decodes one registry's snapshot (cumulative
+// or windowed). A multi-registry endpoint returns an array; the first
+// registry wins. named tells a decoded snapshot from the zero value the
+// array form leaves behind.
+func fetchRegistry[T any](client *http.Client, url string, named func(*T) bool) (*T, error) {
+	data, err := getBody(client, url, 16<<20)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
+	var one T
+	if err := json.Unmarshal(data, &one); err == nil && named(&one) {
+		return &one, nil
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, err
+	var many []T
+	if err := json.Unmarshal(data, &many); err != nil || len(many) == 0 {
+		return nil, fmt.Errorf("unrecognized payload from %s (%d bytes)", url, len(data))
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(data, &snap); err == nil && (snap.Name != "" || len(snap.Counters) > 0) {
-		return &snap, nil
-	}
-	var snaps []obs.Snapshot
-	if err := json.Unmarshal(data, &snaps); err != nil || len(snaps) == 0 {
-		return nil, fmt.Errorf("unrecognized metrics payload (%d bytes)", len(data))
-	}
-	return &snaps[0], nil
+	return &many[0], nil
 }
 
 // counterRate renders a cumulative counter as total plus per-second rate

@@ -4,72 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"ppstream/internal/obs"
 )
-
-func TestBenchJSONRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	res := &KernelResult{Reps: 2, Shapes: []KernelShape{{
-		Rows: 32, Cols: 128,
-		Series: []KernelRow{{KeyBits: 256, Kernel: 5 * time.Millisecond, Ref: 20 * time.Millisecond, Strategy: "tables"}},
-	}}}
-	host := BenchHost{GOOS: "linux", GOARCH: "amd64", NumCPU: 4}
-	path, err := WriteBenchJSON(dir, "kernel", Config{KeyBits: 256}.withDefaults(), host, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_kernel.json" {
-		t.Errorf("artifact name = %s, want BENCH_kernel.json", filepath.Base(path))
-	}
-	rec, err := ReadBenchJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Version != BenchRecordVersion || rec.Bench != "kernel" {
-		t.Errorf("envelope = version %d bench %q", rec.Version, rec.Bench)
-	}
-	if rec.Host != host {
-		t.Errorf("host = %+v, want %+v", rec.Host, host)
-	}
-	if rec.Config.KeyBits != 256 {
-		t.Errorf("config keybits = %d", rec.Config.KeyBits)
-	}
-	result, ok := rec.Result.(map[string]any)
-	if !ok {
-		t.Fatalf("result decoded as %T", rec.Result)
-	}
-	shapes, ok := result["Shapes"].([]any)
-	if !ok || len(shapes) != 1 {
-		t.Fatalf("shapes lost in round trip: %v", result["Shapes"])
-	}
-	if series, ok := shapes[0].(map[string]any)["Series"].([]any); !ok || len(series) != 1 {
-		t.Fatalf("series lost in round trip: %v", shapes[0])
-	}
-	// No temp litter from the atomic write.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("dir holds %d files after write, want 1", len(entries))
-	}
-}
-
-func TestReadBenchJSONRejectsWrongVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_x.json")
-	if err := os.WriteFile(path, []byte(`{"version": 999, "bench": "x"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBenchJSON(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("wrong-version record accepted: %v", err)
-	}
-}
 
 // topSnapshot builds a serving-plane-shaped registry snapshot.
 func topSnapshot(requests uint64) obs.Snapshot {

@@ -54,15 +54,7 @@ func Traces(w io.Writer, opts TracesOptions) error {
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
-	resp, err := client.Get(u)
-	if err != nil {
-		return fmt.Errorf("experiments: trace fetch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("experiments: trace fetch: status %s", resp.Status)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := getBody(client, u, 64<<20)
 	if err != nil {
 		return fmt.Errorf("experiments: trace fetch: %w", err)
 	}

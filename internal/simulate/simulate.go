@@ -19,6 +19,13 @@
 // DESIGN.md documents this substitution; on a real multi-core cluster
 // the same experiments can run in wall-clock mode via the streaming
 // engine (core.Engine.InferStream).
+//
+// Consumers: core.Engine.Simulate (SimStages + Pipeline), which is the
+// latency behind `ppbench fig6`–`fig9` and `table7` unless -real is set
+// and behind ppinfer's "modelled streaming latency" line; and
+// BenchmarkAblationMergedStages / BenchmarkAblationPerLayerStages
+// (ablation_bench_test.go, EXPERIMENTS.md's ablation table). Nothing on
+// the serving path calls it.
 package simulate
 
 import (
