@@ -47,13 +47,15 @@ func TestEveryListedNameDispatches(t *testing.T) {
 	}
 }
 
-// TestRemovedSurfaceIsRefused: the subcommands bench/ superseded and the
-// -json flag are gone for good — each ends in the usage exit with
-// nothing run, not in a silent no-op.
+// TestRemovedSurfaceIsRefused: the subcommands bench/ superseded, the
+// -json flag and the -reps flag (stage costs are counted, not profiled)
+// are gone for good — each ends in the usage exit with nothing run, not
+// in a silent no-op.
 func TestRemovedSurfaceIsRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"serve"}, {"trace"}, {"stages"}, {"backends"},
 		{"-json", "kernel"}, {"-quick", "-json", "chaos"},
+		{"-reps", "2", "fig7"},
 		{"fig1", "fig6"}, // exactly one subcommand per run
 	} {
 		var stdout, stderr bytes.Buffer

@@ -112,8 +112,6 @@ func run(modelPath string, keyBits, cores int, inputCSV string, streamN int) err
 		Topology:        topo,
 		LoadBalance:     true,
 		TensorPartition: true,
-		ProfileReps:     1,
-		ProfileSample:   x,
 	})
 	if err != nil {
 		return err
@@ -127,7 +125,7 @@ func run(modelPath string, keyBits, cores int, inputCSV string, streamN int) err
 			if r.Linear {
 				kind = "linear"
 			}
-			fmt.Printf("  %-40s %-10s %-9s threads=%d T=%.2fms\n",
+			fmt.Printf("  %-40s %-10s %-9s threads=%d est. T=%.2fms\n",
 				r.Name, kind, r.Server, r.Threads, r.Time*1000)
 		}
 	}

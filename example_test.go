@@ -26,7 +26,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := ppstream.NewEngine(net, key, ppstream.Options{Factor: 1000, ProfileReps: 1})
+	eng, err := ppstream.NewEngine(net, key, ppstream.Options{Factor: 1000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,8 +49,7 @@ func main() {
 			DataServers:    spec.DataServers,
 			CoresPerServer: 4,
 		},
-		LoadBalance:   true,
-		ProfileSample: ds.TestX[0],
+		LoadBalance: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -54,7 +54,6 @@ func main() {
 		Topology:        ppstream.Topology{ModelServers: spec.ModelServers, DataServers: spec.DataServers, CoresPerServer: 6},
 		LoadBalance:     true,
 		TensorPartition: true,
-		ProfileSample:   ds.TestX[0],
 	})
 	if err != nil {
 		log.Fatal(err)

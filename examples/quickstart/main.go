@@ -69,7 +69,6 @@ func main() {
 		Topology:        ppstream.Topology{ModelServers: 1, DataServers: 1, CoresPerServer: 2},
 		LoadBalance:     true,
 		TensorPartition: true,
-		ProfileSample:   xs[0],
 	})
 	if err != nil {
 		log.Fatal(err)

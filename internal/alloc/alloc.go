@@ -1,9 +1,11 @@
 // Package alloc implements PP-Stream's load-balanced resource allocation
-// (paper Section IV-C): given the profiled execution time T_i of each
-// merged primitive layer and a set of servers with known core counts, it
-// assigns each layer to exactly one server of the matching provider and
-// chooses thread counts y_i, minimizing the sum of pairwise differences
-// in per-thread execution time Σ|T_i/y_i − T_i'/y_i'| subject to
+// (paper Section IV-C): given the single-thread execution time T_i of each
+// merged primitive layer (the paper profiles it; core.NewEngine estimates
+// it from exact operation counts) and a set of servers with known core
+// counts, it assigns each layer to exactly one server of the matching
+// provider and chooses thread counts y_i, minimizing the sum of pairwise
+// differences in per-thread execution time Σ|T_i/y_i − T_i'/y_i'|
+// subject to
 //
 //	(5) each layer on exactly one server,
 //	(6) servers are type-pure (linear layers on model-provider servers,
@@ -22,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"ppstream/internal/ilp"
 )
@@ -34,7 +35,8 @@ type Layer struct {
 	// Linear is the paper's I_i: true for linear (model provider),
 	// false for non-linear (data provider).
 	Linear bool
-	// Time is the profiled execution time T_i (seconds per inference).
+	// Time is the single-thread execution time T_i (seconds per
+	// inference).
 	Time float64
 }
 
@@ -163,7 +165,7 @@ type Options struct {
 
 // Even produces the baseline allocation used by the paper's "without
 // load-balanced resource allocation" variants (Exp#2/3): CPU cores are
-// split evenly across stages of each provider group, ignoring profiled
+// split evenly across stages of each provider group, ignoring stage
 // times. Stages earlier in the list receive the remainder threads, as
 // the paper describes.
 func Even(layers []Layer, servers []Server) (*Plan, error) {
@@ -561,27 +563,4 @@ func formulate(layers []Layer, servers []Server, opts Options) (*ilp.Problem, fu
 		return plan, nil
 	}
 	return prob, decode, nil
-}
-
-// Profile measures T_i for each stage runner by executing it reps times
-// on the provided work function and averaging wall-clock time. The paper
-// profiles each primitive layer over 100 random training inputs
-// (Section IV-C); callers choose reps accordingly.
-func Profile(stages []func() error, reps int) ([]float64, error) {
-	if reps <= 0 {
-		reps = 1
-	}
-	out := make([]float64, len(stages))
-	for i, stage := range stages {
-		var total time.Duration
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			if err := stage(); err != nil {
-				return nil, fmt.Errorf("alloc: profiling stage %d: %w", i, err)
-			}
-			total += time.Since(start)
-		}
-		out[i] = total.Seconds() / float64(reps)
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package alloc
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -207,25 +206,4 @@ func TestLargerInstanceStaysFeasible(t *testing.T) {
 	}
 	t.Logf("8-layer solve took %v, objective %.3f (even %.3f, exact=%v)",
 		time.Since(start), plan.Objective, even.Objective, plan.Exact)
-}
-
-func TestProfile(t *testing.T) {
-	calls := 0
-	times, err := Profile([]func() error{
-		func() error { calls++; time.Sleep(time.Millisecond); return nil },
-		func() error { calls++; return nil },
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 6 {
-		t.Errorf("profile made %d calls, want 6", calls)
-	}
-	if times[0] < times[1] {
-		t.Errorf("sleeping stage profiled faster: %v", times)
-	}
-	boom := errors.New("boom")
-	if _, err := Profile([]func() error{func() error { return boom }}, 1); err == nil {
-		t.Error("stage error swallowed")
-	}
 }

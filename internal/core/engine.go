@@ -1,7 +1,9 @@
 // Package core assembles PP-Stream: it takes a trained network, selects
 // or accepts a scaling factor, builds the hybrid privacy-preserving
-// protocol, profiles the merged primitive layers offline, solves the
-// load-balanced resource allocation, and maps the alternating stages
+// protocol, estimates each merged primitive layer's single-thread time
+// from its exact operation count (protocol.Protocol.StageCosts priced by
+// paillier.UnitCosts) instead of the paper's offline profiling, solves
+// the load-balanced resource allocation, and maps the alternating stages
 // onto the distributed stream processing pipeline (paper Section IV).
 package core
 
@@ -63,25 +65,17 @@ type Options struct {
 	// TensorPartition enables input+output tensor partitioning on the
 	// model provider's stages (Section IV-D).
 	TensorPartition bool
-	// ProfileReps is how many sample inferences feed the offline
-	// profiling (paper uses 100; tests use fewer).
+	// ProfileReps is ignored: stage costs are estimated from exact
+	// operation counts, not profiled. It stays until bench/ stops setting
+	// it.
 	ProfileReps int
-	// ProfileSample is the input used for offline profiling; required
-	// when LoadBalance is set.
+	// ProfileSample is ignored, like ProfileReps.
 	ProfileSample *tensor.Dense
 	// Buffer is the pipeline edge depth (default 4).
 	Buffer int
 	// Pool enables a background encryption-blinding pool on the data
 	// provider.
 	Pool bool
-	// ProfiledTimes, when non-nil, supplies per-merged-stage times
-	// (seconds) from an earlier profiling run, skipping the offline
-	// profiling pass. Must match the merged stage count and come from
-	// the same (model, factor, key size) combination.
-	ProfiledTimes []float64
-	// ProfiledEncrypt supplies the input-encryption time when
-	// ProfiledTimes is set.
-	ProfiledEncrypt float64
 	// Window bounds the serving runtime's concurrently in-flight
 	// requests (Serve/Submit backpressure); <= 0 leaves admission
 	// bounded only by the pipeline's edge buffers.
@@ -117,8 +111,9 @@ type Engine struct {
 	// Backends is the solved per-round crypto-backend assignment for
 	// Options.Profile (privacy-max when unset).
 	Backends *backend.Plan
-	// EncryptTime is the profiled input encryption time (seconds per
-	// request, single thread).
+	// EncryptTime is the estimated input encryption time (seconds per
+	// request, single thread): its operation count priced at the key's
+	// measured unit costs, as every Layers[i].Time is.
 	EncryptTime float64
 	opts        Options
 	pool        *paillier.Pool
@@ -137,7 +132,7 @@ type Engine struct {
 	disp    *stream.Dispatcher
 }
 
-// NewEngine builds the engine: protocol construction, offline profiling,
+// NewEngine builds the engine: protocol construction, stage pricing,
 // resource allocation, and per-stage plan application.
 func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine, error) {
 	if opts.Factor <= 0 {
@@ -148,9 +143,6 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	}
 	if opts.Buffer <= 0 {
 		opts.Buffer = 4
-	}
-	if opts.ProfileReps <= 0 {
-		opts.ProfileReps = 3
 	}
 	cfg := protocol.Config{Factor: opts.Factor, Workers: 1}
 	var pool *paillier.Pool
@@ -187,29 +179,23 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 		return n
 	})
 
-	// Offline profiling (Section IV-C): execute each merged stage once
-	// per rep with a single thread and record T_i — unless a previous
-	// run's profile was supplied.
-	var times []float64
-	if opts.ProfiledTimes != nil {
-		if len(opts.ProfiledTimes) != len(proto.Merged) {
-			return nil, fmt.Errorf("core: %d profiled times for %d merged stages", len(opts.ProfiledTimes), len(proto.Merged))
-		}
-		times = opts.ProfiledTimes
-		e.EncryptTime = opts.ProfiledEncrypt
-	} else {
-		sample := opts.ProfileSample
-		if sample == nil {
-			sample = tensor.Zeros(net.InputShape...)
-		}
-		times, err = e.profile(sample, opts.ProfileReps)
-		if err != nil {
-			return nil, fmt.Errorf("core: offline profiling: %w", err)
-		}
+	// T_i for the allocation (Section IV-C): each merged stage's exact
+	// single-thread operation count, priced at this key size's unit costs.
+	// Every round is priced on Paillier: the backend plan comes last.
+	encrypt, counts, err := proto.StageCosts()
+	if err != nil {
+		e.Close()
+		return nil, fmt.Errorf("core: counting stage operations: %w", err)
 	}
+	units, err := paillier.MeasureUnitCosts(key)
+	if err != nil {
+		e.Close()
+		return nil, fmt.Errorf("core: measuring unit costs: %w", err)
+	}
+	e.EncryptTime = units.Price(encrypt)
 	e.Layers = make([]alloc.Layer, len(proto.Merged))
 	for i, m := range proto.Merged {
-		e.Layers[i] = alloc.Layer{Name: m.Name(), Linear: m.Kind == nn.Linear, Time: times[i]}
+		e.Layers[i] = alloc.Layer{Name: m.Name(), Linear: m.Kind == nn.Linear, Time: units.Price(counts[i])}
 	}
 
 	if opts.LoadBalance {
@@ -262,49 +248,7 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 // view cmd tools print and the metrics endpoint serves.
 func (e *Engine) Stats() obs.Snapshot { return e.reg.Snapshot() }
 
-// profile measures per-merged-stage times by walking the protocol rounds
-// sequentially with single-threaded stages. It also records the input
-// encryption time (step 1.1), which the allocation does not cover but
-// the latency model needs.
-func (e *Engine) profile(sample *tensor.Dense, reps int) ([]float64, error) {
-	merged := e.Protocol.Merged
-	times := make([]float64, len(merged))
-	e.EncryptTime = 0
-	for rep := 0; rep < reps; rep++ {
-		encStart := time.Now()
-		env, err := e.Protocol.Data.EncryptMetered(uint64(1_000_000+rep), sample, nil)
-		e.EncryptTime += time.Since(encStart).Seconds()
-		if err != nil {
-			return nil, err
-		}
-		rounds := e.Protocol.Rounds()
-		mi := 0
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			env, _, err = e.Protocol.Model.ProcessLinearMetered(r, env, nil)
-			if err != nil {
-				return nil, err
-			}
-			times[mi] += time.Since(start).Seconds()
-			mi++
-			start = time.Now()
-			env, err = e.Protocol.Data.ProcessNonLinearMetered(r, env, nil)
-			if err != nil {
-				return nil, err
-			}
-			times[mi] += time.Since(start).Seconds()
-			mi++
-		}
-		e.Protocol.Model.Forget(uint64(1_000_000 + rep))
-	}
-	for i := range times {
-		times[i] /= float64(reps)
-	}
-	e.EncryptTime /= float64(reps)
-	return times, nil
-}
-
-// SimStages converts the engine's profiled stage times, allocation plan,
+// SimStages converts the engine's estimated stage times, allocation plan,
 // and partitioning configuration into the discrete-event latency model's
 // stage list (see internal/simulate): an encrypt stage followed by the
 // merged primitive layers. Linear stages carry the communication volume
@@ -342,7 +286,7 @@ func (e *Engine) SimStages() ([]simulate.Stage, error) {
 }
 
 // Simulate predicts the deployment's latency for a batch of the given
-// size using the profiled stage costs, the allocation plan, and the
+// size using the estimated stage costs, the allocation plan, and the
 // measured per-element transfer cost (see internal/simulate's package
 // comment for the single-CPU-host substitution rationale).
 func (e *Engine) Simulate(requests int) (*simulate.Result, error) {
@@ -376,12 +320,14 @@ func (e *Engine) applyPlan() error {
 }
 
 // StageReport describes one merged stage's deployment in a readable
-// form: profiled time, assigned server, threads, and (for linear stages)
+// form: estimated time, assigned server, threads, and (for linear stages)
 // the per-request communication volumes of the two partitioning modes.
 type StageReport struct {
-	Name    string
-	Linear  bool
-	Time    float64 // profiled seconds per request, single thread
+	Name   string
+	Linear bool
+	// Time is the estimated seconds per request on one thread: the
+	// stage's exact operation count priced at the key's unit costs.
+	Time    float64
 	Server  string
 	Threads int
 	// Backend names the crypto backend the ILP assigned to this round

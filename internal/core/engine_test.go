@@ -80,7 +80,7 @@ func TestNewEngineValidation(t *testing.T) {
 func TestEngineInferOneMatchesPlain(t *testing.T) {
 	k := key(t)
 	net := smallNet(t)
-	eng, err := NewEngine(net, k, Options{Factor: 1000, ProfileReps: 1})
+	eng, err := NewEngine(net, k, Options{Factor: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,6 @@ func TestEngineStreamingMatchesPlain(t *testing.T) {
 	net := smallNet(t)
 	eng, err := NewEngine(net, k, Options{
 		Factor:      1000,
-		ProfileReps: 1,
 		Topology:    Topology{ModelServers: 1, DataServers: 1, CoresPerServer: 2},
 		LoadBalance: true,
 	})
@@ -154,7 +153,6 @@ func TestEngineWithAllFeatures(t *testing.T) {
 	}
 	eng, err := NewEngine(net, k, Options{
 		Factor:          1000,
-		ProfileReps:     1,
 		Topology:        Topology{ModelServers: 2, DataServers: 1, CoresPerServer: 2},
 		LoadBalance:     true,
 		TensorPartition: true,

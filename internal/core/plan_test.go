@@ -1,0 +1,145 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"ppstream/internal/alloc"
+	"ppstream/internal/models"
+	"ppstream/internal/nn"
+	"ppstream/internal/paillier"
+	"ppstream/internal/protocol"
+	"ppstream/internal/tensor"
+)
+
+// benchEngine builds the engine the conv-engine benchmark workload runs
+// (bench/serve.go), on a Table III model's untrained weights at factor 100.
+func benchEngine(t *testing.T, model string) (*Engine, *nn.Network) {
+	t.Helper()
+	spec, err := models.ByName(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(net, key(t), Options{
+		Factor:          100,
+		Topology:        Topology{ModelServers: 1, DataServers: 1, CoresPerServer: 2},
+		LoadBalance:     true,
+		TensorPartition: true,
+		Window:          1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng, net
+}
+
+// TestCountPlanPinsConvEngine: the count-priced stage costs plan the
+// conv-engine workload exactly as offline profiling did, and keep that
+// plan when any one unit cost is off by a quarter either way.
+func TestCountPlanPinsConvEngine(t *testing.T) {
+	eng, _ := benchEngine(t, "MNIST-2")
+	const threads, servers = "[2 2 1 1 1 1]", "[0 1 0 1 0 1]"
+	if got := fmt.Sprint(eng.Plan.Threads); got != threads {
+		t.Errorf("threads %s, want %s", got, threads)
+	}
+	if got := fmt.Sprint(eng.Plan.ServerOf); got != servers {
+		t.Errorf("servers %s, want %s", got, servers)
+	}
+	_, counts, err := eng.Protocol.StageCosts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := paillier.MeasureUnitCosts(key(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := func(u *paillier.UnitCosts) []*float64 {
+		return []*float64{&u.MulMod, &u.ModInverse, &u.Encrypt, &u.Decrypt, &u.Blinding, &u.ScalarExp}
+	}
+	for i := range fields(&units) {
+		for _, f := range []float64{0.75, 1.25} {
+			u := units
+			*fields(&u)[i] *= f
+			layers := append([]alloc.Layer(nil), eng.Layers...)
+			for j := range layers {
+				layers[j].Time = u.Price(counts[j])
+			}
+			plan, err := alloc.Solve(layers, eng.Servers, alloc.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(plan.Threads) != threads || fmt.Sprint(plan.ServerOf) != servers {
+				t.Errorf("unit cost %d ×%v: plan threads %v servers %v, want %s %s", i, f, plan.Threads, plan.ServerOf, threads, servers)
+			}
+		}
+	}
+}
+
+// TestEstimatedStageTimesMatchAWalk: the estimated encrypt and stage times
+// are within 2× of a measured single-threaded walk on MNIST-2 and Heart.
+func TestEstimatedStageTimesMatchAWalk(t *testing.T) {
+	for _, model := range []string{"MNIST-2", "Heart"} {
+		eng, net := benchEngine(t, model)
+		walked := walkTimes(t, net, 3)
+		predicted := []float64{eng.EncryptTime}
+		names := []string{"encrypt"}
+		for _, l := range eng.Layers {
+			predicted = append(predicted, l.Time)
+			names = append(names, l.Name)
+		}
+		for i, p := range predicted {
+			r := p / walked[i]
+			t.Logf("%s %s: estimated %.3g s, walked %.3g s (×%.2f)", model, names[i], p, walked[i], r)
+			if r < 0.5 || r > 2 {
+				t.Errorf("%s %s: estimated %.3g s, a walk took %.3g s (×%.2f)", model, names[i], p, walked[i], r)
+			}
+		}
+	}
+}
+
+// walkTimes times one request through the encryption and every merged
+// stage of net, single-threaded with no blinding pool — the pass the
+// counts describe — and returns each stage's fastest time over reps walks.
+func walkTimes(t *testing.T, net *nn.Network, reps int) []float64 {
+	t.Helper()
+	proto, err := protocol.Build(net, key(t), protocol.Config{Factor: 100, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := make([]float64, 1+len(proto.Merged))
+	keep := func(i int, start time.Time) {
+		if s := time.Since(start).Seconds(); best[i] == 0 || s < best[i] {
+			best[i] = s
+		}
+	}
+	x := tensor.Zeros(net.InputShape...)
+	for rep := 0; rep < reps; rep++ {
+		req := uint64(rep + 1)
+		start := time.Now()
+		env, err := proto.Data.EncryptMetered(req, x, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep(0, start)
+		for r := 0; r < proto.Rounds(); r++ {
+			start = time.Now()
+			if env, _, err = proto.Model.ProcessLinearMetered(r, env, nil); err != nil {
+				t.Fatal(err)
+			}
+			keep(1+2*r, start)
+			start = time.Now()
+			if env, err = proto.Data.ProcessNonLinearMetered(r, env, nil); err != nil {
+				t.Fatal(err)
+			}
+			keep(2+2*r, start)
+		}
+		proto.Model.Forget(req)
+	}
+	return best
+}

@@ -15,7 +15,7 @@ import (
 
 func serveEngine(t *testing.T) *Engine {
 	t.Helper()
-	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, ProfileReps: 1, Window: 8})
+	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEngineServeErrorIsolation(t *testing.T) {
 // protocol.ErrShed — and is counted — instead of queueing; freeing the
 // slot admits again.
 func TestEngineServeSheds(t *testing.T) {
-	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, ProfileReps: 1, Window: 8, MaxInFlight: 1})
+	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, Window: 8, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestInferStreamLeaksNoGoroutines(t *testing.T) {
 func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 	net := smallNet(t)
 	net.InputMax = 3
-	eng, err := NewEngine(net, key(t), Options{Factor: 1000, ProfileReps: 1, Window: 1, MaxInFlight: 1})
+	eng, err := NewEngine(net, key(t), Options{Factor: 1000, Window: 1, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 	net := smallNet(t)
 	net.InputMax = 3
-	eng, err := NewEngine(net, key(t), Options{Factor: 1000, ProfileReps: 1, Window: 4, MaxInFlight: 2})
+	eng, err := NewEngine(net, key(t), Options{Factor: 1000, Window: 4, MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 // request still reaches exactly one outcome — its real one, when it leaves
 // the pipeline — and only then gives back the one admission slot.
 func TestEngineSubmitAbandoned(t *testing.T) {
-	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, ProfileReps: 1, Window: 8, MaxInFlight: 1})
+	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, Window: 8, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

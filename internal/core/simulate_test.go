@@ -9,7 +9,7 @@ import (
 func TestSimStagesAndSimulate(t *testing.T) {
 	k := key(t)
 	net := smallNet(t)
-	eng, err := NewEngine(net, k, Options{Factor: 1000, ProfileReps: 1, LoadBalance: true})
+	eng, err := NewEngine(net, k, Options{Factor: 1000, LoadBalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +56,12 @@ func TestSimStagesAndSimulate(t *testing.T) {
 func TestSimulatePartitioningReducesComm(t *testing.T) {
 	k := key(t)
 	net := smallNet(t)
-	without, err := NewEngine(net, k, Options{Factor: 1000, ProfileReps: 1})
+	without, err := NewEngine(net, k, Options{Factor: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer without.Close()
-	with, err := NewEngine(net, k, Options{Factor: 1000, ProfileReps: 1, TensorPartition: true})
+	with, err := NewEngine(net, k, Options{Factor: 1000, TensorPartition: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,44 +84,10 @@ func TestSimulatePartitioningReducesComm(t *testing.T) {
 	}
 }
 
-// TestProfiledTimesSkipProfiling: supplying a profile bypasses the
-// offline pass and lands in the plan.
-func TestProfiledTimesSkipProfiling(t *testing.T) {
-	k := key(t)
-	net := smallNet(t)
-	ref, err := NewEngine(net, k, Options{Factor: 1000, ProfileReps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	times := make([]float64, len(ref.Layers))
-	for i, l := range ref.Layers {
-		times[i] = l.Time
-	}
-	eng, err := NewEngine(net, k, Options{
-		Factor:          1000,
-		ProfiledTimes:   times,
-		ProfiledEncrypt: ref.EncryptTime,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for i := range times {
-		if eng.Layers[i].Time != times[i] {
-			t.Errorf("layer %d time %v, want %v", i, eng.Layers[i].Time, times[i])
-		}
-	}
-	// Wrong length must be rejected.
-	if _, err := NewEngine(net, k, Options{Factor: 1000, ProfiledTimes: times[:1]}); err == nil {
-		t.Error("mismatched profile length accepted")
-	}
-}
-
 func TestEngineReport(t *testing.T) {
 	k := key(t)
 	net := smallNet(t)
-	eng, err := NewEngine(net, k, Options{Factor: 1000, ProfileReps: 1, LoadBalance: true})
+	eng, err := NewEngine(net, k, Options{Factor: 1000, LoadBalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,6 @@ type Config struct {
 	// Requests is the streaming batch size for effective-latency
 	// measurements (default 4).
 	Requests int
-	// ProfileReps is the offline profiling repetition count
-	// (default 2; the paper uses 100).
-	ProfileReps int
 	// Trials is the repetition count for statistical measurements
 	// (default 3).
 	Trials int
@@ -52,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Requests == 0 {
 		c.Requests = 4
-	}
-	if c.ProfileReps == 0 {
-		c.ProfileReps = 2
 	}
 	if c.Trials == 0 {
 		c.Trials = 3

@@ -8,7 +8,7 @@ import (
 
 // quickCfg keeps experiment tests CI-friendly: tiny keys, few requests.
 func quickCfg() Config {
-	return Config{KeyBits: 256, Requests: 6, ProfileReps: 1, Trials: 2, Quick: true}
+	return Config{KeyBits: 256, Requests: 6, Trials: 2, Quick: true}
 }
 
 func TestFig1SmallKeys(t *testing.T) {

@@ -174,7 +174,7 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 					return nil, fmt.Errorf("experiments: kernel differential failure at %dx%d, %d bits, row %d", sh.rows, sh.cols, key.Bits(), o)
 				}
 			}
-			plan, err := paillier.PlanRows(xs, rows)
+			plan, err := paillier.CountRows(len(xs), rows)
 			if err != nil {
 				return nil, err
 			}

@@ -21,40 +21,6 @@ var (
 	keyPool = map[int]*paillier.PrivateKey{}
 )
 
-// profileCache shares offline profiling results across the feature
-// on/off and core-sweep variants, which reuse the same (model, factor,
-// key) stage costs — profiling is the expensive part of engine
-// construction.
-type profileEntry struct {
-	times   []float64
-	encrypt float64
-}
-
-var (
-	profMu       sync.Mutex
-	profileCache = map[string]*profileEntry{}
-)
-
-func profileKey(name string, factor int64, bits int) string {
-	return fmt.Sprintf("%s/%d/%d", name, factor, bits)
-}
-
-func cachedProfile(name string, factor int64, bits int) *profileEntry {
-	profMu.Lock()
-	defer profMu.Unlock()
-	return profileCache[profileKey(name, factor, bits)]
-}
-
-func storeProfile(name string, factor int64, bits int, eng *core.Engine) {
-	times := make([]float64, len(eng.Layers))
-	for i, l := range eng.Layers {
-		times[i] = l.Time
-	}
-	profMu.Lock()
-	profileCache[profileKey(name, factor, bits)] = &profileEntry{times: times, encrypt: eng.EncryptTime}
-	profMu.Unlock()
-}
-
 // sharedKey caches one key per size across experiments.
 func sharedKey(bits int) (*paillier.PrivateKey, error) {
 	keyMu.Lock()
@@ -83,8 +49,8 @@ func topologyFor(spec models.Spec, totalCores int) core.Topology {
 
 // engineLatency builds an engine with the given features and returns the
 // streaming effective latency over cfg.Requests requests. By default it
-// uses the calibrated discrete-event model over real profiled stage
-// costs (this testbed is a single-CPU host — see internal/simulate);
+// uses the calibrated discrete-event model over the engine's count-based
+// stage costs (this testbed is a single-CPU host — see internal/simulate);
 // with cfg.RealTime it measures the concurrent runtime's wall clock,
 // which is meaningful on multi-core machines.
 func engineLatency(name string, factor int64, totalCores int, lb, part bool, cfg Config) (time.Duration, error) {
@@ -105,19 +71,10 @@ func engineLatency(name string, factor int64, totalCores int, lb, part bool, cfg
 		Topology:        topologyFor(spec, totalCores),
 		LoadBalance:     lb,
 		TensorPartition: part,
-		ProfileReps:     cfg.ProfileReps,
-		ProfileSample:   ds.TestX[0],
-	}
-	if prof := cachedProfile(name, factor, cfg.KeyBits); prof != nil {
-		opts.ProfiledTimes = prof.times
-		opts.ProfiledEncrypt = prof.encrypt
 	}
 	eng, err := core.NewEngine(net, key, opts)
 	if err != nil {
 		return 0, err
-	}
-	if opts.ProfiledTimes == nil {
-		storeProfile(name, factor, cfg.KeyBits, eng)
 	}
 	defer eng.Close()
 	if cfg.RealTime {

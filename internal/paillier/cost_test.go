@@ -45,7 +45,7 @@ func TestRowsCostByHand(t *testing.T) {
 	k := key(t)
 	xs := encryptVec(t, k, []int64{4, 7})
 	rows := []Row{{W: []int64{13, -1}, Bias: big.NewInt(5)}, {W: []int64{-2, 3}}}
-	costs, err := countRows(xs, rows, k.N2)
+	costs, err := countRows(len(xs), rows, xs, k.N2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRowsMeteredEqualsPredicted(t *testing.T) {
 				rows[o].Bias = big.NewInt(rng.Int63n(99) - 49)
 			}
 		}
-		costs, err := countRows(xs, rows, k.N2)
+		costs, err := countRows(len(xs), rows, xs, k.N2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -278,11 +278,12 @@ type RowPlan struct {
 	ModInverses uint64
 }
 
-// PlanRows returns the plan Rows would follow for these inputs and rows,
-// or the error it would fail with before doing any arithmetic — except
-// for an input outside [0, n²), which takes the key PlanRows does not have.
-func PlanRows(xs []*Ciphertext, rows []Row) (RowPlan, error) {
-	costs, err := countRows(xs, rows, nil)
+// CountRows returns the plan Rows would follow for these rows over a call
+// of inputs ciphertexts, or the error a malformed row would fail it with.
+// It needs the input count only, not the ciphertexts, so a planner can
+// price a call before any input exists: Rows runs the same count.
+func CountRows(inputs int, rows []Row) (RowPlan, error) {
+	costs, err := countRows(inputs, rows, nil, nil)
 	if err != nil {
 		return RowPlan{}, err
 	}
@@ -306,11 +307,12 @@ func (c *rowCosts) tableLen(w uint) int {
 	return int(min(uint64(1)<<w-1, c.largest))
 }
 
-// countRows validates the rows against xs — every column a non-zero weight
-// reads must be in range, sent and, when n2 is given, an element of
-// [0, n²), which is what bounds modMul's correction — and counts what each
-// strategy would cost, so that no arithmetic runs on a call that is going
-// to fail and the choice between strategies is a count, not a model.
+// countRows validates the rows against a call of inputs columns — every
+// column a non-zero weight reads must be in range and, when the call's
+// inputs xs are given, sent and an element of [0, n²), which is what
+// bounds modMul's correction — and counts what each strategy would cost,
+// so that no arithmetic runs on a call that is going to fail and the
+// choice between strategies is a count, not a model.
 //
 // Per product (one sign of one row) with nz non-zero w-bit digits, its
 // highest digit position top, and d_p the largest digit at position p
@@ -326,8 +328,8 @@ func (c *rowCosts) tableLen(w uint) int {
 // per non-zero bias on a row with positive weights, three per row with
 // negative weights after the first for the batched inversion, and one per
 // such row to divide (unless its numerator is 1).
-func countRows(xs []*Ciphertext, rows []Row, n2 *big.Int) (*rowCosts, error) {
-	c := &rowCosts{used: make([]bool, len(xs))}
+func countRows(inputs int, rows []Row, xs []*Ciphertext, n2 *big.Int) (*rowCosts, error) {
+	c := &rowCosts{used: make([]bool, inputs)}
 	var usedCols, dens int
 	var finish uint64
 	for r := range rows {
@@ -335,8 +337,8 @@ func countRows(xs []*Ciphertext, rows []Row, n2 *big.Int) (*rowCosts, error) {
 		if row.Idx != nil && len(row.Idx) != len(row.W) {
 			return nil, fmt.Errorf("paillier: row %d index list %d != weights %d", r, len(row.Idx), len(row.W))
 		}
-		if row.Idx == nil && len(row.W) != len(xs) {
-			return nil, fmt.Errorf("paillier: row %d length %d != input %d", r, len(row.W), len(xs))
+		if row.Idx == nil && len(row.W) != inputs {
+			return nil, fmt.Errorf("paillier: row %d length %d != input %d", r, len(row.W), inputs)
 		}
 		// Per sign: how many weights, their set bits, their largest magnitude.
 		var weights, ones [2]int
@@ -349,14 +351,14 @@ func countRows(xs []*Ciphertext, rows []Row, n2 *big.Int) (*rowCosts, error) {
 			if row.Idx != nil {
 				col = row.Idx[j]
 			}
-			if col < 0 || col >= len(xs) {
-				return nil, fmt.Errorf("paillier: row %d column %d out of range [0,%d)", r, col, len(xs))
-			}
-			if xs[col] == nil || xs[col].c == nil {
-				return nil, fmt.Errorf("paillier: row %d reads input %d, which was not sent (nil ciphertext)", r, col)
+			if col < 0 || col >= inputs {
+				return nil, fmt.Errorf("paillier: row %d column %d out of range [0,%d)", r, col, inputs)
 			}
 			if !c.used[col] {
-				if x := xs[col].c; n2 != nil && (x.Sign() < 0 || x.Cmp(n2) >= 0) {
+				if xs != nil && (xs[col] == nil || xs[col].c == nil) {
+					return nil, fmt.Errorf("paillier: row %d reads input %d, which was not sent (nil ciphertext)", r, col)
+				}
+				if xs != nil && (xs[col].c.Sign() < 0 || xs[col].c.Cmp(n2) >= 0) {
 					return nil, fmt.Errorf("paillier: row %d reads input %d, which is outside [0, n²)", r, col)
 				}
 				c.used[col] = true
@@ -524,7 +526,7 @@ func (ev *Evaluator) Rows(xs []*Ciphertext, rows []Row, workers int) ([]*Ciphert
 // one.
 func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, workers int, among ...Strategy) ([]*Ciphertext, error) {
 	start := time.Now()
-	costs, err := countRows(xs, rows, ev.pk.N2)
+	costs, err := countRows(len(xs), rows, xs, ev.pk.N2)
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func BenchmarkMatVecRows(b *testing.B) {
 				for o := range rows {
 					rows[o] = Row{W: w[o], Bias: big.NewInt(bias[o])}
 				}
-				costs, err := countRows(xs, rows, k.N2)
+				costs, err := countRows(len(xs), rows, xs, k.N2)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -126,9 +126,9 @@ func TestModMulMatchesMod(t *testing.T) {
 }
 
 // TestPackCountsWhatRan: Pack's metered multiplications are read from the
-// helper that ran them, and are what the layout says they must be — per
-// group of g rows, g−1 shifts of W squarings and one multiply each, then
-// the offset and the blinding — over full, partial and one-row groups.
+// helper that ran them, and are what PackMulMods — the count the engine's
+// planner prices a reply at — says they must be, over full, partial and
+// one-row groups.
 func TestPackCountsWhatRan(t *testing.T) {
 	k := key(t)
 	for _, slotBits := range []int{2, 18, 23, 77, k.Bits()/2 + 1} {
@@ -143,11 +143,7 @@ func TestPackCountsWhatRan(t *testing.T) {
 			if _, err := ev.Pack(rows, slotBits, 2); err != nil {
 				t.Fatal(err)
 			}
-			var want uint64
-			for left := count; left > 0; left -= s {
-				want += uint64((min(left, s)-1)*(slotBits+1) + 2)
-			}
-			if got := m.Snapshot().MulMods; got != want {
+			if got, want := m.Snapshot().MulMods, k.PackMulMods(count, slotBits); got != want {
 				t.Errorf("%d rows in %d-bit slots (%d per group): metered %d multiplications, want %d", count, slotBits, s, got, want)
 			}
 		}

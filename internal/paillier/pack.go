@@ -40,6 +40,19 @@ func (pk *PublicKey) PackedLen(count, slotBits int) int {
 	return (count-1)/s + 1
 }
 
+// PackMulMods returns how many modular multiplications Pack runs on count
+// rows at slotBits per row: per group of g rows, g−1 shifts of slotBits
+// squarings and one multiply each, then the offset and the blinding —
+// Σ (g−1)(slotBits+1) + 2 over the PackedLen groups.
+func (pk *PublicKey) PackMulMods(count, slotBits int) uint64 {
+	s := pk.Slots(slotBits)
+	var n uint64
+	for left := count; left > 0 && s > 0; left -= s {
+		n += uint64((min(left, s)-1)*(slotBits+1) + 2)
+	}
+	return n
+}
+
 // Pack turns the rows of one linear round into the reply that leaves the
 // model provider: group g of S = Slots(slotBits) rows becomes
 //

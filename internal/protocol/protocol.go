@@ -364,10 +364,48 @@ func (p *Protocol) ApplyProfile(profile backend.Profile, boundary int) (*backend
 	return plan, nil
 }
 
+// StageCosts returns the crypto-op counts one request meters when it runs
+// every round on paillier-he, single-threaded and with no blinding pool:
+// the input encryption, and each merged stage in Merged order. It needs
+// only shapes, weights and the key — no ciphertext:
+//
+//   - linear round r: the kernel's count (qnn.StageCost), Pack's
+//     multiplications, and one inline re-randomization per reply;
+//   - non-linear round r: one decryption per reply (two half-size
+//     exponentiations each), then the next round's input encryptions;
+//   - encryption: one per input element, each two multiplications and
+//     the key holder's two half-size exponentiations.
+func (p *Protocol) StageCosts() (encrypt obs.CostStats, merged []obs.CostStats, err error) {
+	encryptions := func(n int) obs.CostStats {
+		e := uint64(n)
+		return obs.CostStats{Encrypts: e, MulMods: 2 * e, ModExps: 2 * e}
+	}
+	stages := p.Model.stages
+	encrypt = encryptions(stages[0].inShape.Size())
+	for r, st := range stages {
+		linear, err := qnn.StageCost(st.ops, st.inShape)
+		if err != nil {
+			return obs.CostStats{}, nil, err
+		}
+		outs := st.outShape.Size()
+		replies := uint64(p.Model.pk.PackedLen(outs, st.slotBits))
+		linear.Add(obs.CostStats{
+			MulMods: p.Model.pk.PackMulMods(outs, st.slotBits),
+			Rerands: replies, ModExps: replies, PoolMisses: replies,
+		})
+		nonLinear := obs.CostStats{Decrypts: replies, ModExps: 2 * replies}
+		if r+1 < len(stages) {
+			nonLinear.Add(encryptions(stages[r+1].inShape.Size()))
+		}
+		merged = append(merged, linear, nonLinear)
+	}
+	return encrypt, merged, nil
+}
+
 // Infer runs the full collaborative workflow sequentially for one input:
-// the reference execution used by tests, the CipherBase baseline, and
-// offline profiling. The streaming engine (internal/core) runs the same
-// per-stage methods inside pipeline stages.
+// the reference execution used by tests and the CipherBase baseline. The
+// streaming engine (internal/core) runs the same per-stage methods inside
+// pipeline stages.
 func (p *Protocol) Infer(req uint64, x *tensor.Dense) (out *tensor.Dense, err error) {
 	// No shedder: admission cannot fail.
 	r, _ := p.life.Admit(req, "", time.Now())

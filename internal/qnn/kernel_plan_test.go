@@ -10,18 +10,11 @@ import (
 	"ppstream/internal/tensor"
 )
 
-// rowsOp is what the dot-product ops share: rows for the kernel, and the
-// partitioned evaluation of a range of them.
-type rowsOp interface {
-	ElementOp
-	kernelRows(lo, hi, inExp int) []paillier.Row
-}
-
 // TestModelLayersMeteredAtPlannedCount runs every dot-product layer of the
 // benchmark's three models (real models.Spec.Build() weights at factor
 // 100) whole and split in two, the way Op.Apply and a two-thread
 // ComputeRange call the kernel, and requires that the meter reads exactly
-// what paillier.PlanRows predicted for each call — and that the count
+// what paillier.CountRows predicted for each call — and that the count
 // still sends each layer where it was sized to go: wide layers of narrow
 // weights to buckets, short rows read many times to tables.
 func TestModelLayersMeteredAtPlannedCount(t *testing.T) {
@@ -75,7 +68,7 @@ func TestModelLayersMeteredAtPlannedCount(t *testing.T) {
 			for _, cut := range [][]int{{0, n}, {0, n / 2, n}} {
 				for i := 1; i < len(cut); i++ {
 					lo, hi := cut[i-1], cut[i]
-					plan, err := paillier.PlanRows(x.Data(), op.kernelRows(lo, hi, 1))
+					plan, err := paillier.CountRows(x.Size(), op.kernelRows(lo, hi, 1))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -20,6 +20,7 @@ import (
 	"math/big"
 
 	"ppstream/internal/nn"
+	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
 	"ppstream/internal/tensor"
 )
@@ -111,6 +112,49 @@ func ApplyStage(ev *paillier.Evaluator, ops []Op, x *paillier.CipherTensor, inEx
 		exp += op.ScaleSteps()
 	}
 	return cur, exp, nil
+}
+
+// rowsOp is what the dot-product ops (QFC, QConv) share: their rows the
+// way the kernel takes them, one paillier.Rows call per Apply.
+type rowsOp interface {
+	ElementOp
+	kernelRows(lo, hi, inExp int) []paillier.Row
+}
+
+// StageCost returns the crypto-op counts ApplyStage meters for the ops
+// over an input of shape in at scale F¹ — one paillier.Rows call per
+// dot-product op, the per-element exponentiations of an affine op — from
+// the weights and shapes alone, without a ciphertext.
+func StageCost(ops []Op, in tensor.Shape) (obs.CostStats, error) {
+	var st obs.CostStats
+	shape, exp := in, 1
+	for _, op := range ops {
+		switch q := op.(type) {
+		case rowsOp:
+			n, err := q.OutSize(shape)
+			if err != nil {
+				return obs.CostStats{}, err
+			}
+			plan, err := paillier.CountRows(shape.Size(), q.kernelRows(0, n, exp))
+			if err != nil {
+				return obs.CostStats{}, fmt.Errorf("qnn: counting %s: %w", op.Name(), err)
+			}
+			st.MulMods += plan.MulMods
+			st.ModInverses += plan.ModInverses
+		case *QAffine:
+			idx, err := q.coeffIndex(shape)
+			if err != nil {
+				return obs.CostStats{}, err
+			}
+			st.Add(q.cost(idx, 0, shape.Size()))
+		}
+		next, err := op.OutShape(shape)
+		if err != nil {
+			return obs.CostStats{}, err
+		}
+		shape, exp = next, exp+op.ScaleSteps()
+	}
+	return st, nil
 }
 
 // ApplyStagePlain is ApplyStage over plaintext big integers.

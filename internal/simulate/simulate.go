@@ -1,14 +1,15 @@
 // Package simulate is a deterministic discrete-event latency model for
 // PP-Stream pipelines. The reproduction testbed is a single-CPU host, so
 // wall-clock multi-core speedups cannot be observed directly; instead,
-// the latency experiments profile every merged primitive layer's real
-// single-thread execution time (actual Paillier arithmetic on actual
-// models) and predict deployment latency with the paper's own cost
-// model:
+// the latency experiments estimate every merged primitive layer's
+// single-thread execution time — its exact Paillier operation count on
+// the actual model, priced at unit costs measured on this host
+// (core.NewEngine) — and predict deployment latency with the paper's own
+// cost model:
 //
 //	service_i = T_i / y_i + comm_i · c_elem
 //
-// where T_i is the profiled stage time, y_i the allocated thread count
+// where T_i is the estimated stage time, y_i the allocated thread count
 // (Section IV-C), comm_i the number of ciphertext elements the stage
 // copies to its threads (Section IV-D: the whole tensor per thread
 // without partitioning, per-thread sub-tensors with it), and c_elem the
@@ -39,7 +40,7 @@ import (
 type Stage struct {
 	// Name identifies the stage.
 	Name string
-	// Base is the profiled single-thread execution time per request, in
+	// Base is the estimated single-thread execution time per request, in
 	// seconds.
 	Base float64
 	// Threads is the allocated thread count y_i (≥ 1).

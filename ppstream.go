@@ -95,8 +95,8 @@ func GenerateKey(bits int) (*PrivateKey, error) {
 	return paillier.GenerateKey(rand.Reader, bits)
 }
 
-// NewEngine builds a PP-Stream engine: protocol construction, offline
-// profiling, load-balanced resource allocation, and stage planning.
+// NewEngine builds a PP-Stream engine: protocol construction, count-based
+// stage pricing, load-balanced resource allocation, and stage planning.
 func NewEngine(net *Network, key *PrivateKey, opts Options) (*Engine, error) {
 	return core.NewEngine(net, key, opts)
 }

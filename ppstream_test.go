@@ -42,7 +42,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(net, key, Options{Factor: res.Factor, ProfileReps: 1})
+	eng, err := NewEngine(net, key, Options{Factor: res.Factor})
 	if err != nil {
 		t.Fatal(err)
 	}
