@@ -34,14 +34,17 @@
 // split, TCP byte/frame counters, runtime gauges) is served at
 // http://<addr>/metrics — JSON by default, Prometheus text at
 // /metrics/prometheus or with ?format=prometheus — plus /healthz,
-// /readyz, and pprof at /debug/pprof/. Windowed (last-minute) views of
-// the serve metrics are at /debug/live; tail-sampled request traces
-// (-tracedir, -tracesample) are queryable at /debug/traces; -slo
-// objectives (e.g. p99=250ms,avail=99.9) are evaluated as multi-window
-// burn-rate alerts at /debug/slo. The flight recorder (-flight)
-// keeps the last N request traces with per-round crypto-cost profiles,
-// served at /debug/flight and dumped to stderr on SIGQUIT; -profiledir
-// enables periodic labeled CPU/heap profile capture.
+// /readyz, and pprof at /debug/pprof/. The last-minute views of the serve
+// metrics are at /debug/live; -slo objectives (e.g. p99=250ms,avail=99.9)
+// are evaluated as multi-window burn-rate alerts at /debug/slo.
+//
+// Every finished request's record — its server-side trace with per-round
+// crypto-cost profiles, the session's backend plan, its error — is offered
+// to one span store, which keeps errored requests, the slowest of each
+// minute and a -tracesample share of the rest (-tracesample 1 keeps every
+// request), in memory or as rotated JSONL under -tracedir. The retained
+// records are queryable at /debug/traces and written to stderr on SIGQUIT;
+// the server keeps serving.
 //
 // The server emits structured JSON log lines (startup configuration,
 // session lifecycle, a shutdown summary with request counts and uptime
@@ -54,7 +57,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -71,50 +76,69 @@ import (
 )
 
 func main() {
-	modelPath := flag.String("model", "", "trained model file (required)")
-	listen := flag.String("listen", "127.0.0.1:7100", "listen address")
-	factor := flag.Int64("factor", 10000, "agreed parameter scaling factor")
-	maxWorkers := flag.Int("maxworkers", 8, "per-stage thread cap per session")
-	window := flag.Int("window", protocol.DefaultSessionWindow, "concurrent in-flight round frames per session")
-	idleTTL := flag.Duration("idlettl", protocol.DefaultIdleTTL, "evict per-request state after this much inactivity")
-	maxInFlight := flag.Int64("maxinflight", 0, "shed new requests beyond this many in flight across all sessions (0 disables)")
-	shedLatency := flag.Duration("shed", 0, "shed new requests while the recent p95 request latency exceeds this (0 disables)")
-	rateLimit := flag.Int("ratelimit", 0, "throttle new requests beyond this many per -ratewindow (0 disables)")
-	rateWindow := flag.Duration("ratewindow", time.Second, "sliding window for -ratelimit")
-	metricsAddr := flag.String("metrics", "", "serve metrics (JSON + Prometheus) + health + pprof on this address (e.g. :7200; empty disables)")
-	profile := flag.String("profile", "", "backend-profile policy cap: sessions run the stricter of this and the client's request (latency, privacy-max, mixed; empty = privacy-max)")
-	clearBoundary := flag.Int("clearboundary", 0, "leakage-certified clear boundary: first linear round allowed to run plaintext (0 = never; certify with internal/leakage before lowering)")
-	slow := flag.Duration("slow", 0, "log rounds slower than this with their trace ID (0 disables)")
-	debugLog := flag.Bool("debug", false, "emit debug-level log lines")
-	flightN := flag.Int("flight", obs.DefaultFlightRecent, "flight recorder ring size: keep the last N request traces with cost profiles at /debug/flight and on SIGQUIT (0 disables)")
-	profileDir := flag.String("profiledir", "", "write periodic labeled CPU/heap profiles into this directory (empty disables)")
-	profileEvery := flag.Duration("profileevery", time.Minute, "continuous-profiling capture period (with -profiledir)")
-	sloSpec := flag.String("slo", "", "comma-separated SLO specs evaluated as multi-window burn rates, e.g. p99=250ms,avail=99.9 (served at /debug/slo; empty disables)")
-	traceDir := flag.String("tracedir", "", "persist tail-sampled request traces as rotated JSONL under this directory (empty keeps them in memory only)")
-	traceSample := flag.Float64("tracesample", 0, "probability of retaining an unremarkable trace in the span store (errored/shed/slowest are always kept)")
-	drain := flag.Duration("drain", 2*time.Second, "on SIGTERM, stay up this long after /readyz flips not-ready so load balancers drain us first")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, serves until SIGINT/SIGTERM, and returns the exit
+// code: 2 for a bad command line (nothing is opened), 1 for a failure to
+// start or to accept, 0 after a signalled shutdown. Log lines go to
+// stdout, the usage text and the SIGQUIT dump to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modelPath := fs.String("model", "", "trained model file (required)")
+	listen := fs.String("listen", "127.0.0.1:7100", "listen address")
+	factor := fs.Int64("factor", 10000, "agreed parameter scaling factor")
+	maxWorkers := fs.Int("maxworkers", 8, "per-stage thread cap per session")
+	window := fs.Int("window", protocol.DefaultSessionWindow, "concurrent in-flight round frames per session")
+	idleTTL := fs.Duration("idlettl", protocol.DefaultIdleTTL, "evict per-request state after this much inactivity")
+	maxInFlight := fs.Int64("maxinflight", 0, "shed new requests beyond this many in flight across all sessions (0 disables)")
+	shedLatency := fs.Duration("shed", 0, "shed new requests while the recent p95 request latency exceeds this (0 disables)")
+	rateLimit := fs.Int("ratelimit", 0, "throttle new requests beyond this many per -ratewindow (0 disables)")
+	rateWindow := fs.Duration("ratewindow", time.Second, "sliding window for -ratelimit")
+	metricsAddr := fs.String("metrics", "", "serve metrics (JSON + Prometheus) + health + pprof on this address (e.g. :7200; empty disables)")
+	profile := fs.String("profile", "", "backend-profile policy cap: sessions run the stricter of this and the client's request (latency, privacy-max, mixed; empty = privacy-max)")
+	clearBoundary := fs.Int("clearboundary", 0, "leakage-certified clear boundary: first linear round allowed to run plaintext (0 = never; certify with internal/leakage before lowering)")
+	slow := fs.Duration("slow", 0, "log rounds slower than this with their trace ID (0 disables)")
+	debugLog := fs.Bool("debug", false, "emit debug-level log lines")
+	sloSpec := fs.String("slo", "", "comma-separated SLO specs evaluated as multi-window burn rates, e.g. p99=250ms,avail=99.9 (served at /debug/slo; empty disables)")
+	traceDir := fs.String("tracedir", "", "persist retained request records as rotated JSONL under this directory (empty keeps them in memory only)")
+	traceSample := fs.Float64("tracesample", 0, "probability of retaining an unremarkable request's record (errored and each minute's slowest are always kept; 1 keeps every request for /debug/traces and the SIGQUIT dump)")
+	drain := fs.Duration("drain", 2*time.Second, "on SIGTERM, stay up this long after /readyz flips not-ready so load balancers drain us first")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *modelPath == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	level := obs.LevelInfo
 	if *debugLog {
 		level = obs.LevelDebug
 	}
-	logger := obs.NewLogger(os.Stdout, level).SetSlowThreshold(*slow)
+	logger := obs.NewLogger(stdout, level).SetSlowThreshold(*slow)
 
 	srvProfile, err := backend.ParseProfile(*profile)
 	if err != nil {
 		logger.Error("bad -profile", "err", err.Error())
-		os.Exit(2)
+		return 2
+	}
+	var specs []obs.SLOSpec
+	if *sloSpec != "" {
+		if specs, err = obs.ParseSLOSpecs(*sloSpec); err != nil {
+			logger.Error("bad -slo", "err", err.Error())
+			return 2
+		}
 	}
 
 	netModel, err := ppstream.LoadModel(*modelPath)
 	if err != nil {
 		logger.Error("model load failed", "path", *modelPath, "err", err.Error())
-		os.Exit(1)
+		return 1
 	}
 	protocol.RegisterServiceWire()
 
@@ -123,18 +147,11 @@ func main() {
 	reg := obs.NewRegistry("ppserver")
 	obs.RegisterRuntimeMetrics(reg)
 
-	// Flight recorder: the last-N / slowest-K / errored request traces
-	// with their crypto-cost profiles, served at /debug/flight and dumped
-	// to stderr on SIGQUIT. A nil recorder disables recording everywhere.
-	var flight *obs.FlightRecorder
-	if *flightN > 0 {
-		flight = obs.NewFlightRecorder(*flightN, 0, 0)
-	}
-
-	// The span store keeps the traces worth keeping: errored, shed, and
-	// deadline-expired requests always, the slowest of each window, and a
-	// -tracesample slice of the rest. With -tracedir set they survive the
-	// process as rotated JSONL; either way they answer /debug/traces.
+	// The span store is the one place finished requests are kept: errored,
+	// shed, and deadline-expired requests always, the slowest of each
+	// minute, and a -tracesample slice of the rest. With -tracedir set they
+	// survive the process as rotated JSONL; either way they answer
+	// /debug/traces and the SIGQUIT dump.
 	traces, err := obs.NewTraceStore(obs.TraceStoreConfig{
 		Dir:        *traceDir,
 		SampleProb: *traceSample,
@@ -142,7 +159,7 @@ func main() {
 	})
 	if err != nil {
 		logger.Error("trace store failed", "dir", *traceDir, "err", err.Error())
-		os.Exit(1)
+		return 1
 	}
 	defer traces.Close()
 
@@ -150,16 +167,10 @@ func main() {
 	// burn-rate alerts over every session's request stream. One engine is
 	// shared server-wide so the error budget is global.
 	var slo *obs.SLOEngine
-	if *sloSpec != "" {
-		specs, err := obs.ParseSLOSpecs(*sloSpec)
-		if err != nil {
-			logger.Error("bad -slo", "err", err.Error())
-			os.Exit(2)
-		}
-		slo, err = obs.NewSLOEngine(obs.SLOConfig{Specs: specs, Registry: reg})
-		if err != nil {
+	if specs != nil {
+		if slo, err = obs.NewSLOEngine(obs.SLOConfig{Specs: specs, Registry: reg}); err != nil {
 			logger.Error("slo engine rejected", "err", err.Error())
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -175,10 +186,9 @@ func main() {
 	}
 	var limiter *protocol.RateLimiter
 	if *rateLimit > 0 {
-		limiter, err = protocol.NewRateLimiter(*rateLimit, *rateWindow)
-		if err != nil {
+		if limiter, err = protocol.NewRateLimiter(*rateLimit, *rateWindow); err != nil {
 			logger.Error("rate limiter rejected", "err", err.Error())
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -189,32 +199,19 @@ func main() {
 	reg.GaugeFunc("serve.draining", draining.Load)
 	metricsBound := ""
 	if *metricsAddr != "" {
-		bound, stop, err := obs.ServeOpts(*metricsAddr, obs.HTTPOptions{Ready: ready.Load, Flight: flight, Traces: traces, SLO: slo}, reg)
+		bound, stop, err := obs.Serve(*metricsAddr, obs.HTTPOptions{Ready: ready.Load, Traces: traces, SLO: slo}, reg)
 		if err != nil {
 			logger.Error("metrics listener failed", "addr", *metricsAddr, "err", err.Error())
-			os.Exit(1)
+			return 1
 		}
 		defer stop(context.Background())
 		metricsBound = bound
 	}
 
-	if *profileDir != "" {
-		stopProf, err := obs.StartProfileLoop(obs.ProfileLoopOptions{
-			Dir:   *profileDir,
-			Every: *profileEvery,
-			Log:   logger,
-		})
-		if err != nil {
-			logger.Error("profile loop failed", "dir", *profileDir, "err", err.Error())
-			os.Exit(1)
-		}
-		defer stopProf()
-	}
-
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		logger.Error("listen failed", "addr", *listen, "err", err.Error())
-		os.Exit(1)
+		return 1
 	}
 	ready.Store(true)
 	start := time.Now()
@@ -232,25 +229,28 @@ func main() {
 		"clear_boundary", *clearBoundary,
 	)
 
-	// SIGQUIT dumps the flight recorder to stderr and keeps serving —
-	// the in-production "what just happened" escape hatch. Registering
-	// the handler replaces the runtime's kill-with-stack-dump default.
-	if flight != nil {
-		quitCh := make(chan os.Signal, 1)
-		signal.Notify(quitCh, syscall.SIGQUIT)
-		go func() {
-			for range quitCh {
-				if err := flight.WriteJSON(os.Stderr); err != nil {
-					logger.Warn("flight dump failed", "err", err.Error())
-				}
+	// SIGQUIT writes the span store's retained records to stderr and keeps
+	// serving — the in-production "what just happened" escape hatch.
+	// Registering the handler replaces the runtime's kill-with-stack-dump
+	// default.
+	quitCh := make(chan os.Signal, 1)
+	signal.Notify(quitCh, syscall.SIGQUIT)
+	defer signal.Stop(quitCh)
+	go func() {
+		for range quitCh {
+			if err := traces.WriteJSON(stderr, obs.TraceQuery{}); err != nil {
+				logger.Warn("trace dump failed", "err", err.Error())
 			}
-		}()
-	}
+		}
+	}()
 
 	// Shutdown summary on SIGINT/SIGTERM: what the server did with its
-	// uptime, from the same registry the metrics endpoint serves.
+	// uptime, from the same registry the metrics endpoint serves. Closing
+	// the listener then ends the accept loop below.
+	var stopping atomic.Bool
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	go func() {
 		sig := <-sigCh
 		// Drain choreography: flip /readyz first so load balancers stop
@@ -267,20 +267,24 @@ func main() {
 			"signal", sig.String(),
 			"uptime", time.Since(start).Round(time.Millisecond).String(),
 			"sessions_total", snap.Counters["sessions.total"],
-			"requests_ok", snap.Counters["requests.completed"],
+			"requests_ok", snap.Counters["serve.requests.ok"],
 			"requests_evicted", snap.Counters["requests.evicted"],
 			"rounds_served", snap.Counters["rounds.served"],
 			"rounds_err", snap.Counters["rounds.errors"],
 		)
-		os.Exit(0)
+		stopping.Store(true)
+		l.Close()
 	}()
 
 	ctx := context.Background()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
+			if stopping.Load() {
+				return 0
+			}
 			logger.Error("accept failed", "err", err.Error())
-			os.Exit(1)
+			return 1
 		}
 		go func(conn net.Conn) {
 			defer conn.Close()
@@ -297,7 +301,6 @@ func main() {
 				Limiter:       limiter,
 				Registry:      reg,
 				Log:           slog,
-				Flight:        flight,
 				Traces:        traces,
 				SLO:           slo,
 				Profile:       srvProfile,

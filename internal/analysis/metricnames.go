@@ -17,9 +17,10 @@ import (
 // Invariant: metric names are the API between the serving plane and its
 // dashboards. Three rules keep them stable and conformant:
 //
-//  1. Names passed to Registry.Counter/Gauge/Histogram/GaugeFunc are
-//     lowercase dotted ("rounds.served", "stage.<name>.wait") — the JSON
-//     snapshot serves them verbatim and the Prometheus path derives
+//  1. Names passed to Registry.Counter/Gauge/GaugeFunc/Histogram (and
+//     the Live forms of Counter and Histogram) are lowercase dotted
+//     ("rounds.served", "stage.<name>.wait") — the JSON snapshot serves
+//     them verbatim and the Prometheus path derives
 //     "ppstream_rounds_served" mechanically, so a stray uppercase or
 //     exotic character silently forks the two expositions.
 //  2. One metric name has one type. Registering "queue.depth" as a
@@ -44,10 +45,12 @@ func NewMetricnamesAnalyzer() *Analyzer {
 
 // metricMethods maps Registry method names to their metric family type.
 var metricMethods = map[string]string{
-	"Counter":   "counter",
-	"Gauge":     "gauge",
-	"GaugeFunc": "gauge", // same exposition family as Gauge
-	"Histogram": "histogram",
+	"Counter":       "counter",
+	"LiveCounter":   "counter", // the same object as Counter's, with a window
+	"Gauge":         "gauge",
+	"GaugeFunc":     "gauge", // same exposition family as Gauge
+	"Histogram":     "histogram",
+	"LiveHistogram": "histogram",
 }
 
 // metricNameRe is the full-name grammar: lowercase dotted components of
@@ -242,7 +245,7 @@ func (s *metricnamesState) checkCostStats(pass *Pass) {
 		tag := reflect.StructTag(st.Tag(i)).Get("json")
 		name := strings.Split(tag, ",")[0]
 		if name == "" || name == "-" {
-			pass.Reportf(f.Pos(), "CostStats field %s has no json tag: the flight-recorder and /metrics JSON paths would drop or misname it", f.Name())
+			pass.Reportf(f.Pos(), "CostStats field %s has no json tag: the span-store records and the /metrics JSON would drop or misname it", f.Name())
 			continue
 		}
 		if !metricNameRe.MatchString(name) {

@@ -391,3 +391,46 @@ func TestEngineSubmitAbandoned(t *testing.T) {
 		t.Fatalf("submit after the abandoned request finished: %v", err)
 	}
 }
+
+// TestOneObjectPerLiveMetric: the engine registers its Lifecycle and its
+// stages on one registry; after N requests every live-viewed name is one
+// object whose total equals its trailing-minute count — both N, the
+// windowed and cumulative views being two reads of the same writes.
+func TestOneObjectPerLiveMetric(t *testing.T) {
+	eng := serveEngine(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := eng.Serve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	for _, x := range randInputs(n) {
+		if _, _, err := eng.Submit(ctx, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	reg := eng.Registry()
+	live := reg.LiveSnapshot()
+	if _, ok := live.Counters["serve.requests.ok"]; !ok || len(live.Histograms) < 2 {
+		t.Fatalf("live views %+v: want the outcome counters, serve.latency and every stage's busy time", live)
+	}
+	for name, w := range live.Counters {
+		c := reg.Counter(name)
+		want := uint64(0)
+		if name == "serve.requests.ok" {
+			want = n
+		}
+		if c != reg.LiveCounter(name) || c.Value() != w.Count || w.Count != want {
+			t.Errorf("%s: total %d, window %d, want one object at %d", name, c.Value(), w.Count, want)
+		}
+	}
+	for name, w := range live.Histograms {
+		h := reg.Histogram(name)
+		if h != reg.LiveHistogram(name) || h.Snapshot().Count != w.Count || w.Count != n {
+			t.Errorf("%s: total %d, window %d, want one object at %d", name, h.Snapshot().Count, w.Count, n)
+		}
+	}
+}

@@ -80,12 +80,11 @@ type SwarmResult struct {
 	FastAlertBeforeKnee bool
 	// SlowTraceID names a retained merged (client+server) trace slower
 	// than baseline p99 — the "why was this one slow" artifact the span
-	// store exists for.
-	SlowTraceID       string
-	SlowTraceRetained bool
-	// LiveOK / CumulativeOK cross-check the windowed serve counter
-	// against the since-boot counter; they must agree when the whole run
-	// fits inside the live window (LiveChecked).
+	// store exists for; empty when none was retained.
+	SlowTraceID string
+	// LiveOK / CumulativeOK are the two views of serve.requests.ok — its
+	// trailing-minute window and its total; they must agree when the whole
+	// run fits inside the live window (LiveChecked).
 	LiveOK       uint64
 	CumulativeOK uint64
 	LiveChecked  bool
@@ -121,7 +120,7 @@ func (r *SwarmResult) swarmValidate() error {
 	// itself the knee, an alert there fired at the knee, not before it.
 	case r.KneeIndex > 0 && r.FastAlertBeforeKnee:
 		return fmt.Errorf("experiments: SLO fast-burn alert fired before the knee (false positive)")
-	case !r.SlowTraceRetained || r.SlowTraceID == "":
+	case r.SlowTraceID == "":
 		return fmt.Errorf("experiments: span store retained no slow merged trace")
 	case r.LiveChecked && r.LiveOK != r.CumulativeOK:
 		return fmt.Errorf("experiments: windowed serve.requests.ok (%d) disagrees with cumulative (%d)",
@@ -185,10 +184,7 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	traces, err := obs.NewTraceStore(obs.TraceStoreConfig{
-		SlowestK: 8,
-		Registry: reg,
-	})
+	traces, err := obs.NewTraceStore(obs.TraceStoreConfig{Registry: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -293,11 +289,12 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 		}
 	}
 
-	// Telemetry cross-checks against the run's own ground truth. The
-	// windowed counter must agree with the cumulative one as long as the
-	// whole serving phase fits inside the live window.
-	res.CumulativeOK = reg.Snapshot().Counters["requests.completed"]
-	res.LiveOK = reg.LiveCounter("serve.requests.ok").Value()
+	// Telemetry cross-checks against the run's own ground truth. The ok
+	// counter's window must agree with its total as long as the whole
+	// serving phase fits inside the live window.
+	ok := reg.Counter("serve.requests.ok")
+	res.CumulativeOK = ok.Value()
+	res.LiveOK = ok.Live().Count
 	res.LiveChecked = time.Since(begin) < 45*time.Second
 
 	// The span store must have kept a slow merged trace: client+server
@@ -322,7 +319,6 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 		}
 		if hasClient && hasServer {
 			res.SlowTraceID = t.ID
-			res.SlowTraceRetained = true
 			break
 		}
 	}
@@ -418,7 +414,7 @@ func swarmPoint(ctx context.Context, clients []*protocol.Client, traces *obs.Tra
 			start := time.Now()
 			_, tree, err := clients[i%len(clients)].InferTraced(ctx, inputs[i%len(inputs)])
 			lat := time.Since(start)
-			traces.Record(tree, err)
+			traces.Record(tree, nil, err)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -468,7 +464,7 @@ func (r *SwarmResult) Render() string {
 			st.Name, st.Objective, st.FastAlert, st.SlowAlert,
 			st.Windows[0].Burn, st.Windows[1].Burn)...)
 	}
-	b = append(b, fmt.Sprintf("slow trace retained: %v (%s); windowed ok %d vs cumulative %d (checked=%v)\n",
-		r.SlowTraceRetained, r.SlowTraceID, r.LiveOK, r.CumulativeOK, r.LiveChecked)...)
+	b = append(b, fmt.Sprintf("slow trace retained: %q; windowed ok %d vs cumulative %d (checked=%v)\n",
+		r.SlowTraceID, r.LiveOK, r.CumulativeOK, r.LiveChecked)...)
 	return string(b)
 }

@@ -31,8 +31,8 @@ func TestSwarmSmoke(t *testing.T) {
 	if !res.FastAlertFired {
 		t.Error("fast burn-rate alert did not fire under overload")
 	}
-	if !res.SlowTraceRetained || res.SlowTraceID == "" {
-		t.Errorf("slow trace not retained: %+v", res.SlowTraceID)
+	if res.SlowTraceID == "" {
+		t.Error("slow trace not retained")
 	}
 	if res.LiveChecked && res.LiveOK != res.CumulativeOK {
 		t.Errorf("live ok %d != cumulative ok %d", res.LiveOK, res.CumulativeOK)
@@ -41,7 +41,7 @@ func TestSwarmSmoke(t *testing.T) {
 	// The retained slow trace is retrievable over the wire: mount the
 	// harness's trace store behind /debug/traces and pull the full merged
 	// tree back out, exactly as an operator would.
-	srv := httptest.NewServer(obs.HandlerOpts(obs.HTTPOptions{Traces: res.Traces}))
+	srv := httptest.NewServer(obs.Handler(obs.HTTPOptions{Traces: res.Traces}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/traces?id=" + res.SlowTraceID)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestSwarmSmoke(t *testing.T) {
 	}
 
 	out := res.Render()
-	for _, want := range []string{"offered/s", "<- knee", "slo ", "slow trace retained: true"} {
+	for _, want := range []string{"offered/s", "<- knee", "slo ", `slow trace retained: "` + res.SlowTraceID + `"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
@@ -103,8 +103,7 @@ func TestSwarmValidate(t *testing.T) {
 				{Offered: 400, Arrivals: 48, Completed: 20, Rejected: 28, Achieved: 90},
 			},
 			KneeIndex: 2, KneeOffered: 400,
-			FastAlertFired:    true,
-			SlowTraceRetained: true, SlowTraceID: "t-slow",
+			FastAlertFired: true, SlowTraceID: "t-slow",
 			LiveOK: 68, CumulativeOK: 68, LiveChecked: true,
 		}
 	}
@@ -126,8 +125,7 @@ func TestSwarmValidate(t *testing.T) {
 		// The first point failing to keep up is the knee; an alert after
 		// it fired at the knee and is not a false positive.
 		{"alert at a knee on point 0", func(r *SwarmResult) { r.KneeIndex, r.FastAlertBeforeKnee = 0, true }, ""},
-		{"slow trace not retained", func(r *SwarmResult) { r.SlowTraceRetained, r.SlowTraceID = false, "" }, "no slow merged trace"},
-		{"slow trace without an ID", func(r *SwarmResult) { r.SlowTraceID = "" }, "no slow merged trace"},
+		{"slow trace not retained", func(r *SwarmResult) { r.SlowTraceID = "" }, "no slow merged trace"},
 		{"live disagrees with cumulative", func(r *SwarmResult) { r.LiveOK-- }, "disagrees with cumulative"},
 		{"run outlived the live window", func(r *SwarmResult) { r.LiveOK, r.LiveChecked = 3, false }, ""},
 	} {

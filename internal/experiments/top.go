@@ -154,7 +154,7 @@ func renderTopFrame(cur, prev *obs.Snapshot, live *obs.LiveSnapshot, every time.
 		}
 	}
 
-	serving := []string{"sessions.total", "requests.completed", "requests.evicted", "rounds.served", "rounds.errors"}
+	serving := []string{"sessions.total", "serve.requests.ok", "requests.evicted", "rounds.served", "rounds.errors"}
 	for _, name := range serving {
 		if _, ok := cur.Counters[name]; ok {
 			fmt.Fprintf(&b, "  %-24s %s\n", name, counterRate(name, cur, prev, every))

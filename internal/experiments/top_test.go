@@ -14,9 +14,9 @@ import (
 // topSnapshot builds a serving-plane-shaped registry snapshot.
 func topSnapshot(requests uint64) obs.Snapshot {
 	reg := obs.NewRegistry("ppserver-test")
-	reg.Counter("requests.completed").Add(requests)
+	reg.Counter("serve.requests.ok").Add(requests)
 	reg.Counter("rounds.served").Add(2 * requests)
-	obs.AddCostToRegistry(reg, obs.CostStats{ModExps: 10 * requests, MulMods: 50 * requests})
+	obs.AddCostToRegistry(reg, "", obs.CostStats{ModExps: 10 * requests, MulMods: 50 * requests})
 	reg.Histogram("round.latency").Observe(3 * time.Millisecond)
 	return reg.Snapshot()
 }
@@ -44,7 +44,7 @@ func TestTopRendersFramesAndRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"ppserver-test", "requests.completed", "crypto cost:", "modexps", "mulmods", "round.latency"} {
+	for _, want := range []string{"ppserver-test", "serve.requests.ok", "crypto cost:", "modexps", "mulmods", "round.latency"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("top output missing %q:\n%s", want, got)
 		}

@@ -16,8 +16,8 @@ import (
 // registry's "cost.*" counters.
 
 // CostStats is one aggregated crypto-cost profile: plain values, safe to
-// copy, attached to trace segments and marshaled into flight-recorder
-// dumps. All fields count operations (or bytes) caused by one request,
+// copy, attached to trace segments and marshaled into the span store's
+// records. All fields count operations (or bytes) caused by one request,
 // one layer, or one whole process depending on where the snapshot was
 // taken.
 type CostStats struct {
@@ -62,68 +62,57 @@ type CostStats struct {
 	PlainOps uint64 `json:"plain_ops"`
 }
 
-// CostField binds one CostStats field to its canonical lowercase dotted
-// metric name and its accessors. costFields is the single source of
-// truth both exposition paths render from: the registry counters
-// ("cost.<name>", JSON and Prometheus alike) and the CostMeter
-// aggregation. The pplint metricnames analyzer checks that every
-// CostStats struct field appears here and carries a JSON tag.
-type CostField struct {
-	// Name is the metric-name component, lowercase with underscores.
+// costField names one CostStats field: its canonical lowercase metric-name
+// component, the name the registry counters ("cost.<name>", JSON and
+// Prometheus alike) and String use. costFields is the single source of
+// truth for those names, in the order CostStats.fields lists the fields;
+// the pplint metricnames analyzer checks that every CostStats struct
+// field appears here and carries a JSON tag, TestCostFieldsCoverStruct
+// that the two orders agree.
+type costField struct {
 	Name string
-	// Get reads the field from a snapshot.
-	Get func(*CostStats) uint64
-	// Add accumulates into a meter.
-	Add func(*CostMeter, uint64)
 }
 
 // costFields enumerates every CostStats field exactly once.
-var costFields = []CostField{
-	{Name: "modexps", Get: func(c *CostStats) uint64 { return c.ModExps }, Add: func(m *CostMeter, n uint64) { m.modExps.Add(n) }},
-	{Name: "mulmods", Get: func(c *CostStats) uint64 { return c.MulMods }, Add: func(m *CostMeter, n uint64) { m.mulMods.Add(n) }},
-	{Name: "modinverses", Get: func(c *CostStats) uint64 { return c.ModInverses }, Add: func(m *CostMeter, n uint64) { m.modInverses.Add(n) }},
-	{Name: "rerands", Get: func(c *CostStats) uint64 { return c.Rerands }, Add: func(m *CostMeter, n uint64) { m.rerands.Add(n) }},
-	{Name: "pool_hits", Get: func(c *CostStats) uint64 { return c.PoolHits }, Add: func(m *CostMeter, n uint64) { m.poolHits.Add(n) }},
-	{Name: "pool_misses", Get: func(c *CostStats) uint64 { return c.PoolMisses }, Add: func(m *CostMeter, n uint64) { m.poolMisses.Add(n) }},
-	{Name: "encrypts", Get: func(c *CostStats) uint64 { return c.Encrypts }, Add: func(m *CostMeter, n uint64) { m.encrypts.Add(n) }},
-	{Name: "decrypts", Get: func(c *CostStats) uint64 { return c.Decrypts }, Add: func(m *CostMeter, n uint64) { m.decrypts.Add(n) }},
-	{Name: "cipher_bytes_in", Get: func(c *CostStats) uint64 { return c.CipherBytesIn }, Add: func(m *CostMeter, n uint64) { m.cipherBytesIn.Add(n) }},
-	{Name: "cipher_bytes_out", Get: func(c *CostStats) uint64 { return c.CipherBytesOut }, Add: func(m *CostMeter, n uint64) { m.cipherBytesOut.Add(n) }},
-	{Name: "triples", Get: func(c *CostStats) uint64 { return c.Triples }, Add: func(m *CostMeter, n uint64) { m.triples.Add(n) }},
-	{Name: "opened_words", Get: func(c *CostStats) uint64 { return c.OpenedWords }, Add: func(m *CostMeter, n uint64) { m.openedWords.Add(n) }},
-	{Name: "gc_gates", Get: func(c *CostStats) uint64 { return c.GCGates }, Add: func(m *CostMeter, n uint64) { m.gcGates.Add(n) }},
-	{Name: "ext_ots", Get: func(c *CostStats) uint64 { return c.ExtOTs }, Add: func(m *CostMeter, n uint64) { m.extOTs.Add(n) }},
-	{Name: "plain_ops", Get: func(c *CostStats) uint64 { return c.PlainOps }, Add: func(m *CostMeter, n uint64) { m.plainOps.Add(n) }},
+var costFields = [...]costField{
+	{Name: "modexps"},
+	{Name: "mulmods"},
+	{Name: "modinverses"},
+	{Name: "rerands"},
+	{Name: "pool_hits"},
+	{Name: "pool_misses"},
+	{Name: "encrypts"},
+	{Name: "decrypts"},
+	{Name: "cipher_bytes_in"},
+	{Name: "cipher_bytes_out"},
+	{Name: "triples"},
+	{Name: "opened_words"},
+	{Name: "gc_gates"},
+	{Name: "ext_ots"},
+	{Name: "plain_ops"},
 }
 
-// CostFields returns the canonical field list (name + snapshot reader)
-// so exposition code outside the package renders every field without
-// maintaining its own copy.
-func CostFields() []CostField { return costFields }
+// fields addresses every field of c in costFields order.
+func (c *CostStats) fields() [len(costFields)]*uint64 {
+	return [...]*uint64{
+		&c.ModExps, &c.MulMods, &c.ModInverses, &c.Rerands, &c.PoolHits,
+		&c.PoolMisses, &c.Encrypts, &c.Decrypts, &c.CipherBytesIn, &c.CipherBytesOut,
+		&c.Triples, &c.OpenedWords, &c.GCGates, &c.ExtOTs, &c.PlainOps,
+	}
+}
 
 // Add accumulates another profile into this one.
 func (c *CostStats) Add(o CostStats) {
-	c.ModExps += o.ModExps
-	c.MulMods += o.MulMods
-	c.ModInverses += o.ModInverses
-	c.Rerands += o.Rerands
-	c.PoolHits += o.PoolHits
-	c.PoolMisses += o.PoolMisses
-	c.Encrypts += o.Encrypts
-	c.Decrypts += o.Decrypts
-	c.CipherBytesIn += o.CipherBytesIn
-	c.CipherBytesOut += o.CipherBytesOut
-	c.Triples += o.Triples
-	c.OpenedWords += o.OpenedWords
-	c.GCGates += o.GCGates
-	c.ExtOTs += o.ExtOTs
-	c.PlainOps += o.PlainOps
+	dst, src := c.fields(), o.fields()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
 }
 
 // IsZero reports whether no operation was recorded.
 func (c *CostStats) IsZero() bool {
-	for _, f := range costFields {
-		if f.Get(c) != 0 {
+	for _, p := range c.fields() {
+		if *p != 0 {
 			return false
 		}
 	}
@@ -147,9 +136,9 @@ func (c *CostStats) String() string {
 		return "-"
 	}
 	var parts []string
-	for _, f := range costFields {
-		if v := f.Get(c); v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", f.Name, v))
+	for i, p := range c.fields() {
+		if *p != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", costFields[i].Name, *p))
 		}
 	}
 	if rate := c.PoolHitRate(); rate >= 0 {
@@ -164,21 +153,7 @@ func (c *CostStats) String() string {
 // batch locally and Add once per phase where possible so metering stays
 // off the hot path.
 type CostMeter struct {
-	modExps        atomic.Uint64
-	mulMods        atomic.Uint64
-	modInverses    atomic.Uint64
-	rerands        atomic.Uint64
-	poolHits       atomic.Uint64
-	poolMisses     atomic.Uint64
-	encrypts       atomic.Uint64
-	decrypts       atomic.Uint64
-	cipherBytesIn  atomic.Uint64
-	cipherBytesOut atomic.Uint64
-	triples        atomic.Uint64
-	openedWords    atomic.Uint64
-	gcGates        atomic.Uint64
-	extOTs         atomic.Uint64
-	plainOps       atomic.Uint64
+	n [len(costFields)]atomic.Uint64 // in costFields order
 }
 
 // Add accumulates a batch of counts into the meter. A nil meter is a
@@ -187,92 +162,53 @@ func (m *CostMeter) Add(st CostStats) {
 	if m == nil {
 		return
 	}
-	for _, f := range costFields {
-		if v := f.Get(&st); v != 0 {
-			f.Add(m, v)
+	for i, p := range st.fields() {
+		if *p != 0 {
+			m.n[i].Add(*p)
 		}
 	}
 }
 
 // Snapshot reads the meter's current totals.
 func (m *CostMeter) Snapshot() CostStats {
+	var st CostStats
 	if m == nil {
-		return CostStats{}
+		return st
 	}
-	return CostStats{
-		ModExps:        m.modExps.Load(),
-		MulMods:        m.mulMods.Load(),
-		ModInverses:    m.modInverses.Load(),
-		Rerands:        m.rerands.Load(),
-		PoolHits:       m.poolHits.Load(),
-		PoolMisses:     m.poolMisses.Load(),
-		Encrypts:       m.encrypts.Load(),
-		Decrypts:       m.decrypts.Load(),
-		CipherBytesIn:  m.cipherBytesIn.Load(),
-		CipherBytesOut: m.cipherBytesOut.Load(),
-		Triples:        m.triples.Load(),
-		OpenedWords:    m.openedWords.Load(),
-		GCGates:        m.gcGates.Load(),
-		ExtOTs:         m.extOTs.Load(),
-		PlainOps:       m.plainOps.Load(),
+	for i, p := range st.fields() {
+		*p = m.n[i].Load()
 	}
+	return st
 }
 
 // Diff returns the counts accumulated since a previous snapshot —
 // the per-layer attribution pattern: snapshot, run the layer, Diff.
 func (m *CostMeter) Diff(prev CostStats) CostStats {
 	cur := m.Snapshot()
-	return CostStats{
-		ModExps:        cur.ModExps - prev.ModExps,
-		MulMods:        cur.MulMods - prev.MulMods,
-		ModInverses:    cur.ModInverses - prev.ModInverses,
-		Rerands:        cur.Rerands - prev.Rerands,
-		PoolHits:       cur.PoolHits - prev.PoolHits,
-		PoolMisses:     cur.PoolMisses - prev.PoolMisses,
-		Encrypts:       cur.Encrypts - prev.Encrypts,
-		Decrypts:       cur.Decrypts - prev.Decrypts,
-		CipherBytesIn:  cur.CipherBytesIn - prev.CipherBytesIn,
-		CipherBytesOut: cur.CipherBytesOut - prev.CipherBytesOut,
-		Triples:        cur.Triples - prev.Triples,
-		OpenedWords:    cur.OpenedWords - prev.OpenedWords,
-		GCGates:        cur.GCGates - prev.GCGates,
-		ExtOTs:         cur.ExtOTs - prev.ExtOTs,
-		PlainOps:       cur.PlainOps - prev.PlainOps,
+	c, p := cur.fields(), prev.fields()
+	for i := range c {
+		*c[i] -= *p[i]
 	}
+	return cur
 }
 
-// AddCostToRegistry folds a cost profile into reg's "cost.<field>"
-// counters — the process-wide aggregate both the JSON snapshot and the
-// Prometheus exposition serve. Registry counters are get-or-create, so
-// the counters exist from the first request on.
-func AddCostToRegistry(reg *Registry, st CostStats) {
+// AddCostToRegistry folds one served round's cost profile into reg, once
+// per field: into the process-wide "cost.<field>" counter and, when
+// backend names the executing backend as a lowercase metric-name
+// component ("paillier_he", "ss_gc", "clear"), into its
+// "cost.<backend>.<field>" counter, which also keeps its last minute so
+// per-backend op rates read live (/debug/live, ppstream_live_cost_*).
+func AddCostToRegistry(reg *Registry, backend string, st CostStats) {
 	if reg == nil {
 		return
 	}
-	for _, f := range costFields {
-		if v := f.Get(&st); v != 0 {
-			reg.Counter("cost." + f.Name).Add(v)
+	for i, p := range st.fields() {
+		if *p == 0 {
+			continue
 		}
-	}
-}
-
-// AddCostToRegistryLabeled folds a cost profile into reg's
-// "cost.<label>.<field>" counters — the per-backend attribution the
-// mixed-backend serving plane exposes next to the unlabeled process-wide
-// aggregate. label must be a lowercase metric-name component (e.g.
-// "paillier_he", "ss_gc", "clear").
-func AddCostToRegistryLabeled(reg *Registry, label string, st CostStats) {
-	if reg == nil || label == "" {
-		return
-	}
-	for _, f := range costFields {
-		if v := f.Get(&st); v != 0 {
-			name := "cost." + label + "." + f.Name
-			reg.Counter(name).Add(v)
-			// The windowed sibling makes per-backend op RATES readable
-			// live (/debug/live, ppstream_live_cost_* gauges) without
-			// diffing cumulative scrapes.
-			reg.LiveCounter(name).Add(v)
+		reg.Counter("cost." + costFields[i].Name).Add(*p)
+		if backend != "" {
+			reg.LiveCounter("cost." + backend + "." + costFields[i].Name).Add(*p)
 		}
 	}
 }

@@ -58,41 +58,36 @@ func TestCostMeterConcurrentAdds(t *testing.T) {
 
 // TestCostFieldsCoverStruct pins the single-source-of-truth property: every
 // CostStats struct field must appear in costFields exactly once, carry a
-// json tag matching the field's canonical name, and round-trip through
-// Get/Add.
+// json tag matching the field's canonical name, and sit at the index
+// CostStats.fields addresses it by.
 func TestCostFieldsCoverStruct(t *testing.T) {
 	typ := reflect.TypeOf(CostStats{})
 	if typ.NumField() != len(costFields) {
 		t.Fatalf("CostStats has %d fields but costFields lists %d", typ.NumField(), len(costFields))
 	}
-	byName := map[string]CostField{}
+	seen := map[string]bool{}
 	for _, f := range costFields {
 		if f.Name != strings.ToLower(f.Name) {
 			t.Errorf("cost field name %q is not lowercase", f.Name)
 		}
-		if _, dup := byName[f.Name]; dup {
+		if seen[f.Name] {
 			t.Errorf("cost field %q listed twice", f.Name)
 		}
-		byName[f.Name] = f
+		seen[f.Name] = true
 	}
-	for i := 0; i < typ.NumField(); i++ {
-		sf := typ.Field(i)
-		tag := strings.Split(sf.Tag.Get("json"), ",")[0]
-		if tag == "" || tag == "-" {
-			t.Errorf("CostStats.%s has no json tag", sf.Name)
-			continue
-		}
-		f, ok := byName[tag]
-		if !ok {
-			t.Errorf("CostStats.%s (json %q) missing from costFields", sf.Name, tag)
-			continue
-		}
-		// Round-trip: Add through the meter, read back through Get.
-		var m CostMeter
-		f.Add(&m, 41)
-		st := m.Snapshot()
-		if got := f.Get(&st); got != 41 {
-			t.Errorf("field %q Add/Get mismatch: got %d, want 41", tag, got)
+	for i, f := range costFields {
+		// Set field i through the table's order, read it back by name.
+		var st CostStats
+		*st.fields()[i] = 41
+		v := reflect.ValueOf(st)
+		for j := 0; j < typ.NumField(); j++ {
+			tag := strings.Split(typ.Field(j).Tag.Get("json"), ",")[0]
+			if tag == "" || tag == "-" {
+				t.Errorf("CostStats.%s has no json tag", typ.Field(j).Name)
+			}
+			if got := v.Field(j).Uint(); (got == 41) != (tag == f.Name) {
+				t.Errorf("costFields[%d] %q addresses CostStats.%s (json %q)", i, f.Name, typ.Field(j).Name, tag)
+			}
 		}
 	}
 }
@@ -117,21 +112,30 @@ func TestCostStatsJSONFieldNames(t *testing.T) {
 	}
 }
 
+// TestAddCostToRegistry: one fold writes each field once into the
+// process-wide counter and once into the backend's, and only the
+// backend's keeps a live view.
 func TestAddCostToRegistry(t *testing.T) {
 	reg := NewRegistry("costtest")
-	AddCostToRegistry(reg, CostStats{ModExps: 9, PoolHits: 3, CipherBytesIn: 77})
-	AddCostToRegistry(reg, CostStats{ModExps: 1})
+	AddCostToRegistry(reg, "ss_gc", CostStats{ModExps: 9, PoolHits: 3, CipherBytesIn: 77})
+	AddCostToRegistry(reg, "", CostStats{ModExps: 1})
 	snap := reg.Snapshot()
-	if got := snap.Counters["cost.modexps"]; got != 10 {
-		t.Fatalf("cost.modexps = %d, want 10", got)
+	for name, want := range map[string]uint64{
+		"cost.modexps": 10, "cost.pool_hits": 3, "cost.cipher_bytes_in": 77,
+		"cost.ss_gc.modexps": 9, "cost.ss_gc.pool_hits": 3,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	if got := snap.Counters["cost.pool_hits"]; got != 3 {
-		t.Fatalf("cost.pool_hits = %d, want 3", got)
+	if _, ok := snap.Counters["cost.ss_gc.mulmods"]; ok {
+		t.Error("a zero field minted a counter")
 	}
-	if got := snap.Counters["cost.cipher_bytes_in"]; got != 77 {
-		t.Fatalf("cost.cipher_bytes_in = %d, want 77", got)
+	live := reg.LiveSnapshot().Counters
+	if live["cost.ss_gc.modexps"].Count != 9 || len(live) != 3 {
+		t.Errorf("live views %+v, want the three ss_gc counters", live)
 	}
-	AddCostToRegistry(nil, CostStats{ModExps: 1}) // must not panic
+	AddCostToRegistry(nil, "clear", CostStats{ModExps: 1}) // must not panic
 }
 
 func TestPoolHitRate(t *testing.T) {

@@ -35,38 +35,46 @@ var defaultBounds = func() []int64 {
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent use.
 // Observations are clamped at zero; Observe is a handful of atomic
-// operations and never allocates.
+// operations and never allocates. One registered with a live view
+// (Registry.LiveHistogram, NewLiveHistogram) also keeps its trailing
+// window, fed by the same Observe.
 type Histogram struct {
-	bounds  []int64 // ascending upper bounds (ns); last bucket is +Inf
-	buckets []atomic.Uint64
+	buckets []atomic.Uint64 // per defaultBounds; the last is the overflow
 	count   atomic.Uint64
 	sum     atomic.Int64
 	min     atomic.Int64
 	max     atomic.Int64
+	live    atomic.Pointer[ring]
 }
 
 // NewHistogram creates a histogram with the default exponential bounds
 // (1µs … ~34s, ×2 per bucket).
 func NewHistogram() *Histogram {
-	h := &Histogram{bounds: defaultBounds, buckets: make([]atomic.Uint64, len(defaultBounds)+1)}
+	h := &Histogram{buckets: make([]atomic.Uint64, len(defaultBounds)+1)}
 	h.min.Store(math.MaxInt64)
 	h.max.Store(math.MinInt64)
 	return h
 }
 
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) { h.ObserveNanos(d.Nanoseconds()) }
+// NewLiveHistogram is NewHistogram with a trailing window of width×slots
+// — the shedder's latency window, whose geometry is its own.
+func NewLiveHistogram(width time.Duration, slots int) *Histogram {
+	h := NewHistogram()
+	h.live.Store(newRing(width, slots, true))
+	return h
+}
 
-// ObserveNanos records one duration given in nanoseconds.
-func (h *Histogram) ObserveNanos(v int64) {
+// Observe records one duration.
+func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
+	v := d.Nanoseconds()
 	if v < 0 {
 		v = 0
 	}
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(defaultBounds) && v > defaultBounds[i] {
 		i++
 	}
 	h.buckets[i].Add(1)
@@ -84,6 +92,9 @@ func (h *Histogram) ObserveNanos(v int64) {
 			break
 		}
 	}
+	if w := h.live.Load(); w != nil {
+		w.observe(i)
+	}
 }
 
 // HistogramSnapshot is a point-in-time summary. Durations marshal to
@@ -99,8 +110,8 @@ type HistogramSnapshot struct {
 	P99   time.Duration `json:"p99_ns"`
 }
 
-// Snapshot summarizes the histogram. An empty histogram yields the zero
-// snapshot.
+// Snapshot summarizes the histogram since it was created. An empty
+// histogram yields the zero snapshot.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
@@ -115,58 +126,49 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		counts[i] = h.buckets[i].Load()
 		total += counts[i]
 	}
-	min, max := h.min.Load(), h.max.Load()
+	lo, hi := h.min.Load(), h.max.Load()
 	s := HistogramSnapshot{
 		Count: n,
 		Sum:   time.Duration(h.sum.Load()),
-		Min:   time.Duration(min),
-		Max:   time.Duration(max),
+		Min:   time.Duration(lo),
+		Max:   time.Duration(hi),
 		Mean:  time.Duration(h.sum.Load() / int64(n)),
 	}
-	s.P50 = h.quantile(counts, total, min, max, 0.50)
-	s.P95 = h.quantile(counts, total, min, max, 0.95)
-	s.P99 = h.quantile(counts, total, min, max, 0.99)
+	s.P50, s.P95, s.P99 = quantiles(counts, total, lo, hi)
 	return s
 }
 
-// Quantile estimates the q-th quantile (0 < q ≤ 1) by linear
-// interpolation within the bucket containing it, clamped to the observed
-// min/max. An empty histogram yields 0 for every q, as do NaN requests;
-// q outside (0, 1] is clamped into the range, so callers can never read
-// a bucket upper bound that no sample actually reached.
-func (h *Histogram) Quantile(q float64) time.Duration {
+// Live summarizes the trailing window; zero for a histogram without one.
+func (h *Histogram) Live() WindowSnapshot {
 	if h == nil {
-		return 0
+		return WindowSnapshot{}
 	}
-	counts := make([]uint64, len(h.buckets))
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
+	return h.live.Load().snapshot()
+}
+
+// SetClock replaces the trailing window's time source — a test hook so
+// window expiry is exercised without sleeping. Not for production use.
+func (h *Histogram) SetClock(now func() time.Time) {
+	if h == nil {
+		return
 	}
+	if w := h.live.Load(); w != nil {
+		w.now = now
+	}
+}
+
+// quantiles estimates p50/p95/p99 from per-bucket counts over
+// defaultBounds (the last count is the overflow bucket), interpolating
+// linearly within the bucket holding each and clamping to [lo, hi], so
+// no estimate is a bucket bound that no observation reached.
+func quantiles(counts []uint64, total uint64, lo, hi int64) (p50, p95, p99 time.Duration) {
+	return quantile(counts, total, lo, hi, 0.50), quantile(counts, total, lo, hi, 0.95),
+		quantile(counts, total, lo, hi, 0.99)
+}
+
+func quantile(counts []uint64, total uint64, lo, hi int64, q float64) time.Duration {
 	if total == 0 {
 		return 0
-	}
-	return h.quantile(counts, total, h.min.Load(), h.max.Load(), q)
-}
-
-func (h *Histogram) quantile(counts []uint64, total uint64, min, max int64, q float64) time.Duration {
-	return quantileFromCounts(h.bounds, counts, total, min, max, q)
-}
-
-// quantileFromCounts estimates the q-th quantile from per-bucket counts
-// over ascending upper bounds (the last count is the overflow bucket).
-// Shared by Histogram and WindowedHistogram.
-func quantileFromCounts(bounds []int64, counts []uint64, total uint64, min, max int64, q float64) time.Duration {
-	if total == 0 || math.IsNaN(q) {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	if q <= 0 {
-		// q→0⁺ is the distribution's lower edge.
-		return time.Duration(min)
 	}
 	target := q * float64(total)
 	var cum float64
@@ -175,24 +177,18 @@ func quantileFromCounts(bounds []int64, counts []uint64, total uint64, min, max 
 		if cum < target || c == 0 {
 			continue
 		}
-		lo := int64(0)
+		from, to := int64(0), hi
 		if i > 0 {
-			lo = bounds[i-1]
+			from = defaultBounds[i-1]
 		}
-		hi := max
-		if i < len(bounds) && bounds[i] < max {
-			hi = bounds[i]
+		if i < len(defaultBounds) && defaultBounds[i] < hi {
+			to = defaultBounds[i]
 		}
-		if lo < min {
-			lo = min
-		}
-		if hi < lo {
-			hi = lo
-		}
+		from = max(from, lo)
+		to = max(to, from)
 		// Position of the target within this bucket's observations.
 		frac := 1 - (cum-target)/float64(c)
-		v := float64(lo) + frac*float64(hi-lo)
-		return time.Duration(int64(v))
+		return time.Duration(float64(from) + frac*float64(to-from))
 	}
-	return time.Duration(max)
+	return time.Duration(hi)
 }

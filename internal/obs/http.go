@@ -18,27 +18,14 @@ type HTTPOptions struct {
 	// while Ready() is true (503 otherwise). /healthz is liveness and
 	// always answers 200. A nil Ready leaves /readyz always-ready.
 	Ready func() bool
-	// Flight, when non-nil, mounts /debug/flight serving the recorder's
-	// JSON dump (recent, slowest, and errored traces with cost profiles).
-	Flight *FlightRecorder
-	// Traces, when non-nil, mounts /debug/traces serving the tail-sampled
-	// span store. Query parameters: since (RFC3339 instant or a trailing
-	// duration like "5m"), min_ms (minimum request duration in
-	// milliseconds), id (exact trace ID), limit.
+	// Traces, when non-nil, mounts /debug/traces serving the span store's
+	// retained request records. Query parameters: since (RFC3339 instant
+	// or a trailing duration like "5m"), min_ms (minimum request duration
+	// in milliseconds), id (exact trace ID), limit.
 	Traces *TraceStore
 	// SLO, when non-nil, mounts /debug/slo serving every objective's
 	// multi-window burn-rate evaluation.
 	SLO *SLOEngine
-}
-
-// Handler serves the registries' snapshots at /metrics (and /) — JSON
-// by default, Prometheus text format under /metrics/prometheus or via
-// ?format=prometheus / an Accept header preferring text/plain — and
-// mounts /healthz, /readyz, and the standard pprof handlers under
-// /debug/pprof/, so a running ppserver can be inspected with curl,
-// a Prometheus scrape job, and `go tool pprof`.
-func Handler(regs ...*Registry) http.Handler {
-	return HandlerOpts(HTTPOptions{}, regs...)
 }
 
 // wantsPrometheus decides the exposition format for /metrics: an
@@ -59,41 +46,51 @@ func wantsPrometheus(req *http.Request) bool {
 	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }
 
-// HandlerOpts is Handler with explicit endpoint options.
-func HandlerOpts(opts HTTPOptions, regs ...*Registry) http.Handler {
-	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter) {
-		snaps := make([]Snapshot, len(regs))
-		for i, r := range regs {
-			snaps[i] = r.Snapshot()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		var err error
-		if len(snaps) == 1 {
-			err = enc.Encode(snaps[0])
-		} else {
-			err = enc.Encode(snaps)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+// serveJSON writes v as indented JSON.
+func serveJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// oneOrAll is what a per-registry endpoint serves: the one snapshot
+// itself, or the array when several registries share the endpoint.
+func oneOrAll[T any](snaps []T) any {
+	if len(snaps) == 1 {
+		return snaps[0]
+	}
+	return snaps
+}
+
+// Handler serves the registries' totals at /metrics — JSON by
+// default, Prometheus text format under /metrics/prometheus or via
+// ?format=prometheus / an Accept header preferring text/plain — their
+// live views at /debug/live, and mounts /healthz, /readyz, the optional
+// /debug/traces and /debug/slo, and the standard pprof handlers under
+// /debug/pprof/, so a running ppserver can be inspected with curl, a
+// Prometheus scrape job, and `go tool pprof`.
+func Handler(opts HTTPOptions, regs ...*Registry) http.Handler {
+	mux := http.NewServeMux()
 	writeProm := func(w http.ResponseWriter) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := WritePrometheus(w, regs...); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	}
-	metrics := func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		if wantsPrometheus(req) {
 			writeProm(w)
 			return
 		}
-		writeJSON(w)
-	}
-	mux.HandleFunc("/metrics", metrics)
+		snaps := make([]Snapshot, len(regs))
+		for i, r := range regs {
+			snaps[i] = r.Snapshot()
+		}
+		serveJSON(w, oneOrAll(snaps))
+	})
 	mux.HandleFunc("/metrics/prometheus", func(w http.ResponseWriter, _ *http.Request) { writeProm(w) })
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -107,30 +104,12 @@ func HandlerOpts(opts HTTPOptions, regs ...*Registry) http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/" {
-			http.NotFound(w, req)
-			return
-		}
-		metrics(w, req)
-	})
 	mux.HandleFunc("/debug/live", func(w http.ResponseWriter, _ *http.Request) {
 		snaps := make([]LiveSnapshot, len(regs))
 		for i, r := range regs {
 			snaps[i] = r.LiveSnapshot()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		var err error
-		if len(snaps) == 1 {
-			err = enc.Encode(snaps[0])
-		} else {
-			err = enc.Encode(snaps)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveJSON(w, oneOrAll(snaps))
 	})
 	if opts.Traces != nil {
 		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
@@ -147,22 +126,7 @@ func HandlerOpts(opts HTTPOptions, regs ...*Registry) http.Handler {
 	}
 	if opts.SLO != nil {
 		mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(opts.SLO.Evaluate()); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-	}
-	if opts.Flight != nil {
-		mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := opts.Flight.WriteJSON(w); err != nil {
-				// Headers are likely already out; nothing to do for the
-				// client beyond noting the failure in the status if possible.
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
+			serveJSON(w, opts.SLO.Evaluate())
 		})
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -210,17 +174,12 @@ func parseTraceQuery(req *http.Request) (TraceQuery, error) {
 // Serve starts the exposition endpoint on addr (":0" picks a free port)
 // and returns the bound address plus a shutdown function. The server
 // runs until shutdown is called.
-func Serve(addr string, regs ...*Registry) (string, func(context.Context) error, error) {
-	return ServeOpts(addr, HTTPOptions{}, regs...)
-}
-
-// ServeOpts is Serve with explicit endpoint options (readiness gating).
-func ServeOpts(addr string, opts HTTPOptions, regs ...*Registry) (string, func(context.Context) error, error) {
+func Serve(addr string, opts HTTPOptions, regs ...*Registry) (string, func(context.Context) error, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: HandlerOpts(opts, regs...)}
+	srv := &http.Server{Handler: Handler(opts, regs...)}
 	go srv.Serve(l)
 	return l.Addr().String(), srv.Shutdown, nil
 }

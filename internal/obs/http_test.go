@@ -16,7 +16,7 @@ func TestHandlerServesSnapshotAndPprof(t *testing.T) {
 	reg.Counter("requests").Add(5)
 	reg.Histogram("stage.encrypt.busy").Observe(3 * time.Millisecond)
 
-	srv := httptest.NewServer(Handler(reg))
+	srv := httptest.NewServer(Handler(HTTPOptions{}, reg))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -57,7 +57,7 @@ func TestHandlerPrometheusAndHealth(t *testing.T) {
 	reg := NewRegistry("unit")
 	reg.Counter("requests").Add(5)
 	ready := false
-	srv := httptest.NewServer(HandlerOpts(HTTPOptions{Ready: func() bool { return ready }}, reg))
+	srv := httptest.NewServer(Handler(HTTPOptions{Ready: func() bool { return ready }}, reg))
 	defer srv.Close()
 
 	get := func(path string, hdr map[string]string) (int, string, string) {
@@ -113,7 +113,7 @@ func TestHandlerPrometheusAndHealth(t *testing.T) {
 
 func TestServeBindsAndShutsDown(t *testing.T) {
 	reg := NewRegistry("serve")
-	addr, shutdown, err := Serve("127.0.0.1:0", reg)
+	addr, shutdown, err := Serve("127.0.0.1:0", HTTPOptions{}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

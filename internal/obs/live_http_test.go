@@ -15,7 +15,6 @@ import (
 // whole output still passes the conformance scanner.
 func TestWritePrometheusLiveMetrics(t *testing.T) {
 	reg := NewRegistry("live")
-	reg.Counter("serve.requests.ok").Add(7) // cumulative sibling
 	reg.LiveCounter("serve.requests.ok").Add(7)
 	h := reg.LiveHistogram("serve.latency")
 	h.Observe(3 * time.Millisecond)
@@ -28,6 +27,9 @@ func TestWritePrometheusLiveMetrics(t *testing.T) {
 	out := b.String()
 	scanExposition(t, out)
 	for _, want := range []string{
+		// One object, both views: the total and the window.
+		`ppstream_serve_requests_ok{registry="live"} 7`,
+		`ppstream_serve_latency_seconds_count{registry="live"} 2`,
 		"# TYPE ppstream_live_serve_requests_ok gauge",
 		`ppstream_live_serve_requests_ok{registry="live"} 7`,
 		"# TYPE ppstream_live_serve_latency_count gauge",
@@ -81,10 +83,10 @@ func TestHandlerLiveEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces.Record(testTree("t-slow", 80*time.Millisecond), nil)
-	traces.Record(testTree("t-err", time.Millisecond), errors.New("boom"))
+	traces.Record(testTree("t-slow", 80*time.Millisecond), nil, nil)
+	traces.Record(testTree("t-err", time.Millisecond), nil, errors.New("boom"))
 
-	srv := httptest.NewServer(HandlerOpts(HTTPOptions{Traces: traces, SLO: slo}, reg))
+	srv := httptest.NewServer(Handler(HTTPOptions{Traces: traces, SLO: slo}, reg))
 	defer srv.Close()
 	get := func(path string) (int, []byte) {
 		t.Helper()
@@ -110,6 +112,10 @@ func TestHandlerLiveEndpoints(t *testing.T) {
 	}
 	if live.Counters["serve.requests.ok"].Count != 3 || live.Histograms["serve.latency"].Count != 1 {
 		t.Errorf("/debug/live snapshot %+v", live)
+	}
+	// /metrics serves totals only: the windows live at /debug/live.
+	if _, body := get("/metrics"); strings.Contains(string(body), "live_") {
+		t.Errorf("/metrics carries live sections:\n%s", body)
 	}
 
 	code, body = get("/debug/slo")
@@ -143,31 +149,5 @@ func TestHandlerLiveEndpoints(t *testing.T) {
 		if code, _ := get("/debug/traces?" + bad); code != 400 {
 			t.Errorf("%s status %d, want 400", bad, code)
 		}
-	}
-}
-
-// TestFlightRecordPlan: flight records carry the trace ID and backend
-// plan so /debug/flight joins against the span store and the solver's
-// assignment.
-func TestFlightRecordPlan(t *testing.T) {
-	f := NewFlightRecorder(4, 2, 4)
-	f.RecordPlan(testTree("fp-1", 10*time.Millisecond), []string{"paillier-he", "ss-gc"}, nil)
-	f.Record(testTree("fp-2", 20*time.Millisecond), errors.New("late"))
-	dump := f.Dump()
-	if len(dump.Recent) != 2 {
-		t.Fatalf("recent %d", len(dump.Recent))
-	}
-	if dump.Recent[0].TraceID != "fp-1" || len(dump.Recent[0].Plan) != 2 || dump.Recent[0].Plan[0] != "paillier-he" {
-		t.Errorf("planned record %+v", dump.Recent[0])
-	}
-	if dump.Recent[1].TraceID != "fp-2" || dump.Recent[1].Plan != nil || dump.Recent[1].Err != "late" {
-		t.Errorf("plain record %+v", dump.Recent[1])
-	}
-	var buf strings.Builder
-	if err := f.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"trace_id": "fp-1"`) || !strings.Contains(buf.String(), `"plan"`) {
-		t.Errorf("flight JSON missing join fields:\n%s", buf.String())
 	}
 }

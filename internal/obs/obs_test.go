@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -68,10 +67,8 @@ func TestHistogramEmptyAndClamped(t *testing.T) {
 func TestHistogramDegenerateQuantiles(t *testing.T) {
 	// Empty histogram: every quantile is 0, not a bucket bound.
 	h := NewHistogram()
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
-		}
+	if s := h.Snapshot(); s.P50 != 0 || s.P95 != 0 || s.P99 != 0 {
+		t.Errorf("empty histogram percentiles %v/%v/%v, want 0", s.P50, s.P95, s.P99)
 	}
 
 	// Single sample: all percentiles collapse to the sample itself,
@@ -82,9 +79,6 @@ func TestHistogramDegenerateQuantiles(t *testing.T) {
 	s := h.Snapshot()
 	if s.P50 != v || s.P95 != v || s.P99 != v {
 		t.Errorf("single-sample percentiles %v/%v/%v, want all %v", s.P50, s.P95, s.P99, v)
-	}
-	if got := h.Quantile(1); got != v {
-		t.Errorf("single-sample Quantile(1) = %v, want %v", got, v)
 	}
 
 	// Single-bucket pile-up of identical values: the min/max clamp keeps
@@ -99,25 +93,43 @@ func TestHistogramDegenerateQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileEdgeInputs checks that out-of-range and NaN
-// quantile requests stay finite and ordered.
+// TestHistogramQuantileEdgeInputs checks the estimator at the edges of
+// its input: q at 0 and 1 land exactly on the observed min and max, and
+// every estimate between them — including from the overflow bucket past
+// the last bound — stays inside [min, max].
 func TestHistogramQuantileEdgeInputs(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Millisecond)
-	h.Observe(9 * time.Millisecond)
-	if got := h.Quantile(math.NaN()); got != 0 {
-		t.Errorf("Quantile(NaN) = %v, want 0", got)
+	cases := []struct {
+		name   string
+		lo, hi time.Duration
+	}{
+		{"spread", time.Millisecond, 9 * time.Millisecond},
+		{"overflow", 40 * time.Second, 50 * time.Second},
 	}
-	if got := h.Quantile(-0.5); got != time.Millisecond {
-		t.Errorf("Quantile(-0.5) = %v, want min 1ms", got)
-	}
-	if got := h.Quantile(2); got < time.Millisecond || got > 9*time.Millisecond {
-		t.Errorf("Quantile(2) = %v, want within [min,max]", got)
-	}
-	for _, q := range []float64{0.01, 0.5, 0.9, 1} {
-		got := h.Quantile(q)
-		if got < time.Millisecond || got > 9*time.Millisecond {
-			t.Errorf("Quantile(%v) = %v escaped [min,max]", q, got)
+	for _, c := range cases {
+		h := NewHistogram()
+		h.Observe(c.lo)
+		h.Observe(c.hi)
+		counts := make([]uint64, len(h.buckets))
+		for i := range h.buckets {
+			counts[i] = h.buckets[i].Load()
+		}
+		lo, hi := h.min.Load(), h.max.Load()
+		if got := quantile(counts, 2, lo, hi, 0); got != c.lo {
+			t.Errorf("%s: quantile(0) = %v, want min %v", c.name, got, c.lo)
+		}
+		if got := quantile(counts, 2, lo, hi, 1); got != c.hi {
+			t.Errorf("%s: quantile(1) = %v, want max %v", c.name, got, c.hi)
+		}
+		for _, q := range []float64{0.01, 0.5, 0.9} {
+			if got := quantile(counts, 2, lo, hi, q); got < c.lo || got > c.hi {
+				t.Errorf("%s: quantile(%v) = %v escaped [%v, %v]", c.name, q, got, c.lo, c.hi)
+			}
+		}
+		s := h.Snapshot()
+		for _, p := range []time.Duration{s.P50, s.P95, s.P99} {
+			if p < c.lo || p > c.hi {
+				t.Errorf("%s: percentile %v escaped [%v, %v]", c.name, p, c.lo, c.hi)
+			}
 		}
 	}
 }
@@ -173,7 +185,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Error("Histogram did not return the same instance")
 	}
 	r.Counter("c").Add(3)
-	r.Gauge("g").Set(-7)
+	r.Gauge("g").Add(-7)
 	r.GaugeFunc("fn", func() int64 { return 42 })
 	r.Histogram("h").Observe(time.Millisecond)
 	s := r.Snapshot()
@@ -234,30 +246,20 @@ func TestNilRegistryMetricsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(2)
 	g := r.Gauge("g")
-	g.Set(3)
+	g.Add(3)
 	g.Add(1)
 	h := r.Histogram("h")
 	h.Observe(time.Millisecond)
-	h.ObserveNanos(5)
-	if c.Value() != 0 || g.Value() != 0 || h.Quantile(0.5) != 0 || h.Snapshot() != (HistogramSnapshot{}) {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot() != (HistogramSnapshot{}) {
 		t.Error("nil cumulative metrics must read as zero")
 	}
 
 	lc := r.LiveCounter("lc")
-	lc.SetClock(time.Now)
 	lc.Inc()
-	lc.Add(2)
-	if lc.Window() != 0 || lc.Value() != 0 || lc.ValueOver(time.Second) != 0 ||
-		lc.Rate(time.Second) != 0 || lc.Snapshot() != (WindowedCounterSnapshot{}) {
-		t.Error("nil windowed counter must read as zero")
-	}
-
 	lh := r.LiveHistogram("lh")
 	lh.SetClock(time.Now)
 	lh.Observe(time.Millisecond)
-	lh.ObserveNanos(5)
-	if lh.Window() != 0 || lh.CountOver(time.Second) != 0 || lh.QuantileOver(time.Second, 0.5) != 0 ||
-		lh.Snapshot() != (WindowedHistogramSnapshot{}) || lh.SnapshotOver(time.Second) != (WindowedHistogramSnapshot{}) {
-		t.Error("nil windowed histogram must read as zero")
+	if lc != nil || lh != nil || lc.Live() != (WindowSnapshot{}) || lh.Live() != (WindowSnapshot{}) {
+		t.Error("nil live metrics must read as zero")
 	}
 }

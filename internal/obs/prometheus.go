@@ -97,7 +97,11 @@ func WritePrometheus(w io.Writer, regs ...*Registry) error {
 }
 
 // collectPrometheus renders the registry's samples into family lines via
-// add, holding the registry lock only while reading.
+// add, holding the registry lock only while reading. A metric with a live
+// view also exports its trailing window as gauges under a "live" prefix:
+// the count and, for histograms, interpolated quantiles in seconds.
+// Gauges (not summaries) keep the exposition inside the strict 0.0.4 type
+// set — a trailing-window reading is a point-in-time value.
 func (r *Registry) collectPrometheus(add func(name, typ string, lines ...string) error) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -105,23 +109,22 @@ func (r *Registry) collectPrometheus(add func(name, typ string, lines ...string)
 	// would escape the escapes (registry="quo\\\"te"), so build the label
 	// with plain quoting.
 	label := `{registry="` + promEscapeLabel(r.name) + `"}`
-
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
+	one := func(metric, typ string, v any) error {
+		return add(metric, typ, fmt.Sprintf("%s%s %v\n", metric, label, v))
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := "ppstream_" + promName(name)
-		if err := add(m, "counter", fmt.Sprintf("%s%s %d\n", m, label, r.counters[name].Value())); err != nil {
+	for _, name := range sortedKeys(r.counters) {
+		c := r.counters[name]
+		if err := one("ppstream_"+promName(name), "counter", c.Value()); err != nil {
 			return err
+		}
+		if w := c.live.Load(); w != nil {
+			if err := one("ppstream_live_"+promName(name), "gauge", w.snapshot().Count); err != nil {
+				return err
+			}
 		}
 	}
 
-	names = names[:0]
-	for name := range r.gauges {
-		names = append(names, name)
-	}
+	names := sortedKeys(r.gauges)
 	for name := range r.gaugeFuncs {
 		if _, shadowed := r.gauges[name]; !shadowed {
 			names = append(names, name)
@@ -135,59 +138,33 @@ func (r *Registry) collectPrometheus(add func(name, typ string, lines ...string)
 		} else {
 			v = r.gaugeFuncs[name]()
 		}
-		m := "ppstream_" + promName(name)
-		if err := add(m, "gauge", fmt.Sprintf("%s%s %d\n", m, label, v)); err != nil {
+		if err := one("ppstream_"+promName(name), "gauge", v); err != nil {
 			return err
 		}
 	}
 
-	names = names[:0]
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.hists) {
+		h := r.hists[name]
 		m := "ppstream_" + promName(name) + "_seconds"
-		if err := add(m, "histogram", r.hists[name].promLines(m, r.name)...); err != nil {
+		if err := add(m, "histogram", h.promLines(m, r.name)...); err != nil {
 			return err
 		}
-	}
-
-	// Windowed views export as gauges: the count over the trailing window
-	// and, for histograms, interpolated quantiles in seconds. Gauges (not
-	// summaries) keep the exposition inside the strict 0.0.4 type set;
-	// the "live" prefix separates them from the cumulative families.
-	names = names[:0]
-	for name := range r.liveCounters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := "ppstream_live_" + promName(name)
-		if err := add(m, "gauge", fmt.Sprintf("%s%s %d\n", m, label, r.liveCounters[name].Value())); err != nil {
-			return err
+		w := h.live.Load()
+		if w == nil {
+			continue
 		}
-	}
-
-	names = names[:0]
-	for name := range r.liveHists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		snap := r.liveHists[name].Snapshot()
+		snap := w.snapshot()
 		base := "ppstream_live_" + promName(name)
-		series := []struct {
-			metric string
-			line   string
+		for _, s := range []struct {
+			suffix string
+			v      any
 		}{
-			{base + "_count", fmt.Sprintf("%s%s %d\n", base+"_count", label, snap.Count)},
-			{base + "_p50_seconds", fmt.Sprintf("%s%s %g\n", base+"_p50_seconds", label, snap.P50.Seconds())},
-			{base + "_p95_seconds", fmt.Sprintf("%s%s %g\n", base+"_p95_seconds", label, snap.P95.Seconds())},
-			{base + "_p99_seconds", fmt.Sprintf("%s%s %g\n", base+"_p99_seconds", label, snap.P99.Seconds())},
-		}
-		for _, s := range series {
-			if err := add(s.metric, "gauge", s.line); err != nil {
+			{"_count", snap.Count},
+			{"_p50_seconds", snap.P50.Seconds()},
+			{"_p95_seconds", snap.P95.Seconds()},
+			{"_p99_seconds", snap.P99.Seconds()},
+		} {
+			if err := one(base+s.suffix, "gauge", s.v); err != nil {
 				return err
 			}
 		}
@@ -205,8 +182,8 @@ func (h *Histogram) promLines(metric, registry string) []string {
 	for i := range h.buckets {
 		cum += h.buckets[i].Load()
 		le := "+Inf"
-		if i < len(h.bounds) {
-			le = fmt.Sprintf("%g", float64(h.bounds[i])/1e9)
+		if i < len(defaultBounds) {
+			le = fmt.Sprintf("%g", float64(defaultBounds[i])/1e9)
 		}
 		lines = append(lines, fmt.Sprintf("%s_bucket{registry=\"%s\",le=\"%s\"} %d\n", metric, reg, le, cum))
 	}

@@ -11,7 +11,7 @@ import (
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry("ppserver")
 	reg.Counter("rounds.served").Add(7)
-	reg.Gauge("sessions.active").Set(2)
+	reg.Gauge("sessions.active").Add(2)
 	reg.GaugeFunc("queue.depth", func() int64 { return 5 })
 	h := reg.Histogram("round.linear")
 	h.Observe(3 * time.Millisecond)
@@ -164,7 +164,7 @@ func TestWritePrometheusMultiRegistryGrouping(t *testing.T) {
 	b := NewRegistry("server-b")
 	for _, reg := range []*Registry{a, b} {
 		reg.Counter("rounds.served").Add(3)
-		reg.Gauge("sessions.active").Set(1)
+		reg.Gauge("sessions.active").Add(1)
 		reg.Histogram("round.linear").Observe(2 * time.Millisecond)
 	}
 	var buf strings.Builder
@@ -196,7 +196,7 @@ func TestWritePrometheusTypeConflict(t *testing.T) {
 	a := NewRegistry("a")
 	a.Counter("queue.depth").Add(1)
 	b := NewRegistry("b")
-	b.Gauge("queue.depth").Set(4)
+	b.Gauge("queue.depth").Add(4)
 	var buf strings.Builder
 	err := WritePrometheus(&buf, a, b)
 	if err == nil || !strings.Contains(err.Error(), "both") {
@@ -210,7 +210,7 @@ func TestWritePrometheusTypeConflict(t *testing.T) {
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := NewRegistry(`quo"te`)
 	reg.Counter("cost.modexps").Add(41)
-	reg.Gauge("sessions.active").Set(2)
+	reg.Gauge("sessions.active").Add(2)
 	var buf strings.Builder
 	if err := WritePrometheus(&buf, reg); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 // survives into the Prometheus path with conformant names.
 func TestWritePrometheusCostCounters(t *testing.T) {
 	reg := NewRegistry("srv")
-	AddCostToRegistry(reg, CostStats{
+	AddCostToRegistry(reg, "", CostStats{
 		ModExps: 1, MulMods: 2, ModInverses: 3, Rerands: 4, PoolHits: 5,
 		PoolMisses: 6, Encrypts: 7, Decrypts: 8, CipherBytesIn: 9, CipherBytesOut: 10,
 		Triples: 11, OpenedWords: 12, GCGates: 13, ExtOTs: 14, PlainOps: 15,
@@ -240,7 +240,7 @@ func TestWritePrometheusCostCounters(t *testing.T) {
 	}
 	out := buf.String()
 	scanExposition(t, out)
-	for _, f := range CostFields() {
+	for _, f := range costFields {
 		want := "ppstream_cost_" + promName(f.Name)
 		if !strings.Contains(out, want+`{registry="srv"}`) {
 			t.Errorf("cost field %s missing from Prometheus output as %s:\n%s", f.Name, want, out)

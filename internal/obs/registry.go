@@ -1,27 +1,37 @@
 package obs
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Counter is a monotonically increasing atomic counter. Like the logger
-// and the recorders, a nil metric is a no-op and a nil Registry hands out
-// nil metrics, so unobserved paths need no guards.
-type Counter struct{ v atomic.Uint64 }
+// and the span store, a nil metric is a no-op and a nil Registry hands out
+// nil metrics, so unobserved paths need no guards. One registered with a
+// live view (Registry.LiveCounter) also keeps its last minute, fed by the
+// same Add.
+type Counter struct {
+	v    atomic.Uint64
+	live atomic.Pointer[ring]
+}
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
+	if c == nil {
+		return
+	}
+	c.v.Add(n)
+	if w := c.live.Load(); w != nil {
+		w.add(n)
 	}
 }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
+// Value returns the count since the counter was created.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
@@ -29,15 +39,17 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
+// Live returns the count over the trailing minute; zero for a counter
+// without a live view.
+func (c *Counter) Live() WindowSnapshot {
+	if c == nil {
+		return WindowSnapshot{}
+	}
+	return c.live.Load().snapshot()
+}
+
 // Gauge is an atomic instantaneous value (queue depth, active sessions).
 type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
 
 // Add moves the gauge by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) {
@@ -54,10 +66,10 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Registry is a named collection of metrics. Lookup methods get-or-create
-// under a short lock; the returned primitives are then updated lock-free,
-// so callers should hold onto them rather than re-looking up per
-// observation on hot paths.
+// Registry is a named collection of metrics, one object per name.
+// Lookup methods get-or-create under a short lock; the returned
+// primitives are then updated lock-free, so callers should hold onto them
+// rather than re-looking up per observation on hot paths.
 type Registry struct {
 	name string
 
@@ -66,46 +78,53 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
-
-	// Live (windowed) views: same names as their cumulative siblings,
-	// separate namespace in snapshots and expositions.
-	liveCounters map[string]*WindowedCounter
-	liveHists    map[string]*WindowedHistogram
 }
 
 // NewRegistry creates an empty registry with the given name (shown in
 // snapshots so multiple registries can be told apart).
 func NewRegistry(name string) *Registry {
 	return &Registry{
-		name:         name,
-		counters:     map[string]*Counter{},
-		gauges:       map[string]*Gauge{},
-		gaugeFuncs:   map[string]func() int64{},
-		hists:        map[string]*Histogram{},
-		liveCounters: map[string]*WindowedCounter{},
-		liveHists:    map[string]*WindowedHistogram{},
+		name:       name,
+		counters:   map[string]*Counter{},
+		gauges:     map[string]*Gauge{},
+		gaugeFuncs: map[string]func() int64{},
+		hists:      map[string]*Histogram{},
 	}
 }
 
-// Name returns the registry's name.
-func (r *Registry) Name() string { return r.name }
+// lookup returns m[name], creating it with mk on first use.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
+	return lookup(r, r.counters, name, func() *Counter { return &Counter{} })
+}
+
+// LiveCounter returns the named counter — the same object Counter returns
+// — with its trailing-minute view switched on: from now on it also counts
+// into one-second slots, served at /debug/live and as a ppstream_live_*
+// gauge.
+func (r *Registry) LiveCounter(name string) *Counter {
+	c := r.Counter(name)
+	if c != nil && c.live.Load() == nil {
+		c.live.CompareAndSwap(nil, newRing(liveSlot, liveSlots, false))
 	}
 	return c
 }
@@ -115,19 +134,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // GaugeFunc registers a callback evaluated at snapshot time — used for
@@ -148,61 +155,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return lookup(r, r.hists, name, NewHistogram)
 }
 
-// LiveCounter returns the named windowed counter (default live-window
-// geometry: one-second buckets spanning the last minute), creating it on
-// first use. Live metrics reuse the names of their cumulative siblings —
-// they live in a separate namespace in snapshots and expositions.
-func (r *Registry) LiveCounter(name string) *WindowedCounter {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	c := r.liveCounters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.liveCounters[name]; c == nil {
-		c = NewWindowedCounter(DefaultLiveBucket, DefaultLiveBuckets)
-		r.liveCounters[name] = c
-	}
-	return c
-}
-
-// LiveHistogram returns the named windowed latency histogram (default
-// live-window geometry), creating it on first use.
-func (r *Registry) LiveHistogram(name string) *WindowedHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	h := r.liveHists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.liveHists[name]; h == nil {
-		h = NewWindowedHistogram(DefaultLiveBucket, DefaultLiveBuckets)
-		r.liveHists[name] = h
+// LiveHistogram returns the named histogram — the same object Histogram
+// returns — with its trailing-minute view switched on.
+func (r *Registry) LiveHistogram(name string) *Histogram {
+	h := r.Histogram(name)
+	if h != nil && h.live.Load() == nil {
+		h.live.CompareAndSwap(nil, newRing(liveSlot, liveSlots, true))
 	}
 	return h
 }
@@ -214,15 +175,11 @@ type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-
-	// Windowed views (last-minute rates/quantiles), when registered.
-	LiveCounters   map[string]WindowedCounterSnapshot   `json:"live_counters,omitempty"`
-	LiveHistograms map[string]WindowedHistogramSnapshot `json:"live_histograms,omitempty"`
 }
 
-// Snapshot captures all metrics. Gauge callbacks are evaluated while the
-// registry lock is held read-only; they must not call back into the
-// registry.
+// Snapshot captures every metric's total. Gauge callbacks are evaluated
+// while the registry lock is held read-only; they must not call back into
+// the registry.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -245,45 +202,48 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Snapshot()
 	}
-	if len(r.liveCounters) > 0 {
-		s.LiveCounters = make(map[string]WindowedCounterSnapshot, len(r.liveCounters))
-		for name, c := range r.liveCounters {
-			s.LiveCounters[name] = c.Snapshot()
-		}
-	}
-	if len(r.liveHists) > 0 {
-		s.LiveHistograms = make(map[string]WindowedHistogramSnapshot, len(r.liveHists))
-		for name, h := range r.liveHists {
-			s.LiveHistograms[name] = h.Snapshot()
-		}
-	}
 	return s
 }
 
-// LiveSnapshot is the /debug/live payload: only the windowed views, so
-// pollers (ppbench top) get current rates without the cumulative bulk.
+// LiveSnapshot is the /debug/live payload: the trailing-window view of
+// every metric that keeps one, so pollers (ppbench top) get current rates
+// without the cumulative bulk.
 type LiveSnapshot struct {
-	Name       string                               `json:"name"`
-	TakenAt    time.Time                            `json:"taken_at"`
-	Counters   map[string]WindowedCounterSnapshot   `json:"counters"`
-	Histograms map[string]WindowedHistogramSnapshot `json:"histograms"`
+	Name       string                    `json:"name"`
+	TakenAt    time.Time                 `json:"taken_at"`
+	Counters   map[string]WindowSnapshot `json:"counters"`
+	Histograms map[string]WindowSnapshot `json:"histograms"`
 }
 
-// LiveSnapshot captures only the windowed metrics.
+// LiveSnapshot captures the windows of the live metrics.
 func (r *Registry) LiveSnapshot() LiveSnapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := LiveSnapshot{
 		Name:       r.name,
 		TakenAt:    time.Now().UTC(),
-		Counters:   make(map[string]WindowedCounterSnapshot, len(r.liveCounters)),
-		Histograms: make(map[string]WindowedHistogramSnapshot, len(r.liveHists)),
+		Counters:   map[string]WindowSnapshot{},
+		Histograms: map[string]WindowSnapshot{},
 	}
-	for name, c := range r.liveCounters {
-		s.Counters[name] = c.Snapshot()
+	for name, c := range r.counters {
+		if w := c.live.Load(); w != nil {
+			s.Counters[name] = w.snapshot()
+		}
 	}
-	for name, h := range r.liveHists {
-		s.Histograms[name] = h.Snapshot()
+	for name, h := range r.hists {
+		if w := h.live.Load(); w != nil {
+			s.Histograms[name] = w.snapshot()
+		}
 	}
 	return s
+}
+
+// sortedKeys lists a metric map's names in order, for stable exposition.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

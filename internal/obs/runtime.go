@@ -7,8 +7,8 @@ import (
 )
 
 // memSampler caches runtime.ReadMemStats between snapshot evaluations:
-// the several heap/GC gauges registered below would otherwise each pay
-// the stop-the-world read on every scrape.
+// the heap and GC gauges registered below would otherwise each pay the
+// stop-the-world read on every scrape.
 type memSampler struct {
 	mu    sync.Mutex
 	at    time.Time
@@ -33,10 +33,7 @@ func (s *memSampler) read(f func(*runtime.MemStats) int64) int64 {
 //
 //	runtime.goroutines          live goroutine count
 //	runtime.heap_alloc_bytes    bytes of allocated heap objects
-//	runtime.heap_objects        live heap object count
-//	runtime.gc_cycles           completed GC cycles
 //	runtime.gc_pause_total_ns   cumulative stop-the-world pause time
-//	runtime.gc_pause_last_ns    most recent stop-the-world pause
 //
 // MemStats reads are cached for a second so frequent scrapes stay cheap.
 func RegisterRuntimeMetrics(reg *Registry) {
@@ -48,21 +45,7 @@ func RegisterRuntimeMetrics(reg *Registry) {
 	reg.GaugeFunc("runtime.heap_alloc_bytes", func() int64 {
 		return s.read(func(m *runtime.MemStats) int64 { return int64(m.HeapAlloc) })
 	})
-	reg.GaugeFunc("runtime.heap_objects", func() int64 {
-		return s.read(func(m *runtime.MemStats) int64 { return int64(m.HeapObjects) })
-	})
-	reg.GaugeFunc("runtime.gc_cycles", func() int64 {
-		return s.read(func(m *runtime.MemStats) int64 { return int64(m.NumGC) })
-	})
 	reg.GaugeFunc("runtime.gc_pause_total_ns", func() int64 {
 		return s.read(func(m *runtime.MemStats) int64 { return int64(m.PauseTotalNs) })
-	})
-	reg.GaugeFunc("runtime.gc_pause_last_ns", func() int64 {
-		return s.read(func(m *runtime.MemStats) int64 {
-			if m.NumGC == 0 {
-				return 0
-			}
-			return int64(m.PauseNs[(m.NumGC+255)%256])
-		})
 	})
 }

@@ -86,25 +86,19 @@ func ParseSLOSpecs(s string) ([]SLOSpec, error) {
 	return specs, nil
 }
 
-// Canonical multi-window multi-burn-rate thresholds.
+// The multi-window multi-burn-rate recipe's windows and thresholds.
 const (
-	DefaultSLOFastShort = 5 * time.Minute
-	DefaultSLOFastLong  = time.Hour
-	DefaultSLOSlowShort = 30 * time.Minute
-	DefaultSLOSlowLong  = 6 * time.Hour
-	DefaultSLOFastBurn  = 14.4
-	DefaultSLOSlowBurn  = 6.0
+	sloFastShort = 5 * time.Minute
+	sloFastLong  = time.Hour
+	sloSlowShort = 30 * time.Minute
+	sloSlowLong  = 6 * time.Hour
+	sloFastBurn  = 14.4
+	sloSlowBurn  = 6.0
 )
 
-// SLOConfig configures the engine. Zero window/threshold fields take
-// the canonical defaults above.
+// SLOConfig configures the engine.
 type SLOConfig struct {
 	Specs []SLOSpec
-
-	FastShort, FastLong time.Duration
-	SlowShort, SlowLong time.Duration
-	FastBurn, SlowBurn  float64
-
 	// Registry, when non-nil, receives slo.<name>.* gauges: burn rates
 	// (×1000, since gauges are integral) over the fast windows and 0/1
 	// alert flags.
@@ -113,9 +107,8 @@ type SLOConfig struct {
 
 // sloState tracks one spec's good/bad counts over the longest window.
 type sloState struct {
-	spec SLOSpec
-	good *WindowedCounter
-	bad  *WindowedCounter
+	spec      SLOSpec
+	good, bad *ring
 }
 
 // SLOEngine classifies request outcomes against each objective and
@@ -124,7 +117,6 @@ type sloState struct {
 // HTTP handlers. A nil engine ignores observations, so callers need no
 // "is SLO enabled" branches.
 type SLOEngine struct {
-	cfg    SLOConfig
 	states []*sloState
 }
 
@@ -134,38 +126,11 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("obs: SLO engine needs at least one spec")
 	}
-	if cfg.FastShort <= 0 {
-		cfg.FastShort = DefaultSLOFastShort
-	}
-	if cfg.FastLong <= 0 {
-		cfg.FastLong = DefaultSLOFastLong
-	}
-	if cfg.SlowShort <= 0 {
-		cfg.SlowShort = DefaultSLOSlowShort
-	}
-	if cfg.SlowLong <= 0 {
-		cfg.SlowLong = DefaultSLOSlowLong
-	}
-	if cfg.FastBurn <= 0 {
-		cfg.FastBurn = DefaultSLOFastBurn
-	}
-	if cfg.SlowBurn <= 0 {
-		cfg.SlowBurn = DefaultSLOSlowBurn
-	}
-	span := cfg.FastLong
-	for _, d := range []time.Duration{cfg.SlowShort, cfg.SlowLong, cfg.FastShort} {
-		if d > span {
-			span = d
-		}
-	}
-	// Bucket width = the shortest window / 5 gives the 5m window a 1m
-	// resolution at default settings; the ring spans the longest window.
-	width := cfg.FastShort / 5
-	if width <= 0 {
-		width = time.Minute
-	}
-	buckets := int(span/width) + 1
-	e := &SLOEngine{cfg: cfg}
+	// One-minute slots (a fifth of the shortest window) spanning the
+	// longest window.
+	const width = sloFastShort / 5
+	const slots = int(sloSlowLong/width) + 1
+	e := &SLOEngine{}
 	seen := map[string]bool{}
 	for _, spec := range cfg.Specs {
 		if spec.Name == "" || spec.Objective <= 0 || spec.Objective >= 1 {
@@ -177,43 +142,31 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 		seen[spec.Name] = true
 		e.states = append(e.states, &sloState{
 			spec: spec,
-			good: NewWindowedCounter(width, buckets),
-			bad:  NewWindowedCounter(width, buckets),
+			good: newRing(width, slots, false),
+			bad:  newRing(width, slots, false),
 		})
 	}
-	if reg := cfg.Registry; reg != nil {
-		for _, st := range e.states {
-			st := st
-			base := "slo." + st.spec.Name
-			reg.GaugeFunc(base+".burn_short_milli", func() int64 {
-				return int64(e.burn(st, e.cfg.FastShort) * 1000)
-			})
-			reg.GaugeFunc(base+".burn_long_milli", func() int64 {
-				return int64(e.burn(st, e.cfg.FastLong) * 1000)
-			})
-			reg.GaugeFunc(base+".alert.fast", func() int64 {
-				if e.evalState(st).FastAlert {
-					return 1
-				}
-				return 0
-			})
-			reg.GaugeFunc(base+".alert.slow", func() int64 {
-				if e.evalState(st).SlowAlert {
-					return 1
-				}
-				return 0
-			})
+	flag := func(b bool) int64 {
+		if b {
+			return 1
 		}
+		return 0
+	}
+	for _, st := range e.states {
+		base := "slo." + st.spec.Name
+		cfg.Registry.GaugeFunc(base+".burn_short_milli", func() int64 { return int64(st.window(sloFastShort).Burn * 1000) })
+		cfg.Registry.GaugeFunc(base+".burn_long_milli", func() int64 { return int64(st.window(sloFastLong).Burn * 1000) })
+		cfg.Registry.GaugeFunc(base+".alert.fast", func() int64 { return flag(st.eval().FastAlert) })
+		cfg.Registry.GaugeFunc(base+".alert.slow", func() int64 { return flag(st.eval().SlowAlert) })
 	}
 	return e, nil
 }
 
-// SetClock replaces the engine's time source on every windowed counter —
-// a test hook. Not for production use.
+// SetClock replaces the engine's time source — a test hook. Not for
+// production use.
 func (e *SLOEngine) SetClock(now func() time.Time) {
 	for _, st := range e.states {
-		st.good.SetClock(now)
-		st.bad.SetClock(now)
+		st.good.now, st.bad.now = now, now
 	}
 }
 
@@ -226,28 +179,12 @@ func (e *SLOEngine) Observe(latency time.Duration, failed bool) {
 		return
 	}
 	for _, st := range e.states {
-		bad := failed
-		if !bad && st.spec.LatencyTarget > 0 && latency > st.spec.LatencyTarget {
-			bad = true
-		}
-		if bad {
-			st.bad.Inc()
+		if failed || (st.spec.LatencyTarget > 0 && latency > st.spec.LatencyTarget) {
+			st.bad.add(1)
 		} else {
-			st.good.Inc()
+			st.good.add(1)
 		}
 	}
-}
-
-// burn computes one spec's burn rate over the trailing window.
-func (e *SLOEngine) burn(st *sloState, w time.Duration) float64 {
-	good := st.good.ValueOver(w)
-	bad := st.bad.ValueOver(w)
-	total := good + bad
-	if total == 0 {
-		return 0
-	}
-	budget := 1 - st.spec.Objective
-	return (float64(bad) / float64(total)) / budget
 }
 
 // SLOWindowBurn is one evaluation window's reading.
@@ -268,29 +205,32 @@ type SLOStatus struct {
 	SlowAlert     bool            `json:"slow_alert"`
 }
 
-func (e *SLOEngine) window(st *sloState, w time.Duration) SLOWindowBurn {
-	return SLOWindowBurn{
-		Window: w,
-		Good:   st.good.ValueOver(w),
-		Bad:    st.bad.ValueOver(w),
-		Burn:   e.burn(st, w),
+// window reads one spec's good/bad counts and burn rate over the
+// trailing w: burn = (bad/total) / (1 - objective).
+func (st *sloState) window(w time.Duration) SLOWindowBurn {
+	good, _ := st.good.over(w)
+	bad, _ := st.bad.over(w)
+	r := SLOWindowBurn{Window: w, Good: good, Bad: bad}
+	if total := good + bad; total > 0 {
+		r.Burn = (float64(bad) / float64(total)) / (1 - st.spec.Objective)
 	}
+	return r
 }
 
-func (e *SLOEngine) evalState(st *sloState) SLOStatus {
+func (st *sloState) eval() SLOStatus {
 	s := SLOStatus{
 		Name:          st.spec.Name,
 		Objective:     st.spec.Objective,
 		LatencyTarget: st.spec.LatencyTarget,
 		Windows: []SLOWindowBurn{
-			e.window(st, e.cfg.FastShort),
-			e.window(st, e.cfg.FastLong),
-			e.window(st, e.cfg.SlowShort),
-			e.window(st, e.cfg.SlowLong),
+			st.window(sloFastShort),
+			st.window(sloFastLong),
+			st.window(sloSlowShort),
+			st.window(sloSlowLong),
 		},
 	}
-	s.FastAlert = s.Windows[0].Burn >= e.cfg.FastBurn && s.Windows[1].Burn >= e.cfg.FastBurn
-	s.SlowAlert = s.Windows[2].Burn >= e.cfg.SlowBurn && s.Windows[3].Burn >= e.cfg.SlowBurn
+	s.FastAlert = s.Windows[0].Burn >= sloFastBurn && s.Windows[1].Burn >= sloFastBurn
+	s.SlowAlert = s.Windows[2].Burn >= sloSlowBurn && s.Windows[3].Burn >= sloSlowBurn
 	return s
 }
 
@@ -302,7 +242,7 @@ func (e *SLOEngine) Evaluate() []SLOStatus {
 	}
 	out := make([]SLOStatus, 0, len(e.states))
 	for _, st := range e.states {
-		out = append(out, e.evalState(st))
+		out = append(out, st.eval())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -131,7 +131,7 @@ func TestSLOFastAlertLifecycle(t *testing.T) {
 		t.Errorf("burn gauge %d below threshold", snap.Gauges["slo.avail.burn_short_milli"])
 	}
 	// The budget heals: past the 1h fast-long window the alert clears.
-	now = now.Add(DefaultSLOFastLong + time.Minute)
+	now = now.Add(sloFastLong + time.Minute)
 	e.Observe(time.Millisecond, false)
 	if st := e.Evaluate()[0]; st.FastAlert {
 		t.Errorf("alert still firing after the window healed: %+v", st)

@@ -14,10 +14,10 @@ import (
 	"time"
 )
 
-// TraceStore is the tail-sampling span store: it sees every completed
-// request's merged TraceTree and decides AFTER the fact — when the
-// outcome is known — which ones are worth keeping. Retention policy,
-// in priority order:
+// TraceStore is the one place a finished request's record is kept: the
+// tail-sampling span store. It sees every completed request's merged
+// TraceTree and decides AFTER the fact — when the outcome is known —
+// which ones are worth keeping. Retention policy, in priority order:
 //
 //  1. errored/shed/deadline-expired requests are always kept;
 //  2. the slowest-K requests per window are kept (the tail an operator
@@ -26,11 +26,12 @@ import (
 //     hashing the trace ID — both parties of a request compute the
 //     identical decision from the ID already riding the TraceContext,
 //     so client and server retain the same requests with no extra wire
-//     state.
+//     state. SampleProb 1 keeps every request.
 //
 // Kept records append to a bounded on-disk JSONL span log with
 // size-based rotation (or an in-memory ring when no directory is
-// configured) and are queryable via /debug/traces and `ppbench traces`.
+// configured) and are queryable via /debug/traces, `ppbench traces`
+// and ppserver's SIGQUIT dump.
 type TraceStore struct {
 	cfg TraceStoreConfig
 
@@ -57,10 +58,8 @@ type TraceStoreConfig struct {
 	MaxFileBytes int64
 	// MaxFiles bounds how many rotated files are kept (default 4).
 	MaxFiles int
-	// SlowestK keeps the K slowest requests per Window (default 8).
+	// SlowestK keeps the K slowest requests per minute (default 8).
 	SlowestK int
-	// Window is the slowest-K comparison window (default 1m).
-	Window time.Duration
 	// SampleProb is the probabilistic keep rate for unremarkable
 	// requests, in [0,1]. Zero keeps none beyond the errored and
 	// slowest-K records.
@@ -76,10 +75,16 @@ type TraceStoreConfig struct {
 type TraceRecord struct {
 	When time.Time `json:"when"`
 	// Reason is why the record was kept: "error", "slow", or "sampled".
-	Reason string     `json:"reason"`
-	Err    string     `json:"err,omitempty"`
-	Trace  *TraceTree `json:"trace"`
+	Reason string `json:"reason"`
+	Err    string `json:"err,omitempty"`
+	// Plan is the serving session's per-round backend assignment
+	// ("paillier-he", "ss-gc", "clear"), when the caller knows it.
+	Plan  []string   `json:"plan,omitempty"`
+	Trace *TraceTree `json:"trace"`
 }
+
+// traceSlowWindow is the span of one slowest-K comparison window.
+const traceSlowWindow = time.Minute
 
 // Retention reasons.
 const (
@@ -107,35 +112,7 @@ func TraceSampled(id string, prob float64) bool {
 // NewTraceStore opens the store, creating cfg.Dir when needed. Close
 // releases the current log file.
 func NewTraceStore(cfg TraceStoreConfig) (*TraceStore, error) {
-	if cfg.MaxFileBytes <= 0 {
-		cfg.MaxFileBytes = 4 << 20
-	}
-	if cfg.MaxFiles <= 0 {
-		cfg.MaxFiles = 4
-	}
-	if cfg.SlowestK <= 0 {
-		cfg.SlowestK = 8
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
-	if cfg.SampleProb < 0 {
-		cfg.SampleProb = 0
-	}
-	if cfg.MemRecords <= 0 {
-		cfg.MemRecords = 256
-	}
-	ts := &TraceStore{cfg: cfg, now: time.Now, kept: map[string]*Counter{}, dropped: &Counter{}}
-	if reg := cfg.Registry; reg != nil {
-		for _, reason := range []string{TraceKeptError, TraceKeptSlow, TraceKeptSampled} {
-			ts.kept[reason] = reg.Counter("tracestore.kept." + reason)
-		}
-		ts.dropped = reg.Counter("tracestore.dropped")
-	} else {
-		for _, reason := range []string{TraceKeptError, TraceKeptSlow, TraceKeptSampled} {
-			ts.kept[reason] = &Counter{}
-		}
-	}
+	ts := newTraceStore(cfg)
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("obs: trace store dir: %w", err)
@@ -153,12 +130,36 @@ func NewTraceStore(cfg TraceStoreConfig) (*TraceStore, error) {
 	return ts, nil
 }
 
-// SetClock replaces the store's time source — a test hook. Not for
-// production use.
-func (ts *TraceStore) SetClock(now func() time.Time) {
-	ts.mu.Lock()
-	ts.now = now
-	ts.mu.Unlock()
+// NewFlightRecorder returns a memory-only store that keeps every request
+// it is offered (SampleProb 1) in a ring of memRecords (default 256),
+// labelling the slowest slowestK per window "slow" (default 8). It is kept
+// for the benchmark's traced pass, which sets SessionConfig.Flight with
+// it; the third argument, once an error-ring size, is ignored — errors are
+// always kept.
+func NewFlightRecorder(memRecords, slowestK, _ int) *TraceStore {
+	return newTraceStore(TraceStoreConfig{MemRecords: memRecords, SlowestK: slowestK, SampleProb: 1})
+}
+
+// newTraceStore fills cfg's defaults and builds the store around it.
+func newTraceStore(cfg TraceStoreConfig) *TraceStore {
+	if cfg.MaxFileBytes <= 0 {
+		cfg.MaxFileBytes = 4 << 20
+	}
+	if cfg.MaxFiles <= 0 {
+		cfg.MaxFiles = 4
+	}
+	if cfg.SlowestK <= 0 {
+		cfg.SlowestK = 8
+	}
+	if cfg.MemRecords <= 0 {
+		cfg.MemRecords = 256
+	}
+	ts := &TraceStore{cfg: cfg, now: time.Now, kept: map[string]*Counter{},
+		dropped: cfg.Registry.Counter("tracestore.dropped")}
+	for _, reason := range []string{TraceKeptError, TraceKeptSlow, TraceKeptSampled} {
+		ts.kept[reason] = cfg.Registry.Counter("tracestore.kept." + reason)
+	}
+	return ts
 }
 
 func traceLogName(seq int) string { return fmt.Sprintf("traces-%06d.jsonl", seq) }
@@ -180,14 +181,17 @@ func (ts *TraceStore) logSeqs() ([]int, error) {
 	return seqs, nil
 }
 
-// Record offers a completed request to the store and reports whether it
-// was retained (with the reason). Nil-safe and nil-tree-safe: both
-// report a drop without recording.
-func (ts *TraceStore) Record(tree *TraceTree, err error) (string, bool) {
+// Record offers a completed request — its tree, the serving session's
+// backend plan when known, and its error — to the store and reports
+// whether it was retained (with the reason). Nil-safe and nil-tree-safe:
+// both report a drop without recording.
+func (ts *TraceStore) Record(tree *TraceTree, plan []string, err error) (string, bool) {
 	if ts == nil || tree == nil {
 		return "", false
 	}
-	now := func() time.Time { ts.mu.Lock(); defer ts.mu.Unlock(); return ts.now() }()
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	now := ts.now()
 	reason := ""
 	switch {
 	case err != nil:
@@ -200,7 +204,7 @@ func (ts *TraceStore) Record(tree *TraceTree, err error) (string, bool) {
 		ts.dropped.Inc()
 		return "", false
 	}
-	rec := TraceRecord{When: now.UTC(), Reason: reason, Trace: tree}
+	rec := TraceRecord{When: now.UTC(), Reason: reason, Plan: plan, Trace: tree}
 	if err != nil {
 		rec.Err = err.Error()
 	}
@@ -210,11 +214,10 @@ func (ts *TraceStore) Record(tree *TraceTree, err error) (string, bool) {
 }
 
 // keepSlow decides whether a request is among the slowest-K of the
-// current window, tracking the window's retained durations.
+// current window, tracking the window's retained durations. Called with
+// the lock held.
 func (ts *TraceStore) keepSlow(now time.Time, total time.Duration) bool {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if now.Sub(ts.winFrom) >= ts.cfg.Window {
+	if now.Sub(ts.winFrom) >= traceSlowWindow {
 		ts.winFrom = now
 		ts.winDurs = ts.winDurs[:0]
 	}
@@ -238,10 +241,9 @@ func (ts *TraceStore) keepSlow(now time.Time, total time.Duration) bool {
 }
 
 // append writes the record to the memory ring and, when configured, the
-// JSONL span log, rotating and pruning as needed.
+// JSONL span log, rotating and pruning as needed. Called with the lock
+// held.
 func (ts *TraceStore) append(rec TraceRecord) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	ts.mem = append(ts.mem, rec)
 	if over := len(ts.mem) - ts.cfg.MemRecords; over > 0 {
 		ts.mem = append(ts.mem[:0], ts.mem[over:]...)
@@ -389,7 +391,8 @@ func (ts *TraceStore) Query(q TraceQuery) ([]TraceRecord, error) {
 	return out, nil
 }
 
-// WriteJSON writes the query result as an indented JSON array.
+// WriteJSON writes the query result as an indented JSON array — the
+// /debug/traces body and ppserver's SIGQUIT dump.
 func (ts *TraceStore) WriteJSON(w io.Writer, q TraceQuery) error {
 	recs, err := ts.Query(q)
 	if err != nil {
@@ -400,5 +403,8 @@ func (ts *TraceStore) WriteJSON(w io.Writer, q TraceQuery) error {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
+	if err := enc.Encode(recs); err != nil {
+		return fmt.Errorf("obs: writing trace records: %w", err)
+	}
+	return nil
 }

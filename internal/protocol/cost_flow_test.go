@@ -41,7 +41,7 @@ func costInput(seed int64) *tensor.Dense {
 // end to end over the session layer: a traced inference's segments carry
 // crypto-cost profiles from both parties, ciphertext traffic is counted
 // on the wire segments, the server folds costs into its registry, and
-// the flight recorder holds the request's record.
+// the span store holds the request's record.
 func TestInferTracedCarriesCostAnnotations(t *testing.T) {
 	reg := obs.NewRegistry("cost-flow-test")
 	flight := obs.NewFlightRecorder(8, 4, 8)
@@ -101,25 +101,19 @@ func TestInferTracedCarriesCostAnnotations(t *testing.T) {
 		}
 	}
 
-	// The flight recorder holds the request, keyed by its trace ID.
-	dump := flight.Dump()
-	if dump.Recorded == 0 || len(dump.Recent) == 0 {
-		t.Fatalf("flight recorder empty after a completed request: %+v", dump)
+	// The span store holds the request's one record, keyed by its trace ID.
+	recs, err := flight.Query(obs.TraceQuery{ID: tree.ID})
+	if err != nil {
+		t.Fatal(err)
 	}
-	found := false
-	for _, rec := range dump.Recent {
-		if rec.Trace.ID == tree.ID {
-			found = true
-			if rec.Err != "" {
-				t.Errorf("successful request recorded with error %q", rec.Err)
-			}
-			if c := rec.Trace.Cost(); c.MulMods == 0 {
-				t.Errorf("flight record carries no cost profile: %+v", c)
-			}
-		}
+	if len(recs) != 1 {
+		t.Fatalf("span store holds %d records for trace %s, want 1", len(recs), tree.ID)
 	}
-	if !found {
-		t.Errorf("trace %s not in flight recorder recent ring", tree.ID)
+	if recs[0].Err != "" {
+		t.Errorf("successful request recorded with error %q", recs[0].Err)
+	}
+	if c := recs[0].Trace.Cost(); c.MulMods == 0 {
+		t.Errorf("record carries no cost profile: %+v", c)
 	}
 }
 

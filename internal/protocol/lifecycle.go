@@ -21,24 +21,22 @@ import (
 // janitor, teardown) makes the end exclusive itself, by removing the
 // request from its own index before calling Finish.
 type Lifecycle struct {
-	mp     *ModelProvider
-	shed   *Shedder
-	log    *obs.Logger
-	flight *obs.FlightRecorder
-	traces *obs.TraceStore
-	slo    *obs.SLOEngine
-	// plan is the session's backend assignment as strings, attached to
-	// flight records so they join against the span store.
+	mp   *ModelProvider
+	shed *Shedder
+	log  *obs.Logger
+	// traces and flight are span stores offered every finished request's
+	// record alike: flight is the benchmark's (SessionConfig.Flight).
+	traces, flight *obs.TraceStore
+	slo            *obs.SLOEngine
+	// plan is the session's backend assignment as strings, carried on every
+	// record so a retained request shows which backend mix produced it.
 	plan []string
 
 	active atomic.Int64
-	// One cumulative and one windowed counter per outcome, indexed by
-	// outcome; latency is recorded for completed requests only.
-	count       [3]*obs.Counter
-	live        [3]*obs.WindowedCounter
-	completed   *obs.Counter
-	latency     *obs.Histogram
-	liveLatency *obs.WindowedHistogram
+	// One live counter per outcome, indexed by outcome; latency is recorded
+	// for completed requests only.
+	count   [3]*obs.Counter
+	latency *obs.Histogram
 }
 
 // outcome is a request's terminal classification.
@@ -54,13 +52,13 @@ func (o outcome) String() string { return [...]string{"ok", "err", "shed"}[o] }
 
 // NewLifecycle binds a lifecycle to the model provider whose per-request
 // state it releases and to cfg's admission controller and sinks (Shed,
-// Registry, Log, Flight, Traces, SLO — each may be nil). It publishes the
-// "requests.active" gauge, "serve.requests.ok" / ".err" / ".shed" and
-// "serve.latency" (cumulative and windowed), and "requests.completed".
+// Registry, Log, Traces, Flight, SLO — each may be nil). It publishes the
+// "requests.active" gauge and, each with its live view,
+// "serve.requests.ok" / ".err" / ".shed" and "serve.latency".
 func NewLifecycle(mp *ModelProvider, cfg SessionConfig) *Lifecycle {
 	lc := &Lifecycle{
 		mp: mp, shed: cfg.Shed, log: cfg.Log,
-		flight: cfg.Flight, traces: cfg.Traces, slo: cfg.SLO,
+		traces: cfg.Traces, flight: cfg.Flight, slo: cfg.SLO,
 	}
 	for _, k := range mp.BackendPlan() {
 		lc.plan = append(lc.plan, string(k))
@@ -68,12 +66,9 @@ func NewLifecycle(mp *ModelProvider, cfg SessionConfig) *Lifecycle {
 	reg := cfg.Registry
 	reg.GaugeFunc("requests.active", lc.active.Load)
 	for o := outcomeOK; o <= outcomeShed; o++ {
-		lc.count[o] = reg.Counter("serve.requests." + o.String())
-		lc.live[o] = reg.LiveCounter("serve.requests." + o.String())
+		lc.count[o] = reg.LiveCounter("serve.requests." + o.String())
 	}
-	lc.completed = reg.Counter("requests.completed")
-	lc.latency = reg.Histogram("serve.latency")
-	lc.liveLatency = reg.LiveHistogram("serve.latency")
+	lc.latency = reg.LiveHistogram("serve.latency")
 	return lc
 }
 
@@ -131,10 +126,11 @@ func (lc *Lifecycle) admit(req *Request) (*Request, error) {
 
 // Finish ends a request with its one terminal outcome — ok for a nil err,
 // shed for an admission refusal, err for everything else — and is the only
-// place that outcome is published: the outcome counters and latency, the
-// shedder's latency window, the SLO engine, the span store, the flight
-// recorder and the log. It then releases the admission slot and the model
-// provider's permutation state. Call it exactly once per request.
+// place that outcome is published: the outcome counter and latency, the
+// shedder's latency window, the SLO engine, the span stores — one record,
+// tree and plan, each — and the log. It then releases the admission slot
+// and the model provider's permutation state. Call it exactly once per
+// request.
 func (lc *Lifecycle) Finish(req *Request, err error) {
 	latency := time.Since(req.started)
 	o := outcomeOK
@@ -145,18 +141,15 @@ func (lc *Lifecycle) Finish(req *Request, err error) {
 		o = outcomeErr
 	}
 	lc.count[o].Inc()
-	lc.live[o].Inc()
 	if o == outcomeOK {
-		lc.completed.Inc()
 		lc.latency.Observe(latency)
-		lc.liveLatency.Observe(latency)
 		lc.shed.Observe(latency)
 	}
 	lc.slo.Observe(latency, err != nil)
 	if lc.traces != nil || lc.flight != nil {
 		tree := serverTree(req.TraceID, req.ID, req.spans)
-		lc.traces.Record(tree, err)
-		lc.flight.RecordPlan(tree, lc.plan, err)
+		lc.traces.Record(tree, lc.plan, err)
+		lc.flight.Record(tree, lc.plan, err)
 	}
 	if err != nil {
 		lc.logFor(req.TraceID).Warn("request failed", "req", req.ID, "outcome", o.String(), "err", err.Error())

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -105,9 +106,11 @@ func (c *rawClient) waitOutcomes(n uint64) {
 // TestSessionTerminalOutcomes drives every way a request can end over a
 // raw session and checks the lifecycle's one invariant on each: every
 // request offered reaches exactly one outcome (ok + err + shed ==
-// offered, one SLO observation each), and once the session is over
-// nothing of any request is left — no live entry, no held shed slot, no
-// permutation state in the model provider.
+// offered; each outcome counter's total equal to its live window; one
+// serve.latency observation per ok; one SLO observation and one span-store
+// record, carrying the session plan, per request), and once the session
+// is over nothing of any request is left — no live entry, no held shed
+// slot, no permutation state in the model provider.
 func TestSessionTerminalOutcomes(t *testing.T) {
 	limiter := func() *RateLimiter {
 		rl, err := NewRateLimiter(1, time.Hour)
@@ -123,7 +126,7 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 		ok, err, shed uint64
 		counter       string // cause counter expected at 1, if any
 	}{
-		{name: "success", ok: 1, counter: "requests.completed",
+		{name: "success", ok: 1,
 			drive: func(c *rawClient) { c.complete(1) }},
 		{name: "shed", ok: 1, shed: 1,
 			drive: func(c *rawClient) {
@@ -176,8 +179,11 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 				t.Fatal(err)
 			}
 			shed := NewShedder(ShedConfig{MaxInFlight: 1})
+			// Stores that keep everything they are offered: one record per
+			// request shows up as exactly one retained record each.
+			traces, flight := obs.NewFlightRecorder(0, 0, 0), obs.NewFlightRecorder(0, 0, 0)
 			cfg := tc.cfg
-			cfg.Registry, cfg.SLO, cfg.Shed = reg, slo, shed
+			cfg.Registry, cfg.SLO, cfg.Shed, cfg.Traces, cfg.Flight = reg, slo, shed, traces, flight
 			s, edge, serveErr, _ := openRawSession(t, cfg)
 			proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
 			if err != nil {
@@ -195,8 +201,28 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 				if got := snap.Counters[name]; got != want {
 					t.Errorf("%s = %d, want %d", name, got, want)
 				}
-				if got := reg.LiveCounter(name).Value(); got != want {
+				if got := reg.Counter(name).Live().Count; got != want {
 					t.Errorf("live %s = %d, want %d", name, got, want)
+				}
+			}
+			lat := reg.Histogram("serve.latency")
+			if got, live := lat.Snapshot().Count, lat.Live().Count; got != tc.ok || live != tc.ok {
+				t.Errorf("serve.latency counted %d (window %d), want the %d ok requests only", got, live, tc.ok)
+			}
+			for store, ts := range map[string]*obs.TraceStore{"traces": traces, "flight": flight} {
+				recs, err := ts.Query(obs.TraceQuery{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := map[string]bool{}
+				for _, rec := range recs {
+					ids[rec.Trace.ID] = true
+					if fmt.Sprint(rec.Plan) != fmt.Sprint(s.life.plan) || len(rec.Plan) != s.mp.Stages() {
+						t.Errorf("%s record %s carries plan %v, want the session's %v", store, rec.Trace.ID, rec.Plan, s.life.plan)
+					}
+				}
+				if n := tc.ok + tc.err + tc.shed; uint64(len(recs)) != n || uint64(len(ids)) != n {
+					t.Errorf("%s holds %d records for %d requests (%d distinct), want one each", store, len(recs), n, len(ids))
 				}
 			}
 			if tc.counter != "" && snap.Counters[tc.counter] != 1 {

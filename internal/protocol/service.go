@@ -125,15 +125,16 @@ type SessionConfig struct {
 	// hellos, per-round failures, and rounds exceeding the logger's slow
 	// threshold — each correlated by the request's trace ID.
 	Log *obs.Logger
-	// Flight, when non-nil, records every completed or failed request's
-	// server-side trace (with cost profiles) into the flight recorder's
-	// bounded rings for /debug/flight and SIGQUIT dumps.
-	Flight *obs.FlightRecorder
 	// Traces, when non-nil, offers every completed or failed request's
-	// server-side trace to the tail-sampling span store (errors always
-	// kept, slowest-K per window, deterministic trace-ID sample of the
-	// rest) for /debug/traces.
+	// record — server-side trace with cost profiles, session plan, error —
+	// to the tail-sampling span store (errors always kept, slowest-K per
+	// window, deterministic trace-ID sample of the rest) for /debug/traces
+	// and SIGQUIT dumps.
 	Traces *obs.TraceStore
+	// Flight, when non-nil, is offered every record exactly like Traces.
+	// It is kept for the benchmark's traced pass, which sets it with
+	// obs.NewFlightRecorder.
+	Flight *obs.TraceStore
 	// SLO, when non-nil, receives one Observe per finished request — the
 	// server-observed request latency (first-round arrival to last-round
 	// completion) and whether it failed — feeding the burn-rate engine.
@@ -633,15 +634,14 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 	}
 	// This round's cost profile: the metered crypto ops plus the
 	// activation traffic both ways. It rides on the kernel segment (the
-	// work it explains) and folds into both the process-wide cost counters
-	// and the executing backend's labeled counters (cost.paillier_he.*,
+	// work it explains) and folds, once, into the process-wide cost
+	// counters and the executing backend's (cost.paillier_he.*,
 	// cost.ss_gc.*, cost.clear.*).
 	kind := s.mp.RoundBackend(frame.Round)
 	cost := meter.Snapshot()
 	cost.CipherBytesIn = frame.Env.CipherBytes()
 	cost.CipherBytesOut = wireEnv.CipherBytes()
-	obs.AddCostToRegistry(s.reg, cost)
-	obs.AddCostToRegistryLabeled(s.reg, kind.MetricName(), cost)
+	obs.AddCostToRegistry(s.reg, kind.MetricName(), cost)
 	// The kernel span carries the backend that executed it, so the merged
 	// TraceTree shows the ILP's per-round assignment.
 	s.addSpans(req,

@@ -123,8 +123,8 @@ func TestSessionConcurrentClients(t *testing.T) {
 		t.Fatalf("server: %v", err)
 	}
 	s := reg.Snapshot()
-	if s.Counters["requests.completed"] != n-1 {
-		t.Errorf("requests.completed %d, want %d", s.Counters["requests.completed"], n-1)
+	if s.Counters["serve.requests.ok"] != n-1 {
+		t.Errorf("serve.requests.ok %d, want %d", s.Counters["serve.requests.ok"], n-1)
 	}
 	if s.Counters["rounds.errors"] == 0 {
 		t.Error("injected failure not counted in rounds.errors")

@@ -16,8 +16,8 @@ import (
 //
 // Overload is judged two ways: a hard in-flight bound (requests admitted
 // but not yet released) and a latency target compared against the p95 of
-// latencies observed in a sliding time window (obs.WindowedHistogram).
-// The window matters because obs.Histogram is cumulative over the
+// latencies observed in a sliding time window (obs.NewLiveHistogram).
+// The window matters because a histogram's total is cumulative over the
 // process lifetime — a morning's fast requests would mask an afternoon
 // collapse; the time basis (rather than the old count-based ring) means
 // a burst of fast requests cannot instantly erase the evidence of an
@@ -25,10 +25,9 @@ import (
 type Shedder struct {
 	maxInFlight int64
 	target      time.Duration
-	window      time.Duration
 
 	inflight atomic.Int64
-	win      *obs.WindowedHistogram
+	win      *obs.Histogram
 
 	rejectedTotal    *obs.Counter
 	rejectedInflight *obs.Counter
@@ -69,8 +68,7 @@ func NewShedder(cfg ShedConfig) *Shedder {
 	s := &Shedder{
 		maxInFlight: cfg.MaxInFlight,
 		target:      cfg.LatencyTarget,
-		window:      cfg.Window,
-		win:         obs.NewWindowedHistogram(cfg.Window/shedBuckets, shedBuckets),
+		win:         obs.NewLiveHistogram(cfg.Window/shedBuckets, shedBuckets),
 	}
 	if reg := cfg.Registry; reg != nil {
 		s.rejectedTotal = reg.Counter("shed.rejected.total")
@@ -106,7 +104,7 @@ func (s *Shedder) Acquire() error {
 		s.inflight.Add(1)
 	}
 	if s.target > 0 {
-		if p95 := s.win.QuantileOver(s.window, 0.95); p95 > s.target {
+		if p95 := s.win.Live().P95; p95 > s.target {
 			s.inflight.Add(-1)
 			if s.rejectedTotal != nil {
 				s.rejectedTotal.Inc()

@@ -37,6 +37,9 @@ func TestShedderInFlightBound(t *testing.T) {
 	if snap.Counters["shed.rejected.total"] != 1 || snap.Counters["shed.rejected.inflight"] != 1 {
 		t.Errorf("rejection counters: %+v", snap.Counters)
 	}
+	if got := snap.Gauges["shed.inflight"]; got != 2 {
+		t.Errorf("shed.inflight gauge %d, want the 2 held slots", got)
+	}
 }
 
 // TestShedderLatencyTarget: sustained slow latencies trip the windowed

@@ -149,12 +149,11 @@ type Stage struct {
 	out     Edge
 	metrics Metrics
 	// Optional obs instrumentation (set via Instrument before Start):
-	// latency histograms feeding p50/p95/p99 snapshots, plus a windowed
-	// busy-time view so /debug/live shows which stage is hot right now
-	// rather than averaged over the process lifetime.
+	// latency histograms feeding p50/p95/p99 snapshots; the busy one also
+	// keeps its last minute, so /debug/live shows which stage is hot right
+	// now rather than averaged over the process lifetime.
 	waitHist *obs.Histogram
 	busyHist *obs.Histogram
-	liveBusy *obs.WindowedHistogram
 }
 
 // NewStage creates a stage. Both edges must be non-nil.
@@ -175,15 +174,14 @@ func (s *Stage) Name() string { return s.name }
 func (s *Stage) Metrics() *Metrics { return &s.metrics }
 
 // Instrument publishes the stage's queue-wait and busy-time latency
-// histograms to reg as "stage.<name>.wait" and "stage.<name>.busy".
-// Must be called before the pipeline starts.
+// histograms to reg as "stage.<name>.wait" and "stage.<name>.busy", the
+// latter with its live view. Must be called before the pipeline starts.
 func (s *Stage) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	s.waitHist = reg.Histogram("stage." + s.name + ".wait")
-	s.busyHist = reg.Histogram("stage." + s.name + ".busy")
-	s.liveBusy = reg.LiveHistogram("stage." + s.name + ".busy")
+	s.busyHist = reg.LiveHistogram("stage." + s.name + ".busy")
 }
 
 // run dispatches messages until the input edge closes or ctx is
@@ -233,9 +231,6 @@ func (s *Stage) run(ctx context.Context) error {
 			s.metrics.BusyNanos.Add(busy.Nanoseconds())
 			if s.busyHist != nil {
 				s.busyHist.Observe(busy)
-			}
-			if s.liveBusy != nil {
-				s.liveBusy.Observe(busy)
 			}
 			if perr != nil {
 				s.metrics.Errors.Add(1)
