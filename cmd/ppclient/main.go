@@ -34,9 +34,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -50,38 +51,72 @@ import (
 )
 
 func main() {
-	modelPath := flag.String("model", "", "architecture file (required)")
-	addr := flag.String("addr", "127.0.0.1:7100", "ppserver address")
-	factor := flag.Int64("factor", 10000, "agreed parameter scaling factor")
-	keyBits := flag.Int("keybits", 512, "Paillier key size")
-	workers := flag.Int("workers", 2, "requested per-stage threads")
-	count := flag.Int("n", 3, "number of inferences to run")
-	concurrency := flag.Int("concurrency", 1, "concurrent in-flight inferences over the one session")
-	trace := flag.Bool("trace", false, "print the merged cross-party trace and per-segment breakdown")
-	profile := flag.String("profile", "", "requested backend profile (latency, privacy-max, mixed; empty = privacy-max); the session runs the stricter of this and the server's policy")
-	deadline := flag.Duration("deadline", 0, "per-inference deadline budget, propagated to the server on every round frame (0 = none)")
-	retries := flag.Int("retries", protocol.DefaultRetryAttempts, "max attempts when the server sheds or throttles a request start")
-	flag.Parse()
-	if *modelPath == "" {
-		flag.Usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the inferences and returns the exit code: 2 for a
+// bad command line (checked before any key is generated or address
+// dialled), 1 when setup or any inference fails, 0 otherwise. Results go
+// to stdout, errors and the usage text to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppclient", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modelPath := fs.String("model", "", "architecture file (required)")
+	addr := fs.String("addr", "127.0.0.1:7100", "ppserver address")
+	factor := fs.Int64("factor", 10000, "agreed parameter scaling factor")
+	keyBits := fs.Int("keybits", 512, "Paillier key size")
+	workers := fs.Int("workers", 2, "requested per-stage threads")
+	count := fs.Int("n", 3, "number of inferences to run")
+	concurrency := fs.Int("concurrency", 1, "concurrent in-flight inferences over the one session")
+	trace := fs.Bool("trace", false, "print the merged cross-party trace and per-segment breakdown")
+	profileName := fs.String("profile", "", "requested backend profile (latency, privacy-max, mixed; empty = privacy-max); the session runs the stricter of this and the server's policy")
+	deadline := fs.Duration("deadline", 0, "per-inference deadline budget, propagated to the server on every round frame (0 = none)")
+	retries := fs.Int("retries", protocol.DefaultRetryAttempts, "max attempts when the server sheds or throttles a request start")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if *modelPath == "" {
+		fs.Usage()
+		return 2
+	}
+	profile, err := backend.ParseProfile(*profileName)
+	if err != nil {
+		fmt.Fprintf(stderr, "ppclient: bad -profile: %v\n", err)
+		return 2
+	}
+	for _, check := range []struct {
+		ok  bool
+		msg string
+	}{
+		{*count >= 1, "-n must be at least 1"},
+		{*concurrency >= 1, "-concurrency must be at least 1"},
+		{*deadline >= 0, "-deadline must not be negative"},
+	} {
+		if !check.ok {
+			fmt.Fprintf(stderr, "ppclient: %s\n", check.msg)
+			return 2
+		}
+	}
+
 	arch, err := ppstream.LoadModel(*modelPath)
 	if err != nil {
-		log.Fatalf("ppclient: %v", err)
+		fmt.Fprintf(stderr, "ppclient: %v\n", err)
+		return 1
 	}
 	protocol.RegisterServiceWire()
 
 	key, err := ppstream.GenerateKey(*keyBits)
 	if err != nil {
-		log.Fatalf("ppclient: %v", err)
+		fmt.Fprintf(stderr, "ppclient: %v\n", err)
+		return 1
 	}
 	edge, err := stream.DialEdge(*addr)
 	if err != nil {
-		log.Fatalf("ppclient: %v", err)
-	}
-	if *concurrency < 1 {
-		*concurrency = 1
+		fmt.Fprintf(stderr, "ppclient: %v\n", err)
+		return 1
 	}
 	ctx := context.Background()
 	opts := protocol.ClientOptions{
@@ -89,11 +124,12 @@ func main() {
 		Window:   *concurrency,
 		Deadline: *deadline,
 		Retry:    protocol.RetryPolicy{MaxAttempts: *retries},
-		Profile:  backend.Profile(*profile),
+		Profile:  profile,
 	}
 	client, err := protocol.NewClientOpts(ctx, edge, edge, arch, key, *factor, opts)
 	if err != nil {
-		log.Fatalf("ppclient: %v", err)
+		fmt.Fprintf(stderr, "ppclient: %v\n", err)
+		return 1
 	}
 	defer client.Close()
 
@@ -140,14 +176,14 @@ func main() {
 				printMu.Lock()
 				if err != nil {
 					failed = true
-					fmt.Fprintf(os.Stderr, "ppclient: inference %d: %v\n", i, err)
+					fmt.Fprintf(stderr, "ppclient: inference %d: %v\n", i, err)
 				} else {
 					trees[i] = tree
 					label := ""
 					if tree != nil {
 						label = " trace " + tree.ID
 					}
-					fmt.Printf("inference %d: class %d (latency %v, distribution head %v)%s\n",
+					fmt.Fprintf(stdout, "inference %d: class %d (latency %v, distribution head %v)%s\n",
 						i, ppstream.ArgMax(out), time.Since(start).Round(time.Microsecond), head(out.Data()), label)
 				}
 				printMu.Unlock()
@@ -160,17 +196,17 @@ func main() {
 	close(jobs)
 	wg.Wait()
 	elapsed := time.Since(begin)
-	fmt.Printf("%d inferences at concurrency %d in %v (%.2f req/s)\n",
+	fmt.Fprintf(stdout, "%d inferences at concurrency %d in %v (%.2f req/s)\n",
 		len(inputs), *concurrency, elapsed.Round(time.Millisecond),
 		float64(len(inputs))/elapsed.Seconds())
 	if *trace && !failed {
-		fmt.Printf("\nfirst request's merged cross-party trace:\n%s", obs.RenderTree(trees[0]))
-		fmt.Printf("\nper-segment breakdown across %d requests:\n%s", len(inputs), obs.RenderBreakdown(obs.Breakdown(trees)))
+		fmt.Fprintf(stdout, "\nfirst request's merged cross-party trace:\n%s", obs.RenderTree(trees[0]))
+		fmt.Fprintf(stdout, "\nper-segment breakdown across %d requests:\n%s", len(inputs), obs.RenderBreakdown(obs.Breakdown(trees)))
 	}
 	if failed {
-		client.Close()
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func head(vals []float64) []float64 {

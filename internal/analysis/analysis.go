@@ -1,24 +1,19 @@
 // Package analysis is pplint's repo-specific static-analysis framework:
 // a stdlib-only (go/ast, go/parser, go/token, go/types, go/importer)
-// analyzer driver that walks every package of the module and enforces the
-// security invariants PP-Stream's correctness argument rests on but the
-// compiler cannot check — cryptographic randomness in security-critical
-// packages, re-randomization of every ciphertext leaving the model
-// provider, big.Int aliasing hygiene, additive-only wire-schema
-// evolution, and audited error handling on the crypto and wire layers.
-//
-// Since PR 10 the suite is built on a CFG-based dataflow core (cfg.go,
-// dataflow.go): a shared intraprocedural control-flow-graph builder with
-// generic forward/backward worklist solvers and an error-guard
-// path-sensitivity helper. On top of it ride the concurrency/lifecycle
-// analyzers — lockscope, pairedrelease, goroleak, atomicfield,
-// ctxdeadline — which machine-check the invariants behind every
-// historical serving-plane bug (the PR 3 permutation-state leak, the
-// PR 7 dispatcher hang and shed-slot eviction leak).
+// analyzer driver that walks every package of the module and enforces
+// the invariants PP-Stream's security and liveness argument rests on but
+// neither the compiler nor the tests check — cryptographic randomness in
+// security-critical packages, big.Int aliasing hygiene, audited errors on
+// the wire writer, metric-name hygiene, no blocking under a mutex, and
+// request-path deadline propagation. Each rule is kept only while a
+// mutation of the production code it guards makes it fire and no
+// ordinary test fails first (TestMutationRows, DESIGN §7).
 //
 // Each analyzer is a self-contained pass producing position-accurate
 // diagnostics. A diagnostic on a line carrying (or directly below) a
-// "//pplint:ignore rule [reason]" comment is suppressed.
+// "//pplint:ignore rule [reason]" comment is suppressed; a directive that
+// names no registered rule, or that suppressed nothing in a run of every
+// rule it names, is itself a diagnostic.
 package analysis
 
 import (
@@ -26,6 +21,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,7 +55,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one self-contained invariant check. Run is invoked once per
 // package; Finish, when non-nil, is invoked once after every package has
-// been visited (for cross-package checks like the wire-schema diff).
+// been visited (for whole-program checks like one type per metric name).
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -68,11 +64,16 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic)) error
 }
 
+// ignoreRule is the Rule of the driver's own diagnostics about
+// //pplint:ignore directives. They cannot be suppressed.
+const ignoreRule = "ignore"
+
 // Run applies every analyzer to every package, filters diagnostics
-// suppressed by //pplint:ignore directives, and returns the remainder
-// sorted by position.
+// suppressed by //pplint:ignore directives, reports directives that name
+// an unregistered rule or that suppressed nothing although every rule
+// they name ran, and returns the diagnostics sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	ignores := ignoreIndex{}
+	ignores := &ignoreIndex{byLine: map[string]map[int][]*directive{}}
 	for _, pkg := range pkgs {
 		ignores.addPackage(pkg)
 	}
@@ -98,6 +99,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("analysis: %s finish: %w", a.Name, err)
 		}
 	}
+	diags = append(diags, ignores.audit(analyzers)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -123,10 +125,22 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // both trailing-comment and standalone-comment placement.
 const ignoreDirective = "pplint:ignore"
 
-// ignoreIndex maps filename -> line -> rule names suppressed there.
-type ignoreIndex map[string]map[int]map[string]bool
+// directive is one //pplint:ignore comment and whether it suppressed
+// anything in this run.
+type directive struct {
+	pos   token.Position
+	rules []string
+	used  bool
+}
 
-func (ix ignoreIndex) addPackage(pkg *Package) {
+// ignoreIndex holds a run's directives, and maps filename -> line -> the
+// directives covering that line.
+type ignoreIndex struct {
+	dirs   []*directive
+	byLine map[string]map[int][]*directive
+}
+
+func (ix *ignoreIndex) addPackage(pkg *Package) {
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -135,35 +149,69 @@ func (ix ignoreIndex) addPackage(pkg *Package) {
 				if !ok {
 					continue
 				}
-				fields := strings.Fields(rest)
-				rules := []string{"all"}
-				if len(fields) > 0 {
-					rules = strings.Split(fields[0], ",")
+				d := &directive{pos: pkg.Fset.Position(c.Pos()), rules: []string{"all"}}
+				if fields := strings.Fields(rest); len(fields) > 0 {
+					d.rules = strings.Split(fields[0], ",")
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				lines := ix[pos.Filename]
+				ix.dirs = append(ix.dirs, d)
+				lines := ix.byLine[d.pos.Filename]
 				if lines == nil {
-					lines = map[int]map[string]bool{}
-					ix[pos.Filename] = lines
+					lines = map[int][]*directive{}
+					ix.byLine[d.pos.Filename] = lines
 				}
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					set := lines[line]
-					if set == nil {
-						set = map[string]bool{}
-						lines[line] = set
-					}
-					for _, r := range rules {
-						set[strings.TrimSpace(r)] = true
-					}
+				for _, line := range []int{d.pos.Line, d.pos.Line + 1} {
+					lines[line] = append(lines[line], d)
 				}
 			}
 		}
 	}
 }
 
-func (ix ignoreIndex) suppressed(d Diagnostic) bool {
-	set := ix[d.Pos.Filename][d.Pos.Line]
-	return set != nil && (set[d.Rule] || set["all"])
+// suppressed reports whether a directive covers d, and marks every such
+// directive used.
+func (ix *ignoreIndex) suppressed(d Diagnostic) bool {
+	hit := false
+	for _, dir := range ix.byLine[d.Pos.Filename][d.Pos.Line] {
+		if slices.Contains(dir.rules, d.Rule) || slices.Contains(dir.rules, "all") {
+			dir.used = true
+			hit = true
+		}
+	}
+	return hit
+}
+
+// audit reports the directives that name an unregistered rule, and those
+// that suppressed nothing in a run of every rule they name ("all" names
+// the whole registry): both outlive the code they were written for.
+func (ix *ignoreIndex) audit(ran []*Analyzer) []Diagnostic {
+	known, didRun := map[string]bool{}, map[string]bool{}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
+	for _, a := range ran {
+		didRun[a.Name] = true
+	}
+	var out []Diagnostic
+	for _, dir := range ix.dirs {
+		allRan := true
+		for _, r := range dir.rules {
+			switch {
+			case r == "all":
+				allRan = allRan && len(didRun) == len(known)
+			case !known[r]:
+				allRan = false
+				out = append(out, Diagnostic{Pos: dir.pos, Rule: ignoreRule,
+					Msg: fmt.Sprintf("//pplint:ignore names %q, which is not a registered rule: delete the directive or fix the name", r)})
+			default:
+				allRan = allRan && didRun[r]
+			}
+		}
+		if allRan && !dir.used {
+			out = append(out, Diagnostic{Pos: dir.pos, Rule: ignoreRule,
+				Msg: fmt.Sprintf("//pplint:ignore %s suppressed nothing: the code it excused has changed, so delete the directive", strings.Join(dir.rules, ","))})
+		}
+	}
+	return out
 }
 
 // enclosingFuncName returns the name of the function declaration covering
@@ -198,20 +246,16 @@ func pkgBase(path string) string {
 // exprString renders an expression for diagnostics.
 func exprString(e ast.Expr) string { return types.ExprString(e) }
 
-// Analyzers returns the full pplint suite with the given wirecompat
-// configuration.
-func Analyzers(wire WirecompatConfig) []*Analyzer {
+// Analyzers returns the full pplint suite, in registration order. Each
+// call returns fresh instances of the analyzers that keep whole-program
+// state.
+func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		CryptorandAnalyzer,
-		RerandomizeAnalyzer,
 		BigintaliasAnalyzer,
-		NewWirecompatAnalyzer(wire),
 		ErrauditAnalyzer,
 		NewMetricnamesAnalyzer(),
 		LockscopeAnalyzer,
-		PairedreleaseAnalyzer,
-		GoroleakAnalyzer,
-		NewAtomicfieldAnalyzer(),
 		CtxdeadlineAnalyzer,
 	}
 }

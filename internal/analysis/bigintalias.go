@@ -196,6 +196,25 @@ func checkMutateThroughAlias(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
+// rootIdent returns the base identifier of an lvalue chain
+// (out, out[i], out.f, *p ...), or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch ex := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return ex
+		case *ast.IndexExpr:
+			e = ex.X
+		case *ast.SelectorExpr:
+			e = ex.X
+		case *ast.StarExpr:
+			e = ex.X
+		default:
+			return nil
+		}
+	}
+}
+
 // readAfter reports whether obj is referenced anywhere after pos in the
 // function body.
 func readAfter(info *types.Info, fd *ast.FuncDecl, obj types.Object, pos token.Pos) bool {

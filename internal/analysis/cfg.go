@@ -5,15 +5,15 @@ import (
 	"go/token"
 )
 
-// This file is the shared intraprocedural control-flow-graph builder the
-// dataflow analyzers (rerandomize, lockscope, pairedrelease) run on. A
-// CFG decomposes one function body into basic blocks of *leaf* nodes —
-// simple statements and the control expressions of compound statements —
+// This file is the intraprocedural control-flow-graph builder lockscope's
+// held-lock analysis runs on. A CFG decomposes one function body into
+// basic blocks of *leaf* nodes — simple statements and the control
+// expressions of compound statements —
 // connected by the edges execution can actually take, including loop
 // back-edges, break/continue/goto, switch/select dispatch, and panics.
-// Analyses then solve forward or backward fixpoints over the graph (see
+// An analysis then solves a forward fixpoint over the graph (see
 // dataflow.go) instead of re-deriving control flow from the statement
-// tree in every analyzer.
+// tree.
 //
 // Node granularity: a block's Nodes are executed in order and are either
 // leaf statements (assignments, sends, expression statements, defers, go
@@ -29,7 +29,6 @@ import (
 // Block is one basic block: nodes executed strictly in order, with
 // control transferring to exactly one successor afterwards.
 type Block struct {
-	Index int
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
@@ -37,31 +36,17 @@ type Block struct {
 
 // CFG is one function body's control-flow graph. Entry starts the body;
 // Exit is the single synthetic block every return, panic, and
-// fall-off-the-end path reaches. Defers collects the function's defer
-// statements, which conceptually run between any path's last block and
-// Exit (in reverse order, if ever reached).
+// fall-off-the-end path reaches. A defer statement is a node where it is
+// registered; what it defers runs after the last block of a path.
 type CFG struct {
 	Blocks []*Block
 	Entry  *Block
 	Exit   *Block
-	Defers []*ast.DeferStmt
 
 	// SelectComm marks statements that are a select case's communication
 	// clause: they execute only once the select has already committed, so
 	// they are not independently blocking operations.
 	SelectComm map[ast.Stmt]bool
-	// Branches maps an if condition node to its then/else successor
-	// blocks — the hook path-sensitive analyses use to refine facts along
-	// one side of a branch (e.g. the err != nil arm after an acquire).
-	Branches map[ast.Expr]*CondBranch
-}
-
-// CondBranch is the pair of successors of an if condition.
-type CondBranch struct {
-	Then *Block
-	// Else is the explicit else branch, or the join block control falls
-	// through to when the condition is false.
-	Else *Block
 }
 
 // BuildCFG constructs the control-flow graph of one function body.
@@ -71,10 +56,7 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 		return nil
 	}
 	b := &cfgBuilder{
-		cfg: &CFG{
-			SelectComm: map[ast.Stmt]bool{},
-			Branches:   map[ast.Expr]*CondBranch{},
-		},
+		cfg:    &CFG{SelectComm: map[ast.Stmt]bool{}},
 		labels: map[string]*Block{},
 	}
 	b.cfg.Entry = b.newBlock()
@@ -118,7 +100,7 @@ type cfgBuilder struct {
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.cfg.Blocks)}
+	blk := &Block{}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }
@@ -229,20 +211,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		thenB := b.newBlock()
 		b.edge(cur, thenB)
 		thenEnd := b.stmts(st.Body.List, thenB)
-		var elseEnd *Block
-		branch := &CondBranch{Then: thenB}
+		// With no else branch, a false condition falls through to the join.
+		elseEnd := cur
 		if st.Else != nil {
 			elseB := b.newBlock()
 			b.edge(cur, elseB)
-			branch.Else = elseB
 			elseEnd = b.stmt(st.Else, elseB)
-		} else {
-			// Fall-through on a false condition: the join block doubles as
-			// the else target.
-			elseEnd = cur
 		}
-		b.cfg.Branches[st.Cond] = branch
-		if thenEnd == nil && st.Else != nil && elseEnd == nil {
+		if thenEnd == nil && elseEnd == nil {
 			return nil
 		}
 		join := b.newBlock()
@@ -251,9 +227,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		}
 		if elseEnd != nil {
 			b.edge(elseEnd, join)
-		}
-		if branch.Else == nil {
-			branch.Else = join
 		}
 		return join
 
@@ -397,12 +370,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		}
 		b.scopes = b.scopes[:len(b.scopes)-1]
 		return exitB
-
-	case *ast.DeferStmt:
-		cur = b.ensure(cur)
-		cur.Nodes = append(cur.Nodes, st)
-		b.cfg.Defers = append(b.cfg.Defers, st)
-		return cur
 
 	default:
 		cur = b.ensure(cur)

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// Direct unit tests for the CFG builder and the generic dataflow
-// solvers: the fixture tests exercise them through the analyzers, these
-// pin the structural properties the analyzers rely on.
+// Direct unit tests for the CFG builder and the forward dataflow solver:
+// the lockscope fixture exercises them through the analyzer, these pin
+// the structural properties it relies on.
 
 // parseFuncBody parses `src` as the body of a function and builds its
 // CFG.
@@ -59,16 +59,18 @@ func TestCFGStraightLine(t *testing.T) {
 
 func TestCFGIfBranchesRecorded(t *testing.T) {
 	cfg := parseFuncBody(t, "x := 1\nif x > 0 {\n x = 2\n} else {\n x = 3\n}\n_ = x")
-	if len(cfg.Branches) != 1 {
-		t.Fatalf("recorded %d branches, want 1", len(cfg.Branches))
+	// The block ending in the condition forks to two distinct arms, and
+	// both arms join before _ = x.
+	cond := cfg.Entry
+	if _, ok := cond.Nodes[len(cond.Nodes)-1].(*ast.BinaryExpr); !ok {
+		t.Fatalf("entry block ends in %T, want the if condition", cond.Nodes[len(cond.Nodes)-1])
 	}
-	for _, br := range cfg.Branches {
-		if br.Then == nil || br.Else == nil {
-			t.Fatalf("branch with nil arm: %+v", br)
-		}
-		if br.Then == br.Else {
-			t.Fatal("then and else resolve to the same block")
-		}
+	if len(cond.Succs) != 2 || cond.Succs[0] == cond.Succs[1] {
+		t.Fatalf("condition block has successors %v, want two distinct arms", cond.Succs)
+	}
+	then, els := cond.Succs[0], cond.Succs[1]
+	if len(then.Succs) != 1 || len(els.Succs) != 1 || then.Succs[0] != els.Succs[0] {
+		t.Fatal("the arms do not meet at one join block")
 	}
 }
 
@@ -156,8 +158,16 @@ func TestCFGPanicTerminates(t *testing.T) {
 
 func TestCFGDefersCollected(t *testing.T) {
 	cfg := parseFuncBody(t, "defer func() {}()\nif true {\n defer func() {}()\n}")
-	if len(cfg.Defers) != 2 {
-		t.Fatalf("collected %d defers, want 2", len(cfg.Defers))
+	defers := 0
+	for b := range reachable(cfg) {
+		for _, n := range b.Nodes {
+			if _, ok := n.(*ast.DeferStmt); ok {
+				defers++
+			}
+		}
+	}
+	if defers != 2 {
+		t.Fatalf("found %d reachable defer nodes, want 2", defers)
 	}
 }
 
@@ -236,76 +246,6 @@ func TestSolveForwardMustFact(t *testing.T) {
 		}
 	}
 	t.Fatal("final assignment not found")
-}
-
-// TestSolveBackwardInevitable pins the release-inevitability shape: an
-// event on only one path to exit is not inevitable, an event on every
-// path is.
-func TestSolveBackwardInevitable(t *testing.T) {
-	cfg := parseFuncBody(t, `
-	a := 0
-	if a > 0 {
-		a = 1 // the event
-		return
-	}
-	_ = a
-	return`)
-	isEvent := func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return false
-		}
-		lit, ok := as.Rhs[0].(*ast.BasicLit)
-		return ok && lit.Value == "1"
-	}
-	res := SolveBackward(cfg, false,
-		func(b *Block, after bool) bool {
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				if isEvent(b.Nodes[i]) {
-					after = true
-				}
-			}
-			return after
-		},
-		func(a, b bool) bool { return a && b },
-		func(a, b bool) bool { return a == b },
-	)
-	// At entry the event is not inevitable (the else path skips it).
-	if got := res.Out[cfg.Entry]; got {
-		t.Fatal("event on one branch reported inevitable at entry")
-	}
-	// Inside the then-branch it is.
-	for _, br := range cfg.Branches {
-		if got, ok := res.Out[br.Then]; !ok || !got {
-			t.Fatalf("event not inevitable at entry of its own branch (ok=%v got=%v)", ok, got)
-		}
-	}
-}
-
-// TestErrGuards pins the guarded-acquire recognition both fixture and
-// production releases rely on.
-func TestErrGuards(t *testing.T) {
-	cfg := parseFuncBody(t, `
-	if err := work(); err != nil {
-		return
-	}
-	err2 := work()
-	if err2 == nil {
-		return
-	}
-	return`)
-	guards := ErrGuards(cfg, nil)
-	if len(guards) != 2 {
-		t.Fatalf("recognized %d guards, want 2", len(guards))
-	}
-	for cond, g := range guards {
-		if g.Call == nil || g.NonNil == nil || g.Nil == nil {
-			t.Fatalf("incomplete guard for %v: %+v", cond, g)
-		}
-		if g.Nil == g.NonNil {
-			t.Fatalf("nil and non-nil arms coincide for %v", cond)
-		}
-	}
 }
 
 // TestInspectNodeScoping: range headers expose only their governing

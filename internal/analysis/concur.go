@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// Shared plumbing for the concurrency/lifecycle analyzers (lockscope,
-// pairedrelease, goroleak, ctxdeadline): package scoping and call
-// resolution against go/types.
+// Shared plumbing for the analyzers: the concurrency rules' package
+// scope (lockscope, ctxdeadline) and call and type resolution against
+// go/types.
 
 // concurrencyCriticalPackages are the long-lived, deeply concurrent
 // packages of the serving plane: multiplexed sessions and shedding
@@ -35,15 +35,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return obj
 	}
 	return nil
-}
-
-// calleePkgPath returns the import path of a call's callee, or "".
-func calleePkgPath(info *types.Info, call *ast.CallExpr) string {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
 }
 
 // callReceiver returns the receiver expression of a method-shaped call

@@ -1,21 +1,16 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-)
-
-// Generic worklist dataflow solvers over the CFG in cfg.go. Analyses
-// supply a transfer function (how one block's nodes change a fact), a
-// meet (how facts joining at a block merge), and an equality test for
-// the fixpoint check. The solvers are optimistic: a block with no
+// A generic forward worklist dataflow solver over the CFG in cfg.go. An
+// analysis supplies a transfer function (how one block's nodes change a
+// fact), a meet (how facts joining at a block merge), and an equality
+// test for the fixpoint check. The solver is optimistic: a block with no
 // computed predecessor facts yet contributes nothing to a meet, so loop
 // back-edges converge to the strongest fact the loop actually sustains
 // rather than seeding pessimistic bottoms.
 
-// FlowResult carries the per-block fixpoint of a dataflow run. In maps
-// the fact at block entry (exit for backward runs), Out the fact after
-// (before) the block's transfer.
+// FlowResult carries the per-block fixpoint of a dataflow run: In maps
+// the fact at block entry, Out the fact after the block's transfer.
+// Blocks unreachable from Entry have neither.
 type FlowResult[F any] struct {
 	In  map[*Block]F
 	Out map[*Block]F
@@ -26,45 +21,18 @@ type FlowResult[F any] struct {
 // the block and the incoming fact and returns the outgoing fact. meet
 // merges two facts at a join; equal bounds the iteration.
 func SolveForward[F any](cfg *CFG, entry F, transfer func(*Block, F) F, meet func(F, F) F, equal func(F, F) bool) FlowResult[F] {
-	return solve(cfg, entry, transfer, meet, equal, forwardDir)
-}
-
-// SolveBackward runs the mirror-image fixpoint: facts flow along Preds
-// edges from Exit (seeded with exit). A backward transfer receives the
-// fact holding *after* the block and returns the fact required *before*
-// it; In then holds block-exit facts and Out block-entry facts.
-func SolveBackward[F any](cfg *CFG, exit F, transfer func(*Block, F) F, meet func(F, F) F, equal func(F, F) bool) FlowResult[F] {
-	return solve(cfg, exit, transfer, meet, equal, backwardDir)
-}
-
-type flowDir int
-
-const (
-	forwardDir flowDir = iota
-	backwardDir
-)
-
-func solve[F any](cfg *CFG, seed F, transfer func(*Block, F) F, meet func(F, F) F, equal func(F, F) bool, dir flowDir) FlowResult[F] {
-	res := FlowResult[F]{In: map[*Block]F{}, Out: map[*Block]F{}}
-	start := cfg.Entry
-	next := func(b *Block) []*Block { return b.Succs }
-	prev := func(b *Block) []*Block { return b.Preds }
-	if dir == backwardDir {
-		start = cfg.Exit
-		next, prev = prev, next
-	}
-	res.In[start] = seed
-	work := []*Block{start}
-	inWork := map[*Block]bool{start: true}
+	res := FlowResult[F]{In: map[*Block]F{cfg.Entry: entry}, Out: map[*Block]F{}}
+	work := []*Block{cfg.Entry}
+	inWork := map[*Block]bool{cfg.Entry: true}
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
 		inWork[b] = false
 
-		if b != start {
+		if b != cfg.Entry {
 			var in F
 			have := false
-			for _, p := range prev(b) {
+			for _, p := range b.Preds {
 				po, ok := res.Out[p]
 				if !ok {
 					continue // optimistic: unvisited edge contributes nothing
@@ -82,12 +50,11 @@ func solve[F any](cfg *CFG, seed F, transfer func(*Block, F) F, meet func(F, F) 
 		}
 
 		out := transfer(b, res.In[b])
-		old, seen := res.Out[b]
-		if seen && equal(old, out) {
+		if old, seen := res.Out[b]; seen && equal(old, out) {
 			continue
 		}
 		res.Out[b] = out
-		for _, s := range next(b) {
+		for _, s := range b.Succs {
 			if !inWork[s] {
 				inWork[s] = true
 				work = append(work, s)
@@ -95,123 +62,4 @@ func solve[F any](cfg *CFG, seed F, transfer func(*Block, F) F, meet func(F, F) 
 		}
 	}
 	return res
-}
-
-// --- path sensitivity -------------------------------------------------
-
-// ErrGuard describes one recognized `if err != nil`-shape condition over
-// a call's error result: Call is the acquire/producer call whose error
-// is tested, and NonNil reports which branch sees the non-nil error (the
-// Then branch for `err != nil`, the Else branch for `err == nil`).
-type ErrGuard struct {
-	Call   *ast.CallExpr
-	NonNil *Block // branch taken when the error is non-nil (failure path)
-	Nil    *Block // branch taken when the error is nil (success path)
-}
-
-// ErrGuards recognizes the dominant Go error-handling shapes in a
-// function body and maps each guarded condition to its failure/success
-// successor blocks, letting path-sensitive analyses evaluate facts only
-// along the branch where they hold (e.g. a resource is held only on the
-// success arm of `if err := x.Acquire(); err != nil { return err }`).
-//
-// Recognized shapes, matched against the CFG's recorded if-branches:
-//
-//	if err := f(); err != nil { ... }
-//	err := f(); if err != nil { ... }   (same-block assignment)
-//	if err == nil { ... } else { ... }
-func ErrGuards(cfg *CFG, info importedTypes) map[ast.Expr]*ErrGuard {
-	guards := map[ast.Expr]*ErrGuard{}
-	// errDefs maps an error-typed identifier object (by name within the
-	// function — good enough intraprocedurally) to the call that last
-	// defined it in each block. Simplification: we look back within the
-	// same block only, which covers both recognized shapes because the if
-	// Init statement lands in the same block as the condition.
-	for cond, br := range cfg.Branches {
-		bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-		if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
-			continue
-		}
-		ident, okL := errSide(bin.X, bin.Y)
-		if !okL {
-			continue
-		}
-		call := definingCall(cfg, cond, ident)
-		if call == nil {
-			continue
-		}
-		g := &ErrGuard{Call: call}
-		if bin.Op == token.NEQ {
-			g.NonNil, g.Nil = br.Then, br.Else
-		} else {
-			g.NonNil, g.Nil = br.Else, br.Then
-		}
-		guards[cond] = g
-	}
-	return guards
-}
-
-// importedTypes is the minimal surface ErrGuards needs; kept as an
-// interface-free placeholder so the helper stays usable from fixtures
-// without threading a full *types.Info.
-type importedTypes interface{}
-
-// errSide picks the identifier from an `x op nil` / `nil op x`
-// comparison.
-func errSide(x, y ast.Expr) (*ast.Ident, bool) {
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && id.Name == "nil"
-	}
-	if id, ok := ast.Unparen(x).(*ast.Ident); ok && isNil(y) {
-		return id, true
-	}
-	if id, ok := ast.Unparen(y).(*ast.Ident); ok && isNil(x) {
-		return id, true
-	}
-	return nil, false
-}
-
-// definingCall finds, in the block carrying cond, the most recent
-// assignment `ident, ... = call(...)` (any position) before the
-// condition node.
-func definingCall(cfg *CFG, cond ast.Expr, ident *ast.Ident) *ast.CallExpr {
-	for _, b := range cfg.Blocks {
-		at := -1
-		for i, n := range b.Nodes {
-			if n == ast.Node(cond) {
-				at = i
-				break
-			}
-		}
-		if at < 0 {
-			continue
-		}
-		for i := at - 1; i >= 0; i-- {
-			if call := assignsErrFromCall(b.Nodes[i], ident.Name); call != nil {
-				return call
-			}
-		}
-		return nil
-	}
-	return nil
-}
-
-// assignsErrFromCall matches `..., name, ... := f(...)` (or =) and
-// returns f's call when name is among the left-hand sides.
-func assignsErrFromCall(n ast.Node, name string) *ast.CallExpr {
-	as, ok := n.(*ast.AssignStmt)
-	if !ok || len(as.Rhs) != 1 {
-		return nil
-	}
-	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	for _, lhs := range as.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok && id.Name == name {
-			return call
-		}
-	}
-	return nil
 }

@@ -5,17 +5,18 @@ import (
 	"go/types"
 )
 
-// ErrauditAnalyzer flags discarded error returns on the crypto and wire
-// layers: gob Encode/Decode (a dropped encode error desynchronizes the
-// gob stream and every later frame misparses), net.Conn writes (a lost
-// frame with no error surfaces as a protocol hang), and crypto/rand
-// reads (a failed read silently downgrades randomness to zeros). Only
-// fully discarded results (expression statements, go/defer) are flagged;
-// an explicit `_ =` assignment is a visible decision and the per-line
-// //pplint:ignore directive documents intentional cases.
+// ErrauditAnalyzer flags discarded error returns on the wire and crypto
+// layers: writes to the wire writer's destinations, a net.Conn or an
+// io.Writer (a frame that failed part-way leaves the stream unframed, and
+// a sender that never learns it keeps writing frames the peer misparses —
+// the edge's sticky send error exists to catch exactly that), and
+// crypto/rand reads (a failed read silently downgrades randomness to
+// zeros). Only fully discarded results (expression statements, go/defer)
+// are flagged; an explicit `_ =` assignment is a visible decision and the
+// per-line //pplint:ignore directive documents intentional cases.
 var ErrauditAnalyzer = &Analyzer{
 	Name: "erraudit",
-	Doc:  "unchecked errors from gob Encode/Decode, net.Conn writes, and rand.Read",
+	Doc:  "unchecked errors from net.Conn and io.Writer writes (the wire writer's destinations) and crypto/rand reads",
 	Run:  runErraudit,
 }
 
@@ -48,31 +49,23 @@ func runErraudit(pass *Pass) error {
 // auditedCall classifies a call as one of the audited error sources,
 // returning a human-readable name or "".
 func auditedCall(info *types.Info, call *ast.CallExpr) string {
-	var obj types.Object
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[f]
-	case *ast.SelectorExpr:
-		obj = info.Uses[f.Sel]
-	default:
-		return ""
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
 	name := fn.Name()
 	switch fn.Pkg().Path() {
-	case "encoding/gob":
-		switch name {
-		case "Encode", "EncodeValue", "Decode", "DecodeValue":
-			return "gob." + name
-		}
 	case "net":
 		if name == "Write" {
 			return "net.Conn.Write"
 		}
-	case "crypto/rand", "math/rand", "math/rand/v2":
+	case "io":
+		// Only through an io.Writer itself: a hash.Hash, say, inherits
+		// Write from io.Writer but documents that it never fails.
+		if t, ok := typeOf(info, callReceiver(call)).(*types.Named); ok && name == "Write" && t.Obj().Pkg() == fn.Pkg() && t.Obj().Name() == "Writer" {
+			return "io.Writer.Write"
+		}
+	case "crypto/rand":
 		if name == "Read" {
 			return "rand.Read"
 		}

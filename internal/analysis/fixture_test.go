@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -23,7 +21,7 @@ var (
 
 // fixturePkg loads testdata/<sub> as a standalone package with a
 // synthetic import path. The loader is shared across tests so the std
-// dependency closure (math/big, encoding/gob, net, ...) is type-checked
+// dependency closure (math/big, net, ...) is type-checked
 // once.
 func fixturePkg(t *testing.T, sub, importPath string) *Package {
 	t.Helper()
@@ -110,6 +108,18 @@ func checkFixture(t *testing.T, pkg *Package, a *Analyzer) {
 	}
 }
 
+// ruleDiags runs a over pkg and returns a's own diagnostics: a fixture
+// loaded where its rule does not apply leaves its ignore directives
+// suppressing nothing, which the driver reports too.
+func ruleDiags(t *testing.T, pkg *Package, a *Analyzer) []Diagnostic {
+	t.Helper()
+	diags, err := Run([]*Package{pkg}, []*Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.DeleteFunc(diags, func(d Diagnostic) bool { return d.Rule != a.Name })
+}
+
 func TestCryptorandFixture(t *testing.T) {
 	// The fixture reproduces the original obfuscate.NewRandom bug: a
 	// crypto/rand seed squeezed through a 64-bit math/rand generator.
@@ -120,25 +130,9 @@ func TestCryptorandSkipsNonCriticalPackages(t *testing.T) {
 	// Same sources under a non-security-critical import path: no
 	// diagnostics at all.
 	pkg := fixturePkg(t, "cryptorand", "fix/benchutil")
-	diags, err := Run([]*Package{pkg}, []*Analyzer{CryptorandAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
+	if diags := ruleDiags(t, pkg, CryptorandAnalyzer); len(diags) != 0 {
 		t.Fatalf("cryptorand fired outside security-critical packages: %v", diags)
 	}
-}
-
-func TestRerandomizeFixture(t *testing.T) {
-	// The fixture reproduces the PR 2 unblinded-row pattern (BadDot) and
-	// a branch that leaks an unblinded early return (BranchDot).
-	// It also holds the row exemption's good side: an unblinded Rows beside
-	// a blinding Pack, and envelopes filled from Pack or not.
-	checkFixture(t, fixturePkg(t, "rerandomize", "fix/paillier"), RerandomizeAnalyzer)
-}
-
-func TestRerandomizeRowExemptionNeedsBlindingPack(t *testing.T) {
-	checkFixture(t, fixturePkg(t, "rerandomize_nopack", "fix/nopack/paillier"), RerandomizeAnalyzer)
 }
 
 func TestBigintaliasFixture(t *testing.T) {
@@ -152,14 +146,15 @@ func TestErrauditFixture(t *testing.T) {
 func TestIgnoreDirective(t *testing.T) {
 	// Three identical violations; two carry //pplint:ignore (named-rule
 	// and "all" forms, trailing and standalone placement) and must be
-	// suppressed, the third must still fire.
+	// suppressed, the third must still fire. A directive that suppressed
+	// nothing although erraudit ran, and one naming an unregistered rule,
+	// are reported where they stand.
 	checkFixture(t, fixturePkg(t, "ignore", "fix/ignoredemo"), ErrauditAnalyzer)
 }
 
 func TestMetricnamesFixture(t *testing.T) {
-	// The fixture covers all three rules: literal and composed name
-	// grammar, cross-type reuse of one name, and CostStats/costFields
-	// divergence (missing tag, orphaned table entry).
+	// The fixture covers both rules: literal and composed name grammar,
+	// and cross-type reuse of one name.
 	checkFixture(t, fixturePkg(t, "metricnames", "fix/obs"), NewMetricnamesAnalyzer())
 }
 
@@ -172,172 +167,11 @@ func TestLockscopeFixture(t *testing.T) {
 
 func TestLockscopeSkipsNonConcurrencyPackages(t *testing.T) {
 	pkg := fixturePkg(t, "lockscope", "fix/lockscope/benchutil")
-	diags, err := Run([]*Package{pkg}, []*Analyzer{LockscopeAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
+	if diags := ruleDiags(t, pkg, LockscopeAnalyzer); len(diags) != 0 {
 		t.Fatalf("lockscope fired outside concurrency-critical packages: %v", diags)
 	}
 }
 
-func TestPairedreleaseFixture(t *testing.T) {
-	// LeakOnComplete reproduces the PR 3 permutation-state leak (Forget
-	// never reached on the completion path) and EvictWithoutRelease the
-	// PR 7 shed-slot-at-eviction bug; guarded error returns, deferred
-	// releases, and branch-alternative releases stay silent.
-	checkFixture(t, fixturePkg(t, "pairedrelease", "fix/pairedrelease/protocol"), PairedreleaseAnalyzer)
-}
-
-func TestGoroleakFixture(t *testing.T) {
-	// BadReader reproduces the pre-PR 7 dispatcher reader (exit only via
-	// results close ⇒ Submit/Close hang); done-select, ctx, range,
-	// comma-ok, WaitGroup, and one-shot goroutines stay silent.
-	checkFixture(t, fixturePkg(t, "goroleak", "fix/goroleak/stream"), GoroleakAnalyzer)
-}
-
-func TestAtomicfieldFixture(t *testing.T) {
-	checkFixture(t, fixturePkg(t, "atomicfield", "fix/atomicfield/obs"), NewAtomicfieldAnalyzer())
-}
-
 func TestCtxdeadlineFixture(t *testing.T) {
 	checkFixture(t, fixturePkg(t, "ctxdeadline", "fix/ctxdeadline/protocol"), CtxdeadlineAnalyzer)
-}
-
-func TestWirecompatFixture(t *testing.T) {
-	// The fixture lock declares Factor as int64 (source retyped it to
-	// int32), a removed field Hello.Gone, and a removed struct Dropped.
-	// Hello also carries two ADDITIVE fields the lock predates (Profile,
-	// Plan — the backend-negotiation evolution); those must not fire.
-	// Frame is a struct of the versioned format whose field set changed
-	// all three ways while WireVersion stayed at the locked 3.
-	pkg := fixturePkg(t, "wirecompat", "fix/protocol")
-	a := NewWirecompatAnalyzer(fixtureWireConfig(filepath.Join("testdata", "wirecompat", "wire.lock")))
-	diags, err := Run([]*Package{pkg}, []*Analyzer{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type expect struct {
-		file    string
-		msgPart string
-	}
-	expects := []expect{
-		{filepath.Join("testdata", "wirecompat", "fix.go"), "Hello.Factor retyped from int64 to int32"},
-		{filepath.Join("testdata", "wirecompat", "wire.lock"), "Hello.Gone (string) was removed"},
-		{filepath.Join("testdata", "wirecompat", "wire.lock"), "Dropped.Field (int) was removed"},
-		{filepath.Join("testdata", "wirecompat", "fix.go"), "frame field Frame.Seq retyped from uint32 to uint64 without WireVersion changing"},
-		{filepath.Join("testdata", "wirecompat", "wire.lock"), "frame field Frame.Flags (uint8) was removed without WireVersion changing"},
-		{filepath.Join("testdata", "wirecompat", "fix.go"), "frame field Frame.Added (int) was added without WireVersion changing"},
-	}
-	if len(diags) != len(expects) {
-		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(expects), diags)
-	}
-	for _, e := range expects {
-		found := false
-		for _, d := range diags {
-			if d.Pos.Filename == e.file && d.Pos.Line > 0 && d.Rule == "wirecompat" &&
-				regexp.MustCompile(regexp.QuoteMeta(e.msgPart)).MatchString(d.Msg) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("missing diagnostic %q at %s:\n%v", e.msgPart, e.file, diags)
-		}
-	}
-	// Additive evolution stays silent: the new fields the lock predates
-	// must produce no diagnostic.
-	for _, d := range diags {
-		if regexp.MustCompile(`Profile|Plan`).MatchString(d.Msg) {
-			t.Errorf("additive field flagged: %v", d)
-		}
-	}
-}
-
-// fixtureWireConfig is the fixture package's schema: Hello as a gob
-// struct, Frame as a frame of the format WireVersion versions.
-func fixtureWireConfig(lock string) WirecompatConfig {
-	return WirecompatConfig{
-		LockPath:     lock,
-		Structs:      map[string][]string{"fix/protocol": {"Hello"}},
-		Frames:       map[string][]string{"fix/protocol": {"Frame"}},
-		VersionPkg:   "fix/protocol",
-		VersionConst: "WireVersion",
-	}
-}
-
-// TestWirecompatVersionBump: once the version constant differs from the
-// locked one, frame changes are what the bump is for — the only
-// diagnostic asks for the lock to be regenerated — while the gob structs
-// are held to additive evolution as before.
-func TestWirecompatVersionBump(t *testing.T) {
-	pkg := fixturePkg(t, "wirecompat", "fix/protocol")
-	lock := filepath.Join(t.TempDir(), "wire.lock")
-	old := "fix/protocol Frame Flags uint8\nfix/protocol Frame Seq uint32\nfix/protocol const WireVersion 2\nfix/protocol Hello Gone string\n"
-	if err := os.WriteFile(lock, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(fixtureWireConfig(lock))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want the version notice and Hello.Gone:\n%v", len(diags), diags)
-	}
-	for _, want := range []string{"wire version changed from 2 to 3: run pplint -update", "Hello.Gone (string) was removed"} {
-		if !slices.ContainsFunc(diags, func(d Diagnostic) bool { return strings.Contains(d.Msg, want) }) {
-			t.Errorf("missing diagnostic %q:\n%v", want, diags)
-		}
-	}
-}
-
-func TestWirecompatUpdateRoundTrip(t *testing.T) {
-	pkg := fixturePkg(t, "wirecompat", "fix/protocol")
-	lock := filepath.Join(t.TempDir(), "wire.lock")
-	cfg := fixtureWireConfig(lock)
-	update := cfg
-	update.Update = true
-
-	// -update writes a lock reflecting the current tree.
-	if _, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(update)}); err != nil {
-		t.Fatal(err)
-	}
-	first, err := os.ReadFile(lock)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Diffing the unchanged tree against the fresh lock is clean.
-	diags, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(cfg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("fresh lock should be clean, got: %v", diags)
-	}
-
-	// A second -update is byte-identical (deterministic output).
-	if _, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(update)}); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(lock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(first) != string(second) {
-		t.Fatalf("-update is not deterministic:\n--- first\n%s\n--- second\n%s", first, second)
-	}
-}
-
-func TestWirecompatMissingLock(t *testing.T) {
-	pkg := fixturePkg(t, "wirecompat", "fix/protocol")
-	diags, err := Run([]*Package{pkg}, []*Analyzer{NewWirecompatAnalyzer(WirecompatConfig{
-		LockPath: filepath.Join(t.TempDir(), "absent.lock"),
-		Structs:  map[string][]string{"fix/protocol": {"Hello"}},
-	})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || !regexp.MustCompile("lock missing").MatchString(diags[0].Msg) {
-		t.Fatalf("want a single 'lock missing' diagnostic, got: %v", diags)
-	}
 }

@@ -10,8 +10,8 @@ import (
 
 // LockscopeAnalyzer enforces the serving plane's lock-discipline
 // invariant: no blocking operation — channel send/receive, select
-// without default, net.Conn / gob I/O, time.Sleep, sync.WaitGroup.Wait —
-// while a sync.Mutex/RWMutex is held. Blocking under a lock is exactly
+// without default, net.Conn I/O, time.Sleep, sync.WaitGroup.Wait — while
+// a sync.Mutex/RWMutex is held. Blocking under a lock is exactly
 // how the PR 7 dispatcher Submit/Close hang arose (Close held the mutex
 // the delivery path needed while waiting on in-flight work), and on the
 // session hot path it turns one slow peer into a convoy for every
@@ -29,7 +29,7 @@ import (
 // no default).
 var LockscopeAnalyzer = &Analyzer{
 	Name: "lockscope",
-	Doc:  "no blocking operations (channel ops, select, net/gob I/O, time.Sleep, Wait) while holding a sync.Mutex/RWMutex",
+	Doc:  "no blocking operations (channel ops, select, net I/O, time.Sleep, Wait) while holding a sync.Mutex/RWMutex",
 	Run:  runLockscope,
 }
 
@@ -218,12 +218,6 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 		case "Read", "Write", "Accept", "Dial", "DialTimeout":
 			return "net I/O (" + name + ")"
 		}
-	case "encoding/gob":
-		switch name {
-		case "Encode", "EncodeValue", "Decode", "DecodeValue":
-			return "gob " + name
-		}
 	}
 	return ""
 }
-

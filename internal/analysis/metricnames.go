@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -15,7 +14,7 @@ import (
 // MetricnamesAnalyzer enforces the observability naming contract.
 //
 // Invariant: metric names are the API between the serving plane and its
-// dashboards. Three rules keep them stable and conformant:
+// dashboards. Two rules keep them stable and conformant:
 //
 //  1. Names passed to Registry.Counter/Gauge/GaugeFunc/Histogram (and
 //     the Live forms of Counter and Histogram) are lowercase dotted
@@ -27,17 +26,14 @@ import (
 //     counter in one place and a gauge in another yields conflicting
 //     Prometheus TYPE families — WritePrometheus rejects the scrape at
 //     runtime; this catches it at lint time, whole-program.
-//  3. obs.CostStats stays in lock-step with its costFields table: every
-//     struct field carries a lowercase json tag, and the tag set exactly
-//     matches the names enumerated in costFields — the single source of
-//     truth both the JSON and Prometheus cost expositions render from. A
-//     field added to the struct but not the table would vanish from
-//     /metrics without any test noticing the asymmetry.
+//
+// (CostStats staying in step with its costFields table is
+// obs.TestCostFieldsCoverStruct's, by reflection.)
 func NewMetricnamesAnalyzer() *Analyzer {
 	state := &metricnamesState{registrations: map[string]metricReg{}}
 	return &Analyzer{
 		Name:   "metricnames",
-		Doc:    "registry metric names must be lowercase dotted, one type per name, and CostStats must match costFields",
+		Doc:    "registry metric names must be lowercase dotted, one type per name",
 		Run:    state.run,
 		Finish: state.finish,
 	}
@@ -96,7 +92,6 @@ func (s *metricnamesState) run(pass *Pass) error {
 			return true
 		})
 	}
-	s.checkCostStats(pass)
 	return nil
 }
 
@@ -219,99 +214,4 @@ func (s *metricnamesState) finish(report func(Diagnostic)) error {
 		report(d)
 	}
 	return nil
-}
-
-// checkCostStats runs only in a package declaring both CostStats and
-// costFields (obs and its fixtures): the struct's json-tag set must
-// exactly match the names enumerated in the costFields table.
-func (s *metricnamesState) checkCostStats(pass *Pass) {
-	scope := pass.Pkg.Types.Scope()
-	statsObj := scope.Lookup("CostStats")
-	fieldsObj := scope.Lookup("costFields")
-	if statsObj == nil || fieldsObj == nil {
-		return
-	}
-	st, ok := statsObj.Type().Underlying().(*types.Struct)
-	if !ok {
-		return
-	}
-
-	tagNames := map[string]token.Pos{}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !f.Exported() {
-			continue
-		}
-		tag := reflect.StructTag(st.Tag(i)).Get("json")
-		name := strings.Split(tag, ",")[0]
-		if name == "" || name == "-" {
-			pass.Reportf(f.Pos(), "CostStats field %s has no json tag: the span-store records and the /metrics JSON would drop or misname it", f.Name())
-			continue
-		}
-		if !metricNameRe.MatchString(name) {
-			pass.Reportf(f.Pos(), "CostStats field %s json tag %q is not a lowercase metric-name component", f.Name(), name)
-			continue
-		}
-		tagNames[name] = f.Pos()
-	}
-
-	tableNames := costFieldsTableNames(pass)
-	for name, pos := range tagNames {
-		if _, ok := tableNames[name]; !ok {
-			pass.Reportf(pos, "CostStats field with json tag %q is missing from the costFields table: it will not reach the cost.* registry counters or the Prometheus exposition", name)
-		}
-	}
-	for name, pos := range tableNames {
-		if _, ok := tagNames[name]; !ok {
-			pass.Reportf(pos, "costFields entry %q has no matching CostStats json tag: the table and the struct have diverged", name)
-		}
-	}
-}
-
-// costFieldsTableNames extracts the Name literals of the costFields
-// composite literal from the package AST.
-func costFieldsTableNames(pass *Pass) map[string]token.Pos {
-	names := map[string]token.Pos{}
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "costFields" || len(vs.Values) != 1 {
-					continue
-				}
-				outer, ok := vs.Values[0].(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				for _, elt := range outer.Elts {
-					entry, ok := elt.(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, field := range entry.Elts {
-						kv, ok := field.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						key, ok := kv.Key.(*ast.Ident)
-						if !ok || key.Name != "Name" {
-							continue
-						}
-						lit, ok := kv.Value.(*ast.BasicLit)
-						if !ok || lit.Kind != token.STRING {
-							continue
-						}
-						if name, err := strconv.Unquote(lit.Value); err == nil {
-							names[name] = lit.Pos()
-						}
-					}
-				}
-			}
-		}
-	}
-	return names
 }

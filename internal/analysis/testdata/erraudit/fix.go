@@ -1,39 +1,39 @@
 // Package wire is a pplint fixture for the erraudit analyzer: discarded
-// errors from gob Encode/Decode, net.Conn writes, and rand.Read next to
-// their checked forms.
+// errors from the wire writer's destinations (io.Writer and net.Conn
+// writes) and from crypto/rand reads, next to their checked forms.
 package wire
 
 import (
 	"bytes"
 	crand "crypto/rand"
-	"encoding/gob"
+	"io"
 	"net"
 )
 
 // Broken drops every audited error.
-func Broken(conn net.Conn, v any) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	enc.Encode(v)           // want "unchecked error from gob.Encode"
-	conn.Write(buf.Bytes()) // want "unchecked error from net.Conn.Write"
+func Broken(conn net.Conn, w io.Writer, p []byte) {
+	w.Write(p)    // want "unchecked error from io.Writer.Write"
+	conn.Write(p) // want "unchecked error from net.Conn.Write"
 	var b [8]byte
 	crand.Read(b[:]) // want "unchecked error from rand.Read"
 }
 
 // BrokenAsync drops errors behind go and defer, where they are even
 // harder to observe.
-func BrokenAsync(enc *gob.Encoder, dec *gob.Decoder, v any) {
-	go enc.Encode(v)    // want "unchecked error from gob.Encode"
-	defer dec.Decode(v) // want "unchecked error from gob.Decode"
+func BrokenAsync(conn net.Conn, w io.Writer, p []byte) {
+	go w.Write(p)       // want "unchecked error from io.Writer.Write"
+	defer conn.Write(p) // want "unchecked error from net.Conn.Write"
 }
 
-// Checked handles every audited error: clean.
-func Checked(conn net.Conn, v any) error {
+// Checked handles every audited error, and writes into a buffer, which
+// cannot fail, unchecked: clean.
+func Checked(conn net.Conn, w io.Writer, p []byte) error {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	buf.Write(p)
+	if _, err := w.Write(buf.Bytes()); err != nil {
 		return err
 	}
-	if _, err := conn.Write(buf.Bytes()); err != nil {
+	if _, err := conn.Write(p); err != nil {
 		return err
 	}
 	var b [8]byte
@@ -41,8 +41,8 @@ func Checked(conn net.Conn, v any) error {
 	return err
 }
 
-// ExplicitDiscard uses a visible `_ =` decision: not flagged (the
+// ExplicitDiscard uses a visible `_, _ =` decision: not flagged (the
 // discard is auditable in review).
-func ExplicitDiscard(enc *gob.Encoder, v any) {
-	_ = enc.Encode(v)
+func ExplicitDiscard(w io.Writer, p []byte) {
+	_, _ = w.Write(p)
 }

@@ -7,7 +7,6 @@
 package stream
 
 import (
-	"encoding/gob"
 	"net"
 	"sync"
 	"time"
@@ -20,7 +19,6 @@ type box struct {
 	down chan struct{}
 	wg   sync.WaitGroup
 	conn net.Conn
-	enc  *gob.Encoder
 	v    int
 }
 
@@ -62,12 +60,12 @@ func (b *box) BadSleep() {
 	b.mu.Unlock()
 }
 
-// BadReadLock does gob I/O under a read lock: readers convoy writers
-// just the same.
-func (b *box) BadReadLock(v any) error {
+// BadReadLock writes to the connection under a read lock: readers convoy
+// writers just the same.
+func (b *box) BadReadLock(p []byte) (int, error) {
 	b.rw.RLock()
 	defer b.rw.RUnlock()
-	return b.enc.Encode(v) // want "gob Encode while holding b.rw"
+	return b.conn.Write(p) // want "net I/O .Write. while holding b.rw"
 }
 
 // BadConnIO performs network I/O while holding the lock.
@@ -133,13 +131,14 @@ func (b *box) BadOneArm(fast bool) {
 	}
 }
 
-// IgnoredFramedSend shows the documented escape hatch: serializing one
-// gob frame under the send mutex is the wire invariant, not a bug.
-func (b *box) IgnoredFramedSend(v any) error {
+// IgnoredFramedSend shows the documented escape hatch: writing one whole
+// frame under the send mutex is the wire invariant, not a bug.
+func (b *box) IgnoredFramedSend(frame []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	//pplint:ignore lockscope one frame per sendMu hold is the wire framing invariant
-	return b.enc.Encode(v)
+	_, err := b.conn.Write(frame)
+	return err
 }
 
 // GoodNoLock blocks freely without any lock held.

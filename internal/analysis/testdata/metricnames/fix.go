@@ -1,6 +1,5 @@
 // Package obs is the metricnames fixture: a Registry shaped like the
-// real one, metric registrations in every grammar bucket, and a
-// CostStats/costFields pair that has drifted apart.
+// real one, and metric registrations in every grammar bucket.
 package obs
 
 // Counter is a stub metric.
@@ -59,31 +58,4 @@ func conflictingTypes(r *Registry) {
 	r.Gauge("queue.pending") // want "registered as gauge here but as counter"
 	//pplint:ignore metricnames demonstrating the suppressed form
 	r.Gauge("rounds.served")
-}
-
-// CostStats mirrors the real struct with three deliberate defects: a
-// missing json tag, a tag absent from costFields, and a costFields entry
-// with no backing field.
-type CostStats struct {
-	ModExps uint64 `json:"modexps"`
-	MulMods uint64 // want "CostStats field MulMods has no json tag"
-	Rerands uint64 `json:"rerands"` // want "json tag .rerands. is missing from the costFields table"
-}
-
-// CostMeter is the stub accumulation target.
-type CostMeter struct{}
-
-// CostField mirrors the real table entry shape.
-type CostField struct {
-	Name string
-	Get  func(*CostStats) uint64
-	Add  func(*CostMeter, uint64)
-}
-
-var costFields = []CostField{
-	{Name: "modexps", Get: func(c *CostStats) uint64 { return c.ModExps }},
-	// The untagged MulMods field never lands in the tag set, so its table
-	// entry is flagged as orphaned too.
-	{Name: "mulmods", Get: func(c *CostStats) uint64 { return c.MulMods }}, // want "costFields entry .mulmods. has no matching CostStats json tag"
-	{Name: "ghost_field"}, // want "costFields entry .ghost_field. has no matching CostStats json tag"
 }

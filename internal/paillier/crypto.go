@@ -199,13 +199,13 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	mq = lFunc(mq, sk.Q)
 	mq.Mul(mq, sk.hq)
 	mq.Mod(mq, sk.Q)
-	// CRT: m = mq + q·((mp − mq)·q⁻¹ mod p)
+	// CRT: m = mq + q·((mp − mq)·q⁻¹ mod p), at most (q−1) + q(p−1) = n−1,
+	// so m is already reduced mod n.
 	m := new(big.Int).Sub(mp, mq)
 	m.Mul(m, sk.qInvP)
 	m.Mod(m, sk.P)
 	m.Mul(m, sk.Q)
 	m.Add(m, mq)
-	m.Mod(m, sk.N)
 	return sk.decode(m), nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"ppstream/internal/tensor"
 )
 
 // testKeyBits keeps unit tests fast; correctness is independent of size.
@@ -167,6 +169,43 @@ func TestDecryptRejectsBadInput(t *testing.T) {
 	}
 	if _, err := k.Decrypt(&Ciphertext{c: new(big.Int).Set(k.N2)}); err == nil {
 		t.Error("out-of-range ciphertext accepted")
+	}
+}
+
+// TestDecryptEdges: the CRT recombination lands in [0, n) without a final
+// reduction, so the ends of the message space — 0, ±1 and ±(⌊n/2⌋−1) —
+// round-trip through Decrypt and DecryptTensorBig, and agree with the
+// textbook decryption, at every key size the protocol uses.
+func TestDecryptEdges(t *testing.T) {
+	for _, bits := range []int{256, 512, 1024} {
+		sk, err := GenerateKey(rand.Reader, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := new(big.Int).Sub(sk.halfN, one)
+		ms := []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(-1), edge, new(big.Int).Neg(edge)}
+		cts := make([]*Ciphertext, len(ms))
+		for i, m := range ms {
+			if cts[i], err = sk.PublicKey.Encrypt(rand.Reader, m); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sk.Decrypt(cts[i])
+			if err != nil || got.Cmp(m) != 0 {
+				t.Fatalf("%d bits: Decrypt(E(%v)) = %v, %v", bits, m, got, err)
+			}
+			if textbook, err := sk.DecryptNoCRT(cts[i]); err != nil || textbook.Cmp(got) != 0 {
+				t.Fatalf("%d bits: DecryptNoCRT(E(%v)) = %v, %v; Decrypt gave %v", bits, m, textbook, err, got)
+			}
+		}
+		plain, err := DecryptTensorBig(sk, tensor.MustFromSlice(cts, len(cts)), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range ms {
+			if got := plain.AtFlat(i); got.Cmp(m) != 0 {
+				t.Fatalf("%d bits: DecryptTensorBig element %d = %v, want %v", bits, i, got, m)
+			}
+		}
 	}
 }
 

@@ -115,7 +115,6 @@ func (r *Request) Dispatched(id uint64) { r.ID, r.undispatched = id, false }
 
 func (lc *Lifecycle) admit(req *Request) (*Request, error) {
 	lc.active.Add(1)
-	//pplint:ignore pairedrelease the slot belongs to the Request (shedHeld) from here on; Finish, which every admitted request reaches exactly once, is its one release
 	if err := lc.shed.Acquire(); err != nil {
 		lc.Finish(req, err)
 		return nil, err

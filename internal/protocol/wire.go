@@ -54,7 +54,8 @@ type WireSpan struct {
 
 // WireCost is the wire form of a segment's obs.CostStats crypto-cost
 // profile: the same fields, each a 64-bit count on the wire, in this
-// order. Changing the set changes stream.WireVersion (wire.lock).
+// order. Changing the set changes stream.WireVersion (the golden frames
+// in testdata/wire_v1 pin it).
 type WireCost struct {
 	ModExps        uint64
 	MulMods        uint64
