@@ -91,16 +91,6 @@ func KindFromCode(c int32) (Kind, error) {
 	}
 }
 
-// ParseKind parses the string form.
-func ParseKind(s string) (Kind, error) {
-	switch Kind(s) {
-	case PaillierHE, SSGC, Clear:
-		return Kind(s), nil
-	default:
-		return "", fmt.Errorf("backend: unknown backend %q", s)
-	}
-}
-
 // Payload is a round's activation tensor in the representation of its
 // backend: exactly one of CT, Sh, Plain is set, all at scale F^Exp.
 type Payload struct {

@@ -216,13 +216,3 @@ func ValidateAssignment(profile Profile, assignment []Kind, rounds int) error {
 	}
 	return nil
 }
-
-// LegacyPlan is the assignment used when the peer predates backend
-// negotiation: every round on paillier-he, the original protocol.
-func LegacyPlan(rounds int) []Kind {
-	out := make([]Kind, rounds)
-	for i := range out {
-		out[i] = PaillierHE
-	}
-	return out
-}

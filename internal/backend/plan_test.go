@@ -169,7 +169,7 @@ func TestValidateAssignment(t *testing.T) {
 		rounds  int
 		ok      bool
 	}{
-		{"legacy", ProfilePrivacyMax, LegacyPlan(3), 3, true},
+		{"legacy", ProfilePrivacyMax, []Kind{PaillierHE, PaillierHE, PaillierHE}, 3, true},
 		{"mixed ok", ProfileMixed, []Kind{PaillierHE, SSGC, Clear}, 3, true},
 		{"length", ProfileMixed, []Kind{PaillierHE}, 3, false},
 		{"round0 ssgc", ProfileMixed, []Kind{SSGC, SSGC, Clear}, 3, false},

@@ -517,8 +517,8 @@ func (e *Engine) InferStream(ctx context.Context, inputs []*tensor.Dense) ([]*te
 		}
 		stats.Failed++
 		// A dead runtime (not a per-request failure) aborts the batch.
-		var reqErr *RequestError
-		if !errors.As(err, &reqErr) && runtimeErr == nil {
+		var stageErr *stream.StageError
+		if !errors.As(err, &stageErr) && runtimeErr == nil {
 			runtimeErr = err
 		}
 	}

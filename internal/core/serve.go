@@ -16,23 +16,6 @@ import (
 // each receiving its own result or error (paper Section V's sustained
 // request stream, as opposed to the one-shot batch runs of InferOne).
 
-// RequestError is one request's failure inside the serving pipeline. The
-// batch and the other in-flight requests are unaffected (fault
-// containment); Stage names the pipeline stage whose handler failed.
-type RequestError struct {
-	Seq   uint64
-	Stage string
-	Msg   string
-}
-
-// Error implements error.
-func (e *RequestError) Error() string {
-	if e.Stage != "" {
-		return fmt.Sprintf("core: request %d failed at stage %s: %s", e.Seq, e.Stage, e.Msg)
-	}
-	return fmt.Sprintf("core: request %d failed: %s", e.Seq, e.Msg)
-}
-
 // ErrNotServing is returned by Submit when Serve has not been called (or
 // the runtime has been shut down).
 var ErrNotServing = errors.New("core: engine is not serving (call Serve first)")
@@ -93,12 +76,13 @@ func (e *Engine) Shutdown() error {
 // its result is ready, ctx expires, or the runtime shuts down. Safe for
 // concurrent use; each caller gets exactly its own result. Every call
 // that finds the runtime up is one request of the engine's
-// protocol.Lifecycle: admitted (or shed), run, and finished with exactly
-// one outcome. A request that fails inside the pipeline returns a
-// *RequestError naming the failing stage, while other in-flight requests
-// proceed undisturbed. An input outside the model's input domain is
-// refused with the data provider's *protocol.InputRangeError before it
-// takes a window permit or reaches a stage.
+// protocol.Lifecycle under the sequence number it reserves from the
+// dispatcher, the ID its stages key the permutation state by: admitted
+// (or shed), run, and finished with exactly one outcome. A request that fails inside the pipeline
+// returns the stage's *stream.StageError, which wraps the handler's error
+// (an input outside the model's input domain fails the encrypt stage with
+// the data provider's *protocol.InputRangeError), while other in-flight
+// requests proceed undisturbed.
 //
 // A request the pipeline accepted finishes when it leaves the pipeline,
 // on the dispatcher's reader and with its real outcome, whether or not
@@ -112,20 +96,15 @@ func (e *Engine) Submit(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *s
 	if d == nil {
 		return nil, nil, ErrNotServing
 	}
-	req, err := e.life.AdmitUndispatched(time.Now())
+	seq := d.Reserve()
+	req, err := e.life.Admit(seq, "", time.Now())
 	if err != nil {
 		return nil, nil, err
 	}
-	var f *stream.Future
-	if err = e.Protocol.Data.CheckInput(x); err == nil {
-		f, err = d.Submit(ctx, x, func(m *stream.Message) {
-			// The pipeline's sequence number is the request ID its stages
-			// key the permutation state by.
-			req.Dispatched(m.Seq)
-			_, _, err := result(m)
-			e.life.Finish(req, err)
-		})
-	}
+	f, err := d.Submit(ctx, seq, x, func(m *stream.Message) {
+		_, _, err := result(m)
+		e.life.Finish(req, err)
+	})
 	if err != nil {
 		e.life.Finish(req, err)
 		return nil, nil, err
@@ -139,12 +118,12 @@ func (e *Engine) Submit(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *s
 
 // result reads a message that left the pipeline as its request's outcome.
 func result(m *stream.Message) (*tensor.Dense, *stream.Trace, error) {
-	if m.Err != "" {
-		return nil, m.Trace, &RequestError{Seq: m.Seq, Stage: m.FailedStage, Msg: m.Err}
+	if m.Err != nil {
+		return nil, m.Trace, m.Err
 	}
 	env, ok := m.Payload.(*protocol.Envelope)
 	if !ok || env.Result == nil {
-		return nil, m.Trace, &RequestError{Seq: m.Seq, Msg: fmt.Sprintf("no result in payload %T", m.Payload)}
+		return nil, m.Trace, fmt.Errorf("core: request %d left the pipeline without a result (payload %T)", m.Seq, m.Payload)
 	}
 	return env.Result, m.Trace, nil
 }

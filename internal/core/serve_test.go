@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"ppstream/internal/obs"
 	"ppstream/internal/protocol"
+	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
 
@@ -87,7 +89,7 @@ func TestEngineServeConcurrentSubmitters(t *testing.T) {
 }
 
 // TestEngineServeErrorIsolation: a request that fails mid-pipeline
-// returns a *RequestError naming the stage while concurrent requests
+// returns the *stream.StageError naming the stage while concurrent requests
 // complete undisturbed, and the failed request's obfuscation state is
 // released.
 func TestEngineServeErrorIsolation(t *testing.T) {
@@ -117,12 +119,12 @@ func TestEngineServeErrorIsolation(t *testing.T) {
 	for err := range errs {
 		t.Errorf("good request disturbed: %v", err)
 	}
-	var reqErr *RequestError
-	if !errors.As(badErr, &reqErr) {
-		t.Fatalf("bad request error %v (type %T), want *RequestError", badErr, badErr)
+	var stageErr *stream.StageError
+	if !errors.As(badErr, &stageErr) {
+		t.Fatalf("bad request error %v (type %T), want *stream.StageError", badErr, badErr)
 	}
-	if reqErr.Stage != "linear-0" {
-		t.Errorf("failed stage %q, want linear-0", reqErr.Stage)
+	if stageErr.Stage != "linear-0" {
+		t.Errorf("failed stage %q, want linear-0", stageErr.Stage)
 	}
 	if got := eng.Stats().Counters["serve.requests.err"]; got != 1 {
 		t.Errorf("serve.requests.err = %d", got)
@@ -190,8 +192,8 @@ func TestInferStreamPartialFailure(t *testing.T) {
 	if stats.Failed != 1 {
 		t.Errorf("Failed = %d, want 1", stats.Failed)
 	}
-	var reqErr *RequestError
-	if !errors.As(stats.Errors[2], &reqErr) || reqErr.Stage != "linear-0" {
+	var stageErr *stream.StageError
+	if !errors.As(stats.Errors[2], &stageErr) || stageErr.Stage != "linear-0" {
 		t.Errorf("slot 2 error %v", stats.Errors[2])
 	}
 	if results[2] != nil {
@@ -237,11 +239,12 @@ func TestInferStreamLeaksNoGoroutines(t *testing.T) {
 
 // TestEngineSubmitRefusesOutOfRangeInput: an input outside the model's
 // declared domain gets its one terminal outcome — the data provider's
-// typed *protocol.InputRangeError, counted as a failed request — before
-// the runtime spends anything on it: no shed slot or window permit is held
-// afterwards (both are 1 here, so a leak would fail the next request), no
-// stage ran (so no permutation state exists to leak), and the engine keeps
-// serving. The sequential walk refuses the same input the same way.
+// typed *protocol.InputRangeError from the encrypt stage, counted as a
+// failed request — before anything is encrypted: no shed slot or window
+// permit is held afterwards (both are 1 here, so a leak would fail the next
+// request), the encrypt stage counts one failure per refusal and meters no
+// Paillier operation, and the engine keeps serving. The sequential walk
+// refuses the same input the same way.
 func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 	net := smallNet(t)
 	net.InputMax = 3
@@ -255,42 +258,51 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 	if err := eng.Serve(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ran := func() uint64 { return eng.Stats().Histograms["stage.encrypt.busy"].Count }
-	before := ran()
+	failed := func() int64 { return eng.Stats().Gauges["stage.encrypt.errors"] }
+	before := failed()
 	for i, bad := range []*tensor.Dense{
 		tensor.MustFromSlice([]float64{0, 0, 3.5, 0}, 4),
 		tensor.MustFromSlice([]float64{0, 0, math.NaN(), 0}, 4),
 		tensor.MustFromSlice([]float64{0, 0, math.Inf(-1), 0}, 4),
 	} {
-		_, trace, err := eng.Submit(ctx, bad)
+		_, _, err := eng.Submit(ctx, bad)
 		var rangeErr *protocol.InputRangeError
 		if !errors.As(err, &rangeErr) || rangeErr.Index != 2 || rangeErr.Max != 3 {
 			t.Fatalf("Submit(out of domain %d) = %v, want an *InputRangeError for element 2", i, err)
 		}
-		if trace != nil {
-			t.Error("a refused request produced a trace")
+		if got := failed() - before; got != int64(i+1) {
+			t.Errorf("after refusal %d the encrypt stage counts %d failures", i, got)
+		}
+		// What the encrypt stage runs on the input, metered.
+		var m obs.CostMeter
+		if _, err := eng.Protocol.Data.EncryptMetered(uint64(i), bad, &m); !errors.As(err, &rangeErr) {
+			t.Errorf("EncryptMetered(out of domain %d) = %v, want an *InputRangeError", i, err)
+		}
+		if cost := m.Snapshot(); !cost.IsZero() {
+			t.Errorf("refusing out-of-domain input %d metered %v", i, &cost)
 		}
 		if _, _, err := eng.InferOne(uint64(100+i), bad); !errors.As(err, &rangeErr) {
 			t.Errorf("InferOne(out of domain %d) = %v, want an *InputRangeError", i, err)
 		}
 	}
 	snap := eng.Stats()
-	if snap.Counters["serve.requests.err"] != 3 || snap.Gauges["serve.inflight"] != 0 || ran() != before {
-		t.Errorf("after 3 refused requests: %d counted, %d in flight, %d reached the encrypt stage",
-			snap.Counters["serve.requests.err"], snap.Gauges["serve.inflight"], ran()-before)
+	if snap.Counters["serve.requests.err"] != 3 || snap.Counters["serve.requests.shed"] != 0 || snap.Gauges["serve.inflight"] != 0 {
+		t.Errorf("after 3 refused requests: %d counted as err, %d as shed, %d in flight",
+			snap.Counters["serve.requests.err"], snap.Counters["serve.requests.shed"], snap.Gauges["serve.inflight"])
 	}
 	if _, _, err := eng.Submit(ctx, tensor.MustFromSlice([]float64{3, -3, 0.5, 0}, 4)); err != nil {
 		t.Fatalf("in-domain request after refused ones: %v", err)
 	}
-	if ran() != before+1 {
-		t.Errorf("the in-domain request ran the encrypt stage %d times", ran()-before)
+	if got := failed() - before; got != 3 {
+		t.Errorf("the in-domain request left the encrypt stage with %d failures, want 3", got)
 	}
 }
 
-// TestEngineSubmitEarlyEndsSpareRequestZero: a Submit that ends before the
-// pipeline accepts it — shed, or refused for its input — has no request ID
-// yet, so finishing it must not drop the permutation state of the request
-// that holds ID 0, the first one after every Serve.
+// TestEngineSubmitEarlyEndsSpareRequestZero: a Submit that ends early —
+// shed before the pipeline accepts it, or refused for its input by the
+// encrypt stage — finishes under its own reserved sequence number, so it
+// must not drop the permutation state of the request that holds ID 0, the
+// first good one after every Serve.
 func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 	net := smallNet(t)
 	net.InputMax = 3
@@ -309,8 +321,7 @@ func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 		}
 		// Four submitters of a refused input against two admission slots:
 		// each attempt ends early, as err when it gets a slot and as shed
-		// when it does not, and none is ever dispatched — ID 0 is the good
-		// request's.
+		// when it does not, and never holds permutation state.
 		stop := make(chan struct{})
 		var early sync.WaitGroup
 		for g := 0; g < 4; g++ {

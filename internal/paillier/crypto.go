@@ -271,29 +271,12 @@ func (pk *PublicKey) MulScalarInt64(a *Ciphertext, w int64) (*Ciphertext, error)
 	return pk.MulScalar(a, big.NewInt(w))
 }
 
-// EncryptZero returns a fresh encryption of zero, useful as the
-// accumulator seed of a homomorphic dot product.
-func (pk *PublicKey) EncryptZero(random io.Reader) (*Ciphertext, error) {
-	return pk.Encrypt(random, big.NewInt(0))
-}
-
 // RerandomizeWith multiplies a ciphertext by a precomputed blinding
 // factor r^n mod n² (from a Pool or Blinder), producing an unlinkable
-// ciphertext of the same plaintext without the inline exponentiation of
-// Rerandomize. The factor must be used at most once.
+// ciphertext of the same plaintext without an inline exponentiation. The
+// factor must be used at most once.
 func (pk *PublicKey) RerandomizeWith(a *Ciphertext, rn *big.Int) *Ciphertext {
 	c := new(big.Int).Mul(a.c, rn)
 	c.Mod(c, pk.N2)
 	return &Ciphertext{c: c}
-}
-
-// Rerandomize multiplies a ciphertext by a fresh encryption of zero so the
-// resulting ciphertext is unlinkable to the input while decrypting to the
-// same plaintext.
-func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, error) {
-	z, err := pk.EncryptZero(random)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(a, z), nil
 }

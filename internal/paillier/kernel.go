@@ -158,9 +158,6 @@ type EvalOption func(*Evaluator)
 // WithBlinder sets the blinding factor supply (e.g. a *Pool).
 func WithBlinder(b Blinder) EvalOption { return func(ev *Evaluator) { ev.blinder = b } }
 
-// WithMetrics sets the kernel timing callbacks.
-func WithMetrics(m KernelMetrics) EvalOption { return func(ev *Evaluator) { ev.metrics.Store(&m) } }
-
 // WithCostMeter attaches a crypto-op cost meter at construction.
 func WithCostMeter(m *obs.CostMeter) EvalOption { return func(ev *Evaluator) { ev.cost = m } }
 

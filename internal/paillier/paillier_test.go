@@ -146,22 +146,6 @@ func TestAddPlain(t *testing.T) {
 	}
 }
 
-func TestRerandomize(t *testing.T) {
-	k := key(t)
-	e, _ := k.PublicKey.EncryptInt64(rand.Reader, 77)
-	r, err := k.PublicKey.Rerandomize(rand.Reader, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Value().Cmp(e.Value()) == 0 {
-		t.Error("rerandomized ciphertext identical to input")
-	}
-	got, _ := k.DecryptInt64(r)
-	if got != 77 {
-		t.Errorf("rerandomize changed plaintext: %d", got)
-	}
-}
-
 func TestDecryptRejectsBadInput(t *testing.T) {
 	k := key(t)
 	if _, err := k.Decrypt(nil); err == nil {

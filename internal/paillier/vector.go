@@ -71,38 +71,6 @@ func EncryptTensor(pk *PublicKey, b Blinder, t *tensor.Tensor[int64], workers in
 	return out, nil
 }
 
-// DecryptTensor decrypts a ciphertext tensor to int64 values in parallel.
-func DecryptTensor(sk *PrivateKey, t *CipherTensor, workers int) (*tensor.Tensor[int64], error) {
-	out := tensor.New[int64](t.Shape()...)
-	in, od := t.Data(), out.Data()
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(len(in), workers, func(i int) {
-		if in[i] == nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("paillier: nil ciphertext at offset %d", i)
-			}
-			mu.Unlock()
-			return
-		}
-		v, err := sk.DecryptInt64(in[i])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		od[i] = v
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
 // DecryptTensorBig decrypts a ciphertext tensor to arbitrary-precision
 // signed integers in parallel. Linear stages raise plaintext magnitudes
 // beyond int64 at large scaling factors, so the protocol uses this

@@ -3,12 +3,14 @@ package protocol
 import (
 	"errors"
 	"fmt"
+
+	"ppstream/internal/stream"
 )
 
 // Error codes classify error frames on the wire so a client can tell a
 // retryable rejection (throttle, shed) from a fatal protocol error
-// without parsing message text. The numeric values ride in
-// stream.Message.ErrCode, a fixed field of every frame header.
+// without parsing message text. A code rides in the fixed header of the
+// error frame (see stream.CodedError).
 const (
 	// CodeNone marks an unclassified error.
 	CodeNone = 0
@@ -30,78 +32,41 @@ const (
 	CodeBadRound = 5
 )
 
-// Sentinel errors surfaced by the client for typed error frames and by
-// the serving plane for local rejections. Match with errors.Is.
+// Sentinel errors of the serving plane, raised locally and, through their
+// codes, rebuilt on the far side of a TCP edge. Each coded sentinel is a
+// *stream.CodedError: this block is the one code↔sentinel table, and an
+// error frame carrying a code matches its sentinel with errors.Is.
 var (
-	// ErrThrottled is the rate-limit rejection (CodeThrottled).
-	ErrThrottled = errors.New("protocol: request throttled")
-	// ErrShed is the overload rejection (CodeShed).
-	ErrShed = errors.New("protocol: request shed by admission control")
-	// ErrDeadline is the server- or client-side deadline expiry
-	// (CodeDeadline).
-	ErrDeadline = errors.New("protocol: request deadline exceeded")
-	// ErrEvicted is the stale-request rejection (CodeEvicted).
-	ErrEvicted = errors.New("protocol: request state evicted")
-	// ErrBadRound is the out-of-range round rejection (CodeBadRound).
-	ErrBadRound = errors.New("protocol: round out of range")
+	// ErrThrottled is the rate-limit rejection.
+	ErrThrottled error = &stream.CodedError{Code: CodeThrottled, Msg: "protocol: request throttled"}
+	// ErrShed is the overload rejection.
+	ErrShed error = &stream.CodedError{Code: CodeShed, Msg: "protocol: request shed by admission control"}
+	// ErrDeadline is the server- or client-side deadline expiry.
+	ErrDeadline error = &stream.CodedError{Code: CodeDeadline, Msg: "protocol: request deadline exceeded"}
+	// ErrEvicted is the stale-request rejection.
+	ErrEvicted error = &stream.CodedError{Code: CodeEvicted, Msg: "protocol: request state evicted"}
+	// ErrBadRound is the out-of-range round rejection.
+	ErrBadRound error = &stream.CodedError{Code: CodeBadRound, Msg: "protocol: round out of range"}
 	// ErrSessionDown marks transport-level session failure (connection
 	// reset, server gone). The whole inference may be retried on a fresh
-	// session; no mid-protocol state survives.
+	// session; no mid-protocol state survives. It never crosses the wire.
 	ErrSessionDown = errors.New("protocol: session down")
 )
 
-// codeSentinel maps a wire code to its errors.Is sentinel.
-func codeSentinel(code int) error {
-	switch code {
-	case CodeThrottled:
-		return ErrThrottled
-	case CodeShed:
-		return ErrShed
-	case CodeDeadline:
-		return ErrDeadline
-	case CodeEvicted:
-		return ErrEvicted
-	case CodeBadRound:
-		return ErrBadRound
-	default:
-		return nil
-	}
-}
-
-// codeOf classifies a server-side error into its wire code.
-func codeOf(err error) int {
-	switch {
-	case errors.Is(err, ErrThrottled):
-		return CodeThrottled
-	case errors.Is(err, ErrShed):
-		return CodeShed
-	case errors.Is(err, ErrDeadline):
-		return CodeDeadline
-	case errors.Is(err, ErrEvicted):
-		return CodeEvicted
-	case errors.Is(err, ErrBadRound):
-		return CodeBadRound
-	default:
-		return CodeNone
-	}
-}
-
-// RoundError is the client-side view of a typed error frame: the round
-// it failed at, the wire code, and the server's message. Unwrap returns
-// the code's sentinel, so errors.Is(err, ErrThrottled) etc. work through
-// the usual chain.
+// RoundError is the client-side view of an error frame: the round it
+// failed at and the server's error as it arrived, which errors.Is matches
+// against the sentinel of its code.
 type RoundError struct {
 	Round int
-	Code  int
-	Msg   string
+	Err   error
 }
 
 func (e *RoundError) Error() string {
-	return fmt.Sprintf("protocol: server rejected round %d: %s", e.Round, e.Msg)
+	return fmt.Sprintf("protocol: server rejected round %d: %v", e.Round, e.Err)
 }
 
-// Unwrap exposes the code's sentinel for errors.Is matching.
-func (e *RoundError) Unwrap() error { return codeSentinel(e.Code) }
+// Unwrap returns the server's error.
+func (e *RoundError) Unwrap() error { return e.Err }
 
 // Retryable reports whether err is safe to retry. Throttle and shed
 // rejections happen before the server creates per-request state, and a

@@ -1,52 +1,109 @@
 package protocol
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
+
+	"ppstream/internal/stream"
 )
 
-// TestRoundErrorUnwrap: a typed error frame surfaced as RoundError must
-// match its sentinel through errors.Is, and unknown codes match nothing.
-func TestRoundErrorUnwrap(t *testing.T) {
-	cases := []struct {
-		code     int
-		sentinel error
-	}{
-		{CodeThrottled, ErrThrottled},
-		{CodeShed, ErrShed},
-		{CodeDeadline, ErrDeadline},
-		{CodeEvicted, ErrEvicted},
+// codedSentinels is every sentinel that has a wire code.
+var codedSentinels = []struct {
+	code     int
+	sentinel error
+}{
+	{CodeThrottled, ErrThrottled},
+	{CodeShed, ErrShed},
+	{CodeDeadline, ErrDeadline},
+	{CodeEvicted, ErrEvicted},
+	{CodeBadRound, ErrBadRound},
+}
+
+// errCode is the wire code err carries: that of the first CodedError in its
+// chain, CodeNone without one.
+func errCode(err error) int {
+	var c *stream.CodedError
+	if errors.As(err, &c) {
+		return c.Code
 	}
-	for _, c := range cases {
-		err := error(&RoundError{Round: 0, Code: c.code, Msg: "x"})
+	return CodeNone
+}
+
+// TestRoundErrorUnwrap: an error frame surfaced as RoundError keeps its
+// round and matches its code's sentinel, and only that one, through
+// errors.Is; an uncoded error matches none.
+func TestRoundErrorUnwrap(t *testing.T) {
+	for _, c := range codedSentinels {
+		err := error(&RoundError{Round: 2, Err: &stream.CodedError{Code: c.code, Msg: "x"}})
 		if !errors.Is(err, c.sentinel) {
 			t.Errorf("code %d does not match %v", c.code, c.sentinel)
 		}
-		for _, other := range cases {
+		for _, other := range codedSentinels {
 			if other.code != c.code && errors.Is(err, other.sentinel) {
 				t.Errorf("code %d wrongly matches %v", c.code, other.sentinel)
 			}
 		}
 	}
-	unknown := error(&RoundError{Code: CodeNone, Msg: "legacy peer"})
-	if errors.Is(unknown, ErrThrottled) || errors.Is(unknown, ErrShed) {
-		t.Error("CodeNone matched a sentinel")
+	unknown := error(&RoundError{Err: &stream.CodedError{Code: CodeNone, Msg: "legacy peer"}})
+	for _, c := range codedSentinels {
+		if errors.Is(unknown, c.sentinel) {
+			t.Errorf("CodeNone matched %v", c.sentinel)
+		}
 	}
 }
 
-// TestCodeRoundTrip: codeOf inverts codeSentinel, including through
-// wrapping — the property that keeps server-side classification and
-// client-side matching in sync.
+// TestCodeRoundTrip: every coded sentinel, wrapped with context or raised
+// by a stage, crosses a TCP edge and matches the same sentinel — and no
+// other — on the far side, with its text intact; an uncoded error arrives
+// matching none. This is what keeps server-side raising and client-side
+// matching on one table.
 func TestCodeRoundTrip(t *testing.T) {
-	for _, code := range []int{CodeThrottled, CodeShed, CodeDeadline, CodeEvicted} {
-		wrapped := fmt.Errorf("context: %w", codeSentinel(code))
-		if got := codeOf(wrapped); got != code {
-			t.Errorf("codeOf(wrap(sentinel(%d))) = %d", code, got)
+	recv, addr, err := stream.ListenEdge("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	send, err := stream.DialEdge(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.CloseSend()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	hop := func(sent error) error {
+		t.Helper()
+		if err := send.Send(ctx, &stream.Message{Seq: 1, Err: sent}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := recv.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Err == nil || m.Err.Error() != sent.Error() {
+			t.Fatalf("sent %q, received %v", sent, m.Err)
+		}
+		return m.Err
+	}
+	for _, c := range codedSentinels {
+		for _, sent := range []error{
+			fmt.Errorf("context: %w", c.sentinel),
+			&stream.StageError{Stage: "linear-0", Err: c.sentinel},
+		} {
+			got := hop(sent)
+			for _, other := range codedSentinels {
+				if errors.Is(got, other.sentinel) != (other.code == c.code) {
+					t.Errorf("%q (code %d) after the hop: errors.Is(%v) = %v", sent, c.code, other.sentinel, !(other.code == c.code))
+				}
+			}
 		}
 	}
-	if codeOf(errors.New("plain")) != CodeNone {
-		t.Error("unclassified error did not map to CodeNone")
+	got := hop(errors.New("plain"))
+	for _, c := range codedSentinels {
+		if errors.Is(got, c.sentinel) {
+			t.Errorf("uncoded error matched %v after the hop", c.sentinel)
+		}
 	}
 }
 
@@ -57,7 +114,7 @@ func TestRetryableMatrix(t *testing.T) {
 		ErrThrottled,
 		ErrShed,
 		fmt.Errorf("%w: dial: connection refused", ErrSessionDown),
-		&RoundError{Code: CodeShed, Msg: "overload"},
+		&RoundError{Err: &stream.CodedError{Code: CodeShed, Msg: "overload"}},
 	}
 	for _, err := range retryable {
 		if !Retryable(err) {
@@ -67,7 +124,7 @@ func TestRetryableMatrix(t *testing.T) {
 	terminal := []error{
 		ErrDeadline,
 		ErrEvicted,
-		&RoundError{Code: CodeEvicted, Msg: "stale"},
+		&RoundError{Err: &stream.CodedError{Code: CodeEvicted, Msg: "stale"}},
 		errors.New("protocol violation"),
 	}
 	for _, err := range terminal {

@@ -80,12 +80,8 @@ type Request struct {
 	// one from ID.
 	TraceID string
 
-	// undispatched marks a request admitted before its ID exists (see
-	// AdmitUndispatched): the model provider cannot hold state for it, and
-	// ID may be another request's, so Finish leaves the provider alone.
-	undispatched bool
-	started      time.Time
-	shedHeld     bool
+	started  time.Time
+	shedHeld bool
 	// lastSeen and deadline (the absolute point the client's propagated
 	// budget runs out; zero means none) are the session janitor's: it
 	// evicts on them, under the session lock.
@@ -98,22 +94,7 @@ type Request struct {
 // slot. An overloaded shedder refuses it: the request is finished as shed
 // on the spot and the ErrShed-wrapped error returned.
 func (lc *Lifecycle) Admit(id uint64, traceID string, arrived time.Time) (*Request, error) {
-	return lc.admit(&Request{ID: id, TraceID: traceID, started: arrived})
-}
-
-// AdmitUndispatched is Admit for a runtime that learns a request's ID only
-// when it dispatches it — the engine, whose IDs are its pipeline's sequence
-// numbers and which must shed before it queues. Dispatched supplies the
-// ID; a request that ends before that holds no provider state.
-func (lc *Lifecycle) AdmitUndispatched(arrived time.Time) (*Request, error) {
-	return lc.admit(&Request{undispatched: true, started: arrived})
-}
-
-// Dispatched records the ID an AdmitUndispatched request was dispatched
-// under.
-func (r *Request) Dispatched(id uint64) { r.ID, r.undispatched = id, false }
-
-func (lc *Lifecycle) admit(req *Request) (*Request, error) {
+	req := &Request{ID: id, TraceID: traceID, started: arrived}
 	lc.active.Add(1)
 	if err := lc.shed.Acquire(); err != nil {
 		lc.Finish(req, err)
@@ -156,9 +137,7 @@ func (lc *Lifecycle) Finish(req *Request, err error) {
 	if req.shedHeld {
 		lc.shed.Release()
 	}
-	if !req.undispatched {
-		lc.mp.Forget(req.ID)
-	}
+	lc.mp.Forget(req.ID)
 	lc.active.Add(-1)
 }
 

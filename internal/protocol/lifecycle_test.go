@@ -38,8 +38,8 @@ func (c *rawClient) recv(want int) *stream.Message {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	if got := m.ErrCode; (m.Err == "") != (want == replyOK) || (m.Err != "" && got != want) {
-		c.t.Fatalf("reply for request %d: code %d err %q, want code %d", m.Seq, got, m.Err, want)
+	if got := errCode(m.Err); (m.Err == nil) != (want == replyOK) || (m.Err != nil && got != want) {
+		c.t.Fatalf("reply for request %d: code %d err %v, want code %d", m.Seq, got, m.Err, want)
 	}
 	return m
 }

@@ -32,7 +32,6 @@ import (
 	"ppstream/internal/paillier"
 	"ppstream/internal/partition"
 	"ppstream/internal/qnn"
-	"ppstream/internal/scaling"
 	"ppstream/internal/secshare"
 	"ppstream/internal/tensor"
 )
@@ -312,21 +311,6 @@ func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, er
 	mp := newModelProvider(merged, stages, &key.PublicKey, cfg)
 	dp := newDataProvider(net.InputMax, merged, stages, key, cfg)
 	return &Protocol{Model: mp, Data: dp, Merged: merged, life: NewLifecycle(mp, SessionConfig{})}, nil
-}
-
-// BuildAuto selects the scaling factor with the paper's algorithm on the
-// provided training subset, then builds the protocol.
-func BuildAuto(net *nn.Network, key *paillier.PrivateKey, xs []*tensor.Dense, ys []int, cfg Config) (*Protocol, *scaling.Result, error) {
-	res, err := scaling.SelectFactor(net, xs, ys, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Factor = res.Factor
-	p, err := Build(net, key, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, res, nil
 }
 
 // Rounds returns the number of linear/non-linear round pairs.

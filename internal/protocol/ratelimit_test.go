@@ -127,7 +127,7 @@ func TestThrottleErrorTyped(t *testing.T) {
 	if !Retryable(err) {
 		t.Error("throttle rejection must be retryable")
 	}
-	if codeOf(err) != CodeThrottled {
-		t.Errorf("codeOf(throttle) = %d", codeOf(err))
+	if got := errCode(err); got != CodeThrottled {
+		t.Errorf("throttle rejection travels with code %d", got)
 	}
 }

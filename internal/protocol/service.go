@@ -286,7 +286,7 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 		var refused *stream.WireError
 		if out != nil && (errors.Is(err, stream.ErrWireVersion) || errors.As(err, &refused)) {
 			cfg.Log.Warn("session hello refused", "err", err.Error())
-			_ = out.Send(ctx, &stream.Message{Err: err.Error()})
+			_ = out.Send(ctx, &stream.Message{Err: err})
 		}
 		return nil, fmt.Errorf("protocol: session hello: %w", err)
 	}
@@ -305,7 +305,7 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 	if err != nil {
 		cfg.Log.Warn("session hello rejected", "err", err.Error())
 		if out != nil {
-			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err.Error()})
+			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err})
 		}
 		return nil, err
 	}
@@ -546,7 +546,7 @@ func (s *session) sessionErr() error {
 func (s *session) reject(seq uint64, frame *roundFrame, cause error) {
 	s.roundErrs.Inc()
 	s.life.logFor(frame.TC.traceID()).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
-	if err := s.out.Send(s.ctx, &stream.Message{Seq: seq, Err: cause.Error(), ErrCode: codeOf(cause)}); err != nil {
+	if err := s.out.Send(s.ctx, &stream.Message{Seq: seq, Err: cause}); err != nil {
 		s.recordFatal(err)
 	}
 }
@@ -790,8 +790,8 @@ func (c *Client) readLoop(ctx context.Context) {
 		ch := c.pending[msg.Seq]
 		c.mu.Unlock()
 		if ch == nil {
-			if msg.Err != "" {
-				c.fatal(fmt.Errorf("protocol: server rejected session: %s", msg.Err))
+			if msg.Err != nil {
+				c.fatal(fmt.Errorf("protocol: server rejected session: %w", msg.Err))
 				return
 			}
 			continue // stray reply for an abandoned request
@@ -974,14 +974,14 @@ func (c *Client) exchange(ctx context.Context, ch <-chan *stream.Message, req ui
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if msg.Err == "" {
+		if msg.Err == nil {
 			reply, ok := msg.Payload.(*roundFrame)
 			if !ok {
 				return nil, fmt.Errorf("protocol: expected round frame, got %T", msg.Payload)
 			}
 			return reply, nil
 		}
-		rerr := &RoundError{Round: frame.Round, Code: msg.ErrCode, Msg: msg.Err}
+		rerr := &RoundError{Round: frame.Round, Err: msg.Err}
 		if frame.Round != 0 || !Retryable(rerr) {
 			return nil, rerr
 		}

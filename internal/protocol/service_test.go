@@ -126,7 +126,7 @@ func TestServiceRejectsTinyModulus(t *testing.T) {
 	if !strings.Contains(err.Error(), "hello public key rejected") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	if reply == nil || reply.Err == "" {
+	if reply == nil || reply.Err == nil {
 		t.Error("client did not receive an error frame")
 	}
 }
@@ -137,7 +137,7 @@ func TestServiceRejectsEmptyKey(t *testing.T) {
 	if err == nil {
 		t.Fatal("empty public key accepted")
 	}
-	if reply == nil || reply.Err == "" {
+	if reply == nil || reply.Err == nil {
 		t.Error("client did not receive an error frame")
 	}
 }
@@ -154,7 +154,7 @@ func TestServiceRejectsOversizedKey(t *testing.T) {
 	if !strings.Contains(err.Error(), "limit") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	if reply == nil || reply.Err == "" {
+	if reply == nil || reply.Err == nil {
 		t.Error("client did not receive an error frame")
 	}
 }
@@ -176,7 +176,7 @@ func TestServiceRefusesForeignWire(t *testing.T) {
 	}()
 	go c2s1.Write([]byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'w', 'i', 'r', 'e', 'F', 'r', 'a', 'm', 'e'})
 	reply, err := stream.NewTCPEdge(s2c2).Recv(ctx)
-	if err != nil || !strings.Contains(reply.Err, "unsupported wire version") {
+	if err != nil || reply.Err == nil || !strings.Contains(reply.Err.Error(), "unsupported wire version") {
 		t.Errorf("peer received %+v, %v; want the version error", reply, err)
 	}
 	if err := <-serveErr; !errors.Is(err, stream.ErrWireVersion) {

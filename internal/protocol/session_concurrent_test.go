@@ -183,7 +183,7 @@ func TestSessionIdleEviction(t *testing.T) {
 	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: 0, Env: w}}); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := edge.Recv(ctx); err != nil || msg.Err != "" {
+	if msg, err := edge.Recv(ctx); err != nil || msg.Err != nil {
 		t.Fatalf("round 0 reply: %v %q", err, msg.Err)
 	}
 	// Abandon the request: never send round 1. The janitor must evict it.

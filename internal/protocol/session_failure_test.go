@@ -99,7 +99,7 @@ func TestSessionEvictionRaceTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	reply, err := edge.Recv(ctx)
-	if err != nil || reply.Err != "" {
+	if err != nil || reply.Err != nil {
 		t.Fatalf("round 0: %v %q", err, reply.Err)
 	}
 	// Build a legitimate round-1 frame from the reply, but stall past the
@@ -131,11 +131,11 @@ func TestSessionEvictionRaceTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if late.Err == "" {
+	if late.Err == nil {
 		t.Fatal("late round frame for evicted request was processed against stale state")
 	}
-	if late.ErrCode != CodeEvicted {
-		t.Errorf("late round error code %d, want CodeEvicted; err %q", late.ErrCode, late.Err)
+	if !errors.Is(late.Err, ErrEvicted) {
+		t.Errorf("late round error %v, want ErrEvicted", late.Err)
 	}
 	if got := reg.Snapshot().Counters["requests.stale_rounds"]; got != 1 {
 		t.Errorf("requests.stale_rounds = %d", got)
@@ -144,7 +144,7 @@ func TestSessionEvictionRaceTypedError(t *testing.T) {
 	if err := edge.Send(ctx, &stream.Message{Seq: 2, Payload: &roundFrame{Round: 0, Env: roundZero(t, 2)}}); err != nil {
 		t.Fatal(err)
 	}
-	if reply, err := edge.Recv(ctx); err != nil || reply.Err != "" {
+	if reply, err := edge.Recv(ctx); err != nil || reply.Err != nil {
 		t.Fatalf("fresh request after eviction: %v %q", err, reply.Err)
 	}
 	edge.CloseSend()
@@ -166,7 +166,7 @@ func TestSessionDeadlineEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	reply, err := edge.Recv(ctx)
-	if err != nil || reply.Err != "" {
+	if err != nil || reply.Err != nil {
 		t.Fatalf("round 0: %v %q", err, reply.Err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -214,7 +214,7 @@ func TestSessionShedTypedRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	reply, err := edge.Recv(ctx)
-	if err != nil || reply.Err != "" {
+	if err != nil || reply.Err != nil {
 		t.Fatalf("request 1 round 0: %v %q", err, reply.Err)
 	}
 	// Request 1 holds the only slot mid-protocol: request 2 must shed.
@@ -225,8 +225,8 @@ func TestSessionShedTypedRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shedReply.Err == "" || shedReply.ErrCode != CodeShed {
-		t.Fatalf("second request not shed: code %d err %q", shedReply.ErrCode, shedReply.Err)
+	if !errors.Is(shedReply.Err, ErrShed) {
+		t.Fatalf("second request not shed: err %v", shedReply.Err)
 	}
 	// Finish request 1 (round 1 is the last for the 2-round net).
 	renv, err := FromWire(reply.Payload.(*roundFrame).Env, &k.PublicKey)
@@ -245,14 +245,14 @@ func TestSessionShedTypedRejection(t *testing.T) {
 	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: 1, Env: w1}}); err != nil {
 		t.Fatal(err)
 	}
-	if fin, err := edge.Recv(ctx); err != nil || fin.Err != "" {
+	if fin, err := edge.Recv(ctx); err != nil || fin.Err != nil {
 		t.Fatalf("request 1 final round: %v %q", err, fin.Err)
 	}
 	// Slot released with the completed request: request 2 now admits.
 	if err := edge.Send(ctx, &stream.Message{Seq: 2, Payload: &roundFrame{Round: 0, Env: roundZero(t, 2)}}); err != nil {
 		t.Fatal(err)
 	}
-	if retry, err := edge.Recv(ctx); err != nil || retry.Err != "" {
+	if retry, err := edge.Recv(ctx); err != nil || retry.Err != nil {
 		t.Fatalf("request 2 after release: %v %q", err, retry.Err)
 	}
 	if got := reg.Snapshot().Counters["shed.rejected.total"]; got != 1 {
@@ -315,7 +315,7 @@ func TestClientRetriesRoundZero(t *testing.T) {
 				if frame.Round == 0 && !rejected {
 					rejected = true
 					if err := serverEdge.Send(ctx, &stream.Message{
-						Seq: msg.Seq, Err: "synthetic overload", ErrCode: CodeShed,
+						Seq: msg.Seq, Err: &stream.CodedError{Code: CodeShed, Msg: "synthetic overload"},
 					}); err != nil {
 						return err
 					}

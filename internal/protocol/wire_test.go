@@ -109,7 +109,7 @@ func goldenFrames() map[string]*stream.Message {
 				},
 				Env: &WireEnvelope{Req: 9, Result: []float64{0.25, -1.5}, ResultShape: []int{1, 2}},
 			}},
-		"error": {Seq: 11, Err: "protocol: request shed", ErrCode: CodeShed, FailedStage: "linear-0"},
+		"error": {Seq: 11, Err: &stream.StageError{Stage: "linear-0", Err: &stream.CodedError{Code: CodeShed, Msg: "protocol: request shed"}}},
 	}
 }
 
@@ -239,6 +239,24 @@ func envToCipher(n uint32) *wb {
 // profile.
 func frameToPlan() *wb { return new(wb).u32(0).u64(0).u8(0).str("") }
 
+// TestFailedSectionPayloadDropped: the failure section names the failing
+// stage and then carries a payload tag. Encoders send tag 0; a payload
+// under a non-zero tag (the failing stage's input, which earlier encoders
+// attached) is decoded and dropped, and the error still names its stage.
+func TestFailedSectionPayloadDropped(t *testing.T) {
+	RegisterServiceWire()
+	hello := new(wb).u32(1).raw(7).u64(1000).u32(1).str("").b
+	body := new(wb).str("boom").str("linear-0").u16(tagHello).raw(hello...).b
+	msgs, err := decodeFrames(append(append([]byte(nil), preface...), frame(2|8, 0, uint32(len(body)), body)...))
+	if !errors.Is(err, io.EOF) || len(msgs) != 1 {
+		t.Fatalf("decoded %d frames, then %v", len(msgs), err)
+	}
+	var stageErr *stream.StageError
+	if m := msgs[0]; !errors.As(m.Err, &stageErr) || stageErr.Stage != "linear-0" || stageErr.Err.Error() != "boom" || m.Payload != nil {
+		t.Errorf("decoded %+v (err %v), want stage linear-0 failing with boom and no payload", m, m.Err)
+	}
+}
+
 // TestHostilePeerFields sends one malformed stream per bounded field of the
 // format and requires the typed rejection for that field, reached without
 // the allocation the field would have sized: nothing a row announces —
@@ -277,6 +295,7 @@ func TestHostilePeerFields(t *testing.T) {
 		}(), field: "body"},
 		{name: "error text", data: withPreface(frame(2, 0, 8, new(wb).u32(stream.MaxWireString+1).raw(0, 0, 0, 0).b)), field: "error text"},
 		{name: "string past the body", data: withPreface(frame(2, 0, 8, new(wb).u32(100).raw(0, 0, 0, 0).b)), field: "error text"},
+		{name: "failed stage without error", data: withPreface(frame(8, 0, 7, new(wb).str("x").u16(0).b)), field: "flags"},
 		{name: "stream trace spans", data: withPreface(frame(4, 0, 8, new(wb).str("").u32(1<<20).b)), field: "trace spans"},
 		{name: "hello key bytes", data: withPreface(frame(0, tagHello, 4, new(wb).u32(maxHelloKeyBytes+1).b)), field: "hello key bytes"},
 		{name: "slot bits", data: env(envPrefix(maxSlotBits + 1)), field: "slot bits"},

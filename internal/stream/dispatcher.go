@@ -31,9 +31,7 @@ type Dispatcher struct {
 	// cannot grow the in-flight set beyond the bound.
 	window chan struct{}
 
-	inflight  atomic.Int64
-	completed atomic.Uint64
-	failed    atomic.Uint64
+	inflight atomic.Int64
 
 	mu      sync.Mutex
 	pending map[uint64]waiter
@@ -97,11 +95,6 @@ func (d *Dispatcher) read(ctx context.Context) {
 			return
 		}
 		d.inflight.Add(-1)
-		if m.Err != "" {
-			d.failed.Add(1)
-		} else {
-			d.completed.Add(1)
-		}
 		if d.window != nil {
 			<-d.window
 		}
@@ -133,7 +126,7 @@ func (d *Dispatcher) fail(err error) {
 	d.mu.Unlock()
 	for seq, w := range stranded {
 		if w.done != nil {
-			w.done(&Message{Seq: seq, Err: err.Error()})
+			w.done(&Message{Seq: seq, Err: err})
 		}
 		close(w.ch)
 	}
@@ -175,11 +168,17 @@ func (d *Dispatcher) terminalErr() error {
 	return ErrDispatcherClosed
 }
 
-// Submit reserves a sequence number, registers the completion route, and
-// enqueues the payload. It blocks while the in-flight window (and then
-// the pipeline's first edge) is full; a dispatcher that terminated while
-// the caller was waiting returns the terminal error rather than blocking
-// forever on slots no reader will ever release.
+// Reserve hands out the next request's sequence number. A caller that
+// must key per-request state by it before queueing (an admission check
+// that can refuse the request) reserves first and passes the number to
+// Submit; a number that is never submitted is only a gap in the sequence.
+func (d *Dispatcher) Reserve() uint64 { return d.p.Reserve() }
+
+// Submit registers the completion route for the Reserved sequence number
+// seq and enqueues the payload under it. It blocks while the in-flight
+// window (and then the pipeline's first edge) is full; a dispatcher that
+// terminated while the caller was waiting returns the terminal error
+// rather than blocking forever on slots no reader will ever release.
 //
 // done, when non-nil, runs exactly once for a request Submit accepted, on
 // the dispatcher's reader goroutine, before the Future is woken and
@@ -187,7 +186,7 @@ func (d *Dispatcher) terminalErr() error {
 // message when it leaves the pipeline, or with a message carrying only its
 // Seq and the terminal error when the dispatcher terminates with it still
 // inside. It may already have run when Submit returns.
-func (d *Dispatcher) Submit(ctx context.Context, payload any, done func(*Message)) (*Future, error) {
+func (d *Dispatcher) Submit(ctx context.Context, seq uint64, payload any, done func(*Message)) (*Future, error) {
 	if d.window != nil {
 		select {
 		case d.window <- struct{}{}:
@@ -218,7 +217,6 @@ func (d *Dispatcher) Submit(ctx context.Context, payload any, done func(*Message
 		}
 		return nil, err
 	}
-	seq := d.p.Reserve()
 	ch := make(chan *Message, 1)
 	d.pending[seq] = waiter{ch: ch, done: done}
 	d.submitting.Add(1)
@@ -246,7 +244,7 @@ func (d *Dispatcher) Submit(ctx context.Context, payload any, done func(*Message
 // Do is Submit followed by Wait: the synchronous per-request call most
 // submitters want.
 func (d *Dispatcher) Do(ctx context.Context, payload any) (*Message, error) {
-	f, err := d.Submit(ctx, payload, nil)
+	f, err := d.Submit(ctx, d.Reserve(), payload, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -255,13 +253,6 @@ func (d *Dispatcher) Do(ctx context.Context, payload any) (*Message, error) {
 
 // InFlight reports how many submitted requests have not yet completed.
 func (d *Dispatcher) InFlight() int64 { return d.inflight.Load() }
-
-// Completed reports how many requests finished without a per-request
-// error; Failed counts those that completed carrying one.
-func (d *Dispatcher) Completed() uint64 { return d.completed.Load() }
-
-// Failed reports how many requests completed with a per-request error.
-func (d *Dispatcher) Failed() uint64 { return d.failed.Load() }
 
 // Close stops admission, lets in-flight requests drain, stops the
 // pipeline stages, and returns the first stage error, if any. Safe to

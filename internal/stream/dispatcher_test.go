@@ -54,8 +54,8 @@ func TestDispatcherConcurrentSubmitters(t *testing.T) {
 				errs <- err
 				return
 			}
-			if m.Err != "" {
-				errs <- errors.New(m.Err)
+			if m.Err != nil {
+				errs <- m.Err
 				return
 			}
 			if got := m.Payload.(int); got != i*2+1 {
@@ -71,8 +71,8 @@ func TestDispatcherConcurrentSubmitters(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if d.Completed() != n || d.Failed() != 0 || d.InFlight() != 0 {
-		t.Errorf("counters: completed=%d failed=%d inflight=%d", d.Completed(), d.Failed(), d.InFlight())
+	if d.InFlight() != 0 {
+		t.Errorf("inflight=%d after close", d.InFlight())
 	}
 }
 
@@ -87,11 +87,11 @@ func TestDispatcherErrorIsolation(t *testing.T) {
 	}
 	defer d.Close()
 
-	bad, err := d.Submit(ctx, -7, nil)
+	bad, err := d.Submit(ctx, d.Reserve(), -7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := d.Submit(ctx, 5, nil)
+	good, err := d.Submit(ctx, d.Reserve(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,18 +99,16 @@ func TestDispatcherErrorIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bm.Err == "" || bm.FailedStage != "double" {
-		t.Errorf("bad request: err=%q stage=%q", bm.Err, bm.FailedStage)
+	var stageErr *StageError
+	if !errors.As(bm.Err, &stageErr) || stageErr.Stage != "double" {
+		t.Errorf("bad request: err=%v, want a *StageError from stage double", bm.Err)
 	}
 	gm, err := good.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gm.Err != "" || gm.Payload.(int) != 11 {
+	if gm.Err != nil || gm.Payload.(int) != 11 {
 		t.Errorf("good request disturbed: %+v", gm)
-	}
-	if d.Failed() != 1 {
-		t.Errorf("failed counter %d", d.Failed())
 	}
 }
 
@@ -136,16 +134,16 @@ func TestDispatcherWindowBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, 1, nil); err != nil {
+	if _, err := d.Submit(ctx, d.Reserve(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, 2, nil); err != nil {
+	if _, err := d.Submit(ctx, d.Reserve(), 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Third submit must block on the window.
 	blocked, bcancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer bcancel()
-	if _, err := d.Submit(blocked, 3, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := d.Submit(blocked, d.Reserve(), 3, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("window did not bound admission: %v", err)
 	}
 	if got := d.InFlight(); got != 2 {
@@ -166,7 +164,7 @@ func TestDispatcherClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := d.Submit(ctx, 3, nil)
+	f, err := d.Submit(ctx, d.Reserve(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +180,7 @@ func TestDispatcherClose(t *testing.T) {
 	if err := <-closeErr; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, 4, nil); !errors.Is(err, ErrDispatcherClosed) {
+	if _, err := d.Submit(ctx, d.Reserve(), 4, nil); !errors.Is(err, ErrDispatcherClosed) {
 		t.Errorf("submit after close: %v", err)
 	}
 }
@@ -208,7 +206,7 @@ func TestDispatcherSubmitCloseRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				f, err := d.Submit(ctx, i, nil)
+				f, err := d.Submit(ctx, d.Reserve(), i, nil)
 				if err != nil {
 					return // lost the race with Close: acceptable
 				}
@@ -252,14 +250,14 @@ func TestDispatcherFailReleasesWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, 1, nil); err != nil { // fills the window
+	if _, err := d.Submit(ctx, d.Reserve(), 1, nil); err != nil { // fills the window
 		t.Fatal(err)
 	}
 	cancel() // kills the reader with the slot still held
 	waitCtx, waitCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer waitCancel()
 	for {
-		_, err := d.Submit(waitCtx, 2, nil)
+		_, err := d.Submit(waitCtx, d.Reserve(), 2, nil)
 		if err == nil {
 			// Won the race with the reader's own demise; the slot came
 			// back, try again until the failure is recorded.
@@ -284,14 +282,14 @@ func TestDispatcherDoneHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
-	waited, err := d.Submit(ctx, 5, func(m *Message) { calls.Add(int64(m.Payload.(int))) })
+	waited, err := d.Submit(ctx, d.Reserve(), 5, func(m *Message) { calls.Add(int64(m.Payload.(int))) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := waited.Wait(ctx); err != nil || calls.Load() != 11 {
 		t.Fatalf("waiter woke (err %v) with done total %d, want 11", err, calls.Load())
 	}
-	if _, err := d.Submit(ctx, 7, func(m *Message) { calls.Add(int64(m.Payload.(int))) }); err != nil {
+	if _, err := d.Submit(ctx, d.Reserve(), 7, func(m *Message) { calls.Add(int64(m.Payload.(int))) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil { // drains the abandoned request
@@ -316,7 +314,7 @@ func TestDispatcherDoneHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	stranded := make(chan *Message, 2)
-	f, err := d.Submit(ctx, 1, func(m *Message) { stranded <- m })
+	f, err := d.Submit(ctx, d.Reserve(), 1, func(m *Message) { stranded <- m })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +322,7 @@ func TestDispatcherDoneHook(t *testing.T) {
 	if _, err := f.Wait(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stranded waiter: %v, want the dispatcher's terminal error", err)
 	}
-	if m := <-stranded; m.Seq != f.Seq() || m.Err == "" || len(stranded) != 0 {
+	if m := <-stranded; m.Seq != f.Seq() || m.Err == nil || len(stranded) != 0 {
 		t.Errorf("stranded request's done saw %+v (%d more calls), want one message with Seq %d and the terminal error", m, len(stranded), f.Seq())
 	}
 }

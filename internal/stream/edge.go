@@ -71,12 +71,12 @@ func (e *channelEdge) CloseSend() error {
 // depthReporter is the optional interface edges implement to expose
 // their queue occupancy for gauges (see Pipeline.Instrument).
 type depthReporter interface {
-	// Depth returns the current queued message count and the capacity.
-	Depth() (int, int)
+	// Depth returns the current queued message count.
+	Depth() int64
 }
 
-// Depth reports the channel edge's occupancy and capacity.
-func (e *channelEdge) Depth() (int, int) { return len(e.ch), cap(e.ch) }
+// Depth reports the channel edge's occupancy.
+func (e *channelEdge) Depth() int64 { return int64(len(e.ch)) }
 
 // tcpEdge carries messages over a TCP connection in wire format v1 (see
 // wire.go). Payloads must implement WirePayload and have their tag
@@ -270,7 +270,7 @@ func (e *tcpEdge) writeFrame(m *Message, flags uint8, tag uint16, bodyLen int) e
 	}
 	w := e.w
 	w.n = 0
-	encodeHeader(w, m.Seq, m.ErrCode, flags, tag, bodyLen)
+	encodeHeader(w, m.Seq, wireCode(m.Err), flags, tag, bodyLen)
 	encodeBody(w, m)
 	if w.n != headerLen+bodyLen {
 		w.Fail(fmt.Errorf("payload %T encoded %d bytes after announcing %d", m.Payload, w.n-headerLen, bodyLen))

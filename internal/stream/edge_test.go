@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -99,8 +100,8 @@ func tcpEdgePair(t *testing.T, reg *obs.Registry) (send, recv Edge) {
 
 // TestTCPEdgeCountersAndFailureMetadata drives a real TCP edge and
 // checks (a) byte/frame counters on both ends, and (b) that a failed
-// message's FailedStage/FailedPayload and trace ID survive the hop —
-// the submitter on the far side needs them to diagnose remote errors.
+// message's stage, error code, text and trace ID survive the hop — the
+// submitter on the far side needs them to diagnose remote errors.
 func TestTCPEdgeCountersAndFailureMetadata(t *testing.T) {
 	registerWirePayload()
 	reg := obs.NewRegistry("edge")
@@ -108,14 +109,13 @@ func TestTCPEdgeCountersAndFailureMetadata(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
+	coded := &CodedError{Code: 3, Msg: "overloaded"}
 	msgs := []*Message{
 		{Seq: 1, Payload: &wirePayload{Value: 7, Note: "ok"}, Trace: &Trace{ID: "feedc0de00000001"}},
 		{
-			Seq:           2,
-			Err:           "stage linear-0: boom",
-			FailedStage:   "linear-0",
-			FailedPayload: &wirePayload{Value: 9, Note: "poison"},
-			Trace:         &Trace{ID: "feedc0de00000002"},
+			Seq:   2,
+			Err:   &StageError{Stage: "linear-0", Err: fmt.Errorf("boom: %w", coded)},
+			Trace: &Trace{ID: "feedc0de00000002"},
 		},
 	}
 	go func() {
@@ -136,15 +136,15 @@ func TestTCPEdgeCountersAndFailureMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2.Err != "stage linear-0: boom" {
-		t.Errorf("err %q", got2.Err)
+	var stageErr *StageError
+	if !errors.As(got2.Err, &stageErr) || stageErr.Stage != "linear-0" {
+		t.Errorf("failing stage did not survive the TCP hop: %v", got2.Err)
 	}
-	if got2.FailedStage != "linear-0" {
-		t.Errorf("FailedStage %q did not survive the TCP hop", got2.FailedStage)
+	if got2.Err.Error() != msgs[1].Err.Error() {
+		t.Errorf("err %q, want %q", got2.Err, msgs[1].Err)
 	}
-	fp, ok := got2.FailedPayload.(*wirePayload)
-	if !ok || fp.Value != 9 || fp.Note != "poison" {
-		t.Errorf("FailedPayload did not survive the TCP hop: %#v", got2.FailedPayload)
+	if !errors.Is(got2.Err, coded) {
+		t.Errorf("err %v lost its code %d", got2.Err, coded.Code)
 	}
 	if got2.Trace == nil || got2.Trace.ID != "feedc0de00000002" {
 		t.Errorf("failed frame lost its trace ID: %+v", got2.Trace)
@@ -322,7 +322,7 @@ func FuzzFrameHeader(f *testing.F) {
 		f.Add(conn.out.Bytes()[prefaceLen:])
 	}
 	seed(true, &Message{Seq: 1, Payload: &wirePayload{Value: 7, Note: "ok"}, Trace: &Trace{ID: "feedc0de00000001", Spans: []Span{{Stage: "s", Wait: 1, Busy: 2}}}})
-	seed(false, &Message{Seq: 2, Err: "stage linear-0: boom", ErrCode: 3, FailedStage: "linear-0", FailedPayload: &wirePayload{Value: 9, Note: "poison"}})
+	seed(false, &Message{Seq: 2, Err: &StageError{Stage: "linear-0", Err: &CodedError{Code: 3, Msg: "boom"}}})
 	seed(true)
 	f.Add(binary.BigEndian.AppendUint32(make([]byte, 16), MaxFrameBody))
 	f.Add([]byte{})

@@ -35,10 +35,10 @@ func TestPanicContainment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Err != "" {
+		if m.Err != nil {
 			failed++
-			if !strings.Contains(m.Err, "panic") || !strings.Contains(m.Err, "boom") {
-				t.Errorf("panic cause lost: %q", m.Err)
+			if msg := m.Err.Error(); !strings.Contains(msg, "panic") || !strings.Contains(msg, "boom") {
+				t.Errorf("panic cause lost: %q", msg)
 			}
 		} else {
 			ok++

@@ -30,22 +30,13 @@ type Message struct {
 	// Payload is stage-specific data. To cross a TCP edge it must
 	// implement WirePayload, its tag registered with RegisterWireType.
 	Payload any
-	// Err carries a processing failure downstream so the submitter
-	// learns about it; stages pass errored messages through untouched.
-	Err string
-	// ErrCode is a machine-readable classification of Err (see
-	// internal/protocol's Code* constants): it lets a remote peer
-	// distinguish retryable rejections (throttle, shed) from fatal
-	// protocol errors without parsing the message text. Zero means
-	// unclassified. It travels as 32 bits in the frame header.
-	ErrCode int
-	// FailedStage names the stage whose handler produced Err.
-	FailedStage string
-	// FailedPayload preserves the payload that was fed to the failing
-	// stage, so the submitter can diagnose or retry the request.
-	// In-process edges carry it as-is; TCP edges require the concrete
-	// type to be a registered WirePayload (like Payload).
-	FailedPayload any
+	// Err carries the request's failure downstream to its submitter;
+	// stages pass errored messages through untouched. A stage's handler
+	// failure arrives as a *StageError. Across a TCP edge Err travels as
+	// its text, its wire code and the failing stage's name (see
+	// CodedError), and arrives as an error that still matches the
+	// sender's coded sentinels with errors.Is.
+	Err error
 	// Enqueued is stamped when the message enters an edge, feeding the
 	// queue-wait metric.
 	Enqueued time.Time
@@ -53,6 +44,19 @@ type Message struct {
 	// passes through. Submit attaches a fresh Trace to every request.
 	Trace *Trace
 }
+
+// StageError is a request's failure in the stage whose handler raised it.
+// The pipeline contains it to that one request: the stage keeps serving,
+// and the error reaches the submitter as the request's outcome.
+type StageError struct {
+	Stage string
+	Err   error
+}
+
+func (e *StageError) Error() string { return "stage " + e.Stage + ": " + e.Err.Error() }
+
+// Unwrap returns the handler's error.
+func (e *StageError) Unwrap() error { return e.Err }
 
 // Span records one stage's handling of a message: the time it waited in
 // the stage's input queue and the handler's execution time. Together
@@ -175,13 +179,15 @@ func (s *Stage) Metrics() *Metrics { return &s.metrics }
 
 // Instrument publishes the stage's queue-wait and busy-time latency
 // histograms to reg as "stage.<name>.wait" and "stage.<name>.busy", the
-// latter with its live view. Must be called before the pipeline starts.
+// latter with its live view, and its handler failures as the
+// "stage.<name>.errors" gauge. Must be called before the pipeline starts.
 func (s *Stage) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	s.waitHist = reg.Histogram("stage." + s.name + ".wait")
 	s.busyHist = reg.LiveHistogram("stage." + s.name + ".busy")
+	reg.GaugeFunc("stage."+s.name+".errors", func() int64 { return int64(s.metrics.Errors.Load()) })
 }
 
 // run dispatches messages until the input edge closes or ctx is
@@ -203,7 +209,7 @@ func (s *Stage) run(ctx context.Context) error {
 		}
 		var next *Message
 		var busy time.Duration
-		if m.Err != "" {
+		if m.Err != nil {
 			// Pass failures through untouched. Their transit time stays
 			// out of WaitNanos/the histograms so error traffic does not
 			// skew the per-stage latency profile of real work.
@@ -234,12 +240,7 @@ func (s *Stage) run(ctx context.Context) error {
 			}
 			if perr != nil {
 				s.metrics.Errors.Add(1)
-				next = &Message{
-					Seq:           m.Seq,
-					Err:           fmt.Sprintf("stage %s: %v", s.name, perr),
-					FailedStage:   s.name,
-					FailedPayload: m.Payload,
-				}
+				next = &Message{Seq: m.Seq, Err: &StageError{Stage: s.name, Err: perr}}
 			} else {
 				s.metrics.Processed.Add(1)
 				next = out
@@ -397,29 +398,6 @@ func (p *Pipeline) Wait() error {
 // Stages exposes the pipeline's stages for metrics inspection.
 func (p *Pipeline) Stages() []*Stage { return p.stages }
 
-// StageSnapshot pairs one stage's counters with its input queue state.
-type StageSnapshot struct {
-	Stage string
-	MetricsSnapshot
-	// QueueDepth/QueueCap describe the stage's input edge when it is an
-	// in-process channel edge (both zero otherwise).
-	QueueDepth int
-	QueueCap   int
-}
-
-// Snapshot returns every stage's metrics and queue depth in pipeline
-// order — one call for ppbench tables and the metrics endpoint alike.
-func (p *Pipeline) Snapshot() []StageSnapshot {
-	out := make([]StageSnapshot, len(p.stages))
-	for i, st := range p.stages {
-		out[i] = StageSnapshot{Stage: st.name, MetricsSnapshot: st.metrics.Snapshot()}
-		if d, ok := st.in.(depthReporter); ok {
-			out[i].QueueDepth, out[i].QueueCap = d.Depth()
-		}
-	}
-	return out
-}
-
 // Instrument publishes the pipeline's stage latency histograms and
 // queue-depth gauges to reg. Call before Start; histograms accumulate
 // across the pipeline's lifetime and snapshot as p50/p95/p99.
@@ -430,17 +408,10 @@ func (p *Pipeline) Instrument(reg *obs.Registry) {
 	for _, st := range p.stages {
 		st.Instrument(reg)
 		if d, ok := st.in.(depthReporter); ok {
-			d := d
-			reg.GaugeFunc("edge."+st.name+".in.depth", func() int64 {
-				n, _ := d.Depth()
-				return int64(n)
-			})
+			reg.GaugeFunc("edge."+st.name+".in.depth", d.Depth)
 		}
 	}
 	if d, ok := p.last.(depthReporter); ok {
-		reg.GaugeFunc("edge.out.depth", func() int64 {
-			n, _ := d.Depth()
-			return int64(n)
-		})
+		reg.GaugeFunc("edge.out.depth", d.Depth)
 	}
 }

@@ -114,9 +114,9 @@ func TestStageErrorPropagatesAndContains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Err != "" {
+		if m.Err != nil {
 			errCount++
-			if !strings.Contains(m.Err, "injected failure") {
+			if !strings.Contains(m.Err.Error(), "injected failure") {
 				t.Errorf("error message %q lost cause", m.Err)
 			}
 		} else {
@@ -260,12 +260,13 @@ func TestTCPEdgeErrorMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	go sendEdge.Send(ctx, &Message{Seq: 9, Err: "remote failure"})
+	go sendEdge.Send(ctx, &Message{Seq: 9, Err: errors.New("remote failure")})
 	m, err := recvEdge.Recv(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Err != "remote failure" || m.Seq != 9 {
+	var stageErr *StageError
+	if m.Err == nil || m.Err.Error() != "remote failure" || errors.As(m.Err, &stageErr) || m.Seq != 9 {
 		t.Errorf("error frame corrupted: %+v", m)
 	}
 }

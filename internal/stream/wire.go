@@ -51,9 +51,9 @@ const (
 
 const (
 	flagClose  = 1 << iota // end of stream; no body
-	flagErr                // body carries Message.Err
+	flagErr                // body carries Message.Err's text
 	flagTrace              // body carries Message.Trace
-	flagFailed             // body carries FailedStage and FailedPayload
+	flagFailed             // body carries the failing stage's name
 	flagsKnown = flagClose | flagErr | flagTrace | flagFailed
 )
 
@@ -71,6 +71,36 @@ type WireError struct {
 }
 
 func (e *WireError) Error() string { return "stream: wire " + e.Field + ": " + e.Msg }
+
+// CodedError is an error with a wire code: a classification a peer can act
+// on (retry or not) without parsing text. Non-zero codes are defined by the
+// sentinels a protocol declares as CodedErrors. An error crossing a TCP
+// edge travels as its text and the code of the first CodedError in its
+// chain, and arrives as a CodedError carrying both — inside a StageError
+// when a stage raised it — so errors.Is still matches the sentinel on the
+// far side.
+type CodedError struct {
+	Code int
+	Msg  string
+}
+
+func (e *CodedError) Error() string { return e.Msg }
+
+// Is matches any CodedError with the same non-zero code.
+func (e *CodedError) Is(target error) bool {
+	t, ok := target.(*CodedError)
+	return ok && e.Code != 0 && t.Code == e.Code
+}
+
+// wireCode is the code err travels with: zero when nothing in its chain
+// carries one.
+func wireCode(err error) int {
+	var c *CodedError
+	if errors.As(err, &c) {
+		return c.Code
+	}
+	return 0
+}
 
 // WirePayload is a Message payload that can cross a TCP edge: it names its
 // registered tag and writes its own body. EncodeWire runs twice per frame
@@ -395,24 +425,28 @@ func payloadTag(w *WireWriter, payload any) uint16 {
 
 // encodeBody writes the body of m's frame — the optional sections in flag
 // order, then the payload — and returns the header flags and payload tag
-// that describe it. An Err longer than MaxWireString is cut: an error text
-// must not be what makes reporting the error fail.
+// that describe it. A *StageError travels as its stage's name and its
+// cause's text; any other error as its own text. A text longer than
+// MaxWireString is cut: an error text must not be what makes reporting the
+// error fail.
 func encodeBody(w *WireWriter, m *Message) (flags uint8, tag uint16) {
-	if m.Err != "" {
+	var stage string
+	if m.Err != nil {
 		flags |= flagErr
-		w.String(m.Err[:min(len(m.Err), MaxWireString)])
+		text := m.Err.Error()
+		if se, ok := m.Err.(*StageError); ok && se.Stage != "" {
+			stage, text = se.Stage, se.Err.Error()
+		}
+		w.String(text[:min(len(text), MaxWireString)])
 	}
 	if m.Trace != nil {
 		flags |= flagTrace
 		m.Trace.encodeWire(w)
 	}
-	if m.FailedStage != "" || m.FailedPayload != nil {
+	if stage != "" {
 		flags |= flagFailed
-		w.String(m.FailedStage)
-		w.U16(payloadTag(w, m.FailedPayload))
-		if p, ok := m.FailedPayload.(WirePayload); ok {
-			p.EncodeWire(w)
-		}
+		w.String(stage)
+		w.U16(0) // the section's payload tag: no payload
 	}
 	tag = payloadTag(w, m.Payload)
 	if p, ok := m.Payload.(WirePayload); ok {
@@ -468,10 +502,8 @@ func readFrame(r *WireReader) (*Message, error) {
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 		return nil, err
 	}
-	m := &Message{
-		Seq:     binary.BigEndian.Uint64(hdr[0:]),
-		ErrCode: int(int32(binary.BigEndian.Uint32(hdr[8:]))),
-	}
+	m := &Message{Seq: binary.BigEndian.Uint64(hdr[0:])}
+	code := int(int32(binary.BigEndian.Uint32(hdr[8:])))
 	flags, reserved := hdr[12], hdr[13]
 	tag := binary.BigEndian.Uint16(hdr[14:])
 	bodyLen := binary.BigEndian.Uint32(hdr[16:])
@@ -488,15 +520,20 @@ func readFrame(r *WireReader) (*Message, error) {
 		return nil, ErrEdgeClosed
 	}
 	r.left, r.err = int(bodyLen), nil
+	if flags&flagFailed != 0 && flags&flagErr == 0 {
+		return nil, &WireError{Field: "flags", Msg: "a failed stage without an error"}
+	}
 	if flags&flagErr != 0 {
-		m.Err = r.String("error text")
+		m.Err = &CodedError{Code: code, Msg: r.String("error text")}
 	}
 	if flags&flagTrace != 0 {
 		m.Trace = decodeTrace(r)
 	}
 	if flags&flagFailed != 0 {
-		m.FailedStage = r.String("failed stage")
-		m.FailedPayload = decodePayload(r, r.U16())
+		m.Err = &StageError{Stage: r.String("failed stage"), Err: m.Err}
+		// A payload under a non-zero tag is the failing stage's input, which
+		// earlier encoders sent along; it is decoded and dropped.
+		decodePayload(r, r.U16())
 	}
 	m.Payload = decodePayload(r, tag)
 	if r.err == nil && r.left != 0 {
