@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"ppstream/internal/garble"
 	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
 	"ppstream/internal/partition"
@@ -190,81 +189,6 @@ func BenchmarkAblationPartitionedConv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := partition.Execute(paillier.NewEvaluator(&k.PublicKey), op, ct, 1, 2, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Garbling scheme: point-and-permute vs half-gates -----------------------
-//
-// Half-gates halves the garbled tables (2 vs 4 rows per AND), the
-// dominant wire volume of the EzPC-style baseline's non-linear layers.
-
-func BenchmarkAblationGarblePointPermute(b *testing.B) {
-	c, err := garble.ReLUShares()
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := mathrand.New(mathrand.NewSource(41))
-	x0, x1, mask := r.Uint64(), r.Uint64(), r.Uint64()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := garble.Garble(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gl, err := g.GarblerLabels(append(garble.Bits64(x0), garble.Bits64(-mask)...))
-		if err != nil {
-			b.Fatal(err)
-		}
-		el := make([]garble.Label, 64)
-		for j := 0; j < 64; j++ {
-			z, o, err := g.EvalLabelPair(j)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if garble.Bits64(x1)[j] {
-				el[j] = o
-			} else {
-				el[j] = z
-			}
-		}
-		if _, err := garble.Evaluate(c, g.Public(), gl, el); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationGarbleHalfGates(b *testing.B) {
-	c, err := garble.ReLUShares()
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := mathrand.New(mathrand.NewSource(41))
-	x0, x1, mask := r.Uint64(), r.Uint64(), r.Uint64()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := garble.GarbleHG(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gl, err := g.GarblerLabels(append(garble.Bits64(x0), garble.Bits64(-mask)...))
-		if err != nil {
-			b.Fatal(err)
-		}
-		el := make([]garble.Label, 64)
-		for j := 0; j < 64; j++ {
-			z, o, err := g.EvalLabelPair(j)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if garble.Bits64(x1)[j] {
-				el[j] = o
-			} else {
-				el[j] = z
-			}
-		}
-		if _, err := garble.EvaluateHG(c, g.Public(), gl, el); err != nil {
 			b.Fatal(err)
 		}
 	}

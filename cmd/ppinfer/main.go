@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,28 +28,45 @@ import (
 )
 
 func main() {
-	modelPath := flag.String("model", "", "path to a trained model (required)")
-	keyBits := flag.Int("keybits", 512, "Paillier key size")
-	cores := flag.Int("cores", 8, "total cores across the deployment")
-	inputCSV := flag.String("input", "", "comma-separated input values (default: a synthetic test sample)")
-	streamN := flag.Int("stream", 0, "also stream N requests through the pipeline and print per-stage percentiles")
-	flag.Parse()
-	if *modelPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := run(*modelPath, *keyBits, *cores, *inputCSV, *streamN); err != nil {
-		fmt.Fprintf(os.Stderr, "ppinfer: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(modelPath string, keyBits, cores int, inputCSV string, streamN int) error {
+// run parses args, runs the inference and returns the exit code: 2 for a
+// bad command line (no -model among them), 1 when loading, planning or
+// inference fails, 0 otherwise. Results go to stdout, errors and the usage
+// text to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppinfer", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modelPath := fs.String("model", "", "path to a trained model (required)")
+	keyBits := fs.Int("keybits", 512, "Paillier key size")
+	cores := fs.Int("cores", 8, "total cores across the deployment")
+	inputCSV := fs.String("input", "", "comma-separated input values (default: a synthetic test sample)")
+	streamN := fs.Int("stream", 0, "also stream N requests through the pipeline and print per-stage percentiles")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *modelPath == "" {
+		fmt.Fprintln(stderr, "ppinfer: -model is required")
+		fs.Usage()
+		return 2
+	}
+	if err := infer(stdout, *modelPath, *keyBits, *cores, *inputCSV, *streamN); err != nil {
+		fmt.Fprintf(stderr, "ppinfer: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func infer(stdout io.Writer, modelPath string, keyBits, cores int, inputCSV string, streamN int) error {
 	net, err := ppstream.LoadModel(modelPath)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("model %s: input %v, %d parameters\n", net.ModelName, net.InputShape, net.ParamCount())
+	fmt.Fprintf(stdout, "model %s: input %v, %d parameters\n", net.ModelName, net.InputShape, net.ParamCount())
 
 	// Input: parsed vector or a fresh synthetic sample matching the
 	// model's Table III dataset.
@@ -93,7 +112,7 @@ func run(modelPath string, keyBits, cores int, inputCSV string, streamN int) err
 			return err
 		}
 		factor = sel.Factor
-		fmt.Printf("selected scaling factor: 10^%d (accuracy %.2f%% vs original %.2f%%)\n",
+		fmt.Fprintf(stdout, "selected scaling factor: 10^%d (accuracy %.2f%% vs original %.2f%%)\n",
 			sel.Exponent, sel.ScaledAccuracy*100, sel.OriginalAccuracy*100)
 	}
 
@@ -119,13 +138,13 @@ func run(modelPath string, keyBits, cores int, inputCSV string, streamN int) err
 	defer eng.Close()
 
 	if report, err := eng.Report(); err == nil {
-		fmt.Println("deployment plan:")
+		fmt.Fprintln(stdout, "deployment plan:")
 		for _, r := range report {
 			kind := "non-linear"
 			if r.Linear {
 				kind = "linear"
 			}
-			fmt.Printf("  %-40s %-10s %-9s threads=%d est. T=%.2fms\n",
+			fmt.Fprintf(stdout, "  %-40s %-10s %-9s threads=%d est. T=%.2fms\n",
 				r.Name, kind, r.Server, r.Threads, r.Time*1000)
 		}
 	}
@@ -138,11 +157,11 @@ func run(modelPath string, keyBits, cores int, inputCSV string, streamN int) err
 	if err != nil {
 		return err
 	}
-	fmt.Printf("privacy-preserving inference: class %d (latency %v)\n", ppstream.ArgMax(out), latency)
-	fmt.Printf("plaintext reference:          class %d\n", ppstream.ArgMax(plain))
-	fmt.Printf("output distribution: %v\n", truncated(out.Data()))
+	fmt.Fprintf(stdout, "privacy-preserving inference: class %d (latency %v)\n", ppstream.ArgMax(out), latency)
+	fmt.Fprintf(stdout, "plaintext reference:          class %d\n", ppstream.ArgMax(plain))
+	fmt.Fprintf(stdout, "output distribution: %v\n", truncated(out.Data()))
 	if sim, err := eng.Simulate(8); err == nil {
-		fmt.Printf("modelled streaming latency at %d cores: %v/request (bottleneck %v)\n",
+		fmt.Fprintf(stdout, "modelled streaming latency at %d cores: %v/request (bottleneck %v)\n",
 			topo.TotalCores(), sim.Effective, sim.Bottleneck)
 	}
 	if streamN > 0 {
@@ -154,9 +173,9 @@ func run(modelPath string, keyBits, cores int, inputCSV string, streamN int) err
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nstreamed %d requests: makespan %v, effective latency %v/request\n",
+		fmt.Fprintf(stdout, "\nstreamed %d requests: makespan %v, effective latency %v/request\n",
 			stats.Requests, stats.Makespan, stats.EffectiveLatency)
-		fmt.Print(experiments.BreakdownFromTraces(net.ModelName, stats.Traces).Render())
+		fmt.Fprint(stdout, experiments.BreakdownFromTraces(net.ModelName, stats.Traces).Render())
 	}
 	return nil
 }

@@ -193,9 +193,6 @@ type LayerBackend interface {
 	// backend's representation, and returns the output payload at the
 	// raised scale exponent.
 	Execute(env *ExecEnv, st *Stage, in *Payload) (*Payload, error)
-	// EstimateCost scores executing a layer of the given shape on this
-	// backend, in comparable (arbitrary) units; the ILP minimizes it.
-	EstimateCost(c CostShape) float64
 }
 
 // For returns the backend implementing a kind.

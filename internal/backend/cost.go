@@ -1,9 +1,10 @@
 package backend
 
 // The per-backend cost model. Units are arbitrary but shared — roughly
-// "one 64-bit multiply" — so the ILP can compare backends; absolute
-// accuracy matters less than ordering, which ppbench backends measures
-// against reality. The constants encode the structural facts:
+// "one 64-bit multiply" — so PlanFor can compare backends; absolute
+// accuracy matters less than ordering, which the benchmark's heart-mixed
+// workload measures against reality (backend.kernel_ms.*,
+// backend.nonlinear_ms.ss-gc). The constants encode the structural facts:
 //
 //   - A Paillier weight-multiplication is a short modexp (weight-bits
 //     modular multiplications over n²). Outputs leave packed, several to
@@ -12,8 +13,8 @@ package backend
 //     dominates, and each output packed in behind the first pays its
 //     slot's worth of squarings. All scale ~quadratically with key size.
 //   - A Beaver-triple multiplication is a handful of native 64-bit
-//     operations. The ss-gc backend's real expense is the garbled-
-//     circuit ReLU that follows a linear round: a fixed base-OT setup
+//     operations. The ss-gc backend's real expense is the half-gates
+//     garbled ReLU that follows a linear round: a fixed base-OT setup
 //     per layer plus per-element garbling and OT extensions.
 //   - Clear execution is a big-integer multiply-accumulate per weight.
 const (
@@ -40,24 +41,6 @@ const (
 	penaltyPerOut = 10
 )
 
-// CostShape is the size information the cost model consumes for one
-// linear round.
-type CostShape struct {
-	// Muls counts non-zero weight multiplications.
-	Muls int
-	// Outs counts output elements.
-	Outs int
-	// Replies counts the ciphertexts a paillier-he reply carries them in
-	// (⌈Outs/slots⌉), and SlotBits the squarings each of the other
-	// Outs−Replies outputs costs to be shifted into its slot.
-	Replies  int
-	SlotBits int
-	// KeyBits is the Paillier key size in bits.
-	KeyBits int
-	// ReluFollows marks a following ReLU stage (ss-gc pays GC there).
-	ReluFollows bool
-}
-
 // keyFactor scales Paillier costs with key size (modular multiplication
 // over n² is ~quadratic in the bit length for these sizes).
 func keyFactor(keyBits int) float64 {
@@ -68,22 +51,20 @@ func keyFactor(keyBits int) float64 {
 	return f * f
 }
 
-// EstimateCost implements LayerBackend.
-func (paillierBackend) EstimateCost(c CostShape) float64 {
-	packed := float64((c.Outs - c.Replies) * c.SlotBits)
-	return (paillierPerMul*(float64(c.Muls)+packed) + paillierPerOut*float64(c.Replies)) * keyFactor(c.KeyBits)
-}
-
-// EstimateCost implements LayerBackend.
-func (ssgcBackend) EstimateCost(c CostShape) float64 {
-	cost := ssgcPerMul*float64(c.Muls) + ssgcPerOut*float64(c.Outs)
-	if c.ReluFollows {
-		cost += gcSetup + gcPerElem*float64(c.Outs)
+// EstimateCost prices running linear round l on backend k under a
+// keyBits-bit Paillier key, in the model's shared units.
+func EstimateCost(k Kind, l LayerInfo, keyBits int) float64 {
+	switch k {
+	case PaillierHE:
+		packed := float64((l.Outs - l.Replies) * l.SlotBits)
+		return (paillierPerMul*(float64(l.Muls)+packed) + paillierPerOut*float64(l.Replies)) * keyFactor(keyBits)
+	case SSGC:
+		cost := ssgcPerMul*float64(l.Muls) + ssgcPerOut*float64(l.Outs)
+		if l.ReluFollows {
+			cost += gcSetup + gcPerElem*float64(l.Outs)
+		}
+		return cost
+	default:
+		return clearPerMul * float64(l.Muls)
 	}
-	return cost
-}
-
-// EstimateCost implements LayerBackend.
-func (clearBackend) EstimateCost(c CostShape) float64 {
-	return clearPerMul * float64(c.Muls)
 }

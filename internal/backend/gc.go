@@ -11,8 +11,8 @@ import (
 	"ppstream/internal/secshare"
 )
 
-// The garbled-circuit ReLU of the ss-gc backend, adapted from the EzPC
-// baseline's arithmetic→boolean→arithmetic round trip: party 0 garbles
+// The garbled-circuit ReLU of the ss-gc backend and of the EzPC-style
+// baseline, the arithmetic→boolean→arithmetic round trip: party 0 garbles
 // the shared 64-bit ReLU circuit with its share and a fresh output mask
 // as garbler inputs, party 1 obtains its input labels through one OT
 // extension covering the whole layer, and the evaluated output bits
@@ -59,7 +59,7 @@ func GCReLUShares(x []secshare.Shares, meter *obs.CostMeter) ([]secshare.Shares,
 	for _, s := range x {
 		choice = append(choice, garble.Bits64(s.S[1])...)
 	}
-	sender, receiver, _, err := garble.NewOTExtension(ot, len(choice), choice)
+	sender, receiver, err := garble.NewOTExtension(ot, len(choice), choice)
 	if err != nil {
 		return nil, fmt.Errorf("backend: gc relu ot extension: %w", err)
 	}
@@ -67,7 +67,7 @@ func GCReLUShares(x []secshare.Shares, meter *obs.CostMeter) ([]secshare.Shares,
 	var gates, extOTs uint64
 	out := make([]secshare.Shares, len(x))
 	for i, s := range x {
-		g, err := garble.GarbleHG(circuit)
+		g, err := garble.Garble(circuit)
 		if err != nil {
 			return nil, fmt.Errorf("backend: gc relu garble: %w", err)
 		}
@@ -97,7 +97,7 @@ func GCReLUShares(x []secshare.Shares, meter *obs.CostMeter) ([]secshare.Shares,
 			}
 			extOTs++
 		}
-		bits, err := garble.EvaluateHG(circuit, g.Public(), gl, el)
+		bits, err := garble.Evaluate(circuit, g.Public(), gl, el)
 		if err != nil {
 			return nil, fmt.Errorf("backend: gc relu evaluate: %w", err)
 		}

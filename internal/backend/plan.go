@@ -2,8 +2,7 @@ package backend
 
 import (
 	"fmt"
-
-	"ppstream/internal/ilp"
+	"math"
 )
 
 // Profile names a deployment posture: which backends each round may
@@ -85,7 +84,7 @@ type Plan struct {
 	// Boundary is the certified clear boundary used: the first round
 	// allowed to run in the clear (len(Assignment) = none).
 	Boundary int
-	// Objective is the ILP objective achieved.
+	// Objective is the summed cost (plus penalty) the assignment achieves.
 	Objective float64
 }
 
@@ -112,80 +111,64 @@ func AssignmentFromCodes(codes []int32) ([]Kind, error) {
 }
 
 // PlanFor solves the backend assignment for a session: one kind per
-// linear round, minimizing estimated cost (plus the profile's privacy
-// penalty) subject to the profile's allowed sets.
+// linear round, minimizing the summed estimated cost (plus the mixed
+// profile's privacy penalty) subject to the safety rules, which hold
+// regardless of profile: round 0 always runs paillier-he (the input
+// itself must never leave the client unencrypted), privacy-max runs every
+// round on paillier-he, and clear runs only on a contiguous suffix
+// starting at or after the certified boundary.
 //
-// Safety rules enforced regardless of profile: round 0 always runs
-// paillier-he (the input itself must never leave the client
-// unencrypted), clear is only allowed from the certified boundary
-// onward, and the clear region is a contiguous suffix.
+// The search is exact: the objective is a sum over rounds and the clear
+// suffix is the only link between them, so once the suffix's first round
+// is fixed every earlier round independently takes the cheaper of
+// paillier-he and ss-gc. PlanFor tries every first clear round (including
+// none) and keeps the cheapest; ties go to fewer clear rounds and to
+// paillier-he.
 func PlanFor(profile Profile, layers []LayerInfo, boundary, keyBits int) (*Plan, error) {
 	profile, err := ParseProfile(string(profile))
 	if err != nil {
 		return nil, err
 	}
-	if len(layers) == 0 {
+	rounds := len(layers)
+	if rounds == 0 {
 		return nil, fmt.Errorf("backend: no layers to plan")
 	}
-	if boundary < 1 {
-		boundary = 1
-	}
-	if boundary > len(layers) {
-		boundary = len(layers)
-	}
-	kinds := Kinds()
-	ilpLayers := make([]ilp.BackendLayer, len(layers))
-	for l, info := range layers {
-		cs := CostShape{
-			Muls: info.Muls, Outs: info.Outs,
-			Replies: info.Replies, SlotBits: info.SlotBits,
-			KeyBits: keyBits, ReluFollows: info.ReluFollows,
+	boundary = min(max(boundary, 1), rounds)
+	// price is round l's term of the objective on backend k. Under mixed,
+	// each value handled outside HE before the certified boundary adds
+	// λ·penaltyPerOut; past the boundary the certification says the values
+	// carry no usable information about the input, so no penalty applies.
+	price := func(l int, k Kind) float64 {
+		c := EstimateCost(k, layers[l], keyBits)
+		if profile == ProfileMixed && k != PaillierHE && l < boundary {
+			c += mixedPenaltyWeight * (penaltyPerOut * float64(layers[l].Outs))
 		}
-		choices := make([]ilp.BackendChoice, len(kinds))
-		for b, k := range kinds {
-			be, err := For(k)
-			if err != nil {
-				return nil, err
-			}
-			c := ilp.BackendChoice{Name: string(k), Cost: be.EstimateCost(cs)}
-			switch {
-			case l == 0:
-				c.Allowed = k == PaillierHE
-			case profile == ProfilePrivacyMax:
-				c.Allowed = k == PaillierHE
-			case k == Clear:
-				c.Allowed = l >= boundary
-			default:
-				c.Allowed = true
-			}
-			// The mixed profile's privacy penalty: each value handled
-			// outside HE before the certified boundary costs penaltyPerOut.
-			// Past the boundary the certification says the values carry no
-			// usable information about the input, so no penalty applies.
-			if profile == ProfileMixed && k != PaillierHE && l < boundary {
-				c.Penalty = penaltyPerOut * float64(info.Outs)
-			}
-			choices[b] = c
-		}
-		ilpLayers[l] = ilp.BackendLayer{Name: info.Name, Choices: choices}
+		return c
 	}
-	λ := 0.0
-	if profile == ProfileMixed {
-		λ = mixedPenaltyWeight
-	}
-	clearIdx := -1
-	for b, k := range kinds {
-		if k == Clear {
-			clearIdx = b
+	encrypted := make([]Kind, rounds)
+	for l := range encrypted {
+		encrypted[l] = PaillierHE
+		if l > 0 && profile != ProfilePrivacyMax && price(l, SSGC) < price(l, PaillierHE) {
+			encrypted[l] = SSGC
 		}
 	}
-	sol, err := ilp.AssignBackends(ilpLayers, ilp.AssignOptions{PenaltyWeight: λ, MonotoneSuffix: clearIdx})
-	if err != nil {
-		return nil, err
+	firstClear := boundary
+	if profile == ProfilePrivacyMax {
+		firstClear = rounds
 	}
-	plan := &Plan{Profile: profile, Assignment: make([]Kind, len(layers)), Boundary: boundary, Objective: sol.Objective}
-	for l, b := range sol.Chosen {
-		plan.Assignment[l] = kinds[b]
+	plan := &Plan{Profile: profile, Boundary: boundary, Objective: math.Inf(1)}
+	for c := rounds; c >= firstClear; c-- {
+		assignment, total := make([]Kind, rounds), 0.0
+		for l := range assignment {
+			assignment[l] = encrypted[l]
+			if l >= c {
+				assignment[l] = Clear
+			}
+			total += price(l, assignment[l])
+		}
+		if total < plan.Objective {
+			plan.Assignment, plan.Objective = assignment, total
+		}
 	}
 	return plan, nil
 }

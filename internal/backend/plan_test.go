@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -59,6 +61,101 @@ func TestPlanPinnedModels(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanForMatchesBruteForce checks PlanFor's search against every one
+// of the 3^L assignments, filtered by the safety rules and priced by the
+// objective written out here, on random rounds under all three profiles,
+// every boundary from 0 to L+1 and keys of 256–2048 bits.
+func TestPlanForMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	kinds := Kinds()
+	optimal := map[Kind]int{}
+	for i := 0; i < 12000; i++ {
+		rounds := 1 + rng.Intn(6)
+		layers := make([]LayerInfo, rounds)
+		for l := range layers {
+			outs := 1 + int(math.Exp(rng.Float64()*math.Log(4000)))
+			layers[l] = LayerInfo{
+				Muls:        int(math.Exp(rng.Float64() * math.Log(60000))),
+				Outs:        outs,
+				Replies:     1 + rng.Intn(outs),
+				SlotBits:    17 + rng.Intn(64),
+				ReluFollows: rng.Intn(2) == 0,
+			}
+		}
+		profile := []Profile{ProfileLatency, ProfileMixed, ProfilePrivacyMax}[i%3]
+		boundary := rng.Intn(rounds + 2)
+		keyBits := 256 + rng.Intn(2048-256+1)
+
+		certified := min(max(boundary, 1), rounds)
+		objective := func(a []Kind) (float64, bool) {
+			total := 0.0
+			for l, k := range a {
+				switch {
+				case l == 0 && k != PaillierHE,
+					profile == ProfilePrivacyMax && k != PaillierHE,
+					k == Clear && l < certified,
+					k != Clear && l > 0 && a[l-1] == Clear:
+					return 0, false
+				}
+				total += EstimateCost(k, layers[l], keyBits)
+				if profile == ProfileMixed && k != PaillierHE && l < certified {
+					total += 0.5 * 10 * float64(layers[l].Outs)
+				}
+			}
+			return total, true
+		}
+		var best []Kind
+		bestCost, runnerUp := math.Inf(1), math.Inf(1)
+		a := make([]Kind, rounds)
+		for code := 0; code < int(math.Pow(3, float64(rounds))); code++ {
+			for l, c := 0, code; l < rounds; l, c = l+1, c/3 {
+				a[l] = kinds[c%3]
+			}
+			cost, ok := objective(a)
+			switch {
+			case !ok:
+			case cost < bestCost:
+				best, bestCost, runnerUp = append([]Kind(nil), a...), cost, bestCost
+			case cost < runnerUp:
+				runnerUp = cost
+			}
+		}
+
+		plan, err := PlanFor(profile, layers, boundary, keyBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := objective(plan.Assignment)
+		if !ok || !near(got, bestCost) || !near(plan.Objective, bestCost) {
+			t.Fatalf("instance %d (%s, boundary %d, %d-bit key, %+v): PlanFor %v at %v (reported %v, admissible %v), brute force %v at %v",
+				i, profile, boundary, keyBits, layers, plan.Assignment, got, plan.Objective, ok, best, bestCost)
+		}
+		if plan.Boundary != certified {
+			t.Fatalf("instance %d: boundary %d clamped to %d, want %d", i, boundary, plan.Boundary, certified)
+		}
+		if !near(runnerUp, bestCost) {
+			for l := range best {
+				if plan.Assignment[l] != best[l] {
+					t.Fatalf("instance %d: PlanFor %v, unique optimum %v", i, plan.Assignment, best)
+				}
+			}
+		}
+		for _, k := range best {
+			optimal[k]++
+		}
+	}
+	// The instances must make every backend some round's best choice, or
+	// the comparison says nothing about that backend.
+	for _, k := range kinds {
+		if optimal[k] == 0 {
+			t.Errorf("no optimal assignment uses %s: %v", k, optimal)
+		}
+	}
+}
+
+// near compares objectives up to rounding.
+func near(x, y float64) bool { return math.Abs(x-y) <= 1e-9*math.Max(1, math.Abs(y)) }
 
 func TestPlanPrivacyMaxAllPaillier(t *testing.T) {
 	p, err := PlanFor(ProfilePrivacyMax, heartLayers(), 2, 2048)
@@ -206,29 +303,26 @@ func TestParseProfile(t *testing.T) {
 func TestEstimateCostOrdering(t *testing.T) {
 	// Structural sanity of the cost model: clear < ss-gc < paillier at
 	// every realistic layer size, and Paillier grows with key bits.
-	shapes := []CostShape{
-		{Muls: 16, Outs: 2, Replies: 1, SlotBits: 77, KeyBits: 2048, ReluFollows: false},
-		{Muls: 208, Outs: 16, Replies: 1, SlotBits: 77, KeyBits: 2048, ReluFollows: true},
-		{Muls: 100000, Outs: 4000, Replies: 154, SlotBits: 77, KeyBits: 2048, ReluFollows: true},
-	}
-	pb, _ := For(PaillierHE)
-	sb, _ := For(SSGC)
-	cb, _ := For(Clear)
-	for _, cs := range shapes {
-		p, s, c := pb.EstimateCost(cs), sb.EstimateCost(cs), cb.EstimateCost(cs)
+	for _, l := range []LayerInfo{
+		{Muls: 16, Outs: 2, Replies: 1, SlotBits: 77, ReluFollows: false},
+		{Muls: 208, Outs: 16, Replies: 1, SlotBits: 77, ReluFollows: true},
+		{Muls: 100000, Outs: 4000, Replies: 154, SlotBits: 77, ReluFollows: true},
+	} {
+		p, s, c := EstimateCost(PaillierHE, l, 2048), EstimateCost(SSGC, l, 2048), EstimateCost(Clear, l, 2048)
 		if !(c < s && s < p) {
-			t.Fatalf("cost ordering broken at %+v: clear %v, ssgc %v, paillier %v", cs, c, s, p)
+			t.Fatalf("cost ordering broken at %+v: clear %v, ssgc %v, paillier %v", l, c, s, p)
 		}
 	}
-	small := pb.EstimateCost(CostShape{Muls: 100, Outs: 10, Replies: 1, SlotBits: 77, KeyBits: 1024})
-	large := pb.EstimateCost(CostShape{Muls: 100, Outs: 10, Replies: 1, SlotBits: 77, KeyBits: 4096})
+	paillier := func(l LayerInfo, keyBits int) float64 { return EstimateCost(PaillierHE, l, keyBits) }
+	small := paillier(LayerInfo{Muls: 100, Outs: 10, Replies: 1, SlotBits: 77}, 1024)
+	large := paillier(LayerInfo{Muls: 100, Outs: 10, Replies: 1, SlotBits: 77}, 4096)
 	if large <= small {
 		t.Fatalf("paillier cost does not grow with key bits: %v vs %v", small, large)
 	}
 	// Packing is priced: more outputs per reply ciphertext cost less than
 	// one ciphertext each, but not nothing.
-	unpacked := pb.EstimateCost(CostShape{Muls: 100, Outs: 10, Replies: 10, SlotBits: 77, KeyBits: 1024})
-	bare := pb.EstimateCost(CostShape{Muls: 100, Outs: 1, Replies: 1, SlotBits: 77, KeyBits: 1024})
+	unpacked := paillier(LayerInfo{Muls: 100, Outs: 10, Replies: 10, SlotBits: 77}, 1024)
+	bare := paillier(LayerInfo{Muls: 100, Outs: 1, Replies: 1, SlotBits: 77}, 1024)
 	if !(bare < small && small < unpacked) {
 		t.Fatalf("packed-reply pricing out of order: 1 output %v, 10 packed %v, 10 unpacked %v", bare, small, unpacked)
 	}

@@ -5,8 +5,10 @@ import (
 	"math"
 	"time"
 
+	"ppstream/internal/backend"
 	"ppstream/internal/garble"
 	"ppstream/internal/nn"
+	"ppstream/internal/obs"
 	"ppstream/internal/qnn"
 	"ppstream/internal/secshare"
 	"ppstream/internal/tensor"
@@ -21,7 +23,8 @@ type EzPCStats struct {
 	Transitions int
 	// GCExecutions counts garbled circuits evaluated.
 	GCExecutions int
-	// ANDGates counts total garbled AND gates (4 table rows each).
+	// ANDGates counts total garbled AND gates (2 half-gates table rows
+	// each).
 	ANDGates int
 	// BaseOTs counts public-key base OTs consumed by the extensions.
 	BaseOTs int
@@ -37,9 +40,6 @@ type EzPCStats struct {
 type EzPC struct {
 	net        *nn.Network
 	eng        *secshare.Engine
-	ot         *garble.OT
-	relu       *garble.Circuit
-	rng        func() uint64
 	lastOutput *tensor.Dense
 	Stats      EzPCStats
 }
@@ -50,26 +50,7 @@ func NewEzPC(net *nn.Network, seed int64) (*EzPC, error) {
 	if err := checkSupported(net, false); err != nil {
 		return nil, err
 	}
-	relu, err := garble.ReLUShares()
-	if err != nil {
-		return nil, err
-	}
-	ot, err := garble.NewOT(256)
-	if err != nil {
-		return nil, err
-	}
-	eng := secshare.NewEngine(seed)
-	cnt := uint64(seed)
-	return &EzPC{
-		net:  net,
-		eng:  eng,
-		ot:   ot,
-		relu: relu,
-		rng: func() uint64 {
-			cnt = cnt*6364136223846793005 + 1442695040888963407
-			return cnt
-		},
-	}, nil
+	return &EzPC{net: net, eng: secshare.NewEngine(seed)}, nil
 }
 
 // Infer runs one private inference and reports the output distribution
@@ -204,62 +185,22 @@ func (e *EzPC) applyBatchNorm(v *nn.BatchNorm, x []secshare.Shares, shape tensor
 	return out, shape, nil
 }
 
-// applyReLU converts every element through a garbled circuit: the
+// applyReLU converts every element through a garbled circuit — the
 // arithmetic→boolean→arithmetic round trip that EzPC pays at each
-// non-linear layer. One OT extension covers the whole layer.
+// non-linear layer — with the ss-gc backend's garbled ReLU: half-gates,
+// one OT extension for the whole layer.
 func (e *EzPC) applyReLU(x []secshare.Shares) ([]secshare.Shares, error) {
-	n := len(x)
-	e.Stats.Transitions += 2 // arith→GC and GC→arith
-
-	// Collect the evaluator's (party 1's) choice bits for all elements.
-	choice := make([]bool, 0, n*64)
-	for _, s := range x {
-		choice = append(choice, garble.Bits64(s.S[1])...)
-	}
-	sender, receiver, baseOTs, err := garble.NewOTExtension(e.ot, len(choice), choice)
+	var meter obs.CostMeter
+	out, err := backend.GCReLUShares(x, &meter)
 	if err != nil {
 		return nil, err
 	}
-	e.Stats.BaseOTs += baseOTs
-	e.Stats.ExtOTs += len(choice)
-
-	out := make([]secshare.Shares, n)
-	for i, s := range x {
-		// Half-gates garbling (as in EzPC's ABY backend): two table rows
-		// per AND gate instead of four.
-		g, err := garble.GarbleHG(e.relu)
-		if err != nil {
-			return nil, err
-		}
-		e.Stats.GCExecutions++
-		e.Stats.ANDGates += e.relu.ANDCount()
-		r := e.rng()
-		gl, err := g.GarblerLabels(append(garble.Bits64(s.S[0]), garble.Bits64(-r)...))
-		if err != nil {
-			return nil, err
-		}
-		el := make([]garble.Label, 64)
-		for b := 0; b < 64; b++ {
-			idx := i*64 + b
-			m0, m1, err := g.EvalLabelPair(b)
-			if err != nil {
-				return nil, err
-			}
-			y0, y1, err := sender.Transfer(idx, m0, m1)
-			if err != nil {
-				return nil, err
-			}
-			el[b], err = receiver.Receive(idx, y0, y1)
-			if err != nil {
-				return nil, err
-			}
-		}
-		bits, err := garble.EvaluateHG(e.relu, g.Public(), gl, el)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = secshare.Shares{S: [2]uint64{r, garble.FromBits64(bits)}}
-	}
+	cost := meter.Snapshot()
+	e.Stats.Transitions += 2 // arith→GC and GC→arith
+	e.Stats.GCExecutions += len(x)
+	e.Stats.ANDGates += int(cost.GCGates)
+	e.Stats.BaseOTs += garble.BaseOTs
+	e.Stats.ExtOTs += int(cost.ExtOTs)
 	e.Stats.Arithmetic = e.eng.Stats
 	return out, nil
 }

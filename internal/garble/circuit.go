@@ -1,9 +1,9 @@
 // Package garble implements Yao's garbled circuits with free-XOR and
-// point-and-permute, plus a Paillier-based 1-out-of-2 oblivious transfer
-// for evaluator inputs. It provides the boolean side of the EzPC-style
-// baseline (Exp#6): secure ReLU over additively shared values, whose
-// share↔circuit conversions are exactly the protocol-transition overhead
-// the paper attributes EzPC's latency to.
+// half-gates, a Paillier-based 1-out-of-2 base oblivious transfer and an
+// IKNP OT extension for evaluator inputs. It provides the boolean side of
+// the ss-gc backend and the EzPC-style baseline (Exp#6): secure ReLU over
+// additively shared values, whose share↔circuit conversions are exactly
+// the protocol-transition overhead the paper attributes EzPC's latency to.
 package garble
 
 import (
@@ -11,7 +11,7 @@ import (
 )
 
 // GateType enumerates supported gates. XOR and NOT are free under
-// free-XOR garbling; AND costs a four-row table.
+// free-XOR garbling; AND costs a two-row half-gates table.
 type GateType int
 
 const (
@@ -189,25 +189,6 @@ func ReLUShares() (*Circuit, error) {
 		return nil, err
 	}
 	b.Output(out...)
-	return b.Build()
-}
-
-// Compare64 builds a circuit outputting one bit: whether the sum of the
-// two parties' 64-bit shares is negative (the MSB). Used alone it is the
-// secure comparison primitive.
-func Compare64() (*Circuit, error) {
-	b := NewBuilder(64, 64)
-	a := make([]int, 64)
-	x := make([]int, 64)
-	for i := 0; i < 64; i++ {
-		a[i] = b.GarblerInput(i)
-		x[i] = b.EvalInput(i)
-	}
-	s, err := b.Add64(a, x)
-	if err != nil {
-		return nil, err
-	}
-	b.Output(s[63])
 	return b.Build()
 }
 

@@ -7,6 +7,20 @@ import (
 	"fmt"
 )
 
+// Half-gates garbling (Zahur, Rosulek, Evans — EUROCRYPT 2015): each AND
+// gate costs two ciphertexts, XOR and NOT are free. The construction
+// splits a∧b into a garbler half a∧p_b (the garbler knows b's permute bit
+// p_b) and an evaluator half a∧(b⊕p_b) (the evaluator learns b⊕p_b from
+// its label's permute bit):
+//
+//	T_G = H(A₀,2j) ⊕ H(A₁,2j) ⊕ p_b·Δ      W_G = H(A₀,2j) ⊕ p_a·T_G
+//	T_E = H(B₀,2j+1) ⊕ H(B₁,2j+1) ⊕ A₀     W_E = H(B₀,2j+1) ⊕ p_b·(T_E ⊕ A₀)
+//	out₀ = W_G ⊕ W_E, table = (T_G, T_E)
+//
+// evaluation with labels A, B (permute bits s_a, s_b):
+//
+//	W = H(A,2j) ⊕ s_a·T_G ⊕ H(B,2j+1) ⊕ s_b·(T_E ⊕ A)
+
 // LabelSize is the wire-label size in bytes (128-bit security labels).
 const LabelSize = 16
 
@@ -21,17 +35,28 @@ func (l Label) xor(o Label) Label {
 	return out
 }
 
-// permBit returns the label's point-and-permute bit (lsb of last byte).
+// permBit returns the label's permute bit (lsb of last byte).
 func (l Label) permBit() int { return int(l[LabelSize-1] & 1) }
 
-// Garbled is the garbler's output: tables and decode information. It is
-// what crosses the wire to the evaluator (plus input labels).
+// hash is the garbling hash H(L, j): SHA-256 of the label and the tweak j,
+// truncated to a label. Every hash of one garbling has its own j.
+func hash(l Label, j int) Label {
+	var in [LabelSize + 8]byte
+	copy(in[:], l[:])
+	binary.LittleEndian.PutUint64(in[LabelSize:], uint64(j))
+	sum := sha256.Sum256(in[:])
+	var out Label
+	copy(out[:], sum[:])
+	return out
+}
+
+// Garbled is the evaluator-visible part of a garbling: what crosses the
+// wire to the evaluator besides the input labels.
 type Garbled struct {
-	// Tables holds, per AND gate (in gate order), the four encrypted
-	// rows.
-	Tables [][4]Label
-	// Decode holds, per output wire, the permute bit of the FALSE
-	// label: output bit = lsb(evaluated label) ⊕ Decode[i].
+	// Tables holds two rows per AND gate in gate order.
+	Tables [][2]Label
+	// Decode holds, per output wire, the permute bit of the FALSE label:
+	// output bit = lsb(evaluated label) ⊕ Decode[i].
 	Decode []int
 }
 
@@ -52,9 +77,8 @@ func Garble(c *Circuit) (*Garbling, error) {
 	if _, err := rand.Read(g.delta[:]); err != nil {
 		return nil, fmt.Errorf("garble: randomness: %w", err)
 	}
-	g.delta[LabelSize-1] |= 1 // point-and-permute needs lsb(delta)=1
-	nin := c.NGarbler + c.NEval
-	for i := 0; i < nin; i++ {
+	g.delta[LabelSize-1] |= 1 // the permute bit of a label's pair differs
+	for i := 0; i < c.NGarbler+c.NEval; i++ {
 		if _, err := rand.Read(g.zero[i][:]); err != nil {
 			return nil, err
 		}
@@ -65,34 +89,28 @@ func Garble(c *Circuit) (*Garbling, error) {
 		case XOR:
 			g.zero[gate.Out] = g.zero[gate.A].xor(g.zero[gate.B])
 		case NOT:
+			// The evaluator's label passes through unchanged; flipping the
+			// FALSE label flips the truth value it decodes to.
 			g.zero[gate.Out] = g.zero[gate.A].xor(g.delta)
 		case AND:
-			a0 := g.zero[gate.A]
-			b0 := g.zero[gate.B]
-			var out0 Label
-			if _, err := rand.Read(out0[:]); err != nil {
-				return nil, err
+			a0, b0 := g.zero[gate.A], g.zero[gate.B]
+			hA0, hA1 := hash(a0, 2*gateID), hash(a0.xor(g.delta), 2*gateID)
+			tg := hA0.xor(hA1)
+			if b0.permBit() == 1 {
+				tg = tg.xor(g.delta)
 			}
-			var table [4]Label
-			for va := 0; va <= 1; va++ {
-				for vb := 0; vb <= 1; vb++ {
-					la, lb := a0, b0
-					if va == 1 {
-						la = la.xor(g.delta)
-					}
-					if vb == 1 {
-						lb = lb.xor(g.delta)
-					}
-					lout := out0
-					if va&vb == 1 {
-						lout = lout.xor(g.delta)
-					}
-					row := la.permBit()<<1 | lb.permBit()
-					table[row] = hashGate(la, lb, gateID).xor(lout)
-				}
+			wg := hA0
+			if a0.permBit() == 1 {
+				wg = wg.xor(tg)
 			}
-			g.public.Tables = append(g.public.Tables, table)
-			g.zero[gate.Out] = out0
+			hB0, hB1 := hash(b0, 2*gateID+1), hash(b0.xor(g.delta), 2*gateID+1)
+			te := hB0.xor(hB1).xor(a0)
+			we := hB0
+			if b0.permBit() == 1 {
+				we = we.xor(te.xor(a0))
+			}
+			g.zero[gate.Out] = wg.xor(we)
+			g.public.Tables = append(g.public.Tables, [2]Label{tg, te})
 			gateID++
 		default:
 			return nil, fmt.Errorf("garble: unknown gate type %v", gate.Type)
@@ -152,14 +170,22 @@ func Evaluate(c *Circuit, pub *Garbled, garblerLabels, evalLabels []Label) ([]bo
 		case XOR:
 			labels[gate.Out] = labels[gate.A].xor(labels[gate.B])
 		case NOT:
-			labels[gate.Out] = labels[gate.A] // semantics flip via decode
+			labels[gate.Out] = labels[gate.A]
 		case AND:
 			if gateID >= len(pub.Tables) {
 				return nil, fmt.Errorf("garble: missing table for AND gate %d", gateID)
 			}
-			la, lb := labels[gate.A], labels[gate.B]
-			row := la.permBit()<<1 | lb.permBit()
-			labels[gate.Out] = hashGate(la, lb, gateID).xor(pub.Tables[gateID][row])
+			a, b := labels[gate.A], labels[gate.B]
+			tg, te := pub.Tables[gateID][0], pub.Tables[gateID][1]
+			w := hash(a, 2*gateID)
+			if a.permBit() == 1 {
+				w = w.xor(tg)
+			}
+			wE := hash(b, 2*gateID+1)
+			if b.permBit() == 1 {
+				wE = wE.xor(te.xor(a))
+			}
+			labels[gate.Out] = w.xor(wE)
 			gateID++
 		}
 	}
@@ -172,22 +198,3 @@ func Evaluate(c *Circuit, pub *Garbled, garblerLabels, evalLabels []Label) ([]bo
 	}
 	return out, nil
 }
-
-// hashGate is the garbling hash H(a, b, gid).
-func hashGate(a, b Label, gateID int) Label {
-	h := sha256.New()
-	h.Write(a[:])
-	h.Write(b[:])
-	var gid [8]byte
-	binary.LittleEndian.PutUint64(gid[:], uint64(gateID))
-	h.Write(gid[:])
-	var out Label
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// NOT gates flip semantics through the free-XOR delta on the garbler
-// side; the evaluator's label passes through unchanged but corresponds
-// to the flipped truth value because the garbler defined
-// zero[out] = zero[in] ⊕ delta. No table needed.
-var _ = NOT

@@ -141,8 +141,21 @@ func TestAdd64Circuit(t *testing.T) {
 	}
 }
 
+// TestCompare64: the sign bit of a garbled Add64 over the two parties'
+// shares — the comparison the ReLU circuit's ¬sign(s) gate reads — is the
+// sign of their ring sum, across zero and overflow.
 func TestCompare64(t *testing.T) {
-	c, err := Compare64()
+	b := NewBuilder(64, 64)
+	a, x := make([]int, 64), make([]int, 64)
+	for i := range a {
+		a[i], x[i] = b.GarblerInput(i), b.EvalInput(i)
+	}
+	s, err := b.Add64(a, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Output(s[63])
+	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +187,11 @@ func TestReLUSharesCircuit(t *testing.T) {
 	}
 	t.Logf("ReLU circuit: %d AND gates, %d wires", c.ANDCount(), c.NWires())
 	rng := rand.New(rand.NewSource(8))
+	xs := []int64{98765, -98765, 0, 1, -1}
 	for trial := 0; trial < 6; trial++ {
-		x := int64(rng.Intn(2_000_001) - 1_000_000)
+		xs = append(xs, int64(rng.Intn(2_000_001)-1_000_000))
+	}
+	for _, x := range xs {
 		x0 := rng.Uint64()
 		x1 := uint64(x) - x0
 		r := rng.Uint64()
@@ -200,7 +216,7 @@ func TestGarbledMatchesPlainProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		b := NewBuilder(4, 4)
 		wires := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 14; i++ {
 			a := wires[rng.Intn(len(wires))]
 			x := wires[rng.Intn(len(wires))]
 			var out int
@@ -214,7 +230,7 @@ func TestGarbledMatchesPlainProperty(t *testing.T) {
 			}
 			wires = append(wires, out)
 		}
-		b.Output(wires[len(wires)-3:]...)
+		b.Output(wires[len(wires)-4:]...)
 		c, err := b.Build()
 		if err != nil {
 			return false
@@ -257,7 +273,7 @@ func TestGarbledMatchesPlainProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
@@ -305,8 +321,9 @@ func TestOTTransfersCorrectLabel(t *testing.T) {
 	}
 }
 
-// TestEndToEndWithOT runs the ReLU circuit with labels obtained through
-// the oblivious transfer, i.e. the complete two-party flow.
+// TestEndToEndWithOT runs the ReLU circuit with every evaluator label
+// obtained through its own base oblivious transfer: two ciphertexts per
+// input bit, the flow an OT extension replaces.
 func TestEndToEndWithOT(t *testing.T) {
 	c, err := ReLUShares()
 	if err != nil {
@@ -326,12 +343,23 @@ func TestEndToEndWithOT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	el, exchanged, err := TransferLabels(g, ot, Bits64(x1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exchanged != 2*64 {
-		t.Errorf("OT exchanged %d ciphertexts, want 128", exchanged)
+	el := make([]Label, c.NEval)
+	for i, b := range Bits64(x1) {
+		choice, err := ot.Choose(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m0, m1, err := g.EvalLabelPair(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := Transfer(ot.PublicKey(), choice, m0, m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if el[i], err = ot.Receive(reply); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out, err := Evaluate(c, g.Public(), gl, el)
 	if err != nil {
@@ -340,5 +368,44 @@ func TestEndToEndWithOT(t *testing.T) {
 	y := int64(FromBits64(out) + r)
 	if y != 0 { // ReLU(-4321) = 0
 		t.Errorf("ReLU(-4321) = %d", y)
+	}
+}
+
+// TestHalfGatesTwoRowsPerAND: the garbled tables are one two-row entry
+// per AND gate and nothing for the free XOR and NOT gates.
+func TestHalfGatesTwoRowsPerAND(t *testing.T) {
+	c, err := ReLUShares()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Garble(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Public().Tables) != c.ANDCount() {
+		t.Errorf("%d tables for %d AND gates", len(g.Public().Tables), c.ANDCount())
+	}
+}
+
+func TestHalfGatesValidation(t *testing.T) {
+	bad := &Circuit{NGarbler: 0, NEval: 0}
+	if _, err := Garble(bad); err == nil {
+		t.Error("inputless circuit garbled")
+	}
+	b := NewBuilder(1, 1)
+	b.Output(b.AND(0, 1))
+	c, _ := b.Build()
+	g, err := Garble(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.GarblerLabels([]bool{true, false}); err == nil {
+		t.Error("wrong garbler bit count accepted")
+	}
+	if _, _, err := g.EvalLabelPair(5); err == nil {
+		t.Error("out-of-range eval input accepted")
+	}
+	if _, err := Evaluate(c, g.Public(), nil, nil); err == nil {
+		t.Error("missing labels accepted")
 	}
 }

@@ -68,35 +68,3 @@ func (o *OT) Receive(reply *paillier.Ciphertext) (Label, error) {
 
 // PublicKey exposes the receiver's public key for the sender side.
 func (o *OT) PublicKey() *paillier.PublicKey { return &o.receiverKey.PublicKey }
-
-// TransferLabels runs the full OT phase for all evaluator input bits:
-// for each bit, the receiver chooses, the sender transfers the matching
-// label pair, and the receiver decrypts. Returns the evaluator's labels
-// and the number of ciphertexts exchanged.
-func TransferLabels(g *Garbling, ot *OT, bits []bool) ([]Label, int, error) {
-	if len(bits) != g.circuit.NEval {
-		return nil, 0, fmt.Errorf("garble: %d evaluator bits, circuit wants %d", len(bits), g.circuit.NEval)
-	}
-	labels := make([]Label, len(bits))
-	exchanged := 0
-	for i, b := range bits {
-		choice, err := ot.Choose(b)
-		if err != nil {
-			return nil, exchanged, err
-		}
-		m0, m1, err := g.EvalLabelPair(i)
-		if err != nil {
-			return nil, exchanged, err
-		}
-		reply, err := Transfer(ot.PublicKey(), choice, m0, m1)
-		if err != nil {
-			return nil, exchanged, err
-		}
-		exchanged += 2 // choice + reply
-		labels[i], err = ot.Receive(reply)
-		if err != nil {
-			return nil, exchanged, err
-		}
-	}
-	return labels, exchanged, nil
-}

@@ -15,8 +15,9 @@ import (
 // the per-element ReLU conversions would be dominated by public-key
 // operations and the baseline comparison would be meaningless.
 
-// extK is the extension security parameter (number of base OTs).
-const extK = 128
+// BaseOTs is the extension's security parameter: the base OTs one
+// NewOTExtension consumes, whatever the number of transfers it serves.
+const BaseOTs = 128
 
 // prg expands a seed into nBytes pseudo-random bytes via SHA-256 in
 // counter mode. Semi-honest setting; a production system would use AES.
@@ -71,33 +72,33 @@ type ExtReceiver struct {
 // NewOTExtension runs the complete IKNP setup for m transfers with the
 // receiver's choice bits fixed up front. The base OTs run over the
 // provided Paillier OT context with the roles reversed (the extension
-// sender acts as base-OT receiver). It returns both endpoint states and
-// the number of base OTs consumed.
-func NewOTExtension(ot *OT, m int, choice []bool) (*ExtSender, *ExtReceiver, int, error) {
+// sender acts as base-OT receiver), BaseOTs of them. It returns both
+// endpoint states.
+func NewOTExtension(ot *OT, m int, choice []bool) (*ExtSender, *ExtReceiver, error) {
 	if m <= 0 {
-		return nil, nil, 0, fmt.Errorf("garble: extension needs m > 0, got %d", m)
+		return nil, nil, fmt.Errorf("garble: extension needs m > 0, got %d", m)
 	}
 	if len(choice) != m {
-		return nil, nil, 0, fmt.Errorf("garble: %d choice bits for m=%d", len(choice), m)
+		return nil, nil, fmt.Errorf("garble: %d choice bits for m=%d", len(choice), m)
 	}
 	nBytes := (m + 7) / 8
 	// Receiver-side secrets: k seed pairs.
 	type seedPair struct{ k0, k1 Label }
-	seeds := make([]seedPair, extK)
+	seeds := make([]seedPair, BaseOTs)
 	for i := range seeds {
 		if _, err := rand.Read(seeds[i].k0[:]); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		if _, err := rand.Read(seeds[i].k1[:]); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
 	// Sender-side secret: k choice bits s.
-	var sBytes [extK / 8]byte
+	var sBytes [BaseOTs / 8]byte
 	if _, err := rand.Read(sBytes[:]); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	s := make([]bool, extK)
+	s := make([]bool, BaseOTs)
 	for i := range s {
 		s[i] = getBit(sBytes[:], i)
 	}
@@ -108,11 +109,10 @@ func NewOTExtension(ot *OT, m int, choice []bool) (*ExtSender, *ExtReceiver, int
 		setBit(r, i, b)
 	}
 
-	recv := &ExtReceiver{m: m, choice: append([]bool(nil), choice...), cols: make([][]byte, extK)}
-	send := &ExtSender{m: m, s: s, cols: make([][]byte, extK)}
+	recv := &ExtReceiver{m: m, choice: append([]bool(nil), choice...), cols: make([][]byte, BaseOTs)}
+	send := &ExtSender{m: m, s: s, cols: make([][]byte, BaseOTs)}
 
-	baseOTs := 0
-	for i := 0; i < extK; i++ {
+	for i := 0; i < BaseOTs; i++ {
 		// t_i = PRG(k0_i); u_i = t_i ⊕ PRG(k1_i) ⊕ r sent to sender.
 		t := prg(seeds[i].k0, nBytes)
 		p1 := prg(seeds[i].k1, nBytes)
@@ -125,17 +125,16 @@ func NewOTExtension(ot *OT, m int, choice []bool) (*ExtSender, *ExtReceiver, int
 		// Base OT: extension sender receives k_{s_i} obliviously.
 		chooseMsg, err := ot.Choose(s[i])
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		reply, err := Transfer(ot.PublicKey(), chooseMsg, seeds[i].k0, seeds[i].k1)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		got, err := ot.Receive(reply)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		baseOTs++
 		// q_i = PRG(k_{s_i}) ⊕ s_i·u
 		q := prg(got, nBytes)
 		if s[i] {
@@ -145,13 +144,13 @@ func NewOTExtension(ot *OT, m int, choice []bool) (*ExtSender, *ExtReceiver, int
 		}
 		send.cols[i] = q
 	}
-	return send, recv, baseOTs, nil
+	return send, recv, nil
 }
 
 // row extracts row j (k bits) of a column-major bit matrix as k/8 bytes.
 func row(cols [][]byte, j int) []byte {
-	out := make([]byte, extK/8)
-	for i := 0; i < extK; i++ {
+	out := make([]byte, BaseOTs/8)
+	for i := 0; i < BaseOTs; i++ {
 		if getBit(cols[i], j) {
 			out[i/8] |= 1 << (uint(i) % 8)
 		}
@@ -166,7 +165,7 @@ func (s *ExtSender) Transfer(j int, m0, m1 Label) (y0, y1 Label, err error) {
 	}
 	qj := row(s.cols, j)
 	qjs := make([]byte, len(qj))
-	for i := 0; i < extK; i++ {
+	for i := 0; i < BaseOTs; i++ {
 		v := getBit(qj, i) != s.s[i] // q_j ⊕ s
 		setBit(qjs, i, v)
 	}
@@ -188,33 +187,4 @@ func (r *ExtReceiver) Receive(j int, y0, y1 Label) (Label, error) {
 		return y1.xor(h), nil
 	}
 	return y0.xor(h), nil
-}
-
-// TransferLabelsExt runs the OT phase of a garbled-circuit execution
-// through an extension: all evaluator input bits transfer with symmetric
-// crypto. Returns labels and the count of extended transfers.
-func TransferLabelsExt(g *Garbling, ot *OT, bits []bool) ([]Label, int, error) {
-	if len(bits) != g.circuit.NEval {
-		return nil, 0, fmt.Errorf("garble: %d evaluator bits, circuit wants %d", len(bits), g.circuit.NEval)
-	}
-	send, recv, _, err := NewOTExtension(ot, len(bits), bits)
-	if err != nil {
-		return nil, 0, err
-	}
-	labels := make([]Label, len(bits))
-	for i := range bits {
-		m0, m1, err := g.EvalLabelPair(i)
-		if err != nil {
-			return nil, i, err
-		}
-		y0, y1, err := send.Transfer(i, m0, m1)
-		if err != nil {
-			return nil, i, err
-		}
-		labels[i], err = recv.Receive(i, y0, y1)
-		if err != nil {
-			return nil, i, err
-		}
-	}
-	return labels, len(bits), nil
 }

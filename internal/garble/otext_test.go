@@ -16,12 +16,9 @@ func TestOTExtensionCorrectness(t *testing.T) {
 		rng.Read(pairs[i][0][:])
 		rng.Read(pairs[i][1][:])
 	}
-	send, recv, baseOTs, err := NewOTExtension(ot, m, choice)
+	send, recv, err := NewOTExtension(ot, m, choice)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if baseOTs != extK {
-		t.Errorf("base OTs %d, want %d", baseOTs, extK)
 	}
 	for i := 0; i < m; i++ {
 		y0, y1, err := send.Transfer(i, pairs[i][0], pairs[i][1])
@@ -51,13 +48,13 @@ func TestOTExtensionCorrectness(t *testing.T) {
 
 func TestOTExtensionValidation(t *testing.T) {
 	ot := sharedOT(t)
-	if _, _, _, err := NewOTExtension(ot, 0, nil); err == nil {
+	if _, _, err := NewOTExtension(ot, 0, nil); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if _, _, _, err := NewOTExtension(ot, 3, []bool{true}); err == nil {
+	if _, _, err := NewOTExtension(ot, 3, []bool{true}); err == nil {
 		t.Error("choice-length mismatch accepted")
 	}
-	send, recv, _, err := NewOTExtension(ot, 2, []bool{true, false})
+	send, recv, err := NewOTExtension(ot, 2, []bool{true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +88,24 @@ func TestReLUWithOTExtension(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		el, n, err := TransferLabelsExt(g, ot, Bits64(x1))
+		bits := Bits64(x1)
+		send, recv, err := NewOTExtension(ot, len(bits), bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != 64 {
-			t.Errorf("extension transferred %d labels, want 64", n)
+		el := make([]Label, len(bits))
+		for i := range bits {
+			m0, m1, err := g.EvalLabelPair(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y0, y1, err := send.Transfer(i, m0, m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if el[i], err = recv.Receive(i, y0, y1); err != nil {
+				t.Fatal(err)
+			}
 		}
 		out, err := Evaluate(c, g.Public(), gl, el)
 		if err != nil {

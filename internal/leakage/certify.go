@@ -16,8 +16,8 @@ import (
 // observation: deep activations decorrelate from the input). The
 // measurement is multivariate distance correlation between the raw
 // input and each linear stage's input across a calibration sample set;
-// the serving plane consults the certified boundary before the ILP is
-// allowed to assign the `clear` backend to a trailing round.
+// the serving plane consults the certified boundary before the planner
+// is allowed to assign the `clear` backend to a trailing round.
 
 // DistanceCorrelationVec computes the sample distance correlation
 // between two paired multivariate sequences: x[i] and y[i] are the i-th

@@ -65,7 +65,7 @@ type CostStats struct {
 // costField names one CostStats field: its canonical lowercase metric-name
 // component, the name the registry counters ("cost.<name>", JSON and
 // Prometheus alike) and String use. costFields is the single source of
-// truth for those names, in the order CostStats.fields lists the fields;
+// truth for those names, in the order CostStats.Fields lists the fields;
 // the pplint metricnames analyzer checks that every CostStats struct
 // field appears here and carries a JSON tag, TestCostFieldsCoverStruct
 // that the two orders agree.
@@ -92,8 +92,10 @@ var costFields = [...]costField{
 	{Name: "plain_ops"},
 }
 
-// fields addresses every field of c in costFields order.
-func (c *CostStats) fields() [len(costFields)]*uint64 {
+// Fields addresses every field of c, in costFields order: the iteration
+// order of the registry counters, String, and the wire encoding of a
+// trace segment's cost.
+func (c *CostStats) Fields() [len(costFields)]*uint64 {
 	return [...]*uint64{
 		&c.ModExps, &c.MulMods, &c.ModInverses, &c.Rerands, &c.PoolHits,
 		&c.PoolMisses, &c.Encrypts, &c.Decrypts, &c.CipherBytesIn, &c.CipherBytesOut,
@@ -103,7 +105,7 @@ func (c *CostStats) fields() [len(costFields)]*uint64 {
 
 // Add accumulates another profile into this one.
 func (c *CostStats) Add(o CostStats) {
-	dst, src := c.fields(), o.fields()
+	dst, src := c.Fields(), o.Fields()
 	for i := range dst {
 		*dst[i] += *src[i]
 	}
@@ -111,7 +113,7 @@ func (c *CostStats) Add(o CostStats) {
 
 // IsZero reports whether no operation was recorded.
 func (c *CostStats) IsZero() bool {
-	for _, p := range c.fields() {
+	for _, p := range c.Fields() {
 		if *p != 0 {
 			return false
 		}
@@ -136,7 +138,7 @@ func (c *CostStats) String() string {
 		return "-"
 	}
 	var parts []string
-	for i, p := range c.fields() {
+	for i, p := range c.Fields() {
 		if *p != 0 {
 			parts = append(parts, fmt.Sprintf("%s=%d", costFields[i].Name, *p))
 		}
@@ -162,7 +164,7 @@ func (m *CostMeter) Add(st CostStats) {
 	if m == nil {
 		return
 	}
-	for i, p := range st.fields() {
+	for i, p := range st.Fields() {
 		if *p != 0 {
 			m.n[i].Add(*p)
 		}
@@ -175,7 +177,7 @@ func (m *CostMeter) Snapshot() CostStats {
 	if m == nil {
 		return st
 	}
-	for i, p := range st.fields() {
+	for i, p := range st.Fields() {
 		*p = m.n[i].Load()
 	}
 	return st
@@ -185,7 +187,7 @@ func (m *CostMeter) Snapshot() CostStats {
 // the per-layer attribution pattern: snapshot, run the layer, Diff.
 func (m *CostMeter) Diff(prev CostStats) CostStats {
 	cur := m.Snapshot()
-	c, p := cur.fields(), prev.fields()
+	c, p := cur.Fields(), prev.Fields()
 	for i := range c {
 		*c[i] -= *p[i]
 	}
@@ -202,7 +204,7 @@ func AddCostToRegistry(reg *Registry, backend string, st CostStats) {
 	if reg == nil {
 		return
 	}
-	for i, p := range st.fields() {
+	for i, p := range st.Fields() {
 		if *p == 0 {
 			continue
 		}

@@ -78,7 +78,7 @@ func TestCostFieldsCoverStruct(t *testing.T) {
 	for i, f := range costFields {
 		// Set field i through the table's order, read it back by name.
 		var st CostStats
-		*st.fields()[i] = 41
+		*st.Fields()[i] = 41
 		v := reflect.ValueOf(st)
 		for j := 0; j < typ.NumField(); j++ {
 			tag := strings.Split(typ.Field(j).Tag.Get("json"), ",")[0]

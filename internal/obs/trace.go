@@ -52,7 +52,7 @@ type Segment struct {
 	Dur   time.Duration `json:"dur_ns"`
 	// Backend, when non-empty, names the crypto backend that executed
 	// this segment's round ("paillier-he", "ss-gc", "clear"), so a
-	// mixed-backend request's trace shows the ILP-chosen assignment.
+	// mixed-backend request's trace shows the planned assignment.
 	Backend string `json:"backend,omitempty"`
 	// Cost, when non-nil, is the crypto-cost profile attributed to this
 	// segment (modexps, ciphertext bytes, pool hit rate, ...), so the

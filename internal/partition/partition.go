@@ -6,10 +6,11 @@
 // the input — instead of the whole tensor (input tensor partitioning),
 // cutting the stage-to-thread communication volume.
 //
-// Execute materializes each thread's input view as an actual copy of the
-// ciphertexts it receives, so the communication saving is physically
-// exercised (copied bytes), not just accounted: with partitioning off,
-// every thread copies the entire input tensor, as in the paper's
+// Execute gives each thread a view of the input holding only the
+// ciphertexts its task receives (the rest nil) and counts those elements
+// as the stage-to-thread communication; the views share the immutable
+// ciphertexts with the stage rather than copying them. With partitioning
+// off every thread's view is the entire input tensor, as in the paper's
 // baseline where "the whole input tensor is fed to each thread". Each
 // thread then evaluates its whole output range through one kernel call
 // over that view (qnn.ElementOp.ComputeRange), so what the kernel shares
@@ -117,7 +118,7 @@ func PlanOp(op qnn.ElementOp, in tensor.Shape, threads int, inputPartition bool)
 // CommStats accounts for the stage-to-thread communication of one op
 // execution, in ciphertext elements.
 type CommStats struct {
-	// ElementsSent counts ciphertexts copied into thread-local views.
+	// ElementsSent counts the ciphertexts placed in thread-local views.
 	ElementsSent int
 	// ElementsTotal is threads × input size: what the no-partitioning
 	// baseline sends.

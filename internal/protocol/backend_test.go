@@ -198,7 +198,7 @@ var (
 	e2eKeyErr  error
 )
 
-// e2eKey2048 returns a shared 2048-bit key: large enough that the ILP's
+// e2eKey2048 returns a shared 2048-bit key: large enough that the planner's
 // Paillier cost estimate genuinely loses to ss-gc on ReLU-followed
 // rounds even when the round's outputs pack into one reply ciphertext,
 // so the mixed plan picks all three backends on its own.

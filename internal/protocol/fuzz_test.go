@@ -61,7 +61,6 @@ func FuzzWireFrameDecode(f *testing.F) {
 			switch p := m.Payload.(type) {
 			case *roundFrame:
 				_ = p.TC.traceID() // nil-safe by contract
-				_ = fromWireSpans(p.Spans)
 				w = p.Env
 			case *WireEnvelope:
 				w = p

@@ -14,16 +14,18 @@ import (
 //
 //	Admit → rounds → exactly one Finish
 //
-// Admit takes the request's admission slot; Finish is the only code that
-// gives the slot back, drops the model provider's permutation state for
-// the request, and publishes its terminal outcome. A runtime that can end
+// Admit takes the request's admission slot and counts its start against
+// the rate limit; Finish is the only code that gives the slot back, drops
+// the model provider's permutation state for the request, and publishes
+// its terminal outcome. A runtime that can end
 // a request from more than one goroutine (the session: frame handler,
 // janitor, teardown) makes the end exclusive itself, by removing the
 // request from its own index before calling Finish.
 type Lifecycle struct {
-	mp   *ModelProvider
-	shed *Shedder
-	log  *obs.Logger
+	mp    *ModelProvider
+	shed  *Shedder
+	limit *RateLimiter
+	log   *obs.Logger
 	// traces and flight are span stores offered every finished request's
 	// record alike: flight is the benchmark's (SessionConfig.Flight).
 	traces, flight *obs.TraceStore
@@ -45,19 +47,21 @@ type outcome int
 const (
 	outcomeOK outcome = iota
 	outcomeErr
+	// outcomeShed is a refusal at admission, by the shedder or the rate
+	// limiter: the request never ran.
 	outcomeShed
 )
 
 func (o outcome) String() string { return [...]string{"ok", "err", "shed"}[o] }
 
 // NewLifecycle binds a lifecycle to the model provider whose per-request
-// state it releases and to cfg's admission controller and sinks (Shed,
-// Registry, Log, Traces, Flight, SLO — each may be nil). It publishes the
-// "requests.active" gauge and, each with its live view,
+// state it releases and to cfg's admission controllers and sinks (Shed,
+// Limiter, Registry, Log, Traces, Flight, SLO — each may be nil). It
+// publishes the "requests.active" gauge and, each with its live view,
 // "serve.requests.ok" / ".err" / ".shed" and "serve.latency".
 func NewLifecycle(mp *ModelProvider, cfg SessionConfig) *Lifecycle {
 	lc := &Lifecycle{
-		mp: mp, shed: cfg.Shed, log: cfg.Log,
+		mp: mp, shed: cfg.Shed, limit: cfg.Limiter, log: cfg.Log,
 		traces: cfg.Traces, flight: cfg.Flight, slo: cfg.SLO,
 	}
 	for _, k := range mp.BackendPlan() {
@@ -91,31 +95,37 @@ type Request struct {
 }
 
 // Admit starts request id, which arrived at arrived, taking its admission
-// slot. An overloaded shedder refuses it: the request is finished as shed
-// on the spot and the ErrShed-wrapped error returned.
+// slot and counting it against the rate limit. An overloaded shedder or a
+// full rate window refuses it: the request is finished as refused on the
+// spot, before any per-request state exists, and the ErrShed- or
+// ErrThrottled-wrapped error returned.
 func (lc *Lifecycle) Admit(id uint64, traceID string, arrived time.Time) (*Request, error) {
 	req := &Request{ID: id, TraceID: traceID, started: arrived}
 	lc.active.Add(1)
-	if err := lc.shed.Acquire(); err != nil {
+	err := lc.shed.Acquire()
+	if err == nil {
+		req.shedHeld = lc.shed != nil
+		err = lc.limit.admit()
+	}
+	if err != nil {
 		lc.Finish(req, err)
 		return nil, err
 	}
-	req.shedHeld = lc.shed != nil
 	return req, nil
 }
 
 // Finish ends a request with its one terminal outcome — ok for a nil err,
-// shed for an admission refusal, err for everything else — and is the only
-// place that outcome is published: the outcome counter and latency, the
-// shedder's latency window, the SLO engine, the span stores — one record,
-// tree and plan, each — and the log. It then releases the admission slot
-// and the model provider's permutation state. Call it exactly once per
-// request.
+// shed for an admission refusal (shed or throttled), err for everything
+// else — and is the only place that outcome is published: the outcome
+// counter and latency, the shedder's latency window, the SLO engine, the
+// span stores — one record, tree and plan, each — and the log. It then
+// releases the admission slot and the model provider's permutation state.
+// Call it exactly once per request.
 func (lc *Lifecycle) Finish(req *Request, err error) {
 	latency := time.Since(req.started)
 	o := outcomeOK
 	switch {
-	case errors.Is(err, ErrShed):
+	case errors.Is(err, ErrShed), errors.Is(err, ErrThrottled):
 		o = outcomeShed
 	case err != nil:
 		o = outcomeErr

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -113,7 +114,7 @@ func (c *rawClient) waitOutcomes(n uint64) {
 // slot, no permutation state in the model provider.
 func TestSessionTerminalOutcomes(t *testing.T) {
 	limiter := func() *RateLimiter {
-		rl, err := NewRateLimiter(1, time.Hour)
+		rl, err := NewRateLimiter(1, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +137,15 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 				c.send(1, last)
 				c.recv(replyOK)
 			}},
-		{name: "throttle", cfg: SessionConfig{Limiter: limiter()}, ok: 1, err: 1,
+		// A throttle is a refusal at admission, like a shed: counted as one,
+		// and retryable.
+		{name: "throttle", cfg: SessionConfig{Limiter: limiter()}, ok: 1, shed: 1,
 			drive: func(c *rawClient) {
 				c.complete(1)
 				c.send(2, c.roundZero(2, tensor.Zeros(4)))
-				c.recv(CodeThrottled)
+				if m := c.recv(CodeThrottled); !errors.Is(m.Err, ErrThrottled) || !Retryable(m.Err) {
+					c.t.Errorf("throttled request's reply %v, want a retryable ErrThrottled", m.Err)
+				}
 			}},
 		{name: "deadline in queue", err: 1, counter: "requests.deadline_expired",
 			drive: func(c *rawClient) {

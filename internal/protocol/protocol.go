@@ -154,7 +154,8 @@ type Protocol struct {
 	Data  *DataProvider
 	// Merged is the alternating stage list the roles were built from.
 	Merged []*nn.PrimitiveLayer
-	// life finishes Infer's requests; it has no shedder and no sinks.
+	// life admits and finishes Infer's requests; Build gives it no
+	// admission control and no sinks.
 	life *Lifecycle
 }
 
@@ -391,8 +392,10 @@ func (p *Protocol) StageCosts() (encrypt obs.CostStats, merged []obs.CostStats, 
 // streaming engine (internal/core) runs the same per-stage methods inside
 // pipeline stages.
 func (p *Protocol) Infer(req uint64, x *tensor.Dense) (out *tensor.Dense, err error) {
-	// No shedder: admission cannot fail.
-	r, _ := p.life.Admit(req, "", time.Now())
+	r, err := p.life.Admit(req, "", time.Now())
+	if err != nil {
+		return nil, err
+	}
 	defer func() { p.life.Finish(r, err) }()
 	env, err := p.Data.EncryptMetered(req, x, nil)
 	if err != nil {
@@ -456,9 +459,8 @@ type ModelProvider struct {
 	workers int
 	stages  []*linearStage
 
-	mu      sync.Mutex
-	state   map[uint64]*obfuscate.Rounds
-	limiter *RateLimiter
+	mu    sync.Mutex
+	state map[uint64]*obfuscate.Rounds
 
 	planMu sync.RWMutex
 	plan   []backend.Kind
@@ -656,9 +658,6 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 	if r == 0 {
 		if env.Obfuscated {
 			return nil, tm, fmt.Errorf("protocol: first round input must not be obfuscated")
-		}
-		if err := mp.admit(); err != nil {
-			return nil, tm, err
 		}
 	} else {
 		if !env.Obfuscated {

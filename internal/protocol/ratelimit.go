@@ -11,8 +11,8 @@ import (
 // model-stealing attacks, where a compromised data provider trains a
 // surrogate model on query/answer pairs (Section II-C).
 //
-// It is a sliding-window limiter keyed by request start; the model
-// provider calls Allow before admitting a request's first round.
+// It is a sliding-window limiter keyed by request start; Lifecycle.Admit
+// consults it, after the shedder, before a request exists.
 type RateLimiter struct {
 	mu     sync.Mutex
 	limit  int
@@ -84,25 +84,12 @@ func (rl *RateLimiter) InFlight() int {
 	return n
 }
 
-// SetLimiter attaches a rate limiter to the model provider. When set,
-// round-0 ProcessLinear calls for new requests are rejected once the
-// limit is reached.
-func (mp *ModelProvider) SetLimiter(rl *RateLimiter) {
-	mp.mu.Lock()
-	mp.limiter = rl
-	mp.mu.Unlock()
-}
-
-// admit enforces the limiter for a request's first round.
-func (mp *ModelProvider) admit() error {
-	mp.mu.Lock()
-	rl := mp.limiter
-	mp.mu.Unlock()
-	if rl == nil {
+// admit records a new request start, or refuses it with an
+// ErrThrottled-wrapped error once the window is full. A nil limiter admits
+// everything.
+func (rl *RateLimiter) admit() error {
+	if rl == nil || rl.Allow() {
 		return nil
 	}
-	if !rl.Allow() {
-		return fmt.Errorf("%w: rate limit exceeded (%d per %v)", ErrThrottled, rl.limit, rl.window)
-	}
-	return nil
+	return fmt.Errorf("%w: rate limit exceeded (%d per %v)", ErrThrottled, rl.limit, rl.window)
 }

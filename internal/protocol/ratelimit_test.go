@@ -46,6 +46,8 @@ func TestRateLimiterWindow(t *testing.T) {
 	}
 }
 
+// TestModelProviderEnforcesLimit: the limit counts request starts, at
+// admission, not rounds.
 func TestModelProviderEnforcesLimit(t *testing.T) {
 	k := key(t)
 	net := buildNet(t)
@@ -57,7 +59,7 @@ func TestModelProviderEnforcesLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto.Model.SetLimiter(rl)
+	proto.life = NewLifecycle(proto.Model, SessionConfig{Limiter: rl})
 
 	x := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4)
 	// First request completes all rounds (the limit counts request
@@ -115,7 +117,7 @@ func TestThrottleErrorTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto.Model.SetLimiter(rl)
+	proto.life = NewLifecycle(proto.Model, SessionConfig{Limiter: rl})
 	x := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4)
 	if _, err := proto.Infer(1, x); err != nil {
 		t.Fatalf("first request rejected: %v", err)

@@ -73,7 +73,7 @@ type roundFrame struct {
 	Round int
 	Env   *WireEnvelope
 	TC    *TraceContext
-	Spans []WireSpan
+	Spans []obs.Segment
 	// DeadlineMS is the client's remaining per-request budget in
 	// milliseconds at send time — relative, so no cross-party clock sync
 	// is needed. Zero means no deadline. The server refreshes its absolute
@@ -369,9 +369,6 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 	reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
 	mp.SetBlindPool(blind)
 	mp.Instrument(reg)
-	if cfg.Limiter != nil {
-		mp.SetLimiter(cfg.Limiter)
-	}
 	s := &session{
 		ctx: ctx, out: out, reg: reg, pk: pk, mp: mp, blind: blind,
 		life:      NewLifecycle(mp, cfg),
@@ -643,7 +640,7 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 	cost.CipherBytesOut = wireEnv.CipherBytes()
 	obs.AddCostToRegistry(s.reg, kind.MetricName(), cost)
 	// The kernel span carries the backend that executed it, so the merged
-	// TraceTree shows the ILP's per-round assignment.
+	// TraceTree shows the plan's per-round assignment.
 	s.addSpans(req,
 		obs.Segment{Party: "server", Name: "queue", Round: frame.Round, Dur: queueWait},
 		obs.Segment{Party: "server", Name: "kernel", Round: frame.Round, Dur: timing.Kernel, Cost: &cost, Backend: string(kind)},
@@ -663,7 +660,7 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 		if !s.finish(req, nil) {
 			return nil, fmt.Errorf("%w: request %d evicted during its last round", ErrEvicted, req.ID)
 		}
-		reply.Spans = toWireSpans(req.spans)
+		reply.Spans = req.spans
 	}
 	return reply, nil
 }
@@ -923,9 +920,7 @@ func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dens
 			return nil, nil, err
 		}
 		roundtrips[round] = time.Since(rtStart)
-		if len(frame.Spans) > 0 {
-			serverSegs = append(serverSegs, fromWireSpans(frame.Spans)...)
-		}
+		serverSegs = append(serverSegs, frame.Spans...)
 		env.Req = req
 		nlStart := time.Now()
 		var nlMeter obs.CostMeter

@@ -39,121 +39,6 @@ func (tc *TraceContext) traceID() string {
 	return ""
 }
 
-// WireSpan is the wire form of one server-side trace segment, shipped
-// back to the client in the final round frame so it can merge both
-// parties' spans into one obs.TraceTree.
-type WireSpan struct {
-	Party string
-	Name  string
-	Round int
-	Nanos int64
-	Cost  *WireCost // nil for a segment that recorded no crypto work
-	// Backend names the crypto backend that executed the span's round.
-	Backend string
-}
-
-// WireCost is the wire form of a segment's obs.CostStats crypto-cost
-// profile: the same fields, each a 64-bit count on the wire, in this
-// order. Changing the set changes stream.WireVersion (the golden frames
-// in testdata/wire_v1 pin it).
-type WireCost struct {
-	ModExps        uint64
-	MulMods        uint64
-	ModInverses    uint64
-	Rerands        uint64
-	PoolHits       uint64
-	PoolMisses     uint64
-	Encrypts       uint64
-	Decrypts       uint64
-	CipherBytesIn  uint64
-	CipherBytesOut uint64
-	// The non-Paillier backends: Beaver triples
-	// and opened share words (ss-gc linear), garbled AND gates and
-	// extension OTs (gc relu), and plaintext multiply-accumulates (clear).
-	Triples     uint64
-	OpenedWords uint64
-	GCGates     uint64
-	ExtOTs      uint64
-	PlainOps    uint64
-}
-
-// toWireCost converts a segment's cost annotation, nil for segments
-// without one (or with nothing recorded).
-func toWireCost(st *obs.CostStats) *WireCost {
-	if st == nil || st.IsZero() {
-		return nil
-	}
-	return &WireCost{
-		ModExps:        st.ModExps,
-		MulMods:        st.MulMods,
-		ModInverses:    st.ModInverses,
-		Rerands:        st.Rerands,
-		PoolHits:       st.PoolHits,
-		PoolMisses:     st.PoolMisses,
-		Encrypts:       st.Encrypts,
-		Decrypts:       st.Decrypts,
-		CipherBytesIn:  st.CipherBytesIn,
-		CipherBytesOut: st.CipherBytesOut,
-		Triples:        st.Triples,
-		OpenedWords:    st.OpenedWords,
-		GCGates:        st.GCGates,
-		ExtOTs:         st.ExtOTs,
-		PlainOps:       st.PlainOps,
-	}
-}
-
-// fromWireCost converts a received cost profile.
-func fromWireCost(w *WireCost) *obs.CostStats {
-	if w == nil {
-		return nil
-	}
-	return &obs.CostStats{
-		ModExps:        w.ModExps,
-		MulMods:        w.MulMods,
-		ModInverses:    w.ModInverses,
-		Rerands:        w.Rerands,
-		PoolHits:       w.PoolHits,
-		PoolMisses:     w.PoolMisses,
-		Encrypts:       w.Encrypts,
-		Decrypts:       w.Decrypts,
-		CipherBytesIn:  w.CipherBytesIn,
-		CipherBytesOut: w.CipherBytesOut,
-		Triples:        w.Triples,
-		OpenedWords:    w.OpenedWords,
-		GCGates:        w.GCGates,
-		ExtOTs:         w.ExtOTs,
-		PlainOps:       w.PlainOps,
-	}
-}
-
-// toWireSpans converts trace segments for the result frame.
-func toWireSpans(segs []obs.Segment) []WireSpan {
-	if len(segs) == 0 {
-		return nil
-	}
-	out := make([]WireSpan, len(segs))
-	for i, s := range segs {
-		out[i] = WireSpan{Party: s.Party, Name: s.Name, Round: s.Round, Nanos: s.Dur.Nanoseconds(), Cost: toWireCost(s.Cost), Backend: s.Backend}
-	}
-	return out
-}
-
-// fromWireSpans converts received spans back into trace segments,
-// dropping negative durations a hostile peer might announce.
-func fromWireSpans(spans []WireSpan) []obs.Segment {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]obs.Segment, 0, len(spans))
-	for _, s := range spans {
-		if s.Nanos < 0 {
-			continue
-		}
-		out = append(out, obs.Segment{Party: s.Party, Name: s.Name, Round: s.Round, Dur: time.Duration(s.Nanos), Cost: fromWireCost(s.Cost), Backend: s.Backend})
-	}
-	return out
-}
-
 // CipherBytes sums the activation payload of a wire envelope at its
 // natural size — ciphertexts, share words, or sign-magnitude integers —
 // the per-hop traffic cost accounting records.
@@ -582,7 +467,7 @@ func (f *roundFrame) EncodeWire(w *stream.WireWriter) {
 	}
 	w.Len(len(f.Spans))
 	for i := range f.Spans {
-		f.Spans[i].encodeWire(w)
+		encodeSpan(w, &f.Spans[i])
 	}
 	if f.Env != nil {
 		f.Env.EncodeWire(w)
@@ -600,7 +485,7 @@ func decodeRoundFrame(r *stream.WireReader) *roundFrame {
 	}
 	f.Profile = r.String("profile")
 	f.Plan = stream.ReadVec(r, "plan length", maxWirePlan, 4, func() int32 { return int32(r.U32()) })
-	f.Spans = stream.ReadVec(r, "span count", maxWireSpans, wireSpanMinBytes, func() WireSpan { return decodeSpan(r) })
+	f.Spans = stream.ReadVec(r, "span count", maxWireSpans, wireSpanMinBytes, func() obs.Segment { return decodeSpan(r) })
 	if flags&frameEnv != 0 && r.Err() == nil {
 		f.Env = decodeEnvelope(r)
 	}
@@ -611,42 +496,42 @@ func decodeRoundFrame(r *stream.WireReader) *roundFrame {
 // prefixes, round, nanoseconds, and the cost marker.
 const wireSpanMinBytes = 3*4 + 4 + 8 + 1
 
-func (s *WireSpan) encodeWire(w *stream.WireWriter) {
+// encodeSpan writes one server-side trace segment: its strings, round and
+// duration, then a cost marker and, when the segment recorded crypto work,
+// every obs.CostStats field as a u64 in CostStats.Fields order. Changing
+// that field set changes stream.WireVersion (the golden frames in
+// testdata/wire_v1 pin it).
+func encodeSpan(w *stream.WireWriter, s *obs.Segment) {
 	w.String(s.Party)
 	w.String(s.Name)
 	w.String(s.Backend)
 	w.I32(s.Round)
-	w.I64(s.Nanos)
-	if s.Cost == nil {
+	w.I64(s.Dur.Nanoseconds())
+	if s.Cost == nil || s.Cost.IsZero() {
 		w.U8(0)
 		return
 	}
 	w.U8(1)
-	for _, v := range s.Cost.counts() {
+	for _, v := range s.Cost.Fields() {
 		w.U64(*v)
 	}
 }
 
-func decodeSpan(r *stream.WireReader) WireSpan {
-	s := WireSpan{Party: r.String("span party"), Name: r.String("span name"), Backend: r.String("span backend"), Round: r.I32(), Nanos: r.I64()}
+// decodeSpan reads what encodeSpan wrote, refusing a negative duration.
+func decodeSpan(r *stream.WireReader) obs.Segment {
+	s := obs.Segment{Party: r.String("span party"), Name: r.String("span name"), Backend: r.String("span backend"), Round: r.I32()}
+	if s.Dur = time.Duration(r.I64()); s.Dur < 0 {
+		r.Reject("span duration", "%v", s.Dur)
+	}
 	switch marker := r.U8(); marker {
 	case 0:
 	case 1:
-		s.Cost = new(WireCost)
-		for _, v := range s.Cost.counts() {
+		s.Cost = new(obs.CostStats)
+		for _, v := range s.Cost.Fields() {
 			*v = r.U64()
 		}
 	default:
 		r.Reject("span cost marker", "%d", marker)
 	}
 	return s
-}
-
-// counts lists the cost profile's fields in wire order.
-func (c *WireCost) counts() [15]*uint64 {
-	return [15]*uint64{
-		&c.ModExps, &c.MulMods, &c.ModInverses, &c.Rerands, &c.PoolHits, &c.PoolMisses,
-		&c.Encrypts, &c.Decrypts, &c.CipherBytesIn, &c.CipherBytesOut,
-		&c.Triples, &c.OpenedWords, &c.GCGates, &c.ExtOTs, &c.PlainOps,
-	}
 }

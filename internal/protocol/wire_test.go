@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"ppstream/internal/backend"
+	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
 	"ppstream/internal/stream"
 )
@@ -103,9 +104,9 @@ func goldenFrames() map[string]*stream.Message {
 		}}},
 		"round_result": {Seq: 9, Trace: &stream.Trace{ID: "00c0ffee00000001", Spans: []stream.Span{{Stage: "linear-2", Wait: time.Millisecond, Busy: 3 * time.Millisecond}}},
 			Payload: &roundFrame{Round: 2, TC: tc, Plan: []int32{0, 1, 2}, Profile: "mixed",
-				Spans: []WireSpan{
-					{Party: "server", Name: "queue", Round: 2, Nanos: 1200},
-					{Party: "server", Name: "kernel", Round: 2, Nanos: 830000, Backend: "clear", Cost: &WireCost{PlainOps: 640, CipherBytesIn: 96, CipherBytesOut: 40}},
+				Spans: []obs.Segment{
+					{Party: "server", Name: "queue", Round: 2, Dur: 1200},
+					{Party: "server", Name: "kernel", Round: 2, Dur: 830000, Backend: "clear", Cost: &obs.CostStats{PlainOps: 640, CipherBytesIn: 96, CipherBytesOut: 40}},
 				},
 				Env: &WireEnvelope{Req: 9, Result: []float64{0.25, -1.5}, ResultShape: []int{1, 2}},
 			}},
@@ -321,6 +322,7 @@ func TestHostilePeerFields(t *testing.T) {
 		{name: "span count", data: round(frameToPlan().u32(0).u32(maxWireSpans + 1)), field: "span count"},
 		{name: "spans past the body", data: round(frameToPlan().u32(0).u32(maxWireSpans).raw(make([]byte, 100)...)), field: "span count"},
 		{name: "span cost marker", data: round(frameToPlan().u32(0).u32(1).str("p").str("n").str("").u32(0).u64(0).u8(9)), field: "span cost marker"},
+		{name: "span duration", data: round(frameToPlan().u32(0).u32(1).str("p").str("n").str("").u32(0).u64(^uint64(0)).u8(0)), field: "span duration"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

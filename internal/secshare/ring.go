@@ -46,14 +46,6 @@ func SplitRandom(r io.Reader, v uint64) (Shares, error) {
 	return Shares{S: [2]uint64{s0, v - s0}}, nil
 }
 
-// MulPrivateInt multiplies a sharing by party 0's private int64
-// multiplicand through one Beaver triple, with NO truncation: the
-// product stays at the combined scale, exactly as integer arithmetic
-// would produce. Openings are accounted by mulRaw.
-func (e *Engine) MulPrivateInt(w int64, x Shares) Shares {
-	return e.mulRaw(Shares{S: [2]uint64{uint64(w), 0}}, x)
-}
-
 // DotPrivateInt computes Σ_j w_j·x_j + bias over the ring with party
 // 0's private int64 weights and big-integer bias (reduced into the
 // ring), skipping zero weights exactly like the plaintext reference.
@@ -85,20 +77,6 @@ func (e *Engine) ScalePrivateInt(scale int64, shift *big.Int, x Shares) Shares {
 	out := e.mulRaw(Shares{S: [2]uint64{uint64(scale), 0}}, x)
 	if shift != nil {
 		out.S[0] += RingOfBig(shift)
-	}
-	return out
-}
-
-// OpenRing reconstructs a shared ring vector into signed integers,
-// charging one batched opening round. This is the data provider's
-// reconstruction step; the opened words are what actually crosses the
-// wire in a two-server deployment.
-func (e *Engine) OpenRing(xs []Shares) []int64 {
-	e.Stats.Rounds++
-	e.Stats.OpenedWords += 2 * len(xs)
-	out := make([]int64, len(xs))
-	for i, s := range xs {
-		out[i] = SignedOfRing(s.Reconstruct())
 	}
 	return out
 }

@@ -117,6 +117,8 @@ func TestDotPrivateIntLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestMulPrivateIntExact: one private multiplication (ScalePrivateInt
+// without a shift) is exact over the ring for products below 2^63.
 func TestMulPrivateIntExact(t *testing.T) {
 	e := NewEngine(3)
 	rng := mrand.New(mrand.NewSource(9))
@@ -127,7 +129,7 @@ func TestMulPrivateIntExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := SignedOfRing(e.MulPrivateInt(w, xs).Reconstruct())
+		got := SignedOfRing(e.ScalePrivateInt(w, nil, xs).Reconstruct())
 		if want := w * x; got != want {
 			t.Fatalf("mul %d*%d = %d, want %d", w, x, got, want)
 		}
@@ -147,26 +149,5 @@ func TestScalePrivateIntExact(t *testing.T) {
 	out = e.ScalePrivateInt(2, nil, xs)
 	if got := SignedOfRing(out.Reconstruct()); got != 2468 {
 		t.Fatalf("scale nil shift = %d", got)
-	}
-}
-
-func TestOpenRingChargesStats(t *testing.T) {
-	e := NewEngine(6)
-	xs := make([]Shares, 5)
-	for i := range xs {
-		var err error
-		xs[i], err = SplitRandom(rand.Reader, RingOfBig(big.NewInt(int64(i)-2)))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	vals := e.OpenRing(xs)
-	for i, v := range vals {
-		if v != int64(i)-2 {
-			t.Fatalf("open[%d] = %d", i, v)
-		}
-	}
-	if e.Stats.Rounds != 1 || e.Stats.OpenedWords != 10 {
-		t.Fatalf("stats = %+v, want 1 round / 10 words", e.Stats)
 	}
 }

@@ -116,31 +116,9 @@ func (e *Engine) OpenVec(xs []Shares) []float64 {
 	return out
 }
 
-// AddVec adds two shared vectors locally (no communication).
-func (e *Engine) AddVec(a, b []Shares) ([]Shares, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("secshare: add length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]Shares, len(a))
-	for i := range a {
-		out[i] = Shares{S: [2]uint64{a[i].S[0] + b[i].S[0], a[i].S[1] + b[i].S[1]}}
-	}
-	return out, nil
-}
-
 // AddConst adds a public constant (party 0 adjusts its share).
 func (e *Engine) AddConst(a Shares, c uint64) Shares {
 	return Shares{S: [2]uint64{a.S[0] + c, a.S[1]}}
-}
-
-// MulPublic multiplies a sharing by a public fixed-point constant and
-// truncates locally.
-func (e *Engine) MulPublic(a Shares, c float64) Shares {
-	cc := Encode(c)
-	return Shares{S: [2]uint64{
-		truncate(a.S[0] * cc),
-		uint64(-truncateNeg(-(a.S[1] * cc))),
-	}}
 }
 
 // MulVec multiplies two shared vectors element-wise using one Beaver

@@ -44,21 +44,9 @@ func TestSplitReconstructProperty(t *testing.T) {
 	}
 }
 
-func TestAddVecAndConst(t *testing.T) {
+func TestAddConst(t *testing.T) {
 	e := NewEngine(2)
 	a := e.ShareVec([]float64{1.5, -2})
-	b := e.ShareVec([]float64{0.25, 4})
-	sum, err := e.AddVec(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := e.OpenVec(sum)
-	if math.Abs(got[0]-1.75) > 1e-3 || math.Abs(got[1]-2) > 1e-3 {
-		t.Errorf("AddVec = %v", got)
-	}
-	if _, err := e.AddVec(a, a[:1]); err == nil {
-		t.Error("length mismatch accepted")
-	}
 	c := e.AddConst(a[0], Encode(10))
 	if math.Abs(Decode(c.Reconstruct())-11.5) > 1e-3 {
 		t.Errorf("AddConst = %v", Decode(c.Reconstruct()))
@@ -158,15 +146,5 @@ func TestBeaverProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMulPublic(t *testing.T) {
-	e := NewEngine(6)
-	x := e.ShareVec([]float64{4})
-	y := e.MulPublic(x[0], -2.5)
-	got := Decode(y.Reconstruct())
-	if math.Abs(got-(-10)) > 1e-2 {
-		t.Errorf("MulPublic = %v, want -10", got)
 	}
 }

@@ -15,8 +15,9 @@ import (
 // opens with a six-byte preface (magic, version) and then carries frames: a
 // fixed 20-byte header followed by a body of the length the header
 // announces. All integers are big-endian. DESIGN.md ("Wire format v1") has
-// the byte layout and the limits table; internal/protocol/wire.lock locks
-// WireVersion together with the field sets of every frame struct.
+// the byte layout and the limits table; the golden frames in
+// internal/protocol/testdata/wire_v1 (TestGoldenFrames) pin the bytes of
+// every frame type at this WireVersion.
 
 // WireVersion is the format's version, sent in the preface. A peer that
 // opens with any other version (or with no preface at all, as a gob peer
