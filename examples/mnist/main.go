@@ -1,7 +1,7 @@
 // MNIST: runs the paper's MNIST-2 model (1Conv+2FC) through the full
 // PP-Stream machinery and shows the system-level features at work: the
-// merged primitive layers, the profiled stage times, the ILP allocation
-// plan versus the even baseline, the tensor-partitioning communication
+// merged primitive layers, the estimated stage times, the optimal
+// allocation plan versus the even baseline, the tensor-partitioning communication
 // savings, and the modelled deployment latency.
 //
 //	go run ./examples/mnist
@@ -66,11 +66,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nload-balanced resource allocation (Section IV-C):")
-	fmt.Printf("  %-40s %10s  %8s  %8s\n", "stage", "T_i", "ILP y_i", "even y_i")
+	fmt.Printf("  %-40s %10s  %8s  %8s\n", "stage", "T_i", "best y_i", "even y_i")
 	for i, l := range eng.Layers {
 		fmt.Printf("  %-40s %9.1fms  %8d  %8d\n", l.Name, l.Time*1000, eng.Plan.Threads[i], even.Threads[i])
 	}
-	fmt.Printf("  imbalance objective: ILP %.4f vs even %.4f (exact=%v)\n",
+	fmt.Printf("  imbalance objective: best %.4f vs even %.4f (exact=%v)\n",
 		eng.Plan.Objective, even.Objective, eng.Plan.Exact)
 
 	// Tensor partitioning communication volumes (Section IV-D).

@@ -3,7 +3,6 @@ package alloc
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func fourLayers() []Layer {
@@ -74,7 +73,7 @@ func TestSolveBeatsEven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solved, err := Solve(layers, servers, Options{MaxThreads: 8, MaxNodes: 20000})
+	solved, err := Solve(layers, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestSolveBalancesPerfectlyWhenPossible(t *testing.T) {
 		{Name: "m", Model: true, Cores: 2},
 		{Name: "d", Model: false, Cores: 2},
 	}
-	plan, err := Solve(layers, servers, Options{})
+	plan, err := Solve(layers, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +191,7 @@ func TestLargerInstanceStaysFeasible(t *testing.T) {
 		{Name: "d1", Model: false, Cores: 6},
 		{Name: "d2", Model: false, Cores: 6},
 	}
-	start := time.Now()
-	plan, err := Solve(layers, servers, Options{MaxThreads: 12, MaxNodes: 3000})
+	plan, err := Solve(layers, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +202,7 @@ func TestLargerInstanceStaysFeasible(t *testing.T) {
 	if plan.Objective > even.Objective {
 		t.Errorf("solve %v worse than even %v", plan.Objective, even.Objective)
 	}
-	t.Logf("8-layer solve took %v, objective %.3f (even %.3f, exact=%v)",
-		time.Since(start), plan.Objective, even.Objective, plan.Exact)
+	if !plan.Exact {
+		t.Error("search on 8 layers did not finish")
+	}
 }

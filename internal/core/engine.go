@@ -60,7 +60,8 @@ type Options struct {
 	// Topology is the server deployment; zero value means one model +
 	// one data server with GOMAXPROCS cores.
 	Topology Topology
-	// LoadBalance selects alloc.Solve (the paper's ILP) over alloc.Even.
+	// LoadBalance selects alloc.Solve (the optimum of the paper's Eqs 4–8)
+	// over alloc.Even.
 	LoadBalance bool
 	// TensorPartition enables input+output tensor partitioning on the
 	// model provider's stages (Section IV-D).
@@ -199,7 +200,7 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	}
 
 	if opts.LoadBalance {
-		e.Plan, err = alloc.Solve(e.Layers, e.Servers, alloc.Options{})
+		e.Plan, err = alloc.Solve(e.Layers, e.Servers)
 	} else {
 		e.Plan, err = alloc.Even(e.Layers, e.Servers)
 	}
@@ -209,9 +210,9 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	if err := e.applyPlan(); err != nil {
 		return nil, err
 	}
-	// Backend planning last: the ILP picks one crypto backend per linear
-	// round under the profile's rules (empty profile = privacy-max = all
-	// Paillier, the legacy behavior).
+	// Backend planning last: an exact search picks one crypto backend per
+	// linear round under the profile's rules (empty profile = privacy-max =
+	// all Paillier, the legacy behavior).
 	e.Backends, err = proto.ApplyProfile(opts.Profile, opts.ClearBoundary)
 	if err != nil {
 		return nil, fmt.Errorf("core: backend planning: %w", err)
@@ -330,7 +331,7 @@ type StageReport struct {
 	Time    float64
 	Server  string
 	Threads int
-	// Backend names the crypto backend the ILP assigned to this round
+	// Backend names the crypto backend the backend plan assigned to this round
 	// (linear stages only; empty for non-linear stages).
 	Backend string
 	// CommWithPart / CommWithoutPart are in ciphertext elements per

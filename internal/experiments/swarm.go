@@ -47,7 +47,10 @@ type SwarmPoint struct {
 	Completed int
 	Rejected  int
 	Failed    int
-	Elapsed   time.Duration
+	// Shed counts the server's admission refusals during the point, the
+	// ones a client retried in session and then completed included.
+	Shed    int
+	Elapsed time.Duration
 	// Achieved is the completion throughput, requests/second.
 	Achieved float64
 	P50      time.Duration
@@ -65,10 +68,11 @@ type SwarmResult struct {
 	BaselineP99 time.Duration
 	Points      []SwarmPoint
 	// KneeIndex is the first sweep point where the server stopped
-	// keeping up: achieved < 85% of offered, or p99 beyond 3× the first
-	// (low-load) point's p99 — the sequential baseline is not the
-	// reference because even healthy interleaving inflates tail latency
-	// over a one-at-a-time run. -1 when the sweep never found one.
+	// keeping up: it shed a request, achieved < 85% of offered, or p99
+	// went beyond 3× the first (low-load) point's p99 — the sequential
+	// baseline is not the reference because even healthy interleaving
+	// inflates tail latency over a one-at-a-time run. -1 when the sweep
+	// never found one.
 	KneeIndex   int
 	KneeOffered float64
 	// SLO is the engine's final evaluation; FastAlertFired reports
@@ -162,7 +166,6 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 		KeyBits:     cfg.KeyBits,
 		BaselineP50: percentile(baseLats, 0.50),
 		BaselineP99: percentile(baseLats, 0.99),
-		KneeIndex:   -1,
 	}
 
 	// Phase 2 — deployment: a real listener, one session per client
@@ -255,6 +258,7 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	if perPoint < 24 {
 		perPoint = 24
 	}
+	shedCount := reg.Counter("serve.requests.shed")
 	for pi, m := range multiples {
 		offered := m * capacity
 		n := perPoint
@@ -263,16 +267,10 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 			// dominates the SLO windows regardless of scheduler luck.
 			n = 2 * perPoint
 		}
+		shedBefore := shedCount.Value()
 		point := swarmPoint(ctx, clients, traces, inputs, r, offered, n)
+		point.Shed = int(shedCount.Value() - shedBefore)
 		res.Points = append(res.Points, point)
-		// The first point is the low-load latency reference; it can only
-		// be the knee by failing to keep up with its own offered rate.
-		lowLoadP99 := res.Points[0].P99
-		if res.KneeIndex < 0 &&
-			(point.Achieved < 0.85*point.Offered || (pi > 0 && point.P99 > 3*lowLoadP99)) {
-			res.KneeIndex = pi
-			res.KneeOffered = point.Offered
-		}
 		if pi == 0 {
 			for _, st := range slo.Evaluate() {
 				if st.FastAlert {
@@ -282,6 +280,9 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 		}
 	}
 
+	if res.KneeIndex = swarmKnee(res.Points); res.KneeIndex >= 0 {
+		res.KneeOffered = res.Points[res.KneeIndex].Offered
+	}
 	res.SLO = slo.Evaluate()
 	for _, st := range res.SLO {
 		if st.FastAlert {
@@ -332,6 +333,20 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	res.Elapsed = time.Since(begin)
 
 	return res, res.swarmValidate()
+}
+
+// swarmKnee returns the index of the first point where the server stopped
+// keeping up (SwarmResult.KneeIndex), or -1. A shed counts even when the
+// client's retry hid it from Rejected: the SLO engine counts it as a bad
+// event all the same. The first point is the low-load latency reference,
+// so it can only be the knee by shedding or by missing its offered rate.
+func swarmKnee(points []SwarmPoint) int {
+	for i, p := range points {
+		if p.Shed > 0 || p.Achieved < 0.85*p.Offered || (i > 0 && p.P99 > 3*points[0].P99) {
+			return i
+		}
+	}
+	return -1
 }
 
 // swarmBaseline runs the inputs one at a time over a throwaway TCP
@@ -440,7 +455,7 @@ func swarmPoint(ctx context.Context, clients []*protocol.Client, traces *obs.Tra
 
 // Render formats the sweep, the knee, and the telemetry verdicts.
 func (r *SwarmResult) Render() string {
-	header := []string{"offered/s", "arrivals", "completed", "rejected", "failed", "achieved/s", "p50", "p95", "p99"}
+	header := []string{"offered/s", "arrivals", "completed", "rejected", "failed", "shed", "achieved/s", "p50", "p95", "p99"}
 	var rows [][]string
 	for i, p := range r.Points {
 		mark := ""
@@ -449,7 +464,7 @@ func (r *SwarmResult) Render() string {
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%.1f", p.Offered), fmt.Sprint(p.Arrivals), fmt.Sprint(p.Completed),
-			fmt.Sprint(p.Rejected), fmt.Sprint(p.Failed),
+			fmt.Sprint(p.Rejected), fmt.Sprint(p.Failed), fmt.Sprint(p.Shed),
 			fmt.Sprintf("%.1f", p.Achieved),
 			fmtDur(p.P50), fmtDur(p.P95), fmtDur(p.P99) + mark,
 		})

@@ -135,6 +135,40 @@ func TestSwarmValidate(t *testing.T) {
 	}
 }
 
+// TestSwarmKnee: the knee is the first point that shed, missed its offered
+// rate, or tripled the low-load p99. A low-load point whose one shed the
+// client retried into a completion is the knee, so the SLO alert that shed
+// fires after it is not a false positive (TestSwarmValidate's "alert at a
+// knee on point 0" row).
+func TestSwarmKnee(t *testing.T) {
+	ms := time.Millisecond
+	sweep := func() []SwarmPoint {
+		return []SwarmPoint{
+			{Offered: 10, Arrivals: 36, Completed: 36, Achieved: 10, P99: 4 * ms},
+			{Offered: 50, Arrivals: 36, Completed: 36, Achieved: 48, P99: 6 * ms},
+			{Offered: 400, Arrivals: 72, Completed: 30, Rejected: 42, Shed: 60, Achieved: 90, P99: 20 * ms},
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func([]SwarmPoint)
+		want   int
+	}{
+		{"overload point", func([]SwarmPoint) {}, 2},
+		{"retried shed at low load", func(p []SwarmPoint) { p[0].Shed = 1 }, 0},
+		{"missed offered rate", func(p []SwarmPoint) { p[1].Achieved = 40 }, 1},
+		{"tail tripled", func(p []SwarmPoint) { p[1].P99 = 13 * ms }, 1},
+		{"low-load tail is the reference", func(p []SwarmPoint) { p[0].P99 = 50 * ms }, 2},
+		{"no knee", func(p []SwarmPoint) { p[2] = p[1] }, -1},
+	} {
+		points := sweep()
+		tc.mutate(points)
+		if got := swarmKnee(points); got != tc.want {
+			t.Errorf("%s: knee %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestRenderTraceRecords: the ppbench traces table lists every record
 // and expands the slowest retained tree.
 func TestRenderTraceRecords(t *testing.T) {

@@ -57,19 +57,20 @@ var (
 	unitCache = map[int]UnitCosts{}
 )
 
-// unitTrials bounds the trials per operation, and unitBudget stops them
-// early once an operation has taken that long: at 2048 bits one public
-// r^n is tens of milliseconds, at 256 bits every operation fits all
-// trials in well under one.
+// unitSweeps is the fewest sweeps MeasureUnitCosts makes, and unitSpan
+// the least time its sweeps last: at 256 bits a sweep takes a fraction of
+// a millisecond, at 2048 bits tens of milliseconds.
 const (
-	unitTrials = 3
-	unitBudget = 4 * time.Millisecond
+	unitSweeps = 3
+	unitSpan   = 4 * time.Millisecond
 )
 
 // MeasureUnitCosts times each operation under sk and returns its unit
-// costs. It measures once per key size per process and keeps the minimum
-// over a few trials: interference from the rest of the host only ever
-// inflates a trial, never deflates it.
+// costs. It measures once per key size per process, in sweeps that time
+// every operation once, and keeps each operation's fastest trial:
+// interference from the rest of the host only ever inflates a trial, and a
+// burst of it shorter than the sweeps' span leaves some trial of every
+// operation clean.
 func MeasureUnitCosts(sk *PrivateKey) (UnitCosts, error) {
 	unitMu.Lock()
 	defer unitMu.Unlock()
@@ -87,7 +88,7 @@ func MeasureUnitCosts(sk *PrivateKey) (UnitCosts, error) {
 	mm := modMul{m: sk.N2, mu: reciprocal(sk.N2)}
 	var dst big.Int
 	var u UnitCosts
-	for _, m := range []struct {
+	ops := []struct {
 		unit *float64
 		reps int
 		op   func() error
@@ -103,31 +104,20 @@ func MeasureUnitCosts(sk *PrivateKey) (UnitCosts, error) {
 		{&u.Decrypt, 1, func() error { _, err := sk.Decrypt(ct); return err }},
 		{&u.Blinding, 1, func() error { _, err := sk.PublicKey.freshBlinding(nil); return err }},
 		{&u.ScalarExp, 1, func() error { _, err := sk.MulScalarInt64(ct, 1<<16-1); return err }},
-	} {
-		if *m.unit, err = fastest(m.reps, m.op); err != nil {
-			return UnitCosts{}, err
+	}
+	for sweep, begin := 0, time.Now(); sweep < unitSweeps || time.Since(begin) < unitSpan; sweep++ {
+		for _, m := range ops {
+			start := time.Now()
+			for i := 0; i < m.reps; i++ {
+				if err := m.op(); err != nil {
+					return UnitCosts{}, err
+				}
+			}
+			if took := time.Since(start).Seconds() / float64(m.reps); sweep == 0 || took < *m.unit {
+				*m.unit = took
+			}
 		}
 	}
 	unitCache[sk.Bits()] = u
 	return u, nil
-}
-
-// fastest returns the least seconds per call of op over up to unitTrials
-// trials of reps calls each.
-func fastest(reps int, op func() error) (float64, error) {
-	var best, spent time.Duration
-	for t := 0; t < unitTrials && spent < unitBudget; t++ {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := op(); err != nil {
-				return 0, err
-			}
-		}
-		took := time.Since(start)
-		if t == 0 || took < best {
-			best = took
-		}
-		spent += took
-	}
-	return best.Seconds() / float64(reps), nil
 }

@@ -6,8 +6,8 @@
 // Paillier ciphertexts; the data provider evaluates non-linear layers on
 // plaintext values whose positions the model provider permuted
 // (obfuscation). The alternating stages run as a multi-threaded,
-// pipelined stream over inference requests, with ILP-based load-balanced
-// resource allocation and tensor partitioning.
+// pipelined stream over inference requests, with load-balanced resource
+// allocation (the optimum of the paper's ILP) and tensor partitioning.
 //
 // Quick start:
 //
