@@ -106,8 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ppclient: %v\n", err)
 		return 1
 	}
-	protocol.RegisterServiceWire()
-
 	key, err := ppstream.GenerateKey(*keyBits)
 	if err != nil {
 		fmt.Fprintf(stderr, "ppclient: %v\n", err)

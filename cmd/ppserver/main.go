@@ -140,8 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Error("model load failed", "path", *modelPath, "err", err.Error())
 		return 1
 	}
-	protocol.RegisterServiceWire()
-
 	// The registry is always on: it feeds the shutdown summary even when
 	// no metrics endpoint is exposed.
 	reg := obs.NewRegistry("ppserver")

@@ -22,8 +22,6 @@ import (
 )
 
 func main() {
-	protocol.RegisterServiceWire()
-
 	// Shared setup: in a real deployment the parties agree on the model
 	// architecture and scaling factor; weights stay with the vendor.
 	rng := rand.New(rand.NewSource(7))

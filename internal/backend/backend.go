@@ -1,7 +1,7 @@
 // Package backend puts every way the serving plane can execute a linear
-// round behind one interface. PP-Stream's original protocol runs all
-// linear stages homomorphically under Paillier; this package promotes
-// that path to one of three interchangeable LayerBackends:
+// round behind one function, Execute. PP-Stream's original protocol runs
+// all linear stages homomorphically under Paillier; this package makes
+// that path one of three interchangeable backends:
 //
 //   - paillier-he — the paper's protocol: the model provider evaluates
 //     the quantized stage over Paillier ciphertexts.
@@ -166,114 +166,48 @@ func (p *Payload) Reshape(shape tensor.Shape) (*Payload, error) {
 // Stage describes one linear round's work for a backend: its op
 // sequence, shapes, and the execution plan the pipeline chose.
 type Stage struct {
-	Ops              []qnn.Op
-	InShape          tensor.Shape
-	OutShape         tensor.Shape
-	Threads          int
-	InputPartition   bool
-	UsePartitionExec bool
+	Ops      []qnn.Op
+	InShape  tensor.Shape
+	OutShape tensor.Shape
+	Threads  int
+	// InputPartition runs a paillier-he stage through the partitioning
+	// executor with input and output tensor partitioning (Section IV-D);
+	// otherwise the stage takes the shared-memory path.
+	InputPartition bool
 }
 
-// ExecEnv carries the execution resources a backend may draw on. Eval
-// is required by paillier-he, SS by ss-gc; Meter (optional) receives
-// the non-Paillier cost accounting (the evaluator meters the Paillier
-// path itself).
-type ExecEnv struct {
-	Eval    *paillier.Evaluator
-	SS      *secshare.Engine
-	Workers int
-	Meter   *obs.CostMeter
-}
-
-// LayerBackend executes linear rounds under one crypto regime.
-type LayerBackend interface {
-	// Kind identifies the backend.
-	Kind() Kind
-	// Execute runs the stage over the payload, which must carry this
-	// backend's representation, and returns the output payload at the
-	// raised scale exponent.
-	Execute(env *ExecEnv, st *Stage, in *Payload) (*Payload, error)
-}
-
-// For returns the backend implementing a kind.
-func For(k Kind) (LayerBackend, error) {
-	switch k {
+// Execute runs the stage over in under in.Kind's crypto regime and returns
+// the output payload at the raised scale exponent. paillier-he evaluates
+// through ev, which meters its own crypto ops; ss-gc draws a fresh
+// Beaver-triple dealer from crypto/rand per call, so concurrent rounds
+// never share dealer state; the ss-gc and clear op counts go to m (nil
+// skips them).
+func Execute(ev *paillier.Evaluator, m *obs.CostMeter, st *Stage, in *Payload) (*Payload, error) {
+	if _, err := in.Shape(); err != nil {
+		return nil, err
+	}
+	out := &Payload{Kind: in.Kind}
+	var err error
+	switch in.Kind {
 	case PaillierHE:
-		return paillierBackend{}, nil
+		if ev == nil {
+			return nil, fmt.Errorf("backend: paillier-he needs an evaluator")
+		}
+		if st.InputPartition {
+			out.CT, out.Exp, _, err = partition.ExecuteStage(ev, st.Ops, in.CT, in.Exp, st.Threads, true)
+		} else {
+			out.CT, out.Exp, err = qnn.ApplyStage(ev, st.Ops, in.CT, in.Exp, st.Threads)
+		}
 	case SSGC:
-		return ssgcBackend{}, nil
+		var seed uint64
+		if seed, err = randomWord(); err != nil {
+			return nil, err
+		}
+		dealer := secshare.NewEngine(int64(seed))
+		out.Sh, out.Exp, err = qnn.ApplyStageShared(dealer, st.Ops, in.Sh, in.Exp)
+		m.Add(obs.CostStats{Triples: uint64(dealer.Stats.TriplesUsed), OpenedWords: uint64(dealer.Stats.OpenedWords)})
 	case Clear:
-		return clearBackend{}, nil
-	default:
-		return nil, fmt.Errorf("backend: no implementation for kind %q", k)
-	}
-}
-
-type paillierBackend struct{}
-
-func (paillierBackend) Kind() Kind { return PaillierHE }
-
-func (paillierBackend) Execute(env *ExecEnv, st *Stage, in *Payload) (*Payload, error) {
-	if in.Kind != PaillierHE || in.CT == nil {
-		return nil, fmt.Errorf("backend: paillier-he got %q payload", in.Kind)
-	}
-	if env.Eval == nil {
-		return nil, fmt.Errorf("backend: paillier-he needs an evaluator")
-	}
-	var (
-		out    *paillier.CipherTensor
-		outExp int
-		err    error
-	)
-	if st.UsePartitionExec {
-		out, outExp, _, err = partition.ExecuteStage(env.Eval, st.Ops, in.CT, in.Exp, st.Threads, st.InputPartition)
-	} else {
-		out, outExp, err = qnn.ApplyStage(env.Eval, st.Ops, in.CT, in.Exp, env.Workers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Payload{Kind: PaillierHE, CT: out, Exp: outExp}, nil
-}
-
-type ssgcBackend struct{}
-
-func (ssgcBackend) Kind() Kind { return SSGC }
-
-func (ssgcBackend) Execute(env *ExecEnv, st *Stage, in *Payload) (*Payload, error) {
-	if in.Kind != SSGC || in.Sh == nil {
-		return nil, fmt.Errorf("backend: ss-gc got %q payload", in.Kind)
-	}
-	if env.SS == nil {
-		return nil, fmt.Errorf("backend: ss-gc needs a share engine")
-	}
-	before := env.SS.Stats
-	out, outExp, err := qnn.ApplyStageShared(env.SS, st.Ops, in.Sh, in.Exp)
-	if err != nil {
-		return nil, err
-	}
-	if env.Meter != nil {
-		env.Meter.Add(obs.CostStats{
-			Triples:     uint64(env.SS.Stats.TriplesUsed - before.TriplesUsed),
-			OpenedWords: uint64(env.SS.Stats.OpenedWords - before.OpenedWords),
-		})
-	}
-	return &Payload{Kind: SSGC, Sh: out, Exp: outExp}, nil
-}
-
-type clearBackend struct{}
-
-func (clearBackend) Kind() Kind { return Clear }
-
-func (clearBackend) Execute(env *ExecEnv, st *Stage, in *Payload) (*Payload, error) {
-	if in.Kind != Clear || in.Plain == nil {
-		return nil, fmt.Errorf("backend: clear got %q payload", in.Kind)
-	}
-	out, outExp, err := qnn.ApplyStagePlain(st.Ops, in.Plain, in.Exp)
-	if err != nil {
-		return nil, err
-	}
-	if env.Meter != nil {
+		out.Plain, out.Exp, err = qnn.ApplyStagePlain(st.Ops, in.Plain, in.Exp)
 		var muls uint64
 		shape := in.Plain.Shape()
 		for _, op := range st.Ops {
@@ -282,7 +216,10 @@ func (clearBackend) Execute(env *ExecEnv, st *Stage, in *Payload) (*Payload, err
 				shape = s
 			}
 		}
-		env.Meter.Add(obs.CostStats{PlainOps: muls})
+		m.Add(obs.CostStats{PlainOps: muls})
 	}
-	return &Payload{Kind: Clear, Plain: out, Exp: outExp}, nil
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

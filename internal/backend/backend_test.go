@@ -63,9 +63,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 
 	// Reference: the clear backend is literally ApplyStagePlain.
 	var meter obs.CostMeter
-	clearEnv := &ExecEnv{Meter: &meter}
-	be, _ := For(Clear)
-	ref, err := be.Execute(clearEnv, st, &Payload{Kind: Clear, Plain: xb, Exp: 1})
+	ref, err := Execute(nil, &meter, st, &Payload{Kind: Clear, Plain: xb, Exp: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +72,6 @@ func TestBackendsBitIdentical(t *testing.T) {
 	}
 
 	// ss-gc: share, execute, reconstruct.
-	eng := secshare.NewEngine(9)
 	xs := tensor.New[secshare.Shares](8)
 	for i, v := range xb.Data() {
 		s, err := secshare.SplitRandom(rand.Reader, secshare.RingOfBig(v))
@@ -84,8 +81,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 		xs.SetFlat(i, s)
 	}
 	var ssMeter obs.CostMeter
-	be, _ = For(SSGC)
-	got, err := be.Execute(&ExecEnv{SS: eng, Meter: &ssMeter}, st, &Payload{Kind: SSGC, Sh: xs, Exp: 1})
+	got, err := Execute(nil, &ssMeter, st, &Payload{Kind: SSGC, Sh: xs, Exp: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +108,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := paillier.NewEvaluator(&kp.PublicKey)
-	be, _ = For(PaillierHE)
-	enc, err := be.Execute(&ExecEnv{Eval: ev, Workers: 1}, st, &Payload{Kind: PaillierHE, CT: ct, Exp: 1})
+	enc, err := Execute(paillier.NewEvaluator(&kp.PublicKey), nil, st, &Payload{Kind: PaillierHE, CT: ct, Exp: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,24 +126,18 @@ func TestBackendsBitIdentical(t *testing.T) {
 func TestExecuteRejectsWrongPayload(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(1))
 	st := buildStage(t, rng, 3, 2, 100)
+	if _, err := Execute(nil, nil, st, &Payload{Kind: "bogus"}); err == nil {
+		t.Error("unknown kind executed")
+	}
+	// A kind without its representation, or a missing evaluator, must
+	// error, not panic.
 	for _, k := range Kinds() {
-		be, err := For(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrong := &Payload{Kind: "bogus"}
-		if _, err := be.Execute(&ExecEnv{}, st, wrong); err == nil {
-			t.Errorf("%s accepted foreign payload", k)
+		if _, err := Execute(nil, nil, st, &Payload{Kind: k}); err == nil {
+			t.Errorf("%s executed a payload without its representation", k)
 		}
 	}
-	// Missing resources must error, not panic.
-	be, _ := For(PaillierHE)
-	if _, err := be.Execute(&ExecEnv{}, st, &Payload{Kind: PaillierHE, CT: tensor.New[*paillier.Ciphertext](3)}); err == nil {
+	if _, err := Execute(nil, nil, st, &Payload{Kind: PaillierHE, CT: tensor.New[*paillier.Ciphertext](3)}); err == nil {
 		t.Error("paillier-he without evaluator accepted")
-	}
-	be, _ = For(SSGC)
-	if _, err := be.Execute(&ExecEnv{}, st, &Payload{Kind: SSGC, Sh: tensor.New[secshare.Shares](3)}); err == nil {
-		t.Error("ss-gc without engine accepted")
 	}
 }
 

@@ -72,7 +72,7 @@ func GCReLUShares(x []secshare.Shares, meter *obs.CostMeter) ([]secshare.Shares,
 			return nil, fmt.Errorf("backend: gc relu garble: %w", err)
 		}
 		gates += uint64(circuit.ANDCount())
-		r, err := randomMask()
+		r, err := randomWord()
 		if err != nil {
 			return nil, err
 		}
@@ -109,13 +109,13 @@ func GCReLUShares(x []secshare.Shares, meter *obs.CostMeter) ([]secshare.Shares,
 	return out, nil
 }
 
-// randomMask draws party 0's fresh output mask from crypto/rand — the
-// mask hides the circuit output from party 1, so it must be
-// unpredictable.
-func randomMask() (uint64, error) {
+// randomWord draws 64 bits from crypto/rand: party 0's fresh output mask,
+// which hides the circuit output from party 1, and the ss-gc dealer's
+// seed, whose triple stream must not be predictable across rounds.
+func randomWord() (uint64, error) {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		return 0, fmt.Errorf("backend: mask randomness: %w", err)
+		return 0, fmt.Errorf("backend: randomness: %w", err)
 	}
 	return binary.BigEndian.Uint64(b[:]), nil
 }

@@ -3,6 +3,7 @@ package backend
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Profile names a deployment posture: which backends each round may
@@ -185,8 +186,8 @@ func ValidateAssignment(profile Profile, assignment []Kind, rounds int) error {
 	}
 	sawClear := false
 	for r, k := range assignment {
-		if _, err := For(k); err != nil {
-			return err
+		if !slices.Contains(Kinds(), k) {
+			return fmt.Errorf("backend: plan assigns unknown backend %q to round %d", k, r)
 		}
 		if profile == ProfilePrivacyMax && k != PaillierHE {
 			return fmt.Errorf("backend: privacy-max plan assigns %q to round %d", k, r)

@@ -153,19 +153,18 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 		pool = paillier.NewPrivatePool(key, nil, 64, 2)
 		cfg.Pool = pool
 	}
-	// The model provider's linear kernel re-randomizes every output
-	// ciphertext; a dedicated background pool keeps those r^n
-	// exponentiations off the inference critical path.
-	blind := paillier.NewPool(&key.PublicKey, nil, 64, 1)
-	cfg.BlindPool = blind
 	proto, err := protocol.Build(net, key, cfg)
 	if err != nil {
-		blind.Close()
 		if pool != nil {
 			pool.Close()
 		}
 		return nil, err
 	}
+	// The model provider's linear kernel re-randomizes every output
+	// ciphertext; a dedicated background pool keeps those r^n
+	// exponentiations off the inference critical path.
+	blind := paillier.NewPool(&key.PublicKey, nil, 64, 1)
+	proto.Model.SetBlindPool(blind)
 	e := &Engine{
 		Net: net, Protocol: proto, opts: opts, pool: pool, blind: blind,
 		Servers: opts.Topology.Servers(), keyBits: key.Bits(),
@@ -306,7 +305,7 @@ func (e *Engine) applyPlan() error {
 	for i, m := range e.Protocol.Merged {
 		threads := e.Plan.Threads[i]
 		if m.Kind == nn.Linear {
-			if err := e.Protocol.Model.SetStagePlan(li, threads, e.opts.TensorPartition, e.opts.TensorPartition); err != nil {
+			if err := e.Protocol.Model.SetStagePlan(li, threads, e.opts.TensorPartition); err != nil {
 				return err
 			}
 			li++

@@ -109,8 +109,6 @@ const chaosGoroutineSlack = 4
 // leaks — does not hold, so `ppbench chaos` can gate CI.
 func Chaos(cfg Config) (*ChaosResult, error) {
 	cfg = cfg.withDefaults()
-	protocol.RegisterServiceWire()
-
 	requests := cfg.Requests
 	if requests < 24 {
 		requests = 24
@@ -223,7 +221,6 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 		MaxAttempts: 8,
 		BaseBackoff: 2 * time.Millisecond,
 		MaxBackoff:  50 * time.Millisecond,
-		Budget:      time.Minute,
 	}, clientReg)
 
 	inputs := serveInputs(mathrand.New(mathrand.NewSource(29)), requests)

@@ -139,7 +139,6 @@ func (r *SwarmResult) swarmValidate() error {
 // can gate CI.
 func Swarm(cfg Config) (*SwarmResult, error) {
 	cfg = cfg.withDefaults()
-	protocol.RegisterServiceWire()
 	begin := time.Now()
 
 	netw, err := serveNet()

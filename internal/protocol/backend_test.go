@@ -53,7 +53,7 @@ func TestWireRoundTripSharedEnvelope(t *testing.T) {
 		}
 		sh.Data()[i] = s
 	}
-	env := &Envelope{Req: 7, Backend: backend.SSGC, Sh: sh, Exp: 2, Obfuscated: true}
+	env := &Envelope{Req: 7, Payload: backend.Payload{Kind: backend.SSGC, Sh: sh, Exp: 2}, Obfuscated: true}
 	w, err := ToWire(env)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestWireRoundTripSharedEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.BackendKind() != backend.SSGC || got.Exp != 2 || !got.Obfuscated {
+	if got.Kind != backend.SSGC || got.Exp != 2 || !got.Obfuscated {
 		t.Fatalf("decoded envelope lost metadata: %+v", got)
 	}
 	for i, s := range got.Sh.Data() {
@@ -91,7 +91,7 @@ func TestWireRoundTripClearEnvelope(t *testing.T) {
 	for i, v := range vals {
 		pl.Data()[i] = big.NewInt(v)
 	}
-	env := &Envelope{Req: 9, Backend: backend.Clear, Plain: pl, Exp: 1, Obfuscated: true}
+	env := &Envelope{Req: 9, Payload: backend.Payload{Kind: backend.Clear, Plain: pl, Exp: 1}, Obfuscated: true}
 	w, err := ToWire(env)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +100,8 @@ func TestWireRoundTripClearEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.BackendKind() != backend.Clear {
-		t.Fatalf("decoded backend %q, want clear", got.BackendKind())
+	if got.Kind != backend.Clear {
+		t.Fatalf("decoded backend %q, want clear", got.Kind)
 	}
 	for i, v := range got.Plain.Data() {
 		if v.Int64() != vals[i] {
@@ -163,7 +163,7 @@ func TestApplyPlanDifferential(t *testing.T) {
 		{P, S, C},
 		{P, C, C},
 	} {
-		if err := proto.ApplyPlan(plan); err != nil {
+		if err := applyPlan(proto, plan); err != nil {
 			t.Fatalf("plan %v: %v", plan, err)
 		}
 		got, err := proto.Infer(req, x)
@@ -186,10 +186,55 @@ func TestApplyPlanDifferential(t *testing.T) {
 		{C, P, P},
 		{P, C, S},
 	} {
-		if err := proto.ApplyPlan(plan); err == nil {
-			t.Errorf("ApplyPlan accepted unsafe assignment %v", plan)
+		if err := applyPlan(proto, plan); err == nil {
+			t.Errorf("the roles accepted unsafe assignment %v", plan)
 		}
 	}
+}
+
+// TestRolesRefuseTheSamePlans: the model and the data provider check a
+// backend plan by one rule set, so neither installs a plan the other
+// refuses — the server's role no more than the client's.
+func TestRolesRefuseTheSamePlans(t *testing.T) {
+	k := key(t)
+	mp, err := BuildModelProvider(buildNet3(t), &k.PublicKey, Config{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := BuildDataProvider(buildNet3(t), k, Config{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	P, S, C := backend.PaillierHE, backend.SSGC, backend.Clear
+	for _, c := range []struct {
+		plan []backend.Kind
+		ok   bool
+	}{
+		{[]backend.Kind{P, P, P}, true},
+		{[]backend.Kind{P, S, C}, true},
+		{[]backend.Kind{P, C, C}, true},
+		{[]backend.Kind{P, C, S}, false}, // clear must be a suffix
+		{[]backend.Kind{P, C, P}, false},
+		{[]backend.Kind{S, P, P}, false}, // the input must stay encrypted
+		{[]backend.Kind{C, C, C}, false},
+		{[]backend.Kind{P, "rot13", P}, false},
+		{[]backend.Kind{P, P}, false},
+		{nil, false},
+	} {
+		for role, set := range map[string]func([]backend.Kind) error{"model": mp.SetBackendPlan, "data": dp.SetBackendPlan} {
+			if err := set(c.plan); (err == nil) != c.ok {
+				t.Errorf("%s provider: plan %v: err %v, want ok=%v", role, c.plan, err, c.ok)
+			}
+		}
+	}
+}
+
+// applyPlan installs plan on both roles of an in-process protocol.
+func applyPlan(p *Protocol, plan []backend.Kind) error {
+	if err := p.Model.SetBackendPlan(plan); err != nil {
+		return err
+	}
+	return p.Data.SetBackendPlan(plan)
 }
 
 var (
@@ -220,7 +265,6 @@ func e2eKey2048(t *testing.T) *paillier.PrivateKey {
 // nonzero per-backend cost counters, and the result still matches the
 // plaintext forward pass.
 func TestMixedProfileEndToEndAllBackends(t *testing.T) {
-	RegisterServiceWire()
 	netw := buildNet3(t)
 	k := e2eKey2048(t)
 	reg := obs.NewRegistry("mixed-e2e")
@@ -329,7 +373,6 @@ func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 // certified boundary still gets the all-Paillier plan — the stricter
 // side wins.
 func TestPrivacyMaxClientNeverWeakens(t *testing.T) {
-	RegisterServiceWire()
 	netw := buildNet3(t)
 	k := e2eKey2048(t)
 

@@ -17,7 +17,6 @@ import (
 // the edge's fixed buffers: every count, width, shape and slot size in a
 // frame is the peer's to choose; the network is untrusted (Section II-C).
 func FuzzWireFrameDecode(f *testing.F) {
-	RegisterServiceWire()
 	k, err := paillier.GenerateKey(nil, 256)
 	if err != nil {
 		f.Fatal(err)

@@ -62,10 +62,7 @@ func (o outcome) String() string { return [...]string{"ok", "err", "shed"}[o] }
 func NewLifecycle(mp *ModelProvider, cfg SessionConfig) *Lifecycle {
 	lc := &Lifecycle{
 		mp: mp, shed: cfg.Shed, limit: cfg.Limiter, log: cfg.Log,
-		traces: cfg.Traces, flight: cfg.Flight, slo: cfg.SLO,
-	}
-	for _, k := range mp.BackendPlan() {
-		lc.plan = append(lc.plan, string(k))
+		traces: cfg.Traces, flight: cfg.Flight, slo: cfg.SLO, plan: mp.labels(),
 	}
 	reg := cfg.Registry
 	reg.GaugeFunc("requests.active", lc.active.Load)

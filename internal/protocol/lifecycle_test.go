@@ -334,7 +334,7 @@ func TestSessionAdmitTwins(t *testing.T) {
 	// session lock, exactly where the twin can slip in.
 	var twin *Request
 	raced := false
-	shed.SetClock(func() time.Time {
+	shed.win.SetClock(func() time.Time {
 		if !raced {
 			raced = true // the nested admit reads the clock too
 			var err error

@@ -15,7 +15,6 @@ import (
 // edges and checks the registry records rounds, session counts, and
 // wire bytes.
 func TestServeSessionObservedMetrics(t *testing.T) {
-	RegisterServiceWire()
 	k := key(t)
 	netw := buildNet(t)
 	const factor = 1000

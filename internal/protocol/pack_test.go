@@ -68,7 +68,7 @@ func TestReplyEgressInvariant(t *testing.T) {
 		}
 		if partitioned {
 			for r := 0; r < proto.Rounds(); r++ {
-				if err := proto.Model.SetStagePlan(r, 2, true, true); err != nil {
+				if err := proto.Model.SetStagePlan(r, 2, true); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -18,7 +18,6 @@ package protocol
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -37,61 +36,27 @@ import (
 )
 
 // Envelope is the in-process message flowing between protocol stages:
-// one round's activation tensor in its backend's representation plus the
-// scale exponent, or the final plaintext result.
+// one round's activation tensor in its backend's representation, or the
+// final plaintext result.
 type Envelope struct {
 	// Req identifies the inference request.
 	Req uint64
-	// Backend names the representation this envelope carries; empty means
-	// paillier-he (the legacy protocol, and frames from peers predating
-	// backend negotiation).
-	Backend backend.Kind
-	// CT is the encrypted tensor (paillier-he rounds). Between the model
-	// and data provider it is obfuscated except in the last round. On the
-	// way to the model provider it holds one value per ciphertext; on the
-	// way back it is a packed reply (SlotBits != 0).
-	CT *paillier.CipherTensor
+	// Payload is the round's tensor; every envelope but a terminal one
+	// sets its Kind. A paillier-he CT is obfuscated between the model and
+	// data provider except in the last round. On the way to the model
+	// provider it holds one value per ciphertext; on the way back it is a
+	// packed reply (SlotBits != 0).
+	backend.Payload
 	// SlotBits and Shape describe a packed reply: CT is then the vector of
 	// ⌈Shape.Size()/S⌉ ciphertexts paillier.Evaluator.Pack built, each
 	// carrying up to S = PublicKey.Slots(SlotBits) values of the logical
 	// tensor Shape in SlotBits-wide slots.
 	SlotBits int
 	Shape    tensor.Shape
-	// Sh is the additively shared tensor (ss-gc rounds).
-	Sh *tensor.Tensor[secshare.Shares]
-	// Plain is the plaintext integer tensor (clear rounds past the
-	// certified boundary).
-	Plain *tensor.Tensor[*big.Int]
-	// Exp is the plaintext scale exponent: values are real·F^Exp.
-	Exp int
 	// Obfuscated records whether the element positions are permuted.
 	Obfuscated bool
 	// Result is the final inference output (last stage only).
 	Result *tensor.Dense
-}
-
-// BackendKind resolves the envelope's backend, mapping the empty legacy
-// value to paillier-he.
-func (env *Envelope) BackendKind() backend.Kind {
-	if env.Backend == "" {
-		return backend.PaillierHE
-	}
-	return env.Backend
-}
-
-// payload views the envelope's activation tensor as a backend payload,
-// verifying the representation matching the declared kind is present. A
-// packed reply is not a round input: the kernel needs one value per
-// ciphertext.
-func (env *Envelope) payload() (*backend.Payload, error) {
-	if env.SlotBits != 0 {
-		return nil, fmt.Errorf("protocol: a packed reply cannot be a round input")
-	}
-	p := &backend.Payload{Kind: env.BackendKind(), CT: env.CT, Sh: env.Sh, Plain: env.Plain, Exp: env.Exp}
-	if _, err := p.Shape(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // SlotError reports a key too small to carry one value of a linear
@@ -139,11 +104,6 @@ type Config struct {
 	// to the key holder: build it with paillier.NewPrivatePool. Without
 	// one the data provider computes each factor inline from its key.
 	Pool *paillier.Pool
-	// BlindPool, when non-nil, supplies the model provider's output
-	// re-randomization factors (the kernel blinds every ciphertext before
-	// it leaves the provider). Falls back to inline crypto/rand factors
-	// from the public key.
-	BlindPool *paillier.Pool
 }
 
 // Protocol binds a model provider and a data provider for one scaled
@@ -227,37 +187,40 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 }
 
 func newModelProvider(merged []*nn.PrimitiveLayer, stages []qnn.Stage, pk *paillier.PublicKey, cfg Config) *ModelProvider {
-	var evOpts []paillier.EvalOption
-	if blind := cfg.BlindPool; blind != nil {
-		evOpts = append(evOpts, paillier.WithBlinder(blind))
-	}
 	mp := &ModelProvider{
-		pk:      pk,
-		eval:    paillier.NewEvaluator(pk, evOpts...),
-		factor:  cfg.Factor,
-		workers: cfg.Workers,
-		state:   map[uint64]*obfuscate.Rounds{},
+		roundPlan: privacyMax(len(stages)),
+		pk:        pk,
+		eval:      paillier.NewEvaluator(pk),
+		state:     map[uint64]*obfuscate.Rounds{},
 	}
 	for r, st := range stages {
-		m, next := merged[2*r], merged[2*r+1]
-		// The ss-gc backend pays a garbled-circuit ReLU on the nonlinear
-		// side of intermediate rounds; the final nonlinear stage runs in
-		// the clear on the reconstructed result, so it never garbles.
-		reluFollows := false
-		if r < len(stages)-1 && len(next.Layers) > 0 {
-			_, reluFollows = next.Layers[0].(*nn.ReLU)
-		}
+		m := merged[2*r]
 		mp.stages = append(mp.stages, &linearStage{
+			Stage: backend.Stage{
+				Ops:      st.Ops,
+				InShape:  m.InShape.Clone(),
+				OutShape: m.OutShape.Clone(),
+				Threads:  cfg.Workers,
+			},
 			name:        m.Name(),
-			ops:         st.Ops,
 			slotBits:    st.SlotBits(),
-			inShape:     m.InShape.Clone(),
-			outShape:    m.OutShape.Clone(),
-			threads:     cfg.Workers,
-			reluFollows: reluFollows,
+			reluFollows: garblesReLU(merged, r),
 		})
 	}
 	return mp
+}
+
+// garblesReLU reports whether round r's non-linear stage is intermediate
+// and starts with ReLU: there the ss-gc backend runs the ReLU as a garbled
+// circuit on the shares. The final non-linear stage runs in the clear on
+// the reconstructed result, so it never garbles.
+func garblesReLU(merged []*nn.PrimitiveLayer, r int) bool {
+	next := merged[2*r+1]
+	if 2*r+2 == len(merged) || len(next.Layers) == 0 {
+		return false
+	}
+	_, relu := next.Layers[0].(*nn.ReLU)
+	return relu
 }
 
 // BuildDataProvider constructs the data-provider role alone: it needs
@@ -277,11 +240,12 @@ func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*D
 
 func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, stages []qnn.Stage, sk *paillier.PrivateKey, cfg Config) *DataProvider {
 	dp := &DataProvider{
-		sk:       sk,
-		factor:   cfg.Factor,
-		inputMax: inputMax,
-		workers:  cfg.Workers,
-		blind:    sk.Blinder(nil),
+		roundPlan: privacyMax(len(stages)),
+		sk:        sk,
+		factor:    cfg.Factor,
+		inputMax:  inputMax,
+		workers:   cfg.Workers,
+		blind:     sk.Blinder(nil),
 	}
 	if cfg.Pool != nil {
 		dp.blind = cfg.Pool
@@ -289,11 +253,11 @@ func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, stages []qnn
 	for r, st := range stages {
 		m := merged[2*r+1]
 		dp.stages = append(dp.stages, &nonLinearStage{
-			layers:   m.Layers,
-			slotBits: st.SlotBits(),
-			inShape:  m.InShape.Clone(),
-			outShape: m.OutShape.Clone(),
-			threads:  cfg.Workers,
+			layers:     m.Layers,
+			slotBits:   st.SlotBits(),
+			inShape:    m.InShape.Clone(),
+			threads:    cfg.Workers,
+			garbleReLU: garblesReLU(merged, r),
 		})
 	}
 	return dp
@@ -317,33 +281,15 @@ func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, er
 // Rounds returns the number of linear/non-linear round pairs.
 func (p *Protocol) Rounds() int { return len(p.Model.stages) }
 
-// ApplyPlan installs one backend assignment on both roles of an
-// in-process protocol. A nil plan restores the legacy all-Paillier
-// behavior on both sides.
-func (p *Protocol) ApplyPlan(plan []backend.Kind) error {
-	if err := p.Model.SetBackendPlan(plan); err != nil {
-		return err
-	}
-	if err := p.Data.SetBackendPlan(plan); err != nil {
-		// Keep the two roles consistent: roll the model side back.
-		_ = p.Model.SetBackendPlan(nil)
-		return err
-	}
-	return nil
-}
-
 // ApplyProfile solves the backend assignment for the given deployment
 // profile and certified clear boundary (rounds, i.e. no clear execution,
 // when boundary <= 0) and installs it on both roles, returning the plan.
 func (p *Protocol) ApplyProfile(profile backend.Profile, boundary int) (*backend.Plan, error) {
-	if boundary <= 0 {
-		boundary = p.Rounds()
-	}
-	plan, err := backend.PlanFor(profile, p.Model.LayerInfos(), boundary, p.Model.pk.N.BitLen())
+	plan, err := p.Model.applyProfile(profile, boundary)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.ApplyPlan(plan.Assignment); err != nil {
+	if err := p.Data.SetBackendPlan(plan.Assignment); err != nil {
 		return nil, err
 	}
 	return plan, nil
@@ -366,13 +312,13 @@ func (p *Protocol) StageCosts() (encrypt obs.CostStats, merged []obs.CostStats, 
 		return obs.CostStats{Encrypts: e, MulMods: 2 * e, ModExps: 2 * e}
 	}
 	stages := p.Model.stages
-	encrypt = encryptions(stages[0].inShape.Size())
+	encrypt = encryptions(stages[0].InShape.Size())
 	for r, st := range stages {
-		linear, err := qnn.StageCost(st.ops, st.inShape)
+		linear, err := qnn.StageCost(st.Ops, st.InShape)
 		if err != nil {
 			return obs.CostStats{}, nil, err
 		}
-		outs := st.outShape.Size()
+		outs := st.OutShape.Size()
 		replies := uint64(p.Model.pk.PackedLen(outs, st.slotBits))
 		linear.Add(obs.CostStats{
 			MulMods: p.Model.pk.PackMulMods(outs, st.slotBits),
@@ -380,7 +326,7 @@ func (p *Protocol) StageCosts() (encrypt obs.CostStats, merged []obs.CostStats, 
 		})
 		nonLinear := obs.CostStats{Decrypts: replies, ModExps: 2 * replies}
 		if r+1 < len(stages) {
-			nonLinear.Add(encryptions(stages[r+1].inShape.Size()))
+			nonLinear.Add(encryptions(stages[r+1].InShape.Size()))
 		}
 		merged = append(merged, linear, nonLinear)
 	}
@@ -415,21 +361,63 @@ func (p *Protocol) Infer(req uint64, x *tensor.Dense) (out *tensor.Dense, err er
 	return env.Result, nil
 }
 
-// linearStage is one model-provider stage: quantized ops plus runtime
-// configuration.
+// roundPlan is a role's per-round backend assignment. Both roles embed
+// one; it always holds a plan — Build* installs privacy-max's all-Paillier
+// one — and every replacement passes backend.ValidateAssignment, so the
+// model provider refuses exactly the plans the data provider refuses.
+type roundPlan struct {
+	planMu sync.RWMutex
+	kinds  []backend.Kind
+}
+
+// privacyMax is the all-Paillier plan of a network with the given rounds.
+func privacyMax(rounds int) roundPlan {
+	kinds := make([]backend.Kind, rounds)
+	for r := range kinds {
+		kinds[r] = backend.PaillierHE
+	}
+	return roundPlan{kinds: kinds}
+}
+
+// SetBackendPlan installs the session's per-round backend assignment once
+// it passes the safety rules: one kind per round, each known, round 0 on
+// paillier-he (the raw input never leaves the data provider unencrypted)
+// and clear only as a suffix. Safe to call concurrently with round
+// processing.
+func (p *roundPlan) SetBackendPlan(plan []backend.Kind) error {
+	if err := backend.ValidateAssignment("", plan, len(p.kinds)); err != nil {
+		return fmt.Errorf("protocol: %w", err)
+	}
+	p.planMu.Lock()
+	p.kinds = append([]backend.Kind(nil), plan...)
+	p.planMu.Unlock()
+	return nil
+}
+
+// RoundBackend returns the backend round r runs on; r must be a round of
+// the network.
+func (p *roundPlan) RoundBackend(r int) backend.Kind {
+	p.planMu.RLock()
+	defer p.planMu.RUnlock()
+	return p.kinds[r]
+}
+
+// labels returns the plan as strings, the form request records carry.
+func (p *roundPlan) labels() []string {
+	p.planMu.RLock()
+	defer p.planMu.RUnlock()
+	out := make([]string, len(p.kinds))
+	for r, k := range p.kinds {
+		out[r] = string(k)
+	}
+	return out
+}
+
+// linearStage is one model-provider stage: the backend's view of it plus
+// what the planner and the reply packing need.
 type linearStage struct {
-	name     string
-	ops      []qnn.Op
-	inShape  tensor.Shape
-	outShape tensor.Shape
-	// threads is y_i from the resource allocation plan.
-	threads int
-	// inputPartition enables input tensor partitioning (conv stages).
-	inputPartition bool
-	// usePartitionExec routes execution through the partitioning
-	// executor (physical per-thread input views); otherwise the stage
-	// uses the shared-memory fast path.
-	usePartitionExec bool
+	backend.Stage
+	name string
 	// reluFollows marks that the intermediate nonlinear stage after this
 	// round starts with ReLU (the ss-gc backend garbles there).
 	reluFollows bool
@@ -437,41 +425,18 @@ type linearStage struct {
 	slotBits int
 }
 
-// execStage views a linear stage as a backend stage description.
-func (st *linearStage) execStage() *backend.Stage {
-	return &backend.Stage{
-		Ops:              st.ops,
-		InShape:          st.inShape,
-		OutShape:         st.outShape,
-		Threads:          st.threads,
-		InputPartition:   st.inputPartition,
-		UsePartitionExec: st.usePartitionExec,
-	}
-}
-
 // ModelProvider executes linear stages under the session's per-round
-// backend plan (paillier-he unless a plan says otherwise) and manages
-// per-request obfuscation state. It never sees the private key.
+// backend plan and manages per-request obfuscation state. It never sees
+// the private key.
 type ModelProvider struct {
-	pk      *paillier.PublicKey
-	eval    *paillier.Evaluator
-	factor  int64
-	workers int
-	stages  []*linearStage
+	roundPlan
+	pk     *paillier.PublicKey
+	eval   *paillier.Evaluator
+	stages []*linearStage
 
 	mu    sync.Mutex
 	state map[uint64]*obfuscate.Rounds
-
-	planMu sync.RWMutex
-	plan   []backend.Kind
 }
-
-// PublicKey exposes the provider's encryption key.
-func (mp *ModelProvider) PublicKey() *paillier.PublicKey { return mp.pk }
-
-// Evaluator exposes the provider's homomorphic evaluation context (key,
-// blinding supply, kernel configuration).
-func (mp *ModelProvider) Evaluator() *paillier.Evaluator { return mp.eval }
 
 // Instrument publishes the linear kernel's phase timings to reg as the
 // "kernel.precompute" (per kernel call: the operation count, power
@@ -498,14 +463,14 @@ func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 	out := make([]backend.LayerInfo, len(mp.stages))
 	for r, st := range mp.stages {
 		muls := 0
-		shape := st.inShape
-		for _, op := range st.ops {
+		shape := st.InShape
+		for _, op := range st.Ops {
 			muls += qnn.MulCount(op, shape)
 			if next, err := op.OutShape(shape); err == nil {
 				shape = next
 			}
 		}
-		outs := st.outShape.Size()
+		outs := st.OutShape.Size()
 		out[r] = backend.LayerInfo{
 			Name:        st.name,
 			Muls:        muls,
@@ -518,47 +483,21 @@ func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 	return out
 }
 
-// SetBackendPlan installs the session's per-round backend assignment.
-// Round 0 must stay paillier-he: the raw input never leaves the data
-// provider unencrypted. A nil plan restores the legacy all-Paillier
-// behavior. Safe to call concurrently with round processing.
-func (mp *ModelProvider) SetBackendPlan(plan []backend.Kind) error {
-	if plan != nil {
-		if len(plan) != len(mp.stages) {
-			return fmt.Errorf("protocol: plan covers %d rounds, provider has %d", len(plan), len(mp.stages))
-		}
-		for r, k := range plan {
-			if _, err := backend.For(k); err != nil {
-				return fmt.Errorf("protocol: plan round %d: %w", r, err)
-			}
-		}
-		if plan[0] != backend.PaillierHE {
-			return fmt.Errorf("protocol: plan runs round 0 on %q — the input must stay encrypted", plan[0])
-		}
-		plan = append([]backend.Kind(nil), plan...)
+// applyProfile solves the backend plan for profile and the certified
+// clear boundary — <= 0 certifies no round, so none runs in the clear —
+// and installs it.
+func (mp *ModelProvider) applyProfile(profile backend.Profile, boundary int) (*backend.Plan, error) {
+	if boundary <= 0 {
+		boundary = mp.Stages()
 	}
-	mp.planMu.Lock()
-	mp.plan = plan
-	mp.planMu.Unlock()
-	return nil
-}
-
-// BackendPlan returns a copy of the installed plan, nil when the
-// provider runs the legacy all-Paillier protocol.
-func (mp *ModelProvider) BackendPlan() []backend.Kind {
-	mp.planMu.RLock()
-	defer mp.planMu.RUnlock()
-	return append([]backend.Kind(nil), mp.plan...)
-}
-
-// RoundBackend returns the backend round r executes on.
-func (mp *ModelProvider) RoundBackend(r int) backend.Kind {
-	mp.planMu.RLock()
-	defer mp.planMu.RUnlock()
-	if r >= 0 && r < len(mp.plan) {
-		return mp.plan[r]
+	plan, err := backend.PlanFor(profile, mp.LayerInfos(), boundary, mp.pk.N.BitLen())
+	if err != nil {
+		return nil, fmt.Errorf("protocol: solving backend plan: %w", err)
 	}
-	return backend.PaillierHE
+	if err := mp.SetBackendPlan(plan.Assignment); err != nil {
+		return nil, err
+	}
+	return plan, nil
 }
 
 // SetBlindPool replaces the evaluator's blinding supply — sessions call
@@ -572,18 +511,17 @@ func (mp *ModelProvider) SetBlindPool(pool *paillier.Pool) {
 	mp.eval = paillier.NewEvaluator(mp.pk, opts...)
 }
 
-// SetStagePlan overrides stage r's thread count and partitioning mode
-// (from the load-balanced allocation plan).
-func (mp *ModelProvider) SetStagePlan(r, threads int, inputPartition, usePartitionExec bool) error {
+// SetStagePlan overrides stage r's thread count and whether it runs with
+// tensor partitioning (from the load-balanced allocation plan).
+func (mp *ModelProvider) SetStagePlan(r, threads int, partition bool) error {
 	if r < 0 || r >= len(mp.stages) {
 		return fmt.Errorf("protocol: no linear stage %d", r)
 	}
 	if threads < 1 {
 		return fmt.Errorf("protocol: stage %d needs ≥ 1 thread", r)
 	}
-	mp.stages[r].threads = threads
-	mp.stages[r].inputPartition = inputPartition
-	mp.stages[r].usePartitionExec = usePartitionExec
+	mp.stages[r].Threads = threads
+	mp.stages[r].InputPartition = partition
 	return nil
 }
 
@@ -617,16 +555,6 @@ type LinearTiming struct {
 	Pack    time.Duration
 }
 
-// cryptoSeed draws a secshare engine seed from crypto/rand: the triple
-// dealer's stream must be unpredictable across rounds and requests.
-func cryptoSeed() (int64, error) {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return 0, fmt.Errorf("protocol: share-engine seed: %w", err)
-	}
-	return int64(binary.BigEndian.Uint64(b[:])), nil
-}
-
 // ProcessLinearMetered executes round r's steps at the model provider:
 // inverse obfuscation (rounds > 0), the round's linear stage on the
 // backend the session plan assigns, and obfuscation (except the last
@@ -639,74 +567,20 @@ func cryptoSeed() (int64, error) {
 // garbled-circuit, and plaintext op counts into m directly.
 func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostMeter) (*Envelope, LinearTiming, error) {
 	var tm LinearTiming
-	ev := mp.eval
-	if m != nil {
-		ev = ev.WithCost(m)
-	}
 	if r < 0 || r >= len(mp.stages) {
 		return nil, tm, fmt.Errorf("protocol: no linear stage %d", r)
 	}
 	st := mp.stages[r]
-	kind := mp.RoundBackend(r)
-	if got := env.BackendKind(); got != kind {
-		return nil, tm, fmt.Errorf("protocol: round %d arrived as %q, session plan assigns %q", r, got, kind)
-	}
-	p, err := env.payload()
-	if err != nil {
-		return nil, tm, fmt.Errorf("protocol: linear stage %d: %w", r, err)
-	}
-	if r == 0 {
-		if env.Obfuscated {
-			return nil, tm, fmt.Errorf("protocol: first round input must not be obfuscated")
-		}
-	} else {
-		if !env.Obfuscated {
-			return nil, tm, fmt.Errorf("protocol: round %d input must be obfuscated", r)
-		}
-		permStart := time.Now()
-		perm, err := mp.rounds(env.Req).Pop()
-		if err != nil {
-			return nil, tm, err
-		}
-		restored, err := p.InvertPerm(perm, st.inShape)
-		if err != nil {
-			return nil, tm, err
-		}
-		tm.Permute += time.Since(permStart)
-		p = restored
-	}
-	if kind == backend.PaillierHE && p.Exp != 1 {
-		// The reply's slot width is derived for inputs at scale F¹.
-		return nil, tm, fmt.Errorf("protocol: linear stage %d input at scale exponent %d, want 1", r, p.Exp)
-	}
-	size, err := p.Size()
+	in, err := mp.roundInput(r, env, &tm)
 	if err != nil {
 		return nil, tm, err
 	}
-	if size != st.inShape.Size() {
-		return nil, tm, fmt.Errorf("protocol: linear stage %d input size %d, want %v", r, size, st.inShape)
-	}
-	shaped, err := p.Reshape(st.inShape)
-	if err != nil {
-		return nil, tm, err
-	}
-
-	be, err := backend.For(kind)
-	if err != nil {
-		return nil, tm, err
-	}
-	execEnv := &backend.ExecEnv{Eval: ev, Workers: st.threads, Meter: m}
-	if kind == backend.SSGC {
-		seed, err := cryptoSeed()
-		if err != nil {
-			return nil, tm, err
-		}
-		// A fresh engine per round frame: the dealer stream is not shared
-		// across concurrent requests, so rounds never race on its state.
-		execEnv.SS = secshare.NewEngine(seed)
+	ev := mp.eval
+	if m != nil {
+		ev = ev.WithCost(m)
 	}
 	kernelStart := time.Now()
-	out, err := be.Execute(execEnv, st.execStage(), shaped)
+	out, err := backend.Execute(ev, m, &st.Stage, in)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -716,12 +590,8 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 	// can run.
 	obfuscated := r < len(mp.stages)-1
 	if obfuscated {
-		outSize, err := out.Size()
-		if err != nil {
-			return nil, tm, err
-		}
 		permStart := time.Now()
-		perm, err := mp.rounds(env.Req).Next(outSize)
+		perm, err := mp.rounds(env.Req).Next(st.OutShape.Size())
 		if err != nil {
 			return nil, tm, err
 		}
@@ -730,12 +600,12 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 		}
 		tm.Permute += time.Since(permStart)
 	}
-	reply := &Envelope{Req: env.Req, Backend: kind, Sh: out.Sh, Plain: out.Plain, Exp: out.Exp, Obfuscated: obfuscated}
-	if kind == backend.PaillierHE {
+	reply := &Envelope{Req: env.Req, Payload: *out, Obfuscated: obfuscated}
+	if out.Kind == backend.PaillierHE {
 		// The kernel's rows are unblinded; Pack is where they are
 		// re-randomized, a slot-full per blinding factor.
 		packStart := time.Now()
-		packed, err := ev.Pack(out.CT.Data(), st.slotBits, st.threads)
+		packed, err := ev.Pack(out.CT.Data(), st.slotBits, st.Threads)
 		if err != nil {
 			return nil, tm, err
 		}
@@ -745,16 +615,57 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 	return reply, tm, nil
 }
 
+// roundInput checks that env is what round r's linear stage takes — the
+// planned backend, one value per ciphertext, the stage's input size,
+// permuted in every round but the first — and returns its payload in the
+// stage's input shape, undoing the previous round's permutation.
+func (mp *ModelProvider) roundInput(r int, env *Envelope, tm *LinearTiming) (*backend.Payload, error) {
+	st := mp.stages[r]
+	if kind := mp.RoundBackend(r); env.Kind != kind {
+		return nil, fmt.Errorf("protocol: round %d arrived as %q, session plan assigns %q", r, env.Kind, kind)
+	}
+	if env.SlotBits != 0 {
+		return nil, fmt.Errorf("protocol: linear stage %d: a packed reply cannot be a round input", r)
+	}
+	size, err := env.Payload.Size()
+	if err != nil {
+		return nil, fmt.Errorf("protocol: linear stage %d: %w", r, err)
+	}
+	if size != st.InShape.Size() {
+		return nil, fmt.Errorf("protocol: linear stage %d input size %d, want %v", r, size, st.InShape)
+	}
+	if env.Kind == backend.PaillierHE && env.Exp != 1 {
+		// The reply's slot width is derived for inputs at scale F¹.
+		return nil, fmt.Errorf("protocol: linear stage %d input at scale exponent %d, want 1", r, env.Exp)
+	}
+	if env.Obfuscated != (r > 0) {
+		return nil, fmt.Errorf("protocol: round %d input obfuscated=%v: every round's input but the first is permuted", r, env.Obfuscated)
+	}
+	if r == 0 {
+		return env.Payload.Reshape(st.InShape)
+	}
+	start := time.Now()
+	perm, err := mp.rounds(env.Req).Pop()
+	if err != nil {
+		return nil, err
+	}
+	in, err := env.Payload.InvertPerm(perm, st.InShape)
+	tm.Permute += time.Since(start)
+	return in, err
+}
+
 // nonLinearStage is one data-provider stage.
 type nonLinearStage struct {
-	layers   []nn.Layer
-	inShape  tensor.Shape
-	outShape tensor.Shape
-	threads  int
+	layers  []nn.Layer
+	inShape tensor.Shape
+	threads int
 	// slotBits is the slot width this side's copy of the preceding linear
 	// stage implies; a packed reply with narrower slots could overflow
 	// them and is refused.
 	slotBits int
+	// garbleReLU marks an ss-gc round whose leading ReLU runs inside the
+	// garbled circuit on the shares (garblesReLU).
+	garbleReLU bool
 }
 
 // DataProvider holds the private key, encrypts inputs, and evaluates
@@ -762,6 +673,7 @@ type nonLinearStage struct {
 // each round's payload per its backend (decrypt / reconstruct shares /
 // pass plaintext through) and re-encodes for the next round's backend.
 type DataProvider struct {
+	roundPlan
 	sk     *paillier.PrivateKey
 	factor int64
 	// inputMax is the network's declared input domain (0 = undeclared).
@@ -771,42 +683,6 @@ type DataProvider struct {
 	// inline CRT sampler, or the key holder's Pool when one is configured.
 	blind  paillier.Blinder
 	stages []*nonLinearStage
-
-	planMu sync.RWMutex
-	plan   []backend.Kind
-}
-
-// SetBackendPlan installs the session's per-round backend assignment on
-// the data-provider side (validated against the same safety rules the
-// model provider enforces). Safe to call concurrently with inference.
-func (dp *DataProvider) SetBackendPlan(plan []backend.Kind) error {
-	if plan != nil {
-		if err := backend.ValidateAssignment("", plan, len(dp.stages)); err != nil {
-			return fmt.Errorf("protocol: %w", err)
-		}
-		plan = append([]backend.Kind(nil), plan...)
-	}
-	dp.planMu.Lock()
-	dp.plan = plan
-	dp.planMu.Unlock()
-	return nil
-}
-
-// BackendPlan returns a copy of the installed plan, nil when legacy.
-func (dp *DataProvider) BackendPlan() []backend.Kind {
-	dp.planMu.RLock()
-	defer dp.planMu.RUnlock()
-	return append([]backend.Kind(nil), dp.plan...)
-}
-
-// RoundBackend returns the backend round r runs on under the plan.
-func (dp *DataProvider) RoundBackend(r int) backend.Kind {
-	dp.planMu.RLock()
-	defer dp.planMu.RUnlock()
-	if r >= 0 && r < len(dp.plan) {
-		return dp.plan[r]
-	}
-	return backend.PaillierHE
 }
 
 // SetStageThreads overrides stage r's thread count.
@@ -821,51 +697,36 @@ func (dp *DataProvider) SetStageThreads(r, threads int) error {
 	return nil
 }
 
-// Stages returns the number of non-linear stages.
-func (dp *DataProvider) Stages() int { return len(dp.stages) }
-
-// CheckInput is the honest-client contract as a check: every element of x
-// must be a number inside the network's declared input domain — the
-// values the reply slots were sized for — and its scaled value x·F must
-// fit the int64 that is encrypted. The first offender is returned as an
-// *InputRangeError.
-func (dp *DataProvider) CheckInput(x *tensor.Dense) error {
+// EncryptMetered performs step 1.1: scale the raw input to exponent 1 and
+// encrypt it element-wise, accounting crypto ops into m (nil skips
+// accounting): encryption counts, blinding-pool hits/misses, and the two
+// half-size exponentiations of every blinding factor the key holder
+// computes inline.
+//
+// The honest-client contract is checked first, before any encryption:
+// every element of x must be a number inside the network's declared input
+// domain — the values the reply slots were sized for — and its scaled
+// value x·F must fit the int64 that is encrypted. The first offender is
+// refused as an *InputRangeError.
+func (dp *DataProvider) EncryptMetered(req uint64, x *tensor.Dense, m *obs.CostMeter) (*Envelope, error) {
 	F := float64(dp.factor)
 	for i, v := range x.Data() {
 		a := math.Abs(v)
 		// Written so that NaN fails both.
 		if dp.inputMax > 0 && !(a <= dp.inputMax) {
-			return &InputRangeError{Index: i, Value: v, Max: dp.inputMax, Declared: true}
+			return nil, &InputRangeError{Index: i, Value: v, Max: dp.inputMax, Declared: true}
 		}
 		if !(a*F < 0x1p63) {
-			return &InputRangeError{Index: i, Value: v, Max: 0x1p63 / F}
+			return nil, &InputRangeError{Index: i, Value: v, Max: 0x1p63 / F}
 		}
 	}
-	return nil
-}
-
-// EncryptMetered performs step 1.1: scale the raw input to exponent 1 and
-// encrypt it element-wise, accounting crypto ops into m (nil skips
-// accounting): encryption counts, blinding-pool hits/misses, and the two
-// half-size exponentiations of every blinding factor the key holder
-// computes inline. An input CheckInput refuses is refused before any
-// encryption.
-func (dp *DataProvider) EncryptMetered(req uint64, x *tensor.Dense, m *obs.CostMeter) (*Envelope, error) {
-	if err := dp.CheckInput(x); err != nil {
-		return nil, err
-	}
-	scaled := qnn.ScaleInput(x, dp.factor)
-	ct, err := dp.encryptTensor(scaled, m)
+	ct, err := paillier.EncryptTensor(&dp.sk.PublicKey, dp.blind, qnn.ScaleInput(x, dp.factor), dp.workers, m)
 	if err != nil {
 		return nil, err
 	}
 	// Round 0 is always paillier-he regardless of plan: the raw input
 	// leaves the data provider only under encryption.
-	return &Envelope{Req: req, Backend: backend.PaillierHE, CT: ct, Exp: 1}, nil
-}
-
-func (dp *DataProvider) encryptTensor(t *tensor.Tensor[int64], m *obs.CostMeter) (*paillier.CipherTensor, error) {
-	return paillier.EncryptTensor(&dp.sk.PublicKey, dp.blind, t, dp.workers, m)
+	return &Envelope{Req: req, Payload: backend.Payload{Kind: backend.PaillierHE, CT: ct, Exp: 1}}, nil
 }
 
 // ProcessNonLinearMetered executes round r's steps at the data provider:
@@ -881,89 +742,26 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 		return nil, fmt.Errorf("protocol: no non-linear stage %d", r)
 	}
 	st := dp.stages[r]
-	kind := env.BackendKind()
-	if expect := dp.RoundBackend(r); kind != expect {
-		return nil, fmt.Errorf("protocol: round %d reply arrived as %q, session plan assigns %q", r, kind, expect)
+	if kind := dp.RoundBackend(r); env.Kind != kind {
+		return nil, fmt.Errorf("protocol: round %d reply arrived as %q, session plan assigns %q", r, env.Kind, kind)
 	}
+	// Only the last round arrives unpermuted: its SoftMax is
+	// position-dependent.
 	last := r == len(dp.stages)-1
-
-	// Decode the round's payload into plaintext integers at scale
-	// F^Exp, per the backend that produced it.
-	var bigT *tensor.Tensor[*big.Int]
-	// reluDone marks that the stage's leading ReLU already ran inside the
-	// garbled circuit on shares, so the plaintext loop must skip it.
-	reluDone := false
-	switch kind {
-	case backend.PaillierHE:
-		if env.CT == nil {
-			return nil, fmt.Errorf("protocol: non-linear stage %d received no ciphertext", r)
-		}
-		if env.SlotBits < st.slotBits {
-			return nil, fmt.Errorf("protocol: round %d reply has %d-bit slots, this stage's bound needs %d", r, env.SlotBits, st.slotBits)
-		}
-		if env.Shape.Size() != st.inShape.Size() {
-			return nil, fmt.Errorf("protocol: round %d reply packs %v, stage expects %v", r, env.Shape, st.inShape)
-		}
-		var err error
-		bigT, err = dp.sk.Unpack(env.CT, env.SlotBits, st.inShape.Size(), st.threads)
-		if err != nil {
-			return nil, err
-		}
-		if m != nil {
-			n := uint64(env.CT.Size())
-			m.Add(obs.CostStats{Decrypts: n, ModExps: 2 * n})
-		}
-	case backend.SSGC:
-		if env.Sh == nil {
-			return nil, fmt.Errorf("protocol: non-linear stage %d received no shares", r)
-		}
-		shares := env.Sh.Data()
-		if !last && len(st.layers) > 0 {
-			if _, isRelu := st.layers[0].(*nn.ReLU); isRelu {
-				// The two-party path: ReLU runs on the shares through the
-				// garbled circuit (exact on ring integers — a sign test at
-				// scale F^Exp commutes with descaling), and only the fresh
-				// output shares are opened below.
-				fresh, err := backend.GCReLUShares(shares, m)
-				if err != nil {
-					return nil, err
-				}
-				shares = fresh
-				reluDone = true
-			}
-		}
-		bigT = tensor.New[*big.Int](env.Sh.Shape()...)
-		for i, s := range shares {
-			bigT.SetFlat(i, big.NewInt(secshare.SignedOfRing(s.Reconstruct())))
-		}
-		if m != nil {
-			m.Add(obs.CostStats{OpenedWords: 2 * uint64(len(shares))})
-		}
-	case backend.Clear:
-		if env.Plain == nil {
-			return nil, fmt.Errorf("protocol: non-linear stage %d received no plaintext values", r)
-		}
-		bigT = env.Plain
-	default:
-		return nil, fmt.Errorf("protocol: non-linear stage %d received unknown backend %q", r, kind)
+	if env.Obfuscated == last {
+		return nil, fmt.Errorf("protocol: non-linear stage %d of %d received obfuscated=%v", r, len(dp.stages), env.Obfuscated)
 	}
-	vals, err := qnn.Descale(bigT, dp.factor, env.Exp)
+	vals, err := dp.open(r, env, m)
 	if err != nil {
 		return nil, err
 	}
-
 	if last {
-		if env.Obfuscated {
-			return nil, fmt.Errorf("protocol: final stage must receive a non-obfuscated tensor")
-		}
-		shaped, err := vals.Reshape(st.inShape...)
+		cur, err := vals.Reshape(st.inShape...)
 		if err != nil {
 			return nil, err
 		}
-		cur := shaped
 		for _, l := range st.layers {
-			cur, err = l.Forward(cur)
-			if err != nil {
+			if cur, err = l.Forward(cur); err != nil {
 				return nil, err
 			}
 		}
@@ -972,14 +770,11 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 
 	// Intermediate stage: the tensor is permuted, so only element-wise
 	// functions may run; they apply position-independently on the flat
-	// vector.
-	if !env.Obfuscated {
-		return nil, fmt.Errorf("protocol: intermediate non-linear stage %d expects an obfuscated tensor", r)
-	}
+	// vector. A ReLU the garbled circuit already applied is skipped.
 	flat := vals.Flatten()
 	data := flat.Data()
 	for li, l := range st.layers {
-		if li == 0 && reluDone {
+		if li == 0 && st.garbleReLU && env.Kind == backend.SSGC {
 			continue
 		}
 		ew, ok := l.(nn.ElementWise)
@@ -990,8 +785,50 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 			data[i] = ew.ApplyElement(v)
 		}
 	}
-	rescaled := qnn.ScaleInput(flat, dp.factor)
-	return dp.encodeFor(env.Req, r+1, rescaled, m)
+	return dp.encodeFor(env.Req, r+1, qnn.ScaleInput(flat, dp.factor), m)
+}
+
+// open decodes round r's reply into its real values, per the backend that
+// produced it: unpack and decrypt paillier-he ciphertexts, reconstruct
+// ss-gc shares — running a leading ReLU on them through the garbled
+// circuit first (exact on ring integers: a sign test at scale F^Exp
+// commutes with descaling), so only the fresh output shares are opened —
+// or take clear integers as they are.
+func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.Dense, error) {
+	st := dp.stages[r]
+	if _, err := env.Payload.Shape(); err != nil {
+		return nil, fmt.Errorf("protocol: non-linear stage %d: %w", r, err)
+	}
+	ints := env.Plain
+	switch env.Kind {
+	case backend.PaillierHE:
+		if env.SlotBits < st.slotBits {
+			return nil, fmt.Errorf("protocol: round %d reply has %d-bit slots, this stage's bound needs %d", r, env.SlotBits, st.slotBits)
+		}
+		if env.Shape.Size() != st.inShape.Size() {
+			return nil, fmt.Errorf("protocol: round %d reply packs %v, stage expects %v", r, env.Shape, st.inShape)
+		}
+		var err error
+		if ints, err = dp.sk.Unpack(env.CT, env.SlotBits, st.inShape.Size(), st.threads); err != nil {
+			return nil, err
+		}
+		n := uint64(env.CT.Size())
+		m.Add(obs.CostStats{Decrypts: n, ModExps: 2 * n})
+	case backend.SSGC:
+		shares := env.Sh.Data()
+		if st.garbleReLU {
+			var err error
+			if shares, err = backend.GCReLUShares(shares, m); err != nil {
+				return nil, err
+			}
+		}
+		ints = tensor.New[*big.Int](env.Sh.Shape()...)
+		for i, s := range shares {
+			ints.SetFlat(i, big.NewInt(secshare.SignedOfRing(s.Reconstruct())))
+		}
+		m.Add(obs.CostStats{OpenedWords: 2 * uint64(len(shares))})
+	}
+	return qnn.Descale(ints, dp.factor, env.Exp)
 }
 
 // encodeFor packs the next round's scaled input in the representation
@@ -999,10 +836,10 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 // shares, or plaintext integers (past the certified boundary).
 func (dp *DataProvider) encodeFor(req uint64, nextRound int, scaled *tensor.Tensor[int64], m *obs.CostMeter) (*Envelope, error) {
 	next := dp.RoundBackend(nextRound)
-	env := &Envelope{Req: req, Backend: next, Exp: 1, Obfuscated: true}
+	env := &Envelope{Req: req, Payload: backend.Payload{Kind: next, Exp: 1}, Obfuscated: true}
 	switch next {
 	case backend.PaillierHE:
-		ct, err := dp.encryptTensor(scaled, m)
+		ct, err := paillier.EncryptTensor(&dp.sk.PublicKey, dp.blind, scaled, dp.workers, m)
 		if err != nil {
 			return nil, err
 		}
@@ -1023,11 +860,7 @@ func (dp *DataProvider) encodeFor(req uint64, nextRound int, scaled *tensor.Tens
 			plain.SetFlat(i, big.NewInt(v))
 		}
 		env.Plain = plain
-		if m != nil {
-			m.Add(obs.CostStats{PlainOps: uint64(scaled.Size())})
-		}
-	default:
-		return nil, fmt.Errorf("protocol: round %d plans unknown backend %q", nextRound, next)
+		m.Add(obs.CostStats{PlainOps: uint64(scaled.Size())})
 	}
 	return env, nil
 }
@@ -1047,8 +880,8 @@ func (mp *ModelProvider) StageComm(r, threads int) (withPart, withoutPart int, e
 		return 0, 0, fmt.Errorf("protocol: no linear stage %d", r)
 	}
 	st := mp.stages[r]
-	shape := st.inShape
-	for _, op := range st.ops {
+	shape := st.InShape
+	for _, op := range st.Ops {
 		eop, ok := op.(qnn.ElementOp)
 		if !ok {
 			return 0, 0, fmt.Errorf("protocol: op %s lacks element accounting", op.Name())

@@ -184,7 +184,7 @@ func TestPartitionedExecutionMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := proto.Model.SetStagePlan(0, 3, true, true); err != nil {
+	if err := proto.Model.SetStagePlan(0, 3, true); err != nil {
 		t.Fatal(err)
 	}
 	partitioned, err := proto.Infer(2, onesInput())
@@ -274,12 +274,12 @@ func TestProtocolStateValidation(t *testing.T) {
 		t.Error("unknown non-linear round accepted")
 	}
 	// Obfuscated input to round 0.
-	envObf := &Envelope{Req: 2, CT: env.CT, Exp: 1, Obfuscated: true}
+	envObf := &Envelope{Req: 2, Payload: env.Payload, Obfuscated: true}
 	if _, _, err := proto.Model.ProcessLinearMetered(0, envObf, nil); err == nil {
 		t.Error("round 0 accepted obfuscated input")
 	}
 	// Missing ciphertext.
-	if _, _, err := proto.Model.ProcessLinearMetered(0, &Envelope{Req: 3, Exp: 1}, nil); err == nil {
+	if _, _, err := proto.Model.ProcessLinearMetered(0, &Envelope{Req: 3, Payload: backend.Payload{Kind: backend.PaillierHE, Exp: 1}}, nil); err == nil {
 		t.Error("empty envelope accepted")
 	}
 	// A walk that fails mid-protocol (the roles disagree on round 1's

@@ -27,22 +27,24 @@ func TestRateLimiterWindow(t *testing.T) {
 	now := time.Unix(1000, 0)
 	rl.now = func() time.Time { return now }
 
-	if !rl.Allow() || !rl.Allow() {
+	if rl.admit() != nil || rl.admit() != nil {
 		t.Fatal("first two requests must pass")
 	}
-	if rl.Allow() {
-		t.Error("third request within the window passed")
+	now = now.Add(30 * time.Second)
+	if err := rl.admit(); !errors.Is(err, ErrThrottled) {
+		t.Errorf("third request within the window: %v", err)
 	}
-	if rl.InFlight() != 2 {
-		t.Errorf("InFlight = %d", rl.InFlight())
+	// Past the first two starts' window, capacity frees up — and counts
+	// from the new start: one more fits, then the window is full again.
+	now = now.Add(31 * time.Second)
+	if err := rl.admit(); err != nil {
+		t.Errorf("request after window expiry rejected: %v", err)
 	}
-	// advance past the window: capacity frees up
-	now = now.Add(2 * time.Minute)
-	if !rl.Allow() {
-		t.Error("request after window expiry rejected")
+	if err := rl.admit(); err != nil {
+		t.Errorf("second request of the new window rejected: %v", err)
 	}
-	if rl.InFlight() != 1 {
-		t.Errorf("InFlight after expiry = %d", rl.InFlight())
+	if err := rl.admit(); !errors.Is(err, ErrThrottled) {
+		t.Errorf("third request of the new window: %v", err)
 	}
 }
 
@@ -72,35 +74,6 @@ func TestModelProviderEnforcesLimit(t *testing.T) {
 		t.Error("second request within the window accepted")
 	} else if !strings.Contains(err.Error(), "rate limit") {
 		t.Errorf("unexpected error: %v", err)
-	}
-}
-
-// TestRateLimiterShrinksAfterBurst: a peak burst must not pin its
-// backing array forever — once the window empties, the next Allow
-// reallocates down to the live size.
-func TestRateLimiterShrinksAfterBurst(t *testing.T) {
-	rl, err := NewRateLimiter(4096, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1000, 0)
-	rl.now = func() time.Time { return now }
-	for i := 0; i < 2048; i++ {
-		if !rl.Allow() {
-			t.Fatalf("burst admission %d rejected", i)
-		}
-	}
-	if cap(rl.starts) < 2048 {
-		t.Fatalf("burst capacity %d, expected >= 2048", cap(rl.starts))
-	}
-	// The whole burst ages out; the next admission must shed the peak
-	// backing array, keeping only a small multiple of the live window.
-	now = now.Add(2 * time.Minute)
-	if !rl.Allow() {
-		t.Fatal("post-burst admission rejected")
-	}
-	if got := cap(rl.starts); got >= limiterShrinkMin {
-		t.Errorf("backing array still %d entries after the window emptied (len %d)", got, len(rl.starts))
 	}
 }
 

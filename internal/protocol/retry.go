@@ -28,9 +28,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps a single backoff sleep; <= 0 uses DefaultRetryMax.
 	MaxBackoff time.Duration
-	// Budget caps the total time spent on one logical request including
-	// all retries and backoff sleeps; <= 0 uses DefaultRetryBudget.
-	Budget time.Duration
 }
 
 // Defaults for RetryPolicy zero fields.
@@ -38,7 +35,6 @@ const (
 	DefaultRetryAttempts = 4
 	DefaultRetryBase     = 5 * time.Millisecond
 	DefaultRetryMax      = 500 * time.Millisecond
-	DefaultRetryBudget   = 5 * time.Second
 )
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -50,9 +46,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = DefaultRetryMax
-	}
-	if p.Budget <= 0 {
-		p.Budget = DefaultRetryBudget
 	}
 	return p
 }
@@ -98,7 +91,7 @@ func retrySleep(ctx context.Context, d time.Duration) error {
 // Redialer retries whole inferences across session failures: when an
 // Infer fails with a retryable error it backs off, redials a fresh
 // session if the previous one died, and tries again until the policy's
-// attempt or time budget runs out. Safe for concurrent use; concurrent
+// attempts run out. Safe for concurrent use; concurrent
 // Infers share one live client and redial at most once per generation.
 //
 // Retrying a whole inference is always safe: a torn session destroys all
@@ -121,13 +114,12 @@ type Redialer struct {
 // on first use and again after a session failure. reg (may be nil)
 // receives "retry.attempts", "retry.redials", and "retry.giveups".
 func NewRedialer(dial func(ctx context.Context) (*Client, error), policy RetryPolicy, reg *obs.Registry) *Redialer {
-	r := &Redialer{dial: dial, policy: policy.withDefaults()}
-	if reg != nil {
-		r.attempts = reg.Counter("retry.attempts")
-		r.redials = reg.Counter("retry.redials")
-		r.giveups = reg.Counter("retry.giveups")
+	return &Redialer{
+		dial: dial, policy: policy.withDefaults(),
+		attempts: reg.Counter("retry.attempts"),
+		redials:  reg.Counter("retry.redials"),
+		giveups:  reg.Counter("retry.giveups"),
 	}
-	return r
 }
 
 // get returns the live client, dialing one if needed, along with its
@@ -142,7 +134,7 @@ func (r *Redialer) get(ctx context.Context) (*Client, uint64, error) {
 	if err != nil {
 		return nil, r.gen, fmt.Errorf("%w: dial: %w", ErrSessionDown, err)
 	}
-	if r.redials != nil && r.gen > 0 {
+	if r.gen > 0 {
 		r.redials.Inc()
 	}
 	r.client = c
@@ -166,19 +158,12 @@ func (r *Redialer) invalidate(gen uint64) {
 // policy. Non-retryable errors (protocol failures, deadline expiry,
 // eviction) fail immediately.
 func (r *Redialer) Infer(ctx context.Context, x *tensor.Dense) (*tensor.Dense, error) {
-	policy := r.policy
-	deadline := time.Now().Add(policy.Budget)
 	var lastErr error
-	for attempt := 1; attempt <= policy.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= r.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			if r.attempts != nil {
-				r.attempts.Inc()
-			}
-			if err := retrySleep(ctx, policy.backoff(attempt-1)); err != nil {
+			r.attempts.Inc()
+			if err := retrySleep(ctx, r.policy.backoff(attempt-1)); err != nil {
 				return nil, err
-			}
-			if time.Now().After(deadline) {
-				break
 			}
 		}
 		c, gen, err := r.get(ctx)
@@ -201,9 +186,7 @@ func (r *Redialer) Infer(ctx context.Context, x *tensor.Dense) (*tensor.Dense, e
 			return nil, err
 		}
 	}
-	if r.giveups != nil {
-		r.giveups.Inc()
-	}
+	r.giveups.Inc()
 	return nil, fmt.Errorf("protocol: retries exhausted: %w", lastErr)
 }
 

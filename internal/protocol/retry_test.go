@@ -37,7 +37,7 @@ func TestRetryPolicyBackoffBounds(t *testing.T) {
 func TestRetryPolicyDefaults(t *testing.T) {
 	p := RetryPolicy{}.withDefaults()
 	if p.MaxAttempts != DefaultRetryAttempts || p.BaseBackoff != DefaultRetryBase ||
-		p.MaxBackoff != DefaultRetryMax || p.Budget != DefaultRetryBudget {
+		p.MaxBackoff != DefaultRetryMax {
 		t.Errorf("defaults not applied: %+v", p)
 	}
 }

@@ -66,9 +66,8 @@ func helloPublicKey(hello *Hello) (*paillier.PublicKey, error) {
 }
 
 // roundFrame tags a wire envelope with its round index for the service
-// loop. TC carries the request's distributed trace context; Spans carries
-// the server's recorded spans back to the client on the final round's
-// reply.
+// loop. TC carries the request's distributed trace context; on a reply,
+// Spans carries the server's spans of that round back to the client.
 type roundFrame struct {
 	Round int
 	Env   *WireEnvelope
@@ -87,13 +86,10 @@ type roundFrame struct {
 	Profile string
 }
 
-// RegisterServiceWire registers the wire decoders of the session's frame
-// types.
-func RegisterServiceWire() {
-	RegisterWire()
-	stream.RegisterWireType(tagHello, func(r *stream.WireReader) any { return decodeHello(r) })
-	stream.RegisterWireType(tagRoundFrame, func(r *stream.WireReader) any { return decodeRoundFrame(r) })
-}
+// RegisterServiceWire does nothing: the package registers its frame
+// types' decoders when it is initialized. It remains because the benchmark
+// module calls it.
+func RegisterServiceWire() {}
 
 // SessionConfig parameterizes the server side of one multiplexed
 // session.
@@ -275,83 +271,35 @@ func (s *session) serve(in stream.Edge, window int, ttl time.Duration) error {
 }
 
 // openSession reads the Hello, negotiates the backend plan, and builds the
-// session for the client's key. A Hello the client can fix (bad key, bad
-// profile) is answered with an error frame outside any request, which is
-// session-fatal on the client side — and so is an opening the edge refused
-// to parse: another wire version (a gob peer's first bytes are that too),
-// or a field over its limit.
+// session for the client's key.
 func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) (*session, error) {
-	first, err := in.Recv(ctx)
+	hello, pk, profile, err := readHello(ctx, in, out, cfg)
 	if err != nil {
-		var refused *stream.WireError
-		if out != nil && (errors.Is(err, stream.ErrWireVersion) || errors.As(err, &refused)) {
-			cfg.Log.Warn("session hello refused", "err", err.Error())
-			_ = out.Send(ctx, &stream.Message{Err: err})
-		}
-		return nil, fmt.Errorf("protocol: session hello: %w", err)
-	}
-	hello, ok := first.Payload.(*Hello)
-	if !ok {
-		return nil, fmt.Errorf("protocol: expected Hello, got %T", first.Payload)
-	}
-	if hello.Factor != cfg.Factor {
-		return nil, fmt.Errorf("protocol: client factor %d does not match server's %d", hello.Factor, cfg.Factor)
-	}
-	pk, err := helloPublicKey(hello)
-	var reqProfile backend.Profile
-	if err == nil {
-		reqProfile, err = backend.ParseProfile(hello.Profile)
-	}
-	if err != nil {
-		cfg.Log.Warn("session hello rejected", "err", err.Error())
-		if out != nil {
-			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err})
-		}
 		return nil, err
 	}
-	srvProfile, err := backend.ParseProfile(string(cfg.Profile))
-	if err != nil {
-		return nil, fmt.Errorf("protocol: session profile policy: %w", err)
-	}
-	// The session runs under the stricter of the server's policy and the
-	// client's request.
-	effProfile := backend.Stricter(srvProfile, reqProfile)
-	workers := hello.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if cfg.MaxWorkers > 0 && workers > cfg.MaxWorkers {
-		workers = cfg.MaxWorkers
+	workers := max(hello.Workers, 1)
+	if cfg.MaxWorkers > 0 {
+		workers = min(workers, cfg.MaxWorkers)
 	}
 	mp, err := BuildModelProvider(net, pk, Config{Factor: cfg.Factor, Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("protocol: building provider for session: %w", err)
 	}
-	// An uncertified boundary (<= 0) clamps to the round count: no clear
-	// execution anywhere.
-	boundary := cfg.ClearBoundary
-	if boundary <= 0 {
-		boundary = mp.Stages()
-	}
-	infos := mp.LayerInfos()
-	plan, err := backend.PlanFor(effProfile, infos, boundary, pk.N.BitLen())
+	plan, err := mp.applyProfile(profile, cfg.ClearBoundary)
 	if err != nil {
-		return nil, fmt.Errorf("protocol: solving backend plan: %w", err)
-	}
-	if err := mp.SetBackendPlan(plan.Assignment); err != nil {
 		return nil, err
 	}
 	// replies is how many packed reply ciphertexts — one blinding factor
 	// each — a request takes from the pool over its Paillier rounds.
 	paillierRounds, replies := 0, 0
-	for r, k := range plan.Assignment {
-		if k == backend.PaillierHE {
+	for r, info := range mp.LayerInfos() {
+		if plan.Assignment[r] == backend.PaillierHE {
 			paillierRounds++
-			replies += infos[r].Replies
+			replies += info.Replies
 		}
 	}
 	cfg.Log.Info("session plan solved",
-		"profile", string(effProfile), "boundary", plan.Boundary,
+		"profile", string(profile), "boundary", plan.Boundary,
 		"paillier_rounds", paillierRounds, "rounds", mp.Stages())
 	reg := cfg.Registry
 	// Per-session blinding pool: every packed reply ciphertext is
@@ -372,7 +320,7 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 	s := &session{
 		ctx: ctx, out: out, reg: reg, pk: pk, mp: mp, blind: blind,
 		life:      NewLifecycle(mp, cfg),
-		planCodes: plan.Codes(), profile: string(effProfile),
+		planCodes: plan.Codes(), profile: string(profile),
 		roundsServed: reg.Counter("rounds.served"),
 		roundErrs:    reg.Counter("rounds.errors"),
 		roundTime:    reg.Histogram("round.linear"),
@@ -385,6 +333,49 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 		s.perRound[r] = reg.Histogram("round." + strconv.Itoa(r) + ".linear")
 	}
 	return s, nil
+}
+
+// readHello reads the client's Hello and returns it with the session key
+// and the profile the session runs under: the stricter of the server's
+// policy and the client's request. What the client can fix (a bad key or
+// profile) is answered with an error frame outside any request, which is
+// session-fatal on the client side — and so is an opening the edge refused
+// to parse: another wire version (a gob peer's first bytes are that too),
+// or a field over its limit.
+func readHello(ctx context.Context, in, out stream.Edge, cfg SessionConfig) (*Hello, *paillier.PublicKey, backend.Profile, error) {
+	first, err := in.Recv(ctx)
+	if err != nil {
+		var refused *stream.WireError
+		if out != nil && (errors.Is(err, stream.ErrWireVersion) || errors.As(err, &refused)) {
+			cfg.Log.Warn("session hello refused", "err", err.Error())
+			_ = out.Send(ctx, &stream.Message{Err: err})
+		}
+		return nil, nil, "", fmt.Errorf("protocol: session hello: %w", err)
+	}
+	hello, ok := first.Payload.(*Hello)
+	if !ok {
+		return nil, nil, "", fmt.Errorf("protocol: expected Hello, got %T", first.Payload)
+	}
+	if hello.Factor != cfg.Factor {
+		return nil, nil, "", fmt.Errorf("protocol: client factor %d does not match server's %d", hello.Factor, cfg.Factor)
+	}
+	pk, err := helloPublicKey(hello)
+	var requested backend.Profile
+	if err == nil {
+		requested, err = backend.ParseProfile(hello.Profile)
+	}
+	if err != nil {
+		cfg.Log.Warn("session hello rejected", "err", err.Error())
+		if out != nil {
+			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err})
+		}
+		return nil, nil, "", err
+	}
+	policy, err := backend.ParseProfile(string(cfg.Profile))
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("protocol: session profile policy: %w", err)
+	}
+	return hello, pk, backend.Stricter(policy, requested), nil
 }
 
 // close ends what the session still holds once the janitor and the frame
@@ -639,28 +630,27 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 	cost.CipherBytesIn = frame.Env.CipherBytes()
 	cost.CipherBytesOut = wireEnv.CipherBytes()
 	obs.AddCostToRegistry(s.reg, kind.MetricName(), cost)
-	// The kernel span carries the backend that executed it, so the merged
-	// TraceTree shows the plan's per-round assignment.
-	s.addSpans(req,
-		obs.Segment{Party: "server", Name: "queue", Round: frame.Round, Dur: queueWait},
-		obs.Segment{Party: "server", Name: "kernel", Round: frame.Round, Dur: timing.Kernel, Cost: &cost, Backend: string(kind)},
-		obs.Segment{Party: "server", Name: "permute", Round: frame.Round, Dur: timing.Permute},
-		obs.Segment{Party: "server", Name: "pack", Round: frame.Round, Dur: timing.Pack},
-	)
-	reply := &roundFrame{Round: frame.Round, Env: wireEnv, TC: frame.TC}
+	// The round's spans go into the request's record and back to the
+	// client with the reply, for its trace tree. The kernel span carries
+	// the backend that executed it, so the tree shows the plan's per-round
+	// assignment.
+	spans := []obs.Segment{
+		{Party: "server", Name: "queue", Round: frame.Round, Dur: queueWait},
+		{Party: "server", Name: "kernel", Round: frame.Round, Dur: timing.Kernel, Cost: &cost, Backend: string(kind)},
+		{Party: "server", Name: "permute", Round: frame.Round, Dur: timing.Permute},
+		{Party: "server", Name: "pack", Round: frame.Round, Dur: timing.Pack},
+	}
+	s.addSpans(req, spans...)
+	reply := &roundFrame{Round: frame.Round, Env: wireEnv, TC: frame.TC, Spans: spans}
 	if frame.Round == 0 {
 		// The solved plan rides every round-0 reply (requests share the
 		// session plan, so repeats are idempotent on the client).
 		reply.Plan, reply.Profile = s.planCodes, s.profile
 	}
-	if frame.Round == len(s.perRound)-1 {
-		// The request's last linear round: its spans travel back to the
-		// client for the merged trace tree. Losing the finish to the
-		// janitor means the request already ended as evicted.
-		if !s.finish(req, nil) {
-			return nil, fmt.Errorf("%w: request %d evicted during its last round", ErrEvicted, req.ID)
-		}
-		reply.Spans = req.spans
+	// After the request's last linear round, losing the finish to the
+	// janitor means the request already ended as evicted.
+	if frame.Round == len(s.perRound)-1 && !s.finish(req, nil) {
+		return nil, fmt.Errorf("%w: request %d evicted during its last round", ErrEvicted, req.ID)
 	}
 	return reply, nil
 }
@@ -690,9 +680,10 @@ type ClientOptions struct {
 	// "retry.giveups" counters for the in-session round-0 retries.
 	Registry *obs.Registry
 	// Profile is the deployment profile to request from the server
-	// (empty = privacy-max, the legacy protocol). The session runs the
-	// stricter of this and the server's policy; the client validates the
-	// server's solved plan against that before honoring it.
+	// (empty = privacy-max, the paper's all-Paillier protocol). The
+	// session runs the stricter of this and the server's policy; the
+	// client validates the server's solved plan against that before
+	// honoring it.
 	Profile backend.Profile
 }
 
@@ -726,8 +717,6 @@ type Client struct {
 	mu      sync.Mutex
 	pending map[uint64]chan *stream.Message
 	err     error
-
-	readerDone chan struct{}
 }
 
 // NewClientOpts builds the data-provider role, sends the Hello, and
@@ -752,13 +741,12 @@ func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, s
 		return nil, err
 	}
 	c := &Client{
-		dp: dp, pk: &sk.PublicKey, in: in, out: out, rounds: dp.Stages(),
-		window:     make(chan struct{}, window),
-		pending:    map[uint64]chan *stream.Message{},
-		readerDone: make(chan struct{}),
-		deadline:   opts.Deadline,
-		retry:      opts.Retry.withDefaults(),
-		profile:    profile,
+		dp: dp, pk: &sk.PublicKey, in: in, out: out, rounds: len(dp.stages),
+		window:   make(chan struct{}, window),
+		pending:  map[uint64]chan *stream.Message{},
+		deadline: opts.Deadline,
+		retry:    opts.Retry.withDefaults(),
+		profile:  profile,
 
 		retryAttempts: opts.Registry.Counter("retry.attempts"),
 		retryGiveups:  opts.Registry.Counter("retry.giveups"),
@@ -768,11 +756,13 @@ func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, s
 }
 
 // readLoop demuxes server replies to the Infer call that owns the
-// request ID in Seq. An error frame outside any live request (e.g. a
-// Hello rejection) and any transport error are session-fatal: every
-// in-flight and future Infer fails with the recorded cause.
+// request ID in Seq. It never waits on a request: a request has one frame
+// in flight and takes one reply to it, so a reply that finds the
+// request's channel full is a duplicate and is dropped. An error frame
+// outside any live request (e.g. a Hello rejection) and any transport
+// error are session-fatal: every in-flight and future Infer fails with
+// the recorded cause.
 func (c *Client) readLoop(ctx context.Context) {
-	defer close(c.readerDone)
 	for {
 		msg, err := c.in.Recv(ctx)
 		if err != nil {
@@ -793,7 +783,10 @@ func (c *Client) readLoop(ctx context.Context) {
 			}
 			continue // stray reply for an abandoned request
 		}
-		ch <- msg // buffered: at most one outstanding frame per request
+		select {
+		case ch <- msg:
+		default:
+		}
 	}
 }
 
@@ -835,14 +828,14 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Dense) (*tensor.Dense, err
 	return res, err
 }
 
-// InferTraced is Infer returning the request's merged cross-party trace:
-// the client's own spans (window queueing, input encryption, per-round
-// non-linear evaluation), the server's spans shipped back in the final
-// round frame, and per-round "wire" segments inferred as the client
-// round-trip minus the server's busy time — durations only, so no clock
-// synchronization between the parties is needed. The tree is nil when
-// the inference fails, and degrades to client+wire spans against a
-// server predating trace propagation.
+// InferTraced is Infer returning the request's merged cross-party trace,
+// built as the rounds run: the client's own spans (window queueing, input
+// encryption, per-round non-linear evaluation), the server's spans of each
+// round shipped back in that round's reply, and per-round "wire" segments
+// inferred as the client round-trip minus the server's busy time —
+// durations only, so no clock synchronization between the parties is
+// needed. Round -1 marks request-scoped client segments. The tree is nil
+// when the inference fails.
 func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *obs.TraceTree, error) {
 	begin := time.Now()
 	// The effective deadline is the tighter of the client's configured
@@ -862,10 +855,10 @@ func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dens
 		return nil, nil, ctx.Err()
 	}
 	defer func() { <-c.window }()
-	queueWait := time.Since(begin)
+	tree := &obs.TraceTree{ID: obs.NewTraceID()}
+	tree.Segments = append(tree.Segments, obs.Segment{Party: "client", Name: "queue", Round: -1, Dur: time.Since(begin)})
 
 	req := c.nextID.Add(1)
-	tc := &TraceContext{Ver: TraceV1, ID: obs.NewTraceID()}
 	ch := make(chan *stream.Message, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -881,61 +874,85 @@ func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dens
 		c.mu.Unlock()
 	}()
 
-	encStart := time.Now()
-	var encMeter obs.CostMeter
-	env, err := c.dp.EncryptMetered(req, x, &encMeter)
+	start := time.Now()
+	var meter obs.CostMeter
+	env, err := c.dp.EncryptMetered(req, x, &meter)
 	if err != nil {
 		return nil, nil, err
 	}
-	encDur := time.Since(encStart)
-	encCost := encMeter.Snapshot()
-
-	roundtrips := make([]time.Duration, c.rounds)
-	nonlinear := make([]time.Duration, c.rounds)
-	wireCosts := make([]obs.CostStats, c.rounds)
-	nlCosts := make([]obs.CostStats, c.rounds)
-	var serverSegs []obs.Segment
+	tree.Segments = append(tree.Segments, obs.Segment{Party: "client", Name: "encrypt", Round: -1, Dur: time.Since(start), Cost: costOrNil(meter.Snapshot())})
 	for round := 0; round < c.rounds; round++ {
-		rtStart := time.Now()
-		w, err := ToWire(env)
-		if err != nil {
+		if env, err = c.round(ctx, ch, round, env, deadline, tree); err != nil {
 			return nil, nil, err
 		}
-		wireCosts[round].CipherBytesOut = w.CipherBytes()
-		frame, err := c.exchange(ctx, ch, req, &roundFrame{Round: round, Env: w, TC: tc}, deadline)
-		if err != nil {
-			return nil, nil, err
-		}
-		if round == 0 {
-			// The server's solved backend plan rides the round-0 reply;
-			// validate it against the requested profile's safety rules
-			// before the session honors it.
-			if err := c.applyPlan(frame); err != nil {
-				return nil, nil, err
-			}
-		}
-		wireCosts[round].CipherBytesIn = frame.Env.CipherBytes()
-		env, err = FromWire(frame.Env, c.pk)
-		if err != nil {
-			return nil, nil, err
-		}
-		roundtrips[round] = time.Since(rtStart)
-		serverSegs = append(serverSegs, frame.Spans...)
-		env.Req = req
-		nlStart := time.Now()
-		var nlMeter obs.CostMeter
-		env, err = c.dp.ProcessNonLinearMetered(round, env, &nlMeter)
-		if err != nil {
-			return nil, nil, err
-		}
-		nonlinear[round] = time.Since(nlStart)
-		nlCosts[round] = nlMeter.Snapshot()
 	}
 	if env.Result == nil {
 		return nil, nil, errors.New("protocol: session ended without a result")
 	}
-	tree := mergeTrace(tc.ID, time.Since(begin), queueWait, encDur, roundtrips, nonlinear, serverSegs, encCost, wireCosts, nlCosts, c.dp.BackendPlan())
+	tree.Total = time.Since(begin)
 	return env.Result, tree, nil
+}
+
+// round runs one round of request env.Req — the exchange with the server
+// under the request's trace ID, tree.ID, then the round's non-linear
+// stage — and appends the round's wire, server and non-linear segments to
+// tree. Cost profiles ride on the segments they
+// explain: ciphertext traffic on wire, the kernel's ops on the server's
+// kernel segment, decryption and re-encryption ops on client-nonlinear.
+func (c *Client) round(ctx context.Context, ch <-chan *stream.Message, round int, env *Envelope, deadline time.Time, tree *obs.TraceTree) (*Envelope, error) {
+	req, start := env.Req, time.Now()
+	w, err := ToWire(env)
+	if err != nil {
+		return nil, err
+	}
+	tc := &TraceContext{Ver: TraceV1, ID: tree.ID}
+	frame, err := c.exchange(ctx, ch, req, &roundFrame{Round: round, Env: w, TC: tc}, deadline)
+	if err != nil {
+		return nil, err
+	}
+	if round == 0 {
+		// The server's solved backend plan rides the round-0 reply;
+		// validate it against the requested profile's safety rules
+		// before the session honors it.
+		if err := c.applyPlan(frame); err != nil {
+			return nil, err
+		}
+	}
+	traffic := obs.CostStats{CipherBytesOut: w.CipherBytes(), CipherBytesIn: frame.Env.CipherBytes()}
+	if env, err = FromWire(frame.Env, c.pk); err != nil {
+		return nil, err
+	}
+	// The wire's share of the round trip is what the server's busy time
+	// leaves, clamped at zero if the server over-reports.
+	wire := time.Since(start)
+	for _, s := range frame.Spans {
+		wire -= s.Dur
+	}
+	tree.Segments = append(tree.Segments, obs.Segment{Party: "wire", Name: "wire", Round: round, Dur: max(wire, 0), Cost: costOrNil(traffic)})
+	tree.Segments = append(tree.Segments, frame.Spans...)
+
+	env.Req = req
+	start = time.Now()
+	var meter obs.CostMeter
+	if env, err = c.dp.ProcessNonLinearMetered(round, env, &meter); err != nil {
+		return nil, err
+	}
+	// The segment carries the backend whose round output it decoded
+	// (decrypt / gc-relu+open / plain).
+	tree.Segments = append(tree.Segments, obs.Segment{
+		Party: "client", Name: "nonlinear", Round: round, Dur: time.Since(start),
+		Cost: costOrNil(meter.Snapshot()), Backend: string(c.dp.RoundBackend(round)),
+	})
+	return env, nil
+}
+
+// costOrNil is st as a segment's cost profile: nil when nothing was
+// counted.
+func costOrNil(st obs.CostStats) *obs.CostStats {
+	if st.IsZero() {
+		return nil
+	}
+	return &st
 }
 
 // exchange sends one round frame for req, stamped with what is left of
@@ -943,7 +960,9 @@ func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dens
 // first-round throttle/shed rejection is retried in session: the server
 // rejected it before creating any per-request state, so resending the
 // identical frame starts clean. Later rounds are non-idempotent — the
-// server's permutation state advances each round — and fail through.
+// server's permutation state advances each round — and fail through. A
+// reply to another round than frame's (a duplicate of an earlier one)
+// fails the request with ErrBadRound.
 func (c *Client) exchange(ctx context.Context, ch <-chan *stream.Message, req uint64, frame *roundFrame, deadline time.Time) (*roundFrame, error) {
 	for attempt := 1; ; attempt++ {
 		if !deadline.IsZero() {
@@ -974,6 +993,9 @@ func (c *Client) exchange(ctx context.Context, ch <-chan *stream.Message, req ui
 			if !ok {
 				return nil, fmt.Errorf("protocol: expected round frame, got %T", msg.Payload)
 			}
+			if reply.Round != frame.Round {
+				return nil, fmt.Errorf("%w: request %d round %d got a reply to round %d", ErrBadRound, req, frame.Round, reply.Round)
+			}
 			return reply, nil
 		}
 		rerr := &RoundError{Round: frame.Round, Err: msg.Err}
@@ -992,11 +1014,11 @@ func (c *Client) exchange(ctx context.Context, ch <-chan *stream.Message, req ui
 }
 
 // applyPlan installs the server's solved backend plan from a round-0
-// reply, once per session. A reply without a plan (a server predating
-// backend negotiation) leaves the legacy all-Paillier behavior in place.
-// The plan is validated under the stricter of the client's requested
-// profile and the server's announced one, so a privacy-max client
-// rejects any plan that takes a round off Paillier.
+// reply, once per session. A reply without a plan leaves the all-Paillier
+// plan the data provider was built with. The plan is validated under the
+// stricter of the client's requested profile and the server's announced
+// one, so a privacy-max client rejects any plan that takes a round off
+// Paillier.
 func (c *Client) applyPlan(frame *roundFrame) error {
 	if len(frame.Plan) == 0 {
 		return nil
@@ -1023,61 +1045,6 @@ func (c *Client) applyPlan(frame *roundFrame) error {
 	}
 	c.planSet = true
 	return nil
-}
-
-// mergeTrace builds the single cross-party TraceTree for one request:
-// client spans in protocol order, the server's shipped spans slotted into
-// their rounds, and a per-round "wire" segment inferred as the client's
-// round-trip minus the server's busy time (clamped at zero if the
-// server over-reports). Round -1 marks request-scoped client segments.
-// Cost profiles ride on the segments they explain: encryption ops on
-// client-encrypt, per-round ciphertext traffic on wire, decryption and
-// re-encryption ops on client-nonlinear; the server's kernel costs arrive
-// inside serverSegs.
-func mergeTrace(id string, total, queueWait, encDur time.Duration, roundtrips, nonlinear []time.Duration, serverSegs []obs.Segment, encCost obs.CostStats, wireCosts, nlCosts []obs.CostStats, plan []backend.Kind) *obs.TraceTree {
-	costOrNil := func(st obs.CostStats) *obs.CostStats {
-		if st.IsZero() {
-			return nil
-		}
-		c := st
-		return &c
-	}
-	tree := &obs.TraceTree{ID: id, Total: total}
-	tree.Segments = append(tree.Segments,
-		obs.Segment{Party: "client", Name: "queue", Round: -1, Dur: queueWait},
-		obs.Segment{Party: "client", Name: "encrypt", Round: -1, Dur: encDur, Cost: costOrNil(encCost)},
-	)
-	serverByRound := map[int]time.Duration{}
-	for _, s := range serverSegs {
-		serverByRound[s.Round] += s.Dur
-	}
-	for round := range roundtrips {
-		wire := roundtrips[round] - serverByRound[round]
-		if wire < 0 {
-			wire = 0
-		}
-		wireSeg := obs.Segment{Party: "wire", Name: "wire", Round: round, Dur: wire}
-		if round < len(wireCosts) {
-			wireSeg.Cost = costOrNil(wireCosts[round])
-		}
-		tree.Segments = append(tree.Segments, wireSeg)
-		for _, s := range serverSegs {
-			if s.Round == round {
-				tree.Segments = append(tree.Segments, s)
-			}
-		}
-		nlSeg := obs.Segment{Party: "client", Name: "nonlinear", Round: round, Dur: nonlinear[round]}
-		if round < len(nlCosts) {
-			nlSeg.Cost = costOrNil(nlCosts[round])
-		}
-		if round < len(plan) {
-			// Label the client's nonlinear work with the backend whose
-			// round output it decoded (decrypt / gc-relu+open / plain).
-			nlSeg.Backend = string(plan[round])
-		}
-		tree.Segments = append(tree.Segments, nlSeg)
-	}
-	return tree
 }
 
 // Close ends the session.

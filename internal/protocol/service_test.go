@@ -18,7 +18,6 @@ import (
 // an in-memory connection pair: the deployment path of cmd/ppserver and
 // cmd/ppclient.
 func TestServiceSessionEndToEnd(t *testing.T) {
-	RegisterServiceWire()
 	k := key(t)
 	netw := buildNet(t)
 	const factor = 1000
@@ -66,7 +65,6 @@ func TestServiceSessionEndToEnd(t *testing.T) {
 // TestServiceRejectsFactorMismatch: the server refuses a client whose
 // scaling factor differs (the quantized weights would not match).
 func TestServiceRejectsFactorMismatch(t *testing.T) {
-	RegisterServiceWire()
 	k := key(t)
 	netw := buildNet(t)
 
@@ -94,7 +92,6 @@ func TestServiceRejectsFactorMismatch(t *testing.T) {
 // (if any) the server sent back.
 func hostileHello(t *testing.T, hello *Hello) (error, *stream.Message) {
 	t.Helper()
-	RegisterServiceWire()
 	netw := buildNet(t)
 	c2s1, s2c1 := net.Pipe()
 	c2s2, s2c2 := net.Pipe()
@@ -164,7 +161,6 @@ func TestServiceRejectsOversizedKey(t *testing.T) {
 // before wire format v1 sent — ends the session with stream.ErrWireVersion
 // and is told why in an error frame; nothing hangs and nothing panics.
 func TestServiceRefusesForeignWire(t *testing.T) {
-	RegisterServiceWire()
 	netw := buildNet(t)
 	c2s1, s2c1 := net.Pipe()
 	c2s2, s2c2 := net.Pipe()
@@ -225,7 +221,7 @@ func TestDataProviderNeedsNoWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < dp.Stages(); r++ {
+	for r := 0; r < mp.Stages(); r++ {
 		env, _, err = mp.ProcessLinearMetered(r, env, nil)
 		if err != nil {
 			t.Fatal(err)

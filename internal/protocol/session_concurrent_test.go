@@ -21,7 +21,6 @@ import (
 // must complete with its own error without disturbing the others.
 // Run under -race in CI.
 func TestSessionConcurrentClients(t *testing.T) {
-	RegisterServiceWire()
 	k := key(t)
 	netw := buildNet(t)
 	const factor = 1000
@@ -139,7 +138,6 @@ func TestSessionConcurrentClients(t *testing.T) {
 // session's idle TTL — the server does not leak state for crashed or
 // stalled clients.
 func TestSessionIdleEviction(t *testing.T) {
-	RegisterServiceWire()
 	k := key(t)
 	netw := buildNet(t)
 	const factor = 1000

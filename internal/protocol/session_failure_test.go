@@ -18,7 +18,6 @@ import (
 // session still holds afterwards.
 func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, chan error, context.Context) {
 	t.Helper()
-	RegisterServiceWire()
 	cfg.Factor = 1000
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry("raw-session")
@@ -271,7 +270,6 @@ func TestSessionShedTypedRejection(t *testing.T) {
 // round-0 shed rejection with backoff and succeeds on the next attempt,
 // counting the retry; the deadline budget rides every frame.
 func TestClientRetriesRoundZero(t *testing.T) {
-	RegisterServiceWire()
 	k := key(t)
 	netw := buildNet(t)
 	proto, err := Build(netw, k, Config{Factor: 1000})
@@ -381,7 +379,6 @@ func TestClientRetriesRoundZero(t *testing.T) {
 // locally with ErrDeadline before any frame is sent — terminal, not
 // retryable.
 func TestClientDeadlineLocal(t *testing.T) {
-	RegisterServiceWire()
 	k := key(t)
 	netw := buildNet(t)
 	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
@@ -420,5 +417,77 @@ func TestClientDeadlineLocal(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("server: %v", err)
+	}
+}
+
+// dupEdge sends every reply to round `round` three times, as a replaying
+// peer would.
+type dupEdge struct {
+	stream.Edge
+	round int
+}
+
+func (e dupEdge) Send(ctx context.Context, m *stream.Message) error {
+	n := 1
+	if f, ok := m.Payload.(*roundFrame); ok && f.Round == e.round {
+		n = 3
+	}
+	for i := 0; i < n; i++ {
+		if err := e.Edge.Send(ctx, m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestClientSurvivesDuplicateReplies: a reply that arrives more than once
+// neither wedges the session's reader nor is read as another round's.
+// Copies of the last round's reply are dropped, so every later request on
+// the session completes. Copies of round 0's reply are dropped or fail
+// their own request with ErrBadRound, never with a wrong output, and the
+// session goes on serving.
+func TestClientSurvivesDuplicateReplies(t *testing.T) {
+	netw := buildNet(t)
+	x := tensor.MustFromSlice([]float64{0.5, -0.25, 1, 0.75}, 4)
+	want, err := netw.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, round := range []int{1, 0} {
+		serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		serveErr := make(chan error, 1)
+		go func() {
+			serveErr <- ServeSessionConfig(ctx, serverEdge, dupEdge{serverEdge, round}, netw, SessionConfig{Factor: 1000})
+		}()
+		edge, err := stream.DialEdge(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := NewClientOpts(ctx, edge, edge, netw, key(t), 1000, ClientOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			reqCtx, done := context.WithTimeout(ctx, 5*time.Second)
+			got, err := client.Infer(reqCtx, x)
+			done()
+			switch {
+			case err == nil && !tensor.AllClose(want, got, 1e-2):
+				t.Errorf("round %d copies, request %d: output %v, want %v", round, i, got.Data(), want.Data())
+			case err != nil && (round != 0 || !errors.Is(err, ErrBadRound)):
+				t.Fatalf("round %d copies, request %d: %v", round, i, err)
+			}
+		}
+		if err := client.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Fatalf("server: %v", err)
+		}
 	}
 }

@@ -40,21 +40,19 @@ type ShedConfig struct {
 	// MaxInFlight is the hard bound on admitted-but-unreleased requests;
 	// <= 0 disables the in-flight check.
 	MaxInFlight int64
-	// LatencyTarget sheds new requests while the windowed p95 of recent
-	// request latencies exceeds it; <= 0 disables the latency check.
+	// LatencyTarget sheds new requests while the p95 of the latencies
+	// observed in the last shedWindow exceeds it; <= 0 disables the
+	// latency check.
 	LatencyTarget time.Duration
-	// Window is the sliding window the p95 is computed over; <= 0 takes
-	// DefaultShedWindow.
-	Window time.Duration
 	// Registry, when non-nil, receives "shed.rejected.total",
 	// "shed.rejected.inflight", "shed.rejected.latency" counters and the
 	// "shed.inflight" gauge.
 	Registry *obs.Registry
 }
 
-// DefaultShedWindow is the latency-judgment window: long enough to hold
+// shedWindow is the latency-judgment window: long enough to hold
 // evidence of an overload, short enough that recovery clears it fast.
-const DefaultShedWindow = 10 * time.Second
+const shedWindow = 10 * time.Second
 
 // shedBuckets is the ring resolution of the latency window.
 const shedBuckets = 16
@@ -62,27 +60,18 @@ const shedBuckets = 16
 // NewShedder builds an admission controller. Share one Shedder across
 // every session of a server so the in-flight bound is global.
 func NewShedder(cfg ShedConfig) *Shedder {
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultShedWindow
-	}
+	reg := cfg.Registry
 	s := &Shedder{
-		maxInFlight: cfg.MaxInFlight,
-		target:      cfg.LatencyTarget,
-		win:         obs.NewLiveHistogram(cfg.Window/shedBuckets, shedBuckets),
+		maxInFlight:      cfg.MaxInFlight,
+		target:           cfg.LatencyTarget,
+		win:              obs.NewLiveHistogram(shedWindow/shedBuckets, shedBuckets),
+		rejectedTotal:    reg.Counter("shed.rejected.total"),
+		rejectedInflight: reg.Counter("shed.rejected.inflight"),
+		rejectedLatency:  reg.Counter("shed.rejected.latency"),
 	}
-	if reg := cfg.Registry; reg != nil {
-		s.rejectedTotal = reg.Counter("shed.rejected.total")
-		s.rejectedInflight = reg.Counter("shed.rejected.inflight")
-		s.rejectedLatency = reg.Counter("shed.rejected.latency")
-		reg.GaugeFunc("shed.inflight", s.inflight.Load)
-	}
+	reg.GaugeFunc("shed.inflight", s.inflight.Load)
 	return s
 }
-
-// SetClock replaces the latency window's time source — a test hook so
-// overload recovery is exercised without sleeping. Not for production
-// use.
-func (s *Shedder) SetClock(now func() time.Time) { s.win.SetClock(now) }
 
 // Acquire admits one request or rejects it with an ErrShed-wrapped
 // error. Every successful Acquire must be paired with exactly one
@@ -94,10 +83,8 @@ func (s *Shedder) Acquire() error {
 	if s.maxInFlight > 0 {
 		if n := s.inflight.Add(1); n > s.maxInFlight {
 			s.inflight.Add(-1)
-			if s.rejectedTotal != nil {
-				s.rejectedTotal.Inc()
-				s.rejectedInflight.Inc()
-			}
+			s.rejectedTotal.Inc()
+			s.rejectedInflight.Inc()
 			return fmt.Errorf("%w: %d requests in flight (limit %d)", ErrShed, n-1, s.maxInFlight)
 		}
 	} else {
@@ -106,10 +93,8 @@ func (s *Shedder) Acquire() error {
 	if s.target > 0 {
 		if p95 := s.win.Live().P95; p95 > s.target {
 			s.inflight.Add(-1)
-			if s.rejectedTotal != nil {
-				s.rejectedTotal.Inc()
-				s.rejectedLatency.Inc()
-			}
+			s.rejectedTotal.Inc()
+			s.rejectedLatency.Inc()
 			return fmt.Errorf("%w: recent p95 latency %v exceeds target %v",
 				ErrShed, p95, s.target)
 		}

@@ -49,9 +49,9 @@ func TestShedderInFlightBound(t *testing.T) {
 // clear an overload verdict while the slow ones are still in-window
 // (that was the count-ring's blind spot).
 func TestShedderLatencyTarget(t *testing.T) {
-	s := NewShedder(ShedConfig{LatencyTarget: 10 * time.Millisecond, Window: time.Second})
+	s := NewShedder(ShedConfig{LatencyTarget: 10 * time.Millisecond})
 	now := time.Unix(1_700_000_000, 0)
-	s.SetClock(func() time.Time { return now })
+	s.win.SetClock(func() time.Time { return now })
 	for i := 0; i < 64; i++ {
 		s.Observe(100 * time.Millisecond)
 	}
@@ -68,7 +68,7 @@ func TestShedderLatencyTarget(t *testing.T) {
 		t.Fatalf("fast burst cleared an in-window overload: %v", err)
 	}
 	// The clock moving past the window ages the evidence out.
-	now = now.Add(2 * time.Second)
+	now = now.Add(2 * shedWindow)
 	if err := s.Acquire(); err != nil {
 		t.Fatalf("recovered shedder still rejecting: %v", err)
 	}

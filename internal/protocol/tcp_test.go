@@ -16,7 +16,6 @@ import (
 // gob-encoded wire envelopes — the integration shape of the paper's
 // distributed deployment.
 func TestProtocolOverTCP(t *testing.T) {
-	RegisterWire()
 	k := key(t)
 	net := buildNet(t)
 	proto, err := Build(net, k, Config{Factor: 1000})
@@ -43,7 +42,7 @@ func TestProtocolOverTCP(t *testing.T) {
 			errCh <- err
 			return
 		}
-		pk := proto.Model.PublicKey()
+		pk := &k.PublicKey
 		for {
 			msg, err := toModel.Recv(ctx)
 			if err != nil {
@@ -106,7 +105,7 @@ func TestProtocolOverTCP(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected payload %T", msg.Payload)
 		}
-		env, err = FromWire(reply, proto.Model.PublicKey())
+		env, err = FromWire(reply, &k.PublicKey)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,6 @@ import (
 // pair and returns the client plus the server's error channel.
 func traceSession(t *testing.T, cfg SessionConfig) (*Client, chan error, context.Context) {
 	t.Helper()
-	RegisterServiceWire()
 	k := key(t)
 	netw := buildNet(t)
 	cfg.Factor = 1000

@@ -122,17 +122,19 @@ const (
 	maxWirePlan = 256
 )
 
-// Payload tags of the session's frame types (stream.RegisterWireType).
+// Payload tags of the session's frame types.
 const (
 	tagEnvelope uint16 = 1 + iota
 	tagHello
 	tagRoundFrame
 )
 
-// RegisterWire registers the envelope's wire decoder. Call once per
-// process before using TCP edges.
-func RegisterWire() {
+// init registers the decoders of the frame types with the TCP edges, so
+// every process that links this package speaks the session's wire.
+func init() {
 	stream.RegisterWireType(tagEnvelope, func(r *stream.WireReader) any { return decodeEnvelope(r) })
+	stream.RegisterWireType(tagHello, func(r *stream.WireReader) any { return decodeHello(r) })
+	stream.RegisterWireType(tagRoundFrame, func(r *stream.WireReader) any { return decodeRoundFrame(r) })
 }
 
 // ToWire converts an Envelope to its wire form. The result shares the
@@ -145,9 +147,8 @@ func ToWire(env *Envelope) (*WireEnvelope, error) {
 		w.ResultShape = env.Result.Shape()
 		return w, nil
 	}
-	kind := env.BackendKind()
-	w.Backend = kind.Code()
-	switch kind {
+	w.Backend = env.Kind.Code()
+	switch env.Kind {
 	case backend.PaillierHE:
 		if env.CT == nil {
 			return nil, errors.New("protocol: envelope has neither ciphertext nor result")
@@ -185,7 +186,7 @@ func ToWire(env *Envelope) (*WireEnvelope, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("protocol: cannot serialize backend %q", kind)
+		return nil, fmt.Errorf("protocol: cannot serialize backend %q", env.Kind)
 	}
 	return w, nil
 }
@@ -198,7 +199,7 @@ func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 	if w == nil {
 		return nil, errors.New("protocol: nil wire envelope")
 	}
-	env := &Envelope{Req: w.Req, Exp: w.Exp, Obfuscated: w.Obfuscated}
+	env := &Envelope{Req: w.Req, Payload: backend.Payload{Exp: w.Exp}, Obfuscated: w.Obfuscated}
 	if w.Result != nil {
 		res, err := tensor.FromSlice(w.Result, w.ResultShape...)
 		if err != nil {
@@ -211,7 +212,7 @@ func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}
-	env.Backend = kind
+	env.Kind = kind
 	shape := tensor.Shape(w.Shape)
 	if err := shape.Validate(); err != nil {
 		return nil, fmt.Errorf("protocol: malformed shape: %w", err)

@@ -162,7 +162,6 @@ func canon(m *stream.Message) any {
 // A deliberate format change bumps stream.WireVersion and regenerates the
 // files with -update.
 func TestGoldenFrames(t *testing.T) {
-	RegisterServiceWire()
 	dir := filepath.Join("testdata", "wire_v1")
 	check := func(name string, got []byte) {
 		t.Helper()
@@ -245,7 +244,6 @@ func frameToPlan() *wb { return new(wb).u32(0).u64(0).u8(0).str("") }
 // under a non-zero tag (the failing stage's input, which earlier encoders
 // attached) is decoded and dropped, and the error still names its stage.
 func TestFailedSectionPayloadDropped(t *testing.T) {
-	RegisterServiceWire()
 	hello := new(wb).u32(1).raw(7).u64(1000).u32(1).str("").b
 	body := new(wb).str("boom").str("linear-0").u16(tagHello).raw(hello...).b
 	msgs, err := decodeFrames(append(append([]byte(nil), preface...), frame(2|8, 0, uint32(len(body)), body)...))
@@ -264,7 +262,6 @@ func TestFailedSectionPayloadDropped(t *testing.T) {
 // a million ciphertexts, a 64 MB body — costs the receiver more than its
 // fixed buffers.
 func TestHostilePeerFields(t *testing.T) {
-	RegisterServiceWire()
 	withPreface := func(frames ...[]byte) []byte {
 		return append(append([]byte(nil), preface...), bytes.Join(frames, nil)...)
 	}
@@ -356,7 +353,6 @@ func TestHostilePeerFields(t *testing.T) {
 // TestEdgeRejectsUnencodable: what cannot be framed fails in Send, before
 // a byte is written, and leaves the edge usable.
 func TestEdgeRejectsUnencodable(t *testing.T) {
-	RegisterServiceWire()
 	conn := &bytesConn{}
 	e := stream.NewTCPEdge(conn)
 	ctx := context.Background()
