@@ -11,7 +11,7 @@ import (
 
 // concurrencyCriticalPackages are the long-lived, deeply concurrent
 // packages of the serving plane: multiplexed sessions and shedding
-// (protocol), the pipeline/dispatcher runtime (stream), the lock-free
+// (protocol), the pipeline runtime (stream), the lock-free
 // metrics hot path (obs), and the engine lifecycle (core). The
 // concurrency analyzers scope to these; elsewhere short-lived or
 // single-goroutine code would drown the signal in noise.

@@ -47,11 +47,11 @@ var mutationRows = []mutationRow{
 		new: `reg.Counter("retry.Redials")`,
 	},
 	{
-		// The dispatcher's reader returns its window slot while holding
+		// The pipeline's reader returns its window slot while holding
 		// the lock every Submit needs.
-		rule: "lockscope", dir: "internal/stream", file: "dispatcher.go",
-		old: "\t\tif d.window != nil {\n\t\t\t<-d.window\n\t\t}\n\t\td.mu.Lock()\n",
-		new: "\t\td.mu.Lock()\n\t\tif d.window != nil {\n\t\t\t<-d.window\n\t\t}\n",
+		rule: "lockscope", dir: "internal/stream", file: "stream.go",
+		old: "\t\tif p.window != nil {\n\t\t\t<-p.window\n\t\t}\n\t\tp.mu.Lock()\n",
+		new: "\t\tp.mu.Lock()\n\t\tif p.window != nil {\n\t\t\t<-p.window\n\t\t}\n",
 	},
 	{
 		// A round frame's send detaches from the request's deadline.

@@ -72,25 +72,10 @@ type Options struct {
 	ProfileReps int
 	// ProfileSample is ignored, like ProfileReps.
 	ProfileSample *tensor.Dense
-	// Buffer is the pipeline edge depth (default 4).
-	Buffer int
-	// Pool enables a background encryption-blinding pool on the data
-	// provider.
-	Pool bool
 	// Window bounds the serving runtime's concurrently in-flight
 	// requests (Serve/Submit backpressure); <= 0 leaves admission
 	// bounded only by the pipeline's edge buffers.
 	Window int
-	// MaxInFlight enables load shedding in the serving runtime: Submit
-	// calls beyond this many admitted-but-unfinished requests fail fast
-	// with a retryable protocol.ErrShed instead of queueing. <= 0
-	// disables the in-flight shed check. Unlike Window (which blocks
-	// submitters), shedding rejects them — the back-pressure signal a
-	// remote client's retry loop needs.
-	MaxInFlight int
-	// ShedLatency sheds new requests while the windowed p95 of recent
-	// serve latencies exceeds it; <= 0 disables the latency shed check.
-	ShedLatency time.Duration
 	// Profile selects the per-round crypto-backend posture (latency,
 	// privacy-max, mixed). Empty means privacy-max: every round under
 	// Paillier, the paper's original protocol.
@@ -117,20 +102,16 @@ type Engine struct {
 	// measured unit costs, as every Layers[i].Time is.
 	EncryptTime float64
 	opts        Options
-	pool        *paillier.Pool
 	blind       *paillier.Pool
 	keyBits     int
 	reg         *obs.Registry
-
-	// shed (nil unless Options.MaxInFlight or ShedLatency is set) and life
-	// front every Submit; they are engine-scoped, so the shedder's latency
-	// window survives Serve/Shutdown cycles.
-	shed *protocol.Shedder
+	// life fronts every Submit; it is engine-scoped, so its metrics survive
+	// Serve/Shutdown cycles.
 	life *protocol.Lifecycle
 
 	// serveMu guards the persistent serving runtime (see serve.go).
 	serveMu sync.Mutex
-	disp    *stream.Dispatcher
+	pipe    *stream.Pipeline
 }
 
 // NewEngine builds the engine: protocol construction, stage pricing,
@@ -142,22 +123,8 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	if opts.Topology.ModelServers == 0 && opts.Topology.DataServers == 0 {
 		opts.Topology = Topology{ModelServers: 1, DataServers: 1, CoresPerServer: 2}
 	}
-	if opts.Buffer <= 0 {
-		opts.Buffer = 4
-	}
-	cfg := protocol.Config{Factor: opts.Factor, Workers: 1}
-	var pool *paillier.Pool
-	if opts.Pool {
-		// The client-side pool belongs to the key holder: its refill
-		// workers (and its miss path) draw from the CRT sampler.
-		pool = paillier.NewPrivatePool(key, nil, 64, 2)
-		cfg.Pool = pool
-	}
-	proto, err := protocol.Build(net, key, cfg)
+	proto, err := protocol.Build(net, key, protocol.Config{Factor: opts.Factor, Workers: 1})
 	if err != nil {
-		if pool != nil {
-			pool.Close()
-		}
 		return nil, err
 	}
 	// The model provider's linear kernel re-randomizes every output
@@ -166,87 +133,72 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	blind := paillier.NewPool(&key.PublicKey, nil, 64, 1)
 	proto.Model.SetBlindPool(blind)
 	e := &Engine{
-		Net: net, Protocol: proto, opts: opts, pool: pool, blind: blind,
+		Net: net, Protocol: proto, opts: opts, blind: blind,
 		Servers: opts.Topology.Servers(), keyBits: key.Bits(),
 		reg: obs.NewRegistry("engine/" + net.ModelName),
 	}
 	e.Protocol.Model.Instrument(e.reg)
-	e.reg.GaugeFunc("pool.workers.alive", func() int64 {
-		n := blind.AliveWorkers()
-		if pool != nil {
-			n += pool.AliveWorkers()
-		}
-		return n
-	})
+	e.reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
+	if err := e.plan(key); err != nil {
+		e.Close()
+		return nil, err
+	}
+	e.life = protocol.NewLifecycle(proto.Model, protocol.SessionConfig{Registry: e.reg})
+	return e, nil
+}
 
+// plan prices the stages, allocates servers and threads to them, applies
+// the allocation, and picks the per-round crypto backends.
+func (e *Engine) plan(key *paillier.PrivateKey) error {
 	// T_i for the allocation (Section IV-C): each merged stage's exact
 	// single-thread operation count, priced at this key size's unit costs.
 	// Every round is priced on Paillier: the backend plan comes last.
-	encrypt, counts, err := proto.StageCosts()
+	encrypt, counts, err := e.Protocol.StageCosts()
 	if err != nil {
-		e.Close()
-		return nil, fmt.Errorf("core: counting stage operations: %w", err)
+		return fmt.Errorf("core: counting stage operations: %w", err)
 	}
 	units, err := paillier.MeasureUnitCosts(key)
 	if err != nil {
-		e.Close()
-		return nil, fmt.Errorf("core: measuring unit costs: %w", err)
+		return fmt.Errorf("core: measuring unit costs: %w", err)
 	}
 	e.EncryptTime = units.Price(encrypt)
-	e.Layers = make([]alloc.Layer, len(proto.Merged))
-	for i, m := range proto.Merged {
+	e.Layers = make([]alloc.Layer, len(e.Protocol.Merged))
+	for i, m := range e.Protocol.Merged {
 		e.Layers[i] = alloc.Layer{Name: m.Name(), Linear: m.Kind == nn.Linear, Time: units.Price(counts[i])}
 	}
 
-	if opts.LoadBalance {
+	if e.opts.LoadBalance {
 		e.Plan, err = alloc.Solve(e.Layers, e.Servers)
 	} else {
 		e.Plan, err = alloc.Even(e.Layers, e.Servers)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: resource allocation: %w", err)
+		return fmt.Errorf("core: resource allocation: %w", err)
 	}
 	if err := e.applyPlan(); err != nil {
-		return nil, err
+		return err
 	}
 	// Backend planning last: an exact search picks one crypto backend per
 	// linear round under the profile's rules (empty profile = privacy-max =
 	// all Paillier, the legacy behavior).
-	e.Backends, err = proto.ApplyProfile(opts.Profile, opts.ClearBoundary)
+	e.Backends, err = e.Protocol.ApplyProfile(e.opts.Profile, e.opts.ClearBoundary)
 	if err != nil {
-		return nil, fmt.Errorf("core: backend planning: %w", err)
+		return fmt.Errorf("core: backend planning: %w", err)
 	}
-	if opts.MaxInFlight > 0 || opts.ShedLatency > 0 {
-		e.shed = protocol.NewShedder(protocol.ShedConfig{
-			MaxInFlight:   int64(opts.MaxInFlight),
-			LatencyTarget: opts.ShedLatency,
-			Registry:      e.reg,
-		})
-	}
-	e.life = protocol.NewLifecycle(proto.Model, protocol.SessionConfig{Shed: e.shed, Registry: e.reg})
-	return e, nil
+	return nil
 }
 
 // Close stops the serving runtime (if up) and releases background
-// resources (the blinding pools).
+// resources (the blinding pool).
 func (e *Engine) Close() {
 	_ = e.Shutdown()
-	if e.pool != nil {
-		e.pool.Close()
-	}
-	if e.blind != nil {
-		e.blind.Close()
-	}
+	e.blind.Close()
 }
 
-// Registry exposes the engine's metrics registry. Every pipeline built
-// by Pipeline/InferStream publishes its per-stage latency histograms and
-// queue-depth gauges here, so histograms accumulate across runs.
+// Registry exposes the engine's metrics registry. Every runtime Serve
+// starts publishes its per-stage latency histograms and queue-depth gauges
+// here, so histograms accumulate across runs.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
-
-// Stats returns a point-in-time snapshot of the engine's metrics — the
-// view cmd tools print and the metrics endpoint serves.
-func (e *Engine) Stats() obs.Snapshot { return e.reg.Snapshot() }
 
 // SimStages converts the engine's estimated stage times, allocation plan,
 // and partitioning configuration into the discrete-event latency model's
@@ -377,64 +329,6 @@ func (e *Engine) InferOne(req uint64, x *tensor.Dense) (*tensor.Dense, time.Dura
 	return out, time.Since(start), err
 }
 
-// Pipeline builds the streaming deployment: an encrypt stage followed by
-// alternating linear (model-provider) and non-linear (data-provider)
-// stages, connected by in-process edges. Payloads are *protocol.Envelope
-// (submit *tensor.Dense inputs).
-func (e *Engine) Pipeline() (*stream.Pipeline, error) {
-	handlers := []stream.Handler{
-		stream.HandlerFunc{StageName: "encrypt", Fn: func(_ context.Context, m *stream.Message) (*stream.Message, error) {
-			x, ok := m.Payload.(*tensor.Dense)
-			if !ok {
-				return nil, fmt.Errorf("core: encrypt stage expects *tensor.Dense, got %T", m.Payload)
-			}
-			env, err := e.Protocol.Data.EncryptMetered(m.Seq, x, nil)
-			if err != nil {
-				return nil, err
-			}
-			return &stream.Message{Payload: env}, nil
-		}},
-	}
-	rounds := e.Protocol.Rounds()
-	for r := 0; r < rounds; r++ {
-		r := r
-		handlers = append(handlers, stream.HandlerFunc{
-			StageName: fmt.Sprintf("linear-%d", r),
-			Fn: func(_ context.Context, m *stream.Message) (*stream.Message, error) {
-				env, ok := m.Payload.(*protocol.Envelope)
-				if !ok {
-					return nil, fmt.Errorf("core: linear stage expects envelope, got %T", m.Payload)
-				}
-				out, _, err := e.Protocol.Model.ProcessLinearMetered(r, env, nil)
-				if err != nil {
-					return nil, err
-				}
-				return &stream.Message{Payload: out}, nil
-			},
-		})
-		handlers = append(handlers, stream.HandlerFunc{
-			StageName: fmt.Sprintf("nonlinear-%d", r),
-			Fn: func(_ context.Context, m *stream.Message) (*stream.Message, error) {
-				env, ok := m.Payload.(*protocol.Envelope)
-				if !ok {
-					return nil, fmt.Errorf("core: non-linear stage expects envelope, got %T", m.Payload)
-				}
-				out, err := e.Protocol.Data.ProcessNonLinearMetered(r, env, nil)
-				if err != nil {
-					return nil, err
-				}
-				return &stream.Message{Payload: out}, nil
-			},
-		})
-	}
-	p, err := stream.NewPipeline(e.opts.Buffer, handlers...)
-	if err != nil {
-		return nil, err
-	}
-	p.Instrument(e.reg)
-	return p, nil
-}
-
 // StreamStats summarizes a streaming run.
 type StreamStats struct {
 	Requests int
@@ -471,11 +365,11 @@ func (e *Engine) InferStream(ctx context.Context, inputs []*tensor.Dense) ([]*te
 	if len(inputs) == 0 {
 		return nil, nil, errors.New("core: no inputs")
 	}
-	if !e.Serving() {
-		if err := e.Serve(ctx); err != nil {
-			return nil, nil, err
-		}
+	switch err := e.Serve(ctx); {
+	case err == nil:
 		defer e.Shutdown()
+	case !errors.Is(err, errServing):
+		return nil, nil, err
 	}
 	start := time.Now()
 	results := make([]*tensor.Dense, len(inputs))

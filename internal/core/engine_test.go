@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	mathrand "math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -74,6 +75,23 @@ func TestNewEngineValidation(t *testing.T) {
 	net := smallNet(t)
 	if _, err := NewEngine(net, k, Options{}); err == nil {
 		t.Error("missing factor accepted")
+	}
+}
+
+// TestNewEngineFailureLeaksNoGoroutines: a NewEngine that fails after it
+// started the model side's blinding pool (here in backend planning, on an
+// unknown profile) stops the pool's fill worker before it returns.
+func TestNewEngineFailureLeaksNoGoroutines(t *testing.T) {
+	k := key(t)
+	net := smallNet(t)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if _, err := NewEngine(net, k, Options{Factor: 1000, Profile: "bogus"}); err == nil {
+			t.Fatal("unknown profile accepted")
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Errorf("goroutines grew from %d to %d over 20 failed NewEngine calls", before, after)
 	}
 }
 
@@ -156,7 +174,6 @@ func TestEngineWithAllFeatures(t *testing.T) {
 		Topology:        Topology{ModelServers: 2, DataServers: 1, CoresPerServer: 2},
 		LoadBalance:     true,
 		TensorPartition: true,
-		Pool:            true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,42 +20,54 @@ import (
 // the runtime has been shut down).
 var ErrNotServing = errors.New("core: engine is not serving (call Serve first)")
 
-// Serve starts the engine's persistent serving runtime: it builds one
-// instrumented pipeline and a completion dispatcher that lives until
-// Shutdown (or Close). While serving, any number of goroutines may call
-// Submit concurrently; the registry exposes "serve.inflight",
-// "serve.requests.ok" / "serve.requests.err" / "serve.requests.shed",
-// and the end-to-end "serve.latency" histogram. ctx bounds the lifetime
-// of the stage goroutines.
-//
-// When Options.MaxInFlight or ShedLatency is set, an admission
-// controller fronts Submit: excess or overload-era requests fail fast
-// with a retryable error matching protocol.ErrShed instead of queueing
-// behind work the runtime cannot finish in time.
+var errServing = errors.New("core: engine is already serving")
+
+// Serve starts the engine's persistent serving runtime: one instrumented
+// stream.Pipeline — an encrypt stage followed by alternating linear
+// (model-provider) and non-linear (data-provider) stages — that lives
+// until Shutdown (or Close). While serving, any number of goroutines may
+// call Submit concurrently; the registry exposes "serve.inflight", the
+// outcome counters "serve.requests.<outcome>", and the end-to-end
+// "serve.latency" histogram. ctx bounds the lifetime of the stage
+// goroutines.
 func (e *Engine) Serve(ctx context.Context) error {
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()
-	if e.disp != nil {
-		return errors.New("core: engine is already serving")
+	if e.pipe != nil {
+		return errServing
 	}
-	p, err := e.Pipeline()
+	stages := []stream.Stage{step("encrypt", func(seq uint64, x any) (*protocol.Envelope, error) {
+		return e.Protocol.Data.EncryptMetered(seq, x.(*tensor.Dense), nil)
+	})}
+	for r := 0; r < e.Protocol.Rounds(); r++ {
+		stages = append(stages,
+			step(fmt.Sprintf("linear-%d", r), func(_ uint64, env any) (*protocol.Envelope, error) {
+				out, _, err := e.Protocol.Model.ProcessLinearMetered(r, env.(*protocol.Envelope), nil)
+				return out, err
+			}),
+			step(fmt.Sprintf("nonlinear-%d", r), func(_ uint64, env any) (*protocol.Envelope, error) {
+				return e.Protocol.Data.ProcessNonLinearMetered(r, env.(*protocol.Envelope), nil)
+			}))
+	}
+	p, err := stream.NewPipeline(ctx, e.opts.Window, e.reg, stages...)
 	if err != nil {
 		return err
 	}
-	d, err := stream.NewDispatcher(ctx, p, e.opts.Window)
-	if err != nil {
-		return err
-	}
-	e.disp = d
-	e.reg.GaugeFunc("serve.inflight", d.InFlight)
+	e.pipe = p
+	e.reg.GaugeFunc("serve.inflight", p.InFlight)
 	return nil
 }
 
-// Serving reports whether the persistent runtime is up.
-func (e *Engine) Serving() bool {
-	e.serveMu.Lock()
-	defer e.serveMu.Unlock()
-	return e.disp != nil
+// step is one protocol step as a pipeline stage: it maps the request's
+// payload (its input, then its envelope) to the next envelope.
+func step(name string, fn func(seq uint64, payload any) (*protocol.Envelope, error)) stream.Stage {
+	return stream.Stage{Name: name, Fn: func(_ context.Context, m *stream.Message) (*stream.Message, error) {
+		env, err := fn(m.Seq, m.Payload)
+		if err != nil {
+			return nil, err
+		}
+		return &stream.Message{Payload: env}, nil
+	}}
 }
 
 // Shutdown stops admission, drains in-flight requests, and stops every
@@ -63,13 +75,13 @@ func (e *Engine) Serving() bool {
 // when the runtime is not up.
 func (e *Engine) Shutdown() error {
 	e.serveMu.Lock()
-	d := e.disp
-	e.disp = nil
+	p := e.pipe
+	e.pipe = nil
 	e.serveMu.Unlock()
-	if d == nil {
+	if p == nil {
 		return nil
 	}
-	return d.Close()
+	return p.Close()
 }
 
 // Submit runs one inference through the serving runtime, blocking until
@@ -77,31 +89,31 @@ func (e *Engine) Shutdown() error {
 // concurrent use; each caller gets exactly its own result. Every call
 // that finds the runtime up is one request of the engine's
 // protocol.Lifecycle under the sequence number it reserves from the
-// dispatcher, the ID its stages key the permutation state by: admitted
-// (or shed), run, and finished with exactly one outcome. A request that fails inside the pipeline
+// pipeline, the ID its stages key the permutation state by: admitted, run,
+// and finished with exactly one outcome. A request that fails inside the pipeline
 // returns the stage's *stream.StageError, which wraps the handler's error
 // (an input outside the model's input domain fails the encrypt stage with
 // the data provider's *protocol.InputRangeError), while other in-flight
 // requests proceed undisturbed.
 //
 // A request the pipeline accepted finishes when it leaves the pipeline,
-// on the dispatcher's reader and with its real outcome, whether or not
+// on the pipeline's reader and with its real outcome, whether or not
 // its submitter is still waiting: a ctx expiry returns at once, while the
-// request keeps its admission slot and permutation state until then. A
+// request keeps its window slot and permutation state until then. A
 // request that ends before the pipeline accepts it finishes here.
 func (e *Engine) Submit(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *stream.Trace, error) {
 	e.serveMu.Lock()
-	d := e.disp
+	p := e.pipe
 	e.serveMu.Unlock()
-	if d == nil {
+	if p == nil {
 		return nil, nil, ErrNotServing
 	}
-	seq := d.Reserve()
+	seq := p.Reserve()
 	req, err := e.life.Admit(seq, "", time.Now())
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := d.Submit(ctx, seq, x, func(m *stream.Message) {
+	f, err := p.Submit(ctx, seq, x, func(m *stream.Message) {
 		_, _, err := result(m)
 		e.life.Finish(req, err)
 	})

@@ -66,7 +66,7 @@ func TestEngineServeConcurrentSubmitters(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	snap := eng.Stats()
+	snap := eng.Registry().Snapshot()
 	if snap.Counters["serve.requests.ok"] != uint64(len(inputs)) {
 		t.Errorf("serve.requests.ok = %d, want %d", snap.Counters["serve.requests.ok"], len(inputs))
 	}
@@ -126,55 +126,8 @@ func TestEngineServeErrorIsolation(t *testing.T) {
 	if stageErr.Stage != "linear-0" {
 		t.Errorf("failed stage %q, want linear-0", stageErr.Stage)
 	}
-	if got := eng.Stats().Counters["serve.requests.err"]; got != 1 {
+	if got := eng.Registry().Snapshot().Counters["serve.requests.err"]; got != 1 {
 		t.Errorf("serve.requests.err = %d", got)
-	}
-}
-
-// TestEngineServeSheds: with MaxInFlight 1, a Submit arriving while the
-// only slot is held fails fast with a retryable error matching
-// protocol.ErrShed — and is counted — instead of queueing; freeing the
-// slot admits again.
-func TestEngineServeSheds(t *testing.T) {
-	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, Window: 8, MaxInFlight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := eng.Serve(ctx); err != nil {
-		t.Fatal(err)
-	}
-	x := randInputs(1)[0]
-	// Occupy the only slot as a stand-in for a long-running request.
-	if err := eng.shed.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = eng.Submit(ctx, x)
-	if !errors.Is(err, protocol.ErrShed) {
-		t.Fatalf("submit over the in-flight bound: %v, want ErrShed", err)
-	}
-	if !protocol.Retryable(err) {
-		t.Error("shed rejection must be retryable")
-	}
-	if got := eng.Stats().Counters["serve.requests.shed"]; got != 1 {
-		t.Errorf("serve.requests.shed = %d", got)
-	}
-	eng.shed.Release()
-	if _, _, err := eng.Submit(ctx, x); err != nil {
-		t.Fatalf("submit after slot freed: %v", err)
-	}
-	// The shedder survives a Shutdown/Serve cycle (its latency window and
-	// gauge registration are engine-scoped, not per-Serve).
-	if err := eng.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Serve(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.Submit(ctx, x); err != nil {
-		t.Fatalf("submit after restart: %v", err)
 	}
 }
 
@@ -240,15 +193,15 @@ func TestInferStreamLeaksNoGoroutines(t *testing.T) {
 // TestEngineSubmitRefusesOutOfRangeInput: an input outside the model's
 // declared domain gets its one terminal outcome — the data provider's
 // typed *protocol.InputRangeError from the encrypt stage, counted as a
-// failed request — before anything is encrypted: no shed slot or window
-// permit is held afterwards (both are 1 here, so a leak would fail the next
+// failed request — before anything is encrypted: no window slot is held
+// afterwards (the window is 1 here, so a leak would block the next
 // request), the encrypt stage counts one failure per refusal and meters no
 // Paillier operation, and the engine keeps serving. The sequential walk
 // refuses the same input the same way.
 func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 	net := smallNet(t)
 	net.InputMax = 3
-	eng, err := NewEngine(net, key(t), Options{Factor: 1000, Window: 1, MaxInFlight: 1})
+	eng, err := NewEngine(net, key(t), Options{Factor: 1000, Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +211,7 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 	if err := eng.Serve(ctx); err != nil {
 		t.Fatal(err)
 	}
-	failed := func() int64 { return eng.Stats().Gauges["stage.encrypt.errors"] }
+	failed := func() int64 { return eng.Registry().Snapshot().Gauges["stage.encrypt.errors"] }
 	before := failed()
 	for i, bad := range []*tensor.Dense{
 		tensor.MustFromSlice([]float64{0, 0, 3.5, 0}, 4),
@@ -285,7 +238,7 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 			t.Errorf("InferOne(out of domain %d) = %v, want an *InputRangeError", i, err)
 		}
 	}
-	snap := eng.Stats()
+	snap := eng.Registry().Snapshot()
 	if snap.Counters["serve.requests.err"] != 3 || snap.Counters["serve.requests.shed"] != 0 || snap.Gauges["serve.inflight"] != 0 {
 		t.Errorf("after 3 refused requests: %d counted as err, %d as shed, %d in flight",
 			snap.Counters["serve.requests.err"], snap.Counters["serve.requests.shed"], snap.Gauges["serve.inflight"])
@@ -299,32 +252,40 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 }
 
 // TestEngineSubmitEarlyEndsSpareRequestZero: a Submit that ends early —
-// shed before the pipeline accepts it, or refused for its input by the
-// encrypt stage — finishes under its own reserved sequence number, so it
-// must not drop the permutation state of the request that holds ID 0, the
-// first good one after every Serve.
+// given up at the saturated window or the intake edge before the pipeline
+// accepts it, or refused for its input by the encrypt stage — finishes
+// under its own reserved sequence number, so it must not drop the
+// permutation state of the request that holds ID 0, the first good one
+// after every Serve.
 func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 	net := smallNet(t)
 	net.InputMax = 3
-	eng, err := NewEngine(net, key(t), Options{Factor: 1000, Window: 4, MaxInFlight: 2})
+	eng, err := NewEngine(net, key(t), Options{Factor: 1000, Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	gaveUp, giveUp := context.WithCancel(ctx)
+	giveUp()
 	good := tensor.MustFromSlice([]float64{3, -3, 0.5, 0}, 4)
 	bad := tensor.MustFromSlice([]float64{0, 0, 3.5, 0}, 4)
 	for trial := 0; trial < 10; trial++ {
 		if err := eng.Serve(ctx); err != nil {
 			t.Fatal(err)
 		}
-		// Four submitters of a refused input against two admission slots:
-		// each attempt ends early, as err when it gets a slot and as shed
-		// when it does not, and never holds permutation state.
+		// Four submitters of a refused input against two window slots, half
+		// of them already given up: each attempt ends early, as err when
+		// the encrypt stage refuses it and as its cancelled ctx when it is
+		// abandoned, and never holds permutation state.
 		stop := make(chan struct{})
 		var early sync.WaitGroup
 		for g := 0; g < 4; g++ {
+			subCtx := ctx
+			if g%2 == 0 {
+				subCtx = gaveUp
+			}
 			early.Add(1)
 			go func() {
 				defer early.Done()
@@ -335,7 +296,7 @@ func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 					default:
 					}
 					var rangeErr *protocol.InputRangeError
-					if _, _, err := eng.Submit(ctx, bad); !errors.As(err, &rangeErr) && !errors.Is(err, protocol.ErrShed) {
+					if _, _, err := eng.Submit(subCtx, bad); !errors.As(err, &rangeErr) && !errors.Is(err, context.Canceled) {
 						t.Errorf("refused input: %v", err)
 						return
 					}
@@ -343,9 +304,6 @@ func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 			}()
 		}
 		_, _, err := eng.Submit(ctx, good)
-		for errors.Is(err, protocol.ErrShed) {
-			_, _, err = eng.Submit(ctx, good)
-		}
 		close(stop)
 		early.Wait()
 		if err != nil {
@@ -360,9 +318,9 @@ func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 // TestEngineSubmitAbandoned: a submitter whose ctx is cancelled while its
 // request is inside the pipeline gets the ctx error at once, but the
 // request still reaches exactly one outcome — its real one, when it leaves
-// the pipeline — and only then gives back the one admission slot.
+// the pipeline — and only then gives back the one window slot.
 func TestEngineSubmitAbandoned(t *testing.T) {
-	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, Window: 8, MaxInFlight: 1})
+	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,9 +330,10 @@ func TestEngineSubmitAbandoned(t *testing.T) {
 	if err := eng.Serve(ctx); err != nil {
 		t.Fatal(err)
 	}
+	snapshot := eng.Registry().Snapshot
 	subCtx, abandon := context.WithCancel(ctx)
 	go func() {
-		for eng.Stats().Gauges["serve.inflight"] == 0 && subCtx.Err() == nil {
+		for snapshot().Gauges["serve.inflight"] == 0 && subCtx.Err() == nil {
 			runtime.Gosched()
 		}
 		abandon()
@@ -387,14 +346,14 @@ func TestEngineSubmitAbandoned(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap := eng.Stats()
-		if snap.Counters["serve.requests.ok"] == 1 && snap.Gauges["requests.active"] == 0 && eng.shed.InFlight() == 0 {
+		snap := snapshot()
+		if snap.Counters["serve.requests.ok"] == 1 && snap.Gauges["requests.active"] == 0 && snap.Gauges["serve.inflight"] == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("abandoned request never finished ok: %d ok, %d err, %d active, %d slots held",
+			t.Fatalf("abandoned request never finished ok: %d ok, %d err, %d active, %d in flight",
 				snap.Counters["serve.requests.ok"], snap.Counters["serve.requests.err"],
-				snap.Gauges["requests.active"], eng.shed.InFlight())
+				snap.Gauges["requests.active"], snap.Gauges["serve.inflight"])
 		}
 		time.Sleep(time.Millisecond)
 	}

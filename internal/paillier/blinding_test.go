@@ -193,7 +193,7 @@ func TestKeyHolderRandFailureSurfaces(t *testing.T) {
 		t.Errorf("failed EncryptTensor metered %+v", st)
 	}
 
-	p := NewPrivatePool(k, dead, 2, 1)
+	p := newPool(&k.PublicKey, k.sampler(dead), 2, 1, nil)
 	defer p.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for p.Retries() == 0 && time.Now().Before(deadline) {
@@ -212,7 +212,7 @@ func TestKeyHolderRandFailureSurfaces(t *testing.T) {
 // misses both come from the CRT sampler and both decrypt correctly.
 func TestPrivatePoolConcurrentEncrypt(t *testing.T) {
 	k := key(t)
-	p := NewPrivatePool(k, nil, 8, 2)
+	p := newPool(&k.PublicKey, k.sampler(nil), 8, 2, nil)
 	defer p.Close()
 	const callers, each = 6, 40
 	var wg sync.WaitGroup

@@ -277,7 +277,7 @@ func TestEncryptTensorCost(t *testing.T) {
 		t.Fatalf("public cost = %+v, want %+v", got, want)
 	}
 
-	p := NewPrivatePool(k, nil, 4, 1)
+	p := newPool(&k.PublicKey, k.sampler(nil), 4, 1, nil)
 	defer p.Close()
 	var pm obs.CostMeter
 	if _, err := EncryptTensor(&k.PublicKey, p, in, 1, &pm); err != nil {

@@ -15,9 +15,7 @@ import (
 // the r^n exponentiation off-path is one of the practical optimizations
 // the streaming design enables: blinding factors are produced while other
 // pipeline stages run. The model provider's linear kernel draws from its
-// own Pool to re-randomize its outputs (Pool implements Blinder). A Pool
-// precomputes with the sampler of whoever built it: NewPool for a party
-// that knows only n, NewPrivatePool for the key holder.
+// own Pool to re-randomize its outputs (Pool implements Blinder).
 type Pool struct {
 	pk           *PublicKey
 	src          sampler
@@ -34,9 +32,9 @@ type PoolOption func(*Pool)
 
 // WithPrecomputeHook registers fn to be called once per blinding factor
 // the fill workers precompute in the background, with the number of
-// exponentiations it cost (one full r^n under NewPool, two half-size
-// ones under NewPrivatePool). That work never shows up in any
-// request's cost meter (it happens off-path, before the request that
+// exponentiations it cost (one full r^n from the public key, two
+// half-size ones from the key holder's CRT sampler). That work never shows
+// up in any request's cost meter (it happens off-path, before the request that
 // will consume it exists), so the serving plane uses this hook to charge
 // those exponentiations into the process-wide "cost.modexps" counter —
 // otherwise a warm pool makes the server's modexp accounting read zero
@@ -51,14 +49,6 @@ func WithPrecomputeHook(fn func(n uint64)) PoolOption {
 // r^n exponentiation each). Close must be called to release the workers.
 func NewPool(pk *PublicKey, random io.Reader, size, workers int, opts ...PoolOption) *Pool {
 	return newPool(pk, pk.sampler(random), size, workers, opts)
-}
-
-// NewPrivatePool is NewPool for the key holder: the fill workers and the
-// inline fallback on an empty buffer both draw from the CRT sampler (see
-// PrivateKey.freshBlinding), so no encryption by the data provider pays
-// the public-key price whether or not it hits the pool.
-func NewPrivatePool(sk *PrivateKey, random io.Reader, size, workers int, opts ...PoolOption) *Pool {
-	return newPool(&sk.PublicKey, sk.sampler(random), size, workers, opts)
 }
 
 func newPool(pk *PublicKey, src sampler, size, workers int, opts []PoolOption) *Pool {

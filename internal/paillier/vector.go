@@ -29,8 +29,8 @@ type CipherTensor = tensor.Tensor[*Ciphertext]
 // one blinding factor per element from b and parallelizing across
 // workers goroutines (0 means GOMAXPROCS). Encryption dominates the data
 // provider's cost (paper Fig. 1), so this is the hottest path on that
-// side; the key holder passes its own Blinder (PrivateKey.Blinder or a
-// NewPrivatePool) and never pays r^n mod n². m, when non-nil, receives
+// side; the key holder passes its own Blinder (PrivateKey.Blinder) and
+// never pays r^n mod n². m, when non-nil, receives
 // the crypto-op counts: the encryptions and their two modular
 // multiplications each, the exponentiations of every factor computed
 // inline, and — when b is a Pool — its hits and misses.

@@ -99,11 +99,6 @@ type Config struct {
 	// Workers is the default thread count used by stages when no
 	// per-stage plan overrides it.
 	Workers int
-	// Pool, when non-nil, provides precomputed encryption blinding for
-	// the data provider's encryption and re-encryption steps. It belongs
-	// to the key holder: build it with paillier.NewPrivatePool. Without
-	// one the data provider computes each factor inline from its key.
-	Pool *paillier.Pool
 }
 
 // Protocol binds a model provider and a data provider for one scaled
@@ -246,9 +241,6 @@ func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, stages []qnn
 		inputMax:  inputMax,
 		workers:   cfg.Workers,
 		blind:     sk.Blinder(nil),
-	}
-	if cfg.Pool != nil {
-		dp.blind = cfg.Pool
 	}
 	for r, st := range stages {
 		m := merged[2*r+1]
@@ -680,7 +672,7 @@ type DataProvider struct {
 	inputMax float64
 	workers  int
 	// blind is the one source of encryption blinding: the key holder's
-	// inline CRT sampler, or the key holder's Pool when one is configured.
+	// inline CRT sampler.
 	blind  paillier.Blinder
 	stages []*nonLinearStage
 }
@@ -699,9 +691,8 @@ func (dp *DataProvider) SetStageThreads(r, threads int) error {
 
 // EncryptMetered performs step 1.1: scale the raw input to exponent 1 and
 // encrypt it element-wise, accounting crypto ops into m (nil skips
-// accounting): encryption counts, blinding-pool hits/misses, and the two
-// half-size exponentiations of every blinding factor the key holder
-// computes inline.
+// accounting): encryption counts and the two half-size exponentiations of
+// every blinding factor the key holder computes inline.
 //
 // The honest-client contract is checked first, before any encryption:
 // every element of x must be a number inside the network's declared input

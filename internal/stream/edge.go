@@ -33,9 +33,9 @@ type channelEdge struct {
 	closeOnce sync.Once
 }
 
-// NewChannelEdge creates an in-process edge with the given buffer depth
+// newChannelEdge creates an in-process edge with the given buffer depth
 // (minimum 1). The bound provides back-pressure between pipeline stages.
-func NewChannelEdge(buffer int) Edge {
+func newChannelEdge(buffer int) *channelEdge {
 	if buffer < 1 {
 		buffer = 1
 	}
@@ -66,13 +66,6 @@ func (e *channelEdge) Recv(ctx context.Context) (*Message, error) {
 func (e *channelEdge) CloseSend() error {
 	e.closeOnce.Do(func() { close(e.ch) })
 	return nil
-}
-
-// depthReporter is the optional interface edges implement to expose
-// their queue occupancy for gauges (see Pipeline.Instrument).
-type depthReporter interface {
-	// Depth returns the current queued message count.
-	Depth() int64
 }
 
 // Depth reports the channel edge's occupancy.

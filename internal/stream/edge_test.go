@@ -19,7 +19,7 @@ import (
 )
 
 func TestChannelEdgeBackpressure(t *testing.T) {
-	e := NewChannelEdge(1)
+	e := newChannelEdge(1)
 	ctx := context.Background()
 	if err := e.Send(ctx, &Message{Seq: 1}); err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestChannelEdgeBackpressure(t *testing.T) {
 }
 
 func TestChannelEdgeCloseIdempotent(t *testing.T) {
-	e := NewChannelEdge(1)
+	e := newChannelEdge(1)
 	if err := e.CloseSend(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestChannelEdgeCloseIdempotent(t *testing.T) {
 }
 
 func TestRecvCancelled(t *testing.T) {
-	e := NewChannelEdge(1)
+	e := newChannelEdge(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.Recv(ctx); !errors.Is(err, context.Canceled) {
@@ -170,23 +170,6 @@ func TestTCPEdgeCountersAndFailureMetadata(t *testing.T) {
 	}
 	if s.Counters["server.frames_sent"] != 0 || s.Counters["client.frames_recv"] != 0 {
 		t.Error("reverse-direction frame counters moved on a one-way edge")
-	}
-}
-
-func TestAssembleValidation(t *testing.T) {
-	if _, err := Assemble(nil, NewChannelEdge(1), NewChannelEdge(1)); err == nil {
-		t.Error("empty stage list accepted")
-	}
-	h := HandlerFunc{StageName: "s", Fn: func(_ context.Context, m *Message) (*Message, error) { return m, nil }}
-	st, err := NewStage("s", h, NewChannelEdge(1), NewChannelEdge(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Assemble([]*Stage{st}, nil, NewChannelEdge(1)); err == nil {
-		t.Error("nil boundary edge accepted")
-	}
-	if st.Name() != "s" {
-		t.Errorf("stage name %q", st.Name())
 	}
 }
 

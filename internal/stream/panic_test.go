@@ -9,32 +9,15 @@ import (
 // TestPanicContainment verifies that a panicking handler fails only its
 // request: the stage survives and keeps serving the stream.
 func TestPanicContainment(t *testing.T) {
-	h := HandlerFunc{StageName: "panicky", Fn: func(_ context.Context, m *Message) (*Message, error) {
+	h := Stage{Name: "panicky", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		if m.Payload.(int) == 2 {
 			panic("boom on request 2")
 		}
 		return m, nil
 	}}
-	p, err := NewPipeline(2, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := p.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for i := 0; i < 5; i++ {
-			p.Submit(ctx, i)
-		}
-		p.Close()
-	}()
+	p := newTestPipeline(t, nil, h)
 	var failed, ok int
-	for i := 0; i < 5; i++ {
-		m, err := p.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, m := range submitAll(t, p, 0, 1, 2, 3, 4) {
 		if m.Err != nil {
 			failed++
 			if msg := m.Err.Error(); !strings.Contains(msg, "panic") || !strings.Contains(msg, "boom") {
@@ -47,7 +30,7 @@ func TestPanicContainment(t *testing.T) {
 	if failed != 1 || ok != 4 {
 		t.Errorf("failed=%d ok=%d, want 1/4 — panic not contained to its request", failed, ok)
 	}
-	if err := p.Wait(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatalf("pipeline died from a handler panic: %v", err)
 	}
 }

@@ -10,22 +10,19 @@ import (
 	"time"
 )
 
-// dispPipeline builds a two-stage pipeline: double then add-one. A
-// negative input makes the first stage fail, exercising per-request
-// error routing.
-func dispPipeline(t *testing.T) *Pipeline {
+// dispPipeline starts a two-stage pipeline, double then add-one, under
+// ctx with the given in-flight window. A negative input makes the first
+// stage fail, exercising per-request error routing.
+func dispPipeline(ctx context.Context, t *testing.T, window int) *Pipeline {
 	t.Helper()
-	double := HandlerFunc{StageName: "double", Fn: func(_ context.Context, m *Message) (*Message, error) {
+	double := Stage{Name: "double", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		v := m.Payload.(int)
 		if v < 0 {
 			return nil, fmt.Errorf("negative input %d", v)
 		}
 		return &Message{Payload: v * 2}, nil
 	}}
-	inc := HandlerFunc{StageName: "inc", Fn: func(_ context.Context, m *Message) (*Message, error) {
-		return &Message{Payload: m.Payload.(int) + 1}, nil
-	}}
-	p, err := NewPipeline(2, double, inc)
+	p, err := NewPipeline(ctx, window, nil, double, addStage("inc", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +34,7 @@ func dispPipeline(t *testing.T) *Pipeline {
 func TestDispatcherConcurrentSubmitters(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	d, err := NewDispatcher(ctx, dispPipeline(t), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dispPipeline(ctx, t, 0)
 	const n = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -49,7 +43,12 @@ func TestDispatcherConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, err := d.Do(ctx, i)
+			f, err := d.Submit(ctx, d.Reserve(), i, nil)
+			if err != nil {
+				errs <- err
+				return
+			}
+			m, err := f.Wait(ctx)
 			if err != nil {
 				errs <- err
 				return
@@ -81,10 +80,7 @@ func TestDispatcherConcurrentSubmitters(t *testing.T) {
 func TestDispatcherErrorIsolation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	d, err := NewDispatcher(ctx, dispPipeline(t), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dispPipeline(ctx, t, 4)
 	defer d.Close()
 
 	bad, err := d.Submit(ctx, d.Reserve(), -7, nil)
@@ -118,7 +114,7 @@ func TestDispatcherWindowBounds(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	gate := make(chan struct{})
-	stall := HandlerFunc{StageName: "stall", Fn: func(ctx context.Context, m *Message) (*Message, error) {
+	stall := Stage{Name: "stall", Fn: func(ctx context.Context, m *Message) (*Message, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():
@@ -126,11 +122,7 @@ func TestDispatcherWindowBounds(t *testing.T) {
 		}
 		return &Message{Payload: m.Payload}, nil
 	}}
-	p, err := NewPipeline(1, stall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDispatcher(ctx, p, 2)
+	d, err := NewPipeline(ctx, 2, nil, stall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +152,7 @@ func TestDispatcherWindowBounds(t *testing.T) {
 func TestDispatcherClose(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	d, err := NewDispatcher(ctx, dispPipeline(t), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dispPipeline(ctx, t, 0)
 	f, err := d.Submit(ctx, d.Reserve(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +169,7 @@ func TestDispatcherClose(t *testing.T) {
 	if err := <-closeErr; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Submit(ctx, d.Reserve(), 4, nil); !errors.Is(err, ErrDispatcherClosed) {
+	if _, err := d.Submit(ctx, d.Reserve(), 4, nil); !errors.Is(err, errClosed) {
 		t.Errorf("submit after close: %v", err)
 	}
 }
@@ -192,11 +181,7 @@ func TestDispatcherClose(t *testing.T) {
 func TestDispatcherSubmitCloseRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		d, err := NewDispatcher(ctx, dispPipeline(t), 4)
-		if err != nil {
-			cancel()
-			t.Fatal(err)
-		}
+		d := dispPipeline(ctx, t, 4)
 		const n = 16
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -211,8 +196,8 @@ func TestDispatcherSubmitCloseRace(t *testing.T) {
 					return // lost the race with Close: acceptable
 				}
 				// Wait must terminate: with a result before the close
-				// barrier, or the dispatcher's terminal error.
-				if _, err := f.Wait(ctx); err != nil && !errors.Is(err, ErrDispatcherClosed) {
+				// barrier, or the pipeline's terminal error.
+				if _, err := f.Wait(ctx); err != nil && !errors.Is(err, errClosed) {
 					t.Errorf("wait: %v", err)
 				}
 			}()
@@ -238,15 +223,11 @@ func TestDispatcherSubmitCloseRace(t *testing.T) {
 func TestDispatcherFailReleasesWindow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stall := HandlerFunc{StageName: "stall", Fn: func(ctx context.Context, m *Message) (*Message, error) {
+	stall := Stage{Name: "stall", Fn: func(ctx context.Context, m *Message) (*Message, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}}
-	p, err := NewPipeline(1, stall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDispatcher(ctx, p, 1)
+	d, err := NewPipeline(ctx, 1, nil, stall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +247,7 @@ func TestDispatcherFailReleasesWindow(t *testing.T) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			t.Fatal("Submit hung on a window slot the failed reader will never release")
 		}
-		break // terminal dispatcher error: the fix works
+		break // terminal pipeline error: the fix works
 	}
 }
 
@@ -277,10 +258,7 @@ func TestDispatcherFailReleasesWindow(t *testing.T) {
 func TestDispatcherDoneHook(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	d, err := NewDispatcher(ctx, dispPipeline(t), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dispPipeline(ctx, t, 0)
 	var calls atomic.Int64
 	waited, err := d.Submit(ctx, d.Reserve(), 5, func(m *Message) { calls.Add(int64(m.Payload.(int))) })
 	if err != nil {
@@ -303,26 +281,24 @@ func TestDispatcherDoneHook(t *testing.T) {
 	defer stop()
 	release := make(chan struct{}) // holds the request inside while the reader dies
 	defer close(release)
-	p, err := NewPipeline(1, HandlerFunc{StageName: "stall", Fn: func(_ context.Context, m *Message) (*Message, error) {
+	d, err = NewPipeline(stallCtx, 0, nil, Stage{Name: "stall", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		<-release
 		return m, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, err = NewDispatcher(stallCtx, p, 0); err != nil {
-		t.Fatal(err)
-	}
 	stranded := make(chan *Message, 2)
-	f, err := d.Submit(ctx, d.Reserve(), 1, func(m *Message) { stranded <- m })
+	seq := d.Reserve()
+	f, err := d.Submit(ctx, seq, 1, func(m *Message) { stranded <- m })
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop()
 	if _, err := f.Wait(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stranded waiter: %v, want the dispatcher's terminal error", err)
+		t.Fatalf("stranded waiter: %v, want the pipeline's terminal error", err)
 	}
-	if m := <-stranded; m.Seq != f.Seq() || m.Err == nil || len(stranded) != 0 {
-		t.Errorf("stranded request's done saw %+v (%d more calls), want one message with Seq %d and the terminal error", m, len(stranded), f.Seq())
+	if m := <-stranded; m.Seq != seq || m.Err == nil || len(stranded) != 0 {
+		t.Errorf("stranded request's done saw %+v (%d more calls), want one message with Seq %d and the terminal error", m, len(stranded), seq)
 	}
 }

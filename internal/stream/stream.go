@@ -5,9 +5,9 @@
 // parallelize tensor processing inside one request, while different
 // requests occupy different stages simultaneously (pipeline parallelism).
 //
-// Stages connect through Edges. The in-process edge is a bounded channel;
-// the TCP edge carries wire-format v1 frames (wire.go) between servers, so
-// the same pipeline runs single-process or genuinely distributed.
+// Stages connect through Edges. Inside one process a Pipeline joins its
+// stages with bounded channels; the TCP edge carries wire-format v1 frames
+// (wire.go) between servers.
 package stream
 
 import (
@@ -91,117 +91,147 @@ func (t *Trace) Total() time.Duration {
 	return d
 }
 
-// Handler processes one message. Implementations parallelize internally
-// across the stage's worker threads.
-type Handler interface {
-	// Name identifies the handler for logs and metrics.
-	Name() string
-	// Process consumes a message and produces the next one. It must be
-	// safe to call sequentially from the stage's dispatch goroutine.
-	Process(ctx context.Context, m *Message) (*Message, error)
-}
-
-// HandlerFunc adapts a function to Handler.
-type HandlerFunc struct {
-	StageName string
-	Fn        func(ctx context.Context, m *Message) (*Message, error)
-}
-
-// Name implements Handler.
-func (h HandlerFunc) Name() string { return h.StageName }
-
-// Process implements Handler.
-func (h HandlerFunc) Process(ctx context.Context, m *Message) (*Message, error) {
-	return h.Fn(ctx, m)
-}
-
-// Metrics aggregates a stage's runtime counters. All fields are updated
-// atomically and may be read concurrently.
-type Metrics struct {
-	Processed atomic.Uint64
-	Errors    atomic.Uint64
-	// BusyNanos accumulates handler execution time.
-	BusyNanos atomic.Int64
-	// WaitNanos accumulates time messages spent queued before this
-	// stage.
-	WaitNanos atomic.Int64
-}
-
-// Snapshot returns a plain-values copy.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		Processed: m.Processed.Load(),
-		Errors:    m.Errors.Load(),
-		Busy:      time.Duration(m.BusyNanos.Load()),
-		Wait:      time.Duration(m.WaitNanos.Load()),
-	}
-}
-
-// MetricsSnapshot is a point-in-time view of stage metrics.
-type MetricsSnapshot struct {
-	Processed uint64
-	Errors    uint64
-	Busy      time.Duration
-	Wait      time.Duration
-}
-
-// Stage runs a handler between an input and an output edge.
+// Stage is one step of a Pipeline: the name its spans, metrics and profile
+// labels carry, and the handler that turns a request's message into its
+// next one. Fn is called from the stage's one goroutine, a message at a
+// time; it parallelizes internally across the stage's worker threads.
 type Stage struct {
-	name    string
-	handler Handler
-	in      Edge
-	out     Edge
-	metrics Metrics
-	// Optional obs instrumentation (set via Instrument before Start):
-	// latency histograms feeding p50/p95/p99 snapshots; the busy one also
-	// keeps its last minute, so /debug/live shows which stage is hot right
-	// now rather than averaged over the process lifetime.
-	waitHist *obs.Histogram
-	busyHist *obs.Histogram
+	Name string
+	Fn   func(ctx context.Context, m *Message) (*Message, error)
 }
 
-// NewStage creates a stage. Both edges must be non-nil.
-func NewStage(name string, h Handler, in, out Edge) (*Stage, error) {
-	if h == nil {
-		return nil, fmt.Errorf("stream: stage %s has no handler", name)
-	}
-	if in == nil || out == nil {
-		return nil, fmt.Errorf("stream: stage %s needs both edges", name)
-	}
-	return &Stage{name: name, handler: h, in: in, out: out}, nil
+// edgeDepth is the buffer of every edge inside a Pipeline: how far a stage
+// may run ahead of its slower neighbour before it blocks.
+const edgeDepth = 4
+
+// errClosed ends a Submit after Close, and a Future whose pipeline stopped
+// without its request.
+var errClosed = errors.New("stream: pipeline closed")
+
+// Pipeline is the in-process streaming runtime: a chain of stages, each on
+// its own goroutine, joined by bounded channel edges, plus a completion
+// reader that hands every request leaving the last stage to its own
+// submitter. Any number of goroutines Submit with their own context and
+// receive their own result (or error) through a Future, so requests from
+// independent submitters interleave freely inside the pipeline.
+type Pipeline struct {
+	in  *channelEdge
+	seq atomic.Uint64
+	// window, when non-nil, bounds concurrently in-flight requests: a
+	// slot is taken at Submit and released when the request leaves the
+	// pipeline (not when the waiter collects it), so abandoned waiters
+	// cannot grow the in-flight set beyond the bound.
+	window   chan struct{}
+	inflight atomic.Int64
+
+	mu      sync.Mutex
+	pending map[uint64]waiter
+	err     error
+	closed  bool
+	// submitting counts Submit calls past the closed-check that have not
+	// yet finished enqueuing. Close waits for them before closing the
+	// intake edge, so a Submit that won the admission race can never send
+	// on a closed edge.
+	submitting sync.WaitGroup
+
+	// down is closed when the reader terminates, so window waiters
+	// unblock even though the slots held by requests stranded inside will
+	// never be released.
+	down     chan struct{}
+	downOnce sync.Once
+
+	// stopped is closed once the reader and every stage have returned.
+	stopped chan struct{}
 }
 
-// Name returns the stage name.
-func (s *Stage) Name() string { return s.name }
-
-// Metrics exposes the stage's counters.
-func (s *Stage) Metrics() *Metrics { return &s.metrics }
-
-// Instrument publishes the stage's queue-wait and busy-time latency
-// histograms to reg as "stage.<name>.wait" and "stage.<name>.busy", the
-// latter with its live view, and its handler failures as the
-// "stage.<name>.errors" gauge. Must be called before the pipeline starts.
-func (s *Stage) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.waitHist = reg.Histogram("stage." + s.name + ".wait")
-	s.busyHist = reg.LiveHistogram("stage." + s.name + ".busy")
-	reg.GaugeFunc("stage."+s.name+".errors", func() int64 { return int64(s.metrics.Errors.Load()) })
+// waiter is one in-flight request's completion route: the channel its
+// Future reads and the hook its submitter registered, if any.
+type waiter struct {
+	ch   chan *Message
+	done func(*Message)
 }
 
-// run dispatches messages until the input edge closes or ctx is
-// cancelled. A handler error converts the message into an errored one
-// that keeps flowing so the submitter sees the failure; the stage keeps
-// serving subsequent requests (fault containment).
-func (s *Stage) run(ctx context.Context) error {
+// stage is a Stage at run time: its edges and its instruments.
+type stage struct {
+	Stage
+	in, out *channelEdge
+	errors  atomic.Int64
+	// wait and busy feed p50/p95/p99 snapshots; busy also keeps its last
+	// minute, so /debug/live shows which stage is hot right now rather
+	// than averaged over the process lifetime. Both are nil without a
+	// registry and then observe nothing.
+	wait, busy *obs.Histogram
+}
+
+// NewPipeline starts one goroutine per stage, in the order given, and the
+// completion reader. window > 0 bounds the number of concurrently
+// in-flight requests (backpressure for submitters beyond the edges' own
+// buffers); window <= 0 leaves admission unbounded. ctx governs every
+// goroutine the pipeline starts.
+//
+// reg, when non-nil, receives each stage's queue-wait and busy-time
+// latency histograms as "stage.<name>.wait" and "stage.<name>.busy" (the
+// latter with its live view), its handler failures as the
+// "stage.<name>.errors" gauge, and the queue depths of its input edge and
+// of the last edge as "edge.<name>.in.depth" and "edge.out.depth".
+func NewPipeline(ctx context.Context, window int, reg *obs.Registry, stages ...Stage) (*Pipeline, error) {
+	if len(stages) == 0 {
+		return nil, errors.New("stream: pipeline needs at least one stage")
+	}
+	for _, s := range stages {
+		if s.Fn == nil {
+			return nil, fmt.Errorf("stream: stage %s has no handler", s.Name)
+		}
+	}
+	p := &Pipeline{
+		in:      newChannelEdge(edgeDepth),
+		pending: map[uint64]waiter{},
+		down:    make(chan struct{}),
+		stopped: make(chan struct{}),
+	}
+	if window > 0 {
+		p.window = make(chan struct{}, window)
+	}
+	var wg sync.WaitGroup
+	edge := p.in
+	for _, s := range stages {
+		st := &stage{
+			Stage: s, in: edge, out: newChannelEdge(edgeDepth),
+			wait: reg.Histogram("stage." + s.Name + ".wait"),
+			busy: reg.LiveHistogram("stage." + s.Name + ".busy"),
+		}
+		reg.GaugeFunc("stage."+s.Name+".errors", st.errors.Load)
+		reg.GaugeFunc("edge."+s.Name+".in.depth", st.in.Depth)
+		edge = st.out
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.run(ctx)
+		}()
+	}
+	reg.GaugeFunc("edge.out.depth", edge.Depth)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		p.read(ctx, edge)
+	}()
+	go func() {
+		wg.Wait()
+		close(p.stopped)
+	}()
+	return p, nil
+}
+
+// run handles messages until the input edge closes or ctx ends, then
+// closes its output edge. A handler error converts the message into an
+// errored one that keeps flowing so the submitter sees the failure; the
+// stage keeps serving subsequent requests (fault containment).
+func (s *stage) run(ctx context.Context) {
+	defer s.out.CloseSend()
 	for {
 		m, err := s.in.Recv(ctx)
 		if err != nil {
-			if errors.Is(err, ErrEdgeClosed) || errors.Is(err, context.Canceled) {
-				return s.out.CloseSend()
-			}
-			return fmt.Errorf("stream: stage %s recv: %w", s.name, err)
+			return
 		}
 		var wait time.Duration
 		if !m.Enqueued.IsZero() {
@@ -211,14 +241,11 @@ func (s *Stage) run(ctx context.Context) error {
 		var busy time.Duration
 		if m.Err != nil {
 			// Pass failures through untouched. Their transit time stays
-			// out of WaitNanos/the histograms so error traffic does not
-			// skew the per-stage latency profile of real work.
+			// out of the histograms so error traffic does not skew the
+			// per-stage latency profile of real work.
 			next = m
 		} else {
-			s.metrics.WaitNanos.Add(wait.Nanoseconds())
-			if s.waitHist != nil {
-				s.waitHist.Observe(wait)
-			}
+			s.wait.Observe(wait)
 			start := time.Now()
 			var out *Message
 			var perr error
@@ -226,7 +253,7 @@ func (s *Stage) run(ctx context.Context) error {
 			// samples taken while this stage works a message carry the stage
 			// name (and the request's trace ID when traced), so a pprof
 			// capture splits time by stage without guessing from stacks.
-			labels := []string{"stage", s.name}
+			labels := []string{"stage", s.Name}
 			if m.Trace != nil && m.Trace.ID != "" {
 				labels = append(labels, "trace", m.Trace.ID)
 			}
@@ -234,29 +261,22 @@ func (s *Stage) run(ctx context.Context) error {
 				out, perr = s.process(ctx, m)
 			})
 			busy = time.Since(start)
-			s.metrics.BusyNanos.Add(busy.Nanoseconds())
-			if s.busyHist != nil {
-				s.busyHist.Observe(busy)
-			}
+			s.busy.Observe(busy)
 			if perr != nil {
-				s.metrics.Errors.Add(1)
-				next = &Message{Seq: m.Seq, Err: &StageError{Stage: s.name, Err: perr}}
+				s.errors.Add(1)
+				next = &Message{Seq: m.Seq, Err: &StageError{Stage: s.Name, Err: perr}}
 			} else {
-				s.metrics.Processed.Add(1)
 				next = out
 				next.Seq = m.Seq
 			}
 		}
 		if m.Trace != nil {
 			next.Trace = m.Trace
-			next.Trace.Spans = append(next.Trace.Spans, Span{Stage: s.name, Wait: wait, Busy: busy})
+			next.Trace.Spans = append(next.Trace.Spans, Span{Stage: s.Name, Wait: wait, Busy: busy})
 		}
 		next.Enqueued = time.Now()
-		if err := s.out.Send(ctx, next); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil
-			}
-			return fmt.Errorf("stream: stage %s send: %w", s.name, err)
+		if s.out.Send(ctx, next) != nil {
+			return
 		}
 	}
 }
@@ -265,153 +285,197 @@ func (s *Stage) run(ctx context.Context) error {
 // handler fails only the current request (surfaced as its error), and
 // the stage keeps serving subsequent requests — the fault-containment
 // behaviour the AF-Stream substrate provides in the paper's prototype.
-func (s *Stage) process(ctx context.Context, m *Message) (out *Message, err error) {
+func (s *stage) process(ctx context.Context, m *Message) (out *Message, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
 			err = fmt.Errorf("handler panic: %v", r)
 		}
 	}()
-	return s.handler.Process(ctx, m)
+	return s.Fn(ctx, m)
 }
 
-// Pipeline is an ordered chain of stages fed by Submit and drained by
-// Results.
-type Pipeline struct {
-	stages []*Stage
-	first  Edge
-	last   Edge
-	seq    atomic.Uint64
-
-	mu      sync.Mutex
-	started bool
-	done    chan struct{}
-	runErr  error
-}
-
-// NewPipeline chains handlers with fresh in-process edges of the given
-// buffer depth. For custom (e.g. TCP) edges assemble stages manually and
-// use Assemble.
-func NewPipeline(buffer int, handlers ...Handler) (*Pipeline, error) {
-	if len(handlers) == 0 {
-		return nil, errors.New("stream: pipeline needs at least one stage")
-	}
-	edges := make([]Edge, len(handlers)+1)
-	for i := range edges {
-		edges[i] = NewChannelEdge(buffer)
-	}
-	stages := make([]*Stage, len(handlers))
-	for i, h := range handlers {
-		st, err := NewStage(h.Name(), h, edges[i], edges[i+1])
+// read routes the messages leaving the last edge to their waiters until
+// the stages drain (Close) or ctx ends.
+func (p *Pipeline) read(ctx context.Context, last *channelEdge) {
+	for {
+		m, err := last.Recv(ctx)
 		if err != nil {
-			return nil, err
+			// The stages close the last edge after an orderly drain and
+			// also when ctx stops them: ctx tells the two apart.
+			if ctx.Err() != nil {
+				p.fail(fmt.Errorf("stream: pipeline stopped: %w", ctx.Err()))
+			} else {
+				p.fail(errClosed)
+			}
+			return
 		}
-		stages[i] = st
+		p.inflight.Add(-1)
+		if p.window != nil {
+			<-p.window
+		}
+		p.mu.Lock()
+		w, ok := p.pending[m.Seq]
+		delete(p.pending, m.Seq)
+		p.mu.Unlock()
+		if ok {
+			if w.done != nil {
+				w.done(m)
+			}
+			w.ch <- m // buffered: never blocks the reader
+		}
 	}
-	return Assemble(stages, edges[0], edges[len(edges)-1])
 }
 
-// Assemble builds a pipeline from externally wired stages. first is the
-// edge Submit writes to; last is the edge Results drains.
-func Assemble(stages []*Stage, first, last Edge) (*Pipeline, error) {
-	if len(stages) == 0 {
-		return nil, errors.New("stream: no stages")
+// fail records the terminal error, wakes every waiter, and unblocks
+// window waiters: requests in flight at failure time will never leave
+// the pipeline through the reader, so their slots would otherwise stay
+// occupied forever and later Submits would block on the window without
+// ever seeing the terminal error.
+func (p *Pipeline) fail(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
 	}
-	if first == nil || last == nil {
-		return nil, errors.New("stream: pipeline needs boundary edges")
+	stranded := p.pending
+	p.pending = map[uint64]waiter{}
+	p.mu.Unlock()
+	for seq, w := range stranded {
+		if w.done != nil {
+			w.done(&Message{Seq: seq, Err: err})
+		}
+		close(w.ch)
 	}
-	return &Pipeline{stages: stages, first: first, last: last, done: make(chan struct{})}, nil
+	p.downOnce.Do(func() { close(p.down) })
 }
 
-// Start launches all stage goroutines. It returns immediately; Wait or
-// Results report completion.
-func (p *Pipeline) Start(ctx context.Context) error {
+func (p *Pipeline) terminalErr() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.started {
-		return errors.New("stream: pipeline already started")
+	if p.err != nil {
+		return p.err
 	}
-	p.started = true
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(p.stages))
-	for _, st := range p.stages {
-		wg.Add(1)
-		go func(st *Stage) {
-			defer wg.Done()
-			if err := st.run(ctx); err != nil {
-				errCh <- err
-			}
-		}(st)
-	}
-	go func() {
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			if err != nil && p.runErr == nil {
-				p.runErr = err
-			}
+	return errClosed
+}
+
+// Future is one submitted request's completion handle.
+type Future struct {
+	p  *Pipeline
+	ch chan *Message
+}
+
+// Wait blocks until the request completes (the returned message may carry
+// a per-request Err), the pipeline terminates, or ctx expires. A ctx
+// expiry abandons the wait but not the request: it still occupies its
+// in-flight slot until it leaves the pipeline.
+func (f *Future) Wait(ctx context.Context) (*Message, error) {
+	select {
+	case m, ok := <-f.ch:
+		if !ok {
+			return nil, f.p.terminalErr()
 		}
-		close(p.done)
-	}()
-	return nil
-}
-
-// Submit enqueues a payload as the next request and returns its sequence
-// number. Every submitted message carries a fresh Trace that stages
-// append their spans to.
-func (p *Pipeline) Submit(ctx context.Context, payload any) (uint64, error) {
-	seq := p.Reserve()
-	if err := p.SubmitReserved(ctx, seq, payload); err != nil {
-		return 0, err
+		return m, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	return seq, nil
 }
 
-// Reserve allocates the next sequence number without enqueuing anything.
-// Completion routers (see Dispatcher) reserve first so they can register
-// a waiter for the sequence before the message can possibly complete.
+// Reserve hands out the next request's sequence number. A caller that
+// must key per-request state by it before queueing (an admission check
+// that can refuse the request) reserves first and passes the number to
+// Submit; a number that is never submitted is only a gap in the sequence.
 func (p *Pipeline) Reserve() uint64 { return p.seq.Add(1) - 1 }
 
-// SubmitReserved enqueues a payload under a previously Reserved sequence
-// number. The attached Trace carries a fresh distributed-tracing ID.
-func (p *Pipeline) SubmitReserved(ctx context.Context, seq uint64, payload any) error {
-	m := &Message{Seq: seq, Payload: payload, Enqueued: time.Now(), Trace: &Trace{ID: obs.NewTraceID()}}
-	return p.first.Send(ctx, m)
-}
-
-// Close signals that no more requests will be submitted; stages drain and
-// shut down in order.
-func (p *Pipeline) Close() error { return p.first.CloseSend() }
-
-// Recv returns the next completed message (possibly carrying an Err).
-func (p *Pipeline) Recv(ctx context.Context) (*Message, error) {
-	return p.last.Recv(ctx)
-}
-
-// Wait blocks until all stages have exited and returns the first stage
-// error, if any.
-func (p *Pipeline) Wait() error {
-	<-p.done
-	return p.runErr
-}
-
-// Stages exposes the pipeline's stages for metrics inspection.
-func (p *Pipeline) Stages() []*Stage { return p.stages }
-
-// Instrument publishes the pipeline's stage latency histograms and
-// queue-depth gauges to reg. Call before Start; histograms accumulate
-// across the pipeline's lifetime and snapshot as p50/p95/p99.
-func (p *Pipeline) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	for _, st := range p.stages {
-		st.Instrument(reg)
-		if d, ok := st.in.(depthReporter); ok {
-			reg.GaugeFunc("edge."+st.name+".in.depth", d.Depth)
+// Submit registers the completion route for the Reserved sequence number
+// seq and enqueues the payload under it, with a fresh Trace that every
+// stage appends its span to. It blocks while the in-flight window (and
+// then the first edge) is full; a pipeline that terminated while the
+// caller was waiting returns the terminal error rather than blocking
+// forever on slots no reader will ever release.
+//
+// done, when non-nil, runs exactly once for a request Submit accepted, on
+// the pipeline's reader goroutine, before the Future is woken and whether
+// or not anyone still waits on it: with the request's final message when
+// it leaves the pipeline, or with a message carrying only its Seq and the
+// terminal error when the pipeline terminates with it still inside. It may
+// already have run when Submit returns.
+func (p *Pipeline) Submit(ctx context.Context, seq uint64, payload any, done func(*Message)) (*Future, error) {
+	if p.window != nil {
+		select {
+		case p.window <- struct{}{}:
+		case <-p.down:
+			return nil, p.terminalErr()
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
-	if d, ok := p.last.(depthReporter); ok {
-		reg.GaugeFunc("edge.out.depth", d.Depth)
+	release := func() {
+		if p.window != nil {
+			// Non-blocking: after a failure the reader is gone and the
+			// window is write-only; the down channel already unblocks
+			// future submitters.
+			select {
+			case <-p.window:
+			default:
+			}
+		}
 	}
+	p.mu.Lock()
+	if p.closed || p.err != nil {
+		err := p.err
+		p.mu.Unlock()
+		release()
+		if err == nil {
+			err = errClosed
+		}
+		return nil, err
+	}
+	ch := make(chan *Message, 1)
+	p.pending[seq] = waiter{ch: ch, done: done}
+	p.submitting.Add(1)
+	p.mu.Unlock()
+
+	p.inflight.Add(1)
+	err := p.in.Send(ctx, &Message{Seq: seq, Payload: payload, Enqueued: time.Now(), Trace: &Trace{ID: obs.NewTraceID()}})
+	p.submitting.Done()
+	if err != nil {
+		p.inflight.Add(-1)
+		p.mu.Lock()
+		_, unclaimed := p.pending[seq]
+		delete(p.pending, seq)
+		p.mu.Unlock()
+		release()
+		if unclaimed {
+			return nil, err
+		}
+		// The pipeline terminated first and has already handed the
+		// request to done: the Future reports that same terminal error.
+	}
+	return &Future{p: p, ch: ch}, nil
+}
+
+// InFlight reports how many submitted requests have not yet completed.
+func (p *Pipeline) InFlight() int64 { return p.inflight.Load() }
+
+// Close stops admission, lets in-flight requests drain through every
+// stage, and returns once the reader and the stage goroutines have
+// exited: nil after an orderly drain, or the error that stopped the
+// pipeline first (its ctx ending). Safe to call more than once.
+func (p *Pipeline) Close() error {
+	p.mu.Lock()
+	already := p.closed
+	p.closed = true
+	p.mu.Unlock()
+	if !already {
+		// Admission is stopped (closed is set), but a Submit that passed
+		// the closed check may still be enqueuing: closing the intake edge
+		// under it would panic the send. Wait them out first.
+		p.submitting.Wait()
+		p.in.CloseSend()
+	}
+	<-p.stopped
+	if err := p.terminalErr(); !errors.Is(err, errClosed) {
+		return err
+	}
+	return nil
 }

@@ -8,49 +8,83 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ppstream/internal/obs"
 )
 
-func addHandler(name string, delta int) Handler {
-	return HandlerFunc{StageName: name, Fn: func(_ context.Context, m *Message) (*Message, error) {
+func addStage(name string, delta int) Stage {
+	return Stage{Name: name, Fn: func(_ context.Context, m *Message) (*Message, error) {
 		return &Message{Payload: m.Payload.(int) + delta}, nil
 	}}
 }
 
-func TestPipelineOrderAndValues(t *testing.T) {
-	p, err := NewPipeline(4, addHandler("plus1", 1), addHandler("plus10", 10))
+// newTestPipeline starts an unbounded pipeline over stages that is closed
+// when the test ends.
+func newTestPipeline(t *testing.T, reg *obs.Registry, stages ...Stage) *Pipeline {
+	t.Helper()
+	p, err := NewPipeline(context.Background(), 0, reg, stages...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// submitAll submits the payloads in order, then waits for each: the
+// messages they left the pipeline with, by payload position.
+func submitAll(t *testing.T, p *Pipeline, payloads ...int) []*Message {
+	t.Helper()
 	ctx := context.Background()
-	if err := p.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	go func() {
-		for i := 0; i < n; i++ {
-			if _, err := p.Submit(ctx, i); err != nil {
-				t.Error(err)
-			}
-		}
-		p.Close()
-	}()
-	for i := 0; i < n; i++ {
-		m, err := p.Recv(ctx)
+	fs := make([]*Future, len(payloads))
+	for i, v := range payloads {
+		f, err := p.Submit(ctx, p.Reserve(), v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Seq != uint64(i) {
-			t.Fatalf("message %d arrived with seq %d — order broken", i, m.Seq)
+		fs[i] = f
+	}
+	out := make([]*Message, len(fs))
+	for i, f := range fs {
+		m, err := f.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// TestPipelineOrderAndValues: every request passes every stage, and
+// requests leave the pipeline in the order they entered it.
+func TestPipelineOrderAndValues(t *testing.T) {
+	p := newTestPipeline(t, nil, addStage("plus1", 1), addStage("plus10", 10))
+	ctx := context.Background()
+	const n = 20
+	var left []uint64 // appended by the reader goroutine alone
+	fs := make([]*Future, n)
+	for i := range fs {
+		f, err := p.Submit(ctx, p.Reserve(), i, func(m *Message) { left = append(left, m.Seq) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs[i] = f
+	}
+	for i, f := range fs {
+		m, err := f.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got := m.Payload.(int); got != i+11 {
 			t.Fatalf("payload %d, want %d", got, i+11)
 		}
 	}
-	if _, err := p.Recv(ctx); !errors.Is(err, ErrEdgeClosed) {
-		t.Errorf("expected closed edge, got %v", err)
-	}
-	if err := p.Wait(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+	for i, seq := range left {
+		if seq != uint64(i) {
+			t.Fatalf("request %d left the pipeline as the %dth — order broken", seq, i)
+		}
 	}
 }
 
@@ -58,28 +92,16 @@ func TestPipelineIsActuallyPipelined(t *testing.T) {
 	// Two stages each sleeping d: n items through a pipeline should take
 	// ≈ (n+1)·d, not 2·n·d.
 	const d = 20 * time.Millisecond
-	sleepy := func(name string) Handler {
-		return HandlerFunc{StageName: name, Fn: func(_ context.Context, m *Message) (*Message, error) {
+	sleepy := func(name string) Stage {
+		return Stage{Name: name, Fn: func(_ context.Context, m *Message) (*Message, error) {
 			time.Sleep(d)
 			return m, nil
 		}}
 	}
-	p, _ := NewPipeline(4, sleepy("a"), sleepy("b"))
-	ctx := context.Background()
-	p.Start(ctx)
+	p := newTestPipeline(t, nil, sleepy("a"), sleepy("b"))
 	const n = 6
 	start := time.Now()
-	go func() {
-		for i := 0; i < n; i++ {
-			p.Submit(ctx, i)
-		}
-		p.Close()
-	}()
-	for i := 0; i < n; i++ {
-		if _, err := p.Recv(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitAll(t, p, make([]int, n)...)
 	elapsed := time.Since(start)
 	serial := 2 * n * d
 	if elapsed > serial*3/4 {
@@ -88,32 +110,21 @@ func TestPipelineIsActuallyPipelined(t *testing.T) {
 }
 
 func TestStageErrorPropagatesAndContains(t *testing.T) {
-	boom := HandlerFunc{StageName: "boom", Fn: func(_ context.Context, m *Message) (*Message, error) {
+	boom := Stage{Name: "boom", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		if m.Payload.(int) == 1 {
 			return nil, fmt.Errorf("injected failure")
 		}
 		return m, nil
 	}}
 	seen := atomic.Int64{}
-	after := HandlerFunc{StageName: "after", Fn: func(_ context.Context, m *Message) (*Message, error) {
+	after := Stage{Name: "after", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		seen.Add(1)
 		return m, nil
 	}}
-	p, _ := NewPipeline(2, boom, after)
-	ctx := context.Background()
-	p.Start(ctx)
-	go func() {
-		for i := 0; i < 3; i++ {
-			p.Submit(ctx, i)
-		}
-		p.Close()
-	}()
+	reg := obs.NewRegistry("errors")
+	p := newTestPipeline(t, reg, boom, after)
 	var errCount, okCount int
-	for i := 0; i < 3; i++ {
-		m, err := p.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, m := range submitAll(t, p, 0, 1, 2) {
 		if m.Err != nil {
 			errCount++
 			if !strings.Contains(m.Err.Error(), "injected failure") {
@@ -123,73 +134,50 @@ func TestStageErrorPropagatesAndContains(t *testing.T) {
 			okCount++
 		}
 	}
-	if errCount != 1 || okCount != 2 {
-		t.Errorf("errCount=%d okCount=%d, want 1/2 — failure not contained", errCount, okCount)
+	if errCount != 1 || okCount != 2 || seen.Load() != 2 {
+		t.Errorf("errCount=%d okCount=%d after=%d, want 1/2/2 — failure not contained", errCount, okCount, seen.Load())
 	}
-	if p.Stages()[0].Metrics().Snapshot().Errors != 1 {
-		t.Error("error metric not recorded")
+	if got := reg.Snapshot().Gauges["stage.boom.errors"]; got != 1 {
+		t.Errorf("stage.boom.errors = %d, want 1", got)
 	}
 }
 
+// TestContextCancellation: cancelling the pipeline's ctx stops a stage
+// blocked in its handler, and Close reports why the pipeline stopped.
 func TestContextCancellation(t *testing.T) {
-	block := HandlerFunc{StageName: "block", Fn: func(ctx context.Context, m *Message) (*Message, error) {
+	block := Stage{Name: "block", Fn: func(ctx context.Context, m *Message) (*Message, error) {
 		<-ctx.Done()
 		return m, nil
 	}}
-	p, _ := NewPipeline(1, block)
 	ctx, cancel := context.WithCancel(context.Background())
-	p.Start(ctx)
-	p.Submit(ctx, 1)
+	p, err := NewPipeline(ctx, 0, nil, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Submit(ctx, p.Reserve(), 1, nil); err != nil {
+		t.Fatal(err)
+	}
 	cancel()
-	done := make(chan struct{})
-	go func() { p.Wait(); close(done) }()
+	done := make(chan error, 1)
+	go func() { done <- p.Close() }()
 	select {
-	case <-done:
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Close after cancellation: %v, want context.Canceled", err)
+		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("pipeline did not shut down on cancellation")
 	}
 }
 
-func TestMetrics(t *testing.T) {
-	p, _ := NewPipeline(2, addHandler("a", 1))
-	ctx := context.Background()
-	p.Start(ctx)
-	go func() {
-		for i := 0; i < 5; i++ {
-			p.Submit(ctx, i)
-		}
-		p.Close()
-	}()
-	for i := 0; i < 5; i++ {
-		p.Recv(ctx)
-	}
-	snap := p.Stages()[0].Metrics().Snapshot()
-	if snap.Processed != 5 {
-		t.Errorf("processed %d, want 5", snap.Processed)
-	}
-	if snap.Errors != 0 {
-		t.Errorf("errors %d", snap.Errors)
-	}
-}
-
 func TestNewPipelineValidation(t *testing.T) {
-	if _, err := NewPipeline(1); err == nil {
+	ctx := context.Background()
+	if _, err := NewPipeline(ctx, 0, nil); err == nil {
 		t.Error("empty pipeline accepted")
 	}
-	if _, err := NewStage("s", nil, NewChannelEdge(1), NewChannelEdge(1)); err == nil {
-		t.Error("nil handler accepted")
+	if _, err := NewPipeline(ctx, 0, nil, addStage("a", 0), Stage{Name: "s"}); err == nil {
+		t.Error("stage without a handler accepted")
 	}
-	if _, err := NewStage("s", addHandler("a", 0), nil, NewChannelEdge(1)); err == nil {
-		t.Error("nil edge accepted")
-	}
-	p, _ := NewPipeline(1, addHandler("a", 0))
-	if err := p.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(context.Background()); err == nil {
-		t.Error("double start accepted")
-	}
-	p.Close()
 }
 
 // wirePayload is the tests' TCP payload: an integer and a note of up to

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,28 +16,12 @@ import (
 // one span per stage, in order, with non-negative durations.
 func TestTraceOneSpanPerStage(t *testing.T) {
 	names := []string{"s1", "s2", "s3"}
-	handlers := make([]Handler, len(names))
+	stages := make([]Stage, len(names))
 	for i, n := range names {
-		handlers[i] = addHandler(n, 1)
+		stages[i] = addStage(n, 1)
 	}
-	p, err := NewPipeline(2, handlers...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	p.Start(ctx)
-	const n = 4
-	go func() {
-		for i := 0; i < n; i++ {
-			p.Submit(ctx, i)
-		}
-		p.Close()
-	}()
-	for i := 0; i < n; i++ {
-		m, err := p.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+	p := newTestPipeline(t, nil, stages...)
+	for _, m := range submitAll(t, p, 0, 1, 2, 3) {
 		if m.Trace == nil {
 			t.Fatal("completed message has no trace")
 		}
@@ -55,26 +40,16 @@ func TestTraceOneSpanPerStage(t *testing.T) {
 			t.Errorf("trace total negative: %v", m.Trace.Total())
 		}
 	}
-	p.Wait()
 }
 
 // TestErrorPreservesTrace asserts a handler failure names its stage and
 // keeps the trace on the errored message.
 func TestErrorPreservesTrace(t *testing.T) {
-	boom := HandlerFunc{StageName: "boom", Fn: func(_ context.Context, m *Message) (*Message, error) {
+	boom := Stage{Name: "boom", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		return nil, fmt.Errorf("injected")
 	}}
-	p, _ := NewPipeline(2, addHandler("pre", 1), boom, addHandler("post", 1))
-	ctx := context.Background()
-	p.Start(ctx)
-	go func() {
-		p.Submit(ctx, 41)
-		p.Close()
-	}()
-	m, err := p.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestPipeline(t, nil, addStage("pre", 1), boom, addStage("post", 1))
+	m := submitAll(t, p, 41)[0]
 	var stageErr *StageError
 	if !errors.As(m.Err, &stageErr) || stageErr.Stage != "boom" {
 		t.Fatalf("err %v, want a *StageError from stage boom", m.Err)
@@ -86,64 +61,36 @@ func TestErrorPreservesTrace(t *testing.T) {
 	if last := m.Trace.Spans[2]; last.Stage != "post" || last.Busy != 0 {
 		t.Errorf("pass-through span %+v, want post with zero busy", last)
 	}
-	p.Wait()
 }
 
 // TestErrorPassThroughDoesNotSkewWait asserts errored pass-throughs stay
 // out of a downstream stage's wait/busy metrics.
 func TestErrorPassThroughDoesNotSkewWait(t *testing.T) {
-	boom := HandlerFunc{StageName: "boom", Fn: func(_ context.Context, m *Message) (*Message, error) {
+	boom := Stage{Name: "boom", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		if m.Payload.(int) == 0 {
 			return nil, fmt.Errorf("injected")
 		}
 		return m, nil
 	}}
-	p, _ := NewPipeline(2, boom, addHandler("post", 1))
-	ctx := context.Background()
-	p.Start(ctx)
-	go func() {
-		for i := 0; i < 3; i++ {
-			p.Submit(ctx, i)
+	reg := obs.NewRegistry("passthrough")
+	p := newTestPipeline(t, reg, boom, addStage("post", 1))
+	submitAll(t, p, 0, 1, 2)
+	rs := reg.Snapshot()
+	for _, name := range []string{"stage.post.wait", "stage.post.busy"} {
+		if got := rs.Histograms[name].Count; got != 2 {
+			t.Errorf("%s counted %d messages, want 2 (the errored one must not count)", name, got)
 		}
-		p.Close()
-	}()
-	for i := 0; i < 3; i++ {
-		if _, err := p.Recv(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Wait()
-	snap := p.Stages()[1].Metrics().Snapshot()
-	if snap.Processed != 2 {
-		t.Errorf("post processed %d, want 2 (errored message must not count)", snap.Processed)
 	}
 }
 
+// TestPipelineSnapshotAndInstrument: NewPipeline publishes every stage's
+// latency histograms, failure gauge and input-queue depth, and the last
+// edge's depth, under the names the engine's registry carries.
 func TestPipelineSnapshotAndInstrument(t *testing.T) {
 	reg := obs.NewRegistry("pipeline")
-	p, _ := NewPipeline(3, addHandler("a", 1), addHandler("b", 1))
-	p.Instrument(reg)
-	ctx := context.Background()
-	p.Start(ctx)
+	p := newTestPipeline(t, reg, addStage("a", 1), addStage("b", 1))
 	const n = 6
-	go func() {
-		for i := 0; i < n; i++ {
-			p.Submit(ctx, i)
-		}
-		p.Close()
-	}()
-	for i := 0; i < n; i++ {
-		if _, err := p.Recv(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Wait()
-
-	for _, st := range p.Stages() {
-		if got := st.Metrics().Snapshot().Processed; got != n {
-			t.Errorf("stage %s processed %d, want %d", st.Name(), got, n)
-		}
-	}
+	submitAll(t, p, make([]int, n)...)
 	rs := reg.Snapshot()
 	for _, name := range []string{"stage.a.wait", "stage.a.busy", "stage.b.wait", "stage.b.busy"} {
 		h, ok := rs.Histograms[name]
@@ -151,51 +98,52 @@ func TestPipelineSnapshotAndInstrument(t *testing.T) {
 			t.Errorf("histogram %s count %d (ok=%v), want %d", name, h.Count, ok, n)
 		}
 	}
-	if _, ok := rs.Gauges["edge.a.in.depth"]; !ok {
-		t.Error("queue depth gauge not registered")
+	for _, name := range []string{"stage.a.errors", "stage.b.errors", "edge.a.in.depth", "edge.b.in.depth", "edge.out.depth"} {
+		if v, ok := rs.Gauges[name]; !ok || v != 0 {
+			t.Errorf("gauge %s = %d (ok=%v), want 0 after a drain", name, v, ok)
+		}
+	}
+	if _, ok := reg.LiveSnapshot().Histograms["stage.a.busy"]; !ok {
+		t.Error("stage.a.busy has no live view")
 	}
 }
 
 // TestSubmitConcurrentSeq checks atomic sequence assignment under
 // parallel submitters (run with -race).
 func TestSubmitConcurrentSeq(t *testing.T) {
-	p, _ := NewPipeline(64, addHandler("a", 0))
+	p := newTestPipeline(t, nil, addStage("a", 0))
 	ctx := context.Background()
-	p.Start(ctx)
 	const workers, per = 4, 16
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		seen := map[uint64]bool{}
-		for i := 0; i < workers*per; i++ {
-			m, err := p.Recv(ctx)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if seen[m.Seq] {
-				t.Errorf("duplicate seq %d", m.Seq)
-			}
-			seen[m.Seq] = true
-		}
-	}()
-	var wg chan struct{} = make(chan struct{}, workers)
+	seqs := make(chan uint64, workers*per)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := p.Submit(ctx, i); err != nil {
+				f, err := p.Submit(ctx, p.Reserve(), i, nil)
+				if err != nil {
 					t.Error(err)
+					return
 				}
+				m, err := f.Wait(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seqs <- m.Seq
 			}
-			wg <- struct{}{}
 		}()
 	}
-	for w := 0; w < workers; w++ {
-		<-wg
+	wg.Wait()
+	close(seqs)
+	seen := map[uint64]bool{}
+	for seq := range seqs {
+		if seen[seq] {
+			t.Errorf("duplicate seq %d", seq)
+		}
+		seen[seq] = true
 	}
-	p.Close()
-	<-done
-	p.Wait()
 }
 
 // TestInstrumentedTCPEdge checks wire byte/frame counters and that the
