@@ -7,8 +7,8 @@
 //     the quantized stage over Paillier ciphertexts.
 //   - ss-gc — additive secret sharing over Z_{2^64} with Beaver triples
 //     for the linear stage (integer-exact, no truncation) and garbled-
-//     circuit ReLU on the nonlinear side (half-gates, one OT extension
-//     per layer). Both share-holders are modeled in-process with real
+//     circuit ReLU on the nonlinear side (half-gates, one batch of the
+//     party pair's OT extension per layer). Both share-holders are modeled in-process with real
 //     cost accounting — the same fidelity internal/baselines uses.
 //   - clear — plaintext big-integer execution, permitted only for
 //     rounds past the leakage-certified boundary (C2PI-style): the

@@ -4,8 +4,10 @@ import (
 	"crypto/rand"
 	"math/big"
 	mrand "math/rand"
+	"runtime"
 	"testing"
 
+	"ppstream/internal/garble"
 	"ppstream/internal/nn"
 	"ppstream/internal/obfuscate"
 	"ppstream/internal/obs"
@@ -153,8 +155,12 @@ func TestGCReLUSharesExact(t *testing.T) {
 		}
 		xs[i] = s
 	}
+	ot, err := garble.NewOTSetup()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var meter obs.CostMeter
-	out, err := GCReLUShares(xs, &meter)
+	out, err := GCReLUShares(ot, xs, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +178,40 @@ func TestGCReLUSharesExact(t *testing.T) {
 		}
 	}
 	st := meter.Snapshot()
-	if st.GCGates == 0 || st.ExtOTs != uint64(64*len(vals)) {
-		t.Fatalf("gc cost = %+v, want gates > 0 and %d ext OTs", st, 64*len(vals))
+	if want := ReLUCost(len(vals)); st != want || st.ExtOTs != uint64(64*len(vals)) {
+		t.Fatalf("gc cost = %+v, want %+v with %d ext OTs", st, want, 64*len(vals))
 	}
-	if empty, err := GCReLUShares(nil, nil); err != nil || empty != nil {
+	if empty, err := GCReLUShares(ot, nil, nil); err != nil || empty != nil {
 		t.Fatalf("empty input: %v, %v", empty, err)
+	}
+}
+
+// TestGCReLUAllocatesPerLayer: with the party pair's OT setup made, an
+// 8-element layer — Heart's middle round — allocates at most 150 KB: the
+// circuit, one garbling's labels and tables, one evaluation's wires and
+// one OT batch, not one of each per element.
+func TestGCReLUAllocatesPerLayer(t *testing.T) {
+	ot, err := garble.NewOTSetup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]secshare.Shares, 8)
+	for i := range xs {
+		if xs[i], err = secshare.SplitRandom(rand.Reader, uint64(i)*1000-4000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := GCReLUShares(ot, xs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 150<<10 {
+		t.Errorf("an 8-element layer allocates %d KB, want ≤ 150 KB", per>>10)
 	}
 }
 

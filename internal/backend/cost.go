@@ -1,70 +1,93 @@
 package backend
 
-// The per-backend cost model. Units are arbitrary but shared — roughly
-// "one 64-bit multiply" — so PlanFor can compare backends; absolute
-// accuracy matters less than ordering, which the benchmark's heart-mixed
-// workload measures against reality (backend.kernel_ms.*,
-// backend.nonlinear_ms.ss-gc). The constants encode the structural facts:
-//
-//   - A Paillier weight-multiplication is a short modexp (weight-bits
-//     modular multiplications over n²). Outputs leave packed, several to
-//     a reply ciphertext: each reply ciphertext pays a full-width
-//     re-randomization modexp (and a decryption on the other side), which
-//     dominates, and each output packed in behind the first pays its
-//     slot's worth of squarings. All scale ~quadratically with key size.
-//   - A Beaver-triple multiplication is a handful of native 64-bit
-//     operations. The ss-gc backend's real expense is the half-gates
-//     garbled ReLU that follows a linear round: a fixed base-OT setup
-//     per layer plus per-element garbling and OT extensions.
-//   - Clear execution is a big-integer multiply-accumulate per weight.
-const (
-	// paillierPerMul is one ciphertext^weight step at reference key size.
-	paillierPerMul = 10
-	// paillierPerOut is one reply ciphertext's re-randomization at
-	// reference key size.
-	paillierPerOut = 3000
-	// ssgcPerMul is one Beaver-triple multiplication.
-	ssgcPerMul = 0.1
-	// ssgcPerOut is per-output share bookkeeping and reconstruction.
-	ssgcPerOut = 5
-	// gcSetup is the fixed base-OT setup of one garbled ReLU layer.
-	gcSetup = 1500
-	// gcPerElem is one element's 64-bit comparison circuit: garbling,
-	// 64 extension OTs, evaluation.
-	gcPerElem = 100
-	// clearPerMul is one big-integer multiply-accumulate.
-	clearPerMul = 0.02
-	// referenceKeyBits anchors the key-size scaling factor.
-	referenceKeyBits = 2048
-	// penaltyPerOut prices one intermediate value exposed to weaker-
-	// than-HE protection before the certified boundary (mixed profile).
-	penaltyPerOut = 10
+import (
+	"fmt"
+	"math/big"
+	"sync"
+
+	"ppstream/internal/garble"
+	"ppstream/internal/paillier"
+	"ppstream/internal/secshare"
 )
 
-// keyFactor scales Paillier costs with key size (modular multiplication
-// over n² is ~quadratic in the bit length for these sizes).
-func keyFactor(keyBits int) float64 {
-	if keyBits <= 0 {
-		keyBits = referenceKeyBits
-	}
-	f := float64(keyBits) / referenceKeyBits
-	return f * f
+// The cost model is counts times unit costs: a round's price on a backend
+// is paillier.UnitCosts.Price of the operations that backend would meter
+// for it (LayerInfo), at unit costs measured on this host for the
+// session's key size — the one function core.NewEngine prices its stages
+// with. Nothing here is a hand-set price.
+
+var units struct {
+	mu     sync.Mutex
+	byBits map[int]paillier.UnitCosts
 }
 
-// EstimateCost prices running linear round l on backend k under a
-// keyBits-bit Paillier key, in the model's shared units.
-func EstimateCost(k Kind, l LayerInfo, keyBits int) float64 {
-	switch k {
-	case PaillierHE:
-		packed := float64((l.Outs - l.Replies) * l.SlotBits)
-		return (paillierPerMul*(float64(l.Muls)+packed) + paillierPerOut*float64(l.Replies)) * keyFactor(keyBits)
-	case SSGC:
-		cost := ssgcPerMul*float64(l.Muls) + ssgcPerOut*float64(l.Outs)
-		if l.ReluFollows {
-			cost += gcSetup + gcPerElem*float64(l.Outs)
-		}
-		return cost
-	default:
-		return clearPerMul * float64(l.Muls)
+// MeasureUnitCosts returns what one of each metered operation takes at a
+// keyBits-bit key, in seconds. It measures once per key size per process,
+// in one set of interleaved sweeps keeping each operation's fastest trial
+// (paillier.Sweep): the Paillier operations under a stand-in key of that
+// size, so a party holding only the public key can measure; the garbled
+// ReLU's AND gates and extension OTs; a Beaver-triple multiplication; a
+// plain multiply-accumulate.
+func MeasureUnitCosts(keyBits int) (paillier.UnitCosts, error) {
+	units.mu.Lock()
+	defer units.mu.Unlock()
+	if u, ok := units.byBits[keyBits]; ok {
+		return u, nil
 	}
+	var u paillier.UnitCosts
+	trials, err := u.Trials(keyBits)
+	if err != nil {
+		return u, err
+	}
+	gc, err := garble.UnitTrials(&u.Gate, &u.ExtOT)
+	if err != nil {
+		return u, err
+	}
+	trials = append(trials, gc...)
+	trials = append(trials, tripleTrial(&u.Triple), plainOpTrial(&u.PlainOp))
+	if err := paillier.Sweep(trials); err != nil {
+		return u, fmt.Errorf("backend: measuring unit costs: %w", err)
+	}
+	if units.byBits == nil {
+		units.byBits = map[int]paillier.UnitCosts{}
+	}
+	units.byBits[keyBits] = u
+	return u, nil
+}
+
+// trialOps is how many multiplications the triple and plain-op trials
+// batch: enough that a trial lasts tens of microseconds, so the caches the
+// sweep's other trials leave cold weigh little in it.
+const trialOps = 1024
+
+// tripleTrial times the ss-gc kernel's step: one untruncated Beaver
+// multiplication of a private weight with a shared activation, as
+// secshare.Engine.DotPrivateInt runs it.
+func tripleTrial(unit *float64) paillier.Trial {
+	e := secshare.NewEngine(1)
+	w := make([]int64, trialOps)
+	xs := make([]secshare.Shares, trialOps)
+	for i := range w {
+		w[i] = int64(i + 1)
+		xs[i] = secshare.Shares{S: [2]uint64{uint64(i) << 40, ^uint64(i)}}
+	}
+	return paillier.Trial{Unit: unit, Ops: trialOps, Run: func() error {
+		_, err := e.DotPrivateInt(w, xs, nil)
+		return err
+	}}
+}
+
+// plainOpTrial times the clear backend's step: one big-integer
+// multiply-accumulate of an activation with a weight, as the quantized
+// ops' ApplyPlain runs it.
+func plainOpTrial(unit *float64) paillier.Trial {
+	x := big.NewInt(1<<40 + 12345)
+	acc, t, w := new(big.Int), new(big.Int), new(big.Int)
+	return paillier.Trial{Unit: unit, Ops: trialOps, Run: func() error {
+		acc.SetInt64(0)
+		for i := int64(1); i <= trialOps; i++ {
+			acc.Add(acc, t.Mul(x, w.SetInt64(i)))
+		}
+		return nil
+	}}
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"ppstream/internal/obs"
+	"ppstream/internal/paillier"
 )
 
 // Profile names a deployment posture: which backends each round may
@@ -58,24 +61,51 @@ func Stricter(a, b Profile) Profile {
 	return b
 }
 
-// mixedPenaltyWeight is λ for ProfileMixed.
-const mixedPenaltyWeight = 0.5
+// The mixed profile's privacy penalty: each value a round exposes to
+// weaker-than-HE protection before the certified boundary costs
+// mixedPenaltyWeight × penaltyPerOut Beaver-triple multiplications, at the
+// session's measured Triple unit — so the penalty keeps its weight against
+// ss-gc arithmetic whatever the host.
+const (
+	mixedPenaltyWeight = 0.5
+	penaltyPerOut      = 100
+)
 
 // LayerInfo is the planner's view of one linear round.
 type LayerInfo struct {
 	Name string
-	// Muls counts the round's non-zero weight multiplications.
-	Muls int
-	// Outs counts the round's output elements.
+	// Outs counts the round's output elements: the values a round off
+	// paillier-he exposes.
 	Outs int
 	// Replies counts the ciphertexts a paillier-he reply packs the outputs
-	// into under the session's key, SlotBits the width of one output's
-	// slot there (from the stage's output bound).
-	Replies  int
-	SlotBits int
-	// ReluFollows marks that the following nonlinear stage starts with
-	// ReLU, so the ss-gc backend would run a garbled circuit there.
-	ReluFollows bool
+	// into under the session's key.
+	Replies int
+	// HE, SSGC and Clear are the operations the round meters on each
+	// backend, from the round's input to the data provider's opening of
+	// its output:
+	//
+	//   - paillier-he: the kernel's multiplications and inversions
+	//     (qnn.StageCost), Pack's (PackMulMods), one blinding and one
+	//     decryption per reply, and past round 0 the data provider's
+	//     encryption of the round's inputs;
+	//   - ss-gc: one Beaver triple per non-zero weight, their openings and
+	//     the output's, the garbled ReLU that follows (ReLUCost), and one
+	//     plain op per value the data provider shares out or reconstructs;
+	//   - clear: one plain multiply-accumulate per non-zero weight, and past
+	//     round 0 one per input the data provider encodes.
+	HE, SSGC, Clear obs.CostStats
+}
+
+// Cost returns the operations the round meters on backend k.
+func (l *LayerInfo) Cost(k Kind) obs.CostStats {
+	switch k {
+	case SSGC:
+		return l.SSGC
+	case Clear:
+		return l.Clear
+	default:
+		return l.HE
+	}
 }
 
 // Plan is a solved per-round backend assignment for one session.
@@ -85,7 +115,8 @@ type Plan struct {
 	// Boundary is the certified clear boundary used: the first round
 	// allowed to run in the clear (len(Assignment) = none).
 	Boundary int
-	// Objective is the summed cost (plus penalty) the assignment achieves.
+	// Objective is the summed cost (plus penalty) the assignment achieves,
+	// in seconds; zero under privacy-max, which prices nothing.
 	Objective float64
 }
 
@@ -112,53 +143,68 @@ func AssignmentFromCodes(codes []int32) ([]Kind, error) {
 }
 
 // PlanFor solves the backend assignment for a session: one kind per
-// linear round, minimizing the summed estimated cost (plus the mixed
-// profile's privacy penalty) subject to the safety rules, which hold
-// regardless of profile: round 0 always runs paillier-he (the input
-// itself must never leave the client unencrypted), privacy-max runs every
-// round on paillier-he, and clear runs only on a contiguous suffix
-// starting at or after the certified boundary.
-//
-// The search is exact: the objective is a sum over rounds and the clear
-// suffix is the only link between them, so once the suffix's first round
-// is fixed every earlier round independently takes the cheaper of
-// paillier-he and ss-gc. PlanFor tries every first clear round (including
-// none) and keeps the cheapest; ties go to fewer clear rounds and to
-// paillier-he.
+// linear round, minimizing the summed price of the rounds (plus the mixed
+// profile's privacy penalty) at the unit costs MeasureUnitCosts measures
+// for keyBits, subject to the safety rules, which hold regardless of
+// profile: round 0 always runs paillier-he (the input itself must never
+// leave the client unencrypted), privacy-max runs every round on
+// paillier-he, and clear runs only on a contiguous suffix starting at or
+// after the certified boundary. Privacy-max has one admissible assignment,
+// so it measures and prices nothing.
 func PlanFor(profile Profile, layers []LayerInfo, boundary, keyBits int) (*Plan, error) {
 	profile, err := ParseProfile(string(profile))
 	if err != nil {
 		return nil, err
 	}
-	rounds := len(layers)
-	if rounds == 0 {
+	if len(layers) == 0 {
 		return nil, fmt.Errorf("backend: no layers to plan")
 	}
+	var u paillier.UnitCosts
+	if profile != ProfilePrivacyMax {
+		if u, err = MeasureUnitCosts(keyBits); err != nil {
+			return nil, err
+		}
+	}
+	return planWith(profile, layers, boundary, u), nil
+}
+
+// planWith is PlanFor's search at unit costs u, a pure function of its
+// arguments. It is exact: the objective is a sum over rounds and the clear
+// suffix is the only link between them, so once the suffix's first round
+// is fixed every earlier round independently takes the cheaper of
+// paillier-he and ss-gc. planWith tries every first clear round (including
+// none) and keeps the cheapest; ties go to fewer clear rounds and to
+// paillier-he.
+func planWith(profile Profile, layers []LayerInfo, boundary int, u paillier.UnitCosts) *Plan {
+	rounds := len(layers)
 	boundary = min(max(boundary, 1), rounds)
+	plan := &Plan{Profile: profile, Boundary: boundary, Assignment: make([]Kind, rounds)}
+	if profile == ProfilePrivacyMax {
+		for l := range plan.Assignment {
+			plan.Assignment[l] = PaillierHE
+		}
+		return plan
+	}
 	// price is round l's term of the objective on backend k. Under mixed,
-	// each value handled outside HE before the certified boundary adds
-	// λ·penaltyPerOut; past the boundary the certification says the values
-	// carry no usable information about the input, so no penalty applies.
+	// each value handled outside HE before the certified boundary adds the
+	// penalty; past the boundary the certification says the values carry
+	// no usable information about the input, so no penalty applies.
 	price := func(l int, k Kind) float64 {
-		c := EstimateCost(k, layers[l], keyBits)
+		c := u.Price(layers[l].Cost(k))
 		if profile == ProfileMixed && k != PaillierHE && l < boundary {
-			c += mixedPenaltyWeight * (penaltyPerOut * float64(layers[l].Outs))
+			c += mixedPenaltyWeight * penaltyPerOut * u.Triple * float64(layers[l].Outs)
 		}
 		return c
 	}
 	encrypted := make([]Kind, rounds)
 	for l := range encrypted {
 		encrypted[l] = PaillierHE
-		if l > 0 && profile != ProfilePrivacyMax && price(l, SSGC) < price(l, PaillierHE) {
+		if l > 0 && price(l, SSGC) < price(l, PaillierHE) {
 			encrypted[l] = SSGC
 		}
 	}
-	firstClear := boundary
-	if profile == ProfilePrivacyMax {
-		firstClear = rounds
-	}
-	plan := &Plan{Profile: profile, Boundary: boundary, Objective: math.Inf(1)}
-	for c := rounds; c >= firstClear; c-- {
+	plan.Objective = math.Inf(1)
+	for c := rounds; c >= boundary; c-- {
 		assignment, total := make([]Kind, rounds), 0.0
 		for l := range assignment {
 			assignment[l] = encrypted[l]
@@ -171,7 +217,7 @@ func PlanFor(profile Profile, layers []LayerInfo, boundary, keyBits int) (*Plan,
 			plan.Assignment, plan.Objective = assignment, total
 		}
 	}
-	return plan, nil
+	return plan
 }
 
 // ValidateAssignment checks a (possibly remote-supplied) assignment

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ppstream/internal/garble"
 	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
 	"ppstream/internal/tensor"
@@ -262,5 +263,45 @@ func TestEzPCIsSlowerThanPPStreamShape(t *testing.T) {
 	}
 	if math.IsNaN(float64(e.Stats.ExtOTs)) || e.Stats.ExtOTs == 0 {
 		t.Error("no OT work recorded")
+	}
+}
+
+// TestEzPCRunsBaseOTsOncePerInstance: on a model with two ReLU layers the
+// engine runs one setup's base OTs, at its first ReLU, and draws both
+// layers' extension OTs — over two inferences — from it; a second engine
+// runs its own.
+func TestEzPCRunsBaseOTsOncePerInstance(t *testing.T) {
+	r := mathrand.New(mathrand.NewSource(73))
+	net, err := nn.NewNetwork("bl-fc2relu", tensor.Shape{4},
+		nn.NewFC("fc1", 4, 6, r),
+		nn.NewReLU("relu1"),
+		nn.NewFC("fc2", 6, 5, r),
+		nn.NewReLU("relu2"),
+		nn.NewFC("fc3", 5, 3, r),
+		nn.NewSoftMax("sm"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for engine := 0; engine < 2; engine++ {
+		e, err := NewEzPC(net, int64(20+engine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 2; i++ {
+			x := sampleInput(net.InputShape, int64(30+i))
+			out, _, err := e.Infer(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := net.Forward(x); !tensor.AllClose(want, out, 1e-2) {
+				t.Errorf("EzPC %v vs plain %v", out.Data(), want.Data())
+			}
+			// Both ReLU layers convert 6 + 5 elements per inference.
+			if e.Stats.BaseOTs != garble.BaseOTs || e.Stats.ExtOTs != i*(6+5)*garble.ReLUEvalBits {
+				t.Errorf("engine %d after %d inferences: %d base OTs, %d extension OTs; want %d and %d",
+					engine, i, e.Stats.BaseOTs, e.Stats.ExtOTs, garble.BaseOTs, i*(6+5)*garble.ReLUEvalBits)
+			}
+		}
 	}
 }

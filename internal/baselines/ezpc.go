@@ -26,7 +26,8 @@ type EzPCStats struct {
 	// ANDGates counts total garbled AND gates (2 half-gates table rows
 	// each).
 	ANDGates int
-	// BaseOTs counts public-key base OTs consumed by the extensions.
+	// BaseOTs counts the public-key base OTs that ran: one setup's worth
+	// per engine, which every layer's extension then draws from.
 	BaseOTs int
 	// ExtOTs counts extended oblivious transfers.
 	ExtOTs int
@@ -40,6 +41,7 @@ type EzPCStats struct {
 type EzPC struct {
 	net        *nn.Network
 	eng        *secshare.Engine
+	ot         *garble.OTSetup // run at the first ReLU, then reused
 	lastOutput *tensor.Dense
 	Stats      EzPCStats
 }
@@ -188,10 +190,19 @@ func (e *EzPC) applyBatchNorm(v *nn.BatchNorm, x []secshare.Shares, shape tensor
 // applyReLU converts every element through a garbled circuit — the
 // arithmetic→boolean→arithmetic round trip that EzPC pays at each
 // non-linear layer — with the ss-gc backend's garbled ReLU: half-gates,
-// one OT extension for the whole layer.
+// one batch of the engine's OT extension for the whole layer. As in EzPC,
+// the base OTs run once, at the engine's first ReLU.
 func (e *EzPC) applyReLU(x []secshare.Shares) ([]secshare.Shares, error) {
+	if e.ot == nil {
+		ot, err := garble.NewOTSetup()
+		if err != nil {
+			return nil, err
+		}
+		e.ot = ot
+		e.Stats.BaseOTs += garble.BaseOTs
+	}
 	var meter obs.CostMeter
-	out, err := backend.GCReLUShares(x, &meter)
+	out, err := backend.GCReLUShares(e.ot, x, &meter)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +210,6 @@ func (e *EzPC) applyReLU(x []secshare.Shares) ([]secshare.Shares, error) {
 	e.Stats.Transitions += 2 // arith→GC and GC→arith
 	e.Stats.GCExecutions += len(x)
 	e.Stats.ANDGates += int(cost.GCGates)
-	e.Stats.BaseOTs += garble.BaseOTs
 	e.Stats.ExtOTs += int(cost.ExtOTs)
 	e.Stats.Arithmetic = e.eng.Stats
 	return out, nil

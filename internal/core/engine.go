@@ -139,7 +139,7 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	}
 	e.Protocol.Model.Instrument(e.reg)
 	e.reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
-	if err := e.plan(key); err != nil {
+	if err := e.plan(); err != nil {
 		e.Close()
 		return nil, err
 	}
@@ -149,15 +149,12 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 
 // plan prices the stages, allocates servers and threads to them, applies
 // the allocation, and picks the per-round crypto backends.
-func (e *Engine) plan(key *paillier.PrivateKey) error {
+func (e *Engine) plan() error {
 	// T_i for the allocation (Section IV-C): each merged stage's exact
 	// single-thread operation count, priced at this key size's unit costs.
 	// Every round is priced on Paillier: the backend plan comes last.
-	encrypt, counts, err := e.Protocol.StageCosts()
-	if err != nil {
-		return fmt.Errorf("core: counting stage operations: %w", err)
-	}
-	units, err := paillier.MeasureUnitCosts(key)
+	encrypt, counts := e.Protocol.StageCosts()
+	units, err := backend.MeasureUnitCosts(e.keyBits)
 	if err != nil {
 		return fmt.Errorf("core: measuring unit costs: %w", err)
 	}

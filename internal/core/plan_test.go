@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ppstream/internal/alloc"
+	"ppstream/internal/backend"
 	"ppstream/internal/models"
 	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
@@ -51,11 +52,8 @@ func TestCountPlanPinsConvEngine(t *testing.T) {
 	if got := fmt.Sprint(eng.Plan.ServerOf); got != servers {
 		t.Errorf("servers %s, want %s", got, servers)
 	}
-	_, counts, err := eng.Protocol.StageCosts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	units, err := paillier.MeasureUnitCosts(key(t))
+	_, counts := eng.Protocol.StageCosts()
+	units, err := backend.MeasureUnitCosts(key(t).Bits())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,6 +126,22 @@ func (b *Builder) Build() (*Circuit, error) {
 	return &c, nil
 }
 
+// add64Gates and add64ANDs are the gates and the AND gates of one Add64:
+// bit 0 is an XOR and an AND, bits 1–62 two XORs for the sum, two ANDs and
+// an XOR for the carry, and bit 63 the two sum XORs alone.
+const (
+	add64Gates = 2 + 62*5 + 2
+	add64ANDs  = 1 + 62*2
+)
+
+// ReLUANDs is the AND-gate count of the ReLUShares circuit — two adders
+// and the 64 gates that zero a negative sum — and ReLUEvalBits its
+// evaluator input bits, each one extension OT.
+const (
+	ReLUANDs     = 2*add64ANDs + 64
+	ReLUEvalBits = 64
+)
+
 // Add64 appends a 64-bit ripple-carry adder over two little-endian wire
 // slices, returning the sum wires (the final carry is dropped: ring
 // arithmetic mod 2^64). Per bit: sum = a⊕b⊕c; carry' = (a∧b)⊕(c∧(a⊕b)),
@@ -165,8 +181,11 @@ func (b *Builder) Add64(a, x []int) ([]int, error) {
 //	                  evaluator as its new share (the garbler keeps r).
 //
 // Internally: s = x0 + x1; pos = ¬sign(s); y_i = pos ∧ s_i; out = y + negR.
+// The circuit is built whenever it is needed, with its gate list sized
+// exactly, rather than kept: it is 693 gates.
 func ReLUShares() (*Circuit, error) {
-	b := NewBuilder(128, 64)
+	b := NewBuilder(128, ReLUEvalBits)
+	b.c.Gates = make([]Gate, 0, 2*add64Gates+1+64)
 	x0 := make([]int, 64)
 	negR := make([]int, 64)
 	x1 := make([]int, 64)

@@ -60,12 +60,16 @@ type Garbled struct {
 	Decode []int
 }
 
-// Garbling is the garbler's secret state.
+// Garbling is the garbler's secret state. Its storage is sized once, for
+// its circuit: Regarble garbles again into it.
 type Garbling struct {
 	circuit *Circuit
 	delta   Label // free-XOR global offset, lsb forced to 1
 	zero    []Label
 	public  Garbled
+	// rnd receives each garbling's fresh randomness: delta, then the
+	// FALSE label of every input wire.
+	rnd []byte
 }
 
 // Garble garbles the circuit with fresh randomness.
@@ -73,15 +77,27 @@ func Garble(c *Circuit) (*Garbling, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Garbling{circuit: c, zero: make([]Label, c.NWires())}
-	if _, err := rand.Read(g.delta[:]); err != nil {
-		return nil, fmt.Errorf("garble: randomness: %w", err)
+	g := &Garbling{
+		circuit: c,
+		zero:    make([]Label, c.NWires()),
+		public:  Garbled{Tables: make([][2]Label, c.ANDCount()), Decode: make([]int, len(c.Outputs))},
+		rnd:     make([]byte, (1+c.NGarbler+c.NEval)*LabelSize),
 	}
+	return g, g.Regarble()
+}
+
+// Regarble garbles the same circuit again with fresh randomness, in place:
+// the previous garbling's labels, tables and decode bits are overwritten,
+// and nothing is allocated.
+func (g *Garbling) Regarble() error {
+	c := g.circuit
+	if _, err := rand.Read(g.rnd); err != nil {
+		return fmt.Errorf("garble: randomness: %w", err)
+	}
+	copy(g.delta[:], g.rnd)
 	g.delta[LabelSize-1] |= 1 // the permute bit of a label's pair differs
 	for i := 0; i < c.NGarbler+c.NEval; i++ {
-		if _, err := rand.Read(g.zero[i][:]); err != nil {
-			return nil, err
-		}
+		copy(g.zero[i][:], g.rnd[(1+i)*LabelSize:])
 	}
 	gateID := 0
 	for _, gate := range c.Gates {
@@ -110,35 +126,35 @@ func Garble(c *Circuit) (*Garbling, error) {
 				we = we.xor(te.xor(a0))
 			}
 			g.zero[gate.Out] = wg.xor(we)
-			g.public.Tables = append(g.public.Tables, [2]Label{tg, te})
+			g.public.Tables[gateID] = [2]Label{tg, te}
 			gateID++
 		default:
-			return nil, fmt.Errorf("garble: unknown gate type %v", gate.Type)
+			return fmt.Errorf("garble: unknown gate type %v", gate.Type)
 		}
 	}
-	g.public.Decode = make([]int, len(c.Outputs))
 	for i, w := range c.Outputs {
 		g.public.Decode[i] = g.zero[w].permBit()
 	}
-	return g, nil
+	return nil
 }
 
 // Public returns the data shipped to the evaluator (tables + decode).
 func (g *Garbling) Public() *Garbled { return &g.public }
 
-// GarblerLabels selects the garbler's own input labels for its bits.
-func (g *Garbling) GarblerLabels(bits []bool) ([]Label, error) {
+// GarblerLabels appends the garbler's own input labels for its bits to
+// dst and returns the extended slice.
+func (g *Garbling) GarblerLabels(dst []Label, bits []bool) ([]Label, error) {
 	if len(bits) != g.circuit.NGarbler {
 		return nil, fmt.Errorf("garble: %d garbler bits, circuit wants %d", len(bits), g.circuit.NGarbler)
 	}
-	out := make([]Label, len(bits))
 	for i, b := range bits {
-		out[i] = g.zero[i]
+		l := g.zero[i]
 		if b {
-			out[i] = out[i].xor(g.delta)
+			l = l.xor(g.delta)
 		}
+		dst = append(dst, l)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // EvalLabelPair returns both labels of the evaluator's i-th input wire —
@@ -151,9 +167,17 @@ func (g *Garbling) EvalLabelPair(i int) (zero, one Label, err error) {
 	return g.zero[w], g.zero[w].xor(g.delta), nil
 }
 
+// Evaluator evaluates garbled circuits, keeping its wire labels and output
+// bits between calls: the bits one Evaluate returns are overwritten by the
+// next. The zero value is ready to use.
+type Evaluator struct {
+	labels []Label
+	out    []bool
+}
+
 // Evaluate runs the garbled circuit with one label per input wire and
 // returns the decoded output bits.
-func Evaluate(c *Circuit, pub *Garbled, garblerLabels, evalLabels []Label) ([]bool, error) {
+func (e *Evaluator) Evaluate(c *Circuit, pub *Garbled, garblerLabels, evalLabels []Label) ([]bool, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -161,7 +185,13 @@ func Evaluate(c *Circuit, pub *Garbled, garblerLabels, evalLabels []Label) ([]bo
 		return nil, fmt.Errorf("garble: label counts %d/%d, circuit wants %d/%d",
 			len(garblerLabels), len(evalLabels), c.NGarbler, c.NEval)
 	}
-	labels := make([]Label, c.NWires())
+	if len(pub.Decode) != len(c.Outputs) {
+		return nil, fmt.Errorf("garble: decode length %d for %d outputs", len(pub.Decode), len(c.Outputs))
+	}
+	if cap(e.labels) < c.NWires() {
+		e.labels = make([]Label, c.NWires())
+	}
+	labels := e.labels[:c.NWires()]
 	copy(labels, garblerLabels)
 	copy(labels[c.NGarbler:], evalLabels)
 	gateID := 0
@@ -189,10 +219,10 @@ func Evaluate(c *Circuit, pub *Garbled, garblerLabels, evalLabels []Label) ([]bo
 			gateID++
 		}
 	}
-	if len(pub.Decode) != len(c.Outputs) {
-		return nil, fmt.Errorf("garble: decode length %d for %d outputs", len(pub.Decode), len(c.Outputs))
+	if cap(e.out) < len(c.Outputs) {
+		e.out = make([]bool, len(c.Outputs))
 	}
-	out := make([]bool, len(c.Outputs))
+	out := e.out[:len(c.Outputs)]
 	for i, w := range c.Outputs {
 		out[i] = labels[w].permBit() != pub.Decode[i]
 	}

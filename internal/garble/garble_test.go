@@ -62,7 +62,7 @@ func garbledEval(t *testing.T, c *Circuit, gBits, eBits []bool) []bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gl, err := g.GarblerLabels(gBits)
+	gl, err := g.GarblerLabels(nil, gBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func garbledEval(t *testing.T, c *Circuit, gBits, eBits []bool) []bool {
 			el[i] = zero
 		}
 	}
-	out, err := Evaluate(c, g.Public(), gl, el)
+	out, err := new(Evaluator).Evaluate(c, g.Public(), gl, el)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,10 @@ func TestReLUSharesCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("ReLU circuit: %d AND gates, %d wires", c.ANDCount(), c.NWires())
+	if c.ANDCount() != ReLUANDs || c.NEval != ReLUEvalBits || len(c.Gates) != cap(c.Gates) {
+		t.Errorf("ReLU circuit: %d AND gates, %d evaluator bits, %d of %d gate slots; want %d, %d, all",
+			c.ANDCount(), c.NEval, len(c.Gates), cap(c.Gates), ReLUANDs, ReLUEvalBits)
+	}
 	rng := rand.New(rand.NewSource(8))
 	xs := []int64{98765, -98765, 0, 1, -1}
 	for trial := 0; trial < 6; trial++ {
@@ -245,7 +248,7 @@ func TestGarbledMatchesPlainProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gl, err := g.GarblerLabels(gBits)
+		gl, err := g.GarblerLabels(nil, gBits)
 		if err != nil {
 			return false
 		}
@@ -261,7 +264,7 @@ func TestGarbledMatchesPlainProperty(t *testing.T) {
 				el[i] = z
 			}
 		}
-		got, err := Evaluate(c, g.Public(), gl, el)
+		got, err := new(Evaluator).Evaluate(c, g.Public(), gl, el)
 		if err != nil {
 			return false
 		}
@@ -339,7 +342,7 @@ func TestEndToEndWithOT(t *testing.T) {
 	x0 := rng.Uint64()
 	x1 := uint64(x) - x0
 	r := rng.Uint64()
-	gl, err := g.GarblerLabels(append(Bits64(x0), Bits64(-r)...))
+	gl, err := g.GarblerLabels(nil, append(Bits64(x0), Bits64(-r)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +364,7 @@ func TestEndToEndWithOT(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err := Evaluate(c, g.Public(), gl, el)
+	out, err := new(Evaluator).Evaluate(c, g.Public(), gl, el)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +385,64 @@ func TestHalfGatesTwoRowsPerAND(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Public().Tables) != c.ANDCount() {
-		t.Errorf("%d tables for %d AND gates", len(g.Public().Tables), c.ANDCount())
+	if tables := g.Public().Tables; len(tables) != c.ANDCount() || cap(tables) != len(tables) {
+		t.Errorf("%d tables (capacity %d) for %d AND gates", len(tables), cap(tables), c.ANDCount())
+	}
+}
+
+// TestRegarbleIsFreshAndInPlace: garbling again draws a new offset and new
+// labels into the same storage, allocates nothing, and the new garbling
+// still evaluates correctly while the old one's tables are gone.
+func TestRegarbleIsFreshAndInPlace(t *testing.T) {
+	c, err := ReLUShares()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Garble(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, first := g.delta, g.Public().Tables[0]
+	tables := &g.Public().Tables[0]
+	if allocs := testing.AllocsPerRun(3, func() {
+		if err := g.Regarble(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Regarble allocated %v times", allocs)
+	}
+	if g.delta == delta || g.Public().Tables[0] == first || &g.Public().Tables[0] != tables {
+		t.Error("Regarble kept the old offset or table, or moved the tables")
+	}
+	rng := rand.New(rand.NewSource(31))
+	var ev Evaluator
+	for _, x := range []int64{777, -777} {
+		if err := g.Regarble(); err != nil {
+			t.Fatal(err)
+		}
+		x0, r := rng.Uint64(), rng.Uint64()
+		gl, err := g.GarblerLabels(nil, append(Bits64(x0), Bits64(-r)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		el := make([]Label, c.NEval)
+		for i, b := range Bits64(uint64(x) - x0) {
+			m0, m1, err := g.EvalLabelPair(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			el[i] = m0
+			if b {
+				el[i] = m1
+			}
+		}
+		out, err := ev.Evaluate(c, g.Public(), gl, el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if y, want := int64(FromBits64(out)+r), max(x, 0); y != want {
+			t.Errorf("ReLU(%d) after Regarble = %d", x, y)
+		}
 	}
 }
 
@@ -399,13 +458,13 @@ func TestHalfGatesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.GarblerLabels([]bool{true, false}); err == nil {
+	if _, err := g.GarblerLabels(nil, []bool{true, false}); err == nil {
 		t.Error("wrong garbler bit count accepted")
 	}
 	if _, _, err := g.EvalLabelPair(5); err == nil {
 		t.Error("out-of-range eval input accepted")
 	}
-	if _, err := Evaluate(c, g.Public(), nil, nil); err == nil {
+	if _, err := new(Evaluator).Evaluate(c, g.Public(), nil, nil); err == nil {
 		t.Error("missing labels accepted")
 	}
 }

@@ -57,8 +57,10 @@ type CostStats struct {
 	// ExtOTs counts extended oblivious transfers consumed by garbled
 	// circuit evaluations.
 	ExtOTs uint64 `json:"ext_ots"`
-	// PlainOps counts plaintext multiply-accumulate operations executed
-	// by the clear backend past the certified crypto-clear boundary.
+	// PlainOps counts plaintext big-integer operations: the clear
+	// backend's multiply-accumulates past the certified crypto-clear
+	// boundary, and the data provider's conversion of each value it hands
+	// to the clear or ss-gc backend or opens from ss-gc shares.
 	PlainOps uint64 `json:"plain_ops"`
 }
 

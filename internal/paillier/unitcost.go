@@ -1,9 +1,10 @@
 package paillier
 
 import (
+	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
-	"sync"
 	"time"
 
 	"ppstream/internal/obs"
@@ -11,9 +12,10 @@ import (
 
 // UnitCosts is what one of each operation the cost meter counts takes at
 // one key size, in seconds. With an exact operation count (CountRows,
-// PackMulMods, and the encryptions and decryptions a round implies) it
-// prices work without running it: core.NewEngine prices its stages this
-// way for the paper's load-balanced allocation.
+// PackMulMods, the encryptions and decryptions a round implies, and the
+// ss-gc and clear backends' triples, gates, extension OTs and plain ops)
+// it prices work without running it: core.NewEngine prices its stages and
+// backend.PlanFor its rounds this way.
 type UnitCosts struct {
 	// MulMod is one multiplication modulo n² through the kernel's modMul.
 	MulMod float64
@@ -30,6 +32,16 @@ type UnitCosts struct {
 	// ScalarExp is one ciphertext raised to a 16-bit scalar: the
 	// exponentiation an affine op (BatchNorm, ElemScale) runs per element.
 	ScalarExp float64
+	// Gate is one AND gate of the garbled ReLU garbled and evaluated, with
+	// its share of the circuit's free gates.
+	Gate float64
+	// ExtOT is one extension OT: its share of a batch's bit matrix, the
+	// masking and the unmasking.
+	ExtOT float64
+	// Triple is one Beaver-triple multiplication of the ss-gc linear kernel.
+	Triple float64
+	// PlainOp is one big-integer multiply-accumulate of the clear backend.
+	PlainOp float64
 }
 
 // Price returns what the operations st counts take at these unit costs,
@@ -43,60 +55,88 @@ type UnitCosts struct {
 //   - a re-randomization at its public r^n (one ModExp); the multiply that
 //     applies it is among MulMods;
 //   - the MulMods, ModInverses and ModExps left over at MulMod, ModInverse
-//     and ScalarExp.
+//     and ScalarExp;
+//   - garbled AND gates, extension OTs, Beaver triples and plain ops at
+//     their own units. Opened share words and ciphertext bytes are not
+//     priced.
 func (u UnitCosts) Price(st obs.CostStats) float64 {
 	f := func(n uint64) float64 { return float64(n) }
 	mulMods := f(st.MulMods) - 2*f(st.Encrypts)
 	scalarExps := f(st.ModExps) - 2*f(st.Encrypts) - 2*f(st.Decrypts) - f(st.Rerands)
 	return f(st.Encrypts)*u.Encrypt + f(st.Decrypts)*u.Decrypt + f(st.Rerands)*u.Blinding +
-		mulMods*u.MulMod + f(st.ModInverses)*u.ModInverse + scalarExps*u.ScalarExp
+		mulMods*u.MulMod + f(st.ModInverses)*u.ModInverse + scalarExps*u.ScalarExp +
+		f(st.GCGates)*u.Gate + f(st.ExtOTs)*u.ExtOT + f(st.Triples)*u.Triple + f(st.PlainOps)*u.PlainOp
 }
 
-var (
-	unitMu    sync.Mutex
-	unitCache = map[int]UnitCosts{}
-)
+// Trial is one operation the unit-cost sweeps time: a trial is one call
+// of Run, which performs Ops of the operation, and *Unit receives the
+// fastest trial's time per operation, in seconds.
+type Trial struct {
+	Unit *float64
+	Ops  int
+	Run  func() error
+}
 
-// unitSweeps is the fewest sweeps MeasureUnitCosts makes, and unitSpan
-// the least time its sweeps last: at 256 bits a sweep takes a fraction of
-// a millisecond, at 2048 bits tens of milliseconds.
+// unitSweeps is the fewest sweeps Sweep makes, and unitSpan the least
+// time its sweeps last: at 256 bits a sweep takes about a millisecond, so
+// the span gives every operation ten or so trials; at 2048 bits a sweep
+// takes tens of milliseconds.
 const (
 	unitSweeps = 3
-	unitSpan   = 4 * time.Millisecond
+	unitSpan   = 12 * time.Millisecond
 )
 
-// MeasureUnitCosts times each operation under sk and returns its unit
-// costs. It measures once per key size per process, in sweeps that time
-// every operation once, and keeps each operation's fastest trial:
-// interference from the rest of the host only ever inflates a trial, and a
-// burst of it shorter than the sweeps' span leaves some trial of every
-// operation clean.
-func MeasureUnitCosts(sk *PrivateKey) (UnitCosts, error) {
-	unitMu.Lock()
-	defer unitMu.Unlock()
-	if u, ok := unitCache[sk.Bits()]; ok {
-		return u, nil
+// Sweep times the trials in sweeps that run every trial once, and keeps
+// each operation's fastest trial: interference from the rest of the host
+// only ever inflates a trial, and a burst of it shorter than the sweeps'
+// span leaves some trial of every operation clean.
+func Sweep(trials []Trial) error {
+	for sweep, begin := 0, time.Now(); sweep < unitSweeps || time.Since(begin) < unitSpan; sweep++ {
+		for _, t := range trials {
+			start := time.Now()
+			if err := t.Run(); err != nil {
+				return err
+			}
+			if took := time.Since(start).Seconds() / float64(t.Ops); sweep == 0 || took < *t.Unit {
+				*t.Unit = took
+			}
+		}
+	}
+	return nil
+}
+
+// Trials returns the trials of the Paillier unit costs at a bits-bit key,
+// which write into u. They need no key: the key holder's encryption and
+// decryption run under standInKey — the same operations on operands of the
+// same sizes, with no prime search.
+func (u *UnitCosts) Trials(bits int) ([]Trial, error) {
+	sk, err := standInKey(bits)
+	if err != nil {
+		return nil, err
 	}
 	ct, err := sk.Encrypt(nil, big.NewInt(12345))
 	if err != nil {
-		return UnitCosts{}, err
+		return nil, err
 	}
-	rn, err := sk.freshBlinding(nil)
+	// r^n for r coprime to n is a unit of Z_{n²}, so it has an inverse
+	// whatever n's factors.
+	rn, err := sk.PublicKey.freshBlinding(nil)
 	if err != nil {
-		return UnitCosts{}, err
+		return nil, err
 	}
 	mm := modMul{m: sk.N2, mu: reciprocal(sk.N2)}
 	var dst big.Int
-	var u UnitCosts
-	ops := []struct {
-		unit *float64
-		reps int
-		op   func() error
-	}{
-		{&u.MulMod, 32, func() error { mm.mul(&dst, ct.c, rn); return nil }},
+	const mulMods = 32
+	return []Trial{
+		{&u.MulMod, mulMods, func() error {
+			for i := 0; i < mulMods; i++ {
+				mm.mul(&dst, ct.c, rn)
+			}
+			return nil
+		}},
 		{&u.ModInverse, 1, func() error {
-			if dst.ModInverse(ct.c, sk.N2) == nil {
-				return errors.New("paillier: unit cost: ciphertext not invertible")
+			if dst.ModInverse(rn, sk.N2) == nil {
+				return errors.New("paillier: unit cost: blinding factor not invertible")
 			}
 			return nil
 		}},
@@ -104,20 +144,69 @@ func MeasureUnitCosts(sk *PrivateKey) (UnitCosts, error) {
 		{&u.Decrypt, 1, func() error { _, err := sk.Decrypt(ct); return err }},
 		{&u.Blinding, 1, func() error { _, err := sk.PublicKey.freshBlinding(nil); return err }},
 		{&u.ScalarExp, 1, func() error { _, err := sk.MulScalarInt64(ct, 1<<16-1); return err }},
+	}, nil
+}
+
+// smallOdd is the product of the odd primes below 100: a stand-in factor
+// coprime to it makes a random r share a factor with n rarely enough that
+// the public sampler's retry does not skew its fastest trial.
+var smallOdd = func() *big.Int {
+	p := big.NewInt(1)
+	for _, q := range []int64{3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97} {
+		p.Mul(p, big.NewInt(q))
 	}
-	for sweep, begin := 0, time.Now(); sweep < unitSweeps || time.Since(begin) < unitSpan; sweep++ {
-		for _, m := range ops {
-			start := time.Now()
-			for i := 0; i < m.reps; i++ {
-				if err := m.op(); err != nil {
-					return UnitCosts{}, err
-				}
+	return p
+}()
+
+// standInKey returns a private key for timing only. P and Q are random odd
+// bits/2-bit numbers with their top two bits set, so that n has exactly
+// bits bits, and the CRT constants are random numbers of their real sizes.
+// Every operation runs the key holder's code on operands of the real
+// sizes; nothing it encrypts decrypts to the message.
+func standInKey(bits int) (*PrivateKey, error) {
+	if bits < MinKeyBits || bits%2 != 0 {
+		return nil, fmt.Errorf("paillier: unit cost: key size %d is not an even number ≥ %d", bits, MinKeyBits)
+	}
+	below := func(m *big.Int) (*big.Int, error) { return rand.Int(rand.Reader, m) }
+	factor := func() (*big.Int, error) {
+		top := new(big.Int).Lsh(one, uint(bits/2))
+		for {
+			f, err := below(top)
+			if err != nil {
+				return nil, err
 			}
-			if took := time.Since(start).Seconds() / float64(m.reps); sweep == 0 || took < *m.unit {
-				*m.unit = took
+			f.SetBit(f, bits/2-1, 1).SetBit(f, bits/2-2, 1).SetBit(f, 0, 1)
+			if new(big.Int).GCD(nil, nil, f, smallOdd).Cmp(one) == 0 {
+				return f, nil
 			}
 		}
 	}
-	unitCache[sk.Bits()] = u
-	return u, nil
+	p, err := factor()
+	if err != nil {
+		return nil, err
+	}
+	q, err := factor()
+	if err != nil {
+		return nil, err
+	}
+	n := new(big.Int).Mul(p, q)
+	sk := &PrivateKey{
+		PublicKey: PublicKey{N: n, N2: new(big.Int).Mul(n, n)},
+		P:         p,
+		Q:         q,
+		p2:        new(big.Int).Mul(p, p),
+		q2:        new(big.Int).Mul(q, q),
+		pMinus1:   new(big.Int).Sub(p, one),
+		qMinus1:   new(big.Int).Sub(q, one),
+		halfN:     new(big.Int).Rsh(n, 1),
+	}
+	for _, c := range []struct {
+		dst **big.Int
+		m   *big.Int
+	}{{&sk.hp, p}, {&sk.hq, q}, {&sk.qInvP, p}, {&sk.q2InvP2, sk.p2}} {
+		if *c.dst, err = below(c.m); err != nil {
+			return nil, err
+		}
+	}
+	return sk, nil
 }

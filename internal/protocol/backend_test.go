@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/big"
 	mathrand "math/rand"
+	gonet "net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ppstream/internal/backend"
+	"ppstream/internal/garble"
 	"ppstream/internal/nn"
 	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
@@ -415,5 +417,81 @@ func TestPrivacyMaxClientNeverWeakens(t *testing.T) {
 	client.Close()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("server: %v", err)
+	}
+}
+
+// TestSessionRunsBaseOTsOnce: a mixed-profile session whose middle round
+// garbles its ReLU runs the base OTs of its OT extension once, at its
+// first request — every later request's garbled ReLU uses the same setup —
+// and a second session runs its own. The middle round takes 64 inputs to
+// 2 outputs, so on paillier-he it would cost 64 encryptions against two
+// garbled ReLUs on ss-gc: the measured plan puts it on ss-gc by a wide
+// margin on any host, race detector included.
+func TestSessionRunsBaseOTsOnce(t *testing.T) {
+	r := mathrand.New(mathrand.NewSource(43))
+	netw, err := nn.NewNetwork("wide-then-narrow", tensor.Shape{4},
+		nn.NewFC("fc1", 4, 64, r),
+		nn.NewReLU("relu1"),
+		nn.NewFC("fc2", 64, 2, r),
+		nn.NewReLU("relu2"),
+		nn.NewFC("fc3", 2, 2, r),
+		nn.NewSoftMax("softmax"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := keyOfBits(t, 1024)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	const factor, requests = 100, 3
+	var setups []*garble.OTSetup
+	for session := 0; session < 2; session++ {
+		c2s, s2cIn := gonet.Pipe()
+		s2c, c2sIn := gonet.Pipe()
+		serveErr := make(chan error, 1)
+		go func() {
+			serveErr <- ServeSessionConfig(ctx, stream.NewTCPEdge(s2cIn), stream.NewTCPEdge(s2c), netw, SessionConfig{
+				Factor: factor, MaxWorkers: 1, Window: 1, Profile: backend.ProfileMixed, ClearBoundary: 2,
+			})
+		}()
+		client, err := NewClientOpts(ctx, stream.NewTCPEdge(c2sIn), stream.NewTCPEdge(c2s), netw, k, factor,
+			ClientOptions{Workers: 1, Window: 1, Profile: backend.ProfileMixed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if client.dp.ot != nil {
+			t.Fatal("the OT setup ran before any request needed it")
+		}
+		var setup *garble.OTSetup
+		for i := 0; i < requests; i++ {
+			x := tensor.Zeros(netw.InputShape...)
+			for j := range x.Data() {
+				x.Data()[j] = float64((i+j)%7)/4 - 0.75
+			}
+			got, err := client.Infer(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := netw.Forward(x); !tensor.AllClose(want, got, 1e-2) {
+				t.Errorf("session %d request %d: %v, plaintext forward %v", session, i, got.Data(), want.Data())
+			}
+			if kind := client.dp.RoundBackend(1); kind != backend.SSGC {
+				t.Fatalf("round 1 runs on %s, want ss-gc", kind)
+			}
+			if i == 0 {
+				setup = client.dp.ot
+			}
+			if setup == nil || client.dp.ot != setup {
+				t.Fatalf("session %d request %d: OT setup %p, want the first request's %p", session, i, client.dp.ot, setup)
+			}
+		}
+		client.Close()
+		if err := <-serveErr; err != nil {
+			t.Fatalf("server: %v", err)
+		}
+		setups = append(setups, setup)
+	}
+	if setups[0] == setups[1] {
+		t.Error("two sessions share one OT setup")
 	}
 }

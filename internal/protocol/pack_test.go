@@ -200,7 +200,12 @@ func TestClientRefusesNarrowSlots(t *testing.T) {
 // from 73/73/73 and 2+1+1 replies): round 0 starts from the declared
 // |x| ≤ 64, not 2⁶³, and each later round from the previous bound through
 // ReLU. The same network with no declared domain — what a model file
-// written before the field existed loads as — keeps the old numbers.
+// written before the field existed loads as — keeps the old numbers, which
+// differ only in the replies and Pack's multiplications. Per backend:
+// paillier-he past round 0 pays the data provider's encryption of the
+// round's 16 or 8 inputs; ss-gc pays a triple per non-zero weight (204,
+// 126, 16) and, after fc1 and fc2, the garbled ReLU's 314 AND gates and 64
+// extension OTs per output.
 func TestLayerInfosHeart(t *testing.T) {
 	spec, err := models.ByName("Heart")
 	if err != nil {
@@ -212,19 +217,29 @@ func TestLayerInfosHeart(t *testing.T) {
 	}
 	undeclared := net.Clone()
 	undeclared.InputMax = 0
+	ssgc := []obs.CostStats{
+		{Triples: 204, OpenedWords: 848, GCGates: 5024, ExtOTs: 1024, PlainOps: 16},
+		{Triples: 126, OpenedWords: 520, GCGates: 2512, ExtOTs: 512, PlainOps: 24},
+		{Triples: 16, OpenedWords: 68, PlainOps: 10},
+	}
+	clear := []obs.CostStats{{PlainOps: 204}, {PlainOps: 142}, {PlainOps: 24}}
+	type round struct {
+		outs, replies, slotBits int
+		he                      obs.CostStats
+	}
 	for _, c := range []struct {
 		net  *nn.Network
-		want []backend.LayerInfo
+		want []round
 	}{
-		{net, []backend.LayerInfo{
-			{Muls: 204, Outs: 16, Replies: 1, SlotBits: 23, ReluFollows: true},
-			{Muls: 126, Outs: 8, Replies: 1, SlotBits: 25, ReluFollows: true},
-			{Muls: 16, Outs: 2, Replies: 1, SlotBits: 27},
+		{net, []round{
+			{16, 1, 23, obs.CostStats{ModExps: 3, MulMods: 913, ModInverses: 1, Rerands: 1, PoolMisses: 1, Decrypts: 1}},
+			{8, 1, 25, obs.CostStats{ModExps: 35, MulMods: 598, ModInverses: 1, Rerands: 1, PoolMisses: 1, Encrypts: 16, Decrypts: 1}},
+			{2, 1, 27, obs.CostStats{ModExps: 19, MulMods: 119, ModInverses: 1, Rerands: 1, PoolMisses: 1, Encrypts: 8, Decrypts: 1}},
 		}},
-		{undeclared, []backend.LayerInfo{
-			{Muls: 204, Outs: 16, Replies: 2, SlotBits: 73, ReluFollows: true},
-			{Muls: 126, Outs: 8, Replies: 1, SlotBits: 73, ReluFollows: true},
-			{Muls: 16, Outs: 2, Replies: 1, SlotBits: 73},
+		{undeclared, []round{
+			{16, 2, 73, obs.CostStats{ModExps: 6, MulMods: 1591, ModInverses: 1, Rerands: 2, PoolMisses: 2, Decrypts: 2}},
+			{8, 1, 73, obs.CostStats{ModExps: 35, MulMods: 934, ModInverses: 1, Rerands: 1, PoolMisses: 1, Encrypts: 16, Decrypts: 1}},
+			{2, 1, 73, obs.CostStats{ModExps: 19, MulMods: 165, ModInverses: 1, Rerands: 1, PoolMisses: 1, Encrypts: 8, Decrypts: 1}},
 		}},
 	} {
 		mp, err := BuildModelProvider(c.net, &keyOfBits(t, 1024).PublicKey, Config{Factor: 100})
@@ -232,31 +247,96 @@ func TestLayerInfosHeart(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r, got := range mp.LayerInfos() {
-			got.Name = ""
-			if got != c.want[r] {
-				t.Errorf("input domain ±%v round %d: %+v, want %+v", c.net.InputMax, r, got, c.want[r])
+			w := c.want[r]
+			if got.Outs != w.outs || got.Replies != w.replies || mp.stages[r].slotBits != w.slotBits ||
+				got.HE != w.he || got.SSGC != ssgc[r] || got.Clear != clear[r] {
+				t.Errorf("input domain ±%v round %d: %d outputs, %d replies of %d-bit slots, paillier-he %+v, ss-gc %+v, clear %+v; want %+v, ss-gc %+v, clear %+v",
+					c.net.InputMax, r, got.Outs, got.Replies, mp.stages[r].slotBits, got.HE, got.SSGC, got.Clear, w, ssgc[r], clear[r])
 			}
 		}
 	}
 }
 
+// TestLayerInfosAreWhatAWalkMeters: on Heart at 256 bits, a request walked
+// under each admissible kind of plan meters exactly its input encryption
+// plus every round's LayerInfo count on the backend the plan gives it,
+// field by field — the counts backend.PlanFor prices. The data provider's
+// OT setup runs before the walk, as a session runs it once.
+func TestLayerInfosAreWhatAWalkMeters(t *testing.T) {
+	spec, err := models.ByName("Heart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := Build(net, keyOfBits(t, 256), Config{Factor: 100, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proto.Data.gcOT(); err != nil {
+		t.Fatal(err)
+	}
+	infos := proto.Model.LayerInfos()
+	he, ssgc, clear := backend.PaillierHE, backend.SSGC, backend.Clear
+	x := tensor.Zeros(net.InputShape...)
+	for i := range x.Data() {
+		x.Data()[i] = float64(i%5) - 2
+	}
+	for i, plan := range [][]backend.Kind{{he, he, he}, {he, ssgc, clear}, {he, ssgc, ssgc}, {he, he, clear}, {he, clear, clear}, {he, he, ssgc}} {
+		if err := proto.Model.SetBackendPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		if err := proto.Data.SetBackendPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		want := encryptions(net.InputShape.Size())
+		for r, k := range plan {
+			want.Add(infos[r].Cost(k))
+		}
+		var m obs.CostMeter
+		req := uint64(i + 1)
+		env, err := proto.Data.EncryptMetered(req, x, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range plan {
+			if env, _, err = proto.Model.ProcessLinearMetered(r, env, &m); err != nil {
+				t.Fatal(err)
+			}
+			if env, err = proto.Data.ProcessNonLinearMetered(r, env, &m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proto.Model.Forget(req)
+		if got := m.Snapshot(); got != want {
+			t.Errorf("%v: metered %+v, LayerInfos add up to %+v", plan, got, want)
+		}
+	}
+}
+
 // TestBenchShapesReplyCounts pins, for the benchmark's four workloads
-// (model, key size, profile, clear boundary; factor 100), how many reply
-// ciphertexts one request costs: the planner's LayerInfos().Replies over
-// the plan's Paillier rounds, the packed length of each reply on the way,
-// and the data provider's metered decryptions are the same number — 88, 6,
-// 3 and 2, where the int64-wide slots needed 407, 19, 4 and 3.
+// (model, key size, backend plan; factor 100), how many reply ciphertexts
+// one request costs: the planner's LayerInfos().Replies over the plan's
+// Paillier rounds, the packed length of each reply on the way, and the
+// data provider's metered decryptions are the same number — 88, 6, 3 and
+// 1, where the int64-wide slots needed 407, 19, 4 and 3 (heart-mixed's 1
+// is its round 0: it plans [paillier-he ss-gc clear], which
+// backend.TestPlanPinnedModels pins, and is set here rather than solved
+// from this host's unit costs).
 func TestBenchShapesReplyCounts(t *testing.T) {
+	he, ssgc, clear := backend.PaillierHE, backend.SSGC, backend.Clear
 	for _, c := range []struct {
 		workload, model string
 		keyBits         int
-		profile         backend.Profile
-		boundary, want  int
+		plan            []backend.Kind
+		want            int
 	}{
-		{"conv-engine", "MNIST-2", 256, backend.ProfilePrivacyMax, 0, 88},
-		{"mnist-fc-stream", "MNIST-1", 512, backend.ProfilePrivacyMax, 0, 6},
-		{"heart-seq", "Heart", 1024, backend.ProfilePrivacyMax, 0, 3},
-		{"heart-mixed", "Heart", 1024, backend.ProfileMixed, 2, 2},
+		{"conv-engine", "MNIST-2", 256, []backend.Kind{he, he, he}, 88},
+		{"mnist-fc-stream", "MNIST-1", 512, []backend.Kind{he, he, he}, 6},
+		{"heart-seq", "Heart", 1024, []backend.Kind{he, he, he}, 3},
+		{"heart-mixed", "Heart", 1024, []backend.Kind{he, ssgc, clear}, 1},
 	} {
 		spec, err := models.ByName(c.model)
 		if err != nil {
@@ -271,13 +351,15 @@ func TestBenchShapesReplyCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := proto.ApplyProfile(c.profile, c.boundary)
-		if err != nil {
+		if err := proto.Model.SetBackendPlan(c.plan); err != nil {
+			t.Fatal(err)
+		}
+		if err := proto.Data.SetBackendPlan(c.plan); err != nil {
 			t.Fatal(err)
 		}
 		planned := 0
 		infos := proto.Model.LayerInfos()
-		for r, kind := range plan.Assignment {
+		for r, kind := range c.plan {
 			if kind == backend.PaillierHE {
 				planned += infos[r].Replies
 			}
@@ -297,7 +379,7 @@ func TestBenchShapesReplyCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if env.CT != nil {
-				if got, want := env.CT.Size(), k.PackedLen(infos[r].Outs, infos[r].SlotBits); got != want {
+				if got, want := env.CT.Size(), k.PackedLen(infos[r].Outs, proto.Model.stages[r].slotBits); got != want {
 					t.Errorf("%s round %d: reply of %d ciphertexts, PackedLen %d", c.workload, r, got, want)
 				}
 				sent += env.CT.Size()
@@ -308,7 +390,7 @@ func TestBenchShapesReplyCounts(t *testing.T) {
 		}
 		proto.Model.Forget(1)
 		if decrypts := int(client.Snapshot().Decrypts); planned != c.want || sent != c.want || decrypts != c.want {
-			t.Errorf("%s (%v): %d replies planned, %d sent, %d decrypted, want %d of each", c.workload, plan.Assignment, planned, sent, decrypts, c.want)
+			t.Errorf("%s (%v): %d replies planned, %d sent, %d decrypted, want %d of each", c.workload, c.plan, planned, sent, decrypts, c.want)
 		}
 	}
 }

@@ -17,6 +17,7 @@
 package protocol
 
 import (
+	"bytes"
 	"crypto/rand"
 	"fmt"
 	"math"
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"ppstream/internal/backend"
+	"ppstream/internal/garble"
 	"ppstream/internal/nn"
 	"ppstream/internal/obfuscate"
 	"ppstream/internal/obs"
@@ -178,10 +180,10 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 	if err != nil {
 		return nil, err
 	}
-	return newModelProvider(merged, stages, pk, cfg), nil
+	return newModelProvider(merged, stages, pk, cfg)
 }
 
-func newModelProvider(merged []*nn.PrimitiveLayer, stages []qnn.Stage, pk *paillier.PublicKey, cfg Config) *ModelProvider {
+func newModelProvider(merged []*nn.PrimitiveLayer, stages []qnn.Stage, pk *paillier.PublicKey, cfg Config) (*ModelProvider, error) {
 	mp := &ModelProvider{
 		roundPlan: privacyMax(len(stages)),
 		pk:        pk,
@@ -190,7 +192,7 @@ func newModelProvider(merged []*nn.PrimitiveLayer, stages []qnn.Stage, pk *paill
 	}
 	for r, st := range stages {
 		m := merged[2*r]
-		mp.stages = append(mp.stages, &linearStage{
+		ls := &linearStage{
 			Stage: backend.Stage{
 				Ops:      st.Ops,
 				InShape:  m.InShape.Clone(),
@@ -200,9 +202,13 @@ func newModelProvider(merged []*nn.PrimitiveLayer, stages []qnn.Stage, pk *paill
 			name:        m.Name(),
 			slotBits:    st.SlotBits(),
 			reluFollows: garblesReLU(merged, r),
-		})
+		}
+		if err := ls.count(pk); err != nil {
+			return nil, err
+		}
+		mp.stages = append(mp.stages, ls)
 	}
-	return mp
+	return mp, nil
 }
 
 // garblesReLU reports whether round r's non-linear stage is intermediate
@@ -265,7 +271,10 @@ func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, er
 	if err != nil {
 		return nil, err
 	}
-	mp := newModelProvider(merged, stages, &key.PublicKey, cfg)
+	mp, err := newModelProvider(merged, stages, &key.PublicKey, cfg)
+	if err != nil {
+		return nil, err
+	}
 	dp := newDataProvider(net.InputMax, merged, stages, key, cfg)
 	return &Protocol{Model: mp, Data: dp, Merged: merged, life: NewLifecycle(mp, SessionConfig{})}, nil
 }
@@ -298,31 +307,29 @@ func (p *Protocol) ApplyProfile(profile backend.Profile, boundary int) (*backend
 //     exponentiations each), then the next round's input encryptions;
 //   - encryption: one per input element, each two multiplications and
 //     the key holder's two half-size exponentiations.
-func (p *Protocol) StageCosts() (encrypt obs.CostStats, merged []obs.CostStats, err error) {
-	encryptions := func(n int) obs.CostStats {
-		e := uint64(n)
-		return obs.CostStats{Encrypts: e, MulMods: 2 * e, ModExps: 2 * e}
-	}
+func (p *Protocol) StageCosts() (encrypt obs.CostStats, merged []obs.CostStats) {
 	stages := p.Model.stages
-	encrypt = encryptions(stages[0].InShape.Size())
 	for r, st := range stages {
-		linear, err := qnn.StageCost(st.Ops, st.InShape)
-		if err != nil {
-			return obs.CostStats{}, nil, err
-		}
-		outs := st.OutShape.Size()
-		replies := uint64(p.Model.pk.PackedLen(outs, st.slotBits))
-		linear.Add(obs.CostStats{
-			MulMods: p.Model.pk.PackMulMods(outs, st.slotBits),
-			Rerands: replies, ModExps: replies, PoolMisses: replies,
-		})
-		nonLinear := obs.CostStats{Decrypts: replies, ModExps: 2 * replies}
+		nonLinear := decryptions(st.replies)
 		if r+1 < len(stages) {
 			nonLinear.Add(encryptions(stages[r+1].InShape.Size()))
 		}
-		merged = append(merged, linear, nonLinear)
+		merged = append(merged, st.kernel, nonLinear)
 	}
-	return encrypt, merged, nil
+	return encryptions(stages[0].InShape.Size()), merged
+}
+
+// encryptions is what the data provider meters encrypting n values.
+func encryptions(n int) obs.CostStats {
+	e := uint64(n)
+	return obs.CostStats{Encrypts: e, MulMods: 2 * e, ModExps: 2 * e}
+}
+
+// decryptions is what the data provider meters opening a reply of n
+// ciphertexts.
+func decryptions(n int) obs.CostStats {
+	d := uint64(n)
+	return obs.CostStats{Decrypts: d, ModExps: 2 * d}
 }
 
 // Infer runs the full collaborative workflow sequentially for one input:
@@ -415,6 +422,39 @@ type linearStage struct {
 	reluFollows bool
 	// slotBits is the reply slot width W (stageSlotBits), fixed at Build.
 	slotBits int
+	// replies is the reply's ciphertext count at slotBits, muls the
+	// stage's non-zero weight multiplications (qnn.MulCount), and kernel
+	// what a paillier-he pass meters here with no blinding pool: the
+	// kernel's count, Pack's multiplications and one inline blinding per
+	// reply. count sets all three at Build.
+	replies int
+	muls    uint64
+	kernel  obs.CostStats
+}
+
+// count derives the stage's operation counts under pk from its weights
+// and shapes.
+func (st *linearStage) count(pk *paillier.PublicKey) error {
+	kernel, err := qnn.StageCost(st.Ops, st.InShape)
+	if err != nil {
+		return err
+	}
+	outs := st.OutShape.Size()
+	st.replies = pk.PackedLen(outs, st.slotBits)
+	replies := uint64(st.replies)
+	kernel.Add(obs.CostStats{
+		MulMods: pk.PackMulMods(outs, st.slotBits),
+		Rerands: replies, ModExps: replies, PoolMisses: replies,
+	})
+	st.kernel = kernel
+	shape := st.InShape
+	for _, op := range st.Ops {
+		st.muls += uint64(qnn.MulCount(op, shape))
+		if next, err := op.OutShape(shape); err == nil {
+			shape = next
+		}
+	}
+	return nil
 }
 
 // ModelProvider executes linear stages under the session's per-round
@@ -447,30 +487,36 @@ func (mp *ModelProvider) Instrument(reg *obs.Registry) {
 // Stages returns the number of linear stages.
 func (mp *ModelProvider) Stages() int { return len(mp.stages) }
 
-// LayerInfos returns the planner's view of every linear round: the
-// non-zero weight multiplication count, output size, how many reply
-// ciphertexts those outputs pack into, and whether a garbled ReLU would
-// follow — the inputs backend.PlanFor consumes.
+// LayerInfos returns the planner's view of every linear round: its
+// output and reply counts, and the operations it meters on each backend
+// (backend.LayerInfo) — the inputs backend.PlanFor consumes. A round's
+// counts run from its input leaving the data provider to the data
+// provider's opening of its output, so a request under plan P meters its
+// input encryption plus round r's count on P[r], summed over the rounds.
 func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 	out := make([]backend.LayerInfo, len(mp.stages))
 	for r, st := range mp.stages {
-		muls := 0
-		shape := st.InShape
-		for _, op := range st.Ops {
-			muls += qnn.MulCount(op, shape)
-			if next, err := op.OutShape(shape); err == nil {
-				shape = next
-			}
-		}
 		outs := st.OutShape.Size()
-		out[r] = backend.LayerInfo{
-			Name:        st.name,
-			Muls:        muls,
-			Outs:        outs,
-			Replies:     mp.pk.PackedLen(outs, st.slotBits),
-			SlotBits:    st.slotBits,
-			ReluFollows: st.reluFollows,
+		info := backend.LayerInfo{
+			Name:    st.name,
+			Outs:    outs,
+			Replies: st.replies,
+			HE:      st.kernel,
+			SSGC:    obs.CostStats{Triples: st.muls, OpenedWords: 4*st.muls + 2*uint64(outs), PlainOps: uint64(outs)},
+			Clear:   obs.CostStats{PlainOps: st.muls},
 		}
+		info.HE.Add(decryptions(st.replies))
+		if r > 0 {
+			// The data provider encodes the round's input for its backend.
+			in := st.InShape.Size()
+			info.HE.Add(encryptions(in))
+			info.SSGC.PlainOps += uint64(in)
+			info.Clear.PlainOps += uint64(in)
+		}
+		if st.reluFollows {
+			info.SSGC.Add(backend.ReLUCost(outs))
+		}
+		out[r] = info
 	}
 	return out
 }
@@ -675,6 +721,27 @@ type DataProvider struct {
 	// inline CRT sampler.
 	blind  paillier.Blinder
 	stages []*nonLinearStage
+
+	// ot is the OT extension every garbled ReLU of this data provider
+	// draws its batches from: its base OTs run once, at the first ss-gc
+	// round that garbles (gcOT).
+	otMu sync.Mutex
+	ot   *garble.OTSetup
+}
+
+// gcOT returns the data provider's OT setup, running its base OTs first if
+// no garbled ReLU has needed it yet.
+func (dp *DataProvider) gcOT() (*garble.OTSetup, error) {
+	dp.otMu.Lock()
+	defer dp.otMu.Unlock()
+	if dp.ot == nil {
+		ot, err := garble.NewOTSetup()
+		if err != nil {
+			return nil, fmt.Errorf("protocol: ot setup: %w", err)
+		}
+		dp.ot = ot
+	}
+	return dp.ot, nil
 }
 
 // SetStageThreads overrides stage r's thread count.
@@ -808,8 +875,11 @@ func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.De
 	case backend.SSGC:
 		shares := env.Sh.Data()
 		if st.garbleReLU {
-			var err error
-			if shares, err = backend.GCReLUShares(shares, m); err != nil {
+			ot, err := dp.gcOT()
+			if err != nil {
+				return nil, err
+			}
+			if shares, err = backend.GCReLUShares(ot, shares, m); err != nil {
 				return nil, err
 			}
 		}
@@ -817,7 +887,8 @@ func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.De
 		for i, s := range shares {
 			ints.SetFlat(i, big.NewInt(secshare.SignedOfRing(s.Reconstruct())))
 		}
-		m.Add(obs.CostStats{OpenedWords: 2 * uint64(len(shares))})
+		n := uint64(len(shares))
+		m.Add(obs.CostStats{OpenedWords: 2 * n, PlainOps: n})
 	}
 	return qnn.Descale(ints, dp.factor, env.Exp)
 }
@@ -836,15 +907,22 @@ func (dp *DataProvider) encodeFor(req uint64, nextRound int, scaled *tensor.Tens
 		}
 		env.CT = ct
 	case backend.SSGC:
+		// One read from crypto/rand masks every value.
+		masks := make([]byte, 8*scaled.Size())
+		if _, err := rand.Read(masks); err != nil {
+			return nil, fmt.Errorf("protocol: share randomness: %w", err)
+		}
+		src := bytes.NewReader(masks)
 		sh := tensor.New[secshare.Shares](scaled.Shape()...)
 		for i, v := range scaled.Data() {
-			s, err := secshare.SplitRandom(rand.Reader, secshare.RingOfBig(big.NewInt(v)))
+			s, err := secshare.SplitRandom(src, secshare.RingOfBig(big.NewInt(v)))
 			if err != nil {
 				return nil, err
 			}
 			sh.SetFlat(i, s)
 		}
 		env.Sh = sh
+		m.Add(obs.CostStats{PlainOps: uint64(scaled.Size())})
 	case backend.Clear:
 		plain := tensor.New[*big.Int](scaled.Shape()...)
 		for i, v := range scaled.Data() {

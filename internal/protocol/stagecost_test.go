@@ -27,10 +27,7 @@ func TestStageCostsAreWhatAWalkMeters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		encrypt, merged, err := proto.StageCosts()
-		if err != nil {
-			t.Fatal(err)
-		}
+		encrypt, merged := proto.StageCosts()
 		if len(merged) != len(proto.Merged) {
 			t.Fatalf("%s: %d stage counts for %d merged stages", name, len(merged), len(proto.Merged))
 		}

@@ -97,14 +97,14 @@ func (q *QFC) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[
 		return nil, fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, len(q.W[0]), len(xs))
 	}
 	out := tensor.New[*big.Int](len(q.W))
+	t, wb := new(big.Int), new(big.Int)
 	for o := range q.W {
 		acc := biasAt(q.B[o], q.F, inExp+1)
-		t := new(big.Int)
 		for i, w := range q.W[o] {
 			if w == 0 {
 				continue
 			}
-			acc.Add(acc, t.Mul(xs[i], big.NewInt(w)))
+			acc.Add(acc, t.Mul(xs[i], wb.SetInt64(w)))
 		}
 		out.SetFlat(o, acc)
 	}
@@ -264,7 +264,7 @@ func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tenso
 	}
 	oh, ow := q.P.OutH(), q.P.OutW()
 	out := tensor.New[*big.Int](q.P.OutC, oh, ow)
-	t := new(big.Int)
+	t, wb := new(big.Int), new(big.Int)
 	for f := 0; f < q.P.OutC; f++ {
 		for pos := 0; pos < oh*ow; pos++ {
 			acc := biasAt(q.B[f], q.F, inExp+1)
@@ -272,7 +272,7 @@ func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tenso
 				if off < 0 || q.W[f][k] == 0 {
 					continue
 				}
-				acc.Add(acc, t.Mul(xs[off], big.NewInt(q.W[f][k])))
+				acc.Add(acc, t.Mul(xs[off], wb.SetInt64(q.W[f][k])))
 			}
 			out.SetFlat(f*oh*ow+pos, acc)
 		}
