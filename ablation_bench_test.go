@@ -1,24 +1,18 @@
 package ppstream
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
-// CRT-accelerated decryption, the precomputed blinding pool, merged vs
-// per-layer stage encapsulation, and the partitioning executor's
-// overhead. Run with:
+// CRT-accelerated decryption, the precomputed blinding pool, and merged
+// vs per-layer stage encapsulation. Run with:
 //
 //	go test -bench=Ablation -benchmem
 
 import (
 	"crypto/rand"
-	mathrand "math/rand"
 	"sync"
 	"testing"
 
-	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
-	"ppstream/internal/partition"
-	"ppstream/internal/qnn"
 	"ppstream/internal/simulate"
-	"ppstream/internal/tensor"
 )
 
 var (
@@ -139,56 +133,6 @@ func BenchmarkAblationPerLayerStages(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := simulate.Pipeline(stages, 16, per); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Partitioning executor overhead ----------------------------------------
-//
-// The shared-memory fast path (qnn.ApplyStage) vs the partitioning
-// executor that materializes per-thread input views (partition.Execute):
-// the cost of physically modelling the communication.
-
-func ablationConvOp(b *testing.B) (qnn.ElementOp, *paillier.CipherTensor, *paillier.PrivateKey) {
-	b.Helper()
-	k := benchPaillierKey(b)
-	r := mathrand.New(mathrand.NewSource(9))
-	p := tensor.ConvParams{InC: 1, InH: 8, InW: 8, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv, err := nn.NewConv("c", p, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	op, err := qnn.Quantize(conv, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.Zeros(1, 8, 8)
-	for i := range x.Data() {
-		x.Data()[i] = r.Float64() - 0.5
-	}
-	ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), qnn.ScaleInput(x, 100), 2, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return op.(qnn.ElementOp), ct, k
-}
-
-func BenchmarkAblationSharedMemoryConv(b *testing.B) {
-	op, ct, k := ablationConvOp(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := op.Apply(paillier.NewEvaluator(&k.PublicKey), ct, 1, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPartitionedConv(b *testing.B) {
-	op, ct, k := ablationConvOp(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := partition.Execute(paillier.NewEvaluator(&k.PublicKey), op, ct, 1, 2, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,8 +62,8 @@ func main() {
 	fmt.Printf("scaling factor: 10^%d (accuracy %.2f%% vs %.2f%%)\n",
 		sel.Exponent, sel.ScaledAccuracy*100, sel.OriginalAccuracy*100)
 
-	// 5. Build the engine: profile stages, solve the load-balanced
-	// allocation, plan tensor partitioning.
+	// 5. Build the engine: price stages, solve the load-balanced
+	// allocation, account tensor partitioning's communication.
 	eng, err := ppstream.NewEngine(net, key, ppstream.Options{
 		Factor:          sel.Factor,
 		Topology:        ppstream.Topology{ModelServers: 1, DataServers: 1, CoresPerServer: 2},

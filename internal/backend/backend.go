@@ -27,7 +27,6 @@ import (
 
 	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
-	"ppstream/internal/partition"
 	"ppstream/internal/qnn"
 	"ppstream/internal/secshare"
 	"ppstream/internal/tensor"
@@ -164,16 +163,13 @@ func (p *Payload) Reshape(shape tensor.Shape) (*Payload, error) {
 }
 
 // Stage describes one linear round's work for a backend: its op
-// sequence, shapes, and the execution plan the pipeline chose.
+// sequence, shapes, and the thread count the allocation plan chose, over
+// which paillier-he splits each op's outputs (qnn.ApplyStage).
 type Stage struct {
 	Ops      []qnn.Op
 	InShape  tensor.Shape
 	OutShape tensor.Shape
 	Threads  int
-	// InputPartition runs a paillier-he stage through the partitioning
-	// executor with input and output tensor partitioning (Section IV-D);
-	// otherwise the stage takes the shared-memory path.
-	InputPartition bool
 }
 
 // Execute runs the stage over in under in.Kind's crypto regime and returns
@@ -193,11 +189,7 @@ func Execute(ev *paillier.Evaluator, m *obs.CostMeter, st *Stage, in *Payload) (
 		if ev == nil {
 			return nil, fmt.Errorf("backend: paillier-he needs an evaluator")
 		}
-		if st.InputPartition {
-			out.CT, out.Exp, _, err = partition.ExecuteStage(ev, st.Ops, in.CT, in.Exp, st.Threads, true)
-		} else {
-			out.CT, out.Exp, err = qnn.ApplyStage(ev, st.Ops, in.CT, in.Exp, st.Threads)
-		}
+		out.CT, out.Exp, err = qnn.ApplyStage(ev, st.Ops, in.CT, in.Exp, st.Threads)
 	case SSGC:
 		var seed uint64
 		if seed, err = randomWord(); err != nil {

@@ -9,17 +9,13 @@
 //     OT extension) for ReLU, paying a protocol transition at every
 //     linear/non-linear boundary — the overhead the paper identifies as
 //     EzPC's bottleneck.
-//   - A SecureML-style engine: the same arithmetic substrate with the
-//     square activation SecureML's protocols favour.
 //   - The reported latencies of SecureML, CryptoNets, and CryptoDL from
 //     their publications, which the paper itself compares against
 //     (starred rows of Table VII).
 //
 // Consumers: `ppbench fig8` runs PlainBase and CipherBase, `ppbench
 // table7` runs the EzPC-style engine and prints ReportedLatencies
-// (internal/experiments/latency.go, table7.go). The SecureML-style engine
-// (secureml.go) is run by this package's tests only — Table VII prints
-// SecureML's published number, as the paper does. Nothing on the serving
+// (internal/experiments/latency.go, table7.go). Nothing on the serving
 // path imports this package.
 package baselines
 
@@ -86,14 +82,10 @@ func (c *CipherBase) Protocol() *protocol.Protocol { return c.proto }
 
 // checkSupported verifies a network uses only the layers the 2PC
 // baselines implement.
-func checkSupported(net *nn.Network, allowSquareOnly bool) error {
+func checkSupported(net *nn.Network) error {
 	for i, l := range net.Layers {
 		switch l.(type) {
-		case *nn.FC, *nn.Conv, *nn.BatchNorm, *nn.Flatten:
-		case *nn.ReLU:
-			if allowSquareOnly {
-				return fmt.Errorf("baselines: SecureML-style engine replaces ReLU with square; layer %d (%s) should be pre-rewritten", i, l.Name())
-			}
+		case *nn.FC, *nn.Conv, *nn.BatchNorm, *nn.Flatten, *nn.ReLU:
 		case *nn.SoftMax:
 			if i != len(net.Layers)-1 {
 				return fmt.Errorf("baselines: SoftMax must be the final layer (layer %d)", i)

@@ -9,81 +9,6 @@ import (
 	"ppstream/internal/tensor"
 )
 
-// TestSecureMLConvNet runs the SecureML-style engine on a conv network
-// (conv path + batched rounds accounting).
-func TestSecureMLConvNet(t *testing.T) {
-	net := convNet(t)
-	s, err := NewSecureML(net, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := sampleInput(net.InputShape, 7)
-	out, lat, err := s.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 || out.Size() != 3 {
-		t.Errorf("lat %v size %d", lat, out.Size())
-	}
-	var sum float64
-	for _, v := range out.Data() {
-		sum += v
-	}
-	if sum < 0.99 || sum > 1.01 {
-		t.Errorf("output not a distribution: sum %v", sum)
-	}
-	if s.Stats.TriplesUsed == 0 {
-		t.Error("conv used no triples")
-	}
-}
-
-// TestSecureMLBatchNorm covers the BN affine path.
-func TestSecureMLBatchNorm(t *testing.T) {
-	r := mathrand.New(mathrand.NewSource(74))
-	bn := nn.NewBatchNorm("bn", 2)
-	bn.Gamma = tensor.MustFromSlice([]float64{2, 0.5}, 2)
-	bn.Beta = tensor.MustFromSlice([]float64{0.1, -0.1}, 2)
-	net, err := nn.NewNetwork("bn-net", tensor.Shape{2},
-		nn.NewFC("fc", 2, 2, r),
-		bn,
-		nn.NewReLU("relu"),
-		nn.NewFC("fc2", 2, 2, r),
-		nn.NewSoftMax("sm"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSecureML(net, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.MustFromSlice([]float64{0.3, -0.6}, 2)
-	out, _, err := s.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: same network with ReLU→square.
-	h, _ := net.Layers[0].Forward(x)
-	h, _ = bn.Forward(h)
-	sq := tensor.Map(h, func(v float64) float64 { return v * v })
-	logits, _ := net.Layers[3].Forward(sq)
-	want, _ := net.Layers[4].Forward(logits)
-	if !tensor.AllClose(want, out, 0.05) {
-		t.Errorf("BN path diverges: %v vs %v", out.Data(), want.Data())
-	}
-}
-
-func TestSecureMLInputShape(t *testing.T) {
-	net := fcNet(t)
-	s, err := NewSecureML(net, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Infer(tensor.Zeros(5)); err == nil {
-		t.Error("wrong shape accepted")
-	}
-}
-
 // TestEzPCBatchNorm covers the EzPC BN path on a conv+BN model.
 func TestEzPCBatchNorm(t *testing.T) {
 	r := mathrand.New(mathrand.NewSource(75))

@@ -213,36 +213,6 @@ func TestEzPCInputShapeCheck(t *testing.T) {
 	}
 }
 
-// TestSecureMLRunsSquareActivation checks the SecureML-style engine
-// computes the square-activation network correctly (its outputs match a
-// manual square-activation forward pass, not the ReLU network).
-func TestSecureMLRunsSquareActivation(t *testing.T) {
-	net := fcNet(t)
-	s, err := NewSecureML(net, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := sampleInput(net.InputShape, 5)
-	out, _, err := s.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// manual reference with x² activation
-	fc1 := net.Layers[0].(*nn.FC)
-	fc2 := net.Layers[2].(*nn.FC)
-	sm := net.Layers[3].(*nn.SoftMax)
-	h, _ := fc1.Forward(x)
-	sq := tensor.Map(h, func(v float64) float64 { return v * v })
-	logits, _ := fc2.Forward(sq)
-	want, _ := sm.Forward(logits)
-	if !tensor.AllClose(want, out, 0.05) {
-		t.Errorf("SecureML %v vs square reference %v", out.Data(), want.Data())
-	}
-	if s.Stats.TriplesUsed == 0 || s.Stats.Rounds == 0 {
-		t.Error("missing cost accounting")
-	}
-}
-
 // TestEzPCIsSlowerThanPPStreamShape sanity-checks the Table VII shape on
 // a tiny model: the EzPC-style engine should cost more protocol machinery
 // than the hybrid protocol for the same network. We compare structural

@@ -49,7 +49,7 @@ type EzPC struct {
 // NewEzPC builds the engine for a supported network (FC/Conv/BatchNorm/
 // Flatten/ReLU with a final SoftMax).
 func NewEzPC(net *nn.Network, seed int64) (*EzPC, error) {
-	if err := checkSupported(net, false); err != nil {
+	if err := checkSupported(net); err != nil {
 		return nil, err
 	}
 	return &EzPC{net: net, eng: secshare.NewEngine(seed)}, nil

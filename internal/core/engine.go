@@ -63,8 +63,11 @@ type Options struct {
 	// LoadBalance selects alloc.Solve (the optimum of the paper's Eqs 4–8)
 	// over alloc.Even.
 	LoadBalance bool
-	// TensorPartition enables input+output tensor partitioning on the
-	// model provider's stages (Section IV-D).
+	// TensorPartition picks which of a linear stage's two communication
+	// volumes (protocol.ModelProvider.StageComm) the simulator charges:
+	// the partitioned one (Section IV-D) or the whole-input baseline. It
+	// changes no execution — in one process every thread reads its stage's
+	// input in place, and qnn.ApplyStage splits the outputs either way.
 	TensorPartition bool
 	// ProfileReps is ignored: stage costs are estimated from exact
 	// operation counts, not profiled. It stays until bench/ stops setting
@@ -248,13 +251,13 @@ func (e *Engine) Simulate(requests int) (*simulate.Result, error) {
 }
 
 // applyPlan pushes the allocation's thread counts into the protocol's
-// stages, enabling tensor partitioning on linear stages when configured.
+// stages.
 func (e *Engine) applyPlan() error {
 	li, ni := 0, 0
 	for i, m := range e.Protocol.Merged {
 		threads := e.Plan.Threads[i]
 		if m.Kind == nn.Linear {
-			if err := e.Protocol.Model.SetStagePlan(li, threads, e.opts.TensorPartition); err != nil {
+			if err := e.Protocol.Model.SetStageThreads(li, threads); err != nil {
 				return err
 			}
 			li++

@@ -369,7 +369,9 @@ func Fig7(cfg Config) (*SweepResult, error) {
 }
 
 // Fig9 reproduces Exp#4: latency with and without tensor partitioning
-// across a core sweep (load balancing enabled in both).
+// across a core sweep (load balancing enabled in both). Partitioning is an
+// accounted effect — it picks which communication volume the simulator
+// charges — so with cfg.RealTime both columns run the same executor.
 func Fig9(cfg Config) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	names := []string{"Breast", "Heart", "Cardio", "MNIST-1", "MNIST-2", "MNIST-3"}

@@ -150,7 +150,7 @@ func TestEncodeEdges(t *testing.T) {
 				t.Fatalf("%d bits: 0 + %v decrypts to %v, %v", bits, m, got, err)
 			}
 			// The bias over an encryption of zero: the row decrypts to it.
-			out, err := NewEvaluator(pk).Rows([]*Ciphertext{zero}, []Row{{W: []int64{1}, Bias: m}}, 1)
+			out, err := NewEvaluator(pk).Rows([]*Ciphertext{zero}, []Row{{W: []int64{1}, Bias: m}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,7 +61,7 @@ func TestRowsCostByHand(t *testing.T) {
 			t.Errorf("among %v: plan %+v, want %+v", tc.among, got, tc.want)
 		}
 		var m obs.CostMeter
-		out, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, 1, tc.among...)
+		out, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, tc.among...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestRowsCostSharedSquarings(t *testing.T) {
 	rows := []Row{{W: []int64{201, 77}}}
 	for _, s := range []Strategy{Tables, Buckets} {
 		var m obs.CostMeter
-		out, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, 1, s)
+		out, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestRowsCostSharedSquarings(t *testing.T) {
 
 // TestRowsMeteredEqualsPredicted: over random dense and indexed layers of
 // every weight width, what the meter reads after a call is exactly what
-// the count said it would be, for both strategies and any worker count —
+// the count said it would be, for both strategies —
 // the meter counts the multiplications as they run, so this is the check
 // that countRows and the evaluation agree.
 func TestRowsMeteredEqualsPredicted(t *testing.T) {
@@ -135,7 +135,7 @@ func TestRowsMeteredEqualsPredicted(t *testing.T) {
 		for _, among := range [][]Strategy{{Tables}, {Buckets}, {Tables, Buckets}} {
 			plan := costs.cheapest(among...)
 			var m obs.CostMeter
-			if _, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, 1+trial%3, among...); err != nil {
+			if _, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, among...); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := m.Snapshot(), (obs.CostStats{MulMods: plan.MulMods, ModInverses: plan.ModInverses}); got != want {

@@ -149,11 +149,11 @@ func FuzzKernelRows(f *testing.F) {
 			}
 		}
 		ev := NewEvaluator(&sk.PublicKey)
-		byTables, err := ev.rows(xs[:cols], rows, 1, Tables)
+		byTables, err := ev.rows(xs[:cols], rows, Tables)
 		if err != nil {
 			t.Fatalf("tables: %v", err)
 		}
-		byBuckets, err := ev.rows(xs[:cols], rows, 1, Buckets)
+		byBuckets, err := ev.rows(xs[:cols], rows, Buckets)
 		if err != nil {
 			t.Fatalf("buckets: %v", err)
 		}

@@ -3,7 +3,7 @@ package paillier
 // This file implements the model provider's homomorphic linear kernel
 // (the exponentiation-dominated hot path of the paper's Figs. 1 and 9–11)
 // as one row evaluator, Evaluator.Rows, that sees every row of a call —
-// the layer for qnn's Op.Apply, one thread's share for ComputeRange:
+// one thread's share of a layer, which qnn.ApplyStage hands to one call:
 //
 //  1. every row Π_i E(m_i)^{w_i} is split by weight sign into a numerator
 //     and a denominator product of positive powers, so no input is ever
@@ -227,7 +227,7 @@ func (ev *Evaluator) blinding() (*big.Int, obs.CostStats, error) {
 }
 
 // maxWindow bounds the digit width either strategy may use: 2^6−1 table
-// entries per used column, or as many buckets per worker.
+// entries per used column, or as many buckets per call.
 const maxWindow = 6
 
 // Row is one output of a linear layer: the encryption of
@@ -505,23 +505,23 @@ func powerTable(mm *modMul, b *big.Int, size int) []big.Int {
 }
 
 // Rows evaluates the rows of one linear call over the input ciphertexts
-// xs, up to workers at a time (0 means GOMAXPROCS): row i of the result
-// encrypts Σ_j W[j]·m[Idx[j]] + Bias of rows[i]. The rows are NOT
+// xs on the caller's goroutine: row i of the result encrypts
+// Σ_j W[j]·m[Idx[j]] + Bias of rows[i]. Callers that want threads split
+// the rows between calls (qnn.ApplyStage). The rows are NOT
 // re-randomized — they must pass through Evaluator.Pack (or be blinded by
 // the caller, as MatVec does) before they leave the model provider.
 //
-// xs may hold nil at columns no row reads with a non-zero weight (a
-// partition thread's view); a row that does read one, or a column out of
-// range, fails the call before any arithmetic, and inputs whose product
-// is not invertible modulo n² (one shares a factor with n) fail it at the
-// batched inversion.
-func (ev *Evaluator) Rows(xs []*Ciphertext, rows []Row, workers int) ([]*Ciphertext, error) {
-	return ev.rows(xs, rows, workers, Tables, Buckets)
+// xs may hold nil at columns no row reads with a non-zero weight; a row
+// that does read one, or a column out of range, fails the call before any
+// arithmetic, and inputs whose product is not invertible modulo n² (one
+// shares a factor with n) fail it at the batched inversion.
+func (ev *Evaluator) Rows(xs []*Ciphertext, rows []Row) ([]*Ciphertext, error) {
+	return ev.rows(xs, rows, Tables, Buckets)
 }
 
 // rows is Rows restricted to the given strategies, which is how tests pin
 // one.
-func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, workers int, among ...Strategy) ([]*Ciphertext, error) {
+func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, among ...Strategy) ([]*Ciphertext, error) {
 	start := time.Now()
 	costs, err := countRows(len(xs), rows, xs, ev.pk.N2)
 	if err != nil {
@@ -529,48 +529,33 @@ func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, workers int, among ...St
 	}
 	plan := costs.cheapest(among...)
 	metrics := ev.metrics.Load()
-	var mulMods atomic.Uint64
+	var mulMods uint64
 
 	var powers [][]big.Int
 	if size := costs.tableLen(plan.Window); plan.Strategy == Tables && size > 0 {
 		powers = make([][]big.Int, len(xs))
-		parallelChunks(len(xs), workers, func(lo, hi int) {
-			mm := ev.modMul()
-			for i := lo; i < hi; i++ {
-				if costs.used[i] {
-					powers[i] = powerTable(&mm, xs[i].c, size)
-				}
+		mm := ev.modMul()
+		for i, used := range costs.used {
+			if used {
+				powers[i] = powerTable(&mm, xs[i].c, size)
 			}
-			mulMods.Add(mm.n)
-		})
+		}
+		mulMods = mm.n
 	}
 	setup := time.Since(start)
 
 	nums, dens := make([]*big.Int, len(rows)), make([]*big.Int, len(rows))
-	var mu sync.Mutex
-	var firstErr error
-	parallelChunks(len(rows), workers, func(lo, hi int) {
-		p := newProducts(ev.modMul(), xs, powers, plan)
-		for i := lo; i < hi; i++ {
-			t := time.Now()
-			var err error
-			if nums[i], dens[i], err = p.row(ev.pk, &rows[i]); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("paillier: row %d bias: %w", i, err)
-				}
-				mu.Unlock()
-				return
-			}
-			if metrics != nil && metrics.Dot != nil {
-				metrics.Dot(time.Since(t))
-			}
+	p := newProducts(ev.modMul(), xs, powers, plan)
+	for i := range rows {
+		t := time.Now()
+		if nums[i], dens[i], err = p.row(ev.pk, &rows[i]); err != nil {
+			return nil, fmt.Errorf("paillier: row %d bias: %w", i, err)
 		}
-		mulMods.Add(p.mm.n)
-	})
-	if firstErr != nil {
-		return nil, firstErr
+		if metrics != nil && metrics.Dot != nil {
+			metrics.Dot(time.Since(t))
+		}
 	}
+	mulMods += p.mm.n
 
 	start = time.Now()
 	mm := ev.modMul()
@@ -582,7 +567,7 @@ func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, workers int, among ...St
 	for i, c := range nums {
 		out[i] = &Ciphertext{c: c}
 	}
-	ev.cost.Add(obs.CostStats{MulMods: mulMods.Load() + mm.n, ModInverses: inverses})
+	ev.cost.Add(obs.CostStats{MulMods: mulMods + mm.n, ModInverses: inverses})
 	if metrics != nil && metrics.Precompute != nil {
 		metrics.Precompute(setup + time.Since(start))
 	}
@@ -636,7 +621,7 @@ func divide(mm *modMul, nums, dens []*big.Int) (inverses uint64, err error) {
 	return 1, nil
 }
 
-// products evaluates one goroutine's rows under a plan. The bucket and
+// products evaluates one call's rows under a plan. The bucket and
 // collapse scratch is reused from row to row and dropped with the call.
 type products struct {
 	mm     modMul
@@ -792,7 +777,7 @@ func (ev *Evaluator) MatVec(w [][]int64, bias []int64, xs []*Ciphertext, workers
 			rows[o].Bias = big.NewInt(bias[o])
 		}
 	}
-	out, err := ev.Rows(xs, rows, workers)
+	out, err := ev.Rows(xs, rows)
 	if err != nil {
 		return nil, err
 	}

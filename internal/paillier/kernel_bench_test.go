@@ -133,7 +133,7 @@ func BenchmarkMatVecRows(b *testing.B) {
 				ev := NewEvaluator(&k.PublicKey)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := ev.rows(xs, rows, 1, s); err != nil {
+					if _, err := ev.rows(xs, rows, s); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -183,7 +183,7 @@ func TestRowsStrategiesSameRingElement(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, s := range []Strategy{Tables, Buckets} {
-					got, err := ev.rows(xs, rows, 2, s)
+					got, err := ev.rows(xs, rows, s)
 					if err != nil {
 						t.Fatalf("%d-bit key, %d-bit weights, %d cols, %v: %v", keyBits, weightBits, cols, s, err)
 					}
@@ -230,7 +230,7 @@ func TestRowsSparseIndexed(t *testing.T) {
 	view := append([]*Ciphertext(nil), xs...)
 	view[1], view[4] = nil, nil // never read
 	for _, s := range []Strategy{Tables, Buckets} {
-		got, err := ev.rows(view, rows, 1, s)
+		got, err := ev.rows(view, rows, s)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -272,7 +272,7 @@ func TestRowsRejectsUnsentAndCorruptInputs(t *testing.T) {
 	} {
 		for _, s := range []Strategy{Tables, Buckets} {
 			var m obs.CostMeter
-			_, err := ev.WithCost(&m).rows(tc.xs, tc.rows, 2, s)
+			_, err := ev.WithCost(&m).rows(tc.xs, tc.rows, s)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Errorf("%s, %v: %v", tc.name, s, err)

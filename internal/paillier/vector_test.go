@@ -39,7 +39,7 @@ func TestDecryptTensorNilElement(t *testing.T) {
 
 // dotRow evaluates one dense row through a one-row Rows call.
 func dotRow(ev *Evaluator, xs []*Ciphertext, ws []int64, bias *big.Int) (*Ciphertext, error) {
-	out, err := ev.Rows(xs, []Row{{W: ws, Bias: bias}}, 1)
+	out, err := ev.Rows(xs, []Row{{W: ws, Bias: bias}})
 	if err != nil {
 		return nil, err
 	}

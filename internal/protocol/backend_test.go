@@ -7,6 +7,7 @@ import (
 	"math/big"
 	mathrand "math/rand"
 	gonet "net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -493,5 +494,66 @@ func TestSessionRunsBaseOTsOnce(t *testing.T) {
 	}
 	if setups[0] == setups[1] {
 		t.Error("two sessions share one OT setup")
+	}
+}
+
+// TestModelRoleSeesOnlyCiphertextsBeforeClear: under every plan the
+// safety rules accept that has no ss-gc round, each round before the clear
+// boundary reaches the model role as ciphertexts and nothing else — the
+// wire envelope FromWire decodes carries no plaintext and no share words.
+// Plans with an ss-gc round are left out: that backend hands the model
+// role both share words today.
+func TestModelRoleSeesOnlyCiphertextsBeforeClear(t *testing.T) {
+	k := key(t)
+	const rounds = 3
+	var plans [][]backend.Kind
+	for _, a := range backend.Kinds() {
+		for _, b := range backend.Kinds() {
+			for _, c := range backend.Kinds() {
+				plan := []backend.Kind{a, b, c}
+				if !slices.Contains(plan, backend.SSGC) && backend.ValidateAssignment(backend.ProfileLatency, plan, rounds) == nil {
+					plans = append(plans, plan)
+				}
+			}
+		}
+	}
+	if len(plans) != 3 { // [P P P], [P P C], [P C C]
+		t.Fatalf("%d plans without ss-gc accepted: %v", len(plans), plans)
+	}
+	for _, plan := range plans {
+		proto, err := Build(buildNet3(t), k, Config{Factor: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := applyPlan(proto, plan); err != nil {
+			t.Fatal(err)
+		}
+		env, err := proto.Data.EncryptMetered(1, tensor.MustFromSlice([]float64{0.5, -0.25, 1, 0.75}, 4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds && plan[r] != backend.Clear; r++ {
+			w, err := ToWire(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(w.Cipher) == 0 || len(w.Plain) != 0 || len(w.Shares0) != 0 || len(w.Shares1) != 0 {
+				t.Fatalf("plan %v round %d: the model role is sent %d ciphertexts, %d plaintexts, %d+%d share words", plan, r, len(w.Cipher), len(w.Plain), len(w.Shares0), len(w.Shares1))
+			}
+			in, err := FromWire(w, &k.PublicKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in.Kind != backend.PaillierHE || in.CT == nil || in.Plain != nil || in.Sh != nil {
+				t.Fatalf("plan %v round %d: the model role decodes a %q payload", plan, r, in.Kind)
+			}
+			reply, _, err := proto.Model.ProcessLinearMetered(r, in, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env, err = proto.Data.ProcessNonLinearMetered(r, reply, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -56,21 +56,18 @@ func zeroWeightNet(t *testing.T) *nn.Network {
 // TestReplyEgressInvariant runs an all-zero-weight model twice on
 // identical inputs, round by round, and requires of every reply that its
 // ciphertexts differ between the two runs and that exactly one
-// re-randomization was counted per reply ciphertext — under the shared
-// memory executor (qnn.ApplyStage) and the partitioned one
-// (partition.ExecuteStage) alike.
+// re-randomization was counted per reply ciphertext — whether a stage
+// runs on one thread or is split over two.
 func TestReplyEgressInvariant(t *testing.T) {
 	k := key(t)
-	for _, partitioned := range []bool{false, true} {
+	for _, threads := range []int{1, 2} {
 		proto, err := Build(zeroWeightNet(t), k, Config{Factor: 1000, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if partitioned {
-			for r := 0; r < proto.Rounds(); r++ {
-				if err := proto.Model.SetStagePlan(r, 2, true); err != nil {
-					t.Fatal(err)
-				}
+		for r := 0; r < proto.Rounds(); r++ {
+			if err := proto.Model.SetStageThreads(r, threads); err != nil {
+				t.Fatal(err)
 			}
 		}
 		in, err := proto.Data.EncryptMetered(1, tensor.MustFromSlice([]float64{0.3, -0.7, 1.1, 0}, 4), nil)
@@ -87,10 +84,10 @@ func TestReplyEgressInvariant(t *testing.T) {
 				var m obs.CostMeter
 				reply, _, err := proto.Model.ProcessLinearMetered(r, &env, &m)
 				if err != nil {
-					t.Fatalf("partitioned=%v round %d run %d: %v", partitioned, r, run, err)
+					t.Fatalf("threads=%d round %d run %d: %v", threads, r, run, err)
 				}
 				if got, want := m.Snapshot().Rerands, uint64(reply.CT.Size()); got != want {
-					t.Errorf("partitioned=%v round %d: %d re-randomizations for %d reply ciphertexts", partitioned, r, got, want)
+					t.Errorf("threads=%d round %d: %d re-randomizations for %d reply ciphertexts", threads, r, got, want)
 				}
 				replies[run] = reply
 			}
@@ -100,7 +97,7 @@ func TestReplyEgressInvariant(t *testing.T) {
 			}
 			for i := range a {
 				if a[i].Value().Cmp(b[i].Value()) == 0 {
-					t.Errorf("partitioned=%v round %d: reply ciphertext %d identical across two runs — an unblinded row left the model provider", partitioned, r, i)
+					t.Errorf("threads=%d round %d: reply ciphertext %d identical across two runs — an unblinded row left the model provider", threads, r, i)
 				}
 			}
 			if in, err = proto.Data.ProcessNonLinearMetered(r, replies[0], nil); err != nil {

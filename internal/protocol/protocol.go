@@ -31,7 +31,6 @@ import (
 	"ppstream/internal/obfuscate"
 	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
-	"ppstream/internal/partition"
 	"ppstream/internal/qnn"
 	"ppstream/internal/secshare"
 	"ppstream/internal/tensor"
@@ -549,9 +548,9 @@ func (mp *ModelProvider) SetBlindPool(pool *paillier.Pool) {
 	mp.eval = paillier.NewEvaluator(mp.pk, opts...)
 }
 
-// SetStagePlan overrides stage r's thread count and whether it runs with
-// tensor partitioning (from the load-balanced allocation plan).
-func (mp *ModelProvider) SetStagePlan(r, threads int, partition bool) error {
+// SetStageThreads overrides stage r's thread count (from the
+// load-balanced allocation plan).
+func (mp *ModelProvider) SetStageThreads(r, threads int) error {
 	if r < 0 || r >= len(mp.stages) {
 		return fmt.Errorf("protocol: no linear stage %d", r)
 	}
@@ -559,7 +558,6 @@ func (mp *ModelProvider) SetStagePlan(r, threads int, partition bool) error {
 		return fmt.Errorf("protocol: stage %d needs ≥ 1 thread", r)
 	}
 	mp.stages[r].Threads = threads
-	mp.stages[r].InputPartition = partition
 	return nil
 }
 
@@ -944,6 +942,10 @@ func (dp *DataProvider) encodeFor(req uint64, nextRound int, scaled *tensor.Tens
 //   - with partitioning, each thread receives once the union of inputs
 //     its output share needs (the whole input for fully-connected ops,
 //     receptive-field sub-tensors for convolutions).
+//
+// Both are accounted, not executed: in one process every thread reads the
+// stage's input in place. The shares are qnn.SplitOutputs', the split
+// qnn.ApplyStage runs.
 func (mp *ModelProvider) StageComm(r, threads int) (withPart, withoutPart int, err error) {
 	if r < 0 || r >= len(mp.stages) {
 		return 0, 0, fmt.Errorf("protocol: no linear stage %d", r)
@@ -951,41 +953,64 @@ func (mp *ModelProvider) StageComm(r, threads int) (withPart, withoutPart int, e
 	st := mp.stages[r]
 	shape := st.InShape
 	for _, op := range st.Ops {
-		eop, ok := op.(qnn.ElementOp)
-		if !ok {
-			return 0, 0, fmt.Errorf("protocol: op %s lacks element accounting", op.Name())
-		}
-		if _, structural := op.(*qnn.QFlatten); structural {
-			// Shape-only ops move no data between threads: no dispatch
-			// happens for them in either partitioning mode.
-			next, err := op.OutShape(shape)
-			if err != nil {
-				return 0, 0, err
-			}
-			shape = next
-			continue
-		}
-		outN, err := eop.OutSize(shape)
-		if err != nil {
-			return 0, 0, err
-		}
-		withoutPart += outN * shape.Size()
-		tasks, err := partition.PlanOp(eop, shape, threads, true)
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, task := range tasks {
-			if task.Inputs == nil {
-				withPart += shape.Size()
-			} else {
-				withPart += len(task.Inputs)
-			}
-		}
 		next, err := op.OutShape(shape)
 		if err != nil {
 			return 0, 0, err
 		}
+		// Shape-only ops move no data between threads: no dispatch
+		// happens for them in either partitioning mode.
+		if _, structural := op.(*qnn.QFlatten); !structural {
+			withoutPart += next.Size() * shape.Size()
+			for _, task := range planOp(op, shape, next.Size(), threads) {
+				if task.Inputs == nil {
+					withPart += shape.Size()
+				} else {
+					withPart += len(task.Inputs)
+				}
+			}
+		}
 		shape = next
 	}
 	return withPart, withoutPart, nil
+}
+
+// task describes one thread's share of an op: its output range plus the
+// input offsets it must receive (nil = the whole input tensor).
+type task struct {
+	qnn.Range
+	// Inputs is the set of flat input offsets this thread needs, in no
+	// order; nil means the entire input is required.
+	Inputs []int
+}
+
+// planOp computes the per-thread tasks of an op over an input of shape
+// in with n outputs: each task's Inputs is the union of the op's
+// per-element needs over its range, except for ops that read everything
+// (fully-connected), which keep Inputs nil — they support only output
+// partitioning, as the paper notes.
+func planOp(op qnn.Op, in tensor.Shape, n, threads int) []task {
+	ranges := qnn.SplitOutputs(n, threads)
+	tasks := make([]task, len(ranges))
+	for i, r := range ranges {
+		tasks[i] = task{Range: r}
+		seen := map[int]bool{}
+		for idx := r.Lo; idx < r.Hi; idx++ {
+			needs := op.InputNeeds(in, idx)
+			if needs == nil {
+				seen = nil // whole input
+				break
+			}
+			for _, off := range needs {
+				seen[off] = true
+			}
+		}
+		if seen == nil {
+			continue
+		}
+		tasks[i].Inputs = make([]int, 0, len(seen))
+		for off := range seen {
+			tasks[i].Inputs = append(tasks[i].Inputs, off)
+		}
+	}
+	return tasks
 }

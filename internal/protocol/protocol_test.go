@@ -171,8 +171,8 @@ func TestCorrectnessConvNet(t *testing.T) {
 	}
 }
 
-// TestPartitionedExecutionMatches runs the protocol with tensor
-// partitioning enabled on the conv stage and checks identical results.
+// TestPartitionedExecutionMatches runs the protocol with the conv stage's
+// outputs split over three threads and checks identical results.
 func TestPartitionedExecutionMatches(t *testing.T) {
 	k := key(t)
 	net := buildConvNet(t)
@@ -184,7 +184,7 @@ func TestPartitionedExecutionMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := proto.Model.SetStagePlan(0, 3, true); err != nil {
+	if err := proto.Model.SetStageThreads(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	partitioned, err := proto.Infer(2, onesInput())

@@ -12,8 +12,8 @@ import (
 
 // TestModelLayersMeteredAtPlannedCount runs every dot-product layer of the
 // benchmark's three models (real models.Spec.Build() weights at factor
-// 100) whole and split in two, the way Op.Apply and a two-thread
-// ComputeRange call the kernel, and requires that the meter reads exactly
+// 100) whole and split in two, the way ApplyStage calls the kernel at one
+// and at two threads, and requires that the meter reads exactly
 // what paillier.CountRows predicted for each call — and that the count
 // still sends each layer where it was sized to go: wide layers of narrow
 // weights to buckets, short rows read many times to tables.
@@ -61,10 +61,7 @@ func TestModelLayersMeteredAtPlannedCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := op.OutSize(in)
-			if err != nil {
-				t.Fatal(err)
-			}
+			n := shape.Size()
 			for _, cut := range [][]int{{0, n}, {0, n / 2, n}} {
 				for i := 1; i < len(cut); i++ {
 					lo, hi := cut[i-1], cut[i]
@@ -74,7 +71,7 @@ func TestModelLayersMeteredAtPlannedCount(t *testing.T) {
 					}
 					var m obs.CostMeter
 					out := make([]*paillier.Ciphertext, hi-lo)
-					if err := op.ComputeRange(paillier.NewEvaluator(&k.PublicKey, paillier.WithCostMeter(&m)), x.Data(), in, lo, hi, 1, out); err != nil {
+					if err := op.ApplyRange(paillier.NewEvaluator(&k.PublicKey, paillier.WithCostMeter(&m)), x.Data(), in, lo, hi, 1, out); err != nil {
 						t.Fatal(err)
 					}
 					if got, want := m.Snapshot(), (obs.CostStats{MulMods: plan.MulMods, ModInverses: plan.ModInverses}); got != want {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sync"
 
 	"ppstream/internal/nn"
 	"ppstream/internal/obs"
@@ -49,23 +48,15 @@ func (q *QFC) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{len(q.W)}, nil
 }
 
-// Apply implements Op: row o computes Π E(x_i)^{W[o][i]} · E(b_o·F^(exp+1)).
-func (q *QFC) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
-	out := tensor.New[*paillier.Ciphertext](len(q.W))
-	if err := q.rows(ev, x.Flatten().Data(), 0, len(q.W), inExp, workers, out.Data()); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// InputNeeds implements Op: fully-connected rows read everything.
+func (q *QFC) InputNeeds(tensor.Shape, int) []int { return nil }
 
-// rows evaluates output rows [lo, hi) into out in one paillier.Rows call,
-// which picks its strategy from those rows alone — the whole layer for
-// Apply, one thread's share for ComputeRange.
-func (q *QFC) rows(ev *paillier.Evaluator, xs []*paillier.Ciphertext, lo, hi, inExp, workers int, out []*paillier.Ciphertext) error {
+// ApplyRange implements Op: row o computes Π E(x_i)^{W[o][i]} · E(b_o·F^(exp+1)).
+func (q *QFC) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, _ tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
 	if len(xs) != len(q.W[0]) {
 		return fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, len(q.W[0]), len(xs))
 	}
-	cts, err := ev.Rows(xs, q.kernelRows(lo, hi, inExp), workers)
+	cts, err := ev.Rows(xs, q.kernelRows(lo, hi, inExp))
 	if err != nil {
 		return fmt.Errorf("qnn: %s rows [%d,%d): %w", q.name, lo, hi, err)
 	}
@@ -196,26 +187,28 @@ func (q *QConv) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{q.P.OutC, q.P.OutH(), q.P.OutW()}, nil
 }
 
-// Apply implements Op: one paillier.Rows call over the input tensor serves
-// every (filter, position) output element, so whatever it shares between
-// rows is shared across overlapping receptive fields too.
-func (q *QConv) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
-	out := tensor.New[*paillier.Ciphertext](q.P.OutC, q.P.OutH(), q.P.OutW())
-	if err := q.elements(ev, x.Flatten().Data(), 0, out.Size(), inExp, workers, out.Data()); err != nil {
-		return nil, err
+// InputNeeds implements Op: a conv output element reads exactly its
+// receptive field — the sub-tensor of Figure 5.
+func (q *QConv) InputNeeds(_ tensor.Shape, outIdx int) []int {
+	row := q.Rows[outIdx%(q.P.OutH()*q.P.OutW())]
+	needs := make([]int, 0, len(row))
+	for _, off := range row {
+		if off >= 0 {
+			needs = append(needs, off)
+		}
 	}
-	return out, nil
+	return needs
 }
 
-// elements evaluates flat output elements [lo, hi) into out in one
-// paillier.Rows call, which picks its strategy from those elements alone —
-// the whole layer for Apply, one thread's share for ComputeRange (xs is
-// then nil outside the share's receptive fields).
-func (q *QConv) elements(ev *paillier.Evaluator, xs []*paillier.Ciphertext, lo, hi, inExp, workers int, out []*paillier.Ciphertext) error {
+// ApplyRange implements Op: one paillier.Rows call over the input tensor
+// serves every (filter, position) output element of the range, so
+// whatever it shares between rows is shared across overlapping receptive
+// fields too.
+func (q *QConv) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, _ tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
 	if len(xs) != q.P.InC*q.P.InH*q.P.InW {
 		return fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, q.P.InC*q.P.InH*q.P.InW, len(xs))
 	}
-	cts, err := ev.Rows(xs, q.kernelRows(lo, hi, inExp), workers)
+	cts, err := ev.Rows(xs, q.kernelRows(lo, hi, inExp))
 	if err != nil {
 		return fmt.Errorf("qnn: %s elements [%d,%d): %w", q.name, lo, hi, err)
 	}
@@ -297,7 +290,7 @@ type QAffine struct {
 
 func quantizeBatchNorm(l *nn.BatchNorm, F int64) *QAffine {
 	// y = a·x + c with a = γ/√(σ²+ε), c = β − a·μ, per channel. The
-	// per-element expansion happens lazily in Apply since the spatial
+	// per-element expansion happens lazily in ApplyRange since the spatial
 	// size is known from the input.
 	a := make([]int64, l.Channels)
 	c := make([]float64, l.Channels)
@@ -348,33 +341,22 @@ func (q *QAffine) coeffIndex(in tensor.Shape) (func(int) int, error) {
 	}
 }
 
-// Apply implements Op: element i becomes E(x_i)^{Scale[c]}·E(Shift[c]).
-func (q *QAffine) Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, error) {
-	idx, err := q.coeffIndex(x.Shape())
+// InputNeeds implements Op: element-wise ops read one element.
+func (q *QAffine) InputNeeds(_ tensor.Shape, outIdx int) []int { return []int{outIdx} }
+
+// ApplyRange implements Op: element i becomes E(x_i)^{Scale[c]}·E(Shift[c]).
+func (q *QAffine) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
+	idx, err := q.coeffIndex(in)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := tensor.New[*paillier.Ciphertext](x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	var mu sync.Mutex
-	var firstErr error
-	parallelRange(len(xd), workers, func(i int) {
-		ct, err := q.element(ev, xd[i], idx(i), inExp)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
+	for i := lo; i < hi; i++ {
+		if out[i-lo], err = q.element(ev, xs[i], idx(i), inExp); err != nil {
+			return err
 		}
-		od[i] = ct
-	})
-	if firstErr != nil {
-		return nil, firstErr
 	}
-	ev.CostMeter().Add(q.cost(idx, 0, len(xd)))
-	return out, nil
+	ev.CostMeter().Add(q.cost(idx, lo, hi))
+	return nil
 }
 
 // element computes E(x)^{Scale[c]}·E(Shift[c]) for coefficient index c.
@@ -458,9 +440,13 @@ func (q *QFlatten) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{in.Size()}, nil
 }
 
-// Apply implements Op.
-func (q *QFlatten) Apply(_ *paillier.Evaluator, x *paillier.CipherTensor, _, _ int) (*paillier.CipherTensor, error) {
-	return x.Flatten(), nil
+// InputNeeds implements Op.
+func (q *QFlatten) InputNeeds(_ tensor.Shape, outIdx int) []int { return []int{outIdx} }
+
+// ApplyRange implements Op: identity.
+func (q *QFlatten) ApplyRange(_ *paillier.Evaluator, xs []*paillier.Ciphertext, _ tensor.Shape, lo, hi, _ int, out []*paillier.Ciphertext) error {
+	copy(out, xs[lo:hi])
+	return nil
 }
 
 // Bound implements Op: values pass through.
@@ -469,36 +455,4 @@ func (q *QFlatten) Bound(in *big.Int, _ int) *big.Int { return in }
 // ApplyPlain implements Op.
 func (q *QFlatten) ApplyPlain(x *tensor.Tensor[*big.Int], _ int) (*tensor.Tensor[*big.Int], error) {
 	return x.Flatten(), nil
-}
-
-// parallelRange runs f(i) for i in [0,n) over up to workers goroutines.
-func parallelRange(n, workers int, f func(int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sync"
 
 	"ppstream/internal/nn"
 	"ppstream/internal/obs"
@@ -34,12 +35,21 @@ type Op interface {
 	// ScaleSteps reports how many powers of F the op multiplies into the
 	// result (1 for parameterized ops, 0 for structural ones).
 	ScaleSteps() int
-	// Apply evaluates the op over an encrypted tensor whose plaintexts
-	// are at scale F^inExp, using up to workers goroutines, and returns
-	// the encrypted result at scale F^(inExp+ScaleSteps()). The result
-	// is NOT re-randomized: it may feed the stage's next op, but only
-	// paillier.Evaluator.Pack may hand it to the data provider.
-	Apply(ev *paillier.Evaluator, x *paillier.CipherTensor, inExp int, workers int) (*paillier.CipherTensor, error)
+	// InputNeeds lists the flat input offsets that output element outIdx
+	// reads over an input of shape in; nil means the whole input (a
+	// fully-connected row). It is what tensor partitioning accounts
+	// (Section IV-D): a thread on another server would be sent the union
+	// of its elements' needs.
+	InputNeeds(in tensor.Shape, outIdx int) []int
+	// ApplyRange evaluates flat output elements [lo, hi) into out, which
+	// has hi−lo entries, over the flat input xs of shape in at scale
+	// F^inExp; the elements are at scale F^(inExp+ScaleSteps()).
+	// Dot-product ops hand the whole range to ONE paillier.Rows call, so
+	// what the kernel shares between rows (power tables, the batched
+	// inversion) is paid once per range. The elements are NOT
+	// re-randomized: they may feed the stage's next op, but only
+	// paillier.Evaluator.Pack may hand them to the data provider.
+	ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error
 	// ApplyPlain evaluates the same arithmetic over plaintext big
 	// integers; CipherBase/PlainBase baselines and tests use it to check
 	// the ciphertext path bit-for-bit.
@@ -100,11 +110,15 @@ func StageScaleSteps(ops []Op) int {
 }
 
 // ApplyStage runs a stage's ops in sequence over ciphertexts, returning
-// the result and the output scale exponent.
-func ApplyStage(ev *paillier.Evaluator, ops []Op, x *paillier.CipherTensor, inExp, workers int) (*paillier.CipherTensor, int, error) {
+// the result and the output scale exponent. It is the one place a stage
+// is split across its threads: each op's outputs are cut by
+// SplitOutputs, the same split StageComm accounts, and every share is
+// one ApplyRange call over the whole input — on the caller's goroutine
+// at one thread, concurrently otherwise.
+func ApplyStage(ev *paillier.Evaluator, ops []Op, x *paillier.CipherTensor, inExp, threads int) (*paillier.CipherTensor, int, error) {
 	cur, exp := x, inExp
 	for _, op := range ops {
-		out, err := op.Apply(ev, cur, exp, workers)
+		out, err := applyOp(ev, op, cur, exp, threads)
 		if err != nil {
 			return nil, 0, fmt.Errorf("qnn: applying %s: %w", op.Name(), err)
 		}
@@ -114,28 +128,89 @@ func ApplyStage(ev *paillier.Evaluator, ops []Op, x *paillier.CipherTensor, inEx
 	return cur, exp, nil
 }
 
+// applyOp evaluates one op's outputs split over threads; the first
+// share's error, in output order, wins.
+func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, inExp, threads int) (*paillier.CipherTensor, error) {
+	in := x.Shape()
+	shape, err := op.OutShape(in)
+	if err != nil {
+		return nil, err
+	}
+	out := tensor.New[*paillier.Ciphertext](shape...)
+	xs, od := x.Data(), out.Data()
+	ranges := SplitOutputs(len(od), threads)
+	if len(ranges) <= 1 {
+		return out, op.ApplyRange(ev, xs, in, 0, len(od), inExp, od)
+	}
+	errs := make([]error, len(ranges))
+	var wg sync.WaitGroup
+	for i, r := range ranges {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = op.ApplyRange(ev, xs, in, r.Lo, r.Hi, inExp, od[r.Lo:r.Hi])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// Range is a half-open interval of an op's flat output elements: one
+// thread's share.
+type Range struct {
+	Lo, Hi int
+}
+
+// SplitOutputs evenly partitions n output elements over t threads
+// (output tensor partitioning, Section IV-D); the first n%t threads
+// receive one extra element. Empty ranges are omitted, so at most
+// min(n,t) ranges return.
+func SplitOutputs(n, t int) []Range {
+	if n <= 0 || t <= 0 {
+		return nil
+	}
+	t = min(t, n)
+	base, extra := n/t, n%t
+	out := make([]Range, t)
+	lo := 0
+	for i := range out {
+		size := base
+		if i < extra {
+			size++
+		}
+		out[i] = Range{Lo: lo, Hi: lo + size}
+		lo += size
+	}
+	return out
+}
+
 // rowsOp is what the dot-product ops (QFC, QConv) share: their rows the
-// way the kernel takes them, one paillier.Rows call per Apply.
+// way the kernel takes them, one paillier.Rows call per ApplyRange.
 type rowsOp interface {
-	ElementOp
+	Op
 	kernelRows(lo, hi, inExp int) []paillier.Row
 }
 
-// StageCost returns the crypto-op counts ApplyStage meters for the ops
-// over an input of shape in at scale F¹ — one paillier.Rows call per
-// dot-product op, the per-element exponentiations of an affine op — from
-// the weights and shapes alone, without a ciphertext.
+// StageCost returns the crypto-op counts ApplyStage meters at one thread
+// for the ops over an input of shape in at scale F¹ — one paillier.Rows
+// call per dot-product op, the per-element exponentiations of an affine
+// op — from the weights and shapes alone, without a ciphertext.
 func StageCost(ops []Op, in tensor.Shape) (obs.CostStats, error) {
 	var st obs.CostStats
 	shape, exp := in, 1
 	for _, op := range ops {
 		switch q := op.(type) {
 		case rowsOp:
-			n, err := q.OutSize(shape)
+			out, err := q.OutShape(shape)
 			if err != nil {
 				return obs.CostStats{}, err
 			}
-			plan, err := paillier.CountRows(shape.Size(), q.kernelRows(0, n, exp))
+			plan, err := paillier.CountRows(shape.Size(), q.kernelRows(0, out.Size(), exp))
 			if err != nil {
 				return obs.CostStats{}, fmt.Errorf("qnn: counting %s: %w", op.Name(), err)
 			}

@@ -6,6 +6,7 @@ import (
 	mathrand "math/rand"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
@@ -80,7 +81,7 @@ func TestQFCMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, err := op.Apply(paillier.NewEvaluator(&k.PublicKey), ct, 1, 2)
+	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestQConvMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, err := op.Apply(paillier.NewEvaluator(&k.PublicKey), ct, 1, 3)
+	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestQBatchNormMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, err := op.Apply(paillier.NewEvaluator(&k.PublicKey), ct, 1, 2)
+	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestQElemScale(t *testing.T) {
 	x := tensor.MustFromSlice([]float64{1, 4, -2}, 3)
 	want, _ := es.Forward(x)
 	ct := encryptFloats(t, k, x, F)
-	outCT, err := op.Apply(paillier.NewEvaluator(&k.PublicKey), ct, 1, 1)
+	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,5 +316,48 @@ func TestGatherRowsMatchesIm2Col(t *testing.T) {
 				t.Fatalf("pos %d k %d: gather %v, im2col %v", pos, k, got, want)
 			}
 		}
+	}
+}
+
+func TestSplitOutputs(t *testing.T) {
+	ranges := SplitOutputs(10, 3)
+	want := []Range{{0, 4}, {4, 7}, {7, 10}}
+	if len(ranges) != len(want) {
+		t.Fatalf("got %d ranges", len(ranges))
+	}
+	for i, r := range want {
+		if ranges[i] != r {
+			t.Errorf("range %d = %+v, want %+v", i, ranges[i], r)
+		}
+	}
+	// more threads than elements: capped
+	if got := SplitOutputs(2, 8); len(got) != 2 {
+		t.Errorf("overcommitted split gave %d ranges", len(got))
+	}
+	if SplitOutputs(0, 3) != nil {
+		t.Error("empty output should give nil")
+	}
+	if SplitOutputs(3, 0) != nil {
+		t.Error("zero threads should give nil")
+	}
+}
+
+// Property: SplitOutputs covers [0,n) exactly once, in order, with
+// non-empty ranges whose lengths differ by at most one.
+func TestSplitOutputsProperty(t *testing.T) {
+	f := func(nRaw, tRaw uint8) bool {
+		n, th := int(nRaw%100)+1, int(tRaw%16)+1
+		ranges := SplitOutputs(n, th)
+		next := 0
+		for _, r := range ranges {
+			if r.Lo != next || r.Hi <= r.Lo || (ranges[0].Hi-ranges[0].Lo)-(r.Hi-r.Lo) > 1 {
+				return false
+			}
+			next = r.Hi
+		}
+		return next == n && len(ranges) == min(n, th)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
