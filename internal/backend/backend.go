@@ -197,7 +197,7 @@ func Execute(ev *paillier.Evaluator, m *obs.CostMeter, st *Stage, in *Payload) (
 		}
 		dealer := secshare.NewEngine(int64(seed))
 		out.Sh, out.Exp, err = qnn.ApplyStageShared(dealer, st.Ops, in.Sh, in.Exp)
-		m.Add(obs.CostStats{Triples: uint64(dealer.Stats.TriplesUsed), OpenedWords: uint64(dealer.Stats.OpenedWords)})
+		m.Add(dealer.Stats)
 	case Clear:
 		out.Plain, out.Exp, err = qnn.ApplyStagePlain(st.Ops, in.Plain, in.Exp)
 		var muls uint64

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"math"
+	"math/big"
 	mathrand "math/rand"
 	"testing"
 
@@ -45,37 +47,37 @@ func TestEzPCBatchNorm(t *testing.T) {
 	}
 }
 
-// TestDotPrivateAccounting checks the private-weight linear op uses
-// triples and stays accurate over longer dot products.
+// TestDotPrivateAccounting checks the private-weight dot product behind
+// the engine's linear layers: it consumes one triple per non-zero weight
+// and, truncated back to scale 2^16, stays accurate over a long row.
 func TestDotPrivateAccounting(t *testing.T) {
+	const F = 1 << ezpcFracBits
 	eng := secshare.NewEngine(15)
+	r := mathrand.New(mathrand.NewSource(15))
 	n := 64
-	w := make([]float64, n)
-	xs := make([]float64, n)
+	w := make([]int64, n)
+	xs := make([]secshare.Shares, n)
 	var want float64
 	for i := 0; i < n; i++ {
-		w[i] = float64(i%7)/7 - 0.5
-		xs[i] = float64(i%5)/5 - 0.4
-		want += w[i] * xs[i]
+		wf, xf := float64(i%7)/7-0.5, float64(i%5)/5-0.4
+		w[i] = int64(math.Round(wf * F))
+		xs[i] = secshare.Split(r, uint64(int64(math.Round(xf*F))))
+		want += wf * xf
 	}
-	shares := eng.ShareVec(xs)
-	dot, err := eng.DotPrivate(w, shares, 0.25)
+	dot, err := eng.DotPrivateInt(w, xs, big.NewInt(F*F/4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := secshare.Decode(dot.Reconstruct())
+	got := float64(secshare.SignedOfRing(secshare.Truncate(dot, ezpcFracBits).Reconstruct())) / F
 	want += 0.25
 	if diff := got - want; diff > 0.01 || diff < -0.01 {
-		t.Errorf("DotPrivate = %v, want %v", got, want)
+		t.Errorf("dot = %v, want %v", got, want)
 	}
-	if eng.Stats.TriplesUsed == 0 {
-		t.Error("private dot consumed no triples (weights would leak)")
+	if eng.Stats.Triples != uint64(n) {
+		t.Errorf("%d triples for %d non-zero weights (weights would leak)", eng.Stats.Triples, n)
 	}
-	if _, err := eng.DotPrivate(w[:3], shares, 0); err == nil {
+	if _, err := eng.DotPrivateInt(w[:3], xs, nil); err == nil {
 		t.Error("length mismatch accepted")
-	}
-	if _, err := eng.MatVecPrivate([][]float64{w}, []float64{1, 2}, shares); err == nil {
-		t.Error("bias mismatch accepted")
 	}
 }
 

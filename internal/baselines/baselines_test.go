@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"crypto/rand"
-	"math"
 	mathrand "math/rand"
 	"sync"
 	"testing"
@@ -146,16 +145,14 @@ func TestEzPCMatchesPlain(t *testing.T) {
 	if lat <= 0 {
 		t.Error("no latency")
 	}
-	if e.Stats.Transitions != 2 {
-		t.Errorf("transitions %d, want 2 (one ReLU layer)", e.Stats.Transitions)
+	st := e.Stats()
+	if st.GCGates != 6*garble.ReLUANDs {
+		t.Errorf("GC gates %d, want %d (ReLU over 6 elements)", st.GCGates, 6*garble.ReLUANDs)
 	}
-	if e.Stats.GCExecutions != 6 {
-		t.Errorf("GC executions %d, want 6 (ReLU over 6 elements)", e.Stats.GCExecutions)
+	if st.ExtOTs != 6*64 {
+		t.Errorf("ext OTs %d, want %d", st.ExtOTs, 6*64)
 	}
-	if e.Stats.ExtOTs != 6*64 {
-		t.Errorf("ext OTs %d, want %d", e.Stats.ExtOTs, 6*64)
-	}
-	if e.Stats.BaseOTs == 0 || e.Stats.ANDGates == 0 {
+	if st.Triples == 0 || st.OpenedWords == 0 {
 		t.Error("missing cost accounting")
 	}
 }
@@ -228,10 +225,9 @@ func TestEzPCIsSlowerThanPPStreamShape(t *testing.T) {
 	if _, _, err := e.Infer(x); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats.ANDGates < 6*100 {
-		t.Errorf("expected heavy GC cost, got %d AND gates", e.Stats.ANDGates)
-	}
-	if math.IsNaN(float64(e.Stats.ExtOTs)) || e.Stats.ExtOTs == 0 {
+	if st := e.Stats(); st.GCGates < 6*100 {
+		t.Errorf("expected heavy GC cost, got %d AND gates", st.GCGates)
+	} else if st.ExtOTs == 0 {
 		t.Error("no OT work recorded")
 	}
 }
@@ -253,6 +249,7 @@ func TestEzPCRunsBaseOTsOncePerInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var setups []*garble.OTSetup
 	for engine := 0; engine < 2; engine++ {
 		e, err := NewEzPC(net, int64(20+engine))
 		if err != nil {
@@ -268,10 +265,18 @@ func TestEzPCRunsBaseOTsOncePerInstance(t *testing.T) {
 				t.Errorf("EzPC %v vs plain %v", out.Data(), want.Data())
 			}
 			// Both ReLU layers convert 6 + 5 elements per inference.
-			if e.Stats.BaseOTs != garble.BaseOTs || e.Stats.ExtOTs != i*(6+5)*garble.ReLUEvalBits {
-				t.Errorf("engine %d after %d inferences: %d base OTs, %d extension OTs; want %d and %d",
-					engine, i, e.Stats.BaseOTs, e.Stats.ExtOTs, garble.BaseOTs, i*(6+5)*garble.ReLUEvalBits)
+			if ext, want := e.Stats().ExtOTs, uint64(i*(6+5)*garble.ReLUEvalBits); ext != want {
+				t.Errorf("engine %d after %d inferences: %d extension OTs, want %d", engine, i, ext, want)
+			}
+			if e.ot == nil || (i > 1 && e.ot != setups[len(setups)-1]) {
+				t.Errorf("engine %d inference %d ran a new base-OT setup", engine, i)
+			}
+			if i == 1 {
+				setups = append(setups, e.ot)
 			}
 		}
+	}
+	if setups[0] == setups[1] {
+		t.Error("two engines share one base-OT setup")
 	}
 }

@@ -140,7 +140,6 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 		Servers: opts.Topology.Servers(), keyBits: key.Bits(),
 		reg: obs.NewRegistry("engine/" + net.ModelName),
 	}
-	e.Protocol.Model.Instrument(e.reg)
 	e.reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
 	if err := e.plan(); err != nil {
 		e.Close()

@@ -49,7 +49,7 @@ func Table7(cfg Config) (*Table7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// EzPC-style measured baseline.
+		// EzPC-style measured baseline, online phase only.
 		ez, err := baselines.NewEzPC(net, 1234)
 		if err != nil {
 			return nil, err
@@ -76,14 +76,18 @@ func (r *Table7Result) Render() string {
 	var rows [][]string
 	for _, row := range r.Rows {
 		src := "measured"
-		if row.Reported {
+		switch {
+		case row.Reported:
 			src = "reported*"
+		case row.System == "EzPC":
+			src = "measured, online only†"
 		}
 		rows = append(rows, []string{row.System, row.Model, row.Latency.String(), src})
 	}
 	return "Table VII (Exp#6): comparison with state-of-the-art systems\n" +
 		renderTable(header, rows) +
-		"(* = numbers from the corresponding publications, as in the paper)\n"
+		"(* = numbers from the corresponding publications, as in the paper)\n" +
+		"(† = Beaver triples come from an in-process dealer, so no offline phase is counted)\n"
 }
 
 // Table3Render prints the dataset/model inventory (Table III).

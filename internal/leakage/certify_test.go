@@ -82,7 +82,7 @@ func TestDistanceCorrelationVecDependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n, w := 256, 4
 	x := make([][]float64, n)
-	rot := make([][]float64, n)  // an orthogonal-ish transform of x
+	rot := make([][]float64, n) // an orthogonal-ish transform of x
 	indep := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = make([]float64, w)

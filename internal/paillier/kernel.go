@@ -35,8 +35,6 @@ import (
 	"math/big"
 	"math/bits"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ppstream/internal/obs"
 )
@@ -121,20 +119,8 @@ func draw(b Blinder) (rn *big.Int, pooled bool, modExps uint64, err error) {
 	return rn, pooled, modExps, err
 }
 
-// KernelMetrics receives kernel phase timings. Either callback may be
-// nil. The protocol layer wires these to the "kernel.precompute" and
-// "kernel.dot" histograms on the metrics endpoint.
-type KernelMetrics struct {
-	// Precompute observes, once per Rows call, everything that is not a
-	// row's own products: the count, the power tables (when the call uses
-	// them) and the batched inversion.
-	Precompute func(time.Duration)
-	// Dot observes one row's numerator and denominator products.
-	Dot func(time.Duration)
-}
-
 // Evaluator bundles the public key with the blinding supply and the
-// kernel's timing and cost sinks for model-provider-side homomorphic
+// kernel's cost sink for model-provider-side homomorphic
 // evaluation; the kernel itself has nothing to configure. A nil
 // blinder defaults to inline crypto/rand factors; attach a Pool to move
 // the blinding exponentiations off the critical path.
@@ -144,7 +130,6 @@ type Evaluator struct {
 	// shared by every WithCost view.
 	mu      *big.Int
 	blinder Blinder
-	metrics atomic.Pointer[KernelMetrics]
 	// cost, when non-nil, accumulates the crypto-op counts of every kernel
 	// and blinding operation run through this evaluator. Per-request
 	// attribution derives a metered view with WithCost rather than mutating
@@ -176,20 +161,11 @@ func NewEvaluator(pk *PublicKey, opts ...EvalOption) *Evaluator {
 // PublicKey returns the evaluator's key.
 func (ev *Evaluator) PublicKey() *PublicKey { return ev.pk }
 
-// SetMetrics replaces the kernel timing callbacks; safe to call while
-// kernels are running.
-func (ev *Evaluator) SetMetrics(m KernelMetrics) { ev.metrics.Store(&m) }
-
 // WithCost derives an evaluator that shares this one's key, blinding
-// supply and timing callbacks but accumulates crypto-op counts
-// into m. Sessions keep one shared evaluator and derive a metered view
+// supply but accumulates crypto-op counts into m. Sessions keep one shared evaluator and derive a metered view
 // per request, so concurrent requests never bleed counts into each other.
 func (ev *Evaluator) WithCost(m *obs.CostMeter) *Evaluator {
-	d := &Evaluator{pk: ev.pk, mu: ev.mu, blinder: ev.blinder, cost: m}
-	if km := ev.metrics.Load(); km != nil {
-		d.metrics.Store(km)
-	}
-	return d
+	return &Evaluator{pk: ev.pk, mu: ev.mu, blinder: ev.blinder, cost: m}
 }
 
 // CostMeter returns the attached cost meter, nil when unmetered.
@@ -522,13 +498,11 @@ func (ev *Evaluator) Rows(xs []*Ciphertext, rows []Row) ([]*Ciphertext, error) {
 // rows is Rows restricted to the given strategies, which is how tests pin
 // one.
 func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, among ...Strategy) ([]*Ciphertext, error) {
-	start := time.Now()
 	costs, err := countRows(len(xs), rows, xs, ev.pk.N2)
 	if err != nil {
 		return nil, err
 	}
 	plan := costs.cheapest(among...)
-	metrics := ev.metrics.Load()
 	var mulMods uint64
 
 	var powers [][]big.Int
@@ -542,22 +516,16 @@ func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, among ...Strategy) ([]*C
 		}
 		mulMods = mm.n
 	}
-	setup := time.Since(start)
 
 	nums, dens := make([]*big.Int, len(rows)), make([]*big.Int, len(rows))
 	p := newProducts(ev.modMul(), xs, powers, plan)
 	for i := range rows {
-		t := time.Now()
 		if nums[i], dens[i], err = p.row(ev.pk, &rows[i]); err != nil {
 			return nil, fmt.Errorf("paillier: row %d bias: %w", i, err)
-		}
-		if metrics != nil && metrics.Dot != nil {
-			metrics.Dot(time.Since(t))
 		}
 	}
 	mulMods += p.mm.n
 
-	start = time.Now()
 	mm := ev.modMul()
 	inverses, err := divide(&mm, nums, dens)
 	if err != nil {
@@ -568,9 +536,6 @@ func (ev *Evaluator) rows(xs []*Ciphertext, rows []Row, among ...Strategy) ([]*C
 		out[i] = &Ciphertext{c: c}
 	}
 	ev.cost.Add(obs.CostStats{MulMods: mulMods + mm.n, ModInverses: inverses})
-	if metrics != nil && metrics.Precompute != nil {
-		metrics.Precompute(setup + time.Since(start))
-	}
 	return out, nil
 }
 

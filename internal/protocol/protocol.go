@@ -469,20 +469,6 @@ type ModelProvider struct {
 	state map[uint64]*obfuscate.Rounds
 }
 
-// Instrument publishes the linear kernel's phase timings to reg as the
-// "kernel.precompute" (per kernel call: the operation count, power
-// tables when the call uses them, the batched inversion) and
-// "kernel.dot" (per row: its numerator and denominator products)
-// histograms.
-func (mp *ModelProvider) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	pre := reg.Histogram("kernel.precompute")
-	dot := reg.Histogram("kernel.dot")
-	mp.eval.SetMetrics(paillier.KernelMetrics{Precompute: pre.Observe, Dot: dot.Observe})
-}
-
 // Stages returns the number of linear stages.
 func (mp *ModelProvider) Stages() int { return len(mp.stages) }
 

@@ -316,7 +316,6 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 		paillier.WithPrecomputeHook(reg.Counter("cost.modexps").Add))
 	reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
 	mp.SetBlindPool(blind)
-	mp.Instrument(reg)
 	s := &session{
 		ctx: ctx, out: out, reg: reg, pk: pk, mp: mp, blind: blind,
 		life:      NewLifecycle(mp, cfg),

@@ -41,7 +41,6 @@ func (q *QFC) ApplyShared(e *secshare.Engine, x *tensor.Tensor[secshare.Shares],
 		}
 		out.SetFlat(o, s)
 	}
-	e.Stats.Rounds++ // one batched Beaver opening round per layer
 	return out, nil
 }
 
@@ -75,7 +74,6 @@ func (q *QConv) ApplyShared(e *secshare.Engine, x *tensor.Tensor[secshare.Shares
 			out.SetFlat(f*oh*ow+pos, s)
 		}
 	}
-	e.Stats.Rounds++
 	return out, nil
 }
 
@@ -95,7 +93,6 @@ func (q *QAffine) ApplyShared(e *secshare.Engine, x *tensor.Tensor[secshare.Shar
 			out.SetFlat(i, e.ScalePrivateInt(q.Scale[c], nil, v))
 		}
 	}
-	e.Stats.Rounds++
 	return out, nil
 }
 

@@ -117,8 +117,63 @@ func TestApplyStageSharedMatchesPlain(t *testing.T) {
 						t.Fatalf("trial %d elem %d: shared %s != plain %s", trial, i, rec.Data()[i], w)
 					}
 				}
-				if eng.Stats.TriplesUsed == 0 && st.name != "flatten" {
+				if eng.Stats.Triples == 0 && st.name != "flatten" {
 					t.Fatal("no Beaver triples consumed")
+				}
+			}
+		})
+	}
+}
+
+// TestApplySharedThenTruncate pins the composition the EzPC-style
+// baseline runs per layer: at F = 2^16, every op kind's ApplyShared
+// followed by a 16-bit Truncate of each share reconstructs to ApplyPlain's
+// output shifted right by 16, within one per element (exactly, for an op
+// that does not raise the scale).
+func TestApplySharedThenTruncate(t *testing.T) {
+	const bits = 16
+	rng := mrand.New(mrand.NewSource(78))
+	conv, err := nn.NewConv("cv", tensor.ConvParams{InC: 2, InH: 5, InW: 5, OutC: 3, KH: 3, KW: 3, Stride: 2, Pad: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bn := nn.NewBatchNorm("bn", 3)
+	for ch := 0; ch < 3; ch++ {
+		bn.Gamma.Set(0.5+rng.Float64(), ch)
+		bn.Beta.Set(rng.NormFloat64(), ch)
+		bn.Mean.Set(rng.NormFloat64(), ch)
+		bn.Var.Set(0.5+rng.Float64(), ch)
+	}
+	cases := []struct {
+		layer nn.Layer
+		shape tensor.Shape
+	}{
+		{nn.NewFC("fc", 9, 7, rng), tensor.Shape{9}},
+		{conv, tensor.Shape{2, 5, 5}},
+		{bn, tensor.Shape{3, 4, 4}},
+		{nn.NewFlatten("fl"), tensor.Shape{3, 2, 2}},
+	}
+	for _, c := range cases {
+		t.Run(c.layer.Name(), func(t *testing.T) {
+			op, err := Quantize(c.layer, 1<<bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := randomBigInput(rng, 1<<bits, c.shape...)
+			want, err := op.ApplyPlain(x, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := op.(SharedOp).ApplyShared(secshare.NewEngine(1), shareBigTensor(t, x), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shift := uint(bits * op.ScaleSteps())
+			for i, s := range got.Data() {
+				g := secshare.SignedOfRing(secshare.Truncate(s, shift).Reconstruct())
+				w := new(big.Int).Rsh(want.Data()[i], shift).Int64()
+				if d := g - w; d < -1 || d > 1 || (shift == 0 && d != 0) {
+					t.Fatalf("elem %d: truncated shares open to %d, want %d", i, g, w)
 				}
 			}
 		})

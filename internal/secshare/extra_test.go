@@ -1,81 +1,36 @@
 package secshare
 
 import (
-	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// TestMatVecPrivateMatchesPublic: with the same weights, the
-// private-weight path (Beaver triples) and the public-weight path agree.
-func TestMatVecPrivateMatchesPublic(t *testing.T) {
-	w := [][]float64{{0.5, -1, 2}, {1, 1, 1}}
-	bias := []float64{0.25, -0.5}
-	vals := []float64{1.5, -2, 0.75}
-
-	ePub := NewEngine(21)
-	xPub := ePub.ShareVec(vals)
-	pub, err := ePub.MatVec(w, bias, xPub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pubOut := ePub.OpenVec(pub)
-
-	ePriv := NewEngine(22)
-	xPriv := ePriv.ShareVec(vals)
-	priv, err := ePriv.MatVecPrivate(w, bias, xPriv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	privOut := ePriv.OpenVec(priv)
-
-	for i := range pubOut {
-		if math.Abs(pubOut[i]-privOut[i]) > 0.01 {
-			t.Errorf("row %d: public %v vs private %v", i, pubOut[i], privOut[i])
-		}
-	}
-	// The private path must consume triples (weights hidden); the
-	// public path must not.
-	if ePriv.Stats.TriplesUsed == 0 {
-		t.Error("private path consumed no triples")
-	}
-	if ePub.Stats.TriplesUsed != 0 {
-		t.Error("public path consumed triples")
-	}
-}
-
-// Property: private dot products track float arithmetic for bounded
-// random vectors.
+// Property: a private dot product over values at scale 2^16, truncated
+// by 16 bits, is within one of the exact sum shifted right by 16 — a
+// row of the EzPC-style baseline's linear layers.
 func TestDotPrivateProperty(t *testing.T) {
 	f := func(seed int64, wRaw, xRaw []int16) bool {
-		n := len(wRaw)
-		if len(xRaw) < n {
-			n = len(xRaw)
-		}
-		if n == 0 {
-			return true
-		}
-		if n > 32 {
-			n = 32
-		}
+		n := min(len(wRaw), len(xRaw), 32)
 		e := NewEngine(seed)
-		w := make([]float64, n)
-		xs := make([]float64, n)
-		var want float64
+		rng := rand.New(rand.NewSource(seed))
+		w := make([]int64, n)
+		xs := make([]Shares, n)
+		var want int64
 		for i := 0; i < n; i++ {
-			w[i] = float64(wRaw[i]) / 1024
-			xs[i] = float64(xRaw[i]) / 1024
-			want += w[i] * xs[i]
+			w[i] = int64(wRaw[i])
+			xs[i] = Split(rng, uint64(int64(xRaw[i])))
+			want += w[i] * int64(xRaw[i])
 		}
-		shares := e.ShareVec(xs)
-		dot, err := e.DotPrivate(w, shares, 0)
+		dot, err := e.DotPrivateInt(w, xs, nil)
 		if err != nil {
 			return false
 		}
-		got := Decode(dot.Reconstruct())
-		return math.Abs(got-want) < 0.05
+		got := SignedOfRing(Truncate(dot, 16).Reconstruct())
+		want >>= 16
+		return got-want >= -1 && got-want <= 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -7,17 +7,17 @@ import (
 	"math/big"
 )
 
-// This file holds the integer-exact ring arithmetic the live ss-gc
-// backend runs on: values are the SAME scaled integers the quantized
-// network (internal/qnn) computes over — x·F^exp with int64 weights at
-// scale F — shared additively in Z_{2^64} and multiplied with Beaver
-// triples WITHOUT truncation. Because ring arithmetic mod 2^64 agrees
-// with integer arithmetic whenever |value| < 2^63, a layer executed here
-// reconstructs bit-identically to qnn's big-integer ApplyPlain reference
-// (the protocol's scale guard keeps magnitudes in range). This is what
-// makes the differential backend tests exact rather than approximate —
-// unlike the fixed-point FracBits ops above, which truncate after every
-// multiplication as SecureML does.
+// This file holds the integer-exact ring ops: values are the SAME
+// scaled integers the quantized network (internal/qnn) computes over —
+// x·F^exp with int64 weights at scale F — shared additively in Z_{2^64}
+// and multiplied with Beaver triples WITHOUT truncation. Because ring
+// arithmetic mod 2^64 agrees with integer arithmetic whenever
+// |value| < 2^63, a layer executed here reconstructs bit-identically to
+// qnn's big-integer ApplyPlain reference (the protocol's scale guard keeps
+// magnitudes in range). This is what makes the ss-gc backend's
+// differential tests exact rather than approximate; the EzPC-style
+// baseline brings its values back to scale after each layer with
+// Truncate.
 
 // RingOfBig reduces a big integer into Z_{2^64} (two's complement for
 // negatives) — how quantized biases at scale F^(exp+1) enter the ring.

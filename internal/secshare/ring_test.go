@@ -90,7 +90,7 @@ func TestDotPrivateIntExact(t *testing.T) {
 		bias := big.NewInt(rng.Int63n(2_000_000_000) - 1_000_000_000)
 		ref.Add(ref, bias)
 
-		before := e.Stats.TriplesUsed
+		before := e.Stats.Triples
 		got, err := e.DotPrivateInt(w, xs, bias)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestDotPrivateIntExact(t *testing.T) {
 				nonzero++
 			}
 		}
-		if used := e.Stats.TriplesUsed - before; used != nonzero {
+		if used := e.Stats.Triples - before; used != uint64(nonzero) {
 			t.Fatalf("trial %d: %d triples for %d nonzero weights", trial, used, nonzero)
 		}
 	}
