@@ -8,9 +8,11 @@ package ppstream
 
 import (
 	"crypto/rand"
+	"math/big"
 	"sync"
 	"testing"
 
+	"ppstream/internal/backend"
 	"ppstream/internal/paillier"
 	"ppstream/internal/simulate"
 )
@@ -76,23 +78,36 @@ func BenchmarkAblationEncryptPooled(b *testing.B) {
 	k := benchPaillierKey(b)
 	pool := paillier.NewPool(&k.PublicKey, rand.Reader, 256, 2)
 	defer pool.Close()
+	encrypt := func(m int64) error {
+		rn, _, err := pool.BlindingTracked()
+		if err == nil {
+			_, err = k.PublicKey.EncryptWithBlinding(big.NewInt(m), rn)
+		}
+		return err
+	}
 	// Let the pool pre-fill so the benchmark measures the intended
 	// steady state (blinding factors produced off the critical path).
-	warm := make([]*paillier.Ciphertext, 0, 64)
 	for i := 0; i < 64; i++ {
-		ct, err := pool.EncryptInt64(int64(i))
-		if err != nil {
+		if err := encrypt(int64(i)); err != nil {
 			b.Fatal(err)
 		}
-		warm = append(warm, ct)
 	}
-	_ = warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pool.EncryptInt64(int64(i)); err != nil {
+		if err := encrypt(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// transferCost is c_elem at the ablation's 512-bit key: one ciphertext
+// through the wire codec's copy, from the unit-cost sweep.
+func transferCost(b *testing.B) float64 {
+	u, err := backend.MeasureUnitCosts(512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return u.Transfer
 }
 
 // --- Stage encapsulation (Section IV-B): merged vs per-layer stages -------
@@ -109,7 +124,7 @@ func BenchmarkAblationMergedStages(b *testing.B) {
 		{Name: "lin1", Base: 0.06, Threads: 4, CommElems: 400},
 		{Name: "non1", Base: 0.01, Threads: 4},
 	}
-	per := simulate.PerElementTransferCost(1024)
+	per := transferCost(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := simulate.Pipeline(stages, 16, per); err != nil {
@@ -129,7 +144,7 @@ func BenchmarkAblationPerLayerStages(b *testing.B) {
 		{Name: "fc2", Base: 0.02, Threads: 4, CommElems: 400},
 		{Name: "non1", Base: 0.01, Threads: 4, CommElems: 400},
 	}
-	per := simulate.PerElementTransferCost(1024)
+	per := transferCost(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := simulate.Pipeline(stages, 16, per); err != nil {

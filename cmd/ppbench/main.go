@@ -81,14 +81,14 @@ var subcommands = []subcommand{
 		if c.Quick {
 			bits = []int{256, 512}
 		}
-		return experiments.Fig1(bits, c.Trials)
+		return experiments.Fig1(bits)
 	})},
 	{"kernel", paper, "linear kernel vs scalar reference: strategy, op counts and speedup per key size (README and EXPERIMENTS.md cite it; not a paper figure)", printed(func(c experiments.Config) (*experiments.KernelResult, error) {
 		bits := []int{256, 512, 1024}
 		if c.Quick {
 			bits = []int{256}
 		}
-		return experiments.Kernel(bits, c.Trials)
+		return experiments.Kernel(bits)
 	})},
 	{"table3", paper, "dataset/model inventory", func(w io.Writer, _ options) error {
 		fmt.Fprint(w, experiments.Table3Render())
@@ -171,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppbench", flag.ContinueOnError)
 	fs.IntVar(&o.cfg.KeyBits, "keybits", 512, "Paillier key size in bits (paper: 2048)")
 	fs.IntVar(&o.cfg.Requests, "requests", 8, "streaming batch size for effective-latency runs")
-	fs.IntVar(&o.cfg.Trials, "trials", 3, "trials for statistical measurements")
+	fs.IntVar(&o.cfg.Trials, "trials", 3, "random permutations table6 averages its leakage over")
 	fs.BoolVar(&o.cfg.Quick, "quick", false, "restrict to the smallest model subsets (CI mode)")
 	fs.BoolVar(&o.cfg.RealTime, "real", false, "wall-clock latency (multi-core hosts) instead of the calibrated model")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7200", "metrics endpoint for top and traces (the ppserver -metrics address)")

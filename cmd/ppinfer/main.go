@@ -23,8 +23,8 @@ import (
 	"strings"
 
 	"ppstream"
-	"ppstream/internal/experiments"
 	"ppstream/internal/models"
+	"ppstream/internal/obs"
 )
 
 func main() {
@@ -175,7 +175,11 @@ func infer(stdout io.Writer, modelPath string, keyBits, cores int, inputCSV stri
 		}
 		fmt.Fprintf(stdout, "\nstreamed %d requests: makespan %v, effective latency %v/request\n",
 			stats.Requests, stats.Makespan, stats.EffectiveLatency)
-		fmt.Fprint(stdout, experiments.BreakdownFromTraces(net.ModelName, stats.Traces).Render())
+		trees := make([]*obs.TraceTree, len(stats.Traces))
+		for i, tr := range stats.Traces {
+			trees[i] = tr.Tree()
+		}
+		fmt.Fprint(stdout, obs.RenderBreakdown(obs.Breakdown(trees)))
 	}
 	return nil
 }

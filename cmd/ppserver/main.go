@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *debugLog {
 		level = obs.LevelDebug
 	}
-	logger := obs.NewLogger(stdout, level).SetSlowThreshold(*slow)
+	logger := obs.NewLogger(stdout, level)
 
 	srvProfile, err := backend.ParseProfile(*profile)
 	if err != nil {
@@ -288,8 +288,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			defer conn.Close()
 			edge := stream.NewInstrumentedTCPEdge(conn, reg, "tcp")
 			remote := conn.RemoteAddr().String()
-			slog := logger.With("remote", remote)
-			slog.Info("session opened")
+			sessLog := logger.With("remote", remote)
+			sessLog.Info("session opened")
 			cfg := protocol.SessionConfig{
 				Factor:        *factor,
 				MaxWorkers:    *maxWorkers,
@@ -298,17 +298,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Shed:          shed,
 				Limiter:       limiter,
 				Registry:      reg,
-				Log:           slog,
+				Log:           sessLog,
+				SlowRound:     *slow,
 				Traces:        traces,
 				SLO:           slo,
 				Profile:       srvProfile,
 				ClearBoundary: *clearBoundary,
 			}
 			if err := protocol.ServeSessionConfig(ctx, edge, edge, netModel, cfg); err != nil {
-				slog.Warn("session failed", "err", err.Error())
+				sessLog.Warn("session failed", "err", err.Error())
 				return
 			}
-			slog.Info("session closed")
+			sessLog.Info("session closed")
 		}(conn)
 	}
 }

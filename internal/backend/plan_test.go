@@ -303,7 +303,7 @@ func TestMeasureUnitCostsOncePerKeySize(t *testing.T) {
 	}
 	for name, v := range map[string]float64{"MulMod": u.MulMod, "ModInverse": u.ModInverse, "Encrypt": u.Encrypt,
 		"Decrypt": u.Decrypt, "Blinding": u.Blinding, "ScalarExp": u.ScalarExp, "Gate": u.Gate, "ExtOT": u.ExtOT,
-		"Triple": u.Triple, "PlainOp": u.PlainOp} {
+		"Triple": u.Triple, "PlainOp": u.PlainOp, "Transfer": u.Transfer} {
 		if v <= 0 {
 			t.Errorf("%s unit cost %v", name, v)
 		}
@@ -313,6 +313,29 @@ func TestMeasureUnitCostsOncePerKeySize(t *testing.T) {
 	}
 	if _, err := MeasureUnitCosts(255); err == nil {
 		t.Error("odd key size measured")
+	}
+}
+
+// TestMeasureUnitCostsTransfer: c_elem, one ciphertext through the wire
+// codec's copy, is measured in the same cached sweep, and a 2048-bit key's
+// is at least half a 512-bit key's (its ciphertexts are four times wider).
+func TestMeasureUnitCostsTransfer(t *testing.T) {
+	u512, err := MeasureUnitCosts(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u512.Transfer <= 0 {
+		t.Fatalf("512-bit Transfer %v", u512.Transfer)
+	}
+	if again, err := MeasureUnitCosts(512); err != nil || again.Transfer != u512.Transfer {
+		t.Errorf("second measurement %v, %v; want the cached %v", again.Transfer, err, u512.Transfer)
+	}
+	u2048, err := MeasureUnitCosts(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u2048.Transfer < u512.Transfer/2 {
+		t.Errorf("2048-bit Transfer %v below half the 512-bit %v", u2048.Transfer, u512.Transfer)
 	}
 }
 

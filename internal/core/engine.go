@@ -238,15 +238,19 @@ func (e *Engine) SimStages() ([]simulate.Stage, error) {
 
 // Simulate predicts the deployment's latency for a batch of the given
 // size using the estimated stage costs, the allocation plan, and the
-// measured per-element transfer cost (see internal/simulate's package
-// comment for the single-CPU-host substitution rationale).
+// key size's measured per-element transfer cost, UnitCosts.Transfer (see
+// internal/simulate's package comment for the single-CPU-host
+// substitution rationale).
 func (e *Engine) Simulate(requests int) (*simulate.Result, error) {
 	stages, err := e.SimStages()
 	if err != nil {
 		return nil, err
 	}
-	perElem := simulate.PerElementTransferCost(2 * e.keyBits)
-	return simulate.Pipeline(stages, requests, perElem)
+	units, err := backend.MeasureUnitCosts(e.keyBits)
+	if err != nil {
+		return nil, err
+	}
+	return simulate.Pipeline(stages, requests, units.Transfer)
 }
 
 // applyPlan pushes the allocation's thread counts into the protocol's

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"ppstream/internal/dataset"
 	"ppstream/internal/models"
@@ -29,8 +30,8 @@ type Config struct {
 	// Requests is the streaming batch size for effective-latency
 	// measurements (default 4).
 	Requests int
-	// Trials is the repetition count for statistical measurements
-	// (default 3).
+	// Trials is how many random permutations Table6 averages its leakage
+	// over (default 3).
 	Trials int
 	// Quick restricts model sets to the smallest representatives so the
 	// whole suite completes in CI time.
@@ -120,4 +121,13 @@ func renderTable(header []string, rows [][]string) string {
 		writeRow(r)
 	}
 	return b.String()
+}
+
+func fmtDur(d time.Duration) string {
+	return d.Round(time.Microsecond).String()
+}
+
+// seconds converts a paillier.Sweep unit, in seconds, to a duration.
+func seconds(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second))
 }

@@ -12,7 +12,7 @@ func quickCfg() Config {
 }
 
 func TestFig1SmallKeys(t *testing.T) {
-	res, err := Fig1([]int{128, 256}, 1)
+	res, err := Fig1([]int{128, 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // Fig1Row is one key-size point of the paper's Figure 1 benchmark:
-// average per-tensor latency of encryption, decryption, homomorphic
+// per-tensor latency of encryption, decryption, homomorphic
 // scalar multiplication (constant 10^6), and homomorphic addition over a
 // 28×28 tensor. Encrypt is the public-key price the figure reports (one
 // r^n mod n² per element); EncryptKeyHolder is what the data provider,
@@ -32,98 +32,97 @@ type Fig1Row struct {
 // of the figure's operation, x + 10^6·x over the figure's pixels 0..255.
 type Fig1Result struct {
 	TensorElems int
-	Reps        int
 	SlotBits    int
 	Rows        []Fig1Row
 }
 
 // Fig1 reproduces the homomorphic-encryption benchmark of Figure 1: for
 // each key size, encrypt a 28×28 tensor, scalar-multiply it by 10^6, add
-// the products to the originals, and decrypt; report per-step latency
-// averaged over reps input tensors. The paper uses MNIST images and
-// 1,000 repetitions with keys up to 2048 bits; reps and key sizes are
-// caller-tunable.
-func Fig1(keyBits []int, reps int) (*Fig1Result, error) {
+// the products to the originals, and decrypt. The chain is run and its
+// decryptions checked once; then each step over the whole tensor is one
+// paillier.Sweep trial, and a row reports each step's fastest sweep. The
+// paper uses MNIST images and 1,000 repetitions with keys up to 2048
+// bits; the key sizes are caller-tunable.
+func Fig1(keyBits []int) (*Fig1Result, error) {
 	if len(keyBits) == 0 {
 		keyBits = []int{256, 512, 1024, 2048}
 	}
-	if reps <= 0 {
-		reps = 3
-	}
 	const elems = 28 * 28
-	res := &Fig1Result{TensorElems: elems, Reps: reps}
+	res := &Fig1Result{TensorElems: elems}
 	scalar := big.NewInt(1_000_000)
 	// |x + 10^6·x| ≤ (10^6 + 1)·255 over the pixels below; a slot is one
 	// bit wider than that.
 	res.SlotBits = 1 + big.NewInt(1_000_001*255).BitLen()
+	// A synthetic MNIST-like image: pixel values 0..255.
+	msgs := make([]*big.Int, elems)
+	for i := range msgs {
+		msgs[i] = big.NewInt(int64(i * 7 % 256))
+	}
+	cts := make([]*paillier.Ciphertext, elems)
+	prods := make([]*paillier.Ciphertext, elems)
+	sums := make([]*paillier.Ciphertext, elems)
+	outs := make([]*big.Int, elems)
+	// each runs one step over every element of the tensor.
+	each := func(step func(i int) error) func() error {
+		return func() error {
+			for i := range msgs {
+				if err := step(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	for _, bits := range keyBits {
 		key, err := paillier.GenerateKey(rand.Reader, bits)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig1 keygen %d: %w", bits, err)
 		}
-		var encT, encKeyT, decT, mulT, addT time.Duration
-		for rep := 0; rep < reps; rep++ {
-			// A synthetic MNIST-like image: pixel values 0..255.
-			msgs := make([]*big.Int, elems)
-			for i := range msgs {
-				msgs[i] = big.NewInt(int64((i*7 + rep*13) % 256))
-			}
-			cts := make([]*paillier.Ciphertext, elems)
-			start := time.Now()
-			for i, m := range msgs {
-				cts[i], err = key.PublicKey.Encrypt(rand.Reader, m)
-				if err != nil {
-					return nil, err
-				}
-			}
-			encT += time.Since(start)
-
-			start = time.Now()
-			for _, m := range msgs {
-				if _, err = key.Encrypt(rand.Reader, m); err != nil {
-					return nil, err
-				}
-			}
-			encKeyT += time.Since(start)
-
-			prods := make([]*paillier.Ciphertext, elems)
-			start = time.Now()
-			for i, ct := range cts {
-				prods[i], err = key.PublicKey.MulScalar(ct, scalar)
-				if err != nil {
-					return nil, err
-				}
-			}
-			mulT += time.Since(start)
-
-			sums := make([]*paillier.Ciphertext, elems)
-			start = time.Now()
-			for i := range cts {
+		var enc, encKey, mul, add, dec float64
+		steps := []paillier.Trial{
+			{Unit: &enc, Ops: 1, Run: each(func(i int) (err error) {
+				cts[i], err = key.PublicKey.Encrypt(rand.Reader, msgs[i])
+				return err
+			})},
+			{Unit: &encKey, Ops: 1, Run: each(func(i int) error {
+				_, err := key.Encrypt(rand.Reader, msgs[i])
+				return err
+			})},
+			{Unit: &mul, Ops: 1, Run: each(func(i int) (err error) {
+				prods[i], err = key.PublicKey.MulScalar(cts[i], scalar)
+				return err
+			})},
+			{Unit: &add, Ops: 1, Run: each(func(i int) error {
 				sums[i] = key.PublicKey.Add(cts[i], prods[i])
+				return nil
+			})},
+			{Unit: &dec, Ops: 1, Run: each(func(i int) (err error) {
+				outs[i], err = key.Decrypt(sums[i])
+				return err
+			})},
+		}
+		// Correctness gate before timing.
+		for _, step := range steps {
+			if err := step.Run(); err != nil {
+				return nil, err
 			}
-			addT += time.Since(start)
-
-			start = time.Now()
-			for i, ct := range sums {
-				got, err := key.Decrypt(ct)
-				if err != nil {
-					return nil, err
-				}
-				want := new(big.Int).Mul(msgs[i], big.NewInt(1_000_001))
-				if got.Cmp(want) != 0 {
-					return nil, fmt.Errorf("experiments: fig1 correctness failure at %d bits", bits)
-				}
+		}
+		for i, got := range outs {
+			if got.Cmp(new(big.Int).Mul(msgs[i], big.NewInt(1_000_001))) != 0 {
+				return nil, fmt.Errorf("experiments: fig1 correctness failure at %d bits", bits)
 			}
-			decT += time.Since(start)
+		}
+		if err := paillier.Sweep(steps); err != nil {
+			return nil, err
 		}
 		res.Rows = append(res.Rows, Fig1Row{
 			KeyBits:          bits,
 			Replies:          key.PackedLen(elems, res.SlotBits),
-			Encrypt:          encT / time.Duration(reps),
-			EncryptKeyHolder: encKeyT / time.Duration(reps),
-			Decrypt:          decT / time.Duration(reps),
-			ScalarMul:        mulT / time.Duration(reps),
-			Add:              addT / time.Duration(reps),
+			Encrypt:          seconds(enc),
+			EncryptKeyHolder: seconds(encKey),
+			Decrypt:          seconds(dec),
+			ScalarMul:        seconds(mul),
+			Add:              seconds(add),
 		})
 	}
 	return res, nil
@@ -145,6 +144,6 @@ func (r *Fig1Result) Render() string {
 			fmt.Sprint(row.Replies),
 		})
 	}
-	return fmt.Sprintf("Fig 1: Paillier benchmark (28×28 tensor, scalar 10^6, %d reps)\n%sreply cts: the tensor as one protocol round's packed reply (%d-bit slots)\n",
-		r.Reps, renderTable(header, rows), r.SlotBits)
+	return fmt.Sprintf("Fig 1: Paillier benchmark (28×28 tensor, scalar 10^6, fastest of the sweeps)\n%sreply cts: the tensor as one protocol round's packed reply (%d-bit slots)\n",
+		renderTable(header, rows), r.SlotBits)
 }

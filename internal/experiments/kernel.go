@@ -15,13 +15,13 @@ import (
 )
 
 // KernelRow is one (shape, key size) point of the linear-kernel benchmark:
-// average per-layer latency of the kernel (sign split, counted strategy,
-// batched inversion, blinded outputs) against the pre-kernel row-by-row
-// reference, and the plan the kernel's count picked for the layer — its
-// strategy and digit width, and the modular multiplications and inversions
-// it predicted, which are what a cost meter reads afterwards. Replies is
-// how many ciphertexts the layer's outputs would leave the model provider
-// in as a protocol round at this key size.
+// per-layer latency, the fastest of the sweeps, of the kernel (sign split,
+// counted strategy, batched inversion, blinded outputs) against the
+// pre-kernel row-by-row reference, and the plan the kernel's count picked
+// for the layer — its strategy and digit width, and the modular
+// multiplications and inversions it predicted, which are what a cost meter
+// reads afterwards. Replies is how many ciphertexts the layer's outputs
+// would leave the model provider in as a protocol round at this key size.
 type KernelRow struct {
 	KeyBits     int
 	Kernel      time.Duration
@@ -52,7 +52,6 @@ type KernelShape struct {
 
 // KernelResult holds the benchmark's shapes.
 type KernelResult struct {
-	Reps   int
 	Shapes []KernelShape
 }
 
@@ -108,15 +107,13 @@ func kernelSlotBits(w [][]int64, bias []int64) (int, error) {
 
 // Kernel benchmarks the homomorphic linear kernel against the scalar
 // reference for each shape and key size. Both paths are checked to
-// decrypt identically before timing.
-func Kernel(keyBits []int, reps int) (*KernelResult, error) {
+// decrypt identically before timing; then each is one paillier.Sweep
+// trial.
+func Kernel(keyBits []int) (*KernelResult, error) {
 	if len(keyBits) == 0 {
 		keyBits = []int{256, 512, 1024}
 	}
-	if reps <= 0 {
-		reps = 3
-	}
-	res := &KernelResult{Reps: reps}
+	res := &KernelResult{}
 	rng := mrand.New(mrand.NewSource(99))
 	keys := make([]*paillier.PrivateKey, len(keyBits))
 	for i, bits := range keyBits {
@@ -180,20 +177,20 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 			}
 			row := KernelRow{KeyBits: key.Bits(), Replies: key.PackedLen(sh.rows, shape.SlotBits),
 				Strategy: plan.Strategy.String(), Window: plan.Window, MulMods: plan.MulMods, ModInverses: plan.ModInverses}
-			for rep := 0; rep < reps; rep++ {
-				start := time.Now()
-				if _, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1); err != nil {
-					return nil, err
-				}
-				row.Kernel += time.Since(start)
-				start = time.Now()
-				if _, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs, 1); err != nil {
-					return nil, err
-				}
-				row.Ref += time.Since(start)
+			var kernel, ref float64
+			if err := paillier.Sweep([]paillier.Trial{
+				{Unit: &kernel, Ops: 1, Run: func() error {
+					_, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1)
+					return err
+				}},
+				{Unit: &ref, Ops: 1, Run: func() error {
+					_, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs, 1)
+					return err
+				}},
+			}); err != nil {
+				return nil, err
 			}
-			row.Kernel /= time.Duration(reps)
-			row.Ref /= time.Duration(reps)
+			row.Kernel, row.Ref = seconds(kernel), seconds(ref)
 			shape.Series = append(shape.Series, row)
 		}
 		res.Shapes = append(res.Shapes, shape)
@@ -205,7 +202,7 @@ func Kernel(keyBits []int, reps int) (*KernelResult, error) {
 func (r *KernelResult) Render() string {
 	var b strings.Builder
 	for _, sh := range r.Shapes {
-		fmt.Fprintf(&b, "Linear kernel: %dx%d FC layer, weights %s, avg of %d reps\n", sh.Rows, sh.Cols, sh.Weights, r.Reps)
+		fmt.Fprintf(&b, "Linear kernel: %dx%d FC layer, weights %s, fastest of the sweeps\n", sh.Rows, sh.Cols, sh.Weights)
 		fmt.Fprintf(&b, "%-8s  %12s  %12s  %8s  %-10s  %9s  %10s  %10s\n", "keybits", "kernel", "reference", "speedup", "strategy", "mulmods", "inversions", "reply cts")
 		for _, row := range sh.Series {
 			fmt.Fprintf(&b, "%-8d  %12s  %12s  %7.2fx  %-10s  %9d  %10d  %10d\n",

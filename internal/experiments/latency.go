@@ -11,9 +11,7 @@ import (
 	"ppstream/internal/baselines"
 	"ppstream/internal/core"
 	"ppstream/internal/models"
-	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
-	"ppstream/internal/stream"
 )
 
 var (
@@ -93,82 +91,6 @@ func engineLatency(name string, factor int64, totalCores int, lb, part bool, cfg
 		return 0, err
 	}
 	return res.Effective, nil
-}
-
-// StageLatencyRow is one pipeline stage's latency distribution across a
-// streaming run.
-type StageLatencyRow struct {
-	Stage string
-	Count uint64
-	Wait  obs.HistogramSnapshot
-	Busy  obs.HistogramSnapshot
-}
-
-// StageBreakdownResult is a per-stage latency percentile table for one
-// model's streaming deployment — the runtime-measured analogue of the
-// paper's Table IV/V per-stage profiling, with distribution tails
-// instead of bare means.
-type StageBreakdownResult struct {
-	Model    string
-	Requests int
-	Stages   []StageLatencyRow
-	// Total is the distribution of per-request in-pipeline latency
-	// (sum of every stage's wait + busy).
-	Total obs.HistogramSnapshot
-}
-
-// BreakdownFromTraces aggregates completed-request traces into the
-// per-stage percentile table. Stage order follows the first trace.
-func BreakdownFromTraces(model string, traces []*stream.Trace) *StageBreakdownResult {
-	res := &StageBreakdownResult{Model: model}
-	waits := map[string]*obs.Histogram{}
-	busys := map[string]*obs.Histogram{}
-	var order []string
-	total := obs.NewHistogram()
-	for _, tr := range traces {
-		if tr == nil {
-			continue
-		}
-		res.Requests++
-		total.Observe(tr.Total())
-		for _, span := range tr.Spans {
-			if waits[span.Stage] == nil {
-				waits[span.Stage] = obs.NewHistogram()
-				busys[span.Stage] = obs.NewHistogram()
-				order = append(order, span.Stage)
-			}
-			waits[span.Stage].Observe(span.Wait)
-			busys[span.Stage].Observe(span.Busy)
-		}
-	}
-	for _, name := range order {
-		w, b := waits[name].Snapshot(), busys[name].Snapshot()
-		res.Stages = append(res.Stages, StageLatencyRow{Stage: name, Count: b.Count, Wait: w, Busy: b})
-	}
-	res.Total = total.Snapshot()
-	return res
-}
-
-func fmtDur(d time.Duration) string {
-	return d.Round(time.Microsecond).String()
-}
-
-// Render formats the per-stage percentile table.
-func (r *StageBreakdownResult) Render() string {
-	header := []string{"stage", "n", "wait p50", "busy p50", "busy p95", "busy p99", "busy max"}
-	var rows [][]string
-	for _, s := range r.Stages {
-		rows = append(rows, []string{
-			s.Stage, fmt.Sprint(s.Count),
-			fmtDur(s.Wait.P50), fmtDur(s.Busy.P50), fmtDur(s.Busy.P95), fmtDur(s.Busy.P99), fmtDur(s.Busy.Max),
-		})
-	}
-	rows = append(rows, []string{
-		"TOTAL (per request)", fmt.Sprint(r.Total.Count),
-		"-", fmtDur(r.Total.P50), fmtDur(r.Total.P95), fmtDur(r.Total.P99), fmtDur(r.Total.Max),
-	})
-	return fmt.Sprintf("Per-stage latency breakdown: %s (%d streamed requests)\n%s",
-		r.Model, r.Requests, renderTable(header, rows))
 }
 
 // Fig6Row is one (model, factor) latency point.

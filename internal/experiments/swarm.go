@@ -163,8 +163,8 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	}
 	res := &SwarmResult{
 		KeyBits:     cfg.KeyBits,
-		BaselineP50: percentile(baseLats, 0.50),
-		BaselineP99: percentile(baseLats, 0.99),
+		BaselineP50: obs.Percentile(baseLats, 0.50),
+		BaselineP99: obs.Percentile(baseLats, 0.99),
 	}
 
 	// Phase 2 — deployment: a real listener, one session per client
@@ -393,15 +393,6 @@ func swarmBaseline(ctx context.Context, netw *nn.Network, key *paillier.PrivateK
 	return lats, nil
 }
 
-// percentile reads the p-quantile off an ascending latency slice.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
 // swarmPoint fires n Poisson arrivals at the offered rate and waits for
 // every outcome. Arrivals are open-loop: each fires at its scheduled
 // instant in its own goroutine, regardless of how many are still in
@@ -446,9 +437,9 @@ func swarmPoint(ctx context.Context, clients []*protocol.Client, traces *obs.Tra
 	point.Elapsed = time.Since(begin)
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	point.Achieved = float64(point.Completed) / point.Elapsed.Seconds()
-	point.P50 = percentile(lats, 0.50)
-	point.P95 = percentile(lats, 0.95)
-	point.P99 = percentile(lats, 0.99)
+	point.P50 = obs.Percentile(lats, 0.50)
+	point.P95 = obs.Percentile(lats, 0.95)
+	point.P99 = obs.Percentile(lats, 0.99)
 	return point
 }
 

@@ -1,192 +1,29 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"sync"
-	"time"
+	"log/slog"
 )
+
+// Logger is the standard library's structured logger. Every line is one
+// JSON object:
+//
+//	{"time":"2026-08-06T10:00:00.000Z","level":"INFO","msg":"session open","trace_id":"4bf0...","addr":"..."}
+//
+// A request-scoped child is Logger.With("trace_id", id), so every line of
+// one request carries its trace ID for cross-party correlation.
+type Logger = slog.Logger
 
 // Level orders log severities.
-type Level int32
+type Level = slog.Level
 
-// Log levels, least to most severe.
+// The levels ppserver chooses between.
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
 )
 
-// String returns the lowercase level name used in the JSON "level" field.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int32(l))
-	}
-}
-
-// logField is one bound key/value pair; fields keep insertion order in
-// the emitted line (ts, level, msg first, then bound fields, then
-// per-call fields).
-type logField struct {
-	key string
-	val any
-}
-
-// Logger emits structured JSON log lines, one object per line:
-//
-//	{"ts":"2026-08-06T10:00:00.000Z","level":"info","msg":"session open","trace_id":"4bf0...","addr":"..."}
-//
-// Loggers are cheap to derive: With/WithTrace return children sharing
-// the parent's writer and mutex, carrying extra bound fields — the
-// request-scoped shape where every line of one request carries its
-// trace ID. All methods are safe for concurrent use and are no-ops on a
-// nil receiver, so optional log plumbing needs no nil checks.
-type Logger struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	min    Level
-	slow   time.Duration
-	fields []logField
-	now    func() time.Time
-}
-
-// NewLogger creates a logger writing JSON lines at or above min to w.
+// NewLogger returns a logger writing JSON lines at or above min to w.
 func NewLogger(w io.Writer, min Level) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, min: min, now: time.Now}
-}
-
-// With returns a child logger carrying the given alternating key/value
-// pairs on every line it emits.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	child := *l
-	child.fields = append(append([]logField(nil), l.fields...), pairFields(kv)...)
-	return &child
-}
-
-// WithTrace returns a request-scoped child logger: every line carries
-// the request's trace ID for cross-party correlation.
-func (l *Logger) WithTrace(traceID string) *Logger {
-	return l.With("trace_id", traceID)
-}
-
-// SetSlowThreshold configures the latency above which Slow emits; zero
-// or negative disables slow-request logging. Returns the logger for
-// chaining at construction.
-func (l *Logger) SetSlowThreshold(d time.Duration) *Logger {
-	if l != nil {
-		l.slow = d
-	}
-	return l
-}
-
-// SlowThreshold returns the configured slow-request latency bound.
-func (l *Logger) SlowThreshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.slow
-}
-
-// Debug emits a debug-level line.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info emits an info-level line.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn emits a warn-level line.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error emits an error-level line.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-// Slow emits a warn-level line tagged slow=true when elapsed meets the
-// configured threshold, and reports whether it logged. The request's
-// latency rides along as "latency_ms".
-func (l *Logger) Slow(msg string, elapsed time.Duration, kv ...any) bool {
-	if l == nil || l.slow <= 0 || elapsed < l.slow {
-		return false
-	}
-	args := append([]any{"slow", true, "latency_ms", float64(elapsed.Microseconds()) / 1000}, kv...)
-	l.log(LevelWarn, msg, args)
-	return true
-}
-
-func (l *Logger) log(lv Level, msg string, kv []any) {
-	if l == nil || lv < l.min || l.w == nil {
-		return
-	}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"ts":`...)
-	buf = appendJSON(buf, l.now().UTC().Format(time.RFC3339Nano))
-	buf = append(buf, `,"level":`...)
-	buf = appendJSON(buf, lv.String())
-	buf = append(buf, `,"msg":`...)
-	buf = appendJSON(buf, msg)
-	for _, f := range l.fields {
-		buf = appendField(buf, f)
-	}
-	for _, f := range pairFields(kv) {
-		buf = appendField(buf, f)
-	}
-	buf = append(buf, '}', '\n')
-	l.mu.Lock()
-	_, _ = l.w.Write(buf)
-	l.mu.Unlock()
-}
-
-func appendField(buf []byte, f logField) []byte {
-	buf = append(buf, ',')
-	buf = appendJSON(buf, f.key)
-	buf = append(buf, ':')
-	return appendJSON(buf, f.val)
-}
-
-// appendJSON marshals v onto buf; unmarshalable values degrade to their
-// fmt representation rather than dropping the line.
-func appendJSON(buf []byte, v any) []byte {
-	if d, ok := v.(time.Duration); ok {
-		v = d.String()
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(fmt.Sprint(v))
-	}
-	return append(buf, b...)
-}
-
-// pairFields folds an alternating key/value list into fields; a
-// dangling or non-string key is preserved under a synthetic key instead
-// of being dropped, so malformed call sites stay visible.
-func pairFields(kv []any) []logField {
-	if len(kv) == 0 {
-		return nil
-	}
-	out := make([]logField, 0, (len(kv)+1)/2)
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			out = append(out, logField{key: fmt.Sprintf("!badkey%d", i), val: fmt.Sprint(kv[i])})
-			continue
-		}
-		if i+1 >= len(kv) {
-			out = append(out, logField{key: "!dangling", val: key})
-			break
-		}
-		out = append(out, logField{key: key, val: kv[i+1]})
-	}
-	return out
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: min}))
 }

@@ -226,9 +226,9 @@ func Breakdown(trees []*TraceTree) []BreakdownRow {
 			Label: label,
 			Count: len(ds),
 			Total: total,
-			P50:   exactPercentile(ds, 0.50),
-			P95:   exactPercentile(ds, 0.95),
-			P99:   exactPercentile(ds, 0.99),
+			P50:   Percentile(ds, 0.50),
+			P95:   Percentile(ds, 0.95),
+			P99:   Percentile(ds, 0.99),
 		}
 		if grand > 0 {
 			row.Share = float64(total) / float64(grand)
@@ -250,8 +250,9 @@ func Breakdown(trees []*TraceTree) []BreakdownRow {
 	return rows
 }
 
-// exactPercentile reads the p-th percentile from an ascending slice.
-func exactPercentile(sorted []time.Duration, p float64) time.Duration {
+// Percentile reads the p-quantile (0 ≤ p ≤ 1) off an ascending slice: the
+// element at index ⌊p·(n−1)⌋, or zero for an empty slice.
+func Percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}

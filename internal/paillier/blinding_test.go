@@ -193,7 +193,7 @@ func TestKeyHolderRandFailureSurfaces(t *testing.T) {
 		t.Errorf("failed EncryptTensor metered %+v", st)
 	}
 
-	p := newPool(&k.PublicKey, k.sampler(dead), 2, 1, nil)
+	p := newPool(k.sampler(dead), 2, 1, nil)
 	defer p.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for p.Retries() == 0 && time.Now().Before(deadline) {
@@ -202,17 +202,17 @@ func TestKeyHolderRandFailureSurfaces(t *testing.T) {
 	if p.Retries() == 0 {
 		t.Fatal("pool worker never retried a randomness failure")
 	}
-	if _, pooled, err := p.EncryptTracked(big.NewInt(1)); !errors.Is(err, errEntropy) || pooled {
-		t.Errorf("EncryptTracked on a dry pool over a failing reader: pooled=%v err=%v", pooled, err)
+	if _, pooled, err := p.BlindingTracked(); !errors.Is(err, errEntropy) || pooled {
+		t.Errorf("BlindingTracked on a dry pool over a failing reader: pooled=%v err=%v", pooled, err)
 	}
 }
 
 // TestPrivatePoolConcurrentEncrypt hammers a key-holder Pool from
-// concurrent EncryptTracked callers (run under -race in CI): hits and
+// concurrent BlindingTracked callers (run under -race in CI): hits and
 // misses both come from the CRT sampler and both decrypt correctly.
 func TestPrivatePoolConcurrentEncrypt(t *testing.T) {
 	k := key(t)
-	p := newPool(&k.PublicKey, k.sampler(nil), 8, 2, nil)
+	p := newPool(k.sampler(nil), 8, 2, nil)
 	defer p.Close()
 	const callers, each = 6, 40
 	var wg sync.WaitGroup
@@ -222,7 +222,11 @@ func TestPrivatePoolConcurrentEncrypt(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				want := int64(c*each+i) - 100
-				ct, _, err := p.EncryptTracked(big.NewInt(want))
+				rn, _, err := p.BlindingTracked()
+				var ct *Ciphertext
+				if err == nil {
+					ct, err = k.PublicKey.EncryptWithBlinding(big.NewInt(want), rn)
+				}
 				if err != nil {
 					t.Error(err)
 					return

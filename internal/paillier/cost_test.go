@@ -201,7 +201,8 @@ func TestBlindingCostHitMiss(t *testing.T) {
 	}
 }
 
-// TestPoolTrackedAPIs exercises the Pool's tracked variants directly.
+// TestPoolTrackedAPIs exercises BlindingTracked directly: it reports a
+// pooled factor once the fill worker has one, and the factor encrypts.
 func TestPoolTrackedAPIs(t *testing.T) {
 	k := key(t)
 	p := NewPool(&k.PublicKey, nil, 4, 1)
@@ -221,12 +222,16 @@ func TestPoolTrackedAPIs(t *testing.T) {
 		t.Fatal("never observed a pooled blinding factor")
 	}
 
-	ct, _, err := p.EncryptTracked(big.NewInt(42))
+	rn, _, err := p.BlindingTracked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := k.PublicKey.EncryptWithBlinding(big.NewInt(42), rn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, err := k.DecryptInt64(ct); err != nil || got != 42 {
-		t.Fatalf("EncryptTracked round-trip = %d, %v; want 42", got, err)
+		t.Fatalf("pooled-factor round-trip = %d, %v; want 42", got, err)
 	}
 }
 
@@ -277,7 +282,7 @@ func TestEncryptTensorCost(t *testing.T) {
 		t.Fatalf("public cost = %+v, want %+v", got, want)
 	}
 
-	p := newPool(&k.PublicKey, k.sampler(nil), 4, 1, nil)
+	p := newPool(k.sampler(nil), 4, 1, nil)
 	defer p.Close()
 	var pm obs.CostMeter
 	if _, err := EncryptTensor(&k.PublicKey, p, in, 1, &pm); err != nil {

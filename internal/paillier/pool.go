@@ -17,7 +17,6 @@ import (
 // pipeline stages run. The model provider's linear kernel draws from its
 // own Pool to re-randomize its outputs (Pool implements Blinder).
 type Pool struct {
-	pk           *PublicKey
 	src          sampler
 	ch           chan *big.Int
 	closeCh      chan struct{}
@@ -48,10 +47,10 @@ func WithPrecomputeHook(fn func(n uint64)) PoolOption {
 // fresh blinding factors computed from the public key alone (one full
 // r^n exponentiation each). Close must be called to release the workers.
 func NewPool(pk *PublicKey, random io.Reader, size, workers int, opts ...PoolOption) *Pool {
-	return newPool(pk, pk.sampler(random), size, workers, opts)
+	return newPool(pk.sampler(random), size, workers, opts)
 }
 
-func newPool(pk *PublicKey, src sampler, size, workers int, opts []PoolOption) *Pool {
+func newPool(src sampler, size, workers int, opts []PoolOption) *Pool {
 	if size < 1 {
 		size = 1
 	}
@@ -59,7 +58,6 @@ func newPool(pk *PublicKey, src sampler, size, workers int, opts []PoolOption) *
 		workers = 1
 	}
 	p := &Pool{
-		pk:      pk,
 		src:     src,
 		ch:      make(chan *big.Int, size),
 		closeCh: make(chan struct{}),
@@ -143,29 +141,6 @@ func (p *Pool) BlindingTracked() (*big.Int, bool, error) {
 		rn, err := p.src.Blinding()
 		return rn, false, err
 	}
-}
-
-// Encrypt encrypts m using a pooled blinding factor when one is ready,
-// falling back to computing one inline otherwise.
-func (p *Pool) Encrypt(m *big.Int) (*Ciphertext, error) {
-	ct, _, err := p.EncryptTracked(m)
-	return ct, err
-}
-
-// EncryptTracked is Encrypt plus the pool hit/miss signal for cost
-// accounting.
-func (p *Pool) EncryptTracked(m *big.Int) (*Ciphertext, bool, error) {
-	rn, pooled, err := p.BlindingTracked()
-	if err != nil {
-		return nil, false, err
-	}
-	ct, err := p.pk.EncryptWithBlinding(m, rn)
-	return ct, pooled, err
-}
-
-// EncryptInt64 encrypts a signed 64-bit message via the pool.
-func (p *Pool) EncryptInt64(m int64) (*Ciphertext, error) {
-	return p.Encrypt(big.NewInt(m))
 }
 
 // Close stops the background workers. Pending pooled factors are

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"io"
+	"math/big"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func TestPoolWorkersSurviveRandFailures(t *testing.T) {
 	if rn.Sign() <= 0 {
 		t.Fatal("blinding factor not positive")
 	}
-	ct, err := p.EncryptInt64(-42)
+	ct, err := k.PublicKey.EncryptWithBlinding(big.NewInt(-42), rn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,11 @@ type UnitCosts struct {
 	Triple float64
 	// PlainOp is one big-integer multiply-accumulate of the clear backend.
 	PlainOp float64
+	// Transfer is one ciphertext written out with FillBytes and read back
+	// with ParseCiphertext, the copy the wire codec makes of every element:
+	// the per-element communication cost c_elem of the simulator's stage
+	// model. Price does not use it.
+	Transfer float64
 }
 
 // Price returns what the operations st counts take at these unit costs,
@@ -126,11 +131,20 @@ func (u *UnitCosts) Trials(bits int) ([]Trial, error) {
 	}
 	mm := modMul{m: sk.N2, mu: reciprocal(sk.N2)}
 	var dst big.Int
-	const mulMods = 32
+	// batch is how many of the sub-microsecond operations one trial runs.
+	const batch = 32
+	wire, back := make([]byte, (sk.N2.BitLen()+7)/8), ct
 	return []Trial{
-		{&u.MulMod, mulMods, func() error {
-			for i := 0; i < mulMods; i++ {
+		{&u.MulMod, batch, func() error {
+			for i := 0; i < batch; i++ {
 				mm.mul(&dst, ct.c, rn)
+			}
+			return nil
+		}},
+		{&u.Transfer, batch, func() error {
+			for i := 0; i < batch; i++ {
+				back.FillBytes(wire)
+				back = ParseCiphertext(wire)
 			}
 			return nil
 		}},

@@ -138,7 +138,11 @@ func TestPoolEncrypt(t *testing.T) {
 	p := NewPool(&k.PublicKey, rand.Reader, 8, 2)
 	defer p.Close()
 	for _, m := range []int64{0, 5, -9, 1 << 20} {
-		ct, err := p.EncryptInt64(m)
+		rn, _, err := p.BlindingTracked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := k.PublicKey.EncryptWithBlinding(big.NewInt(m), rn)
 		if err != nil {
 			t.Fatal(err)
 		}

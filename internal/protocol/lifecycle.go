@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"errors"
+	"io"
+	"math"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -60,6 +62,9 @@ func (o outcome) String() string { return [...]string{"ok", "err", "shed"}[o] }
 // publishes the "requests.active" gauge and, each with its live view,
 // "serve.requests.ok" / ".err" / ".shed" and "serve.latency".
 func NewLifecycle(mp *ModelProvider, cfg SessionConfig) *Lifecycle {
+	if cfg.Log == nil {
+		cfg.Log = quiet
+	}
 	lc := &Lifecycle{
 		mp: mp, shed: cfg.Shed, limit: cfg.Limiter, log: cfg.Log,
 		traces: cfg.Traces, flight: cfg.Flight, slo: cfg.SLO, plan: mp.labels(),
@@ -154,8 +159,11 @@ func (lc *Lifecycle) logFor(traceID string) *obs.Logger {
 	if traceID == "" {
 		return lc.log
 	}
-	return lc.log.WithTrace(traceID)
+	return lc.log.With("trace_id", traceID)
 }
+
+// quiet admits no level: it stands in for a nil SessionConfig.Log.
+var quiet = obs.NewLogger(io.Discard, math.MaxInt)
 
 // serverTree assembles the server-side view of one request: the spans
 // accumulated so far under the request's trace ID (or a request-derived ID

@@ -118,9 +118,13 @@ type SessionConfig struct {
 	// Registry, when non-nil, receives session metrics.
 	Registry *obs.Registry
 	// Log, when non-nil, receives structured session events — rejected
-	// hellos, per-round failures, and rounds exceeding the logger's slow
-	// threshold — each correlated by the request's trace ID.
+	// hellos, per-round failures, and rounds of at least SlowRound — each
+	// correlated by the request's trace ID.
 	Log *obs.Logger
+	// SlowRound, when positive, logs every linear round that takes at
+	// least this long as a warning tagged "slow":true with its
+	// "latency_ms" and the request's trace ID.
+	SlowRound time.Duration
 	// Traces, when non-nil, offers every completed or failed request's
 	// record — server-side trace with cost profiles, session plan, error —
 	// to the tail-sampling span store (errors always kept, slowest-K per
@@ -170,6 +174,8 @@ type session struct {
 	mp    *ModelProvider
 	life  *Lifecycle
 	blind *paillier.Pool
+	// slowRound is SessionConfig.SlowRound.
+	slowRound time.Duration
 	// planCodes and profile ride every round-0 reply.
 	planCodes []int32
 	profile   string
@@ -273,6 +279,9 @@ func (s *session) serve(in stream.Edge, window int, ttl time.Duration) error {
 // openSession reads the Hello, negotiates the backend plan, and builds the
 // session for the client's key.
 func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) (*session, error) {
+	if cfg.Log == nil {
+		cfg.Log = quiet
+	}
 	hello, pk, profile, err := readHello(ctx, in, out, cfg)
 	if err != nil {
 		return nil, err
@@ -319,6 +328,7 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 	s := &session{
 		ctx: ctx, out: out, reg: reg, pk: pk, mp: mp, blind: blind,
 		life:      NewLifecycle(mp, cfg),
+		slowRound: cfg.SlowRound,
 		planCodes: plan.Codes(), profile: string(profile),
 		roundsServed: reg.Counter("rounds.served"),
 		roundErrs:    reg.Counter("rounds.errors"),
@@ -610,11 +620,12 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 	if err != nil {
 		return nil, err
 	}
-	s.life.logFor(req.TraceID).Slow("slow linear round", elapsed,
-		"req", req.ID, "round", frame.Round,
-		"kernel_ms", float64(timing.Kernel)/float64(time.Millisecond),
-		"permute_ms", float64(timing.Permute)/float64(time.Millisecond),
-		"pack_ms", float64(timing.Pack)/float64(time.Millisecond))
+	if s.slowRound > 0 && elapsed >= s.slowRound {
+		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+		s.life.logFor(req.TraceID).Warn("slow linear round", "slow", true, "latency_ms", ms(elapsed),
+			"req", req.ID, "round", frame.Round,
+			"kernel_ms", ms(timing.Kernel), "permute_ms", ms(timing.Permute), "pack_ms", ms(timing.Pack))
+	}
 	wireEnv, err := ToWire(result)
 	if err != nil {
 		return nil, err

@@ -55,10 +55,10 @@ func traceSession(t *testing.T, cfg SessionConfig) (*Client, chan error, context
 func TestInferTracedMergesBothParties(t *testing.T) {
 	var logBuf bytes.Buffer
 	logMu := &sync.Mutex{}
-	logger := obs.NewLogger(&lockedWriter{mu: logMu, b: &logBuf}, obs.LevelDebug).
-		SetSlowThreshold(time.Nanosecond) // every round is "slow": forces trace-correlated log lines
+	logger := obs.NewLogger(&lockedWriter{mu: logMu, b: &logBuf}, obs.LevelDebug)
 	reg := obs.NewRegistry("trace-test")
-	client, serveErr, ctx := traceSession(t, SessionConfig{Registry: reg, Log: logger})
+	// Every round is "slow": forces trace-correlated log lines.
+	client, serveErr, ctx := traceSession(t, SessionConfig{Registry: reg, Log: logger, SlowRound: time.Nanosecond})
 
 	netw := buildNet(t)
 	r := mathrand.New(mathrand.NewSource(77))
@@ -242,4 +242,49 @@ func (w *lockedWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.b.Write(p)
+}
+
+// TestSessionSlowRoundLog: a round faster than SessionConfig.SlowRound
+// writes no slow line, a slower one writes one carrying the request's
+// trace ID and latency, and a zero SlowRound never logs one.
+func TestSessionSlowRoundLog(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		slowRound time.Duration
+		wantSlow  int
+	}{
+		{"fast", time.Hour, 0},
+		{"slow", time.Nanosecond, 2},
+		{"unset", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logBuf bytes.Buffer
+			logMu := &sync.Mutex{}
+			logger := obs.NewLogger(&lockedWriter{mu: logMu, b: &logBuf}, obs.LevelInfo)
+			client, serveErr, ctx := traceSession(t, SessionConfig{Log: logger, SlowRound: tc.slowRound})
+			_, tree, err := client.InferTraced(ctx, tensor.Zeros(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.Close()
+			if err := <-serveErr; err != nil {
+				t.Fatalf("server: %v", err)
+			}
+			logMu.Lock()
+			defer logMu.Unlock()
+			slow := 0
+			for _, line := range strings.Split(logBuf.String(), "\n") {
+				if !strings.Contains(line, `"slow":true`) {
+					continue
+				}
+				slow++
+				if !strings.Contains(line, `"trace_id":"`+tree.ID+`"`) || !strings.Contains(line, `"latency_ms":`) {
+					t.Errorf("slow line lacks the trace ID %s or the latency: %s", tree.ID, line)
+				}
+			}
+			if slow != tc.wantSlow {
+				t.Errorf("%d slow lines, want %d:\n%s", slow, tc.wantSlow, logBuf.String())
+			}
+		})
+	}
 }

@@ -13,9 +13,15 @@
 // (Section IV-C), comm_i the number of ciphertext elements the stage
 // copies to its threads (Section IV-D: the whole tensor per thread
 // without partitioning, per-thread sub-tensors with it), and c_elem the
-// measured per-element copy cost. Requests flow through the stages with
-// the classic pipeline recurrence, so pipelining, bottlenecks, and
+// per-element copy cost. Requests flow through the stages with the
+// classic pipeline recurrence, so pipelining, bottlenecks, and
 // diminishing returns all emerge from the schedule.
+//
+// The package is a pure model: it measures nothing. Its callers pass
+// c_elem in, as paillier.UnitCosts.Transfer — one ciphertext through the
+// wire codec's copy out and back, timed in the same sweep
+// (backend.MeasureUnitCosts) as every unit cost the stage times are
+// priced at.
 //
 // DESIGN.md documents this substitution; on a real multi-core cluster
 // the same experiments can run in wall-clock mode via the streaming
@@ -31,8 +37,6 @@ package simulate
 
 import (
 	"errors"
-	"math/big"
-	"sync"
 	"time"
 )
 
@@ -129,54 +133,4 @@ func Sequential(stages []Stage, perElem float64) time.Duration {
 
 func seconds(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
-}
-
-var (
-	costMu    sync.Mutex
-	costCache = map[int]float64{}
-)
-
-// PerElementTransferCost measures (once per width) the real cost of
-// serializing and deserializing one ciphertext-sized big integer of the
-// given bit width — the constant behind the communication term. The
-// width should be 2× the key size (ciphertexts live mod n²). In the
-// deployed system this is the stage dispatcher's per-element
-// serialization work when feeding worker threads/servers, which is what
-// tensor partitioning reduces.
-func PerElementTransferCost(bits int) float64 {
-	if bits < 256 {
-		bits = 256
-	}
-	costMu.Lock()
-	defer costMu.Unlock()
-	if c, ok := costCache[bits]; ok {
-		return c
-	}
-	src := new(big.Int).Lsh(big.NewInt(1), uint(bits-1))
-	src.Sub(src, big.NewInt(12345))
-	// Minimum over several trials: the standard noise-robust cost
-	// estimator — transient scheduler interference only ever inflates a
-	// trial, never deflates it.
-	const trials = 5
-	const n = 2000
-	best := 0.0
-	var sink int
-	for t := 0; t < trials; t++ {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			b := src.Bytes()
-			round := new(big.Int).SetBytes(b)
-			sink += round.BitLen()
-		}
-		elapsed := time.Since(start).Seconds()
-		if t == 0 || elapsed < best {
-			best = elapsed
-		}
-	}
-	if sink == 0 {
-		best = 0 // unreachable; keeps the loop from being elided
-	}
-	c := best / n
-	costCache[bits] = c
-	return c
 }

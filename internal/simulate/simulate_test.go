@@ -106,23 +106,3 @@ func TestCommTermCreatesPartitioningGain(t *testing.T) {
 		t.Errorf("no-partitioning %v should exceed partitioning %v", b.Effective, a.Effective)
 	}
 }
-
-func TestPerElementTransferCost(t *testing.T) {
-	c1 := PerElementTransferCost(512)
-	if c1 <= 0 {
-		t.Fatalf("cost %v", c1)
-	}
-	// cached: same value back
-	if c2 := PerElementTransferCost(512); c2 != c1 {
-		t.Errorf("cache miss: %v vs %v", c1, c2)
-	}
-	// bigger integers cost at least as much (allow small jitter)
-	c4 := PerElementTransferCost(4096)
-	if c4 < c1/2 {
-		t.Errorf("4096-bit cost %v suspiciously below 512-bit %v", c4, c1)
-	}
-	// sub-minimum widths clamp
-	if PerElementTransferCost(1) != PerElementTransferCost(256) {
-		t.Error("clamping failed")
-	}
-}

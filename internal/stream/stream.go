@@ -91,6 +91,23 @@ func (t *Trace) Total() time.Duration {
 	return d
 }
 
+// Tree converts the trace into the shape obs.Breakdown aggregates: each
+// span becomes a "<stage>-wait" and a "<stage>-busy" segment, and Total is
+// the request's in-pipeline latency. A nil trace (a dropped or failed
+// request) converts to nil, which Breakdown skips.
+func (t *Trace) Tree() *obs.TraceTree {
+	if t == nil {
+		return nil
+	}
+	tree := &obs.TraceTree{ID: t.ID, Total: t.Total(), Segments: make([]obs.Segment, 0, 2*len(t.Spans))}
+	for _, s := range t.Spans {
+		tree.Segments = append(tree.Segments,
+			obs.Segment{Name: s.Stage + "-wait", Round: -1, Dur: s.Wait},
+			obs.Segment{Name: s.Stage + "-busy", Round: -1, Dur: s.Busy})
+	}
+	return tree
+}
+
 // Stage is one step of a Pipeline: the name its spans, metrics and profile
 // labels carry, and the handler that turns a request's message into its
 // next one. Fn is called from the stage's one goroutine, a message at a

@@ -185,3 +185,47 @@ func TestInstrumentedTCPEdge(t *testing.T) {
 		t.Errorf("byte counters not recorded: %v", s.Counters)
 	}
 }
+
+// TestTraceTreeBreakdown: Tree maps each span to its wait and busy
+// segments, and obs.Breakdown over the converted traces skips a nil
+// trace and counts every remaining request once per stage segment.
+func TestTraceTreeBreakdown(t *testing.T) {
+	mk := func(encBusy, linBusy time.Duration) *Trace {
+		return &Trace{ID: "req", Spans: []Span{
+			{Stage: "encrypt", Wait: time.Millisecond, Busy: encBusy},
+			{Stage: "linear-0", Wait: 2 * time.Millisecond, Busy: linBusy},
+		}}
+	}
+	traces := []*Trace{
+		mk(10*time.Millisecond, 40*time.Millisecond),
+		mk(12*time.Millisecond, 44*time.Millisecond),
+		nil, // a dropped or failed request
+		mk(11*time.Millisecond, 42*time.Millisecond),
+	}
+	tree := traces[0].Tree()
+	want := []obs.Segment{
+		{Name: "encrypt-wait", Round: -1, Dur: time.Millisecond},
+		{Name: "encrypt-busy", Round: -1, Dur: 10 * time.Millisecond},
+		{Name: "linear-0-wait", Round: -1, Dur: 2 * time.Millisecond},
+		{Name: "linear-0-busy", Round: -1, Dur: 40 * time.Millisecond},
+	}
+	if tree.ID != "req" || tree.Total != 53*time.Millisecond || fmt.Sprint(tree.Segments) != fmt.Sprint(want) {
+		t.Errorf("tree %+v, want ID req, total 53ms, segments %+v", tree, want)
+	}
+	trees := make([]*obs.TraceTree, len(traces))
+	for i, tr := range traces {
+		trees[i] = tr.Tree()
+	}
+	if trees[2] != nil {
+		t.Errorf("nil trace converted to %+v", trees[2])
+	}
+	rows := obs.Breakdown(trees)
+	if len(rows) != 4 {
+		t.Fatalf("%d breakdown rows, want 4: %+v", len(rows), rows)
+	}
+	for _, r := range rows {
+		if r.Count != 3 {
+			t.Errorf("segment %s counted %d requests, want 3", r.Label, r.Count)
+		}
+	}
+}
