@@ -1,14 +1,13 @@
 package ppstream
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
-// CRT-accelerated decryption, the precomputed blinding pool, and merged
-// vs per-layer stage encapsulation. Run with:
+// CRT-accelerated decryption, the key holder's CRT blinding factor, and
+// merged vs per-layer stage encapsulation. Run with:
 //
 //	go test -bench=Ablation -benchmem
 
 import (
 	"crypto/rand"
-	"math/big"
 	"sync"
 	"testing"
 
@@ -63,9 +62,11 @@ func BenchmarkAblationDecryptNoCRT(b *testing.B) {
 	}
 }
 
-// --- Blinding pool (off-critical-path r^n precomputation) -----------------
+// --- Key-holder encryption (CRT blinding factor vs public r^n) -----------
 
-func BenchmarkAblationEncryptFresh(b *testing.B) {
+// BenchmarkAblationEncryptPublic encrypts as a party that knows only n
+// would: one full-size r^n mod n² per ciphertext.
+func BenchmarkAblationEncryptPublic(b *testing.B) {
 	k := benchPaillierKey(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := k.PublicKey.EncryptInt64(rand.Reader, int64(i)); err != nil {
@@ -74,27 +75,12 @@ func BenchmarkAblationEncryptFresh(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationEncryptPooled(b *testing.B) {
+// BenchmarkAblationEncryptKeyHolder encrypts as the data provider does:
+// the blinding factor from the CRT sampler, two half-size exponentiations.
+func BenchmarkAblationEncryptKeyHolder(b *testing.B) {
 	k := benchPaillierKey(b)
-	pool := paillier.NewPool(&k.PublicKey, rand.Reader, 256, 2)
-	defer pool.Close()
-	encrypt := func(m int64) error {
-		rn, _, err := pool.BlindingTracked()
-		if err == nil {
-			_, err = k.PublicKey.EncryptWithBlinding(big.NewInt(m), rn)
-		}
-		return err
-	}
-	// Let the pool pre-fill so the benchmark measures the intended
-	// steady state (blinding factors produced off the critical path).
-	for i := 0; i < 64; i++ {
-		if err := encrypt(int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := encrypt(int64(i)); err != nil {
+		if _, err := k.EncryptInt64(rand.Reader, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -106,11 +106,11 @@ func TestBackendsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	xi := tensor.Map(xb, func(v *big.Int) int64 { return v.Int64() })
-	ct, err := paillier.EncryptTensor(&kp.PublicKey, kp.Blinder(rand.Reader), xi, 1, nil)
+	ct, err := kp.EncryptTensor(rand.Reader, xi, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := Execute(paillier.NewEvaluator(&kp.PublicKey), nil, st, &Payload{Kind: PaillierHE, CT: ct, Exp: 1})
+	enc, err := Execute(paillier.NewEvaluator(&kp.PublicKey, nil), nil, st, &Payload{Kind: PaillierHE, CT: ct, Exp: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,14 @@ import (
 )
 
 // KernelRow is one (shape, key size) point of the linear-kernel benchmark:
-// per-layer latency, the fastest of the sweeps, of the kernel (sign split,
-// counted strategy, batched inversion, blinded outputs) against the
-// pre-kernel row-by-row reference, and the plan the kernel's count picked
-// for the layer — its strategy and digit width, and the modular
-// multiplications and inversions it predicted, which are what a cost meter
-// reads afterwards. Replies is how many ciphertexts the layer's outputs
-// would leave the model provider in as a protocol round at this key size.
+// per-layer latency, the fastest of the sweeps, of what a protocol round
+// runs on the layer — the kernel's rows (sign split, counted strategy,
+// batched inversion), packed into the reply with one inline blinding per
+// reply ciphertext — against the pre-kernel row-by-row reference, and the
+// plan the kernel's count picked for the rows: its strategy and digit
+// width, and the modular multiplications and inversions it predicted,
+// which are what a cost meter reads afterwards. Replies is how many
+// ciphertexts the packed reply has at this key size.
 type KernelRow struct {
 	KeyBits     int
 	Kernel      time.Duration
@@ -105,10 +106,10 @@ func kernelSlotBits(w [][]int64, bias []int64) (int, error) {
 	return stages[0].SlotBits(), nil
 }
 
-// Kernel benchmarks the homomorphic linear kernel against the scalar
-// reference for each shape and key size. Both paths are checked to
-// decrypt identically before timing; then each is one paillier.Sweep
-// trial.
+// Kernel benchmarks the homomorphic linear kernel, Rows then Pack, against
+// the scalar reference for each shape and key size. Before timing, the
+// unpacked reply is checked against the reference rows' decryptions; then
+// each path is one paillier.Sweep trial.
 func Kernel(keyBits []int) (*KernelResult, error) {
 	if len(keyBits) == 0 {
 		keyBits = []int{256, 512, 1024}
@@ -149,8 +150,21 @@ func Kernel(keyBits []int) (*KernelResult, error) {
 					return nil, err
 				}
 			}
-			// Correctness gate before timing.
-			got, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1)
+			ev := paillier.NewEvaluator(&key.PublicKey, nil)
+			round := func() (*paillier.CipherTensor, error) {
+				out, err := ev.Rows(xs, rows)
+				if err != nil {
+					return nil, err
+				}
+				return ev.Pack(out, slotBits, 1)
+			}
+			// Correctness gate before timing: the reply unpacks to what the
+			// reference rows decrypt to.
+			packed, err := round()
+			if err != nil {
+				return nil, err
+			}
+			got, err := key.Unpack(packed, slotBits, sh.rows, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -158,16 +172,12 @@ func Kernel(keyBits []int) (*KernelResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			for o := range got {
-				g, err := key.Decrypt(got[o])
-				if err != nil {
-					return nil, err
-				}
+			for o := range want {
 				wv, err := key.Decrypt(want[o])
 				if err != nil {
 					return nil, err
 				}
-				if g.Cmp(wv) != 0 {
+				if got.AtFlat(o).Cmp(wv) != 0 {
 					return nil, fmt.Errorf("experiments: kernel differential failure at %dx%d, %d bits, row %d", sh.rows, sh.cols, key.Bits(), o)
 				}
 			}
@@ -175,12 +185,12 @@ func Kernel(keyBits []int) (*KernelResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			row := KernelRow{KeyBits: key.Bits(), Replies: key.PackedLen(sh.rows, shape.SlotBits),
+			row := KernelRow{KeyBits: key.Bits(), Replies: packed.Size(),
 				Strategy: plan.Strategy.String(), Window: plan.Window, MulMods: plan.MulMods, ModInverses: plan.ModInverses}
 			var kernel, ref float64
 			if err := paillier.Sweep([]paillier.Trial{
 				{Unit: &kernel, Ops: 1, Run: func() error {
-					_, err := paillier.MatVecScaled(&key.PublicKey, w, bias, xs, 1)
+					_, err := round()
 					return err
 				}},
 				{Unit: &ref, Ops: 1, Run: func() error {
@@ -209,8 +219,8 @@ func (r *KernelResult) Render() string {
 				row.KeyBits, row.Kernel.Round(time.Microsecond), row.Ref.Round(time.Microsecond), row.Speedup(),
 				fmt.Sprintf("%s/%d", row.Strategy, row.Window), row.MulMods, row.ModInverses, row.Replies)
 		}
-		fmt.Fprintf(&b, "strategy/window, mulmods, inversions: what the kernel's count picked and predicted for its %d rows (blinding them is extra)\n", sh.Rows)
-		fmt.Fprintf(&b, "reply cts: the %d outputs as one protocol round's packed reply (%d-bit slots)\n\n", sh.Rows, sh.SlotBits)
+		fmt.Fprintf(&b, "strategy/window, mulmods, inversions: what the kernel's count picked and predicted for its %d rows (packing them is extra)\n", sh.Rows)
+		fmt.Fprintf(&b, "kernel: the rows packed into reply cts ciphertexts (%d-bit slots), one inline blinding each\n\n", sh.SlotBits)
 	}
 	return b.String()
 }

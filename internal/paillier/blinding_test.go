@@ -4,9 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
-	"sync"
 	"testing"
-	"time"
 
 	"ppstream/internal/obs"
 	"ppstream/internal/tensor"
@@ -89,14 +87,14 @@ func TestKeyHolderBlindingProperties(t *testing.T) {
 		}
 		// Rows over (0, 1, −1, e, −e): 3·1 − 2·(−1) + 7 = 12, e − e = 0,
 		// and e alone — the largest message the kernel can carry.
-		w := [][]int64{{5, 3, -2, 0, 0}, {0, 0, 0, 1, 1}, {9, 0, 0, 1, 0}}
-		out, err := NewEvaluator(&sk.PublicKey).MatVec(w, []int64{7, 0, 0}, xs, 1)
+		rows := []Row{{W: []int64{5, 3, -2, 0, 0}, Bias: big.NewInt(7)}, {W: []int64{0, 0, 0, 1, 1}}, {W: []int64{9, 0, 0, 1, 0}}}
+		out, err := NewEvaluator(&sk.PublicKey, nil).Rows(xs, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for o, want := range []*big.Int{big.NewInt(12), new(big.Int), edge} {
 			if got, err := sk.Decrypt(out[o]); err != nil || got.Cmp(want) != 0 {
-				t.Fatalf("%d bits: MatVec row %d = %v, %v; want %v", bits, o, got, err, want)
+				t.Fatalf("%d bits: row %d = %v, %v; want %v", bits, o, got, err, want)
 			}
 		}
 	}
@@ -150,7 +148,7 @@ func TestEncodeEdges(t *testing.T) {
 				t.Fatalf("%d bits: 0 + %v decrypts to %v, %v", bits, m, got, err)
 			}
 			// The bias over an encryption of zero: the row decrypts to it.
-			out, err := NewEvaluator(pk).Rows([]*Ciphertext{zero}, []Row{{W: []int64{1}, Bias: m}})
+			out, err := NewEvaluator(pk, nil).Rows([]*Ciphertext{zero}, []Row{{W: []int64{1}, Bias: m}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,8 +171,8 @@ func TestEncodeEdges(t *testing.T) {
 }
 
 // TestKeyHolderRandFailureSurfaces: a failing reader is the error of
-// every key-holder encrypt path and a retry in a key-holder Pool — never
-// a fall-back to the public sampler or to other randomness.
+// every key-holder encrypt path, metering nothing — never a fall-back to
+// the public sampler or to other randomness.
 func TestKeyHolderRandFailureSurfaces(t *testing.T) {
 	k := key(t)
 	dead := &flakyReader{under: rand.Reader}
@@ -182,63 +180,13 @@ func TestKeyHolderRandFailureSurfaces(t *testing.T) {
 	if _, err := k.Encrypt(dead, big.NewInt(1)); !errors.Is(err, errEntropy) {
 		t.Errorf("Encrypt on a failing reader: %v", err)
 	}
-	if _, err := k.Blinder(dead).Blinding(); !errors.Is(err, errEntropy) {
-		t.Errorf("Blinder on a failing reader: %v", err)
-	}
 	var m obs.CostMeter
-	if _, err := EncryptTensor(&k.PublicKey, k.Blinder(dead), tensor.New[int64](3), 1, &m); !errors.Is(err, errEntropy) {
+	if _, err := k.EncryptTensor(dead, tensor.New[int64](3), 1, &m); !errors.Is(err, errEntropy) {
 		t.Errorf("EncryptTensor on a failing reader: %v", err)
 	}
 	if st := m.Snapshot(); !st.IsZero() {
 		t.Errorf("failed EncryptTensor metered %+v", st)
 	}
-
-	p := newPool(k.sampler(dead), 2, 1, nil)
-	defer p.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for p.Retries() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if p.Retries() == 0 {
-		t.Fatal("pool worker never retried a randomness failure")
-	}
-	if _, pooled, err := p.BlindingTracked(); !errors.Is(err, errEntropy) || pooled {
-		t.Errorf("BlindingTracked on a dry pool over a failing reader: pooled=%v err=%v", pooled, err)
-	}
-}
-
-// TestPrivatePoolConcurrentEncrypt hammers a key-holder Pool from
-// concurrent BlindingTracked callers (run under -race in CI): hits and
-// misses both come from the CRT sampler and both decrypt correctly.
-func TestPrivatePoolConcurrentEncrypt(t *testing.T) {
-	k := key(t)
-	p := newPool(k.sampler(nil), 8, 2, nil)
-	defer p.Close()
-	const callers, each = 6, 40
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				want := int64(c*each+i) - 100
-				rn, _, err := p.BlindingTracked()
-				var ct *Ciphertext
-				if err == nil {
-					ct, err = k.PublicKey.EncryptWithBlinding(big.NewInt(want), rn)
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got, err := k.DecryptInt64(ct); err != nil || got != want {
-					t.Errorf("caller %d: decrypted %d, %v; want %d", c, got, err, want)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
 }
 
 // TestPrivateKeyRejectsPrimeDividingPredecessor: gcd(n, (p−1)(q−1)) must

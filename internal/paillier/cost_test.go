@@ -1,31 +1,16 @@
 package paillier
 
 import (
+	"crypto/rand"
+	"io"
 	"math/big"
 	mrand "math/rand"
 	"testing"
+	"time"
 
 	"ppstream/internal/obs"
 	"ppstream/internal/tensor"
 )
-
-// fakeTracked is a Blinder whose hit/miss signal is fixed, making the
-// accounting assertions deterministic (a live Pool's hit rate depends on
-// fill-worker timing).
-type fakeTracked struct {
-	pk     *PublicKey
-	pooled bool
-}
-
-func (f fakeTracked) Blinding() (*big.Int, error) {
-	rn, _, err := f.BlindingTracked()
-	return rn, err
-}
-
-func (f fakeTracked) BlindingTracked() (*big.Int, bool, error) {
-	rn, err := f.pk.freshBlinding(nil)
-	return rn, f.pooled, err
-}
 
 // TestRowsCostByHand pins the count on a call small enough to derive by
 // hand, under each strategy: xs = [x0, x1], rows [13, −1]+5 and [−2, 3].
@@ -61,7 +46,7 @@ func TestRowsCostByHand(t *testing.T) {
 			t.Errorf("among %v: plan %+v, want %+v", tc.among, got, tc.want)
 		}
 		var m obs.CostMeter
-		out, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, tc.among...)
+		out, err := NewEvaluator(&k.PublicKey, nil).WithCost(&m).rows(xs, rows, tc.among...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +72,7 @@ func TestRowsCostSharedSquarings(t *testing.T) {
 	rows := []Row{{W: []int64{201, 77}}}
 	for _, s := range []Strategy{Tables, Buckets} {
 		var m obs.CostMeter
-		out, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, s)
+		out, err := NewEvaluator(&k.PublicKey, nil).WithCost(&m).rows(xs, rows, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +120,7 @@ func TestRowsMeteredEqualsPredicted(t *testing.T) {
 		for _, among := range [][]Strategy{{Tables}, {Buckets}, {Tables, Buckets}} {
 			plan := costs.cheapest(among...)
 			var m obs.CostMeter
-			if _, err := NewEvaluator(&k.PublicKey, WithCostMeter(&m)).rows(xs, rows, among...); err != nil {
+			if _, err := NewEvaluator(&k.PublicKey, nil).WithCost(&m).rows(xs, rows, among...); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := m.Snapshot(), (obs.CostStats{MulMods: plan.MulMods, ModInverses: plan.ModInverses}); got != want {
@@ -150,7 +135,7 @@ func TestRowsMeteredEqualsPredicted(t *testing.T) {
 // attribution property the session layer relies on.
 func TestWithCostIsolation(t *testing.T) {
 	k := key(t)
-	base := NewEvaluator(&k.PublicKey)
+	base := NewEvaluator(&k.PublicKey, nil)
 	var m1, m2 obs.CostMeter
 	ev1, ev2 := base.WithCost(&m1), base.WithCost(&m2)
 
@@ -176,120 +161,102 @@ func TestWithCostIsolation(t *testing.T) {
 	}
 }
 
-// TestBlindingCostHitMiss checks that pool hits and misses are attributed
-// correctly through the evaluator's re-randomization.
+// TestBlindingCostHitMiss pins what a pooled Evaluator.Pack meters per
+// reply ciphertext, the counts the benchmark's paillier.pool_hit_ratio
+// and modexps_per_req read: on a hit {Rerands 1, PoolHits 1} and no
+// exponentiation, on a miss {Rerands 1, PoolMisses 1, ModExps 1}, with
+// Pack's multiplications on top either way. The hit pool is full before
+// the draws; the miss pool's only reader fails, so it never fills.
 func TestBlindingCostHitMiss(t *testing.T) {
 	k := key(t)
-	for _, pooled := range []bool{true, false} {
+	const slotBits = 40
+	rows := encryptVec(t, k, make([]int64, k.Slots(slotBits)+1)) // two reply ciphertexts
+	dead := &flakyReader{under: rand.Reader}
+	dead.failures.Store(1 << 30)
+	for _, tc := range []struct {
+		name   string
+		random io.Reader
+		want   obs.CostStats
+	}{
+		{"hit", rand.Reader, obs.CostStats{Rerands: 2, PoolHits: 2}},
+		{"miss", dead, obs.CostStats{Rerands: 2, PoolMisses: 2, ModExps: 2}},
+	} {
+		p := NewPool(&k.PublicKey, tc.random, 2, 1)
+		deadline := time.Now().Add(10 * time.Second)
+		for tc.name == "hit" && len(p.ch) < cap(p.ch) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 		var m obs.CostMeter
-		ev := NewEvaluator(&k.PublicKey,
-			WithBlinder(fakeTracked{pk: &k.PublicKey, pooled: pooled}),
-			WithCostMeter(&m))
-		if _, err := ev.rerandomize(encryptVec(t, k, []int64{1})[0]); err != nil {
-			t.Fatal(err)
-		}
-		st := m.Snapshot()
-		if st.Rerands != 1 || st.MulMods != 1 {
-			t.Fatalf("pooled=%v: rerands = %d, want 1", pooled, st.Rerands)
-		}
-		if pooled && (st.PoolHits != 1 || st.PoolMisses != 0 || st.ModExps != 0) {
-			t.Fatalf("pooled hit miscounted: %+v", st)
-		}
-		if !pooled && (st.PoolHits != 0 || st.PoolMisses != 1 || st.ModExps != 1) {
-			t.Fatalf("inline miss miscounted: %+v", st)
-		}
-	}
-}
-
-// TestPoolTrackedAPIs exercises BlindingTracked directly: it reports a
-// pooled factor once the fill worker has one, and the factor encrypts.
-func TestPoolTrackedAPIs(t *testing.T) {
-	k := key(t)
-	p := NewPool(&k.PublicKey, nil, 4, 1)
-	defer p.Close()
-
-	// Drain until we observe at least one pooled factor — the fill worker
-	// is running, so this terminates.
-	sawHit := false
-	for i := 0; i < 200 && !sawHit; i++ {
-		_, pooled, err := p.BlindingTracked()
+		packed, err := NewEvaluator(&k.PublicKey, p).WithCost(&m).Pack(rows, slotBits, 1)
+		p.Close()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		sawHit = sawHit || pooled
-	}
-	if !sawHit {
-		t.Fatal("never observed a pooled blinding factor")
-	}
-
-	rn, _, err := p.BlindingTracked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := k.PublicKey.EncryptWithBlinding(big.NewInt(42), rn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := k.DecryptInt64(ct); err != nil || got != 42 {
-		t.Fatalf("pooled-factor round-trip = %d, %v; want 42", got, err)
+		if _, err := k.Unpack(packed, slotBits, len(rows), 1); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		tc.want.MulMods = k.PackMulMods(len(rows), slotBits)
+		if got := m.Snapshot(); got != tc.want {
+			t.Errorf("%s: metered %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 
 // TestMatVecMeteredMatchesUnmetered guards the metered path's outputs:
-// attaching a meter must not change results.
+// attaching a meter changes neither a layer's rows, ring element for ring
+// element, nor what its packed reply unpacks to.
 func TestMatVecMeteredMatchesUnmetered(t *testing.T) {
 	k := key(t)
 	var m obs.CostMeter
-	ev := NewEvaluator(&k.PublicKey, WithCostMeter(&m))
+	plain, metered := NewEvaluator(&k.PublicKey, nil), NewEvaluator(&k.PublicKey, nil).WithCost(&m)
 	xs := encryptVec(t, k, []int64{5, -3, 2})
-	w := [][]int64{{2, -1, 0}, {0, 4, -7}}
-	bias := []int64{1, -1}
-	out, err := ev.MatVec(w, bias, xs, 2)
+	rows := []Row{{W: []int64{2, -1, 0}, Bias: big.NewInt(1)}, {W: []int64{0, 4, -7}, Bias: big.NewInt(-1)}}
+	a, err := plain.Rows(xs, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int64{2*5 - (-3) + 1, 4*(-3) - 7*2 - 1}
-	for o, ct := range out {
-		got, err := k.DecryptInt64(ct)
-		if err != nil || got != want[o] {
-			t.Fatalf("row %d = %d, %v; want %d", o, got, err, want[o])
+	b, err := metered.Rows(xs, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o := range a {
+		if a[o].c.Cmp(b[o].c) != 0 {
+			t.Fatalf("row %d: metered ring element differs", o)
 		}
 	}
-	st := m.Snapshot()
-	if st.Rerands != 2 || st.MulMods == 0 {
-		t.Fatalf("matvec accounting looks wrong: %+v", st)
+	const slotBits = 16
+	packed, err := metered.Pack(b, slotBits, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.Unpack(packed, slotBits, len(rows), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o, want := range []int64{2*5 - (-3) + 1, 4*(-3) - 7*2 - 1} {
+		if got.AtFlat(o).Int64() != want {
+			t.Fatalf("row %d = %d; want %d", o, got.AtFlat(o), want)
+		}
+	}
+	if st := m.Snapshot(); st.Rerands != uint64(packed.Size()) || st.MulMods == 0 {
+		t.Fatalf("accounting looks wrong: %+v", st)
 	}
 }
 
-// TestEncryptTensorCost pins the key holder's accounting: without a pool
-// every encryption is two half-size exponentiations and no pool counter
-// moves; through a pool, hits cost none and misses cost two.
+// TestEncryptTensorCost pins the key holder's accounting, the counts the
+// benchmark's paillier.encrypts_per_req and modexps_per_req read: every
+// encryption is two half-size exponentiations and two multiplications,
+// and no pool counter moves, at any thread count.
 func TestEncryptTensorCost(t *testing.T) {
 	k := key(t)
 	in := tensor.New[int64](5)
-	var m obs.CostMeter
-	if _, err := EncryptTensor(&k.PublicKey, k.Blinder(nil), in, 2, &m); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.Snapshot(), (obs.CostStats{Encrypts: 5, ModExps: 10, MulMods: 10}); got != want {
-		t.Fatalf("inline key-holder cost = %+v, want %+v", got, want)
-	}
-	var pub obs.CostMeter
-	if _, err := EncryptTensor(&k.PublicKey, NewRandBlinder(&k.PublicKey, nil), in, 1, &pub); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pub.Snapshot(), (obs.CostStats{Encrypts: 5, ModExps: 5, MulMods: 10}); got != want {
-		t.Fatalf("public cost = %+v, want %+v", got, want)
-	}
-
-	p := newPool(k.sampler(nil), 4, 1, nil)
-	defer p.Close()
-	var pm obs.CostMeter
-	if _, err := EncryptTensor(&k.PublicKey, p, in, 1, &pm); err != nil {
-		t.Fatal(err)
-	}
-	st := pm.Snapshot()
-	if st.Encrypts != 5 || st.MulMods != 10 || st.PoolHits+st.PoolMisses != 5 || st.ModExps != 2*st.PoolMisses {
-		t.Fatalf("pooled key-holder cost = %+v", st)
+	for _, workers := range []int{1, 2} {
+		var m obs.CostMeter
+		if _, err := k.EncryptTensor(nil, in, workers, &m); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.Snapshot(), (obs.CostStats{Encrypts: 5, ModExps: 10, MulMods: 10}); got != want {
+			t.Fatalf("%d workers: key-holder cost = %+v, want %+v", workers, got, want)
+		}
 	}
 }

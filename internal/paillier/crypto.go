@@ -53,12 +53,6 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 	return pk.encryptWithBlinding(m, rn)
 }
 
-// EncryptWithBlinding encrypts m re-using a precomputed blinding factor
-// r^n mod n² (see Pool). The blinding factor must be used at most once.
-func (pk *PublicKey) EncryptWithBlinding(m *big.Int, rn *big.Int) (*Ciphertext, error) {
-	return pk.encryptWithBlinding(m, rn)
-}
-
 func (pk *PublicKey) encryptWithBlinding(m, rn *big.Int) (*Ciphertext, error) {
 	enc, err := pk.encode(m)
 	if err != nil {
@@ -269,14 +263,4 @@ func (pk *PublicKey) MulScalar(a *Ciphertext, w *big.Int) (*Ciphertext, error) {
 // parameter scaling.
 func (pk *PublicKey) MulScalarInt64(a *Ciphertext, w int64) (*Ciphertext, error) {
 	return pk.MulScalar(a, big.NewInt(w))
-}
-
-// RerandomizeWith multiplies a ciphertext by a precomputed blinding
-// factor r^n mod n² (from a Pool or Blinder), producing an unlinkable
-// ciphertext of the same plaintext without an inline exponentiation. The
-// factor must be used at most once.
-func (pk *PublicKey) RerandomizeWith(a *Ciphertext, rn *big.Int) *Ciphertext {
-	c := new(big.Int).Mul(a.c, rn)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{c: c}
 }

@@ -148,7 +148,7 @@ func FuzzKernelRows(f *testing.F) {
 				want[r].Add(want[r], term)
 			}
 		}
-		ev := NewEvaluator(&sk.PublicKey)
+		ev := NewEvaluator(&sk.PublicKey, nil)
 		byTables, err := ev.rows(xs[:cols], rows, Tables)
 		if err != nil {
 			t.Fatalf("tables: %v", err)

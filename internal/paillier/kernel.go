@@ -26,15 +26,14 @@ package paillier
 // bias. Rows stay inside the model provider; the one place a ciphertext is
 // blinded before it leaves is Evaluator.Pack (pack.go), which folds a
 // slot-full of rows into one reply ciphertext and pays one r^n for all of
-// them. MatVec, which hands its rows to the caller, blinds each itself.
+// them. Rows, then Pack, is the only path a round runs and the kernel's
+// only entry point.
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"math/bits"
-	"sync"
 
 	"ppstream/internal/obs"
 )
@@ -47,89 +46,16 @@ func weightMagnitude(w int64) uint64 {
 	return (uint64(w) ^ sign) - sign
 }
 
-// Blinder supplies r^n mod n² blinding factors: to Evaluator.Pack for
-// reply re-randomization and to EncryptTensor for fresh encryptions.
-// NewRandBlinder and PrivateKey.Blinder compute them inline — the first
-// for a party that knows only n, the second for the key holder — and a
-// Pool serves either kind precomputed.
-type Blinder interface {
-	Blinding() (*big.Int, error)
-}
-
-// trackedBlinder is the optional Blinder extension cost accounting uses:
-// it additionally reports whether the factor came precomputed (a pool
-// hit) or had to be exponentiated inline (a miss on the critical path).
-// Pool implements it.
-type trackedBlinder interface {
-	BlindingTracked() (rn *big.Int, pooled bool, err error)
-}
-
-// sampler is the inline Blinder: every call computes one factor from
-// random through fresh, which is PublicKey.freshBlinding or
-// PrivateKey.freshBlinding. modExps is what a call costs, so accounting
-// stays honest about which of the two ran: one full-size exponentiation,
-// or two half-size ones (counted the way a CRT decryption is).
-type sampler struct {
-	fresh   func(io.Reader) (*big.Int, error)
-	random  io.Reader
-	modExps uint64
-}
-
-func (s sampler) Blinding() (*big.Int, error) { return s.fresh(s.random) }
-
-// NewRandBlinder returns the public Blinder: each factor is r^n mod n²
-// for a fresh r from random (nil means crypto/rand.Reader), one full
-// n-bit exponentiation. It is the model provider's fallback when no Pool
-// is attached.
-func NewRandBlinder(pk *PublicKey, random io.Reader) Blinder { return pk.sampler(random) }
-
-func (pk *PublicKey) sampler(random io.Reader) sampler {
-	return sampler{fresh: pk.freshBlinding, random: random, modExps: 1}
-}
-
-// Blinder returns the key holder's Blinder: identically distributed
-// factors from the CRT sampler (see PrivateKey.freshBlinding), read from
-// random (nil means crypto/rand.Reader).
-func (sk *PrivateKey) Blinder(random io.Reader) Blinder { return sk.sampler(random) }
-
-func (sk *PrivateKey) sampler(random io.Reader) sampler {
-	return sampler{fresh: sk.freshBlinding, random: random, modExps: 2}
-}
-
-// draw takes one factor from b for a metered caller. pooled reports a
-// precomputed factor; otherwise modExps is the number of exponentiations
-// the inline computation just cost (1 for a Blinder from outside this
-// package, which can only be a public one).
-func draw(b Blinder) (rn *big.Int, pooled bool, modExps uint64, err error) {
-	modExps = 1
-	switch s := b.(type) {
-	case *Pool:
-		modExps = s.src.modExps
-	case sampler:
-		modExps = s.modExps
-	}
-	if tb, ok := b.(trackedBlinder); ok {
-		rn, pooled, err = tb.BlindingTracked()
-	} else {
-		rn, err = b.Blinding()
-	}
-	if pooled {
-		modExps = 0
-	}
-	return rn, pooled, modExps, err
-}
-
-// Evaluator bundles the public key with the blinding supply and the
-// kernel's cost sink for model-provider-side homomorphic
-// evaluation; the kernel itself has nothing to configure. A nil
-// blinder defaults to inline crypto/rand factors; attach a Pool to move
-// the blinding exponentiations off the critical path.
+// Evaluator is the model provider's side of the kernel: the public key,
+// the reply blinding supply and the cost sink. The kernel itself has
+// nothing to configure. pool, when non-nil, serves precomputed factors;
+// nil, or a pool with none ready, means a public r^n computed inline.
 type Evaluator struct {
 	pk *PublicKey
 	// mu is modMul's reciprocal of n², computed once in NewEvaluator and
 	// shared by every WithCost view.
-	mu      *big.Int
-	blinder Blinder
+	mu   *big.Int
+	pool *Pool
 	// cost, when non-nil, accumulates the crypto-op counts of every kernel
 	// and blinding operation run through this evaluator. Per-request
 	// attribution derives a metered view with WithCost rather than mutating
@@ -137,35 +63,21 @@ type Evaluator struct {
 	cost *obs.CostMeter
 }
 
-// EvalOption configures an Evaluator.
-type EvalOption func(*Evaluator)
-
-// WithBlinder sets the blinding factor supply (e.g. a *Pool).
-func WithBlinder(b Blinder) EvalOption { return func(ev *Evaluator) { ev.blinder = b } }
-
-// WithCostMeter attaches a crypto-op cost meter at construction.
-func WithCostMeter(m *obs.CostMeter) EvalOption { return func(ev *Evaluator) { ev.cost = m } }
-
-// NewEvaluator creates an evaluator for the given public key.
-func NewEvaluator(pk *PublicKey, opts ...EvalOption) *Evaluator {
-	ev := &Evaluator{pk: pk, mu: reciprocal(pk.N2)}
-	for _, o := range opts {
-		o(ev)
-	}
-	if ev.blinder == nil {
-		ev.blinder = NewRandBlinder(pk, nil)
-	}
-	return ev
+// NewEvaluator creates an evaluator for the given public key that blinds
+// replies with factors from pool (nil: every factor computed inline).
+func NewEvaluator(pk *PublicKey, pool *Pool) *Evaluator {
+	return &Evaluator{pk: pk, mu: reciprocal(pk.N2), pool: pool}
 }
 
 // PublicKey returns the evaluator's key.
 func (ev *Evaluator) PublicKey() *PublicKey { return ev.pk }
 
-// WithCost derives an evaluator that shares this one's key, blinding
-// supply but accumulates crypto-op counts into m. Sessions keep one shared evaluator and derive a metered view
-// per request, so concurrent requests never bleed counts into each other.
+// WithCost derives an evaluator that shares this one's key and pool but
+// accumulates crypto-op counts into m. Sessions keep one shared evaluator
+// and derive a metered view per request, so concurrent requests never
+// bleed counts into each other.
 func (ev *Evaluator) WithCost(m *obs.CostMeter) *Evaluator {
-	return &Evaluator{pk: ev.pk, mu: ev.mu, blinder: ev.blinder, cost: m}
+	return &Evaluator{pk: ev.pk, mu: ev.mu, pool: ev.pool, cost: m}
 }
 
 // CostMeter returns the attached cost meter, nil when unmetered.
@@ -176,30 +88,15 @@ func (ev *Evaluator) CostMeter() *obs.CostMeter {
 	return ev.cost
 }
 
-// rerandomize multiplies one fresh factor from the evaluator's supply into
-// ct, counting the draw and the multiplication into the cost meter.
-func (ev *Evaluator) rerandomize(ct *Ciphertext) (*Ciphertext, error) {
-	rn, st, err := ev.blinding()
-	if err != nil {
-		return nil, err
-	}
-	st.MulMods++
-	ev.cost.Add(st)
-	return ev.pk.RerandomizeWith(ct, rn), nil
-}
-
-// blinding draws one factor and returns what the re-randomization it is
-// for costs apart from applying it: a pool hit, or a miss and the inline
-// exponentiations on the critical path.
+// blinding draws one reply's factor and returns what the
+// re-randomization it is for costs apart from applying it: a pool hit, or
+// a miss and the public r^n it computes inline on the critical path.
 func (ev *Evaluator) blinding() (*big.Int, obs.CostStats, error) {
-	rn, pooled, modExps, err := draw(ev.blinder)
-	st := obs.CostStats{Rerands: 1, ModExps: modExps}
-	if pooled {
-		st.PoolHits = 1
-	} else {
-		st.PoolMisses = 1
+	if rn := ev.pool.ready(); rn != nil {
+		return rn, obs.CostStats{Rerands: 1, PoolHits: 1}, nil
 	}
-	return rn, st, err
+	rn, err := ev.pk.freshBlinding(nil)
+	return rn, obs.CostStats{Rerands: 1, PoolMisses: 1, ModExps: 1}, err
 }
 
 // maxWindow bounds the digit width either strategy may use: 2^6−1 table
@@ -484,8 +381,8 @@ func powerTable(mm *modMul, b *big.Int, size int) []big.Int {
 // xs on the caller's goroutine: row i of the result encrypts
 // Σ_j W[j]·m[Idx[j]] + Bias of rows[i]. Callers that want threads split
 // the rows between calls (qnn.ApplyStage). The rows are NOT
-// re-randomized — they must pass through Evaluator.Pack (or be blinded by
-// the caller, as MatVec does) before they leave the model provider.
+// re-randomized — they must pass through Evaluator.Pack before they leave
+// the model provider.
 //
 // xs may hold nil at columns no row reads with a non-zero weight; a row
 // that does read one, or a column out of range, fails the call before any
@@ -726,42 +623,4 @@ func (p *products) collapse(largest int) *big.Int {
 		}
 	}
 	return sum
-}
-
-// MatVec evaluates an encrypted fully-connected layer through Rows. Its
-// rows go straight to the caller, so unlike the protocol's stages (which
-// blind once per packed reply) it re-randomizes every row itself.
-func (ev *Evaluator) MatVec(w [][]int64, bias []int64, xs []*Ciphertext, workers int) ([]*Ciphertext, error) {
-	if bias != nil && len(bias) != len(w) {
-		return nil, fmt.Errorf("paillier: bias length %d != rows %d", len(bias), len(w))
-	}
-	rows := make([]Row, len(w))
-	for o := range w {
-		rows[o].W = w[o]
-		if bias != nil && bias[o] != 0 {
-			rows[o].Bias = big.NewInt(bias[o])
-		}
-	}
-	out, err := ev.Rows(xs, rows)
-	if err != nil {
-		return nil, err
-	}
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(len(out), workers, func(o int) {
-		ct, err := ev.rerandomize(out[o])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[o] = ct
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }

@@ -3,11 +3,11 @@ package paillier
 import (
 	"crypto/rand"
 	"fmt"
+	"io"
 	"math/big"
+	"math/bits"
 	mrand "math/rand"
 	"testing"
-
-	"ppstream/internal/obs"
 )
 
 // benchShape is one layer shape the kernel benchmarks run: between them
@@ -75,28 +75,31 @@ func forShapes(b *testing.B, run func(b *testing.B, k *PrivateKey, w [][]int64, 
 	}
 }
 
-// BenchmarkMatVecScaled measures the kernel (sign split, counted strategy,
-// batched inversion) with every output blinded inline.
-func BenchmarkMatVecScaled(b *testing.B) {
+// BenchmarkMatVecRound measures what a protocol round runs on the layer:
+// the kernel's rows (sign split, counted strategy, batched inversion),
+// then Pack into the reply at the slot width the layer's values need,
+// with one public r^n computed inline per reply ciphertext.
+func BenchmarkMatVecRound(b *testing.B) {
 	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
-		for i := 0; i < b.N; i++ {
-			if _, err := MatVecScaled(&k.PublicKey, w, bias, xs, 1); err != nil {
-				b.Fatal(err)
+		rows := make([]Row, len(w))
+		var bound uint64 // the largest |row value| over inputs in ±1000
+		for o := range rows {
+			rows[o] = Row{W: w[o], Bias: big.NewInt(bias[o])}
+			v := weightMagnitude(bias[o])
+			for _, wt := range w[o] {
+				v += 1000 * weightMagnitude(wt)
 			}
+			bound = max(bound, v)
 		}
-	})
-}
-
-// BenchmarkMatVecScaledPooled is the kernel with pooled blinding factors —
-// re-randomization off the critical path.
-func BenchmarkMatVecScaledPooled(b *testing.B) {
-	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
-		p := NewPool(&k.PublicKey, rand.Reader, 2*len(w)*8, 2)
-		defer p.Close()
-		ev := NewEvaluator(&k.PublicKey, WithBlinder(p))
+		slotBits := bits.Len64(bound) + 1
+		ev := NewEvaluator(&k.PublicKey, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.MatVec(w, bias, xs, 1); err != nil {
+			out, err := ev.Rows(xs, rows)
+			if err == nil {
+				_, err = ev.Pack(out, slotBits, 1)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -130,7 +133,7 @@ func BenchmarkMatVecRows(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev := NewEvaluator(&k.PublicKey)
+				ev := NewEvaluator(&k.PublicKey, nil)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := ev.rows(xs, rows, s); err != nil {
@@ -143,24 +146,6 @@ func BenchmarkMatVecRows(b *testing.B) {
 	}
 }
 
-// BenchmarkMatVecScaledMetered is BenchmarkMatVecScaledPooled with a cost
-// meter attached — compare the two to measure the accounting overhead
-// (acceptance bound: < 2%).
-func BenchmarkMatVecScaledMetered(b *testing.B) {
-	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
-		p := NewPool(&k.PublicKey, rand.Reader, 2*len(w)*8, 2)
-		defer p.Close()
-		var m obs.CostMeter
-		ev := NewEvaluator(&k.PublicKey, WithBlinder(p), WithCostMeter(&m))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ev.MatVec(w, bias, xs, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkBlinding prices one blinding factor from each source: the
 // public r^n mod n² (one full-size exponentiation) against the key
 // holder's CRT sampler (two half-size ones), at the benchmark's key sizes.
@@ -171,16 +156,16 @@ func BenchmarkBlinding(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, src := range []struct {
-			name    string
-			blinder Blinder
+			name  string
+			fresh func(io.Reader) (*big.Int, error)
 		}{
-			{"public", NewRandBlinder(&k.PublicKey, nil)},
-			{"keyholder", k.Blinder(nil)},
+			{"public", k.PublicKey.freshBlinding},
+			{"keyholder", k.freshBlinding},
 		} {
 			b.Run(fmt.Sprintf("%s/%d", src.name, bits), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := src.blinder.Blinding(); err != nil {
+					if _, err := src.fresh(nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -206,7 +191,7 @@ func BenchmarkPack(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		ev := NewEvaluator(&k.PublicKey)
+		ev := NewEvaluator(&k.PublicKey, nil)
 		b.Run(fmt.Sprintf("packed/%d", bits), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -217,11 +202,14 @@ func BenchmarkPack(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("blinded/%d", bits), func(b *testing.B) {
 			b.ReportAllocs()
+			mm, dst := ev.modMul(), new(big.Int)
 			for i := 0; i < b.N; i++ {
 				for _, row := range rows {
-					if _, err := ev.rerandomize(row); err != nil {
+					rn, _, err := ev.blinding()
+					if err != nil {
 						b.Fatal(err)
 					}
+					mm.mul(dst, row.c, rn)
 				}
 			}
 		})
@@ -267,7 +255,7 @@ func BenchmarkPackShift(b *testing.B) {
 		}
 		acc := new(big.Int)
 		b.Run(fmt.Sprintf("squarings/%d/W%d", c.bits, c.slotBits), func(b *testing.B) {
-			mm := NewEvaluator(&k.PublicKey).modMul()
+			mm := NewEvaluator(&k.PublicKey, nil).modMul()
 			for i := 0; i < b.N; i++ {
 				acc.Set(x.c)
 				for s := 0; s < c.slotBits; s++ {

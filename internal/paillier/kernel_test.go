@@ -6,9 +6,11 @@ import (
 	"math/big"
 	mrand "math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"ppstream/internal/obs"
+	"ppstream/internal/tensor"
 )
 
 // encryptVec encrypts a plaintext vector with the test key.
@@ -25,9 +27,10 @@ func encryptVec(t testing.TB, k *PrivateKey, ms []int64) []*Ciphertext {
 	return xs
 }
 
-// TestMatVecScaledDifferential drives the kernel path and the pre-kernel
-// scalar reference over random layers — negative, zero, and large weights,
-// with and without biases — and requires bit-identical decrypted outputs.
+// TestMatVecScaledDifferential drives a round's path — Rows, then Pack —
+// and the pre-kernel scalar reference over random layers — negative, zero,
+// and large weights, with and without biases — and requires the unpacked
+// reply to equal the reference rows' decryptions.
 func TestMatVecScaledDifferential(t *testing.T) {
 	k := key(t)
 	rng := mrand.New(mrand.NewSource(7))
@@ -65,7 +68,7 @@ func TestMatVecScaledDifferential(t *testing.T) {
 		}
 		xs := encryptVec(t, k, ms)
 
-		got, err := MatVecScaled(&k.PublicKey, w, bias, xs, 3)
+		got, err := packedRound(k, w, bias, xs)
 		if err != nil {
 			t.Fatalf("trial %d: kernel: %v", trial, err)
 		}
@@ -74,19 +77,45 @@ func TestMatVecScaledDifferential(t *testing.T) {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
 		for o := 0; o < rows; o++ {
-			g, err := k.Decrypt(got[o])
-			if err != nil {
-				t.Fatal(err)
-			}
 			wv, err := k.Decrypt(want[o])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.Cmp(wv) != 0 {
-				t.Errorf("trial %d row %d: kernel %s != reference %s", trial, o, g, wv)
+			if got[o].Cmp(wv) != 0 {
+				t.Errorf("trial %d row %d: kernel %s != reference %s", trial, o, got[o], wv)
 			}
 		}
 	}
+}
+
+// roundSlotBits is the slot width packedRound uses: wide enough for any
+// row of up to 8 int64 weights over inputs in ±1000 with a 30-bit bias.
+const roundSlotBits = 80
+
+// packedRound runs the dense layer (w, bias) over xs as a round does —
+// Rows, then Pack — and returns the decrypted, unpacked reply.
+func packedRound(k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) ([]*big.Int, error) {
+	rows := make([]Row, len(w))
+	for o := range rows {
+		rows[o].W = w[o]
+		if bias != nil {
+			rows[o].Bias = big.NewInt(bias[o])
+		}
+	}
+	ev := NewEvaluator(&k.PublicKey, nil)
+	out, err := ev.Rows(xs, rows)
+	if err != nil {
+		return nil, err
+	}
+	packed, err := ev.Pack(out, roundSlotBits, 2)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := k.Unpack(packed, roundSlotBits, len(rows), 2)
+	if err != nil {
+		return nil, err
+	}
+	return vals.Data(), nil
 }
 
 // TestKernelMinInt64Weight exercises the magnitude handling at the int64
@@ -98,7 +127,7 @@ func TestKernelMinInt64Weight(t *testing.T) {
 	k := key(t)
 	xs := encryptVec(t, k, []int64{3})
 	ws := []int64{math.MinInt64}
-	got, err := dotRow(NewEvaluator(&k.PublicKey), xs, ws, big.NewInt(5))
+	got, err := dotRow(NewEvaluator(&k.PublicKey, nil), xs, ws, big.NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +182,7 @@ func TestRowsStrategiesSameRingElement(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(15))
 	for _, keyBits := range []int{256, 512, 1024} {
 		k := keyOfBits(t, keyBits)
-		ev := NewEvaluator(&k.PublicKey)
+		ev := NewEvaluator(&k.PublicKey, nil)
 		for _, weightBits := range []int{1, 4, 16, 63} {
 			for _, cols := range []int{1, 7} {
 				w := randomWeights(rng, 5, cols, weightBits)
@@ -194,7 +223,7 @@ func TestRowsStrategiesSameRingElement(t *testing.T) {
 					}
 					// The all-zero row is its bias embedding, bit for bit.
 					zero := len(w) - 3
-					embed, err := k.PublicKey.EncryptWithBlinding(big.NewInt(bias[zero]), big.NewInt(1))
+					embed, err := k.encryptWithBlinding(big.NewInt(bias[zero]), big.NewInt(1))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -213,7 +242,7 @@ func TestRowsStrategiesSameRingElement(t *testing.T) {
 // reference over the same weights.
 func TestRowsSparseIndexed(t *testing.T) {
 	k := key(t)
-	ev := NewEvaluator(&k.PublicKey)
+	ev := NewEvaluator(&k.PublicKey, nil)
 	ms := []int64{10, 20, 30, 40, 50}
 	xs := encryptVec(t, k, ms)
 	rows := []Row{
@@ -248,7 +277,7 @@ func TestRowsSparseIndexed(t *testing.T) {
 // panics — under either strategy.
 func TestRowsRejectsUnsentAndCorruptInputs(t *testing.T) {
 	k := key(t)
-	ev := NewEvaluator(&k.PublicKey)
+	ev := NewEvaluator(&k.PublicKey, nil)
 	good := encryptVec(t, k, []int64{1, 2, 3})
 	unsent := []*Ciphertext{good[0], nil, good[2]}
 	// p shares a factor with n, so it has no inverse modulo n².
@@ -286,67 +315,99 @@ func TestRowsRejectsUnsentAndCorruptInputs(t *testing.T) {
 	}
 }
 
-// TestKernelBlindingRegression: evaluating the same layer twice must give
-// different ciphertext ring elements (outputs are re-randomized), and a row
-// with all-zero weights must be a fresh blinded encryption of the bias —
-// never the deterministic embedding (1 + b·n).
+// TestKernelBlindingRegression: a layer's rows packed twice must give
+// different reply ring elements (each reply ciphertext is re-randomized),
+// and the reply holding only an all-zero row must be a fresh blinded
+// encryption of the bias — never its deterministic packing, the embedding
+// 1 + (b + offset)·n.
 func TestKernelBlindingRegression(t *testing.T) {
 	k := key(t)
-	w := [][]int64{{2, -3}, {0, 0}}
-	bias := []int64{1, 9}
+	ev := NewEvaluator(&k.PublicKey, nil)
 	xs := encryptVec(t, k, []int64{5, 6})
-
-	a, err := MatVecScaled(&k.PublicKey, w, bias, xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MatVecScaled(&k.PublicKey, w, bias, xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for o := range a {
-		if a[o].Value().Cmp(b[o].Value()) == 0 {
-			t.Errorf("row %d: two evaluations produced identical ciphertexts (unblinded output)", o)
-		}
-	}
-	// The all-zero row must not be the deterministic encryption of the bias.
-	det, err := k.PublicKey.EncryptWithBlinding(big.NewInt(9), big.NewInt(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range []*Ciphertext{a[1], b[1]} {
-		if out.Value().Cmp(det.Value()) == 0 {
-			t.Error("all-zero row produced the deterministic bias embedding")
-		}
-		got, err := k.DecryptInt64(out)
+	rows := []Row{{W: []int64{2, -3}, Bias: big.NewInt(1)}, {W: []int64{0, 0}, Bias: big.NewInt(9)}}
+	slotBits := k.Bits()/2 + 1 // one row per reply ciphertext
+	var replies [2]*CipherTensor
+	for i := range replies {
+		out, err := ev.Rows(xs, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != 9 {
-			t.Errorf("all-zero row decrypts to %d, want 9", got)
+		if replies[i], err = ev.Pack(out, slotBits, 1); err != nil {
+			t.Fatal(err)
+		}
+		got, err := k.Unpack(replies[i], slotBits, len(rows), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, want := range []int64{2*5 - 3*6 + 1, 9} {
+			if got.AtFlat(o).Int64() != want {
+				t.Errorf("row %d unpacks to %d, want %d", o, got.AtFlat(o), want)
+			}
+		}
+	}
+	for g := range replies[0].Data() {
+		if replies[0].AtFlat(g).c.Cmp(replies[1].AtFlat(g).c) == 0 {
+			t.Errorf("reply %d: two packs produced identical ciphertexts (unblinded output)", g)
+		}
+	}
+	offset := new(big.Int).Lsh(one, uint(slotBits-1))
+	det, err := k.encryptWithBlinding(offset.Add(offset, big.NewInt(9)), big.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reply := range replies {
+		if reply.AtFlat(1).c.Cmp(det.c) == 0 {
+			t.Error("all-zero row packed into its deterministic embedding")
 		}
 	}
 }
 
-// TestEvaluatorWithPool runs the kernel with pooled blinding factors.
+// TestEvaluatorWithPool runs rounds through one pooled evaluator from
+// concurrent callers (run under -race in CI): every reply unpacks to the
+// layer's values whether its factor was a hit or a miss, and each reply
+// ciphertext is metered as exactly one of the two.
 func TestEvaluatorWithPool(t *testing.T) {
 	k := key(t)
-	p := NewPool(&k.PublicKey, rand.Reader, 16, 2)
+	p := NewPool(&k.PublicKey, rand.Reader, 4, 2)
 	defer p.Close()
-	ev := NewEvaluator(&k.PublicKey, WithBlinder(p))
+	base := NewEvaluator(&k.PublicKey, p)
 	xs := encryptVec(t, k, []int64{4, -2, 8})
-	out, err := ev.MatVec([][]int64{{1, -1, 2}, {0, 0, 0}}, []int64{0, 3}, xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := []Row{{W: []int64{1, -1, 2}}, {W: []int64{0, 0, 0}, Bias: big.NewInt(3)}}
 	want := []int64{4 + 2 + 16, 3}
-	for o, wv := range want {
-		got, err := k.DecryptInt64(out[o])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != wv {
-			t.Errorf("row %d = %d, want %d", o, got, wv)
-		}
+	slotBits := k.Bits()/2 + 1 // one row per reply ciphertext
+	const callers, each = 4, 5
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var m obs.CostMeter
+			ev := base.WithCost(&m)
+			for i := 0; i < each; i++ {
+				out, err := ev.Rows(xs, rows)
+				var packed *CipherTensor
+				if err == nil {
+					packed, err = ev.Pack(out, slotBits, 2)
+				}
+				var got *tensor.Tensor[*big.Int]
+				if err == nil {
+					got, err = k.Unpack(packed, slotBits, len(rows), 1)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for o, wv := range want {
+					if got.AtFlat(o).Int64() != wv {
+						t.Errorf("row %d = %d, want %d", o, got.AtFlat(o), wv)
+					}
+				}
+			}
+			st := m.Snapshot()
+			if st.Rerands != each*uint64(len(rows)) || st.PoolHits+st.PoolMisses != st.Rerands || st.ModExps != st.PoolMisses {
+				t.Errorf("pooled accounting: %+v", st)
+			}
+		}()
 	}
+	wg.Wait()
 }

@@ -139,7 +139,7 @@ func TestPackCountsWhatRan(t *testing.T) {
 				rows[i], _ = k.encryptWithBlinding(big.NewInt(int64(i%2)), big.NewInt(1))
 			}
 			var m obs.CostMeter
-			ev := NewEvaluator(&k.PublicKey, WithCostMeter(&m), WithBlinder(fakeTracked{pk: &k.PublicKey, pooled: true}))
+			ev := NewEvaluator(&k.PublicKey, nil).WithCost(&m)
 			if _, err := ev.Pack(rows, slotBits, 2); err != nil {
 				t.Fatal(err)
 			}
@@ -165,12 +165,12 @@ func TestRowsAndPackRejectOutOfRange(t *testing.T) {
 	} {
 		xs := []*Ciphertext{good[0], {c: v}, good[2]}
 		var m obs.CostMeter
-		ev := NewEvaluator(&k.PublicKey, WithCostMeter(&m))
+		ev := NewEvaluator(&k.PublicKey, nil).WithCost(&m)
 		for _, s := range []Strategy{Tables, Buckets} {
 			if _, err := ev.rows(xs, []Row{{W: []int64{1, 0, 1}}, {W: []int64{2, -5, 0}}}, s); err == nil || !strings.Contains(err.Error(), "outside [0, n²)") {
 				t.Errorf("%s, %v: Rows returned %v", name, s, err)
 			}
-			if _, err := NewEvaluator(&k.PublicKey).rows(xs, []Row{{W: []int64{1, 0, -1}}}, s); err != nil {
+			if _, err := NewEvaluator(&k.PublicKey, nil).rows(xs, []Row{{W: []int64{1, 0, -1}}}, s); err != nil {
 				t.Errorf("%s, %v: Rows refused an input under a zero weight: %v", name, s, err)
 			}
 		}

@@ -22,7 +22,7 @@ func packRoundTrip(t *testing.T, sk *PrivateKey, vals []*big.Int, slotBits int) 
 		}
 		rows[i] = ct
 	}
-	packed, err := NewEvaluator(&sk.PublicKey).Pack(rows, slotBits, 2)
+	packed, err := NewEvaluator(&sk.PublicKey, nil).Pack(rows, slotBits, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPackBlindsAndCounts(t *testing.T) {
 		rows[i], _ = k.encryptWithBlinding(big.NewInt(int64(i)), big.NewInt(1))
 	}
 	var m obs.CostMeter
-	ev := NewEvaluator(&k.PublicKey, WithCostMeter(&m))
+	ev := NewEvaluator(&k.PublicKey, nil).WithCost(&m)
 	a, err := ev.Pack(rows, slotBits, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestPackBlindsAndCounts(t *testing.T) {
 // that reaches past its group's slots (nothing Pack produces).
 func TestPackUnpackReject(t *testing.T) {
 	k := key(t)
-	ev := NewEvaluator(&k.PublicKey)
+	ev := NewEvaluator(&k.PublicKey, nil)
 	row, _ := k.Encrypt(rand.Reader, big.NewInt(5))
 	for _, w := range []int{0, -3, k.Bits() - 1} {
 		if _, err := ev.Pack([]*Ciphertext{row}, w, 1); err == nil {

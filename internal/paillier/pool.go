@@ -8,16 +8,17 @@ import (
 	"time"
 )
 
-// Pool precomputes encryption blinding factors r^n mod n² in background
-// goroutines so that the latency-critical encryption path reduces to two
-// modular multiplications. The data provider's re-encryption step
-// (paper Fig. 3, step 2.3) sits on the inference critical path, so hiding
-// the r^n exponentiation off-path is one of the practical optimizations
-// the streaming design enables: blinding factors are produced while other
-// pipeline stages run. The model provider's linear kernel draws from its
-// own Pool to re-randomize its outputs (Pool implements Blinder).
+// Pool precomputes the model provider's reply blinding factors r^n mod n²
+// in background goroutines, so that re-randomizing a reply (paper Fig. 3,
+// the linear stages' output) reduces to one modular multiplication: the
+// factors are produced while other pipeline stages run. An Evaluator
+// holds one and meters each draw as a hit or a miss; on a miss, when no
+// factor is ready, the Evaluator computes one inline from crypto/rand.
+// The key holder has no pool: its encryptions draw CRT factors inline
+// (PrivateKey.EncryptTensor).
 type Pool struct {
-	src          sampler
+	pk           *PublicKey
+	random       io.Reader
 	ch           chan *big.Int
 	closeCh      chan struct{}
 	wg           sync.WaitGroup
@@ -31,8 +32,7 @@ type PoolOption func(*Pool)
 
 // WithPrecomputeHook registers fn to be called once per blinding factor
 // the fill workers precompute in the background, with the number of
-// exponentiations it cost (one full r^n from the public key, two
-// half-size ones from the key holder's CRT sampler). That work never shows
+// exponentiations it cost (one full r^n). That work never shows
 // up in any request's cost meter (it happens off-path, before the request that
 // will consume it exists), so the serving plane uses this hook to charge
 // those exponentiations into the process-wide "cost.modexps" counter —
@@ -45,12 +45,9 @@ func WithPrecomputeHook(fn func(n uint64)) PoolOption {
 
 // NewPool starts workers goroutines filling a buffer of capacity size with
 // fresh blinding factors computed from the public key alone (one full
-// r^n exponentiation each). Close must be called to release the workers.
+// r^n exponentiation each, from random; nil means crypto/rand.Reader).
+// Close must be called to release the workers.
 func NewPool(pk *PublicKey, random io.Reader, size, workers int, opts ...PoolOption) *Pool {
-	return newPool(pk.sampler(random), size, workers, opts)
-}
-
-func newPool(src sampler, size, workers int, opts []PoolOption) *Pool {
 	if size < 1 {
 		size = 1
 	}
@@ -58,7 +55,8 @@ func newPool(src sampler, size, workers int, opts []PoolOption) *Pool {
 		workers = 1
 	}
 	p := &Pool{
-		src:     src,
+		pk:      pk,
+		random:  random,
 		ch:      make(chan *big.Int, size),
 		closeCh: make(chan struct{}),
 	}
@@ -85,11 +83,11 @@ func (p *Pool) fill() {
 	defer p.alive.Add(-1)
 	backoff := fillBackoffStart
 	for {
-		rn, err := p.src.Blinding()
+		rn, err := p.pk.freshBlinding(p.random)
 		if err != nil {
 			// Transient randomness failure: back off and retry instead of
 			// exiting — a dead worker would silently degrade every future
-			// Encrypt to the slow inline path for the pool's lifetime.
+			// reply to the slow inline path for the pool's lifetime.
 			p.retries.Add(1)
 			select {
 			case <-p.closeCh:
@@ -103,7 +101,7 @@ func (p *Pool) fill() {
 		}
 		backoff = fillBackoffStart
 		if p.onPrecompute != nil {
-			p.onPrecompute(p.src.modExps)
+			p.onPrecompute(1)
 		}
 		select {
 		case p.ch <- rn:
@@ -122,24 +120,17 @@ func (p *Pool) AliveWorkers() int64 { return p.alive.Load() }
 // have retried.
 func (p *Pool) Retries() uint64 { return p.retries.Load() }
 
-// Blinding returns a precomputed r^n factor when one is ready, computing
-// one inline otherwise. It implements Blinder for the linear kernel's
-// output re-randomization.
-func (p *Pool) Blinding() (*big.Int, error) {
-	rn, _, err := p.BlindingTracked()
-	return rn, err
-}
-
-// BlindingTracked is Blinding plus whether the factor was served
-// precomputed (true) or exponentiated inline because the buffer was empty
-// (false) — the hit/miss signal cost accounting records.
-func (p *Pool) BlindingTracked() (*big.Int, bool, error) {
+// ready returns a precomputed factor, or nil when none is ready or p is
+// nil. A factor is handed out once.
+func (p *Pool) ready() *big.Int {
+	if p == nil {
+		return nil
+	}
 	select {
 	case rn := <-p.ch:
-		return rn, true, nil
+		return rn
 	default:
-		rn, err := p.src.Blinding()
-		return rn, false, err
+		return nil
 	}
 }
 

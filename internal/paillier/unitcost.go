@@ -53,9 +53,8 @@ type UnitCosts struct {
 // in seconds, pricing each operation once. st must count a pass with no
 // blinding pool, where every factor was computed inline:
 //
-//   - an encryption is priced whole — its CRT factor (the two ModExps the
-//     key holder's sampler counts) and the two MulMods EncryptTensor counts
-//     for it;
+//   - an encryption is priced whole — the two ModExps of its CRT factor
+//     and the two MulMods PrivateKey.EncryptTensor counts for it;
 //   - a decryption whole — the two half-size ModExps counted for it;
 //   - a re-randomization at its public r^n (one ModExp); the multiply that
 //     applies it is among MulMods;

@@ -1,20 +1,20 @@
 package paillier
 
-// This file holds the tensor-wide forms of encryption and decryption, the
-// MatVecScaled convenience over Evaluator.MatVec, and the pre-kernel scalar
-// evaluation DotScaledRef / MatVecScaledRef. The *Ref pair is reference
-// only and has three consumers: the kernel's differential tests
-// (kernel_test.go compares ring elements against it),
+// This file holds the tensor-wide forms of encryption and decryption — the
+// key holder's, who encrypts every activation and decrypts every reply —
+// and the pre-kernel scalar evaluation DotScaledRef / MatVecScaledRef.
+// The *Ref pair is reference only and has three consumers: the kernel's
+// differential tests (kernel_test.go compares ring elements against it),
 // BenchmarkMatVecScaledRef, and the baseline column of `ppbench kernel`
 // (internal/experiments/kernel.go). Nothing on the serving path calls it.
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ppstream/internal/obs"
 	"ppstream/internal/tensor"
@@ -25,26 +25,21 @@ import (
 // linear stages.
 type CipherTensor = tensor.Tensor[*Ciphertext]
 
-// EncryptTensor encrypts an int64 tensor element-wise under pk, drawing
-// one blinding factor per element from b and parallelizing across
-// workers goroutines (0 means GOMAXPROCS). Encryption dominates the data
-// provider's cost (paper Fig. 1), so this is the hottest path on that
-// side; the key holder passes its own Blinder (PrivateKey.Blinder) and
-// never pays r^n mod n². m, when non-nil, receives
-// the crypto-op counts: the encryptions and their two modular
-// multiplications each, the exponentiations of every factor computed
-// inline, and — when b is a Pool — its hits and misses.
-func EncryptTensor(pk *PublicKey, b Blinder, t *tensor.Tensor[int64], workers int, m *obs.CostMeter) (*CipherTensor, error) {
+// EncryptTensor encrypts an int64 tensor element-wise as the key holder,
+// parallelizing across workers goroutines (0 means GOMAXPROCS). Every
+// element gets its own CRT blinding factor drawn inline from random (nil
+// means crypto/rand.Reader; see PrivateKey.freshBlinding). Encryption
+// dominates the data provider's cost (paper Fig. 1), so this is the
+// hottest path on that side. m, when non-nil, receives the crypto-op
+// counts of a call that succeeds: per element one encryption, its two
+// half-size exponentiations and its two modular multiplications.
+func (sk *PrivateKey) EncryptTensor(random io.Reader, t *tensor.Tensor[int64], workers int, m *obs.CostMeter) (*CipherTensor, error) {
 	out := tensor.New[*Ciphertext](t.Shape()...)
 	in, od := t.Data(), out.Data()
 	var firstErr error
 	var mu sync.Mutex
-	var hits, modExps atomic.Uint64
 	parallelFor(len(in), workers, func(i int) {
-		rn, pooled, exps, err := draw(b)
-		if err == nil {
-			od[i], err = pk.encryptWithBlinding(big.NewInt(in[i]), rn)
-		}
+		ct, err := sk.Encrypt(random, big.NewInt(in[i]))
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -53,21 +48,13 @@ func EncryptTensor(pk *PublicKey, b Blinder, t *tensor.Tensor[int64], workers in
 			mu.Unlock()
 			return
 		}
-		if pooled {
-			hits.Add(1)
-		}
-		modExps.Add(exps)
+		od[i] = ct
 	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	n := uint64(len(in))
-	st := obs.CostStats{Encrypts: n, MulMods: 2 * n, ModExps: modExps.Load()}
-	if _, ok := b.(trackedBlinder); ok {
-		st.PoolHits = hits.Load()
-		st.PoolMisses = n - st.PoolHits
-	}
-	m.Add(st)
+	m.Add(obs.CostStats{Encrypts: n, MulMods: 2 * n, ModExps: 2 * n})
 	return out, nil
 }
 
@@ -104,16 +91,6 @@ func DecryptTensorBig(sk *PrivateKey, t *CipherTensor, workers int) (*tensor.Ten
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// MatVecScaled evaluates an encrypted fully-connected layer: for weight
-// matrix W ([out][in] int64), encrypted input x, and bias b, returns the
-// encrypted output vector of length out, through Evaluator.Rows with
-// every output re-randomized. Blinding factors are
-// computed inline from crypto/rand; use an Evaluator with an attached
-// Pool to take them off the critical path.
-func MatVecScaled(pk *PublicKey, w [][]int64, bias []int64, x []*Ciphertext, workers int) ([]*Ciphertext, error) {
-	return NewEvaluator(pk).MatVec(w, bias, x, workers)
 }
 
 // DotScaledRef is the pre-kernel scalar implementation of Eq. (3), kept

@@ -11,7 +11,7 @@ import (
 func TestEncryptDecryptTensorRoundTrip(t *testing.T) {
 	k := key(t)
 	in := tensor.MustFromSlice([]int64{1, -2, 3, -4, 5, 0}, 2, 3)
-	ct, err := EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), in, 4, nil)
+	ct, err := k.EncryptTensor(rand.Reader, in, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestKernelRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ct, err := dotRow(NewEvaluator(&k.PublicKey), xs, ws, big.NewInt(bias))
+	ct, err := dotRow(NewEvaluator(&k.PublicKey, nil), xs, ws, big.NewInt(bias))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestKernelRow(t *testing.T) {
 func TestKernelRowErrors(t *testing.T) {
 	k := key(t)
 	x, _ := k.PublicKey.EncryptInt64(rand.Reader, 1)
-	if _, err := dotRow(NewEvaluator(&k.PublicKey), []*Ciphertext{x}, []int64{1, 2}, nil); err == nil {
+	if _, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{x}, []int64{1, 2}, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := dotRow(NewEvaluator(&k.PublicKey), []*Ciphertext{nil}, []int64{1}, nil); err == nil {
+	if _, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{nil}, []int64{1}, nil); err == nil {
 		t.Error("nil ciphertext accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestKernelRowErrors(t *testing.T) {
 func TestKernelRowAllZeroWeights(t *testing.T) {
 	k := key(t)
 	x, _ := k.PublicKey.EncryptInt64(rand.Reader, 123)
-	ct, err := dotRow(NewEvaluator(&k.PublicKey), []*Ciphertext{x}, []int64{0}, big.NewInt(9))
+	ct, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{x}, []int64{0}, big.NewInt(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,56 +102,47 @@ func TestKernelRowAllZeroWeights(t *testing.T) {
 	}
 }
 
+// TestMatVecScaled runs a scaled FC layer as a round does and checks the
+// unpacked reply; the kernel and the reference both refuse a row whose
+// length is not the input's, and the reference a bias of the wrong length.
 func TestMatVecScaled(t *testing.T) {
 	k := key(t)
 	w := [][]int64{{1, 2}, {-3, 4}, {0, 0}}
 	bias := []int64{10, -20, 5}
-	ms := []int64{7, -6}
-	xs := make([]*Ciphertext, len(ms))
-	for i, m := range ms {
-		xs[i], _ = k.PublicKey.EncryptInt64(rand.Reader, m)
-	}
-	out, err := MatVecScaled(&k.PublicKey, w, bias, xs, 3)
+	xs := encryptVec(t, k, []int64{7, -6})
+	got, err := packedRound(k, w, bias, xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int64{1*7 + 2*(-6) + 10, -3*7 + 4*(-6) - 20, 5}
-	for o, wv := range want {
-		got, err := k.DecryptInt64(out[o])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != wv {
-			t.Errorf("row %d = %d, want %d", o, got, wv)
+	for o, want := range []int64{1*7 + 2*(-6) + 10, -3*7 + 4*(-6) - 20, 5} {
+		if got[o].Int64() != want {
+			t.Errorf("row %d = %d, want %d", o, got[o], want)
 		}
 	}
-	if _, err := MatVecScaled(&k.PublicKey, w, []int64{1}, xs, 1); err == nil {
-		t.Error("bias length mismatch accepted")
+	if _, err := packedRound(k, [][]int64{{1}}, nil, xs); err == nil {
+		t.Error("kernel accepted a row length mismatch")
 	}
-	if _, err := MatVecScaled(&k.PublicKey, [][]int64{{1}}, nil, xs, 1); err == nil {
-		t.Error("row length mismatch accepted")
+	if _, err := MatVecScaledRef(&k.PublicKey, w, []int64{1}, xs, 1); err == nil {
+		t.Error("reference accepted a bias length mismatch")
+	}
+	if _, err := MatVecScaledRef(&k.PublicKey, [][]int64{{1}}, nil, xs, 1); err == nil {
+		t.Error("reference accepted a row length mismatch")
 	}
 }
 
+// TestPoolEncrypt: every factor the pool serves is an n-th residue, so a
+// ciphertext blinded with it decrypts to its message.
 func TestPoolEncrypt(t *testing.T) {
 	k := key(t)
 	p := NewPool(&k.PublicKey, rand.Reader, 8, 2)
 	defer p.Close()
 	for _, m := range []int64{0, 5, -9, 1 << 20} {
-		rn, _, err := p.BlindingTracked()
+		ct, err := k.encryptWithBlinding(big.NewInt(m), waitReady(t, p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := k.PublicKey.EncryptWithBlinding(big.NewInt(m), rn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := k.DecryptInt64(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != m {
-			t.Errorf("pool round trip %d -> %d", m, got)
+		if got, err := k.DecryptInt64(ct); err != nil || got != m {
+			t.Errorf("pool round trip %d -> %d, %v", m, got, err)
 		}
 	}
 }

@@ -220,7 +220,7 @@ func TestHeartRoundCosts(t *testing.T) {
 		if r == 0 {
 			// Round 0's input is not permuted, so the bare kernel can be
 			// replayed over it to separate its count from the pack's.
-			if _, _, err := qnn.ApplyStage(paillier.NewEvaluator(&k.PublicKey, paillier.WithCostMeter(&kernelOnly)), st.Ops, inCT, 1, 1); err != nil {
+			if _, _, err := qnn.ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil).WithCost(&kernelOnly), st.Ops, inCT, 1, 1); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := kernelOnly.Snapshot(), (obs.CostStats{MulMods: kernelMulMods[0], ModInverses: 1}); got != want {

@@ -186,7 +186,7 @@ func newModelProvider(merged []*nn.PrimitiveLayer, stages []qnn.Stage, pk *paill
 	mp := &ModelProvider{
 		roundPlan: privacyMax(len(stages)),
 		pk:        pk,
-		eval:      paillier.NewEvaluator(pk),
+		eval:      paillier.NewEvaluator(pk, nil),
 		state:     map[uint64]*obfuscate.Rounds{},
 	}
 	for r, st := range stages {
@@ -245,7 +245,6 @@ func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, stages []qnn
 		factor:    cfg.Factor,
 		inputMax:  inputMax,
 		workers:   cfg.Workers,
-		blind:     sk.Blinder(nil),
 	}
 	for r, st := range stages {
 		m := merged[2*r+1]
@@ -523,15 +522,11 @@ func (mp *ModelProvider) applyProfile(profile backend.Profile, boundary int) (*b
 	return plan, nil
 }
 
-// SetBlindPool replaces the evaluator's blinding supply — sessions call
-// this once the backend plan is known, so the pool can be sized to the
-// plan's actual Paillier rounds.
+// SetBlindPool replaces the evaluator's reply blinding pool (nil: every
+// factor inline) — sessions call this once the backend plan is known, so
+// the pool can be sized to the plan's actual Paillier rounds.
 func (mp *ModelProvider) SetBlindPool(pool *paillier.Pool) {
-	var opts []paillier.EvalOption
-	if pool != nil {
-		opts = append(opts, paillier.WithBlinder(pool))
-	}
-	mp.eval = paillier.NewEvaluator(mp.pk, opts...)
+	mp.eval = paillier.NewEvaluator(mp.pk, pool)
 }
 
 // SetStageThreads overrides stage r's thread count (from the
@@ -701,10 +696,7 @@ type DataProvider struct {
 	// inputMax is the network's declared input domain (0 = undeclared).
 	inputMax float64
 	workers  int
-	// blind is the one source of encryption blinding: the key holder's
-	// inline CRT sampler.
-	blind  paillier.Blinder
-	stages []*nonLinearStage
+	stages   []*nonLinearStage
 
 	// ot is the OT extension every garbled ReLU of this data provider
 	// draws its batches from: its base OTs run once, at the first ss-gc
@@ -762,7 +754,7 @@ func (dp *DataProvider) EncryptMetered(req uint64, x *tensor.Dense, m *obs.CostM
 			return nil, &InputRangeError{Index: i, Value: v, Max: 0x1p63 / F}
 		}
 	}
-	ct, err := paillier.EncryptTensor(&dp.sk.PublicKey, dp.blind, qnn.ScaleInput(x, dp.factor), dp.workers, m)
+	ct, err := dp.sk.EncryptTensor(nil, qnn.ScaleInput(x, dp.factor), dp.workers, m)
 	if err != nil {
 		return nil, err
 	}
@@ -885,7 +877,7 @@ func (dp *DataProvider) encodeFor(req uint64, nextRound int, scaled *tensor.Tens
 	env := &Envelope{Req: req, Payload: backend.Payload{Kind: next, Exp: 1}, Obfuscated: true}
 	switch next {
 	case backend.PaillierHE:
-		ct, err := paillier.EncryptTensor(&dp.sk.PublicKey, dp.blind, scaled, dp.workers, m)
+		ct, err := dp.sk.EncryptTensor(nil, scaled, dp.workers, m)
 		if err != nil {
 			return nil, err
 		}

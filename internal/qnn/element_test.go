@@ -54,7 +54,7 @@ func opCases(t *testing.T) []opCase {
 // distinct random element, which is all the ring-element comparisons need.
 func encryptZeros(t *testing.T, k *paillier.PrivateKey, shape tensor.Shape) *paillier.CipherTensor {
 	t.Helper()
-	ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), tensor.New[int64](shape...), 2, nil)
+	ct, err := k.EncryptTensor(rand.Reader, tensor.New[int64](shape...), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func encryptZeros(t *testing.T, k *paillier.PrivateKey, shape tensor.Shape) *pai
 func applyRange(t *testing.T, k *paillier.PrivateKey, op Op, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi int) []*paillier.Ciphertext {
 	t.Helper()
 	out := make([]*paillier.Ciphertext, hi-lo)
-	if err := op.ApplyRange(paillier.NewEvaluator(&k.PublicKey), xs, in, lo, hi, 1, out); err != nil {
+	if err := op.ApplyRange(paillier.NewEvaluator(&k.PublicKey, nil), xs, in, lo, hi, 1, out); err != nil {
 		t.Fatalf("%s elements [%d,%d): %v", op.Name(), lo, hi, err)
 	}
 	return out
@@ -185,7 +185,7 @@ func TestApplyStageOutputsDoNotDependOnTheSplit(t *testing.T) {
 	}
 	for _, st := range stages {
 		x := encryptZeros(t, k, st.in)
-		want, wantExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), st.ops, x, 1, 1)
+		want, wantExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), st.ops, x, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestApplyStageOutputsDoNotDependOnTheSplit(t *testing.T) {
 			most = max(most, shape.Size())
 		}
 		for _, threads := range []int{2, 3, 4, most + 1} {
-			got, exp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), st.ops, x, 1, threads)
+			got, exp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), st.ops, x, 1, threads)
 			if err != nil {
 				t.Fatalf("%s at %d threads: %v", st.name, threads, err)
 			}
@@ -236,11 +236,11 @@ func TestApplyPlainMatchesCipherAllOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), scaled, 2, nil)
+		ct, err := k.EncryptTensor(rand.Reader, scaled, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cipher, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 2)
+		cipher, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestOpShapeErrors(t *testing.T) {
 		t.Error("affine unmappable shape accepted")
 	}
 	k := key(t)
-	if _, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{bn}, tensor.New[*paillier.Ciphertext](2, 2), 1, 1); err == nil {
+	if _, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{bn}, tensor.New[*paillier.Ciphertext](2, 2), 1, 1); err == nil {
 		t.Error("affine apply with unmappable shape accepted")
 	}
 }

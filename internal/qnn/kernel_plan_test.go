@@ -57,7 +57,7 @@ func TestModelLayersMeteredAtPlannedCount(t *testing.T) {
 				continue // flatten
 			}
 			name := model + "/" + l.Name()
-			x, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), tensor.New[int64](in...), 1, nil)
+			x, err := k.EncryptTensor(rand.Reader, tensor.New[int64](in...), 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestModelLayersMeteredAtPlannedCount(t *testing.T) {
 					}
 					var m obs.CostMeter
 					out := make([]*paillier.Ciphertext, hi-lo)
-					if err := op.ApplyRange(paillier.NewEvaluator(&k.PublicKey, paillier.WithCostMeter(&m)), x.Data(), in, lo, hi, 1, out); err != nil {
+					if err := op.ApplyRange(paillier.NewEvaluator(&k.PublicKey, nil).WithCost(&m), x.Data(), in, lo, hi, 1, out); err != nil {
 						t.Fatal(err)
 					}
 					if got, want := m.Snapshot(), (obs.CostStats{MulMods: plan.MulMods, ModInverses: plan.ModInverses}); got != want {

@@ -35,7 +35,7 @@ func rng() *mathrand.Rand { return mathrand.New(mathrand.NewSource(3)) }
 func encryptFloats(t *testing.T, k *paillier.PrivateKey, x *tensor.Dense, F int64) *paillier.CipherTensor {
 	t.Helper()
 	scaled := ScaleInput(x, F)
-	ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), scaled, 4, nil)
+	ct, err := k.EncryptTensor(rand.Reader, scaled, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestQFCMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 2)
+	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestQConvMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 3)
+	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestQBatchNormMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 2)
+	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestQElemScale(t *testing.T) {
 	x := tensor.MustFromSlice([]float64{1, 4, -2}, 3)
 	want, _ := es.Forward(x)
 	ct := encryptFloats(t, k, x, F)
-	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), []Op{op}, ct, 1, 1)
+	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestApplyStageMergedLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, outExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), ops, ct, 1, 2)
+	outCT, outExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), ops, ct, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestApplyStagePlainMatchesCipher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := paillier.EncryptTensor(&k.PublicKey, k.Blinder(rand.Reader), scaled, 2, nil)
+	ct, err := k.EncryptTensor(rand.Reader, scaled, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cipherOut, cipherExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey), ops, ct, 1, 2)
+	cipherOut, cipherExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), ops, ct, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

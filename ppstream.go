@@ -28,7 +28,6 @@ package ppstream
 import (
 	"crypto/rand"
 
-	"ppstream/internal/alloc"
 	"ppstream/internal/core"
 	"ppstream/internal/dataset"
 	"ppstream/internal/leakage"
@@ -79,9 +78,6 @@ type (
 	// Dataset is a labelled train/test split.
 	Dataset = dataset.Dataset
 
-	// AllocPlan is a load-balanced resource allocation.
-	AllocPlan = alloc.Plan
-
 	// Protocol is the two-party hybrid privacy-preserving workflow.
 	Protocol = protocol.Protocol
 )
@@ -105,12 +101,6 @@ func NewEngine(net *Network, key *PrivateKey, opts Options) (*Engine, error) {
 // (Section IV-A) on a training subset.
 func SelectScalingFactor(net *Network, xs []*Tensor, ys []int) (*ScalingResult, error) {
 	return scaling.SelectFactor(net, xs, ys, 0)
-}
-
-// BuildProtocol constructs the two-party protocol directly (without the
-// streaming engine), e.g. for custom deployments.
-func BuildProtocol(net *Network, key *PrivateKey, factor int64, workers int) (*Protocol, error) {
-	return protocol.Build(net, key, protocol.Config{Factor: factor, Workers: workers})
 }
 
 // Train fits a network with the built-in SGD trainer.
