@@ -31,20 +31,19 @@
 // internal/leakage distance-correlation certification of this model
 // says otherwise. With -metrics set, the server's registry (session
 // counts, per-round latency percentiles including the kernel/permute
-// split, TCP byte/frame counters, runtime gauges) is served at
-// http://<addr>/metrics — JSON by default, Prometheus text at
-// /metrics/prometheus or with ?format=prometheus — plus /healthz,
-// /readyz, and pprof at /debug/pprof/. The last-minute views of the serve
-// metrics are at /debug/live; -slo objectives (e.g. p99=250ms,avail=99.9)
-// are evaluated as multi-window burn-rate alerts at /debug/slo.
+// split, TCP byte/frame counters, runtime gauges) is served as JSON at
+// http://<addr>/metrics, plus /healthz, /readyz, and pprof at
+// /debug/pprof/. The last-minute views of the serve metrics are at
+// /debug/live; -slo objectives (e.g. p99=250ms,avail=99.9) are evaluated
+// as multi-window burn-rate alerts at /debug/slo.
 //
 // Every finished request's record — its server-side trace with per-round
 // crypto-cost profiles, the session's backend plan, its error — is offered
 // to one span store, which keeps errored requests, the slowest of each
 // minute and a -tracesample share of the rest (-tracesample 1 keeps every
-// request), in memory or as rotated JSONL under -tracedir. The retained
-// records are queryable at /debug/traces and written to stderr on SIGQUIT;
-// the server keeps serving.
+// request) in a 256-record memory ring. The retained records are
+// queryable at /debug/traces and written to stderr on SIGQUIT; the server
+// keeps serving.
 //
 // The server emits structured JSON log lines (startup configuration,
 // session lifecycle, a shutdown summary with request counts and uptime
@@ -96,14 +95,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shedLatency := fs.Duration("shed", 0, "shed new requests while the recent p95 request latency exceeds this (0 disables)")
 	rateLimit := fs.Int("ratelimit", 0, "throttle new requests beyond this many per -ratewindow (0 disables)")
 	rateWindow := fs.Duration("ratewindow", time.Second, "sliding window for -ratelimit")
-	metricsAddr := fs.String("metrics", "", "serve metrics (JSON + Prometheus) + health + pprof on this address (e.g. :7200; empty disables)")
+	metricsAddr := fs.String("metrics", "", "serve JSON metrics + health + pprof on this address (e.g. :7200; empty disables)")
 	profile := fs.String("profile", "", "backend-profile policy cap: sessions run the stricter of this and the client's request (latency, privacy-max, mixed; empty = privacy-max)")
 	clearBoundary := fs.Int("clearboundary", 0, "leakage-certified clear boundary: first linear round allowed to run plaintext (0 = never; certify with internal/leakage before lowering)")
 	slow := fs.Duration("slow", 0, "log rounds slower than this with their trace ID (0 disables)")
 	debugLog := fs.Bool("debug", false, "emit debug-level log lines")
 	sloSpec := fs.String("slo", "", "comma-separated SLO specs evaluated as multi-window burn rates, e.g. p99=250ms,avail=99.9 (served at /debug/slo; empty disables)")
-	traceDir := fs.String("tracedir", "", "persist retained request records as rotated JSONL under this directory (empty keeps them in memory only)")
-	traceSample := fs.Float64("tracesample", 0, "probability of retaining an unremarkable request's record (errored and each minute's slowest are always kept; 1 keeps every request for /debug/traces and the SIGQUIT dump)")
+	traceSample := fs.Float64("tracesample", 0, "probability in [0,1] of retaining an unremarkable request's record (errored and each minute's slowest are always kept; 1 keeps the last 256 requests for /debug/traces and the SIGQUIT dump)")
 	drain := fs.Duration("drain", 2*time.Second, "on SIGTERM, stay up this long after /readyz flips not-ready so load balancers drain us first")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -135,11 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	netModel, err := ppstream.LoadModel(*modelPath)
-	if err != nil {
-		logger.Error("model load failed", "path", *modelPath, "err", err.Error())
-		return 1
-	}
 	// The registry is always on: it feeds the shutdown summary even when
 	// no metrics endpoint is exposed.
 	reg := obs.NewRegistry("ppserver")
@@ -147,19 +140,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The span store is the one place finished requests are kept: errored,
 	// shed, and deadline-expired requests always, the slowest of each
-	// minute, and a -tracesample slice of the rest. With -tracedir set they
-	// survive the process as rotated JSONL; either way they answer
+	// minute, and a -tracesample slice of the rest. They answer
 	// /debug/traces and the SIGQUIT dump.
-	traces, err := obs.NewTraceStore(obs.TraceStoreConfig{
-		Dir:        *traceDir,
-		SampleProb: *traceSample,
-		Registry:   reg,
-	})
+	traces, err := obs.NewTraceStore(obs.TraceStoreConfig{SampleProb: *traceSample, Registry: reg})
 	if err != nil {
-		logger.Error("trace store failed", "dir", *traceDir, "err", err.Error())
-		return 1
+		logger.Error("bad -tracesample", "err", err.Error())
+		return 2
 	}
 	defer traces.Close()
+
+	netModel, err := ppstream.LoadModel(*modelPath)
+	if err != nil {
+		logger.Error("model load failed", "path", *modelPath, "err", err.Error())
+		return 1
+	}
 
 	// SLO engine: declarative objectives evaluated as multi-window
 	// burn-rate alerts over every session's request stream. One engine is
@@ -191,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var ready atomic.Bool
-	// serve.draining flips to 1 the moment SIGTERM lands: scrapes taken
+	// serve.draining flips to 1 the moment SIGTERM lands: snapshots taken
 	// during the drain window are distinguishable from healthy samples.
 	var draining atomic.Int64
 	reg.GaugeFunc("serve.draining", draining.Load)

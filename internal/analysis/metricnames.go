@@ -19,13 +19,15 @@ import (
 //  1. Names passed to Registry.Counter/Gauge/GaugeFunc/Histogram (and
 //     the Live forms of Counter and Histogram) are lowercase dotted
 //     ("rounds.served", "stage.<name>.wait") — the JSON snapshot serves
-//     them verbatim and the Prometheus path derives
-//     "ppstream_rounds_served" mechanically, so a stray uppercase or
-//     exotic character silently forks the two expositions.
-//  2. One metric name has one type. Registering "queue.depth" as a
-//     counter in one place and a gauge in another yields conflicting
-//     Prometheus TYPE families — WritePrometheus rejects the scrape at
-//     runtime; this catches it at lint time, whole-program.
+//     them verbatim as the keys its readers (ppbench top, the CI checks)
+//     look up, so a stray uppercase or exotic character silently misses
+//     every reader.
+//  2. One metric name has one type. The JSON snapshot files each metric
+//     under its type's section (counters, gauges, histograms), so
+//     registering "queue.depth" as a counter in one place and a gauge in
+//     another splits one signal into two unrelated keys, and a reader of
+//     either section sees half of it; this catches it at lint time,
+//     whole-program.
 //
 // (CostStats staying in step with its costFields table is
 // obs.TestCostFieldsCoverStruct's, by reflection.)
@@ -44,7 +46,7 @@ var metricMethods = map[string]string{
 	"Counter":       "counter",
 	"LiveCounter":   "counter", // the same object as Counter's, with a window
 	"Gauge":         "gauge",
-	"GaugeFunc":     "gauge", // same exposition family as Gauge
+	"GaugeFunc":     "gauge", // same snapshot section as Gauge
 	"Histogram":     "histogram",
 	"LiveHistogram": "histogram",
 }
@@ -126,7 +128,7 @@ func (s *metricnamesState) checkNameArg(pass *Pass, kind string, arg ast.Expr) {
 			return
 		}
 		if !metricNameRe.MatchString(name) {
-			pass.Reportf(e.Pos(), "metric name %q is not lowercase dotted (want e.g. %q): the JSON snapshot serves it verbatim and the Prometheus name is derived mechanically", name, suggestMetricName(name))
+			pass.Reportf(e.Pos(), "metric name %q is not lowercase dotted (want e.g. %q): the JSON snapshot serves it verbatim as the key its readers look up", name, suggestMetricName(name))
 			return
 		}
 		s.recordRegistration(pass, kind, name, e.Pos())
@@ -196,7 +198,7 @@ func (s *metricnamesState) recordRegistration(pass *Pass, kind, name string, pos
 		s.conflicts = append(s.conflicts, Diagnostic{
 			Pos:  position,
 			Rule: "metricnames",
-			Msg: fmt.Sprintf("metric %q registered as %s here but as %s at %s:%d: one name must have one Prometheus type family",
+			Msg: fmt.Sprintf("metric %q registered as %s here but as %s at %s:%d: one name must have one type, or the JSON snapshot files it under two sections",
 				name, kind, prev.kind, prev.pos.Filename, prev.pos.Line),
 		})
 	}

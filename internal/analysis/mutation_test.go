@@ -41,7 +41,7 @@ var mutationRows = []mutationRow{
 		new: "e.conn.Write(w.buf[:w.used])",
 	},
 	{
-		// A counter the Prometheus exposition would have to rename.
+		// A counter no snapshot reader would find under its lowercase name.
 		rule: "metricnames", dir: "internal/protocol", file: "retry.go",
 		old: `reg.Counter("retry.redials")`,
 		new: `reg.Counter("retry.Redials")`,

@@ -17,7 +17,7 @@ import (
 // diffs the cumulative counters against the previous tick, and renders
 // the serving plane's vitals — request/round throughput, crypto-op rates
 // from the cost meter, and the per-stage/per-round latency percentiles —
-// without attaching a debugger or scraping Prometheus.
+// without attaching a debugger.
 //
 // When the server also exposes /debug/live (the windowed-metric
 // snapshot), its last-minute rates and latency percentiles are rendered
@@ -50,7 +50,7 @@ func Top(w io.Writer, opts TopOptions) error {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	url := "http://" + opts.Addr + "/metrics?format=json"
+	url := "http://" + opts.Addr + "/metrics"
 	liveURL := "http://" + opts.Addr + "/debug/live"
 	var prev *obs.Snapshot
 	failures := 0

@@ -65,12 +65,10 @@ type CostStats struct {
 }
 
 // costField names one CostStats field: its canonical lowercase metric-name
-// component, the name the registry counters ("cost.<name>", JSON and
-// Prometheus alike) and String use. costFields is the single source of
-// truth for those names, in the order CostStats.Fields lists the fields;
-// the pplint metricnames analyzer checks that every CostStats struct
-// field appears here and carries a JSON tag, TestCostFieldsCoverStruct
-// that the two orders agree.
+// component, the name the registry counters ("cost.<name>") and String
+// use. costFields is the single source of truth for those names, in the
+// order CostStats.Fields lists the fields; TestCostFieldsCoverStruct
+// checks it against the struct, JSON tags included.
 type costField struct {
 	Name string
 }
@@ -123,9 +121,9 @@ func (c *CostStats) IsZero() bool {
 	return true
 }
 
-// PoolHitRate is the fraction of blinding factors served precomputed
+// poolHitRate is the fraction of blinding factors served precomputed
 // (0..1), or -1 when no factor was drawn at all.
-func (c *CostStats) PoolHitRate() float64 {
+func (c *CostStats) poolHitRate() float64 {
 	total := c.PoolHits + c.PoolMisses
 	if total == 0 {
 		return -1
@@ -145,7 +143,7 @@ func (c *CostStats) String() string {
 			parts = append(parts, fmt.Sprintf("%s=%d", costFields[i].Name, *p))
 		}
 	}
-	if rate := c.PoolHitRate(); rate >= 0 {
+	if rate := c.poolHitRate(); rate >= 0 {
 		parts = append(parts, fmt.Sprintf("pool_hit_rate=%.2f", rate))
 	}
 	return strings.Join(parts, " ")
@@ -201,7 +199,7 @@ func (m *CostMeter) Diff(prev CostStats) CostStats {
 // backend names the executing backend as a lowercase metric-name
 // component ("paillier_he", "ss_gc", "clear"), into its
 // "cost.<backend>.<field>" counter, which also keeps its last minute so
-// per-backend op rates read live (/debug/live, ppstream_live_cost_*).
+// per-backend op rates read live at /debug/live.
 func AddCostToRegistry(reg *Registry, backend string, st CostStats) {
 	if reg == nil {
 		return

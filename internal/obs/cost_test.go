@@ -136,15 +136,29 @@ func TestAddCostToRegistry(t *testing.T) {
 		t.Errorf("live views %+v, want the three ss_gc counters", live)
 	}
 	AddCostToRegistry(nil, "clear", CostStats{ModExps: 1}) // must not panic
+
+	// Every field reaches the snapshot under its costFields name.
+	var all CostStats
+	for i, p := range all.Fields() {
+		*p = uint64(i + 1)
+	}
+	reg = NewRegistry("allfields")
+	AddCostToRegistry(reg, "", all)
+	snap = reg.Snapshot()
+	for i, f := range costFields {
+		if got := snap.Counters["cost."+f.Name]; got != uint64(i+1) {
+			t.Errorf("cost.%s = %d, want %d", f.Name, got, i+1)
+		}
+	}
 }
 
 func TestPoolHitRate(t *testing.T) {
 	st := CostStats{}
-	if got := st.PoolHitRate(); got != -1 {
+	if got := st.poolHitRate(); got != -1 {
 		t.Fatalf("empty hit rate = %v, want -1", got)
 	}
 	st = CostStats{PoolHits: 3, PoolMisses: 1}
-	if got := st.PoolHitRate(); got != 0.75 {
+	if got := st.poolHitRate(); got != 0.75 {
 		t.Fatalf("hit rate = %v, want 0.75", got)
 	}
 }

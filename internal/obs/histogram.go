@@ -47,19 +47,19 @@ type Histogram struct {
 	live    atomic.Pointer[ring]
 }
 
-// NewHistogram creates a histogram with the default exponential bounds
+// newHistogram creates a histogram with the default exponential bounds
 // (1µs … ~34s, ×2 per bucket).
-func NewHistogram() *Histogram {
+func newHistogram() *Histogram {
 	h := &Histogram{buckets: make([]atomic.Uint64, len(defaultBounds)+1)}
 	h.min.Store(math.MaxInt64)
 	h.max.Store(math.MinInt64)
 	return h
 }
 
-// NewLiveHistogram is NewHistogram with a trailing window of width×slots
+// NewLiveHistogram is newHistogram with a trailing window of width×slots
 // — the shedder's latency window, whose geometry is its own.
 func NewLiveHistogram(width time.Duration, slots int) *Histogram {
-	h := NewHistogram()
+	h := newHistogram()
 	h.live.Store(newRing(width, slots, true))
 	return h
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -26,24 +25,6 @@ type HTTPOptions struct {
 	// SLO, when non-nil, mounts /debug/slo serving every objective's
 	// multi-window burn-rate evaluation.
 	SLO *SLOEngine
-}
-
-// wantsPrometheus decides the exposition format for /metrics: an
-// explicit ?format= wins; otherwise an Accept header that asks for
-// text/plain or OpenMetrics (the Prometheus scraper's preference)
-// without mentioning JSON selects the text format.
-func wantsPrometheus(req *http.Request) bool {
-	switch req.URL.Query().Get("format") {
-	case "prometheus", "prom":
-		return true
-	case "json":
-		return false
-	}
-	accept := req.Header.Get("Accept")
-	if strings.Contains(accept, "json") {
-		return false
-	}
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }
 
 // serveJSON writes v as indented JSON.
@@ -65,33 +46,20 @@ func oneOrAll[T any](snaps []T) any {
 	return snaps
 }
 
-// Handler serves the registries' totals at /metrics — JSON by
-// default, Prometheus text format under /metrics/prometheus or via
-// ?format=prometheus / an Accept header preferring text/plain — their
+// Handler serves the registries' totals as JSON at /metrics, their
 // live views at /debug/live, and mounts /healthz, /readyz, the optional
 // /debug/traces and /debug/slo, and the standard pprof handlers under
-// /debug/pprof/, so a running ppserver can be inspected with curl, a
-// Prometheus scrape job, and `go tool pprof`.
+// /debug/pprof/, so a running ppserver can be inspected with curl and
+// `go tool pprof`.
 func Handler(opts HTTPOptions, regs ...*Registry) http.Handler {
 	mux := http.NewServeMux()
-	writeProm := func(w http.ResponseWriter) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := WritePrometheus(w, regs...); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if wantsPrometheus(req) {
-			writeProm(w)
-			return
-		}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		snaps := make([]Snapshot, len(regs))
 		for i, r := range regs {
 			snaps[i] = r.Snapshot()
 		}
 		serveJSON(w, oneOrAll(snaps))
 	})
-	mux.HandleFunc("/metrics/prometheus", func(w http.ResponseWriter, _ *http.Request) { writeProm(w) })
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")

@@ -53,7 +53,10 @@ func TestHandlerServesSnapshotAndPprof(t *testing.T) {
 	}
 }
 
-func TestHandlerPrometheusAndHealth(t *testing.T) {
+// TestHandlerHealth: /healthz is liveness, /readyz follows Ready, and
+// /metrics has one encoding — a format query or a text Accept header
+// still gets the JSON snapshot.
+func TestHandlerHealth(t *testing.T) {
 	reg := NewRegistry("unit")
 	reg.Counter("requests").Add(5)
 	ready := false
@@ -78,25 +81,21 @@ func TestHandlerPrometheusAndHealth(t *testing.T) {
 		return resp.StatusCode, string(body), resp.Header.Get("Content-Type")
 	}
 
-	// Dedicated Prometheus path and ?format= both serve text format.
-	for _, path := range []string{"/metrics/prometheus", "/metrics?format=prometheus"} {
-		code, body, ct := get(path, nil)
-		if code != http.StatusOK || !strings.Contains(body, `ppstream_requests{registry="unit"} 5`) {
-			t.Errorf("GET %s: %d\n%s", path, code, body)
-		}
-		if !strings.HasPrefix(ct, "text/plain") {
-			t.Errorf("GET %s content type %q", path, ct)
+	for _, c := range []struct {
+		path string
+		hdr  map[string]string
+	}{
+		{"/metrics?format=prometheus", nil},
+		{"/metrics", map[string]string{"Accept": "text/plain;version=0.0.4"}},
+	} {
+		code, body, ct := get(c.path, c.hdr)
+		var snap Snapshot
+		if code != http.StatusOK || ct != "application/json" || json.Unmarshal([]byte(body), &snap) != nil || snap.Counters["requests"] != 5 {
+			t.Errorf("GET %s %v: %d %q, want the JSON snapshot:\n%s", c.path, c.hdr, code, ct, body)
 		}
 	}
-	// A Prometheus scraper's Accept header selects text format on /metrics.
-	if _, body, _ := get("/metrics", map[string]string{
-		"Accept": "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5",
-	}); !strings.Contains(body, "ppstream_requests") {
-		t.Errorf("Accept negotiation did not yield Prometheus format:\n%s", body)
-	}
-	// No Accept header stays JSON (back-compat for curl and the cmd tools).
-	if _, body, ct := get("/metrics", nil); !strings.Contains(ct, "json") || !strings.Contains(body, `"counters"`) {
-		t.Errorf("default /metrics no longer JSON (ct %q):\n%s", ct, body)
+	if code, _, _ := get("/metrics/prometheus", nil); code != http.StatusNotFound {
+		t.Errorf("GET /metrics/prometheus: %d, want 404", code)
 	}
 
 	if code, body, _ := get("/healthz", nil); code != http.StatusOK || !strings.Contains(body, "ok") {
@@ -109,6 +108,29 @@ func TestHandlerPrometheusAndHealth(t *testing.T) {
 	if code, _, _ := get("/readyz", nil); code != http.StatusOK {
 		t.Errorf("GET /readyz after ready: %d, want 200", code)
 	}
+}
+
+// TestRegisterRuntimeMetrics: the runtime gauges reach /metrics' JSON,
+// the snapshot ppserver serves and CI reads.
+func TestRegisterRuntimeMetrics(t *testing.T) {
+	reg := NewRegistry("rt")
+	RegisterRuntimeMetrics(reg)
+	rr := httptest.NewRecorder()
+	Handler(HTTPOptions{}, reg).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	var s Snapshot
+	if err := json.Unmarshal(rr.Body.Bytes(), &s); err != nil {
+		t.Fatalf("/metrics payload: %v", err)
+	}
+	if s.Gauges["runtime.goroutines"] < 1 {
+		t.Errorf("goroutines gauge %d", s.Gauges["runtime.goroutines"])
+	}
+	if s.Gauges["runtime.heap_alloc_bytes"] <= 0 {
+		t.Errorf("heap gauge %d", s.Gauges["runtime.heap_alloc_bytes"])
+	}
+	if _, ok := s.Gauges["runtime.gc_pause_total_ns"]; !ok {
+		t.Error("gc pause gauge missing")
+	}
+	RegisterRuntimeMetrics(nil) // must not panic
 }
 
 func TestServeBindsAndShutsDown(t *testing.T) {

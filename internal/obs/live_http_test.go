@@ -10,60 +10,6 @@ import (
 	"time"
 )
 
-// TestWritePrometheusLiveMetrics: windowed metrics ride the exposition
-// as gauges (the strict 0.0.4 type set has no windowed family) and the
-// whole output still passes the conformance scanner.
-func TestWritePrometheusLiveMetrics(t *testing.T) {
-	reg := NewRegistry("live")
-	reg.LiveCounter("serve.requests.ok").Add(7)
-	h := reg.LiveHistogram("serve.latency")
-	h.Observe(3 * time.Millisecond)
-	h.Observe(5 * time.Millisecond)
-
-	var b strings.Builder
-	if err := WritePrometheus(&b, reg); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	scanExposition(t, out)
-	for _, want := range []string{
-		// One object, both views: the total and the window.
-		`ppstream_serve_requests_ok{registry="live"} 7`,
-		`ppstream_serve_latency_seconds_count{registry="live"} 2`,
-		"# TYPE ppstream_live_serve_requests_ok gauge",
-		`ppstream_live_serve_requests_ok{registry="live"} 7`,
-		"# TYPE ppstream_live_serve_latency_count gauge",
-		`ppstream_live_serve_latency_count{registry="live"} 2`,
-		"# TYPE ppstream_live_serve_latency_p50_seconds gauge",
-		"# TYPE ppstream_live_serve_latency_p95_seconds gauge",
-		"# TYPE ppstream_live_serve_latency_p99_seconds gauge",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("live exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestWritePrometheusLiveMultiRegistry: shared live metric names across
-// registries must still group under single TYPE lines.
-func TestWritePrometheusLiveMultiRegistry(t *testing.T) {
-	a := NewRegistry("a")
-	b := NewRegistry("b")
-	for _, reg := range []*Registry{a, b} {
-		reg.LiveCounter("serve.requests.ok").Inc()
-		reg.LiveHistogram("serve.latency").Observe(time.Millisecond)
-	}
-	var buf strings.Builder
-	if err := WritePrometheus(&buf, a, b); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	scanExposition(t, out)
-	if got := strings.Count(out, "# TYPE ppstream_live_serve_requests_ok gauge\n"); got != 1 {
-		t.Errorf("%d TYPE lines for the live counter, want 1:\n%s", got, out)
-	}
-}
-
 // TestHandlerLiveEndpoints drives /debug/live, /debug/slo, and
 // /debug/traces through the HTTP mux, including query-parameter
 // validation.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	// Uniform 1µs..1000µs: p50 ≈ 500µs, p99 ≈ 990µs.
 	for i := 1; i <= 1000; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
@@ -46,7 +46,7 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmptyAndClamped(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	if s := h.Snapshot(); s.Count != 0 || s.P99 != 0 {
 		t.Errorf("empty histogram snapshot not zero: %+v", s)
 	}
@@ -55,7 +55,7 @@ func TestHistogramEmptyAndClamped(t *testing.T) {
 		t.Errorf("negative observation not clamped: %+v", s)
 	}
 	// Overflow bucket: far beyond the last bound.
-	h2 := NewHistogram()
+	h2 := newHistogram()
 	h2.Observe(10 * time.Minute)
 	if s := h2.Snapshot(); s.Max != 10*time.Minute || s.P99 != 10*time.Minute {
 		t.Errorf("overflow observation mishandled: %+v", s)
@@ -66,14 +66,14 @@ func TestHistogramEmptyAndClamped(t *testing.T) {
 // report paths: no sample may ever surface as a bucket upper bound.
 func TestHistogramDegenerateQuantiles(t *testing.T) {
 	// Empty histogram: every quantile is 0, not a bucket bound.
-	h := NewHistogram()
+	h := newHistogram()
 	if s := h.Snapshot(); s.P50 != 0 || s.P95 != 0 || s.P99 != 0 {
 		t.Errorf("empty histogram percentiles %v/%v/%v, want 0", s.P50, s.P95, s.P99)
 	}
 
 	// Single sample: all percentiles collapse to the sample itself,
 	// even though its bucket's upper bound is 4ms.
-	h = NewHistogram()
+	h = newHistogram()
 	const v = 2500 * time.Microsecond
 	h.Observe(v)
 	s := h.Snapshot()
@@ -83,7 +83,7 @@ func TestHistogramDegenerateQuantiles(t *testing.T) {
 
 	// Single-bucket pile-up of identical values: the min/max clamp keeps
 	// interpolation at the observed value, not the bucket bound.
-	h = NewHistogram()
+	h = newHistogram()
 	for i := 0; i < 1000; i++ {
 		h.Observe(3 * time.Millisecond)
 	}
@@ -106,7 +106,7 @@ func TestHistogramQuantileEdgeInputs(t *testing.T) {
 		{"overflow", 40 * time.Second, 50 * time.Second},
 	}
 	for _, c := range cases {
-		h := NewHistogram()
+		h := newHistogram()
 		h.Observe(c.lo)
 		h.Observe(c.hi)
 		counts := make([]uint64, len(h.buckets))
@@ -137,7 +137,7 @@ func TestHistogramQuantileEdgeInputs(t *testing.T) {
 // TestHistogramConcurrency hammers one histogram from parallel writers
 // while readers snapshot it; run with -race.
 func TestHistogramConcurrency(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	const writers, perWriter = 8, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,8 +118,7 @@ func (r *Registry) Counter(name string) *Counter {
 
 // LiveCounter returns the named counter — the same object Counter returns
 // — with its trailing-minute view switched on: from now on it also counts
-// into one-second slots, served at /debug/live and as a ppstream_live_*
-// gauge.
+// into one-second slots, served at /debug/live.
 func (r *Registry) LiveCounter(name string) *Counter {
 	c := r.Counter(name)
 	if c != nil && c.live.Load() == nil {
@@ -155,7 +153,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return lookup(r, r.hists, name, NewHistogram)
+	return lookup(r, r.hists, name, newHistogram)
 }
 
 // LiveHistogram returns the named histogram — the same object Histogram
@@ -236,14 +234,4 @@ func (r *Registry) LiveSnapshot() LiveSnapshot {
 		}
 	}
 	return s
-}
-
-// sortedKeys lists a metric map's names in order, for stable exposition.
-func sortedKeys[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -8,7 +8,7 @@ import (
 
 // memSampler caches runtime.ReadMemStats between snapshot evaluations:
 // the heap and GC gauges registered below would otherwise each pay the
-// stop-the-world read on every scrape.
+// stop-the-world read on every snapshot.
 type memSampler struct {
 	mu    sync.Mutex
 	at    time.Time
@@ -29,13 +29,13 @@ func (s *memSampler) read(f func(*runtime.MemStats) int64) int64 {
 }
 
 // RegisterRuntimeMetrics publishes Go runtime health gauges into reg,
-// evaluated lazily at snapshot/scrape time:
+// evaluated lazily at snapshot time:
 //
 //	runtime.goroutines          live goroutine count
 //	runtime.heap_alloc_bytes    bytes of allocated heap objects
 //	runtime.gc_pause_total_ns   cumulative stop-the-world pause time
 //
-// MemStats reads are cached for a second so frequent scrapes stay cheap.
+// MemStats reads are cached for a second so frequent /metrics polls stay cheap.
 func RegisterRuntimeMetrics(reg *Registry) {
 	if reg == nil {
 		return

@@ -98,38 +98,6 @@ func (t *TraceTree) Sum() time.Duration {
 	return d
 }
 
-// PartyTotal sums the segments attributed to one party.
-func (t *TraceTree) PartyTotal(party string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, s := range t.Segments {
-		if s.Party == party {
-			d += s.Dur
-		}
-	}
-	return d
-}
-
-// SegmentTotal sums the segments whose Label matches. A bare label
-// ("server-kernel") also matches its backend-suffixed forms
-// ("server-kernel[ss-gc]"), so callers that aggregate across backends
-// keep working against plans that split a round set over several.
-func (t *TraceTree) SegmentTotal(label string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, s := range t.Segments {
-		got := s.Label()
-		if got == label || (s.Backend != "" && got == label+"["+s.Backend+"]") {
-			d += s.Dur
-		}
-	}
-	return d
-}
-
 // Cost sums every segment's crypto-cost profile: the request's total
 // accounting across both parties.
 func (t *TraceTree) Cost() CostStats {
@@ -143,22 +111,6 @@ func (t *TraceTree) Cost() CostStats {
 		}
 	}
 	return total
-}
-
-// Parties returns the distinct parties appearing in the tree.
-func (t *TraceTree) Parties() []string {
-	if t == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range t.Segments {
-		if !seen[s.Party] {
-			seen[s.Party] = true
-			out = append(out, s.Party)
-		}
-	}
-	return out
 }
 
 // BreakdownRow is one segment label's distribution across a set of

@@ -55,24 +55,29 @@ func mkTree(id string, kernel, nonlin time.Duration) *TraceTree {
 
 func TestTraceTreeTotals(t *testing.T) {
 	tree := mkTree("ab", 10*time.Millisecond, 2*time.Millisecond)
-	if got := tree.PartyTotal("server"); got != 20*time.Millisecond {
+	byParty := map[string]time.Duration{}
+	byLabel := map[string]time.Duration{}
+	for _, s := range tree.Segments {
+		byParty[s.Party] += s.Dur
+		byLabel[s.Label()] += s.Dur
+	}
+	if got := byParty["server"]; got != 20*time.Millisecond {
 		t.Errorf("server total %v, want 20ms", got)
 	}
-	if got := tree.SegmentTotal("client-nonlinear"); got != 4*time.Millisecond {
+	if got := byLabel["client-nonlinear"]; got != 4*time.Millisecond {
 		t.Errorf("client-nonlinear total %v, want 4ms", got)
 	}
-	if got := tree.SegmentTotal("wire"); got != 2*time.Millisecond {
+	if got := byLabel["wire"]; got != 2*time.Millisecond {
 		t.Errorf("wire total %v, want 2ms", got)
 	}
 	if tree.Sum() != tree.Total {
 		t.Errorf("sum %v != total %v", tree.Sum(), tree.Total)
 	}
-	parties := tree.Parties()
-	if len(parties) != 3 {
-		t.Errorf("parties %v, want client/server/wire", parties)
+	if len(byParty) != 3 {
+		t.Errorf("parties %v, want client/server/wire", byParty)
 	}
 	var nilTree *TraceTree
-	if nilTree.Sum() != 0 || nilTree.PartyTotal("client") != 0 || nilTree.Parties() != nil {
+	if nilTree.Sum() != 0 || nilTree.Cost() != (CostStats{}) {
 		t.Error("nil tree accessors must be zero")
 	}
 }

@@ -1,15 +1,10 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -23,22 +18,15 @@ import (
 //  2. the slowest-K requests per window are kept (the tail an operator
 //     actually debugs);
 //  3. the rest are sampled with probability SampleProb, decided by
-//     hashing the trace ID — both parties of a request compute the
-//     identical decision from the ID already riding the TraceContext,
-//     so client and server retain the same requests with no extra wire
-//     state. SampleProb 1 keeps every request.
+//     hashing the trace ID, so the verdict for one request is the same
+//     every time it is asked. SampleProb 1 keeps every request.
 //
-// Kept records append to a bounded on-disk JSONL span log with
-// size-based rotation (or an in-memory ring when no directory is
-// configured) and are queryable via /debug/traces, `ppbench traces`
-// and ppserver's SIGQUIT dump.
+// Kept records go to a bounded in-memory ring, queryable via
+// /debug/traces, `ppbench traces` and ppserver's SIGQUIT dump.
 type TraceStore struct {
 	cfg TraceStoreConfig
 
 	mu      sync.Mutex
-	file    *os.File
-	size    int64
-	seq     int
 	mem     []TraceRecord // bounded ring, newest last
 	winFrom time.Time     // current slowest-K window start
 	winDurs []time.Duration
@@ -48,16 +36,8 @@ type TraceStore struct {
 	dropped *Counter
 }
 
-// TraceStoreConfig configures retention and the span log.
+// TraceStoreConfig configures retention.
 type TraceStoreConfig struct {
-	// Dir receives the JSONL span log ("traces-<seq>.jsonl"). Empty
-	// keeps records only in the in-memory ring.
-	Dir string
-	// MaxFileBytes rotates the current log file past this size
-	// (default 4 MiB).
-	MaxFileBytes int64
-	// MaxFiles bounds how many rotated files are kept (default 4).
-	MaxFiles int
 	// SlowestK keeps the K slowest requests per minute (default 8).
 	SlowestK int
 	// SampleProb is the probabilistic keep rate for unremarkable
@@ -71,7 +51,7 @@ type TraceStoreConfig struct {
 	Registry *Registry
 }
 
-// TraceRecord is one retained request in the span log.
+// TraceRecord is one retained request.
 type TraceRecord struct {
 	When time.Time `json:"when"`
 	// Reason is why the record was kept: "error", "slow", or "sampled".
@@ -93,10 +73,10 @@ const (
 	TraceKeptSampled = "sampled"
 )
 
-// TraceSampled is the deterministic sampling decision for a trace ID:
+// traceSampled is the deterministic sampling decision for a trace ID:
 // an FNV-1a hash of the ID mapped onto [0,1) and compared against prob.
-// Both parties of a request reach the same verdict from the shared ID.
-func TraceSampled(id string, prob float64) bool {
+// The same ID always gets the same verdict.
+func traceSampled(id string, prob float64) bool {
 	if prob >= 1 {
 		return true
 	}
@@ -109,45 +89,27 @@ func TraceSampled(id string, prob float64) bool {
 	return float64(h.Sum64()%span)/span < prob
 }
 
-// NewTraceStore opens the store, creating cfg.Dir when needed. Close
-// releases the current log file.
+// NewTraceStore builds the store, refusing a SampleProb outside [0,1]
+// (NaN included).
 func NewTraceStore(cfg TraceStoreConfig) (*TraceStore, error) {
-	ts := newTraceStore(cfg)
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("obs: trace store dir: %w", err)
-		}
-		// Resume after the highest existing sequence number so restarts
-		// never clobber earlier logs.
-		seqs, err := ts.logSeqs()
-		if err != nil {
-			return nil, err
-		}
-		if len(seqs) > 0 {
-			ts.seq = seqs[len(seqs)-1] + 1
-		}
+	if !(cfg.SampleProb >= 0 && cfg.SampleProb <= 1) {
+		return nil, fmt.Errorf("obs: trace sample probability %v is outside [0,1]", cfg.SampleProb)
 	}
-	return ts, nil
+	return newTraceStore(cfg), nil
 }
 
-// NewFlightRecorder returns a memory-only store that keeps every request
-// it is offered (SampleProb 1) in a ring of memRecords (default 256),
-// labelling the slowest slowestK per window "slow" (default 8). It is kept
-// for the benchmark's traced pass, which sets SessionConfig.Flight with
-// it; the third argument, once an error-ring size, is ignored — errors are
-// always kept.
+// NewFlightRecorder returns a store that keeps every request it is
+// offered (SampleProb 1) in a ring of memRecords (default 256), labelling
+// the slowest slowestK per window "slow" (default 8). It is kept for the
+// benchmark's traced pass, which sets SessionConfig.Flight with it; the
+// third argument, once an error-ring size, is ignored — errors are always
+// kept.
 func NewFlightRecorder(memRecords, slowestK, _ int) *TraceStore {
 	return newTraceStore(TraceStoreConfig{MemRecords: memRecords, SlowestK: slowestK, SampleProb: 1})
 }
 
 // newTraceStore fills cfg's defaults and builds the store around it.
 func newTraceStore(cfg TraceStoreConfig) *TraceStore {
-	if cfg.MaxFileBytes <= 0 {
-		cfg.MaxFileBytes = 4 << 20
-	}
-	if cfg.MaxFiles <= 0 {
-		cfg.MaxFiles = 4
-	}
 	if cfg.SlowestK <= 0 {
 		cfg.SlowestK = 8
 	}
@@ -160,25 +122,6 @@ func newTraceStore(cfg TraceStoreConfig) *TraceStore {
 		ts.kept[reason] = cfg.Registry.Counter("tracestore.kept." + reason)
 	}
 	return ts
-}
-
-func traceLogName(seq int) string { return fmt.Sprintf("traces-%06d.jsonl", seq) }
-
-// logSeqs lists the directory's span-log sequence numbers, ascending.
-func (ts *TraceStore) logSeqs() ([]int, error) {
-	entries, err := os.ReadDir(ts.cfg.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("obs: trace store dir: %w", err)
-	}
-	var seqs []int
-	for _, e := range entries {
-		var n int
-		if _, err := fmt.Sscanf(e.Name(), "traces-%d.jsonl", &n); err == nil && strings.HasSuffix(e.Name(), ".jsonl") {
-			seqs = append(seqs, n)
-		}
-	}
-	sort.Ints(seqs)
-	return seqs, nil
 }
 
 // Record offers a completed request — its tree, the serving session's
@@ -198,7 +141,7 @@ func (ts *TraceStore) Record(tree *TraceTree, plan []string, err error) (string,
 		reason = TraceKeptError
 	case ts.keepSlow(now, tree.Total):
 		reason = TraceKeptSlow
-	case TraceSampled(tree.ID, ts.cfg.SampleProb):
+	case traceSampled(tree.ID, ts.cfg.SampleProb):
 		reason = TraceKeptSampled
 	default:
 		ts.dropped.Inc()
@@ -208,7 +151,10 @@ func (ts *TraceStore) Record(tree *TraceTree, plan []string, err error) (string,
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	ts.append(rec)
+	ts.mem = append(ts.mem, rec)
+	if over := len(ts.mem) - ts.cfg.MemRecords; over > 0 {
+		ts.mem = append(ts.mem[:0], ts.mem[over:]...)
+	}
 	ts.kept[reason].Inc()
 	return reason, true
 }
@@ -240,74 +186,9 @@ func (ts *TraceStore) keepSlow(now time.Time, total time.Duration) bool {
 	return true
 }
 
-// append writes the record to the memory ring and, when configured, the
-// JSONL span log, rotating and pruning as needed. Called with the lock
-// held.
-func (ts *TraceStore) append(rec TraceRecord) {
-	ts.mem = append(ts.mem, rec)
-	if over := len(ts.mem) - ts.cfg.MemRecords; over > 0 {
-		ts.mem = append(ts.mem[:0], ts.mem[over:]...)
-	}
-	if ts.cfg.Dir == "" {
-		return
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	line = append(line, '\n')
-	if ts.file != nil && ts.size+int64(len(line)) > ts.cfg.MaxFileBytes {
-		_ = ts.file.Close()
-		ts.file = nil
-		ts.seq++
-	}
-	if ts.file == nil {
-		f, err := os.OpenFile(filepath.Join(ts.cfg.Dir, traceLogName(ts.seq)),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return
-		}
-		ts.file = f
-		ts.size = 0
-		ts.prune()
-	}
-	n, err := ts.file.Write(line)
-	ts.size += int64(n)
-	if err != nil {
-		// A failing span log must not take down serving; drop to the
-		// memory ring only and retry the file on next rotation.
-		_ = ts.file.Close()
-		ts.file = nil
-	}
-}
-
-// prune deletes rotated files beyond MaxFiles, oldest first. Called
-// with the lock held.
-func (ts *TraceStore) prune() {
-	seqs, err := ts.logSeqs()
-	if err != nil {
-		return
-	}
-	for len(seqs) > ts.cfg.MaxFiles {
-		_ = os.Remove(filepath.Join(ts.cfg.Dir, traceLogName(seqs[0])))
-		seqs = seqs[1:]
-	}
-}
-
-// Close flushes and closes the current span-log file.
-func (ts *TraceStore) Close() error {
-	if ts == nil {
-		return nil
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.file == nil {
-		return nil
-	}
-	err := ts.file.Close()
-	ts.file = nil
-	return err
-}
+// Close releases nothing, since the store lives in memory, and returns
+// nil; owners that manage the store as a resource still call it.
+func (ts *TraceStore) Close() error { return nil }
 
 // TraceQuery filters retained records.
 type TraceQuery struct {
@@ -317,12 +198,12 @@ type TraceQuery struct {
 	MinDur time.Duration
 	// ID, when set, matches one trace ID exactly.
 	ID string
-	// Limit bounds the result count, newest kept (0 = DefaultTraceQueryLimit).
+	// Limit bounds the result count, newest kept (0 = defaultTraceQueryLimit).
 	Limit int
 }
 
-// DefaultTraceQueryLimit bounds /debug/traces responses.
-const DefaultTraceQueryLimit = 100
+// defaultTraceQueryLimit bounds /debug/traces responses.
+const defaultTraceQueryLimit = 100
 
 func (q TraceQuery) match(rec TraceRecord) bool {
 	if !q.Since.IsZero() && rec.When.Before(q.Since) {
@@ -340,64 +221,32 @@ func (q TraceQuery) match(rec TraceRecord) bool {
 	return true
 }
 
-// Query returns matching retained records, oldest first. When a span
-// log is configured it is authoritative (rotated files included);
-// otherwise the memory ring answers.
-func (ts *TraceStore) Query(q TraceQuery) ([]TraceRecord, error) {
+// Query returns matching retained records, oldest first.
+func (ts *TraceStore) Query(q TraceQuery) []TraceRecord {
 	if ts == nil {
-		return nil, nil
+		return nil
 	}
 	if q.Limit <= 0 {
-		q.Limit = DefaultTraceQueryLimit
+		q.Limit = defaultTraceQueryLimit
 	}
 	var out []TraceRecord
-	if ts.cfg.Dir == "" {
-		ts.mu.Lock()
-		for _, rec := range ts.mem {
-			if q.match(rec) {
-				out = append(out, rec)
-			}
-		}
-		ts.mu.Unlock()
-	} else {
-		ts.mu.Lock()
-		seqs, err := ts.logSeqs()
-		ts.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		for _, seq := range seqs {
-			f, err := os.Open(filepath.Join(ts.cfg.Dir, traceLogName(seq)))
-			if err != nil {
-				continue // rotated away between listing and open
-			}
-			sc := bufio.NewScanner(f)
-			sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-			for sc.Scan() {
-				var rec TraceRecord
-				if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-					continue // torn final line after a crash
-				}
-				if q.match(rec) {
-					out = append(out, rec)
-				}
-			}
-			_ = f.Close()
+	ts.mu.Lock()
+	for _, rec := range ts.mem {
+		if q.match(rec) {
+			out = append(out, rec)
 		}
 	}
+	ts.mu.Unlock()
 	if over := len(out) - q.Limit; over > 0 {
 		out = out[over:]
 	}
-	return out, nil
+	return out
 }
 
 // WriteJSON writes the query result as an indented JSON array — the
 // /debug/traces body and ppserver's SIGQUIT dump.
 func (ts *TraceStore) WriteJSON(w io.Writer, q TraceQuery) error {
-	recs, err := ts.Query(q)
-	if err != nil {
-		return err
-	}
+	recs := ts.Query(q)
 	if recs == nil {
 		recs = []TraceRecord{}
 	}

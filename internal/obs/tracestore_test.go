@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -67,36 +66,31 @@ func TestTraceStoreRetentionReasons(t *testing.T) {
 	}
 
 	// The error record answers an ID query.
-	recs, err := ts.Query(TraceQuery{ID: "err1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := ts.Query(TraceQuery{ID: "err1"})
 	if len(recs) != 1 || recs[0].Err != "boom" || recs[0].Reason != TraceKeptError {
 		t.Errorf("ID query %+v", recs)
 	}
 	// MinDur filters the fast seeds out.
-	recs, err = ts.Query(TraceQuery{MinDur: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs = ts.Query(TraceQuery{MinDur: 25 * time.Millisecond})
 	if len(recs) != 1 || recs[0].Trace.ID != "slower" {
 		t.Errorf("MinDur query %+v", recs)
 	}
 }
 
-// TestTraceSampledDeterministic: the hash-of-ID decision is stable (both
-// parties agree), respects the edges, and lands near the target rate.
+// TestTraceSampledDeterministic: the hash-of-ID decision is stable (the
+// same ID always gets the same verdict), respects the edges, and lands
+// near the target rate.
 func TestTraceSampledDeterministic(t *testing.T) {
-	if TraceSampled("abc", 0) || TraceSampled("", 0.5) {
+	if traceSampled("abc", 0) || traceSampled("", 0.5) {
 		t.Error("prob 0 / empty ID must never sample")
 	}
-	if !TraceSampled("abc", 1) {
+	if !traceSampled("abc", 1) {
 		t.Error("prob 1 must always sample")
 	}
 	hits := 0
 	for i := 0; i < 1000; i++ {
 		id := fmt.Sprintf("trace-%d", i)
-		a, b := TraceSampled(id, 0.2), TraceSampled(id, 0.2)
+		a, b := traceSampled(id, 0.2), traceSampled(id, 0.2)
 		if a != b {
 			t.Fatalf("non-deterministic verdict for %s", id)
 		}
@@ -109,104 +103,18 @@ func TestTraceSampledDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceStoreRotationAndPrune: the span log rotates on size and old
-// files are pruned, while Query stays authoritative across files.
-func TestTraceStoreRotationAndPrune(t *testing.T) {
-	dir := t.TempDir()
-	ts, err := NewTraceStore(TraceStoreConfig{
-		Dir:          dir,
-		MaxFileBytes: 2048,
-		MaxFiles:     2,
-		SampleProb:   1, // keep everything: rotation is the subject
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 64
-	for i := 0; i < total; i++ {
-		if _, kept := ts.Record(testTree(fmt.Sprintf("rot-%03d", i), time.Millisecond), nil, nil); !kept {
-			t.Fatalf("record %d dropped", i)
+// TestNewTraceStoreRejectsSampleProb: a keep probability outside [0,1],
+// NaN included, is refused rather than clamped; the edges are accepted.
+func TestNewTraceStoreRejectsSampleProb(t *testing.T) {
+	for _, p := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		if ts, err := NewTraceStore(TraceStoreConfig{SampleProb: p}); err == nil || ts != nil {
+			t.Errorf("SampleProb %v accepted", p)
 		}
 	}
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logs []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".jsonl") {
-			logs = append(logs, e.Name())
-			if fi, err := e.Info(); err == nil && fi.Size() > 2048+1024 {
-				t.Errorf("log %s overgrew rotation bound: %d bytes", e.Name(), fi.Size())
-			}
+	for _, p := range []float64{0, 1} {
+		if _, err := NewTraceStore(TraceStoreConfig{SampleProb: p}); err != nil {
+			t.Errorf("SampleProb %v refused: %v", p, err)
 		}
-	}
-	if len(logs) == 0 || len(logs) > 2 {
-		t.Fatalf("want 1..2 rotated logs, got %v", logs)
-	}
-
-	// Disk is authoritative: the oldest records were pruned with their
-	// files, the newest survive.
-	recs, err := ts.Query(TraceQuery{Limit: total})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 || len(recs) >= total {
-		t.Fatalf("disk query returned %d of %d (want pruned subset)", len(recs), total)
-	}
-	if last := recs[len(recs)-1].Trace.ID; last != fmt.Sprintf("rot-%03d", total-1) {
-		t.Errorf("newest record %s lost", last)
-	}
-
-	// Reopening resumes after the highest sequence instead of clobbering.
-	ts2, err := NewTraceStore(TraceStoreConfig{Dir: dir, MaxFileBytes: 2048, MaxFiles: 2, SampleProb: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, kept := ts2.Record(testTree("resumed", time.Millisecond), nil, nil); !kept {
-		t.Fatal("post-resume record dropped")
-	}
-	if err := ts2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = ts2.Query(TraceQuery{ID: "resumed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("resumed record not queryable: %+v", recs)
-	}
-}
-
-// TestTraceStoreTornLine: a torn final line (crash mid-write) is skipped
-// instead of failing the whole query.
-func TestTraceStoreTornLine(t *testing.T) {
-	dir := t.TempDir()
-	ts, err := NewTraceStore(TraceStoreConfig{Dir: dir, SampleProb: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts.Record(testTree("whole", time.Millisecond), nil, nil)
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, traceLogName(0)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"when":"2026-01-01T00:00:00Z","reason":"slow","trace":{"trace_`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	recs, err := ts.Query(TraceQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Trace.ID != "whole" {
-		t.Errorf("torn-line query %+v", recs)
 	}
 }
 
@@ -220,10 +128,7 @@ func TestTraceStoreMemRing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ts.Record(testTree(fmt.Sprintf("m%d", i), time.Millisecond), nil, nil)
 	}
-	recs, err := ts.Query(TraceQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := ts.Query(TraceQuery{})
 	if len(recs) != 4 || recs[0].Trace.ID != "m6" || recs[3].Trace.ID != "m9" {
 		t.Errorf("mem ring %+v", recs)
 	}
@@ -235,7 +140,7 @@ func TestTraceStoreNil(t *testing.T) {
 	if _, kept := ts.Record(testTree("x", time.Second), nil, nil); kept {
 		t.Error("nil store retained")
 	}
-	if recs, err := ts.Query(TraceQuery{}); err != nil || recs != nil {
+	if recs := ts.Query(TraceQuery{}); recs != nil {
 		t.Error("nil store query")
 	}
 	if err := ts.Close(); err != nil {
@@ -244,14 +149,9 @@ func TestTraceStoreNil(t *testing.T) {
 }
 
 // TestTraceStoreConcurrent hammers Record and Query together under
-// -race, with the span log on disk so rotation races are exercised too.
+// -race, with a ring small enough that it wraps while readers scan it.
 func TestTraceStoreConcurrent(t *testing.T) {
-	ts, err := NewTraceStore(TraceStoreConfig{
-		Dir:          t.TempDir(),
-		MaxFileBytes: 4096,
-		MaxFiles:     2,
-		SampleProb:   1,
-	})
+	ts, err := NewTraceStore(TraceStoreConfig{MemRecords: 16, SampleProb: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +170,8 @@ func TestTraceStoreConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := ts.Query(TraceQuery{MinDur: time.Millisecond}); err != nil {
-					t.Error(err)
+				if recs := ts.Query(TraceQuery{MinDur: time.Millisecond}); len(recs) > 16 {
+					t.Errorf("query: %d records (bound 16)", len(recs))
 					return
 				}
 			}
@@ -305,10 +205,7 @@ func TestTraceStoreErrorsAndSlowestSurviveTraffic(t *testing.T) {
 		}
 		ts.Record(testTree(fmt.Sprintf("r%d", i), d), nil, err)
 	}
-	recs, err := ts.Query(TraceQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := ts.Query(TraceQuery{})
 	var got []string
 	for _, rec := range recs {
 		got = append(got, rec.Trace.ID+"/"+rec.Reason)
@@ -345,10 +242,7 @@ func TestFlightRecorderRings(t *testing.T) {
 			t.Errorf("%s: kept %v as %q, want %q", r.id, kept, reason, r.reason)
 		}
 	}
-	recs, err := f.Query(TraceQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := f.Query(TraceQuery{})
 	if len(recs) != 3 || recs[0].Trace.ID != "slowest" || recs[2].Trace.ID != "fast-b" {
 		t.Fatalf("ring holds %+v, want the newest three oldest first", recs)
 	}
@@ -368,10 +262,7 @@ func TestFlightRecorderDefaults(t *testing.T) {
 			slow++
 		}
 	}
-	recs, err := f.Query(TraceQuery{Limit: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := f.Query(TraceQuery{Limit: 1000})
 	if len(recs) != 256 || slow != 8 {
 		t.Errorf("kept %d records, %d slow; want 256 and 8", len(recs), slow)
 	}
@@ -387,8 +278,8 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	if _, kept := live.Record(nil, nil, errors.New("no tree")); kept {
 		t.Error("nil tree was recorded")
 	}
-	if recs, err := live.Query(TraceQuery{}); err != nil || len(recs) != 0 {
-		t.Errorf("query after a nil tree: %+v, %v", recs, err)
+	if recs := live.Query(TraceQuery{}); len(recs) != 0 {
+		t.Errorf("query after a nil tree: %+v", recs)
 	}
 }
 
@@ -399,10 +290,7 @@ func TestFlightRecordPlan(t *testing.T) {
 	f := NewFlightRecorder(4, 2, 4)
 	f.Record(testTree("fp-1", 10*time.Millisecond), []string{"paillier-he", "ss-gc"}, nil)
 	f.Record(testTree("fp-2", 20*time.Millisecond), nil, errors.New("late"))
-	recs, err := f.Query(TraceQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := f.Query(TraceQuery{})
 	if len(recs) != 2 || len(recs[0].Plan) != 2 || recs[0].Plan[0] != "paillier-he" {
 		t.Fatalf("planned record %+v", recs)
 	}
@@ -447,8 +335,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if recs, err := f.Query(TraceQuery{}); err != nil || len(recs) > 16 {
-					t.Errorf("query: %d records (bound 16), %v", len(recs), err)
+				if recs := f.Query(TraceQuery{}); len(recs) > 16 {
+					t.Errorf("query: %d records (bound 16)", len(recs))
 					return
 				}
 				rr := httptest.NewRecorder()
@@ -462,7 +350,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if recs, _ := f.Query(TraceQuery{}); len(recs) != 16 {
+	if recs := f.Query(TraceQuery{}); len(recs) != 16 {
 		t.Errorf("final ring holds %d, want 16", len(recs))
 	}
 }

@@ -84,12 +84,12 @@ func TestInferTracedMergesBothParties(t *testing.T) {
 
 	// Both parties (plus the inferred wire gap) appear under one ID.
 	parties := map[string]bool{}
-	for _, p := range tree.Parties() {
-		parties[p] = true
+	for _, s := range tree.Segments {
+		parties[s.Party] = true
 	}
 	for _, p := range []string{"client", "server", "wire"} {
 		if !parties[p] {
-			t.Errorf("party %q missing from merged trace (have %v)", p, tree.Parties())
+			t.Errorf("party %q missing from merged trace (have %v)", p, parties)
 		}
 	}
 
@@ -119,7 +119,7 @@ func TestInferTracedMergesBothParties(t *testing.T) {
 			t.Errorf("segment %s appears %d times, want %d", label, counts[label], want)
 		}
 	}
-	if tree.SegmentTotal("server-kernel") <= 0 {
+	if serverKernel(tree) <= 0 {
 		t.Error("server kernel time is zero: server spans did not cross the wire")
 	}
 
@@ -207,7 +207,7 @@ func TestInferTracedConcurrent(t *testing.T) {
 			t.Fatal("nil tree from successful inference")
 		}
 		ids[tree.ID] = true
-		if tree.SegmentTotal("server-kernel") <= 0 {
+		if serverKernel(tree) <= 0 {
 			t.Errorf("trace %s has no server kernel time", tree.ID)
 		}
 	}
@@ -287,4 +287,15 @@ func TestSessionSlowRoundLog(t *testing.T) {
 			}
 		})
 	}
+}
+
+// serverKernel sums the tree's server kernel segments across backends.
+func serverKernel(tree *obs.TraceTree) time.Duration {
+	var d time.Duration
+	for _, s := range tree.Segments {
+		if s.Party == "server" && s.Name == "kernel" {
+			d += s.Dur
+		}
+	}
+	return d
 }
