@@ -7,9 +7,9 @@
 //
 //	ppinfer -model models/Heart.gob [-keybits 512] [-cores 8] [-input 1.2,0.3,...]
 //
-// With -stream N, it additionally runs N requests through the real
-// streaming pipeline and prints the measured per-stage latency
-// percentile table (queue wait + busy, p50/p95/p99).
+// With -stream N, it additionally runs N requests through the engine's
+// serving runtime and prints the measured per-segment latency percentile
+// table of their traces (p50/p95/p99).
 package main
 
 import (
@@ -175,11 +175,7 @@ func infer(stdout io.Writer, modelPath string, keyBits, cores int, inputCSV stri
 		}
 		fmt.Fprintf(stdout, "\nstreamed %d requests: makespan %v, effective latency %v/request\n",
 			stats.Requests, stats.Makespan, stats.EffectiveLatency)
-		trees := make([]*obs.TraceTree, len(stats.Traces))
-		for i, tr := range stats.Traces {
-			trees[i] = tr.Tree()
-		}
-		fmt.Fprint(stdout, obs.RenderBreakdown(obs.Breakdown(trees)))
+		fmt.Fprint(stdout, obs.RenderBreakdown(obs.Breakdown(stats.Traces)))
 	}
 	return nil
 }

@@ -14,8 +14,10 @@
 // frame and dropped; the model file is the only gob left.
 //
 // Each session is multiplexed: round frames from different in-flight
-// requests interleave on one connection and are processed concurrently
-// up to -window; per-request state abandoned mid-protocol is evicted
+// requests interleave on one connection; each linear round is a stage
+// that runs one frame at a time behind a queue of -window frames, so
+// requests in different rounds overlap; per-request state abandoned
+// mid-protocol is evicted
 // after -idlettl, and requests whose client-propagated deadline expires
 // are evicted immediately. Admission control is global across sessions:
 // -maxinflight and -shed reject excess or overload-era requests with a
@@ -89,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", "127.0.0.1:7100", "listen address")
 	factor := fs.Int64("factor", 10000, "agreed parameter scaling factor")
 	maxWorkers := fs.Int("maxworkers", 8, "per-stage thread cap per session")
-	window := fs.Int("window", protocol.DefaultSessionWindow, "concurrent in-flight round frames per session")
+	window := fs.Int("window", protocol.DefaultSessionWindow, "round frames queued per linear round of a session")
 	idleTTL := fs.Duration("idlettl", protocol.DefaultIdleTTL, "evict per-request state after this much inactivity")
 	maxInFlight := fs.Int64("maxinflight", 0, "shed new requests beyond this many in flight across all sessions (0 disables)")
 	shedLatency := fs.Duration("shed", 0, "shed new requests while the recent p95 request latency exceeds this (0 disables)")

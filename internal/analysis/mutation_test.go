@@ -47,11 +47,11 @@ var mutationRows = []mutationRow{
 		new: `reg.Counter("retry.Redials")`,
 	},
 	{
-		// The pipeline's reader returns its window slot while holding
-		// the lock every Submit needs.
-		rule: "lockscope", dir: "internal/stream", file: "stream.go",
-		old: "\t\tif p.window != nil {\n\t\t\t<-p.window\n\t\t}\n\t\tp.mu.Lock()\n",
-		new: "\t\tp.mu.Lock()\n\t\tif p.window != nil {\n\t\t\t<-p.window\n\t\t}\n",
+		// Shutdown waits out the in-flight Submits while holding the
+		// lock every Submit needs.
+		rule: "lockscope", dir: "internal/core", file: "serve.go",
+		old: "\te.srv = nil\n\te.serveMu.Unlock()\n",
+		new: "\te.srv = nil\n\tdefer e.serveMu.Unlock()\n",
 	},
 	{
 		// A round frame's send detaches from the request's deadline.

@@ -21,7 +21,6 @@ import (
 	"ppstream/internal/paillier"
 	"ppstream/internal/protocol"
 	"ppstream/internal/simulate"
-	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
 
@@ -75,9 +74,10 @@ type Options struct {
 	ProfileReps int
 	// ProfileSample is ignored, like ProfileReps.
 	ProfileSample *tensor.Dense
-	// Window bounds the serving runtime's concurrently in-flight
-	// requests (Serve/Submit backpressure); <= 0 leaves admission
-	// bounded only by the pipeline's edge buffers.
+	// Window is the serving runtime's window on both sides of its
+	// session: the client's bound on concurrently in-flight requests and
+	// each linear round's queue (protocol.ClientOptions.Window and
+	// protocol.SessionConfig.Window); <= 0 uses their defaults.
 	Window int
 	// Profile selects the per-round crypto-backend posture (latency,
 	// privacy-max, mixed). Empty means privacy-max: every round under
@@ -108,13 +108,10 @@ type Engine struct {
 	blind       *paillier.Pool
 	keyBits     int
 	reg         *obs.Registry
-	// life fronts every Submit; it is engine-scoped, so its metrics survive
-	// Serve/Shutdown cycles.
-	life *protocol.Lifecycle
 
 	// serveMu guards the persistent serving runtime (see serve.go).
 	serveMu sync.Mutex
-	pipe    *stream.Pipeline
+	srv     *serving
 }
 
 // NewEngine builds the engine: protocol construction, stage pricing,
@@ -130,22 +127,21 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 	if err != nil {
 		return nil, err
 	}
-	// The model provider's linear kernel re-randomizes every output
-	// ciphertext; a dedicated background pool keeps those r^n
-	// exponentiations off the inference critical path.
-	blind := paillier.NewPool(&key.PublicKey, nil, 64, 1)
-	proto.Model.SetBlindPool(blind)
 	e := &Engine{
-		Net: net, Protocol: proto, opts: opts, blind: blind,
+		Net: net, Protocol: proto, opts: opts,
 		Servers: opts.Topology.Servers(), keyBits: key.Bits(),
 		reg: obs.NewRegistry("engine/" + net.ModelName),
 	}
-	e.reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
 	if err := e.plan(); err != nil {
-		e.Close()
 		return nil, err
 	}
-	e.life = protocol.NewLifecycle(proto.Model, protocol.SessionConfig{Registry: e.reg})
+	// The model provider's one blinding pool, sized to the backend plan
+	// and the window: InferOne and every session Serve opens draw from it.
+	window := opts.Window
+	if window <= 0 {
+		window = protocol.DefaultSessionWindow
+	}
+	e.blind = proto.Model.NewBlindPool(window, e.reg)
 	return e, nil
 }
 
@@ -195,8 +191,8 @@ func (e *Engine) Close() {
 }
 
 // Registry exposes the engine's metrics registry. Every runtime Serve
-// starts publishes its per-stage latency histograms and queue-depth gauges
-// here, so histograms accumulate across runs.
+// starts publishes its session's metrics here, so histograms accumulate
+// across runs.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
 
 // SimStages converts the engine's estimated stage times, allocation plan,
@@ -345,10 +341,10 @@ type StreamStats struct {
 	// FirstLatency is the end-to-end latency of the first request (no
 	// pipelining benefit).
 	FirstLatency time.Duration
-	// Traces holds each completed request's per-stage latency breakdown
-	// (queue wait + busy per stage), indexed by input position — the
-	// raw material for the Table IV/V-style percentile tables.
-	Traces []*stream.Trace
+	// Traces holds each completed request's cross-party trace (nil for a
+	// failed one), indexed by input position — the raw material for the
+	// Table IV/V-style percentile tables (obs.Breakdown).
+	Traces []*obs.TraceTree
 	// Errors holds each request's failure (nil on success), indexed by
 	// input position. A failed request does not abort the batch: its
 	// result slot stays nil and the other requests complete normally.
@@ -376,7 +372,7 @@ func (e *Engine) InferStream(ctx context.Context, inputs []*tensor.Dense) ([]*te
 	}
 	start := time.Now()
 	results := make([]*tensor.Dense, len(inputs))
-	traces := make([]*stream.Trace, len(inputs))
+	traces := make([]*obs.TraceTree, len(inputs))
 	errs := make([]error, len(inputs))
 	var (
 		mu           sync.Mutex
@@ -388,7 +384,7 @@ func (e *Engine) InferStream(ctx context.Context, inputs []*tensor.Dense) ([]*te
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, trace, err := e.Submit(ctx, x)
+			out, trace, err := e.infer(ctx, x)
 			mu.Lock()
 			defer mu.Unlock()
 			results[i], traces[i], errs[i] = out, trace, err
@@ -413,9 +409,8 @@ func (e *Engine) InferStream(ctx context.Context, inputs []*tensor.Dense) ([]*te
 			continue
 		}
 		stats.Failed++
-		// A dead runtime (not a per-request failure) aborts the batch.
-		var stageErr *stream.StageError
-		if !errors.As(err, &stageErr) && runtimeErr == nil {
+		// A dead runtime or ctx (not a per-request failure) aborts the batch.
+		if runtimeErr == nil && (errors.Is(err, protocol.ErrSessionDown) || ctx.Err() != nil) {
 			runtimeErr = err
 		}
 	}

@@ -3,18 +3,19 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
+	"strconv"
+	"sync"
 
+	"ppstream/internal/obs"
 	"ppstream/internal/protocol"
 	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
 
-// This file is the engine's persistent serving runtime: one long-lived
-// instrumented pipeline shared by any number of concurrent submitters,
-// each receiving its own result or error (paper Section V's sustained
-// request stream, as opposed to the one-shot batch runs of InferOne).
+// This file is the engine's persistent serving runtime: an in-process
+// protocol session shared by any number of concurrent submitters, each
+// receiving its own result or error (paper Section V's sustained request
+// stream, as opposed to the one-shot batch runs of InferOne).
 
 // ErrNotServing is returned by Submit when Serve has not been called (or
 // the runtime has been shut down).
@@ -22,120 +23,126 @@ var ErrNotServing = errors.New("core: engine is not serving (call Serve first)")
 
 var errServing = errors.New("core: engine is already serving")
 
-// Serve starts the engine's persistent serving runtime: one instrumented
-// stream.Pipeline — an encrypt stage followed by alternating linear
-// (model-provider) and non-linear (data-provider) stages — that lives
-// until Shutdown (or Close). While serving, any number of goroutines may
-// call Submit concurrently; the registry exposes "serve.inflight", the
-// outcome counters "serve.requests.<outcome>", and the end-to-end
-// "serve.latency" histogram. ctx bounds the lifetime of the stage
-// goroutines.
+// serving is one Serve's runtime: the client end of the in-process
+// session, the session's return, and the Submits still inside it.
+type serving struct {
+	client   *protocol.Client
+	served   chan error
+	inflight sync.WaitGroup
+}
+
+// Serve starts the engine's persistent serving runtime until Shutdown (or
+// Close): a protocol session serving the engine's model provider
+// (protocol.ServeSession), whose linear rounds run as the stages of the
+// paper's staged runtime, and a protocol.Client driving its data provider,
+// joined by a pair of in-process edges. Options.Window is both sides'
+// window. While serving, any number of goroutines may call Submit
+// concurrently; the session publishes its metrics — the outcome counters
+// "serve.requests.<outcome>", "serve.latency", the per-round
+// "round.<r>.wait" and "round.<r>.linear" — to the engine's registry. ctx
+// bounds the lifetime of the session's goroutines.
 func (e *Engine) Serve(ctx context.Context) error {
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()
-	if e.pipe != nil {
+	if e.srv != nil {
 		return errServing
 	}
-	stages := []stream.Stage{step("encrypt", func(seq uint64, x any) (*protocol.Envelope, error) {
-		return e.Protocol.Data.EncryptMetered(seq, x.(*tensor.Dense), nil)
-	})}
-	for r := 0; r < e.Protocol.Rounds(); r++ {
-		stages = append(stages,
-			step(fmt.Sprintf("linear-%d", r), func(_ uint64, env any) (*protocol.Envelope, error) {
-				out, _, err := e.Protocol.Model.ProcessLinearMetered(r, env.(*protocol.Envelope), nil)
-				return out, err
-			}),
-			step(fmt.Sprintf("nonlinear-%d", r), func(_ uint64, env any) (*protocol.Envelope, error) {
-				return e.Protocol.Data.ProcessNonLinearMetered(r, env.(*protocol.Envelope), nil)
-			}))
-	}
-	p, err := stream.NewPipeline(ctx, e.opts.Window, e.reg, stages...)
+	// Each edge holds a window of frames, so neither side's sends wait on
+	// the other's reads while the window is not full; the client's Hello
+	// waits in toModel until the session reads it.
+	toModel, toData := stream.NewChannelEdge(e.opts.Window), stream.NewChannelEdge(e.opts.Window)
+	c, err := protocol.NewClient(ctx, toData, toModel, e.Protocol.Data, protocol.ClientOptions{Window: e.opts.Window, Profile: e.opts.Profile})
 	if err != nil {
 		return err
 	}
-	e.pipe = p
-	e.reg.GaugeFunc("serve.inflight", p.InFlight)
+	srv := &serving{client: c, served: make(chan error, 1)}
+	go func() {
+		srv.served <- protocol.ServeSession(ctx, toModel, toData, e.Protocol.Model, protocol.SessionConfig{
+			Factor: e.opts.Factor, Window: e.opts.Window, Registry: e.reg,
+			Profile: e.opts.Profile, ClearBoundary: e.opts.ClearBoundary,
+		})
+	}()
+	e.srv = srv
 	return nil
 }
 
-// step is one protocol step as a pipeline stage: it maps the request's
-// payload (its input, then its envelope) to the next envelope.
-func step(name string, fn func(seq uint64, payload any) (*protocol.Envelope, error)) stream.Stage {
-	return stream.Stage{Name: name, Fn: func(_ context.Context, m *stream.Message) (*stream.Message, error) {
-		env, err := fn(m.Seq, m.Payload)
-		if err != nil {
-			return nil, err
-		}
-		return &stream.Message{Payload: env}, nil
-	}}
-}
-
-// Shutdown stops admission, drains in-flight requests, and stops every
-// stage goroutine. The engine can Serve again afterwards. It is a no-op
+// Shutdown stops admission, waits for in-flight Submits, ends the session
+// and waits for it. The engine can Serve again afterwards. It is a no-op
 // when the runtime is not up.
 func (e *Engine) Shutdown() error {
 	e.serveMu.Lock()
-	p := e.pipe
-	e.pipe = nil
+	srv := e.srv
+	e.srv = nil
 	e.serveMu.Unlock()
-	if p == nil {
+	if srv == nil {
 		return nil
 	}
-	return p.Close()
+	srv.inflight.Wait()
+	srv.client.Close()
+	return <-srv.served
 }
 
 // Submit runs one inference through the serving runtime, blocking until
 // its result is ready, ctx expires, or the runtime shuts down. Safe for
-// concurrent use; each caller gets exactly its own result. Every call
-// that finds the runtime up is one request of the engine's
-// protocol.Lifecycle under the sequence number it reserves from the
-// pipeline, the ID its stages key the permutation state by: admitted, run,
-// and finished with exactly one outcome. A request that fails inside the pipeline
-// returns the stage's *stream.StageError, which wraps the handler's error
-// (an input outside the model's input domain fails the encrypt stage with
-// the data provider's *protocol.InputRangeError), while other in-flight
-// requests proceed undisturbed.
+// concurrent use; each caller gets exactly its own result. Every request
+// is one request of the session's protocol.Lifecycle, which finishes it
+// with exactly one outcome. A round the session fails returns the
+// *stream.StageError naming the round's stage inside the client's
+// *protocol.RoundError, and an input outside the model's input domain is
+// refused with the data provider's *protocol.InputRangeError before
+// anything is sent; other in-flight requests proceed undisturbed. A
+// submitter whose ctx expires gets the ctx error at once; the session ends
+// the request it abandoned (see protocol.SessionConfig.IdleTTL).
 //
-// A request the pipeline accepted finishes when it leaves the pipeline,
-// on the pipeline's reader and with its real outcome, whether or not
-// its submitter is still waiting: a ctx expiry returns at once, while the
-// request keeps its window slot and permutation state until then. A
-// request that ends before the pipeline accepts it finishes here.
+// The trace holds the request's per-stage spans: "encrypt" (its window
+// wait and the input encryption), then each round's "linear-<r>" (the
+// model provider's kernel, permutation and packing, with the round's queue
+// and wire time as its wait) and "nonlinear-<r>".
 func (e *Engine) Submit(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *stream.Trace, error) {
-	e.serveMu.Lock()
-	p := e.pipe
-	e.serveMu.Unlock()
-	if p == nil {
-		return nil, nil, ErrNotServing
-	}
-	seq := p.Reserve()
-	req, err := e.life.Admit(seq, "", time.Now())
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := p.Submit(ctx, seq, x, func(m *stream.Message) {
-		_, _, err := result(m)
-		e.life.Finish(req, err)
-	})
-	if err != nil {
-		e.life.Finish(req, err)
-		return nil, nil, err
-	}
-	m, err := f.Wait(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return result(m)
+	out, tree, err := e.infer(ctx, x)
+	return out, stageSpans(tree, e.Protocol.Rounds()), err
 }
 
-// result reads a message that left the pipeline as its request's outcome.
-func result(m *stream.Message) (*tensor.Dense, *stream.Trace, error) {
-	if m.Err != nil {
-		return nil, m.Trace, m.Err
+// infer is Submit returning the client's trace of the request.
+func (e *Engine) infer(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *obs.TraceTree, error) {
+	e.serveMu.Lock()
+	srv := e.srv
+	if srv != nil {
+		srv.inflight.Add(1)
 	}
-	env, ok := m.Payload.(*protocol.Envelope)
-	if !ok || env.Result == nil {
-		return nil, m.Trace, fmt.Errorf("core: request %d left the pipeline without a result (payload %T)", m.Seq, m.Payload)
+	e.serveMu.Unlock()
+	if srv == nil {
+		return nil, nil, ErrNotServing
 	}
-	return env.Result, m.Trace, nil
+	defer srv.inflight.Done()
+	return srv.client.InferTraced(ctx, x)
+}
+
+// stageSpans folds a client trace into Submit's per-stage spans; a nil
+// tree (a failed request) folds to nil.
+func stageSpans(tree *obs.TraceTree, rounds int) *stream.Trace {
+	if tree == nil {
+		return nil
+	}
+	spans := make([]stream.Span, 1+2*rounds)
+	spans[0].Stage = "encrypt"
+	for r := 0; r < rounds; r++ {
+		spans[1+2*r].Stage = "linear-" + strconv.Itoa(r)
+		spans[2+2*r].Stage = "nonlinear-" + strconv.Itoa(r)
+	}
+	for _, s := range tree.Segments {
+		switch {
+		case s.Round < 0 && s.Name == "queue":
+			spans[0].Wait += s.Dur
+		case s.Round < 0:
+			spans[0].Busy += s.Dur
+		case s.Party == "client":
+			spans[2+2*s.Round].Busy += s.Dur
+		case s.Party == "wire" || s.Name == "queue":
+			spans[1+2*s.Round].Wait += s.Dur
+		default:
+			spans[1+2*s.Round].Busy += s.Dur
+		}
+	}
+	return &stream.Trace{ID: tree.ID, Spans: spans}
 }

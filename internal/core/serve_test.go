@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -51,8 +52,8 @@ func TestEngineServeConcurrentSubmitters(t *testing.T) {
 				errs <- err
 				return
 			}
-			if trace == nil || len(trace.Spans) == 0 {
-				errs <- errors.New("no trace spans")
+			if err := oneSpanPerStage(trace, eng.Protocol.Rounds()); err != nil {
+				errs <- err
 				return
 			}
 			want, _ := net.Forward(x)
@@ -70,8 +71,8 @@ func TestEngineServeConcurrentSubmitters(t *testing.T) {
 	if snap.Counters["serve.requests.ok"] != uint64(len(inputs)) {
 		t.Errorf("serve.requests.ok = %d, want %d", snap.Counters["serve.requests.ok"], len(inputs))
 	}
-	if snap.Gauges["serve.inflight"] != 0 {
-		t.Errorf("serve.inflight = %d after drain", snap.Gauges["serve.inflight"])
+	if snap.Gauges["requests.active"] != 0 {
+		t.Errorf("requests.active = %d after drain", snap.Gauges["requests.active"])
 	}
 	if err := eng.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -88,10 +89,32 @@ func TestEngineServeConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestEngineServeErrorIsolation: a request that fails mid-pipeline
-// returns the *stream.StageError naming the stage while concurrent requests
-// complete undisturbed, and the failed request's obfuscation state is
-// released.
+// oneSpanPerStage checks a Submit trace: one span per stage, in order —
+// encrypt, then linear-<r> and nonlinear-<r> per round — each with
+// non-negative durations and busy time in every linear round.
+func oneSpanPerStage(trace *stream.Trace, rounds int) error {
+	if trace == nil || len(trace.Spans) != 1+2*rounds {
+		return fmt.Errorf("trace %+v, want %d spans", trace, 1+2*rounds)
+	}
+	for i, sp := range trace.Spans {
+		want := "encrypt"
+		if i > 0 {
+			want = fmt.Sprintf("linear-%d", (i-1)/2)
+			if i%2 == 0 {
+				want = fmt.Sprintf("nonlinear-%d", (i-1)/2)
+			}
+		}
+		if sp.Stage != want || sp.Wait < 0 || sp.Busy < 0 || (i%2 == 1 && sp.Busy == 0) {
+			return fmt.Errorf("span %d is %+v, want stage %s with non-negative durations", i, sp, want)
+		}
+	}
+	return nil
+}
+
+// TestEngineServeErrorIsolation: a request whose round fails in the
+// session returns the *stream.StageError naming the round's stage while
+// concurrent requests complete undisturbed, and the failed request's
+// obfuscation state is released.
 func TestEngineServeErrorIsolation(t *testing.T) {
 	eng := serveEngine(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -191,13 +214,12 @@ func TestInferStreamLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestEngineSubmitRefusesOutOfRangeInput: an input outside the model's
-// declared domain gets its one terminal outcome — the data provider's
-// typed *protocol.InputRangeError from the encrypt stage, counted as a
-// failed request — before anything is encrypted: no window slot is held
-// afterwards (the window is 1 here, so a leak would block the next
-// request), the encrypt stage counts one failure per refusal and meters no
-// Paillier operation, and the engine keeps serving. The sequential walk
-// refuses the same input the same way.
+// declared domain is refused with the data provider's typed
+// *protocol.InputRangeError before anything is encrypted or sent: the
+// session admits no request for it, no window slot is held afterwards (the
+// window is 1 here, so a leak would block the next request), the refusal
+// meters no Paillier operation, and the engine keeps serving. The
+// sequential walk refuses the same input the same way.
 func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 	net := smallNet(t)
 	net.InputMax = 3
@@ -211,8 +233,6 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 	if err := eng.Serve(ctx); err != nil {
 		t.Fatal(err)
 	}
-	failed := func() int64 { return eng.Registry().Snapshot().Gauges["stage.encrypt.errors"] }
-	before := failed()
 	for i, bad := range []*tensor.Dense{
 		tensor.MustFromSlice([]float64{0, 0, 3.5, 0}, 4),
 		tensor.MustFromSlice([]float64{0, 0, math.NaN(), 0}, 4),
@@ -223,10 +243,7 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 		if !errors.As(err, &rangeErr) || rangeErr.Index != 2 || rangeErr.Max != 3 {
 			t.Fatalf("Submit(out of domain %d) = %v, want an *InputRangeError for element 2", i, err)
 		}
-		if got := failed() - before; got != int64(i+1) {
-			t.Errorf("after refusal %d the encrypt stage counts %d failures", i, got)
-		}
-		// What the encrypt stage runs on the input, metered.
+		// What the client runs on the input, metered.
 		var m obs.CostMeter
 		if _, err := eng.Protocol.Data.EncryptMetered(uint64(i), bad, &m); !errors.As(err, &rangeErr) {
 			t.Errorf("EncryptMetered(out of domain %d) = %v, want an *InputRangeError", i, err)
@@ -239,24 +256,22 @@ func TestEngineSubmitRefusesOutOfRangeInput(t *testing.T) {
 		}
 	}
 	snap := eng.Registry().Snapshot()
-	if snap.Counters["serve.requests.err"] != 3 || snap.Counters["serve.requests.shed"] != 0 || snap.Gauges["serve.inflight"] != 0 {
-		t.Errorf("after 3 refused requests: %d counted as err, %d as shed, %d in flight",
-			snap.Counters["serve.requests.err"], snap.Counters["serve.requests.shed"], snap.Gauges["serve.inflight"])
+	if snap.Counters["rounds.served"]+snap.Counters["rounds.errors"] != 0 || snap.Gauges["requests.active"] != 0 {
+		t.Errorf("after 3 refused requests the session saw %d rounds served, %d failed, %d requests active",
+			snap.Counters["rounds.served"], snap.Counters["rounds.errors"], snap.Gauges["requests.active"])
 	}
 	if _, _, err := eng.Submit(ctx, tensor.MustFromSlice([]float64{3, -3, 0.5, 0}, 4)); err != nil {
 		t.Fatalf("in-domain request after refused ones: %v", err)
 	}
-	if got := failed() - before; got != 3 {
-		t.Errorf("the in-domain request left the encrypt stage with %d failures, want 3", got)
+	if got := eng.Registry().Snapshot().Counters["serve.requests.ok"]; got != 1 {
+		t.Errorf("serve.requests.ok = %d after one in-domain request, want 1", got)
 	}
 }
 
 // TestEngineSubmitEarlyEndsSpareRequestZero: a Submit that ends early —
-// given up at the saturated window or the intake edge before the pipeline
-// accepts it, or refused for its input by the encrypt stage — finishes
-// under its own reserved sequence number, so it must not drop the
-// permutation state of the request that holds ID 0, the first good one
-// after every Serve.
+// given up at the saturated window, or refused for its input before
+// anything is sent — must not drop the permutation state of the good
+// request submitted among them, the first one after every Serve.
 func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 	net := smallNet(t)
 	net.InputMax = 3
@@ -277,7 +292,7 @@ func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 		}
 		// Four submitters of a refused input against two window slots, half
 		// of them already given up: each attempt ends early, as err when
-		// the encrypt stage refuses it and as its cancelled ctx when it is
+		// the client refuses it and as its cancelled ctx when it is
 		// abandoned, and never holds permutation state.
 		stop := make(chan struct{})
 		var early sync.WaitGroup
@@ -316,9 +331,10 @@ func TestEngineSubmitEarlyEndsSpareRequestZero(t *testing.T) {
 }
 
 // TestEngineSubmitAbandoned: a submitter whose ctx is cancelled while its
-// request is inside the pipeline gets the ctx error at once, but the
-// request still reaches exactly one outcome — its real one, when it leaves
-// the pipeline — and only then gives back the one window slot.
+// request is inside the session gets the ctx error at once and gives back
+// the one window slot, so the next request runs; the abandoned request
+// still reaches exactly one outcome — its last round's, or the session's
+// end at Shutdown — and no request is left active.
 func TestEngineSubmitAbandoned(t *testing.T) {
 	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000, Window: 1})
 	if err != nil {
@@ -333,7 +349,7 @@ func TestEngineSubmitAbandoned(t *testing.T) {
 	snapshot := eng.Registry().Snapshot
 	subCtx, abandon := context.WithCancel(ctx)
 	go func() {
-		for snapshot().Gauges["serve.inflight"] == 0 && subCtx.Err() == nil {
+		for snapshot().Gauges["requests.active"] == 0 && subCtx.Err() == nil {
 			runtime.Gosched()
 		}
 		abandon()
@@ -344,28 +360,107 @@ func TestEngineSubmitAbandoned(t *testing.T) {
 	if subErr != nil && !errors.Is(subErr, context.Canceled) {
 		t.Fatalf("abandoned submit: %v", subErr)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap := snapshot()
-		if snap.Counters["serve.requests.ok"] == 1 && snap.Gauges["requests.active"] == 0 && snap.Gauges["serve.inflight"] == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned request never finished ok: %d ok, %d err, %d active, %d in flight",
-				snap.Counters["serve.requests.ok"], snap.Counters["serve.requests.err"],
-				snap.Gauges["requests.active"], snap.Gauges["serve.inflight"])
-		}
-		time.Sleep(time.Millisecond)
-	}
 	if _, _, err := eng.Submit(ctx, x); err != nil {
-		t.Fatalf("submit after the abandoned request finished: %v", err)
+		t.Fatalf("submit after the abandoned one: %v", err)
+	}
+	if err := eng.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshot()
+	if ended := snap.Counters["serve.requests.ok"] + snap.Counters["serve.requests.err"]; ended != 2 || snap.Gauges["requests.active"] != 0 {
+		t.Errorf("after shutdown: %d ok, %d err, %d active, want 2 outcomes and none active",
+			snap.Counters["serve.requests.ok"], snap.Counters["serve.requests.err"], snap.Gauges["requests.active"])
 	}
 }
 
-// TestOneObjectPerLiveMetric: the engine registers its Lifecycle and its
-// stages on one registry; after N requests every live-viewed name is one
-// object whose total equals its trailing-minute count — both N, the
-// windowed and cumulative views being two reads of the same writes.
+// TestEngineServeShutdownUnderSubmit: Shutdown racing concurrent Submits
+// never panics (a Submit sending on the session's closed edge) nor
+// deadlocks; every Submit either succeeds or gets ErrNotServing, and once
+// Shutdown returns no goroutine of the runtime is left. Run under -race.
+func TestEngineServeShutdownUnderSubmit(t *testing.T) {
+	eng := serveEngine(t)
+	inputs := randInputs(4)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	before := runtime.NumGoroutine()
+	for iter := 0; iter < 5; iter++ {
+		if err := eng.Serve(ctx); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, x := range inputs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, _, err := eng.Submit(ctx, x); err != nil && !errors.Is(err, ErrNotServing) {
+					t.Errorf("submit racing shutdown: %v", err)
+				}
+			}()
+		}
+		close(start)
+		if err := eng.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines grew from %d to %d across Serve/Shutdown under load", before, n)
+	}
+}
+
+// TestEngineKeepsOneBlindPool: the engine's model provider has one
+// blinding pool from NewEngine to Close. InferOne draws from it before any
+// Serve, each session Serve opens reuses it rather than building its own,
+// and Shutdown leaves it running for the next InferOne or Serve.
+func TestEngineKeepsOneBlindPool(t *testing.T) {
+	eng, err := NewEngine(smallNet(t), key(t), Options{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive := func() int64 { return eng.Registry().Snapshot().Gauges["pool.workers.alive"] }
+	x := randInputs(1)[0]
+	if alive() != 1 {
+		t.Fatalf("pool.workers.alive %d after NewEngine, want 1", alive())
+	}
+	if _, _, err := eng.InferOne(1, x); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for range 2 {
+		if err := eng.Serve(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eng.Submit(ctx, x); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		if alive() != 1 {
+			t.Fatalf("pool.workers.alive %d after Shutdown, want the engine's one worker", alive())
+		}
+	}
+	if _, _, err := eng.InferOne(2, x); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	if alive() != 0 {
+		t.Errorf("pool.workers.alive %d after Close, want 0", alive())
+	}
+}
+
+// TestOneObjectPerLiveMetric: the engine's session registers its Lifecycle,
+// its round stages and its cost counters on one registry; after N requests
+// every live-viewed name is one object whose total equals its
+// trailing-minute count, the windowed and cumulative views being two reads
+// of the same writes — N for the outcome and the latency histograms.
 func TestOneObjectPerLiveMetric(t *testing.T) {
 	eng := serveEngine(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -385,16 +480,15 @@ func TestOneObjectPerLiveMetric(t *testing.T) {
 	reg := eng.Registry()
 	live := reg.LiveSnapshot()
 	if _, ok := live.Counters["serve.requests.ok"]; !ok || len(live.Histograms) < 2 {
-		t.Fatalf("live views %+v: want the outcome counters, serve.latency and every stage's busy time", live)
+		t.Fatalf("live views %+v: want the outcome counters, serve.latency and every round's busy time", live)
+	}
+	if w := live.Counters["serve.requests.ok"]; w.Count != n {
+		t.Errorf("serve.requests.ok window %d, want %d", w.Count, n)
 	}
 	for name, w := range live.Counters {
 		c := reg.Counter(name)
-		want := uint64(0)
-		if name == "serve.requests.ok" {
-			want = n
-		}
-		if c != reg.LiveCounter(name) || c.Value() != w.Count || w.Count != want {
-			t.Errorf("%s: total %d, window %d, want one object at %d", name, c.Value(), w.Count, want)
+		if c != reg.LiveCounter(name) || c.Value() != w.Count {
+			t.Errorf("%s: total %d, window %d, want one object", name, c.Value(), w.Count)
 		}
 	}
 	for name, w := range live.Histograms {

@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"io"
-	"net/http/httptest"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -41,9 +42,12 @@ func TestSwarmSmoke(t *testing.T) {
 	// The retained slow trace is retrievable over the wire: mount the
 	// harness's trace store behind /debug/traces and pull the full merged
 	// tree back out, exactly as an operator would.
-	srv := httptest.NewServer(obs.Handler(obs.HTTPOptions{Traces: res.Traces}))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/traces?id=" + res.SlowTraceID)
+	addr, stop, err := obs.Serve("127.0.0.1:0", obs.HTTPOptions{Traces: res.Traces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop(context.Background())
+	resp, err := http.Get("http://" + addr + "/debug/traces?id=" + res.SlowTraceID)
 	if err != nil {
 		t.Fatal(err)
 	}

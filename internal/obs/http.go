@@ -46,12 +46,12 @@ func oneOrAll[T any](snaps []T) any {
 	return snaps
 }
 
-// Handler serves the registries' totals as JSON at /metrics, their
+// handler serves the registries' totals as JSON at /metrics, their
 // live views at /debug/live, and mounts /healthz, /readyz, the optional
 // /debug/traces and /debug/slo, and the standard pprof handlers under
 // /debug/pprof/, so a running ppserver can be inspected with curl and
 // `go tool pprof`.
-func Handler(opts HTTPOptions, regs ...*Registry) http.Handler {
+func handler(opts HTTPOptions, regs ...*Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		snaps := make([]Snapshot, len(regs))
@@ -147,7 +147,7 @@ func Serve(addr string, opts HTTPOptions, regs ...*Registry) (string, func(conte
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(opts, regs...)}
+	srv := &http.Server{Handler: handler(opts, regs...)}
 	go srv.Serve(l)
 	return l.Addr().String(), srv.Shutdown, nil
 }

@@ -16,7 +16,7 @@ func TestHandlerServesSnapshotAndPprof(t *testing.T) {
 	reg.Counter("requests").Add(5)
 	reg.Histogram("stage.encrypt.busy").Observe(3 * time.Millisecond)
 
-	srv := httptest.NewServer(Handler(HTTPOptions{}, reg))
+	srv := httptest.NewServer(handler(HTTPOptions{}, reg))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -60,7 +60,7 @@ func TestHandlerHealth(t *testing.T) {
 	reg := NewRegistry("unit")
 	reg.Counter("requests").Add(5)
 	ready := false
-	srv := httptest.NewServer(Handler(HTTPOptions{Ready: func() bool { return ready }}, reg))
+	srv := httptest.NewServer(handler(HTTPOptions{Ready: func() bool { return ready }}, reg))
 	defer srv.Close()
 
 	get := func(path string, hdr map[string]string) (int, string, string) {
@@ -116,7 +116,7 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 	reg := NewRegistry("rt")
 	RegisterRuntimeMetrics(reg)
 	rr := httptest.NewRecorder()
-	Handler(HTTPOptions{}, reg).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	handler(HTTPOptions{}, reg).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	var s Snapshot
 	if err := json.Unmarshal(rr.Body.Bytes(), &s); err != nil {
 		t.Fatalf("/metrics payload: %v", err)

@@ -32,7 +32,7 @@ func TestHandlerLiveEndpoints(t *testing.T) {
 	traces.Record(testTree("t-slow", 80*time.Millisecond), nil, nil)
 	traces.Record(testTree("t-err", time.Millisecond), nil, errors.New("boom"))
 
-	srv := httptest.NewServer(Handler(HTTPOptions{Traces: traces, SLO: slo}, reg))
+	srv := httptest.NewServer(handler(HTTPOptions{Traces: traces, SLO: slo}, reg))
 	defer srv.Close()
 	get := func(path string) (int, []byte) {
 		t.Helper()

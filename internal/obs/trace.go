@@ -12,12 +12,12 @@ import (
 )
 
 // This file holds the cross-party distributed-tracing model. A trace ID
-// is assigned where a request enters the system (stream.Pipeline.Submit
-// or protocol.Client.Infer) and propagated in every wire frame, so both
-// the data provider and the model provider record spans under the same
-// identity. The client merges its own spans with the server's shipped
-// spans into one TraceTree — the Dapper-style end-to-end view the
-// per-process stage traces of the pipeline cannot give on their own.
+// is assigned where a request enters the system (protocol.Client.Infer,
+// which core.Engine.Submit runs too) and propagated in every wire frame,
+// so both the data provider and the model provider record spans under the
+// same identity. The client merges its own spans with the server's
+// shipped spans into one TraceTree — the Dapper-style end-to-end view
+// neither party's own spans can give.
 
 // traceFallback seeds trace IDs when crypto/rand is unavailable; the
 // IDs stay unique within the process, which is all correlation needs.

@@ -311,7 +311,7 @@ func TestFlightRecordPlan(t *testing.T) {
 // this is the store's thread-safety gate.
 func TestFlightRecorderConcurrent(t *testing.T) {
 	f := NewFlightRecorder(16, 4, 0)
-	handler := Handler(HTTPOptions{Traces: f}, NewRegistry("flight-concurrent"))
+	handler := handler(HTTPOptions{Traces: f}, NewRegistry("flight-concurrent"))
 
 	const writers, perWriter, readers = 8, 200, 4
 	var wg sync.WaitGroup
@@ -374,7 +374,7 @@ func TestFlightWriteJSONError(t *testing.T) {
 // TestFlightHTTPNotMountedWithoutRecorder: /debug/flight is gone, and
 // /debug/traces exists only with a store behind it.
 func TestFlightHTTPNotMountedWithoutRecorder(t *testing.T) {
-	handler := Handler(HTTPOptions{}, NewRegistry("no-store"))
+	handler := handler(HTTPOptions{}, NewRegistry("no-store"))
 	for _, path := range []string{"/debug/flight", "/debug/traces"} {
 		rr := httptest.NewRecorder()
 		handler.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))

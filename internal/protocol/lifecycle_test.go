@@ -153,8 +153,10 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 				// for a worker.
 				f := c.roundZero(1, tensor.Zeros(4))
 				f.DeadlineMS = 10
-				c.s.handle(&stream.Message{Seq: 1, Payload: f}, f, time.Now().Add(-time.Second))
-				c.recv(CodeDeadline)
+				_, err := c.s.handle(c.s.ctx, &stream.Message{Seq: 1, Payload: f, Enqueued: time.Now().Add(-time.Second)})
+				if got := errCode(err); got != CodeDeadline {
+					c.t.Errorf("frame past its budget: code %d err %v, want code %d", got, err, CodeDeadline)
+				}
 			}},
 		{name: "janitor deadline eviction", cfg: SessionConfig{IdleTTL: 400 * time.Millisecond}, err: 1, counter: "requests.deadline_evicted",
 			drive: func(c *rawClient) {

@@ -331,9 +331,9 @@ func decryptions(n int) obs.CostStats {
 }
 
 // Infer runs the full collaborative workflow sequentially for one input:
-// the reference execution used by tests and the CipherBase baseline. The
-// streaming engine (internal/core) runs the same per-stage methods inside
-// pipeline stages.
+// the reference execution used by tests and the CipherBase baseline. A
+// session (the streaming engine's among them) runs the same per-stage
+// methods, each linear round as one of its stages.
 func (p *Protocol) Infer(req uint64, x *tensor.Dense) (out *tensor.Dense, err error) {
 	r, err := p.life.Admit(req, "", time.Now())
 	if err != nil {
@@ -460,8 +460,10 @@ func (st *linearStage) count(pk *paillier.PublicKey) error {
 // the private key.
 type ModelProvider struct {
 	roundPlan
-	pk     *paillier.PublicKey
-	eval   *paillier.Evaluator
+	pk   *paillier.PublicKey
+	eval *paillier.Evaluator
+	// pool is eval's blinding pool (nil: every factor inline).
+	pool   *paillier.Pool
 	stages []*linearStage
 
 	mu    sync.Mutex
@@ -523,10 +525,32 @@ func (mp *ModelProvider) applyProfile(profile backend.Profile, boundary int) (*b
 }
 
 // SetBlindPool replaces the evaluator's reply blinding pool (nil: every
-// factor inline) — sessions call this once the backend plan is known, so
-// the pool can be sized to the plan's actual Paillier rounds.
+// factor inline).
 func (mp *ModelProvider) SetBlindPool(pool *paillier.Pool) {
-	mp.eval = paillier.NewEvaluator(mp.pk, pool)
+	mp.eval, mp.pool = paillier.NewEvaluator(mp.pk, pool), pool
+}
+
+// NewBlindPool builds the provider's blinding pool and installs it. Every
+// packed reply ciphertext is re-randomized, and pooled r^n factors keep
+// those exponentiations off the round-trip critical path. The pool holds
+// what window requests consume at once under the installed backend plan —
+// the packed replies of its Paillier rounds — and no more, because every
+// factor is a public-key r^n paid whether or not a request ever draws it.
+// Each factor the fill worker precomputes is charged to reg's
+// "cost.modexps", so per-request meters only ever see the pool misses
+// they caused inline. The caller closes the pool.
+func (mp *ModelProvider) NewBlindPool(window int, reg *obs.Registry) *paillier.Pool {
+	replies := 0
+	for r, info := range mp.LayerInfos() {
+		if mp.RoundBackend(r) == backend.PaillierHE {
+			replies += info.Replies
+		}
+	}
+	pool := paillier.NewPool(mp.pk, nil, max(replies*window, 1), 1,
+		paillier.WithPrecomputeHook(reg.Counter("cost.modexps").Add))
+	reg.GaugeFunc("pool.workers.alive", pool.AliveWorkers)
+	mp.SetBlindPool(pool)
+	return pool
 }
 
 // SetStageThreads overrides stage r's thread count (from the

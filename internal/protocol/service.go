@@ -98,9 +98,10 @@ type SessionConfig struct {
 	Factor int64
 	// MaxWorkers bounds the per-stage threads a client may request.
 	MaxWorkers int
-	// Window bounds how many round frames the session processes
-	// concurrently (different requests interleave on one connection
-	// pair); <= 0 uses DefaultSessionWindow.
+	// Window bounds each linear round's queue: the frames waiting for the
+	// round's stage, which runs one frame at a time (different requests
+	// interleave on one connection pair and overlap across rounds); a full
+	// queue stalls the receive loop. <= 0 uses DefaultSessionWindow.
 	Window int
 	// IdleTTL evicts per-request obfuscation state after this much
 	// inactivity, so abandoned requests (client crash, mid-protocol
@@ -152,7 +153,7 @@ type SessionConfig struct {
 	ClearBoundary int
 }
 
-// DefaultSessionWindow is the concurrent-frame bound a session uses when
+// DefaultSessionWindow is the per-round queue bound a session uses when
 // SessionConfig.Window is unset.
 const DefaultSessionWindow = 8
 
@@ -161,18 +162,19 @@ const DefaultSessionWindow = 8
 const DefaultIdleTTL = 2 * time.Minute
 
 // session is the model-provider side of one negotiated connection: the
-// provider built for the client's key, the solved backend plan, the
-// request lifecycle, and the index of live requests that round frames are
-// routed by. A request leaves the index exactly once — in finish, the
-// janitor's sweep, or close — and whoever removed it calls
-// Lifecycle.Finish.
+// provider serving the client's key, the solved backend plan, the request
+// lifecycle, and the index of live requests that round frames are routed
+// by. A request leaves the index exactly once — in finish, the janitor's
+// sweep, or close — and whoever removed it calls Lifecycle.Finish.
 type session struct {
-	ctx   context.Context
-	out   stream.Edge
-	reg   *obs.Registry
-	pk    *paillier.PublicKey
-	mp    *ModelProvider
-	life  *Lifecycle
+	ctx  context.Context
+	out  stream.Edge
+	reg  *obs.Registry
+	pk   *paillier.PublicKey
+	mp   *ModelProvider
+	life *Lifecycle
+	// blind is the blinding pool the session built for its provider and
+	// closes at its end; nil when the provider brought its own.
 	blind *paillier.Pool
 	// slowRound is SessionConfig.SlowRound.
 	slowRound time.Duration
@@ -182,23 +184,57 @@ type session struct {
 
 	roundsServed, roundErrs            *obs.Counter
 	roundTime, kernelTime, permuteTime *obs.Histogram
-	// perRound[r] is "round.<r>.linear", resolved once per session: a frame
-	// can name only a round that has one.
-	perRound []*obs.Histogram
 
-	mu    sync.Mutex
-	live  map[uint64]*Request
-	fatal error
+	mu   sync.Mutex
+	live map[uint64]*Request
 }
 
-// ServeSessionConfig runs one multiplexed model-provider session: round
+// ServeSession runs one multiplexed model-provider session on mp: round
 // frames from different in-flight requests interleave on the connection
-// pair, are processed concurrently up to cfg.Window, and are answered
-// tagged with the request ID they carry in Seq so the client can demux.
-// Every request the session admits ends in exactly one Lifecycle.Finish:
-// on its last round, on a failed round, on its deadline, after
-// cfg.IdleTTL of inactivity, or when the session ends.
+// pair and are answered tagged with the request ID they carry in Seq so
+// the client can demux. Each linear round is one stage of the paper's
+// staged runtime (Section IV): a queue of cfg.Window frames and one
+// goroutine that runs them a frame at a time on the round's threads, so
+// requests in different rounds overlap. The session serves only the
+// client whose Hello carries mp's public key; cfg.Factor must be the
+// factor mp was built at. Every request the session admits ends in
+// exactly one Lifecycle.Finish: on its last round, on a failed round, on
+// its deadline, after cfg.IdleTTL of inactivity, or when the session ends.
+func ServeSession(ctx context.Context, in, out stream.Edge, mp *ModelProvider, cfg SessionConfig) error {
+	return serveSession(ctx, in, out, cfg, func(_ *Hello, pk *paillier.PublicKey) (*ModelProvider, error) {
+		if pk.N.Cmp(mp.pk.N) != 0 {
+			return nil, errors.New("protocol: hello public key is not the served model provider's key")
+		}
+		return mp, nil
+	})
+}
+
+// ServeSessionConfig is ServeSession on a model provider built from net
+// for the key the client's Hello announces, with the per-stage threads it
+// requests (bounded by cfg.MaxWorkers).
 func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) error {
+	return serveSession(ctx, in, out, cfg, building(net, cfg))
+}
+
+// building is the provider that builds one from net for each client's key.
+func building(net *nn.Network, cfg SessionConfig) provider {
+	return func(hello *Hello, pk *paillier.PublicKey) (*ModelProvider, error) {
+		workers := max(hello.Workers, 1)
+		if cfg.MaxWorkers > 0 {
+			workers = min(workers, cfg.MaxWorkers)
+		}
+		mp, err := BuildModelProvider(net, pk, Config{Factor: cfg.Factor, Workers: workers})
+		if err != nil {
+			return nil, fmt.Errorf("protocol: building provider for session: %w", err)
+		}
+		return mp, nil
+	}
+}
+
+// provider picks the model provider that serves a client's Hello and key.
+type provider func(hello *Hello, pk *paillier.PublicKey) (*ModelProvider, error)
+
+func serveSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, provide provider) error {
 	cfg.Registry.Counter("sessions.total").Inc()
 	active := cfg.Registry.Gauge("sessions.active")
 	active.Add(1)
@@ -209,19 +245,19 @@ func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Networ
 	if cfg.IdleTTL <= 0 {
 		cfg.IdleTTL = DefaultIdleTTL
 	}
-	s, err := openSession(ctx, in, out, net, cfg)
+	s, err := openSession(ctx, in, out, cfg, provide)
 	if err != nil {
 		return err
 	}
 	return s.serve(in, cfg.Window, cfg.IdleTTL)
 }
 
-// serve is the session's receive loop: each round frame is handled in its
-// own goroutine (bounded by window) so independent requests genuinely
-// overlap on the linear stages. Per-request ordering is preserved by the
+// serve is the session's receive loop: it routes each round frame to its
+// round's stage, whose one goroutine runs the round's frames in arrival
+// order and sends each reply. Per-request ordering is preserved by the
 // client, which never has more than one outstanding frame per request.
-// The janitor runs beside the loop; once both have stopped, close
-// finishes whatever no one else will.
+// The janitor runs beside the loop; once both have stopped and the stages
+// have drained, close finishes whatever no one else will.
 func (s *session) serve(in stream.Edge, window int, ttl time.Duration) error {
 	jctx, stopJanitor := context.WithCancel(s.ctx)
 	janitorDone := make(chan struct{})
@@ -234,10 +270,17 @@ func (s *session) serve(in stream.Edge, window int, ttl time.Duration) error {
 		<-janitorDone
 		s.close()
 	}()
-	var frames sync.WaitGroup
-	sem := make(chan struct{}, window)
+	rounds := make([]stream.Stage, s.mp.Stages())
+	for r := range rounds {
+		rounds[r] = stream.Stage{
+			Name: "linear-" + strconv.Itoa(r), Fn: s.handle,
+			Wait: s.reg.Histogram("round." + strconv.Itoa(r) + ".wait"),
+			Busy: s.reg.LiveHistogram("round." + strconv.Itoa(r) + ".linear"),
+		}
+	}
+	stages := stream.StartStages(s.ctx, window, s.out, rounds...)
 	var loopErr error
-	for loopErr == nil && s.sessionErr() == nil {
+	for loopErr == nil {
 		msg, err := in.Recv(s.ctx)
 		if err != nil {
 			if !errors.Is(err, stream.ErrEdgeClosed) {
@@ -246,87 +289,61 @@ func (s *session) serve(in stream.Edge, window int, ttl time.Duration) error {
 			break
 		}
 		frame, ok := msg.Payload.(*roundFrame)
-		if !ok {
+		switch {
+		case !ok:
 			loopErr = fmt.Errorf("protocol: expected round frame, got %T", msg.Payload)
-			break
+		case frame.Round < 0 || frame.Round >= len(rounds):
+			// No round's stage answers it: a typed error and no payload,
+			// whose code tells the client a retry cannot succeed.
+			err := fmt.Errorf("%w: round %d outside [0, %d)", ErrBadRound, frame.Round, len(rounds))
+			s.reject(msg.Seq, frame, err)
+			loopErr = s.out.Send(s.ctx, &stream.Message{Seq: msg.Seq, Err: err})
+		default:
+			loopErr = stages.Send(s.ctx, frame.Round, msg)
 		}
-		arrived := time.Now()
-		select {
-		case sem <- struct{}{}:
-		case <-s.ctx.Done():
-			loopErr = s.ctx.Err()
-			continue
-		}
-		frames.Add(1)
-		go func() {
-			defer frames.Done()
-			defer func() { <-sem }()
-			s.handle(msg, frame, arrived)
-		}()
 	}
-	frames.Wait()
-	// Polite termination: tell the client no more replies are coming so
-	// its reader goroutine unblocks.
-	if s.out != nil {
-		_ = s.out.CloseSend()
+	// The stages drain their queues; then tell the client no more replies
+	// are coming so its reader goroutine unblocks.
+	if err := stages.Close(); loopErr == nil {
+		loopErr = err
 	}
-	if loopErr != nil {
-		return loopErr
-	}
-	return s.sessionErr()
+	_ = s.out.CloseSend()
+	return loopErr
 }
 
-// openSession reads the Hello, negotiates the backend plan, and builds the
-// session for the client's key.
-func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) (*session, error) {
+// openSession reads the Hello, picks the model provider serving it,
+// negotiates the backend plan, and builds the session.
+func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, provide provider) (*session, error) {
 	if cfg.Log == nil {
 		cfg.Log = quiet
 	}
-	hello, pk, profile, err := readHello(ctx, in, out, cfg)
+	mp, profile, err := readHello(ctx, in, out, cfg, provide)
 	if err != nil {
 		return nil, err
-	}
-	workers := max(hello.Workers, 1)
-	if cfg.MaxWorkers > 0 {
-		workers = min(workers, cfg.MaxWorkers)
-	}
-	mp, err := BuildModelProvider(net, pk, Config{Factor: cfg.Factor, Workers: workers})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: building provider for session: %w", err)
 	}
 	plan, err := mp.applyProfile(profile, cfg.ClearBoundary)
 	if err != nil {
 		return nil, err
 	}
-	// replies is how many packed reply ciphertexts — one blinding factor
-	// each — a request takes from the pool over its Paillier rounds.
-	paillierRounds, replies := 0, 0
-	for r, info := range mp.LayerInfos() {
-		if plan.Assignment[r] == backend.PaillierHE {
+	paillierRounds := 0
+	for _, kind := range plan.Assignment {
+		if kind == backend.PaillierHE {
 			paillierRounds++
-			replies += info.Replies
 		}
 	}
 	cfg.Log.Info("session plan solved",
 		"profile", string(profile), "boundary", plan.Boundary,
 		"paillier_rounds", paillierRounds, "rounds", mp.Stages())
 	reg := cfg.Registry
-	// Per-session blinding pool: every packed reply ciphertext is
-	// re-randomized, and pooled r^n factors keep those exponentiations off
-	// the round-trip critical path. Each precomputed factor is one real
-	// modular exponentiation the fill worker performs off-path, so it is
-	// charged into the process-wide modexp counter here — per-request
-	// meters only ever see the pool misses they caused inline. The pool
-	// holds what the session can consume at once and no more — the plan's
-	// replies per request times the requests the window admits — because
-	// every factor is a public-key r^n paid at the Hello whether or not a
-	// request ever draws it.
-	blind := paillier.NewPool(pk, nil, max(replies*cfg.Window, 1), 1,
-		paillier.WithPrecomputeHook(reg.Counter("cost.modexps").Add))
-	reg.GaugeFunc("pool.workers.alive", blind.AliveWorkers)
-	mp.SetBlindPool(blind)
-	s := &session{
-		ctx: ctx, out: out, reg: reg, pk: pk, mp: mp, blind: blind,
+	// A provider that serves only this session gets a pool sized to the
+	// session's plan and window, which the session closes as it ends; a
+	// provider that brought its own (the engine's) keeps it.
+	var blind *paillier.Pool
+	if mp.pool == nil {
+		blind = mp.NewBlindPool(cfg.Window, reg)
+	}
+	return &session{
+		ctx: ctx, out: out, reg: reg, pk: mp.pk, mp: mp, blind: blind,
 		life:      NewLifecycle(mp, cfg),
 		slowRound: cfg.SlowRound,
 		planCodes: plan.Codes(), profile: string(profile),
@@ -335,23 +352,18 @@ func openSession(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg 
 		roundTime:    reg.Histogram("round.linear"),
 		kernelTime:   reg.Histogram("round.kernel"),
 		permuteTime:  reg.Histogram("round.permute"),
-		perRound:     make([]*obs.Histogram, mp.Stages()),
 		live:         map[uint64]*Request{},
-	}
-	for r := range s.perRound {
-		s.perRound[r] = reg.Histogram("round." + strconv.Itoa(r) + ".linear")
-	}
-	return s, nil
+	}, nil
 }
 
-// readHello reads the client's Hello and returns it with the session key
-// and the profile the session runs under: the stricter of the server's
-// policy and the client's request. What the client can fix (a bad key or
-// profile) is answered with an error frame outside any request, which is
-// session-fatal on the client side — and so is an opening the edge refused
-// to parse: another wire version (a gob peer's first bytes are that too),
-// or a field over its limit.
-func readHello(ctx context.Context, in, out stream.Edge, cfg SessionConfig) (*Hello, *paillier.PublicKey, backend.Profile, error) {
+// readHello reads the client's Hello and returns the model provider that
+// serves it and the profile the session runs under: the stricter of the
+// server's policy and the client's request. What the client can fix (a bad
+// key or profile, a key no provider serves) is answered with an error
+// frame outside any request, which is session-fatal on the client side —
+// and so is an opening the edge refused to parse: another wire version (a
+// gob peer's first bytes are that too), or a field over its limit.
+func readHello(ctx context.Context, in, out stream.Edge, cfg SessionConfig, provide provider) (*ModelProvider, backend.Profile, error) {
 	first, err := in.Recv(ctx)
 	if err != nil {
 		var refused *stream.WireError
@@ -359,38 +371,44 @@ func readHello(ctx context.Context, in, out stream.Edge, cfg SessionConfig) (*He
 			cfg.Log.Warn("session hello refused", "err", err.Error())
 			_ = out.Send(ctx, &stream.Message{Err: err})
 		}
-		return nil, nil, "", fmt.Errorf("protocol: session hello: %w", err)
+		return nil, "", fmt.Errorf("protocol: session hello: %w", err)
 	}
 	hello, ok := first.Payload.(*Hello)
 	if !ok {
-		return nil, nil, "", fmt.Errorf("protocol: expected Hello, got %T", first.Payload)
+		return nil, "", fmt.Errorf("protocol: expected Hello, got %T", first.Payload)
 	}
 	if hello.Factor != cfg.Factor {
-		return nil, nil, "", fmt.Errorf("protocol: client factor %d does not match server's %d", hello.Factor, cfg.Factor)
+		return nil, "", fmt.Errorf("protocol: client factor %d does not match server's %d", hello.Factor, cfg.Factor)
 	}
 	pk, err := helloPublicKey(hello)
-	var requested backend.Profile
+	var (
+		requested backend.Profile
+		mp        *ModelProvider
+	)
 	if err == nil {
 		requested, err = backend.ParseProfile(hello.Profile)
+	}
+	if err == nil {
+		mp, err = provide(hello, pk)
 	}
 	if err != nil {
 		cfg.Log.Warn("session hello rejected", "err", err.Error())
 		if out != nil {
 			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err})
 		}
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	policy, err := backend.ParseProfile(string(cfg.Profile))
 	if err != nil {
-		return nil, nil, "", fmt.Errorf("protocol: session profile policy: %w", err)
+		return nil, "", fmt.Errorf("protocol: session profile policy: %w", err)
 	}
-	return hello, pk, backend.Stricter(policy, requested), nil
+	return mp, backend.Stricter(policy, requested), nil
 }
 
-// close ends what the session still holds once the janitor and the frame
-// workers have stopped: requests live at teardown finish as ErrSessionDown
-// — the shedder outlives the connection — and the blinding pool's workers
-// stop.
+// close ends what the session still holds once the janitor and the round
+// stages have stopped: requests live at teardown finish as ErrSessionDown
+// — the shedder outlives the connection — and the blinding pool the
+// session built stops.
 func (s *session) close() {
 	s.mu.Lock()
 	left := s.live
@@ -399,7 +417,9 @@ func (s *session) close() {
 	for _, req := range left {
 		s.life.Finish(req, fmt.Errorf("%w: session ended with request %d mid-protocol", ErrSessionDown, req.ID))
 	}
-	s.blind.Close()
+	if s.blind != nil {
+		s.blind.Close()
+	}
 }
 
 // janitor evicts requests abandoned mid-protocol — past their propagated
@@ -523,45 +543,34 @@ func (s *session) addSpans(req *Request, segs ...obs.Segment) {
 	s.mu.Unlock()
 }
 
-func (s *session) recordFatal(err error) {
-	s.mu.Lock()
-	if s.fatal == nil {
-		s.fatal = err
-	}
-	s.mu.Unlock()
-}
-
-func (s *session) sessionErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fatal
-}
-
-// reject answers a frame with a typed error and no reply payload; the
-// code tells the client whether a retry can succeed. The session stays
-// alive.
+// reject counts and logs a round frame the session answers with cause.
 func (s *session) reject(seq uint64, frame *roundFrame, cause error) {
 	s.roundErrs.Inc()
 	s.life.logFor(frame.TC.traceID()).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
-	if err := s.out.Send(s.ctx, &stream.Message{Seq: seq, Err: cause}); err != nil {
-		s.recordFatal(err)
-	}
 }
 
-// handle answers one round frame: range-check the round, decode, route
-// to the request (admitting a new one), run the linear round, reply. A
-// frame that fails before its request exists is only rejected; a failure
-// after that finishes the request.
-func (s *session) handle(msg *stream.Message, frame *roundFrame, arrived time.Time) {
-	start := time.Now()
-	if frame.Round < 0 || frame.Round >= len(s.perRound) {
-		s.reject(msg.Seq, frame, fmt.Errorf("%w: round %d outside [0, %d)", ErrBadRound, frame.Round, len(s.perRound)))
-		return
-	}
-	env, err := FromWire(frame.Env, s.pk)
+// handle is a round stage's handler: it answers one round frame — decode,
+// route to the request (admitting a new one), run the linear round — with
+// its reply. A failure goes back to the client as the frame's error, which
+// the stage tags with its round; one after the request exists also
+// finishes the request.
+func (s *session) handle(_ context.Context, msg *stream.Message) (*stream.Message, error) {
+	frame := msg.Payload.(*roundFrame)
+	reply, err := s.answer(frame, msg.Enqueued)
 	if err != nil {
 		s.reject(msg.Seq, frame, err)
-		return
+		return nil, err
+	}
+	s.roundsServed.Inc()
+	return &stream.Message{Payload: reply}, nil
+}
+
+// answer runs handle's steps for a frame that arrived at arrived.
+func (s *session) answer(frame *roundFrame, arrived time.Time) (*roundFrame, error) {
+	start := time.Now()
+	env, err := FromWire(frame.Env, s.pk)
+	if err != nil {
+		return nil, err
 	}
 	var deadline time.Time
 	if frame.DeadlineMS > 0 {
@@ -569,12 +578,11 @@ func (s *session) handle(msg *stream.Message, frame *roundFrame, arrived time.Ti
 	}
 	req, err := s.admit(env.Req, frame, arrived, deadline)
 	if err != nil {
-		s.reject(msg.Seq, frame, err)
-		return
+		return nil, err
 	}
 	var reply *roundFrame
 	if !deadline.IsZero() && time.Now().After(deadline) {
-		// The budget ran out while the frame sat in the session queue;
+		// The budget ran out while the frame sat in the round's queue;
 		// processing it would waste crypto work the client will discard.
 		s.reg.Counter("requests.deadline_expired").Inc()
 		err = fmt.Errorf("%w: request %d budget of %dms spent before round %d started",
@@ -584,13 +592,9 @@ func (s *session) handle(msg *stream.Message, frame *roundFrame, arrived time.Ti
 	}
 	if err != nil {
 		s.finish(req, err)
-		s.reject(msg.Seq, frame, err)
-		return
+		return nil, err
 	}
-	s.roundsServed.Inc()
-	if err := s.out.Send(s.ctx, &stream.Message{Seq: msg.Seq, Payload: reply}); err != nil {
-		s.recordFatal(err)
-	}
+	return reply, nil
 }
 
 // round runs one admitted frame's linear round and builds its reply,
@@ -616,7 +620,6 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 	s.roundTime.Observe(elapsed)
 	s.kernelTime.Observe(timing.Kernel)
 	s.permuteTime.Observe(timing.Permute)
-	s.perRound[frame.Round].Observe(elapsed)
 	if err != nil {
 		return nil, err
 	}
@@ -659,7 +662,7 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 	}
 	// After the request's last linear round, losing the finish to the
 	// janitor means the request already ended as evicted.
-	if frame.Round == len(s.perRound)-1 && !s.finish(req, nil) {
+	if frame.Round == s.mp.Stages()-1 && !s.finish(req, nil) {
 		return nil, fmt.Errorf("%w: request %d evicted during its last round", ErrEvicted, req.ID)
 	}
 	return reply, nil
@@ -729,15 +732,21 @@ type Client struct {
 	err     error
 }
 
-// NewClientOpts builds the data-provider role, sends the Hello, and
-// returns a client ready to Infer. The architecture network may be a
-// skeleton; its linear weights are not read. ctx bounds the session's
-// reader goroutine as well as the Hello send.
+// NewClientOpts builds the data-provider role from arch, sk and factor and
+// starts a client on it (NewClient). The architecture network may be a
+// skeleton; its linear weights are not read.
 func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, sk *paillier.PrivateKey, factor int64, opts ClientOptions) (*Client, error) {
 	dp, err := BuildDataProvider(arch, sk, Config{Factor: factor, Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}
+	return NewClient(ctx, in, out, dp, opts)
+}
+
+// NewClient sends the Hello for dp's key and factor and returns a client
+// that drives dp, ready to Infer. ctx bounds the session's reader
+// goroutine as well as the Hello send.
+func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts ClientOptions) (*Client, error) {
 	window := opts.Window
 	if window <= 0 {
 		window = DefaultClientWindow
@@ -746,12 +755,12 @@ func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, s
 	if err != nil {
 		return nil, err
 	}
-	hello := &Hello{N: sk.N.Bytes(), Factor: factor, Workers: opts.Workers, Profile: string(profile)}
+	hello := &Hello{N: dp.sk.N.Bytes(), Factor: dp.factor, Workers: opts.Workers, Profile: string(profile)}
 	if err := out.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		return nil, err
 	}
 	c := &Client{
-		dp: dp, pk: &sk.PublicKey, in: in, out: out, rounds: len(dp.stages),
+		dp: dp, pk: &dp.sk.PublicKey, in: in, out: out, rounds: len(dp.stages),
 		window:   make(chan struct{}, window),
 		pending:  map[uint64]chan *stream.Message{},
 		deadline: opts.Deadline,

@@ -39,7 +39,7 @@ func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, cha
 	if err := edge.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := openSession(ctx, serverEdge, serverEdge, buildNet(t), cfg)
+	s, err := openSession(ctx, serverEdge, serverEdge, cfg, building(buildNet(t), cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

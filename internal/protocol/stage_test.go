@@ -1,0 +1,173 @@
+package protocol
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ppstream/internal/obs"
+	"ppstream/internal/paillier"
+	"ppstream/internal/qnn"
+	"ppstream/internal/stream"
+	"ppstream/internal/tensor"
+)
+
+// hookedOp runs hook before every ApplyRange of the op it wraps.
+type hookedOp struct {
+	qnn.Op
+	hook func()
+}
+
+func (o hookedOp) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
+	o.hook()
+	return o.Op.ApplyRange(ev, xs, in, lo, hi, inExp, out)
+}
+
+// hookRound makes round r of proto's model provider run hook first.
+func hookRound(proto *Protocol, r int, hook func()) {
+	st := proto.Model.stages[r]
+	st.Ops = append([]qnn.Op(nil), st.Ops...)
+	st.Ops[0] = hookedOp{Op: st.Ops[0], hook: hook}
+}
+
+// inProcessSession serves proto's model provider over a pair of channel
+// edges to a client driving its data provider, both with the given
+// window, until the test ends.
+func inProcessSession(t *testing.T, proto *Protocol, reg *obs.Registry, window int) *Client {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	toModel, toData := stream.NewChannelEdge(window), stream.NewChannelEdge(window)
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeSession(ctx, toModel, toData, proto.Model, SessionConfig{Factor: 1000, Window: window, Registry: reg})
+	}()
+	c, err := NewClient(ctx, toData, toModel, proto.Data, ClientOptions{Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		if err := <-served; err != nil {
+			t.Errorf("session: %v", err)
+		}
+		cancel()
+	})
+	return c
+}
+
+// TestSessionStagePanicContained: a round whose kernel panics fails only
+// the request it was running — the client gets the round stage's error
+// frame naming the panic — and the session keeps serving: the next request
+// over the same session completes, and the failed one still ends with the
+// session.
+func TestSessionStagePanicContained(t *testing.T) {
+	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	hookRound(proto, 1, func() {
+		if calls.Add(1) == 1 {
+			panic("boom in round 1")
+		}
+	})
+	reg := obs.NewRegistry("stage-panic")
+	c := inProcessSession(t, proto, reg, 2)
+	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
+	_, err = c.Infer(context.Background(), x)
+	var stageErr *stream.StageError
+	if !errors.As(err, &stageErr) || stageErr.Stage != "linear-1" || !strings.Contains(err.Error(), "boom in round 1") {
+		t.Fatalf("request whose round panicked: %v, want the linear-1 stage's panic", err)
+	}
+	got, err := c.Infer(context.Background(), x)
+	if err != nil {
+		t.Fatalf("the session stopped serving after a panic: %v", err)
+	}
+	want, err := proto.Infer(99, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.AllClose(want, got, 0) {
+		t.Errorf("request after the panic: %v, want %v", got.Data(), want.Data())
+	}
+}
+
+// TestSessionStagesOverlap: each linear round is one stage that runs one
+// frame at a time, while requests in different rounds run at once — the
+// pipeline parallelism of the paper's staged runtime.
+func TestSessionStagesOverlap(t *testing.T) {
+	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu              sync.Mutex
+		running         [2]int
+		sameRound, both bool
+	)
+	for r := range running {
+		hookRound(proto, r, func() {
+			mu.Lock()
+			running[r]++
+			sameRound = sameRound || running[r] > 1
+			both = both || running[1-r] > 0
+			mu.Unlock()
+			time.Sleep(20 * time.Millisecond)
+			mu.Lock()
+			running[r]--
+			mu.Unlock()
+		})
+	}
+	c := inProcessSession(t, proto, obs.NewRegistry("stage-overlap"), 4)
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Infer(context.Background(), tensor.MustFromSlice([]float64{1, 0, -1, 0.5}, 4)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if sameRound {
+		t.Error("a round ran two frames at once")
+	}
+	if !both {
+		t.Error("no two requests ever ran in different rounds at once")
+	}
+}
+
+// TestServeSessionRefusesForeignKey: a session serving a given model
+// provider answers a Hello carrying another key with an error frame and
+// ends, and the client's first request fails with that refusal.
+func TestServeSessionRefusesForeignKey(t *testing.T) {
+	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := BuildDataProvider(buildNet(t), keyOfBits(t, 512), Config{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	toModel, toData := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
+	served := make(chan error, 1)
+	go func() { served <- ServeSession(ctx, toModel, toData, proto.Model, SessionConfig{Factor: 1000}) }()
+	c, err := NewClient(ctx, toData, toModel, other, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := <-served; err == nil || !strings.Contains(err.Error(), "not the served model provider's key") {
+		t.Errorf("session on a foreign key: %v, want the key refusal", err)
+	}
+	if _, err := c.Infer(ctx, tensor.Zeros(4)); !errors.Is(err, ErrSessionDown) || !strings.Contains(err.Error(), "not the served model provider's key") {
+		t.Errorf("client of the refused session: %v, want the refusal", err)
+	}
+}

@@ -23,7 +23,7 @@ const TraceV1 = 1
 
 // TraceContext is the distributed-tracing header carried by every round
 // frame: the request's trace ID, assigned where the request enters the
-// system (protocol.Client.Infer or stream.Pipeline.Submit), under which
+// system (protocol.Client.Infer), under which
 // both parties record their spans.
 type TraceContext struct {
 	Ver int

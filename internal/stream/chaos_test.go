@@ -15,7 +15,7 @@ func chaosDrive(t *testing.T, cfg ChaosConfig, n int) ([]uint64, ChaosStats) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	e := NewChaosEdge(newChannelEdge(n), cfg)
+	e := NewChaosEdge(NewChannelEdge(n), cfg)
 	var delivered []uint64
 	for i := 0; i < n; i++ {
 		if err := e.Send(ctx, &Message{Seq: uint64(i)}); err != nil {
@@ -64,7 +64,7 @@ func TestChaosEdgeDeterministic(t *testing.T) {
 // ErrChaosReset — the transport is dead for good.
 func TestChaosEdgeReset(t *testing.T) {
 	ctx := context.Background()
-	e := NewChaosEdge(newChannelEdge(4), ChaosConfig{Seed: 1, ResetProb: 1})
+	e := NewChaosEdge(NewChannelEdge(4), ChaosConfig{Seed: 1, ResetProb: 1})
 	if err := e.Send(ctx, &Message{Seq: 1}); !errors.Is(err, ErrChaosReset) {
 		t.Fatalf("first send: %v", err)
 	}

@@ -33,13 +33,12 @@ type channelEdge struct {
 	closeOnce sync.Once
 }
 
-// newChannelEdge creates an in-process edge with the given buffer depth
-// (minimum 1). The bound provides back-pressure between pipeline stages.
+// NewChannelEdge creates an in-process edge with the given buffer depth
+// (minimum 1). The bound provides back-pressure between the two ends.
+func NewChannelEdge(buffer int) Edge { return newChannelEdge(buffer) }
+
 func newChannelEdge(buffer int) *channelEdge {
-	if buffer < 1 {
-		buffer = 1
-	}
-	return &channelEdge{ch: make(chan *Message, buffer)}
+	return &channelEdge{ch: make(chan *Message, max(buffer, 1))}
 }
 
 func (e *channelEdge) Send(ctx context.Context, m *Message) error {
@@ -67,9 +66,6 @@ func (e *channelEdge) CloseSend() error {
 	e.closeOnce.Do(func() { close(e.ch) })
 	return nil
 }
-
-// Depth reports the channel edge's occupancy.
-func (e *channelEdge) Depth() int64 { return int64(len(e.ch)) }
 
 // tcpEdge carries messages over a TCP connection in wire format v1 (see
 // wire.go). Payloads must implement WirePayload and have their tag

@@ -19,7 +19,7 @@ import (
 )
 
 func TestChannelEdgeBackpressure(t *testing.T) {
-	e := newChannelEdge(1)
+	e := NewChannelEdge(1)
 	ctx := context.Background()
 	if err := e.Send(ctx, &Message{Seq: 1}); err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestChannelEdgeBackpressure(t *testing.T) {
 }
 
 func TestChannelEdgeCloseIdempotent(t *testing.T) {
-	e := newChannelEdge(1)
+	e := NewChannelEdge(1)
 	if err := e.CloseSend(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestChannelEdgeCloseIdempotent(t *testing.T) {
 }
 
 func TestRecvCancelled(t *testing.T) {
-	e := newChannelEdge(1)
+	e := NewChannelEdge(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.Recv(ctx); !errors.Is(err, context.Canceled) {

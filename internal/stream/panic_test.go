@@ -15,9 +15,9 @@ func TestPanicContainment(t *testing.T) {
 		}
 		return m, nil
 	}}
-	p := newTestPipeline(t, nil, h)
+	in, out := chain(t, h)
 	var failed, ok int
-	for _, m := range submitAll(t, p, 0, 1, 2, 3, 4) {
+	for _, m := range submitAll(t, in, out, 0, 1, 2, 3, 4) {
 		if m.Err != nil {
 			failed++
 			if msg := m.Err.Error(); !strings.Contains(msg, "panic") || !strings.Contains(msg, "boom") {
@@ -29,8 +29,5 @@ func TestPanicContainment(t *testing.T) {
 	}
 	if failed != 1 || ok != 4 {
 		t.Errorf("failed=%d ok=%d, want 1/4 — panic not contained to its request", failed, ok)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("pipeline died from a handler panic: %v", err)
 	}
 }

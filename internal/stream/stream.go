@@ -1,53 +1,52 @@
 // Package stream is PP-Stream's distributed stream processing substrate,
 // standing in for the AF-Stream system the paper's prototype builds on.
 // Inference requests are treated as a real-time data stream flowing
-// through pipelined stages; each stage owns a pool of worker threads that
-// parallelize tensor processing inside one request, while different
+// through stages; each stage owns a bounded input queue and one goroutine
+// that runs its messages one at a time, parallelizing tensor processing
+// inside one request across the stage's worker threads, while different
 // requests occupy different stages simultaneously (pipeline parallelism).
 //
-// Stages connect through Edges. Inside one process a Pipeline joins its
-// stages with bounded channels; the TCP edge carries wire-format v1 frames
-// (wire.go) between servers.
+// Stages connect through Edges. Inside one process an edge is a bounded
+// channel (NewChannelEdge); the TCP edge carries wire-format v1 frames
+// (wire.go) between servers. The protocol session runs each linear round
+// as one Stage of a Stages set, and core.Engine is that session over a
+// pair of in-process edges.
 package stream
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ppstream/internal/obs"
 )
 
-// Message is one unit flowing through the pipeline: an inference request
+// Message is one unit flowing through the stages: an inference request
 // (or its intermediate tensor) tagged with a sequence number.
 type Message struct {
-	// Seq orders requests; stages preserve arrival order per edge.
+	// Seq identifies the request; a stage's output carries its input's.
 	Seq uint64
 	// Payload is stage-specific data. To cross a TCP edge it must
 	// implement WirePayload, its tag registered with RegisterWireType.
 	Payload any
-	// Err carries the request's failure downstream to its submitter;
-	// stages pass errored messages through untouched. A stage's handler
+	// Err carries the request's failure to its peer. A stage's handler
 	// failure arrives as a *StageError. Across a TCP edge Err travels as
 	// its text, its wire code and the failing stage's name (see
 	// CodedError), and arrives as an error that still matches the
 	// sender's coded sentinels with errors.Is.
 	Err error
-	// Enqueued is stamped when the message enters an edge, feeding the
-	// queue-wait metric.
+	// Enqueued is stamped when the message enters a stage's queue,
+	// feeding the queue-wait metric.
 	Enqueued time.Time
-	// Trace, when non-nil, accumulates one Span per stage the message
-	// passes through. Submit attaches a fresh Trace to every request.
+	// Trace, when non-nil, carries per-stage spans across a TCP edge.
 	Trace *Trace
 }
 
 // StageError is a request's failure in the stage whose handler raised it.
-// The pipeline contains it to that one request: the stage keeps serving,
-// and the error reaches the submitter as the request's outcome.
+// The stage contains it to that one request: it keeps serving, and the
+// error reaches the request's peer as the request's outcome.
 type StageError struct {
 	Stage string
 	Err   error
@@ -58,7 +57,7 @@ func (e *StageError) Error() string { return "stage " + e.Stage + ": " + e.Err.E
 // Unwrap returns the handler's error.
 func (e *StageError) Unwrap() error { return e.Err }
 
-// Span records one stage's handling of a message: the time it waited in
+// Span records one stage's handling of a request: the time it waited in
 // the stage's input queue and the handler's execution time. Together
 // the spans of a completed request are the per-stage latency breakdown
 // the paper's Tables IV/V report.
@@ -68,431 +67,133 @@ type Span struct {
 	Busy  time.Duration
 }
 
-// Trace is the per-request record of stage spans, carried along the
-// message (including across TCP edges) and returned with the result.
+// Trace is the per-request record of stage spans, as it travels in a
+// wire frame and as core.Engine.Submit returns it.
 type Trace struct {
-	// ID is the request's distributed-tracing identifier, assigned at
-	// Submit and propagated in every wire frame so spans recorded by
-	// different parties can be correlated and merged (see obs.TraceTree).
+	// ID is the request's distributed-tracing identifier (see
+	// obs.TraceTree).
 	ID    string
 	Spans []Span
 }
 
-// Total sums queue-wait plus busy time across all spans: the request's
-// in-pipeline latency.
-func (t *Trace) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, s := range t.Spans {
-		d += s.Wait + s.Busy
-	}
-	return d
-}
-
-// Tree converts the trace into the shape obs.Breakdown aggregates: each
-// span becomes a "<stage>-wait" and a "<stage>-busy" segment, and Total is
-// the request's in-pipeline latency. A nil trace (a dropped or failed
-// request) converts to nil, which Breakdown skips.
-func (t *Trace) Tree() *obs.TraceTree {
-	if t == nil {
-		return nil
-	}
-	tree := &obs.TraceTree{ID: t.ID, Total: t.Total(), Segments: make([]obs.Segment, 0, 2*len(t.Spans))}
-	for _, s := range t.Spans {
-		tree.Segments = append(tree.Segments,
-			obs.Segment{Name: s.Stage + "-wait", Round: -1, Dur: s.Wait},
-			obs.Segment{Name: s.Stage + "-busy", Round: -1, Dur: s.Busy})
-	}
-	return tree
-}
-
-// Stage is one step of a Pipeline: the name its spans, metrics and profile
-// labels carry, and the handler that turns a request's message into its
-// next one. Fn is called from the stage's one goroutine, a message at a
-// time; it parallelizes internally across the stage's worker threads.
+// Stage is one step of the staged runtime: the name its failures carry
+// and the handler that turns a request's message into the message the
+// stage sends on. Run calls Fn from one goroutine, a message at a time.
 type Stage struct {
 	Name string
 	Fn   func(ctx context.Context, m *Message) (*Message, error)
+	// Wait and Busy, when non-nil, observe each message's time in the
+	// stage's queue and in Fn.
+	Wait, Busy *obs.Histogram
 }
 
-// edgeDepth is the buffer of every edge inside a Pipeline: how far a stage
-// may run ahead of its slower neighbour before it blocks.
-const edgeDepth = 4
-
-// errClosed ends a Submit after Close, and a Future whose pipeline stopped
-// without its request.
-var errClosed = errors.New("stream: pipeline closed")
-
-// Pipeline is the in-process streaming runtime: a chain of stages, each on
-// its own goroutine, joined by bounded channel edges, plus a completion
-// reader that hands every request leaving the last stage to its own
-// submitter. Any number of goroutines Submit with their own context and
-// receive their own result (or error) through a Future, so requests from
-// independent submitters interleave freely inside the pipeline.
-type Pipeline struct {
-	in  *channelEdge
-	seq atomic.Uint64
-	// window, when non-nil, bounds concurrently in-flight requests: a
-	// slot is taken at Submit and released when the request leaves the
-	// pipeline (not when the waiter collects it), so abandoned waiters
-	// cannot grow the in-flight set beyond the bound.
-	window   chan struct{}
-	inflight atomic.Int64
-
-	mu      sync.Mutex
-	pending map[uint64]waiter
-	err     error
-	closed  bool
-	// submitting counts Submit calls past the closed-check that have not
-	// yet finished enqueuing. Close waits for them before closing the
-	// intake edge, so a Submit that won the admission race can never send
-	// on a closed edge.
-	submitting sync.WaitGroup
-
-	// down is closed when the reader terminates, so window waiters
-	// unblock even though the slots held by requests stranded inside will
-	// never be released.
-	down     chan struct{}
-	downOnce sync.Once
-
-	// stopped is closed once the reader and every stage have returned.
-	stopped chan struct{}
-}
-
-// waiter is one in-flight request's completion route: the channel its
-// Future reads and the hook its submitter registered, if any.
-type waiter struct {
-	ch   chan *Message
-	done func(*Message)
-}
-
-// stage is a Stage at run time: its edges and its instruments.
-type stage struct {
-	Stage
-	in, out *channelEdge
-	errors  atomic.Int64
-	// wait and busy feed p50/p95/p99 snapshots; busy also keeps its last
-	// minute, so /debug/live shows which stage is hot right now rather
-	// than averaged over the process lifetime. Both are nil without a
-	// registry and then observe nothing.
-	wait, busy *obs.Histogram
-}
-
-// NewPipeline starts one goroutine per stage, in the order given, and the
-// completion reader. window > 0 bounds the number of concurrently
-// in-flight requests (backpressure for submitters beyond the edges' own
-// buffers); window <= 0 leaves admission unbounded. ctx governs every
-// goroutine the pipeline starts.
-//
-// reg, when non-nil, receives each stage's queue-wait and busy-time
-// latency histograms as "stage.<name>.wait" and "stage.<name>.busy" (the
-// latter with its live view), its handler failures as the
-// "stage.<name>.errors" gauge, and the queue depths of its input edge and
-// of the last edge as "edge.<name>.in.depth" and "edge.out.depth".
-func NewPipeline(ctx context.Context, window int, reg *obs.Registry, stages ...Stage) (*Pipeline, error) {
-	if len(stages) == 0 {
-		return nil, errors.New("stream: pipeline needs at least one stage")
-	}
-	for _, s := range stages {
-		if s.Fn == nil {
-			return nil, fmt.Errorf("stream: stage %s has no handler", s.Name)
-		}
-	}
-	p := &Pipeline{
-		in:      newChannelEdge(edgeDepth),
-		pending: map[uint64]waiter{},
-		down:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
-	if window > 0 {
-		p.window = make(chan struct{}, window)
-	}
-	var wg sync.WaitGroup
-	edge := p.in
-	for _, s := range stages {
-		st := &stage{
-			Stage: s, in: edge, out: newChannelEdge(edgeDepth),
-			wait: reg.Histogram("stage." + s.Name + ".wait"),
-			busy: reg.LiveHistogram("stage." + s.Name + ".busy"),
-		}
-		reg.GaugeFunc("stage."+s.Name+".errors", st.errors.Load)
-		reg.GaugeFunc("edge."+s.Name+".in.depth", st.in.Depth)
-		edge = st.out
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.run(ctx)
-		}()
-	}
-	reg.GaugeFunc("edge.out.depth", edge.Depth)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.read(ctx, edge)
-	}()
-	go func() {
-		wg.Wait()
-		close(p.stopped)
-	}()
-	return p, nil
-}
-
-// run handles messages until the input edge closes or ctx ends, then
-// closes its output edge. A handler error converts the message into an
-// errored one that keeps flowing so the submitter sees the failure; the
-// stage keeps serving subsequent requests (fault containment).
-func (s *stage) run(ctx context.Context) {
-	defer s.out.CloseSend()
+// Run handles the messages of in one at a time until in closes (nil) or
+// ctx ends or out fails (that error). Each result goes to out under its
+// input's Seq; a handler error — or a panic, which fails only the message
+// that raised it — goes to out as the message's *StageError, and the
+// stage keeps serving.
+func (s *Stage) Run(ctx context.Context, in, out Edge) error {
 	for {
-		m, err := s.in.Recv(ctx)
+		m, err := in.Recv(ctx)
+		if errors.Is(err, ErrEdgeClosed) {
+			return nil
+		}
 		if err != nil {
-			return
+			return err
 		}
-		var wait time.Duration
 		if !m.Enqueued.IsZero() {
-			wait = time.Since(m.Enqueued)
+			s.Wait.Observe(time.Since(m.Enqueued))
 		}
-		var next *Message
-		var busy time.Duration
-		if m.Err != nil {
-			// Pass failures through untouched. Their transit time stays
-			// out of the histograms so error traffic does not skew the
-			// per-stage latency profile of real work.
-			next = m
-		} else {
-			s.wait.Observe(wait)
-			start := time.Now()
-			var out *Message
-			var perr error
-			// Label the handler's execution for continuous profiling: CPU
-			// samples taken while this stage works a message carry the stage
-			// name (and the request's trace ID when traced), so a pprof
-			// capture splits time by stage without guessing from stacks.
-			labels := []string{"stage", s.Name}
-			if m.Trace != nil && m.Trace.ID != "" {
-				labels = append(labels, "trace", m.Trace.ID)
-			}
-			pprof.Do(ctx, pprof.Labels(labels...), func(ctx context.Context) {
-				out, perr = s.process(ctx, m)
-			})
-			busy = time.Since(start)
-			s.busy.Observe(busy)
-			if perr != nil {
-				s.errors.Add(1)
-				next = &Message{Seq: m.Seq, Err: &StageError{Stage: s.Name, Err: perr}}
-			} else {
-				next = out
-				next.Seq = m.Seq
-			}
+		start := time.Now()
+		next, err := s.process(ctx, m)
+		s.Busy.Observe(time.Since(start))
+		if err != nil {
+			next = &Message{Err: &StageError{Stage: s.Name, Err: err}}
 		}
-		if m.Trace != nil {
-			next.Trace = m.Trace
-			next.Trace.Spans = append(next.Trace.Spans, Span{Stage: s.Name, Wait: wait, Busy: busy})
-		}
-		next.Enqueued = time.Now()
-		if s.out.Send(ctx, next) != nil {
-			return
+		next.Seq = m.Seq
+		if err := out.Send(ctx, next); err != nil {
+			return err
 		}
 	}
 }
 
-// process invokes the handler with panic containment: a panicking
-// handler fails only the current request (surfaced as its error), and
-// the stage keeps serving subsequent requests — the fault-containment
-// behaviour the AF-Stream substrate provides in the paper's prototype.
-func (s *stage) process(ctx context.Context, m *Message) (out *Message, err error) {
+// process invokes the handler with panic containment — the fault
+// containment the AF-Stream substrate provides in the paper's prototype.
+func (s *Stage) process(ctx context.Context, m *Message) (out *Message, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = nil
-			err = fmt.Errorf("handler panic: %v", r)
+			out, err = nil, fmt.Errorf("handler panic: %v", r)
 		}
 	}()
 	return s.Fn(ctx, m)
 }
 
-// read routes the messages leaving the last edge to their waiters until
-// the stages drain (Close) or ctx ends.
-func (p *Pipeline) read(ctx context.Context, last *channelEdge) {
-	for {
-		m, err := last.Recv(ctx)
-		if err != nil {
-			// The stages close the last edge after an orderly drain and
-			// also when ctx stops them: ctx tells the two apart.
-			if ctx.Err() != nil {
-				p.fail(fmt.Errorf("stream: pipeline stopped: %w", ctx.Err()))
-			} else {
-				p.fail(errClosed)
+// Stages runs a set of stages side by side, each behind its own bounded
+// queue and on its own goroutine, all answering on one output edge: a
+// message sent to stage i waits its turn behind the messages already
+// queued there, while messages of other stages run at the same time.
+// Close must follow every Send: the session's receive loop is its one
+// sender and closes it after its last Send.
+type Stages struct {
+	queues []*channelEdge
+	wg     sync.WaitGroup
+
+	// down is closed when the first stage stops early (ctx, or a failed
+	// out), so a Send blocked on its full queue sees err.
+	down     chan struct{}
+	downOnce sync.Once
+	err      error
+}
+
+// StartStages starts one goroutine per stage, each reading a queue of
+// depth messages (at least one) and sending its results to out. ctx
+// governs every goroutine.
+func StartStages(ctx context.Context, depth int, out Edge, stages ...Stage) *Stages {
+	s := &Stages{down: make(chan struct{})}
+	for i := range stages {
+		st, q := &stages[i], newChannelEdge(depth)
+		s.queues = append(s.queues, q)
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			if err := st.Run(ctx, q, out); err != nil {
+				s.downOnce.Do(func() {
+					s.err = err
+					close(s.down)
+				})
 			}
-			return
-		}
-		p.inflight.Add(-1)
-		if p.window != nil {
-			<-p.window
-		}
-		p.mu.Lock()
-		w, ok := p.pending[m.Seq]
-		delete(p.pending, m.Seq)
-		p.mu.Unlock()
-		if ok {
-			if w.done != nil {
-				w.done(m)
-			}
-			w.ch <- m // buffered: never blocks the reader
-		}
+		}()
 	}
+	return s
 }
 
-// fail records the terminal error, wakes every waiter, and unblocks
-// window waiters: requests in flight at failure time will never leave
-// the pipeline through the reader, so their slots would otherwise stay
-// occupied forever and later Submits would block on the window without
-// ever seeing the terminal error.
-func (p *Pipeline) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	stranded := p.pending
-	p.pending = map[uint64]waiter{}
-	p.mu.Unlock()
-	for seq, w := range stranded {
-		if w.done != nil {
-			w.done(&Message{Seq: seq, Err: err})
-		}
-		close(w.ch)
-	}
-	p.downOnce.Do(func() { close(p.down) })
-}
-
-func (p *Pipeline) terminalErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err != nil {
-		return p.err
-	}
-	return errClosed
-}
-
-// Future is one submitted request's completion handle.
-type Future struct {
-	p  *Pipeline
-	ch chan *Message
-}
-
-// Wait blocks until the request completes (the returned message may carry
-// a per-request Err), the pipeline terminates, or ctx expires. A ctx
-// expiry abandons the wait but not the request: it still occupies its
-// in-flight slot until it leaves the pipeline.
-func (f *Future) Wait(ctx context.Context) (*Message, error) {
+// Send stamps m and queues it for stage i, blocking while that queue is
+// full. It fails when a stage stopped early (its error, the stages' ctx
+// ending among them) or when ctx ends.
+func (s *Stages) Send(ctx context.Context, i int, m *Message) error {
+	m.Enqueued = time.Now()
 	select {
-	case m, ok := <-f.ch:
-		if !ok {
-			return nil, f.p.terminalErr()
-		}
-		return m, nil
+	case s.queues[i].ch <- m:
+		return nil
+	case <-s.down:
+		return s.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
-// Reserve hands out the next request's sequence number. A caller that
-// must key per-request state by it before queueing (an admission check
-// that can refuse the request) reserves first and passes the number to
-// Submit; a number that is never submitted is only a gap in the sequence.
-func (p *Pipeline) Reserve() uint64 { return p.seq.Add(1) - 1 }
-
-// Submit registers the completion route for the Reserved sequence number
-// seq and enqueues the payload under it, with a fresh Trace that every
-// stage appends its span to. It blocks while the in-flight window (and
-// then the first edge) is full; a pipeline that terminated while the
-// caller was waiting returns the terminal error rather than blocking
-// forever on slots no reader will ever release.
-//
-// done, when non-nil, runs exactly once for a request Submit accepted, on
-// the pipeline's reader goroutine, before the Future is woken and whether
-// or not anyone still waits on it: with the request's final message when
-// it leaves the pipeline, or with a message carrying only its Seq and the
-// terminal error when the pipeline terminates with it still inside. It may
-// already have run when Submit returns.
-func (p *Pipeline) Submit(ctx context.Context, seq uint64, payload any, done func(*Message)) (*Future, error) {
-	if p.window != nil {
-		select {
-		case p.window <- struct{}{}:
-		case <-p.down:
-			return nil, p.terminalErr()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+// Close lets every stage drain its queue and returns once the stage
+// goroutines have exited: nil after an orderly drain, or the error that
+// stopped a stage first. Safe to call more than once.
+func (s *Stages) Close() error {
+	for _, q := range s.queues {
+		q.CloseSend()
 	}
-	release := func() {
-		if p.window != nil {
-			// Non-blocking: after a failure the reader is gone and the
-			// window is write-only; the down channel already unblocks
-			// future submitters.
-			select {
-			case <-p.window:
-			default:
-			}
-		}
+	s.wg.Wait()
+	select {
+	case <-s.down:
+		return s.err
+	default:
+		return nil
 	}
-	p.mu.Lock()
-	if p.closed || p.err != nil {
-		err := p.err
-		p.mu.Unlock()
-		release()
-		if err == nil {
-			err = errClosed
-		}
-		return nil, err
-	}
-	ch := make(chan *Message, 1)
-	p.pending[seq] = waiter{ch: ch, done: done}
-	p.submitting.Add(1)
-	p.mu.Unlock()
-
-	p.inflight.Add(1)
-	err := p.in.Send(ctx, &Message{Seq: seq, Payload: payload, Enqueued: time.Now(), Trace: &Trace{ID: obs.NewTraceID()}})
-	p.submitting.Done()
-	if err != nil {
-		p.inflight.Add(-1)
-		p.mu.Lock()
-		_, unclaimed := p.pending[seq]
-		delete(p.pending, seq)
-		p.mu.Unlock()
-		release()
-		if unclaimed {
-			return nil, err
-		}
-		// The pipeline terminated first and has already handed the
-		// request to done: the Future reports that same terminal error.
-	}
-	return &Future{p: p, ch: ch}, nil
-}
-
-// InFlight reports how many submitted requests have not yet completed.
-func (p *Pipeline) InFlight() int64 { return p.inflight.Load() }
-
-// Close stops admission, lets in-flight requests drain through every
-// stage, and returns once the reader and the stage goroutines have
-// exited: nil after an orderly drain, or the error that stopped the
-// pipeline first (its ctx ending). Safe to call more than once.
-func (p *Pipeline) Close() error {
-	p.mu.Lock()
-	already := p.closed
-	p.closed = true
-	p.mu.Unlock()
-	if !already {
-		// Admission is stopped (closed is set), but a Submit that passed
-		// the closed check may still be enqueuing: closing the intake edge
-		// under it would panic the send. Wait them out first.
-		p.submitting.Wait()
-		p.in.CloseSend()
-	}
-	<-p.stopped
-	if err := p.terminalErr(); !errors.Is(err, errClosed) {
-		return err
-	}
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,78 +17,74 @@ func addStage(name string, delta int) Stage {
 	}}
 }
 
-// newTestPipeline starts an unbounded pipeline over stages that is closed
-// when the test ends.
-func newTestPipeline(t *testing.T, reg *obs.Registry, stages ...Stage) *Pipeline {
+// chain runs the stages one after another, each on its own goroutine and
+// joined by channel edges, until the test ends: the edge into the first
+// stage and the edge out of the last.
+func chain(t *testing.T, stages ...Stage) (in, out Edge) {
 	t.Helper()
-	p, err := NewPipeline(context.Background(), 0, reg, stages...)
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	in = NewChannelEdge(4)
+	edge := in
+	for i := range stages {
+		next := NewChannelEdge(4)
+		go stages[i].Run(ctx, edge, next)
+		edge = next
 	}
-	t.Cleanup(func() { p.Close() })
-	return p
+	return in, edge
 }
 
-// submitAll submits the payloads in order, then waits for each: the
-// messages they left the pipeline with, by payload position.
-func submitAll(t *testing.T, p *Pipeline, payloads ...int) []*Message {
+// submitAll sends the payloads in order under Seq = their position, then
+// reads as many messages off out: the messages they left with, by Seq.
+func submitAll(t *testing.T, in, out Edge, payloads ...int) []*Message {
 	t.Helper()
-	ctx := context.Background()
-	fs := make([]*Future, len(payloads))
-	for i, v := range payloads {
-		f, err := p.Submit(ctx, p.Reserve(), v, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	go func() {
+		for i, v := range payloads {
+			if err := in.Send(ctx, &Message{Seq: uint64(i), Payload: v}); err != nil {
+				return
+			}
+		}
+	}()
+	got := make([]*Message, len(payloads))
+	for range payloads {
+		m, err := out.Recv(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs[i] = f
+		got[m.Seq] = m
 	}
-	out := make([]*Message, len(fs))
-	for i, f := range fs {
-		m, err := f.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = m
-	}
-	return out
+	return got
 }
 
-// TestPipelineOrderAndValues: every request passes every stage, and
-// requests leave the pipeline in the order they entered it.
+// TestPipelineOrderAndValues: every request passes every stage of a chain,
+// and requests leave it in the order they entered it.
 func TestPipelineOrderAndValues(t *testing.T) {
-	p := newTestPipeline(t, nil, addStage("plus1", 1), addStage("plus10", 10))
+	in, out := chain(t, addStage("plus1", 1), addStage("plus10", 10))
 	ctx := context.Background()
 	const n = 20
-	var left []uint64 // appended by the reader goroutine alone
-	fs := make([]*Future, n)
-	for i := range fs {
-		f, err := p.Submit(ctx, p.Reserve(), i, func(m *Message) { left = append(left, m.Seq) })
+	go func() {
+		for i := 0; i < n; i++ {
+			in.Send(ctx, &Message{Seq: uint64(i), Payload: i})
+		}
+	}()
+	for i := 0; i < n; i++ {
+		m, err := out.Recv(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs[i] = f
-	}
-	for i, f := range fs {
-		m, err := f.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
+		if m.Seq != uint64(i) {
+			t.Fatalf("request %d left the chain as the %dth — order broken", m.Seq, i)
 		}
 		if got := m.Payload.(int); got != i+11 {
 			t.Fatalf("payload %d, want %d", got, i+11)
 		}
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, seq := range left {
-		if seq != uint64(i) {
-			t.Fatalf("request %d left the pipeline as the %dth — order broken", seq, i)
-		}
-	}
 }
 
 func TestPipelineIsActuallyPipelined(t *testing.T) {
-	// Two stages each sleeping d: n items through a pipeline should take
+	// Two stages each sleeping d: n items through the chain should take
 	// ≈ (n+1)·d, not 2·n·d.
 	const d = 20 * time.Millisecond
 	sleepy := func(name string) Stage {
@@ -98,85 +93,74 @@ func TestPipelineIsActuallyPipelined(t *testing.T) {
 			return m, nil
 		}}
 	}
-	p := newTestPipeline(t, nil, sleepy("a"), sleepy("b"))
+	in, out := chain(t, sleepy("a"), sleepy("b"))
 	const n = 6
 	start := time.Now()
-	submitAll(t, p, make([]int, n)...)
+	submitAll(t, in, out, make([]int, n)...)
 	elapsed := time.Since(start)
 	serial := 2 * n * d
 	if elapsed > serial*3/4 {
-		t.Errorf("pipeline took %v, serial would be %v — no overlap achieved", elapsed, serial)
+		t.Errorf("chain took %v, serial would be %v — no overlap achieved", elapsed, serial)
 	}
 }
 
+// TestStageErrorPropagatesAndContains: a handler error leaves the stage as
+// its message's *StageError, naming the stage and keeping the cause, and
+// the stage keeps serving the messages after it.
 func TestStageErrorPropagatesAndContains(t *testing.T) {
+	reg := obs.NewRegistry("errors")
 	boom := Stage{Name: "boom", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		if m.Payload.(int) == 1 {
 			return nil, fmt.Errorf("injected failure")
 		}
 		return m, nil
-	}}
-	seen := atomic.Int64{}
-	after := Stage{Name: "after", Fn: func(_ context.Context, m *Message) (*Message, error) {
-		seen.Add(1)
-		return m, nil
-	}}
-	reg := obs.NewRegistry("errors")
-	p := newTestPipeline(t, reg, boom, after)
+	}, Busy: reg.Histogram("boom.busy")}
+	in, out := chain(t, boom)
 	var errCount, okCount int
-	for _, m := range submitAll(t, p, 0, 1, 2) {
-		if m.Err != nil {
-			errCount++
-			if !strings.Contains(m.Err.Error(), "injected failure") {
-				t.Errorf("error message %q lost cause", m.Err)
-			}
-		} else {
+	for _, m := range submitAll(t, in, out, 0, 1, 2) {
+		var stageErr *StageError
+		switch {
+		case m.Err == nil:
 			okCount++
+		case !errors.As(m.Err, &stageErr) || stageErr.Stage != "boom" || !strings.Contains(m.Err.Error(), "injected failure"):
+			t.Errorf("error %v lost its stage or cause", m.Err)
+		default:
+			errCount++
 		}
 	}
-	if errCount != 1 || okCount != 2 || seen.Load() != 2 {
-		t.Errorf("errCount=%d okCount=%d after=%d, want 1/2/2 — failure not contained", errCount, okCount, seen.Load())
+	if errCount != 1 || okCount != 2 {
+		t.Errorf("errCount=%d okCount=%d, want 1/2 — failure not contained", errCount, okCount)
 	}
-	if got := reg.Snapshot().Gauges["stage.boom.errors"]; got != 1 {
-		t.Errorf("stage.boom.errors = %d, want 1", got)
+	if got := reg.Snapshot().Histograms["boom.busy"].Count; got != 3 {
+		t.Errorf("boom.busy counted %d messages, want 3", got)
 	}
 }
 
-// TestContextCancellation: cancelling the pipeline's ctx stops a stage
-// blocked in its handler, and Close reports why the pipeline stopped.
+// TestContextCancellation: cancelling a stage's ctx stops it while blocked
+// in its handler, and Run reports why it stopped.
 func TestContextCancellation(t *testing.T) {
+	entered := make(chan struct{})
 	block := Stage{Name: "block", Fn: func(ctx context.Context, m *Message) (*Message, error) {
+		close(entered)
 		<-ctx.Done()
 		return m, nil
 	}}
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := NewPipeline(ctx, 0, nil, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Submit(ctx, p.Reserve(), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
+	in, out := NewChannelEdge(1), NewChannelEdge(1)
 	done := make(chan error, 1)
-	go func() { done <- p.Close() }()
+	go func() { done <- block.Run(ctx, in, out) }()
+	if err := in.Send(ctx, &Message{Seq: 1, Payload: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("Close after cancellation: %v, want context.Canceled", err)
+			t.Errorf("Run after cancellation: %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("pipeline did not shut down on cancellation")
-	}
-}
-
-func TestNewPipelineValidation(t *testing.T) {
-	ctx := context.Background()
-	if _, err := NewPipeline(ctx, 0, nil); err == nil {
-		t.Error("empty pipeline accepted")
-	}
-	if _, err := NewPipeline(ctx, 0, nil, addStage("a", 0), Stage{Name: "s"}); err == nil {
-		t.Error("stage without a handler accepted")
+		t.Fatal("stage did not stop on cancellation")
 	}
 }
 
