@@ -8,7 +8,7 @@
 //
 //	ppserver -model models/Heart.gob -listen :7100 -factor 10000 -metrics :7200
 //
-// Connections speak wire format v1 (DESIGN.md): a client that opens with
+// Connections speak wire format v2 (DESIGN.md): a client that opens with
 // anything else — another version, or the gob stream of a build before the
 // format existed — is answered with one "unsupported wire version" error
 // frame and dropped; the model file is the only gob left.
@@ -19,10 +19,11 @@
 // requests in different rounds overlap; per-request state abandoned
 // mid-protocol is evicted
 // after -idlettl, and requests whose client-propagated deadline expires
-// are evicted immediately. Admission control is global across sessions:
-// -maxinflight and -shed reject excess or overload-era requests with a
-// retryable typed shed error, and -ratelimit/-ratewindow throttle new
-// requests per sliding window — clients retry both with backoff.
+// are evicted immediately. Admission control is one gate shared by every
+// session, checking each new request in order: -maxinflight and -shed
+// reject excess or overload-era requests with a retryable typed shed
+// error, and -ratelimit/-ratewindow throttle new requests per sliding
+// window — clients retry both with backoff.
 //
 // -profile caps the per-round crypto-backend posture: each session runs
 // the STRICTER of this policy and the client's requested profile
@@ -168,22 +169,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Admission control is shared across every session so the in-flight
+	// One admission gate is shared across every session so the in-flight
 	// bound and rate limit are global to the server, not per connection.
-	var shed *protocol.Shedder
-	if *maxInFlight > 0 || *shedLatency > 0 {
-		shed = protocol.NewShedder(protocol.ShedConfig{
-			MaxInFlight:   *maxInFlight,
-			LatencyTarget: *shedLatency,
-			Registry:      reg,
-		})
-	}
-	var limiter *protocol.RateLimiter
-	if *rateLimit > 0 {
-		if limiter, err = protocol.NewRateLimiter(*rateLimit, *rateWindow); err != nil {
-			logger.Error("rate limiter rejected", "err", err.Error())
-			return 1
-		}
+	gate, err := protocol.NewGate(protocol.GateConfig{
+		MaxInFlight:   *maxInFlight,
+		LatencyTarget: *shedLatency,
+		RateLimit:     *rateLimit,
+		RateWindow:    *rateWindow,
+		Registry:      reg,
+	})
+	if err != nil {
+		logger.Error("admission gate rejected", "err", err.Error())
+		return 1
 	}
 
 	var ready atomic.Bool
@@ -291,8 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				MaxWorkers:    *maxWorkers,
 				Window:        *window,
 				IdleTTL:       *idleTTL,
-				Shed:          shed,
-				Limiter:       limiter,
+				Gate:          gate,
 				Registry:      reg,
 				Log:           sessLog,
 				SlowRound:     *slow,

@@ -85,8 +85,8 @@ func (e *Engine) Shutdown() error {
 // Submit runs one inference through the serving runtime, blocking until
 // its result is ready, ctx expires, or the runtime shuts down. Safe for
 // concurrent use; each caller gets exactly its own result. Every request
-// is one request of the session's protocol.Lifecycle, which finishes it
-// with exactly one outcome. A round the session fails returns the
+// is one request of the engine's protocol session, which ends it with
+// exactly one outcome. A round the session fails returns the
 // *stream.StageError naming the round's stage inside the client's
 // *protocol.RoundError, and an input outside the model's input domain is
 // refused with the data provider's *protocol.InputRangeError before

@@ -456,8 +456,8 @@ func TestEngineKeepsOneBlindPool(t *testing.T) {
 	}
 }
 
-// TestOneObjectPerLiveMetric: the engine's session registers its Lifecycle,
-// its round stages and its cost counters on one registry; after N requests
+// TestOneObjectPerLiveMetric: the engine's session registers its request
+// outcomes, its round stages and its cost counters on one registry; after N requests
 // every live-viewed name is one object whose total equals its
 // trailing-minute count, the windowed and cumulative views being two reads
 // of the same writes — N for the outcome and the latency histograms.

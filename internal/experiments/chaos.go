@@ -134,12 +134,13 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 
 	// Server: a real listener with one session per accepted connection
 	// (resets tear sessions down, clients redial). Admission pressure is
-	// deliberate: the shedder's in-flight bound sits below the client
-	// concurrency and the limiter's window is tight, so the retry paths
+	// deliberate: the gate's in-flight bound sits below the client
+	// concurrency and its rate window is tight, so the retry paths
 	// are exercised on every run, not only under unlucky scheduling.
 	serverReg := obs.NewRegistry("chaos/server")
-	shed := protocol.NewShedder(protocol.ShedConfig{MaxInFlight: 2, Registry: serverReg})
-	limiter, err := protocol.NewRateLimiter(64, 100*time.Millisecond)
+	gate, err := protocol.NewGate(protocol.GateConfig{
+		MaxInFlight: 2, RateLimit: 64, RateWindow: 100 * time.Millisecond, Registry: serverReg,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -172,8 +173,7 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 					MaxWorkers: 2,
 					Window:     clients,
 					IdleTTL:    2 * time.Second,
-					Shed:       shed,
-					Limiter:    limiter,
+					Gate:       gate,
 					Registry:   serverReg,
 				})
 				conn.Close()

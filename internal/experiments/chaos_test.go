@@ -8,7 +8,7 @@ import (
 // TestChaosSmoke runs the fault-injection harness once and lets its own
 // invariants gate: full request accounting, observed retries/redials, no
 // goroutine leaks. Under -race this covers the whole failure layer —
-// shedder, limiter, retry loop, redialer, chaos conn — concurrently.
+// admission gate, retry loop, redialer, chaos conn — concurrently.
 func TestChaosSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos harness in -short mode")

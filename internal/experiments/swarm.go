@@ -168,8 +168,8 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	}
 
 	// Phase 2 — deployment: a real listener, one session per client
-	// connection, all sessions sharing one shedder, rate limiter, SLO
-	// engine, and span store. The SLO latency target sits well above
+	// connection, all sessions sharing one admission gate, SLO engine,
+	// and span store. The SLO latency target sits well above
 	// baseline so only genuine overload (not bucket noise) burns budget.
 	sloTarget := 10 * res.BaselineP99
 	if sloTarget < 100*time.Millisecond {
@@ -191,8 +191,9 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 		return nil, err
 	}
 	res.Traces = traces
-	shed := protocol.NewShedder(protocol.ShedConfig{MaxInFlight: swarmMaxInFlight, Registry: reg})
-	limiter, err := protocol.NewRateLimiter(4096, time.Second)
+	gate, err := protocol.NewGate(protocol.GateConfig{
+		MaxInFlight: swarmMaxInFlight, RateLimit: 4096, RateWindow: time.Second, Registry: reg,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +218,7 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 					Factor:     serveFactor,
 					MaxWorkers: 2,
 					Window:     swarmWindow,
-					Shed:       shed,
-					Limiter:    limiter,
+					Gate:       gate,
 					Registry:   reg,
 					Traces:     traces,
 					SLO:        slo,
@@ -346,7 +346,7 @@ func swarmKnee(points []SwarmPoint) int {
 }
 
 // swarmBaseline runs the inputs one at a time over a throwaway TCP
-// session of its own (no shedder, limiter or SLO engine — the engine's
+// session of its own (no admission gate or SLO engine — the engine's
 // latency target is derived from this result) and returns the sorted
 // per-request latencies.
 func swarmBaseline(ctx context.Context, netw *nn.Network, key *paillier.PrivateKey, inputs []*tensor.Dense) ([]time.Duration, error) {

@@ -16,8 +16,8 @@ import (
 // lets its own invariants gate: a knee must appear, the fast burn-rate
 // alert must fire under the overload points, and the slowest request's
 // merged trace must be retained. Under -race this exercises the whole
-// serving plane concurrently — Poisson arrival goroutines, shedder,
-// limiter, SLO engine, trace store, and windowed metrics.
+// serving plane concurrently — Poisson arrival goroutines, admission
+// gate, SLO engine, trace store, and windowed metrics.
 func TestSwarmSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swarm harness in -short mode")

@@ -14,8 +14,8 @@ import (
 const (
 	// CodeNone marks an unclassified error.
 	CodeNone = 0
-	// CodeThrottled: the session's rate limiter refused the request at
-	// admission, before its first round ran. Retryable after backoff.
+	// CodeThrottled: the admission gate's rate window refused the request,
+	// before its first round ran. Retryable after backoff.
 	CodeThrottled = 1
 	// CodeShed: admission control rejected the request's first round
 	// because the server is overloaded. Retryable after backoff.

@@ -105,24 +105,18 @@ func (c *rawClient) waitOutcomes(n uint64) {
 }
 
 // TestSessionTerminalOutcomes drives every way a request can end over a
-// raw session and checks the lifecycle's one invariant on each: every
+// raw session and checks the session's one invariant on each: every
 // request offered reaches exactly one outcome (ok + err + shed ==
 // offered; each outcome counter's total equal to its live window; one
 // serve.latency observation per ok; one SLO observation and one span-store
 // record, carrying the session plan, per request), and once the session
-// is over nothing of any request is left — no live entry, no held shed
+// is over nothing of any request is left — no live entry, no held gate
 // slot, no permutation state in the model provider.
 func TestSessionTerminalOutcomes(t *testing.T) {
-	limiter := func() *RateLimiter {
-		rl, err := NewRateLimiter(1, time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rl
-	}
 	cases := []struct {
 		name          string
 		cfg           SessionConfig
+		rateLimit     int // the gate's starts per minute; 0 is unlimited
 		drive         func(c *rawClient)
 		ok, err, shed uint64
 		counter       string // cause counter expected at 1, if any
@@ -139,7 +133,7 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 			}},
 		// A throttle is a refusal at admission, like a shed: counted as one,
 		// and retryable.
-		{name: "throttle", cfg: SessionConfig{Limiter: limiter()}, ok: 1, shed: 1,
+		{name: "throttle", rateLimit: 1, ok: 1, shed: 1,
 			drive: func(c *rawClient) {
 				c.complete(1)
 				c.send(2, c.roundZero(2, tensor.Zeros(4)))
@@ -185,12 +179,15 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shed := NewShedder(ShedConfig{MaxInFlight: 1})
+			gate, err := NewGate(GateConfig{MaxInFlight: 1, RateLimit: tc.rateLimit, RateWindow: time.Minute, Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Stores that keep everything they are offered: one record per
 			// request shows up as exactly one retained record each.
 			traces, flight := obs.NewFlightRecorder(0, 0, 0), obs.NewFlightRecorder(0, 0, 0)
 			cfg := tc.cfg
-			cfg.Registry, cfg.SLO, cfg.Shed, cfg.Traces, cfg.Flight = reg, slo, shed, traces, flight
+			cfg.Registry, cfg.SLO, cfg.Gate, cfg.Traces, cfg.Flight = reg, slo, gate, traces, flight
 			s, edge, serveErr, _ := openRawSession(t, cfg)
 			proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
 			if err != nil {
@@ -221,8 +218,8 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 				ids := map[string]bool{}
 				for _, rec := range recs {
 					ids[rec.Trace.ID] = true
-					if fmt.Sprint(rec.Plan) != fmt.Sprint(s.life.plan) || len(rec.Plan) != s.mp.Stages() {
-						t.Errorf("%s record %s carries plan %v, want the session's %v", store, rec.Trace.ID, rec.Plan, s.life.plan)
+					if fmt.Sprint(rec.Plan) != fmt.Sprint(s.plan) || len(rec.Plan) != s.mp.Stages() {
+						t.Errorf("%s record %s carries plan %v, want the session's %v", store, rec.Trace.ID, rec.Plan, s.plan)
 					}
 				}
 				if n := tc.ok + tc.err + tc.shed; uint64(len(recs)) != n || uint64(len(ids)) != n {
@@ -239,8 +236,8 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 			if n := len(s.live); n != 0 || snap.Gauges["requests.active"] != 0 {
 				t.Errorf("%d live entries, requests.active %d after the session", n, snap.Gauges["requests.active"])
 			}
-			if n := shed.InFlight(); n != 0 {
-				t.Errorf("%d shed slots still held", n)
+			if n := snap.Gauges["shed.inflight"]; n != 0 {
+				t.Errorf("%d gate slots still held", n)
 			}
 			if n := len(s.mp.state); n != 0 {
 				t.Errorf("model provider still holds permutation state for %d requests", n)
@@ -251,11 +248,15 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 
 // TestSessionHostileRound: frames naming a round the model does not have
 // are refused with CodeBadRound before admission — they create no request,
-// take no shed slot and mint no per-round histogram, however many arrive —
+// take no gate slot and mint no per-round histogram, however many arrive —
 // and the session goes on serving.
 func TestSessionHostileRound(t *testing.T) {
-	shed := NewShedder(ShedConfig{MaxInFlight: 4})
-	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Shed: shed})
+	reg := obs.NewRegistry("hostile-round")
+	gate, err := NewGate(GateConfig{MaxInFlight: 4, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Gate: gate, Registry: reg})
 	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -278,9 +279,9 @@ func TestSessionHostileRound(t *testing.T) {
 	if got := len(snap.Histograms); got != histograms {
 		t.Errorf("%d hostile frames grew the registry from %d to %d histograms", n, histograms, got)
 	}
-	if snap.Gauges["requests.active"] != 0 || shed.InFlight() != 0 || len(s.mp.state) != 0 {
-		t.Errorf("hostile frames left requests.active %d, %d shed slots, %d permutation chains",
-			snap.Gauges["requests.active"], shed.InFlight(), len(s.mp.state))
+	if snap.Gauges["requests.active"] != 0 || snap.Gauges["shed.inflight"] != 0 || len(s.mp.state) != 0 {
+		t.Errorf("hostile frames left requests.active %d, %d gate slots, %d permutation chains",
+			snap.Gauges["requests.active"], snap.Gauges["shed.inflight"], len(s.mp.state))
 	}
 	if got := snap.Counters["rounds.errors"]; got != n {
 		t.Errorf("rounds.errors = %d, want %d", got, n)
@@ -296,12 +297,15 @@ func TestSessionHostileRound(t *testing.T) {
 // target is compared against: the server-observed latency of whole
 // requests — first frame's arrival to last round's reply, the client's
 // time between rounds included — not of single rounds. A two-round request
-// whose client pauses past the target between its rounds trips the shedder
+// whose client pauses past the target between its rounds trips the gate
 // although neither round ran anywhere near that long.
 func TestSessionShedTargetIsRequestLatency(t *testing.T) {
 	const target = 150 * time.Millisecond
-	shed := NewShedder(ShedConfig{LatencyTarget: target})
-	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Shed: shed})
+	gate, err := NewGate(GateConfig{LatencyTarget: target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Gate: gate})
 	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -327,13 +331,17 @@ func TestSessionShedTargetIsRequestLatency(t *testing.T) {
 // wins the ID; the first finishes its own admission as err, so one request
 // stays live holding one slot.
 func TestSessionAdmitTwins(t *testing.T) {
-	shed := NewShedder(ShedConfig{LatencyTarget: time.Hour})
-	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Shed: shed})
-	// The shedder reads its clock inside Lifecycle.Admit — outside the
-	// session lock, exactly where the twin can slip in.
-	var twin *Request
+	reg := obs.NewRegistry("admit-twins")
+	gate, err := NewGate(GateConfig{LatencyTarget: time.Hour, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Gate: gate, Registry: reg})
+	// The gate reads its clock inside admission — outside the session
+	// lock, exactly where the twin can slip in.
+	var twin *request
 	raced := false
-	shed.win.SetClock(func() time.Time {
+	gate.win.SetClock(func() time.Time {
 		if !raced {
 			raced = true // the nested admit reads the clock too
 			var err error
@@ -346,17 +354,17 @@ func TestSessionAdmitTwins(t *testing.T) {
 	if req, err := s.admit(7, &roundFrame{}, time.Now(), time.Time{}); err == nil {
 		t.Errorf("the frame that lost the race was admitted as %p beside %p", req, twin)
 	}
-	snap := s.reg.Snapshot()
-	if s.live[7] != twin || len(s.live) != 1 || shed.InFlight() != 1 ||
+	snap := reg.Snapshot()
+	if s.live[7] != twin || len(s.live) != 1 || snap.Gauges["shed.inflight"] != 1 ||
 		snap.Gauges["requests.active"] != 1 || snap.Counters["serve.requests.err"] != 1 {
 		t.Errorf("live %v (twin %p), %d slots, requests.active %d, %d err; want the twin alone, 1, 1, 1",
-			s.live, twin, shed.InFlight(), snap.Gauges["requests.active"], snap.Counters["serve.requests.err"])
+			s.live, twin, snap.Gauges["shed.inflight"], snap.Gauges["requests.active"], snap.Counters["serve.requests.err"])
 	}
 	edge.CloseSend()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	if shed.InFlight() != 0 {
-		t.Errorf("%d slots held after the session", shed.InFlight())
+	if n := reg.Snapshot().Gauges["shed.inflight"]; n != 0 {
+		t.Errorf("%d slots held after the session", n)
 	}
 }

@@ -110,9 +110,6 @@ type Protocol struct {
 	Data  *DataProvider
 	// Merged is the alternating stage list the roles were built from.
 	Merged []*nn.PrimitiveLayer
-	// life admits and finishes Infer's requests; Build gives it no
-	// admission control and no sinks.
-	life *Lifecycle
 }
 
 // validateWorkflow merges the network and checks the workflow's
@@ -274,7 +271,7 @@ func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, er
 		return nil, err
 	}
 	dp := newDataProvider(net.InputMax, merged, stages, key, cfg)
-	return &Protocol{Model: mp, Data: dp, Merged: merged, life: NewLifecycle(mp, SessionConfig{})}, nil
+	return &Protocol{Model: mp, Data: dp, Merged: merged}, nil
 }
 
 // Rounds returns the number of linear/non-linear round pairs.
@@ -333,13 +330,11 @@ func decryptions(n int) obs.CostStats {
 // Infer runs the full collaborative workflow sequentially for one input:
 // the reference execution used by tests and the CipherBase baseline. A
 // session (the streaming engine's among them) runs the same per-stage
-// methods, each linear round as one of its stages.
-func (p *Protocol) Infer(req uint64, x *tensor.Dense) (out *tensor.Dense, err error) {
-	r, err := p.life.Admit(req, "", time.Now())
-	if err != nil {
-		return nil, err
-	}
-	defer func() { p.life.Finish(r, err) }()
+// methods, each linear round as one of its stages. Infer applies no
+// admission control, and drops the request's permutation state as it
+// returns.
+func (p *Protocol) Infer(req uint64, x *tensor.Dense) (*tensor.Dense, error) {
+	defer p.Model.Forget(req)
 	env, err := p.Data.EncryptMetered(req, x, nil)
 	if err != nil {
 		return nil, err

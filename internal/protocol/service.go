@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/big"
 	"runtime/pprof"
 	"strconv"
@@ -107,15 +109,11 @@ type SessionConfig struct {
 	// inactivity, so abandoned requests (client crash, mid-protocol
 	// error) stop leaking permutations; <= 0 uses DefaultIdleTTL.
 	IdleTTL time.Duration
-	// Shed, when non-nil, is the admission controller consulted before a
-	// request's first round creates any per-request state. Share one
-	// Shedder across every session of a server so the in-flight bound is
-	// global; rejected requests get a retryable CodeShed error frame.
-	Shed *Shedder
-	// Limiter, when non-nil, bounds new-request admissions per window
-	// (the paper's model-extraction countermeasure). Rejections travel
-	// as retryable CodeThrottled error frames.
-	Limiter *RateLimiter
+	// Gate, when non-nil, is the admission control consulted before a
+	// request's first round creates any per-request state. Share one Gate
+	// across every session of a server so its bounds are global; refused
+	// requests get a retryable CodeShed or CodeThrottled error frame.
+	Gate *Gate
 	// Registry, when non-nil, receives session metrics.
 	Registry *obs.Registry
 	// Log, when non-nil, receives structured session events — rejected
@@ -162,32 +160,78 @@ const DefaultSessionWindow = 8
 const DefaultIdleTTL = 2 * time.Minute
 
 // session is the model-provider side of one negotiated connection: the
-// provider serving the client's key, the solved backend plan, the request
-// lifecycle, and the index of live requests that round frames are routed
-// by. A request leaves the index exactly once — in finish, the janitor's
-// sweep, or close — and whoever removed it calls Lifecycle.Finish.
+// provider serving the client's key, the solved backend plan, and the one
+// owner of every request's server-side life. A round-0 frame's request is
+// admitted through the gate into the index of live requests that round
+// frames are routed by, and leaves it exactly once — in finish, the
+// janitor's sweep, or close — and whoever removed it calls end:
+//
+//	admit → rounds → exactly one end
 type session struct {
 	ctx  context.Context
 	out  stream.Edge
 	reg  *obs.Registry
 	pk   *paillier.PublicKey
 	mp   *ModelProvider
-	life *Lifecycle
+	gate *Gate
+	log  *obs.Logger
+	// traces and flight are span stores offered every ended request's
+	// record alike: flight is the benchmark's (SessionConfig.Flight).
+	traces, flight *obs.TraceStore
+	slo            *obs.SLOEngine
 	// blind is the blinding pool the session built for its provider and
 	// closes at its end; nil when the provider brought its own.
 	blind *paillier.Pool
 	// slowRound is SessionConfig.SlowRound.
 	slowRound time.Duration
-	// planCodes and profile ride every round-0 reply.
+	// planCodes and profile ride every round-0 reply; plan is the backend
+	// assignment as strings, carried on every record so a retained request
+	// shows which backend mix produced it.
 	planCodes []int32
 	profile   string
+	plan      []string
 
 	roundsServed, roundErrs            *obs.Counter
 	roundTime, kernelTime, permuteTime *obs.Histogram
+	// active counts requests between admission and end; outcomes holds one
+	// live counter per outcome, and latency is recorded for ok requests
+	// only.
+	active   atomic.Int64
+	outcomes [3]*obs.Counter
+	latency  *obs.Histogram
 
 	mu   sync.Mutex
-	live map[uint64]*Request
+	live map[uint64]*request
 }
+
+// request is one inference from its round-0 frame's admission to its end.
+type request struct {
+	// id keys the model provider's permutation state for the request.
+	id uint64
+	// traceID correlates the outcome's log line and records; empty derives
+	// one from id.
+	traceID string
+	started time.Time
+	// lastSeen and deadline (the absolute point the client's propagated
+	// budget runs out; zero means none) are the session janitor's: it
+	// evicts on them, under the session lock.
+	lastSeen, deadline time.Time
+	// spans are the server-side trace segments accumulated so far.
+	spans []obs.Segment
+}
+
+// outcome is a request's terminal classification.
+type outcome int
+
+const (
+	outcomeOK outcome = iota
+	outcomeErr
+	// outcomeShed is a refusal at admission, by the gate: the request
+	// never ran and holds no slot.
+	outcomeShed
+)
+
+func (o outcome) String() string { return [...]string{"ok", "err", "shed"}[o] }
 
 // ServeSession runs one multiplexed model-provider session on mp: round
 // frames from different in-flight requests interleave on the connection
@@ -197,9 +241,9 @@ type session struct {
 // goroutine that runs them a frame at a time on the round's threads, so
 // requests in different rounds overlap. The session serves only the
 // client whose Hello carries mp's public key; cfg.Factor must be the
-// factor mp was built at. Every request the session admits ends in
-// exactly one Lifecycle.Finish: on its last round, on a failed round, on
-// its deadline, after cfg.IdleTTL of inactivity, or when the session ends.
+// factor mp was built at. Every request the session admits ends exactly
+// once: on its last round, on a failed or panicked round, on its deadline,
+// after cfg.IdleTTL of inactivity, or when the session ends.
 func ServeSession(ctx context.Context, in, out stream.Edge, mp *ModelProvider, cfg SessionConfig) error {
 	return serveSession(ctx, in, out, cfg, func(_ *Hello, pk *paillier.PublicKey) (*ModelProvider, error) {
 		if pk.N.Cmp(mp.pk.N) != 0 {
@@ -342,18 +386,24 @@ func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, pr
 	if mp.pool == nil {
 		blind = mp.NewBlindPool(cfg.Window, reg)
 	}
-	return &session{
+	s := &session{
 		ctx: ctx, out: out, reg: reg, pk: mp.pk, mp: mp, blind: blind,
-		life:      NewLifecycle(mp, cfg),
+		gate: cfg.Gate, log: cfg.Log, traces: cfg.Traces, flight: cfg.Flight, slo: cfg.SLO,
 		slowRound: cfg.SlowRound,
-		planCodes: plan.Codes(), profile: string(profile),
+		planCodes: plan.Codes(), profile: string(profile), plan: mp.labels(),
 		roundsServed: reg.Counter("rounds.served"),
 		roundErrs:    reg.Counter("rounds.errors"),
 		roundTime:    reg.Histogram("round.linear"),
 		kernelTime:   reg.Histogram("round.kernel"),
 		permuteTime:  reg.Histogram("round.permute"),
-		live:         map[uint64]*Request{},
-	}, nil
+		latency:      reg.LiveHistogram("serve.latency"),
+		live:         map[uint64]*request{},
+	}
+	reg.GaugeFunc("requests.active", s.active.Load)
+	for o := outcomeOK; o <= outcomeShed; o++ {
+		s.outcomes[o] = reg.LiveCounter("serve.requests." + o.String())
+	}
+	return s, nil
 }
 
 // readHello reads the client's Hello and returns the model provider that
@@ -406,16 +456,16 @@ func readHello(ctx context.Context, in, out stream.Edge, cfg SessionConfig, prov
 }
 
 // close ends what the session still holds once the janitor and the round
-// stages have stopped: requests live at teardown finish as ErrSessionDown
-// — the shedder outlives the connection — and the blinding pool the
-// session built stops.
+// stages have stopped: requests live at teardown end as ErrSessionDown —
+// the gate outlives the connection — and the blinding pool the session
+// built stops.
 func (s *session) close() {
 	s.mu.Lock()
 	left := s.live
-	s.live = map[uint64]*Request{}
+	s.live = map[uint64]*request{}
 	s.mu.Unlock()
 	for _, req := range left {
-		s.life.Finish(req, fmt.Errorf("%w: session ended with request %d mid-protocol", ErrSessionDown, req.ID))
+		s.end(req, fmt.Errorf("%w: session ended with request %d mid-protocol", ErrSessionDown, req.id))
 	}
 	if s.blind != nil {
 		s.blind.Close()
@@ -438,11 +488,11 @@ func (s *session) janitor(ctx context.Context, ttl time.Duration) {
 	}
 }
 
-// sweep finishes every live request whose deadline has passed
-// (ErrDeadline, "requests.deadline_evicted") or that has been idle longer
-// than ttl (ErrEvicted, "requests.evicted").
+// sweep ends every live request whose deadline has passed (ErrDeadline,
+// "requests.deadline_evicted") or that has been idle longer than ttl
+// (ErrEvicted, "requests.evicted").
 func (s *session) sweep(now time.Time, ttl time.Duration) {
-	var expired, idle []*Request
+	var expired, idle []*request
 	s.mu.Lock()
 	for id, req := range s.live {
 		switch {
@@ -458,23 +508,23 @@ func (s *session) sweep(now time.Time, ttl time.Duration) {
 	s.mu.Unlock()
 	for _, req := range expired {
 		s.reg.Counter("requests.deadline_evicted").Inc()
-		s.life.Finish(req, fmt.Errorf("%w: request %d evicted mid-protocol", ErrDeadline, req.ID))
+		s.end(req, fmt.Errorf("%w: request %d evicted mid-protocol", ErrDeadline, req.id))
 	}
 	for _, req := range idle {
 		s.reg.Counter("requests.evicted").Inc()
-		s.life.Finish(req, fmt.Errorf("%w: request %d idle for more than %v", ErrEvicted, req.ID, ttl))
+		s.end(req, fmt.Errorf("%w: request %d idle for more than %v", ErrEvicted, req.id, ttl))
 	}
 }
 
 // admit routes a round frame to its request. A round-0 frame for an
-// unknown ID starts one (the shedder may refuse it); a later round for an
-// unknown ID is stale — the request was finished (evicted, failed) or
-// never admitted, its permutation chain is gone, and processing the frame
-// would return garbage. Either way the janitor's bookkeeping is refreshed:
+// unknown ID starts one, which the gate may refuse; a later round for an
+// unknown ID is stale — the request ended (evicted, failed) or was never
+// admitted, its permutation chain is gone, and processing the frame would
+// return garbage. Either way the janitor's bookkeeping is refreshed:
 // deadline, when non-zero, replaces the request's eviction deadline.
-func (s *session) admit(id uint64, frame *roundFrame, arrived, deadline time.Time) (*Request, error) {
+func (s *session) admit(id uint64, frame *roundFrame, arrived, deadline time.Time) (*request, error) {
 	// touch refreshes what the janitor evicts on.
-	touch := func(req *Request) {
+	touch := func(req *request) {
 		req.lastSeen = time.Now()
 		if !deadline.IsZero() {
 			req.deadline = deadline
@@ -493,9 +543,11 @@ func (s *session) admit(id uint64, frame *roundFrame, arrived, deadline time.Tim
 		s.reg.Counter("requests.stale_rounds").Inc()
 		return nil, fmt.Errorf("%w: no state for request %d round %d", ErrEvicted, id, frame.Round)
 	}
+	req = &request{id: id, traceID: frame.TC.traceID(), started: arrived}
+	s.active.Add(1)
 	// Outside the lock: a refusal publishes its shed outcome to every sink.
-	req, err := s.life.Admit(id, frame.TC.traceID(), arrived)
-	if err != nil {
+	if err := s.gate.admit(); err != nil {
+		s.end(req, err)
 		return nil, err
 	}
 	touch(req)
@@ -509,9 +561,9 @@ func (s *session) admit(id uint64, frame *roundFrame, arrived, deadline time.Tim
 		// A client keeps one frame per request in flight. A second round-0
 		// frame racing the first under one ID breaks that, and ends both:
 		// this one here, its twin when it next needs the permutation state
-		// this Finish drops.
-		err = fmt.Errorf("protocol: request %d opened twice", id)
-		s.life.Finish(req, err)
+		// this end drops.
+		err := fmt.Errorf("protocol: request %d opened twice", id)
+		s.end(req, err)
 		return nil, err
 	}
 	return req, nil
@@ -519,25 +571,88 @@ func (s *session) admit(id uint64, frame *roundFrame, arrived, deadline time.Tim
 
 // finish ends req with err unless the janitor or close already did,
 // and reports whether this call was the one.
-func (s *session) finish(req *Request, err error) bool {
+func (s *session) finish(req *request, err error) bool {
 	s.mu.Lock()
-	mine := s.live[req.ID] == req
+	mine := s.live[req.id] == req
 	if mine {
-		delete(s.live, req.ID)
+		delete(s.live, req.id)
 	}
 	s.mu.Unlock()
 	if mine {
-		s.life.Finish(req, err)
+		s.end(req, err)
 	}
 	return mine
+}
+
+// end is where every request ends, admitted or refused: it publishes the
+// request's one outcome — ok for a nil err, shed for a refusal at
+// admission (ErrShed or ErrThrottled), err for everything else — to the
+// outcome counter and latency, the gate's latency window, the SLO engine,
+// the span stores (one record, tree and plan, each) and the log, then
+// releases the request's gate slot and the model provider's permutation
+// state. Whoever took the request out of the index (or never put it in)
+// calls it, once, outside the session lock.
+func (s *session) end(req *request, err error) {
+	latency := time.Since(req.started)
+	o := outcomeOK
+	switch {
+	case errors.Is(err, ErrShed), errors.Is(err, ErrThrottled):
+		o = outcomeShed
+	case err != nil:
+		o = outcomeErr
+	}
+	s.outcomes[o].Inc()
+	if o == outcomeOK {
+		s.latency.Observe(latency)
+		s.gate.observe(latency)
+	}
+	s.slo.Observe(latency, err != nil)
+	if s.traces != nil || s.flight != nil {
+		tree := serverTree(req.traceID, req.id, req.spans)
+		s.traces.Record(tree, s.plan, err)
+		s.flight.Record(tree, s.plan, err)
+	}
+	if err != nil {
+		s.logFor(req.traceID).Warn("request failed", "req", req.id, "outcome", o.String(), "err", err.Error())
+	}
+	if o != outcomeShed {
+		s.gate.release() // a shed request was refused a slot
+	}
+	s.mp.Forget(req.id)
+	s.active.Add(-1)
+}
+
+// logFor returns the session's logger scoped to a request's trace ID, when
+// it has one.
+func (s *session) logFor(traceID string) *obs.Logger {
+	if traceID == "" {
+		return s.log
+	}
+	return s.log.With("trace_id", traceID)
+}
+
+// quiet admits no level: it stands in for a nil SessionConfig.Log.
+var quiet = obs.NewLogger(io.Discard, math.MaxInt)
+
+// serverTree assembles the server-side view of one request: the spans
+// accumulated so far under the request's trace ID (or a request-derived ID
+// for untraced clients), with Total as the server's summed busy time — the
+// server cannot know the client's end-to-end latency.
+func serverTree(traceID string, req uint64, spans []obs.Segment) *obs.TraceTree {
+	if traceID == "" {
+		traceID = "req-" + strconv.FormatUint(req, 10)
+	}
+	tree := &obs.TraceTree{ID: traceID, Segments: spans}
+	tree.Total = tree.Sum()
+	return tree
 }
 
 // addSpans appends server-side trace segments to req while it is live.
 // The client keeps at most one frame of a request in flight, so
 // per-request appends never race with themselves.
-func (s *session) addSpans(req *Request, segs ...obs.Segment) {
+func (s *session) addSpans(req *request, segs ...obs.Segment) {
 	s.mu.Lock()
-	if s.live[req.ID] == req {
+	if s.live[req.id] == req {
 		req.spans = append(req.spans, segs...)
 	}
 	s.mu.Unlock()
@@ -546,14 +661,13 @@ func (s *session) addSpans(req *Request, segs ...obs.Segment) {
 // reject counts and logs a round frame the session answers with cause.
 func (s *session) reject(seq uint64, frame *roundFrame, cause error) {
 	s.roundErrs.Inc()
-	s.life.logFor(frame.TC.traceID()).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
+	s.logFor(frame.TC.traceID()).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
 }
 
 // handle is a round stage's handler: it answers one round frame — decode,
 // route to the request (admitting a new one), run the linear round — with
 // its reply. A failure goes back to the client as the frame's error, which
-// the stage tags with its round; one after the request exists also
-// finishes the request.
+// the stage tags with its round.
 func (s *session) handle(_ context.Context, msg *stream.Message) (*stream.Message, error) {
 	frame := msg.Payload.(*roundFrame)
 	reply, err := s.answer(frame, msg.Enqueued)
@@ -565,8 +679,12 @@ func (s *session) handle(_ context.Context, msg *stream.Message) (*stream.Messag
 	return &stream.Message{Payload: reply}, nil
 }
 
-// answer runs handle's steps for a frame that arrived at arrived.
-func (s *session) answer(frame *roundFrame, arrived time.Time) (*roundFrame, error) {
+// answer runs handle's steps for a frame that arrived at arrived. Once the
+// frame's request exists, answer's exit decides its end, in a deferred call
+// so that it also runs when the round panics (the stage contains the panic
+// and answers the client): a failed or panicked round ends the request,
+// and so does its last round; any other round leaves it live.
+func (s *session) answer(frame *roundFrame, arrived time.Time) (reply *roundFrame, err error) {
 	start := time.Now()
 	env, err := FromWire(frame.Env, s.pk)
 	if err != nil {
@@ -580,26 +698,34 @@ func (s *session) answer(frame *roundFrame, arrived time.Time) (*roundFrame, err
 	if err != nil {
 		return nil, err
 	}
-	var reply *roundFrame
+	defer func() {
+		switch {
+		case err != nil:
+			s.finish(req, err)
+		case frame.Round == s.mp.Stages()-1 && !s.finish(req, nil):
+			// Losing the last round's end to the janitor means the request
+			// already ended as evicted.
+			reply, err = nil, fmt.Errorf("%w: request %d evicted during its last round", ErrEvicted, req.id)
+		}
+	}()
+	// What the request ends with should the round below panic.
+	err = errRoundPanicked
 	if !deadline.IsZero() && time.Now().After(deadline) {
 		// The budget ran out while the frame sat in the round's queue;
 		// processing it would waste crypto work the client will discard.
 		s.reg.Counter("requests.deadline_expired").Inc()
-		err = fmt.Errorf("%w: request %d budget of %dms spent before round %d started",
-			ErrDeadline, env.Req, frame.DeadlineMS, frame.Round)
-	} else {
-		reply, err = s.round(req, frame, env, start, start.Sub(arrived))
+		return nil, fmt.Errorf("%w: request %d budget of %dms spent before round %d started",
+			ErrDeadline, req.id, frame.DeadlineMS, frame.Round)
 	}
-	if err != nil {
-		s.finish(req, err)
-		return nil, err
-	}
-	return reply, nil
+	return s.round(req, frame, env, start, start.Sub(arrived))
 }
 
-// round runs one admitted frame's linear round and builds its reply,
-// finishing the request when the round was its last.
-func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start time.Time, queueWait time.Duration) (*roundFrame, error) {
+// errRoundPanicked is the outcome of a request whose round handler
+// panicked; the client gets the round stage's error naming the panic.
+var errRoundPanicked = errors.New("protocol: round handler panicked")
+
+// round runs one admitted frame's linear round and builds its reply.
+func (s *session) round(req *request, frame *roundFrame, env *Envelope, start time.Time, queueWait time.Duration) (*roundFrame, error) {
 	// One meter per round frame: round index == linear-stage index, so the
 	// snapshot IS the per-layer cost profile the trace segment carries.
 	// Profiling labels attribute CPU samples the same way.
@@ -612,7 +738,7 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 	pprof.Do(s.ctx, pprof.Labels(
 		"stage", "linear",
 		"round", strconv.Itoa(frame.Round),
-		"trace", req.TraceID,
+		"trace", req.traceID,
 	), func(context.Context) {
 		result, timing, err = s.mp.ProcessLinearMetered(frame.Round, env, &meter)
 	})
@@ -625,8 +751,8 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 	}
 	if s.slowRound > 0 && elapsed >= s.slowRound {
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		s.life.logFor(req.TraceID).Warn("slow linear round", "slow", true, "latency_ms", ms(elapsed),
-			"req", req.ID, "round", frame.Round,
+		s.logFor(req.traceID).Warn("slow linear round", "slow", true, "latency_ms", ms(elapsed),
+			"req", req.id, "round", frame.Round,
 			"kernel_ms", ms(timing.Kernel), "permute_ms", ms(timing.Permute), "pack_ms", ms(timing.Pack))
 	}
 	wireEnv, err := ToWire(result)
@@ -659,11 +785,6 @@ func (s *session) round(req *Request, frame *roundFrame, env *Envelope, start ti
 		// The solved plan rides every round-0 reply (requests share the
 		// session plan, so repeats are idempotent on the client).
 		reply.Plan, reply.Profile = s.planCodes, s.profile
-	}
-	// After the request's last linear round, losing the finish to the
-	// janitor means the request already ended as evicted.
-	if frame.Round == s.mp.Stages()-1 && !s.finish(req, nil) {
-		return nil, fmt.Errorf("%w: request %d evicted during its last round", ErrEvicted, req.ID)
 	}
 	return reply, nil
 }

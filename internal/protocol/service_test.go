@@ -157,7 +157,7 @@ func TestServiceRejectsOversizedKey(t *testing.T) {
 }
 
 // TestServiceRefusesForeignWire: a peer that opens with anything but the
-// v1 preface — here the first bytes of a gob stream, what every peer
+// wire preface — here the first bytes of a gob stream, what every peer
 // before wire format v1 sent — ends the session with stream.ErrWireVersion
 // and is told why in an error frame; nothing hangs and nothing panics.
 func TestServiceRefusesForeignWire(t *testing.T) {

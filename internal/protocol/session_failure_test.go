@@ -194,8 +194,11 @@ func TestSessionDeadlineEviction(t *testing.T) {
 // slot is released with the request, not leaked.
 func TestSessionShedTypedRejection(t *testing.T) {
 	reg := obs.NewRegistry("shed-session")
-	shed := NewShedder(ShedConfig{MaxInFlight: 1, Registry: reg})
-	edge, _, serveErr, ctx := startRawSession(t, SessionConfig{Shed: shed, Registry: reg})
+	gate, err := NewGate(GateConfig{MaxInFlight: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, _, serveErr, ctx := startRawSession(t, SessionConfig{Gate: gate, Registry: reg})
 	k := key(t)
 	proto, err := Build(buildNet(t), k, Config{Factor: 1000})
 	if err != nil {
@@ -227,7 +230,7 @@ func TestSessionShedTypedRejection(t *testing.T) {
 	if !errors.Is(shedReply.Err, ErrShed) {
 		t.Fatalf("second request not shed: err %v", shedReply.Err)
 	}
-	// Finish request 1 (round 1 is the last for the 2-round net).
+	// Complete request 1 (round 1 is the last for the 2-round net).
 	renv, err := FromWire(reply.Payload.(*roundFrame).Env, &k.PublicKey)
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +264,8 @@ func TestSessionShedTypedRejection(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	if shed.InFlight() != 0 {
-		t.Errorf("shed slots leaked: %d in flight after session close", shed.InFlight())
+	if n := reg.Snapshot().Gauges["shed.inflight"]; n != 0 {
+		t.Errorf("gate slots leaked: %d in flight after session close", n)
 	}
 }
 

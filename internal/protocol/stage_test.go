@@ -34,16 +34,17 @@ func hookRound(proto *Protocol, r int, hook func()) {
 	st.Ops[0] = hookedOp{Op: st.Ops[0], hook: hook}
 }
 
-// inProcessSession serves proto's model provider over a pair of channel
-// edges to a client driving its data provider, both with the given
+// inProcessSession serves proto's model provider under cfg over a pair of
+// channel edges to a client driving its data provider, both with the given
 // window, until the test ends.
-func inProcessSession(t *testing.T, proto *Protocol, reg *obs.Registry, window int) *Client {
+func inProcessSession(t *testing.T, proto *Protocol, cfg SessionConfig, window int) *Client {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	toModel, toData := stream.NewChannelEdge(window), stream.NewChannelEdge(window)
 	served := make(chan error, 1)
+	cfg.Factor, cfg.Window = 1000, window
 	go func() {
-		served <- ServeSession(ctx, toModel, toData, proto.Model, SessionConfig{Factor: 1000, Window: window, Registry: reg})
+		served <- ServeSession(ctx, toModel, toData, proto.Model, cfg)
 	}()
 	c, err := NewClient(ctx, toData, toModel, proto.Data, ClientOptions{Window: window})
 	if err != nil {
@@ -61,9 +62,11 @@ func inProcessSession(t *testing.T, proto *Protocol, reg *obs.Registry, window i
 
 // TestSessionStagePanicContained: a round whose kernel panics fails only
 // the request it was running — the client gets the round stage's error
-// frame naming the panic — and the session keeps serving: the next request
-// over the same session completes, and the failed one still ends with the
-// session.
+// frame naming the panic — and ends that request on the spot, not when the
+// janitor or the session's end gets to it: by the time the client sees the
+// error, its outcome is published, its gate slot is free and its
+// permutation state is gone, so the next request over the same session is
+// admitted at once and completes.
 func TestSessionStagePanicContained(t *testing.T) {
 	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
 	if err != nil {
@@ -76,16 +79,31 @@ func TestSessionStagePanicContained(t *testing.T) {
 		}
 	})
 	reg := obs.NewRegistry("stage-panic")
-	c := inProcessSession(t, proto, reg, 2)
+	gate, err := NewGate(GateConfig{MaxInFlight: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := inProcessSession(t, proto, SessionConfig{Registry: reg, Gate: gate, IdleTTL: time.Hour}, 2)
 	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
 	_, err = c.Infer(context.Background(), x)
 	var stageErr *stream.StageError
 	if !errors.As(err, &stageErr) || stageErr.Stage != "linear-1" || !strings.Contains(err.Error(), "boom in round 1") {
 		t.Fatalf("request whose round panicked: %v, want the linear-1 stage's panic", err)
 	}
+	snap := reg.Snapshot()
+	proto.Model.mu.Lock()
+	chains := len(proto.Model.state)
+	proto.Model.mu.Unlock()
+	if snap.Gauges["requests.active"] != 0 || snap.Counters["serve.requests.err"] != 1 || chains != 0 {
+		t.Errorf("after the panic: requests.active %d, serve.requests.err %d, %d permutation chains; want 0, 1, 0",
+			snap.Gauges["requests.active"], snap.Counters["serve.requests.err"], chains)
+	}
 	got, err := c.Infer(context.Background(), x)
 	if err != nil {
 		t.Fatalf("the session stopped serving after a panic: %v", err)
+	}
+	if n := reg.Snapshot().Counters["shed.rejected.total"]; n != 0 {
+		t.Errorf("the request after the panic was shed %d times waiting for the panicked one's slot", n)
 	}
 	want, err := proto.Infer(99, x)
 	if err != nil {
@@ -122,7 +140,7 @@ func TestSessionStagesOverlap(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	c := inProcessSession(t, proto, obs.NewRegistry("stage-overlap"), 4)
+	c := inProcessSession(t, proto, SessionConfig{Registry: obs.NewRegistry("stage-overlap")}, 4)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)

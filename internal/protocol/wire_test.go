@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"ppstream/internal/backend"
 	"ppstream/internal/obs"
@@ -71,7 +70,7 @@ func decodeFrames(data []byte) ([]*stream.Message, error) {
 	}
 }
 
-// preface is what every direction of a v1 connection opens with.
+// preface is what every direction of a connection opens with.
 var preface = []byte{'P', 'P', 'S', 'W', 0, stream.WireVersion}
 
 func ct(hexDigits string) *paillier.Ciphertext {
@@ -102,7 +101,7 @@ func goldenFrames() map[string]*stream.Message {
 			Req: 9, Shape: []int{4}, Exp: 3, Backend: backend.Clear.Code(),
 			Plain: []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), big.NewInt(-987654321)},
 		}}},
-		"round_result": {Seq: 9, Trace: &stream.Trace{ID: "00c0ffee00000001", Spans: []stream.Span{{Stage: "linear-2", Wait: time.Millisecond, Busy: 3 * time.Millisecond}}},
+		"round_result": {Seq: 9,
 			Payload: &roundFrame{Round: 2, TC: tc, Plan: []int32{0, 1, 2}, Profile: "mixed",
 				Spans: []obs.Segment{
 					{Party: "server", Name: "queue", Round: 2, Dur: 1200},
@@ -157,7 +156,7 @@ func canon(m *stream.Message) any {
 	return out
 }
 
-// TestGoldenFrames pins wire format v1 byte for byte: every kind of frame
+// TestGoldenFrames pins the wire format byte for byte: every kind of frame
 // encodes to exactly the committed hex and decodes back to what was sent.
 // A deliberate format change bumps stream.WireVersion and regenerates the
 // files with -update.
@@ -218,7 +217,7 @@ func (w *wb) raw(b ...byte) *wb {
 }
 func (w *wb) str(s string) *wb { return w.u32(uint32(len(s))).raw([]byte(s)...) }
 
-// frame wraps body in a v1 header.
+// frame wraps body in a frame header.
 func frame(flags uint8, tag uint16, bodyLen uint32, body []byte) []byte {
 	h := new(wb).u64(1).u32(0).u8(flags).u8(0).u16(tag).u32(bodyLen)
 	return append(h.b, body...)
@@ -280,7 +279,7 @@ func TestHostilePeerFields(t *testing.T) {
 		field string // WireError.Field, or "" when another typed error is expected
 		is    error
 	}{
-		{name: "unknown version", data: append([]byte{'P', 'P', 'S', 'W', 0, 2}, honest[len(preface):]...), is: stream.ErrWireVersion},
+		{name: "unknown version", data: append([]byte{'P', 'P', 'S', 'W', 0, stream.WireVersion + 1}, honest[len(preface):]...), is: stream.ErrWireVersion},
 		{name: "gob peer", data: []byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'w', 'i', 'r', 'e', 'F', 'r', 'a', 'm', 'e'}, is: stream.ErrWireVersion},
 		{name: "body length", data: withPreface(frame(0, tagEnvelope, stream.MaxFrameBody+1, nil)), field: "body length"},
 		{name: "unknown header flag", data: withPreface(frame(0x80, tagEnvelope, 0, nil)), field: "flags"},
@@ -294,7 +293,8 @@ func TestHostilePeerFields(t *testing.T) {
 		{name: "error text", data: withPreface(frame(2, 0, 8, new(wb).u32(stream.MaxWireString+1).raw(0, 0, 0, 0).b)), field: "error text"},
 		{name: "string past the body", data: withPreface(frame(2, 0, 8, new(wb).u32(100).raw(0, 0, 0, 0).b)), field: "error text"},
 		{name: "failed stage without error", data: withPreface(frame(8, 0, 7, new(wb).str("x").u16(0).b)), field: "flags"},
-		{name: "stream trace spans", data: withPreface(frame(4, 0, 8, new(wb).str("").u32(1<<20).b)), field: "trace spans"},
+		// Version 1's stage-span trace section: its flag bit is unassigned.
+		{name: "stream trace spans", data: withPreface(frame(4, 0, 8, new(wb).str("").u32(1<<20).b)), field: "flags"},
 		{name: "hello key bytes", data: withPreface(frame(0, tagHello, 4, new(wb).u32(maxHelloKeyBytes+1).b)), field: "hello key bytes"},
 		{name: "slot bits", data: env(envPrefix(maxSlotBits + 1)), field: "slot bits"},
 		{name: "envelope flags", data: env(new(wb).u64(1).u32(0).u32(0).u32(0).u8(0x40)), field: "envelope flags"},

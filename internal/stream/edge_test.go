@@ -100,8 +100,8 @@ func tcpEdgePair(t *testing.T, reg *obs.Registry) (send, recv Edge) {
 
 // TestTCPEdgeCountersAndFailureMetadata drives a real TCP edge and
 // checks (a) byte/frame counters on both ends, and (b) that a failed
-// message's stage, error code, text and trace ID survive the hop — the
-// submitter on the far side needs them to diagnose remote errors.
+// message's stage, error code and text survive the hop — the submitter on
+// the far side needs them to diagnose remote errors.
 func TestTCPEdgeCountersAndFailureMetadata(t *testing.T) {
 	registerWirePayload()
 	reg := obs.NewRegistry("edge")
@@ -111,12 +111,8 @@ func TestTCPEdgeCountersAndFailureMetadata(t *testing.T) {
 
 	coded := &CodedError{Code: 3, Msg: "overloaded"}
 	msgs := []*Message{
-		{Seq: 1, Payload: &wirePayload{Value: 7, Note: "ok"}, Trace: &Trace{ID: "feedc0de00000001"}},
-		{
-			Seq:   2,
-			Err:   &StageError{Stage: "linear-0", Err: fmt.Errorf("boom: %w", coded)},
-			Trace: &Trace{ID: "feedc0de00000002"},
-		},
+		{Seq: 1, Payload: &wirePayload{Value: 7, Note: "ok"}},
+		{Seq: 2, Err: &StageError{Stage: "linear-0", Err: fmt.Errorf("boom: %w", coded)}},
 	}
 	go func() {
 		for _, m := range msgs {
@@ -129,8 +125,8 @@ func TestTCPEdgeCountersAndFailureMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got1.Seq != 1 || got1.Trace == nil || got1.Trace.ID != "feedc0de00000001" {
-		t.Errorf("healthy frame lost its trace ID: %+v", got1)
+	if got1.Seq != 1 || got1.Payload.(*wirePayload).Note != "ok" {
+		t.Errorf("healthy frame mangled: %+v", got1)
 	}
 	got2, err := recv.Recv(ctx)
 	if err != nil {
@@ -145,9 +141,6 @@ func TestTCPEdgeCountersAndFailureMetadata(t *testing.T) {
 	}
 	if !errors.Is(got2.Err, coded) {
 		t.Errorf("err %v lost its code %d", got2.Err, coded.Code)
-	}
-	if got2.Trace == nil || got2.Trace.ID != "feedc0de00000002" {
-		t.Errorf("failed frame lost its trace ID: %+v", got2.Trace)
 	}
 	if _, err := recv.Recv(ctx); !errors.Is(err, ErrEdgeClosed) {
 		t.Fatalf("after close: %v", err)
@@ -304,7 +297,7 @@ func FuzzFrameHeader(f *testing.F) {
 		}
 		f.Add(conn.out.Bytes()[prefaceLen:])
 	}
-	seed(true, &Message{Seq: 1, Payload: &wirePayload{Value: 7, Note: "ok"}, Trace: &Trace{ID: "feedc0de00000001", Spans: []Span{{Stage: "s", Wait: 1, Busy: 2}}}})
+	seed(true, &Message{Seq: 1, Payload: &wirePayload{Value: 7, Note: "ok"}})
 	seed(false, &Message{Seq: 2, Err: &StageError{Stage: "linear-0", Err: &CodedError{Code: 3, Msg: "boom"}}})
 	seed(true)
 	f.Add(binary.BigEndian.AppendUint32(make([]byte, 16), MaxFrameBody))

@@ -7,7 +7,7 @@
 // requests occupy different stages simultaneously (pipeline parallelism).
 //
 // Stages connect through Edges. Inside one process an edge is a bounded
-// channel (NewChannelEdge); the TCP edge carries wire-format v1 frames
+// channel (NewChannelEdge); the TCP edge carries wire-format v2 frames
 // (wire.go) between servers. The protocol session runs each linear round
 // as one Stage of a Stages set, and core.Engine is that session over a
 // pair of in-process edges.
@@ -40,8 +40,6 @@ type Message struct {
 	// Enqueued is stamped when the message enters a stage's queue,
 	// feeding the queue-wait metric.
 	Enqueued time.Time
-	// Trace, when non-nil, carries per-stage spans across a TCP edge.
-	Trace *Trace
 }
 
 // StageError is a request's failure in the stage whose handler raised it.
@@ -67,8 +65,8 @@ type Span struct {
 	Busy  time.Duration
 }
 
-// Trace is the per-request record of stage spans, as it travels in a
-// wire frame and as core.Engine.Submit returns it.
+// Trace is the per-request record of stage spans, as core.Engine.Submit
+// returns it.
 type Trace struct {
 	// ID is the request's distributed-tracing identifier (see
 	// obs.TraceTree).

@@ -8,13 +8,12 @@ import (
 	"io"
 	"math"
 	"sync"
-	"time"
 )
 
-// Wire format v1: what a TCP edge writes to its connection. Each direction
+// Wire format v2: what a TCP edge writes to its connection. Each direction
 // opens with a six-byte preface (magic, version) and then carries frames: a
 // fixed 20-byte header followed by a body of the length the header
-// announces. All integers are big-endian. DESIGN.md ("Wire format v1") has
+// announces. All integers are big-endian. DESIGN.md ("Wire format v2") has
 // the byte layout and the limits table; the golden frames in
 // internal/protocol/testdata/wire_v1 (TestGoldenFrames) pin the bytes of
 // every frame type at this WireVersion.
@@ -23,7 +22,7 @@ import (
 // opens with any other version (or with no preface at all, as a gob peer
 // would) is refused with ErrWireVersion. Bump it whenever a frame struct's
 // field set or encoding changes; there is no negotiation and no fallback.
-const WireVersion = 1
+const WireVersion = 2
 
 const (
 	wireMagic  = "PPSW"
@@ -46,16 +45,14 @@ const (
 	// bytes that back them: an announced count sizes at most this much
 	// before data has arrived to justify more.
 	WireChunk = 1024
-	// maxTraceSpans bounds the stage spans of one stream.Trace.
-	maxTraceSpans = 256
 )
 
 const (
 	flagClose  = 1 << iota // end of stream; no body
 	flagErr                // body carries Message.Err's text
-	flagTrace              // body carries Message.Trace
+	_                      // unassigned: a stage-span trace section up to version 1
 	flagFailed             // body carries the failing stage's name
-	flagsKnown = flagClose | flagErr | flagTrace | flagFailed
+	flagsKnown = flagClose | flagErr | flagFailed
 )
 
 // ErrWireVersion is returned by Recv when the peer did not open with the
@@ -391,26 +388,6 @@ func (r *WireReader) String(field string) string {
 	return string(r.Next(r.Len(field, MaxWireString, 1)))
 }
 
-// encodeWire writes the trace: ID, then each span's stage and durations.
-func (t *Trace) encodeWire(w *WireWriter) {
-	w.String(t.ID)
-	w.Len(len(t.Spans))
-	for _, s := range t.Spans {
-		w.String(s.Stage)
-		w.I64(int64(s.Wait))
-		w.I64(int64(s.Busy))
-	}
-}
-
-func decodeTrace(r *WireReader) *Trace {
-	t := &Trace{ID: r.String("trace id")}
-	// A span is at least its stage's length prefix and two durations.
-	t.Spans = ReadVec(r, "trace spans", maxTraceSpans, 4+8+8, func() Span {
-		return Span{Stage: r.String("span stage"), Wait: time.Duration(r.I64()), Busy: time.Duration(r.I64())}
-	})
-	return t
-}
-
 // payloadTag returns the wire tag of a message payload: zero for none.
 func payloadTag(w *WireWriter, payload any) uint16 {
 	switch p := payload.(type) {
@@ -439,10 +416,6 @@ func encodeBody(w *WireWriter, m *Message) (flags uint8, tag uint16) {
 			stage, text = se.Stage, se.Err.Error()
 		}
 		w.String(text[:min(len(text), MaxWireString)])
-	}
-	if m.Trace != nil {
-		flags |= flagTrace
-		m.Trace.encodeWire(w)
 	}
 	if stage != "" {
 		flags |= flagFailed
@@ -526,9 +499,6 @@ func readFrame(r *WireReader) (*Message, error) {
 	}
 	if flags&flagErr != 0 {
 		m.Err = &CodedError{Code: code, Msg: r.String("error text")}
-	}
-	if flags&flagTrace != 0 {
-		m.Trace = decodeTrace(r)
 	}
 	if flags&flagFailed != 0 {
 		m.Err = &StageError{Stage: r.String("failed stage"), Err: m.Err}
