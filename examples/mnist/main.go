@@ -76,8 +76,8 @@ func main() {
 	// Tensor partitioning communication volumes (Section IV-D).
 	fmt.Println("\ntensor partitioning (Section IV-D), per request:")
 	li := 0
-	for i, m := range eng.Protocol.Merged {
-		if m.Kind != nn.Linear {
+	for i, l := range eng.Layers {
+		if !l.Linear {
 			continue
 		}
 		with, without, err := eng.Protocol.Model.StageComm(li, eng.Plan.Threads[i])
@@ -85,7 +85,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-40s %9d elems with partitioning, %9d without (%.1f%% saved)\n",
-			m.Name(), with, without, 100*(1-float64(with)/float64(without)))
+			l.Name, with, without, 100*(1-float64(with)/float64(without)))
 		li++
 	}
 

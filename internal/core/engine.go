@@ -92,7 +92,6 @@ type Options struct {
 
 // Engine is a ready-to-run PP-Stream deployment for one model.
 type Engine struct {
-	Net      *nn.Network
 	Protocol *protocol.Protocol
 	Plan     *alloc.Plan
 	Layers   []alloc.Layer
@@ -128,7 +127,7 @@ func NewEngine(net *nn.Network, key *paillier.PrivateKey, opts Options) (*Engine
 		return nil, err
 	}
 	e := &Engine{
-		Net: net, Protocol: proto, opts: opts,
+		Protocol: proto, opts: opts,
 		Servers: opts.Topology.Servers(), keyBits: key.Bits(),
 		reg: obs.NewRegistry("engine/" + net.ModelName),
 	}
@@ -157,9 +156,9 @@ func (e *Engine) plan() error {
 		return fmt.Errorf("core: measuring unit costs: %w", err)
 	}
 	e.EncryptTime = units.Price(encrypt)
-	e.Layers = make([]alloc.Layer, len(e.Protocol.Merged))
-	for i, m := range e.Protocol.Merged {
-		e.Layers[i] = alloc.Layer{Name: m.Name(), Linear: m.Kind == nn.Linear, Time: units.Price(counts[i])}
+	e.Layers = make([]alloc.Layer, len(e.Protocol.StageNames))
+	for i, name := range e.Protocol.StageNames {
+		e.Layers[i] = alloc.Layer{Name: name, Linear: i%2 == 0, Time: units.Price(counts[i])}
 	}
 
 	if e.opts.LoadBalance {
@@ -205,17 +204,17 @@ func (e *Engine) SimStages() ([]simulate.Stage, error) {
 	// The input encryption stage parallelizes on the data provider; give
 	// it the first non-linear stage's thread allocation.
 	encThreads := 1
-	for i, m := range e.Protocol.Merged {
-		if m.Kind == nn.NonLinear {
+	for i, l := range e.Layers {
+		if !l.Linear {
 			encThreads = e.Plan.Threads[i]
 			break
 		}
 	}
 	stages = append(stages, simulate.Stage{Name: "encrypt", Base: e.EncryptTime, Threads: encThreads})
 	li := 0
-	for i, m := range e.Protocol.Merged {
-		s := simulate.Stage{Name: m.Name(), Base: e.Layers[i].Time, Threads: e.Plan.Threads[i]}
-		if m.Kind == nn.Linear {
+	for i, l := range e.Layers {
+		s := simulate.Stage{Name: l.Name, Base: l.Time, Threads: e.Plan.Threads[i]}
+		if l.Linear {
 			withPart, withoutPart, err := e.Protocol.Model.StageComm(li, e.Plan.Threads[i])
 			if err != nil {
 				return nil, err
@@ -253,9 +252,9 @@ func (e *Engine) Simulate(requests int) (*simulate.Result, error) {
 // stages.
 func (e *Engine) applyPlan() error {
 	li, ni := 0, 0
-	for i, m := range e.Protocol.Merged {
+	for i, l := range e.Layers {
 		threads := e.Plan.Threads[i]
-		if m.Kind == nn.Linear {
+		if l.Linear {
 			if err := e.Protocol.Model.SetStageThreads(li, threads); err != nil {
 				return err
 			}
@@ -293,13 +292,13 @@ type StageReport struct {
 // Report summarizes the engine's plan per stage — what cmd tools and
 // examples print for operators.
 func (e *Engine) Report() ([]StageReport, error) {
-	out := make([]StageReport, len(e.Protocol.Merged))
+	out := make([]StageReport, len(e.Layers))
 	li := 0
-	for i, m := range e.Protocol.Merged {
+	for i, l := range e.Layers {
 		r := StageReport{
-			Name:    m.Name(),
-			Linear:  m.Kind == nn.Linear,
-			Time:    e.Layers[i].Time,
+			Name:    l.Name,
+			Linear:  l.Linear,
+			Time:    l.Time,
 			Server:  e.Servers[e.Plan.ServerOf[i]].Name,
 			Threads: e.Plan.Threads[i],
 		}

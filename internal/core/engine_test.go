@@ -6,10 +6,13 @@ import (
 	mathrand "math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
+	"ppstream/internal/protocol"
 	"ppstream/internal/tensor"
 )
 
@@ -194,5 +197,52 @@ func TestEngineWithAllFeatures(t *testing.T) {
 	// The plan must satisfy the allocation constraints.
 	if eng.Plan == nil || len(eng.Plan.Threads) != len(eng.Layers) {
 		t.Error("plan missing")
+	}
+}
+
+// TestEngineKeepsNoFloatNetwork: an engine serves the quantized form of
+// its network, so once NewEngine returns nothing it keeps reaches the
+// float network it was built from. With the caller's references dropped,
+// fc1's weight tensor is collected, and Submit still returns the reference
+// walk's outputs bit for bit.
+func TestEngineKeepsNoFloatNetwork(t *testing.T) {
+	var collected atomic.Bool
+	eng, err := func() (*Engine, error) {
+		net := smallNet(t)
+		runtime.SetFinalizer(net.Layers[0].(*nn.FC).W, func(*tensor.Dense) { collected.Store(true) })
+		return NewEngine(net, key(t), Options{Factor: 1000})
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := eng.Serve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !collected.Load() && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Error("fc1's float weights are still reachable from the engine")
+	}
+	ref, err := protocol.Build(smallNet(t), key(t), protocol.Config{Factor: 1000, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range randInputs(3) {
+		want, err := ref.Infer(uint64(i+1), x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := eng.Submit(ctx, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.AllClose(got, want, 0) {
+			t.Errorf("request %d: engine %v, reference walk %v", i, got.Data(), want.Data())
+		}
 	}
 }

@@ -128,7 +128,7 @@ func walkTimes(t *testing.T, net *nn.Network, reps int) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := make([]float64, 1+len(proto.Merged))
+	best := make([]float64, 1+len(proto.StageNames))
 	keep := func(i int, start time.Time) {
 		if s := time.Since(start).Seconds(); best[i] == 0 || s < best[i] {
 			best[i] = s

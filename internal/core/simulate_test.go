@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"ppstream/internal/nn"
-)
+import "testing"
 
 func TestSimStagesAndSimulate(t *testing.T) {
 	k := key(t)
@@ -19,17 +15,17 @@ func TestSimStagesAndSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// encrypt + every merged stage
-	if len(stages) != len(eng.Protocol.Merged)+1 {
-		t.Fatalf("%d sim stages for %d merged layers", len(stages), len(eng.Protocol.Merged))
+	if len(stages) != len(eng.Layers)+1 {
+		t.Fatalf("%d sim stages for %d merged layers", len(stages), len(eng.Layers))
 	}
 	if stages[0].Name != "encrypt" || stages[0].Base <= 0 {
 		t.Errorf("encrypt stage %+v", stages[0])
 	}
 	// linear stages carry communication accounting
 	li := 0
-	for i, m := range eng.Protocol.Merged {
+	for i, l := range eng.Layers {
 		s := stages[i+1]
-		if m.Kind == nn.Linear {
+		if l.Linear {
 			if s.CommElems <= 0 {
 				t.Errorf("linear stage %s has no comm accounting", s.Name)
 			}
@@ -96,7 +92,7 @@ func TestEngineReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report) != len(eng.Protocol.Merged) {
+	if len(report) != len(eng.Layers) {
 		t.Fatalf("report covers %d stages", len(report))
 	}
 	for _, r := range report {

@@ -59,22 +59,23 @@ type Layer interface {
 	Forward(x *tensor.Dense) (*tensor.Dense, error)
 }
 
-// Trainable is implemented by layers with learnable parameters. Params
-// and Grads return parallel slices: Grads()[i] accumulates the loss
-// gradient of Params()[i].
+// Trainable is implemented by layers with learnable parameters. A layer
+// holds only its parameters: the trainer (Train) owns their gradient and
+// momentum state.
 type Trainable interface {
 	Layer
 	Params() []*tensor.Dense
-	Grads() []*tensor.Dense
 }
 
 // Backprop is implemented by layers that support gradient computation.
 // Backward receives the layer's forward input x and the loss gradient dy
-// with respect to the layer's output, accumulates parameter gradients
-// (if any), and returns the gradient with respect to x.
+// with respect to the layer's output, adds each parameter's loss gradient
+// into grads — grads[i] runs parallel to Params()[i].Data(); a layer
+// without parameters ignores it — and returns the gradient with respect
+// to x.
 type Backprop interface {
 	Layer
-	Backward(x *tensor.Dense, dy *tensor.Dense) (*tensor.Dense, error)
+	Backward(x, dy *tensor.Dense, grads [][]float64) (*tensor.Dense, error)
 }
 
 // ElementWise is implemented by non-linear layers whose function applies

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -240,7 +241,9 @@ func TestScaledSigmoidSplit(t *testing.T) {
 	}
 }
 
-// gradient checking via central differences for every Backprop layer.
+// gradient checking via central differences for every Backprop layer: the
+// returned dL/dx, and for a Trainable layer the gradient Backward adds into
+// each parameter's buffer, against the central difference of dy·f(x).
 func TestBackwardGradcheck(t *testing.T) {
 	r := rng()
 	cases := []struct {
@@ -290,14 +293,21 @@ func TestBackwardGradcheck(t *testing.T) {
 			for i := range dy.Data() {
 				dy.Data()[i] = r.NormFloat64()
 			}
-			dx, err := bp.Backward(x, dy)
+			var params []*tensor.Dense
+			if tr, ok := c.layer.(Trainable); ok {
+				params = tr.Params()
+			}
+			grads := make([][]float64, len(params))
+			for i, p := range params {
+				grads[i] = make([]float64, p.Size())
+			}
+			dx, err := bp.Backward(x, dy, grads)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// numerically check d(dy·f(x))/dx
 			const eps = 1e-5
-			loss := func(xt *tensor.Dense) float64 {
-				y, err := c.layer.Forward(xt)
+			loss := func() float64 {
+				y, err := c.layer.Forward(x)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,18 +317,25 @@ func TestBackwardGradcheck(t *testing.T) {
 				}
 				return sum
 			}
-			for i := 0; i < x.Size(); i++ {
-				orig := x.Data()[i]
-				x.Data()[i] = orig + eps
-				up := loss(x)
-				x.Data()[i] = orig - eps
-				down := loss(x)
-				x.Data()[i] = orig
-				want := (up - down) / (2 * eps)
-				got := dx.Data()[i]
-				if math.Abs(got-want) > 1e-3*(1+math.Abs(want)) {
-					t.Errorf("%s: dL/dx[%d] = %v, numeric %v", c.name, i, got, want)
+			// check compares got[i] with the central difference of
+			// dy·f(x) in v[i], for every element of v.
+			check := func(what string, v, got []float64) {
+				for i := range v {
+					orig := v[i]
+					v[i] = orig + eps
+					up := loss()
+					v[i] = orig - eps
+					down := loss()
+					v[i] = orig
+					want := (up - down) / (2 * eps)
+					if math.Abs(got[i]-want) > 1e-3*(1+math.Abs(want)) {
+						t.Errorf("%s: %s[%d] = %v, numeric %v", c.name, what, i, got[i], want)
+					}
 				}
+			}
+			check("dL/dx", x.Data(), dx.Data())
+			for pi, p := range params {
+				check(fmt.Sprintf("dL/dparam%d", pi), p.Data(), grads[pi])
 			}
 		})
 	}

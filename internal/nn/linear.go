@@ -15,8 +15,6 @@ type FC struct {
 	LayerName string
 	W         *tensor.Dense // [out, in]
 	B         *tensor.Dense // [out]
-
-	dW, dB *tensor.Dense
 }
 
 // NewFC creates a fully-connected layer with Xavier/Glorot-initialized
@@ -31,8 +29,6 @@ func NewFC(name string, in, out int, rng *rand.Rand) *FC {
 		LayerName: name,
 		W:         w,
 		B:         tensor.Zeros(out),
-		dW:        tensor.Zeros(out, in),
-		dB:        tensor.Zeros(out),
 	}
 }
 
@@ -64,18 +60,15 @@ func (l *FC) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 // Params implements Trainable.
 func (l *FC) Params() []*tensor.Dense { return []*tensor.Dense{l.W, l.B} }
 
-// Grads implements Trainable.
-func (l *FC) Grads() []*tensor.Dense { return []*tensor.Dense{l.dW, l.dB} }
-
 // Backward implements Backprop: dx = Wᵀ·dy; dW += dy·xᵀ; dB += dy.
-func (l *FC) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *FC) Backward(x, dy *tensor.Dense, grads [][]float64) (*tensor.Dense, error) {
 	xf := x.Flatten()
 	in, out := l.In(), l.Out()
 	if xf.Size() != in || dy.Size() != out {
 		return nil, fmt.Errorf("nn: %s backward shape mismatch (x %d, dy %d)", l.LayerName, xf.Size(), dy.Size())
 	}
 	dx := tensor.Zeros(in)
-	wd, xd, dyd, dxd, dwd, dbd := l.W.Data(), xf.Data(), dy.Data(), dx.Data(), l.dW.Data(), l.dB.Data()
+	wd, xd, dyd, dxd, dwd, dbd := l.W.Data(), xf.Data(), dy.Data(), dx.Data(), grads[0], grads[1]
 	for o := 0; o < out; o++ {
 		g := dyd[o]
 		dbd[o] += g
@@ -96,8 +89,6 @@ type Conv struct {
 	P         tensor.ConvParams
 	W         *tensor.Dense // [F, C, KH, KW]
 	B         *tensor.Dense // [F]
-
-	dW, dB *tensor.Dense
 }
 
 // NewConv creates a convolution layer with He-initialized weights.
@@ -115,8 +106,6 @@ func NewConv(name string, p tensor.ConvParams, rng *rand.Rand) (*Conv, error) {
 		P:         p,
 		W:         w,
 		B:         tensor.Zeros(p.OutC),
-		dW:        tensor.Zeros(p.OutC, p.InC, p.KH, p.KW),
-		dB:        tensor.Zeros(p.OutC),
 	}, nil
 }
 
@@ -143,11 +132,8 @@ func (l *Conv) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 // Params implements Trainable.
 func (l *Conv) Params() []*tensor.Dense { return []*tensor.Dense{l.W, l.B} }
 
-// Grads implements Trainable.
-func (l *Conv) Grads() []*tensor.Dense { return []*tensor.Dense{l.dW, l.dB} }
-
 // Backward implements Backprop using the im2col decomposition.
-func (l *Conv) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *Conv) Backward(x, dy *tensor.Dense, grads [][]float64) (*tensor.Dense, error) {
 	p := l.P
 	oh, ow := p.OutH(), p.OutW()
 	wantDy := tensor.Shape{p.OutC, oh, ow}
@@ -160,7 +146,7 @@ func (l *Conv) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
 	}
 	rowLen := p.InC * p.KH * p.KW
 	cd, dyd, wd := cols.Data(), dy.Data(), l.W.Data()
-	dwd, dbd := l.dW.Data(), l.dB.Data()
+	dwd, dbd := grads[0], grads[1]
 	// dcols[pos][k] = Σ_f dy[f][pos]·W[f][k]; dW[f][k] += Σ_pos dy[f][pos]·cols[pos][k]
 	dcols := make([]float64, oh*ow*rowLen)
 	for f := 0; f < p.OutC; f++ {
@@ -219,14 +205,12 @@ type BatchNorm struct {
 	Beta      *tensor.Dense // [C]
 	Mean      *tensor.Dense // [C], frozen running mean
 	Var       *tensor.Dense // [C], frozen running variance
-
-	dGamma, dBeta *tensor.Dense
 }
 
 // NewBatchNorm creates an identity-initialized batch-norm layer over the
 // given number of channels/features.
 func NewBatchNorm(name string, channels int) *BatchNorm {
-	bn := &BatchNorm{
+	return &BatchNorm{
 		LayerName: name,
 		Channels:  channels,
 		Eps:       1e-5,
@@ -234,10 +218,7 @@ func NewBatchNorm(name string, channels int) *BatchNorm {
 		Beta:      tensor.Zeros(channels),
 		Mean:      tensor.Zeros(channels),
 		Var:       tensor.Ones(channels),
-		dGamma:    tensor.Zeros(channels),
-		dBeta:     tensor.Zeros(channels),
 	}
-	return bn
 }
 
 // Name implements Layer.
@@ -297,19 +278,16 @@ func (l *BatchNorm) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 // Params implements Trainable (γ and β learn; μ and σ² are frozen).
 func (l *BatchNorm) Params() []*tensor.Dense { return []*tensor.Dense{l.Gamma, l.Beta} }
 
-// Grads implements Trainable.
-func (l *BatchNorm) Grads() []*tensor.Dense { return []*tensor.Dense{l.dGamma, l.dBeta} }
-
 // Backward implements Backprop with frozen statistics:
 // dx = dy·γ/√(σ²+ε); dγ += dy·x̂; dβ += dy.
-func (l *BatchNorm) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *BatchNorm) Backward(x, dy *tensor.Dense, grads [][]float64) (*tensor.Dense, error) {
 	if !x.Shape().Equal(dy.Shape()) {
 		return nil, fmt.Errorf("nn: %s backward shape mismatch %v vs %v", l.LayerName, x.Shape(), dy.Shape())
 	}
 	dx := tensor.Zeros(x.Shape()...)
 	xd, dyd, dxd := x.Data(), dy.Data(), dx.Data()
 	g, mu, v := l.Gamma.Data(), l.Mean.Data(), l.Var.Data()
-	dg, db := l.dGamma.Data(), l.dBeta.Data()
+	dg, db := grads[0], grads[1]
 	for i := range xd {
 		c := l.channelOf(x.Shape(), i)
 		inv := 1 / math.Sqrt(v[c]+l.Eps)

@@ -150,15 +150,12 @@ func (n *Network) Clone() *Network {
 func cloneLayer(l Layer) Layer {
 	switch v := l.(type) {
 	case *FC:
-		return &FC{LayerName: v.LayerName, W: v.W.Clone(), B: v.B.Clone(),
-			dW: tensor.Zeros(v.W.Shape()...), dB: tensor.Zeros(v.B.Shape()...)}
+		return &FC{LayerName: v.LayerName, W: v.W.Clone(), B: v.B.Clone()}
 	case *Conv:
-		return &Conv{LayerName: v.LayerName, P: v.P, W: v.W.Clone(), B: v.B.Clone(),
-			dW: tensor.Zeros(v.W.Shape()...), dB: tensor.Zeros(v.B.Shape()...)}
+		return &Conv{LayerName: v.LayerName, P: v.P, W: v.W.Clone(), B: v.B.Clone()}
 	case *BatchNorm:
 		return &BatchNorm{LayerName: v.LayerName, Channels: v.Channels, Eps: v.Eps,
-			Gamma: v.Gamma.Clone(), Beta: v.Beta.Clone(), Mean: v.Mean.Clone(), Var: v.Var.Clone(),
-			dGamma: tensor.Zeros(v.Channels), dBeta: tensor.Zeros(v.Channels)}
+			Gamma: v.Gamma.Clone(), Beta: v.Beta.Clone(), Mean: v.Mean.Clone(), Var: v.Var.Clone()}
 	case *ReLU:
 		return &ReLU{LayerName: v.LayerName}
 	case *Sigmoid:
@@ -170,8 +167,7 @@ func cloneLayer(l Layer) Layer {
 	case *Flatten:
 		return &Flatten{LayerName: v.LayerName}
 	case *ScaledSigmoid:
-		return &ScaledSigmoid{LayerName: v.LayerName, Scale: v.Scale.Clone(),
-			dScale: tensor.Zeros(v.Scale.Shape()...)}
+		return &ScaledSigmoid{LayerName: v.LayerName, Scale: v.Scale.Clone()}
 	case *ElemScale:
 		return &ElemScale{LayerName: v.LayerName, Scale: v.Scale.Clone()}
 	default:
@@ -204,8 +200,6 @@ func ReplaceMaxPool(n *Network) (*Network, error) {
 				P:         p,
 				W:         tensor.Zeros(c, c, mp.Window, mp.Window),
 				B:         tensor.Zeros(c),
-				dW:        tensor.Zeros(c, c, mp.Window, mp.Window),
-				dB:        tensor.Zeros(c),
 			}
 			// Depthwise averaging kernel: channel i reads only channel i.
 			inv := 1 / float64(mp.Window*mp.Window)

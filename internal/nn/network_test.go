@@ -368,11 +368,51 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if declared, err := Load(&buf); err != nil || declared.InputMax != 1 || declared.Clone().InputMax != 1 {
 		t.Errorf("declared input domain ±1 did not survive save, load and clone: %+v, %v", declared, err)
 	}
-	// Loaded network must remain trainable (grads allocated).
-	fc := loaded.Layers[5].(*FC)
-	if len(fc.Grads()) != 2 || fc.Grads()[0] == nil {
-		t.Error("loaded FC lost gradient buffers")
+	// A loaded network stays trainable: one epoch moves its parameters
+	// exactly as the same epoch moves the saved network's.
+	xs := make([]*tensor.Dense, 8)
+	ys := make([]int, len(xs))
+	for i := range xs {
+		xs[i] = tensor.Zeros(1, 6, 6)
+		for j := range xs[i].Data() {
+			xs[i].Data()[j] = r.NormFloat64()
+		}
+		ys[i] = i % 2
 	}
+	cfg := DefaultTrainConfig()
+	cfg.Epochs, cfg.BatchSize = 1, 4
+	untrained := net.Clone()
+	for _, n := range []*Network{net, loaded} {
+		if err := Train(n, xs, ys, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sameParams(net, untrained) {
+		t.Fatal("one epoch moved no parameter")
+	}
+	if !sameParams(net, loaded) {
+		t.Error("one epoch on the loaded network trained different parameters than on the saved one")
+	}
+}
+
+// sameParams reports whether two networks' parameters are equal bit for bit.
+func sameParams(a, b *Network) bool {
+	pa, pb := a.Params(), b.Params()
+	if len(pa) != len(pb) {
+		return false
+	}
+	for i := range pa {
+		da, db := pa[i].Data(), pb[i].Data()
+		if len(da) != len(db) {
+			return false
+		}
+		for j := range da {
+			if math.Float64bits(da[j]) != math.Float64bits(db[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestLoadsFileWrittenBeforeInputMax: the model file is gob and the field

@@ -35,7 +35,7 @@ func (l *ReLU) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 }
 
 // Backward implements Backprop: the gradient passes where x > 0.
-func (l *ReLU) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *ReLU) Backward(x, dy *tensor.Dense, _ [][]float64) (*tensor.Dense, error) {
 	return tensor.Zip(x, dy, func(xi, g float64) float64 {
 		if xi > 0 {
 			return g
@@ -71,7 +71,7 @@ func (l *Sigmoid) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 }
 
 // Backward implements Backprop: dσ/dx = σ(x)(1−σ(x)).
-func (l *Sigmoid) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *Sigmoid) Backward(x, dy *tensor.Dense, _ [][]float64) (*tensor.Dense, error) {
 	return tensor.Zip(x, dy, func(xi, g float64) float64 {
 		s := l.ApplyElement(xi)
 		return g * s * (1 - s)
@@ -126,7 +126,7 @@ func (l *SoftMax) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 
 // Backward implements Backprop with the full SoftMax Jacobian:
 // dx_i = p_i·(dy_i − Σ_j dy_j·p_j).
-func (l *SoftMax) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *SoftMax) Backward(x, dy *tensor.Dense, _ [][]float64) (*tensor.Dense, error) {
 	p, err := l.Forward(x)
 	if err != nil {
 		return nil, err
@@ -188,7 +188,7 @@ func (l *MaxPool) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 
 // Backward implements Backprop: gradients flow to the argmax position of
 // each window (ties to the first maximum).
-func (l *MaxPool) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *MaxPool) Backward(x, dy *tensor.Dense, _ [][]float64) (*tensor.Dense, error) {
 	outShape, err := l.OutputShape(x.Shape())
 	if err != nil {
 		return nil, err
@@ -246,7 +246,7 @@ func (l *Flatten) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 }
 
 // Backward implements Backprop: reshape the gradient back.
-func (l *Flatten) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *Flatten) Backward(x, dy *tensor.Dense, _ [][]float64) (*tensor.Dense, error) {
 	return dy.Clone().Reshape(x.Shape()...)
 }
 
@@ -257,14 +257,12 @@ func (l *Flatten) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
 type ScaledSigmoid struct {
 	LayerName string
 	Scale     *tensor.Dense // per-element scale, model parameter
-
-	dScale *tensor.Dense
 }
 
 // NewScaledSigmoid creates a mixed sigmoid layer over n elements with
 // unit scales.
 func NewScaledSigmoid(name string, n int) *ScaledSigmoid {
-	return &ScaledSigmoid{LayerName: name, Scale: tensor.Ones(n), dScale: tensor.Zeros(n)}
+	return &ScaledSigmoid{LayerName: name, Scale: tensor.Ones(n)}
 }
 
 // Name implements Layer.
@@ -297,16 +295,13 @@ func (l *ScaledSigmoid) Forward(x *tensor.Dense) (*tensor.Dense, error) {
 // Params implements Trainable.
 func (l *ScaledSigmoid) Params() []*tensor.Dense { return []*tensor.Dense{l.Scale} }
 
-// Grads implements Trainable.
-func (l *ScaledSigmoid) Grads() []*tensor.Dense { return []*tensor.Dense{l.dScale} }
-
 // Backward implements Backprop for y = σ(s·x).
-func (l *ScaledSigmoid) Backward(x, dy *tensor.Dense) (*tensor.Dense, error) {
+func (l *ScaledSigmoid) Backward(x, dy *tensor.Dense, grads [][]float64) (*tensor.Dense, error) {
 	if x.Size() != l.Scale.Size() || dy.Size() != l.Scale.Size() {
 		return nil, fmt.Errorf("nn: %s backward size mismatch", l.LayerName)
 	}
 	dx := tensor.Zeros(x.Shape()...)
-	xd, sd, dyd, dxd, dsd := x.Data(), l.Scale.Data(), dy.Data(), dx.Data(), l.dScale.Data()
+	xd, sd, dyd, dxd, dsd := x.Data(), l.Scale.Data(), dy.Data(), dx.Data(), grads[0]
 	for i := range xd {
 		s := 1 / (1 + math.Exp(-sd[i]*xd[i]))
 		base := dyd[i] * s * (1 - s)

@@ -164,8 +164,7 @@ func decodeLayer(lb layerBlob) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &FC{LayerName: lb.Name, W: w, B: b,
-			dW: tensor.Zeros(w.Shape()...), dB: tensor.Zeros(b.Shape()...)}, nil
+		return &FC{LayerName: lb.Name, W: w, B: b}, nil
 	case "conv":
 		w, err := t("w")
 		if err != nil {
@@ -183,8 +182,7 @@ func decodeLayer(lb layerBlob) (Layer, error) {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		return &Conv{LayerName: lb.Name, P: p, W: w, B: b,
-			dW: tensor.Zeros(w.Shape()...), dB: tensor.Zeros(b.Shape()...)}, nil
+		return &Conv{LayerName: lb.Name, P: p, W: w, B: b}, nil
 	case "batchnorm":
 		gamma, err := t("gamma")
 		if err != nil {
@@ -202,10 +200,8 @@ func decodeLayer(lb layerBlob) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch := lb.Ints["channels"]
-		return &BatchNorm{LayerName: lb.Name, Channels: ch, Eps: lb.Floats["eps"],
-			Gamma: gamma, Beta: beta, Mean: mean, Var: variance,
-			dGamma: tensor.Zeros(ch), dBeta: tensor.Zeros(ch)}, nil
+		return &BatchNorm{LayerName: lb.Name, Channels: lb.Ints["channels"], Eps: lb.Floats["eps"],
+			Gamma: gamma, Beta: beta, Mean: mean, Var: variance}, nil
 	case "relu":
 		return NewReLU(lb.Name), nil
 	case "sigmoid":
@@ -221,7 +217,7 @@ func decodeLayer(lb layerBlob) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ScaledSigmoid{LayerName: lb.Name, Scale: s, dScale: tensor.Zeros(s.Shape()...)}, nil
+		return &ScaledSigmoid{LayerName: lb.Name, Scale: s}, nil
 	case "elemscale":
 		s, err := t("scale")
 		if err != nil {

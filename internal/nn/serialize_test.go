@@ -25,8 +25,7 @@ func goldenHeart() *Network {
 		return t
 	}
 	fc := func(name string, in, out int) *FC {
-		return &FC{LayerName: name, W: frac(7, out, in), B: frac(3, out),
-			dW: tensor.Zeros(out, in), dB: tensor.Zeros(out)}
+		return &FC{LayerName: name, W: frac(7, out, in), B: frac(3, out)}
 	}
 	bn := NewBatchNorm("bn1", 3)
 	bn.Eps = 1.0 / 1024

@@ -65,7 +65,7 @@ func Train(n *Network, xs []*tensor.Dense, ys []int, cfg TrainConfig) error {
 		order[i] = i
 	}
 
-	velocity := initVelocity(n)
+	state := newTrainState(n)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -75,15 +75,15 @@ func Train(n *Network, xs []*tensor.Dense, ys []int, cfg TrainConfig) error {
 			if end > len(order) {
 				end = len(order)
 			}
-			zeroGrads(n)
+			state.zeroGrads()
 			for _, idx := range order[start:end] {
-				loss, err := backpropSample(n, xs[idx], ys[idx], classes)
+				loss, err := backpropSample(n, state.grads, xs[idx], ys[idx], classes)
 				if err != nil {
 					return err
 				}
 				epochLoss += loss
 			}
-			applyGrads(n, velocity, cfg.LearningRate/float64(end-start), cfg.Momentum, cfg.WeightDecay)
+			state.step(n, cfg.LearningRate/float64(end-start), cfg.Momentum, cfg.WeightDecay)
 		}
 		if cfg.Progress != nil {
 			cfg.Progress(epoch, epochLoss/float64(len(xs)))
@@ -94,9 +94,9 @@ func Train(n *Network, xs []*tensor.Dense, ys []int, cfg TrainConfig) error {
 
 // backpropSample runs forward with activation caching, computes the
 // cross-entropy loss against the label, and backpropagates, accumulating
-// parameter gradients. The SoftMax+cross-entropy pair uses the fused
-// gradient p − onehot(y).
-func backpropSample(n *Network, x *tensor.Dense, y, classes int) (float64, error) {
+// layer i's parameter gradients into grads[i]. The SoftMax+cross-entropy
+// pair uses the fused gradient p − onehot(y).
+func backpropSample(n *Network, grads [][][]float64, x *tensor.Dense, y, classes int) (float64, error) {
 	acts := make([]*tensor.Dense, len(n.Layers)+1)
 	acts[0] = x
 	for i, l := range n.Layers {
@@ -120,7 +120,7 @@ func backpropSample(n *Network, x *tensor.Dense, y, classes int) (float64, error
 		if !ok {
 			return 0, fmt.Errorf("nn: layer %s does not support backprop", n.Layers[i].Name())
 		}
-		g, err := bp.Backward(acts[i], grad)
+		g, err := bp.Backward(acts[i], grad, grads[i])
 		if err != nil {
 			return 0, fmt.Errorf("nn: train backward layer %d (%s): %w", i, n.Layers[i].Name(), err)
 		}
@@ -129,45 +129,49 @@ func backpropSample(n *Network, x *tensor.Dense, y, classes int) (float64, error
 	return loss, nil
 }
 
-func initVelocity(n *Network) [][]float64 {
-	var v [][]float64
-	for _, l := range n.Layers {
+// trainState is the optimizer state Train owns, indexed like n.Layers and
+// then like that layer's Params (nil for a layer without parameters): the
+// gradient a batch accumulates and the momentum velocity.
+type trainState struct {
+	grads, velocity [][][]float64
+}
+
+// newTrainState allocates the zeroed gradient and velocity of every
+// parameter of n. It is the only place gradient state is allocated.
+func newTrainState(n *Network) *trainState {
+	s := &trainState{grads: make([][][]float64, len(n.Layers)), velocity: make([][][]float64, len(n.Layers))}
+	for i, l := range n.Layers {
 		if t, ok := l.(Trainable); ok {
 			for _, p := range t.Params() {
-				v = append(v, make([]float64, p.Size()))
+				s.grads[i] = append(s.grads[i], make([]float64, p.Size()))
+				s.velocity[i] = append(s.velocity[i], make([]float64, p.Size()))
 			}
 		}
 	}
-	return v
+	return s
 }
 
-func zeroGrads(n *Network) {
-	for _, l := range n.Layers {
-		if t, ok := l.(Trainable); ok {
-			for _, g := range t.Grads() {
-				for i := range g.Data() {
-					g.Data()[i] = 0
-				}
-			}
+func (s *trainState) zeroGrads() {
+	for _, layer := range s.grads {
+		for _, g := range layer {
+			clear(g)
 		}
 	}
 }
 
-func applyGrads(n *Network, velocity [][]float64, lr, momentum, weightDecay float64) {
-	vi := 0
-	for _, l := range n.Layers {
+// step applies one momentum SGD update from the accumulated gradients.
+func (s *trainState) step(n *Network, lr, momentum, weightDecay float64) {
+	for li, l := range n.Layers {
 		t, ok := l.(Trainable)
 		if !ok {
 			continue
 		}
-		params, grads := t.Params(), t.Grads()
-		for pi := range params {
-			pd, gd, v := params[pi].Data(), grads[pi].Data(), velocity[vi]
+		for pi, p := range t.Params() {
+			pd, gd, v := p.Data(), s.grads[li][pi], s.velocity[li][pi]
 			for i := range pd {
 				v[i] = momentum*v[i] - lr*(gd[i]+weightDecay*pd[i])
 				pd[i] += v[i]
 			}
-			vi++
 		}
 	}
 }

@@ -108,8 +108,10 @@ type Config struct {
 type Protocol struct {
 	Model *ModelProvider
 	Data  *DataProvider
-	// Merged is the alternating stage list the roles were built from.
-	Merged []*nn.PrimitiveLayer
+	// StageNames names each merged stage the roles were built from
+	// (nn.PrimitiveLayer.Name), in workflow order: round r's linear stage
+	// at 2r, its non-linear stage at 2r+1.
+	StageNames []string
 }
 
 // validateWorkflow merges the network and checks the workflow's
@@ -270,8 +272,12 @@ func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, er
 	if err != nil {
 		return nil, err
 	}
+	names := make([]string, len(merged))
+	for i, m := range merged {
+		names[i] = m.Name()
+	}
 	dp := newDataProvider(net.InputMax, merged, stages, key, cfg)
-	return &Protocol{Model: mp, Data: dp, Merged: merged}, nil
+	return &Protocol{Model: mp, Data: dp, StageNames: names}, nil
 }
 
 // Rounds returns the number of linear/non-linear round pairs.
@@ -293,7 +299,7 @@ func (p *Protocol) ApplyProfile(profile backend.Profile, boundary int) (*backend
 
 // StageCosts returns the crypto-op counts one request meters when it runs
 // every round on paillier-he, single-threaded and with no blinding pool:
-// the input encryption, and each merged stage in Merged order. It needs
+// the input encryption, and each merged stage in StageNames order. It needs
 // only shapes, weights and the key — no ciphertext:
 //
 //   - linear round r: the kernel's count (qnn.StageCost), Pack's

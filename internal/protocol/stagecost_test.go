@@ -28,8 +28,8 @@ func TestStageCostsAreWhatAWalkMeters(t *testing.T) {
 			t.Fatal(err)
 		}
 		encrypt, merged := proto.StageCosts()
-		if len(merged) != len(proto.Merged) {
-			t.Fatalf("%s: %d stage counts for %d merged stages", name, len(merged), len(proto.Merged))
+		if len(merged) != len(proto.StageNames) {
+			t.Fatalf("%s: %d stage counts for %d merged stages", name, len(merged), len(proto.StageNames))
 		}
 		check := func(stage string, m *obs.CostMeter, want obs.CostStats) {
 			t.Helper()
@@ -48,11 +48,11 @@ func TestStageCostsAreWhatAWalkMeters(t *testing.T) {
 			if env, _, err = proto.Model.ProcessLinearMetered(r, env, &lm); err != nil {
 				t.Fatal(err)
 			}
-			check(proto.Merged[2*r].Name(), &lm, merged[2*r])
+			check(proto.StageNames[2*r], &lm, merged[2*r])
 			if env, err = proto.Data.ProcessNonLinearMetered(r, env, &nm); err != nil {
 				t.Fatal(err)
 			}
-			check(proto.Merged[2*r+1].Name(), &nm, merged[2*r+1])
+			check(proto.StageNames[2*r+1], &nm, merged[2*r+1])
 		}
 		proto.Model.Forget(1)
 	}
