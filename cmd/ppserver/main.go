@@ -62,6 +62,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"net"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -72,9 +73,6 @@ import (
 	"ppstream/internal/backend"
 	"ppstream/internal/obs"
 	"ppstream/internal/protocol"
-	"ppstream/internal/stream"
-
-	"net"
 )
 
 func main() {
@@ -237,8 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Shutdown summary on SIGINT/SIGTERM: what the server did with its
 	// uptime, from the same registry the metrics endpoint serves. Closing
-	// the listener then ends the accept loop below.
-	var stopping atomic.Bool
+	// the listener then ends Serve below.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
@@ -263,45 +260,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"rounds_served", snap.Counters["rounds.served"],
 			"rounds_err", snap.Counters["rounds.errors"],
 		)
-		stopping.Store(true)
 		l.Close()
 	}()
 
-	ctx := context.Background()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if stopping.Load() {
-				return 0
-			}
-			logger.Error("accept failed", "err", err.Error())
-			return 1
-		}
-		go func(conn net.Conn) {
-			defer conn.Close()
-			edge := stream.NewInstrumentedTCPEdge(conn, reg, "tcp")
-			remote := conn.RemoteAddr().String()
-			sessLog := logger.With("remote", remote)
-			sessLog.Info("session opened")
-			cfg := protocol.SessionConfig{
-				Factor:        *factor,
-				MaxWorkers:    *maxWorkers,
-				Window:        *window,
-				IdleTTL:       *idleTTL,
-				Gate:          gate,
-				Registry:      reg,
-				Log:           sessLog,
-				SlowRound:     *slow,
-				Traces:        traces,
-				SLO:           slo,
-				Profile:       srvProfile,
-				ClearBoundary: *clearBoundary,
-			}
-			if err := protocol.ServeSessionConfig(ctx, edge, edge, netModel, cfg); err != nil {
-				sessLog.Warn("session failed", "err", err.Error())
-				return
-			}
-			sessLog.Info("session closed")
-		}(conn)
+	// The network goes to Serve, which keeps its walked form and not the
+	// network itself.
+	err = protocol.Serve(context.Background(), l, netModel, protocol.SessionConfig{
+		Factor:        *factor,
+		MaxWorkers:    *maxWorkers,
+		Window:        *window,
+		IdleTTL:       *idleTTL,
+		Gate:          gate,
+		Registry:      reg,
+		Log:           logger,
+		SlowRound:     *slow,
+		Traces:        traces,
+		SLO:           slo,
+		Profile:       srvProfile,
+		ClearBoundary: *clearBoundary,
+	})
+	if err != nil {
+		logger.Error("serve failed", "err", err.Error())
+		return 1
 	}
+	return 0
 }

@@ -200,17 +200,9 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 // merged primitive layers. Linear stages carry the communication volume
 // of the configured partitioning mode.
 func (e *Engine) SimStages() ([]simulate.Stage, error) {
-	var stages []simulate.Stage
-	// The input encryption stage parallelizes on the data provider; give
-	// it the first non-linear stage's thread allocation.
-	encThreads := 1
-	for i, l := range e.Layers {
-		if !l.Linear {
-			encThreads = e.Plan.Threads[i]
-			break
-		}
-	}
-	stages = append(stages, simulate.Stage{Name: "encrypt", Base: e.EncryptTime, Threads: encThreads})
+	// The input encryption runs on the data provider's threads for it: the
+	// first non-linear stage's allocation.
+	stages := []simulate.Stage{{Name: "encrypt", Base: e.EncryptTime, Threads: e.Protocol.Data.EncryptThreads(0)}}
 	li := 0
 	for i, l := range e.Layers {
 		s := simulate.Stage{Name: l.Name, Base: l.Time, Threads: e.Plan.Threads[i]}

@@ -107,3 +107,36 @@ func TestEngineReport(t *testing.T) {
 		}
 	}
 }
+
+// TestEncryptionsRunOnPlannedThreads: the data provider encrypts round r's
+// input on the threads the allocation gave the non-linear stage that
+// StageCosts charges those encryptions to — stage r−1, and the first
+// non-linear stage for the raw input — and SimStages prices the input
+// encryption at that same count.
+func TestEncryptionsRunOnPlannedThreads(t *testing.T) {
+	eng, err := NewEngine(smallNet(t), key(t), Options{
+		Factor: 1000, LoadBalance: true,
+		Topology: Topology{ModelServers: 1, DataServers: 1, CoresPerServer: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	stages, err := eng.SimStages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := eng.Protocol.Data
+	first := eng.Plan.Threads[1]
+	if first < 2 {
+		t.Fatalf("the plan gives the first non-linear stage %d thread(s); the check needs more", first)
+	}
+	if got := dp.EncryptThreads(0); got != first || stages[0].Threads != first {
+		t.Errorf("input encrypted on %d threads, simulated on %d; the plan gives its stage %d", got, stages[0].Threads, first)
+	}
+	for r := 1; r < eng.Protocol.Rounds(); r++ {
+		if got, want := dp.EncryptThreads(r), eng.Plan.Threads[2*r-1]; got != want {
+			t.Errorf("round %d input encrypted on %d threads, the plan gives %s %d", r, got, eng.Layers[2*r-1].Name, want)
+		}
+	}
+}

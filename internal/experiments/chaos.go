@@ -148,37 +148,18 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		connMu   sync.Mutex
-		conns    []net.Conn
-		sessions sync.WaitGroup
-	)
+	served := make(chan error, 1)
 	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed: shutdown
-			}
-			connMu.Lock()
-			conns = append(conns, conn)
-			connMu.Unlock()
-			sessions.Add(1)
-			go func() {
-				defer sessions.Done()
-				edge := stream.NewTCPEdge(conn)
-				// Session errors are expected here: chaos tears
-				// connections down mid-frame by design.
-				_ = protocol.ServeSessionConfig(ctx, edge, edge, netw, protocol.SessionConfig{
-					Factor:     serveFactor,
-					MaxWorkers: 2,
-					Window:     clients,
-					IdleTTL:    2 * time.Second,
-					Gate:       gate,
-					Registry:   serverReg,
-				})
-				conn.Close()
-			}()
-		}
+		// Session errors are expected here: chaos tears connections down
+		// mid-frame by design, and Serve logs them to no one.
+		served <- protocol.Serve(ctx, ln, netw, protocol.SessionConfig{
+			Factor:     serveFactor,
+			MaxWorkers: 2,
+			Window:     clients,
+			IdleTTL:    2 * time.Second,
+			Gate:       gate,
+			Registry:   serverReg,
+		})
 	}()
 	addr := ln.Addr().String()
 
@@ -256,18 +237,13 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 	wg.Wait()
 	res.Elapsed = time.Since(begin)
 
-	// Shutdown: close the client side, stop accepting, tear down every
-	// server connection (sessions blocked in Recv unblock on conn close),
-	// and wait for the session goroutines.
+	// Shutdown: close the client side, then stop the server, which tears
+	// down every session's connection and waits for the sessions.
 	redialer.Close()
 	ln.Close()
-	cancel()
-	connMu.Lock()
-	for _, c := range conns {
-		c.Close()
+	if err := <-served; err != nil {
+		return nil, err
 	}
-	connMu.Unlock()
-	sessions.Wait()
 
 	client := clientReg.Snapshot().Counters
 	server := serverReg.Snapshot().Counters

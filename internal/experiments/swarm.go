@@ -202,29 +202,17 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sessions sync.WaitGroup
+	served := make(chan error, 1)
 	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed: shutdown
-			}
-			sessions.Add(1)
-			go func() {
-				defer sessions.Done()
-				defer conn.Close()
-				edge := stream.NewTCPEdge(conn)
-				_ = protocol.ServeSessionConfig(ctx, edge, edge, netw, protocol.SessionConfig{
-					Factor:     serveFactor,
-					MaxWorkers: 2,
-					Window:     swarmWindow,
-					Gate:       gate,
-					Registry:   reg,
-					Traces:     traces,
-					SLO:        slo,
-				})
-			}()
-		}
+		served <- protocol.Serve(ctx, ln, netw, protocol.SessionConfig{
+			Factor:     serveFactor,
+			MaxWorkers: 2,
+			Window:     swarmWindow,
+			Gate:       gate,
+			Registry:   reg,
+			Traces:     traces,
+			SLO:        slo,
+		})
 	}()
 	addr := ln.Addr().String()
 
@@ -324,8 +312,9 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 		_ = cl.Close() // overload runs legitimately end with torn requests
 	}
 	ln.Close()
-	cancel()
-	sessions.Wait()
+	if err := <-served; err != nil {
+		return nil, err
+	}
 	res.Elapsed = time.Since(begin)
 
 	return res, res.swarmValidate()

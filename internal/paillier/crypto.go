@@ -203,6 +203,29 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	return sk.decode(m), nil
 }
 
+// DecryptNoCRT is the textbook decryption m = L(c^λ mod n²)·μ mod n
+// without the CRT speed-up. It exists as the ablation baseline for the
+// CRT optimization (BenchmarkAblationDecryptNoCRT) and as an independent
+// cross-check of Decrypt.
+func (sk *PrivateKey) DecryptNoCRT(ct *Ciphertext) (*big.Int, error) {
+	if ct == nil || ct.c == nil {
+		return nil, errors.New("paillier: nil ciphertext")
+	}
+	// λ = lcm(p−1, q−1); μ = λ⁻¹ mod n (g = n+1 variant).
+	gcd := new(big.Int).GCD(nil, nil, sk.pMinus1, sk.qMinus1)
+	lambda := new(big.Int).Mul(sk.pMinus1, sk.qMinus1)
+	lambda.Div(lambda, gcd)
+	mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, sk.N), sk.N)
+	if mu == nil {
+		return nil, errors.New("paillier: λ not invertible mod n")
+	}
+	u := new(big.Int).Exp(ct.c, lambda, sk.N2)
+	m := lFunc(u, sk.N)
+	m.Mul(m, mu)
+	m.Mod(m, sk.N)
+	return sk.decode(m), nil
+}
+
 // DecryptInt64 decrypts and narrows to int64, failing if the plaintext
 // does not fit.
 func (sk *PrivateKey) DecryptInt64(ct *Ciphertext) (int64, error) {

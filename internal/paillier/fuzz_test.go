@@ -7,60 +7,6 @@ import (
 	"testing"
 )
 
-// FuzzPaillierSerializeRoundTrip feeds adversarial bytes to the key
-// loaders: they must never panic (the serialized key formats cross
-// trust boundaries at session setup), and any key they accept must
-// survive a save/load round trip unchanged.
-func FuzzPaillierSerializeRoundTrip(f *testing.F) {
-	sk, err := GenerateKey(nil, 128)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var pubBuf, privBuf bytes.Buffer
-	if err := SavePublicKey(&sk.PublicKey, &pubBuf); err != nil {
-		f.Fatal(err)
-	}
-	if err := SavePrivateKey(sk, &privBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(pubBuf.Bytes())
-	f.Add(privBuf.Bytes())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Bound the factor size so primality testing of adversarial
-		// "primes" stays cheap.
-		if len(data) > 512 {
-			return
-		}
-		if pk, err := LoadPublicKey(bytes.NewReader(data)); err == nil {
-			var out bytes.Buffer
-			if err := SavePublicKey(pk, &out); err != nil {
-				t.Fatalf("re-saving accepted public key: %v", err)
-			}
-			pk2, err := LoadPublicKey(&out)
-			if err != nil {
-				t.Fatalf("re-loading saved public key: %v", err)
-			}
-			if pk2.N.Cmp(pk.N) != 0 {
-				t.Fatalf("public key round trip changed n: %v != %v", pk2.N, pk.N)
-			}
-		}
-		if sk2, err := LoadPrivateKey(bytes.NewReader(data)); err == nil {
-			var out bytes.Buffer
-			if err := SavePrivateKey(sk2, &out); err != nil {
-				t.Fatalf("re-saving accepted private key: %v", err)
-			}
-			sk3, err := LoadPrivateKey(&out)
-			if err != nil {
-				t.Fatalf("re-loading saved private key: %v", err)
-			}
-			if sk3.N.Cmp(sk2.N) != 0 || sk3.P.Cmp(sk2.P) != 0 || sk3.Q.Cmp(sk2.Q) != 0 {
-				t.Fatal("private key round trip changed key material")
-			}
-		}
-	})
-}
-
 // FuzzKernelRows decodes a small layer from the fuzz input — up to four
 // rows over up to four inputs, dense or indexed (repeats allowed), weights
 // of any width including math.MinInt64, optional biases — and checks both

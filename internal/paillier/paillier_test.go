@@ -146,6 +146,32 @@ func TestAddPlain(t *testing.T) {
 	}
 }
 
+// TestDecryptNoCRTAgrees cross-checks the CRT fast path against the
+// textbook decryption.
+func TestDecryptNoCRTAgrees(t *testing.T) {
+	k := key(t)
+	for _, m := range []int64{0, 1, -1, 9999999, -123456789} {
+		ct, err := k.PublicKey.EncryptInt64(rand.Reader, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := k.Decrypt(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := k.DecryptNoCRT(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.Cmp(slow) != 0 {
+			t.Errorf("m=%d: CRT %v vs textbook %v", m, fast, slow)
+		}
+	}
+	if _, err := k.DecryptNoCRT(nil); err == nil {
+		t.Error("nil ciphertext accepted")
+	}
+}
+
 func TestDecryptRejectsBadInput(t *testing.T) {
 	k := key(t)
 	if _, err := k.Decrypt(nil); err == nil {

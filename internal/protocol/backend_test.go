@@ -497,12 +497,30 @@ func TestSessionRunsBaseOTsOnce(t *testing.T) {
 	}
 }
 
-// TestModelRoleSeesOnlyCiphertextsBeforeClear: under every plan the
-// safety rules accept that has no ss-gc round, each round before the clear
-// boundary reaches the model role as ciphertexts and nothing else — the
-// wire envelope FromWire decodes carries no plaintext and no share words.
-// Plans with an ss-gc round are left out: that backend hands the model
-// role both share words today.
+// ssgcLeaks lists the rounds that show their input to the model role: per
+// plan the safety rules accept for buildNet3, every ss-gc round before the
+// clear boundary. The model role decodes both share words of each input
+// element there, and their sum is the element (ROADMAP "ss-gc rounds show
+// their input to the model provider"). Taking ss-gc off serving turns each
+// entry into a failure.
+var ssgcLeaks = []struct {
+	plan  string
+	round int
+}{
+	{"[paillier-he paillier-he ss-gc]", 2},
+	{"[paillier-he ss-gc paillier-he]", 1},
+	{"[paillier-he ss-gc ss-gc]", 1},
+	{"[paillier-he ss-gc ss-gc]", 2},
+	{"[paillier-he ss-gc clear]", 1},
+}
+
+// TestModelRoleSeesOnlyCiphertextsBeforeClear walks one input through every
+// plan the safety rules accept. Each paillier-he round before the clear
+// boundary reaches the model role as ciphertexts and nothing else: the wire
+// envelope FromWire decodes carries no plaintext and no share words. Each
+// ss-gc round before it hands the model role share words that sum to the
+// round's scaled input, compared as a multiset against the all-Paillier
+// walk's; the rounds where that holds must be exactly ssgcLeaks.
 func TestModelRoleSeesOnlyCiphertextsBeforeClear(t *testing.T) {
 	k := key(t)
 	const rounds = 3
@@ -511,16 +529,20 @@ func TestModelRoleSeesOnlyCiphertextsBeforeClear(t *testing.T) {
 		for _, b := range backend.Kinds() {
 			for _, c := range backend.Kinds() {
 				plan := []backend.Kind{a, b, c}
-				if !slices.Contains(plan, backend.SSGC) && backend.ValidateAssignment(backend.ProfileLatency, plan, rounds) == nil {
+				if backend.ValidateAssignment(backend.ProfileLatency, plan, rounds) == nil {
 					plans = append(plans, plan)
 				}
 			}
 		}
 	}
-	if len(plans) != 3 { // [P P P], [P P C], [P C C]
-		t.Fatalf("%d plans without ss-gc accepted: %v", len(plans), plans)
+	if len(plans) != 7 {
+		t.Fatalf("%d plans accepted, want 7: %v", len(plans), plans)
 	}
-	for _, plan := range plans {
+	x := tensor.MustFromSlice([]float64{0.5, -0.25, 1, 0.75}, 4)
+	// walk runs x through plan, calling see with what the model role
+	// decodes of each round before the clear boundary.
+	walk := func(plan []backend.Kind, see func(r int, w *WireEnvelope, in *Envelope)) {
+		t.Helper()
 		proto, err := Build(buildNet3(t), k, Config{Factor: 1000})
 		if err != nil {
 			t.Fatal(err)
@@ -528,7 +550,7 @@ func TestModelRoleSeesOnlyCiphertextsBeforeClear(t *testing.T) {
 		if err := applyPlan(proto, plan); err != nil {
 			t.Fatal(err)
 		}
-		env, err := proto.Data.EncryptMetered(1, tensor.MustFromSlice([]float64{0.5, -0.25, 1, 0.75}, 4), nil)
+		env, err := proto.Data.EncryptMetered(1, x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,16 +559,11 @@ func TestModelRoleSeesOnlyCiphertextsBeforeClear(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(w.Cipher) == 0 || len(w.Plain) != 0 || len(w.Shares0) != 0 || len(w.Shares1) != 0 {
-				t.Fatalf("plan %v round %d: the model role is sent %d ciphertexts, %d plaintexts, %d+%d share words", plan, r, len(w.Cipher), len(w.Plain), len(w.Shares0), len(w.Shares1))
-			}
 			in, err := FromWire(w, &k.PublicKey)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if in.Kind != backend.PaillierHE || in.CT == nil || in.Plain != nil || in.Sh != nil {
-				t.Fatalf("plan %v round %d: the model role decodes a %q payload", plan, r, in.Kind)
-			}
+			see(r, w, in)
 			reply, _, err := proto.Model.ProcessLinearMetered(r, in, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -555,5 +572,51 @@ func TestModelRoleSeesOnlyCiphertextsBeforeClear(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+	// The all-Paillier walk's round inputs, decrypted and sorted.
+	var want [rounds][]int64
+	walk([]backend.Kind{backend.PaillierHE, backend.PaillierHE, backend.PaillierHE}, func(r int, _ *WireEnvelope, in *Envelope) {
+		for _, ct := range in.CT.Data() {
+			v, err := k.Decrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[r] = append(want[r], v.Int64())
+		}
+		slices.Sort(want[r])
+	})
+
+	var leaks []string
+	for _, plan := range plans {
+		walk(plan, func(r int, w *WireEnvelope, in *Envelope) {
+			switch plan[r] {
+			case backend.PaillierHE:
+				if len(w.Cipher) == 0 || len(w.Plain) != 0 || len(w.Shares0) != 0 || len(w.Shares1) != 0 {
+					t.Fatalf("plan %v round %d: the model role is sent %d ciphertexts, %d plaintexts, %d+%d share words", plan, r, len(w.Cipher), len(w.Plain), len(w.Shares0), len(w.Shares1))
+				}
+				if in.Kind != backend.PaillierHE || in.CT == nil || in.Plain != nil || in.Sh != nil {
+					t.Fatalf("plan %v round %d: the model role decodes a %q payload", plan, r, in.Kind)
+				}
+			case backend.SSGC:
+				if in.Sh == nil {
+					t.Fatalf("plan %v round %d: the model role decodes a %q payload with no shares", plan, r, in.Kind)
+				}
+				var sums []int64
+				for _, s := range in.Sh.Data() {
+					sums = append(sums, secshare.SignedOfRing(s.Reconstruct()))
+				}
+				slices.Sort(sums)
+				if slices.Equal(sums, want[r]) {
+					leaks = append(leaks, fmt.Sprintf("%v r%d", plan, r))
+				}
+			}
+		})
+	}
+	var listed []string
+	for _, l := range ssgcLeaks {
+		listed = append(listed, fmt.Sprintf("%s r%d", l.plan, l.round))
+	}
+	if !slices.Equal(leaks, listed) {
+		t.Errorf("the model role reads the input of %v, ssgcLeaks lists %v", leaks, listed)
 	}
 }

@@ -138,73 +138,83 @@ func validateWorkflow(net *nn.Network) ([]*nn.PrimitiveLayer, error) {
 	return merged, nil
 }
 
-// walkStages is the shared front of both role builders: it checks the
-// configuration and the workflow shape, then runs the one stage walk
-// (qnn.Walk) that quantizes every linear stage at cfg.Factor and chains
-// the network's declared input domain into each stage's reply slot width.
-// A key that cannot hold one slot of some stage is a *SlotError. The
-// workflow alternates from a linear start to a non-linear finish, so round
-// r's linear stage is stages[r] = merged[2r] and its non-linear stage
-// merged[2r+1].
-func walkStages(net *nn.Network, pk *paillier.PublicKey, cfg *Config) (merged []*nn.PrimitiveLayer, stages []qnn.Stage, err error) {
-	if cfg.Factor <= 0 {
-		return nil, nil, fmt.Errorf("protocol: scaling factor %d must be positive", cfg.Factor)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if err := pk.Validate(); err != nil {
-		return nil, nil, err
+// walk is the shared front of every role builder and of Serve: it checks
+// the factor and the workflow shape, then runs the one stage walk
+// (qnn.Walk) that quantizes every linear stage at factor and chains the
+// network's declared input domain into each stage's reply slot width. It
+// returns the merged stages and, per round, what a model provider needs
+// under any key: the linear stage's name, shapes, quantized ops, slot
+// width and whether the round's ReLU garbles. No round refers to the
+// float network. The workflow alternates from a linear start to a
+// non-linear finish, so round r's linear stage is merged[2r] and its
+// non-linear stage merged[2r+1].
+func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, rounds []linearStage, err error) {
+	if factor <= 0 {
+		return nil, nil, fmt.Errorf("protocol: scaling factor %d must be positive", factor)
 	}
 	if merged, err = validateWorkflow(net); err != nil {
 		return nil, nil, err
 	}
-	if stages, err = qnn.Walk(merged, net.InputMax, cfg.Factor); err != nil {
+	stages, err := qnn.Walk(merged, net.InputMax, factor)
+	if err != nil {
 		return nil, nil, err
 	}
 	for r, st := range stages {
-		if w := st.SlotBits(); pk.Slots(w) < 1 {
-			return nil, nil, &SlotError{Stage: merged[2*r].Name(), SlotBits: w, KeyBits: pk.Bits()}
+		m := merged[2*r]
+		rounds = append(rounds, linearStage{
+			Stage:       backend.Stage{Ops: st.Ops, InShape: m.InShape.Clone(), OutShape: m.OutShape.Clone()},
+			name:        m.Name(),
+			slotBits:    st.SlotBits(),
+			reluFollows: garblesReLU(merged, r),
+		})
+	}
+	return merged, rounds, nil
+}
+
+// fits checks pk and that it holds one reply slot of every round: a key
+// that cannot is a *SlotError.
+func fits(rounds []linearStage, pk *paillier.PublicKey) error {
+	if err := pk.Validate(); err != nil {
+		return err
+	}
+	for _, st := range rounds {
+		if pk.Slots(st.slotBits) < 1 {
+			return &SlotError{Stage: st.name, SlotBits: st.slotBits, KeyBits: pk.Bits()}
 		}
 	}
-	return merged, stages, nil
+	return nil
 }
 
 // BuildModelProvider constructs the model-provider role alone: it needs
 // the network (its own weights) and only the data provider's PUBLIC key.
-// This is the entry point for a real split deployment (cmd/ppserver).
 func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*ModelProvider, error) {
-	merged, stages, err := walkStages(net, pk, &cfg)
+	_, rounds, err := walk(net, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}
-	return newModelProvider(merged, stages, pk, cfg)
+	return newModelProvider(rounds, pk, cfg.Workers)
 }
 
-func newModelProvider(merged []*nn.PrimitiveLayer, stages []qnn.Stage, pk *paillier.PublicKey, cfg Config) (*ModelProvider, error) {
+// newModelProvider builds a model provider for pk from walked rounds, each
+// stage on workers threads (at least one): it checks the key's slots,
+// counts each stage's operations under it and installs the all-Paillier
+// plan. The rounds are copied; their ops and shapes are shared read-only.
+func newModelProvider(rounds []linearStage, pk *paillier.PublicKey, workers int) (*ModelProvider, error) {
+	if err := fits(rounds, pk); err != nil {
+		return nil, err
+	}
 	mp := &ModelProvider{
-		roundPlan: privacyMax(len(stages)),
+		roundPlan: privacyMax(len(rounds)),
 		pk:        pk,
 		eval:      paillier.NewEvaluator(pk, nil),
 		state:     map[uint64]*obfuscate.Rounds{},
 	}
-	for r, st := range stages {
-		m := merged[2*r]
-		ls := &linearStage{
-			Stage: backend.Stage{
-				Ops:      st.Ops,
-				InShape:  m.InShape.Clone(),
-				OutShape: m.OutShape.Clone(),
-				Threads:  cfg.Workers,
-			},
-			name:        m.Name(),
-			slotBits:    st.SlotBits(),
-			reluFollows: garblesReLU(merged, r),
-		}
-		if err := ls.count(pk); err != nil {
+	for _, st := range rounds {
+		st.Threads = max(workers, 1)
+		if err := st.count(pk); err != nil {
 			return nil, err
 		}
-		mp.stages = append(mp.stages, ls)
+		mp.stages = append(mp.stages, &st)
 	}
 	return mp, nil
 }
@@ -230,29 +240,31 @@ func garblesReLU(merged []*nn.PrimitiveLayer, r int) bool {
 // which a packed reply is refused (a zeroed skeleton makes that check
 // vacuous).
 func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*DataProvider, error) {
-	merged, stages, err := walkStages(net, &sk.PublicKey, &cfg)
+	merged, rounds, err := walk(net, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}
-	return newDataProvider(net.InputMax, merged, stages, sk, cfg), nil
+	if err := fits(rounds, &sk.PublicKey); err != nil {
+		return nil, err
+	}
+	return newDataProvider(net.InputMax, merged, rounds, sk, cfg), nil
 }
 
-func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, stages []qnn.Stage, sk *paillier.PrivateKey, cfg Config) *DataProvider {
+func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, rounds []linearStage, sk *paillier.PrivateKey, cfg Config) *DataProvider {
 	dp := &DataProvider{
-		roundPlan: privacyMax(len(stages)),
+		roundPlan: privacyMax(len(rounds)),
 		sk:        sk,
 		factor:    cfg.Factor,
 		inputMax:  inputMax,
-		workers:   cfg.Workers,
 	}
-	for r, st := range stages {
+	for r, st := range rounds {
 		m := merged[2*r+1]
 		dp.stages = append(dp.stages, &nonLinearStage{
 			layers:     m.Layers,
-			slotBits:   st.SlotBits(),
+			slotBits:   st.slotBits,
 			inShape:    m.InShape.Clone(),
-			threads:    cfg.Workers,
-			garbleReLU: garblesReLU(merged, r),
+			threads:    max(cfg.Workers, 1),
+			garbleReLU: st.reluFollows,
 		})
 	}
 	return dp
@@ -264,11 +276,11 @@ func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, stages []qnn
 // stays inside the data provider; the model provider receives only the
 // public key.
 func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, error) {
-	merged, stages, err := walkStages(net, &key.PublicKey, &cfg)
+	merged, rounds, err := walk(net, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}
-	mp, err := newModelProvider(merged, stages, &key.PublicKey, cfg)
+	mp, err := newModelProvider(rounds, &key.PublicKey, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +288,7 @@ func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, er
 	for i, m := range merged {
 		names[i] = m.Name()
 	}
-	dp := newDataProvider(net.InputMax, merged, stages, key, cfg)
+	dp := newDataProvider(net.InputMax, merged, rounds, key, cfg)
 	return &Protocol{Model: mp, Data: dp, StageNames: names}, nil
 }
 
@@ -720,7 +732,6 @@ type DataProvider struct {
 	factor int64
 	// inputMax is the network's declared input domain (0 = undeclared).
 	inputMax float64
-	workers  int
 	stages   []*nonLinearStage
 
 	// ot is the OT extension every garbled ReLU of this data provider
@@ -744,6 +755,11 @@ func (dp *DataProvider) gcOT() (*garble.OTSetup, error) {
 	}
 	return dp.ot, nil
 }
+
+// EncryptThreads is the thread count round r's input is encrypted on: the
+// threads of non-linear stage r−1, which produces it and which StageCosts
+// charges its encryptions to, and stage 0's for the raw input of round 0.
+func (dp *DataProvider) EncryptThreads(r int) int { return dp.stages[max(r-1, 0)].threads }
 
 // SetStageThreads overrides stage r's thread count.
 func (dp *DataProvider) SetStageThreads(r, threads int) error {
@@ -779,7 +795,7 @@ func (dp *DataProvider) EncryptMetered(req uint64, x *tensor.Dense, m *obs.CostM
 			return nil, &InputRangeError{Index: i, Value: v, Max: 0x1p63 / F}
 		}
 	}
-	ct, err := dp.sk.EncryptTensor(nil, qnn.ScaleInput(x, dp.factor), dp.workers, m)
+	ct, err := dp.sk.EncryptTensor(nil, qnn.ScaleInput(x, dp.factor), dp.EncryptThreads(0), m)
 	if err != nil {
 		return nil, err
 	}
@@ -902,7 +918,7 @@ func (dp *DataProvider) encodeFor(req uint64, nextRound int, scaled *tensor.Tens
 	env := &Envelope{Req: req, Payload: backend.Payload{Kind: next, Exp: 1}, Obfuscated: true}
 	switch next {
 	case backend.PaillierHE:
-		ct, err := dp.sk.EncryptTensor(nil, scaled, dp.workers, m)
+		ct, err := dp.sk.EncryptTensor(nil, scaled, dp.EncryptThreads(nextRound), m)
 		if err != nil {
 			return nil, err
 		}

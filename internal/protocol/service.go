@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/big"
+	"net"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -255,19 +256,90 @@ func ServeSession(ctx context.Context, in, out stream.Edge, mp *ModelProvider, c
 
 // ServeSessionConfig is ServeSession on a model provider built from net
 // for the key the client's Hello announces, with the per-stage threads it
-// requests (bounded by cfg.MaxWorkers).
+// requests (bounded by cfg.MaxWorkers). A network the protocol cannot
+// serve fails the Hello.
 func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) error {
-	return serveSession(ctx, in, out, cfg, building(net, cfg))
+	_, rounds, err := walk(net, cfg.Factor)
+	return serveSession(ctx, in, out, cfg, building(rounds, err, cfg))
 }
 
-// building is the provider that builds one from net for each client's key.
-func building(net *nn.Network, cfg SessionConfig) provider {
+// Serve is the model provider's server for one network: it walks net once
+// at cfg.Factor (Build's merge, quantization and bounds), keeps of it only
+// what a model provider needs per round, and serves every connection ln
+// accepts as one session whose provider is built from that walk for the
+// Hello's key. Each session logs "session opened" and then "session
+// closed" or "session failed" to cfg.Log with the remote address, and its
+// edge counts bytes and frames as "tcp.*" in cfg.Registry. When ln closes
+// or ctx ends, Serve closes the live connections and returns once every
+// session has ended: nil, or the error that stopped the accept loop. A
+// network the protocol cannot serve is refused before the first accept.
+func Serve(ctx context.Context, ln net.Listener, model *nn.Network, cfg SessionConfig) error {
+	_, rounds, err := walk(model, cfg.Factor)
+	if err != nil {
+		return err
+	}
+	log := cfg.Log
+	if log == nil {
+		log = quiet
+	}
+	provide := building(rounds, nil, cfg)
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
+	var (
+		mu       sync.Mutex
+		conns    = map[net.Conn]bool{}
+		sessions sync.WaitGroup
+	)
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			mu.Lock()
+			for c := range conns {
+				c.Close()
+			}
+			mu.Unlock()
+			sessions.Wait()
+			if errors.Is(err, net.ErrClosed) {
+				return nil
+			}
+			return err
+		}
+		mu.Lock()
+		conns[conn] = true
+		mu.Unlock()
+		sessions.Add(1)
+		go func() {
+			defer sessions.Done()
+			scfg := cfg
+			scfg.Log = log.With("remote", conn.RemoteAddr().String())
+			scfg.Log.Info("session opened")
+			edge := stream.NewInstrumentedTCPEdge(conn, cfg.Registry, "tcp")
+			if err := serveSession(ctx, edge, edge, scfg, provide); err != nil {
+				scfg.Log.Warn("session failed", "err", err.Error())
+			} else {
+				scfg.Log.Info("session closed")
+			}
+			mu.Lock()
+			delete(conns, conn)
+			mu.Unlock()
+			conn.Close()
+		}()
+	}
+}
+
+// building is the provider that builds one from the walked rounds for each
+// client's key; walkErr, when not nil, is why the network was not walked,
+// and fails every Hello.
+func building(rounds []linearStage, walkErr error, cfg SessionConfig) provider {
 	return func(hello *Hello, pk *paillier.PublicKey) (*ModelProvider, error) {
 		workers := max(hello.Workers, 1)
 		if cfg.MaxWorkers > 0 {
 			workers = min(workers, cfg.MaxWorkers)
 		}
-		mp, err := BuildModelProvider(net, pk, Config{Factor: cfg.Factor, Workers: workers})
+		err := walkErr
+		var mp *ModelProvider
+		if err == nil {
+			mp, err = newModelProvider(rounds, pk, workers)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("protocol: building provider for session: %w", err)
 		}

@@ -1,15 +1,21 @@
 package protocol
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	mathrand "math/rand"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ppstream/internal/nn"
+	"ppstream/internal/obs"
+	"ppstream/internal/paillier"
 	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
@@ -234,5 +240,122 @@ func TestDataProviderNeedsNoWeights(t *testing.T) {
 	want, _ := netw.Forward(x)
 	if !tensor.AllClose(want, env.Result, 1e-2) {
 		t.Error("skeleton-built data provider produced wrong result")
+	}
+}
+
+// TestServeKeepsNoFloatNetwork: Serve walks the network it is handed once
+// and keeps none of it. With the caller holding no reference, fc1's float
+// weights are collected while Serve is still accepting, and sessions opened
+// afterwards under two different keys still return what Protocol.Infer
+// does, bit for bit. Each session is logged with its remote address, its
+// edge counts into the registry, and closing the listener ends Serve once
+// every session has.
+func TestServeKeepsNoFloatNetwork(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var (
+		collected atomic.Bool
+		logs      bytes.Buffer
+	)
+	reg := obs.NewRegistry("serve-test")
+	served := make(chan error, 1)
+	netw := buildNet(t)
+	runtime.SetFinalizer(netw.Layers[0].(*nn.FC).W, func(*tensor.Dense) { collected.Store(true) })
+	// Handed over as an argument: from here on this test keeps no
+	// reference to the network.
+	go func(netw *nn.Network) {
+		served <- Serve(ctx, ln, netw, SessionConfig{Factor: 1000, MaxWorkers: 2, Registry: reg, Log: obs.NewLogger(&logs, obs.LevelInfo)})
+	}(netw)
+	for deadline := time.Now().Add(5 * time.Second); !collected.Load() && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("fc1's float weights are still reachable while Serve accepts")
+	}
+
+	// The sessions run at once: they share the walk's quantized ops.
+	r := mathrand.New(mathrand.NewSource(23))
+	keys := []*paillier.PrivateKey{key(t), keyOfBits(t, 512)}
+	const sessions = 4
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		k := keys[s%len(keys)]
+		ref, err := Build(buildNet(t), k, Config{Factor: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arch := buildNet(t)
+		inputs := []*tensor.Dense{tensor.Zeros(4), tensor.Zeros(4)}
+		for _, x := range inputs {
+			for j := range x.Data() {
+				x.Data()[j] = r.NormFloat64()
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			edge, err := stream.DialEdge(ln.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			client, err := NewClientOpts(ctx, edge, edge, arch, k, 1000, ClientOptions{Workers: 2})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer client.Close()
+			for i, x := range inputs {
+				want, err := ref.Infer(uint64(i+1), x)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := client.Infer(ctx, x)
+				if err != nil {
+					t.Errorf("session %d request %d: %v", s, i, err)
+					return
+				}
+				if !tensor.AllClose(got, want, 0) {
+					t.Errorf("session %d (%d-bit key) request %d: served %v, Protocol.Infer %v", s, k.Bits(), i, got.Data(), want.Data())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// One more session stays open: closing the listener must close it.
+	edge, err := stream.DialEdge(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClientOpts(ctx, edge, edge, buildNet(t), key(t), 1000, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Infer(ctx, tensor.Zeros(4)); err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after the listener closed: %v", err)
+	}
+	if _, err := client.Infer(ctx, tensor.Zeros(4)); !errors.Is(err, ErrSessionDown) {
+		t.Errorf("a session Serve left behind still answers: %v", err)
+	}
+
+	text := logs.String()
+	if n := strings.Count(text, `"msg":"session opened","remote":"127.0.0.1:`); n != sessions+1 {
+		t.Errorf("%d sessions logged as opened with their remote address, want %d:\n%s", n, sessions+1, text)
+	}
+	if n := strings.Count(text, `"msg":"session closed"`) + strings.Count(text, `"msg":"session failed"`); n != sessions+1 {
+		t.Errorf("%d sessions logged as ended, want %d:\n%s", n, sessions+1, text)
+	}
+	if c := reg.Snapshot().Counters; c["tcp.frames_recv"] == 0 || c["tcp.bytes_sent"] == 0 {
+		t.Errorf("the sessions' edges counted nothing: %v", c)
 	}
 }

@@ -39,7 +39,11 @@ func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, cha
 	if err := edge.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := openSession(ctx, serverEdge, serverEdge, cfg, building(buildNet(t), cfg))
+	_, rounds, err := walk(buildNet(t), cfg.Factor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := openSession(ctx, serverEdge, serverEdge, cfg, building(rounds, nil, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
