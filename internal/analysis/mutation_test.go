@@ -55,7 +55,7 @@ var mutationRows = []mutationRow{
 	},
 	{
 		// A round frame's send detaches from the request's deadline.
-		rule: "ctxdeadline", dir: "internal/protocol", file: "service.go",
+		rule: "ctxdeadline", dir: "internal/protocol", file: "client.go",
 		old: "c.out.Send(ctx, &stream.Message{Seq: req, Payload: frame})",
 		new: "c.out.Send(context.Background(), &stream.Message{Seq: req, Payload: frame})",
 	},

@@ -66,7 +66,7 @@ func (c *rawClient) open(req uint64, deadlineMS int64) *roundFrame {
 	f.DeadlineMS = deadlineMS
 	c.send(req, f)
 	reply := c.recv(replyOK)
-	env, err := FromWire(reply.Payload.(*roundFrame).Env, c.s.pk)
+	env, err := FromWire(reply.Payload.(*roundFrame).Env, c.s.mp.pk)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -144,10 +144,15 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 		{name: "deadline in queue", err: 1, counter: "requests.deadline_expired",
 			drive: func(c *rawClient) {
 				// A frame whose 10 ms budget ran out while it waited a second
-				// for a worker.
+				// for its round's stage: it arrived a second ago, and the
+				// test is the stage that picks it up now.
 				f := c.roundZero(1, tensor.Zeros(4))
 				f.DeadlineMS = 10
-				_, err := c.s.handle(c.s.ctx, &stream.Message{Seq: 1, Payload: f, Enqueued: time.Now().Add(-time.Second)})
+				arrived := time.Now().Add(-time.Second)
+				if st := c.s.arrive(arrived, 1, f); st.err != nil {
+					c.t.Fatal(st.err)
+				}
+				_, err := c.s.handle(c.s.ctx, &stream.Message{Seq: 1, Payload: f, Enqueued: arrived})
 				if got := errCode(err); got != CodeDeadline {
 					c.t.Errorf("frame past its budget: code %d err %v, want code %d", got, err, CodeDeadline)
 				}
@@ -163,6 +168,13 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 			drive: func(c *rawClient) {
 				c.open(1, 0)
 				c.waitOutcomes(1)
+			}},
+		// Round 0 again once it was served: the request expects round 1.
+		{name: "repeated round", err: 1,
+			drive: func(c *rawClient) {
+				c.open(1, 0)
+				c.send(1, c.roundZero(1, tensor.Zeros(4)))
+				c.recv(CodeBadRound)
 			}},
 		{name: "kernel failure", err: 1,
 			drive: func(c *rawClient) {
@@ -233,7 +245,7 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 			if w.Good != tc.ok || w.Bad != tc.err+tc.shed {
 				t.Errorf("SLO engine saw %d good / %d bad, want %d / %d", w.Good, w.Bad, tc.ok, tc.err+tc.shed)
 			}
-			if n := len(s.live); n != 0 || snap.Gauges["requests.active"] != 0 {
+			if n := len(s.table.live); n != 0 || snap.Gauges["requests.active"] != 0 {
 				t.Errorf("%d live entries, requests.active %d after the session", n, snap.Gauges["requests.active"])
 			}
 			if n := snap.Gauges["shed.inflight"]; n != 0 {
@@ -315,7 +327,7 @@ func TestSessionShedTargetIsRequestLatency(t *testing.T) {
 	time.Sleep(target + 50*time.Millisecond)
 	c.send(1, last)
 	c.recv(replyOK)
-	if slowest := s.roundTime.Snapshot().Max; slowest >= target {
+	if slowest := s.reg.Histogram("round.linear").Snapshot().Max; slowest >= target {
 		t.Skipf("a single round took %v on this machine: the request says nothing about rounds versus requests", slowest)
 	}
 	c.send(2, c.roundZero(2, tensor.Zeros(4)))
@@ -326,45 +338,46 @@ func TestSessionShedTargetIsRequestLatency(t *testing.T) {
 	}
 }
 
-// TestSessionAdmitTwins: a second round-0 frame that opens an ID while the
-// first is between its lookup and its insert (a client never sends one)
-// wins the ID; the first finishes its own admission as err, so one request
-// stays live holding one slot.
+// TestSessionAdmitTwins: a second round-0 frame for a request whose
+// round 0 is still on its way through the round's stage (a client never
+// sends one) is refused with CodeBadRound on arrival, and the request ends
+// when its running round returns, answered with the same refusal: one err
+// outcome, its slot free and no permutation state left.
 func TestSessionAdmitTwins(t *testing.T) {
 	reg := obs.NewRegistry("admit-twins")
-	gate, err := NewGate(GateConfig{LatencyTarget: time.Hour, Registry: reg})
+	gate, err := NewGate(GateConfig{MaxInFlight: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Gate: gate, Registry: reg})
-	// The gate reads its clock inside admission — outside the session
-	// lock, exactly where the twin can slip in.
-	var twin *request
-	raced := false
-	gate.win.SetClock(func() time.Time {
-		if !raced {
-			raced = true // the nested admit reads the clock too
-			var err error
-			if twin, err = s.admit(7, &roundFrame{}, time.Now(), time.Time{}); err != nil {
-				t.Errorf("twin: %v", err)
-			}
-		}
-		return time.Now()
-	})
-	if req, err := s.admit(7, &roundFrame{}, time.Now(), time.Time{}); err == nil {
-		t.Errorf("the frame that lost the race was admitted as %p beside %p", req, twin)
+	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &rawClient{t: t, s: s, edge: edge, proto: proto}
+	// The test is the receive loop and round 0's stage: the first frame is
+	// dispatched, its twin arrives before the stage picks the first up.
+	first, twin := c.roundZero(7, tensor.Zeros(4)), c.roundZero(7, tensor.Zeros(4))
+	now := time.Now()
+	if st := s.arrive(now, 7, first); st.err != nil {
+		t.Fatal(st.err)
+	}
+	if st := s.arrive(now, 7, twin); !errors.Is(st.err, ErrBadRound) {
+		t.Errorf("twin round 0: %v, want ErrBadRound", st.err)
+	}
+	if snap := reg.Snapshot(); snap.Gauges["shed.inflight"] != 1 || snap.Counters["serve.requests.err"] != 0 {
+		t.Errorf("request ended while its round 0 was dispatched: %d slots, %d err", snap.Gauges["shed.inflight"], snap.Counters["serve.requests.err"])
+	}
+	if _, err := s.handle(s.ctx, &stream.Message{Seq: 7, Payload: first, Enqueued: now}); !errors.Is(err, ErrBadRound) {
+		t.Errorf("first round 0: %v, want ErrBadRound", err)
 	}
 	snap := reg.Snapshot()
-	if s.live[7] != twin || len(s.live) != 1 || snap.Gauges["shed.inflight"] != 1 ||
-		snap.Gauges["requests.active"] != 1 || snap.Counters["serve.requests.err"] != 1 {
-		t.Errorf("live %v (twin %p), %d slots, requests.active %d, %d err; want the twin alone, 1, 1, 1",
-			s.live, twin, snap.Gauges["shed.inflight"], snap.Gauges["requests.active"], snap.Counters["serve.requests.err"])
+	if snap.Gauges["shed.inflight"] != 0 || snap.Gauges["requests.active"] != 0 || snap.Counters["serve.requests.err"] != 1 || len(s.mp.state) != 0 {
+		t.Errorf("%d slots, requests.active %d, %d err, %d permutation chains; want 0, 0, 1, 0",
+			snap.Gauges["shed.inflight"], snap.Gauges["requests.active"], snap.Counters["serve.requests.err"], len(s.mp.state))
 	}
 	edge.CloseSend()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("server: %v", err)
-	}
-	if n := reg.Snapshot().Gauges["shed.inflight"]; n != 0 {
-		t.Errorf("%d slots held after the session", n)
 	}
 }

@@ -144,10 +144,10 @@ func validateWorkflow(net *nn.Network) ([]*nn.PrimitiveLayer, error) {
 // network's declared input domain into each stage's reply slot width. It
 // returns the merged stages and, per round, what a model provider needs
 // under any key: the linear stage's name, shapes, quantized ops, slot
-// width and whether the round's ReLU garbles. No round refers to the
-// float network. The workflow alternates from a linear start to a
-// non-linear finish, so round r's linear stage is merged[2r] and its
-// non-linear stage merged[2r+1].
+// width, whether the round's ReLU garbles, and its key-independent
+// operation counts. No round refers to the float network. The workflow
+// alternates from a linear start to a non-linear finish, so round r's
+// linear stage is merged[2r] and its non-linear stage merged[2r+1].
 func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, rounds []linearStage, err error) {
 	if factor <= 0 {
 		return nil, nil, fmt.Errorf("protocol: scaling factor %d must be positive", factor)
@@ -161,12 +161,25 @@ func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, rounds []
 	}
 	for r, st := range stages {
 		m := merged[2*r]
-		rounds = append(rounds, linearStage{
+		kernel, err := qnn.StageCost(st.Ops, m.InShape)
+		if err != nil {
+			return nil, nil, err
+		}
+		round := linearStage{
 			Stage:       backend.Stage{Ops: st.Ops, InShape: m.InShape.Clone(), OutShape: m.OutShape.Clone()},
 			name:        m.Name(),
 			slotBits:    st.SlotBits(),
 			reluFollows: garblesReLU(merged, r),
-		})
+			kernel:      kernel,
+		}
+		shape := m.InShape
+		for _, op := range st.Ops {
+			round.muls += uint64(qnn.MulCount(op, shape))
+			if next, err := op.OutShape(shape); err == nil {
+				shape = next
+			}
+		}
+		rounds = append(rounds, round)
 	}
 	return merged, rounds, nil
 }
@@ -196,8 +209,8 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 }
 
 // newModelProvider builds a model provider for pk from walked rounds, each
-// stage on workers threads (at least one): it checks the key's slots,
-// counts each stage's operations under it and installs the all-Paillier
+// stage on workers threads (at least one): it checks the key's slots, adds
+// the key's reply terms to each stage's counts and installs the all-Paillier
 // plan. The rounds are copied; their ops and shapes are shared read-only.
 func newModelProvider(rounds []linearStage, pk *paillier.PublicKey, workers int) (*ModelProvider, error) {
 	if err := fits(rounds, pk); err != nil {
@@ -211,9 +224,13 @@ func newModelProvider(rounds []linearStage, pk *paillier.PublicKey, workers int)
 	}
 	for _, st := range rounds {
 		st.Threads = max(workers, 1)
-		if err := st.count(pk); err != nil {
-			return nil, err
-		}
+		outs := st.OutShape.Size()
+		st.replies = pk.PackedLen(outs, st.slotBits)
+		replies := uint64(st.replies)
+		st.kernel.Add(obs.CostStats{
+			MulMods: pk.PackMulMods(outs, st.slotBits),
+			Rerands: replies, ModExps: replies, PoolMisses: replies,
+		})
 		mp.stages = append(mp.stages, &st)
 	}
 	return mp, nil
@@ -433,39 +450,14 @@ type linearStage struct {
 	reluFollows bool
 	// slotBits is the reply slot width W (stageSlotBits), fixed at Build.
 	slotBits int
-	// replies is the reply's ciphertext count at slotBits, muls the
-	// stage's non-zero weight multiplications (qnn.MulCount), and kernel
-	// what a paillier-he pass meters here with no blinding pool: the
-	// kernel's count, Pack's multiplications and one inline blinding per
-	// reply. count sets all three at Build.
+	// muls is the stage's non-zero weight multiplications (qnn.MulCount) and
+	// kernel what a paillier-he pass meters here with no blinding pool: the
+	// walk counts the kernel, and each model provider adds its key's reply
+	// terms (Pack's multiplications, one inline blinding per reply) and sets
+	// replies, the reply's ciphertext count at slotBits.
 	replies int
 	muls    uint64
 	kernel  obs.CostStats
-}
-
-// count derives the stage's operation counts under pk from its weights
-// and shapes.
-func (st *linearStage) count(pk *paillier.PublicKey) error {
-	kernel, err := qnn.StageCost(st.Ops, st.InShape)
-	if err != nil {
-		return err
-	}
-	outs := st.OutShape.Size()
-	st.replies = pk.PackedLen(outs, st.slotBits)
-	replies := uint64(st.replies)
-	kernel.Add(obs.CostStats{
-		MulMods: pk.PackMulMods(outs, st.slotBits),
-		Rerands: replies, ModExps: replies, PoolMisses: replies,
-	})
-	st.kernel = kernel
-	shape := st.InShape
-	for _, op := range st.Ops {
-		st.muls += uint64(qnn.MulCount(op, shape))
-		if next, err := op.OutShape(shape); err == nil {
-			shape = next
-		}
-	}
-	return nil
 }
 
 // ModelProvider executes linear stages under the session's per-round

@@ -22,9 +22,6 @@ func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, cha
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry("raw-session")
 	}
-	if cfg.IdleTTL <= 0 {
-		cfg.IdleTTL = DefaultIdleTTL
-	}
 	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +45,7 @@ func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, cha
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.serve(serverEdge, DefaultSessionWindow, cfg.IdleTTL) }()
+	go func() { serveErr <- s.serve(serverEdge) }()
 	return s, edge, serveErr, ctx
 }
 

@@ -57,3 +57,51 @@ func TestStageCostsAreWhatAWalkMeters(t *testing.T) {
 		proto.Model.Forget(1)
 	}
 }
+
+// TestProvidersShareTheWalksKernelCounts: the walk counts each round's
+// kernel and weight multiplications once, and a model provider built from
+// it for a key adds only that key's reply terms: Pack's multiplications
+// and one inline blinding per reply. Providers for a 256-bit and a 512-bit
+// key built from one walk of MNIST-1 both carry the walk's counts, and
+// building them leaves the walk's counts as they were.
+func TestProvidersShareTheWalksKernelCounts(t *testing.T) {
+	spec, err := models.ByName("MNIST-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rounds, err := walk(net, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked := append([]linearStage(nil), rounds...)
+	for _, bits := range []int{256, 512} {
+		pk := &keyOfBits(t, bits).PublicKey
+		mp, err := newModelProvider(rounds, pk, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, st := range mp.stages {
+			w := walked[r]
+			if w.kernel.IsZero() || w.muls == 0 {
+				t.Fatalf("the walk left round %d uncounted", r)
+			}
+			outs := st.OutShape.Size()
+			replies := uint64(pk.PackedLen(outs, st.slotBits))
+			want := w.kernel
+			want.Add(obs.CostStats{MulMods: pk.PackMulMods(outs, st.slotBits), Rerands: replies, ModExps: replies, PoolMisses: replies})
+			if st.kernel != want || st.muls != w.muls || uint64(st.replies) != replies {
+				t.Errorf("%d bits, round %d: kernel %+v, %d muls, %d replies; want %+v, %d, %d",
+					bits, r, st.kernel, st.muls, st.replies, want, w.muls, replies)
+			}
+		}
+	}
+	for r := range rounds {
+		if rounds[r].kernel != walked[r].kernel || rounds[r].muls != walked[r].muls || rounds[r].replies != 0 {
+			t.Errorf("building providers changed the walk's round %d counts", r)
+		}
+	}
+}
