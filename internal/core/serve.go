@@ -90,9 +90,10 @@ func (e *Engine) Shutdown() error {
 // *stream.StageError naming the round's stage inside the client's
 // *protocol.RoundError, and an input outside the model's input domain is
 // refused with the data provider's *protocol.InputRangeError before
-// anything is sent; other in-flight requests proceed undisturbed. A
-// submitter whose ctx expires gets the ctx error at once; the session ends
-// the request it abandoned (see protocol.SessionConfig.IdleTTL).
+// anything is sent; other in-flight requests proceed undisturbed, also when
+// one's ctx expires (TestEngineSubmitExpiresInQueue): that submitter gets
+// the ctx error at once, and the session ends the request it abandoned
+// (see protocol.SessionConfig.IdleTTL).
 //
 // The trace holds the request's per-stage spans: "encrypt" (its window
 // wait and the input encryption), then each round's "linear-<r>" (the

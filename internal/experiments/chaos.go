@@ -68,14 +68,12 @@ type ChaosResult struct {
 	// Fatal counts requests failing with a non-retryable error.
 	Fatal int
 
-	// Client-side retry activity (from the retry.* counters).
+	// Client-side retry activity: round-0 resends and session redials.
 	Retries uint64
 	Redials uint64
-	Giveups uint64
 
 	// Server-side rejections.
-	Shed      uint64
-	Throttled uint64
+	Shed uint64
 
 	// Injected faults across all chaos connections.
 	InjectedResets uint64
@@ -249,9 +247,7 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 	server := serverReg.Snapshot().Counters
 	res.Retries = client["retry.attempts"]
 	res.Redials = client["retry.redials"]
-	res.Giveups = client["retry.giveups"]
 	res.Shed = server["shed.rejected.total"]
-	res.Throttled = server["rounds.errors"]
 	chaosMu.Lock()
 	for _, cc := range chaosConns {
 		st := cc.Stats()

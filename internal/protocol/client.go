@@ -27,11 +27,11 @@ type ClientOptions struct {
 	// (wire-level multiplexing backpressure); <= 0 uses
 	// DefaultClientWindow.
 	Window int
-	// Deadline bounds each Infer end to end. The remaining budget is
-	// propagated to the server in every round frame so it can evict the
-	// request (and stop burning crypto cycles) the moment the budget is
-	// spent. Zero means no deadline beyond the call's ctx, whose own
-	// deadline is propagated the same way.
+	// Deadline bounds each Infer end to end: Infer returns ErrDeadline by
+	// it. The remaining budget is propagated to the server in every round
+	// frame so it can evict the request (and stop burning crypto cycles)
+	// the moment the budget is spent. Zero means no deadline beyond the
+	// call's ctx, whose own deadline is propagated the same way.
 	Deadline time.Duration
 	// Retry bounds in-session retries of a request's first round after a
 	// retryable rejection (throttle, shed). Mid-protocol rounds are never
@@ -58,28 +58,19 @@ const DefaultClientWindow = 8
 // multiplexes one connection pair: concurrent Infer calls interleave
 // their round frames on the wire, tagged by request ID, and a reader
 // goroutine demuxes the server's replies — so one connection carries
-// Window in-flight inferences at once.
+// Window in-flight inferences at once. It is the shell of its call table.
 type Client struct {
 	dp       *DataProvider
-	pk       *paillier.PublicKey
 	in       stream.Edge // frames from the server
 	out      stream.Edge // frames to the server
-	rounds   int
 	window   chan struct{}
 	nextID   atomic.Uint64
 	deadline time.Duration
 	retry    RetryPolicy
-	profile  backend.Profile
+	reg      *obs.Registry
 
-	planMu  sync.Mutex
-	planSet bool
-
-	retryAttempts *obs.Counter
-	retryGiveups  *obs.Counter
-
-	mu      sync.Mutex
-	pending map[uint64]chan *stream.Message
-	err     error
+	mu    sync.Mutex
+	table callTable
 }
 
 // NewClientOpts builds the data-provider role from arch, sk and factor and
@@ -110,81 +101,59 @@ func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts 
 		return nil, err
 	}
 	c := &Client{
-		dp: dp, pk: &dp.sk.PublicKey, in: in, out: out, rounds: len(dp.stages),
+		dp: dp, in: in, out: out,
 		window:   make(chan struct{}, window),
-		pending:  map[uint64]chan *stream.Message{},
 		deadline: opts.Deadline,
 		retry:    opts.Retry.withDefaults(),
-		profile:  profile,
-
-		retryAttempts: opts.Registry.Counter("retry.attempts"),
-		retryGiveups:  opts.Registry.Counter("retry.giveups"),
+		reg:      opts.Registry,
 	}
+	c.table = callTable{rounds: len(dp.stages), maxAttempts: c.retry.MaxAttempts, profile: profile, live: map[uint64]*call{}}
 	go c.readLoop(ctx)
 	return c, nil
 }
 
-// readLoop demuxes server replies to the Infer call that owns the
-// request ID in Seq. It never waits on a request: a request has one frame
-// in flight and takes one reply to it, so a reply that finds the
-// request's channel full is a duplicate and is dropped. An error frame
-// outside any live request (e.g. a Hello rejection) and any transport
-// error are session-fatal: every in-flight and future Infer fails with
-// the recorded cause.
+// readLoop feeds the server's frames to the call table until the edge
+// fails, which takes the session down. It never blocks on a call, which
+// takes each answer before it sends again.
 func (c *Client) readLoop(ctx context.Context) {
 	for {
 		msg, err := c.in.Recv(ctx)
+		if errors.Is(err, stream.ErrEdgeClosed) {
+			err = errors.New("session closed by server")
+		}
 		if err != nil {
-			if errors.Is(err, stream.ErrEdgeClosed) {
-				c.fatal(errors.New("protocol: session closed by server"))
-			} else {
-				c.fatal(err)
-			}
+			c.step(func(t *callTable) callStep { return t.fail(fmt.Errorf("%w: %w", ErrSessionDown, err)) })
 			return
 		}
-		c.mu.Lock()
-		ch := c.pending[msg.Seq]
-		c.mu.Unlock()
-		if ch == nil {
-			if msg.Err != nil {
-				c.fatal(fmt.Errorf("protocol: server rejected session: %w", msg.Err))
-				return
-			}
-			continue // stray reply for an abandoned request
-		}
-		select {
-		case ch <- msg:
-		default:
-		}
+		c.step(func(t *callTable) callStep { return t.reply(msg) })
 	}
 }
 
-// fatal records the session's terminal error and wakes every in-flight
-// Infer. The error is marked ErrSessionDown: whatever tore the session
-// down, no mid-protocol state survives it on either side, so a caller
-// holding a Redialer may safely retry whole inferences on a fresh one.
-func (c *Client) fatal(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		if !errors.Is(err, ErrSessionDown) {
-			err = fmt.Errorf("%w: %w", ErrSessionDown, err)
+// step runs a transition of the call table under the client's lock and
+// carries out its step: counters, then the plan, then the answers.
+func (c *Client) step(transition func(*callTable) callStep) callStep {
+	st := locked(&c.mu, func() callStep { return transition(&c.table) })
+	for _, name := range st.count {
+		c.reg.Counter(name).Inc()
+	}
+	if st.plan != nil {
+		// The table validated the plan under a stricter profile than
+		// SetBackendPlan checks, so this does not fail.
+		if err := c.dp.SetBackendPlan(st.plan); err != nil {
+			st.answers[0].frame, st.answers[0].err = nil, err
 		}
-		c.err = err
 	}
-	for req, ch := range c.pending {
-		close(ch)
-		delete(c.pending, req)
+	for _, a := range st.answers {
+		a.to.reply <- a
 	}
-	c.mu.Unlock()
+	return st
 }
 
-func (c *Client) sessionErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	return fmt.Errorf("%w: session closed", ErrSessionDown)
+// locked runs f under mu, released on every path, a panic's included.
+func locked[S any](mu *sync.Mutex, f func() S) S {
+	mu.Lock()
+	defer mu.Unlock()
+	return f()
 }
 
 // Infer runs one private inference against the remote model provider.
@@ -207,41 +176,29 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Dense) (*tensor.Dense, err
 // when the inference fails.
 func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dense, *obs.TraceTree, error) {
 	begin := time.Now()
-	// The effective deadline is the tighter of the client's configured
-	// per-request budget (measured from entry, so window queueing counts)
-	// and the caller's ctx deadline. It is re-measured at every round
-	// send and the remaining budget shipped to the server.
-	var deadline time.Time
+	// The budget runs from entry, so window queueing counts. The call's
+	// deadline, the tighter of it and ctx's, bounds sends and waits alike.
 	if c.deadline > 0 {
-		deadline = begin.Add(c.deadline)
-	}
-	if ctxDeadline, ok := ctx.Deadline(); ok && (deadline.IsZero() || ctxDeadline.Before(deadline)) {
-		deadline = ctxDeadline
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadlineCause(ctx, begin.Add(c.deadline), ErrDeadline)
+		defer cancel()
 	}
 	select {
 	case c.window <- struct{}{}:
 	case <-ctx.Done():
-		return nil, nil, ctx.Err()
+		return nil, nil, context.Cause(ctx)
 	}
 	defer func() { <-c.window }()
 	tree := &obs.TraceTree{ID: obs.NewTraceID()}
 	tree.Segments = append(tree.Segments, obs.Segment{Party: "client", Name: "queue", Round: -1, Dur: time.Since(begin)})
 
 	req := c.nextID.Add(1)
-	ch := make(chan *stream.Message, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, nil, err
+	reply := make(chan answer, 1)
+	deadline, _ := ctx.Deadline()
+	if st := c.step(func(t *callTable) callStep { return t.open(req, deadline, reply) }); st.err != nil {
+		return nil, nil, st.err
 	}
-	c.pending[req] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, req)
-		c.mu.Unlock()
-	}()
+	defer c.step(func(t *callTable) callStep { return t.end(req) })
 
 	start := time.Now()
 	var meter obs.CostMeter
@@ -250,8 +207,8 @@ func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dens
 		return nil, nil, err
 	}
 	tree.Segments = append(tree.Segments, obs.Segment{Party: "client", Name: "encrypt", Round: -1, Dur: time.Since(start), Cost: costOrNil(meter.Snapshot())})
-	for round := 0; round < c.rounds; round++ {
-		if env, err = c.round(ctx, ch, round, env, deadline, tree); err != nil {
+	for round := 0; round < len(c.dp.stages); round++ {
+		if env, err = c.round(ctx, reply, round, env, tree); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -268,27 +225,19 @@ func (c *Client) InferTraced(ctx context.Context, x *tensor.Dense) (*tensor.Dens
 // tree. Cost profiles ride on the segments they
 // explain: ciphertext traffic on wire, the kernel's ops on the server's
 // kernel segment, decryption and re-encryption ops on client-nonlinear.
-func (c *Client) round(ctx context.Context, ch <-chan *stream.Message, round int, env *Envelope, deadline time.Time, tree *obs.TraceTree) (*Envelope, error) {
+func (c *Client) round(ctx context.Context, reply <-chan answer, round int, env *Envelope, tree *obs.TraceTree) (*Envelope, error) {
 	req, start := env.Req, time.Now()
 	w, err := ToWire(env)
 	if err != nil {
 		return nil, err
 	}
 	tc := &TraceContext{Ver: TraceV1, ID: tree.ID}
-	frame, err := c.exchange(ctx, ch, req, &roundFrame{Round: round, Env: w, TC: tc}, deadline)
+	frame, err := c.exchange(ctx, reply, req, &roundFrame{Round: round, Env: w, TC: tc})
 	if err != nil {
 		return nil, err
 	}
-	if round == 0 {
-		// The server's solved backend plan rides the round-0 reply;
-		// validate it against the requested profile's safety rules
-		// before the session honors it.
-		if err := c.applyPlan(frame); err != nil {
-			return nil, err
-		}
-	}
 	traffic := obs.CostStats{CipherBytesOut: w.CipherBytes(), CipherBytesIn: frame.Env.CipherBytes()}
-	if env, err = FromWire(frame.Env, c.pk); err != nil {
+	if env, err = FromWire(frame.Env, &c.dp.sk.PublicKey); err != nil {
 		return nil, err
 	}
 	// The wire's share of the round trip is what the server's busy time
@@ -324,96 +273,33 @@ func costOrNil(st obs.CostStats) *obs.CostStats {
 	return &st
 }
 
-// exchange sends one round frame for req, stamped with what is left of
-// deadline, and waits on ch for the server's reply frame. Only a
-// first-round throttle/shed rejection is retried in session: the server
-// rejected it before creating any per-request state, so resending the
-// identical frame starts clean. Later rounds are non-idempotent — the
-// server's permutation state advances each round — and fail through. A
-// reply to another round than frame's (a duplicate of an earlier one)
-// fails the request with ErrBadRound.
-func (c *Client) exchange(ctx context.Context, ch <-chan *stream.Message, req uint64, frame *roundFrame, deadline time.Time) (*roundFrame, error) {
-	for attempt := 1; ; attempt++ {
-		if !deadline.IsZero() {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				return nil, fmt.Errorf("%w: budget spent before round %d", ErrDeadline, frame.Round)
-			}
-			frame.DeadlineMS = max(remaining.Milliseconds(), 1)
+// exchange sends call req's round frame, stamped by the call table, and
+// waits for the table's answer: the reply, an error, or a resend of round 0
+// after a backoff. A failed send not due to ctx takes the session down.
+func (c *Client) exchange(ctx context.Context, reply <-chan answer, req uint64, frame *roundFrame) (*roundFrame, error) {
+	for {
+		if st := c.step(func(t *callTable) callStep { return t.send(time.Now(), req, frame) }); st.err != nil {
+			return nil, st.err
 		}
 		if err := c.out.Send(ctx, &stream.Message{Seq: req, Payload: frame}); err != nil {
 			if ctx.Err() != nil {
-				return nil, err
+				return nil, context.Cause(ctx)
 			}
-			return nil, fmt.Errorf("%w: %w", ErrSessionDown, err)
+			return nil, c.step(func(t *callTable) callStep { return t.fail(fmt.Errorf("%w: %w", ErrSessionDown, err)) }).err
 		}
-		var msg *stream.Message
+		var a answer
 		select {
-		case m, ok := <-ch:
-			if !ok {
-				return nil, c.sessionErr()
-			}
-			msg = m
+		case a = <-reply:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, context.Cause(ctx)
 		}
-		if msg.Err == nil {
-			reply, ok := msg.Payload.(*roundFrame)
-			if !ok {
-				return nil, fmt.Errorf("protocol: expected round frame, got %T", msg.Payload)
-			}
-			if reply.Round != frame.Round {
-				return nil, fmt.Errorf("%w: request %d round %d got a reply to round %d", ErrBadRound, req, frame.Round, reply.Round)
-			}
-			return reply, nil
+		if a.retry == 0 {
+			return a.frame, a.err
 		}
-		rerr := &RoundError{Round: frame.Round, Err: msg.Err}
-		if frame.Round != 0 || !Retryable(rerr) {
-			return nil, rerr
-		}
-		if attempt >= c.retry.MaxAttempts {
-			c.retryGiveups.Inc()
-			return nil, fmt.Errorf("protocol: retries exhausted: %w", rerr)
-		}
-		c.retryAttempts.Inc()
-		if err := retrySleep(ctx, c.retry.backoff(attempt)); err != nil {
+		if err := retrySleep(ctx, c.retry.backoff(a.retry)); err != nil {
 			return nil, err
 		}
 	}
-}
-
-// applyPlan installs the server's solved backend plan from a round-0
-// reply, once per session. A reply without a plan leaves the all-Paillier
-// plan the data provider was built with. The plan is validated under the
-// stricter of the client's requested profile and the server's announced
-// one, so a privacy-max client rejects any plan that takes a round off
-// Paillier.
-func (c *Client) applyPlan(frame *roundFrame) error {
-	if len(frame.Plan) == 0 {
-		return nil
-	}
-	c.planMu.Lock()
-	defer c.planMu.Unlock()
-	if c.planSet {
-		return nil
-	}
-	kinds, err := backend.AssignmentFromCodes(frame.Plan)
-	if err != nil {
-		return fmt.Errorf("protocol: server plan: %w", err)
-	}
-	announced, err := backend.ParseProfile(frame.Profile)
-	if err != nil {
-		return fmt.Errorf("protocol: server plan: %w", err)
-	}
-	eff := backend.Stricter(c.profile, announced)
-	if err := backend.ValidateAssignment(eff, kinds, c.rounds); err != nil {
-		return fmt.Errorf("protocol: rejecting server plan: %w", err)
-	}
-	if err := c.dp.SetBackendPlan(kinds); err != nil {
-		return err
-	}
-	c.planSet = true
-	return nil
 }
 
 // Close ends the session.

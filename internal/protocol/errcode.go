@@ -27,8 +27,9 @@ const (
 	// state the janitor already evicted (idle TTL or deadline). The
 	// obfuscation chain is broken; the inference cannot continue.
 	CodeEvicted = 4
-	// CodeBadRound: a round frame named a round the model does not have.
-	// Rejected before admission; nothing was created for it.
+	// CodeBadRound: a round the model does not have (refused before
+	// admission, nothing created), or a repeated or out-of-order round of a
+	// live request, which ends that request.
 	CodeBadRound = 5
 )
 
@@ -45,7 +46,8 @@ var (
 	ErrDeadline error = &stream.CodedError{Code: CodeDeadline, Msg: "protocol: request deadline exceeded"}
 	// ErrEvicted is the stale-request rejection.
 	ErrEvicted error = &stream.CodedError{Code: CodeEvicted, Msg: "protocol: request state evicted"}
-	// ErrBadRound is the out-of-range round rejection.
+	// ErrBadRound is the server's CodeBadRound refusal, and the client's
+	// failure of a call answered with a reply to another round.
 	ErrBadRound error = &stream.CodedError{Code: CodeBadRound, Msg: "protocol: round out of range"}
 	// ErrSessionDown marks transport-level session failure (connection
 	// reset, server gone). The whole inference may be retried on a fresh

@@ -104,7 +104,7 @@ func TestClientInferRefusesOutOfRangeInput(t *testing.T) {
 		t.Error("a refused request produced a trace")
 	}
 	client.mu.Lock()
-	pending := len(client.pending)
+	pending := len(client.table.live)
 	client.mu.Unlock()
 	if sent := out.sent.Load(); sent != 0 || pending != 0 || len(client.window) != 0 {
 		t.Errorf("refused request sent %d frames, left %d pending entries and %d window permits", sent, pending, len(client.window))

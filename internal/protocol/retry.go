@@ -73,7 +73,7 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 	return time.Duration(n.Int64()) + 1
 }
 
-// sleep waits out a backoff honouring ctx.
+// retrySleep waits out a backoff honouring ctx, whose cause it returns.
 func retrySleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
@@ -84,110 +84,90 @@ func retrySleep(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return context.Cause(ctx)
 	}
 }
 
 // Redialer retries whole inferences across session failures: when an
-// Infer fails with a retryable error it backs off, redials a fresh
-// session if the previous one died, and tries again until the policy's
-// attempts run out. Safe for concurrent use; concurrent
-// Infers share one live client and redial at most once per generation.
+// Infer fails with ErrSessionDown it backs off, redials a fresh session,
+// and tries again until the policy's attempts run out. Any other error,
+// a throttle or shed refusal the client has given up on included, fails
+// through: the client's own round-0 resends are the one loop for those.
+// Safe for concurrent use; concurrent Infers share one live client, and
+// concurrent failures of one session redial it once.
 //
-// Retrying a whole inference is always safe: a torn session destroys all
-// per-request state on both sides, and throttle/shed rejections happen
-// before the server creates any.
+// Retrying a whole inference on a torn session is always safe: it
+// destroys all per-request state on both sides.
 type Redialer struct {
-	dial   func(ctx context.Context) (*Client, error)
-	policy RetryPolicy
+	dial    func(ctx context.Context) (*Client, error)
+	policy  RetryPolicy
+	redials *obs.Counter
 
 	mu     sync.Mutex
-	client *Client
-	gen    uint64
-
-	attempts *obs.Counter
-	redials  *obs.Counter
-	giveups  *obs.Counter
+	client *Client // nil: the next attempt dials
+	dialed bool
 }
 
 // NewRedialer wraps dial with retry-and-redial. dial is invoked lazily
 // on first use and again after a session failure. reg (may be nil)
-// receives "retry.attempts", "retry.redials", and "retry.giveups".
+// receives "retry.redials".
 func NewRedialer(dial func(ctx context.Context) (*Client, error), policy RetryPolicy, reg *obs.Registry) *Redialer {
-	return &Redialer{
-		dial: dial, policy: policy.withDefaults(),
-		attempts: reg.Counter("retry.attempts"),
-		redials:  reg.Counter("retry.redials"),
-		giveups:  reg.Counter("retry.giveups"),
-	}
+	return &Redialer{dial: dial, policy: policy.withDefaults(), redials: reg.Counter("retry.redials")}
 }
 
-// get returns the live client, dialing one if needed, along with its
-// generation for invalidation.
-func (r *Redialer) get(ctx context.Context) (*Client, uint64, error) {
+// get returns the live client, dialing one if there is none.
+func (r *Redialer) get(ctx context.Context) (*Client, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.client != nil {
-		return r.client, r.gen, nil
+	if r.client == nil {
+		c, err := r.dial(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("%w: dial: %w", ErrSessionDown, err)
+		}
+		if r.dialed {
+			r.redials.Inc()
+		}
+		r.client, r.dialed = c, true
 	}
-	c, err := r.dial(ctx)
-	if err != nil {
-		return nil, r.gen, fmt.Errorf("%w: dial: %w", ErrSessionDown, err)
-	}
-	if r.gen > 0 {
-		r.redials.Inc()
-	}
-	r.client = c
-	r.gen++
-	return c, r.gen, nil
+	return r.client, nil
 }
 
-// invalidate drops the client of generation gen so the next get dials
-// fresh. Concurrent failures of the same generation invalidate once.
-func (r *Redialer) invalidate(gen uint64) {
+// drop closes c, whose session went down, unless a redial already
+// replaced it.
+func (r *Redialer) drop(c *Client) {
 	r.mu.Lock()
-	if r.gen == gen && r.client != nil {
-		c := r.client
+	defer r.mu.Unlock()
+	if r.client == c {
 		r.client = nil
 		go c.Close()
 	}
-	r.mu.Unlock()
 }
 
-// Infer runs one inference, retrying retryable failures under the
-// policy. Non-retryable errors (protocol failures, deadline expiry,
-// eviction) fail immediately.
+// Infer runs one inference, redialing and retrying it under the policy
+// while it fails with ErrSessionDown; any other error fails at once.
 func (r *Redialer) Infer(ctx context.Context, x *tensor.Dense) (*tensor.Dense, error) {
-	var lastErr error
+	var err error
 	for attempt := 1; attempt <= r.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			r.attempts.Inc()
 			if err := retrySleep(ctx, r.policy.backoff(attempt-1)); err != nil {
 				return nil, err
 			}
 		}
-		c, gen, err := r.get(ctx)
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, err
+		var c *Client
+		if c, err = r.get(ctx); err == nil {
+			var res *tensor.Dense
+			if res, err = c.Infer(ctx, x); err == nil {
+				return res, nil
 			}
-			continue
+			if errors.Is(err, ErrSessionDown) {
+				r.drop(c)
+			}
 		}
-		res, err := c.Infer(ctx, x)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if errors.Is(err, ErrSessionDown) {
-			r.invalidate(gen)
-		}
-		if !Retryable(err) || ctx.Err() != nil {
+		if !errors.Is(err, ErrSessionDown) || ctx.Err() != nil {
 			return nil, err
 		}
 	}
-	r.giveups.Inc()
-	return nil, fmt.Errorf("protocol: retries exhausted: %w", lastErr)
+	return nil, fmt.Errorf("protocol: retries exhausted: %w", err)
 }
 
 // Close tears down the live session, if any.

@@ -372,9 +372,7 @@ func (s *session) arrive(now time.Time, id uint64, frame *roundFrame) step {
 // then, outside it, counts the causes the transition decided and ends the
 // requests it let go of; it returns the step for the caller to finish.
 func (s *session) step(transition func(*table) step) step {
-	s.mu.Lock()
-	st := transition(&s.table)
-	s.mu.Unlock()
+	st := locked(&s.mu, func() step { return transition(&s.table) })
 	for _, name := range st.count {
 		s.reg.Counter(name).Inc()
 	}

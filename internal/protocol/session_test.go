@@ -18,41 +18,44 @@ import (
 	"ppstream/internal/tensor"
 )
 
-// TestSessionTableIsPlain: the request table's file reads no clock, starts
-// no goroutine and imports no sync package, so every transition is a
-// function of its arguments and a test can step it with a fake clock.
+// TestSessionTableIsPlain: the files of the session's request table and
+// of the client's call table read no clock, start no goroutine and import
+// no sync package, so every transition is a function of its arguments and
+// a test can step it with a fake clock.
 func TestSessionTableIsPlain(t *testing.T) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "session.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	timeName := ""
-	for _, imp := range file.Imports {
-		path, _ := strconv.Unquote(imp.Path.Value)
-		if path == "sync" || strings.HasPrefix(path, "sync/") {
-			t.Errorf("%s: session.go imports %s", fset.Position(imp.Pos()), path)
+	for _, name := range []string{"session.go", "calls.go"} {
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if path == "time" {
-			timeName = "time"
-			if imp.Name != nil {
-				timeName = imp.Name.Name
+		timeName := ""
+		for _, imp := range file.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if path == "sync" || strings.HasPrefix(path, "sync/") {
+				t.Errorf("%s: %s imports %s", fset.Position(imp.Pos()), name, path)
+			}
+			if path == "time" {
+				timeName = "time"
+				if imp.Name != nil {
+					timeName = imp.Name.Name
+				}
 			}
 		}
-	}
-	clock := map[string]bool{"Now": true, "Since": true, "Until": true, "NewTicker": true,
-		"NewTimer": true, "After": true, "AfterFunc": true, "Tick": true, "Sleep": true}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			t.Errorf("%s: session.go starts a goroutine", fset.Position(n.Pos()))
-		case *ast.SelectorExpr:
-			if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == timeName && clock[n.Sel.Name] {
-				t.Errorf("%s: session.go calls time.%s", fset.Position(n.Pos()), n.Sel.Name)
+		clock := map[string]bool{"Now": true, "Since": true, "Until": true, "NewTicker": true,
+			"NewTimer": true, "After": true, "AfterFunc": true, "Tick": true, "Sleep": true}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: %s starts a goroutine", fset.Position(n.Pos()), name)
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == timeName && clock[n.Sel.Name] {
+					t.Errorf("%s: %s calls time.%s", fset.Position(n.Pos()), name, n.Sel.Name)
+				}
 			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 }
 
 // t0 is the fake clock's start.
