@@ -11,7 +11,7 @@
 //
 //	ppclient -model models/Heart.gob -addr 127.0.0.1:7100 -factor 10000 -n 3
 //
-// The connection speaks wire format v2 (DESIGN.md); client and server must
+// The connection speaks wire format v3 (DESIGN.md); client and server must
 // be builds of the same wire version, and a mismatch ends the session with
 // an "unsupported wire version" error instead of a misparse.
 //
@@ -21,9 +21,10 @@
 //
 // With -profile, the client requests a backend profile (latency,
 // privacy-max, mixed); the session runs the stricter of the request and
-// the server's policy, and the client validates the announced per-round
-// plan before honoring it — a privacy-max client rejects any plan that
-// moves a round off Paillier.
+// the server's policy. The server answers the Hello with the per-round
+// plan, and the client checks it before the first inference — a
+// privacy-max client refuses any plan that moves a round off Paillier, and
+// exits with the refusal.
 //
 // With -trace, every inference carries a distributed trace ID; the
 // client prints the first request's merged cross-party trace (its own
@@ -38,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"sync"
 	"time"
@@ -111,11 +113,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ppclient: %v\n", err)
 		return 1
 	}
-	edge, err := stream.DialEdge(*addr)
+	conn, err := net.Dial("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "ppclient: %v\n", err)
 		return 1
 	}
+	defer conn.Close()
+	edge := stream.NewTCPEdge(conn)
 	ctx := context.Background()
 	opts := protocol.ClientOptions{
 		Workers:  *workers,

@@ -8,7 +8,7 @@
 //
 //	ppserver -model models/Heart.gob -listen :7100 -factor 10000 -metrics :7200
 //
-// Connections speak wire format v2 (DESIGN.md): a client that opens with
+// Connections speak wire format v3 (DESIGN.md): a client that opens with
 // anything else — another version, or the gob stream of a build before the
 // format existed — is answered with one "unsupported wire version" error
 // frame and dropped; the model file is the only gob left.
@@ -28,7 +28,7 @@
 // -profile caps the per-round crypto-backend posture: each session runs
 // the STRICTER of this policy and the client's requested profile
 // (privacy-max > mixed > latency), and the solved per-round assignment
-// rides the round-0 reply for the client to validate. -clearboundary
+// rides the Hello's answer for the client to validate. -clearboundary
 // admits plaintext execution for trailing rounds at or past the
 // leakage-certified boundary (never round 0); leave it 0 unless an
 // internal/leakage distance-correlation certification of this model

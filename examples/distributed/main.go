@@ -1,5 +1,5 @@
 // Distributed: runs the two providers as separate services connected by a
-// real TCP socket on loopback, speaking wire format v1 — the deployment
+// real TCP socket on loopback, speaking wire format v3 — the deployment
 // shape of the paper's testbed and of cmd/ppserver / cmd/ppclient. The
 // model-provider service owns the weights and the obfuscation state and
 // only ever sees the client's public key; the data-provider client owns
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	gonet "net"
 	"time"
 
 	"ppstream"
@@ -38,16 +39,16 @@ func main() {
 	ctx := context.Background()
 
 	// ---- Model provider service (separate goroutine = separate box): the
-	// network and nothing else; the client's public key arrives in its Hello.
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
+	// network and nothing else; each client's public key arrives in its
+	// Hello.
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("model provider listening on %s\n", addr)
+	fmt.Printf("model provider listening on %s\n", ln.Addr())
 	served := make(chan error, 1)
 	go func() {
-		served <- protocol.ServeSessionConfig(ctx, serverEdge, serverEdge, net,
-			protocol.SessionConfig{Factor: factor, MaxWorkers: 2})
+		served <- protocol.Serve(ctx, ln, net, protocol.SessionConfig{Factor: factor, MaxWorkers: 2})
 	}()
 
 	// ---- Data provider client: its own key, the agreed architecture.
@@ -55,10 +56,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	clientEdge, err := stream.DialEdge(addr)
+	conn, err := gonet.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
+	clientEdge := stream.NewTCPEdge(conn)
 	client, err := protocol.NewClientOpts(ctx, clientEdge, clientEdge, net, key, factor,
 		protocol.ClientOptions{Workers: 2})
 	if err != nil {
@@ -78,6 +80,7 @@ func main() {
 	}
 	latency := time.Since(start)
 	client.Close()
+	ln.Close()
 	if err := <-served; err != nil {
 		log.Fatalf("model provider: %v", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	mathrand "math/rand"
+	gonet "net"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 
 // TestOneServingPath: the engine and a two-party deployment are one
 // serving path. The same inputs through core.Engine.Submit and through a
-// protocol.Client over a loopback TCP session to ServeSessionConfig give
+// protocol.Client over a loopback TCP session to protocol.Serve give
 // bit-identical outputs, and each request meters the same encryptions,
 // decryptions, modular multiplications and inversions on both.
 func TestOneServingPath(t *testing.T) {
@@ -83,19 +84,20 @@ func TestOneServingPath(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
+			ln, err := gonet.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
+			conn, err := gonet.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
 			served := make(chan error, 1)
 			go func() {
-				served <- protocol.ServeSessionConfig(ctx, serverEdge, serverEdge, net,
-					protocol.SessionConfig{Factor: factor, Profile: tc.profile, ClearBoundary: 2})
+				served <- protocol.Serve(ctx, ln, net, protocol.SessionConfig{Factor: factor, Profile: tc.profile, ClearBoundary: 2})
 			}()
-			edge, err := stream.DialEdge(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			edge := stream.NewTCPEdge(conn)
 			client, err := protocol.NewClientOpts(ctx, edge, edge, net, key(t), factor, protocol.ClientOptions{Workers: 1, Profile: tc.profile})
 			if err != nil {
 				t.Fatal(err)
@@ -113,8 +115,9 @@ func TestOneServingPath(t *testing.T) {
 				}
 			}
 			client.Close()
+			ln.Close()
 			if err := <-served; err != nil {
-				t.Errorf("TCP session: %v", err)
+				t.Errorf("TCP server: %v", err)
 			}
 		})
 	}

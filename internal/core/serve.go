@@ -48,20 +48,23 @@ func (e *Engine) Serve(ctx context.Context) error {
 		return errServing
 	}
 	// Each edge holds a window of frames, so neither side's sends wait on
-	// the other's reads while the window is not full; the client's Hello
-	// waits in toModel until the session reads it.
+	// the other's reads while the window is not full. The session starts
+	// first: NewClient waits for its answer to the Hello.
 	toModel, toData := stream.NewChannelEdge(e.opts.Window), stream.NewChannelEdge(e.opts.Window)
-	c, err := protocol.NewClient(ctx, toData, toModel, e.Protocol.Data, protocol.ClientOptions{Window: e.opts.Window, Profile: e.opts.Profile})
-	if err != nil {
-		return err
-	}
-	srv := &serving{client: c, served: make(chan error, 1)}
+	srv := &serving{served: make(chan error, 1)}
 	go func() {
 		srv.served <- protocol.ServeSession(ctx, toModel, toData, e.Protocol.Model, protocol.SessionConfig{
 			Factor: e.opts.Factor, Window: e.opts.Window, Registry: e.reg,
 			Profile: e.opts.Profile, ClearBoundary: e.opts.ClearBoundary,
 		})
 	}()
+	c, err := protocol.NewClient(ctx, toData, toModel, e.Protocol.Data, protocol.ClientOptions{Window: e.opts.Window, Profile: e.opts.Profile})
+	if err != nil {
+		// NewClient ended its side of the session, which then returns, if
+		// it did not refuse the Hello already.
+		return err
+	}
+	srv.client = c
 	e.srv = srv
 	return nil
 }

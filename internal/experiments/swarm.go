@@ -218,10 +218,11 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 
 	clients := make([]*protocol.Client, swarmClients)
 	for i := range clients {
-		edge, err := stream.DialEdge(addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
 		}
+		edge := stream.NewTCPEdge(conn)
 		clients[i], err = protocol.NewClientOpts(ctx, edge, edge, netw, key, serveFactor, protocol.ClientOptions{
 			Workers:  1,
 			Window:   swarmWindow,
@@ -339,22 +340,24 @@ func swarmKnee(points []SwarmPoint) int {
 // latency target is derived from this result) and returns the sorted
 // per-request latencies.
 func swarmBaseline(ctx context.Context, netw *nn.Network, key *paillier.PrivateKey, inputs []*tensor.Dense) ([]time.Duration, error) {
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
+	defer ln.Close()
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- protocol.ServeSessionConfig(ctx, serverEdge, serverEdge, netw, protocol.SessionConfig{
+		serveErr <- protocol.Serve(ctx, ln, netw, protocol.SessionConfig{
 			Factor:     serveFactor,
 			MaxWorkers: 2,
 			Window:     1,
 		})
 	}()
-	clientEdge, err := stream.DialEdge(addr)
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		return nil, err
 	}
+	clientEdge := stream.NewTCPEdge(conn)
 	client, err := protocol.NewClientOpts(ctx, clientEdge, clientEdge, netw, key, serveFactor,
 		protocol.ClientOptions{Workers: 1, Window: 1})
 	if err != nil {
@@ -372,6 +375,7 @@ func swarmBaseline(ctx context.Context, netw *nn.Network, key *paillier.PrivateK
 	if err := client.Close(); err != nil {
 		return nil, err
 	}
+	ln.Close()
 	if err := <-serveErr; err != nil {
 		return nil, fmt.Errorf("server session: %w", err)
 	}

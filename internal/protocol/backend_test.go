@@ -272,10 +272,7 @@ func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 	k := e2eKey2048(t)
 	reg := obs.NewRegistry("mixed-e2e")
 
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	clientEdge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	serveErr := make(chan error, 1)
@@ -289,10 +286,6 @@ func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 			ClearBoundary: 2,
 		})
 	}()
-	clientEdge, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	client, err := NewClientOpts(ctx, clientEdge, clientEdge, netw, k, 1000,
 		ClientOptions{Workers: 1, Window: 2, Profile: backend.ProfileMixed})
 	if err != nil {
@@ -374,15 +367,12 @@ func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 // TestPrivacyMaxClientNeverWeakens checks negotiation from the client
 // side: a privacy-max client against a permissive latency server with a
 // certified boundary still gets the all-Paillier plan — the stricter
-// side wins.
+// side wins — installed by NewClient before the first request.
 func TestPrivacyMaxClientNeverWeakens(t *testing.T) {
 	netw := buildNet3(t)
 	k := e2eKey2048(t)
 
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	clientEdge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	serveErr := make(chan error, 1)
@@ -395,14 +385,15 @@ func TestPrivacyMaxClientNeverWeakens(t *testing.T) {
 			ClearBoundary: 2,
 		})
 	}()
-	clientEdge, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	client, err := NewClientOpts(ctx, clientEdge, clientEdge, netw, k, 1000,
 		ClientOptions{Workers: 1, Window: 2, Profile: backend.ProfilePrivacyMax})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for r := range client.dp.stages {
+		if kind := client.dp.RoundBackend(r); kind != backend.PaillierHE {
+			t.Fatalf("privacy-max client opened with round %d on %q", r, kind)
+		}
 	}
 	x := tensor.Zeros(4)
 	x.Data()[0] = 1

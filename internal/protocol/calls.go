@@ -4,23 +4,19 @@ import (
 	"fmt"
 	"time"
 
-	"ppstream/internal/backend"
 	"ppstream/internal/stream"
 )
 
 // callTable is the client's request table, the mirror of the session's
 // (session.go): every Infer call from its opening to its end, and whether
-// the session is down and the server's plan installed. Its shell
-// (client.go) owns the reader goroutine, the window, the calls' reply
-// channels, the backoff sleeps and the clock: it steps the table under the
-// client's lock and carries out the step outside it. The table reads no
-// clock, starts no goroutine and takes no lock (TestSessionTableIsPlain).
+// the session is down. Its shell (client.go) owns the reader goroutine, the
+// window, the calls' reply channels, the backoff sleeps and the clock: it
+// steps the table under the client's lock and carries out the step outside
+// it. The table reads no clock, starts no goroutine and takes no lock
+// (TestSessionTableIsPlain).
 type callTable struct {
-	rounds      int
-	maxAttempts int             // the most round-0 sends a call makes
-	profile     backend.Profile // the profile the client requested
-	down        error           // why the session is down; nil while up
-	planSet     bool
+	maxAttempts int   // the most round-0 sends a call makes
+	down        error // why the session is down; nil while up
 	live        map[uint64]*call
 }
 
@@ -46,12 +42,11 @@ type answer struct {
 }
 
 // callStep is what a transition asks of the shell: count the counters,
-// install plan when it is not nil, then hand each answer to its call. err
-// fails the calling Infer; from fail it is the session's cause.
+// then hand each answer to its call. err fails the calling Infer; from fail
+// it is the session's cause.
 type callStep struct {
 	err     error
 	count   []string
-	plan    []backend.Kind
 	answers []answer
 }
 
@@ -85,16 +80,12 @@ func (t *callTable) send(now time.Time, id uint64, f *roundFrame) callStep {
 	return callStep{}
 }
 
-// reply is the server's frame msg. An error frame outside any request (Seq
-// 0, the Hello's answer) ends the session; a frame for no waiting call is
-// dropped. A throttled or shed round 0 is resent until maxAttempts sends,
-// then given up. Any other error frame, a reply to another round and a
-// plan the client's profile forbids fail the call; any other reply is
-// delivered, and the session's first round-0 reply with a plan installs it.
+// reply is the server's frame msg. A frame for no waiting call is dropped,
+// an error frame outside any request included: the session's Hello was
+// answered before any call opened. A throttled or shed round 0 is resent
+// until maxAttempts sends, then given up. Any other error frame and a reply
+// to another round fail the call; any other reply is delivered.
 func (t *callTable) reply(msg *stream.Message) callStep {
-	if msg.Seq == 0 && msg.Err != nil {
-		return t.fail(fmt.Errorf("%w: protocol: server rejected session: %w", ErrSessionDown, msg.Err))
-	}
 	c := t.live[msg.Seq]
 	if c == nil || !c.sent {
 		return callStep{}
@@ -116,33 +107,8 @@ func (t *callTable) reply(msg *stream.Message) callStep {
 		return t.settle(c, fmt.Errorf("protocol: expected round frame, got %T", msg.Payload))
 	case frame.Round != c.round:
 		return t.settle(c, fmt.Errorf("%w: request %d round %d got a reply to round %d", ErrBadRound, c.id, c.round, frame.Round))
-	case frame.Round != 0 || len(frame.Plan) == 0 || t.planSet:
-		return callStep{answers: []answer{{to: c, frame: frame}}}
 	}
-	plan, err := t.checkPlan(frame)
-	if err != nil {
-		return t.settle(c, err)
-	}
-	t.planSet = true
-	return callStep{plan: plan, answers: []answer{{to: c, frame: frame}}}
-}
-
-// checkPlan validates the server's plan under the stricter of the
-// client's requested profile and the server's announced one, so a
-// privacy-max client refuses any plan that takes a round off Paillier.
-func (t *callTable) checkPlan(frame *roundFrame) ([]backend.Kind, error) {
-	kinds, err := backend.AssignmentFromCodes(frame.Plan)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: server plan: %w", err)
-	}
-	announced, err := backend.ParseProfile(frame.Profile)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: server plan: %w", err)
-	}
-	if err := backend.ValidateAssignment(backend.Stricter(t.profile, announced), kinds, t.rounds); err != nil {
-		return nil, fmt.Errorf("protocol: rejecting server plan: %w", err)
-	}
-	return kinds, nil
+	return callStep{answers: []answer{{to: c, frame: frame}}}
 }
 
 // settle ends call c, failing it with err, and counts count.

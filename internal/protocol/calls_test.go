@@ -3,19 +3,19 @@ package protocol
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
-	"ppstream/internal/backend"
 	"ppstream/internal/obs"
 	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
 
-// newCallTable is a client's call table for rounds, resending round 0 up
-// to maxAttempts times, under profile.
-func newCallTable(rounds, maxAttempts int, profile backend.Profile) callTable {
-	return callTable{rounds: rounds, maxAttempts: maxAttempts, profile: profile, live: map[uint64]*call{}}
+// newCallTable is a client's call table, resending round 0 up to
+// maxAttempts times.
+func newCallTable(maxAttempts int) callTable {
+	return callTable{maxAttempts: maxAttempts, live: map[uint64]*call{}}
 }
 
 // openCall opens call id in tb, due by deadline, and returns its channel.
@@ -52,7 +52,7 @@ func only(t *testing.T, st callStep, id uint64) answer {
 // deadline; once the budget is spent the frame is refused with ErrDeadline
 // and the call is not marked as waiting.
 func TestClientTableDeadline(t *testing.T) {
-	tb := newCallTable(2, 3, "")
+	tb := newCallTable(3)
 	openCall(t, &tb, 1, at(100))
 	if f := sendRound(t, &tb, at(40), 1, 0); f.DeadlineMS != 60 {
 		t.Errorf("DeadlineMS %d with 60 ms left, want 60", f.DeadlineMS)
@@ -77,7 +77,7 @@ func TestClientTableDeadline(t *testing.T) {
 // MaxAttempts times, and then given up, each counted once; a shed reply
 // to a later round fails the call at once, uncounted.
 func TestClientTableRetriesShedRoundZero(t *testing.T) {
-	tb := newCallTable(2, 3, "")
+	tb := newCallTable(3)
 	openCall(t, &tb, 1, time.Time{})
 	shed := &stream.Message{Seq: 1, Err: ErrShed}
 	for k := 1; k <= 2; k++ {
@@ -107,7 +107,7 @@ func TestClientTableRetriesShedRoundZero(t *testing.T) {
 // waits for fails it with ErrBadRound; a copy of a reply the call already
 // took is dropped.
 func TestClientTableBadRound(t *testing.T) {
-	tb := newCallTable(2, 3, "")
+	tb := newCallTable(3)
 	openCall(t, &tb, 1, time.Time{})
 	sendRound(t, &tb, at(0), 1, 0)
 	reply := &stream.Message{Seq: 1, Payload: &roundFrame{Round: 0}}
@@ -127,7 +127,7 @@ func TestClientTableBadRound(t *testing.T) {
 // one abandoned at its ctx deadline does, is dropped; the session stays up
 // and the next call opens and sends.
 func TestClientTableDropsAbandoned(t *testing.T) {
-	tb := newCallTable(2, 3, "")
+	tb := newCallTable(3)
 	openCall(t, &tb, 1, at(10))
 	sendRound(t, &tb, at(0), 1, 0)
 	tb.end(1)
@@ -140,18 +140,22 @@ func TestClientTableDropsAbandoned(t *testing.T) {
 }
 
 // TestClientTableSessionError: an error frame outside any request (Seq 0)
-// ends the session: every call waiting for a reply is answered with
-// ErrSessionDown, every live call ends, and later calls are refused.
+// is dropped, as the Hello's answer came before any call; the session ends
+// only with its edge: every call waiting for a reply is answered with the
+// cause, every live call ends, and later calls are refused.
 func TestClientTableSessionError(t *testing.T) {
-	tb := newCallTable(2, 3, "")
+	tb := newCallTable(3)
 	openCall(t, &tb, 1, time.Time{})
 	openCall(t, &tb, 2, time.Time{})
 	openCall(t, &tb, 3, time.Time{})
 	sendRound(t, &tb, at(0), 1, 0)
 	sendRound(t, &tb, at(0), 2, 0)
-	st := tb.reply(&stream.Message{Err: errors.New("hello refused")})
+	if st := tb.reply(&stream.Message{Err: errors.New("stray")}); st.err != nil || len(st.answers) != 0 || tb.down != nil {
+		t.Fatalf("Seq 0 error: %+v, session down %v; want it dropped", st, tb.down)
+	}
+	st := tb.fail(fmt.Errorf("%w: edge closed", ErrSessionDown))
 	if !errors.Is(st.err, ErrSessionDown) || len(st.answers) != 2 || len(tb.live) != 0 {
-		t.Fatalf("Seq 0 error: %+v, %d live; want the session down, 2 answers, none live", st, len(tb.live))
+		t.Fatalf("edge failure: %+v, %d live; want the session down, 2 answers, none live", st, len(tb.live))
 	}
 	for _, a := range st.answers {
 		if a.to.id == 3 || !errors.Is(a.err, ErrSessionDown) {
@@ -166,42 +170,12 @@ func TestClientTableSessionError(t *testing.T) {
 	}
 }
 
-// TestClientTableInstallsPlanOnce: the first round-0 reply that carries a
-// plan the client's profile allows installs it, once; a plan a privacy-max
-// client may not run fails the call and installs nothing.
-func TestClientTableInstallsPlanOnce(t *testing.T) {
-	plan := backend.Plan{Assignment: []backend.Kind{backend.PaillierHE, backend.Clear}}
-	withPlan := func(id uint64) *stream.Message {
-		return &stream.Message{Seq: id, Payload: &roundFrame{Plan: plan.Codes(), Profile: string(backend.ProfileLatency)}}
-	}
-	tb := newCallTable(2, 3, backend.ProfileLatency)
-	for id := uint64(1); id <= 2; id++ {
-		openCall(t, &tb, id, time.Time{})
-		sendRound(t, &tb, at(0), id, 0)
-	}
-	st := tb.reply(withPlan(1))
-	if a := only(t, st, 1); a.frame == nil || len(st.plan) != 2 || st.plan[1] != backend.Clear || !tb.planSet {
-		t.Fatalf("first reply with a plan: %+v, plan %v", a, st.plan)
-	}
-	if st := tb.reply(withPlan(2)); st.plan != nil || only(t, st, 2).frame == nil {
-		t.Errorf("second reply with a plan: %+v, want it delivered with no install", st)
-	}
-
-	strict := newCallTable(2, 3, backend.ProfilePrivacyMax)
-	openCall(t, &strict, 1, time.Time{})
-	sendRound(t, &strict, at(0), 1, 0)
-	st = strict.reply(withPlan(1))
-	if a := only(t, st, 1); a.err == nil || st.plan != nil || strict.planSet {
-		t.Errorf("privacy-max client given a clear round: %+v, plan %v, installed %v", a, st.plan, strict.planSet)
-	}
-}
-
 // TestStepReleasesLockOnPanic: a transition that panics leaves its table's
 // lock free, on the session and on the client, so a later step — a tick,
 // a call's end — still runs.
 func TestStepReleasesLockOnPanic(t *testing.T) {
 	s := &session{table: newTable(1, time.Minute)}
-	c := &Client{table: newCallTable(1, 1, "")}
+	c := &Client{table: newCallTable(1)}
 	steps := map[string][2]func(){
 		"session": {
 			func() { s.step(func(*table) step { panic("transition") }) },
@@ -255,13 +229,22 @@ func newScripted(t *testing.T, opts ClientOptions) *scripted {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	t.Cleanup(cancel)
 	s := &scripted{t: t, ctx: ctx, proto: proto, toServer: stream.NewChannelEdge(1), toClient: stream.NewChannelEdge(1)}
-	if s.client, err = NewClient(ctx, s.toClient, s.toServer, proto.Data, opts); err != nil {
-		t.Fatal(err)
-	}
+	opened := make(chan error, 1)
+	go func() {
+		var err error
+		s.client, err = NewClient(ctx, s.toClient, s.toServer, proto.Data, opts)
+		opened <- err
+	}()
 	if msg, err := s.recv(); err != nil {
 		t.Fatal(err)
 	} else if _, ok := msg.Payload.(*Hello); !ok {
 		t.Fatalf("first frame %T, want the Hello", msg.Payload)
+	}
+	if err := s.send(allPaillier(proto.Rounds())); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-opened; err != nil {
+		t.Fatal(err)
 	}
 	return s
 }

@@ -44,9 +44,8 @@ type ClientOptions struct {
 	Registry *obs.Registry
 	// Profile is the deployment profile to request from the server
 	// (empty = privacy-max, the paper's all-Paillier protocol). The
-	// session runs the stricter of this and the server's policy; the
-	// client validates the server's solved plan against that before
-	// honoring it.
+	// session runs the stricter of this and the server's policy; NewClient
+	// refuses a plan in the server's answer that this profile forbids.
 	Profile backend.Profile
 }
 
@@ -84,10 +83,20 @@ func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, s
 	return NewClient(ctx, in, out, dp, opts)
 }
 
-// NewClient sends the Hello for dp's key and factor and returns a client
-// that drives dp, ready to Infer. ctx bounds the session's reader
-// goroutine as well as the Hello send.
-func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts ClientOptions) (*Client, error) {
+// NewClient sends the Hello for dp's key and factor, waits under ctx for
+// the server's answer and returns a client that drives dp, ready to Infer;
+// ctx also bounds the session's reader goroutine. The answer's plan is
+// installed on dp once it passes the stricter of the requested and the
+// announced profile, so a privacy-max client refuses any plan that takes a
+// round off Paillier. A Hello the server refused and a plan the client
+// refused fail with ErrRefused. A client that fails to open ends its side
+// of the session.
+func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts ClientOptions) (_ *Client, err error) {
+	defer func() {
+		if err != nil {
+			_ = out.CloseSend()
+		}
+	}()
 	window := opts.Window
 	if window <= 0 {
 		window = DefaultClientWindow
@@ -100,6 +109,9 @@ func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts 
 	if err := out.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		return nil, err
 	}
+	if err := installPlan(ctx, in, dp, profile); err != nil {
+		return nil, err
+	}
 	c := &Client{
 		dp: dp, in: in, out: out,
 		window:   make(chan struct{}, window),
@@ -107,9 +119,38 @@ func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts 
 		retry:    opts.Retry.withDefaults(),
 		reg:      opts.Registry,
 	}
-	c.table = callTable{rounds: len(dp.stages), maxAttempts: c.retry.MaxAttempts, profile: profile, live: map[uint64]*call{}}
+	c.table = callTable{maxAttempts: c.retry.MaxAttempts, live: map[uint64]*call{}}
 	go c.readLoop(ctx)
 	return c, nil
+}
+
+// installPlan reads the server's answer to the Hello and installs the plan
+// it carries on dp, checked under the stricter of requested and the
+// profile the server announced.
+func installPlan(ctx context.Context, in stream.Edge, dp *DataProvider, requested backend.Profile) error {
+	msg, err := in.Recv(ctx)
+	if err != nil {
+		return fmt.Errorf("protocol: awaiting the hello's answer: %w", err)
+	}
+	if msg.Err != nil {
+		return fmt.Errorf("%w: %w", ErrRefused, msg.Err)
+	}
+	answer, ok := msg.Payload.(*Hello)
+	if !ok {
+		return fmt.Errorf("protocol: expected the hello's answer, got %T", msg.Payload)
+	}
+	kinds, err := backend.AssignmentFromCodes(answer.Plan)
+	if err != nil {
+		return fmt.Errorf("%w: server plan: %w", ErrRefused, err)
+	}
+	announced, err := backend.ParseProfile(answer.Profile)
+	if err != nil {
+		return fmt.Errorf("%w: server plan: %w", ErrRefused, err)
+	}
+	if err := backend.ValidateAssignment(backend.Stricter(requested, announced), kinds, len(dp.stages)); err != nil {
+		return fmt.Errorf("%w: rejecting server plan: %w", ErrRefused, err)
+	}
+	return dp.SetBackendPlan(kinds)
 }
 
 // readLoop feeds the server's frames to the call table until the edge
@@ -130,18 +171,11 @@ func (c *Client) readLoop(ctx context.Context) {
 }
 
 // step runs a transition of the call table under the client's lock and
-// carries out its step: counters, then the plan, then the answers.
+// carries out its step: counters, then the answers.
 func (c *Client) step(transition func(*callTable) callStep) callStep {
 	st := locked(&c.mu, func() callStep { return transition(&c.table) })
 	for _, name := range st.count {
 		c.reg.Counter(name).Inc()
-	}
-	if st.plan != nil {
-		// The table validated the plan under a stricter profile than
-		// SetBackendPlan checks, so this does not fail.
-		if err := c.dp.SetBackendPlan(st.plan); err != nil {
-			st.answers[0].frame, st.answers[0].err = nil, err
-		}
 	}
 	for _, a := range st.answers {
 		a.to.reply <- a
@@ -231,8 +265,7 @@ func (c *Client) round(ctx context.Context, reply <-chan answer, round int, env 
 	if err != nil {
 		return nil, err
 	}
-	tc := &TraceContext{Ver: TraceV1, ID: tree.ID}
-	frame, err := c.exchange(ctx, reply, req, &roundFrame{Round: round, Env: w, TC: tc})
+	frame, err := c.exchange(ctx, reply, req, &roundFrame{Round: round, Env: w, Trace: tree.ID})
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,13 @@ var (
 	ErrEvicted error = &stream.CodedError{Code: CodeEvicted, Msg: "protocol: request state evicted"}
 	// ErrBadRound is the server's CodeBadRound refusal, and the client's
 	// failure of a call answered with a reply to another round.
-	ErrBadRound error = &stream.CodedError{Code: CodeBadRound, Msg: "protocol: round out of range"}
+	ErrBadRound error = &stream.CodedError{Code: CodeBadRound, Msg: "protocol: bad round"}
+	// ErrRefused marks a session that never opened because a party refused
+	// the other's terms: the server's error frame answering the Hello, or
+	// the client's check of the plan the server answered with. A fresh
+	// session would meet the same refusal, so the Redialer does not dial
+	// one.
+	ErrRefused = errors.New("protocol: session refused")
 	// ErrSessionDown marks transport-level session failure (connection
 	// reset, server gone). The whole inference may be retried on a fresh
 	// session; no mid-protocol state survives. It never crosses the wire.

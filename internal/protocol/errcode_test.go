@@ -61,14 +61,7 @@ func TestRoundErrorUnwrap(t *testing.T) {
 // matching none. This is what keeps server-side raising and client-side
 // matching on one table.
 func TestCodeRoundTrip(t *testing.T) {
-	recv, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	send, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	send, recv := tcpPair(t)
 	defer send.CloseSend()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -59,7 +59,6 @@ func FuzzWireFrameDecode(f *testing.F) {
 			var w *WireEnvelope
 			switch p := m.Payload.(type) {
 			case *roundFrame:
-				_ = p.TC.traceID() // nil-safe by contract
 				w = p.Env
 			case *WireEnvelope:
 				w = p

@@ -91,8 +91,9 @@ func retrySleep(ctx context.Context, d time.Duration) error {
 // Redialer retries whole inferences across session failures: when an
 // Infer fails with ErrSessionDown it backs off, redials a fresh session,
 // and tries again until the policy's attempts run out. Any other error,
-// a throttle or shed refusal the client has given up on included, fails
-// through: the client's own round-0 resends are the one loop for those.
+// a throttle or shed refusal the client has given up on and a refused
+// session included, fails through: the client's own round-0 resends are
+// the one loop for throttle and shed.
 // Safe for concurrent use; concurrent Infers share one live client, and
 // concurrent failures of one session redial it once.
 //
@@ -115,12 +116,17 @@ func NewRedialer(dial func(ctx context.Context) (*Client, error), policy RetryPo
 	return &Redialer{dial: dial, policy: policy.withDefaults(), redials: reg.Counter("retry.redials")}
 }
 
-// get returns the live client, dialing one if there is none.
+// get returns the live client, dialing one if there is none. A failed dial
+// is a session down, unless the session was refused (ErrRefused): its
+// parties answered each other.
 func (r *Redialer) get(ctx context.Context) (*Client, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.client == nil {
 		c, err := r.dial(ctx)
+		if errors.Is(err, ErrRefused) {
+			return nil, err
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: dial: %w", ErrSessionDown, err)
 		}

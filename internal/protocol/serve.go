@@ -22,10 +22,12 @@ import (
 
 // This file is the model provider's side of the network session: a data
 // provider (client.go) sends a Hello carrying its public key and the agreed
-// scaling factor, then drives the Figure 3 workflow round by round over the
-// same connection pair.
+// scaling factor, the server answers it once, and the data provider then
+// drives the Figure 3 workflow round by round over the same connection
+// pair.
 
-// Hello is the data provider's session-setup frame.
+// Hello is the data provider's session-setup frame, and the server's answer
+// to one it accepts, which carries only Profile and Plan.
 type Hello struct {
 	// N is the big-endian Paillier modulus (the public key).
 	N []byte
@@ -36,8 +38,12 @@ type Hello struct {
 	Workers int
 	// Profile is the deployment profile the client requests (empty
 	// selects privacy-max, the all-Paillier protocol). The server takes
-	// the stricter of this and its own policy.
+	// the stricter of this and its own policy. In the answer it is the
+	// profile the session runs under.
 	Profile string
+	// Plan, in the answer, is the session's solved per-round backend
+	// assignment (backend.Kind wire codes).
+	Plan []int32
 }
 
 // maxHelloKeyBytes bounds the modulus a client may announce (16384-bit
@@ -66,24 +72,19 @@ func helloPublicKey(hello *Hello) (*paillier.PublicKey, error) {
 }
 
 // roundFrame tags a wire envelope with its round index for the service
-// loop. TC carries the request's distributed trace context; on a reply,
-// Spans carries the server's spans of that round back to the client.
+// loop. Trace is the request's trace ID (empty: untraced), under which both
+// parties record their spans; on a reply, Spans carries the server's spans
+// of that round back to the client.
 type roundFrame struct {
 	Round int
 	Env   *WireEnvelope
-	TC    *TraceContext
+	Trace string
 	Spans []obs.Segment
 	// DeadlineMS is the client's remaining per-request budget in
 	// milliseconds at send time — relative, so no cross-party clock sync
 	// is needed. Zero means no deadline. The server refreshes its absolute
 	// deadline from this on every frame and evicts expired requests.
 	DeadlineMS int64
-	// Plan and Profile ride the server's round-0 reply: the session's
-	// solved per-round backend assignment (backend.Kind wire codes) and
-	// the effective profile it was solved under. A reply that carries
-	// neither leaves the client on the all-Paillier protocol.
-	Plan    []int32
-	Profile string
 }
 
 // RegisterServiceWire does nothing: the package registers its frame
@@ -164,12 +165,9 @@ type session struct {
 	// blind is the blinding pool the session built for its provider and
 	// closes at its end; nil when the provider brought its own.
 	blind *paillier.Pool
-	// planCodes and profile ride every round-0 reply; plan is the backend
-	// assignment as strings, carried on every record so a retained request
-	// shows which backend mix produced it.
-	planCodes []int32
-	profile   string
-	plan      []string
+	// plan is the backend assignment as strings, carried on every record
+	// so a retained request shows which backend mix produced it.
+	plan []string
 
 	mu    sync.Mutex
 	table table
@@ -382,8 +380,13 @@ func (s *session) step(transition func(*table) step) step {
 	return st
 }
 
-// openSession reads the Hello, picks the model provider serving it,
-// negotiates the backend plan, and builds the session.
+// openSession reads the client's Hello and answers it exactly once: with a
+// Hello carrying the profile the session runs under and its solved plan, or
+// with an error frame naming why the Hello was refused — an opening the
+// edge refused to parse (another wire version, as a gob peer's first bytes
+// are too, or a field over its limit) included. It returns the accepted
+// session, or the refusal. An edge that fails before a frame arrives gets
+// no answer.
 func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, provide provider) (*session, error) {
 	if cfg.Log == nil {
 		cfg.Log = quiet
@@ -394,12 +397,23 @@ func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, pr
 	if cfg.IdleTTL <= 0 {
 		cfg.IdleTTL = DefaultIdleTTL
 	}
-	mp, profile, err := readHello(ctx, in, out, cfg, provide)
-	if err != nil {
-		return nil, err
+	first, err := in.Recv(ctx)
+	var malformed *stream.WireError
+	if err != nil && !errors.Is(err, stream.ErrWireVersion) && !errors.As(err, &malformed) {
+		return nil, fmt.Errorf("protocol: session hello: %w", err)
 	}
-	plan, err := mp.applyProfile(profile, cfg.ClearBoundary)
+	var (
+		mp   *ModelProvider
+		plan *backend.Plan
+	)
+	if err == nil {
+		mp, plan, err = acceptHello(first, cfg, provide)
+	} else {
+		err = fmt.Errorf("protocol: session hello: %w", err)
+	}
 	if err != nil {
+		cfg.Log.Warn("session hello refused", "err", err.Error())
+		_ = out.Send(ctx, &stream.Message{Err: err})
 		return nil, err
 	}
 	paillierRounds := 0
@@ -409,8 +423,11 @@ func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, pr
 		}
 	}
 	cfg.Log.Info("session plan solved",
-		"profile", string(profile), "boundary", plan.Boundary,
+		"profile", string(plan.Profile), "boundary", plan.Boundary,
 		"paillier_rounds", paillierRounds, "rounds", mp.Stages())
+	if err := out.Send(ctx, &stream.Message{Payload: &Hello{Profile: string(plan.Profile), Plan: plan.Codes()}}); err != nil {
+		return nil, fmt.Errorf("protocol: answering the hello: %w", err)
+	}
 	reg := cfg.Registry
 	// A provider that serves only this session gets a pool sized to the
 	// session's plan and window, which the session closes as it ends; a
@@ -420,8 +437,7 @@ func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, pr
 		blind = mp.NewBlindPool(cfg.Window, reg)
 	}
 	s := &session{
-		ctx: ctx, cfg: cfg, out: out, reg: reg, mp: mp, blind: blind,
-		planCodes: plan.Codes(), profile: string(profile), plan: mp.labels(),
+		ctx: ctx, cfg: cfg, out: out, reg: reg, mp: mp, blind: blind, plan: mp.labels(),
 		table: newTable(mp.Stages(), cfg.IdleTTL),
 	}
 	// Every outcome's counter and the latency exist, with their live
@@ -433,53 +449,36 @@ func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, pr
 	return s, nil
 }
 
-// readHello reads the client's Hello and returns the model provider that
-// serves it and the profile the session runs under: the stricter of the
-// server's policy and the client's request. What the client can fix (a bad
-// key or profile, a key no provider serves) is answered with an error
-// frame outside any request, which is session-fatal on the client side —
-// and so is an opening the edge refused to parse: another wire version (a
-// gob peer's first bytes are that too), or a field over its limit.
-func readHello(ctx context.Context, in, out stream.Edge, cfg SessionConfig, provide provider) (*ModelProvider, backend.Profile, error) {
-	first, err := in.Recv(ctx)
-	if err != nil {
-		var refused *stream.WireError
-		if out != nil && (errors.Is(err, stream.ErrWireVersion) || errors.As(err, &refused)) {
-			cfg.Log.Warn("session hello refused", "err", err.Error())
-			_ = out.Send(ctx, &stream.Message{Err: err})
-		}
-		return nil, "", fmt.Errorf("protocol: session hello: %w", err)
-	}
+// acceptHello checks the client's opening frame and returns the model
+// provider that serves it and the plan solved, and installed on it, for
+// the profile the session runs under: the stricter of the server's policy
+// and the client's request.
+func acceptHello(first *stream.Message, cfg SessionConfig, provide provider) (*ModelProvider, *backend.Plan, error) {
 	hello, ok := first.Payload.(*Hello)
 	if !ok {
-		return nil, "", fmt.Errorf("protocol: expected Hello, got %T", first.Payload)
+		return nil, nil, fmt.Errorf("protocol: expected Hello, got %T", first.Payload)
 	}
 	if hello.Factor != cfg.Factor {
-		return nil, "", fmt.Errorf("protocol: client factor %d does not match server's %d", hello.Factor, cfg.Factor)
+		return nil, nil, fmt.Errorf("protocol: client factor %d does not match server's %d", hello.Factor, cfg.Factor)
 	}
 	pk, err := helloPublicKey(hello)
-	var (
-		requested backend.Profile
-		mp        *ModelProvider
-	)
-	if err == nil {
-		requested, err = backend.ParseProfile(hello.Profile)
-	}
-	if err == nil {
-		mp, err = provide(hello, pk)
-	}
 	if err != nil {
-		cfg.Log.Warn("session hello rejected", "err", err.Error())
-		if out != nil {
-			_ = out.Send(ctx, &stream.Message{Seq: first.Seq, Err: err})
-		}
-		return nil, "", err
+		return nil, nil, err
+	}
+	requested, err := backend.ParseProfile(hello.Profile)
+	if err != nil {
+		return nil, nil, err
 	}
 	policy, err := backend.ParseProfile(string(cfg.Profile))
 	if err != nil {
-		return nil, "", fmt.Errorf("protocol: session profile policy: %w", err)
+		return nil, nil, fmt.Errorf("protocol: session profile policy: %w", err)
 	}
-	return mp, backend.Stricter(policy, requested), nil
+	mp, err := provide(hello, pk)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := mp.applyProfile(backend.Stricter(policy, requested), cfg.ClearBoundary)
+	return mp, plan, err
 }
 
 // janitor ticks the request table every quarter of the idle TTL (at least
@@ -558,7 +557,7 @@ var quiet = obs.NewLogger(io.Discard, math.MaxInt)
 // reject counts and logs a round frame the session answers with cause.
 func (s *session) reject(seq uint64, frame *roundFrame, cause error) {
 	s.reg.Counter("rounds.errors").Inc()
-	s.logFor(frame.TC.traceID()).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
+	s.logFor(frame.Trace).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
 }
 
 // handle is a round stage's handler: it starts the frame's round in the
@@ -604,7 +603,7 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 		return nil, err
 	}
 	env.Req = id
-	traceID := frame.TC.traceID()
+	traceID := frame.Trace
 	// One meter per round frame: round index == linear-stage index, so the
 	// snapshot IS the per-layer cost profile the trace segment carries.
 	// Profiling labels attribute CPU samples the same way.
@@ -657,11 +656,5 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 		{Party: "server", Name: "permute", Round: frame.Round, Dur: timing.Permute},
 		{Party: "server", Name: "pack", Round: frame.Round, Dur: timing.Pack},
 	}
-	reply := &roundFrame{Round: frame.Round, Env: wireEnv, TC: frame.TC, Spans: spans}
-	if frame.Round == 0 {
-		// The solved plan rides every round-0 reply (requests share the
-		// session plan, so repeats are idempotent on the client).
-		reply.Plan, reply.Profile = s.planCodes, s.profile
-	}
-	return reply, nil
+	return &roundFrame{Round: frame.Round, Env: wireEnv, Trace: frame.Trace, Spans: spans}, nil
 }

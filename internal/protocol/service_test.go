@@ -69,24 +69,23 @@ func TestServiceSessionEndToEnd(t *testing.T) {
 }
 
 // TestServiceRejectsFactorMismatch: the server refuses a client whose
-// scaling factor differs (the quantized weights would not match).
+// scaling factor differs (the quantized weights would not match), and the
+// client's NewClient fails with the refusal.
 func TestServiceRejectsFactorMismatch(t *testing.T) {
-	k := key(t)
 	netw := buildNet(t)
-
-	c2s, s2c := net.Pipe()
-	serverIn := stream.NewTCPEdge(s2c)
-	clientOut := stream.NewTCPEdge(c2s)
+	client, server := net.Pipe()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverIn, nil, netw, SessionConfig{Factor: 1000, MaxWorkers: 4})
+		defer server.Close()
+		edge := stream.NewTCPEdge(server)
+		serveErr <- ServeSessionConfig(ctx, edge, edge, netw, SessionConfig{Factor: 1000, MaxWorkers: 4})
 	}()
-	hello := &Hello{N: k.N.Bytes(), Factor: 999, Workers: 1}
-	if err := clientOut.Send(ctx, &stream.Message{Payload: hello}); err != nil {
-		t.Fatal(err)
+	edge := stream.NewTCPEdge(client)
+	if _, err := NewClientOpts(ctx, edge, edge, netw, key(t), 999, ClientOptions{Workers: 1}); !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "factor 999") {
+		t.Errorf("client at factor 999: %v, want the refusal", err)
 	}
 	if err := <-serveErr; err == nil {
 		t.Error("factor mismatch accepted")
@@ -299,11 +298,13 @@ func TestServeKeepsNoFloatNetwork(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			edge, err := stream.DialEdge(ln.Addr().String())
+			conn, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				t.Error(err)
 				return
 			}
+			defer conn.Close()
+			edge := stream.NewTCPEdge(conn)
 			client, err := NewClientOpts(ctx, edge, edge, arch, k, 1000, ClientOptions{Workers: 2})
 			if err != nil {
 				t.Error(err)
@@ -329,10 +330,12 @@ func TestServeKeepsNoFloatNetwork(t *testing.T) {
 	}
 	wg.Wait()
 	// One more session stays open: closing the listener must close it.
-	edge, err := stream.DialEdge(ln.Addr().String())
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
+	edge := stream.NewTCPEdge(conn)
 	client, err := NewClientOpts(ctx, edge, edge, buildNet(t), key(t), 1000, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func (t *table) arrive(now time.Time, id uint64, f *roundFrame) step {
 // it: a refused request ends at once, with the refusal as its answer; an
 // admitted one goes live with round 0 dispatched.
 func (t *table) admit(now time.Time, id uint64, f *roundFrame, refused error) step {
-	req := &request{id: id, traceID: f.TC.traceID(), started: now, cause: refused}
+	req := &request{id: id, traceID: f.Trace, started: now, cause: refused}
 	if refused != nil {
 		return step{err: refused, end: []*request{req}}
 	}

@@ -25,10 +25,7 @@ func TestSessionConcurrentClients(t *testing.T) {
 	netw := buildNet(t)
 	const factor = 1000
 
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	clientEdge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -44,10 +41,6 @@ func TestSessionConcurrentClients(t *testing.T) {
 		})
 	}()
 
-	clientEdge, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	client, err := NewClientOpts(ctx, clientEdge, clientEdge, netw, k, factor, ClientOptions{Workers: 1, Window: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +139,7 @@ func TestSessionIdleEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -162,14 +152,7 @@ func TestSessionIdleEviction(t *testing.T) {
 			Registry: reg,
 		})
 	}()
-	edge, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello := &Hello{N: k.N.Bytes(), Factor: factor, Workers: 1}
-	if err := edge.Send(ctx, &stream.Message{Payload: hello}); err != nil {
-		t.Fatal(err)
-	}
+	sayHello(ctx, t, edge, &Hello{N: k.N.Bytes(), Factor: factor, Workers: 1})
 	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(4), nil)
 	if err != nil {
 		t.Fatal(err)

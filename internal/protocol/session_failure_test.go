@@ -13,7 +13,7 @@ import (
 )
 
 // openRawSession spins up a server session over TCP with the Hello already
-// exchanged and returns the session value beside a raw client edge — the
+// answered and returns the session value beside a raw client edge — the
 // harness for tests that drive round frames by hand and inspect what the
 // session still holds afterwards.
 func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, chan error, context.Context) {
@@ -22,28 +22,23 @@ func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, cha
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry("raw-session")
 	}
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	t.Cleanup(cancel)
-	edge, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello := &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1}
-	if err := edge.Send(ctx, &stream.Message{Payload: hello}); err != nil {
-		t.Fatal(err)
-	}
 	_, rounds, err := walk(buildNet(t), cfg.Factor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := openSession(ctx, serverEdge, serverEdge, cfg, building(rounds, nil, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	opened := make(chan *session, 1)
+	go func() {
+		s, err := openSession(ctx, serverEdge, serverEdge, cfg, building(rounds, nil, cfg))
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- s
+	}()
+	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1})
+	s := <-opened
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.serve(serverEdge) }()
 	return s, edge, serveErr, ctx
@@ -280,10 +275,7 @@ func TestClientRetriesRoundZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	clientEdge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -300,6 +292,9 @@ func TestClientRetriesRoundZero(t *testing.T) {
 			}
 			if _, ok := first.Payload.(*Hello); !ok {
 				return errors.New("expected hello")
+			}
+			if err := serverEdge.Send(ctx, allPaillier(proto.Rounds())); err != nil {
+				return err
 			}
 			rejected := false
 			for {
@@ -336,7 +331,7 @@ func TestClientRetriesRoundZero(t *testing.T) {
 					return err
 				}
 				if err := serverEdge.Send(ctx, &stream.Message{
-					Seq: msg.Seq, Payload: &roundFrame{Round: frame.Round, Env: wout, TC: frame.TC},
+					Seq: msg.Seq, Payload: &roundFrame{Round: frame.Round, Env: wout, Trace: frame.Trace},
 				}); err != nil {
 					return err
 				}
@@ -344,10 +339,6 @@ func TestClientRetriesRoundZero(t *testing.T) {
 		}()
 	}()
 
-	clientEdge, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry("client-retry")
 	client, err := NewClientOpts(ctx, clientEdge, clientEdge, netw, k, 1000, ClientOptions{
 		Workers:  1,
@@ -385,10 +376,7 @@ func TestClientRetriesRoundZero(t *testing.T) {
 func TestClientDeadlineLocal(t *testing.T) {
 	k := key(t)
 	netw := buildNet(t)
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	serveErr := make(chan error, 1)
@@ -398,10 +386,6 @@ func TestClientDeadlineLocal(t *testing.T) {
 			Registry: obs.NewRegistry("deadline-local"),
 		})
 	}()
-	edge, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	client, err := NewClientOpts(ctx, edge, edge, netw, k, 1000, ClientOptions{
 		Workers:  1,
 		Deadline: time.Nanosecond,
@@ -458,20 +442,13 @@ func TestClientSurvivesDuplicateReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, round := range []int{1, 0} {
-		serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		edge, serverEdge := tcpPair(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		serveErr := make(chan error, 1)
 		go func() {
 			serveErr <- ServeSessionConfig(ctx, serverEdge, dupEdge{serverEdge, round}, netw, SessionConfig{Factor: 1000})
 		}()
-		edge, err := stream.DialEdge(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
 		client, err := NewClientOpts(ctx, edge, edge, netw, key(t), 1000, ClientOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)

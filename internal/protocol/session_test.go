@@ -249,10 +249,7 @@ func TestSessionDeadlineMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverEdge, addr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	serveErr := make(chan error, 1)
@@ -261,13 +258,7 @@ func TestSessionDeadlineMidRound(t *testing.T) {
 			Factor: 1000, IdleTTL: 20 * time.Millisecond, Gate: gate, Registry: reg,
 		})
 	}()
-	edge, err := stream.DialEdge(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edge.Send(ctx, &stream.Message{Payload: &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1}}); err != nil {
-		t.Fatal(err)
-	}
+	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1})
 	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(256), nil)
 	if err != nil {
 		t.Fatal(err)

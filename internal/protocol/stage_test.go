@@ -162,7 +162,7 @@ func TestSessionStagesOverlap(t *testing.T) {
 
 // TestServeSessionRefusesForeignKey: a session serving a given model
 // provider answers a Hello carrying another key with an error frame and
-// ends, and the client's first request fails with that refusal.
+// ends, and the client's NewClient fails with that refusal.
 func TestServeSessionRefusesForeignKey(t *testing.T) {
 	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
 	if err != nil {
@@ -177,15 +177,10 @@ func TestServeSessionRefusesForeignKey(t *testing.T) {
 	toModel, toData := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
 	served := make(chan error, 1)
 	go func() { served <- ServeSession(ctx, toModel, toData, proto.Model, SessionConfig{Factor: 1000}) }()
-	c, err := NewClient(ctx, toData, toModel, other, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewClient(ctx, toData, toModel, other, ClientOptions{}); !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "not the served model provider's key") {
+		t.Errorf("client of the refused session: %v, want the refusal", err)
 	}
-	defer c.Close()
 	if err := <-served; err == nil || !strings.Contains(err.Error(), "not the served model provider's key") {
 		t.Errorf("session on a foreign key: %v, want the key refusal", err)
-	}
-	if _, err := c.Infer(ctx, tensor.Zeros(4)); !errors.Is(err, ErrSessionDown) || !strings.Contains(err.Error(), "not the served model provider's key") {
-		t.Errorf("client of the refused session: %v, want the refusal", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // TestProtocolOverTCP runs the full collaborative workflow with the two
 // providers in separate goroutines connected by real TCP sockets and
-// gob-encoded wire envelopes — the integration shape of the paper's
+// wire-format envelopes — the integration shape of the paper's
 // distributed deployment.
 func TestProtocolOverTCP(t *testing.T) {
 	k := key(t)
@@ -23,25 +23,14 @@ func TestProtocolOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	toModel, modelAddr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	toData, dataAddr, err := stream.ListenEdge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	requests, toModel := tcpPair(t)
+	replies, toData := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	// Model provider service.
 	errCh := make(chan error, 1)
 	go func() {
-		replies, err := stream.DialEdge(dataAddr)
-		if err != nil {
-			errCh <- err
-			return
-		}
 		pk := &k.PublicKey
 		for {
 			msg, err := toModel.Recv(ctx)
@@ -76,10 +65,6 @@ func TestProtocolOverTCP(t *testing.T) {
 		}
 	}()
 
-	requests, err := stream.DialEdge(modelAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := mathrand.New(mathrand.NewSource(101))
 	x := tensor.Zeros(4)
 	for i := range x.Data() {

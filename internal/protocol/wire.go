@@ -15,30 +15,6 @@ import (
 	"ppstream/internal/tensor"
 )
 
-// TraceV1 is the current trace-context version. A receiver honours only
-// versions it knows; unknown versions are ignored rather than rejected,
-// and frames without a TraceContext at all keep working, so tracing never
-// breaks a request.
-const TraceV1 = 1
-
-// TraceContext is the distributed-tracing header carried by every round
-// frame: the request's trace ID, assigned where the request enters the
-// system (protocol.Client.Infer), under which
-// both parties record their spans.
-type TraceContext struct {
-	Ver int
-	ID  string
-}
-
-// traceID returns a received trace context's ID, or "" when the context
-// is absent or of a version that must not be honoured.
-func (tc *TraceContext) traceID() string {
-	if tc != nil && tc.Ver == TraceV1 {
-		return tc.ID
-	}
-	return ""
-}
-
 // CipherBytes sums the activation payload of a wire envelope at its
 // natural size — ciphertexts, share words, or sign-magnitude integers —
 // the per-hop traffic cost accounting records.
@@ -429,23 +405,26 @@ func (h *Hello) EncodeWire(w *stream.WireWriter) {
 	w.I64(h.Factor)
 	w.I32(h.Workers)
 	w.String(h.Profile)
+	w.Len(len(h.Plan))
+	for _, code := range h.Plan {
+		w.U32(uint32(code))
+	}
 }
 
 func decodeHello(r *stream.WireReader) *Hello {
-	return &Hello{N: r.Bytes("hello key bytes", maxHelloKeyBytes), Factor: r.I64(), Workers: r.I32(), Profile: r.String("profile")}
+	h := &Hello{N: r.Bytes("hello key bytes", maxHelloKeyBytes), Factor: r.I64(), Workers: r.I32(), Profile: r.String("profile")}
+	h.Plan = stream.ReadVec(r, "plan length", maxWirePlan, 4, func() int32 { return int32(r.U32()) })
+	return h
 }
 
 // WireTag and EncodeWire make the round frame a stream.WirePayload.
 func (f *roundFrame) WireTag() uint16 { return tagRoundFrame }
 
-const (
-	frameEnv = 1 << iota
-	frameTC
-	frameFlagsKnown = frameEnv | frameTC
-)
+// frameEnv is a round frame's one flag: an envelope follows.
+const frameEnv = 1
 
-// EncodeWire writes the frame's scalars, its plan and spans, and last the
-// envelope, so the ciphertexts are the tail of the frame.
+// EncodeWire writes the frame's scalars, its trace ID and spans, and last
+// the envelope, so the ciphertexts are the tail of the frame.
 func (f *roundFrame) EncodeWire(w *stream.WireWriter) {
 	w.I32(f.Round)
 	w.I64(f.DeadlineMS)
@@ -453,19 +432,8 @@ func (f *roundFrame) EncodeWire(w *stream.WireWriter) {
 	if f.Env != nil {
 		flags |= frameEnv
 	}
-	if f.TC != nil {
-		flags |= frameTC
-	}
 	w.U8(flags)
-	if f.TC != nil {
-		w.I32(f.TC.Ver)
-		w.String(f.TC.ID)
-	}
-	w.String(f.Profile)
-	w.Len(len(f.Plan))
-	for _, code := range f.Plan {
-		w.U32(uint32(code))
-	}
+	w.String(f.Trace)
 	w.Len(len(f.Spans))
 	for i := range f.Spans {
 		encodeSpan(w, &f.Spans[i])
@@ -478,14 +446,10 @@ func (f *roundFrame) EncodeWire(w *stream.WireWriter) {
 func decodeRoundFrame(r *stream.WireReader) *roundFrame {
 	f := &roundFrame{Round: r.I32(), DeadlineMS: r.I64()}
 	flags := r.U8()
-	if flags&^frameFlagsKnown != 0 {
+	if flags&^frameEnv != 0 {
 		r.Reject("round frame flags", "unknown bits in %08b", flags)
 	}
-	if flags&frameTC != 0 {
-		f.TC = &TraceContext{Ver: r.I32(), ID: r.String("trace id")}
-	}
-	f.Profile = r.String("profile")
-	f.Plan = stream.ReadVec(r, "plan length", maxWirePlan, 4, func() int32 { return int32(r.U32()) })
+	f.Trace = r.String("trace id")
 	f.Spans = stream.ReadVec(r, "span count", maxWireSpans, wireSpanMinBytes, func() obs.Segment { return decodeSpan(r) })
 	if flags&frameEnv != 0 && r.Err() == nil {
 		f.Env = decodeEnvelope(r)

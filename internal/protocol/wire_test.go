@@ -84,13 +84,14 @@ func ct(hexDigits string) *paillier.Ciphertext {
 // goldenFrames is one frame of every kind a session sends, with fixed
 // contents.
 func goldenFrames() map[string]*stream.Message {
-	tc := &TraceContext{Ver: TraceV1, ID: "00c0ffee00000001"}
+	const trace = "00c0ffee00000001"
 	return map[string]*stream.Message{
-		"hello": {Seq: 0, Payload: &Hello{N: []byte{0xC5, 0x3D, 0x01, 0x77}, Factor: 10000, Workers: 2, Profile: "mixed"}},
-		"round_unpacked": {Seq: 7, Payload: &roundFrame{Round: 0, DeadlineMS: 1500, TC: tc, Env: &WireEnvelope{
+		"hello":        {Seq: 0, Payload: &Hello{N: []byte{0xC5, 0x3D, 0x01, 0x77}, Factor: 10000, Workers: 2, Profile: "mixed"}},
+		"hello_answer": {Seq: 0, Payload: &Hello{Profile: "mixed", Plan: []int32{0, 1, 2}}},
+		"round_unpacked": {Seq: 7, Payload: &roundFrame{Round: 0, DeadlineMS: 1500, Trace: trace, Env: &WireEnvelope{
 			Req: 7, Shape: []int{3}, Exp: 1, Cipher: []*paillier.Ciphertext{ct("0102030405"), ct("ff"), ct("a0b0c0d0e0f0")},
 		}}},
-		"round_packed": {Seq: 7, Payload: &roundFrame{Round: 1, TC: tc, Env: &WireEnvelope{
+		"round_packed": {Seq: 7, Payload: &roundFrame{Round: 1, Trace: trace, Env: &WireEnvelope{
 			Req: 7, Shape: []int{2, 3}, Exp: 2, Obfuscated: true, SlotBits: 41, Cipher: []*paillier.Ciphertext{ct("1122334455667788"), ct("99aabbccddeeff")},
 		}}},
 		"round_ssgc": {Seq: 8, Payload: &roundFrame{Round: 1, Env: &WireEnvelope{
@@ -102,7 +103,7 @@ func goldenFrames() map[string]*stream.Message {
 			Plain: []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), big.NewInt(-987654321)},
 		}}},
 		"round_result": {Seq: 9,
-			Payload: &roundFrame{Round: 2, TC: tc, Plan: []int32{0, 1, 2}, Profile: "mixed",
+			Payload: &roundFrame{Round: 2, Trace: trace,
 				Spans: []obs.Segment{
 					{Party: "server", Name: "queue", Round: 2, Dur: 1200},
 					{Party: "server", Name: "kernel", Round: 2, Dur: 830000, Backend: "clear", Cost: &obs.CostStats{PlainOps: 640, CipherBytesIn: 96, CipherBytesOut: 40}},
@@ -150,6 +151,12 @@ func canon(m *stream.Message) any {
 		out.Env = flat(p.Env)
 	case *WireEnvelope:
 		out.Env = flat(p)
+	case *Hello:
+		h := *p
+		if len(h.N) == 0 {
+			h.N = nil // a keyless Hello, the server's answer, decodes an empty key
+		}
+		out.M.Payload = &h
 	default:
 		out.M.Payload = p
 	}
@@ -234,16 +241,19 @@ func envToCipher(n uint32) *wb {
 	return envPrefix(0).u8(1).u32(n).u8(0).u32(0)
 }
 
-// frameToPlan is a round frame up to its plan: no trace context, an empty
-// profile.
-func frameToPlan() *wb { return new(wb).u32(0).u64(0).u8(0).str("") }
+// frameToSpans is a round frame up to its spans: no envelope, no trace ID.
+func frameToSpans() *wb { return new(wb).u32(0).u64(0).u8(0).str("") }
+
+// helloToPlan is a Hello up to its plan: no key, factor 1000, one worker,
+// an empty profile.
+func helloToPlan() *wb { return new(wb).u32(0).u64(1000).u32(1).str("") }
 
 // TestFailedSectionPayloadDropped: the failure section names the failing
 // stage and then carries a payload tag. Encoders send tag 0; a payload
 // under a non-zero tag (the failing stage's input, which earlier encoders
 // attached) is decoded and dropped, and the error still names its stage.
 func TestFailedSectionPayloadDropped(t *testing.T) {
-	hello := new(wb).u32(1).raw(7).u64(1000).u32(1).str("").b
+	hello := new(wb).u32(1).raw(7).u64(1000).u32(1).str("").u32(0).b
 	body := new(wb).str("boom").str("linear-0").u16(tagHello).raw(hello...).b
 	msgs, err := decodeFrames(append(append([]byte(nil), preface...), frame(2|8, 0, uint32(len(body)), body)...))
 	if !errors.Is(err, io.EOF) || len(msgs) != 1 {
@@ -269,6 +279,9 @@ func TestHostilePeerFields(t *testing.T) {
 	}
 	round := func(body *wb) []byte {
 		return withPreface(frame(0, tagRoundFrame, uint32(len(body.b)), body.b))
+	}
+	hello := func(body *wb) []byte {
+		return withPreface(frame(0, tagHello, uint32(len(body.b)), body.b))
 	}
 	honest := encodeFrames(t, false, goldenFrames()["round_unpacked"])
 	long := strings.Repeat("x", stream.MaxWireString+1)
@@ -313,13 +326,14 @@ func TestHostilePeerFields(t *testing.T) {
 		{name: "plaintext count", data: env(envToCipher(1).u16(1).u32(0).u32(0).u32(0).u16(1).u32(maxWireElements + 1)), field: "plaintext count"},
 		{name: "plaintext sign", data: env(envToCipher(1).u16(1).u32(0).u32(0).u32(0).u16(1).u32(1).raw(7, 1)), field: "plaintext sign"},
 		{name: "round frame flags", data: round(new(wb).u32(0).u64(0).u8(0x10)), field: "round frame flags"},
-		{name: "profile string", data: round(new(wb).u32(0).u64(0).u8(0).str(long)), field: "profile"},
-		{name: "plan length", data: round(frameToPlan().u32(maxWirePlan + 1)), field: "plan length"},
-		{name: "plan past the body", data: round(frameToPlan().u32(maxWirePlan).u32(0)), field: "plan length"},
-		{name: "span count", data: round(frameToPlan().u32(0).u32(maxWireSpans + 1)), field: "span count"},
-		{name: "spans past the body", data: round(frameToPlan().u32(0).u32(maxWireSpans).raw(make([]byte, 100)...)), field: "span count"},
-		{name: "span cost marker", data: round(frameToPlan().u32(0).u32(1).str("p").str("n").str("").u32(0).u64(0).u8(9)), field: "span cost marker"},
-		{name: "span duration", data: round(frameToPlan().u32(0).u32(1).str("p").str("n").str("").u32(0).u64(^uint64(0)).u8(0)), field: "span duration"},
+		{name: "trace id string", data: round(new(wb).u32(0).u64(0).u8(0).str(long)), field: "trace id"},
+		{name: "profile string", data: hello(new(wb).u32(0).u64(1000).u32(1).str(long)), field: "profile"},
+		{name: "plan length", data: hello(helloToPlan().u32(maxWirePlan + 1)), field: "plan length"},
+		{name: "plan past the body", data: hello(helloToPlan().u32(maxWirePlan).u32(0)), field: "plan length"},
+		{name: "span count", data: round(frameToSpans().u32(maxWireSpans + 1)), field: "span count"},
+		{name: "spans past the body", data: round(frameToSpans().u32(maxWireSpans).raw(make([]byte, 100)...)), field: "span count"},
+		{name: "span cost marker", data: round(frameToSpans().u32(1).str("p").str("n").str("").u32(0).u64(0).u8(9)), field: "span cost marker"},
+		{name: "span duration", data: round(frameToSpans().u32(1).str("p").str("n").str("").u32(0).u64(^uint64(0)).u8(0)), field: "span duration"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -67,7 +67,7 @@ func (e *channelEdge) CloseSend() error {
 	return nil
 }
 
-// tcpEdge carries messages over a TCP connection in wire format v2 (see
+// tcpEdge carries messages over a TCP connection in wire format v3 (see
 // wire.go). Payloads must implement WirePayload and have their tag
 // registered (RegisterWireType). Each direction's state — the fixed buffer
 // and, on the sending side, the preface — is set up by that direction's
@@ -138,86 +138,6 @@ func NewInstrumentedTCPEdge(conn net.Conn, reg *obs.Registry, prefix string) Edg
 	e.framesSent = reg.Counter(prefix + ".frames_sent")
 	e.framesRecv = reg.Counter(prefix + ".frames_recv")
 	return e
-}
-
-// DialEdge connects to a listening edge.
-func DialEdge(addr string) (Edge, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("stream: dialing %s: %w", addr, err)
-	}
-	return NewTCPEdge(conn), nil
-}
-
-// ListenEdge accepts exactly one connection on addr and wraps it as an
-// Edge. It returns the bound address (useful with ":0") via the returned
-// listener-address string.
-func ListenEdge(addr string) (Edge, string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("stream: listening on %s: %w", addr, err)
-	}
-	ch := make(chan acceptResult, 1)
-	go func() {
-		conn, err := l.Accept()
-		l.Close()
-		if err != nil {
-			ch <- acceptResult{nil, err}
-			return
-		}
-		ch <- acceptResult{NewTCPEdge(conn), nil}
-	}()
-	return &pendingEdge{ch: ch}, l.Addr().String(), nil
-}
-
-type acceptResult struct {
-	edge Edge
-	err  error
-}
-
-// pendingEdge defers to the accepted TCP edge once the peer connects.
-type pendingEdge struct {
-	ch   chan acceptResult
-	once sync.Once
-	edge Edge
-	err  error
-}
-
-// resolve waits for the accept result exactly once. sync.Once (rather
-// than a mutex held across the channel receive) means concurrent
-// resolvers park on the Once's internal gate, not on a lock that would
-// couple every later Send/Recv to the accept latency; the Once also
-// publishes edge/err with a happens-before edge for every caller.
-func (p *pendingEdge) resolve() (Edge, error) {
-	p.once.Do(func() {
-		r := <-p.ch
-		p.edge, p.err = r.edge, r.err
-	})
-	return p.edge, p.err
-}
-
-func (p *pendingEdge) Send(ctx context.Context, m *Message) error {
-	e, err := p.resolve()
-	if err != nil {
-		return err
-	}
-	return e.Send(ctx, m)
-}
-
-func (p *pendingEdge) Recv(ctx context.Context) (*Message, error) {
-	e, err := p.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return e.Recv(ctx)
-}
-
-func (p *pendingEdge) CloseSend() error {
-	e, err := p.resolve()
-	if err != nil {
-		return err
-	}
-	return e.CloseSend()
 }
 
 func (e *tcpEdge) Send(ctx context.Context, m *Message) error {

@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// dispStages starts two stages under ctx, each behind a queue of depth
+// twoStages starts two stages under ctx, each behind a queue of depth
 // messages and both answering on out: "double" (stage 0), which fails a
 // negative input, and "inc" (stage 1).
-func dispStages(ctx context.Context, depth int, out Edge) *Stages {
+func twoStages(ctx context.Context, depth int, out Edge) *Stages {
 	double := Stage{Name: "double", Fn: func(_ context.Context, m *Message) (*Message, error) {
 		v := m.Payload.(int)
 		if v < 0 {
@@ -24,15 +24,15 @@ func dispStages(ctx context.Context, depth int, out Edge) *Stages {
 	return StartStages(ctx, depth, out, double, addStage("inc", 1))
 }
 
-// TestDispatcherConcurrentSubmitters: many goroutines send their own
+// TestStagesConcurrentSubmitters: many goroutines send their own
 // messages to both stages, and each message's result leaves under its own
 // Seq.
-func TestDispatcherConcurrentSubmitters(t *testing.T) {
+func TestStagesConcurrentSubmitters(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	const n = 32
 	out := NewChannelEdge(n)
-	s := dispStages(ctx, 2, out)
+	s := twoStages(ctx, 2, out)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -63,13 +63,13 @@ func TestDispatcherConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestDispatcherErrorIsolation: a failing message returns its own error
+// TestStagesErrorIsolation: a failing message returns its own error
 // (with the failing stage) without disturbing the next one.
-func TestDispatcherErrorIsolation(t *testing.T) {
+func TestStagesErrorIsolation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	out := NewChannelEdge(2)
-	s := dispStages(ctx, 4, out)
+	s := twoStages(ctx, 4, out)
 	defer s.Close()
 	if err := s.Send(ctx, 0, &Message{Seq: 1, Payload: -7}); err != nil {
 		t.Fatal(err)
@@ -94,9 +94,9 @@ func TestDispatcherErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestDispatcherWindowBounds: a stage runs one message at a time and
+// TestStagesWindowBounds: a stage runs one message at a time and
 // queues depth more; a full queue blocks Send until the stage takes one.
-func TestDispatcherWindowBounds(t *testing.T) {
+func TestStagesWindowBounds(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	gate, entered := make(chan struct{}), make(chan struct{}, 4)
@@ -134,13 +134,13 @@ func TestDispatcherWindowBounds(t *testing.T) {
 	}
 }
 
-// TestDispatcherClose: Close drains queued work and stops the stage
+// TestStagesClose: Close drains queued work and stops the stage
 // goroutines; a second Close is a no-op.
-func TestDispatcherClose(t *testing.T) {
+func TestStagesClose(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	out := NewChannelEdge(4)
-	s := dispStages(ctx, 4, out)
+	s := twoStages(ctx, 4, out)
 	for seq := uint64(0); seq < 3; seq++ {
 		if err := s.Send(ctx, 0, &Message{Seq: seq, Payload: 3}); err != nil {
 			t.Fatal(err)
@@ -159,11 +159,11 @@ func TestDispatcherClose(t *testing.T) {
 	}
 }
 
-// TestDispatcherSubmitCloseRace: the sender fills both queues and closes
+// TestStagesSubmitCloseRace: the sender fills both queues and closes
 // while a stage is busy in its handler. Close must neither panic nor
 // return before the busy stage and its queue are done: every sent message
 // is answered, and no stage goroutine outlives Close. Run under -race.
-func TestDispatcherSubmitCloseRace(t *testing.T) {
+func TestStagesSubmitCloseRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		const n = 8
@@ -209,11 +209,11 @@ func TestDispatcherSubmitCloseRace(t *testing.T) {
 	}
 }
 
-// TestDispatcherFailReleasesWindow: when a stage stops early (here: its
+// TestStagesFailReleasesWindow: when a stage stops early (here: its
 // ctx cancelled under a stalled handler), senders blocked on its full
 // queue must unblock with the stages' error instead of waiting forever on
 // a queue no one drains.
-func TestDispatcherFailReleasesWindow(t *testing.T) {
+func TestStagesFailReleasesWindow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	entered := make(chan struct{}, 4)

@@ -7,7 +7,7 @@
 // requests occupy different stages simultaneously (pipeline parallelism).
 //
 // Stages connect through Edges. Inside one process an edge is a bounded
-// channel (NewChannelEdge); the TCP edge carries wire-format v2 frames
+// channel (NewChannelEdge); the TCP edge carries wire-format v3 frames
 // (wire.go) between servers. The protocol session runs each linear round
 // as one Stage of a Stages set, and core.Engine is that session over a
 // pair of in-process edges.
