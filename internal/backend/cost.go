@@ -65,10 +65,10 @@ const trialOps = 1024
 // secshare.Engine.DotPrivateInt runs it.
 func tripleTrial(unit *float64) paillier.Trial {
 	e := secshare.NewEngine(1)
-	w := make([]int64, trialOps)
+	w := make([]int32, trialOps)
 	xs := make([]secshare.Shares, trialOps)
 	for i := range w {
-		w[i] = int64(i + 1)
+		w[i] = int32(i + 1)
 		xs[i] = secshare.Shares{S: [2]uint64{uint64(i) << 40, ^uint64(i)}}
 	}
 	return paillier.Trial{Unit: unit, Ops: trialOps, Run: func() error {

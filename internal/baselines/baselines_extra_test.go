@@ -55,12 +55,12 @@ func TestDotPrivateAccounting(t *testing.T) {
 	eng := secshare.NewEngine(15)
 	r := mathrand.New(mathrand.NewSource(15))
 	n := 64
-	w := make([]int64, n)
+	w := make([]int32, n)
 	xs := make([]secshare.Shares, n)
 	var want float64
 	for i := 0; i < n; i++ {
 		wf, xf := float64(i%7)/7-0.5, float64(i%5)/5-0.4
-		w[i] = int64(math.Round(wf * F))
+		w[i] = int32(math.Round(wf * F))
 		xs[i] = secshare.Split(r, uint64(int64(math.Round(xf*F))))
 		want += wf * xf
 	}

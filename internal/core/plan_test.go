@@ -84,25 +84,46 @@ func TestCountPlanPinsConvEngine(t *testing.T) {
 // whose estimated times are over 2× apart as the estimates do, and its
 // stage times plan the engine exactly as the estimates do. Both checks
 // compare times from one walk, or from one pricing, with each other, so a
-// host that slows between the pricing and the walk moves neither.
+// host that slows between the pricing and the walk moves neither. A walk
+// that disorders a pair walks again, up to walkRetries more times, each
+// stage keeping its fastest time: load from other processes only slows a
+// stage, so a disorder it caused goes with a faster walk, while one the
+// estimates caused stays.
 func TestEstimatedStageTimesMatchAWalk(t *testing.T) {
+	const walkRetries = 5
 	for _, model := range []string{"MNIST-2", "Heart"} {
 		eng, net := benchEngine(t, model)
-		walked := walkTimes(t, net, 3)
 		predicted := []float64{eng.EncryptTime}
 		names := []string{"encrypt"}
 		for _, l := range eng.Layers {
 			predicted = append(predicted, l.Time)
 			names = append(names, l.Name)
 		}
-		for i, p := range predicted {
-			t.Logf("%s %s: estimated %.3g s, walked %.3g s", model, names[i], p, walked[i])
-			for j, q := range predicted {
-				if p > 2*q && walked[i] <= walked[j] {
-					t.Errorf("%s: %s is estimated at %.3g s and %s at %.3g s, but a walk took %.3g s and %.3g s",
-						model, names[i], p, names[j], q, walked[i], walked[j])
+		// disordered lists the pairs estimated over 2× apart that walked
+		// the other way.
+		disordered := func(walked []float64) (pairs [][2]int) {
+			for i, p := range predicted {
+				for j, q := range predicted {
+					if p > 2*q && walked[i] <= walked[j] {
+						pairs = append(pairs, [2]int{i, j})
+					}
 				}
 			}
+			return pairs
+		}
+		walked := walkTimes(t, net, 3)
+		for retry := 0; retry < walkRetries && len(disordered(walked)) > 0; retry++ {
+			for i, s := range walkTimes(t, net, 3) {
+				walked[i] = min(walked[i], s)
+			}
+		}
+		for i, p := range predicted {
+			t.Logf("%s %s: estimated %.3g s, walked %.3g s", model, names[i], p, walked[i])
+		}
+		for _, ij := range disordered(walked) {
+			i, j := ij[0], ij[1]
+			t.Errorf("%s: %s is estimated at %.3g s and %s at %.3g s, but a walk took %.3g s and %.3g s",
+				model, names[i], predicted[i], names[j], predicted[j], walked[i], walked[j])
 		}
 		layers := append([]alloc.Layer(nil), eng.Layers...)
 		for i := range layers {

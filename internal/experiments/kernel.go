@@ -65,16 +65,16 @@ type KernelResult struct {
 var kernelShapes = []struct {
 	rows, cols int
 	weights    string
-	weight     func(rng *mrand.Rand) int64
+	weight     func(rng *mrand.Rand) int32
 }{
-	{32, 128, "~60% negative, 16-17 bits", func(rng *mrand.Rand) int64 {
-		mag := rng.Int63n(1<<17-1<<16) + 1<<16
+	{32, 128, "~60% negative, 16-17 bits", func(rng *mrand.Rand) int32 {
+		mag := int32(rng.Int63n(1<<17-1<<16) + 1<<16)
 		if rng.Intn(10) < 6 {
 			mag = -mag
 		}
 		return mag
 	}},
-	{64, 784, "signed, at most 4 bits", func(rng *mrand.Rand) int64 { return rng.Int63n(31) - 15 }},
+	{64, 784, "signed, at most 4 bits", func(rng *mrand.Rand) int32 { return int32(rng.Int63n(31) - 15) }},
 }
 
 // kernelInputMax bounds the benchmark's encrypted inputs.
@@ -83,7 +83,7 @@ const kernelInputMax = 1000
 // kernelSlotBits sizes the layer's reply slots the way a serving round's
 // are: the integer layer as a one-stage network at factor 1 whose declared
 // input domain is the benchmark's, through the protocol's stage walk.
-func kernelSlotBits(w [][]int64, bias []int64) (int, error) {
+func kernelSlotBits(w [][]int32, bias []int64) (int, error) {
 	fc := &nn.FC{LayerName: "fc", W: tensor.Zeros(len(w), len(w[0])), B: tensor.Zeros(len(w))}
 	for o, row := range w {
 		fc.B.Data()[o] = float64(bias[o])
@@ -124,9 +124,9 @@ func Kernel(keyBits []int) (*KernelResult, error) {
 		}
 	}
 	for _, sh := range kernelShapes {
-		w := make([][]int64, sh.rows)
+		w := make([][]int32, sh.rows)
 		for o := range w {
-			w[o] = make([]int64, sh.cols)
+			w[o] = make([]int32, sh.cols)
 			for i := range w[o] {
 				w[o][i] = sh.weight(rng)
 			}
@@ -168,7 +168,7 @@ func Kernel(keyBits []int) (*KernelResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			want, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs, 1)
+			want, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs)
 			if err != nil {
 				return nil, err
 			}
@@ -194,7 +194,7 @@ func Kernel(keyBits []int) (*KernelResult, error) {
 					return err
 				}},
 				{Unit: &ref, Ops: 1, Run: func() error {
-					_, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs, 1)
+					_, err := paillier.MatVecScaledRef(&key.PublicKey, w, bias, xs)
 					return err
 				}},
 			}); err != nil {

@@ -87,7 +87,7 @@ func TestKeyHolderBlindingProperties(t *testing.T) {
 		}
 		// Rows over (0, 1, −1, e, −e): 3·1 − 2·(−1) + 7 = 12, e − e = 0,
 		// and e alone — the largest message the kernel can carry.
-		rows := []Row{{W: []int64{5, 3, -2, 0, 0}, Bias: big.NewInt(7)}, {W: []int64{0, 0, 0, 1, 1}}, {W: []int64{9, 0, 0, 1, 0}}}
+		rows := []Row{{W: []int32{5, 3, -2, 0, 0}, Bias: big.NewInt(7)}, {W: []int32{0, 0, 0, 1, 1}}, {W: []int32{9, 0, 0, 1, 0}}}
 		out, err := NewEvaluator(&sk.PublicKey, nil).Rows(xs, rows)
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +148,7 @@ func TestEncodeEdges(t *testing.T) {
 				t.Fatalf("%d bits: 0 + %v decrypts to %v, %v", bits, m, got, err)
 			}
 			// The bias over an encryption of zero: the row decrypts to it.
-			out, err := NewEvaluator(pk, nil).Rows([]*Ciphertext{zero}, []Row{{W: []int64{1}, Bias: m}})
+			out, err := NewEvaluator(pk, nil).Rows([]*Ciphertext{zero}, []Row{{W: []int32{1}, Bias: m}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ import (
 func TestRowsCostByHand(t *testing.T) {
 	k := key(t)
 	xs := encryptVec(t, k, []int64{4, 7})
-	rows := []Row{{W: []int64{13, -1}, Bias: big.NewInt(5)}, {W: []int64{-2, 3}}}
+	rows := []Row{{W: []int32{13, -1}, Bias: big.NewInt(5)}, {W: []int32{-2, 3}}}
 	costs, err := countRows(len(xs), rows, xs, k.N2)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestRowsCostByHand(t *testing.T) {
 func TestRowsCostSharedSquarings(t *testing.T) {
 	k := key(t)
 	xs := encryptVec(t, k, []int64{2, -3})
-	rows := []Row{{W: []int64{201, 77}}}
+	rows := []Row{{W: []int32{201, 77}}}
 	for _, s := range []Strategy{Tables, Buckets} {
 		var m obs.CostMeter
 		out, err := NewEvaluator(&k.PublicKey, nil).WithCost(&m).rows(xs, rows, s)
@@ -96,16 +96,16 @@ func TestRowsMeteredEqualsPredicted(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		cols := 1 + rng.Intn(12)
 		xs := encryptVec(t, k, make([]int64, cols))
-		w := randomWeights(rng, 1+rng.Intn(9), cols, 1+rng.Intn(63))
+		w := randomWeights(rng, 1+rng.Intn(9), cols, 1+rng.Intn(31))
 		rows := make([]Row, len(w))
 		for o := range rows {
 			rows[o].W = w[o]
 			if trial%2 == 1 {
 				// Indexed: a random selection of columns, repeats allowed.
-				rows[o].Idx = make([]int, rng.Intn(2*cols))
-				rows[o].W = make([]int64, len(rows[o].Idx))
+				rows[o].Idx = make([]int32, rng.Intn(2*cols))
+				rows[o].W = make([]int32, len(rows[o].Idx))
 				for j := range rows[o].Idx {
-					rows[o].Idx[j] = rng.Intn(cols)
+					rows[o].Idx[j] = rng.Int31n(int32(cols))
 					rows[o].W[j] = w[o][rows[o].Idx[j]]
 				}
 			}
@@ -140,10 +140,10 @@ func TestWithCostIsolation(t *testing.T) {
 	ev1, ev2 := base.WithCost(&m1), base.WithCost(&m2)
 
 	xs := encryptVec(t, k, []int64{1, 2, 3})
-	if _, err := dotRow(ev1, xs, []int64{1, 1, 1}, nil); err != nil {
+	if _, err := dotRow(ev1, xs, []int32{1, 1, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dotRow(ev2, xs, []int64{2, 0, -1}, nil); err != nil {
+	if _, err := dotRow(ev2, xs, []int32{2, 0, -1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	st1, st2 := m1.Snapshot(), m2.Snapshot()
@@ -210,7 +210,7 @@ func TestMatVecMeteredMatchesUnmetered(t *testing.T) {
 	var m obs.CostMeter
 	plain, metered := NewEvaluator(&k.PublicKey, nil), NewEvaluator(&k.PublicKey, nil).WithCost(&m)
 	xs := encryptVec(t, k, []int64{5, -3, 2})
-	rows := []Row{{W: []int64{2, -1, 0}, Bias: big.NewInt(1)}, {W: []int64{0, 4, -7}, Bias: big.NewInt(-1)}}
+	rows := []Row{{W: []int32{2, -1, 0}, Bias: big.NewInt(1)}, {W: []int32{0, 4, -7}, Bias: big.NewInt(-1)}}
 	a, err := plain.Rows(xs, rows)
 	if err != nil {
 		t.Fatal(err)

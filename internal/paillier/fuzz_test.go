@@ -9,14 +9,14 @@ import (
 
 // FuzzKernelRows decodes a small layer from the fuzz input — up to four
 // rows over up to four inputs, dense or indexed (repeats allowed), weights
-// of any width including math.MinInt64, optional biases — and checks both
+// of any width including math.MinInt32, optional biases — and checks both
 // strategies against the big-integer dot product after decryption, and
 // against each other ring element for ring element.
 //
 // Layout: byte 0 picks the input count, byte 1 the row count; each row is
 // a flags byte (bit 0 indexed, bit 1 biased, bits 2–3 entries when
 // indexed), a bias byte, then per entry a column byte, a width byte and
-// eight weight bytes. A short input reads as zeros.
+// four weight bytes. A short input reads as zeros.
 func FuzzKernelRows(f *testing.F) {
 	sk, err := GenerateKey(nil, 128)
 	if err != nil {
@@ -30,8 +30,8 @@ func FuzzKernelRows(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	entry := func(col, width byte, w uint64) []byte {
-		return append([]byte{col, width}, binary.LittleEndian.AppendUint64(nil, w)...)
+	entry := func(col, width byte, w uint32) []byte {
+		return append([]byte{col, width}, binary.LittleEndian.AppendUint32(nil, w)...)
 	}
 	row := func(flags, bias byte, entries ...[]byte) []byte {
 		return append([]byte{flags, bias}, bytes.Join(entries, nil)...)
@@ -39,16 +39,16 @@ func FuzzKernelRows(f *testing.F) {
 	layer := func(cols, rows byte, rs ...[]byte) []byte {
 		return append([]byte{cols, rows}, bytes.Join(rs, nil)...)
 	}
-	full := ^uint64(0)
+	full := ^uint32(0)
 	f.Add([]byte{})
-	// One column, one row, weight math.MinInt64.
-	f.Add(layer(0, 0, row(0, 0, entry(0, 63, 1<<63))))
+	// One column, one row, weight math.MinInt32.
+	f.Add(layer(0, 0, row(0, 0, entry(0, 31, 1<<31))))
 	// An all-zero row with a bias, then an all-negative row.
 	f.Add(layer(1, 1, row(2, 200, entry(0, 0, 0), entry(0, 0, 0)), row(0, 0, entry(0, 3, full), entry(0, 15, full))))
 	// Indexed rows: a repeated column, then an empty row with a bias.
-	f.Add(layer(3, 1, row(1|2<<2, 0, entry(2, 3, 5), entry(2, 62, full)), row(1|2, 9)))
-	// Weights of 1, 4, 16 and 63 bits in one dense row.
-	f.Add(layer(3, 0, row(2, 77, entry(0, 0, 1), entry(0, 3, full), entry(0, 15, 1<<15), entry(0, 62, 1<<62|1))))
+	f.Add(layer(3, 1, row(1|2<<2, 0, entry(2, 3, 5), entry(2, 30, full)), row(1|2, 9)))
+	// Weights of 1, 4, 16 and 31 bits in one dense row.
+	f.Add(layer(3, 0, row(2, 77, entry(0, 0, 1), entry(0, 3, full), entry(0, 15, 1<<15), entry(0, 30, 1<<30|1))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
@@ -67,30 +67,30 @@ func FuzzKernelRows(f *testing.F) {
 			entries := cols
 			if flags&1 != 0 {
 				entries = int(flags >> 2 & 3)
-				rows[r].Idx = make([]int, entries)
+				rows[r].Idx = make([]int32, entries)
 			}
-			rows[r].W = make([]int64, entries)
+			rows[r].W = make([]int32, entries)
 			want[r] = new(big.Int)
 			if flags&2 != 0 {
 				rows[r].Bias = big.NewInt(bias)
 				want[r].SetInt64(bias)
 			}
 			for j := range rows[r].W {
-				col, width := int(next())%cols, next()%64
-				var raw [8]byte
+				col, width := int(next())%cols, next()%32
+				var raw [4]byte
 				for i := range raw {
 					raw[i] = next()
 				}
 				// Keep the low width+1 bits, sign-extended: every magnitude
-				// up to 2^63 is reachable.
-				w := int64(binary.LittleEndian.Uint64(raw[:])) << (63 - width) >> (63 - width)
+				// up to 2^31 is reachable.
+				w := int32(binary.LittleEndian.Uint32(raw[:])) << (31 - width) >> (31 - width)
 				if rows[r].Idx == nil {
 					col = j
 				} else {
-					rows[r].Idx[j] = col
+					rows[r].Idx[j] = int32(col)
 				}
 				rows[r].W[j] = w
-				term := new(big.Int).Mul(big.NewInt(w), big.NewInt(ms[col]))
+				term := new(big.Int).Mul(big.NewInt(int64(w)), big.NewInt(ms[col]))
 				want[r].Add(want[r], term)
 			}
 		}

@@ -38,12 +38,12 @@ import (
 	"ppstream/internal/obs"
 )
 
-// weightMagnitude returns |w| as a uint64, safe for math.MinInt64 and
-// branch-free: sign is all ones for a negative w, and (w XOR sign) − sign
-// is two's-complement negation done in unsigned arithmetic.
-func weightMagnitude(w int64) uint64 {
-	sign := uint64(w >> 63)
-	return (uint64(w) ^ sign) - sign
+// weightMagnitude returns |w|, safe for math.MinInt32 and branch-free:
+// sign is all ones for a negative w, and (w XOR sign) − sign is
+// two's-complement negation done in unsigned arithmetic.
+func weightMagnitude(w int32) uint64 {
+	sign := uint32(w >> 31)
+	return uint64((uint32(w) ^ sign) - sign)
 }
 
 // Evaluator is the model provider's side of the kernel: the public key,
@@ -108,8 +108,8 @@ const maxWindow = 6
 type Row struct {
 	// Idx maps row positions to input columns; nil means position j reads
 	// column j, and then len(W) must equal the call's input count.
-	Idx []int
-	W   []int64
+	Idx []int32
+	W   []int32
 	// Bias is added to the plaintext; nil or zero adds nothing.
 	Bias *big.Int
 }
@@ -219,7 +219,7 @@ func countRows(inputs int, rows []Row, xs []*Ciphertext, n2 *big.Int) (*rowCosts
 			}
 			col := j
 			if row.Idx != nil {
-				col = row.Idx[j]
+				col = int(row.Idx[j])
 			}
 			if col < 0 || col >= inputs {
 				return nil, fmt.Errorf("paillier: row %d column %d out of range [0,%d)", r, col, inputs)
@@ -234,7 +234,7 @@ func countRows(inputs int, rows []Row, xs []*Ciphertext, n2 *big.Int) (*rowCosts
 				c.used[col] = true
 				usedCols++
 			}
-			s, m := uint64(wt)>>63, weightMagnitude(wt)
+			s, m := uint32(wt)>>31, weightMagnitude(wt)
 			weights[s]++
 			ones[s] += bits.OnesCount64(m)
 			largest[s] = max(largest[s], m)
@@ -290,11 +290,11 @@ func countRows(inputs int, rows []Row, xs []*Ciphertext, n2 *big.Int) (*rowCosts
 // It runs once per row and window on the kernel's critical path, so the
 // inner loop is branch-free: weight signs and digit values are as good as
 // random, and a mispredicted branch costs more than the arithmetic.
-func digitStats(ws []int64, w uint, positions int) (nz, collapse [2]int) {
-	var largest [2][32]uint64
+func digitStats(ws []int32, w uint, positions int) (nz, collapse [2]int) {
+	var largest [2][16]uint64
 	mask := uint64(1)<<w - 1
 	for _, wt := range ws {
-		s, m := uint64(wt)>>63, weightMagnitude(wt)
+		s, m := uint32(wt)>>31, weightMagnitude(wt)
 		for p := 0; p < positions; p++ {
 			d := m >> (uint(p) * w) & mask
 			nz[s] += int((d + mask) >> w) // 1 unless d == 0
@@ -515,7 +515,7 @@ func (p *products) row(pk *PublicKey, r *Row) (num, den *big.Int, err error) {
 	var maxBits [2]int
 	for _, wt := range r.W {
 		if wt > 0 {
-			maxBits[0] = max(maxBits[0], bits.Len64(uint64(wt)))
+			maxBits[0] = max(maxBits[0], bits.Len32(uint32(wt)))
 		} else if wt < 0 {
 			maxBits[1] = max(maxBits[1], bits.Len64(weightMagnitude(wt)))
 		}
@@ -577,7 +577,7 @@ func (p *products) product(r *Row, negative bool, maxBits int) *big.Int {
 			}
 			col := j
 			if r.Idx != nil {
-				col = r.Idx[j]
+				col = int(r.Idx[j])
 			}
 			if p.plan.Strategy == Tables {
 				times(&p.powers[col][d-1])

@@ -16,15 +16,15 @@ type benchShape struct {
 	name       string
 	rows, cols int
 	// weight draws one weight.
-	weight func(rng *mrand.Rand) int64
+	weight func(rng *mrand.Rand) int32
 }
 
 var benchShapes = []benchShape{
 	// Few short rows of wide weights, ~60% negative at 16–17 bits: the
 	// post-scaling regime where the pre-kernel path pays one ModInverse per
 	// negative weight per row, and where the count picks tables.
-	{"32x128", 32, 128, func(rng *mrand.Rand) int64 {
-		mag := rng.Int63n(1<<17-1<<16) + 1<<16
+	{"32x128", 32, 128, func(rng *mrand.Rand) int32 {
+		mag := int32(rng.Int63n(1<<17-1<<16) + 1<<16)
 		if rng.Intn(10) < 6 {
 			mag = -mag
 		}
@@ -33,17 +33,17 @@ var benchShapes = []benchShape{
 	// Long rows of narrow weights, signed and at most 4 bits, as MNIST's
 	// first layer quantizes at factor 100: a column's table would serve 64
 	// rows at most, and the count picks buckets.
-	{"64x784", 64, 784, func(rng *mrand.Rand) int64 { return rng.Int63n(31) - 15 }},
+	{"64x784", 64, 784, func(rng *mrand.Rand) int32 { return int32(rng.Int63n(31) - 15) }},
 }
 
 // layer builds the shape's weights, biases and encrypted inputs.
-func (sh benchShape) layer(b *testing.B) (*PrivateKey, [][]int64, []int64, []*Ciphertext) {
+func (sh benchShape) layer(b *testing.B) (*PrivateKey, [][]int32, []int64, []*Ciphertext) {
 	b.Helper()
 	k := key(b)
 	rng := mrand.New(mrand.NewSource(42))
-	w := make([][]int64, sh.rows)
+	w := make([][]int32, sh.rows)
 	for o := range w {
-		w[o] = make([]int64, sh.cols)
+		w[o] = make([]int32, sh.cols)
 		for i := range w[o] {
 			w[o][i] = sh.weight(rng)
 		}
@@ -64,7 +64,7 @@ func (sh benchShape) layer(b *testing.B) (*PrivateKey, [][]int64, []int64, []*Ci
 }
 
 // forShapes runs one sub-benchmark per shape.
-func forShapes(b *testing.B, run func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext)) {
+func forShapes(b *testing.B, run func(b *testing.B, k *PrivateKey, w [][]int32, bias []int64, xs []*Ciphertext)) {
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			k, w, bias, xs := sh.layer(b)
@@ -80,12 +80,12 @@ func forShapes(b *testing.B, run func(b *testing.B, k *PrivateKey, w [][]int64, 
 // then Pack into the reply at the slot width the layer's values need,
 // with one public r^n computed inline per reply ciphertext.
 func BenchmarkMatVecRound(b *testing.B) {
-	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
+	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int32, bias []int64, xs []*Ciphertext) {
 		rows := make([]Row, len(w))
 		var bound uint64 // the largest |row value| over inputs in ±1000
 		for o := range rows {
 			rows[o] = Row{W: w[o], Bias: big.NewInt(bias[o])}
-			v := weightMagnitude(bias[o])
+			v := uint64(bias[o])
 			for _, wt := range w[o] {
 				v += 1000 * weightMagnitude(wt)
 			}
@@ -109,9 +109,9 @@ func BenchmarkMatVecRound(b *testing.B) {
 // BenchmarkMatVecScaledRef is the pre-kernel row-by-row baseline
 // (per-weight exponentiations, inverses recomputed per row, unblinded).
 func BenchmarkMatVecScaledRef(b *testing.B) {
-	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
+	forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int32, bias []int64, xs []*Ciphertext) {
 		for i := 0; i < b.N; i++ {
-			if _, err := MatVecScaledRef(&k.PublicKey, w, bias, xs, 1); err != nil {
+			if _, err := MatVecScaledRef(&k.PublicKey, w, bias, xs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -124,7 +124,7 @@ func BenchmarkMatVecScaledRef(b *testing.B) {
 func BenchmarkMatVecRows(b *testing.B) {
 	for _, s := range []Strategy{Tables, Buckets} {
 		b.Run(s.String(), func(b *testing.B) {
-			forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) {
+			forShapes(b, func(b *testing.B, k *PrivateKey, w [][]int32, bias []int64, xs []*Ciphertext) {
 				rows := make([]Row, len(w))
 				for o := range rows {
 					rows[o] = Row{W: w[o], Bias: big.NewInt(bias[o])}

@@ -37,21 +37,21 @@ func TestMatVecScaledDifferential(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rows := 1 + rng.Intn(6)
 		cols := 1 + rng.Intn(8)
-		w := make([][]int64, rows)
+		w := make([][]int32, rows)
 		for o := range w {
-			w[o] = make([]int64, cols)
+			w[o] = make([]int32, cols)
 			for i := range w[o] {
 				switch rng.Intn(5) {
 				case 0:
 					w[o][i] = 0
 				case 1:
-					w[o][i] = -(rng.Int63n(1<<20) + 1)
+					w[o][i] = -(rng.Int31n(1<<20) + 1)
 				case 2:
-					w[o][i] = rng.Int63() // large positive
+					w[o][i] = rng.Int31() // large positive
 				case 3:
-					w[o][i] = -rng.Int63() // large negative
+					w[o][i] = -rng.Int31() // large negative
 				default:
-					w[o][i] = rng.Int63n(1<<16) + 1
+					w[o][i] = rng.Int31n(1<<16) + 1
 				}
 			}
 		}
@@ -72,7 +72,7 @@ func TestMatVecScaledDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: kernel: %v", trial, err)
 		}
-		want, err := MatVecScaledRef(&k.PublicKey, w, bias, xs, 3)
+		want, err := MatVecScaledRef(&k.PublicKey, w, bias, xs)
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
@@ -89,12 +89,12 @@ func TestMatVecScaledDifferential(t *testing.T) {
 }
 
 // roundSlotBits is the slot width packedRound uses: wide enough for any
-// row of up to 8 int64 weights over inputs in ±1000 with a 30-bit bias.
+// row of up to 8 int32 weights over inputs in ±1000 with a 30-bit bias.
 const roundSlotBits = 80
 
 // packedRound runs the dense layer (w, bias) over xs as a round does —
 // Rows, then Pack — and returns the decrypted, unpacked reply.
-func packedRound(k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) ([]*big.Int, error) {
+func packedRound(k *PrivateKey, w [][]int32, bias []int64, xs []*Ciphertext) ([]*big.Int, error) {
 	rows := make([]Row, len(w))
 	for o := range rows {
 		rows[o].W = w[o]
@@ -118,15 +118,15 @@ func packedRound(k *PrivateKey, w [][]int64, bias []int64, xs []*Ciphertext) ([]
 	return vals.Data(), nil
 }
 
-// TestKernelMinInt64Weight exercises the magnitude handling at the int64
+// TestKernelMinInt32Weight exercises the magnitude handling at the int32
 // boundary, where a naive negation overflows.
-func TestKernelMinInt64Weight(t *testing.T) {
-	if weightMagnitude(math.MinInt64) != 1<<63 {
-		t.Fatalf("weightMagnitude(MinInt64) = %d", weightMagnitude(math.MinInt64))
+func TestKernelMinInt32Weight(t *testing.T) {
+	if weightMagnitude(math.MinInt32) != 1<<31 {
+		t.Fatalf("weightMagnitude(MinInt32) = %d", weightMagnitude(math.MinInt32))
 	}
 	k := key(t)
 	xs := encryptVec(t, k, []int64{3})
-	ws := []int64{math.MinInt64}
+	ws := []int32{math.MinInt32}
 	got, err := dotRow(NewEvaluator(&k.PublicKey, nil), xs, ws, big.NewInt(5))
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestKernelMinInt64Weight(t *testing.T) {
 	g, _ := k.Decrypt(got)
 	wv, _ := k.Decrypt(want)
 	if g.Cmp(wv) != 0 {
-		t.Errorf("MinInt64 weight: kernel %s != reference %s", g, wv)
+		t.Errorf("MinInt32 weight: kernel %s != reference %s", g, wv)
 	}
 }
 
@@ -154,15 +154,15 @@ func keyOfBits(t testing.TB, bits int) *PrivateKey {
 
 // randomWeights draws a rows×cols matrix of weights up to maxBits bits, a
 // third of them zero and half of the rest negative.
-func randomWeights(rng *mrand.Rand, rows, cols, maxBits int) [][]int64 {
-	w := make([][]int64, rows)
+func randomWeights(rng *mrand.Rand, rows, cols, maxBits int) [][]int32 {
+	w := make([][]int32, rows)
 	for o := range w {
-		w[o] = make([]int64, cols)
+		w[o] = make([]int32, cols)
 		for i := range w[o] {
 			if rng.Intn(3) == 0 {
 				continue
 			}
-			v := rng.Int63()>>(63-maxBits) | 1
+			v := rng.Int31()>>(31-maxBits) | 1
 			if rng.Intn(2) == 0 {
 				v = -v
 			}
@@ -175,24 +175,24 @@ func randomWeights(rng *mrand.Rand, rows, cols, maxBits int) [][]int64 {
 // TestRowsStrategiesSameRingElement: rows are unblinded and deterministic,
 // so both strategies and the scalar reference must produce the SAME ring
 // element, not merely ciphertexts that decrypt alike — over random layers
-// at three key sizes and weights from 1 to 63 bits, with the edge rows: an
+// at three key sizes and weights from 1 to 31 bits, with the edge rows: an
 // all-zero row (exactly the bias embedding 1 + b·n), an all-negative row,
-// math.MinInt64, and a one-column layer.
+// math.MinInt32, and a one-column layer.
 func TestRowsStrategiesSameRingElement(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(15))
 	for _, keyBits := range []int{256, 512, 1024} {
 		k := keyOfBits(t, keyBits)
 		ev := NewEvaluator(&k.PublicKey, nil)
-		for _, weightBits := range []int{1, 4, 16, 63} {
+		for _, weightBits := range []int{1, 4, 16, 31} {
 			for _, cols := range []int{1, 7} {
 				w := randomWeights(rng, 5, cols, weightBits)
-				allNeg := make([]int64, cols)
+				allNeg := make([]int32, cols)
 				for i := range allNeg {
-					allNeg[i] = -(rng.Int63()>>(63-weightBits) | 1)
+					allNeg[i] = -(rng.Int31()>>(31-weightBits) | 1)
 				}
-				edge := make([]int64, cols)
-				edge[0] = math.MinInt64
-				w = append(w, make([]int64, cols), allNeg, edge)
+				edge := make([]int32, cols)
+				edge[0] = math.MinInt32
+				w = append(w, make([]int32, cols), allNeg, edge)
 				bias := make([]int64, len(w))
 				for o := range bias {
 					bias[o] = rng.Int63n(1<<40) - 1<<39
@@ -207,7 +207,7 @@ func TestRowsStrategiesSameRingElement(t *testing.T) {
 				for o := range rows {
 					rows[o] = Row{W: w[o], Bias: big.NewInt(bias[o])}
 				}
-				want, err := MatVecScaledRef(&k.PublicKey, w, bias, xs, 1)
+				want, err := MatVecScaledRef(&k.PublicKey, w, bias, xs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -246,13 +246,13 @@ func TestRowsSparseIndexed(t *testing.T) {
 	ms := []int64{10, 20, 30, 40, 50}
 	xs := encryptVec(t, k, ms)
 	rows := []Row{
-		{Idx: []int{0, 2, 3}, W: []int64{7, -3, 2}, Bias: big.NewInt(-5)},
-		{Idx: []int{3, 3, 0}, W: []int64{100, -37, -1}},
-		{Idx: []int{}, W: []int64{}, Bias: big.NewInt(4)},
-		{Idx: []int{2}, W: []int64{-9}},
+		{Idx: []int32{0, 2, 3}, W: []int32{7, -3, 2}, Bias: big.NewInt(-5)},
+		{Idx: []int32{3, 3, 0}, W: []int32{100, -37, -1}},
+		{Idx: []int32{}, W: []int32{}, Bias: big.NewInt(4)},
+		{Idx: []int32{2}, W: []int32{-9}},
 	}
-	dense := [][]int64{{7, 0, -3, 2, 0}, {-1, 0, 0, 63, 0}, {0, 0, 0, 0, 0}, {0, 0, -9, 0, 0}}
-	want, err := MatVecScaledRef(&k.PublicKey, dense, []int64{-5, 0, 4, 0}, xs, 1)
+	dense := [][]int32{{7, 0, -3, 2, 0}, {-1, 0, 0, 63, 0}, {0, 0, 0, 0, 0}, {0, 0, -9, 0, 0}}
+	want, err := MatVecScaledRef(&k.PublicKey, dense, []int64{-5, 0, 4, 0}, xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,16 +288,16 @@ func TestRowsRejectsUnsentAndCorruptInputs(t *testing.T) {
 		rows []Row
 		want string // substring of the error; "" means the call succeeds
 	}{
-		{"unsent entry read", unsent, []Row{{W: []int64{1, 5, 0}}}, "not sent"},
-		{"unsent entry read through idx", unsent, []Row{{W: []int64{1, 0, 0}}, {Idx: []int{2, 1}, W: []int64{3, -4}}}, "not sent"},
-		{"unsent entry under a zero weight", unsent, []Row{{W: []int64{1, 0, -2}}}, ""},
-		{"nil ciphertext value", []*Ciphertext{good[0], {}, good[2]}, []Row{{W: []int64{0, 1, 0}}}, "not sent"},
-		{"column past the end", good, []Row{{Idx: []int{0, 3}, W: []int64{1, 1}}}, "out of range"},
-		{"negative column", good, []Row{{Idx: []int{-1}, W: []int64{1}}}, "out of range"},
-		{"index and weight lengths differ", good, []Row{{Idx: []int{0}, W: []int64{1, 1}}}, "index list"},
-		{"dense row of the wrong length", good, []Row{{W: []int64{1}}}, "length"},
-		{"denominator shares a factor with n", corrupt, []Row{{W: []int64{2, 0, -1}}, {W: []int64{0, -3, 1}}}, "not invertible"},
-		{"corrupt input only in a numerator", corrupt, []Row{{W: []int64{0, 3, -1}}}, ""},
+		{"unsent entry read", unsent, []Row{{W: []int32{1, 5, 0}}}, "not sent"},
+		{"unsent entry read through idx", unsent, []Row{{W: []int32{1, 0, 0}}, {Idx: []int32{2, 1}, W: []int32{3, -4}}}, "not sent"},
+		{"unsent entry under a zero weight", unsent, []Row{{W: []int32{1, 0, -2}}}, ""},
+		{"nil ciphertext value", []*Ciphertext{good[0], {}, good[2]}, []Row{{W: []int32{0, 1, 0}}}, "not sent"},
+		{"column past the end", good, []Row{{Idx: []int32{0, 3}, W: []int32{1, 1}}}, "out of range"},
+		{"negative column", good, []Row{{Idx: []int32{-1}, W: []int32{1}}}, "out of range"},
+		{"index and weight lengths differ", good, []Row{{Idx: []int32{0}, W: []int32{1, 1}}}, "index list"},
+		{"dense row of the wrong length", good, []Row{{W: []int32{1}}}, "length"},
+		{"denominator shares a factor with n", corrupt, []Row{{W: []int32{2, 0, -1}}, {W: []int32{0, -3, 1}}}, "not invertible"},
+		{"corrupt input only in a numerator", corrupt, []Row{{W: []int32{0, 3, -1}}}, ""},
 	} {
 		for _, s := range []Strategy{Tables, Buckets} {
 			var m obs.CostMeter
@@ -324,7 +324,7 @@ func TestKernelBlindingRegression(t *testing.T) {
 	k := key(t)
 	ev := NewEvaluator(&k.PublicKey, nil)
 	xs := encryptVec(t, k, []int64{5, 6})
-	rows := []Row{{W: []int64{2, -3}, Bias: big.NewInt(1)}, {W: []int64{0, 0}, Bias: big.NewInt(9)}}
+	rows := []Row{{W: []int32{2, -3}, Bias: big.NewInt(1)}, {W: []int32{0, 0}, Bias: big.NewInt(9)}}
 	slotBits := k.Bits()/2 + 1 // one row per reply ciphertext
 	var replies [2]*CipherTensor
 	for i := range replies {
@@ -372,7 +372,7 @@ func TestEvaluatorWithPool(t *testing.T) {
 	defer p.Close()
 	base := NewEvaluator(&k.PublicKey, p)
 	xs := encryptVec(t, k, []int64{4, -2, 8})
-	rows := []Row{{W: []int64{1, -1, 2}}, {W: []int64{0, 0, 0}, Bias: big.NewInt(3)}}
+	rows := []Row{{W: []int32{1, -1, 2}}, {W: []int32{0, 0, 0}, Bias: big.NewInt(3)}}
 	want := []int64{4 + 2 + 16, 3}
 	slotBits := k.Bits()/2 + 1 // one row per reply ciphertext
 	const callers, each = 4, 5

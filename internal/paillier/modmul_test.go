@@ -167,10 +167,10 @@ func TestRowsAndPackRejectOutOfRange(t *testing.T) {
 		var m obs.CostMeter
 		ev := NewEvaluator(&k.PublicKey, nil).WithCost(&m)
 		for _, s := range []Strategy{Tables, Buckets} {
-			if _, err := ev.rows(xs, []Row{{W: []int64{1, 0, 1}}, {W: []int64{2, -5, 0}}}, s); err == nil || !strings.Contains(err.Error(), "outside [0, n²)") {
+			if _, err := ev.rows(xs, []Row{{W: []int32{1, 0, 1}}, {W: []int32{2, -5, 0}}}, s); err == nil || !strings.Contains(err.Error(), "outside [0, n²)") {
 				t.Errorf("%s, %v: Rows returned %v", name, s, err)
 			}
-			if _, err := NewEvaluator(&k.PublicKey, nil).rows(xs, []Row{{W: []int64{1, 0, -1}}}, s); err != nil {
+			if _, err := NewEvaluator(&k.PublicKey, nil).rows(xs, []Row{{W: []int32{1, 0, -1}}}, s); err != nil {
 				t.Errorf("%s, %v: Rows refused an input under a zero weight: %v", name, s, err)
 			}
 		}

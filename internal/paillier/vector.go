@@ -100,7 +100,7 @@ func DecryptTensorBig(sk *PrivateKey, t *CipherTensor, workers int) (*tensor.Ten
 // re-randomize its output — its randomness is only inherited from the
 // inputs, so it must not be used on ciphertexts that leave the model
 // provider.
-func DotScaledRef(pk *PublicKey, xs []*Ciphertext, ws []int64, bias int64) (*Ciphertext, error) {
+func DotScaledRef(pk *PublicKey, xs []*Ciphertext, ws []int32, bias int64) (*Ciphertext, error) {
 	if len(xs) != len(ws) {
 		return nil, fmt.Errorf("paillier: dot length mismatch: %d inputs vs %d weights", len(xs), len(ws))
 	}
@@ -116,13 +116,13 @@ func DotScaledRef(pk *PublicKey, xs []*Ciphertext, ws []int64, bias int64) (*Cip
 		}
 		var term *big.Int
 		if w > 0 {
-			term = tmp.Exp(x.c, big.NewInt(w), pk.N2)
+			term = tmp.Exp(x.c, big.NewInt(int64(w)), pk.N2)
 		} else {
 			inv := new(big.Int).ModInverse(x.c, pk.N2)
 			if inv == nil {
 				return nil, errors.New("paillier: ciphertext not invertible")
 			}
-			absW := new(big.Int).Abs(big.NewInt(w))
+			absW := new(big.Int).Abs(big.NewInt(int64(w)))
 			term = tmp.Set(inv.Exp(inv, absW, pk.N2))
 		}
 		acc.Mul(acc, term)
@@ -140,70 +140,39 @@ func DotScaledRef(pk *PublicKey, xs []*Ciphertext, ws []int64, bias int64) (*Cip
 }
 
 // MatVecScaledRef is the pre-kernel row-by-row reference layer
-// evaluation over DotScaledRef, kept for differential tests and as the
-// speedup baseline of BenchmarkMatVecScaledRef. Unblinded — see
-// DotScaledRef.
-func MatVecScaledRef(pk *PublicKey, w [][]int64, bias []int64, x []*Ciphertext, workers int) ([]*Ciphertext, error) {
-	outN := len(w)
-	if bias != nil && len(bias) != outN {
-		return nil, fmt.Errorf("paillier: bias length %d != rows %d", len(bias), outN)
+// evaluation over DotScaledRef, one row after another, kept for
+// differential tests and as the speedup baseline of
+// BenchmarkMatVecScaledRef. Unblinded — see DotScaledRef.
+func MatVecScaledRef(pk *PublicKey, w [][]int32, bias []int64, x []*Ciphertext) ([]*Ciphertext, error) {
+	if bias != nil && len(bias) != len(w) {
+		return nil, fmt.Errorf("paillier: bias length %d != rows %d", len(bias), len(w))
 	}
-	out := make([]*Ciphertext, outN)
-	var firstErr error
-	var mu sync.Mutex
-	parallelFor(outN, workers, func(o int) {
-		if len(w[o]) != len(x) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("paillier: row %d length %d != input %d", o, len(w[o]), len(x))
-			}
-			mu.Unlock()
-			return
+	out := make([]*Ciphertext, len(w))
+	for o, row := range w {
+		if len(row) != len(x) {
+			return nil, fmt.Errorf("paillier: row %d length %d != input %d", o, len(row), len(x))
 		}
 		var b int64
 		if bias != nil {
 			b = bias[o]
 		}
-		ct, err := DotScaledRef(pk, x, w[o], b)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
+		var err error
+		if out[o], err = DotScaledRef(pk, x, row, b); err != nil {
+			return nil, err
 		}
-		out[o] = ct
-	})
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }
 
-// parallelFor runs f(i) for i in [0,n) across the given number of worker
-// goroutines (0 or negative means GOMAXPROCS), blocking until done.
+// parallelFor runs f(i) for i in [0,n) over one contiguous chunk per
+// worker goroutine (0 or negative means GOMAXPROCS), blocking until done.
 func parallelFor(n, workers int, f func(int)) {
-	parallelChunks(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
-}
-
-// parallelChunks splits [0,n) into one contiguous chunk per worker
-// goroutine (0 or negative means GOMAXPROCS) and runs f(lo, hi) on each,
-// blocking until done — for work that wants per-goroutine scratch.
-func parallelChunks(n, workers int, f func(lo, hi int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			f(0, n)
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
 		}
 		return
 	}
@@ -213,7 +182,9 @@ func parallelChunks(n, workers int, f func(lo, hi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			f(lo, hi)
+			for i := lo; i < hi; i++ {
+				f(i)
+			}
 		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()

@@ -38,7 +38,7 @@ func TestDecryptTensorNilElement(t *testing.T) {
 }
 
 // dotRow evaluates one dense row through a one-row Rows call.
-func dotRow(ev *Evaluator, xs []*Ciphertext, ws []int64, bias *big.Int) (*Ciphertext, error) {
+func dotRow(ev *Evaluator, xs []*Ciphertext, ws []int32, bias *big.Int) (*Ciphertext, error) {
 	out, err := ev.Rows(xs, []Row{{W: ws, Bias: bias}})
 	if err != nil {
 		return nil, err
@@ -51,7 +51,7 @@ func dotRow(ev *Evaluator, xs []*Ciphertext, ws []int64, bias *big.Int) (*Cipher
 func TestKernelRow(t *testing.T) {
 	k := key(t)
 	ms := []int64{3, -1, 4, 1, -5}
-	ws := []int64{2, 7, -1, 8, 2}
+	ws := []int32{2, 7, -1, 8, 2}
 	const bias = 11
 	xs := make([]*Ciphertext, len(ms))
 	for i, m := range ms {
@@ -71,7 +71,7 @@ func TestKernelRow(t *testing.T) {
 	}
 	var want int64 = bias
 	for i := range ms {
-		want += ws[i] * ms[i]
+		want += int64(ws[i]) * ms[i]
 	}
 	if got != want {
 		t.Errorf("row = %d, want %d", got, want)
@@ -81,10 +81,10 @@ func TestKernelRow(t *testing.T) {
 func TestKernelRowErrors(t *testing.T) {
 	k := key(t)
 	x, _ := k.PublicKey.EncryptInt64(rand.Reader, 1)
-	if _, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{x}, []int64{1, 2}, nil); err == nil {
+	if _, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{x}, []int32{1, 2}, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{nil}, []int64{1}, nil); err == nil {
+	if _, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{nil}, []int32{1}, nil); err == nil {
 		t.Error("nil ciphertext accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestKernelRowErrors(t *testing.T) {
 func TestKernelRowAllZeroWeights(t *testing.T) {
 	k := key(t)
 	x, _ := k.PublicKey.EncryptInt64(rand.Reader, 123)
-	ct, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{x}, []int64{0}, big.NewInt(9))
+	ct, err := dotRow(NewEvaluator(&k.PublicKey, nil), []*Ciphertext{x}, []int32{0}, big.NewInt(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestKernelRowAllZeroWeights(t *testing.T) {
 // length is not the input's, and the reference a bias of the wrong length.
 func TestMatVecScaled(t *testing.T) {
 	k := key(t)
-	w := [][]int64{{1, 2}, {-3, 4}, {0, 0}}
+	w := [][]int32{{1, 2}, {-3, 4}, {0, 0}}
 	bias := []int64{10, -20, 5}
 	xs := encryptVec(t, k, []int64{7, -6})
 	got, err := packedRound(k, w, bias, xs)
@@ -119,13 +119,13 @@ func TestMatVecScaled(t *testing.T) {
 			t.Errorf("row %d = %d, want %d", o, got[o], want)
 		}
 	}
-	if _, err := packedRound(k, [][]int64{{1}}, nil, xs); err == nil {
+	if _, err := packedRound(k, [][]int32{{1}}, nil, xs); err == nil {
 		t.Error("kernel accepted a row length mismatch")
 	}
-	if _, err := MatVecScaledRef(&k.PublicKey, w, []int64{1}, xs, 1); err == nil {
+	if _, err := MatVecScaledRef(&k.PublicKey, w, []int64{1}, xs); err == nil {
 		t.Error("reference accepted a bias length mismatch")
 	}
-	if _, err := MatVecScaledRef(&k.PublicKey, [][]int64{{1}}, nil, xs, 1); err == nil {
+	if _, err := MatVecScaledRef(&k.PublicKey, [][]int32{{1}}, nil, xs); err == nil {
 		t.Error("reference accepted a row length mismatch")
 	}
 }

@@ -117,15 +117,17 @@ func TestSlotErrorAtBuild(t *testing.T) {
 	k := keyOfBits(t, 128)
 	r := mathrand.New(mathrand.NewSource(5))
 	net, err := nn.NewNetwork("wide-weights", tensor.Shape{8},
-		nn.NewFC("fc1", 8, 2, r), nn.NewSoftMax("sm"))
+		nn.NewFC("fc1", 8, 8, r), nn.NewFC("fc2", 8, 2, r), nn.NewSoftMax("sm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight weights of 10⁶ at F = 10¹²: a row's L1 norm is 8·10¹⁸ ≥ 2⁶²,
-	// so with 2⁶³ inputs — the network declares no input domain, and the
-	// chain then starts where it always did — the bound needs a 127-bit
-	// slot.
-	net.Layers[0].(*nn.FC).W.Fill(1e6)
+	// One linear stage of two layers whose weights are 10⁻³ at F = 10¹²,
+	// 10⁹ once scaled (an int32 holds it): each row's L1 norm is 8·10⁹ >
+	// 2³², so with 2⁶³ inputs — the network declares no input domain, and
+	// the chain then starts where it always did — the bound passes 2¹²⁸ and
+	// needs a slot of over 128 bits.
+	net.Layers[0].(*nn.FC).W.Fill(1e-3)
+	net.Layers[1].(*nn.FC).W.Fill(1e-3)
 	_, err = Build(net, k, Config{Factor: 1e12})
 	var slotErr *SlotError
 	if !errors.As(err, &slotErr) {

@@ -140,14 +140,16 @@ func validateWorkflow(net *nn.Network) ([]*nn.PrimitiveLayer, error) {
 
 // walk is the shared front of every role builder and of Serve: it checks
 // the factor and the workflow shape, then runs the one stage walk
-// (qnn.Walk) that quantizes every linear stage at factor and chains the
-// network's declared input domain into each stage's reply slot width. It
-// returns the merged stages and, per round, what a model provider needs
-// under any key: the linear stage's name, shapes, quantized ops, slot
-// width, whether the round's ReLU garbles, and its key-independent
-// operation counts. No round refers to the float network. The workflow
-// alternates from a linear start to a non-linear finish, so round r's
-// linear stage is merged[2r] and its non-linear stage merged[2r+1].
+// (qnn.Walk) that quantizes every linear stage at factor — refusing a
+// weight whose w·F does not fit an int32 with *qnn.WeightRangeError — and
+// chains the network's declared input domain into each stage's reply slot
+// width. It returns the merged stages and, per round, what a model
+// provider needs under any key: the linear stage's name, shapes, quantized
+// ops, slot width, whether the round's ReLU garbles, and its
+// key-independent operation counts. No round refers to the float network.
+// The workflow alternates from a linear start to a non-linear finish, so
+// round r's linear stage is merged[2r] and its non-linear stage
+// merged[2r+1].
 func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, rounds []linearStage, err error) {
 	if factor <= 0 {
 		return nil, nil, fmt.Errorf("protocol: scaling factor %d must be positive", factor)

@@ -14,7 +14,7 @@ import (
 // flat input — every row of a fully-connected stage, every filter of a
 // convolution at its centre position — for aiming inputs at them. All
 // nine Table III models open with one such op, after at most a Flatten.
-func stage0Rows(t *testing.T, ops []Op, inputs int) [][]int64 {
+func stage0Rows(t *testing.T, ops []Op, inputs int) [][]int32 {
 	t.Helper()
 	for _, op := range ops {
 		switch q := op.(type) {
@@ -24,9 +24,9 @@ func stage0Rows(t *testing.T, ops []Op, inputs int) [][]int64 {
 			return q.W
 		case *QConv:
 			centre := q.Rows[len(q.Rows)/2]
-			rows := make([][]int64, len(q.W))
+			rows := make([][]int32, len(q.W))
 			for f, filter := range q.W {
-				rows[f] = make([]int64, inputs)
+				rows[f] = make([]int32, inputs)
 				for k, at := range centre {
 					if at >= 0 {
 						rows[f][at] = filter[k]

@@ -130,7 +130,7 @@ func TestInputNeedsCoverWhatTheKernelReads(t *testing.T) {
 			}
 			if conv, ok := c.op.(*QConv); ok {
 				for _, off := range conv.kernelRows(idx, idx+1, 1)[0].Idx {
-					if !needs[off] {
+					if !needs[int(off)] {
 						t.Fatalf("%s element %d: kernel row reads input %d outside its needs", c.name, idx, off)
 					}
 				}

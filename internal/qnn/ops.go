@@ -15,23 +15,14 @@ import (
 type QFC struct {
 	name string
 	F    int64
-	W    [][]int64 // [out][in], weights at scale F
+	W    [][]int32 // [out][in], weights at scale F
 	B    []float64 // original float biases, materialized per call
 }
 
-func quantizeFC(l *nn.FC, F int64) *QFC {
-	out, in := l.Out(), l.In()
-	w := make([][]int64, out)
-	for o := 0; o < out; o++ {
-		row := make([]int64, in)
-		for i := 0; i < in; i++ {
-			row[i] = roundToInt64(l.W.At(o, i), F)
-		}
-		w[o] = row
-	}
-	b := make([]float64, out)
+func quantizeFC(l *nn.FC, qz *quantizer) *QFC {
+	b := make([]float64, l.Out())
 	copy(b, l.B.Data())
-	return &QFC{name: l.Name(), F: F, W: w, B: b}
+	return &QFC{name: l.Name(), F: qz.F, W: qz.matrix(l.W.Data(), l.Out(), l.In()), B: b}
 }
 
 // Name implements Op.
@@ -95,7 +86,7 @@ func (q *QFC) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[
 			if w == 0 {
 				continue
 			}
-			acc.Add(acc, t.Mul(xs[i], wb.SetInt64(w)))
+			acc.Add(acc, t.Mul(xs[i], wb.SetInt64(int64(w))))
 		}
 		out.SetFlat(o, acc)
 	}
@@ -111,46 +102,35 @@ type QConv struct {
 	name string
 	F    int64
 	P    tensor.ConvParams
-	W    [][]int64 // [outC][rowLen], filters at scale F
+	W    [][]int32 // [outC][rowLen], filters at scale F
 	B    []float64
 	// Rows[pos] lists the flat input offsets forming output position
 	// pos's receptive field; -1 marks padding (contributes zero).
-	Rows [][]int
+	Rows [][]int32
 }
 
-func quantizeConv(l *nn.Conv, F int64) *QConv {
+func quantizeConv(l *nn.Conv, qz *quantizer) *QConv {
 	p := l.P
-	rowLen := p.InC * p.KH * p.KW
-	w := make([][]int64, p.OutC)
-	for f := 0; f < p.OutC; f++ {
-		row := make([]int64, rowLen)
-		k := 0
-		for c := 0; c < p.InC; c++ {
-			for ky := 0; ky < p.KH; ky++ {
-				for kx := 0; kx < p.KW; kx++ {
-					row[k] = roundToInt64(l.W.At(f, c, ky, kx), F)
-					k++
-				}
-			}
-		}
-		w[f] = row
-	}
 	b := make([]float64, p.OutC)
 	copy(b, l.B.Data())
-	return &QConv{name: l.Name(), F: F, P: p, W: w, B: b, Rows: GatherRows(p)}
+	// A filter's weights, in (channel, row, column) order, are one row.
+	w := qz.matrix(l.W.Data(), p.OutC, p.InC*p.KH*p.KW)
+	return &QConv{name: l.Name(), F: qz.F, P: p, W: w, B: b, Rows: GatherRows(p)}
 }
 
 // GatherRows computes, for every output spatial position of a
 // convolution, the flat input offsets of its receptive field (-1 for
 // padded positions). This is the index form of Im2Col and the basis of
-// input tensor partitioning.
-func GatherRows(p tensor.ConvParams) [][]int {
+// input tensor partitioning. The offsets are int32, as wide as the weights
+// they pair with: no input a round frame can carry comes near 2^31
+// elements.
+func GatherRows(p tensor.ConvParams) [][]int32 {
 	oh, ow := p.OutH(), p.OutW()
 	rowLen := p.InC * p.KH * p.KW
-	rows := make([][]int, oh*ow)
+	rows := make([][]int32, oh*ow)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			row := make([]int, rowLen)
+			row := make([]int32, rowLen)
 			k := 0
 			for c := 0; c < p.InC; c++ {
 				for ky := 0; ky < p.KH; ky++ {
@@ -158,7 +138,7 @@ func GatherRows(p tensor.ConvParams) [][]int {
 					for kx := 0; kx < p.KW; kx++ {
 						ix := ox*p.Stride + kx - p.Pad
 						if iy >= 0 && iy < p.InH && ix >= 0 && ix < p.InW {
-							row[k] = (c*p.InH+iy)*p.InW + ix
+							row[k] = int32((c*p.InH+iy)*p.InW + ix)
 						} else {
 							row[k] = -1
 						}
@@ -194,7 +174,7 @@ func (q *QConv) InputNeeds(_ tensor.Shape, outIdx int) []int {
 	needs := make([]int, 0, len(row))
 	for _, off := range row {
 		if off >= 0 {
-			needs = append(needs, off)
+			needs = append(needs, int(off))
 		}
 	}
 	return needs
@@ -228,8 +208,8 @@ func (q *QConv) kernelRows(lo, hi, inExp int) []paillier.Row {
 		}
 	}
 	rows := make([]paillier.Row, hi-lo)
-	idx := make([]int, 0, len(rows)*len(q.W[0]))
-	weights := make([]int64, 0, cap(idx))
+	idx := make([]int32, 0, len(rows)*len(q.W[0]))
+	weights := make([]int32, 0, cap(idx))
 	for i := range rows {
 		f, from := (lo+i)/positions, len(idx)
 		for k, off := range q.Rows[(lo+i)%positions] {
@@ -265,7 +245,7 @@ func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tenso
 				if off < 0 || q.W[f][k] == 0 {
 					continue
 				}
-				acc.Add(acc, t.Mul(xs[off], wb.SetInt64(q.W[f][k])))
+				acc.Add(acc, t.Mul(xs[off], wb.SetInt64(int64(q.W[f][k]))))
 			}
 			out.SetFlat(f*oh*ow+pos, acc)
 		}
@@ -281,34 +261,31 @@ type QAffine struct {
 	F    int64
 	// Scale[i] applies to element i (expanded per element at build
 	// time), at scale F.
-	Scale []int64
+	Scale []int32
 	// Shift[i] is the float shift applied to element i (may be nil for
 	// pure scaling).
 	Shift []float64
 	shape tensor.Shape
 }
 
-func quantizeBatchNorm(l *nn.BatchNorm, F int64) *QAffine {
+func quantizeBatchNorm(l *nn.BatchNorm, qz *quantizer) *QAffine {
 	// y = a·x + c with a = γ/√(σ²+ε), c = β − a·μ, per channel. The
 	// per-element expansion happens lazily in ApplyRange since the spatial
 	// size is known from the input.
-	a := make([]int64, l.Channels)
+	a := make([]int32, l.Channels)
 	c := make([]float64, l.Channels)
 	for ch := 0; ch < l.Channels; ch++ {
 		inv := 1 / math.Sqrt(l.Var.At(ch)+l.Eps)
 		af := l.Gamma.At(ch) * inv
-		a[ch] = roundToInt64(af, F)
+		a[ch] = qz.weight(af)
 		c[ch] = l.Beta.At(ch) - af*l.Mean.At(ch)
 	}
-	return &QAffine{name: l.Name(), F: F, Scale: a, Shift: c}
+	return &QAffine{name: l.Name(), F: qz.F, Scale: a, Shift: c}
 }
 
-func quantizeElemScale(l *nn.ElemScale, F int64) *QAffine {
-	s := make([]int64, l.Scale.Size())
-	for i, v := range l.Scale.Data() {
-		s[i] = roundToInt64(v, F)
-	}
-	return &QAffine{name: l.Name(), F: F, Scale: s, Shift: nil, shape: l.Scale.Shape().Clone()}
+func quantizeElemScale(l *nn.ElemScale, qz *quantizer) *QAffine {
+	s := qz.matrix(l.Scale.Data(), 1, l.Scale.Size())[0]
+	return &QAffine{name: l.Name(), F: qz.F, Scale: s, Shift: nil, shape: l.Scale.Shape().Clone()}
 }
 
 // Name implements Op.
@@ -362,7 +339,7 @@ func (q *QAffine) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, 
 // element computes E(x)^{Scale[c]}·E(Shift[c]) for coefficient index c.
 func (q *QAffine) element(ev *paillier.Evaluator, x *paillier.Ciphertext, c, inExp int) (*paillier.Ciphertext, error) {
 	pk := ev.PublicKey()
-	ct, err := pk.MulScalarInt64(x, q.Scale[c])
+	ct, err := pk.MulScalarInt64(x, int64(q.Scale[c]))
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +391,7 @@ func (q *QAffine) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Ten
 	out := tensor.New[*big.Int](x.Shape()...)
 	for i, v := range x.Data() {
 		c := idx(i)
-		acc := new(big.Int).Mul(v, big.NewInt(q.Scale[c]))
+		acc := new(big.Int).Mul(v, big.NewInt(int64(q.Scale[c])))
 		if q.Shift != nil && q.Shift[c] != 0 {
 			acc.Add(acc, biasAt(q.Shift[c], q.F, inExp+1))
 		}

@@ -1,6 +1,6 @@
 // Package qnn holds the quantized, homomorphically-executable form of a
 // network's linear layers. After parameter scaling (internal/scaling)
-// selects F = 10^f, each linear layer's weights become integers ≈ w·F and
+// selects F = 10^f, each linear layer's weights become int32s ≈ w·F and
 // the layer evaluates over Paillier ciphertexts on the model provider.
 //
 // Scale-exponent bookkeeping: the data provider encrypts activations at
@@ -62,42 +62,96 @@ type Op interface {
 }
 
 // Quantize converts a linear nn layer into its homomorphic form with
-// scaling factor F.
+// scaling factor F, or refuses it with a *WeightRangeError.
 func Quantize(l nn.Layer, F int64) (Op, error) {
-	if F <= 0 {
-		return nil, fmt.Errorf("qnn: scaling factor must be positive, got %d", F)
+	return quantize(l, &quantizer{stage: l.Name(), F: F})
+}
+
+func quantize(l nn.Layer, qz *quantizer) (Op, error) {
+	if qz.F <= 0 {
+		return nil, fmt.Errorf("qnn: scaling factor must be positive, got %d", qz.F)
 	}
+	var op Op
 	switch v := l.(type) {
 	case *nn.FC:
-		return quantizeFC(v, F), nil
+		op = quantizeFC(v, qz)
 	case *nn.Conv:
-		return quantizeConv(v, F), nil
+		op = quantizeConv(v, qz)
 	case *nn.BatchNorm:
-		return quantizeBatchNorm(v, F), nil
+		op = quantizeBatchNorm(v, qz)
 	case *nn.ElemScale:
-		return quantizeElemScale(v, F), nil
+		op = quantizeElemScale(v, qz)
 	case *nn.Flatten:
-		return &QFlatten{name: v.Name()}, nil
+		op = &QFlatten{name: v.Name()}
 	default:
 		return nil, fmt.Errorf("qnn: layer %s (%T) is not a supported linear layer", l.Name(), l)
 	}
+	if qz.err != nil {
+		return nil, qz.err
+	}
+	return op, nil
 }
 
 // QuantizeStage converts a merged linear primitive layer into its op
-// sequence.
+// sequence, or refuses it with a *WeightRangeError naming the stage.
 func QuantizeStage(p *nn.PrimitiveLayer, F int64) ([]Op, error) {
 	if p.Kind != nn.Linear {
 		return nil, fmt.Errorf("qnn: stage %s is %v, want linear", p.Name(), p.Kind)
 	}
+	qz := &quantizer{stage: p.Name(), F: F}
 	ops := make([]Op, len(p.Layers))
 	for i, l := range p.Layers {
-		op, err := Quantize(l, F)
+		op, err := quantize(l, qz)
 		if err != nil {
 			return nil, err
 		}
 		ops[i] = op
 	}
 	return ops, nil
+}
+
+// WeightRangeError refuses a linear stage holding a weight whose w·F, at
+// Factor, does not fit the int32 every served weight is held in.
+type WeightRangeError struct {
+	Stage  string
+	Weight float64
+	Factor int64
+}
+
+func (e *WeightRangeError) Error() string {
+	return fmt.Sprintf("qnn: %s: weight %g at factor %d does not fit an int32 once scaled", e.Stage, e.Weight, e.Factor)
+}
+
+// quantizer rounds one stage's weights to w·F and keeps the first that
+// does not fit an int32.
+type quantizer struct {
+	stage string
+	F     int64
+	err   error
+}
+
+func (qz *quantizer) weight(w float64) int32 {
+	v := math.Round(w * float64(qz.F))
+	if v >= math.MinInt32 && v <= math.MaxInt32 {
+		return int32(v)
+	}
+	if qz.err == nil {
+		qz.err = &WeightRangeError{Stage: qz.stage, Weight: w, Factor: qz.F}
+	}
+	return 0
+}
+
+// matrix quantizes the row-major ws into a rows×cols matrix over one
+// backing array.
+func (qz *quantizer) matrix(ws []float64, rows, cols int) [][]int32 {
+	flat, m := make([]int32, len(ws)), make([][]int32, rows)
+	for i, w := range ws {
+		flat[i] = qz.weight(w)
+	}
+	for r := range m {
+		m[r] = flat[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return m
 }
 
 // StageScaleSteps sums the scale steps of a stage's ops.
@@ -327,10 +381,10 @@ func scaledBound(real float64, F int64) *big.Int {
 
 // rowBound bounds |Σ_i w_i·x_i + bias·F^(inExp+1)| over |x_i| ≤ in: the
 // row's L1 norm times in, plus the materialized bias's magnitude.
-func rowBound(ws []int64, bias float64, F int64, in *big.Int, inExp int) *big.Int {
+func rowBound(ws []int32, bias float64, F int64, in *big.Int, inExp int) *big.Int {
 	l1, t := new(big.Int), new(big.Int)
 	for _, w := range ws {
-		l1.Add(l1, t.Abs(t.SetInt64(w)))
+		l1.Add(l1, t.Abs(t.SetInt64(int64(w))))
 	}
 	l1.Mul(l1, in)
 	return l1.Add(l1, t.Abs(biasAt(bias, F, inExp+1)))
@@ -338,7 +392,7 @@ func rowBound(ws []int64, bias float64, F int64, in *big.Int, inExp int) *big.In
 
 // worstRowBound is the largest rowBound over the rows of w, each with its
 // own bias.
-func worstRowBound(w [][]int64, bias []float64, F int64, in *big.Int, inExp int) *big.Int {
+func worstRowBound(w [][]int32, bias []float64, F int64, in *big.Int, inExp int) *big.Int {
 	worst := new(big.Int)
 	for o, row := range w {
 		if b := rowBound(row, bias[o], F, in, inExp); b.Cmp(worst) > 0 {
@@ -386,11 +440,6 @@ func powF(F int64, exp int) *big.Int {
 		out.Mul(out, f)
 	}
 	return out
-}
-
-// roundToInt64 rounds w·F to the nearest integer weight.
-func roundToInt64(w float64, F int64) int64 {
-	return int64(math.Round(w * float64(F)))
 }
 
 // biasAt materializes a float bias at scale F^exp as a big integer.

@@ -58,7 +58,7 @@ func (q *QConv) ApplyShared(e *secshare.Engine, x *tensor.Tensor[secshare.Shares
 		bias := biasAt(q.B[f], q.F, inExp+1)
 		for pos := 0; pos < oh*ow; pos++ {
 			row := q.Rows[pos]
-			ws := make([]int64, 0, len(row))
+			ws := make([]int32, 0, len(row))
 			in := make([]secshare.Shares, 0, len(row))
 			for k, off := range row {
 				if off < 0 || q.W[f][k] == 0 {
@@ -88,9 +88,9 @@ func (q *QAffine) ApplyShared(e *secshare.Engine, x *tensor.Tensor[secshare.Shar
 	for i, v := range xd {
 		c := idx(i)
 		if q.Shift != nil && q.Shift[c] != 0 {
-			out.SetFlat(i, e.ScalePrivateInt(q.Scale[c], biasAt(q.Shift[c], q.F, inExp+1), v))
+			out.SetFlat(i, e.ScalePrivateInt(int64(q.Scale[c]), biasAt(q.Shift[c], q.F, inExp+1), v))
 		} else {
-			out.SetFlat(i, e.ScalePrivateInt(q.Scale[c], nil, v))
+			out.SetFlat(i, e.ScalePrivateInt(int64(q.Scale[c]), nil, v))
 		}
 	}
 	return out, nil

@@ -14,13 +14,13 @@ func TestDotPrivateProperty(t *testing.T) {
 		n := min(len(wRaw), len(xRaw), 32)
 		e := NewEngine(seed)
 		rng := rand.New(rand.NewSource(seed))
-		w := make([]int64, n)
+		w := make([]int32, n)
 		xs := make([]Shares, n)
 		var want int64
 		for i := 0; i < n; i++ {
-			w[i] = int64(wRaw[i])
+			w[i] = int32(wRaw[i])
 			xs[i] = Split(rng, uint64(int64(xRaw[i])))
-			want += w[i] * int64(xRaw[i])
+			want += int64(w[i]) * int64(xRaw[i])
 		}
 		dot, err := e.DotPrivateInt(w, xs, nil)
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 
 // This file holds the integer-exact ring ops: values are the SAME
 // scaled integers the quantized network (internal/qnn) computes over —
-// x·F^exp with int64 weights at scale F — shared additively in Z_{2^64}
+// x·F^exp with int32 weights at scale F — shared additively in Z_{2^64}
 // and multiplied with Beaver triples WITHOUT truncation. Because ring
 // arithmetic mod 2^64 agrees with integer arithmetic whenever
 // |value| < 2^63, a layer executed here reconstructs bit-identically to
@@ -47,11 +47,11 @@ func SplitRandom(r io.Reader, v uint64) (Shares, error) {
 }
 
 // DotPrivateInt computes Σ_j w_j·x_j + bias over the ring with party
-// 0's private int64 weights and big-integer bias (reduced into the
+// 0's private int32 weights and big-integer bias (reduced into the
 // ring), skipping zero weights exactly like the plaintext reference.
 // No truncation is applied: the result is at scale F^(inExp+1) when the
 // inputs are at F^inExp and the weights at F.
-func (e *Engine) DotPrivateInt(w []int64, x []Shares, bias *big.Int) (Shares, error) {
+func (e *Engine) DotPrivateInt(w []int32, x []Shares, bias *big.Int) (Shares, error) {
 	if len(w) != len(x) {
 		return Shares{}, fmt.Errorf("secshare: int dot length mismatch %d vs %d", len(w), len(x))
 	}
@@ -63,7 +63,7 @@ func (e *Engine) DotPrivateInt(w []int64, x []Shares, bias *big.Int) (Shares, er
 		if wj == 0 {
 			continue
 		}
-		p := e.mulRaw(Shares{S: [2]uint64{uint64(wj), 0}}, x[j])
+		p := e.mulRaw(Shares{S: [2]uint64{uint64(int64(wj)), 0}}, x[j])
 		acc.S[0] += p.S[0]
 		acc.S[1] += p.S[1]
 	}

@@ -69,13 +69,13 @@ func TestDotPrivateIntExact(t *testing.T) {
 	e := NewEngine(11)
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(24)
-		w := make([]int64, n)
+		w := make([]int32, n)
 		xs := make([]Shares, n)
 		ref := big.NewInt(0)
 		for j := 0; j < n; j++ {
 			// Weights at a ~F=100 scale, inputs at ~F^2: products stay
 			// far below 2^63 even summed.
-			w[j] = rng.Int63n(20000) - 10000
+			w[j] = rng.Int31n(20000) - 10000
 			if rng.Intn(5) == 0 {
 				w[j] = 0 // exercise the zero-weight skip
 			}
@@ -85,7 +85,7 @@ func TestDotPrivateIntExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.Add(ref, new(big.Int).Mul(big.NewInt(w[j]), big.NewInt(xv)))
+			ref.Add(ref, new(big.Int).Mul(big.NewInt(int64(w[j])), big.NewInt(xv)))
 		}
 		bias := big.NewInt(rng.Int63n(2_000_000_000) - 1_000_000_000)
 		ref.Add(ref, bias)
@@ -112,7 +112,7 @@ func TestDotPrivateIntExact(t *testing.T) {
 
 func TestDotPrivateIntLengthMismatch(t *testing.T) {
 	e := NewEngine(1)
-	if _, err := e.DotPrivateInt([]int64{1, 2}, make([]Shares, 3), nil); err == nil {
+	if _, err := e.DotPrivateInt([]int32{1, 2}, make([]Shares, 3), nil); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 }
