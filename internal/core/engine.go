@@ -191,7 +191,8 @@ func (e *Engine) Close() {
 
 // Registry exposes the engine's metrics registry. Every runtime Serve
 // starts publishes its session's metrics here, so histograms accumulate
-// across runs.
+// across runs. It keeps no trailing windows until a reader switches them
+// on (obs.Registry.KeepWindows).
 func (e *Engine) Registry() *obs.Registry { return e.reg }
 
 // SimStages converts the engine's estimated stage times, allocation plan,

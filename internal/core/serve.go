@@ -39,8 +39,11 @@ type serving struct {
 // window. While serving, any number of goroutines may call Submit
 // concurrently; the session publishes its metrics — the outcome counters
 // "serve.requests.<outcome>", "serve.latency", the per-round
-// "round.<r>.wait" and "round.<r>.linear" — to the engine's registry. ctx
-// bounds the lifetime of the session's goroutines.
+// "round.<r>.wait" and "round.<r>.linear" — to the engine's registry as
+// totals. Nothing reads that registry live, so its live metrics keep no
+// trailing window; a caller that wants them calls KeepWindows on Registry()
+// or mounts it with obs.Serve. ctx bounds the lifetime of the session's
+// goroutines.
 func (e *Engine) Serve(ctx context.Context) error {
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()

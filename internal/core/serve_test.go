@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	mathrand "math/rand"
+	gonet "net"
+	"net/http"
 	"runtime"
 	"sync"
 	"testing"
@@ -528,12 +531,12 @@ func TestEngineKeepsOneBlindPool(t *testing.T) {
 	}
 }
 
-// TestOneObjectPerLiveMetric: the engine's session registers its request
-// outcomes, its round stages and its cost counters on one registry; after N requests
-// every live-viewed name is one object whose total equals its
-// trailing-minute count, the windowed and cumulative views being two reads
-// of the same writes — N for the outcome and the latency histograms.
-func TestOneObjectPerLiveMetric(t *testing.T) {
+// TestEngineRegistryKeepsNoWindows: nothing reads the engine's registry
+// live (it is mounted at no /debug/live), so after its session served
+// requests the registry holds no window: the outcome counters, the latency,
+// the round stages and the per-backend cost counters are declared live and
+// count their totals, and their LiveSnapshot is empty.
+func TestEngineRegistryKeepsNoWindows(t *testing.T) {
 	eng := serveEngine(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -550,7 +553,70 @@ func TestOneObjectPerLiveMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := eng.Registry()
-	live := reg.LiveSnapshot()
+	if live := reg.LiveSnapshot(); len(live.Counters) != 0 || len(live.Histograms) != 0 {
+		t.Errorf("the engine's unread registry keeps windows: %+v", live)
+	}
+	if got := reg.Counter("serve.requests.ok").Value(); got != n {
+		t.Errorf("serve.requests.ok = %d, want %d", got, n)
+	}
+}
+
+// TestOneObjectPerLiveMetric: a session whose registry is mounted by
+// obs.Serve registers its request outcomes, its round stages and its cost
+// counters on that registry with their windows; after N requests every name
+// /debug/live serves is one object whose total equals its trailing-minute
+// count, the windowed and cumulative views being two reads of the same
+// writes — N for the outcome and the latency histograms.
+func TestOneObjectPerLiveMetric(t *testing.T) {
+	const factor = 1000
+	net := smallNet(t)
+	reg := obs.NewRegistry("served")
+	addr, stop, err := obs.Serve("127.0.0.1:0", obs.HTTPOptions{}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- protocol.Serve(ctx, ln, net, protocol.SessionConfig{Factor: factor, Registry: reg})
+	}()
+	conn, err := gonet.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	edge := stream.NewTCPEdge(conn)
+	client, err := protocol.NewClientOpts(ctx, edge, edge, net, key(t), factor, protocol.ClientOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	for _, x := range randInputs(n) {
+		if _, err := client.Infer(ctx, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.Close()
+	ln.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + addr + "/debug/live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var live obs.LiveSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&live); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := live.Counters["serve.requests.ok"]; !ok || len(live.Histograms) < 2 {
 		t.Fatalf("live views %+v: want the outcome counters, serve.latency and every round's busy time", live)
 	}

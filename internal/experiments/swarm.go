@@ -5,6 +5,7 @@ import (
 	"fmt"
 	mathrand "math/rand"
 	"net"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -87,8 +88,9 @@ type SwarmResult struct {
 	// store exists for; empty when none was retained.
 	SlowTraceID string
 	// LiveOK / CumulativeOK are the two views of serve.requests.ok — its
-	// trailing-minute window and its total; they must agree when the whole
-	// run fits inside the live window (LiveChecked).
+	// trailing-minute window, read from /debug/live, and its total; they
+	// must agree when the whole run fits inside the live window
+	// (LiveChecked).
 	LiveOK       uint64
 	CumulativeOK uint64
 	LiveChecked  bool
@@ -175,7 +177,15 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	if sloTarget < 100*time.Millisecond {
 		sloTarget = 100 * time.Millisecond
 	}
+	// The registry is mounted at /debug/live before any session starts, as
+	// ppserver -metrics mounts its own: the window = total check below
+	// reads the endpoint operators read.
 	reg := obs.NewRegistry("swarm/server")
+	liveAddr, stopLive, err := obs.Serve("127.0.0.1:0", obs.HTTPOptions{}, reg)
+	if err != nil {
+		return nil, err
+	}
+	defer stopLive(context.Background())
 	slo, err := obs.NewSLOEngine(obs.SLOConfig{
 		Specs: []obs.SLOSpec{
 			{Name: "p99", Objective: 0.99, LatencyTarget: sloTarget},
@@ -279,11 +289,15 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	}
 
 	// Telemetry cross-checks against the run's own ground truth. The ok
-	// counter's window must agree with its total as long as the whole
-	// serving phase fits inside the live window.
-	ok := reg.Counter("serve.requests.ok")
-	res.CumulativeOK = ok.Value()
-	res.LiveOK = ok.Live().Count
+	// counter's window, as /debug/live serves it, must agree with its total
+	// as long as the whole serving phase fits inside the live window.
+	res.CumulativeOK = reg.Counter("serve.requests.ok").Value()
+	live, err := fetchRegistry(&http.Client{Timeout: 5 * time.Second}, "http://"+liveAddr+"/debug/live",
+		func(s *obs.LiveSnapshot) bool { return s.Name != "" })
+	if err != nil {
+		return nil, fmt.Errorf("experiments: swarm /debug/live: %w", err)
+	}
+	res.LiveOK = live.Counters["serve.requests.ok"].Count
 	res.LiveChecked = time.Since(begin) < 45*time.Second
 
 	// The span store must have kept a slow merged trace: client+server

@@ -16,7 +16,7 @@ func topSnapshot(requests uint64) obs.Snapshot {
 	reg := obs.NewRegistry("ppserver-test")
 	reg.Counter("serve.requests.ok").Add(requests)
 	reg.Counter("rounds.served").Add(2 * requests)
-	obs.AddCostToRegistry(reg, "", obs.CostStats{ModExps: 10 * requests, MulMods: 50 * requests})
+	obs.AddCostToRegistry(reg, "")(obs.CostStats{ModExps: 10 * requests, MulMods: 50 * requests})
 	reg.Histogram("round.latency").Observe(3 * time.Millisecond)
 	return reg.Snapshot()
 }

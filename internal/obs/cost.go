@@ -64,32 +64,15 @@ type CostStats struct {
 	PlainOps uint64 `json:"plain_ops"`
 }
 
-// costField names one CostStats field: its canonical lowercase metric-name
+// costFields names every CostStats field exactly once, in the order
+// CostStats.Fields lists them: its canonical lowercase metric-name
 // component, the name the registry counters ("cost.<name>") and String
-// use. costFields is the single source of truth for those names, in the
-// order CostStats.Fields lists the fields; TestCostFieldsCoverStruct
-// checks it against the struct, JSON tags included.
-type costField struct {
-	Name string
-}
-
-// costFields enumerates every CostStats field exactly once.
-var costFields = [...]costField{
-	{Name: "modexps"},
-	{Name: "mulmods"},
-	{Name: "modinverses"},
-	{Name: "rerands"},
-	{Name: "pool_hits"},
-	{Name: "pool_misses"},
-	{Name: "encrypts"},
-	{Name: "decrypts"},
-	{Name: "cipher_bytes_in"},
-	{Name: "cipher_bytes_out"},
-	{Name: "triples"},
-	{Name: "opened_words"},
-	{Name: "gc_gates"},
-	{Name: "ext_ots"},
-	{Name: "plain_ops"},
+// use. TestCostFieldsCoverStruct checks it against the struct, JSON tags
+// included.
+var costFields = [...]string{
+	"modexps", "mulmods", "modinverses", "rerands", "pool_hits",
+	"pool_misses", "encrypts", "decrypts", "cipher_bytes_in", "cipher_bytes_out",
+	"triples", "opened_words", "gc_gates", "ext_ots", "plain_ops",
 }
 
 // Fields addresses every field of c, in costFields order: the iteration
@@ -140,7 +123,7 @@ func (c *CostStats) String() string {
 	var parts []string
 	for i, p := range c.Fields() {
 		if *p != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", costFields[i].Name, *p))
+			parts = append(parts, fmt.Sprintf("%s=%d", costFields[i], *p))
 		}
 	}
 	if rate := c.poolHitRate(); rate >= 0 {
@@ -194,23 +177,38 @@ func (m *CostMeter) Diff(prev CostStats) CostStats {
 	return cur
 }
 
-// AddCostToRegistry folds one served round's cost profile into reg, once
-// per field: into the process-wide "cost.<field>" counter and, when
-// backend names the executing backend as a lowercase metric-name
-// component ("paillier_he", "ss_gc", "clear"), into its
-// "cost.<backend>.<field>" counter, which also keeps its last minute so
-// per-backend op rates read live at /debug/live.
-func AddCostToRegistry(reg *Registry, backend string, st CostStats) {
+// AddCostToRegistry returns the fold of one served round's cost profile
+// into reg, once per field: into the process-wide "cost.<field>" counter
+// and, when backend names the executing backend as a lowercase metric-name
+// component ("paillier_he", "ss_gc", "clear"), into its live
+// "cost.<backend>.<field>" counter. Resolve the fold once and call it per
+// round: it looks each counter up at its field's first non-zero count and
+// holds it, so it allocates nothing after that. It is safe for concurrent
+// use; with a nil reg it folds nothing.
+func AddCostToRegistry(reg *Registry, backend string) func(CostStats) {
 	if reg == nil {
-		return
+		return func(CostStats) {}
 	}
-	for i, p := range st.Fields() {
-		if *p == 0 {
-			continue
-		}
-		reg.Counter("cost." + costFields[i].Name).Add(*p)
-		if backend != "" {
-			reg.LiveCounter("cost." + backend + "." + costFields[i].Name).Add(*p)
+	var total, per [len(costFields)]atomic.Pointer[Counter]
+	return func(st CostStats) {
+		for i, p := range st.Fields() {
+			if *p == 0 {
+				continue
+			}
+			c := total[i].Load()
+			if c == nil {
+				c = reg.Counter("cost." + costFields[i])
+				total[i].Store(c)
+			}
+			c.Add(*p)
+			if backend == "" {
+				continue
+			}
+			if c = per[i].Load(); c == nil {
+				c = reg.LiveCounter("cost." + backend + "." + costFields[i])
+				per[i].Store(c)
+			}
+			c.Add(*p)
 		}
 	}
 }

@@ -67,13 +67,13 @@ func TestCostFieldsCoverStruct(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, f := range costFields {
-		if f.Name != strings.ToLower(f.Name) {
-			t.Errorf("cost field name %q is not lowercase", f.Name)
+		if f != strings.ToLower(f) {
+			t.Errorf("cost field name %q is not lowercase", f)
 		}
-		if seen[f.Name] {
-			t.Errorf("cost field %q listed twice", f.Name)
+		if seen[f] {
+			t.Errorf("cost field %q listed twice", f)
 		}
-		seen[f.Name] = true
+		seen[f] = true
 	}
 	for i, f := range costFields {
 		// Set field i through the table's order, read it back by name.
@@ -85,8 +85,8 @@ func TestCostFieldsCoverStruct(t *testing.T) {
 			if tag == "" || tag == "-" {
 				t.Errorf("CostStats.%s has no json tag", typ.Field(j).Name)
 			}
-			if got := v.Field(j).Uint(); (got == 41) != (tag == f.Name) {
-				t.Errorf("costFields[%d] %q addresses CostStats.%s (json %q)", i, f.Name, typ.Field(j).Name, tag)
+			if got := v.Field(j).Uint(); (got == 41) != (tag == f) {
+				t.Errorf("costFields[%d] %q addresses CostStats.%s (json %q)", i, f, typ.Field(j).Name, tag)
 			}
 		}
 	}
@@ -106,19 +106,23 @@ func TestCostStatsJSONFieldNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range costFields {
-		if decoded[f.Name] != 1 {
-			t.Errorf("JSON output missing cost field %q: %s", f.Name, raw)
+		if decoded[f] != 1 {
+			t.Errorf("JSON output missing cost field %q: %s", f, raw)
 		}
 	}
 }
 
-// TestAddCostToRegistry: one fold writes each field once into the
-// process-wide counter and once into the backend's, and only the
-// backend's keeps a live view.
+// TestAddCostToRegistry: a fold writes each field once into the
+// process-wide counter and once into the backend's, the handles it holds
+// after its first call keep adding to the registry's counters, and only
+// the backend's counters keep a window.
 func TestAddCostToRegistry(t *testing.T) {
 	reg := NewRegistry("costtest")
-	AddCostToRegistry(reg, "ss_gc", CostStats{ModExps: 9, PoolHits: 3, CipherBytesIn: 77})
-	AddCostToRegistry(reg, "", CostStats{ModExps: 1})
+	reg.KeepWindows()
+	fold := AddCostToRegistry(reg, "ss_gc")
+	fold(CostStats{ModExps: 4, PoolHits: 3, CipherBytesIn: 77})
+	fold(CostStats{ModExps: 5})
+	AddCostToRegistry(reg, "")(CostStats{ModExps: 1})
 	snap := reg.Snapshot()
 	for name, want := range map[string]uint64{
 		"cost.modexps": 10, "cost.pool_hits": 3, "cost.cipher_bytes_in": 77,
@@ -135,7 +139,7 @@ func TestAddCostToRegistry(t *testing.T) {
 	if live["cost.ss_gc.modexps"].Count != 9 || len(live) != 3 {
 		t.Errorf("live views %+v, want the three ss_gc counters", live)
 	}
-	AddCostToRegistry(nil, "clear", CostStats{ModExps: 1}) // must not panic
+	AddCostToRegistry(nil, "clear")(CostStats{ModExps: 1}) // must not panic
 
 	// Every field reaches the snapshot under its costFields name.
 	var all CostStats
@@ -143,11 +147,11 @@ func TestAddCostToRegistry(t *testing.T) {
 		*p = uint64(i + 1)
 	}
 	reg = NewRegistry("allfields")
-	AddCostToRegistry(reg, "", all)
+	AddCostToRegistry(reg, "")(all)
 	snap = reg.Snapshot()
 	for i, f := range costFields {
-		if got := snap.Counters["cost."+f.Name]; got != uint64(i+1) {
-			t.Errorf("cost.%s = %d, want %d", f.Name, got, i+1)
+		if got := snap.Counters["cost."+f]; got != uint64(i+1) {
+			t.Errorf("cost.%s = %d, want %d", f, got, i+1)
 		}
 	}
 }

@@ -35,9 +35,9 @@ var defaultBounds = func() []int64 {
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent use.
 // Observations are clamped at zero; Observe is a handful of atomic
-// operations and never allocates. One registered with a live view
-// (Registry.LiveHistogram, NewLiveHistogram) also keeps its trailing
-// window, fed by the same Observe.
+// operations and never allocates. One with a window (NewLiveHistogram,
+// or Registry.LiveHistogram on a registry that keeps windows) also keeps
+// its trailing window, fed by the same Observe.
 type Histogram struct {
 	buckets []atomic.Uint64 // per defaultBounds; the last is the overflow
 	count   atomic.Uint64
@@ -57,10 +57,13 @@ func newHistogram() *Histogram {
 }
 
 // NewLiveHistogram is newHistogram with a trailing window of width×slots
-// — the shedder's latency window, whose geometry is its own.
-func NewLiveHistogram(width time.Duration, slots int) *Histogram {
+// on the clock now — the shedder's latency window, whose geometry and
+// clock are its own.
+func NewLiveHistogram(width time.Duration, slots int, now func() time.Time) *Histogram {
 	h := newHistogram()
-	h.live.Store(newRing(width, slots, true))
+	w := newRing(width, slots, true)
+	w.now = now
+	h.live.Store(w)
 	return h
 }
 
@@ -144,17 +147,6 @@ func (h *Histogram) Live() WindowSnapshot {
 		return WindowSnapshot{}
 	}
 	return h.live.Load().snapshot()
-}
-
-// SetClock replaces the trailing window's time source — a test hook so
-// window expiry is exercised without sleeping. Not for production use.
-func (h *Histogram) SetClock(now func() time.Time) {
-	if h == nil {
-		return
-	}
-	if w := h.live.Load(); w != nil {
-		w.now = now
-	}
 }
 
 // quantiles estimates p50/p95/p99 from per-bucket counts over

@@ -47,11 +47,15 @@ func oneOrAll[T any](snaps []T) any {
 }
 
 // handler serves the registries' totals as JSON at /metrics, their
-// live views at /debug/live, and mounts /healthz, /readyz, the optional
+// windows at /debug/live, and mounts /healthz, /readyz, the optional
 // /debug/traces and /debug/slo, and the standard pprof handlers under
 // /debug/pprof/, so a running ppserver can be inspected with curl and
-// `go tool pprof`.
+// `go tool pprof`. It switches the registries' windows on: /debug/live
+// reads them.
 func handler(opts HTTPOptions, regs ...*Registry) http.Handler {
+	for _, r := range regs {
+		r.KeepWindows()
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		snaps := make([]Snapshot, len(regs))
@@ -141,13 +145,15 @@ func parseTraceQuery(req *http.Request) (TraceQuery, error) {
 
 // Serve starts the exposition endpoint on addr (":0" picks a free port)
 // and returns the bound address plus a shutdown function. The server
-// runs until shutdown is called.
+// runs until shutdown is called. The registries keep windows from the
+// call on, before the endpoint listens.
 func Serve(addr string, opts HTTPOptions, regs ...*Registry) (string, func(context.Context) error, error) {
+	h := handler(opts, regs...)
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: handler(opts, regs...)}
+	srv := &http.Server{Handler: h}
 	go srv.Serve(l)
 	return l.Addr().String(), srv.Shutdown, nil
 }

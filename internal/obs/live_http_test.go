@@ -12,11 +12,11 @@ import (
 
 // TestHandlerLiveEndpoints drives /debug/live, /debug/slo, and
 // /debug/traces through the HTTP mux, including query-parameter
-// validation.
+// validation. The live metrics are declared before the mux is built and
+// written after it: building the mux switches the windows on.
 func TestHandlerLiveEndpoints(t *testing.T) {
 	reg := NewRegistry("srv")
-	reg.LiveCounter("serve.requests.ok").Add(3)
-	reg.LiveHistogram("serve.latency").Observe(4 * time.Millisecond)
+	ok, lat := reg.LiveCounter("serve.requests.ok"), reg.LiveHistogram("serve.latency")
 
 	slo, err := NewSLOEngine(SLOConfig{Specs: []SLOSpec{{Name: "avail", Objective: 0.999}}})
 	if err != nil {
@@ -34,6 +34,8 @@ func TestHandlerLiveEndpoints(t *testing.T) {
 
 	srv := httptest.NewServer(handler(HTTPOptions{Traces: traces, SLO: slo}, reg))
 	defer srv.Close()
+	ok.Add(3)
+	lat.Observe(4 * time.Millisecond)
 	get := func(path string) (int, []byte) {
 		t.Helper()
 		resp, err := srv.Client().Get(srv.URL + path)

@@ -8,9 +8,9 @@ import (
 
 // Counter is a monotonically increasing atomic counter. Like the logger
 // and the span store, a nil metric is a no-op and a nil Registry hands out
-// nil metrics, so unobserved paths need no guards. One registered with a
-// live view (Registry.LiveCounter) also keeps its last minute, fed by the
-// same Add.
+// nil metrics, so unobserved paths need no guards. One registered live
+// (Registry.LiveCounter) on a registry something reads live also keeps its
+// last minute, fed by the same Add.
 type Counter struct {
 	v    atomic.Uint64
 	live atomic.Pointer[ring]
@@ -36,15 +36,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Live returns the count over the trailing minute; zero for a counter
-// without a live view.
-func (c *Counter) Live() WindowSnapshot {
-	if c == nil {
-		return WindowSnapshot{}
-	}
-	return c.live.Load().snapshot()
 }
 
 // Gauge is an atomic instantaneous value (queue depth, active sessions).
@@ -77,6 +68,9 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
+	// declared holds the window slot of every metric declared live (true
+	// for a histogram's) until KeepWindows, which sets it nil.
+	declared map[*atomic.Pointer[ring]]bool
 }
 
 // NewRegistry creates an empty registry with the given name (shown in
@@ -88,6 +82,7 @@ func NewRegistry(name string) *Registry {
 		gauges:     map[string]*Gauge{},
 		gaugeFuncs: map[string]func() int64{},
 		hists:      map[string]*Histogram{},
+		declared:   map[*atomic.Pointer[ring]]bool{},
 	}
 }
 
@@ -117,14 +112,44 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // LiveCounter returns the named counter — the same object Counter returns
-// — with its trailing-minute view switched on: from now on it also counts
-// into one-second slots, served at /debug/live.
+// — declared live: once the registry keeps windows (KeepWindows) it also
+// counts into one-second slots over the trailing minute, served at
+// /debug/live.
 func (r *Registry) LiveCounter(name string) *Counter {
 	c := r.Counter(name)
-	if c != nil && c.live.Load() == nil {
-		c.live.CompareAndSwap(nil, newRing(liveSlot, liveSlots, false))
+	if c != nil {
+		r.declare(&c.live, false)
 	}
 	return c
+}
+
+// declare marks a live metric's window slot: it gets its ring now if the
+// registry keeps windows, else when KeepWindows is called.
+func (r *Registry) declare(w *atomic.Pointer[ring], hist bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.declared != nil {
+		r.declared[w] = hist
+	} else if w.Load() == nil {
+		w.Store(newRing(liveSlot, liveSlots, hist))
+	}
+}
+
+// KeepWindows switches the registry's windows on: every metric declared
+// live, before this call or after it, keeps its trailing minute from now
+// on. Until then a registry holds no window. A reader calls it before it
+// reads: the /debug/live handler that Serve mounts, an in-process reader
+// of LiveSnapshot.
+func (r *Registry) KeepWindows() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for w, hist := range r.declared {
+		w.Store(newRing(liveSlot, liveSlots, hist))
+	}
+	r.declared = nil
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -157,11 +182,11 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // LiveHistogram returns the named histogram — the same object Histogram
-// returns — with its trailing-minute view switched on.
+// returns — declared live, as LiveCounter declares a counter.
 func (r *Registry) LiveHistogram(name string) *Histogram {
 	h := r.Histogram(name)
-	if h != nil && h.live.Load() == nil {
-		h.live.CompareAndSwap(nil, newRing(liveSlot, liveSlots, true))
+	if h != nil {
+		r.declare(&h.live, true)
 	}
 	return h
 }
@@ -204,8 +229,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // LiveSnapshot is the /debug/live payload: the trailing-window view of
-// every metric that keeps one, so pollers (ppbench top) get current rates
-// without the cumulative bulk.
+// every metric that keeps one (none before KeepWindows), so pollers
+// (ppbench top) get current rates without the cumulative bulk.
 type LiveSnapshot struct {
 	Name       string                    `json:"name"`
 	TakenAt    time.Time                 `json:"taken_at"`

@@ -10,10 +10,10 @@ import (
 // fixed-duration time slots, each stamped with the epoch it currently
 // covers. A write lands in the slot covering the present instant with a
 // couple of atomic operations; a reader sums the slots overlapping the
-// trailing window. A Counter or Histogram that needs a "right now" view
-// carries one (Registry.LiveCounter / LiveHistogram: the last minute in
-// one-second slots), and so do the SLO engine's good/bad counts and the
-// shedder's latency window, each with a geometry of its own.
+// trailing window. A Counter or Histogram declared live carries one on a
+// registry that something reads live (Registry.KeepWindows: the last
+// minute in one-second slots), and so do the SLO engine's good/bad counts
+// and the shedder's latency window, each with a geometry of its own.
 //
 // Consistency matches the cumulative metrics: writers never block
 // readers; a read concurrent with writers may lag a few in-flight
@@ -123,8 +123,8 @@ type WindowSnapshot struct {
 	P99  time.Duration `json:"p99_ns,omitempty"`
 }
 
-// snapshot summarizes the full span; a nil ring (a metric without a live
-// view) reads as zero.
+// snapshot summarizes the full span; a nil ring (a metric without a
+// window) reads as zero.
 func (r *ring) snapshot() WindowSnapshot {
 	if r == nil {
 		return WindowSnapshot{}

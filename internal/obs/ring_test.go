@@ -65,9 +65,8 @@ func TestWindowedCounterRotationReuse(t *testing.T) {
 // the in-window observations and expires with the clock, while its total
 // keeps everything.
 func TestWindowedHistogramQuantiles(t *testing.T) {
-	h := NewLiveHistogram(time.Second, 10)
 	now, clock := fixedClock()
-	h.SetClock(clock)
+	h := NewLiveHistogram(time.Second, 10, clock)
 
 	for i := 0; i < 95; i++ {
 		h.Observe(time.Millisecond)
@@ -105,24 +104,37 @@ func TestWindowedHistogramQuantiles(t *testing.T) {
 // live geometry's full minute.
 func TestWindowedEmpty(t *testing.T) {
 	reg := NewRegistry("empty")
-	for _, s := range []WindowSnapshot{reg.LiveCounter("c").Live(), reg.LiveHistogram("h").Live()} {
+	reg.KeepWindows()
+	reg.LiveCounter("c")
+	reg.LiveHistogram("h")
+	live := reg.LiveSnapshot()
+	for _, s := range []WindowSnapshot{live.Counters["c"], live.Histograms["h"]} {
 		if s != (WindowSnapshot{Window: liveSlot * liveSlots}) {
 			t.Errorf("empty live view %+v", s)
 		}
 	}
 	// A metric without a live view reads as zero, window included.
-	if s := reg.Counter("plain").Live(); s != (WindowSnapshot{}) {
-		t.Errorf("counter without a live view %+v", s)
+	if s := reg.Histogram("plain").Live(); s != (WindowSnapshot{}) {
+		t.Errorf("histogram without a live view %+v", s)
 	}
 }
 
-// TestWindowedConcurrent hammers writers and readers together; run
-// under -race this is the lock-free hot path's correctness check.
+// TestWindowedConcurrent hammers writers, a shared cost fold and readers
+// together while the registry's windows are switched on and a metric is
+// declared live; run under -race this is the lock-free hot path's
+// correctness check.
 func TestWindowedConcurrent(t *testing.T) {
 	reg := NewRegistry("race")
 	c := reg.LiveCounter("c")
-	h := NewLiveHistogram(time.Millisecond, 8)
+	h := NewLiveHistogram(time.Millisecond, 8, time.Now)
+	fold := AddCostToRegistry(reg, "ss_gc")
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		reg.KeepWindows()
+		reg.LiveHistogram("late").Observe(time.Microsecond)
+	}()
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -135,6 +147,7 @@ func TestWindowedConcurrent(t *testing.T) {
 				default:
 					c.Inc()
 					h.Observe(time.Microsecond)
+					fold(CostStats{ModExps: 1})
 				}
 			}
 		}()
@@ -148,7 +161,6 @@ func TestWindowedConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					c.Live()
 					h.Live()
 					reg.LiveSnapshot()
 				}
@@ -162,7 +174,9 @@ func TestWindowedConcurrent(t *testing.T) {
 
 // TestRegistryLiveViews: a live metric is the same object as its
 // cumulative namesake — one write feeds the total (/metrics) and the
-// window (/debug/live) — and only metrics registered live have a window.
+// window (/debug/live). Until KeepWindows nothing has a window; after it,
+// every metric declared live, before or after the call, has one, and a
+// metric never declared live still has none.
 func TestRegistryLiveViews(t *testing.T) {
 	reg := NewRegistry("live")
 	if reg.LiveCounter("a") != reg.Counter("a") || reg.LiveCounter("a") != reg.LiveCounter("a") {
@@ -171,18 +185,25 @@ func TestRegistryLiveViews(t *testing.T) {
 	if reg.LiveHistogram("b") != reg.Histogram("b") {
 		t.Error("LiveHistogram is not the histogram of that name")
 	}
-	reg.Counter("a").Add(4)
+	reg.Counter("a").Inc()
+	reg.Histogram("b").Observe(time.Millisecond)
+	if s := reg.LiveSnapshot(); len(s.Counters)+len(s.Histograms) != 0 || reg.Counter("a").live.Load() != nil {
+		t.Errorf("a registry nobody reads live keeps windows: %+v", s)
+	}
+	reg.KeepWindows()
+	reg.Counter("a").Add(3)
 	reg.Histogram("b").Observe(2 * time.Millisecond)
+	reg.LiveCounter("late").Inc()
 	reg.Counter("cumulative-only").Inc()
 	snap := reg.Snapshot()
-	if snap.Counters["a"] != 4 || snap.Histograms["b"].Count != 1 {
+	if snap.Counters["a"] != 4 || snap.Histograms["b"].Count != 2 {
 		t.Errorf("totals %+v", snap)
 	}
 	live := reg.LiveSnapshot()
-	if live.Name != "live" || live.Counters["a"].Count != 4 || live.Histograms["b"].Count != 1 {
-		t.Errorf("live snapshot %+v", live)
+	if live.Name != "live" || live.Counters["a"].Count != 3 || live.Histograms["b"].Count != 1 || live.Counters["late"].Count != 1 {
+		t.Errorf("live snapshot %+v, want a 3, b 1, late 1", live)
 	}
-	if _, ok := live.Counters["cumulative-only"]; ok || len(live.Counters) != 1 {
+	if _, ok := live.Counters["cumulative-only"]; ok || len(live.Counters) != 2 {
 		t.Errorf("a counter never registered live has a window: %+v", live.Counters)
 	}
 }

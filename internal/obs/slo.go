@@ -162,14 +162,6 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 	return e, nil
 }
 
-// SetClock replaces the engine's time source — a test hook. Not for
-// production use.
-func (e *SLOEngine) SetClock(now func() time.Time) {
-	for _, st := range e.states {
-		st.good.now, st.bad.now = now, now
-	}
-}
-
 // Observe classifies one finished request: its latency and whether it
 // failed outright (error, shed, deadline expired). Failed requests are
 // bad under every objective; slow-but-successful requests are bad under

@@ -41,7 +41,7 @@ func TestSLOBurnMath(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Unix(1_700_000_000, 0)
-	e.SetClock(func() time.Time { return now })
+	setSLOClock(e, func() time.Time { return now })
 	for i := 0; i < 90; i++ {
 		e.Observe(time.Millisecond, false)
 	}
@@ -77,7 +77,7 @@ func TestSLOLatencyObjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Unix(1_700_000_000, 0)
-	e.SetClock(func() time.Time { return now })
+	setSLOClock(e, func() time.Time { return now })
 	e.Observe(500*time.Millisecond, false) // slow success
 	e.Observe(time.Millisecond, false)     // fast success
 	statuses := e.Evaluate()
@@ -106,7 +106,7 @@ func TestSLOFastAlertLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Unix(1_700_000_000, 0)
-	e.SetClock(func() time.Time { return now })
+	setSLOClock(e, func() time.Time { return now })
 
 	for i := 0; i < 10; i++ {
 		e.Observe(time.Millisecond, false)
@@ -154,5 +154,13 @@ func TestSLOEngineNilAndErrors(t *testing.T) {
 		{Name: "x", Objective: 0.9}, {Name: "x", Objective: 0.99},
 	}}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate spec: %v", err)
+	}
+}
+
+// setSLOClock replaces the engine's time source, so window expiry is
+// exercised without sleeping.
+func setSLOClock(e *SLOEngine, now func() time.Time) {
+	for _, st := range e.states {
+		st.good.now, st.bad.now = now, now
 	}
 }

@@ -35,9 +35,10 @@ import (
 type Gate struct {
 	maxInFlight int64
 	target      time.Duration
+	now         func() time.Time // the clock of both windows
 
 	inflight atomic.Int64
-	win      *obs.Histogram
+	win      *obs.Histogram // the latency window, built only for the latency check
 
 	rejectedTotal    *obs.Counter
 	rejectedInflight *obs.Counter
@@ -50,7 +51,6 @@ type Gate struct {
 	// left the window. Empty when the rate check is off.
 	starts []time.Time
 	next   int
-	now    func() time.Time
 }
 
 // GateConfig parameterizes a Gate. Zero values disable the corresponding
@@ -93,13 +93,15 @@ func NewGate(cfg GateConfig) (*Gate, error) {
 	g := &Gate{
 		maxInFlight:      cfg.MaxInFlight,
 		target:           cfg.LatencyTarget,
-		win:              obs.NewLiveHistogram(shedWindow/shedBuckets, shedBuckets),
 		rejectedTotal:    reg.Counter("shed.rejected.total"),
 		rejectedInflight: reg.Counter("shed.rejected.inflight"),
 		rejectedLatency:  reg.Counter("shed.rejected.latency"),
 		rateWindow:       cfg.RateWindow,
 		starts:           make([]time.Time, max(cfg.RateLimit, 0)),
 		now:              time.Now,
+	}
+	if g.target > 0 {
+		g.win = obs.NewLiveHistogram(shedWindow/shedBuckets, shedBuckets, func() time.Time { return g.now() })
 	}
 	reg.GaugeFunc("shed.inflight", g.inflight.Load)
 	return g, nil

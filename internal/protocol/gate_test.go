@@ -12,12 +12,16 @@ import (
 )
 
 // TestGateInFlightBound: the hard in-flight bound rejects the N+1st
-// admission with a typed retryable error and recovers on release.
+// admission with a typed retryable error and recovers on release. With
+// the latency check off, the gate builds no latency window.
 func TestGateInFlightBound(t *testing.T) {
 	reg := obs.NewRegistry("gate")
 	g, err := NewGate(GateConfig{MaxInFlight: 2, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g.win != nil {
+		t.Error("a gate without a latency target built a latency window")
 	}
 	if err := g.admit(); err != nil {
 		t.Fatal(err)
@@ -60,7 +64,7 @@ func TestGateLatencyTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Unix(1_700_000_000, 0)
-	g.win.SetClock(func() time.Time { return now })
+	g.now = func() time.Time { return now }
 	for i := 0; i < 64; i++ {
 		g.observe(100 * time.Millisecond)
 	}

@@ -187,6 +187,7 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry(tc.name)
+			reg.KeepWindows() // the live assertions below read the windows
 			slo, err := obs.NewSLOEngine(obs.SLOConfig{Specs: []obs.SLOSpec{{Name: "avail", Objective: 0.99}}})
 			if err != nil {
 				t.Fatal(err)
@@ -210,14 +211,14 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 			if err := <-serveErr; err != nil {
 				t.Fatalf("server: %v", err)
 			}
-			snap := reg.Snapshot()
+			snap, live := reg.Snapshot(), reg.LiveSnapshot()
 			for name, want := range map[string]uint64{
 				"serve.requests.ok": tc.ok, "serve.requests.err": tc.err, "serve.requests.shed": tc.shed,
 			} {
 				if got := snap.Counters[name]; got != want {
 					t.Errorf("%s = %d, want %d", name, got, want)
 				}
-				if got := reg.Counter(name).Live().Count; got != want {
+				if got := live.Counters[name].Count; got != want {
 					t.Errorf("live %s = %d, want %d", name, got, want)
 				}
 			}

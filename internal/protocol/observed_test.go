@@ -80,3 +80,42 @@ func TestServeSessionObservedMetrics(t *testing.T) {
 		t.Errorf("wire frame counters not recorded: %v", s.Counters)
 	}
 }
+
+// TestRoundFoldAllocatesNothing: with a registry attached and its windows
+// on, one served round's telemetry fold — its three histograms, its cost
+// profile under the round's backend, rounds.served — goes through the
+// handles the session resolved at its start and allocates nothing once
+// each cost counter has been looked up by the round that first counted it.
+func TestRoundFoldAllocatesNothing(t *testing.T) {
+	reg := obs.NewRegistry("fold")
+	reg.KeepWindows()
+	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Registry: reg})
+	timing := LinearTiming{Kernel: 2 * time.Millisecond, Permute: time.Millisecond}
+	cost := obs.CostStats{ModExps: 3, MulMods: 40, PoolHits: 2, CipherBytesIn: 512, CipherBytesOut: 256}
+	fold := func() {
+		s.fold(0, 4*time.Millisecond, timing, cost)
+		s.m.served.Inc()
+	}
+	fold()
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, fold); allocs != 0 {
+		t.Errorf("one round's telemetry fold allocates %v times, want 0", allocs)
+	}
+	// The first call, AllocsPerRun's warm-up call and its runs.
+	const n = runs + 2
+	snap := reg.Snapshot()
+	backend := s.mp.RoundBackend(0).MetricName()
+	if got := snap.Counters["cost."+backend+".mulmods"]; got != n*40 {
+		t.Errorf("cost.%s.mulmods = %d, want %d", backend, got, n*40)
+	}
+	if got := snap.Histograms["round.kernel"].Count; got != n {
+		t.Errorf("round.kernel count %d, want %d", got, n)
+	}
+	if got := reg.LiveSnapshot().Counters["cost."+backend+".modexps"].Count; got != n*3 {
+		t.Errorf("cost.%s.modexps window %d, want %d", backend, got, n*3)
+	}
+	edge.CloseSend()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+}

@@ -168,9 +168,22 @@ type session struct {
 	// plan is the backend assignment as strings, carried on every record
 	// so a retained request shows which backend mix produced it.
 	plan []string
+	m    sessionMetrics
 
 	mu    sync.Mutex
 	table table
+}
+
+// sessionMetrics are the session's metric handles, resolved once at its
+// start (openSession), so a request or a round looks no name up.
+type sessionMetrics struct {
+	ok, err, shed           *obs.Counter   // serve.requests.<outcome>, live
+	latency                 *obs.Histogram // serve.latency, live
+	active                  *obs.Gauge     // requests.active
+	served, errors          *obs.Counter   // rounds.{served,errors}
+	linear, kernel, permute *obs.Histogram // round.{linear,kernel,permute}
+	// cost folds a round's cost profile under the round's backend.
+	cost []func(obs.CostStats)
 }
 
 // ServeSession runs one multiplexed model-provider session on mp: round
@@ -361,7 +374,7 @@ func (s *session) arrive(now time.Time, id uint64, frame *roundFrame) step {
 	}
 	refused := s.cfg.Gate.admit()
 	if refused == nil {
-		s.reg.Gauge("requests.active").Add(1)
+		s.m.active.Add(1)
 	}
 	return s.step(func(t *table) step { return t.admit(now, id, frame, refused) })
 }
@@ -439,13 +452,23 @@ func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, pr
 	s := &session{
 		ctx: ctx, cfg: cfg, out: out, reg: reg, mp: mp, blind: blind, plan: mp.labels(),
 		table: newTable(mp.Stages(), cfg.IdleTTL),
+		m: sessionMetrics{
+			ok:      reg.LiveCounter("serve.requests.ok"),
+			err:     reg.LiveCounter("serve.requests.err"),
+			shed:    reg.LiveCounter("serve.requests.shed"),
+			latency: reg.LiveHistogram("serve.latency"),
+			active:  reg.Gauge("requests.active"),
+			served:  reg.Counter("rounds.served"),
+			errors:  reg.Counter("rounds.errors"),
+			linear:  reg.Histogram("round.linear"),
+			kernel:  reg.Histogram("round.kernel"),
+			permute: reg.Histogram("round.permute"),
+			cost:    make([]func(obs.CostStats), mp.Stages()),
+		},
 	}
-	// Every outcome's counter and the latency exist, with their live
-	// windows, from the session's start.
-	for _, o := range []string{"ok", "err", "shed"} {
-		reg.LiveCounter("serve.requests." + o)
+	for r := range s.m.cost {
+		s.m.cost[r] = obs.AddCostToRegistry(reg, mp.RoundBackend(r).MetricName())
 	}
-	reg.LiveHistogram("serve.latency")
 	return s, nil
 }
 
@@ -507,16 +530,17 @@ func (s *session) janitor(ctx context.Context) {
 // state. The session calls it once for every request the table lets go
 // of, outside the session lock.
 func (s *session) end(req *request) {
-	latency, err, o := time.Since(req.started), req.cause, "ok"
+	latency, err := time.Since(req.started), req.cause
+	o, outcome := "ok", s.m.ok
 	switch {
 	case errors.Is(err, ErrShed), errors.Is(err, ErrThrottled):
-		o = "shed"
+		o, outcome = "shed", s.m.shed
 	case err != nil:
-		o = "err"
+		o, outcome = "err", s.m.err
 	}
-	s.reg.Counter("serve.requests." + o).Inc()
+	outcome.Inc()
 	if o == "ok" {
-		s.reg.Histogram("serve.latency").Observe(latency)
+		s.m.latency.Observe(latency)
 		s.cfg.Gate.observe(latency)
 	}
 	s.cfg.SLO.Observe(latency, err != nil)
@@ -537,7 +561,7 @@ func (s *session) end(req *request) {
 	}
 	if o != "shed" {
 		s.cfg.Gate.release()
-		s.reg.Gauge("requests.active").Add(-1)
+		s.m.active.Add(-1)
 	}
 	s.mp.Forget(req.id)
 }
@@ -556,7 +580,7 @@ var quiet = obs.NewLogger(io.Discard, math.MaxInt)
 
 // reject counts and logs a round frame the session answers with cause.
 func (s *session) reject(seq uint64, frame *roundFrame, cause error) {
-	s.reg.Counter("rounds.errors").Inc()
+	s.m.errors.Inc()
 	s.logFor(frame.Trace).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
 }
 
@@ -587,7 +611,7 @@ func (s *session) handle(_ context.Context, msg *stream.Message) (reply *stream.
 			s.reject(id, frame, err)
 			return
 		}
-		s.reg.Counter("rounds.served").Inc()
+		s.m.served.Inc()
 	}()
 	if out, err = s.round(id, frame, start, start.Sub(msg.Enqueued)); err != nil {
 		return nil, err
@@ -620,10 +644,12 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 		result, timing, err = s.mp.ProcessLinearMetered(frame.Round, env, &meter)
 	})
 	elapsed := time.Since(start)
-	s.reg.Histogram("round.linear").Observe(elapsed)
-	s.reg.Histogram("round.kernel").Observe(timing.Kernel)
-	s.reg.Histogram("round.permute").Observe(timing.Permute)
+	var wireEnv *WireEnvelope
+	if err == nil {
+		wireEnv, err = ToWire(result)
+	}
 	if err != nil {
+		s.fold(frame.Round, elapsed, timing, obs.CostStats{})
 		return nil, err
 	}
 	if s.cfg.SlowRound > 0 && elapsed >= s.cfg.SlowRound {
@@ -631,10 +657,6 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 		s.logFor(traceID).Warn("slow linear round", "slow", true, "latency_ms", ms(elapsed),
 			"req", id, "round", frame.Round,
 			"kernel_ms", ms(timing.Kernel), "permute_ms", ms(timing.Permute), "pack_ms", ms(timing.Pack))
-	}
-	wireEnv, err := ToWire(result)
-	if err != nil {
-		return nil, err
 	}
 	// This round's cost profile: the metered crypto ops plus the
 	// activation traffic both ways. It rides on the kernel segment (the
@@ -645,7 +667,7 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 	cost := meter.Snapshot()
 	cost.CipherBytesIn = frame.Env.CipherBytes()
 	cost.CipherBytesOut = wireEnv.CipherBytes()
-	obs.AddCostToRegistry(s.reg, kind.MetricName(), cost)
+	s.fold(frame.Round, elapsed, timing, cost)
 	// The round's spans go into the request's record, through the table,
 	// and back to the client with the reply, for its trace tree. The kernel
 	// span carries the backend that executed it, so the tree shows the
@@ -657,4 +679,14 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 		{Party: "server", Name: "pack", Round: frame.Round, Dur: timing.Pack},
 	}
 	return &roundFrame{Round: frame.Round, Env: wireEnv, Trace: frame.Trace, Spans: spans}, nil
+}
+
+// fold publishes one linear round's telemetry through the session's
+// handles: its server time, kernel and permute time, and its cost profile
+// (zero for a failed round) under the round's backend.
+func (s *session) fold(round int, elapsed time.Duration, timing LinearTiming, cost obs.CostStats) {
+	s.m.linear.Observe(elapsed)
+	s.m.kernel.Observe(timing.Kernel)
+	s.m.permute.Observe(timing.Permute)
+	s.m.cost[round](cost)
 }

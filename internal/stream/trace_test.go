@@ -15,6 +15,7 @@ import (
 // one with its live view.
 func TestPipelineSnapshotAndInstrument(t *testing.T) {
 	reg := obs.NewRegistry("stages")
+	reg.KeepWindows()
 	a, b := addStage("a", 1), addStage("b", 1)
 	a.Wait, a.Busy = reg.Histogram("a.wait"), reg.LiveHistogram("a.busy")
 	b.Wait, b.Busy = reg.Histogram("b.wait"), reg.LiveHistogram("b.busy")
