@@ -17,8 +17,11 @@
 //     expose the input.
 //
 // All three backends execute the SAME quantized integer arithmetic
-// (internal/qnn), so their reconstructed outputs are bit-identical —
-// the differential tests pin that property.
+// (internal/qnn): paillier-he and ss-gc evaluate each op's kernel rows
+// (qnn.Op.KernelRows), clear its ApplyPlain reference. Their
+// reconstructed outputs are bit-identical — the differential tests pin
+// that property — as long as ss-gc's ring holds the round's values, which
+// PlanFor and ValidateAssignment see to.
 package backend
 
 import (
@@ -163,12 +166,15 @@ func (p *Payload) Reshape(shape tensor.Shape) (*Payload, error) {
 }
 
 // Stage describes one linear round's work for a backend: its op
-// sequence, shapes, and the thread count the allocation plan chose, over
-// which paillier-he splits each op's outputs (qnn.ApplyStage).
+// sequence, shapes, its non-zero weight multiplications (qnn.MulCount,
+// counted once when the stage is built) and the thread count the
+// allocation plan chose, over which paillier-he splits each op's outputs
+// (qnn.ApplyStage).
 type Stage struct {
 	Ops      []qnn.Op
 	InShape  tensor.Shape
 	OutShape tensor.Shape
+	Muls     uint64
 	Threads  int
 }
 
@@ -177,7 +183,7 @@ type Stage struct {
 // through ev, which meters its own crypto ops; ss-gc draws a fresh
 // Beaver-triple dealer from crypto/rand per call, so concurrent rounds
 // never share dealer state; the ss-gc and clear op counts go to m (nil
-// skips them).
+// skips them), clear's as the stage's Muls.
 func Execute(ev *paillier.Evaluator, m *obs.CostMeter, st *Stage, in *Payload) (*Payload, error) {
 	if _, err := in.Shape(); err != nil {
 		return nil, err
@@ -200,15 +206,7 @@ func Execute(ev *paillier.Evaluator, m *obs.CostMeter, st *Stage, in *Payload) (
 		m.Add(dealer.Stats)
 	case Clear:
 		out.Plain, out.Exp, err = qnn.ApplyStagePlain(st.Ops, in.Plain, in.Exp)
-		var muls uint64
-		shape := in.Plain.Shape()
-		for _, op := range st.Ops {
-			muls += uint64(qnn.MulCount(op, shape))
-			if s, err := op.OutShape(shape); err == nil {
-				shape = s
-			}
-		}
-		m.Add(obs.CostStats{PlainOps: muls})
+		m.Add(obs.CostStats{PlainOps: st.Muls})
 	}
 	if err != nil {
 		return nil, err

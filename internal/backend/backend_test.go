@@ -43,7 +43,11 @@ func buildStage(t *testing.T, rng *mrand.Rand, in, out int, F int64) *Stage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Stage{Ops: []qnn.Op{op}, InShape: tensor.Shape{in}, OutShape: tensor.Shape{out}, Threads: 1}
+	st := &Stage{Ops: []qnn.Op{op}, InShape: tensor.Shape{in}, OutShape: tensor.Shape{out}, Threads: 1}
+	if st.Muls, err = qnn.MulCount(st.Ops, st.InShape); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func bigInput(rng *mrand.Rand, F int64, n int) *tensor.Tensor[*big.Int] {
@@ -69,8 +73,8 @@ func TestBackendsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meter.Snapshot().PlainOps == 0 {
-		t.Error("clear backend metered no plain ops")
+	if got := meter.Snapshot().PlainOps; got == 0 || got != st.Muls {
+		t.Errorf("clear backend metered %d plain ops, want the stage's %d", got, st.Muls)
 	}
 
 	// ss-gc: share, execute, reconstruct.
@@ -96,8 +100,8 @@ func TestBackendsBitIdentical(t *testing.T) {
 			t.Fatalf("ss-gc elem %d: %d != %s", i, v, ref.Plain.Data()[i])
 		}
 	}
-	if ssMeter.Snapshot().Triples == 0 {
-		t.Error("ss-gc backend metered no triples")
+	if got := ssMeter.Snapshot().Triples; got == 0 || got != st.Muls {
+		t.Errorf("ss-gc backend metered %d triples, want the stage's %d", got, st.Muls)
 	}
 
 	// paillier-he: encrypt, execute, decrypt.

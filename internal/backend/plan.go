@@ -71,12 +71,22 @@ const (
 	penaltyPerOut      = 100
 )
 
+// ringBits is the widest slot ss-gc can run: its shares live in
+// Z_{2^64}, which holds exactly the values of [−2^63, 2^63). The ring is a
+// homomorphic image of the integers, so a linear stage whose outputs fit
+// reconstructs exactly whatever its intermediate values wrap to; one
+// whose outputs may not fit would reconstruct them modulo 2^64.
+const ringBits = 64
+
 // LayerInfo is the planner's view of one linear round.
 type LayerInfo struct {
 	Name string
 	// Outs counts the round's output elements: the values a round off
 	// paillier-he exposes.
 	Outs int
+	// SlotBits is the slot width the round's outputs need (qnn.Stage):
+	// ss-gc runs the round only if its ring holds it.
+	SlotBits int
 	// Replies counts the ciphertexts a paillier-he reply packs the outputs
 	// into under the session's key.
 	Replies int
@@ -148,8 +158,9 @@ func AssignmentFromCodes(codes []int32) ([]Kind, error) {
 // for keyBits, subject to the safety rules, which hold regardless of
 // profile: round 0 always runs paillier-he (the input itself must never
 // leave the client unencrypted), privacy-max runs every round on
-// paillier-he, and clear runs only on a contiguous suffix starting at or
-// after the certified boundary. Privacy-max has one admissible assignment,
+// paillier-he, ss-gc runs no round whose SlotBits exceed its 64-bit ring,
+// and clear runs only on a contiguous suffix starting at or after the
+// certified boundary. Privacy-max has one admissible assignment,
 // so it measures and prices nothing.
 func PlanFor(profile Profile, layers []LayerInfo, boundary, keyBits int) (*Plan, error) {
 	profile, err := ParseProfile(string(profile))
@@ -199,7 +210,7 @@ func planWith(profile Profile, layers []LayerInfo, boundary int, u paillier.Unit
 	encrypted := make([]Kind, rounds)
 	for l := range encrypted {
 		encrypted[l] = PaillierHE
-		if l > 0 && price(l, SSGC) < price(l, PaillierHE) {
+		if l > 0 && layers[l].SlotBits <= ringBits && price(l, SSGC) < price(l, PaillierHE) {
 			encrypted[l] = SSGC
 		}
 	}
@@ -221,11 +232,12 @@ func planWith(profile Profile, layers []LayerInfo, boundary int, u paillier.Unit
 }
 
 // ValidateAssignment checks a (possibly remote-supplied) assignment
-// against the safety rules and the requested profile. Clients run this
-// on the server's plan before honoring it.
-func ValidateAssignment(profile Profile, assignment []Kind, rounds int) error {
-	if len(assignment) != rounds {
-		return fmt.Errorf("backend: plan covers %d rounds, session has %d", len(assignment), rounds)
+// against the safety rules and the requested profile, for a session whose
+// rounds need the given slot widths. Clients run this on the server's plan
+// before honoring it.
+func ValidateAssignment(profile Profile, assignment []Kind, slotBits []int) error {
+	if len(assignment) != len(slotBits) {
+		return fmt.Errorf("backend: plan covers %d rounds, session has %d", len(assignment), len(slotBits))
 	}
 	if assignment[0] != PaillierHE {
 		return fmt.Errorf("backend: plan runs round 0 on %q — the input must stay encrypted", assignment[0])
@@ -237,6 +249,9 @@ func ValidateAssignment(profile Profile, assignment []Kind, rounds int) error {
 		}
 		if profile == ProfilePrivacyMax && k != PaillierHE {
 			return fmt.Errorf("backend: privacy-max plan assigns %q to round %d", k, r)
+		}
+		if k == SSGC && slotBits[r] > ringBits {
+			return fmt.Errorf("backend: plan runs round %d on ss-gc, whose %d-bit ring cannot hold its %d-bit values", r, ringBits, slotBits[r])
 		}
 		if k == Clear {
 			sawClear = true

@@ -52,9 +52,9 @@ func mnist512() []LayerInfo {
 // four runs, which between them drifted by up to 2.5× as the host did.
 var (
 	units1024 = paillier.UnitCosts{MulMod: 3.12e-6, ModInverse: 6.45e-5, Encrypt: 9.59e-4, Decrypt: 9.15e-4,
-		Blinding: 2.80e-3, ScalarExp: 1.40e-4, Gate: 1.11e-6, ExtOT: 1.35e-6, Triple: 5.46e-8, PlainOp: 3.63e-8}
+		Blinding: 2.80e-3, Gate: 1.11e-6, ExtOT: 1.35e-6, Triple: 5.46e-8, PlainOp: 3.63e-8}
 	units512 = paillier.UnitCosts{MulMod: 1.28e-6, ModInverse: 2.71e-5, Encrypt: 1.94e-4, Decrypt: 1.94e-4,
-		Blinding: 4.73e-4, ScalarExp: 4.98e-5, Gate: 1.06e-6, ExtOT: 1.34e-6, Triple: 5.65e-8, PlainOp: 4.25e-8}
+		Blinding: 4.73e-4, Gate: 1.06e-6, ExtOT: 1.34e-6, Triple: 5.65e-8, PlainOp: 4.25e-8}
 )
 
 // TestPlanPinnedModels pins the assignments of the two benchmark models
@@ -90,11 +90,12 @@ func TestPlanPinnedModels(t *testing.T) {
 func randomUnits(rng *rand.Rand) paillier.UnitCosts {
 	f := func(scale float64) float64 { return scale * math.Exp(rng.Float64()*math.Log(1000)) }
 	return paillier.UnitCosts{MulMod: f(1e-7), ModInverse: f(1e-6), Encrypt: f(1e-5), Decrypt: f(1e-5),
-		Blinding: f(1e-5), ScalarExp: f(1e-6), Gate: f(1e-7), ExtOT: f(1e-7), Triple: f(1e-9), PlainOp: f(1e-9)}
+		Blinding: f(1e-5), Gate: f(1e-7), ExtOT: f(1e-7), Triple: f(1e-9), PlainOp: f(1e-9)}
 }
 
 // randomLayer draws a round's counts: Paillier work that grows with its
-// outputs, a garbled ReLU after it or not, and plain work of its own.
+// outputs, a garbled ReLU after it or not, and plain work of its own; and
+// a slot width that one round in four ss-gc's ring cannot hold.
 func randomLayer(rng *rand.Rand) LayerInfo {
 	n := func(upTo float64) uint64 { return uint64(math.Exp(rng.Float64() * math.Log(upTo))) }
 	outs := 1 + int(n(4000))
@@ -114,6 +115,7 @@ func randomLayer(rng *rand.Rand) LayerInfo {
 	if rng.Intn(2) == 0 {
 		l.SSGC.Add(ReLUCost(outs))
 	}
+	l.SlotBits = 17 + rng.Intn(64)
 	return l
 }
 
@@ -145,6 +147,7 @@ func TestPlanForMatchesBruteForce(t *testing.T) {
 				case l == 0 && k != PaillierHE,
 					profile == ProfilePrivacyMax && k != PaillierHE,
 					k == Clear && l < certified,
+					k == SSGC && layers[l].SlotBits > 64,
 					k != Clear && l > 0 && a[l-1] == Clear:
 					return 0, false
 				}
@@ -236,7 +239,7 @@ func TestPlanMixedUsesAllThreeBackends(t *testing.T) {
 	if !slices.Equal(p.Assignment, want) {
 		t.Fatalf("mixed assignment = %v, want %v", p.Assignment, want)
 	}
-	if err := ValidateAssignment(ProfileMixed, p.Assignment, 3); err != nil {
+	if err := ValidateAssignment(ProfileMixed, p.Assignment, make([]int, 3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -284,7 +287,7 @@ func TestPlanDependsOnUnitRatiosOnly(t *testing.T) {
 		}
 		slow := units1024
 		for _, f := range []*float64{&slow.MulMod, &slow.ModInverse, &slow.Encrypt, &slow.Decrypt, &slow.Blinding,
-			&slow.ScalarExp, &slow.Gate, &slow.ExtOT, &slow.Triple, &slow.PlainOp} {
+			&slow.Gate, &slow.ExtOT, &slow.Triple, &slow.PlainOp} {
 			*f *= 2.5
 		}
 		p := planWith(profile, heart1024(), 2, slow)
@@ -302,7 +305,7 @@ func TestMeasureUnitCostsOncePerKeySize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, v := range map[string]float64{"MulMod": u.MulMod, "ModInverse": u.ModInverse, "Encrypt": u.Encrypt,
-		"Decrypt": u.Decrypt, "Blinding": u.Blinding, "ScalarExp": u.ScalarExp, "Gate": u.Gate, "ExtOT": u.ExtOT,
+		"Decrypt": u.Decrypt, "Blinding": u.Blinding, "Gate": u.Gate, "ExtOT": u.ExtOT,
 		"Triple": u.Triple, "PlainOp": u.PlainOp, "Transfer": u.Transfer} {
 		if v <= 0 {
 			t.Errorf("%s unit cost %v", name, v)
@@ -402,21 +405,24 @@ func TestValidateAssignment(t *testing.T) {
 		name    string
 		profile Profile
 		plan    []Kind
-		rounds  int
 		ok      bool
 	}{
-		{"legacy", ProfilePrivacyMax, []Kind{PaillierHE, PaillierHE, PaillierHE}, 3, true},
-		{"mixed ok", ProfileMixed, []Kind{PaillierHE, SSGC, Clear}, 3, true},
-		{"length", ProfileMixed, []Kind{PaillierHE}, 3, false},
-		{"round0 ssgc", ProfileMixed, []Kind{SSGC, SSGC, Clear}, 3, false},
-		{"round0 clear", ProfileLatency, []Kind{Clear, Clear, Clear}, 3, false},
-		{"privacy-max violated", ProfilePrivacyMax, []Kind{PaillierHE, SSGC, PaillierHE}, 3, false},
-		{"clear sandwich", ProfileLatency, []Kind{PaillierHE, Clear, SSGC}, 3, false},
-		{"unknown kind", ProfileLatency, []Kind{PaillierHE, "rot13", Clear}, 3, false},
+		{"legacy", ProfilePrivacyMax, []Kind{PaillierHE, PaillierHE, PaillierHE}, true},
+		{"mixed ok", ProfileMixed, []Kind{PaillierHE, SSGC, Clear}, true},
+		{"length", ProfileMixed, []Kind{PaillierHE}, false},
+		{"round0 ssgc", ProfileMixed, []Kind{SSGC, SSGC, Clear}, false},
+		{"round0 clear", ProfileLatency, []Kind{Clear, Clear, Clear}, false},
+		{"privacy-max violated", ProfilePrivacyMax, []Kind{PaillierHE, SSGC, PaillierHE}, false},
+		{"clear sandwich", ProfileLatency, []Kind{PaillierHE, Clear, SSGC}, false},
+		{"unknown kind", ProfileLatency, []Kind{PaillierHE, "rot13", Clear}, false},
+		{"ss-gc past its ring", ProfileLatency, []Kind{PaillierHE, PaillierHE, SSGC}, false},
+		{"ss-gc at its ring", ProfileLatency, []Kind{PaillierHE, SSGC, PaillierHE}, true},
 	}
+	// The rounds need 40, 64 and 65 bits: the last is past ss-gc's ring.
+	slotBits := []int{40, 64, 65}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := ValidateAssignment(c.profile, c.plan, c.rounds)
+			err := ValidateAssignment(c.profile, c.plan, slotBits)
 			if (err == nil) != c.ok {
 				t.Fatalf("err = %v, want ok=%v", err, c.ok)
 			}

@@ -58,7 +58,7 @@ func TestCountPlanPinsConvEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields := func(u *paillier.UnitCosts) []*float64 {
-		return []*float64{&u.MulMod, &u.ModInverse, &u.Encrypt, &u.Decrypt, &u.Blinding, &u.ScalarExp}
+		return []*float64{&u.MulMod, &u.ModInverse, &u.Encrypt, &u.Decrypt, &u.Blinding}
 	}
 	for i := range fields(&units) {
 		for _, f := range []float64{0.75, 1.25} {

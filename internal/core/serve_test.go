@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	mathrand "math/rand"
 	gonet "net"
 	"net/http"
 	"runtime"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ppstream/internal/nn"
 	"ppstream/internal/obs"
 	"ppstream/internal/protocol"
 	"ppstream/internal/stream"
@@ -375,76 +373,6 @@ func TestEngineSubmitAbandoned(t *testing.T) {
 	if ended := snap.Counters["serve.requests.ok"] + snap.Counters["serve.requests.err"]; ended != 2 || snap.Gauges["requests.active"] != 0 {
 		t.Errorf("after shutdown: %d ok, %d err, %d active, want 2 outcomes and none active",
 			snap.Counters["serve.requests.ok"], snap.Counters["serve.requests.err"], snap.Gauges["requests.active"])
-	}
-}
-
-// TestEngineSubmitExpiresInQueue: a Submit whose ctx deadline passes while
-// its round-0 frame queues behind another request's round 0 gets its ctx
-// error, and the session answers the frame it abandoned with CodeDeadline.
-// The client drops that answer: the concurrent Submit and a later one
-// succeed, and the abandoned request reaches exactly one err outcome. A
-// 128→1024 first round makes the queue long; a first Submit measures it and
-// the input encryption, and the abandoned Submit's deadline is half of
-// round 0, which must leave twice the encryption plus 20 ms.
-func TestEngineSubmitExpiresInQueue(t *testing.T) {
-	r := mathrand.New(mathrand.NewSource(5))
-	net, err := nn.NewNetwork("wide", tensor.Shape{128},
-		nn.NewFC("fc1", 128, 1024, r), nn.NewReLU("relu1"),
-		nn.NewFC("fc2", 1024, 2, r), nn.NewSoftMax("softmax"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(net, key(t), Options{Factor: 1000, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if err := eng.Serve(ctx); err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Zeros(128)
-	_, trace, err := eng.Submit(ctx, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encrypt, round0 := trace.Spans[0].Busy, trace.Spans[1].Busy
-	queued := round0 / 2
-	t.Logf("encryption %v, round 0 %v, abandoned deadline %v", encrypt, round0, queued)
-	if queued < 2*encrypt+20*time.Millisecond {
-		t.Skipf("round 0 took %v and encryption %v here: too close for a deadline between them", round0, encrypt)
-	}
-	snapshot := eng.Registry().Snapshot
-	first := make(chan error, 1)
-	go func() {
-		_, _, err := eng.Submit(ctx, x)
-		first <- err
-	}()
-	for snapshot().Gauges["requests.active"] == 0 {
-		runtime.Gosched()
-	}
-	abandoned, done := context.WithTimeout(ctx, queued)
-	_, _, err = eng.Submit(abandoned, x)
-	done()
-	if err := <-first; err != nil {
-		t.Fatalf("the Submit beside the abandoned one: %v", err)
-	}
-	if errors.Is(err, protocol.ErrDeadline) {
-		t.Skipf("the encryption outlasted the %v deadline here, so no frame queued: %v", queued, err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Submit whose deadline passed in the queue: %v, want its ctx error", err)
-	}
-	if _, _, err := eng.Submit(ctx, x); err != nil {
-		t.Fatalf("a Submit after the abandoned one: %v", err)
-	}
-	if err := eng.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	snap := snapshot()
-	if ok, failed := snap.Counters["serve.requests.ok"], snap.Counters["serve.requests.err"]; ok != 3 || failed != 1 || snap.Counters["requests.deadline_expired"] != 1 {
-		t.Errorf("outcomes ok %d, err %d, deadline_expired %d; want 3, 1, 1", ok, failed, snap.Counters["requests.deadline_expired"])
 	}
 }
 

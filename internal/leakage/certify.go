@@ -47,40 +47,22 @@ func DistanceCorrelationVec(x, y [][]float64) (float64, error) {
 			}
 		}
 	}
-	ax := centeredEuclidean(x)
-	ay := centeredEuclidean(y)
+	ax := centered(len(x), euclidean(x))
+	ay := centered(len(y), euclidean(y))
 	return dcorFromCentered(ax, ay), nil
 }
 
-// centeredEuclidean double-centers the pairwise Euclidean distance
-// matrix of a multivariate sample, mirroring centeredDistances.
-func centeredEuclidean(x [][]float64) [][]float64 {
-	n := len(x)
-	a := make([][]float64, n)
-	rowMean := make([]float64, n)
-	var grand float64
-	for i := range a {
-		a[i] = make([]float64, n)
-		for j := range a[i] {
-			var s float64
-			for k := range x[i] {
-				d := x[i][k] - x[j][k]
-				s += d * d
-			}
-			d := math.Sqrt(s)
-			a[i][j] = d
-			rowMean[i] += d
+// euclidean returns the Euclidean distance between observations i and j
+// of a multivariate sample.
+func euclidean(x [][]float64) func(i, j int) float64 {
+	return func(i, j int) float64 {
+		var s float64
+		for k := range x[i] {
+			d := x[i][k] - x[j][k]
+			s += d * d
 		}
-		rowMean[i] /= float64(n)
-		grand += rowMean[i]
+		return math.Sqrt(s)
 	}
-	grand /= float64(n)
-	for i := range a {
-		for j := range a[i] {
-			a[i][j] = a[i][j] - rowMean[i] - rowMean[j] + grand
-		}
-	}
-	return a
 }
 
 // Certification is the result of CertifyClearBoundary: the per-linear-

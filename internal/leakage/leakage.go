@@ -30,8 +30,8 @@ func DistanceCorrelation(x, y []float64) (float64, error) {
 			return 0, fmt.Errorf("leakage: non-finite observation at index %d", i)
 		}
 	}
-	ax := centeredDistances(x)
-	ay := centeredDistances(y)
+	ax := centered(n, func(i, j int) float64 { return math.Abs(x[i] - x[j]) })
+	ay := centered(n, func(i, j int) float64 { return math.Abs(y[i] - y[j]) })
 	return dcorFromCentered(ax, ay), nil
 }
 
@@ -76,17 +76,17 @@ func dcorFromCentered(ax, ay [][]float64) float64 {
 	return dcor
 }
 
-// centeredDistances builds the double-centered distance matrix
-// A_ij = a_ij − ā_i· − ā_·j + ā_·· for a scalar sequence.
-func centeredDistances(x []float64) [][]float64 {
-	n := len(x)
+// centered builds the double-centered distance matrix
+// A_ij = a_ij − ā_i· − ā_·j + ā_·· of n observations whose pairwise
+// distance a_ij is dist(i, j).
+func centered(n int, dist func(i, j int) float64) [][]float64 {
 	a := make([][]float64, n)
 	rowMean := make([]float64, n)
 	var grand float64
 	for i := range a {
 		a[i] = make([]float64, n)
 		for j := range a[i] {
-			d := math.Abs(x[i] - x[j])
+			d := dist(i, j)
 			a[i][j] = d
 			rowMean[i] += d
 		}

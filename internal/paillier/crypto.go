@@ -281,9 +281,3 @@ func (pk *PublicKey) MulScalar(a *Ciphertext, w *big.Int) (*Ciphertext, error) {
 	absW := new(big.Int).Neg(w)
 	return &Ciphertext{c: inv.Exp(inv, absW, pk.N2)}, nil
 }
-
-// MulScalarInt64 is MulScalar for int64 weights, the common case after
-// parameter scaling.
-func (pk *PublicKey) MulScalarInt64(a *Ciphertext, w int64) (*Ciphertext, error) {
-	return pk.MulScalar(a, big.NewInt(w))
-}

@@ -271,3 +271,57 @@ func BenchmarkPackShift(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMatVecAffine prices a BatchNorm over 6×14×14 elements — one
+// signed 15–16-bit scale and one shift per channel, half the scales
+// negative — both ways at 512 and 1024 bits: "rows" is how the layer runs,
+// one one-weight row per element in a single Rows call, and "scalar" is
+// the per-element path it replaced, a MulScalar (an inversion for a
+// negative scale, then one exponentiation) and an AddPlain each.
+func BenchmarkMatVecAffine(b *testing.B) {
+	const channels, per = 6, 14 * 14
+	rng := mrand.New(mrand.NewSource(43))
+	scale, shift := make([]int32, channels), make([]*big.Int, channels)
+	for c := range scale {
+		scale[c] = int32(rng.Int63n(1<<16-1<<15) + 1<<15)
+		if c%2 == 1 {
+			scale[c] = -scale[c]
+		}
+		shift[c] = big.NewInt(rng.Int63n(1<<30) - 1<<29)
+	}
+	for _, bits := range []int{512, 1024} {
+		k := keyOfBits(b, bits)
+		xs := make([]*Ciphertext, channels*per)
+		rows := make([]Row, len(xs))
+		for i := range xs {
+			ct, err := k.Encrypt(rand.Reader, big.NewInt(rng.Int63n(2000)-1000))
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := i / per
+			xs[i], rows[i] = ct, Row{Idx: []int32{int32(i)}, W: scale[c : c+1], Bias: shift[c]}
+		}
+		ev := NewEvaluator(&k.PublicKey, nil)
+		b.Run(fmt.Sprintf("rows/%d", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.Rows(xs, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("scalar/%d", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j, x := range xs {
+					c := j / per
+					ct, err := k.MulScalar(x, big.NewInt(int64(scale[c])))
+					if err == nil {
+						_, err = k.AddPlain(ct, shift[c])
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

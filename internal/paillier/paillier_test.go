@@ -117,7 +117,7 @@ func TestHomomorphicMulScalar(t *testing.T) {
 	for _, c := range cases {
 		w, m := c[0], c[1]
 		e, _ := k.PublicKey.EncryptInt64(rand.Reader, m)
-		prod, err := k.PublicKey.MulScalarInt64(e, w)
+		prod, err := k.PublicKey.MulScalar(e, big.NewInt(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestScalarMulProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		prod, err := k.PublicKey.MulScalarInt64(e, int64(w))
+		prod, err := k.PublicKey.MulScalar(e, big.NewInt(int64(w)))
 		if err != nil {
 			return false
 		}

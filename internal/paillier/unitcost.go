@@ -29,9 +29,6 @@ type UnitCosts struct {
 	// Blinding is one public r^n mod n²: the factor of a re-randomization
 	// when no pool has one ready.
 	Blinding float64
-	// ScalarExp is one ciphertext raised to a 16-bit scalar: the
-	// exponentiation an affine op (BatchNorm, ElemScale) runs per element.
-	ScalarExp float64
 	// Gate is one AND gate of the garbled ReLU garbled and evaluated, with
 	// its share of the circuit's free gates.
 	Gate float64
@@ -58,17 +55,16 @@ type UnitCosts struct {
 //   - a decryption whole — the two half-size ModExps counted for it;
 //   - a re-randomization at its public r^n (one ModExp); the multiply that
 //     applies it is among MulMods;
-//   - the MulMods, ModInverses and ModExps left over at MulMod, ModInverse
-//     and ScalarExp;
+//   - the MulMods left over at MulMod, the ModInverses at ModInverse: no
+//     other operation runs an exponentiation;
 //   - garbled AND gates, extension OTs, Beaver triples and plain ops at
 //     their own units. Opened share words and ciphertext bytes are not
 //     priced.
 func (u UnitCosts) Price(st obs.CostStats) float64 {
 	f := func(n uint64) float64 { return float64(n) }
 	mulMods := f(st.MulMods) - 2*f(st.Encrypts)
-	scalarExps := f(st.ModExps) - 2*f(st.Encrypts) - 2*f(st.Decrypts) - f(st.Rerands)
 	return f(st.Encrypts)*u.Encrypt + f(st.Decrypts)*u.Decrypt + f(st.Rerands)*u.Blinding +
-		mulMods*u.MulMod + f(st.ModInverses)*u.ModInverse + scalarExps*u.ScalarExp +
+		mulMods*u.MulMod + f(st.ModInverses)*u.ModInverse +
 		f(st.GCGates)*u.Gate + f(st.ExtOTs)*u.ExtOT + f(st.Triples)*u.Triple + f(st.PlainOps)*u.PlainOp
 }
 
@@ -156,7 +152,6 @@ func (u *UnitCosts) Trials(bits int) ([]Trial, error) {
 		{&u.Encrypt, 1, func() error { _, err := sk.Encrypt(nil, big.NewInt(12345)); return err }},
 		{&u.Decrypt, 1, func() error { _, err := sk.Decrypt(ct); return err }},
 		{&u.Blinding, 1, func() error { _, err := sk.PublicKey.freshBlinding(nil); return err }},
-		{&u.ScalarExp, 1, func() error { _, err := sk.MulScalarInt64(ct, 1<<16-1); return err }},
 	}, nil
 }
 

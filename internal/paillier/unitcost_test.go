@@ -9,19 +9,18 @@ import (
 // TestPricePricesEachOperationOnce: an encryption's two multiplications
 // and two exponentiations, a decryption's two exponentiations and a
 // re-randomization's exponentiation are inside their own unit costs; only
-// what is left over is priced per multiplication, inversion or scalar
-// exponentiation. Gates, extension OTs, triples and plain ops are priced
-// at their own units.
+// what is left over is priced per multiplication or inversion. Gates,
+// extension OTs, triples and plain ops are priced at their own units.
 func TestPricePricesEachOperationOnce(t *testing.T) {
-	u := UnitCosts{MulMod: 1, ModInverse: 1e1, Encrypt: 1e2, Decrypt: 1e3, Blinding: 1e4, ScalarExp: 1e5,
+	u := UnitCosts{MulMod: 1, ModInverse: 1e1, Encrypt: 1e2, Decrypt: 1e3, Blinding: 1e4,
 		Gate: 1e6, ExtOT: 1e7, Triple: 1e8, PlainOp: 1e9}
 	st := obs.CostStats{
 		Encrypts: 2, Decrypts: 3, Rerands: 4, ModInverses: 1,
 		MulMods: 2*2 + 7,
-		ModExps: 2*2 + 2*3 + 4 + 5,
+		ModExps: 2*2 + 2*3 + 4,
 		GCGates: 2, ExtOTs: 3, Triples: 4, PlainOps: 5, OpenedWords: 99, PoolMisses: 4,
 	}
-	if got, want := u.Price(st), 2e2+3e3+4e4+7+1e1+5e5+2e6+3e7+4e8+5e9; got != want {
+	if got, want := u.Price(st), 2e2+3e3+4e4+7+1e1+2e6+3e7+4e8+5e9; got != want {
 		t.Errorf("Price = %v, want %v", got, want)
 	}
 }
@@ -47,7 +46,7 @@ func TestPaillierTrialsNeedNoKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, v := range map[string]float64{"MulMod": u.MulMod, "ModInverse": u.ModInverse, "Encrypt": u.Encrypt,
-			"Decrypt": u.Decrypt, "Blinding": u.Blinding, "ScalarExp": u.ScalarExp} {
+			"Decrypt": u.Decrypt, "Blinding": u.Blinding} {
 			if v <= 0 {
 				t.Errorf("%d bits: %s unit cost %v", bits, name, v)
 			}

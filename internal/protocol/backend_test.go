@@ -3,6 +3,7 @@ package protocol
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"math/big"
 	mathrand "math/rand"
@@ -25,7 +26,9 @@ import (
 
 // buildNet3 makes a three-round FC network (L,N,L,N,L,N): round 0 is
 // forced Paillier, round 1 is followed by a ReLU (the garbled-circuit
-// case), and round 2 can sit past a certified clear boundary.
+// case), and round 2 can sit past a certified clear boundary. Its inputs
+// are declared within ±4, which keeps every round's values inside ss-gc's
+// 64-bit ring at factor 1000.
 func buildNet3(t testing.TB) *nn.Network {
 	t.Helper()
 	r := mathrand.New(mathrand.NewSource(41))
@@ -40,6 +43,7 @@ func buildNet3(t testing.TB) *nn.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.InputMax = 4
 	return net
 }
 
@@ -232,6 +236,79 @@ func TestRolesRefuseTheSamePlans(t *testing.T) {
 	}
 }
 
+// TestSSGCNeverRunsPastItsRing: a round whose outputs need more bits than
+// ss-gc's ring Z_{2^64} holds never runs on ss-gc. Round 1 merges four FC
+// layers, so at factor 10^4 its outputs are at scale F^5 = 10^20 ≈ 2^66.4
+// even over the declared input domain;
+// with 64 inputs and 2 outputs it is the shape that ss-gc wins by a wide
+// margin wherever it may run. Latency and mixed plans must keep it on
+// paillier-he and give privacy-max's output bit for bit, and both roles,
+// the client at its Hello among them, refuse a plan that puts it on ss-gc.
+func TestSSGCNeverRunsPastItsRing(t *testing.T) {
+	r := mathrand.New(mathrand.NewSource(47))
+	netw, err := nn.NewNetwork("deep-middle", tensor.Shape{4},
+		nn.NewFC("fc1", 4, 64, r), nn.NewReLU("relu1"),
+		nn.NewFC("fc2", 64, 8, r), nn.NewFC("fc3", 8, 8, r), nn.NewFC("fc4", 8, 8, r), nn.NewFC("fc5", 8, 2, r),
+		nn.NewReLU("relu2"),
+		nn.NewFC("fc6", 2, 2, r), nn.NewSoftMax("softmax"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	netw.InputMax = 1
+	proto, err := Build(netw, keyOfBits(t, 1024), Config{Factor: 10000, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bits := proto.Model.stages[1].slotBits; bits <= 64 {
+		t.Fatalf("round 1 needs %d-bit slots, want more than the ring's 64", bits)
+	}
+	x := tensor.MustFromSlice([]float64{0.9, -0.6, 0.75, 0.3}, 4)
+	want, err := proto.Infer(1, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, profile := range []backend.Profile{backend.ProfileLatency, backend.ProfileMixed} {
+		plan, err := proto.ApplyProfile(profile, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Assignment[1] == backend.SSGC {
+			t.Errorf("%s plan %v runs round 1 on ss-gc", profile, plan.Assignment)
+		}
+		got, err := proto.Infer(uint64(2+i), x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Data(), want.Data()) {
+			t.Errorf("%s plan %v: output %v, privacy-max %v", profile, plan.Assignment, got.Data(), want.Data())
+		}
+	}
+
+	P, S := backend.PaillierHE, backend.SSGC
+	for role, set := range map[string]func([]backend.Kind) error{"model": proto.Model.SetBackendPlan, "data": proto.Data.SetBackendPlan} {
+		if err := set([]backend.Kind{P, S, P}); err == nil || !strings.Contains(err.Error(), "ring") {
+			t.Errorf("%s provider installed ss-gc on round 1: %v", role, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	toServer, toClient := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		if _, err := toServer.Recv(ctx); err == nil {
+			_ = toClient.Send(ctx, &stream.Message{Payload: &Hello{Profile: string(backend.ProfileLatency), Plan: []int32{P.Code(), S.Code(), P.Code()}}})
+		}
+	}()
+	if c, err := NewClient(ctx, toClient, toServer, proto.Data, ClientOptions{Profile: backend.ProfileLatency}); !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "ring") {
+		if c != nil {
+			c.Close()
+		}
+		t.Errorf("client took a plan running round 1 on ss-gc: %v, want an ErrRefused naming the ring", err)
+	}
+	<-answered
+}
+
 // applyPlan installs plan on both roles of an in-process protocol.
 func applyPlan(p *Protocol, plan []backend.Kind) error {
 	if err := p.Model.SetBackendPlan(plan); err != nil {
@@ -418,7 +495,8 @@ func TestPrivacyMaxClientNeverWeakens(t *testing.T) {
 // and a second session runs its own. The middle round takes 64 inputs to
 // 2 outputs, so on paillier-he it would cost 64 encryptions against two
 // garbled ReLUs on ss-gc: the measured plan puts it on ss-gc by a wide
-// margin on any host, race detector included.
+// margin on any host, race detector included. The inputs are declared
+// within ±1, which keeps the round's values inside ss-gc's ring.
 func TestSessionRunsBaseOTsOnce(t *testing.T) {
 	r := mathrand.New(mathrand.NewSource(43))
 	netw, err := nn.NewNetwork("wide-then-narrow", tensor.Shape{4},
@@ -432,6 +510,7 @@ func TestSessionRunsBaseOTsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	netw.InputMax = 1
 	k := keyOfBits(t, 1024)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -520,7 +599,7 @@ func TestModelRoleSeesOnlyCiphertextsBeforeClear(t *testing.T) {
 		for _, b := range backend.Kinds() {
 			for _, c := range backend.Kinds() {
 				plan := []backend.Kind{a, b, c}
-				if backend.ValidateAssignment(backend.ProfileLatency, plan, rounds) == nil {
+				if backend.ValidateAssignment(backend.ProfileLatency, plan, make([]int, rounds)) == nil {
 					plans = append(plans, plan)
 				}
 			}

@@ -147,7 +147,7 @@ func installPlan(ctx context.Context, in stream.Edge, dp *DataProvider, requeste
 	if err != nil {
 		return fmt.Errorf("%w: server plan: %w", ErrRefused, err)
 	}
-	if err := backend.ValidateAssignment(backend.Stricter(requested, announced), kinds, len(dp.stages)); err != nil {
+	if err := backend.ValidateAssignment(backend.Stricter(requested, announced), kinds, dp.slotBits); err != nil {
 		return fmt.Errorf("%w: rejecting server plan: %w", ErrRefused, err)
 	}
 	return dp.SetBackendPlan(kinds)

@@ -51,10 +51,9 @@ func sayHello(ctx context.Context, t *testing.T, edge stream.Edge, hello *Hello)
 }
 
 // allPaillier is a server's answer accepting a privacy-max client's Hello
-// for a model of rounds linear rounds.
+// for a model of rounds linear rounds: paillier-he's wire code is 0.
 func allPaillier(rounds int) *stream.Message {
-	plan := backend.Plan{Assignment: privacyMax(rounds).kinds}
-	return &stream.Message{Payload: &Hello{Profile: string(backend.ProfilePrivacyMax), Plan: plan.Codes()}}
+	return &stream.Message{Payload: &Hello{Profile: string(backend.ProfilePrivacyMax), Plan: make([]int32, rounds)}}
 }
 
 // rewritten is a client's edge to the server that puts rewrite's frame on

@@ -167,21 +167,17 @@ func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, rounds []
 		if err != nil {
 			return nil, nil, err
 		}
-		round := linearStage{
-			Stage:       backend.Stage{Ops: st.Ops, InShape: m.InShape.Clone(), OutShape: m.OutShape.Clone()},
+		muls, err := qnn.MulCount(st.Ops, m.InShape)
+		if err != nil {
+			return nil, nil, err
+		}
+		rounds = append(rounds, linearStage{
+			Stage:       backend.Stage{Ops: st.Ops, InShape: m.InShape.Clone(), OutShape: m.OutShape.Clone(), Muls: muls},
 			name:        m.Name(),
 			slotBits:    st.SlotBits(),
 			reluFollows: garblesReLU(merged, r),
 			kernel:      kernel,
-		}
-		shape := m.InShape
-		for _, op := range st.Ops {
-			round.muls += uint64(qnn.MulCount(op, shape))
-			if next, err := op.OutShape(shape); err == nil {
-				shape = next
-			}
-		}
-		rounds = append(rounds, round)
+		})
 	}
 	return merged, rounds, nil
 }
@@ -219,7 +215,7 @@ func newModelProvider(rounds []linearStage, pk *paillier.PublicKey, workers int)
 		return nil, err
 	}
 	mp := &ModelProvider{
-		roundPlan: privacyMax(len(rounds)),
+		roundPlan: privacyMax(rounds),
 		pk:        pk,
 		eval:      paillier.NewEvaluator(pk, nil),
 		state:     map[uint64]*obfuscate.Rounds{},
@@ -271,7 +267,7 @@ func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*D
 
 func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, rounds []linearStage, sk *paillier.PrivateKey, cfg Config) *DataProvider {
 	dp := &DataProvider{
-		roundPlan: privacyMax(len(rounds)),
+		roundPlan: privacyMax(rounds),
 		sk:        sk,
 		factor:    cfg.Factor,
 		inputMax:  inputMax,
@@ -392,29 +388,32 @@ func (p *Protocol) Infer(req uint64, x *tensor.Dense) (*tensor.Dense, error) {
 
 // roundPlan is a role's per-round backend assignment. Both roles embed
 // one; it always holds a plan — Build* installs privacy-max's all-Paillier
-// one — and every replacement passes backend.ValidateAssignment, so the
-// model provider refuses exactly the plans the data provider refuses.
+// one — and every replacement passes backend.ValidateAssignment against
+// the rounds' slot widths, which both roles derive from the same walk, so
+// the model provider refuses exactly the plans the data provider refuses.
 type roundPlan struct {
-	planMu sync.RWMutex
-	kinds  []backend.Kind
+	// slotBits is each round's slot width, fixed at Build.
+	slotBits []int
+	planMu   sync.RWMutex
+	kinds    []backend.Kind
 }
 
-// privacyMax is the all-Paillier plan of a network with the given rounds.
-func privacyMax(rounds int) roundPlan {
-	kinds := make([]backend.Kind, rounds)
-	for r := range kinds {
-		kinds[r] = backend.PaillierHE
+// privacyMax is the all-Paillier plan of the walked rounds.
+func privacyMax(rounds []linearStage) roundPlan {
+	slotBits, kinds := make([]int, len(rounds)), make([]backend.Kind, len(rounds))
+	for r, st := range rounds {
+		slotBits[r], kinds[r] = st.slotBits, backend.PaillierHE
 	}
-	return roundPlan{kinds: kinds}
+	return roundPlan{slotBits: slotBits, kinds: kinds}
 }
 
 // SetBackendPlan installs the session's per-round backend assignment once
 // it passes the safety rules: one kind per round, each known, round 0 on
-// paillier-he (the raw input never leaves the data provider unencrypted)
-// and clear only as a suffix. Safe to call concurrently with round
-// processing.
+// paillier-he (the raw input never leaves the data provider unencrypted),
+// ss-gc only where its ring holds the round's values and clear only as a
+// suffix. Safe to call concurrently with round processing.
 func (p *roundPlan) SetBackendPlan(plan []backend.Kind) error {
-	if err := backend.ValidateAssignment("", plan, len(p.kinds)); err != nil {
+	if err := backend.ValidateAssignment("", plan, p.slotBits); err != nil {
 		return fmt.Errorf("protocol: %w", err)
 	}
 	p.planMu.Lock()
@@ -452,13 +451,11 @@ type linearStage struct {
 	reluFollows bool
 	// slotBits is the reply slot width W (stageSlotBits), fixed at Build.
 	slotBits int
-	// muls is the stage's non-zero weight multiplications (qnn.MulCount) and
-	// kernel what a paillier-he pass meters here with no blinding pool: the
-	// walk counts the kernel, and each model provider adds its key's reply
-	// terms (Pack's multiplications, one inline blinding per reply) and sets
-	// replies, the reply's ciphertext count at slotBits.
+	// kernel is what a paillier-he pass meters here with no blinding pool:
+	// the walk counts the kernel, and each model provider adds its key's
+	// reply terms (Pack's multiplications, one inline blinding per reply)
+	// and sets replies, the reply's ciphertext count at slotBits.
 	replies int
-	muls    uint64
 	kernel  obs.CostStats
 }
 
@@ -491,12 +488,13 @@ func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 	for r, st := range mp.stages {
 		outs := st.OutShape.Size()
 		info := backend.LayerInfo{
-			Name:    st.name,
-			Outs:    outs,
-			Replies: st.replies,
-			HE:      st.kernel,
-			SSGC:    obs.CostStats{Triples: st.muls, OpenedWords: 4*st.muls + 2*uint64(outs), PlainOps: uint64(outs)},
-			Clear:   obs.CostStats{PlainOps: st.muls},
+			Name:     st.name,
+			Outs:     outs,
+			SlotBits: st.slotBits,
+			Replies:  st.replies,
+			HE:       st.kernel,
+			SSGC:     obs.CostStats{Triples: st.Muls, OpenedWords: 4*st.Muls + 2*uint64(outs), PlainOps: uint64(outs)},
+			Clear:    obs.CostStats{PlainOps: st.Muls},
 		}
 		info.HE.Add(decryptions(st.replies))
 		if r > 0 {

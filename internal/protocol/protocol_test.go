@@ -284,7 +284,7 @@ func TestProtocolStateValidation(t *testing.T) {
 	}
 	// A walk that fails mid-protocol (the roles disagree on round 1's
 	// backend, after round 0 drew a permutation) leaves no state behind.
-	if err := proto.Data.SetBackendPlan([]backend.Kind{backend.PaillierHE, backend.SSGC}); err != nil {
+	if err := proto.Data.SetBackendPlan([]backend.Kind{backend.PaillierHE, backend.Clear}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := proto.Infer(4, x); err == nil {

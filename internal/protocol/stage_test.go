@@ -16,15 +16,16 @@ import (
 	"ppstream/internal/tensor"
 )
 
-// hookedOp runs hook before every ApplyRange of the op it wraps.
+// hookedOp runs hook whenever the op it wraps is asked for its kernel
+// rows, which paillier-he and ss-gc do before they evaluate the op.
 type hookedOp struct {
 	qnn.Op
 	hook func()
 }
 
-func (o hookedOp) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
+func (o hookedOp) KernelRows(in tensor.Shape, lo, hi, inExp int) []paillier.Row {
 	o.hook()
-	return o.Op.ApplyRange(ev, xs, in, lo, hi, inExp, out)
+	return o.Op.KernelRows(in, lo, hi, inExp)
 }
 
 // hookRound makes round r of proto's model provider run hook first.
@@ -111,6 +112,77 @@ func TestSessionStagePanicContained(t *testing.T) {
 	}
 	if !tensor.AllClose(want, got, 0) {
 		t.Errorf("request after the panic: %v, want %v", got.Data(), want.Data())
+	}
+}
+
+// TestSessionStageExpiresInQueue: a request whose budget runs out while
+// its round-0 frame queues behind another request's round 0 gets its ctx
+// error, and the session answers the frame it abandoned with CodeDeadline
+// when the stage reaches it. The client drops that answer: the request
+// ahead of it and a later one succeed, and the abandoned request reaches
+// exactly one err outcome, counted as deadline_expired. The request ahead
+// is held inside its round 0 until the abandoned frame's budget is spent
+// by the session's own clock, so no measured duration decides the outcome.
+func TestSessionStageExpiresInQueue(t *testing.T) {
+	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free() // a failed check must not leave the session's round 0 held
+	var calls atomic.Int64
+	hookRound(proto, 0, func() {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+	})
+	reg := obs.NewRegistry("stage-expires")
+	c := inProcessSession(t, proto, SessionConfig{Registry: reg, IdleTTL: time.Hour}, 2)
+	ctx := context.Background()
+	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
+	ahead := make(chan error, 1)
+	go func() {
+		_, err := c.Infer(ctx, x)
+		ahead <- err
+	}()
+	<-entered
+
+	// The session stamps the abandoned frame's deadline at its arrival,
+	// which is before its admission shows in requests.active: once that
+	// gauge reads 2, the deadline is at most budget away.
+	const budget = 200 * time.Millisecond
+	abandoned := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(ctx, budget)
+		defer cancel()
+		_, err := c.Infer(ctx, x)
+		abandoned <- err
+	}()
+	for reg.Snapshot().Gauges["requests.active"] < 2 {
+		select {
+		case err := <-abandoned:
+			t.Fatalf("the abandoned request ended before the session admitted it: %v", err)
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	time.Sleep(budget + time.Millisecond)
+	if err := <-abandoned; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("request whose budget ran out in the queue: %v, want its ctx error", err)
+	}
+	free()
+	if err := <-ahead; err != nil {
+		t.Fatalf("the request ahead of the abandoned one: %v", err)
+	}
+	if _, err := c.Infer(ctx, x); err != nil {
+		t.Fatalf("a request after the abandoned one: %v", err)
+	}
+	snap := reg.Snapshot()
+	if ok, failed := snap.Counters["serve.requests.ok"], snap.Counters["serve.requests.err"]; ok != 2 || failed != 1 || snap.Counters["requests.deadline_expired"] != 1 {
+		t.Errorf("outcomes ok %d, err %d, deadline_expired %d; want 2, 1, 1", ok, failed, snap.Counters["requests.deadline_expired"])
 	}
 }
 

@@ -86,21 +86,21 @@ func TestProvidersShareTheWalksKernelCounts(t *testing.T) {
 		}
 		for r, st := range mp.stages {
 			w := walked[r]
-			if w.kernel.IsZero() || w.muls == 0 {
+			if w.kernel.IsZero() || w.Muls == 0 {
 				t.Fatalf("the walk left round %d uncounted", r)
 			}
 			outs := st.OutShape.Size()
 			replies := uint64(pk.PackedLen(outs, st.slotBits))
 			want := w.kernel
 			want.Add(obs.CostStats{MulMods: pk.PackMulMods(outs, st.slotBits), Rerands: replies, ModExps: replies, PoolMisses: replies})
-			if st.kernel != want || st.muls != w.muls || uint64(st.replies) != replies {
+			if st.kernel != want || st.Muls != w.Muls || uint64(st.replies) != replies {
 				t.Errorf("%d bits, round %d: kernel %+v, %d muls, %d replies; want %+v, %d, %d",
-					bits, r, st.kernel, st.muls, st.replies, want, w.muls, replies)
+					bits, r, st.kernel, st.Muls, st.replies, want, w.Muls, replies)
 			}
 		}
 	}
 	for r := range rounds {
-		if rounds[r].kernel != walked[r].kernel || rounds[r].muls != walked[r].muls || rounds[r].replies != 0 {
+		if rounds[r].kernel != walked[r].kernel || rounds[r].Muls != walked[r].Muls || rounds[r].replies != 0 {
 			t.Errorf("building providers changed the walk's round %d counts", r)
 		}
 	}

@@ -40,6 +40,7 @@ func opCases(t *testing.T) []opCase {
 		{"flatten", nn.NewFlatten("fl"), tensor.Shape{2, 3}},
 		{"conv", conv, tensor.Shape{2, 5, 5}},
 		{"batchnorm", bn, tensor.Shape{2, 2, 2}},
+		{"elemscale", &nn.ElemScale{LayerName: "es", Scale: tensor.MustFromSlice([]float64{2, -0.5, 0, 1, 0.25, -3}, 6)}, tensor.Shape{6}},
 	} {
 		op, err := Quantize(c.layer, 100)
 		if err != nil {
@@ -61,11 +62,12 @@ func encryptZeros(t *testing.T, k *paillier.PrivateKey, shape tensor.Shape) *pai
 	return ct
 }
 
-// applyRange runs op.ApplyRange over elements [lo, hi) and returns them.
+// applyRange runs ApplyRange over the op's elements [lo, hi) and returns
+// them.
 func applyRange(t *testing.T, k *paillier.PrivateKey, op Op, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi int) []*paillier.Ciphertext {
 	t.Helper()
 	out := make([]*paillier.Ciphertext, hi-lo)
-	if err := op.ApplyRange(paillier.NewEvaluator(&k.PublicKey, nil), xs, in, lo, hi, 1, out); err != nil {
+	if err := ApplyRange(paillier.NewEvaluator(&k.PublicKey, nil), op, xs, in, lo, hi, 1, out); err != nil {
 		t.Fatalf("%s elements [%d,%d): %v", op.Name(), lo, hi, err)
 	}
 	return out
@@ -86,7 +88,7 @@ func sameRing(t *testing.T, what string, got, want []*paillier.Ciphertext) {
 	}
 }
 
-// TestElementOpsMatchApply: each op's ApplyRange over a proper sub-range
+// TestElementOpsMatchApply: ApplyRange over a proper sub-range of each op
 // returns the ring elements the whole range does — what ApplyStage's split
 // relies on.
 func TestElementOpsMatchApply(t *testing.T) {
@@ -128,8 +130,8 @@ func TestInputNeedsCoverWhatTheKernelReads(t *testing.T) {
 			for _, off := range c.op.InputNeeds(c.in, idx) {
 				needs[off] = true
 			}
-			if conv, ok := c.op.(*QConv); ok {
-				for _, off := range conv.kernelRows(idx, idx+1, 1)[0].Idx {
+			for _, r := range c.op.KernelRows(c.in, idx, idx+1, 1) {
+				for _, off := range r.Idx {
 					if !needs[int(off)] {
 						t.Fatalf("%s element %d: kernel row reads input %d outside its needs", c.name, idx, off)
 					}

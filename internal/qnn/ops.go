@@ -6,7 +6,6 @@ import (
 	"math/big"
 
 	"ppstream/internal/nn"
-	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
 	"ppstream/internal/tensor"
 )
@@ -42,27 +41,13 @@ func (q *QFC) OutShape(in tensor.Shape) (tensor.Shape, error) {
 // InputNeeds implements Op: fully-connected rows read everything.
 func (q *QFC) InputNeeds(tensor.Shape, int) []int { return nil }
 
-// ApplyRange implements Op: row o computes Π E(x_i)^{W[o][i]} · E(b_o·F^(exp+1)).
-func (q *QFC) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, _ tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
-	if len(xs) != len(q.W[0]) {
-		return fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, len(q.W[0]), len(xs))
-	}
-	cts, err := ev.Rows(xs, q.kernelRows(lo, hi, inExp))
-	if err != nil {
-		return fmt.Errorf("qnn: %s rows [%d,%d): %w", q.name, lo, hi, err)
-	}
-	copy(out, cts)
-	return nil
-}
-
-// kernelRows returns output rows [lo, hi) the way the kernel takes them.
-func (q *QFC) kernelRows(lo, hi, inExp int) []paillier.Row {
+// KernelRows implements Op: row o is Σ_i W[o][i]·x_i + b_o·F^(inExp+1),
+// so the kernel computes Π E(x_i)^{W[o][i]} · E(b_o·F^(inExp+1)).
+func (q *QFC) KernelRows(_ tensor.Shape, lo, hi, inExp int) []paillier.Row {
+	bias := biasesAt(q.B[lo:hi], q.F, inExp+1)
 	rows := make([]paillier.Row, hi-lo)
 	for i := range rows {
-		rows[i].W = q.W[lo+i]
-		if b := q.B[lo+i]; b != 0 {
-			rows[i].Bias = biasAt(b, q.F, inExp+1)
-		}
+		rows[i] = paillier.Row{W: q.W[lo+i], Bias: bias[i]}
 	}
 	return rows
 }
@@ -180,33 +165,14 @@ func (q *QConv) InputNeeds(_ tensor.Shape, outIdx int) []int {
 	return needs
 }
 
-// ApplyRange implements Op: one paillier.Rows call over the input tensor
-// serves every (filter, position) output element of the range, so
-// whatever it shares between rows is shared across overlapping receptive
-// fields too.
-func (q *QConv) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, _ tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
-	if len(xs) != q.P.InC*q.P.InH*q.P.InW {
-		return fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, q.P.InC*q.P.InH*q.P.InW, len(xs))
-	}
-	cts, err := ev.Rows(xs, q.kernelRows(lo, hi, inExp))
-	if err != nil {
-		return fmt.Errorf("qnn: %s elements [%d,%d): %w", q.name, lo, hi, err)
-	}
-	copy(out, cts)
-	return nil
-}
-
-// kernelRows returns flat output elements [lo, hi) the way the kernel
-// takes them: each is the row of its filter's non-zero weights over the
-// in-bounds offsets of its receptive field (padding contributes nothing).
-func (q *QConv) kernelRows(lo, hi, inExp int) []paillier.Row {
+// KernelRows implements Op: each flat output element is the row of its
+// filter's non-zero weights over the in-bounds offsets of its receptive
+// field (padding contributes nothing). One paillier.Rows call over a
+// range of them shares whatever the kernel shares between rows across
+// overlapping receptive fields too.
+func (q *QConv) KernelRows(_ tensor.Shape, lo, hi, inExp int) []paillier.Row {
 	positions := q.P.OutH() * q.P.OutW()
-	bias := make([]*big.Int, len(q.B))
-	for f, b := range q.B {
-		if b != 0 {
-			bias[f] = biasAt(b, q.F, inExp+1)
-		}
-	}
+	bias := biasesAt(q.B, q.F, inExp+1)
 	rows := make([]paillier.Row, hi-lo)
 	idx := make([]int32, 0, len(rows)*len(q.W[0]))
 	weights := make([]int32, 0, cap(idx))
@@ -259,19 +225,17 @@ func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tenso
 type QAffine struct {
 	name string
 	F    int64
-	// Scale[i] applies to element i (expanded per element at build
-	// time), at scale F.
+	// Scale[c] is coefficient c at scale F: one per element (ElemScale)
+	// or one per channel (BatchNorm), as coeffSpan maps them.
 	Scale []int32
-	// Shift[i] is the float shift applied to element i (may be nil for
-	// pure scaling).
+	// Shift[c] is the float shift applied alongside Scale[c]; zero for
+	// pure scaling.
 	Shift []float64
-	shape tensor.Shape
 }
 
 func quantizeBatchNorm(l *nn.BatchNorm, qz *quantizer) *QAffine {
-	// y = a·x + c with a = γ/√(σ²+ε), c = β − a·μ, per channel. The
-	// per-element expansion happens lazily in ApplyRange since the spatial
-	// size is known from the input.
+	// y = a·x + c with a = γ/√(σ²+ε), c = β − a·μ, per channel. Which
+	// elements share a channel follows from the input's shape (coeffSpan).
 	a := make([]int32, l.Channels)
 	c := make([]float64, l.Channels)
 	for ch := 0; ch < l.Channels; ch++ {
@@ -285,7 +249,7 @@ func quantizeBatchNorm(l *nn.BatchNorm, qz *quantizer) *QAffine {
 
 func quantizeElemScale(l *nn.ElemScale, qz *quantizer) *QAffine {
 	s := qz.matrix(l.Scale.Data(), 1, l.Scale.Size())[0]
-	return &QAffine{name: l.Name(), F: qz.F, Scale: s, Shift: nil, shape: l.Scale.Shape().Clone()}
+	return &QAffine{name: l.Name(), F: qz.F, Scale: s, Shift: make([]float64, len(s))}
 }
 
 // Name implements Op.
@@ -296,86 +260,49 @@ func (q *QAffine) ScaleSteps() int { return 1 }
 
 // OutShape implements Op.
 func (q *QAffine) OutShape(in tensor.Shape) (tensor.Shape, error) {
-	if _, err := q.coeffIndex(in); err != nil {
-		return nil, err
+	if q.coeffSpan(in) == 0 {
+		return nil, fmt.Errorf("qnn: %s cannot map %d coefficients onto shape %v", q.name, len(q.Scale), in)
 	}
 	return in.Clone(), nil
 }
 
-// coeffIndex returns a function mapping flat element offsets to indices
-// into Scale/Shift for the given input shape.
-func (q *QAffine) coeffIndex(in tensor.Shape) (func(int) int, error) {
+// coeffSpan returns how many consecutive flat elements of an input of
+// shape in share one coefficient — element i takes Scale[i/span] — or 0
+// when the coefficients do not map onto the shape.
+func (q *QAffine) coeffSpan(in tensor.Shape) int {
 	switch {
 	case len(q.Scale) == in.Size():
-		return func(i int) int { return i }, nil
+		return 1
 	case in.Rank() == 3 && in[0] == len(q.Scale):
-		per := in[1] * in[2]
-		return func(i int) int { return i / per }, nil
-	case in.Rank() == 1 && in[0] == len(q.Scale):
-		return func(i int) int { return i }, nil
+		return in[1] * in[2]
 	default:
-		return nil, fmt.Errorf("qnn: %s cannot map %d coefficients onto shape %v", q.name, len(q.Scale), in)
+		return 0
 	}
 }
 
 // InputNeeds implements Op: element-wise ops read one element.
 func (q *QAffine) InputNeeds(_ tensor.Shape, outIdx int) []int { return []int{outIdx} }
 
-// ApplyRange implements Op: element i becomes E(x_i)^{Scale[c]}·E(Shift[c]).
-func (q *QAffine) ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
-	idx, err := q.coeffIndex(in)
-	if err != nil {
-		return err
+// KernelRows implements Op: element i is the one-weight row
+// Scale[c]·x_i + Shift[c]·F^(inExp+1) of its coefficient c.
+func (q *QAffine) KernelRows(in tensor.Shape, lo, hi, inExp int) []paillier.Row {
+	span := q.coeffSpan(in)
+	bias := biasesAt(q.Shift, q.F, inExp+1)
+	rows := make([]paillier.Row, hi-lo)
+	idx := make([]int32, len(rows))
+	for i := range rows {
+		c := (lo + i) / span
+		idx[i] = int32(lo + i)
+		rows[i] = paillier.Row{Idx: idx[i : i+1], W: q.Scale[c : c+1], Bias: bias[c]}
 	}
-	for i := lo; i < hi; i++ {
-		if out[i-lo], err = q.element(ev, xs[i], idx(i), inExp); err != nil {
-			return err
-		}
-	}
-	ev.CostMeter().Add(q.cost(idx, lo, hi))
-	return nil
-}
-
-// element computes E(x)^{Scale[c]}·E(Shift[c]) for coefficient index c.
-func (q *QAffine) element(ev *paillier.Evaluator, x *paillier.Ciphertext, c, inExp int) (*paillier.Ciphertext, error) {
-	pk := ev.PublicKey()
-	ct, err := pk.MulScalarInt64(x, int64(q.Scale[c]))
-	if err != nil {
-		return nil, err
-	}
-	if q.Shift != nil && q.Shift[c] != 0 {
-		return pk.AddPlain(ct, biasAt(q.Shift[c], q.F, inExp+1))
-	}
-	return ct, nil
-}
-
-// cost is what elements [lo, hi) cost, deterministic per element: one
-// scalar exponentiation, an inverse for negative scales, one mulmod per
-// non-zero shift.
-func (q *QAffine) cost(idx func(int) int, lo, hi int) obs.CostStats {
-	var st obs.CostStats
-	for i := lo; i < hi; i++ {
-		c := idx(i)
-		st.ModExps++
-		if q.Scale[c] < 0 {
-			st.ModInverses++
-		}
-		if q.Shift != nil && q.Shift[c] != 0 {
-			st.MulMods++
-		}
-	}
-	return st
+	return rows
 }
 
 // Bound implements Op: the worst coefficient pair.
 func (q *QAffine) Bound(in *big.Int, inExp int) *big.Int {
 	worst := new(big.Int)
 	for c := range q.Scale {
-		var shift float64
-		if q.Shift != nil {
-			shift = q.Shift[c]
-		}
-		if b := rowBound(q.Scale[c:c+1], shift, q.F, in, inExp); b.Cmp(worst) > 0 {
+		if b := rowBound(q.Scale[c:c+1], q.Shift[c], q.F, in, inExp); b.Cmp(worst) > 0 {
 			worst = b
 		}
 	}
@@ -384,15 +311,16 @@ func (q *QAffine) Bound(in *big.Int, inExp int) *big.Int {
 
 // ApplyPlain implements Op.
 func (q *QAffine) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], error) {
-	idx, err := q.coeffIndex(x.Shape())
+	shape, err := q.OutShape(x.Shape())
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.New[*big.Int](x.Shape()...)
+	span := q.coeffSpan(shape)
+	out := tensor.New[*big.Int](shape...)
 	for i, v := range x.Data() {
-		c := idx(i)
+		c := i / span
 		acc := new(big.Int).Mul(v, big.NewInt(int64(q.Scale[c])))
-		if q.Shift != nil && q.Shift[c] != 0 {
+		if q.Shift[c] != 0 {
 			acc.Add(acc, biasAt(q.Shift[c], q.F, inExp+1))
 		}
 		out.SetFlat(i, acc)
@@ -420,11 +348,9 @@ func (q *QFlatten) OutShape(in tensor.Shape) (tensor.Shape, error) {
 // InputNeeds implements Op.
 func (q *QFlatten) InputNeeds(_ tensor.Shape, outIdx int) []int { return []int{outIdx} }
 
-// ApplyRange implements Op: identity.
-func (q *QFlatten) ApplyRange(_ *paillier.Evaluator, xs []*paillier.Ciphertext, _ tensor.Shape, lo, hi, _ int, out []*paillier.Ciphertext) error {
-	copy(out, xs[lo:hi])
-	return nil
-}
+// KernelRows implements Op: a reshape has no rows, its elements are its
+// inputs.
+func (q *QFlatten) KernelRows(tensor.Shape, int, int, int) []paillier.Row { return nil }
 
 // Bound implements Op: values pass through.
 func (q *QFlatten) Bound(in *big.Int, _ int) *big.Int { return in }

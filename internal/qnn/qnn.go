@@ -41,18 +41,19 @@ type Op interface {
 	// (Section IV-D): a thread on another server would be sent the union
 	// of its elements' needs.
 	InputNeeds(in tensor.Shape, outIdx int) []int
-	// ApplyRange evaluates flat output elements [lo, hi) into out, which
-	// has hi−lo entries, over the flat input xs of shape in at scale
-	// F^inExp; the elements are at scale F^(inExp+ScaleSteps()).
-	// Dot-product ops hand the whole range to ONE paillier.Rows call, so
-	// what the kernel shares between rows (power tables, the batched
-	// inversion) is paid once per range. The elements are NOT
-	// re-randomized: they may feed the stage's next op, but only
-	// paillier.Evaluator.Pack may hand them to the data provider.
-	ApplyRange(ev *paillier.Evaluator, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error
+	// KernelRows returns flat output elements [lo, hi) over an input of
+	// shape in at scale F^inExp as the kernel takes them: element lo+i is
+	// Σ_j W[j]·x[Idx[j]] + Bias of row i, at scale
+	// F^(inExp+ScaleSteps()). It is the one statement of the op's
+	// arithmetic: ApplyRange hands it to paillier.Evaluator.Rows,
+	// ApplyStageShared to Beaver dot products, and MulCount and StageCost
+	// count it. in is a shape OutShape accepts. A structural op returns
+	// nil: its elements are its inputs.
+	KernelRows(in tensor.Shape, lo, hi, inExp int) []paillier.Row
 	// ApplyPlain evaluates the same arithmetic over plaintext big
-	// integers; CipherBase/PlainBase baselines and tests use it to check
-	// the ciphertext path bit-for-bit.
+	// integers, written out apart from KernelRows: it is the clear
+	// backend, and the independent reference the differential tests hold
+	// the ciphertext and shared paths to, bit for bit.
 	ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], error)
 	// Bound returns the largest magnitude any output element can take
 	// when every input element's magnitude is at most in, at input scale
@@ -194,7 +195,7 @@ func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, inExp, thr
 	xs, od := x.Data(), out.Data()
 	ranges := SplitOutputs(len(od), threads)
 	if len(ranges) <= 1 {
-		return out, op.ApplyRange(ev, xs, in, 0, len(od), inExp, od)
+		return out, ApplyRange(ev, op, xs, in, 0, len(od), inExp, od)
 	}
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
@@ -202,7 +203,7 @@ func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, inExp, thr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = op.ApplyRange(ev, xs, in, r.Lo, r.Hi, inExp, od[r.Lo:r.Hi])
+			errs[i] = ApplyRange(ev, op, xs, in, r.Lo, r.Hi, inExp, od[r.Lo:r.Hi])
 		}()
 	}
 	wg.Wait()
@@ -212,6 +213,29 @@ func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, inExp, thr
 		}
 	}
 	return out, nil
+}
+
+// ApplyRange evaluates the op's flat output elements [lo, hi) into out,
+// which has hi−lo entries, over the flat input xs of shape in at scale
+// F^inExp, in a shape the op's OutShape accepts (ApplyStage checks it):
+// the op's KernelRows in ONE paillier.Evaluator.Rows call, so
+// what the kernel shares between rows (power tables, the batched
+// inversion) is paid once per range. A structural op's elements are its
+// inputs. The elements are NOT re-randomized: they may feed the stage's
+// next op, but only paillier.Evaluator.Pack may hand them to the data
+// provider.
+func ApplyRange(ev *paillier.Evaluator, op Op, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
+	rows := op.KernelRows(in, lo, hi, inExp)
+	if rows == nil {
+		copy(out, xs[lo:hi])
+		return nil
+	}
+	cts, err := ev.Rows(xs, rows)
+	if err != nil {
+		return fmt.Errorf("qnn: %s elements [%d,%d): %w", op.Name(), lo, hi, err)
+	}
+	copy(out, cts)
+	return nil
 }
 
 // Range is a half-open interval of an op's flat output elements: one
@@ -243,47 +267,59 @@ func SplitOutputs(n, t int) []Range {
 	return out
 }
 
-// rowsOp is what the dot-product ops (QFC, QConv) share: their rows the
-// way the kernel takes them, one paillier.Rows call per ApplyRange.
-type rowsOp interface {
-	Op
-	kernelRows(lo, hi, inExp int) []paillier.Row
+// stageRows calls f with each op of the stage, its input shape and its
+// rows over every output element, from an input of shape in at scale F¹ —
+// what ApplyStage evaluates at one thread.
+func stageRows(ops []Op, in tensor.Shape, f func(op Op, in tensor.Shape, rows []paillier.Row) error) error {
+	shape, exp := in, 1
+	for _, op := range ops {
+		out, err := op.OutShape(shape)
+		if err != nil {
+			return err
+		}
+		if err := f(op, shape, op.KernelRows(shape, 0, out.Size(), exp)); err != nil {
+			return err
+		}
+		shape, exp = out, exp+op.ScaleSteps()
+	}
+	return nil
 }
 
 // StageCost returns the crypto-op counts ApplyStage meters at one thread
 // for the ops over an input of shape in at scale F¹ — one paillier.Rows
-// call per dot-product op, the per-element exponentiations of an affine
-// op — from the weights and shapes alone, without a ciphertext.
+// call per op that has rows — from the weights and shapes alone, without
+// a ciphertext.
 func StageCost(ops []Op, in tensor.Shape) (obs.CostStats, error) {
 	var st obs.CostStats
-	shape, exp := in, 1
-	for _, op := range ops {
-		switch q := op.(type) {
-		case rowsOp:
-			out, err := q.OutShape(shape)
-			if err != nil {
-				return obs.CostStats{}, err
-			}
-			plan, err := paillier.CountRows(shape.Size(), q.kernelRows(0, out.Size(), exp))
-			if err != nil {
-				return obs.CostStats{}, fmt.Errorf("qnn: counting %s: %w", op.Name(), err)
-			}
-			st.MulMods += plan.MulMods
-			st.ModInverses += plan.ModInverses
-		case *QAffine:
-			idx, err := q.coeffIndex(shape)
-			if err != nil {
-				return obs.CostStats{}, err
-			}
-			st.Add(q.cost(idx, 0, shape.Size()))
-		}
-		next, err := op.OutShape(shape)
+	err := stageRows(ops, in, func(op Op, in tensor.Shape, rows []paillier.Row) error {
+		plan, err := paillier.CountRows(in.Size(), rows)
 		if err != nil {
-			return obs.CostStats{}, err
+			return fmt.Errorf("qnn: counting %s: %w", op.Name(), err)
 		}
-		shape, exp = next, exp+op.ScaleSteps()
-	}
-	return st, nil
+		st.MulMods += plan.MulMods
+		st.ModInverses += plan.ModInverses
+		return nil
+	})
+	return st, err
+}
+
+// MulCount returns the non-zero weight multiplications of the stage's ops
+// over an input of shape in — the size term of the ss-gc and clear
+// backends' counts: one Beaver triple, or one plain multiply-accumulate,
+// each.
+func MulCount(ops []Op, in tensor.Shape) (uint64, error) {
+	var n uint64
+	err := stageRows(ops, in, func(_ Op, _ tensor.Shape, rows []paillier.Row) error {
+		for _, r := range rows {
+			for _, w := range r.W {
+				if w != 0 {
+					n++
+				}
+			}
+		}
+		return nil
+	})
+	return n, err
 }
 
 // ApplyStagePlain is ApplyStage over plaintext big integers.
@@ -438,6 +474,17 @@ func powF(F int64, exp int) *big.Int {
 	f := big.NewInt(F)
 	for i := 0; i < exp; i++ {
 		out.Mul(out, f)
+	}
+	return out
+}
+
+// biasesAt materializes each of bs at scale F^exp, nil for a zero bias.
+func biasesAt(bs []float64, F int64, exp int) []*big.Int {
+	out := make([]*big.Int, len(bs))
+	for i, b := range bs {
+		if b != 0 {
+			out[i] = biasAt(b, F, exp)
+		}
 	}
 	return out
 }

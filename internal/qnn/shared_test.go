@@ -63,6 +63,7 @@ func TestApplyStageSharedMatchesPlain(t *testing.T) {
 		{"fc", []nn.Layer{nn.NewFC("fc", 9, 7, rng)}, tensor.Shape{9}},
 		{"fc+fc", []nn.Layer{nn.NewFC("a", 6, 8, rng), nn.NewFC("b", 8, 4, rng)}, tensor.Shape{6}},
 		{"flatten+fc", []nn.Layer{nn.NewFlatten("fl"), nn.NewFC("fc", 12, 5, rng)}, tensor.Shape{3, 2, 2}},
+		{"elemscale", []nn.Layer{&nn.ElemScale{LayerName: "es", Scale: tensor.MustFromSlice([]float64{2, -0.5, 0, 1.25}, 4)}}, tensor.Shape{4}},
 	}
 	if conv, err := nn.NewConv("cv", tensor.ConvParams{InC: 2, InH: 5, InW: 5, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}, rng); err == nil {
 		stages = append(stages, struct {
@@ -126,7 +127,7 @@ func TestApplyStageSharedMatchesPlain(t *testing.T) {
 }
 
 // TestApplySharedThenTruncate pins the composition the EzPC-style
-// baseline runs per layer: at F = 2^16, every op kind's ApplyShared
+// baseline runs per layer: at F = 2^16, every op kind under ApplyStageShared
 // followed by a 16-bit Truncate of each share reconstructs to ApplyPlain's
 // output shifted right by 16, within one per element (exactly, for an op
 // that does not raise the scale).
@@ -164,7 +165,7 @@ func TestApplySharedThenTruncate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := op.(SharedOp).ApplyShared(secshare.NewEngine(1), shareBigTensor(t, x), 1)
+			got, _, err := ApplyStageShared(secshare.NewEngine(1), []Op{op}, shareBigTensor(t, x), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +188,15 @@ func TestMulCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MulCount(op, tensor.Shape{4}); got <= 0 || got > 12 {
-		t.Fatalf("fc MulCount = %d, want in (0,12]", got)
+	if got, err := MulCount([]Op{op}, tensor.Shape{4}); err != nil || got <= 0 || got > 12 {
+		t.Fatalf("fc MulCount = %d, %v; want in (0,12]", got, err)
+	}
+	bn, _ := Quantize(nn.NewBatchNorm("bn", 2), 100)
+	if got, err := MulCount([]Op{bn}, tensor.Shape{2, 3, 3}); err != nil || got != 18 {
+		t.Fatalf("batchnorm MulCount = %d, %v; want 18", got, err)
 	}
 	fl, _ := Quantize(nn.NewFlatten("fl"), 100)
-	if got := MulCount(fl, tensor.Shape{4}); got != 0 {
-		t.Fatalf("flatten MulCount = %d, want 0", got)
+	if got, err := MulCount([]Op{fl}, tensor.Shape{4}); err != nil || got != 0 {
+		t.Fatalf("flatten MulCount = %d, %v; want 0", got, err)
 	}
 }

@@ -69,14 +69,3 @@ func (e *Engine) DotPrivateInt(w []int32, x []Shares, bias *big.Int) (Shares, er
 	}
 	return acc, nil
 }
-
-// ScalePrivateInt applies party 0's private per-element int64 scale and
-// big-integer shift to one sharing (the quantized affine op's element
-// step), untruncated.
-func (e *Engine) ScalePrivateInt(scale int64, shift *big.Int, x Shares) Shares {
-	out := e.mulRaw(Shares{S: [2]uint64{uint64(scale), 0}}, x)
-	if shift != nil {
-		out.S[0] += RingOfBig(shift)
-	}
-	return out
-}

@@ -117,8 +117,9 @@ func TestDotPrivateIntLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestMulPrivateIntExact: one private multiplication (ScalePrivateInt
-// without a shift) is exact over the ring for products below 2^63.
+// TestMulPrivateIntExact: one private multiplication (a one-weight
+// DotPrivateInt without a bias) is exact over the ring for products below
+// 2^63.
 func TestMulPrivateIntExact(t *testing.T) {
 	e := NewEngine(3)
 	rng := mrand.New(mrand.NewSource(9))
@@ -129,25 +130,41 @@ func TestMulPrivateIntExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := SignedOfRing(e.ScalePrivateInt(w, nil, xs).Reconstruct())
+		out, err := e.DotPrivateInt([]int32{int32(w)}, []Shares{xs}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := SignedOfRing(out.Reconstruct())
 		if want := w * x; got != want {
 			t.Fatalf("mul %d*%d = %d, want %d", w, x, got, want)
 		}
 	}
 }
 
+// TestScalePrivateIntExact: a one-weight DotPrivateInt — the row a
+// quantized affine op gives each element — scales and shifts one sharing
+// exactly, costing one triple, and a zero scale costs none.
 func TestScalePrivateIntExact(t *testing.T) {
 	e := NewEngine(4)
 	xs, err := SplitRandom(rand.Reader, RingOfBig(big.NewInt(1234)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := e.ScalePrivateInt(-3, big.NewInt(500), xs)
-	if got := SignedOfRing(out.Reconstruct()); got != -3*1234+500 {
-		t.Fatalf("scale = %d, want %d", got, -3*1234+500)
-	}
-	out = e.ScalePrivateInt(2, nil, xs)
-	if got := SignedOfRing(out.Reconstruct()); got != 2468 {
-		t.Fatalf("scale nil shift = %d", got)
+	for _, c := range []struct {
+		scale int32
+		shift *big.Int
+		want  int64
+	}{{-3, big.NewInt(500), -3*1234 + 500}, {2, nil, 2468}, {0, big.NewInt(-7), -7}} {
+		before := e.Stats.Triples
+		out, err := e.DotPrivateInt([]int32{c.scale}, []Shares{xs}, c.shift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := SignedOfRing(out.Reconstruct()); got != c.want {
+			t.Errorf("scale %d shift %v = %d, want %d", c.scale, c.shift, got, c.want)
+		}
+		if used, want := e.Stats.Triples-before, uint64(min(c.scale*c.scale, 1)); used != want {
+			t.Errorf("scale %d used %d triples, want %d", c.scale, used, want)
+		}
 	}
 }
