@@ -171,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppbench", flag.ContinueOnError)
 	fs.IntVar(&o.cfg.KeyBits, "keybits", 512, "Paillier key size in bits (paper: 2048)")
 	fs.IntVar(&o.cfg.Requests, "requests", 8, "streaming batch size for effective-latency runs")
-	fs.IntVar(&o.cfg.Trials, "trials", 3, "random permutations table6 averages its leakage over")
+	fs.IntVar(&o.cfg.Trials, "trials", 3, "seeded permutations table6 averages its leakage over")
 	fs.BoolVar(&o.cfg.Quick, "quick", false, "restrict to the smallest model subsets (CI mode)")
 	fs.BoolVar(&o.cfg.RealTime, "real", false, "wall-clock latency (multi-core hosts) instead of the calibrated model")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7200", "metrics endpoint for top and traces (the ppserver -metrics address)")

@@ -72,6 +72,7 @@ import (
 	"ppstream"
 	"ppstream/internal/backend"
 	"ppstream/internal/obs"
+	"ppstream/internal/obs/obshttp"
 	"ppstream/internal/protocol"
 )
 
@@ -188,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	reg.GaugeFunc("serve.draining", draining.Load)
 	metricsBound := ""
 	if *metricsAddr != "" {
-		bound, stop, err := obs.Serve(*metricsAddr, obs.HTTPOptions{Ready: ready.Load, Traces: traces, SLO: slo}, reg)
+		bound, stop, err := obshttp.Serve(*metricsAddr, obshttp.Options{Ready: ready.Load, Traces: traces, SLO: slo}, reg)
 		if err != nil {
 			logger.Error("metrics listener failed", "addr", *metricsAddr, "err", err.Error())
 			return 1

@@ -42,7 +42,7 @@ type serving struct {
 // "round.<r>.wait" and "round.<r>.linear" — to the engine's registry as
 // totals. Nothing reads that registry live, so its live metrics keep no
 // trailing window; a caller that wants them calls KeepWindows on Registry()
-// or mounts it with obs.Serve. ctx bounds the lifetime of the session's
+// or mounts it with obshttp.Serve. ctx bounds the lifetime of the session's
 // goroutines.
 func (e *Engine) Serve(ctx context.Context) error {
 	e.serveMu.Lock()

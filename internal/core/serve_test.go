@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ppstream/internal/obs"
+	"ppstream/internal/obs/obshttp"
 	"ppstream/internal/protocol"
 	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
@@ -490,16 +491,16 @@ func TestEngineRegistryKeepsNoWindows(t *testing.T) {
 }
 
 // TestOneObjectPerLiveMetric: a session whose registry is mounted by
-// obs.Serve registers its request outcomes, its round stages and its cost
-// counters on that registry with their windows; after N requests every name
-// /debug/live serves is one object whose total equals its trailing-minute
-// count, the windowed and cumulative views being two reads of the same
-// writes — N for the outcome and the latency histograms.
+// obshttp.Serve registers its request outcomes, its round stages and its
+// cost counters on that registry with their windows; after N requests
+// every name /debug/live serves is one object whose total equals its
+// trailing-minute count, the windowed and cumulative views being two
+// reads of the same writes — N for the outcome and the latency histograms.
 func TestOneObjectPerLiveMetric(t *testing.T) {
 	const factor = 1000
 	net := smallNet(t)
 	reg := obs.NewRegistry("served")
-	addr, stop, err := obs.Serve("127.0.0.1:0", obs.HTTPOptions{}, reg)
+	addr, stop, err := obshttp.Serve("127.0.0.1:0", obshttp.Options{}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +127,14 @@ func TestTable6Quick(t *testing.T) {
 	res, err := Table6(quickCfg())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Seeded permutations: a second run reproduces every row bit for bit.
+	again, err := Table6(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) {
+		t.Errorf("two runs differ:\n%+v\n%+v", res.Rows, again.Rows)
 	}
 	if len(res.Rows) < 4 {
 		t.Fatalf("%d rows", len(res.Rows))

@@ -12,6 +12,7 @@ import (
 
 	"ppstream/internal/nn"
 	"ppstream/internal/obs"
+	"ppstream/internal/obs/obshttp"
 	"ppstream/internal/paillier"
 	"ppstream/internal/protocol"
 	"ppstream/internal/stream"
@@ -181,7 +182,7 @@ func Swarm(cfg Config) (*SwarmResult, error) {
 	// ppserver -metrics mounts its own: the window = total check below
 	// reads the endpoint operators read.
 	reg := obs.NewRegistry("swarm/server")
-	liveAddr, stopLive, err := obs.Serve("127.0.0.1:0", obs.HTTPOptions{}, reg)
+	liveAddr, stopLive, err := obshttp.Serve("127.0.0.1:0", obshttp.Options{}, reg)
 	if err != nil {
 		return nil, err
 	}

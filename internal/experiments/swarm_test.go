@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ppstream/internal/obs"
+	"ppstream/internal/obs/obshttp"
 )
 
 // TestSwarmSmoke runs the open-loop load harness once in quick mode and
@@ -42,7 +43,7 @@ func TestSwarmSmoke(t *testing.T) {
 	// The retained slow trace is retrievable over the wire: mount the
 	// harness's trace store behind /debug/traces and pull the full merged
 	// tree back out, exactly as an operator would.
-	addr, stop, err := obs.Serve("127.0.0.1:0", obs.HTTPOptions{Traces: res.Traces})
+	addr, stop, err := obshttp.Serve("127.0.0.1:0", obshttp.Options{Traces: res.Traces})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"ppstream/internal/leakage"
 	"ppstream/internal/nn"
+	"ppstream/internal/obfuscate"
 	"ppstream/internal/tensor"
 )
 
@@ -26,7 +27,9 @@ type Table6Result struct {
 // linear-stage outputs captured from inference runs of a trained model —
 // resampled to each target length (the paper pools tensors of matching
 // lengths across its nine models; a single activation-value pool is the
-// single-host equivalent).
+// single-host equivalent). Each (length, trial) permutation is drawn from
+// its own fixed seed, so the table is the same on every run; the
+// protocol's own permutations stay crypto-random.
 func Table6(cfg Config) (*Table6Result, error) {
 	cfg = cfg.withDefaults()
 	maxLog := 13
@@ -38,17 +41,26 @@ func Table6(cfg Config) (*Table6Result, error) {
 		return nil, err
 	}
 	res := &Table6Result{Trials: cfg.Trials}
+	trials := max(cfg.Trials, 1)
 	for logN := 5; logN <= maxLog; logN++ {
 		n := 1 << logN
 		t, err := tensor.FromSlice(append([]float64(nil), pool[:n]...), n)
 		if err != nil {
 			return nil, err
 		}
-		d, err := leakage.MeasureMean(t, cfg.Trials)
-		if err != nil {
-			return nil, err
+		var sum float64
+		for trial := 0; trial < trials; trial++ {
+			perm, err := obfuscate.NewSeeded(n, int64(logN)<<32|int64(trial))
+			if err != nil {
+				return nil, err
+			}
+			d, err := leakage.MeasureWithPermutation(t, perm)
+			if err != nil {
+				return nil, err
+			}
+			sum += d
 		}
-		res.Rows = append(res.Rows, Table6Row{Log2Len: logN, Dcor: d})
+		res.Rows = append(res.Rows, Table6Row{Log2Len: logN, Dcor: sum / float64(trials)})
 	}
 	return res, nil
 }
@@ -96,6 +108,6 @@ func (r *Table6Result) Render() string {
 	for _, row := range r.Rows {
 		rows = append(rows, []string{fmt.Sprintf("2^%d", row.Log2Len), fmt.Sprintf("%.4f", row.Dcor)})
 	}
-	return fmt.Sprintf("Table VI (Exp#5): information leakage (mean over %d fresh permutations)\n%s",
+	return fmt.Sprintf("Table VI (Exp#5): information leakage (mean over %d seeded permutations)\n%s",
 		r.Trials, renderTable(header, rows))
 }

@@ -1,4 +1,8 @@
-package nn
+// Package modelfile is the on-disk model format: a gob encoding of an
+// nn.Network, written by pptrain and read by every command that serves or
+// evaluates a saved model. It lives apart from nn so that the serving
+// packages, which receive a network already in memory, do not link gob.
+package modelfile
 
 import (
 	"encoding/gob"
@@ -6,11 +10,15 @@ import (
 	"io"
 	"os"
 
+	"ppstream/internal/nn"
 	"ppstream/internal/tensor"
 )
 
 // serialized forms: tensors and layers flatten into plain structs so gob
-// does not need to chase unexported fields or interfaces.
+// does not need to chase unexported fields or interfaces. gob names the
+// two unnamed field types after the package ("[]modelfile.layerBlob";
+// files written while the format lived in nn say "[]nn.layerBlob"). A
+// reader matches fields by name and type, not type names, so both load.
 
 type tensorBlob struct {
 	Shape []int
@@ -49,7 +57,7 @@ type networkBlob struct {
 }
 
 // Save writes the network to w in gob format.
-func Save(n *Network, w io.Writer) error {
+func Save(n *nn.Network, w io.Writer) error {
 	blob := networkBlob{Name: n.ModelName, Input: n.InputShape, InputMax: n.InputMax}
 	for _, l := range n.Layers {
 		lb, err := encodeLayer(l)
@@ -62,12 +70,12 @@ func Save(n *Network, w io.Writer) error {
 }
 
 // Load reads a network previously written with Save.
-func Load(r io.Reader) (*Network, error) {
+func Load(r io.Reader) (*nn.Network, error) {
 	var blob networkBlob
 	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
-		return nil, fmt.Errorf("nn: decoding network: %w", err)
+		return nil, fmt.Errorf("modelfile: decoding network: %w", err)
 	}
-	layers := make([]Layer, len(blob.Layers))
+	layers := make([]nn.Layer, len(blob.Layers))
 	for i, lb := range blob.Layers {
 		l, err := decodeLayer(lb)
 		if err != nil {
@@ -75,7 +83,7 @@ func Load(r io.Reader) (*Network, error) {
 		}
 		layers[i] = l
 	}
-	n := &Network{ModelName: blob.Name, InputShape: tensor.Shape(blob.Input).Clone(), Layers: layers, InputMax: blob.InputMax}
+	n := &nn.Network{ModelName: blob.Name, InputShape: tensor.Shape(blob.Input).Clone(), Layers: layers, InputMax: blob.InputMax}
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +91,7 @@ func Load(r io.Reader) (*Network, error) {
 }
 
 // SaveFile writes the network to the named file.
-func SaveFile(n *Network, path string) error {
+func SaveFile(n *nn.Network, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -96,7 +104,7 @@ func SaveFile(n *Network, path string) error {
 }
 
 // LoadFile reads a network from the named file.
-func LoadFile(path string) (*Network, error) {
+func LoadFile(path string) (*nn.Network, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -105,52 +113,52 @@ func LoadFile(path string) (*Network, error) {
 	return Load(f)
 }
 
-func encodeLayer(l Layer) (layerBlob, error) {
+func encodeLayer(l nn.Layer) (layerBlob, error) {
 	lb := layerBlob{Name: l.Name(), Ints: map[string]int{}, Floats: map[string]float64{}, Tensors: map[string]*tensorBlob{}}
 	switch v := l.(type) {
-	case *FC:
+	case *nn.FC:
 		lb.Type = "fc"
 		lb.Tensors["w"], lb.Tensors["b"] = blobOf(v.W), blobOf(v.B)
-	case *Conv:
+	case *nn.Conv:
 		lb.Type = "conv"
 		lb.Ints["inc"], lb.Ints["inh"], lb.Ints["inw"] = v.P.InC, v.P.InH, v.P.InW
 		lb.Ints["outc"], lb.Ints["kh"], lb.Ints["kw"] = v.P.OutC, v.P.KH, v.P.KW
 		lb.Ints["stride"], lb.Ints["pad"] = v.P.Stride, v.P.Pad
 		lb.Tensors["w"], lb.Tensors["b"] = blobOf(v.W), blobOf(v.B)
-	case *BatchNorm:
+	case *nn.BatchNorm:
 		lb.Type = "batchnorm"
 		lb.Ints["channels"] = v.Channels
 		lb.Floats["eps"] = v.Eps
 		lb.Tensors["gamma"], lb.Tensors["beta"] = blobOf(v.Gamma), blobOf(v.Beta)
 		lb.Tensors["mean"], lb.Tensors["var"] = blobOf(v.Mean), blobOf(v.Var)
-	case *ReLU:
+	case *nn.ReLU:
 		lb.Type = "relu"
-	case *Sigmoid:
+	case *nn.Sigmoid:
 		lb.Type = "sigmoid"
-	case *SoftMax:
+	case *nn.SoftMax:
 		lb.Type = "softmax"
-	case *MaxPool:
+	case *nn.MaxPool:
 		lb.Type = "maxpool"
 		lb.Ints["window"], lb.Ints["stride"] = v.Window, v.Stride
-	case *Flatten:
+	case *nn.Flatten:
 		lb.Type = "flatten"
-	case *ScaledSigmoid:
+	case *nn.ScaledSigmoid:
 		lb.Type = "scaledsigmoid"
 		lb.Tensors["scale"] = blobOf(v.Scale)
-	case *ElemScale:
+	case *nn.ElemScale:
 		lb.Type = "elemscale"
 		lb.Tensors["scale"] = blobOf(v.Scale)
 	default:
-		return lb, fmt.Errorf("nn: cannot serialize layer type %T", l)
+		return lb, fmt.Errorf("modelfile: cannot serialize layer type %T", l)
 	}
 	return lb, nil
 }
 
-func decodeLayer(lb layerBlob) (Layer, error) {
+func decodeLayer(lb layerBlob) (nn.Layer, error) {
 	t := func(k string) (*tensor.Dense, error) {
 		b, ok := lb.Tensors[k]
 		if !ok || b == nil {
-			return nil, fmt.Errorf("nn: layer %q (%s) missing tensor %q", lb.Name, lb.Type, k)
+			return nil, fmt.Errorf("modelfile: layer %q (%s) missing tensor %q", lb.Name, lb.Type, k)
 		}
 		return b.tensor()
 	}
@@ -164,7 +172,7 @@ func decodeLayer(lb layerBlob) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &FC{LayerName: lb.Name, W: w, B: b}, nil
+		return &nn.FC{LayerName: lb.Name, W: w, B: b}, nil
 	case "conv":
 		w, err := t("w")
 		if err != nil {
@@ -182,7 +190,7 @@ func decodeLayer(lb layerBlob) (Layer, error) {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		return &Conv{LayerName: lb.Name, P: p, W: w, B: b}, nil
+		return &nn.Conv{LayerName: lb.Name, P: p, W: w, B: b}, nil
 	case "batchnorm":
 		gamma, err := t("gamma")
 		if err != nil {
@@ -200,31 +208,31 @@ func decodeLayer(lb layerBlob) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BatchNorm{LayerName: lb.Name, Channels: lb.Ints["channels"], Eps: lb.Floats["eps"],
+		return &nn.BatchNorm{LayerName: lb.Name, Channels: lb.Ints["channels"], Eps: lb.Floats["eps"],
 			Gamma: gamma, Beta: beta, Mean: mean, Var: variance}, nil
 	case "relu":
-		return NewReLU(lb.Name), nil
+		return nn.NewReLU(lb.Name), nil
 	case "sigmoid":
-		return NewSigmoid(lb.Name), nil
+		return nn.NewSigmoid(lb.Name), nil
 	case "softmax":
-		return NewSoftMax(lb.Name), nil
+		return nn.NewSoftMax(lb.Name), nil
 	case "maxpool":
-		return NewMaxPool(lb.Name, lb.Ints["window"], lb.Ints["stride"]), nil
+		return nn.NewMaxPool(lb.Name, lb.Ints["window"], lb.Ints["stride"]), nil
 	case "flatten":
-		return NewFlatten(lb.Name), nil
+		return nn.NewFlatten(lb.Name), nil
 	case "scaledsigmoid":
 		s, err := t("scale")
 		if err != nil {
 			return nil, err
 		}
-		return &ScaledSigmoid{LayerName: lb.Name, Scale: s}, nil
+		return &nn.ScaledSigmoid{LayerName: lb.Name, Scale: s}, nil
 	case "elemscale":
 		s, err := t("scale")
 		if err != nil {
 			return nil, err
 		}
-		return &ElemScale{LayerName: lb.Name, Scale: s}, nil
+		return &nn.ElemScale{LayerName: lb.Name, Scale: s}, nil
 	default:
-		return nil, fmt.Errorf("nn: unknown serialized layer type %q", lb.Type)
+		return nil, fmt.Errorf("modelfile: unknown serialized layer type %q", lb.Type)
 	}
 }

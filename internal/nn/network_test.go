@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
@@ -307,148 +305,6 @@ func TestTrainValidation(t *testing.T) {
 	noSoftmax, _ := NewNetwork("ns", tensor.Shape{4}, NewFC("fc", 4, 2, r))
 	if err := Train(noSoftmax, x, []int{0}, DefaultTrainConfig()); err == nil {
 		t.Error("network without SoftMax head accepted")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	r := rng()
-	conv, err := NewConv("c1", tensor.ConvParams{InC: 1, InH: 6, InW: 6, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bn := NewBatchNorm("bn", 2)
-	net, err := NewNetwork("roundtrip", tensor.Shape{1, 6, 6},
-		conv,
-		bn,
-		NewReLU("relu"),
-		NewMaxPool("mp", 2, 2),
-		NewFlatten("fl"),
-		NewFC("fc", 2*3*3, 4, r),
-		NewScaledSigmoid("ss", 4),
-		NewFC("fc2", 4, 2, r),
-		NewSoftMax("sm"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Save(net, &buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Zeros(1, 6, 6)
-	for i := range x.Data() {
-		x.Data()[i] = float64(i%5) / 5
-	}
-	want, err := net.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AllClose(want, got, 1e-12) {
-		t.Error("loaded network computes different outputs")
-	}
-	if loaded.ModelName != "roundtrip" {
-		t.Errorf("model name lost: %q", loaded.ModelName)
-	}
-	if loaded.InputMax != 0 {
-		t.Errorf("an undeclared input domain loaded as ±%v", loaded.InputMax)
-	}
-	net.InputMax = 1
-	buf.Reset()
-	if err := Save(net, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if declared, err := Load(&buf); err != nil || declared.InputMax != 1 || declared.Clone().InputMax != 1 {
-		t.Errorf("declared input domain ±1 did not survive save, load and clone: %+v, %v", declared, err)
-	}
-	// A loaded network stays trainable: one epoch moves its parameters
-	// exactly as the same epoch moves the saved network's.
-	xs := make([]*tensor.Dense, 8)
-	ys := make([]int, len(xs))
-	for i := range xs {
-		xs[i] = tensor.Zeros(1, 6, 6)
-		for j := range xs[i].Data() {
-			xs[i].Data()[j] = r.NormFloat64()
-		}
-		ys[i] = i % 2
-	}
-	cfg := DefaultTrainConfig()
-	cfg.Epochs, cfg.BatchSize = 1, 4
-	untrained := net.Clone()
-	for _, n := range []*Network{net, loaded} {
-		if err := Train(n, xs, ys, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sameParams(net, untrained) {
-		t.Fatal("one epoch moved no parameter")
-	}
-	if !sameParams(net, loaded) {
-		t.Error("one epoch on the loaded network trained different parameters than on the saved one")
-	}
-}
-
-// sameParams reports whether two networks' parameters are equal bit for bit.
-func sameParams(a, b *Network) bool {
-	pa, pb := a.Params(), b.Params()
-	if len(pa) != len(pb) {
-		return false
-	}
-	for i := range pa {
-		da, db := pa[i].Data(), pb[i].Data()
-		if len(da) != len(db) {
-			return false
-		}
-		for j := range da {
-			if math.Float64bits(da[j]) != math.Float64bits(db[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestLoadsFileWrittenBeforeInputMax: the model file is gob and the field
-// is additive. A file with the three fields the format had before the
-// input domain existed loads, computes the same outputs and declares no
-// domain — so it serves with the slot widths it always had.
-func TestLoadsFileWrittenBeforeInputMax(t *testing.T) {
-	net := smallNet(t)
-	old := struct {
-		Name   string
-		Input  []int
-		Layers []layerBlob
-	}{Name: net.ModelName, Input: net.InputShape}
-	for _, l := range net.Layers {
-		lb, err := encodeLayer(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old.Layers = append(old.Layers, lb)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("loading a pre-InputMax file: %v", err)
-	}
-	if loaded.InputMax != 0 {
-		t.Errorf("pre-InputMax file declares input domain ±%v", loaded.InputMax)
-	}
-	x := tensor.MustFromSlice([]float64{0.2, -1.5, 3, 0}, 4)
-	want, _ := net.Forward(x)
-	got, err := loaded.Forward(x)
-	if err != nil || !tensor.AllClose(want, got, 0) {
-		t.Errorf("pre-InputMax file computes %v (%v), want %v", got, err, want)
 	}
 }
 

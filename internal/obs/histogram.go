@@ -1,10 +1,10 @@
 // Package obs is PP-Stream's observability layer: lock-cheap metric
 // primitives (counters, gauges, fixed-bucket latency histograms) grouped
-// in named registries, plus an HTTP exposition endpoint serving JSON
-// snapshots and pprof. The stream runtime, the protocol session layer,
-// and the core engine all publish here, so every deployment — in-process
-// pipeline or distributed ppserver — can be profiled the way the paper's
-// Tables IV–VI break latency down per stage.
+// in named registries, whose JSON snapshots the HTTP exposition endpoint
+// (package obshttp) serves beside pprof. The stream runtime, the protocol
+// session layer, and the core engine all publish here, so every
+// deployment — in-process pipeline or distributed ppserver — can be
+// profiled the way the paper's Tables IV–VI break latency down per stage.
 //
 // All write paths are single atomic operations (no locks, no
 // allocation), so instrumenting the pipeline hot path costs nanoseconds.

@@ -1,4 +1,8 @@
-package obs
+// Package obshttp exposes obs registries, span stores and SLO
+// evaluations over HTTP, beside the standard pprof handlers. Only
+// ppserver and the swarm experiment import it, so the packages that serve
+// requests link neither net/http nor net/http/pprof.
+package obshttp
 
 import (
 	"context"
@@ -9,10 +13,12 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"time"
+
+	"ppstream/internal/obs"
 )
 
-// HTTPOptions configures the exposition endpoint beyond the registries.
-type HTTPOptions struct {
+// Options configures the exposition endpoint beyond the registries.
+type Options struct {
 	// Ready, when non-nil, gates /readyz: the endpoint answers 200 only
 	// while Ready() is true (503 otherwise). /healthz is liveness and
 	// always answers 200. A nil Ready leaves /readyz always-ready.
@@ -21,10 +27,10 @@ type HTTPOptions struct {
 	// retained request records. Query parameters: since (RFC3339 instant
 	// or a trailing duration like "5m"), min_ms (minimum request duration
 	// in milliseconds), id (exact trace ID), limit.
-	Traces *TraceStore
+	Traces *obs.TraceStore
 	// SLO, when non-nil, mounts /debug/slo serving every objective's
 	// multi-window burn-rate evaluation.
-	SLO *SLOEngine
+	SLO *obs.SLOEngine
 }
 
 // serveJSON writes v as indented JSON.
@@ -52,13 +58,13 @@ func oneOrAll[T any](snaps []T) any {
 // /debug/pprof/, so a running ppserver can be inspected with curl and
 // `go tool pprof`. It switches the registries' windows on: /debug/live
 // reads them.
-func handler(opts HTTPOptions, regs ...*Registry) http.Handler {
+func handler(opts Options, regs ...*obs.Registry) http.Handler {
 	for _, r := range regs {
 		r.KeepWindows()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		snaps := make([]Snapshot, len(regs))
+		snaps := make([]obs.Snapshot, len(regs))
 		for i, r := range regs {
 			snaps[i] = r.Snapshot()
 		}
@@ -77,7 +83,7 @@ func handler(opts HTTPOptions, regs ...*Registry) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/debug/live", func(w http.ResponseWriter, _ *http.Request) {
-		snaps := make([]LiveSnapshot, len(regs))
+		snaps := make([]obs.LiveSnapshot, len(regs))
 		for i, r := range regs {
 			snaps[i] = r.LiveSnapshot()
 		}
@@ -113,8 +119,8 @@ func handler(opts HTTPOptions, regs ...*Registry) http.Handler {
 // an RFC3339 instant or a trailing duration ("5m" = the last five
 // minutes); min_ms is a float of milliseconds; id matches one trace;
 // limit caps the result count.
-func parseTraceQuery(req *http.Request) (TraceQuery, error) {
-	var q TraceQuery
+func parseTraceQuery(req *http.Request) (obs.TraceQuery, error) {
+	var q obs.TraceQuery
 	vals := req.URL.Query()
 	if s := vals.Get("since"); s != "" {
 		if d, err := time.ParseDuration(s); err == nil {
@@ -147,11 +153,11 @@ func parseTraceQuery(req *http.Request) (TraceQuery, error) {
 // and returns the bound address plus a shutdown function. The server
 // runs until shutdown is called. The registries keep windows from the
 // call on, before the endpoint listens.
-func Serve(addr string, opts HTTPOptions, regs ...*Registry) (string, func(context.Context) error, error) {
+func Serve(addr string, opts Options, regs ...*obs.Registry) (string, func(context.Context) error, error) {
 	h := handler(opts, regs...)
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
+		return "", nil, fmt.Errorf("obshttp: listening on %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: h}
 	go srv.Serve(l)

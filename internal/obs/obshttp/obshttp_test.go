@@ -1,4 +1,4 @@
-package obs
+package obshttp
 
 import (
 	"context"
@@ -9,14 +9,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ppstream/internal/obs"
 )
 
 func TestHandlerServesSnapshotAndPprof(t *testing.T) {
-	reg := NewRegistry("unit")
+	reg := obs.NewRegistry("unit")
 	reg.Counter("requests").Add(5)
 	reg.Histogram("stage.encrypt.busy").Observe(3 * time.Millisecond)
 
-	srv := httptest.NewServer(handler(HTTPOptions{}, reg))
+	srv := httptest.NewServer(handler(Options{}, reg))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -30,7 +32,7 @@ func TestHandlerServesSnapshotAndPprof(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type %q", ct)
 	}
-	var snap Snapshot
+	var snap obs.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +59,10 @@ func TestHandlerServesSnapshotAndPprof(t *testing.T) {
 // /metrics has one encoding — a format query or a text Accept header
 // still gets the JSON snapshot.
 func TestHandlerHealth(t *testing.T) {
-	reg := NewRegistry("unit")
+	reg := obs.NewRegistry("unit")
 	reg.Counter("requests").Add(5)
 	ready := false
-	srv := httptest.NewServer(handler(HTTPOptions{Ready: func() bool { return ready }}, reg))
+	srv := httptest.NewServer(handler(Options{Ready: func() bool { return ready }}, reg))
 	defer srv.Close()
 
 	get := func(path string, hdr map[string]string) (int, string, string) {
@@ -89,7 +91,7 @@ func TestHandlerHealth(t *testing.T) {
 		{"/metrics", map[string]string{"Accept": "text/plain;version=0.0.4"}},
 	} {
 		code, body, ct := get(c.path, c.hdr)
-		var snap Snapshot
+		var snap obs.Snapshot
 		if code != http.StatusOK || ct != "application/json" || json.Unmarshal([]byte(body), &snap) != nil || snap.Counters["requests"] != 5 {
 			t.Errorf("GET %s %v: %d %q, want the JSON snapshot:\n%s", c.path, c.hdr, code, ct, body)
 		}
@@ -110,32 +112,9 @@ func TestHandlerHealth(t *testing.T) {
 	}
 }
 
-// TestRegisterRuntimeMetrics: the runtime gauges reach /metrics' JSON,
-// the snapshot ppserver serves and CI reads.
-func TestRegisterRuntimeMetrics(t *testing.T) {
-	reg := NewRegistry("rt")
-	RegisterRuntimeMetrics(reg)
-	rr := httptest.NewRecorder()
-	handler(HTTPOptions{}, reg).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	var s Snapshot
-	if err := json.Unmarshal(rr.Body.Bytes(), &s); err != nil {
-		t.Fatalf("/metrics payload: %v", err)
-	}
-	if s.Gauges["runtime.goroutines"] < 1 {
-		t.Errorf("goroutines gauge %d", s.Gauges["runtime.goroutines"])
-	}
-	if s.Gauges["runtime.heap_alloc_bytes"] <= 0 {
-		t.Errorf("heap gauge %d", s.Gauges["runtime.heap_alloc_bytes"])
-	}
-	if _, ok := s.Gauges["runtime.gc_pause_total_ns"]; !ok {
-		t.Error("gc pause gauge missing")
-	}
-	RegisterRuntimeMetrics(nil) // must not panic
-}
-
 func TestServeBindsAndShutsDown(t *testing.T) {
-	reg := NewRegistry("serve")
-	addr, shutdown, err := Serve("127.0.0.1:0", HTTPOptions{}, reg)
+	reg := obs.NewRegistry("serve")
+	addr, shutdown, err := Serve("127.0.0.1:0", Options{}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

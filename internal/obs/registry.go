@@ -138,7 +138,7 @@ func (r *Registry) declare(w *atomic.Pointer[ring], hist bool) {
 // KeepWindows switches the registry's windows on: every metric declared
 // live, before this call or after it, keeps its trailing minute from now
 // on. Until then a registry holds no window. A reader calls it before it
-// reads: the /debug/live handler that Serve mounts, an in-process reader
+// reads: the /debug/live handler that obshttp.Serve mounts, an in-process reader
 // of LiveSnapshot.
 func (r *Registry) KeepWindows() {
 	if r == nil {

@@ -1,11 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -306,12 +306,11 @@ func TestFlightRecordPlan(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderConcurrent hammers Record, Query and the
-// /debug/traces endpoint from concurrent goroutines; run under -race
-// this is the store's thread-safety gate.
+// TestFlightRecorderConcurrent hammers Record, Query and WriteJSON (what
+// /debug/traces serves) from concurrent goroutines; run under -race this
+// is the store's thread-safety gate.
 func TestFlightRecorderConcurrent(t *testing.T) {
 	f := NewFlightRecorder(16, 4, 0)
-	handler := handler(HTTPOptions{Traces: f}, NewRegistry("flight-concurrent"))
 
 	const writers, perWriter, readers = 8, 200, 4
 	var wg sync.WaitGroup
@@ -339,11 +338,10 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 					t.Errorf("query: %d records (bound 16)", len(recs))
 					return
 				}
-				rr := httptest.NewRecorder()
-				handler.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/traces", nil))
+				var buf bytes.Buffer
 				var recs []TraceRecord
-				if rr.Code != 200 || json.Unmarshal(rr.Body.Bytes(), &recs) != nil {
-					t.Errorf("/debug/traces status %d, body not a record list", rr.Code)
+				if err := f.WriteJSON(&buf, TraceQuery{}); err != nil || json.Unmarshal(buf.Bytes(), &recs) != nil {
+					t.Errorf("WriteJSON: %v, body not a record list", err)
 					return
 				}
 			}
@@ -368,18 +366,5 @@ func TestFlightWriteJSONError(t *testing.T) {
 	err := f.WriteJSON(failWriter{}, TraceQuery{})
 	if err == nil || !strings.Contains(err.Error(), "trace records") {
 		t.Fatalf("WriteJSON error %v, want the writer's failure with context", err)
-	}
-}
-
-// TestFlightHTTPNotMountedWithoutRecorder: /debug/flight is gone, and
-// /debug/traces exists only with a store behind it.
-func TestFlightHTTPNotMountedWithoutRecorder(t *testing.T) {
-	handler := handler(HTTPOptions{}, NewRegistry("no-store"))
-	for _, path := range []string{"/debug/flight", "/debug/traces"} {
-		rr := httptest.NewRecorder()
-		handler.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
-		if rr.Code != 404 {
-			t.Errorf("%s without a store: status %d, want 404", path, rr.Code)
-		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ppstream/internal/modelfile"
 	"ppstream/internal/models"
 	"ppstream/internal/nn"
 	"ppstream/internal/scaling"
@@ -17,7 +18,7 @@ import (
 // the committed Heart model file, quantizes within the int32 a served
 // weight is held in at every scaling exponent 0…scaling.MaxExponent.
 func TestServedWeightsFitInt32(t *testing.T) {
-	text, err := os.ReadFile(filepath.Join("..", "nn", "testdata", "heart.gob.hex"))
+	text, err := os.ReadFile(filepath.Join("..", "modelfile", "testdata", "heart.gob.hex"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestServedWeightsFitInt32(t *testing.T) {
 		}
 		file = append(file, b...)
 	}
-	heart, err := nn.Load(bytes.NewReader(file))
+	heart, err := modelfile.Load(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}

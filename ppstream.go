@@ -31,6 +31,7 @@ import (
 	"ppstream/internal/core"
 	"ppstream/internal/dataset"
 	"ppstream/internal/leakage"
+	"ppstream/internal/modelfile"
 	"ppstream/internal/models"
 	"ppstream/internal/nn"
 	"ppstream/internal/paillier"
@@ -113,10 +114,10 @@ func Train(net *Network, xs []*Tensor, ys []int, cfg TrainConfig) error {
 func DefaultTrainConfig() TrainConfig { return nn.DefaultTrainConfig() }
 
 // SaveModel / LoadModel persist networks in gob format.
-func SaveModel(net *Network, path string) error { return nn.SaveFile(net, path) }
+func SaveModel(net *Network, path string) error { return modelfile.SaveFile(net, path) }
 
 // LoadModel reads a network written by SaveModel.
-func LoadModel(path string) (*Network, error) { return nn.LoadFile(path) }
+func LoadModel(path string) (*Network, error) { return modelfile.LoadFile(path) }
 
 // Models returns the paper's nine Table III model specs.
 func Models() []ModelSpec { return models.All() }
