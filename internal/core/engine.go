@@ -330,8 +330,8 @@ type StreamStats struct {
 	// per-request latency of the pipelined deployment, the quantity the
 	// paper's Exp#2–4 report for the streaming variants.
 	EffectiveLatency time.Duration
-	// FirstLatency is the end-to-end latency of the first request (no
-	// pipelining benefit).
+	// FirstLatency is the end-to-end latency of the first request to
+	// complete (no pipelining benefit); zero when none did.
 	FirstLatency time.Duration
 	// Traces holds each completed request's cross-party trace (nil for a
 	// failed one), indexed by input position — the raw material for the
@@ -380,7 +380,7 @@ func (e *Engine) InferStream(ctx context.Context, inputs []*tensor.Dense) ([]*te
 			mu.Lock()
 			defer mu.Unlock()
 			results[i], traces[i], errs[i] = out, trace, err
-			if firstLatency == 0 {
+			if err == nil && firstLatency == 0 {
 				firstLatency = time.Since(start)
 			}
 		}()

@@ -33,13 +33,15 @@ type serving struct {
 
 // Serve starts the engine's persistent serving runtime until Shutdown (or
 // Close): a protocol session serving the engine's model provider
-// (protocol.ServeSession), whose linear rounds run as the stages of the
-// paper's staged runtime, and a protocol.Client driving its data provider,
-// joined by a pair of in-process edges. Options.Window is both sides'
-// window. While serving, any number of goroutines may call Submit
-// concurrently; the session publishes its metrics — the outcome counters
-// "serve.requests.<outcome>", "serve.latency", the per-round
-// "round.<r>.wait" and "round.<r>.linear" — to the engine's registry as
+// (protocol.ServeSession), which runs each linear round as a stage of the
+// paper's staged runtime — a queue of Options.Window frames and one
+// goroutine that runs them a frame at a time — and a protocol.Client
+// driving its data provider, joined by a pair of in-process edges.
+// Options.Window is both sides' window. While serving, any number of
+// goroutines may call Submit concurrently; the session publishes its
+// metrics — the outcome counters "serve.requests.<outcome>",
+// "serve.latency", each round's queue wait "round.<r>.wait" and time
+// "round.<r>.linear" — to the engine's registry as
 // totals. Nothing reads that registry live, so its live metrics keep no
 // trailing window; a caller that wants them calls KeepWindows on Registry()
 // or mounts it with obshttp.Serve. ctx bounds the lifetime of the session's
@@ -93,13 +95,14 @@ func (e *Engine) Shutdown() error {
 // concurrent use; each caller gets exactly its own result. Every request
 // is one request of the engine's protocol session, which ends it with
 // exactly one outcome. A round the session fails returns the
-// *stream.StageError naming the round's stage inside the client's
-// *protocol.RoundError, and an input outside the model's input domain is
-// refused with the data provider's *protocol.InputRangeError before
-// anything is sent; other in-flight requests proceed undisturbed, also when
-// one's ctx expires (TestEngineSubmitExpiresInQueue): that submitter gets
-// the ctx error at once, and the session ends the request it abandoned
-// (see protocol.SessionConfig.IdleTTL).
+// *stream.StageError the session built for it, naming the round
+// ("linear-<r>"), inside the client's *protocol.RoundError, and an input
+// outside the model's input domain is refused with the data provider's
+// *protocol.InputRangeError before anything is sent; other in-flight
+// requests proceed undisturbed, also when one's ctx expires
+// (TestEngineSubmitExpiresInQueue): that submitter gets the ctx error at
+// once, and the session ends the request it abandoned (see
+// protocol.SessionConfig.IdleTTL).
 //
 // The trace holds the request's per-stage spans: "encrypt" (its window
 // wait and the input encryption), then each round's "linear-<r>" (the

@@ -165,22 +165,29 @@ func TestInferStreamPartialFailure(t *testing.T) {
 	net := smallNet(t)
 	inputs := randInputs(5)
 	inputs[2] = tensor.Zeros(9) // wrong size
+	// Refused before anything is sent, so it is the first to finish.
+	inputs = append(inputs, tensor.MustFromSlice([]float64{0, math.NaN(), 0, 0}, 4))
 	results, stats, err := eng.InferStream(context.Background(), inputs)
 	if err != nil {
 		t.Fatalf("batch-level error for a per-request failure: %v", err)
 	}
-	if stats.Failed != 1 {
-		t.Errorf("Failed = %d, want 1", stats.Failed)
+	if stats.Failed != 2 {
+		t.Errorf("Failed = %d, want 2", stats.Failed)
 	}
 	var stageErr *stream.StageError
 	if !errors.As(stats.Errors[2], &stageErr) || stageErr.Stage != "linear-0" {
 		t.Errorf("slot 2 error %v", stats.Errors[2])
 	}
-	if results[2] != nil {
+	var rangeErr *protocol.InputRangeError
+	if !errors.As(stats.Errors[5], &rangeErr) {
+		t.Errorf("slot 5 error %v, want an *InputRangeError", stats.Errors[5])
+	}
+	if results[2] != nil || results[5] != nil {
 		t.Error("failed slot has a result")
 	}
+	fastest := time.Duration(math.MaxInt64)
 	for i, x := range inputs {
-		if i == 2 {
+		if i == 2 || i == 5 {
 			continue
 		}
 		if stats.Errors[i] != nil || results[i] == nil {
@@ -190,6 +197,10 @@ func TestInferStreamPartialFailure(t *testing.T) {
 		if tensor.ArgMax(want) != tensor.ArgMax(results[i]) {
 			t.Errorf("slot %d prediction differs", i)
 		}
+		fastest = min(fastest, stats.Traces[i].Total)
+	}
+	if stats.FirstLatency < fastest {
+		t.Errorf("FirstLatency %v is below the fastest successful request's %v: a failed request set it", stats.FirstLatency, fastest)
 	}
 }
 

@@ -144,15 +144,15 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 		{name: "deadline in queue", err: 1, counter: "requests.deadline_expired",
 			drive: func(c *rawClient) {
 				// A frame whose 10 ms budget ran out while it waited a second
-				// for its round's stage: it arrived a second ago, and the
-				// test is the stage that picks it up now.
+				// in its round's queue: it arrived a second ago, and the test
+				// is the round's goroutine that picks it up now.
 				f := c.roundZero(1, tensor.Zeros(4))
 				f.DeadlineMS = 10
 				arrived := time.Now().Add(-time.Second)
 				if st := c.s.arrive(arrived, 1, f); st.err != nil {
 					c.t.Fatal(st.err)
 				}
-				_, err := c.s.handle(c.s.ctx, &stream.Message{Seq: 1, Payload: f, Enqueued: arrived})
+				_, err := c.s.handle(queued{id: 1, frame: f, arrived: arrived})
 				if got := errCode(err); got != CodeDeadline {
 					c.t.Errorf("frame past its budget: code %d err %v, want code %d", got, err, CodeDeadline)
 				}
@@ -356,8 +356,8 @@ func TestSessionAdmitTwins(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &rawClient{t: t, s: s, edge: edge, proto: proto}
-	// The test is the receive loop and round 0's stage: the first frame is
-	// dispatched, its twin arrives before the stage picks the first up.
+	// The test is the receive loop and round 0's goroutine: the first frame
+	// is queued, its twin arrives before the round picks the first up.
 	first, twin := c.roundZero(7, tensor.Zeros(4)), c.roundZero(7, tensor.Zeros(4))
 	now := time.Now()
 	if st := s.arrive(now, 7, first); st.err != nil {
@@ -369,7 +369,7 @@ func TestSessionAdmitTwins(t *testing.T) {
 	if snap := reg.Snapshot(); snap.Gauges["shed.inflight"] != 1 || snap.Counters["serve.requests.err"] != 0 {
 		t.Errorf("request ended while its round 0 was dispatched: %d slots, %d err", snap.Gauges["shed.inflight"], snap.Counters["serve.requests.err"])
 	}
-	if _, err := s.handle(s.ctx, &stream.Message{Seq: 7, Payload: first, Enqueued: now}); !errors.Is(err, ErrBadRound) {
+	if _, err := s.handle(queued{id: 7, frame: first, arrived: now}); !errors.Is(err, ErrBadRound) {
 		t.Errorf("first round 0: %v, want ErrBadRound", err)
 	}
 	snap := reg.Snapshot()

@@ -100,7 +100,7 @@ type SessionConfig struct {
 	// MaxWorkers bounds the per-stage threads a client may request.
 	MaxWorkers int
 	// Window bounds each linear round's queue: the frames waiting for the
-	// round's stage, which runs one frame at a time (different requests
+	// round's goroutine, which runs one frame at a time (different requests
 	// interleave on one connection pair and overlap across rounds); a full
 	// queue stalls the receive loop. <= 0 uses DefaultSessionWindow.
 	Window int
@@ -153,9 +153,10 @@ const DefaultSessionWindow = 8
 const DefaultIdleTTL = 2 * time.Minute
 
 // session is the model-provider side of one negotiated connection and the
-// shell of its request table (session.go): the receive loop, each round's
-// stage, the janitor and teardown step the table under mu, carry the step
-// out outside it, and end every request the table lets go of, exactly once.
+// shell of its request table (session.go) and of every goroutine that
+// serves it: the receive loop, each round's goroutine, the janitor and
+// teardown step the table under mu, carry the step out outside it, and end
+// every request the table lets go of, exactly once.
 type session struct {
 	ctx context.Context
 	cfg SessionConfig // defaults applied, Log set
@@ -182,6 +183,9 @@ type sessionMetrics struct {
 	active                  *obs.Gauge     // requests.active
 	served, errors          *obs.Counter   // rounds.{served,errors}
 	linear, kernel, permute *obs.Histogram // round.{linear,kernel,permute}
+	// wait and busy are each round's queue wait and time, round.<r>.wait
+	// and round.<r>.linear, live.
+	wait, busy []*obs.Histogram
 	// cost folds a round's cost profile under the round's backend.
 	cost []func(obs.CostStats)
 }
@@ -303,11 +307,19 @@ func serveSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, p
 	return s.serve(in)
 }
 
-// serve is the session's receive loop: it routes each round frame to its
-// round's stage, whose one goroutine runs the round's frames in arrival
-// order and sends each reply. The janitor ticks the request table beside
-// the loop; once both have stopped and the stages have drained, the table
-// is closed.
+// queued is a round frame in its round's queue: the request it belongs
+// to and when the receive loop took it off the edge.
+type queued struct {
+	id      uint64
+	frame   *roundFrame
+	arrived time.Time
+}
+
+// serve is the session's receive loop: it queues each round frame for its
+// round's goroutine, which runs the round's frames one at a time in
+// arrival order and sends each reply. A full queue stalls the loop. The
+// janitor ticks the request table beside the loop; once both have stopped
+// and the rounds have drained their queues, the table is closed.
 func (s *session) serve(in stream.Edge) error {
 	jctx, stopJanitor := context.WithCancel(s.ctx)
 	janitorDone := make(chan struct{})
@@ -323,18 +335,24 @@ func (s *session) serve(in stream.Edge) error {
 			s.blind.Close()
 		}
 	}()
-	rounds := make([]stream.Stage, s.mp.Stages())
-	for r := range rounds {
-		rounds[r] = stream.Stage{
-			Name: "linear-" + strconv.Itoa(r), Fn: s.handle,
-			Wait: s.reg.Histogram("round." + strconv.Itoa(r) + ".wait"),
-			Busy: s.reg.LiveHistogram("round." + strconv.Itoa(r) + ".linear"),
-		}
+	// A reply a round fails to send cancels ctx with that error, which
+	// releases the loop wherever it waits.
+	ctx, fail := context.WithCancelCause(s.ctx)
+	defer fail(nil)
+	// Each queue holds cfg.Window frames (SessionConfig.Window).
+	queues := make([]chan queued, s.mp.Stages())
+	var rounds sync.WaitGroup
+	for r := range queues {
+		queues[r] = make(chan queued, s.cfg.Window)
+		rounds.Add(1)
+		go func() {
+			defer rounds.Done()
+			s.runRound(ctx, fail, r, queues[r])
+		}()
 	}
-	stages := stream.StartStages(s.ctx, s.cfg.Window, s.out, rounds...)
 	var loopErr error
 	for loopErr == nil {
-		msg, err := in.Recv(s.ctx)
+		msg, err := in.Recv(ctx)
 		if err != nil {
 			if !errors.Is(err, stream.ErrEdgeClosed) {
 				loopErr = err
@@ -346,21 +364,55 @@ func (s *session) serve(in stream.Edge) error {
 			loopErr = fmt.Errorf("protocol: expected round frame, got %T", msg.Payload)
 			break
 		}
-		if st := s.arrive(time.Now(), msg.Seq, frame); st.err != nil {
-			// No round's stage answers it: a typed error and no payload.
+		now := time.Now()
+		if st := s.arrive(now, msg.Seq, frame); st.err != nil {
+			// No round answers it: a typed error and no payload.
 			s.reject(msg.Seq, frame, st.err)
-			loopErr = s.out.Send(s.ctx, &stream.Message{Seq: msg.Seq, Err: st.err})
+			loopErr = s.out.Send(ctx, &stream.Message{Seq: msg.Seq, Err: st.err})
 		} else {
-			loopErr = stages.Send(s.ctx, frame.Round, msg)
+			select {
+			case queues[frame.Round] <- queued{id: msg.Seq, frame: frame, arrived: now}:
+			case <-ctx.Done():
+				loopErr = ctx.Err()
+			}
 		}
 	}
-	// The stages drain their queues; then tell the client no more replies
+	// The rounds drain their queues; then tell the client no more replies
 	// are coming so its reader goroutine unblocks.
-	if err := stages.Close(); loopErr == nil {
-		loopErr = err
+	for _, q := range queues {
+		close(q)
+	}
+	rounds.Wait()
+	// Where the loop saw ctx end, report why it ended: a reply a round
+	// could not send, or the session's own ctx.
+	if loopErr == nil || errors.Is(loopErr, ctx.Err()) {
+		loopErr = context.Cause(ctx)
 	}
 	_ = s.out.CloseSend()
 	return loopErr
+}
+
+// runRound is round r's goroutine: it runs the frames of queue one at a
+// time until the queue closes or ctx ends, and sends each reply — a failed
+// round's as the *stream.StageError naming the round. A reply it cannot
+// send stops it and fails the session's ctx with that error.
+func (s *session) runRound(ctx context.Context, fail context.CancelCauseFunc, r int, queue <-chan queued) {
+	name := "linear-" + strconv.Itoa(r)
+	for q := range queue {
+		if ctx.Err() != nil {
+			return
+		}
+		reply := &stream.Message{Seq: q.id}
+		if out, err := s.handle(q); err != nil {
+			reply.Err = &stream.StageError{Stage: name, Err: err}
+		} else {
+			reply.Payload = out
+		}
+		if err := s.out.Send(ctx, reply); err != nil {
+			fail(err)
+			return
+		}
+	}
 }
 
 // arrive feeds a round frame that arrived at now to the request table,
@@ -464,10 +516,14 @@ func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, pr
 			kernel:  reg.Histogram("round.kernel"),
 			permute: reg.Histogram("round.permute"),
 			cost:    make([]func(obs.CostStats), mp.Stages()),
+			wait:    make([]*obs.Histogram, mp.Stages()),
+			busy:    make([]*obs.Histogram, mp.Stages()),
 		},
 	}
 	for r := range s.m.cost {
 		s.m.cost[r] = obs.AddCostToRegistry(reg, mp.RoundBackend(r).MetricName())
+		s.m.wait[r] = reg.Histogram("round." + strconv.Itoa(r) + ".wait")
+		s.m.busy[r] = reg.LiveHistogram("round." + strconv.Itoa(r) + ".linear")
 	}
 	return s, nil
 }
@@ -584,44 +640,41 @@ func (s *session) reject(seq uint64, frame *roundFrame, cause error) {
 	s.logFor(frame.Trace).Warn("round rejected", "req", seq, "round", frame.Round, "err", cause.Error())
 }
 
-// handle is a round stage's handler: it starts the frame's round in the
-// request table, runs it, and reports its return, a panic included, to the
-// table, which may end the request and replace the reply with its cause.
-// A failure goes back to the client as the frame's error, which the stage
-// tags with its round.
-func (s *session) handle(_ context.Context, msg *stream.Message) (reply *stream.Message, err error) {
-	frame, id, start := msg.Payload.(*roundFrame), msg.Seq, time.Now()
+// handle runs a queued frame's round: it starts the round in the request
+// table, runs it, and reports its return, a panic included, to the table,
+// which may end the request and replace the reply with its cause.
+func (s *session) handle(q queued) (out *roundFrame, err error) {
+	id, start := q.id, time.Now()
+	s.m.wait[q.frame.Round].Observe(start.Sub(q.arrived))
 	if st := s.step(func(t *table) step { return t.start(start, id) }); st.err != nil {
-		s.reject(id, frame, st.err)
+		s.reject(id, q.frame, st.err)
 		return nil, st.err
 	}
-	var out *roundFrame
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("handler panic: %v", p)
+			out, err = nil, fmt.Errorf("handler panic: %v", p)
 		}
 		var spans []obs.Segment
 		if err == nil {
 			spans = out.Spans
 		}
 		if st := s.step(func(t *table) step { return t.done(time.Now(), id, spans, err) }); st.err != nil {
-			reply, err = nil, st.err
+			out, err = nil, st.err
 		}
 		if err != nil {
-			s.reject(id, frame, err)
+			s.reject(id, q.frame, err)
 			return
 		}
 		s.m.served.Inc()
 	}()
-	if out, err = s.round(id, frame, start, start.Sub(msg.Enqueued)); err != nil {
-		return nil, err
-	}
-	return &stream.Message{Payload: out}, nil
+	return s.round(q, start)
 }
 
-// round decodes request id's round frame, runs its linear round and builds
-// the reply.
-func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait time.Duration) (*roundFrame, error) {
+// round decodes a queued frame, runs its linear round and builds the
+// reply. Its clock pair — the frame's arrival and start, and the round's
+// end — gives the frame's queue wait and the round's time.
+func (s *session) round(q queued, start time.Time) (*roundFrame, error) {
+	frame, id := q.frame, q.id
 	env, err := FromWire(frame.Env, s.mp.pk)
 	if err != nil {
 		return nil, err
@@ -643,11 +696,11 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 	), func(context.Context) {
 		result, timing, err = s.mp.ProcessLinearMetered(frame.Round, env, &meter)
 	})
-	elapsed := time.Since(start)
 	var wireEnv *WireEnvelope
 	if err == nil {
 		wireEnv, err = ToWire(result)
 	}
+	elapsed := time.Since(start)
 	if err != nil {
 		s.fold(frame.Round, elapsed, timing, obs.CostStats{})
 		return nil, err
@@ -673,7 +726,7 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 	// span carries the backend that executed it, so the tree shows the
 	// plan's per-round assignment.
 	spans := []obs.Segment{
-		{Party: "server", Name: "queue", Round: frame.Round, Dur: queueWait},
+		{Party: "server", Name: "queue", Round: frame.Round, Dur: start.Sub(q.arrived)},
 		{Party: "server", Name: "kernel", Round: frame.Round, Dur: timing.Kernel, Cost: &cost, Backend: string(kind)},
 		{Party: "server", Name: "permute", Round: frame.Round, Dur: timing.Permute},
 		{Party: "server", Name: "pack", Round: frame.Round, Dur: timing.Pack},
@@ -682,10 +735,12 @@ func (s *session) round(id uint64, frame *roundFrame, start time.Time, queueWait
 }
 
 // fold publishes one linear round's telemetry through the session's
-// handles: its server time, kernel and permute time, and its cost profile
-// (zero for a failed round) under the round's backend.
+// handles: its server time (round.linear and round.<r>.linear), kernel and
+// permute time, and its cost profile (zero for a failed round) under the
+// round's backend.
 func (s *session) fold(round int, elapsed time.Duration, timing LinearTiming, cost obs.CostStats) {
 	s.m.linear.Observe(elapsed)
+	s.m.busy[round].Observe(elapsed)
 	s.m.kernel.Observe(timing.Kernel)
 	s.m.permute.Observe(timing.Permute)
 	s.m.cost[round](cost)

@@ -120,17 +120,6 @@ func Pipeline(stages []Stage, requests int, perElem float64) (*Result, error) {
 	}, nil
 }
 
-// Sequential returns the centralized (no pipelining, single thread per
-// stage at the allocated counts) per-request latency: the sum of
-// service times.
-func Sequential(stages []Stage, perElem float64) time.Duration {
-	var sum float64
-	for _, s := range stages {
-		sum += s.Service(perElem)
-	}
-	return seconds(sum)
-}
-
 func seconds(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }

@@ -48,9 +48,6 @@ func TestPipelineSingleRequestIsSum(t *testing.T) {
 	if res.Bottleneck != 2*time.Second {
 		t.Errorf("bottleneck %v", res.Bottleneck)
 	}
-	if got := Sequential(stages, 0); got != want {
-		t.Errorf("Sequential = %v", got)
-	}
 }
 
 func TestPipelineSteadyStateIsBottleneck(t *testing.T) {

@@ -15,8 +15,9 @@ import (
 // and all buffered messages are drained.
 var ErrEdgeClosed = errors.New("stream: edge closed")
 
-// Edge is a one-directional message link between stages. In-process edges
-// are channels; TCP edges carry wire-format frames between servers.
+// Edge is a one-directional message link between the two parties.
+// In-process edges are channels; TCP edges carry wire-format frames
+// between servers.
 type Edge interface {
 	// Send delivers a message, blocking while the edge is full.
 	Send(ctx context.Context, m *Message) error
@@ -35,9 +36,7 @@ type channelEdge struct {
 
 // NewChannelEdge creates an in-process edge with the given buffer depth
 // (minimum 1). The bound provides back-pressure between the two ends.
-func NewChannelEdge(buffer int) Edge { return newChannelEdge(buffer) }
-
-func newChannelEdge(buffer int) *channelEdge {
+func NewChannelEdge(buffer int) Edge {
 	return &channelEdge{ch: make(chan *Message, max(buffer, 1))}
 }
 

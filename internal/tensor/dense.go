@@ -19,38 +19,9 @@ func Ones(shape ...int) *Dense {
 	return t
 }
 
-// Add returns a + b element-wise.
-func Add(a, b *Dense) (*Dense, error) {
-	return Zip(a, b, func(x, y float64) float64 { return x + y })
-}
-
-// Sub returns a - b element-wise.
-func Sub(a, b *Dense) (*Dense, error) {
-	return Zip(a, b, func(x, y float64) float64 { return x - y })
-}
-
 // Mul returns the element-wise (Hadamard) product a ⊙ b.
 func Mul(a, b *Dense) (*Dense, error) {
 	return Zip(a, b, func(x, y float64) float64 { return x * y })
-}
-
-// Scale returns s·a.
-func Scale(a *Dense, s float64) *Dense {
-	return Map(a, func(x float64) float64 { return s * x })
-}
-
-// Dot returns the inner product of two rank-1 tensors (or any two tensors
-// of equal size, treated flat).
-func Dot(a, b *Dense) (float64, error) {
-	if a.Size() != b.Size() {
-		return 0, fmt.Errorf("tensor: dot size mismatch %d vs %d", a.Size(), b.Size())
-	}
-	var sum float64
-	ad, bd := a.Data(), b.Data()
-	for i := range ad {
-		sum += ad[i] * bd[i]
-	}
-	return sum, nil
 }
 
 // MatVec computes y = W·x + b where W has shape [out, in], x has size in,
@@ -81,34 +52,6 @@ func MatVec(w *Dense, x *Dense, b *Dense) (*Dense, error) {
 		yd[o] = sum
 	}
 	return y, nil
-}
-
-// MatMul computes C = A·B for rank-2 tensors with shapes [m,k] and [k,n].
-func MatMul(a, b *Dense) (*Dense, error) {
-	if a.Shape().Rank() != 2 || b.Shape().Rank() != 2 {
-		return nil, fmt.Errorf("tensor: MatMul requires rank-2 operands, got %v and %v", a.Shape(), b.Shape())
-	}
-	m, k := a.Shape()[0], a.Shape()[1]
-	k2, n := b.Shape()[0], b.Shape()[1]
-	if k != k2 {
-		return nil, fmt.Errorf("tensor: MatMul inner dimension mismatch %v x %v", a.Shape(), b.Shape())
-	}
-	c := Zeros(m, n)
-	ad, bd, cd := a.Data(), b.Data(), c.Data()
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
-			av := ad[i*k+p]
-			if av == 0 {
-				continue
-			}
-			brow := bd[p*n : (p+1)*n]
-			crow := cd[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return c, nil
 }
 
 // ConvParams describes a 2-D convolution: input [C,H,W], filters

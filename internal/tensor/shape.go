@@ -59,18 +59,6 @@ func (s Shape) Clone() Shape {
 	return c
 }
 
-// Strides returns the row-major strides for the shape: the number of flat
-// elements between consecutive indices along each axis.
-func (s Shape) Strides() []int {
-	strides := make([]int, len(s))
-	stride := 1
-	for i := len(s) - 1; i >= 0; i-- {
-		strides[i] = stride
-		stride *= s[i]
-	}
-	return strides
-}
-
 // Offset converts a multi-dimensional index to a flat offset.
 // It panics if the index has the wrong rank or is out of bounds, matching
 // the behaviour of built-in slice indexing.

@@ -46,17 +46,6 @@ func TestShapeEqual(t *testing.T) {
 	}
 }
 
-func TestShapeStrides(t *testing.T) {
-	s := Shape{2, 3, 4}
-	strides := s.Strides()
-	want := []int{12, 4, 1}
-	for i := range want {
-		if strides[i] != want[i] {
-			t.Fatalf("Strides(%v) = %v, want %v", s, strides, want)
-		}
-	}
-}
-
 func TestShapeOffsetIndexRoundTrip(t *testing.T) {
 	s := Shape{3, 4, 5}
 	for off := 0; off < s.Size(); off++ {
