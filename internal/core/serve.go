@@ -94,14 +94,14 @@ func (e *Engine) Shutdown() error {
 // its result is ready, ctx expires, or the runtime shuts down. Safe for
 // concurrent use; each caller gets exactly its own result. Every request
 // is one request of the engine's protocol session, which ends it with
-// exactly one outcome. A round the session fails returns the
-// *stream.StageError the session built for it, naming the round
-// ("linear-<r>"), inside the client's *protocol.RoundError, and an input
-// outside the model's input domain is refused with the data provider's
+// exactly one outcome. A round the session fails returns the client's
+// *protocol.RoundError naming the round, which wraps the session's error
+// (errors.Is matches its coded sentinel), and an input outside the
+// model's input domain is refused with the data provider's
 // *protocol.InputRangeError before anything is sent; other in-flight
 // requests proceed undisturbed, also when one's ctx expires
-// (TestEngineSubmitExpiresInQueue): that submitter gets the ctx error at
-// once, and the session ends the request it abandoned (see
+// (protocol.TestSessionStageExpiresInQueue): that submitter gets the ctx
+// error at once, and the session ends the request it abandoned (see
 // protocol.SessionConfig.IdleTTL).
 //
 // The trace holds the request's per-stage spans: "encrypt" (its window

@@ -116,7 +116,7 @@ func oneSpanPerStage(trace *stream.Trace, rounds int) error {
 }
 
 // TestEngineServeErrorIsolation: a request whose round fails in the
-// session returns the *stream.StageError naming the round's stage while
+// session returns the client's *protocol.RoundError naming the round while
 // concurrent requests complete undisturbed, and the failed request's
 // obfuscation state is released.
 func TestEngineServeErrorIsolation(t *testing.T) {
@@ -146,12 +146,12 @@ func TestEngineServeErrorIsolation(t *testing.T) {
 	for err := range errs {
 		t.Errorf("good request disturbed: %v", err)
 	}
-	var stageErr *stream.StageError
-	if !errors.As(badErr, &stageErr) {
-		t.Fatalf("bad request error %v (type %T), want *stream.StageError", badErr, badErr)
+	var roundErr *protocol.RoundError
+	if !errors.As(badErr, &roundErr) {
+		t.Fatalf("bad request error %v (type %T), want *protocol.RoundError", badErr, badErr)
 	}
-	if stageErr.Stage != "linear-0" {
-		t.Errorf("failed stage %q, want linear-0", stageErr.Stage)
+	if roundErr.Round != 0 {
+		t.Errorf("failed round %d, want 0", roundErr.Round)
 	}
 	if got := eng.Registry().Snapshot().Counters["serve.requests.err"]; got != 1 {
 		t.Errorf("serve.requests.err = %d", got)
@@ -174,9 +174,9 @@ func TestInferStreamPartialFailure(t *testing.T) {
 	if stats.Failed != 2 {
 		t.Errorf("Failed = %d, want 2", stats.Failed)
 	}
-	var stageErr *stream.StageError
-	if !errors.As(stats.Errors[2], &stageErr) || stageErr.Stage != "linear-0" {
-		t.Errorf("slot 2 error %v", stats.Errors[2])
+	var roundErr *protocol.RoundError
+	if !errors.As(stats.Errors[2], &roundErr) || roundErr.Round != 0 {
+		t.Errorf("slot 2 error %v, want a *RoundError for round 0", stats.Errors[2])
 	}
 	var rangeErr *protocol.InputRangeError
 	if !errors.As(stats.Errors[5], &rangeErr) {

@@ -55,8 +55,8 @@ func TestRoundErrorUnwrap(t *testing.T) {
 	}
 }
 
-// TestCodeRoundTrip: every coded sentinel, wrapped with context or raised
-// by a stage, crosses a TCP edge and matches the same sentinel — and no
+// TestCodeRoundTrip: every coded sentinel, bare or wrapped with context,
+// crosses a TCP edge and matches the same sentinel — and no
 // other — on the far side, with its text intact; an uncoded error arrives
 // matching none. This is what keeps server-side raising and client-side
 // matching on one table.
@@ -81,8 +81,8 @@ func TestCodeRoundTrip(t *testing.T) {
 	}
 	for _, c := range codedSentinels {
 		for _, sent := range []error{
+			c.sentinel,
 			fmt.Errorf("context: %w", c.sentinel),
-			&stream.StageError{Stage: "linear-0", Err: c.sentinel},
 		} {
 			got := hop(sent)
 			for _, other := range codedSentinels {

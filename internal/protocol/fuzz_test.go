@@ -45,6 +45,12 @@ func FuzzWireFrameDecode(f *testing.F) {
 	packed(254, []int{maxWireElements}, 3)
 	packed(77, []int{1 << 10, 1 << 10}, 0)
 	packed(77, []int{1 << 18, 2, 2}, 1)
+	// The layouts version 4 retired, behind its preface: a failed-stage
+	// section, and a terminal envelope carrying a plaintext result.
+	withPreface := func(frame []byte) []byte { return append(append([]byte(nil), preface...), frame...) }
+	f.Add(withPreface(failedStageV3()))
+	terminal := terminalEnvelopeV3().b
+	f.Add(withPreface(frame(0, tagEnvelope, uint32(len(terminal)), terminal)))
 	f.Add([]byte{})
 	f.Add(preface)
 
@@ -67,7 +73,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 				continue
 			}
 			env, err := FromWire(w, pk)
-			if err == nil && env.CT == nil && env.Sh == nil && env.Plain == nil && env.Result == nil {
+			if err == nil && env.CT == nil && env.Sh == nil && env.Plain == nil {
 				t.Fatal("FromWire accepted an envelope that carries nothing")
 			}
 			if err == nil && env.SlotBits != 0 && env.CT.Size() != pk.PackedLen(env.Shape.Size(), env.SlotBits) {

@@ -326,18 +326,10 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatal("wire round trip corrupted ciphertexts")
 		}
 	}
-	// Result-carrying envelope.
-	resEnv := &Envelope{Req: 6, Result: tensor.MustFromSlice([]float64{0.9, 0.1}, 2)}
-	rw, err := ToWire(resEnv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resBack, err := FromWire(rw, &k.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resBack.Result == nil || resBack.Result.At(0) != 0.9 {
-		t.Error("result envelope corrupted")
+	// The plaintext result stays with the data provider: a terminal
+	// envelope has no wire form.
+	if _, err := ToWire(&Envelope{Req: 6, Result: tensor.MustFromSlice([]float64{0.9, 0.1}, 2)}); err == nil {
+		t.Error("terminal envelope serialized")
 	}
 }
 

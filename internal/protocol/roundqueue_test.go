@@ -36,30 +36,36 @@ func (d duplex) CloseSend() error { return d.out.CloseSend() }
 // session's ctx. reply, when not nil, wraps the session's outgoing edge.
 func roundSession(t *testing.T, proto *Protocol, cfg SessionConfig, depth int, reply func(stream.Edge) stream.Edge) (*rawClient, <-chan error, context.CancelFunc) {
 	t.Helper()
+	toModel, toData := stream.NewChannelEdge(depth), stream.NewChannelEdge(depth)
+	return serveRounds(t, proto, cfg, toModel, toData, duplex{out: toModel, in: toData}, reply)
+}
+
+// serveRounds is roundSession over any edges: the session reads in and
+// answers on out, and the raw client's end is client.
+func serveRounds(t *testing.T, proto *Protocol, cfg SessionConfig, in, out, client stream.Edge, reply func(stream.Edge) stream.Edge) (*rawClient, <-chan error, context.CancelFunc) {
+	t.Helper()
 	cfg.Factor = 1000
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry(t.Name())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	t.Cleanup(cancel)
-	toModel, toData := stream.NewChannelEdge(depth), stream.NewChannelEdge(depth)
-	out := toData
 	if reply != nil {
-		out = reply(toData)
+		out = reply(out)
 	}
-	if err := toModel.Send(ctx, &stream.Message{Payload: &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000}}); err != nil {
+	if err := client.Send(ctx, &stream.Message{Payload: &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000}}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := openSession(ctx, toModel, out, cfg, func(*Hello, *paillier.PublicKey) (*ModelProvider, error) { return proto.Model, nil })
+	s, err := openSession(ctx, in, out, cfg, func(*Hello, *paillier.PublicKey) (*ModelProvider, error) { return proto.Model, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := toData.Recv(ctx); err != nil {
+	if _, err := client.Recv(ctx); err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
-	go func() { served <- s.serve(toModel) }()
-	return &rawClient{t: t, s: s, edge: duplex{out: toModel, in: toData}, proto: proto}, served, cancel
+	go func() { served <- s.serve(in) }()
+	return &rawClient{t: t, s: s, edge: client, proto: proto}, served, cancel
 }
 
 // roundOne decodes req's round-0 reply and returns its round-1 frame.
@@ -150,17 +156,16 @@ func TestStagesConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestStagesErrorIsolation: a frame whose round fails gets its own error —
-// the *stream.StageError naming the round — and the frame queued behind it
-// in the same round is served undisturbed.
+// TestStagesErrorIsolation: a frame whose round fails gets its own error,
+// under its own Seq, and the frame queued behind it in the same round is
+// served undisturbed.
 func TestStagesErrorIsolation(t *testing.T) {
 	c, served, _ := roundSession(t, buildProto(t), SessionConfig{}, 4, nil)
 	c.send(1, c.roundZero(1, tensor.Zeros(9))) // wrong input size
 	c.send(2, c.roundZero(2, tensor.Zeros(4)))
 	bad := c.recv(CodeNone)
-	var stageErr *stream.StageError
-	if bad.Seq != 1 || !errors.As(bad.Err, &stageErr) || stageErr.Stage != "linear-0" {
-		t.Errorf("failed frame's reply: Seq %d err %v, want Seq 1 with a *StageError from linear-0", bad.Seq, bad.Err)
+	if bad.Seq != 1 || !strings.Contains(bad.Err.Error(), "input size 9") {
+		t.Errorf("failed frame's reply: Seq %d err %v, want Seq 1 failing on its input size", bad.Seq, bad.Err)
 	}
 	good := c.recv(replyOK)
 	if good.Seq != 2 {
@@ -337,6 +342,31 @@ func TestStagesFailReleasesWindow(t *testing.T) {
 	}
 }
 
+// TestSessionStageCancelReleasesTCPRecv: a session over TCP whose ctx is
+// cancelled after the Hello, its receive loop waiting for a frame, returns
+// the ctx error within a second although the client keeps the connection
+// open.
+func TestSessionStageCancelReleasesTCPRecv(t *testing.T) {
+	proto := buildProto(t)
+	dialed, accepted := tcpPair(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeSession(ctx, accepted, accepted, proto.Model, SessionConfig{Factor: 1000})
+	}()
+	sayHello(ctx, t, dialed, &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000})
+	cancel()
+	select {
+	case err := <-served:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("session cancelled while waiting for a frame: %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a session over TCP did not return within 1s of its ctx's cancel")
+	}
+}
+
 // TestContextCancellation: cancelling the session's ctx while a round is
 // blocked in its handler and the receive loop waits on the incoming edge
 // ends ServeSession with the ctx error once the round returns.
@@ -380,36 +410,52 @@ func (e *failingEdge) Send(ctx context.Context, m *stream.Message) error {
 
 // TestSessionReplySendFailure: an outgoing edge whose Send fails during a
 // round ends ServeSession with that error, although the incoming edge
-// stays open, and leaves none of the session's goroutines behind.
+// stays open — the receive loop waiting on it, over channel edges and over
+// TCP, is released — and leaves none of the session's goroutines behind.
 func TestSessionReplySendFailure(t *testing.T) {
-	proto := buildProto(t)
-	entered, gate := make(chan struct{}), make(chan struct{})
-	var calls atomic.Int64
-	hookRound(proto, 0, func() {
-		if calls.Add(1) == 1 {
-			close(entered)
-			<-gate
-		}
-	})
-	before := runtime.NumGoroutine()
-	out := &failingEdge{}
-	c, served, _ := roundSession(t, proto, SessionConfig{IdleTTL: time.Hour}, 4, func(e stream.Edge) stream.Edge {
-		out.Edge = e
-		return out
-	})
-	c.send(1, c.roundZero(1, tensor.Zeros(4)))
-	<-entered
-	out.broken.Store(true)
-	close(gate)
-	if err := waitServed(t, served); !errors.Is(err, errReplyLost) {
-		t.Fatalf("session whose reply edge failed: %v, want %v", err, errReplyLost)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after the session ended", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
+	for _, transport := range []string{"channel", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			proto := buildProto(t)
+			entered, gate := make(chan struct{}), make(chan struct{})
+			var calls atomic.Int64
+			hookRound(proto, 0, func() {
+				if calls.Add(1) == 1 {
+					close(entered)
+					<-gate
+				}
+			})
+			before := runtime.NumGoroutine()
+			out := &failingEdge{}
+			breakable := func(e stream.Edge) stream.Edge {
+				out.Edge = e
+				return out
+			}
+			cfg := SessionConfig{IdleTTL: time.Hour}
+			var (
+				c      *rawClient
+				served <-chan error
+			)
+			if transport == "tcp" {
+				dialed, accepted := tcpPair(t)
+				c, served, _ = serveRounds(t, proto, cfg, accepted, accepted, dialed, breakable)
+			} else {
+				c, served, _ = roundSession(t, proto, cfg, 4, breakable)
+			}
+			c.send(1, c.roundZero(1, tensor.Zeros(4)))
+			<-entered
+			out.broken.Store(true)
+			close(gate)
+			if err := waitServed(t, served); !errors.Is(err, errReplyLost) {
+				t.Fatalf("session whose reply edge failed: %v, want %v", err, errReplyLost)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines grew from %d to %d after the session ended", before, runtime.NumGoroutine())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -485,17 +531,15 @@ func TestPipelineOrderAndValues(t *testing.T) {
 	}
 }
 
-// TestStageErrorPropagatesAndContains: over TCP, a failed round's reply
-// still arrives as a *stream.StageError naming the round and keeping the
-// cause's text, and the session keeps serving the requests after it.
-func TestStageErrorPropagatesAndContains(t *testing.T) {
+// TestRoundFailurePropagatesAndContains: over TCP, a failed round's reply
+// arrives under the request's Seq carrying the cause's text, and the
+// session keeps serving the requests after it.
+func TestRoundFailurePropagatesAndContains(t *testing.T) {
 	s, edge, serveErr, _ := openRawSession(t, SessionConfig{})
 	c := &rawClient{t: t, s: s, edge: edge, proto: buildProto(t)}
 	c.send(1, c.roundZero(1, tensor.Zeros(9))) // wrong input size
-	m := c.recv(CodeNone)
-	var stageErr *stream.StageError
-	if !errors.As(m.Err, &stageErr) || stageErr.Stage != "linear-0" || !strings.Contains(m.Err.Error(), "input size 9") {
-		t.Errorf("failed round's reply over TCP: %v, want a *StageError from linear-0 carrying its cause", m.Err)
+	if m := c.recv(CodeNone); m.Seq != 1 || m.Payload != nil || !strings.Contains(m.Err.Error(), "input size 9") {
+		t.Errorf("failed round's reply over TCP: Seq %d payload %T err %v, want Seq 1 carrying its cause alone", m.Seq, m.Payload, m.Err)
 	}
 	c.complete(2)
 	edge.CloseSend()

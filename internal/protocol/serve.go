@@ -347,7 +347,7 @@ func (s *session) serve(in stream.Edge) error {
 		rounds.Add(1)
 		go func() {
 			defer rounds.Done()
-			s.runRound(ctx, fail, r, queues[r])
+			s.runRound(ctx, fail, queues[r])
 		}()
 	}
 	var loopErr error
@@ -392,19 +392,19 @@ func (s *session) serve(in stream.Edge) error {
 	return loopErr
 }
 
-// runRound is round r's goroutine: it runs the frames of queue one at a
+// runRound is a round's goroutine: it runs the frames of queue one at a
 // time until the queue closes or ctx ends, and sends each reply — a failed
-// round's as the *stream.StageError naming the round. A reply it cannot
-// send stops it and fails the session's ctx with that error.
-func (s *session) runRound(ctx context.Context, fail context.CancelCauseFunc, r int, queue <-chan queued) {
-	name := "linear-" + strconv.Itoa(r)
+// round's as its error alone, like a rejected frame's: the client knows
+// from Seq which request, and so which round, it answers. A reply it
+// cannot send stops it and fails the session's ctx with that error.
+func (s *session) runRound(ctx context.Context, fail context.CancelCauseFunc, queue <-chan queued) {
 	for q := range queue {
 		if ctx.Err() != nil {
 			return
 		}
 		reply := &stream.Message{Seq: q.id}
 		if out, err := s.handle(q); err != nil {
-			reply.Err = &stream.StageError{Stage: name, Err: err}
+			reply.Err = err
 		} else {
 			reply.Payload = out
 		}

@@ -62,8 +62,8 @@ func inProcessSession(t *testing.T, proto *Protocol, cfg SessionConfig, window i
 }
 
 // TestSessionStagePanicContained: a round whose kernel panics fails only
-// the request it was running — the client gets the round stage's error
-// frame naming the panic — and ends that request on the spot, not when the
+// the request it was running — the client's call fails with a *RoundError
+// naming the round and the panic — and ends that request on the spot, not when the
 // janitor or the session's end gets to it: by the time the client sees the
 // error, its outcome is published, its gate slot is free and its
 // permutation state is gone, so the next request over the same session is
@@ -87,9 +87,9 @@ func TestSessionStagePanicContained(t *testing.T) {
 	c := inProcessSession(t, proto, SessionConfig{Registry: reg, Gate: gate, IdleTTL: time.Hour}, 2)
 	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
 	_, err = c.Infer(context.Background(), x)
-	var stageErr *stream.StageError
-	if !errors.As(err, &stageErr) || stageErr.Stage != "linear-1" || !strings.Contains(err.Error(), "boom in round 1") {
-		t.Fatalf("request whose round panicked: %v, want the linear-1 stage's panic", err)
+	var roundErr *RoundError
+	if !errors.As(err, &roundErr) || roundErr.Round != 1 || !strings.Contains(err.Error(), "boom in round 1") {
+		t.Fatalf("request whose round panicked: %v, want a *RoundError for round 1 carrying the panic", err)
 	}
 	snap := reg.Snapshot()
 	proto.Model.mu.Lock()
@@ -183,6 +183,67 @@ func TestSessionStageExpiresInQueue(t *testing.T) {
 	snap := reg.Snapshot()
 	if ok, failed := snap.Counters["serve.requests.ok"], snap.Counters["serve.requests.err"]; ok != 2 || failed != 1 || snap.Counters["requests.deadline_expired"] != 1 {
 		t.Errorf("outcomes ok %d, err %d, deadline_expired %d; want 2, 1, 1", ok, failed, snap.Counters["requests.deadline_expired"])
+	}
+}
+
+// roundBudget is a client's edge to the server that sends every round-1
+// frame with a budget of one millisecond.
+type roundBudget struct{ stream.Edge }
+
+func (e roundBudget) Send(ctx context.Context, m *stream.Message) error {
+	if f, ok := m.Payload.(*roundFrame); ok && f.Round == 1 {
+		short := *f
+		short.DeadlineMS = 1
+		m = &stream.Message{Seq: m.Seq, Payload: &short}
+	}
+	return e.Edge.Send(ctx, m)
+}
+
+// TestSessionStageFailureReachesClient: a round that fails on the server
+// with a coded cause — here the janitor finds the request's budget spent
+// while round 1 runs — fails the client's Infer with a *RoundError naming
+// round 1 whose cause still matches the sentinel, over channel edges and
+// over TCP: the client's call table, not the reply, says which round
+// failed.
+func TestSessionStageFailureReachesClient(t *testing.T) {
+	for _, transport := range []string{"channel", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry(t.Name())
+			hookRound(proto, 1, func() {
+				for end := time.Now().Add(10 * time.Second); reg.Snapshot().Counters["requests.deadline_evicted"] == 0 && time.Now().Before(end); {
+					time.Sleep(time.Millisecond)
+				}
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			toModel, toData := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
+			in, out, serverIn, serverOut := toData, toModel, toModel, toData
+			if transport == "tcp" {
+				dialed, accepted := tcpPair(t)
+				in, out, serverIn, serverOut = dialed, dialed, accepted, accepted
+			}
+			served := make(chan error, 1)
+			go func() {
+				served <- ServeSession(ctx, serverIn, serverOut, proto.Model, SessionConfig{Factor: 1000, Registry: reg, IdleTTL: time.Second})
+			}()
+			c, err := NewClient(ctx, in, roundBudget{out}, proto.Data, ClientOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.Infer(ctx, tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4))
+			var roundErr *RoundError
+			if !errors.As(err, &roundErr) || roundErr.Round != 1 || !errors.Is(err, ErrDeadline) {
+				t.Errorf("request whose round 1 outlived its budget: %v, want a *RoundError for round 1 matching ErrDeadline", err)
+			}
+			c.Close()
+			if err := <-served; err != nil {
+				t.Errorf("session: %v", err)
+			}
+		})
 	}
 }
 

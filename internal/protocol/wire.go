@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
 	"time"
 
@@ -35,10 +34,11 @@ func (w *WireEnvelope) CipherBytes() uint64 {
 
 // WireEnvelope is the wire form of Envelope for TCP edges between the
 // model and data providers. Under the original protocol only ciphertexts
-// (and, for the terminal hop, the final result) ever cross the wire: raw
-// inputs and model parameters never leave their provider (Section II-C).
-// An ss-gc round carries the two share words per element, and a clear
-// round — certified leak-free past the boundary — carries signed integers.
+// ever cross the wire: raw inputs, model parameters and the final result
+// never leave their provider (Section II-C) — the data provider computes
+// the result in its last non-linear stage. An ss-gc round carries the two
+// share words per element, and a clear round — certified leak-free past
+// the boundary — carries signed integers.
 //
 // The slices are shared, not copied: ToWire points them at the envelope's
 // own tensors and FromWire builds its tensors over them, and the edge
@@ -52,10 +52,6 @@ type WireEnvelope struct {
 	Cipher     []*paillier.Ciphertext // fixed-width big-endian ring elements on the wire
 	Exp        int
 	Obfuscated bool
-	// Result carries the final plaintext output (terminal hop only);
-	// non-nil marks the envelope as terminal.
-	Result      []float64
-	ResultShape []int
 	// Backend is the backend.Kind wire code of the payload (0 =
 	// paillier-he).
 	Backend int32
@@ -79,7 +75,7 @@ type WireEnvelope struct {
 // allocation that value sizes (stream.WireReader.Len).
 const (
 	// maxWireElements bounds the elements of one tensor — ciphertexts,
-	// share words, integers, result values. The largest Table III input is
+	// share words, integers. The largest Table III input is
 	// 3072 (CIFAR-10); conv feature maps reach the tens of thousands.
 	maxWireElements = 1 << 20
 	// maxWireRank bounds a shape's dimensions (batch, channel, height,
@@ -114,20 +110,15 @@ func init() {
 }
 
 // ToWire converts an Envelope to its wire form. The result shares the
-// envelope's ciphertexts, integers and result values; neither side may
-// modify them afterwards.
+// envelope's ciphertexts and integers; neither side may modify them
+// afterwards. A terminal envelope, which carries only the plaintext
+// result, has no wire form.
 func ToWire(env *Envelope) (*WireEnvelope, error) {
-	w := &WireEnvelope{Req: env.Req, Exp: env.Exp, Obfuscated: env.Obfuscated}
-	if env.Result != nil {
-		w.Result = env.Result.Data()
-		w.ResultShape = env.Result.Shape()
-		return w, nil
-	}
-	w.Backend = env.Kind.Code()
+	w := &WireEnvelope{Req: env.Req, Exp: env.Exp, Obfuscated: env.Obfuscated, Backend: env.Kind.Code()}
 	switch env.Kind {
 	case backend.PaillierHE:
 		if env.CT == nil {
-			return nil, errors.New("protocol: envelope has neither ciphertext nor result")
+			return nil, errors.New("protocol: envelope has no ciphertext")
 		}
 		w.Shape = env.CT.Shape()
 		if env.SlotBits != 0 {
@@ -176,14 +167,6 @@ func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 		return nil, errors.New("protocol: nil wire envelope")
 	}
 	env := &Envelope{Req: w.Req, Payload: backend.Payload{Exp: w.Exp}, Obfuscated: w.Obfuscated}
-	if w.Result != nil {
-		res, err := tensor.FromSlice(w.Result, w.ResultShape...)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: malformed result: %w", err)
-		}
-		env.Result = res
-		return env, nil
-	}
 	kind, err := backend.KindFromCode(w.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
@@ -246,7 +229,7 @@ func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 // WireTag and EncodeWire make the envelope a stream.WirePayload.
 func (w *WireEnvelope) WireTag() uint16 { return tagEnvelope }
 
-// EncodeWire writes the envelope's fixed fields, the two shapes, and then
+// EncodeWire writes the envelope's fixed fields, its shape, and then
 // every vector as a count followed by fixed-width elements. The integer
 // vectors announce their element width — the widest element's, which for
 // ciphertexts is ⌈bitlen(n²)/8⌉ but for a vanishing share of vectors — and
@@ -260,16 +243,8 @@ func (w *WireEnvelope) EncodeWire(ww *stream.WireWriter) {
 	if w.Obfuscated {
 		flags |= envObfuscated
 	}
-	if w.Result != nil {
-		flags |= envResult
-	}
 	ww.U8(flags)
 	encodeShape(ww, w.Shape)
-	encodeShape(ww, w.ResultShape)
-	ww.Len(len(w.Result))
-	for _, v := range w.Result {
-		ww.U64(math.Float64bits(v))
-	}
 
 	width := 1
 	for _, c := range w.Cipher {
@@ -309,8 +284,8 @@ func (w *WireEnvelope) EncodeWire(ww *stream.WireWriter) {
 
 const (
 	envObfuscated = 1 << iota
-	envResult
-	envFlagsKnown = envObfuscated | envResult
+	_             // unassigned: a terminal plaintext result up to version 3
+	envFlagsKnown = envObfuscated
 )
 
 func encodeShape(ww *stream.WireWriter, shape []int) {
@@ -326,10 +301,10 @@ func encodeShape(ww *stream.WireWriter, shape []int) {
 
 // decodeShape reads a shape whose rank and element count are both bounded;
 // a dimension product past maxWireElements is rejected, not overflowed.
-func decodeShape(r *stream.WireReader, field string) []int {
+func decodeShape(r *stream.WireReader) []int {
 	rank := int(r.U8())
 	if rank > maxWireRank {
-		r.Reject(field+" rank", "%d, limit %d", rank, maxWireRank)
+		r.Reject("shape rank", "%d, limit %d", rank, maxWireRank)
 		return nil
 	}
 	if rank == 0 {
@@ -338,9 +313,9 @@ func decodeShape(r *stream.WireReader, field string) []int {
 	shape := make([]int, rank)
 	size := 1
 	for i := range shape {
-		shape[i] = r.Len(field+" size", maxWireElements, 0)
+		shape[i] = r.Len("shape size", maxWireElements, 0)
 		if size *= shape[i]; size > maxWireElements {
-			r.Reject(field+" size", "more than %d elements", maxWireElements)
+			r.Reject("shape size", "more than %d elements", maxWireElements)
 			return nil
 		}
 	}
@@ -359,14 +334,7 @@ func decodeEnvelope(r *stream.WireReader) *WireEnvelope {
 		r.Reject("envelope flags", "unknown bits in %08b", flags)
 	}
 	w.Obfuscated = flags&envObfuscated != 0
-	w.Shape = decodeShape(r, "shape")
-	w.ResultShape = decodeShape(r, "result shape")
-	w.Result = stream.ReadVec(r, "result count", maxWireElements, 8, func() float64 { return math.Float64frombits(r.U64()) })
-	if terminal := flags&envResult != 0; terminal && w.Result == nil {
-		w.Result = []float64{}
-	} else if !terminal && w.Result != nil {
-		r.Reject("result count", "%d values in a frame not marked terminal", len(w.Result))
-	}
+	w.Shape = decodeShape(r)
 
 	width := int(r.U16())
 	if width == 0 || width > stream.MaxWireElement {

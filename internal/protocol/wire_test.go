@@ -102,15 +102,15 @@ func goldenFrames() map[string]*stream.Message {
 			Req: 9, Shape: []int{4}, Exp: 3, Backend: backend.Clear.Code(),
 			Plain: []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), big.NewInt(-987654321)},
 		}}},
-		"round_result": {Seq: 9,
+		"round_reply": {Seq: 9,
 			Payload: &roundFrame{Round: 2, Trace: trace,
 				Spans: []obs.Segment{
 					{Party: "server", Name: "queue", Round: 2, Dur: 1200},
 					{Party: "server", Name: "kernel", Round: 2, Dur: 830000, Backend: "clear", Cost: &obs.CostStats{PlainOps: 640, CipherBytesIn: 96, CipherBytesOut: 40}},
 				},
-				Env: &WireEnvelope{Req: 9, Result: []float64{0.25, -1.5}, ResultShape: []int{1, 2}},
+				Env: &WireEnvelope{Req: 9, Shape: []int{2}, Exp: 4, Obfuscated: true, Backend: backend.Clear.Code(), Plain: []*big.Int{big.NewInt(5), big.NewInt(-6)}},
 			}},
-		"error": {Seq: 11, Err: &stream.StageError{Stage: "linear-0", Err: &stream.CodedError{Code: CodeShed, Msg: "protocol: request shed"}}},
+		"error": {Seq: 11, Err: &stream.CodedError{Code: CodeShed, Msg: "protocol: request shed"}},
 	}
 }
 
@@ -236,9 +236,27 @@ func envPrefix(slotBits uint32) *wb {
 }
 
 // envToCipher is an honest envelope up to the ciphertext vector: shape
-// [n], no result.
+// [n].
 func envToCipher(n uint32) *wb {
-	return envPrefix(0).u8(1).u32(n).u8(0).u32(0)
+	return envPrefix(0).u8(1).u32(n)
+}
+
+// failedStageV3 is a version-3 error frame with the failed-stage section
+// version 4 retired: the error text, then the failing stage's name and a
+// payload tag, here a Hello's with the Hello after it.
+func failedStageV3() []byte {
+	hello := new(wb).u32(1).raw(7).u64(1000).u32(1).str("").u32(0).b
+	body := new(wb).str("boom").str("linear-0").u16(tagHello).raw(hello...).b
+	return frame(2|8, 0, uint32(len(body)), body)
+}
+
+// terminalEnvelopeV3 is a version-3 envelope carrying a plaintext result,
+// the layout version 4 retired: flag 2, then after the shape a result
+// shape and a result count, each value a float64, and empty vectors.
+func terminalEnvelopeV3() *wb {
+	return new(wb).u64(1).u32(0).u32(0).u32(0).u8(2).u8(0).
+		u8(2).u32(1).u32(2).u32(2).u64(0x3fd0000000000000).u64(0xbff8000000000000).
+		u16(1).u32(0).u32(0).u32(0).u16(0).u32(0)
 }
 
 // frameToSpans is a round frame up to its spans: no envelope, no trace ID.
@@ -247,23 +265,6 @@ func frameToSpans() *wb { return new(wb).u32(0).u64(0).u8(0).str("") }
 // helloToPlan is a Hello up to its plan: no key, factor 1000, one worker,
 // an empty profile.
 func helloToPlan() *wb { return new(wb).u32(0).u64(1000).u32(1).str("") }
-
-// TestFailedSectionPayloadDropped: the failure section names the failing
-// stage and then carries a payload tag. Encoders send tag 0; a payload
-// under a non-zero tag (the failing stage's input, which earlier encoders
-// attached) is decoded and dropped, and the error still names its stage.
-func TestFailedSectionPayloadDropped(t *testing.T) {
-	hello := new(wb).u32(1).raw(7).u64(1000).u32(1).str("").u32(0).b
-	body := new(wb).str("boom").str("linear-0").u16(tagHello).raw(hello...).b
-	msgs, err := decodeFrames(append(append([]byte(nil), preface...), frame(2|8, 0, uint32(len(body)), body)...))
-	if !errors.Is(err, io.EOF) || len(msgs) != 1 {
-		t.Fatalf("decoded %d frames, then %v", len(msgs), err)
-	}
-	var stageErr *stream.StageError
-	if m := msgs[0]; !errors.As(m.Err, &stageErr) || stageErr.Stage != "linear-0" || stageErr.Err.Error() != "boom" || m.Payload != nil {
-		t.Errorf("decoded %+v (err %v), want stage linear-0 failing with boom and no payload", m, m.Err)
-	}
-}
 
 // TestHostilePeerFields sends one malformed stream per bounded field of the
 // format and requires the typed rejection for that field, reached without
@@ -305,18 +306,20 @@ func TestHostilePeerFields(t *testing.T) {
 		}(), field: "body"},
 		{name: "error text", data: withPreface(frame(2, 0, 8, new(wb).u32(stream.MaxWireString+1).raw(0, 0, 0, 0).b)), field: "error text"},
 		{name: "string past the body", data: withPreface(frame(2, 0, 8, new(wb).u32(100).raw(0, 0, 0, 0).b)), field: "error text"},
+		// Version 3's failed-stage section, alone and after an error: its
+		// flag bit is unassigned.
 		{name: "failed stage without error", data: withPreface(frame(8, 0, 7, new(wb).str("x").u16(0).b)), field: "flags"},
+		{name: "retired failed-stage flag", data: withPreface(failedStageV3()), field: "flags"},
 		// Version 1's stage-span trace section: its flag bit is unassigned.
 		{name: "stream trace spans", data: withPreface(frame(4, 0, 8, new(wb).str("").u32(1<<20).b)), field: "flags"},
 		{name: "hello key bytes", data: withPreface(frame(0, tagHello, 4, new(wb).u32(maxHelloKeyBytes+1).b)), field: "hello key bytes"},
 		{name: "slot bits", data: env(envPrefix(maxSlotBits + 1)), field: "slot bits"},
 		{name: "envelope flags", data: env(new(wb).u64(1).u32(0).u32(0).u32(0).u8(0x40)), field: "envelope flags"},
+		// Version 3's terminal-result flag: its bit is unassigned.
+		{name: "retired result flag", data: env(terminalEnvelopeV3()), field: "envelope flags"},
 		{name: "shape rank", data: env(envPrefix(0).u8(maxWireRank + 1)), field: "shape rank"},
 		{name: "shape dimension", data: env(envPrefix(0).u8(1).u32(maxWireElements + 1)), field: "shape size"},
 		{name: "shape product", data: env(envPrefix(0).u8(2).u32(1 << 11).u32(1 << 11)), field: "shape size"},
-		{name: "result shape rank", data: env(envPrefix(0).u8(0).u8(200)), field: "result shape rank"},
-		{name: "result count", data: env(envPrefix(0).u8(0).u8(0).u32(maxWireElements + 1)), field: "result count"},
-		{name: "result count past the body", data: env(envPrefix(0).u8(0).u8(0).u32(1000).u64(0)), field: "result count"},
 		{name: "element bytes zero", data: env(envToCipher(1).u16(0).u32(1)), field: "ciphertext bytes"},
 		{name: "element bytes", data: env(envToCipher(1).u16(stream.MaxWireElement + 1).u32(1)), field: "ciphertext bytes"},
 		{name: "ciphertext count", data: env(envToCipher(1).u16(1).u32(maxWireElements + 1)), field: "ciphertext count"},

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"ppstream/internal/obs"
 )
@@ -66,7 +67,7 @@ func (e *channelEdge) CloseSend() error {
 	return nil
 }
 
-// tcpEdge carries messages over a TCP connection in wire format v3 (see
+// tcpEdge carries messages over a TCP connection in wire format v4 (see
 // wire.go). Payloads must implement WirePayload and have their tag
 // registered (RegisterWireType). Each direction's state — the fixed buffer
 // and, on the sending side, the preface — is set up by that direction's
@@ -194,6 +195,11 @@ func (e *tcpEdge) writeFrame(m *Message, flags uint8, tag uint16, bodyLen int) e
 	return e.sendErr
 }
 
+// Recv honours ctx while it waits: a ctx that ends sets the connection's
+// read deadline in the past, which interrupts the read. What was read of a
+// frame by then is lost, so the edge's receive side fails for good with
+// ctx's error. Send has no such hook: a frame torn mid-write would fail
+// every later frame of the connection.
 func (e *tcpEdge) Recv(ctx context.Context) (*Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -201,7 +207,11 @@ func (e *tcpEdge) Recv(ctx context.Context) (*Message, error) {
 	if e.recvErr != nil {
 		return nil, e.recvErr
 	}
+	stop := context.AfterFunc(ctx, func() { _ = e.conn.SetReadDeadline(time.Unix(1, 0)) })
 	m, err := e.recv()
+	if !stop() {
+		m, err = nil, ctx.Err()
+	}
 	if err != nil {
 		if !errors.Is(err, ErrEdgeClosed) {
 			err = fmt.Errorf("stream: tcp recv: %w", err)

@@ -1,12 +1,12 @@
 // Package stream is PP-Stream's transport layer, standing in for the
 // AF-Stream system the paper's prototype builds on: the Edges that carry
 // Messages between the two parties, the binary wire format those
-// messages cross a connection in, and fault injection for both.
+// messages cross a connection in, and fault injection beneath that format.
 //
 // Inside one process an edge is a bounded channel (NewChannelEdge); the
-// TCP edge carries wire-format v3 frames (wire.go) between servers; the
-// chaos edge and connection (chaos.go) drop, delay, corrupt and reset
-// them. The staged runtime — a bounded queue and one goroutine per
+// TCP edge carries wire-format v4 frames (wire.go) between servers; the
+// chaos connection (chaos.go) delays and resets the bytes under a TCP
+// edge. The staged runtime — a bounded queue and one goroutine per
 // linear round — is the protocol session's, and core.Engine is that
 // session over a pair of in-process edges.
 package stream
@@ -21,26 +21,13 @@ type Message struct {
 	// Payload is the frame's data. To cross a TCP edge it must
 	// implement WirePayload, its tag registered with RegisterWireType.
 	Payload any
-	// Err carries the request's failure to its peer. A failed round
-	// arrives as a *StageError. Across a TCP edge Err travels as its
-	// text, its wire code and the failing stage's name (see
-	// CodedError), and arrives as an error that still matches the
-	// sender's coded sentinels with errors.Is.
+	// Err carries the request's failure to its peer, which knows from
+	// Seq which request and round it answers. Across a TCP edge Err
+	// travels as its text and its wire code (see CodedError), and
+	// arrives as an error that still matches the sender's coded
+	// sentinels with errors.Is.
 	Err error
 }
-
-// StageError is a request's failure in the stage whose handler raised it.
-// The stage contains it to that one request: it keeps serving, and the
-// error reaches the request's peer as the request's outcome.
-type StageError struct {
-	Stage string
-	Err   error
-}
-
-func (e *StageError) Error() string { return "stage " + e.Stage + ": " + e.Err.Error() }
-
-// Unwrap returns the handler's error.
-func (e *StageError) Unwrap() error { return e.Err }
 
 // Span records one stage's handling of a request: the time it waited in
 // the stage's input queue and the handler's execution time. Together

@@ -10,10 +10,10 @@ import (
 	"sync"
 )
 
-// Wire format v3: what a TCP edge writes to its connection. Each direction
+// Wire format v4: what a TCP edge writes to its connection. Each direction
 // opens with a six-byte preface (magic, version) and then carries frames: a
 // fixed 20-byte header followed by a body of the length the header
-// announces. All integers are big-endian. DESIGN.md ("Wire format v3") has
+// announces. All integers are big-endian. DESIGN.md ("Wire format v4") has
 // the byte layout and the limits table; the golden frames in
 // internal/protocol/testdata/wire_v1 (TestGoldenFrames) pin the bytes of
 // every frame type at this WireVersion.
@@ -22,7 +22,7 @@ import (
 // opens with any other version (or with no preface at all, as a gob peer
 // would) is refused with ErrWireVersion. Bump it whenever a frame struct's
 // field set or encoding changes; there is no negotiation and no fallback.
-const WireVersion = 3
+const WireVersion = 4
 
 const (
 	wireMagic  = "PPSW"
@@ -35,7 +35,7 @@ const (
 	// largest honest frame (a 3072-element input at a 4096-bit key is 3 MB).
 	MaxFrameBody = 64 << 20
 	// MaxWireString bounds every length-prefixed string: error texts,
-	// stage names, trace IDs, profile names.
+	// trace IDs, profile names, span names.
 	MaxWireString = 4096
 	// MaxWireElement is the widest fixed-width element (one ciphertext, one
 	// sign-magnitude integer) and the size of the per-edge buffers those
@@ -51,8 +51,8 @@ const (
 	flagClose  = 1 << iota // end of stream; no body
 	flagErr                // body carries Message.Err's text
 	_                      // unassigned: a stage-span trace section up to version 1
-	flagFailed             // body carries the failing stage's name
-	flagsKnown = flagClose | flagErr | flagFailed
+	_                      // unassigned: a failed-stage section up to version 3
+	flagsKnown = flagClose | flagErr
 )
 
 // ErrWireVersion is returned by Recv when the peer did not open with the
@@ -74,9 +74,8 @@ func (e *WireError) Error() string { return "stream: wire " + e.Field + ": " + e
 // on (retry or not) without parsing text. Non-zero codes are defined by the
 // sentinels a protocol declares as CodedErrors. An error crossing a TCP
 // edge travels as its text and the code of the first CodedError in its
-// chain, and arrives as a CodedError carrying both — inside a StageError
-// when a stage raised it — so errors.Is still matches the sentinel on the
-// far side.
+// chain, and arrives as a CodedError carrying both, so errors.Is still
+// matches the sentinel on the far side.
 type CodedError struct {
 	Code int
 	Msg  string
@@ -401,26 +400,15 @@ func payloadTag(w *WireWriter, payload any) uint16 {
 	}
 }
 
-// encodeBody writes the body of m's frame — the optional sections in flag
-// order, then the payload — and returns the header flags and payload tag
-// that describe it. A *StageError travels as its stage's name and its
-// cause's text; any other error as its own text. A text longer than
-// MaxWireString is cut: an error text must not be what makes reporting the
-// error fail.
+// encodeBody writes the body of m's frame — the error's text, when there
+// is one, then the payload — and returns the header flags and payload tag
+// that describe it. A text longer than MaxWireString is cut: an error text
+// must not be what makes reporting the error fail.
 func encodeBody(w *WireWriter, m *Message) (flags uint8, tag uint16) {
-	var stage string
 	if m.Err != nil {
 		flags |= flagErr
 		text := m.Err.Error()
-		if se, ok := m.Err.(*StageError); ok && se.Stage != "" {
-			stage, text = se.Stage, se.Err.Error()
-		}
 		w.String(text[:min(len(text), MaxWireString)])
-	}
-	if stage != "" {
-		flags |= flagFailed
-		w.String(stage)
-		w.U16(0) // the section's payload tag: no payload
 	}
 	tag = payloadTag(w, m.Payload)
 	if p, ok := m.Payload.(WirePayload); ok {
@@ -494,17 +482,8 @@ func readFrame(r *WireReader) (*Message, error) {
 		return nil, ErrEdgeClosed
 	}
 	r.left, r.err = int(bodyLen), nil
-	if flags&flagFailed != 0 && flags&flagErr == 0 {
-		return nil, &WireError{Field: "flags", Msg: "a failed stage without an error"}
-	}
 	if flags&flagErr != 0 {
 		m.Err = &CodedError{Code: code, Msg: r.String("error text")}
-	}
-	if flags&flagFailed != 0 {
-		m.Err = &StageError{Stage: r.String("failed stage"), Err: m.Err}
-		// A payload under a non-zero tag is the failing stage's input, which
-		// earlier encoders sent along; it is decoded and dropped.
-		decodePayload(r, r.U16())
 	}
 	m.Payload = decodePayload(r, tag)
 	if r.err == nil && r.left != 0 {
