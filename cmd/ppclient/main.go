@@ -11,7 +11,7 @@
 //
 //	ppclient -model models/Heart.gob -addr 127.0.0.1:7100 -factor 10000 -n 3
 //
-// The connection speaks wire format v4 (DESIGN.md); client and server must
+// The connection speaks wire format v5 (DESIGN.md); client and server must
 // be builds of the same wire version, and a mismatch ends the session with
 // an "unsupported wire version" error instead of a misparse.
 //

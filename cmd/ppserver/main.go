@@ -8,7 +8,7 @@
 //
 //	ppserver -model models/Heart.gob -listen :7100 -factor 10000 -metrics :7200
 //
-// Connections speak wire format v4 (DESIGN.md): a client that opens with
+// Connections speak wire format v5 (DESIGN.md): a client that opens with
 // anything else — another version, or the gob stream of a build before the
 // format existed — is answered with one "unsupported wire version" error
 // frame and dropped; the model file is the only gob left.

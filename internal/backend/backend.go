@@ -51,9 +51,8 @@ const (
 // Kinds lists every backend in wire-code order.
 func Kinds() []Kind { return []Kind{PaillierHE, SSGC, Clear} }
 
-// Code returns the additive wire encoding of the kind. Zero is
-// paillier-he so that absent fields from older peers decode to the
-// original protocol.
+// Code returns the kind's wire encoding in a session plan. Zero is
+// paillier-he, the original protocol's one backend.
 func (k Kind) Code() int32 {
 	switch k {
 	case SSGC:
@@ -94,13 +93,12 @@ func KindFromCode(c int32) (Kind, error) {
 }
 
 // Payload is a round's activation tensor in the representation of its
-// backend: exactly one of CT, Sh, Plain is set, all at scale F^Exp.
+// backend: exactly one of CT, Sh, Plain is set, at the round's scale.
 type Payload struct {
 	Kind  Kind
 	CT    *paillier.CipherTensor
 	Sh    *tensor.Tensor[secshare.Shares]
 	Plain *tensor.Tensor[*big.Int]
-	Exp   int
 }
 
 // Shape returns the payload tensor's shape.
@@ -138,7 +136,7 @@ func (p *Payload) Size() (int, error) {
 // Reshape returns the payload viewing its elements under a new shape of
 // the same size, whatever the representation.
 func (p *Payload) Reshape(shape tensor.Shape) (*Payload, error) {
-	out := &Payload{Kind: p.Kind, Exp: p.Exp}
+	out := &Payload{Kind: p.Kind}
 	var err error
 	switch p.Kind {
 	case PaillierHE:
@@ -178,8 +176,9 @@ type Stage struct {
 	Threads  int
 }
 
-// Execute runs the stage over in under in.Kind's crypto regime and returns
-// the output payload at the raised scale exponent. paillier-he evaluates
+// Execute runs the stage over in — a round input, at scale F¹ — under
+// in.Kind's crypto regime and returns the output payload, at scale
+// F^(1+qnn.StageScaleSteps(st.Ops)). paillier-he evaluates
 // through ev, which meters its own crypto ops; ss-gc draws a fresh
 // Beaver-triple dealer from crypto/rand per call, so concurrent rounds
 // never share dealer state; the ss-gc and clear op counts go to m (nil
@@ -195,17 +194,17 @@ func Execute(ev *paillier.Evaluator, m *obs.CostMeter, st *Stage, in *Payload) (
 		if ev == nil {
 			return nil, fmt.Errorf("backend: paillier-he needs an evaluator")
 		}
-		out.CT, out.Exp, err = qnn.ApplyStage(ev, st.Ops, in.CT, in.Exp, st.Threads)
+		out.CT, _, err = qnn.ApplyStage(ev, st.Ops, in.CT, 1, st.Threads)
 	case SSGC:
 		var seed uint64
 		if seed, err = randomWord(); err != nil {
 			return nil, err
 		}
 		dealer := secshare.NewEngine(int64(seed))
-		out.Sh, out.Exp, err = qnn.ApplyStageShared(dealer, st.Ops, in.Sh, in.Exp)
+		out.Sh, _, err = qnn.ApplyStageShared(dealer, st.Ops, in.Sh, 1)
 		m.Add(dealer.Stats)
 	case Clear:
-		out.Plain, out.Exp, err = qnn.ApplyStagePlain(st.Ops, in.Plain, in.Exp)
+		out.Plain, _, err = qnn.ApplyStagePlain(st.Ops, in.Plain, 1)
 		m.Add(obs.CostStats{PlainOps: st.Muls})
 	}
 	if err != nil {

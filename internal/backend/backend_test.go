@@ -69,7 +69,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 
 	// Reference: the clear backend is literally ApplyStagePlain.
 	var meter obs.CostMeter
-	ref, err := Execute(nil, &meter, st, &Payload{Kind: Clear, Plain: xb, Exp: 1})
+	ref, err := Execute(nil, &meter, st, &Payload{Kind: Clear, Plain: xb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,9 @@ func TestBackendsBitIdentical(t *testing.T) {
 		xs.SetFlat(i, s)
 	}
 	var ssMeter obs.CostMeter
-	got, err := Execute(nil, &ssMeter, st, &Payload{Kind: SSGC, Sh: xs, Exp: 1})
+	got, err := Execute(nil, &ssMeter, st, &Payload{Kind: SSGC, Sh: xs})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.Exp != ref.Exp {
-		t.Fatalf("ss-gc exp %d, want %d", got.Exp, ref.Exp)
 	}
 	for i, s := range got.Sh.Data() {
 		v := secshare.SignedOfRing(s.Reconstruct())
@@ -114,7 +111,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := Execute(paillier.NewEvaluator(&kp.PublicKey, nil), nil, st, &Payload{Kind: PaillierHE, CT: ct, Exp: 1})
+	enc, err := Execute(paillier.NewEvaluator(&kp.PublicKey, nil), nil, st, &Payload{Kind: PaillierHE, CT: ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +226,7 @@ func TestPayloadPermuteRoundTrip(t *testing.T) {
 	for i := range plain.Data() {
 		plain.SetFlat(i, big.NewInt(int64(i*i)))
 	}
-	p := &Payload{Kind: Clear, Plain: plain, Exp: 2}
+	p := &Payload{Kind: Clear, Plain: plain}
 	obf, err := p.ApplyPerm(perm)
 	if err != nil {
 		t.Fatal(err)
@@ -237,9 +234,6 @@ func TestPayloadPermuteRoundTrip(t *testing.T) {
 	back, err := obf.InvertPerm(perm, shape)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if back.Exp != 2 {
-		t.Fatalf("exp lost: %d", back.Exp)
 	}
 	for i := range plain.Data() {
 		if back.Plain.Data()[i].Cmp(plain.Data()[i]) != 0 {
@@ -251,7 +245,7 @@ func TestPayloadPermuteRoundTrip(t *testing.T) {
 		sh.SetFlat(i, secshare.Shares{S: [2]uint64{uint64(i), uint64(100 + i)}})
 	}
 	perm4, _ := obfuscate.NewRandom(4)
-	sp := &Payload{Kind: SSGC, Sh: sh, Exp: 1}
+	sp := &Payload{Kind: SSGC, Sh: sh}
 	obfS, err := sp.ApplyPerm(perm4)
 	if err != nil {
 		t.Fatal(err)

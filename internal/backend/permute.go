@@ -17,7 +17,7 @@ import (
 // ApplyPerm returns the payload with its elements permuted (flattened
 // order), preserving the representation.
 func (p *Payload) ApplyPerm(perm *obfuscate.Permutation) (*Payload, error) {
-	out := &Payload{Kind: p.Kind, Exp: p.Exp}
+	out := &Payload{Kind: p.Kind}
 	var err error
 	switch p.Kind {
 	case PaillierHE:
@@ -37,7 +37,7 @@ func (p *Payload) ApplyPerm(perm *obfuscate.Permutation) (*Payload, error) {
 
 // InvertPerm undoes a permutation, restoring the given shape.
 func (p *Payload) InvertPerm(perm *obfuscate.Permutation, shape tensor.Shape) (*Payload, error) {
-	out := &Payload{Kind: p.Kind, Exp: p.Exp}
+	out := &Payload{Kind: p.Kind}
 	var err error
 	switch p.Kind {
 	case PaillierHE:

@@ -48,8 +48,8 @@ func buildNet3(t testing.TB) *nn.Network {
 }
 
 // TestWireRoundTripSharedEnvelope round-trips an ss-gc envelope: the
-// share words must survive the wire exactly and the decoded payload
-// must carry the ss-gc backend tag.
+// share words must survive the wire exactly, in flat order, and the
+// decoded payload must be ss-gc's.
 func TestWireRoundTripSharedEnvelope(t *testing.T) {
 	k := key(t)
 	sh := tensor.New[secshare.Shares](2, 3)
@@ -60,13 +60,10 @@ func TestWireRoundTripSharedEnvelope(t *testing.T) {
 		}
 		sh.Data()[i] = s
 	}
-	env := &Envelope{Req: 7, Payload: backend.Payload{Kind: backend.SSGC, Sh: sh, Exp: 2}, Obfuscated: true}
+	env := &Envelope{Req: 7, Payload: backend.Payload{Kind: backend.SSGC, Sh: sh}}
 	w, err := ToWire(env)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if w.Backend != backend.SSGC.Code() {
-		t.Fatalf("wire backend code %d, want %d", w.Backend, backend.SSGC.Code())
 	}
 	if len(w.Cipher) != 0 || len(w.Plain) != 0 {
 		t.Fatal("ss-gc wire envelope carries foreign payloads")
@@ -75,8 +72,8 @@ func TestWireRoundTripSharedEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != backend.SSGC || got.Exp != 2 || !got.Obfuscated {
-		t.Fatalf("decoded envelope lost metadata: %+v", got)
+	if got.Kind != backend.SSGC || got.Req != 7 || !got.Sh.Shape().Equal(tensor.Shape{6}) {
+		t.Fatalf("decoded envelope: %+v, want request 7's six ss-gc elements", got)
 	}
 	for i, s := range got.Sh.Data() {
 		if s != sh.Data()[i] {
@@ -90,7 +87,8 @@ func TestWireRoundTripSharedEnvelope(t *testing.T) {
 
 // TestWireRoundTripClearEnvelope round-trips a clear envelope including
 // negative values (sign-magnitude encoding), and rejects malformed
-// plaintext elements.
+// plaintext elements and an envelope whose vectors name no backend or
+// two.
 func TestWireRoundTripClearEnvelope(t *testing.T) {
 	k := key(t)
 	vals := []int64{0, 1, -1, 123456789, -987654321}
@@ -98,7 +96,7 @@ func TestWireRoundTripClearEnvelope(t *testing.T) {
 	for i, v := range vals {
 		pl.Data()[i] = big.NewInt(v)
 	}
-	env := &Envelope{Req: 9, Payload: backend.Payload{Kind: backend.Clear, Plain: pl, Exp: 1}, Obfuscated: true}
+	env := &Envelope{Req: 9, Payload: backend.Payload{Kind: backend.Clear, Plain: pl}}
 	w, err := ToWire(env)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +122,8 @@ func TestWireRoundTripClearEnvelope(t *testing.T) {
 		"oversized": func(w *WireEnvelope) {
 			w.Plain = append([]*big.Int{new(big.Int).Lsh(big.NewInt(1), 8*maxPlainElementBytes)}, w.Plain[1:]...)
 		},
-		"count mismatch": func(w *WireEnvelope) { w.Plain = w.Plain[:2] },
+		"no vector":   func(w *WireEnvelope) { w.Plain = nil },
+		"two vectors": func(w *WireEnvelope) { w.Shares0, w.Shares1 = []uint64{1}, []uint64{2} },
 	} {
 		bad, err := ToWire(env)
 		if err != nil {

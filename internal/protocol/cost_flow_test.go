@@ -235,8 +235,8 @@ func TestHeartRoundCosts(t *testing.T) {
 		if sc.Rerands != replies[r] || sc.PoolHits+sc.PoolMisses != replies[r] || sc.ModExps != replies[r] {
 			t.Errorf("round %d server: %+v, want %d re-randomizations, each one inline exponentiation", r, sc, replies[r])
 		}
-		if uint64(env.CT.Size()) != replies[r] || env.Shape.Size() != outs[r] {
-			t.Errorf("round %d reply: %d ciphertexts for %v", r, env.CT.Size(), env.Shape)
+		if uint64(env.CT.Size()) != replies[r] {
+			t.Errorf("round %d reply: %d ciphertexts for %d values", r, env.CT.Size(), outs[r])
 		}
 		env, err = proto.Data.ProcessNonLinearMetered(r, env, &client)
 		if err != nil {

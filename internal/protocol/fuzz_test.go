@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math/big"
 	"runtime"
 	"testing"
 
@@ -12,10 +13,11 @@ import (
 // adversarial bytes: the TCP edge's decoder — preface, frame header, body —
 // and then the validation the server/client readers run on what it
 // delivers: FromWire under the public key, span conversion, trace-context
-// validation. None of it may panic, and all of it together may not
-// allocate more than wireAllocPerByte times the bytes it was given plus
-// the edge's fixed buffers: every count, width, shape and slot size in a
-// frame is the peer's to choose; the network is untrusted (Section II-C).
+// validation. None of it may panic, FromWire may accept only an envelope
+// of one backend, and all of it together may not allocate more than
+// wireAllocPerByte times the bytes it was given plus the edge's fixed
+// buffers: every count, width and slot size in a frame is the peer's to
+// choose; the network is untrusted (Section II-C).
 func FuzzWireFrameDecode(f *testing.F) {
 	k, err := paillier.GenerateKey(nil, 256)
 	if err != nil {
@@ -26,31 +28,37 @@ func FuzzWireFrameDecode(f *testing.F) {
 	for _, m := range goldenFrames() {
 		f.Add(encodeFrames(f, true, m))
 	}
-	// Packed replies (256-bit key: three 77-bit slots per ciphertext): an
-	// honest one, then slot bits, counts and shapes chosen to make the
-	// receiver divide by zero, overflow the logical size, or size an
-	// allocation from it.
-	packed := func(slotBits int, shape []int, ciphers int) {
-		env := &WireEnvelope{Req: 9, Shape: shape, SlotBits: slotBits, Exp: 2, Obfuscated: true}
+	// Packed replies (256-bit key: three 77-bit slots per ciphertext) at
+	// slot widths up to the widest a frame may announce, and one that
+	// carries no ciphertext.
+	packed := func(slotBits int, ciphers int) {
+		env := &WireEnvelope{Req: 9, SlotBits: slotBits}
 		for i := 0; i < ciphers; i++ {
 			env.Cipher = append(env.Cipher, paillier.ParseCiphertext([]byte{byte(i + 1)}))
 		}
 		f.Add(encodeFrames(f, false, &stream.Message{Seq: 9, Payload: &roundFrame{Round: 1, Env: env}}))
 	}
-	packed(77, []int{6}, 2)
-	packed(77, []int{7}, 2)
-	packed(77, []int{2, 3}, 6)
-	packed(maxSlotBits, []int{1}, 1)
-	packed(1, []int{maxWireElements}, 1)
-	packed(254, []int{maxWireElements}, 3)
-	packed(77, []int{1 << 10, 1 << 10}, 0)
-	packed(77, []int{1 << 18, 2, 2}, 1)
-	// The layouts version 4 retired, behind its preface: a failed-stage
-	// section, and a terminal envelope carrying a plaintext result.
+	packed(77, 2)
+	packed(maxSlotBits, 1)
+	packed(1, 3)
+	packed(77, 0)
+	// Envelopes FromWire refuses whole: no vector, two, and share vectors
+	// of unequal length.
+	for _, env := range []*WireEnvelope{
+		{Req: 9},
+		{Req: 9, Cipher: []*paillier.Ciphertext{paillier.ParseCiphertext([]byte{1})}, Plain: []*big.Int{big.NewInt(1)}},
+		{Req: 9, Shares0: []uint64{1, 2}, Shares1: []uint64{3}},
+	} {
+		f.Add(encodeFrames(f, false, &stream.Message{Seq: 9, Payload: &roundFrame{Round: 1, Env: env}}))
+	}
+	// The layouts later versions retired, behind the current preface: a
+	// version-3 failed-stage section and terminal envelope, and a
+	// version-4 envelope with its exponent, backend, flags and shape.
 	withPreface := func(frame []byte) []byte { return append(append([]byte(nil), preface...), frame...) }
 	f.Add(withPreface(failedStageV3()))
-	terminal := terminalEnvelopeV3().b
-	f.Add(withPreface(frame(0, tagEnvelope, uint32(len(terminal)), terminal)))
+	for _, env := range []*wb{terminalEnvelopeV3(), envelopeV4()} {
+		f.Add(withPreface(frame(0, tagEnvelope, uint32(len(env.b)), env.b)))
+	}
 	f.Add([]byte{})
 	f.Add(preface)
 
@@ -73,11 +81,17 @@ func FuzzWireFrameDecode(f *testing.F) {
 				continue
 			}
 			env, err := FromWire(w, pk)
-			if err == nil && env.CT == nil && env.Sh == nil && env.Plain == nil {
-				t.Fatal("FromWire accepted an envelope that carries nothing")
+			if err != nil {
+				continue
 			}
-			if err == nil && env.SlotBits != 0 && env.CT.Size() != pk.PackedLen(env.Shape.Size(), env.SlotBits) {
-				t.Fatalf("FromWire accepted %d ciphertexts for %v at %d slot bits", env.CT.Size(), env.Shape, env.SlotBits)
+			vectors := 0
+			for _, set := range []bool{env.CT != nil, env.Sh != nil, env.Plain != nil} {
+				if set {
+					vectors++
+				}
+			}
+			if size, err := env.Payload.Size(); err != nil || size == 0 || vectors != 1 {
+				t.Fatalf("FromWire accepted a %q envelope of %d elements (%v) carrying %d vectors", env.Kind, size, err, vectors)
 			}
 		}
 		runtime.ReadMemStats(&after)

@@ -178,7 +178,7 @@ func TestModelProviderEnforcesLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := inProcessSession(t, proto, SessionConfig{Gate: gate}, 2)
+	c, _ := inProcessSession(t, proto, SessionConfig{Gate: gate}, 2)
 	x := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4)
 	if _, err := c.Infer(context.Background(), x); err != nil {
 		t.Fatalf("first request rejected: %v", err)
@@ -203,7 +203,7 @@ func TestThrottleErrorTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry("throttle")
-	c := inProcessSession(t, proto, SessionConfig{Gate: gate, Registry: reg}, 2)
+	c, _ := inProcessSession(t, proto, SessionConfig{Gate: gate, Registry: reg}, 2)
 	x := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4)
 	if _, err := c.Infer(context.Background(), x); err != nil {
 		t.Fatalf("first request rejected: %v", err)

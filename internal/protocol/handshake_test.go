@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -187,6 +188,26 @@ func TestHelloOutcomes(t *testing.T) {
 				}
 				ended()
 			})
+		}
+	}
+}
+
+// TestHelloWorkersBounded: a Hello's thread request is a client's to
+// choose, so a server with no SessionConfig.MaxWorkers bounds it by the
+// cores the process may use: a request for 1<<20 threads gets stages of
+// at most GOMAXPROCS threads each.
+func TestHelloWorkersBounded(t *testing.T) {
+	_, rounds, err := walk(buildNet(t), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := building(rounds, nil, SessionConfig{Factor: 1000})(&Hello{Workers: 1 << 20}, &key(t).PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, st := range mp.stages {
+		if limit := runtime.GOMAXPROCS(0); st.Threads < 1 || st.Threads > limit {
+			t.Errorf("stage %d runs on %d threads for a Hello asking 1<<20, want 1..%d", r, st.Threads, limit)
 		}
 	}
 }

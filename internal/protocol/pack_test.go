@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 	mathrand "math/rand"
 	"sync"
 	"testing"
@@ -145,7 +146,8 @@ func TestSlotErrorAtBuild(t *testing.T) {
 // width against its own copy of the stage bound. A model provider whose
 // weights imply narrower slots than the client's (here: zeroed weights
 // against the real ones) could overflow them, and is refused; so are a
-// reply claiming the wrong logical size and an unpacked one.
+// reply with one ciphertext more than the stage's values pack into, an
+// unpacked one, and a clear reply with one value more than the stage takes.
 func TestClientRefusesNarrowSlots(t *testing.T) {
 	k := key(t)
 	real, err := Build(buildNet3(t), k, Config{Factor: 1000})
@@ -176,12 +178,12 @@ func TestClientRefusesNarrowSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrongSize := *good
-	wrongSize.Shape = tensor.Shape{good.Shape.Size() + 1}
+	wrongSize.CT = tensor.MustFromSlice(append(good.CT.Data()[:good.CT.Size():good.CT.Size()], good.CT.Data()[0]), good.CT.Size()+1)
 	if _, err := real.Data.ProcessNonLinearMetered(0, &wrongSize, nil); err == nil {
 		t.Error("client accepted a reply packing the wrong number of values")
 	}
 	unpacked := *good
-	unpacked.SlotBits, unpacked.Shape = 0, nil
+	unpacked.SlotBits = 0
 	if _, err := real.Data.ProcessNonLinearMetered(0, &unpacked, nil); err == nil {
 		t.Error("client accepted an unpacked reply")
 	}
@@ -190,6 +192,16 @@ func TestClientRefusesNarrowSlots(t *testing.T) {
 	}
 	if _, err := real.Data.ProcessNonLinearMetered(0, good, nil); err != nil {
 		t.Errorf("the honest reply: %v", err)
+	}
+	if err := real.Data.SetBackendPlan([]backend.Kind{backend.PaillierHE, backend.Clear, backend.Clear}); err != nil {
+		t.Fatal(err)
+	}
+	long := tensor.New[*big.Int](6) // round 1's stage takes 5
+	for i := range long.Data() {
+		long.SetFlat(i, big.NewInt(int64(i)))
+	}
+	if _, err := real.Data.ProcessNonLinearMetered(1, &Envelope{Req: 1, Payload: backend.Payload{Kind: backend.Clear, Plain: long}}, nil); err == nil {
+		t.Error("client accepted a clear reply of 6 values for a stage of 5")
 	}
 }
 

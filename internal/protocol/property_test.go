@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math/big"
 	mathrand "math/rand"
 	"testing"
 	"testing/quick"
@@ -66,31 +67,46 @@ func name(prefix string, i int) string {
 }
 
 // FuzzFromWire feeds adversarial wire envelopes into the model
-// provider's frame validation: no input may panic, and malformed frames
-// must be rejected.
+// provider's frame validation: no input may panic, and an accepted frame
+// is one flat tensor of the one backend whose vector is non-empty — both
+// share vectors, at equal length, for ss-gc. The seeds are an honest
+// ciphertext, a frame with no vector and one with two.
 func FuzzFromWire(f *testing.F) {
 	k, err := paillier.GenerateKey(nil, 256)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(uint64(1), 4, []byte{1, 2, 3}, 1, true)
-	f.Add(uint64(0), 0, []byte{}, -1, false)
-	f.Add(uint64(9), 1, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 3, true)
-	f.Fuzz(func(t *testing.T, req uint64, dim int, cipher []byte, exp int, obf bool) {
-		w := &WireEnvelope{
-			Req:        req,
-			Shape:      []int{dim},
-			Cipher:     []*paillier.Ciphertext{paillier.ParseCiphertext(cipher)},
-			Exp:        exp,
-			Obfuscated: obf,
+	f.Add(uint64(1), []byte{1, 2, 3}, 0, 0, 0)
+	f.Add(uint64(0), []byte{}, 0, 0, 0)
+	f.Add(uint64(9), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 0, 0, 2)
+	f.Fuzz(func(t *testing.T, req uint64, cipher []byte, shares0, shares1, plain int) {
+		if min(shares0, shares1, plain) < 0 || max(shares0, shares1, plain) > 64 {
+			return
+		}
+		w := &WireEnvelope{Req: req, Shares0: make([]uint64, shares0), Shares1: make([]uint64, shares1)}
+		if len(cipher) > 0 {
+			w.Cipher = []*paillier.Ciphertext{paillier.ParseCiphertext(cipher)}
+		}
+		for i := 0; i < plain; i++ {
+			w.Plain = append(w.Plain, big.NewInt(int64(i)))
 		}
 		env, err := FromWire(w, &k.PublicKey)
 		if err != nil {
 			return // rejected: fine
 		}
-		// Accepted frames must be internally consistent.
-		if env.CT == nil || env.CT.Size() != 1 || dim != 1 {
-			t.Fatalf("accepted inconsistent frame: dim=%d", dim)
+		var want int
+		switch {
+		case len(cipher) > 0 && shares0+shares1+plain == 0:
+			want = 1
+		case shares0 > 0 && shares0 == shares1 && len(cipher)+plain == 0:
+			want = shares0
+		case plain > 0 && len(cipher)+shares0+shares1 == 0:
+			want = plain
+		default:
+			t.Fatalf("accepted a frame of %d ciphertext bytes, %d/%d share words and %d integers", len(cipher), shares0, shares1, plain)
+		}
+		if shape, err := env.Payload.Shape(); err != nil || !shape.Equal(tensor.Shape{want}) || env.Req != req {
+			t.Fatalf("accepted frame decodes to %v (%v), request %d; want [%d], request %d", shape, err, env.Req, want, req)
 		}
 	})
 }

@@ -38,24 +38,21 @@ import (
 
 // Envelope is the in-process message flowing between protocol stages:
 // one round's activation tensor in its backend's representation, or the
-// final plaintext result.
+// final plaintext result. Its shape, scale exponent and whether it is
+// permuted are not carried: each role derives them from its own walk.
 type Envelope struct {
 	// Req identifies the inference request.
 	Req uint64
 	// Payload is the round's tensor; every envelope but a terminal one
-	// sets its Kind. A paillier-he CT is obfuscated between the model and
-	// data provider except in the last round. On the way to the model
-	// provider it holds one value per ciphertext; on the way back it is a
-	// packed reply (SlotBits != 0).
+	// sets its Kind. On the way to the model provider it holds one value
+	// per ciphertext; on the way back a paillier-he payload is a packed
+	// reply (SlotBits != 0).
 	backend.Payload
-	// SlotBits and Shape describe a packed reply: CT is then the vector of
-	// ⌈Shape.Size()/S⌉ ciphertexts paillier.Evaluator.Pack built, each
-	// carrying up to S = PublicKey.Slots(SlotBits) values of the logical
-	// tensor Shape in SlotBits-wide slots.
+	// SlotBits describes a packed reply: CT is then the vector of ⌈n/S⌉
+	// ciphertexts paillier.Evaluator.Pack built from the round's n output
+	// values, each carrying up to S = PublicKey.Slots(SlotBits) of them in
+	// SlotBits-wide slots.
 	SlotBits int
-	Shape    tensor.Shape
-	// Obfuscated records whether the element positions are permuted.
-	Obfuscated bool
 	// Result is the final inference output (last stage only).
 	Result *tensor.Dense
 }
@@ -277,6 +274,7 @@ func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, rounds []lin
 		dp.stages = append(dp.stages, &nonLinearStage{
 			layers:     m.Layers,
 			slotBits:   st.slotBits,
+			exp:        1 + qnn.StageScaleSteps(st.Ops),
 			inShape:    m.InShape.Clone(),
 			threads:    max(cfg.Workers, 1),
 			garbleReLU: st.reluFollows,
@@ -571,6 +569,20 @@ func (mp *ModelProvider) SetStageThreads(r, threads int) error {
 	return nil
 }
 
+// forSession returns ServeSession's provider for one session: it shares
+// mp's key, evaluator, blinding pool and stages, and has its own plan —
+// starting from mp's slice, which SetBackendPlan replaces, never writes —
+// and permutation state, so its requests' IDs never meet another user's.
+func (mp *ModelProvider) forSession() *ModelProvider {
+	mp.planMu.RLock()
+	defer mp.planMu.RUnlock()
+	return &ModelProvider{
+		roundPlan: roundPlan{slotBits: mp.slotBits, kinds: mp.kinds},
+		pk:        mp.pk, eval: mp.eval, pool: mp.pool, stages: mp.stages,
+		state: map[uint64]*obfuscate.Rounds{},
+	}
+}
+
 func (mp *ModelProvider) rounds(req uint64) *obfuscate.Rounds {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
@@ -634,8 +646,7 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 
 	// Step 3.4: the last round goes out without obfuscation so SoftMax
 	// can run.
-	obfuscated := r < len(mp.stages)-1
-	if obfuscated {
+	if r < len(mp.stages)-1 {
 		permStart := time.Now()
 		perm, err := mp.rounds(env.Req).Next(st.OutShape.Size())
 		if err != nil {
@@ -646,7 +657,7 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 		}
 		tm.Permute += time.Since(permStart)
 	}
-	reply := &Envelope{Req: env.Req, Payload: *out, Obfuscated: obfuscated}
+	reply := &Envelope{Req: env.Req, Payload: *out}
 	if out.Kind == backend.PaillierHE {
 		// The kernel's rows are unblinded; Pack is where they are
 		// re-randomized, a slot-full per blinding factor.
@@ -656,15 +667,16 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 			return nil, tm, err
 		}
 		tm.Pack = time.Since(packStart)
-		reply.CT, reply.SlotBits, reply.Shape = packed, st.slotBits, out.CT.Shape()
+		reply.CT, reply.SlotBits = packed, st.slotBits
 	}
 	return reply, tm, nil
 }
 
 // roundInput checks that env is what round r's linear stage takes — the
-// planned backend, one value per ciphertext, the stage's input size,
-// permuted in every round but the first — and returns its payload in the
-// stage's input shape, undoing the previous round's permutation.
+// planned backend, one value per ciphertext, the stage's input size — and
+// returns its payload in the stage's input shape, undoing the previous
+// round's permutation in every round but the first. The stage evaluates
+// the input at scale F¹, where the data provider encodes every round's.
 func (mp *ModelProvider) roundInput(r int, env *Envelope, tm *LinearTiming) (*backend.Payload, error) {
 	st := mp.stages[r]
 	if kind := mp.RoundBackend(r); env.Kind != kind {
@@ -679,13 +691,6 @@ func (mp *ModelProvider) roundInput(r int, env *Envelope, tm *LinearTiming) (*ba
 	}
 	if size != st.InShape.Size() {
 		return nil, fmt.Errorf("protocol: linear stage %d input size %d, want %v", r, size, st.InShape)
-	}
-	if env.Kind == backend.PaillierHE && env.Exp != 1 {
-		// The reply's slot width is derived for inputs at scale F¹.
-		return nil, fmt.Errorf("protocol: linear stage %d input at scale exponent %d, want 1", r, env.Exp)
-	}
-	if env.Obfuscated != (r > 0) {
-		return nil, fmt.Errorf("protocol: round %d input obfuscated=%v: every round's input but the first is permuted", r, env.Obfuscated)
 	}
 	if r == 0 {
 		return env.Payload.Reshape(st.InShape)
@@ -709,6 +714,8 @@ type nonLinearStage struct {
 	// stage implies; a packed reply with narrower slots could overflow
 	// them and is refused.
 	slotBits int
+	// exp is the preceding linear stage's output scale exponent.
+	exp int
 	// garbleReLU marks an ss-gc round whose leading ReLU runs inside the
 	// garbled circuit on the shares (garblesReLU).
 	garbleReLU bool
@@ -793,7 +800,7 @@ func (dp *DataProvider) EncryptMetered(req uint64, x *tensor.Dense, m *obs.CostM
 	}
 	// Round 0 is always paillier-he regardless of plan: the raw input
 	// leaves the data provider only under encryption.
-	return &Envelope{Req: req, Payload: backend.Payload{Kind: backend.PaillierHE, CT: ct, Exp: 1}}, nil
+	return &Envelope{Req: req, Payload: backend.Payload{Kind: backend.PaillierHE, CT: ct}}, nil
 }
 
 // ProcessNonLinearMetered executes round r's steps at the data provider:
@@ -812,17 +819,13 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 	if kind := dp.RoundBackend(r); env.Kind != kind {
 		return nil, fmt.Errorf("protocol: round %d reply arrived as %q, session plan assigns %q", r, env.Kind, kind)
 	}
-	// Only the last round arrives unpermuted: its SoftMax is
-	// position-dependent.
-	last := r == len(dp.stages)-1
-	if env.Obfuscated == last {
-		return nil, fmt.Errorf("protocol: non-linear stage %d of %d received obfuscated=%v", r, len(dp.stages), env.Obfuscated)
-	}
 	vals, err := dp.open(r, env, m)
 	if err != nil {
 		return nil, err
 	}
-	if last {
+	// Only the last round arrives unpermuted: its SoftMax is
+	// position-dependent.
+	if r == len(dp.stages)-1 {
 		cur, err := vals.Reshape(st.inShape...)
 		if err != nil {
 			return nil, err
@@ -858,25 +861,31 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 // open decodes round r's reply into its real values, per the backend that
 // produced it: unpack and decrypt paillier-he ciphertexts, reconstruct
 // ss-gc shares — running a leading ReLU on them through the garbled
-// circuit first (exact on ring integers: a sign test at scale F^Exp
+// circuit first (exact on ring integers: a sign test at scale F^exp
 // commutes with descaling), so only the fresh output shares are opened —
-// or take clear integers as they are.
+// or take clear integers as they are. The reply must hold the stage's
+// input values — a packed one, PackedLen of them at its slot width — and
+// they are descaled at the preceding linear stage's output exponent.
 func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.Dense, error) {
 	st := dp.stages[r]
-	if _, err := env.Payload.Shape(); err != nil {
+	count, want := st.inShape.Size(), st.inShape.Size()
+	if env.Kind == backend.PaillierHE {
+		if env.SlotBits < st.slotBits {
+			return nil, fmt.Errorf("protocol: round %d reply has %d-bit slots, this stage's bound needs %d", r, env.SlotBits, st.slotBits)
+		}
+		want = dp.sk.PackedLen(count, env.SlotBits)
+	}
+	size, err := env.Payload.Size()
+	if err != nil {
 		return nil, fmt.Errorf("protocol: non-linear stage %d: %w", r, err)
+	}
+	if size != want {
+		return nil, fmt.Errorf("protocol: round %d reply has %d elements, stage %v takes %d", r, size, st.inShape, want)
 	}
 	ints := env.Plain
 	switch env.Kind {
 	case backend.PaillierHE:
-		if env.SlotBits < st.slotBits {
-			return nil, fmt.Errorf("protocol: round %d reply has %d-bit slots, this stage's bound needs %d", r, env.SlotBits, st.slotBits)
-		}
-		if env.Shape.Size() != st.inShape.Size() {
-			return nil, fmt.Errorf("protocol: round %d reply packs %v, stage expects %v", r, env.Shape, st.inShape)
-		}
-		var err error
-		if ints, err = dp.sk.Unpack(env.CT, env.SlotBits, st.inShape.Size(), st.threads); err != nil {
+		if ints, err = dp.sk.Unpack(env.CT, env.SlotBits, count, st.threads); err != nil {
 			return nil, err
 		}
 		n := uint64(env.CT.Size())
@@ -899,7 +908,7 @@ func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.De
 		n := uint64(len(shares))
 		m.Add(obs.CostStats{OpenedWords: 2 * n, PlainOps: n})
 	}
-	return qnn.Descale(ints, dp.factor, env.Exp)
+	return qnn.Descale(ints, dp.factor, st.exp)
 }
 
 // encodeFor packs the next round's scaled input in the representation
@@ -907,7 +916,7 @@ func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.De
 // shares, or plaintext integers (past the certified boundary).
 func (dp *DataProvider) encodeFor(req uint64, nextRound int, scaled *tensor.Tensor[int64], m *obs.CostMeter) (*Envelope, error) {
 	next := dp.RoundBackend(nextRound)
-	env := &Envelope{Req: req, Payload: backend.Payload{Kind: next, Exp: 1}, Obfuscated: true}
+	env := &Envelope{Req: req, Payload: backend.Payload{Kind: next}}
 	switch next {
 	case backend.PaillierHE:
 		ct, err := dp.sk.EncryptTensor(nil, scaled, dp.EncryptThreads(nextRound), m)

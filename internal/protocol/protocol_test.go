@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"crypto/rand"
+	"math/big"
 	mathrand "math/rand"
 	"sync"
 	"testing"
@@ -223,9 +224,6 @@ func TestObfuscationActuallyPermutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mid.Obfuscated {
-		t.Error("intermediate envelope not marked obfuscated")
-	}
 	if mid.CT.Shape().Rank() != 1 {
 		t.Errorf("obfuscated tensor rank %d, want 1 (Section III-C reshape)", mid.CT.Shape().Rank())
 	}
@@ -239,9 +237,6 @@ func TestObfuscationActuallyPermutes(t *testing.T) {
 	fin, _, err := proto.Model.ProcessLinearMetered(1, next, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fin.Obfuscated {
-		t.Error("last round must not be obfuscated (step 3.4)")
 	}
 	res, err := proto.Data.ProcessNonLinearMetered(1, fin, nil)
 	if err != nil {
@@ -273,13 +268,8 @@ func TestProtocolStateValidation(t *testing.T) {
 	if _, err := proto.Data.ProcessNonLinearMetered(9, env, nil); err == nil {
 		t.Error("unknown non-linear round accepted")
 	}
-	// Obfuscated input to round 0.
-	envObf := &Envelope{Req: 2, Payload: env.Payload, Obfuscated: true}
-	if _, _, err := proto.Model.ProcessLinearMetered(0, envObf, nil); err == nil {
-		t.Error("round 0 accepted obfuscated input")
-	}
 	// Missing ciphertext.
-	if _, _, err := proto.Model.ProcessLinearMetered(0, &Envelope{Req: 3, Payload: backend.Payload{Kind: backend.PaillierHE, Exp: 1}}, nil); err == nil {
+	if _, _, err := proto.Model.ProcessLinearMetered(0, &Envelope{Req: 3, Payload: backend.Payload{Kind: backend.PaillierHE}}, nil); err == nil {
 		t.Error("empty envelope accepted")
 	}
 	// A walk that fails mid-protocol (the roles disagree on round 1's
@@ -315,7 +305,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Req != 5 || back.Exp != env.Exp || !back.CT.Shape().Equal(env.CT.Shape()) {
+	if back.Req != 5 || !back.CT.Shape().Equal(env.CT.Shape()) {
 		t.Error("wire metadata lost")
 	}
 	// Decrypts to the same scaled values.
@@ -335,24 +325,18 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestFromWireRejectsMalformed(t *testing.T) {
 	k := key(t)
-	if _, err := FromWire(nil, &k.PublicKey); err == nil {
-		t.Error("nil frame accepted")
-	}
-	// shape/cipher mismatch
-	w := &WireEnvelope{Shape: []int{4}, Cipher: []*paillier.Ciphertext{paillier.ParseCiphertext([]byte{1})}}
-	if _, err := FromWire(w, &k.PublicKey); err == nil {
-		t.Error("cipher-count mismatch accepted")
-	}
-	// out-of-range ciphertext
-	huge := append([]byte{0xFF}, k.N2.Bytes()...)
-	w2 := &WireEnvelope{Shape: []int{1}, Cipher: []*paillier.Ciphertext{paillier.ParseCiphertext(huge)}}
-	if _, err := FromWire(w2, &k.PublicKey); err == nil {
-		t.Error("oversized ciphertext accepted")
-	}
-	// invalid shape
-	w3 := &WireEnvelope{Shape: []int{0}, Cipher: nil}
-	if _, err := FromWire(w3, &k.PublicKey); err == nil {
-		t.Error("invalid shape accepted")
+	one := []*paillier.Ciphertext{paillier.ParseCiphertext([]byte{1})}
+	huge := []*paillier.Ciphertext{paillier.ParseCiphertext(append([]byte{0xFF}, k.N2.Bytes()...))}
+	for name, w := range map[string]*WireEnvelope{
+		"nil frame":             nil,
+		"no vector":             {Req: 1},
+		"two vectors":           {Cipher: one, Plain: []*big.Int{big.NewInt(1)}},
+		"unequal share vectors": {Shares0: []uint64{1, 2}, Shares1: []uint64{3}},
+		"oversized ciphertext":  {Cipher: huge},
+	} {
+		if _, err := FromWire(w, &k.PublicKey); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	if _, err := ToWire(&Envelope{Req: 1}); err == nil {
 		t.Error("empty envelope serialized")

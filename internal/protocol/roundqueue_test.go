@@ -134,7 +134,7 @@ func TestStagesConcurrentSubmitters(t *testing.T) {
 		}
 	}
 	reg := obs.NewRegistry("concurrent-submitters")
-	c := inProcessSession(t, proto, SessionConfig{Registry: reg}, 2)
+	c, _ := inProcessSession(t, proto, SessionConfig{Registry: reg}, 2)
 	var wg sync.WaitGroup
 	for i := range inputs {
 		wg.Add(1)
@@ -469,7 +469,7 @@ func TestPanicContainment(t *testing.T) {
 			panic("boom on request 3")
 		}
 	})
-	c := inProcessSession(t, proto, SessionConfig{}, 2)
+	c, _ := inProcessSession(t, proto, SessionConfig{}, 2)
 	var failed, ok int
 	for i := 0; i < 5; i++ {
 		_, err := c.Infer(context.Background(), tensor.MustFromSlice([]float64{float64(i), 0, -1, 0.5}, 4))
@@ -554,7 +554,7 @@ func TestRoundFailurePropagatesAndContains(t *testing.T) {
 func TestPipelineSnapshotAndInstrument(t *testing.T) {
 	reg := obs.NewRegistry("round-instrument")
 	reg.KeepWindows()
-	c := inProcessSession(t, buildProto(t), SessionConfig{Registry: reg}, 2)
+	c, _ := inProcessSession(t, buildProto(t), SessionConfig{Registry: reg}, 2)
 	const n = 3
 	for i := 0; i < n; i++ {
 		if _, err := c.Infer(context.Background(), tensor.MustFromSlice([]float64{1, float64(i), -1, 0}, 4)); err != nil {
@@ -581,7 +581,7 @@ func TestPipelineIsActuallyPipelined(t *testing.T) {
 	for r := range 2 {
 		hookRound(proto, r, func() { time.Sleep(d) })
 	}
-	c := inProcessSession(t, proto, SessionConfig{}, n)
+	c, _ := inProcessSession(t, proto, SessionConfig{}, n)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/big"
 	"net"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -34,7 +35,7 @@ type Hello struct {
 	// Factor is the agreed parameter scaling factor.
 	Factor int64
 	// Workers requests a per-stage thread count on the server (bounded
-	// by the server's own cap).
+	// by the server's own cap, SessionConfig.MaxWorkers).
 	Workers int
 	// Profile is the deployment profile the client requests (empty
 	// selects privacy-max, the all-Paillier protocol). The server takes
@@ -97,7 +98,8 @@ func RegisterServiceWire() {}
 type SessionConfig struct {
 	// Factor is the parameter scaling factor the server insists on.
 	Factor int64
-	// MaxWorkers bounds the per-stage threads a client may request.
+	// MaxWorkers bounds the per-stage threads a client may request; <= 0
+	// bounds them by runtime.GOMAXPROCS.
 	MaxWorkers int
 	// Window bounds each linear round's queue: the frames waiting for the
 	// round's goroutine, which runs one frame at a time (different requests
@@ -197,7 +199,8 @@ type sessionMetrics struct {
 // staged runtime (Section IV): a queue of cfg.Window frames and one
 // goroutine that runs them a frame at a time on the round's threads, so
 // requests in different rounds overlap. The session serves only the
-// client whose Hello carries mp's public key; cfg.Factor must be the
+// client whose Hello carries mp's public key, on a copy of mp with its own
+// plan and permutations (ModelProvider.forSession); cfg.Factor must be the
 // factor mp was built at. Every request the session admits ends exactly
 // once: on its last round, a failed or panicked round, an out-of-order
 // frame, its deadline, cfg.IdleTTL between rounds, or the session's end.
@@ -206,7 +209,7 @@ func ServeSession(ctx context.Context, in, out stream.Edge, mp *ModelProvider, c
 		if pk.N.Cmp(mp.pk.N) != 0 {
 			return nil, errors.New("protocol: hello public key is not the served model provider's key")
 		}
-		return mp, nil
+		return mp.forSession(), nil
 	})
 }
 
@@ -272,14 +275,16 @@ func Serve(ctx context.Context, ln net.Listener, model *nn.Network, cfg SessionC
 }
 
 // building is the provider that builds one from the walked rounds for each
-// client's key; walkErr, when not nil, is why the network was not walked,
+// client's key, on the threads the Hello asks for up to cfg.MaxWorkers (or
+// GOMAXPROCS); walkErr, when not nil, is why the network was not walked,
 // and fails every Hello.
 func building(rounds []linearStage, walkErr error, cfg SessionConfig) provider {
+	limit := cfg.MaxWorkers
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
 	return func(hello *Hello, pk *paillier.PublicKey) (*ModelProvider, error) {
-		workers := max(hello.Workers, 1)
-		if cfg.MaxWorkers > 0 {
-			workers = min(workers, cfg.MaxWorkers)
-		}
+		workers := min(max(hello.Workers, 1), limit)
 		err := walkErr
 		var mp *ModelProvider
 		if err == nil {
@@ -494,9 +499,9 @@ func openSession(ctx context.Context, in, out stream.Edge, cfg SessionConfig, pr
 		return nil, fmt.Errorf("protocol: answering the hello: %w", err)
 	}
 	reg := cfg.Registry
-	// A provider that serves only this session gets a pool sized to the
-	// session's plan and window, which the session closes as it ends; a
-	// provider that brought its own (the engine's) keeps it.
+	// A provider without a blinding pool gets one sized to the session's
+	// plan and window, which the session closes as it ends; the copy of a
+	// provider that brought its own (the engine's) draws from that.
 	var blind *paillier.Pool
 	if mp.pool == nil {
 		blind = mp.NewBlindPool(cfg.Window, reg)

@@ -253,10 +253,10 @@ func TestSessionDeadlineMidRound(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	serveErr := make(chan error, 1)
+	var own *ModelProvider
 	go func() {
-		serveErr <- ServeSession(ctx, serverEdge, serverEdge, proto.Model, SessionConfig{
-			Factor: 1000, IdleTTL: 20 * time.Millisecond, Gate: gate, Registry: reg,
-		})
+		cfg := SessionConfig{Factor: 1000, IdleTTL: 20 * time.Millisecond, Gate: gate, Registry: reg}
+		serveErr <- serveSession(ctx, serverEdge, serverEdge, cfg, observing(proto.Model, &own))
 	}()
 	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1})
 	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(256), nil)
@@ -292,9 +292,9 @@ func TestSessionDeadlineMidRound(t *testing.T) {
 	if snap.Gauges["shed.inflight"] != 0 || snap.Gauges["requests.active"] != 0 {
 		t.Errorf("%d gate slots held, requests.active %d after the session", snap.Gauges["shed.inflight"], snap.Gauges["requests.active"])
 	}
-	proto.Model.mu.Lock()
-	chains := len(proto.Model.state)
-	proto.Model.mu.Unlock()
+	own.mu.Lock()
+	chains := len(own.state)
+	own.mu.Unlock()
 	if chains != 0 {
 		t.Errorf("model provider holds permutation state for %d requests after the session", chains)
 	}
@@ -336,5 +336,64 @@ func TestSessionsShareActiveGauge(t *testing.T) {
 	edge1.CloseSend()
 	if err := <-serveErr1; err != nil {
 		t.Fatalf("first session: %v", err)
+	}
+}
+
+// TestSessionOwnsItsPermutations: a session keeps the permutations of its
+// requests to itself. Its client numbers requests from 1, as any client
+// does, so Infer on the served provider with the same request ID — what
+// core.Engine.InferOne does beside a running session — draws and then
+// forgets permutations under an ID the session's in-flight request holds.
+// The session's request still completes, with the right result.
+func TestSessionOwnsItsPermutations(t *testing.T) {
+	proto := buildProto(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	toModel, toData := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
+	served := make(chan error, 1)
+	go func() { served <- ServeSession(ctx, toModel, toData, proto.Model, SessionConfig{Factor: 1000}) }()
+	client := duplex{out: toModel, in: toData}
+	sayHello(ctx, t, client, &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000})
+	// round sends req's round-r envelope and returns the data provider's
+	// step on the reply.
+	round := func(r int, env *Envelope) *Envelope {
+		t.Helper()
+		w, err := ToWire(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: r, Env: w}}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := client.Recv(ctx)
+		if err != nil || reply.Err != nil {
+			t.Fatalf("round %d: %v, %v", r, err, reply.Err)
+		}
+		back, err := FromWire(reply.Payload.(*roundFrame).Env, proto.Model.pk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back.Req = 1
+		if back, err = proto.Data.ProcessNonLinearMetered(r, back, nil); err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
+	env, err := proto.Data.EncryptMetered(1, x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := round(0, env)
+	want, err := proto.Infer(1, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := round(1, next).Result; !tensor.AllClose(want, got, 0) {
+		t.Errorf("session request: %v, want %v", got.Data(), want.Data())
+	}
+	client.CloseSend()
+	if err := waitServed(t, served); err != nil {
+		t.Fatalf("session: %v", err)
 	}
 }

@@ -37,15 +37,17 @@ func hookRound(proto *Protocol, r int, hook func()) {
 
 // inProcessSession serves proto's model provider under cfg over a pair of
 // channel edges to a client driving its data provider, both with the given
-// window, until the test ends.
-func inProcessSession(t *testing.T, proto *Protocol, cfg SessionConfig, window int) *Client {
+// window, until the test ends. It returns the client and the session's own
+// copy of the provider (ServeSession).
+func inProcessSession(t *testing.T, proto *Protocol, cfg SessionConfig, window int) (*Client, *ModelProvider) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	toModel, toData := stream.NewChannelEdge(window), stream.NewChannelEdge(window)
 	served := make(chan error, 1)
 	cfg.Factor, cfg.Window = 1000, window
+	var own *ModelProvider
 	go func() {
-		served <- ServeSession(ctx, toModel, toData, proto.Model, cfg)
+		served <- serveSession(ctx, toModel, toData, cfg, observing(proto.Model, &own))
 	}()
 	c, err := NewClient(ctx, toData, toModel, proto.Data, ClientOptions{Window: window})
 	if err != nil {
@@ -58,7 +60,16 @@ func inProcessSession(t *testing.T, proto *Protocol, cfg SessionConfig, window i
 		}
 		cancel()
 	})
-	return c
+	return c, own
+}
+
+// observing is ServeSession's provider for mp, a copy of mp of the
+// session's own, which it also stores in *own for the test to inspect.
+func observing(mp *ModelProvider, own **ModelProvider) provider {
+	return func(*Hello, *paillier.PublicKey) (*ModelProvider, error) {
+		*own = mp.forSession()
+		return *own, nil
+	}
 }
 
 // TestSessionStagePanicContained: a round whose kernel panics fails only
@@ -84,7 +95,7 @@ func TestSessionStagePanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := inProcessSession(t, proto, SessionConfig{Registry: reg, Gate: gate, IdleTTL: time.Hour}, 2)
+	c, own := inProcessSession(t, proto, SessionConfig{Registry: reg, Gate: gate, IdleTTL: time.Hour}, 2)
 	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
 	_, err = c.Infer(context.Background(), x)
 	var roundErr *RoundError
@@ -92,9 +103,9 @@ func TestSessionStagePanicContained(t *testing.T) {
 		t.Fatalf("request whose round panicked: %v, want a *RoundError for round 1 carrying the panic", err)
 	}
 	snap := reg.Snapshot()
-	proto.Model.mu.Lock()
-	chains := len(proto.Model.state)
-	proto.Model.mu.Unlock()
+	own.mu.Lock()
+	chains := len(own.state)
+	own.mu.Unlock()
 	if snap.Gauges["requests.active"] != 0 || snap.Counters["serve.requests.err"] != 1 || chains != 0 {
 		t.Errorf("after the panic: requests.active %d, serve.requests.err %d, %d permutation chains; want 0, 1, 0",
 			snap.Gauges["requests.active"], snap.Counters["serve.requests.err"], chains)
@@ -140,7 +151,7 @@ func TestSessionStageExpiresInQueue(t *testing.T) {
 		}
 	})
 	reg := obs.NewRegistry("stage-expires")
-	c := inProcessSession(t, proto, SessionConfig{Registry: reg, IdleTTL: time.Hour}, 2)
+	c, _ := inProcessSession(t, proto, SessionConfig{Registry: reg, IdleTTL: time.Hour}, 2)
 	ctx := context.Background()
 	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
 	ahead := make(chan error, 1)
@@ -273,7 +284,7 @@ func TestSessionStagesOverlap(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	c := inProcessSession(t, proto, SessionConfig{Registry: obs.NewRegistry("stage-overlap")}, 4)
+	c, _ := inProcessSession(t, proto, SessionConfig{Registry: obs.NewRegistry("stage-overlap")}, 4)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)

@@ -40,6 +40,10 @@ func (w *WireEnvelope) CipherBytes() uint64 {
 // share words per element, and a clear round — certified leak-free past
 // the boundary — carries signed integers.
 //
+// It carries only what the receiver cannot derive from its own walk of the
+// network and the session plan: the request ID, the round's elements in
+// one non-empty vector, and a packed reply's slot width.
+//
 // The slices are shared, not copied: ToWire points them at the envelope's
 // own tensors and FromWire builds its tensors over them, and the edge
 // streams the integers straight between their big.Ints and the connection
@@ -47,14 +51,8 @@ func (w *WireEnvelope) CipherBytes() uint64 {
 // edge is structurally bounded but not yet validated under any key; that
 // is FromWire's job.
 type WireEnvelope struct {
-	Req        uint64
-	Shape      []int
-	Cipher     []*paillier.Ciphertext // fixed-width big-endian ring elements on the wire
-	Exp        int
-	Obfuscated bool
-	// Backend is the backend.Kind wire code of the payload (0 =
-	// paillier-he).
-	Backend int32
+	Req    uint64
+	Cipher []*paillier.Ciphertext // fixed-width big-endian ring elements on the wire
 	// Shares0/Shares1 carry the two additive share words per element for
 	// ss-gc rounds, in flat tensor order.
 	Shares0 []uint64
@@ -63,10 +61,9 @@ type WireEnvelope struct {
 	// positive / 1 negative) and a fixed-width big-endian magnitude each.
 	Plain []*big.Int
 	// SlotBits, when non-zero, marks Cipher as a packed paillier-he reply:
-	// Shape is still the logical tensor shape, and Cipher carries
-	// ⌈Shape.Size()/S⌉ ciphertexts of S = ⌊(bitlen(n)−2)/SlotBits⌋ values
-	// each. Zero is one value per ciphertext (every client-to-server
-	// frame).
+	// a round output of k values in ⌈k/S⌉ ciphertexts of S =
+	// ⌊(bitlen(n)−2)/SlotBits⌋ values each. Zero is one value per
+	// ciphertext (every client-to-server frame).
 	SlotBits int
 }
 
@@ -74,13 +71,10 @@ type WireEnvelope struct {
 // off the wire, together with the bytes left in the frame, before the
 // allocation that value sizes (stream.WireReader.Len).
 const (
-	// maxWireElements bounds the elements of one tensor — ciphertexts,
+	// maxWireElements bounds the elements of one vector — ciphertexts,
 	// share words, integers. The largest Table III input is
 	// 3072 (CIFAR-10); conv feature maps reach the tens of thousands.
 	maxWireElements = 1 << 20
-	// maxWireRank bounds a shape's dimensions (batch, channel, height,
-	// width, with room to spare).
-	maxWireRank = 8
 	// maxPlainElementBytes bounds one clear-round integer on the wire:
 	// sign byte plus magnitude. Stage outputs at scale F^(exp+1) stay far
 	// below this.
@@ -114,17 +108,13 @@ func init() {
 // afterwards. A terminal envelope, which carries only the plaintext
 // result, has no wire form.
 func ToWire(env *Envelope) (*WireEnvelope, error) {
-	w := &WireEnvelope{Req: env.Req, Exp: env.Exp, Obfuscated: env.Obfuscated, Backend: env.Kind.Code()}
+	w := &WireEnvelope{Req: env.Req}
 	switch env.Kind {
 	case backend.PaillierHE:
 		if env.CT == nil {
 			return nil, errors.New("protocol: envelope has no ciphertext")
 		}
-		w.Shape = env.CT.Shape()
-		if env.SlotBits != 0 {
-			w.SlotBits, w.Shape = env.SlotBits, env.Shape
-		}
-		w.Cipher = env.CT.Data()
+		w.Cipher, w.SlotBits = env.CT.Data(), env.SlotBits
 		for i, ct := range w.Cipher {
 			if ct == nil {
 				return nil, fmt.Errorf("protocol: nil ciphertext at %d", i)
@@ -134,7 +124,6 @@ func ToWire(env *Envelope) (*WireEnvelope, error) {
 		if env.Sh == nil {
 			return nil, errors.New("protocol: ss-gc envelope has no shares")
 		}
-		w.Shape = env.Sh.Shape()
 		w.Shares0 = make([]uint64, env.Sh.Size())
 		w.Shares1 = make([]uint64, env.Sh.Size())
 		for i, s := range env.Sh.Data() {
@@ -145,7 +134,6 @@ func ToWire(env *Envelope) (*WireEnvelope, error) {
 		if env.Plain == nil {
 			return nil, errors.New("protocol: clear envelope has no values")
 		}
-		w.Shape = env.Plain.Shape()
 		w.Plain = env.Plain.Data()
 		for i, v := range w.Plain {
 			if v == nil {
@@ -159,58 +147,35 @@ func ToWire(env *Envelope) (*WireEnvelope, error) {
 }
 
 // FromWire validates a WireEnvelope under the given public key and builds
-// the Envelope over its slices. Malformed frames (wrong sizes, out-of-range
-// ciphertexts) are rejected — the receiving provider treats the network as
-// untrusted.
+// the Envelope over its slices: a flat tensor on the backend its one
+// non-empty vector names — Cipher for paillier-he, both share vectors at
+// equal length for ss-gc, Plain for clear. An envelope with no non-empty
+// vector or with more than one, an out-of-range ciphertext or an over-wide
+// integer is refused — the receiving provider treats the network as
+// untrusted. The element count and the backend are the receiving role's
+// to check against its own walk and the session plan.
 func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 	if w == nil {
 		return nil, errors.New("protocol: nil wire envelope")
 	}
-	env := &Envelope{Req: w.Req, Payload: backend.Payload{Exp: w.Exp}, Obfuscated: w.Obfuscated}
-	kind, err := backend.KindFromCode(w.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: %w", err)
-	}
-	env.Kind = kind
-	shape := tensor.Shape(w.Shape)
-	if err := shape.Validate(); err != nil {
-		return nil, fmt.Errorf("protocol: malformed shape: %w", err)
-	}
-	switch kind {
-	case backend.PaillierHE:
-		ctShape := shape
-		if w.SlotBits != 0 {
-			// A packed reply: the count is checked against the logical size,
-			// which a hostile shape can overflow to anything.
-			if n := pk.PackedLen(shape.Size(), w.SlotBits); n == 0 || len(w.Cipher) != n {
-				return nil, fmt.Errorf("protocol: %d ciphertexts for shape %v at %d slot bits under a %d-bit key", len(w.Cipher), shape, w.SlotBits, pk.Bits())
-			}
-			ctShape = tensor.Shape{len(w.Cipher)}
-			env.SlotBits, env.Shape = w.SlotBits, shape
-		} else if len(w.Cipher) != shape.Size() {
-			return nil, fmt.Errorf("protocol: %d ciphertexts for shape %v", len(w.Cipher), shape)
-		}
+	env := &Envelope{Req: w.Req}
+	cipher, shares, plain := len(w.Cipher), len(w.Shares0), len(w.Plain)
+	var err error
+	switch {
+	case cipher > 0 && shares+len(w.Shares1)+plain == 0:
 		for i, c := range w.Cipher {
 			if err := pk.CheckCiphertext(c); err != nil {
 				return nil, fmt.Errorf("protocol: ciphertext %d: %w", i, err)
 			}
 		}
-		if env.CT, err = tensor.FromSlice(w.Cipher, ctShape...); err != nil {
-			return nil, fmt.Errorf("protocol: %w", err)
-		}
-	case backend.SSGC:
-		if len(w.Shares0) != shape.Size() || len(w.Shares1) != shape.Size() {
-			return nil, fmt.Errorf("protocol: %d/%d share words for shape %v", len(w.Shares0), len(w.Shares1), shape)
-		}
-		sh := tensor.New[secshare.Shares](shape...)
+		env.Kind, env.SlotBits = backend.PaillierHE, w.SlotBits
+		env.CT, err = tensor.FromSlice(w.Cipher, cipher)
+	case shares > 0 && shares == len(w.Shares1) && cipher+plain == 0:
+		env.Kind, env.Sh = backend.SSGC, tensor.New[secshare.Shares](shares)
 		for i := range w.Shares0 {
-			sh.SetFlat(i, secshare.Shares{S: [2]uint64{w.Shares0[i], w.Shares1[i]}})
+			env.Sh.SetFlat(i, secshare.Shares{S: [2]uint64{w.Shares0[i], w.Shares1[i]}})
 		}
-		env.Sh = sh
-	case backend.Clear:
-		if len(w.Plain) != shape.Size() {
-			return nil, fmt.Errorf("protocol: %d plaintexts for shape %v", len(w.Plain), shape)
-		}
+	case plain > 0 && cipher+shares+len(w.Shares1) == 0:
 		for i, v := range w.Plain {
 			if v == nil {
 				return nil, fmt.Errorf("protocol: plaintext %d is nil", i)
@@ -219,9 +184,14 @@ func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 				return nil, fmt.Errorf("protocol: plaintext %d is %d bytes, limit %d", i, n, maxPlainElementBytes)
 			}
 		}
-		if env.Plain, err = tensor.FromSlice(w.Plain, shape...); err != nil {
-			return nil, fmt.Errorf("protocol: %w", err)
-		}
+		env.Kind = backend.Clear
+		env.Plain, err = tensor.FromSlice(w.Plain, plain)
+	default:
+		return nil, fmt.Errorf("protocol: wire envelope of %d ciphertexts, %d/%d share words and %d integers: want one backend's elements",
+			cipher, shares, len(w.Shares1), plain)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("protocol: %w", err)
 	}
 	return env, nil
 }
@@ -229,22 +199,14 @@ func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 // WireTag and EncodeWire make the envelope a stream.WirePayload.
 func (w *WireEnvelope) WireTag() uint16 { return tagEnvelope }
 
-// EncodeWire writes the envelope's fixed fields, its shape, and then
+// EncodeWire writes the envelope's request ID and slot width, and then
 // every vector as a count followed by fixed-width elements. The integer
 // vectors announce their element width — the widest element's, which for
 // ciphertexts is ⌈bitlen(n²)/8⌉ but for a vanishing share of vectors — and
 // each element goes from its big.Int into the edge's buffer in one copy.
 func (w *WireEnvelope) EncodeWire(ww *stream.WireWriter) {
 	ww.U64(w.Req)
-	ww.I32(w.Exp)
-	ww.U32(uint32(w.Backend))
 	ww.Len(w.SlotBits)
-	var flags uint8
-	if w.Obfuscated {
-		flags |= envObfuscated
-	}
-	ww.U8(flags)
-	encodeShape(ww, w.Shape)
 
 	width := 1
 	for _, c := range w.Cipher {
@@ -282,59 +244,12 @@ func (w *WireEnvelope) EncodeWire(ww *stream.WireWriter) {
 	}
 }
 
-const (
-	envObfuscated = 1 << iota
-	_             // unassigned: a terminal plaintext result up to version 3
-	envFlagsKnown = envObfuscated
-)
-
-func encodeShape(ww *stream.WireWriter, shape []int) {
-	if len(shape) > maxWireRank {
-		ww.Fail(fmt.Errorf("protocol: shape of rank %d, limit %d", len(shape), maxWireRank))
-		return
-	}
-	ww.U8(uint8(len(shape)))
-	for _, d := range shape {
-		ww.Len(d)
-	}
-}
-
-// decodeShape reads a shape whose rank and element count are both bounded;
-// a dimension product past maxWireElements is rejected, not overflowed.
-func decodeShape(r *stream.WireReader) []int {
-	rank := int(r.U8())
-	if rank > maxWireRank {
-		r.Reject("shape rank", "%d, limit %d", rank, maxWireRank)
-		return nil
-	}
-	if rank == 0 {
-		return nil
-	}
-	shape := make([]int, rank)
-	size := 1
-	for i := range shape {
-		shape[i] = r.Len("shape size", maxWireElements, 0)
-		if size *= shape[i]; size > maxWireElements {
-			r.Reject("shape size", "more than %d elements", maxWireElements)
-			return nil
-		}
-	}
-	return shape
-}
-
 // decodeEnvelope reads what EncodeWire wrote. Every vector goes through
 // stream.ReadVec — its count checked against maxWireElements and the bytes
 // left in the frame before it sizes anything — so what comes back is
 // bounded in every dimension, but validated under no key; see FromWire.
 func decodeEnvelope(r *stream.WireReader) *WireEnvelope {
-	w := &WireEnvelope{Req: r.U64(), Exp: r.I32(), Backend: int32(r.U32())}
-	w.SlotBits = r.Len("slot bits", maxSlotBits, 0)
-	flags := r.U8()
-	if flags&^envFlagsKnown != 0 {
-		r.Reject("envelope flags", "unknown bits in %08b", flags)
-	}
-	w.Obfuscated = flags&envObfuscated != 0
-	w.Shape = decodeShape(r)
+	w := &WireEnvelope{Req: r.U64(), SlotBits: r.Len("slot bits", maxSlotBits, 0)}
 
 	width := int(r.U16())
 	if width == 0 || width > stream.MaxWireElement {

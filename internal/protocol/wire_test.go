@@ -17,7 +17,6 @@ import (
 	"strings"
 	"testing"
 
-	"ppstream/internal/backend"
 	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
 	"ppstream/internal/stream"
@@ -89,17 +88,17 @@ func goldenFrames() map[string]*stream.Message {
 		"hello":        {Seq: 0, Payload: &Hello{N: []byte{0xC5, 0x3D, 0x01, 0x77}, Factor: 10000, Workers: 2, Profile: "mixed"}},
 		"hello_answer": {Seq: 0, Payload: &Hello{Profile: "mixed", Plan: []int32{0, 1, 2}}},
 		"round_unpacked": {Seq: 7, Payload: &roundFrame{Round: 0, DeadlineMS: 1500, Trace: trace, Env: &WireEnvelope{
-			Req: 7, Shape: []int{3}, Exp: 1, Cipher: []*paillier.Ciphertext{ct("0102030405"), ct("ff"), ct("a0b0c0d0e0f0")},
+			Req: 7, Cipher: []*paillier.Ciphertext{ct("0102030405"), ct("ff"), ct("a0b0c0d0e0f0")},
 		}}},
 		"round_packed": {Seq: 7, Payload: &roundFrame{Round: 1, Trace: trace, Env: &WireEnvelope{
-			Req: 7, Shape: []int{2, 3}, Exp: 2, Obfuscated: true, SlotBits: 41, Cipher: []*paillier.Ciphertext{ct("1122334455667788"), ct("99aabbccddeeff")},
+			Req: 7, SlotBits: 41, Cipher: []*paillier.Ciphertext{ct("1122334455667788"), ct("99aabbccddeeff")},
 		}}},
 		"round_ssgc": {Seq: 8, Payload: &roundFrame{Round: 1, Env: &WireEnvelope{
-			Req: 8, Shape: []int{2}, Exp: 2, Obfuscated: true, Backend: backend.SSGC.Code(),
+			Req:     8,
 			Shares0: []uint64{1, 0xFFFFFFFFFFFFFFFF}, Shares1: []uint64{0x8000000000000000, 2},
 		}}},
 		"round_clear": {Seq: 9, Payload: &roundFrame{Round: 2, Env: &WireEnvelope{
-			Req: 9, Shape: []int{4}, Exp: 3, Backend: backend.Clear.Code(),
+			Req:   9,
 			Plain: []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), big.NewInt(-987654321)},
 		}}},
 		"round_reply": {Seq: 9,
@@ -108,7 +107,7 @@ func goldenFrames() map[string]*stream.Message {
 					{Party: "server", Name: "queue", Round: 2, Dur: 1200},
 					{Party: "server", Name: "kernel", Round: 2, Dur: 830000, Backend: "clear", Cost: &obs.CostStats{PlainOps: 640, CipherBytesIn: 96, CipherBytesOut: 40}},
 				},
-				Env: &WireEnvelope{Req: 9, Shape: []int{2}, Exp: 4, Obfuscated: true, Backend: backend.Clear.Code(), Plain: []*big.Int{big.NewInt(5), big.NewInt(-6)}},
+				Env: &WireEnvelope{Req: 9, Plain: []*big.Int{big.NewInt(5), big.NewInt(-6)}},
 			}},
 		"error": {Seq: 11, Err: &stream.CodedError{Code: CodeShed, Msg: "protocol: request shed"}},
 	}
@@ -230,15 +229,10 @@ func frame(flags uint8, tag uint16, bodyLen uint32, body []byte) []byte {
 	return append(h.b, body...)
 }
 
-// envPrefix is an envelope up to and including its flags byte.
+// envPrefix is an envelope up to its ciphertext vector: request 1 and the
+// slot width.
 func envPrefix(slotBits uint32) *wb {
-	return new(wb).u64(1).u32(0).u32(0).u32(slotBits).u8(0)
-}
-
-// envToCipher is an honest envelope up to the ciphertext vector: shape
-// [n].
-func envToCipher(n uint32) *wb {
-	return envPrefix(0).u8(1).u32(n)
+	return new(wb).u64(1).u32(slotBits)
 }
 
 // failedStageV3 is a version-3 error frame with the failed-stage section
@@ -257,6 +251,14 @@ func terminalEnvelopeV3() *wb {
 	return new(wb).u64(1).u32(0).u32(0).u32(0).u8(2).u8(0).
 		u8(2).u32(1).u32(2).u32(2).u64(0x3fd0000000000000).u64(0xbff8000000000000).
 		u16(1).u32(0).u32(0).u32(0).u16(0).u32(0)
+}
+
+// envelopeV4 is a version-4 envelope, the layout version 5 retired: after
+// the request ID its scale exponent, backend code, slot bits, flags byte
+// and shape [1], then one one-byte ciphertext and empty vectors.
+func envelopeV4() *wb {
+	return new(wb).u64(1).u32(1).u32(0).u32(0).u8(0).u8(1).u32(1).
+		u16(1).u32(1).u8(7).u32(0).u32(0).u16(0).u32(0)
 }
 
 // frameToSpans is a round frame up to its spans: no envelope, no trace ID.
@@ -314,20 +316,14 @@ func TestHostilePeerFields(t *testing.T) {
 		{name: "stream trace spans", data: withPreface(frame(4, 0, 8, new(wb).str("").u32(1<<20).b)), field: "flags"},
 		{name: "hello key bytes", data: withPreface(frame(0, tagHello, 4, new(wb).u32(maxHelloKeyBytes+1).b)), field: "hello key bytes"},
 		{name: "slot bits", data: env(envPrefix(maxSlotBits + 1)), field: "slot bits"},
-		{name: "envelope flags", data: env(new(wb).u64(1).u32(0).u32(0).u32(0).u8(0x40)), field: "envelope flags"},
-		// Version 3's terminal-result flag: its bit is unassigned.
-		{name: "retired result flag", data: env(terminalEnvelopeV3()), field: "envelope flags"},
-		{name: "shape rank", data: env(envPrefix(0).u8(maxWireRank + 1)), field: "shape rank"},
-		{name: "shape dimension", data: env(envPrefix(0).u8(1).u32(maxWireElements + 1)), field: "shape size"},
-		{name: "shape product", data: env(envPrefix(0).u8(2).u32(1 << 11).u32(1 << 11)), field: "shape size"},
-		{name: "element bytes zero", data: env(envToCipher(1).u16(0).u32(1)), field: "ciphertext bytes"},
-		{name: "element bytes", data: env(envToCipher(1).u16(stream.MaxWireElement + 1).u32(1)), field: "ciphertext bytes"},
-		{name: "ciphertext count", data: env(envToCipher(1).u16(1).u32(maxWireElements + 1)), field: "ciphertext count"},
-		{name: "ciphertext count past the body", data: env(envToCipher(1000).u16(64).u32(1000).raw(make([]byte, 640)...)), field: "ciphertext count"},
-		{name: "share count", data: env(envToCipher(1).u16(1).u32(0).u32(maxWireElements + 1)), field: "share count"},
-		{name: "plaintext bytes", data: env(envToCipher(1).u16(1).u32(0).u32(0).u32(0).u16(maxPlainElementBytes).u32(1)), field: "plaintext bytes"},
-		{name: "plaintext count", data: env(envToCipher(1).u16(1).u32(0).u32(0).u32(0).u16(1).u32(maxWireElements + 1)), field: "plaintext count"},
-		{name: "plaintext sign", data: env(envToCipher(1).u16(1).u32(0).u32(0).u32(0).u16(1).u32(1).raw(7, 1)), field: "plaintext sign"},
+		{name: "element bytes zero", data: env(envPrefix(0).u16(0).u32(1)), field: "ciphertext bytes"},
+		{name: "element bytes", data: env(envPrefix(0).u16(stream.MaxWireElement + 1).u32(1)), field: "ciphertext bytes"},
+		{name: "ciphertext count", data: env(envPrefix(0).u16(1).u32(maxWireElements + 1)), field: "ciphertext count"},
+		{name: "ciphertext count past the body", data: env(envPrefix(0).u16(64).u32(1000).raw(make([]byte, 640)...)), field: "ciphertext count"},
+		{name: "share count", data: env(envPrefix(0).u16(1).u32(0).u32(maxWireElements + 1)), field: "share count"},
+		{name: "plaintext bytes", data: env(envPrefix(0).u16(1).u32(0).u32(0).u32(0).u16(maxPlainElementBytes).u32(1)), field: "plaintext bytes"},
+		{name: "plaintext count", data: env(envPrefix(0).u16(1).u32(0).u32(0).u32(0).u16(1).u32(maxWireElements + 1)), field: "plaintext count"},
+		{name: "plaintext sign", data: env(envPrefix(0).u16(1).u32(0).u32(0).u32(0).u16(1).u32(1).raw(7, 1)), field: "plaintext sign"},
 		{name: "round frame flags", data: round(new(wb).u32(0).u64(0).u8(0x10)), field: "round frame flags"},
 		{name: "trace id string", data: round(new(wb).u32(0).u64(0).u8(0).str(long)), field: "trace id"},
 		{name: "profile string", data: hello(new(wb).u32(0).u64(1000).u32(1).str(long)), field: "profile"},
@@ -376,9 +372,8 @@ func TestEdgeRejectsUnencodable(t *testing.T) {
 	wide := paillier.ParseCiphertext(append([]byte{1}, make([]byte, stream.MaxWireElement)...))
 	for name, m := range map[string]*stream.Message{
 		"foreign payload": {Payload: 42},
-		"rank":            {Payload: &WireEnvelope{Shape: make([]int, maxWireRank+1)}},
 		"long string":     {Payload: &Hello{Profile: strings.Repeat("p", stream.MaxWireString+1)}},
-		"wide element":    {Payload: &WireEnvelope{Shape: []int{1}, Cipher: []*paillier.Ciphertext{wide}}},
+		"wide element":    {Payload: &WireEnvelope{Cipher: []*paillier.Ciphertext{wide}}},
 	} {
 		if err := e.Send(ctx, m); err == nil {
 			t.Errorf("%s: sent", name)

@@ -4,7 +4,7 @@
 // messages cross a connection in, and fault injection beneath that format.
 //
 // Inside one process an edge is a bounded channel (NewChannelEdge); the
-// TCP edge carries wire-format v4 frames (wire.go) between servers; the
+// TCP edge carries wire-format v5 frames (wire.go) between servers; the
 // chaos connection (chaos.go) delays and resets the bytes under a TCP
 // edge. The staged runtime — a bounded queue and one goroutine per
 // linear round — is the protocol session's, and core.Engine is that
