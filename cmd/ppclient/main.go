@@ -3,15 +3,16 @@
 // privacy-preserving inferences. Only ciphertexts leave this process;
 // the server never sees the inputs or the key.
 //
-// The -model file provides the network ARCHITECTURE the two parties
-// agreed on (layer kinds and shapes); the client never reads linear
-// weights from it.
+// The -model file provides the network the two parties agreed on. The
+// client reads its architecture, and quantizes its linear weights only to
+// derive each reply's slot width (refusing a weight that does not fit at
+// -factor); a zeroed skeleton loosens that check to nothing.
 //
 // Usage:
 //
 //	ppclient -model models/Heart.gob -addr 127.0.0.1:7100 -factor 10000 -n 3
 //
-// The connection speaks wire format v5 (DESIGN.md); client and server must
+// The connection speaks wire format v6 (DESIGN.md); client and server must
 // be builds of the same wire version, and a mismatch ends the session with
 // an "unsupported wire version" error instead of a misparse.
 //

@@ -8,7 +8,7 @@
 //
 //	ppserver -model models/Heart.gob -listen :7100 -factor 10000 -metrics :7200
 //
-// Connections speak wire format v5 (DESIGN.md): a client that opens with
+// Connections speak wire format v6 (DESIGN.md): a client that opens with
 // anything else — another version, or the gob stream of a build before the
 // format existed — is answered with one "unsupported wire version" error
 // frame and dropped; the model file is the only gob left.
@@ -29,10 +29,10 @@
 // the STRICTER of this policy and the client's requested profile
 // (privacy-max > mixed > latency), and the solved per-round assignment
 // rides the Hello's answer for the client to validate. -clearboundary
-// admits plaintext execution for trailing rounds at or past the
-// leakage-certified boundary (never round 0); leave it 0 unless an
-// internal/leakage distance-correlation certification of this model
-// says otherwise. With -metrics set, the server's registry (session
+// admits plaintext execution for trailing rounds at or past the round it
+// names (never round 0); the server does not certify it, so leave it 0
+// unless an offline internal/leakage certification of this model admits
+// that round. With -metrics set, the server's registry (session
 // counts, per-round latency percentiles including the kernel/permute
 // split, TCP byte/frame counters, runtime gauges) is served as JSON at
 // http://<addr>/metrics, plus /healthz, /readyz, and pprof at
@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rateWindow := fs.Duration("ratewindow", time.Second, "sliding window for -ratelimit")
 	metricsAddr := fs.String("metrics", "", "serve JSON metrics + health + pprof on this address (e.g. :7200; empty disables)")
 	profile := fs.String("profile", "", "backend-profile policy cap: sessions run the stricter of this and the client's request (latency, privacy-max, mixed; empty = privacy-max)")
-	clearBoundary := fs.Int("clearboundary", 0, "leakage-certified clear boundary: first linear round allowed to run plaintext (0 = never; certify with internal/leakage before lowering)")
+	clearBoundary := fs.Int("clearboundary", 0, "clear boundary: first linear round allowed to run plaintext (0 = never; not certified here: certify with internal/leakage before lowering)")
 	slow := fs.Duration("slow", 0, "log rounds slower than this with their trace ID (0 disables)")
 	debugLog := fs.Bool("debug", false, "emit debug-level log lines")
 	sloSpec := fs.String("slo", "", "comma-separated SLO specs evaluated as multi-window burn rates, e.g. p99=250ms,avail=99.9 (served at /debug/slo; empty disables)")

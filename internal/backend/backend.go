@@ -11,10 +11,9 @@
 //     party pair's OT extension per layer). Both share-holders are modeled in-process with real
 //     cost accounting — the same fidelity internal/baselines uses.
 //   - clear — plaintext big-integer execution, permitted only for
-//     rounds past the leakage-certified boundary (C2PI-style): the
-//     stage input's distance correlation with the raw model input has
-//     been measured below threshold, so skipping crypto there does not
-//     expose the input.
+//     rounds past the clear boundary the operator sets (C2PI-style:
+//     internal/leakage.CertifyClearBoundary measures one offline, but
+//     nothing here checks the boundary against it).
 //
 // All three backends execute the SAME quantized integer arithmetic
 // (internal/qnn): paillier-he and ss-gc evaluate each op's kernel rows
@@ -44,7 +43,7 @@ const (
 	PaillierHE Kind = "paillier-he"
 	// SSGC is additive secret sharing + garbled-circuit ReLU.
 	SSGC Kind = "ss-gc"
-	// Clear is plaintext execution past the certified boundary.
+	// Clear is plaintext execution past the clear boundary.
 	Clear Kind = "clear"
 )
 
@@ -194,17 +193,17 @@ func Execute(ev *paillier.Evaluator, m *obs.CostMeter, st *Stage, in *Payload) (
 		if ev == nil {
 			return nil, fmt.Errorf("backend: paillier-he needs an evaluator")
 		}
-		out.CT, _, err = qnn.ApplyStage(ev, st.Ops, in.CT, 1, st.Threads)
+		out.CT, err = qnn.ApplyStage(ev, st.Ops, in.CT, st.Threads)
 	case SSGC:
 		var seed uint64
 		if seed, err = randomWord(); err != nil {
 			return nil, err
 		}
 		dealer := secshare.NewEngine(int64(seed))
-		out.Sh, _, err = qnn.ApplyStageShared(dealer, st.Ops, in.Sh, 1)
+		out.Sh, err = qnn.ApplyStageShared(dealer, st.Ops, in.Sh)
 		m.Add(dealer.Stats)
 	case Clear:
-		out.Plain, _, err = qnn.ApplyStagePlain(st.Ops, in.Plain, 1)
+		out.Plain, err = qnn.ApplyStagePlain(st.Ops, in.Plain)
 		m.Add(obs.CostStats{PlainOps: st.Muls})
 	}
 	if err != nil {

@@ -62,7 +62,7 @@ func Stricter(a, b Profile) Profile {
 }
 
 // The mixed profile's privacy penalty: each value a round exposes to
-// weaker-than-HE protection before the certified boundary costs
+// weaker-than-HE protection before the clear boundary costs
 // mixedPenaltyWeight × penaltyPerOut Beaver-triple multiplications, at the
 // session's measured Triple unit — so the penalty keeps its weight against
 // ss-gc arithmetic whatever the host.
@@ -122,8 +122,8 @@ func (l *LayerInfo) Cost(k Kind) obs.CostStats {
 type Plan struct {
 	Profile    Profile
 	Assignment []Kind
-	// Boundary is the certified clear boundary used: the first round
-	// allowed to run in the clear (len(Assignment) = none).
+	// Boundary is the clear boundary used, as the operator set it: the
+	// first round allowed to run in the clear (len(Assignment) = none).
 	Boundary int
 	// Objective is the summed cost (plus penalty) the assignment achieves,
 	// in seconds; zero under privacy-max, which prices nothing.
@@ -160,7 +160,7 @@ func AssignmentFromCodes(codes []int32) ([]Kind, error) {
 // leave the client unencrypted), privacy-max runs every round on
 // paillier-he, ss-gc runs no round whose SlotBits exceed its 64-bit ring,
 // and clear runs only on a contiguous suffix starting at or after the
-// certified boundary. Privacy-max has one admissible assignment,
+// clear boundary. Privacy-max has one admissible assignment,
 // so it measures and prices nothing.
 func PlanFor(profile Profile, layers []LayerInfo, boundary, keyBits int) (*Plan, error) {
 	profile, err := ParseProfile(string(profile))
@@ -197,8 +197,8 @@ func planWith(profile Profile, layers []LayerInfo, boundary int, u paillier.Unit
 		return plan
 	}
 	// price is round l's term of the objective on backend k. Under mixed,
-	// each value handled outside HE before the certified boundary adds the
-	// penalty; past the boundary the certification says the values carry
+	// each value handled outside HE before the clear boundary adds the
+	// penalty; past the boundary the operator holds that the values carry
 	// no usable information about the input, so no penalty applies.
 	price := func(l int, k Kind) float64 {
 		c := u.Price(layers[l].Cost(k))

@@ -107,7 +107,7 @@ func (e *EzPC) Infer(x *tensor.Dense) (*tensor.Dense, time.Duration, error) {
 // linear runs one quantized layer over the shares at scale 2^16 and
 // truncates its output back to that scale.
 func (e *EzPC) linear(op qnn.Op, x *tensor.Tensor[secshare.Shares]) (*tensor.Tensor[secshare.Shares], error) {
-	out, _, err := qnn.ApplyStageShared(e.eng, []qnn.Op{op}, x, 1)
+	out, err := qnn.ApplyStageShared(e.eng, []qnn.Op{op}, x)
 	if err != nil || op.ScaleSteps() == 0 {
 		return out, err
 	}

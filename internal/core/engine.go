@@ -83,10 +83,10 @@ type Options struct {
 	// privacy-max, mixed). Empty means privacy-max: every round under
 	// Paillier, the paper's original protocol.
 	Profile backend.Profile
-	// ClearBoundary is the leakage-certified clear boundary: the first
-	// linear round allowed to run plaintext (from an
-	// internal/leakage.CertifyClearBoundary run). <= 0 means no round
-	// may run in the clear regardless of profile.
+	// ClearBoundary is the clear boundary the caller sets: the first
+	// linear round allowed to run plaintext. The engine does not certify
+	// it; internal/leakage.CertifyClearBoundary measures one offline.
+	// <= 0 means no round may run in the clear regardless of profile.
 	ClearBoundary int
 }
 

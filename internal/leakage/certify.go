@@ -15,9 +15,9 @@ import (
 // the clear leaks nothing an adversary could invert (the C2PI
 // observation: deep activations decorrelate from the input). The
 // measurement is multivariate distance correlation between the raw
-// input and each linear stage's input across a calibration sample set;
-// the serving plane consults the certified boundary before the planner
-// is allowed to assign the `clear` backend to a trailing round.
+// input and each linear stage's input across a calibration sample set.
+// It runs offline: no serving code consults it, and the clear boundary a
+// session plans with is the operator's (SessionConfig.ClearBoundary).
 
 // DistanceCorrelationVec computes the sample distance correlation
 // between two paired multivariate sequences: x[i] and y[i] are the i-th

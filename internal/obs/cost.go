@@ -58,9 +58,9 @@ type CostStats struct {
 	// circuit evaluations.
 	ExtOTs uint64 `json:"ext_ots"`
 	// PlainOps counts plaintext big-integer operations: the clear
-	// backend's multiply-accumulates past the certified crypto-clear
-	// boundary, and the data provider's conversion of each value it hands
-	// to the clear or ss-gc backend or opens from ss-gc shares.
+	// backend's multiply-accumulates past the crypto-clear boundary, and
+	// the data provider's conversion of each value it hands to the clear
+	// or ss-gc backend or opens from ss-gc shares.
 	PlainOps uint64 `json:"plain_ops"`
 }
 

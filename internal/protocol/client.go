@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,8 +74,8 @@ type Client struct {
 }
 
 // NewClientOpts builds the data-provider role from arch, sk and factor and
-// starts a client on it (NewClient). The architecture network may be a
-// skeleton; its linear weights are not read.
+// starts a client on it (NewClient). arch's linear weights feed only the
+// reply slot widths; a zeroed skeleton works, with that check loosened.
 func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, sk *paillier.PrivateKey, factor int64, opts ClientOptions) (*Client, error) {
 	dp, err := BuildDataProvider(arch, sk, Config{Factor: factor, Workers: opts.Workers})
 	if err != nil {
@@ -105,7 +106,7 @@ func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts 
 	if err != nil {
 		return nil, err
 	}
-	hello := &Hello{N: dp.sk.N.Bytes(), Factor: dp.factor, Workers: opts.Workers, Profile: string(profile)}
+	hello := &Hello{N: dp.sk.N.Bytes(), Factor: dp.factor, Workers: opts.Workers, Profile: string(profile), Exps: slices.Clone(dp.exps)}
 	if err := out.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		return nil, err
 	}

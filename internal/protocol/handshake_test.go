@@ -3,6 +3,7 @@ package protocol
 import (
 	"context"
 	"errors"
+	mathrand "math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"ppstream/internal/backend"
+	"ppstream/internal/nn"
 	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
@@ -71,12 +73,26 @@ func (e rewritten) Send(ctx context.Context, m *stream.Message) error {
 	return e.Edge.Send(ctx, m)
 }
 
+// deeperNet is buildNet with a second FC merged into round 0: its rounds
+// carry buildNet's element counts, but round 0 replies at F³, not F².
+func deeperNet(t *testing.T) *nn.Network {
+	t.Helper()
+	r := mathrand.New(mathrand.NewSource(9))
+	net, err := nn.NewNetwork("proto-deeper", tensor.Shape{4}, nn.NewFC("fc1", 4, 6, r), nn.NewFC("fc1b", 6, 6, r),
+		nn.NewReLU("relu1"), nn.NewFC("fc2", 6, 3, r), nn.NewSoftMax("softmax"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 // TestHelloOutcomes: every refused Hello gets its one answer. Whichever
 // party refuses — the server with an error frame, or a privacy-max client
 // the plan in the server's answer — NewClient returns the cause as an
 // ErrRefused within a second and the server's session returns, over
 // in-process edges and over TCP; a Redialer meets the refusal at its one
-// dial and does not dial again.
+// dial and does not dial again. A client whose walk fixes other reply
+// exponents than the served network's is refused at the Hello.
 func TestHelloOutcomes(t *testing.T) {
 	netw := buildNet(t)
 	k := key(t)
@@ -94,7 +110,9 @@ func TestHelloOutcomes(t *testing.T) {
 		rewrite func(*Hello) any
 		// foreign: the server serves one provider, for another key.
 		foreign bool
-		cause   string
+		// serves is the network the server serves; nil serves netw.
+		serves *nn.Network
+		cause  string
 	}{
 		{name: "factor mismatch", factor: 999, cause: "client factor 999 does not match server's 1000"},
 		{name: "round frame first", rewrite: func(*Hello) any { return &roundFrame{} }, cause: "expected Hello, got *protocol.roundFrame"},
@@ -102,6 +120,8 @@ func TestHelloOutcomes(t *testing.T) {
 		{name: "unknown profile", rewrite: func(h *Hello) any { h.Profile = "fastest"; return h }, cause: `unknown profile "fastest"`},
 		{name: "foreign key", foreign: true, cause: "not the served model provider's key"},
 		{name: "plan privacy-max refuses", rewrite: func(h *Hello) any { h.Profile = string(backend.ProfileLatency); return h }, cause: "rejecting server plan"},
+		{name: "another network", serves: deeperNet(t), cause: "client reply exponents [2 2] do not match the served network's [3 2]"},
+		{name: "reply exponent rewritten", rewrite: func(h *Hello) any { h.Exps[0]++; return h }, cause: "client reply exponents [3 2] do not match the served network's [2 2]"},
 	}
 	// A transport is the edges from the server to the client and from the
 	// client to the server, as each end holds them.
@@ -125,6 +145,10 @@ func TestHelloOutcomes(t *testing.T) {
 				if row.factor != 0 {
 					factor = row.factor
 				}
+				serves := netw
+				if row.serves != nil {
+					serves = row.serves
+				}
 				ownKey := k
 				if row.foreign {
 					ownKey = keyOfBits(t, 512)
@@ -143,7 +167,7 @@ func TestHelloOutcomes(t *testing.T) {
 						if row.foreign {
 							done <- ServeSession(ctx, e.serverIn, e.serverOut, served, cfg)
 						} else {
-							done <- ServeSessionConfig(ctx, e.serverIn, e.serverOut, netw, cfg)
+							done <- ServeSessionConfig(ctx, e.serverIn, e.serverOut, serves, cfg)
 						}
 					}()
 					return NewClient(ctx, e.clientIn, rewritten{e.clientOut, row.rewrite}, dp, ClientOptions{})

@@ -244,13 +244,12 @@ func garblesReLU(merged []*nn.PrimitiveLayer, r int) bool {
 	return relu
 }
 
-// BuildDataProvider constructs the data-provider role alone: it needs
-// the private key and the network ARCHITECTURE — layer kinds, shapes and
-// the declared input domain — so it can be built from a skeleton without
-// the vendor's parameters. Whatever linear weights net does carry are used
-// for one thing: the slot width their chained output bound needs, below
-// which a packed reply is refused (a zeroed skeleton makes that check
-// vacuous).
+// BuildDataProvider constructs the data-provider role alone, from the
+// private key and the network. The architecture fixes each round's shapes
+// and reply exponent; the linear weights are quantized too (qnn.Walk,
+// which refuses one out of range) for the slot width their chained output
+// bound needs, below which a packed reply is refused. A zeroed skeleton
+// builds, with one-bit slot widths that loosen that check to nothing.
 func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*DataProvider, error) {
 	merged, rounds, err := walk(net, cfg.Factor)
 	if err != nil {
@@ -274,7 +273,6 @@ func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, rounds []lin
 		dp.stages = append(dp.stages, &nonLinearStage{
 			layers:     m.Layers,
 			slotBits:   st.slotBits,
-			exp:        1 + qnn.StageScaleSteps(st.Ops),
 			inShape:    m.InShape.Clone(),
 			threads:    max(cfg.Workers, 1),
 			garbleReLU: st.reluFollows,
@@ -309,8 +307,8 @@ func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, er
 func (p *Protocol) Rounds() int { return len(p.Model.stages) }
 
 // ApplyProfile solves the backend assignment for the given deployment
-// profile and certified clear boundary (rounds, i.e. no clear execution,
-// when boundary <= 0) and installs it on both roles, returning the plan.
+// profile and clear boundary, as the caller sets it (no clear execution
+// when boundary <= 0), and installs it on both roles, returning the plan.
 func (p *Protocol) ApplyProfile(profile backend.Profile, boundary int) (*backend.Plan, error) {
 	plan, err := p.Model.applyProfile(profile, boundary)
 	if err != nil {
@@ -390,19 +388,21 @@ func (p *Protocol) Infer(req uint64, x *tensor.Dense) (*tensor.Dense, error) {
 // the rounds' slot widths, which both roles derive from the same walk, so
 // the model provider refuses exactly the plans the data provider refuses.
 type roundPlan struct {
-	// slotBits is each round's slot width, fixed at Build.
+	// slotBits is each round's slot width and exps its reply exponent,
+	// fixed at Build; the client's Hello carries its exps.
 	slotBits []int
+	exps     []int32
 	planMu   sync.RWMutex
 	kinds    []backend.Kind
 }
 
 // privacyMax is the all-Paillier plan of the walked rounds.
 func privacyMax(rounds []linearStage) roundPlan {
-	slotBits, kinds := make([]int, len(rounds)), make([]backend.Kind, len(rounds))
+	slotBits, exps, kinds := make([]int, len(rounds)), make([]int32, len(rounds)), make([]backend.Kind, len(rounds))
 	for r, st := range rounds {
-		slotBits[r], kinds[r] = st.slotBits, backend.PaillierHE
+		slotBits[r], exps[r], kinds[r] = st.slotBits, int32(1+qnn.StageScaleSteps(st.Ops)), backend.PaillierHE
 	}
-	return roundPlan{slotBits: slotBits, kinds: kinds}
+	return roundPlan{slotBits: slotBits, exps: exps, kinds: kinds}
 }
 
 // SetBackendPlan installs the session's per-round backend assignment once
@@ -510,9 +510,9 @@ func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 	return out
 }
 
-// applyProfile solves the backend plan for profile and the certified
-// clear boundary — <= 0 certifies no round, so none runs in the clear —
-// and installs it.
+// applyProfile solves the backend plan for profile and the operator's
+// clear boundary — <= 0 admits no round, so none runs in the clear — and
+// installs it.
 func (mp *ModelProvider) applyProfile(profile backend.Profile, boundary int) (*backend.Plan, error) {
 	if boundary <= 0 {
 		boundary = mp.Stages()
@@ -577,7 +577,7 @@ func (mp *ModelProvider) forSession() *ModelProvider {
 	mp.planMu.RLock()
 	defer mp.planMu.RUnlock()
 	return &ModelProvider{
-		roundPlan: roundPlan{slotBits: mp.slotBits, kinds: mp.kinds},
+		roundPlan: roundPlan{slotBits: mp.slotBits, exps: mp.exps, kinds: mp.kinds},
 		pk:        mp.pk, eval: mp.eval, pool: mp.pool, stages: mp.stages,
 		state: map[uint64]*obfuscate.Rounds{},
 	}
@@ -714,8 +714,6 @@ type nonLinearStage struct {
 	// stage implies; a packed reply with narrower slots could overflow
 	// them and is refused.
 	slotBits int
-	// exp is the preceding linear stage's output scale exponent.
-	exp int
 	// garbleReLU marks an ss-gc round whose leading ReLU runs inside the
 	// garbled circuit on the shares (garblesReLU).
 	garbleReLU bool
@@ -908,12 +906,12 @@ func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.De
 		n := uint64(len(shares))
 		m.Add(obs.CostStats{OpenedWords: 2 * n, PlainOps: n})
 	}
-	return qnn.Descale(ints, dp.factor, st.exp)
+	return qnn.Descale(ints, dp.factor, int(dp.exps[r]))
 }
 
 // encodeFor packs the next round's scaled input in the representation
 // its planned backend expects: Paillier ciphertexts, fresh additive
-// shares, or plaintext integers (past the certified boundary).
+// shares, or plaintext integers (past the clear boundary).
 func (dp *DataProvider) encodeFor(req uint64, nextRound int, scaled *tensor.Tensor[int64], m *obs.CostMeter) (*Envelope, error) {
 	next := dp.RoundBackend(nextRound)
 	env := &Envelope{Req: req, Payload: backend.Payload{Kind: next}}

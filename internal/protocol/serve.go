@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -45,6 +46,10 @@ type Hello struct {
 	// Plan, in the answer, is the session's solved per-round backend
 	// assignment (backend.Kind wire codes).
 	Plan []int32
+	// Exps is each round's reply exponent as the client's walk fixes it,
+	// the power of F it descales the reply by. The server refuses a Hello
+	// whose vector is not its own network's.
+	Exps []int32
 }
 
 // maxHelloKeyBytes bounds the modulus a client may announce (16384-bit
@@ -139,10 +144,10 @@ type SessionConfig struct {
 	// the default (empty = privacy-max) preserves the paper's original
 	// all-Paillier protocol unless the operator explicitly relaxes it.
 	Profile backend.Profile
-	// ClearBoundary is the leakage-certified clear boundary: the first
-	// linear round allowed to execute in plaintext (from an offline
-	// internal/leakage.CertifyClearBoundary run). <= 0 means no round is
-	// certified, so the clear backend is never assigned.
+	// ClearBoundary is the first linear round allowed to execute in
+	// plaintext, as the operator sets it: nothing here certifies it
+	// (internal/leakage.CertifyClearBoundary runs offline). <= 0 means no
+	// round runs in the clear, so the clear backend is never assigned.
 	ClearBoundary int
 }
 
@@ -560,6 +565,9 @@ func acceptHello(first *stream.Message, cfg SessionConfig, provide provider) (*M
 	mp, err := provide(hello, pk)
 	if err != nil {
 		return nil, nil, err
+	}
+	if !slices.Equal(hello.Exps, mp.exps) {
+		return nil, nil, fmt.Errorf("protocol: client reply exponents %v do not match the served network's %v", hello.Exps, mp.exps)
 	}
 	plan, err := mp.applyProfile(backend.Stricter(policy, requested), cfg.ClearBoundary)
 	return mp, plan, err

@@ -199,8 +199,10 @@ func TestHelloPublicKeyAcceptsValid(t *testing.T) {
 }
 
 // TestDataProviderNeedsNoWeights: the client role builds from an
-// architecture whose linear weights are zeroed — proving the data
-// provider never depends on the vendor's parameters.
+// architecture whose linear weights are zeroed and still infers correctly
+// against the real model provider. BuildDataProvider does quantize the
+// weights it is given, for the reply slot widths; zeroed ones only loosen
+// the narrow-slot check.
 func TestDataProviderNeedsNoWeights(t *testing.T) {
 	k := key(t)
 	netw := buildNet(t)

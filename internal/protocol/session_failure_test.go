@@ -37,7 +37,7 @@ func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, cha
 		}
 		opened <- s
 	}()
-	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1})
+	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1, Exps: privacyMax(rounds).exps})
 	s := <-opened
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.serve(serverEdge) }()

@@ -23,9 +23,9 @@ type hookedOp struct {
 	hook func()
 }
 
-func (o hookedOp) KernelRows(in tensor.Shape, lo, hi, inExp int) []paillier.Row {
+func (o hookedOp) KernelRows(in tensor.Shape, lo, hi int) []paillier.Row {
 	o.hook()
-	return o.Op.KernelRows(in, lo, hi, inExp)
+	return o.Op.KernelRows(in, lo, hi)
 }
 
 // hookRound makes round r of proto's model provider run hook first.

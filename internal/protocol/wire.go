@@ -37,8 +37,8 @@ func (w *WireEnvelope) CipherBytes() uint64 {
 // ever cross the wire: raw inputs, model parameters and the final result
 // never leave their provider (Section II-C) — the data provider computes
 // the result in its last non-linear stage. An ss-gc round carries the two
-// share words per element, and a clear round — certified leak-free past
-// the boundary — carries signed integers.
+// share words per element, and a clear round — past the operator's clear
+// boundary — carries signed integers.
 //
 // It carries only what the receiver cannot derive from its own walk of the
 // network and the session plan: the request ID, the round's elements in
@@ -84,7 +84,7 @@ const (
 	maxSlotBits = 8 * maxHelloKeyBytes
 	// maxWireSpans bounds the server spans of one request (four per round).
 	maxWireSpans = 4 * maxWirePlan
-	// maxWirePlan bounds the rounds of a backend plan.
+	// maxWirePlan bounds a backend plan's rounds and a Hello's exponents.
 	maxWirePlan = 256
 )
 
@@ -292,11 +292,16 @@ func (h *Hello) EncodeWire(w *stream.WireWriter) {
 	for _, code := range h.Plan {
 		w.U32(uint32(code))
 	}
+	w.Len(len(h.Exps))
+	for _, exp := range h.Exps {
+		w.U32(uint32(exp))
+	}
 }
 
 func decodeHello(r *stream.WireReader) *Hello {
 	h := &Hello{N: r.Bytes("hello key bytes", maxHelloKeyBytes), Factor: r.I64(), Workers: r.I32(), Profile: r.String("profile")}
 	h.Plan = stream.ReadVec(r, "plan length", maxWirePlan, 4, func() int32 { return int32(r.U32()) })
+	h.Exps = stream.ReadVec(r, "exponents length", maxWirePlan, 4, func() int32 { return int32(r.U32()) })
 	return h
 }
 

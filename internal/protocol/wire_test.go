@@ -85,7 +85,7 @@ func ct(hexDigits string) *paillier.Ciphertext {
 func goldenFrames() map[string]*stream.Message {
 	const trace = "00c0ffee00000001"
 	return map[string]*stream.Message{
-		"hello":        {Seq: 0, Payload: &Hello{N: []byte{0xC5, 0x3D, 0x01, 0x77}, Factor: 10000, Workers: 2, Profile: "mixed"}},
+		"hello":        {Seq: 0, Payload: &Hello{N: []byte{0xC5, 0x3D, 0x01, 0x77}, Factor: 10000, Workers: 2, Profile: "mixed", Exps: []int32{3, 2, 2}}},
 		"hello_answer": {Seq: 0, Payload: &Hello{Profile: "mixed", Plan: []int32{0, 1, 2}}},
 		"round_unpacked": {Seq: 7, Payload: &roundFrame{Round: 0, DeadlineMS: 1500, Trace: trace, Env: &WireEnvelope{
 			Req: 7, Cipher: []*paillier.Ciphertext{ct("0102030405"), ct("ff"), ct("a0b0c0d0e0f0")},
@@ -329,6 +329,7 @@ func TestHostilePeerFields(t *testing.T) {
 		{name: "profile string", data: hello(new(wb).u32(0).u64(1000).u32(1).str(long)), field: "profile"},
 		{name: "plan length", data: hello(helloToPlan().u32(maxWirePlan + 1)), field: "plan length"},
 		{name: "plan past the body", data: hello(helloToPlan().u32(maxWirePlan).u32(0)), field: "plan length"},
+		{name: "exponents length", data: hello(helloToPlan().u32(0).u32(maxWirePlan + 1)), field: "exponents length"},
 		{name: "span count", data: round(frameToSpans().u32(maxWireSpans + 1)), field: "span count"},
 		{name: "spans past the body", data: round(frameToSpans().u32(maxWireSpans).raw(make([]byte, 100)...)), field: "span count"},
 		{name: "span cost marker", data: round(frameToSpans().u32(1).str("p").str("n").str("").u32(0).u64(0).u8(9)), field: "span cost marker"},

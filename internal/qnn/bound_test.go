@@ -99,7 +99,7 @@ func TestWalkSoundOnTableIIIModels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, exp, err := ApplyStagePlain(st.Ops, shaped, 1)
+				out, err := ApplyStagePlain(st.Ops, shaped)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,7 @@ func TestWalkSoundOnTableIIIModels(t *testing.T) {
 				if r == len(stages)-1 {
 					break
 				}
-				vals, err := Descale(out, F, exp)
+				vals, err := Descale(out, F, 1+StageScaleSteps(st.Ops))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,12 +149,9 @@ func TestBoundSoundAtInt64Extremes(t *testing.T) {
 	fc := nn.NewFC("fc", 48, 5, r)
 	fc.B.Fill(-123.456)
 	stage := []nn.Layer{conv, bn, nn.NewFlatten("fl"), &nn.ElemScale{LayerName: "es", Scale: scale}, fc}
-
-	ops := make([]Op, len(stage))
-	for i, l := range stage {
-		if ops[i], err = Quantize(l, F); err != nil {
-			t.Fatal(err)
-		}
+	ops, err := QuantizeStage(&nn.PrimitiveLayer{Kind: nn.Linear, Layers: stage}, F)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// extremes returns the input vectors to try for one op: the fixed
@@ -183,7 +180,7 @@ func TestBoundSoundAtInt64Extremes(t *testing.T) {
 		// Probe each input's effect on each output with unit vectors, then
 		// aim every input at that output.
 		zero := fill(func(int) *big.Int { return new(big.Int) })
-		base, err := op.ApplyPlain(zero, 1)
+		base, err := op.ApplyPlain(zero)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +195,7 @@ func TestBoundSoundAtInt64Extremes(t *testing.T) {
 				}
 				return new(big.Int)
 			})
-			got, err := op.ApplyPlain(unit, 1)
+			got, err := op.ApplyPlain(unit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,10 +219,10 @@ func TestBoundSoundAtInt64Extremes(t *testing.T) {
 	shape := tensor.Shape{2, 4, 4}
 	in := int64Bound
 	for _, op := range ops {
-		bound := op.Bound(in, 1)
+		bound := op.Bound(in)
 		worst := new(big.Int)
 		for _, x := range extremes(op, shape) {
-			got, err := op.ApplyPlain(x, 1)
+			got, err := op.ApplyPlain(x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,10 +246,10 @@ func TestBoundSoundAtInt64Extremes(t *testing.T) {
 	}
 
 	// Chained: the stage bound covers the stage's outputs for extreme
-	// stage inputs, with exponents threaded as ApplyStagePlain does.
+	// stage inputs, each op's biases at the exponent QuantizeStage fixed.
 	stageBound := StageBound(ops, int64Bound)
 	for _, x := range extremes(ops[0], tensor.Shape{2, 4, 4}) {
-		got, _, err := ApplyStagePlain(ops, x, 1)
+		got, err := ApplyStagePlain(ops, x)
 		if err != nil {
 			t.Fatal(err)
 		}

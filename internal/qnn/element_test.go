@@ -67,7 +67,7 @@ func encryptZeros(t *testing.T, k *paillier.PrivateKey, shape tensor.Shape) *pai
 func applyRange(t *testing.T, k *paillier.PrivateKey, op Op, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi int) []*paillier.Ciphertext {
 	t.Helper()
 	out := make([]*paillier.Ciphertext, hi-lo)
-	if err := ApplyRange(paillier.NewEvaluator(&k.PublicKey, nil), op, xs, in, lo, hi, 1, out); err != nil {
+	if err := ApplyRange(paillier.NewEvaluator(&k.PublicKey, nil), op, xs, in, lo, hi, out); err != nil {
 		t.Fatalf("%s elements [%d,%d): %v", op.Name(), lo, hi, err)
 	}
 	return out
@@ -130,7 +130,7 @@ func TestInputNeedsCoverWhatTheKernelReads(t *testing.T) {
 			for _, off := range c.op.InputNeeds(c.in, idx) {
 				needs[off] = true
 			}
-			for _, r := range c.op.KernelRows(c.in, idx, idx+1, 1) {
+			for _, r := range c.op.KernelRows(c.in, idx, idx+1) {
 				for _, off := range r.Idx {
 					if !needs[int(off)] {
 						t.Fatalf("%s element %d: kernel row reads input %d outside its needs", c.name, idx, off)
@@ -187,7 +187,7 @@ func TestApplyStageOutputsDoNotDependOnTheSplit(t *testing.T) {
 	}
 	for _, st := range stages {
 		x := encryptZeros(t, k, st.in)
-		want, wantExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), st.ops, x, 1, 1)
+		want, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), st.ops, x, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,12 +199,12 @@ func TestApplyStageOutputsDoNotDependOnTheSplit(t *testing.T) {
 			most = max(most, shape.Size())
 		}
 		for _, threads := range []int{2, 3, 4, most + 1} {
-			got, exp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), st.ops, x, 1, threads)
+			got, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), st.ops, x, threads)
 			if err != nil {
 				t.Fatalf("%s at %d threads: %v", st.name, threads, err)
 			}
-			if exp != wantExp || !got.Shape().Equal(want.Shape()) {
-				t.Fatalf("%s at %d threads: shape %v exp %d, want %v exp %d", st.name, threads, got.Shape(), exp, want.Shape(), wantExp)
+			if !got.Shape().Equal(want.Shape()) {
+				t.Fatalf("%s at %d threads: shape %v, want %v", st.name, threads, got.Shape(), want.Shape())
 			}
 			sameRing(t, fmt.Sprintf("%s at %d threads", st.name, threads), got.Data(), want.Data())
 		}
@@ -234,7 +234,7 @@ func TestApplyPlainMatchesCipherAllOps(t *testing.T) {
 		}
 		scaled := ScaleInput(x, F)
 		bigIn := tensor.Map(scaled, func(v int64) *big.Int { return big.NewInt(v) })
-		plain, err := op.ApplyPlain(bigIn, 1)
+		plain, err := op.ApplyPlain(bigIn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestApplyPlainMatchesCipherAllOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cipher, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 2)
+		cipher, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestOpShapeErrors(t *testing.T) {
 		t.Error("affine unmappable shape accepted")
 	}
 	k := key(t)
-	if _, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{bn}, tensor.New[*paillier.Ciphertext](2, 2), 1, 1); err == nil {
+	if _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{bn}, tensor.New[*paillier.Ciphertext](2, 2), 1); err == nil {
 		t.Error("affine apply with unmappable shape accepted")
 	}
 }

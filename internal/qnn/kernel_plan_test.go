@@ -72,7 +72,7 @@ func TestModelLayersMeteredAtPlannedCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := out.Size()
-		if op.KernelRows(l.in, 0, n, 1) == nil {
+		if op.KernelRows(l.in, 0, n) == nil {
 			continue // flatten
 		}
 		x, err := k.EncryptTensor(rand.Reader, tensor.New[int64](l.in...), 1, nil)
@@ -82,13 +82,13 @@ func TestModelLayersMeteredAtPlannedCount(t *testing.T) {
 		for _, cut := range [][]int{{0, n}, {0, n / 2, n}} {
 			for i := 1; i < len(cut); i++ {
 				lo, hi := cut[i-1], cut[i]
-				plan, err := paillier.CountRows(x.Size(), op.KernelRows(l.in, lo, hi, 1))
+				plan, err := paillier.CountRows(x.Size(), op.KernelRows(l.in, lo, hi))
 				if err != nil {
 					t.Fatal(err)
 				}
 				var m obs.CostMeter
 				got := make([]*paillier.Ciphertext, hi-lo)
-				if err := ApplyRange(paillier.NewEvaluator(&k.PublicKey, nil).WithCost(&m), op, x.Data(), l.in, lo, hi, 1, got); err != nil {
+				if err := ApplyRange(paillier.NewEvaluator(&k.PublicKey, nil).WithCost(&m), op, x.Data(), l.in, lo, hi, got); err != nil {
 					t.Fatal(err)
 				}
 				if got, want := m.Snapshot(), (obs.CostStats{MulMods: plan.MulMods, ModInverses: plan.ModInverses}); got != want {

@@ -13,15 +13,12 @@ import (
 // QFC is the quantized fully-connected layer.
 type QFC struct {
 	name string
-	F    int64
-	W    [][]int32 // [out][in], weights at scale F
-	B    []float64 // original float biases, materialized per call
+	W    [][]int32  // [out][in], weights at scale F
+	B    []*big.Int // [out], biases at the output scale, nil for zero
 }
 
 func quantizeFC(l *nn.FC, qz *quantizer) *QFC {
-	b := make([]float64, l.Out())
-	copy(b, l.B.Data())
-	return &QFC{name: l.Name(), F: qz.F, W: qz.matrix(l.W.Data(), l.Out(), l.In()), B: b}
+	return &QFC{name: l.Name(), W: qz.matrix(l.W.Data(), l.Out(), l.In()), B: qz.biases(l.B.Data())}
 }
 
 // Name implements Op.
@@ -41,24 +38,23 @@ func (q *QFC) OutShape(in tensor.Shape) (tensor.Shape, error) {
 // InputNeeds implements Op: fully-connected rows read everything.
 func (q *QFC) InputNeeds(tensor.Shape, int) []int { return nil }
 
-// KernelRows implements Op: row o is Σ_i W[o][i]·x_i + b_o·F^(inExp+1),
-// so the kernel computes Π E(x_i)^{W[o][i]} · E(b_o·F^(inExp+1)).
-func (q *QFC) KernelRows(_ tensor.Shape, lo, hi, inExp int) []paillier.Row {
-	bias := biasesAt(q.B[lo:hi], q.F, inExp+1)
+// KernelRows implements Op: row o is Σ_i W[o][i]·x_i + B[o], so the
+// kernel computes Π E(x_i)^{W[o][i]} · E(B[o]).
+func (q *QFC) KernelRows(_ tensor.Shape, lo, hi int) []paillier.Row {
 	rows := make([]paillier.Row, hi-lo)
 	for i := range rows {
-		rows[i] = paillier.Row{W: q.W[lo+i], Bias: bias[i]}
+		rows[i] = paillier.Row{W: q.W[lo+i], Bias: q.B[lo+i]}
 	}
 	return rows
 }
 
 // Bound implements Op: the worst row.
-func (q *QFC) Bound(in *big.Int, inExp int) *big.Int {
-	return worstRowBound(q.W, q.B, q.F, in, inExp)
+func (q *QFC) Bound(in *big.Int) *big.Int {
+	return worstRowBound(q.W, q.B, in)
 }
 
 // ApplyPlain implements Op over big integers.
-func (q *QFC) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], error) {
+func (q *QFC) ApplyPlain(x *tensor.Tensor[*big.Int]) (*tensor.Tensor[*big.Int], error) {
 	xs := x.Flatten().Data()
 	if len(xs) != len(q.W[0]) {
 		return nil, fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, len(q.W[0]), len(xs))
@@ -66,7 +62,7 @@ func (q *QFC) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[
 	out := tensor.New[*big.Int](len(q.W))
 	t, wb := new(big.Int), new(big.Int)
 	for o := range q.W {
-		acc := biasAt(q.B[o], q.F, inExp+1)
+		acc := biasOrZero(q.B[o])
 		for i, w := range q.W[o] {
 			if w == 0 {
 				continue
@@ -85,10 +81,9 @@ func (q *QFC) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[
 // possible (Section IV-D).
 type QConv struct {
 	name string
-	F    int64
 	P    tensor.ConvParams
-	W    [][]int32 // [outC][rowLen], filters at scale F
-	B    []float64
+	W    [][]int32  // [outC][rowLen], filters at scale F
+	B    []*big.Int // [outC], biases at the output scale, nil for zero
 	// Rows[pos] lists the flat input offsets forming output position
 	// pos's receptive field; -1 marks padding (contributes zero).
 	Rows [][]int32
@@ -96,11 +91,9 @@ type QConv struct {
 
 func quantizeConv(l *nn.Conv, qz *quantizer) *QConv {
 	p := l.P
-	b := make([]float64, p.OutC)
-	copy(b, l.B.Data())
 	// A filter's weights, in (channel, row, column) order, are one row.
 	w := qz.matrix(l.W.Data(), p.OutC, p.InC*p.KH*p.KW)
-	return &QConv{name: l.Name(), F: qz.F, P: p, W: w, B: b, Rows: GatherRows(p)}
+	return &QConv{name: l.Name(), P: p, W: w, B: qz.biases(l.B.Data()), Rows: GatherRows(p)}
 }
 
 // GatherRows computes, for every output spatial position of a
@@ -170,9 +163,8 @@ func (q *QConv) InputNeeds(_ tensor.Shape, outIdx int) []int {
 // field (padding contributes nothing). One paillier.Rows call over a
 // range of them shares whatever the kernel shares between rows across
 // overlapping receptive fields too.
-func (q *QConv) KernelRows(_ tensor.Shape, lo, hi, inExp int) []paillier.Row {
+func (q *QConv) KernelRows(_ tensor.Shape, lo, hi int) []paillier.Row {
 	positions := q.P.OutH() * q.P.OutW()
-	bias := biasesAt(q.B, q.F, inExp+1)
 	rows := make([]paillier.Row, hi-lo)
 	idx := make([]int32, 0, len(rows)*len(q.W[0]))
 	weights := make([]int32, 0, cap(idx))
@@ -184,19 +176,19 @@ func (q *QConv) KernelRows(_ tensor.Shape, lo, hi, inExp int) []paillier.Row {
 				weights = append(weights, q.W[f][k])
 			}
 		}
-		rows[i] = paillier.Row{Idx: idx[from:], W: weights[from:], Bias: bias[f]}
+		rows[i] = paillier.Row{Idx: idx[from:], W: weights[from:], Bias: q.B[f]}
 	}
 	return rows
 }
 
 // Bound implements Op: the worst filter over a receptive field without
 // padding (padding only drops terms).
-func (q *QConv) Bound(in *big.Int, inExp int) *big.Int {
-	return worstRowBound(q.W, q.B, q.F, in, inExp)
+func (q *QConv) Bound(in *big.Int) *big.Int {
+	return worstRowBound(q.W, q.B, in)
 }
 
 // ApplyPlain implements Op.
-func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], error) {
+func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int]) (*tensor.Tensor[*big.Int], error) {
 	xs := x.Flatten().Data()
 	if len(xs) != q.P.InC*q.P.InH*q.P.InW {
 		return nil, fmt.Errorf("qnn: %s expects %d inputs, got %d", q.name, q.P.InC*q.P.InH*q.P.InW, len(xs))
@@ -206,7 +198,7 @@ func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tenso
 	t, wb := new(big.Int), new(big.Int)
 	for f := 0; f < q.P.OutC; f++ {
 		for pos := 0; pos < oh*ow; pos++ {
-			acc := biasAt(q.B[f], q.F, inExp+1)
+			acc := biasOrZero(q.B[f])
 			for k, off := range q.Rows[pos] {
 				if off < 0 || q.W[f][k] == 0 {
 					continue
@@ -224,13 +216,12 @@ func (q *QConv) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tenso
 // shift).
 type QAffine struct {
 	name string
-	F    int64
 	// Scale[c] is coefficient c at scale F: one per element (ElemScale)
 	// or one per channel (BatchNorm), as coeffSpan maps them.
 	Scale []int32
-	// Shift[c] is the float shift applied alongside Scale[c]; zero for
-	// pure scaling.
-	Shift []float64
+	// Shift[c] is the shift applied alongside Scale[c], at the output
+	// scale; nil for zero, as for pure scaling.
+	Shift []*big.Int
 }
 
 func quantizeBatchNorm(l *nn.BatchNorm, qz *quantizer) *QAffine {
@@ -244,12 +235,12 @@ func quantizeBatchNorm(l *nn.BatchNorm, qz *quantizer) *QAffine {
 		a[ch] = qz.weight(af)
 		c[ch] = l.Beta.At(ch) - af*l.Mean.At(ch)
 	}
-	return &QAffine{name: l.Name(), F: qz.F, Scale: a, Shift: c}
+	return &QAffine{name: l.Name(), Scale: a, Shift: qz.biases(c)}
 }
 
 func quantizeElemScale(l *nn.ElemScale, qz *quantizer) *QAffine {
 	s := qz.matrix(l.Scale.Data(), 1, l.Scale.Size())[0]
-	return &QAffine{name: l.Name(), F: qz.F, Scale: s, Shift: make([]float64, len(s))}
+	return &QAffine{name: l.Name(), Scale: s, Shift: make([]*big.Int, len(s))}
 }
 
 // Name implements Op.
@@ -284,25 +275,24 @@ func (q *QAffine) coeffSpan(in tensor.Shape) int {
 func (q *QAffine) InputNeeds(_ tensor.Shape, outIdx int) []int { return []int{outIdx} }
 
 // KernelRows implements Op: element i is the one-weight row
-// Scale[c]·x_i + Shift[c]·F^(inExp+1) of its coefficient c.
-func (q *QAffine) KernelRows(in tensor.Shape, lo, hi, inExp int) []paillier.Row {
+// Scale[c]·x_i + Shift[c] of its coefficient c.
+func (q *QAffine) KernelRows(in tensor.Shape, lo, hi int) []paillier.Row {
 	span := q.coeffSpan(in)
-	bias := biasesAt(q.Shift, q.F, inExp+1)
 	rows := make([]paillier.Row, hi-lo)
 	idx := make([]int32, len(rows))
 	for i := range rows {
 		c := (lo + i) / span
 		idx[i] = int32(lo + i)
-		rows[i] = paillier.Row{Idx: idx[i : i+1], W: q.Scale[c : c+1], Bias: bias[c]}
+		rows[i] = paillier.Row{Idx: idx[i : i+1], W: q.Scale[c : c+1], Bias: q.Shift[c]}
 	}
 	return rows
 }
 
 // Bound implements Op: the worst coefficient pair.
-func (q *QAffine) Bound(in *big.Int, inExp int) *big.Int {
+func (q *QAffine) Bound(in *big.Int) *big.Int {
 	worst := new(big.Int)
 	for c := range q.Scale {
-		if b := rowBound(q.Scale[c:c+1], q.Shift[c], q.F, in, inExp); b.Cmp(worst) > 0 {
+		if b := rowBound(q.Scale[c:c+1], q.Shift[c], in); b.Cmp(worst) > 0 {
 			worst = b
 		}
 	}
@@ -310,7 +300,7 @@ func (q *QAffine) Bound(in *big.Int, inExp int) *big.Int {
 }
 
 // ApplyPlain implements Op.
-func (q *QAffine) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], error) {
+func (q *QAffine) ApplyPlain(x *tensor.Tensor[*big.Int]) (*tensor.Tensor[*big.Int], error) {
 	shape, err := q.OutShape(x.Shape())
 	if err != nil {
 		return nil, err
@@ -319,10 +309,8 @@ func (q *QAffine) ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Ten
 	out := tensor.New[*big.Int](shape...)
 	for i, v := range x.Data() {
 		c := i / span
-		acc := new(big.Int).Mul(v, big.NewInt(int64(q.Scale[c])))
-		if q.Shift[c] != 0 {
-			acc.Add(acc, biasAt(q.Shift[c], q.F, inExp+1))
-		}
+		acc := biasOrZero(q.Shift[c])
+		acc.Add(acc, new(big.Int).Mul(v, big.NewInt(int64(q.Scale[c]))))
 		out.SetFlat(i, acc)
 	}
 	return out, nil
@@ -350,12 +338,12 @@ func (q *QFlatten) InputNeeds(_ tensor.Shape, outIdx int) []int { return []int{o
 
 // KernelRows implements Op: a reshape has no rows, its elements are its
 // inputs.
-func (q *QFlatten) KernelRows(tensor.Shape, int, int, int) []paillier.Row { return nil }
+func (q *QFlatten) KernelRows(tensor.Shape, int, int) []paillier.Row { return nil }
 
 // Bound implements Op: values pass through.
-func (q *QFlatten) Bound(in *big.Int, _ int) *big.Int { return in }
+func (q *QFlatten) Bound(in *big.Int) *big.Int { return in }
 
 // ApplyPlain implements Op.
-func (q *QFlatten) ApplyPlain(x *tensor.Tensor[*big.Int], _ int) (*tensor.Tensor[*big.Int], error) {
+func (q *QFlatten) ApplyPlain(x *tensor.Tensor[*big.Int]) (*tensor.Tensor[*big.Int], error) {
 	return x.Flatten(), nil
 }

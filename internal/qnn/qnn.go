@@ -3,12 +3,12 @@
 // selects F = 10^f, each linear layer's weights become int32s ≈ w·F and
 // the layer evaluates over Paillier ciphertexts on the model provider.
 //
-// Scale-exponent bookkeeping: the data provider encrypts activations at
-// scale F¹ (x_int = round(x·F)). Every parameterized linear op multiplies
-// by weights at scale F, raising the result's exponent by one; biases are
-// materialized at the output exponent. The data provider divides by
-// F^exp after decryption to recover real values, applies the non-linear
-// functions in plaintext, and re-scales to F¹ for the next round. Paillier
+// Scale-exponent bookkeeping: the data provider encrypts every round's
+// input at scale F¹ (x_int = round(x·F)). Every parameterized linear op
+// multiplies by weights at scale F, raising the result's exponent by one,
+// so QuantizeStage fixes each op's biases once, at its output exponent.
+// The data provider divides by F^exp after decryption, applies the
+// non-linear functions in plaintext, and re-scales to F¹. Paillier
 // plaintexts are big integers, so growing magnitudes stay exact as long
 // as they remain below n/2 — Walk bounds every stage's outputs and the
 // protocol refuses a key too small for them at Build.
@@ -42,30 +42,29 @@ type Op interface {
 	// of its elements' needs.
 	InputNeeds(in tensor.Shape, outIdx int) []int
 	// KernelRows returns flat output elements [lo, hi) over an input of
-	// shape in at scale F^inExp as the kernel takes them: element lo+i is
-	// Σ_j W[j]·x[Idx[j]] + Bias of row i, at scale
-	// F^(inExp+ScaleSteps()). It is the one statement of the op's
-	// arithmetic: ApplyRange hands it to paillier.Evaluator.Rows,
+	// shape in as the kernel takes them: element lo+i is
+	// Σ_j W[j]·x[Idx[j]] + Bias of row i. It is the one statement of the
+	// op's arithmetic: ApplyRange hands it to paillier.Evaluator.Rows,
 	// ApplyStageShared to Beaver dot products, and MulCount and StageCost
 	// count it. in is a shape OutShape accepts. A structural op returns
 	// nil: its elements are its inputs.
-	KernelRows(in tensor.Shape, lo, hi, inExp int) []paillier.Row
+	KernelRows(in tensor.Shape, lo, hi int) []paillier.Row
 	// ApplyPlain evaluates the same arithmetic over plaintext big
 	// integers, written out apart from KernelRows: it is the clear
 	// backend, and the independent reference the differential tests hold
 	// the ciphertext and shared paths to, bit for bit.
-	ApplyPlain(x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], error)
+	ApplyPlain(x *tensor.Tensor[*big.Int]) (*tensor.Tensor[*big.Int], error)
 	// Bound returns the largest magnitude any output element can take
-	// when every input element's magnitude is at most in, at input scale
-	// F^inExp. It is sound for every input, not only typical ones: the
-	// reply's slot width is derived from it (Walk).
-	Bound(in *big.Int, inExp int) *big.Int
+	// when every input element's magnitude is at most in. It is sound for
+	// every input, not only typical ones: the reply's slot width is
+	// derived from it (Walk).
+	Bound(in *big.Int) *big.Int
 }
 
-// Quantize converts a linear nn layer into its homomorphic form with
-// scaling factor F, or refuses it with a *WeightRangeError.
+// Quantize converts a linear nn layer over an input at scale F¹ into its
+// homomorphic form, or refuses it with a *WeightRangeError.
 func Quantize(l nn.Layer, F int64) (Op, error) {
-	return quantize(l, &quantizer{stage: l.Name(), F: F})
+	return quantize(l, &quantizer{stage: l.Name(), F: F, exp: 1})
 }
 
 func quantize(l nn.Layer, qz *quantizer) (Op, error) {
@@ -93,13 +92,14 @@ func quantize(l nn.Layer, qz *quantizer) (Op, error) {
 	return op, nil
 }
 
-// QuantizeStage converts a merged linear primitive layer into its op
-// sequence, or refuses it with a *WeightRangeError naming the stage.
+// QuantizeStage converts a merged linear primitive layer over an input at
+// scale F¹ into its op sequence, or refuses it with a *WeightRangeError
+// naming the stage.
 func QuantizeStage(p *nn.PrimitiveLayer, F int64) ([]Op, error) {
 	if p.Kind != nn.Linear {
 		return nil, fmt.Errorf("qnn: stage %s is %v, want linear", p.Name(), p.Kind)
 	}
-	qz := &quantizer{stage: p.Name(), F: F}
+	qz := &quantizer{stage: p.Name(), F: F, exp: 1}
 	ops := make([]Op, len(p.Layers))
 	for i, l := range p.Layers {
 		op, err := quantize(l, qz)
@@ -107,6 +107,7 @@ func QuantizeStage(p *nn.PrimitiveLayer, F int64) ([]Op, error) {
 			return nil, err
 		}
 		ops[i] = op
+		qz.exp += op.ScaleSteps()
 	}
 	return ops, nil
 }
@@ -123,11 +124,13 @@ func (e *WeightRangeError) Error() string {
 	return fmt.Sprintf("qnn: %s: weight %g at factor %d does not fit an int32 once scaled", e.Stage, e.Weight, e.Factor)
 }
 
-// quantizer rounds one stage's weights to w·F and keeps the first that
-// does not fit an int32.
+// quantizer rounds one stage's weights to w·F, and the biases of its op
+// at input exponent exp to that op's output scale, and keeps the first
+// weight that does not fit an int32.
 type quantizer struct {
 	stage string
 	F     int64
+	exp   int
 	err   error
 }
 
@@ -155,6 +158,20 @@ func (qz *quantizer) matrix(ws []float64, rows, cols int) [][]int32 {
 	return m
 }
 
+// biases materializes the op's float biases as integers at its output
+// scale F^(exp+1), nil for a zero bias.
+func (qz *quantizer) biases(bs []float64) []*big.Int {
+	scale := new(big.Float).SetInt(powF(qz.F, qz.exp+1))
+	out := make([]*big.Int, len(bs))
+	for i, b := range bs {
+		if b != 0 {
+			bf := new(big.Float).SetFloat64(b)
+			out[i], _ = bf.Mul(bf, scale).Int(nil)
+		}
+	}
+	return out
+}
+
 // StageScaleSteps sums the scale steps of a stage's ops.
 func StageScaleSteps(ops []Op) int {
 	total := 0
@@ -164,28 +181,23 @@ func StageScaleSteps(ops []Op) int {
 	return total
 }
 
-// ApplyStage runs a stage's ops in sequence over ciphertexts, returning
-// the result and the output scale exponent. It is the one place a stage
-// is split across its threads: each op's outputs are cut by
-// SplitOutputs, the same split StageComm accounts, and every share is
-// one ApplyRange call over the whole input — on the caller's goroutine
+// ApplyStage runs a stage's ops in sequence over ciphertexts. It is the
+// one place a stage is split across its threads: each op's outputs are
+// cut by SplitOutputs, the same split StageComm accounts, and every share
+// is one ApplyRange call over the whole input — on the caller's goroutine
 // at one thread, concurrently otherwise.
-func ApplyStage(ev *paillier.Evaluator, ops []Op, x *paillier.CipherTensor, inExp, threads int) (*paillier.CipherTensor, int, error) {
-	cur, exp := x, inExp
+func ApplyStage(ev *paillier.Evaluator, ops []Op, x *paillier.CipherTensor, threads int) (_ *paillier.CipherTensor, err error) {
 	for _, op := range ops {
-		out, err := applyOp(ev, op, cur, exp, threads)
-		if err != nil {
-			return nil, 0, fmt.Errorf("qnn: applying %s: %w", op.Name(), err)
+		if x, err = applyOp(ev, op, x, threads); err != nil {
+			return nil, fmt.Errorf("qnn: applying %s: %w", op.Name(), err)
 		}
-		cur = out
-		exp += op.ScaleSteps()
 	}
-	return cur, exp, nil
+	return x, nil
 }
 
 // applyOp evaluates one op's outputs split over threads; the first
 // share's error, in output order, wins.
-func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, inExp, threads int) (*paillier.CipherTensor, error) {
+func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, threads int) (*paillier.CipherTensor, error) {
 	in := x.Shape()
 	shape, err := op.OutShape(in)
 	if err != nil {
@@ -195,7 +207,7 @@ func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, inExp, thr
 	xs, od := x.Data(), out.Data()
 	ranges := SplitOutputs(len(od), threads)
 	if len(ranges) <= 1 {
-		return out, ApplyRange(ev, op, xs, in, 0, len(od), inExp, od)
+		return out, ApplyRange(ev, op, xs, in, 0, len(od), od)
 	}
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
@@ -203,7 +215,7 @@ func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, inExp, thr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = ApplyRange(ev, op, xs, in, r.Lo, r.Hi, inExp, od[r.Lo:r.Hi])
+			errs[i] = ApplyRange(ev, op, xs, in, r.Lo, r.Hi, od[r.Lo:r.Hi])
 		}()
 	}
 	wg.Wait()
@@ -216,16 +228,16 @@ func applyOp(ev *paillier.Evaluator, op Op, x *paillier.CipherTensor, inExp, thr
 }
 
 // ApplyRange evaluates the op's flat output elements [lo, hi) into out,
-// which has hi−lo entries, over the flat input xs of shape in at scale
-// F^inExp, in a shape the op's OutShape accepts (ApplyStage checks it):
+// which has hi−lo entries, over the flat input xs of shape in, a shape
+// the op's OutShape accepts (ApplyStage checks it):
 // the op's KernelRows in ONE paillier.Evaluator.Rows call, so
 // what the kernel shares between rows (power tables, the batched
 // inversion) is paid once per range. A structural op's elements are its
 // inputs. The elements are NOT re-randomized: they may feed the stage's
 // next op, but only paillier.Evaluator.Pack may hand them to the data
 // provider.
-func ApplyRange(ev *paillier.Evaluator, op Op, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi, inExp int, out []*paillier.Ciphertext) error {
-	rows := op.KernelRows(in, lo, hi, inExp)
+func ApplyRange(ev *paillier.Evaluator, op Op, xs []*paillier.Ciphertext, in tensor.Shape, lo, hi int, out []*paillier.Ciphertext) error {
+	rows := op.KernelRows(in, lo, hi)
 	if rows == nil {
 		copy(out, xs[lo:hi])
 		return nil
@@ -268,25 +280,24 @@ func SplitOutputs(n, t int) []Range {
 }
 
 // stageRows calls f with each op of the stage, its input shape and its
-// rows over every output element, from an input of shape in at scale F¹ —
-// what ApplyStage evaluates at one thread.
+// rows over every output element, from an input of shape in — what
+// ApplyStage evaluates at one thread.
 func stageRows(ops []Op, in tensor.Shape, f func(op Op, in tensor.Shape, rows []paillier.Row) error) error {
-	shape, exp := in, 1
 	for _, op := range ops {
-		out, err := op.OutShape(shape)
+		out, err := op.OutShape(in)
 		if err != nil {
 			return err
 		}
-		if err := f(op, shape, op.KernelRows(shape, 0, out.Size(), exp)); err != nil {
+		if err := f(op, in, op.KernelRows(in, 0, out.Size())); err != nil {
 			return err
 		}
-		shape, exp = out, exp+op.ScaleSteps()
+		in = out
 	}
 	return nil
 }
 
 // StageCost returns the crypto-op counts ApplyStage meters at one thread
-// for the ops over an input of shape in at scale F¹ — one paillier.Rows
+// for the ops over an input of shape in — one paillier.Rows
 // call per op that has rows — from the weights and shapes alone, without
 // a ciphertext.
 func StageCost(ops []Op, in tensor.Shape) (obs.CostStats, error) {
@@ -323,17 +334,13 @@ func MulCount(ops []Op, in tensor.Shape) (uint64, error) {
 }
 
 // ApplyStagePlain is ApplyStage over plaintext big integers.
-func ApplyStagePlain(ops []Op, x *tensor.Tensor[*big.Int], inExp int) (*tensor.Tensor[*big.Int], int, error) {
-	cur, exp := x, inExp
+func ApplyStagePlain(ops []Op, x *tensor.Tensor[*big.Int]) (_ *tensor.Tensor[*big.Int], err error) {
 	for _, op := range ops {
-		out, err := op.ApplyPlain(cur, exp)
-		if err != nil {
-			return nil, 0, fmt.Errorf("qnn: applying %s (plain): %w", op.Name(), err)
+		if x, err = op.ApplyPlain(x); err != nil {
+			return nil, fmt.Errorf("qnn: applying %s (plain): %w", op.Name(), err)
 		}
-		cur = out
-		exp += op.ScaleSteps()
 	}
-	return cur, exp, nil
+	return x, nil
 }
 
 // int64Bound is the largest magnitude an encrypted activation can have:
@@ -342,15 +349,12 @@ func ApplyStagePlain(ops []Op, x *tensor.Tensor[*big.Int], inExp int) (*tensor.T
 var int64Bound = new(big.Int).Lsh(big.NewInt(1), 63)
 
 // StageBound returns the largest magnitude any output element of the
-// stage can take when every input element's magnitude is at most in, at
-// scale F¹ — what every round's input is.
+// stage can take when every input element's magnitude is at most in.
 func StageBound(ops []Op, in *big.Int) *big.Int {
-	bound, exp := in, 1
 	for _, op := range ops {
-		bound = op.Bound(bound, exp)
-		exp += op.ScaleSteps()
+		in = op.Bound(in)
 	}
-	return bound
+	return in
 }
 
 // Stage is one linear stage as Walk leaves it: its quantized ops and the
@@ -415,23 +419,26 @@ func scaledBound(real float64, F int64) *big.Int {
 	return big.NewInt(int64(s) + 1 + int64(s)>>49)
 }
 
-// rowBound bounds |Σ_i w_i·x_i + bias·F^(inExp+1)| over |x_i| ≤ in: the
-// row's L1 norm times in, plus the materialized bias's magnitude.
-func rowBound(ws []int32, bias float64, F int64, in *big.Int, inExp int) *big.Int {
+// rowBound bounds |Σ_i w_i·x_i + bias| over |x_i| ≤ in: the row's L1
+// norm times in, plus the bias's magnitude.
+func rowBound(ws []int32, bias *big.Int, in *big.Int) *big.Int {
 	l1, t := new(big.Int), new(big.Int)
 	for _, w := range ws {
 		l1.Add(l1, t.Abs(t.SetInt64(int64(w))))
 	}
 	l1.Mul(l1, in)
-	return l1.Add(l1, t.Abs(biasAt(bias, F, inExp+1)))
+	if bias != nil {
+		l1.Add(l1, t.Abs(bias))
+	}
+	return l1
 }
 
 // worstRowBound is the largest rowBound over the rows of w, each with its
 // own bias.
-func worstRowBound(w [][]int32, bias []float64, F int64, in *big.Int, inExp int) *big.Int {
+func worstRowBound(w [][]int32, bias []*big.Int, in *big.Int) *big.Int {
 	worst := new(big.Int)
 	for o, row := range w {
-		if b := rowBound(row, bias[o], F, in, inExp); b.Cmp(worst) > 0 {
+		if b := rowBound(row, bias[o], in); b.Cmp(worst) > 0 {
 			worst = b
 		}
 	}
@@ -478,21 +485,11 @@ func powF(F int64, exp int) *big.Int {
 	return out
 }
 
-// biasesAt materializes each of bs at scale F^exp, nil for a zero bias.
-func biasesAt(bs []float64, F int64, exp int) []*big.Int {
-	out := make([]*big.Int, len(bs))
-	for i, b := range bs {
-		if b != 0 {
-			out[i] = biasAt(b, F, exp)
-		}
+// biasOrZero returns a fresh copy of a stored bias, zero for nil: what a
+// plaintext output element accumulates onto.
+func biasOrZero(b *big.Int) *big.Int {
+	if b == nil {
+		return new(big.Int)
 	}
-	return out
-}
-
-// biasAt materializes a float bias at scale F^exp as a big integer.
-func biasAt(b float64, F int64, exp int) *big.Int {
-	bf := new(big.Float).SetFloat64(b)
-	bf.Mul(bf, new(big.Float).SetInt(powF(F, exp)))
-	out, _ := bf.Int(nil)
-	return out
+	return new(big.Int).Set(b)
 }

@@ -81,7 +81,7 @@ func TestQFCMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 2)
+	outCT, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestQConvMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 3)
+	outCT, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestQBatchNormMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 2)
+	outCT, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestQElemScale(t *testing.T) {
 	x := tensor.MustFromSlice([]float64{1, 4, -2}, 3)
 	want, _ := es.Forward(x)
 	ct := encryptFloats(t, k, x, F)
-	outCT, _, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1, 1)
+	outCT, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), []Op{op}, ct, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +221,11 @@ func TestApplyStageMergedLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptFloats(t, k, x, F)
-	outCT, outExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), ops, ct, 1, 2)
+	outCT, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), ops, ct, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outExp != 3 {
-		t.Fatalf("out exponent %d, want 3", outExp)
-	}
-	got := decryptFloats(t, k, outCT, F, outExp)
+	got := decryptFloats(t, k, outCT, F, 1+StageScaleSteps(ops))
 	// F=100 is coarse; tolerance reflects quantization error.
 	if !tensor.AllClose(want, got, 0.15) {
 		t.Errorf("merged stage diverges:\n got %v\nwant %v", got.Data(), want.Data())
@@ -248,7 +245,7 @@ func TestApplyStagePlainMatchesCipher(t *testing.T) {
 	x := tensor.MustFromSlice([]float64{0.25, -0.75, 1.5}, 3)
 	scaled := ScaleInput(x, F)
 	bigIn := tensor.Map(scaled, func(v int64) *big.Int { return big.NewInt(v) })
-	plainOut, plainExp, err := ApplyStagePlain(ops, bigIn, 1)
+	plainOut, err := ApplyStagePlain(ops, bigIn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +253,9 @@ func TestApplyStagePlainMatchesCipher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cipherOut, cipherExp, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), ops, ct, 1, 2)
+	cipherOut, err := ApplyStage(paillier.NewEvaluator(&k.PublicKey, nil), ops, ct, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plainExp != cipherExp {
-		t.Fatalf("exponent mismatch %d vs %d", plainExp, cipherExp)
 	}
 	dec, err := paillier.DecryptTensorBig(k, cipherOut, 2)
 	if err != nil {

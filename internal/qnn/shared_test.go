@@ -89,28 +89,21 @@ func TestApplyStageSharedMatchesPlain(t *testing.T) {
 
 	for _, st := range stages {
 		t.Run(st.name, func(t *testing.T) {
-			ops := make([]Op, len(st.layers))
-			for i, l := range st.layers {
-				op, err := Quantize(l, F)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ops[i] = op
+			ops, err := QuantizeStage(&nn.PrimitiveLayer{Kind: nn.Linear, Layers: st.layers}, F)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for trial := 0; trial < 3; trial++ {
 				x := randomBigInput(rng, F, st.shape...)
-				want, wantExp, err := ApplyStagePlain(ops, x, 1)
+				want, err := ApplyStagePlain(ops, x)
 				if err != nil {
 					t.Fatal(err)
 				}
 				eng := secshare.NewEngine(int64(trial) + 1)
 				xs := shareBigTensor(t, x)
-				got, gotExp, err := ApplyStageShared(eng, ops, xs, 1)
+				got, err := ApplyStageShared(eng, ops, xs)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if gotExp != wantExp {
-					t.Fatalf("exp %d, want %d", gotExp, wantExp)
 				}
 				rec := reconstructBigTensor(got)
 				for i, w := range want.Data() {
@@ -161,11 +154,11 @@ func TestApplySharedThenTruncate(t *testing.T) {
 				t.Fatal(err)
 			}
 			x := randomBigInput(rng, 1<<bits, c.shape...)
-			want, err := op.ApplyPlain(x, 1)
+			want, err := op.ApplyPlain(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := ApplyStageShared(secshare.NewEngine(1), []Op{op}, shareBigTensor(t, x), 1)
+			got, err := ApplyStageShared(secshare.NewEngine(1), []Op{op}, shareBigTensor(t, x))
 			if err != nil {
 				t.Fatal(err)
 			}

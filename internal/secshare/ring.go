@@ -20,7 +20,7 @@ import (
 // Truncate.
 
 // RingOfBig reduces a big integer into Z_{2^64} (two's complement for
-// negatives) — how quantized biases at scale F^(exp+1) enter the ring.
+// negatives) — how quantized biases, at their output scale, enter it.
 func RingOfBig(v *big.Int) uint64 {
 	// big.Int bitwise ops act on the infinite two's-complement form, so
 	// masking to 64 bits IS reduction mod 2^64, negatives included.
@@ -49,8 +49,8 @@ func SplitRandom(r io.Reader, v uint64) (Shares, error) {
 // DotPrivateInt computes Σ_j w_j·x_j + bias over the ring with party
 // 0's private int32 weights and big-integer bias (reduced into the
 // ring), skipping zero weights exactly like the plaintext reference.
-// No truncation is applied: the result is at scale F^(inExp+1) when the
-// inputs are at F^inExp and the weights at F.
+// No truncation is applied: with the weights at scale F, the result is at
+// one power of F above the inputs, the scale the bias must be held at.
 func (e *Engine) DotPrivateInt(w []int32, x []Shares, bias *big.Int) (Shares, error) {
 	if len(w) != len(x) {
 		return Shares{}, fmt.Errorf("secshare: int dot length mismatch %d vs %d", len(w), len(x))

@@ -67,7 +67,7 @@ func (e *channelEdge) CloseSend() error {
 	return nil
 }
 
-// tcpEdge carries messages over a TCP connection in wire format v5 (see
+// tcpEdge carries messages over a TCP connection in wire format v6 (see
 // wire.go). Payloads must implement WirePayload and have their tag
 // registered (RegisterWireType). Each direction's state — the fixed buffer
 // and, on the sending side, the preface — is set up by that direction's
