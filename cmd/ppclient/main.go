@@ -4,9 +4,10 @@
 // the server never sees the inputs or the key.
 //
 // The -model file provides the network the two parties agreed on. The
-// client reads its architecture, and quantizes its linear weights only to
-// derive each reply's slot width (refusing a weight that does not fit at
-// -factor); a zeroed skeleton loosens that check to nothing.
+// client reads only its architecture — shapes, layer kinds and the declared
+// input domain — and never a weight, so a file whose weights are zeroed or
+// NaN serves the same. A key too small for the server's reply slots is
+// refused at the Hello.
 //
 // Usage:
 //
@@ -64,7 +65,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppclient", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	modelPath := fs.String("model", "", "architecture file (required)")
+	modelPath := fs.String("model", "", "model file; only its architecture is read, never a weight (required)")
 	addr := fs.String("addr", "127.0.0.1:7100", "ppserver address")
 	factor := fs.Int64("factor", 10000, "agreed parameter scaling factor")
 	keyBits := fs.Int("keybits", 512, "Paillier key size")

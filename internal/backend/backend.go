@@ -20,7 +20,7 @@
 // (qnn.Op.KernelRows), clear its ApplyPlain reference. Their
 // reconstructed outputs are bit-identical — the differential tests pin
 // that property — as long as ss-gc's ring holds the round's values, which
-// PlanFor and ValidateAssignment see to.
+// PlanFor and CheckRing see to.
 package backend
 
 import (
@@ -163,21 +163,19 @@ func (p *Payload) Reshape(shape tensor.Shape) (*Payload, error) {
 }
 
 // Stage describes one linear round's work for a backend: its op
-// sequence, shapes, its non-zero weight multiplications (qnn.MulCount,
-// counted once when the stage is built) and the thread count the
-// allocation plan chose, over which paillier-he splits each op's outputs
+// sequence, its non-zero weight multiplications (qnn.MulCount, counted
+// once when the stage is built) and the thread count the allocation plan
+// chose, over which paillier-he splits each op's outputs
 // (qnn.ApplyStage).
 type Stage struct {
-	Ops      []qnn.Op
-	InShape  tensor.Shape
-	OutShape tensor.Shape
-	Muls     uint64
-	Threads  int
+	Ops     []qnn.Op
+	Muls    uint64
+	Threads int
 }
 
 // Execute runs the stage over in — a round input, at scale F¹ — under
 // in.Kind's crypto regime and returns the output payload, at scale
-// F^(1+qnn.StageScaleSteps(st.Ops)). paillier-he evaluates
+// F^(1+qnn.ScaleSteps) of the stage's layers. paillier-he evaluates
 // through ev, which meters its own crypto ops; ss-gc draws a fresh
 // Beaver-triple dealer from crypto/rand per call, so concurrent rounds
 // never share dealer state; the ss-gc and clear op counts go to m (nil

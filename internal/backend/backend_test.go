@@ -43,8 +43,8 @@ func buildStage(t *testing.T, rng *mrand.Rand, in, out int, F int64) *Stage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &Stage{Ops: []qnn.Op{op}, InShape: tensor.Shape{in}, OutShape: tensor.Shape{out}, Threads: 1}
-	if st.Muls, err = qnn.MulCount(st.Ops, st.InShape); err != nil {
+	st := &Stage{Ops: []qnn.Op{op}, Threads: 1}
+	if st.Muls, err = qnn.MulCount(st.Ops, tensor.Shape{in}); err != nil {
 		t.Fatal(err)
 	}
 	return st

@@ -85,7 +85,7 @@ type LayerInfo struct {
 	// paillier-he exposes.
 	Outs int
 	// SlotBits is the slot width the round's outputs need (qnn.Stage):
-	// ss-gc runs the round only if its ring holds it.
+	// ss-gc runs the round only if its ring holds it (CheckRing).
 	SlotBits int
 	// Replies counts the ciphertexts a paillier-he reply packs the outputs
 	// into under the session's key.
@@ -231,13 +231,14 @@ func planWith(profile Profile, layers []LayerInfo, boundary int, u paillier.Unit
 	return plan
 }
 
-// ValidateAssignment checks a (possibly remote-supplied) assignment
-// against the safety rules and the requested profile, for a session whose
-// rounds need the given slot widths. Clients run this on the server's plan
-// before honoring it.
-func ValidateAssignment(profile Profile, assignment []Kind, slotBits []int) error {
-	if len(assignment) != len(slotBits) {
-		return fmt.Errorf("backend: plan covers %d rounds, session has %d", len(assignment), len(slotBits))
+// ValidateAssignment checks a (possibly remote-supplied) assignment for a
+// session of the given rounds against the safety rules both parties know
+// and the requested profile: one known kind per round, round 0 on
+// paillier-he, every round on it under privacy-max, and clear only as a
+// suffix. Clients run this on the server's plan before honoring it.
+func ValidateAssignment(profile Profile, assignment []Kind, rounds int) error {
+	if len(assignment) != rounds {
+		return fmt.Errorf("backend: plan covers %d rounds, session has %d", len(assignment), rounds)
 	}
 	if assignment[0] != PaillierHE {
 		return fmt.Errorf("backend: plan runs round 0 on %q — the input must stay encrypted", assignment[0])
@@ -250,13 +251,22 @@ func ValidateAssignment(profile Profile, assignment []Kind, slotBits []int) erro
 		if profile == ProfilePrivacyMax && k != PaillierHE {
 			return fmt.Errorf("backend: privacy-max plan assigns %q to round %d", k, r)
 		}
-		if k == SSGC && slotBits[r] > ringBits {
-			return fmt.Errorf("backend: plan runs round %d on ss-gc, whose %d-bit ring cannot hold its %d-bit values", r, ringBits, slotBits[r])
-		}
 		if k == Clear {
 			sawClear = true
 		} else if sawClear {
 			return fmt.Errorf("backend: clear round precedes %q round %d — clear must be a suffix", k, r)
+		}
+	}
+	return nil
+}
+
+// CheckRing refuses an assignment that runs a round on ss-gc whose values,
+// layers[r].SlotBits wide, its ring cannot hold. Only the model provider
+// knows the widths, so only it checks this rule, as PlanFor does.
+func CheckRing(assignment []Kind, layers []LayerInfo) error {
+	for r, k := range assignment {
+		if k == SSGC && r < len(layers) && layers[r].SlotBits > ringBits {
+			return fmt.Errorf("backend: plan runs round %d on ss-gc, whose %d-bit ring cannot hold its %d-bit values", r, ringBits, layers[r].SlotBits)
 		}
 	}
 	return nil

@@ -239,7 +239,7 @@ func TestPlanMixedUsesAllThreeBackends(t *testing.T) {
 	if !slices.Equal(p.Assignment, want) {
 		t.Fatalf("mixed assignment = %v, want %v", p.Assignment, want)
 	}
-	if err := ValidateAssignment(ProfileMixed, p.Assignment, make([]int, 3)); err != nil {
+	if err := ValidateAssignment(ProfileMixed, p.Assignment, 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -418,11 +418,16 @@ func TestValidateAssignment(t *testing.T) {
 		{"ss-gc past its ring", ProfileLatency, []Kind{PaillierHE, PaillierHE, SSGC}, false},
 		{"ss-gc at its ring", ProfileLatency, []Kind{PaillierHE, SSGC, PaillierHE}, true},
 	}
-	// The rounds need 40, 64 and 65 bits: the last is past ss-gc's ring.
-	slotBits := []int{40, 64, 65}
+	// The rounds need 40, 64 and 65 bits: the last is past ss-gc's ring. A
+	// plan passes as the model provider checks it, which knows the widths:
+	// the shared rules, then the ring.
+	layers := []LayerInfo{{SlotBits: 40}, {SlotBits: 64}, {SlotBits: 65}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := ValidateAssignment(c.profile, c.plan, slotBits)
+			err := ValidateAssignment(c.profile, c.plan, len(layers))
+			if err == nil {
+				err = CheckRing(c.plan, layers)
+			}
 			if (err == nil) != c.ok {
 				t.Fatalf("err = %v, want ok=%v", err, c.ok)
 			}

@@ -81,7 +81,7 @@ func (e *EzPC) Infer(x *tensor.Dense) (*tensor.Dense, time.Duration, error) {
 		case *nn.SoftMax:
 			// Final (checkSupported): applied to the opened scores below.
 		default:
-			cur, err = e.linear(e.ops[i], cur)
+			cur, err = e.linear(l, e.ops[i], cur)
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("baselines: ezpc layer %d (%s): %w", i, l.Name(), err)
@@ -104,11 +104,11 @@ func (e *EzPC) Infer(x *tensor.Dense) (*tensor.Dense, time.Duration, error) {
 	return out, time.Since(start), nil
 }
 
-// linear runs one quantized layer over the shares at scale 2^16 and
+// linear runs layer l, quantized as op, over the shares at scale 2^16 and
 // truncates its output back to that scale.
-func (e *EzPC) linear(op qnn.Op, x *tensor.Tensor[secshare.Shares]) (*tensor.Tensor[secshare.Shares], error) {
+func (e *EzPC) linear(l nn.Layer, op qnn.Op, x *tensor.Tensor[secshare.Shares]) (*tensor.Tensor[secshare.Shares], error) {
 	out, err := qnn.ApplyStageShared(e.eng, []qnn.Op{op}, x)
-	if err != nil || op.ScaleSteps() == 0 {
+	if err != nil || qnn.ScaleSteps([]nn.Layer{l}) == 0 {
 		return out, err
 	}
 	d := out.Data()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +73,8 @@ type Client struct {
 }
 
 // NewClientOpts builds the data-provider role from arch, sk and factor and
-// starts a client on it (NewClient). arch's linear weights feed only the
-// reply slot widths; a zeroed skeleton works, with that check loosened.
+// starts a client on it (NewClient). Only arch's architecture is read,
+// never a weight (BuildDataProvider).
 func NewClientOpts(ctx context.Context, in, out stream.Edge, arch *nn.Network, sk *paillier.PrivateKey, factor int64, opts ClientOptions) (*Client, error) {
 	dp, err := BuildDataProvider(arch, sk, Config{Factor: factor, Workers: opts.Workers})
 	if err != nil {
@@ -106,7 +105,7 @@ func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts 
 	if err != nil {
 		return nil, err
 	}
-	hello := &Hello{N: dp.sk.N.Bytes(), Factor: dp.factor, Workers: opts.Workers, Profile: string(profile), Exps: slices.Clone(dp.exps)}
+	hello := &Hello{N: dp.sk.N.Bytes(), Factor: dp.factor, Workers: opts.Workers, Profile: string(profile), Exps: dp.exps()}
 	if err := out.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		return nil, err
 	}
@@ -148,7 +147,7 @@ func installPlan(ctx context.Context, in stream.Edge, dp *DataProvider, requeste
 	if err != nil {
 		return fmt.Errorf("%w: server plan: %w", ErrRefused, err)
 	}
-	if err := backend.ValidateAssignment(backend.Stricter(requested, announced), kinds, dp.slotBits); err != nil {
+	if err := backend.ValidateAssignment(backend.Stricter(requested, announced), kinds, len(dp.sched)); err != nil {
 		return fmt.Errorf("%w: rejecting server plan: %w", ErrRefused, err)
 	}
 	return dp.SetBackendPlan(kinds)

@@ -91,11 +91,22 @@ func deeperNet(t *testing.T) *nn.Network {
 // the plan in the server's answer — NewClient returns the cause as an
 // ErrRefused within a second and the server's session returns, over
 // in-process edges and over TCP; a Redialer meets the refusal at its one
-// dial and does not dial again. A client whose walk fixes other reply
-// exponents than the served network's is refused at the Hello.
+// dial and does not dial again. A client whose schedule fixes other reply
+// exponents than the served network's is refused at the Hello, and so is a
+// key too small for the served network's reply slots, which only the
+// server knows.
 func TestHelloOutcomes(t *testing.T) {
 	netw := buildNet(t)
 	k := key(t)
+	// wide is deeperNet with every weight 2·10⁶, 2·10⁹ once scaled: with no
+	// declared input domain, round 0's two merged layers need 131-bit
+	// reply slots.
+	wide := deeperNet(t)
+	for _, l := range wide.Layers {
+		if fc, ok := l.(*nn.FC); ok {
+			fc.W.Fill(2e6)
+		}
+	}
 	served, err := BuildModelProvider(netw, &k.PublicKey, Config{Factor: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +121,12 @@ func TestHelloOutcomes(t *testing.T) {
 		rewrite func(*Hello) any
 		// foreign: the server serves one provider, for another key.
 		foreign bool
-		// serves is the network the server serves; nil serves netw.
-		serves *nn.Network
-		cause  string
+		// serves is the network the server serves and arch the one the
+		// client is built from; nil is netw.
+		serves, arch *nn.Network
+		// keyBits sizes the client's key; 0 is key(t)'s.
+		keyBits int
+		cause   string
 	}{
 		{name: "factor mismatch", factor: 999, cause: "client factor 999 does not match server's 1000"},
 		{name: "round frame first", rewrite: func(*Hello) any { return &roundFrame{} }, cause: "expected Hello, got *protocol.roundFrame"},
@@ -122,6 +136,7 @@ func TestHelloOutcomes(t *testing.T) {
 		{name: "plan privacy-max refuses", rewrite: func(h *Hello) any { h.Profile = string(backend.ProfileLatency); return h }, cause: "rejecting server plan"},
 		{name: "another network", serves: deeperNet(t), cause: "client reply exponents [2 2] do not match the served network's [3 2]"},
 		{name: "reply exponent rewritten", rewrite: func(h *Hello) any { h.Exps[0]++; return h }, cause: "client reply exponents [3 2] do not match the served network's [2 2]"},
+		{name: "key holds no slot", serves: wide, arch: wide, keyBits: 128, cause: "needs 131-bit reply slots, more than a 128-bit key holds"},
 	}
 	// A transport is the edges from the server to the client and from the
 	// client to the server, as each end holds them.
@@ -149,11 +164,18 @@ func TestHelloOutcomes(t *testing.T) {
 				if row.serves != nil {
 					serves = row.serves
 				}
+				arch := netw
+				if row.arch != nil {
+					arch = row.arch
+				}
 				ownKey := k
 				if row.foreign {
 					ownKey = keyOfBits(t, 512)
 				}
-				dp, err := BuildDataProvider(netw, ownKey, Config{Factor: factor})
+				if row.keyBits != 0 {
+					ownKey = keyOfBits(t, row.keyBits)
+				}
+				dp, err := BuildDataProvider(arch, ownKey, Config{Factor: factor})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,11 +243,11 @@ func TestHelloOutcomes(t *testing.T) {
 // cores the process may use: a request for 1<<20 threads gets stages of
 // at most GOMAXPROCS threads each.
 func TestHelloWorkersBounded(t *testing.T) {
-	_, rounds, err := walk(buildNet(t), 1000)
+	_, sched, stages, err := walk(buildNet(t), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := building(rounds, nil, SessionConfig{Factor: 1000})(&Hello{Workers: 1 << 20}, &key(t).PublicKey)
+	mp, err := building(sched, stages, nil, SessionConfig{Factor: 1000})(&Hello{Workers: 1 << 20}, &key(t).PublicKey)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ import (
 // Envelope is the in-process message flowing between protocol stages:
 // one round's activation tensor in its backend's representation, or the
 // final plaintext result. Its shape, scale exponent and whether it is
-// permuted are not carried: each role derives them from its own walk.
+// permuted are not carried: each role derives them from its own schedule.
 type Envelope struct {
 	// Req identifies the inference request.
 	Req uint64
@@ -59,7 +59,8 @@ type Envelope struct {
 
 // SlotError reports a key too small to carry one value of a linear
 // stage's output bound: the stage's replies could not be decoded, so the
-// roles refuse to build.
+// model provider refuses to build for the key — at Build, or at a
+// session's Hello, whose client then fails with ErrRefused.
 type SlotError struct {
 	Stage    string
 	SlotBits int
@@ -111,115 +112,124 @@ type Protocol struct {
 	StageNames []string
 }
 
-// validateWorkflow merges the network and checks the workflow's
-// structural requirements (alternation, linear start, non-linear finish,
-// element-wise intermediate non-linear stages).
-func validateWorkflow(net *nn.Network) ([]*nn.PrimitiveLayer, error) {
-	merged, err := nn.Merge(net)
-	if err != nil {
-		return nil, err
+// roundSpec is one round of the public schedule both roles follow
+// (Figure 3). schedule derives it from the architecture alone — shapes and
+// layer kinds, never a weight.
+type roundSpec struct {
+	// name is the round's linear stage; in is its input shape and out its
+	// output's, which the reply carries to the round's non-linear stage.
+	name    string
+	in, out tensor.Shape
+	// exp is the reply's scale exponent, 1 + qnn.ScaleSteps of the linear
+	// stage's layers: the power of F the data provider descales it by.
+	exp int32
+	// garbleReLU marks an intermediate non-linear stage that starts with
+	// ReLU: on ss-gc the garbled circuit runs it on the shares. The final
+	// non-linear stage runs in the clear on the reconstructed result, so it
+	// never garbles.
+	garbleReLU bool
+}
+
+// schedule is the shared front of every role builder and of Serve: it
+// checks the factor and the workflow's structural requirements
+// (alternation, linear start, non-linear finish, element-wise intermediate
+// non-linear stages), and returns the merged stages and the round
+// schedule. The workflow alternates from a linear start to a non-linear
+// finish, so round r's linear stage is merged[2r] and its non-linear stage
+// merged[2r+1].
+func schedule(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, sched []roundSpec, err error) {
+	if factor <= 0 {
+		return nil, nil, fmt.Errorf("protocol: scaling factor %d must be positive", factor)
+	}
+	if merged, err = nn.Merge(net); err != nil {
+		return nil, nil, err
 	}
 	if err := nn.CheckAlternating(merged); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := nn.ProtocolShape(merged); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Middle non-linear stages run on permuted tensors: they must be
 	// element-wise (Section III-C). The final stage may contain SoftMax.
 	for i, m := range merged {
 		if m.Kind == nn.NonLinear && i != len(merged)-1 && !m.ElementWiseOnly() {
-			return nil, fmt.Errorf("protocol: intermediate non-linear stage %s contains position-dependent operations; replace MaxPool (nn.ReplaceMaxPool) or move SoftMax to the last layer", m.Name())
+			return nil, nil, fmt.Errorf("protocol: intermediate non-linear stage %s contains position-dependent operations; replace MaxPool (nn.ReplaceMaxPool) or move SoftMax to the last layer", m.Name())
 		}
 	}
-	return merged, nil
+	sched = make([]roundSpec, len(merged)/2)
+	for r := range sched {
+		linear, next := merged[2*r], merged[2*r+1]
+		relu := false
+		if 2*r+2 < len(merged) {
+			_, relu = next.Layers[0].(*nn.ReLU)
+		}
+		sched[r] = roundSpec{name: linear.Name(), in: linear.InShape, out: linear.OutShape,
+			exp: int32(1 + qnn.ScaleSteps(linear.Layers)), garbleReLU: relu}
+	}
+	return merged, sched, nil
 }
 
-// walk is the shared front of every role builder and of Serve: it checks
-// the factor and the workflow shape, then runs the one stage walk
-// (qnn.Walk) that quantizes every linear stage at factor — refusing a
+// walk is the model provider's front: the schedule, then the one stage
+// walk (qnn.Walk) that quantizes every linear stage at factor — refusing a
 // weight whose w·F does not fit an int32 with *qnn.WeightRangeError — and
 // chains the network's declared input domain into each stage's reply slot
-// width. It returns the merged stages and, per round, what a model
-// provider needs under any key: the linear stage's name, shapes, quantized
-// ops, slot width, whether the round's ReLU garbles, and its
-// key-independent operation counts. No round refers to the float network.
-// The workflow alternates from a linear start to a non-linear finish, so
-// round r's linear stage is merged[2r] and its non-linear stage
-// merged[2r+1].
-func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, rounds []linearStage, err error) {
-	if factor <= 0 {
-		return nil, nil, fmt.Errorf("protocol: scaling factor %d must be positive", factor)
+// width. Per round it adds what a model provider needs under any key: the
+// quantized ops, the slot width and the key-independent operation counts.
+// No round refers to the float network.
+func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, sched []roundSpec, stages []linearStage, err error) {
+	if merged, sched, err = schedule(net, factor); err != nil {
+		return nil, nil, nil, err
 	}
-	if merged, err = validateWorkflow(net); err != nil {
-		return nil, nil, err
-	}
-	stages, err := qnn.Walk(merged, net.InputMax, factor)
+	walked, err := qnn.Walk(merged, net.InputMax, factor)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	for r, st := range stages {
-		m := merged[2*r]
-		kernel, err := qnn.StageCost(st.Ops, m.InShape)
+	for r, st := range walked {
+		kernel, err := qnn.StageCost(st.Ops, sched[r].in)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		muls, err := qnn.MulCount(st.Ops, m.InShape)
+		muls, err := qnn.MulCount(st.Ops, sched[r].in)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		rounds = append(rounds, linearStage{
-			Stage:       backend.Stage{Ops: st.Ops, InShape: m.InShape.Clone(), OutShape: m.OutShape.Clone(), Muls: muls},
-			name:        m.Name(),
-			slotBits:    st.SlotBits(),
-			reluFollows: garblesReLU(merged, r),
-			kernel:      kernel,
-		})
+		stages = append(stages, linearStage{Stage: backend.Stage{Ops: st.Ops, Muls: muls}, slotBits: st.SlotBits(), kernel: kernel})
 	}
-	return merged, rounds, nil
-}
-
-// fits checks pk and that it holds one reply slot of every round: a key
-// that cannot is a *SlotError.
-func fits(rounds []linearStage, pk *paillier.PublicKey) error {
-	if err := pk.Validate(); err != nil {
-		return err
-	}
-	for _, st := range rounds {
-		if pk.Slots(st.slotBits) < 1 {
-			return &SlotError{Stage: st.name, SlotBits: st.slotBits, KeyBits: pk.Bits()}
-		}
-	}
-	return nil
+	return merged, sched, stages, nil
 }
 
 // BuildModelProvider constructs the model-provider role alone: it needs
 // the network (its own weights) and only the data provider's PUBLIC key.
 func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*ModelProvider, error) {
-	_, rounds, err := walk(net, cfg.Factor)
+	_, sched, stages, err := walk(net, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}
-	return newModelProvider(rounds, pk, cfg.Workers)
+	return newModelProvider(sched, stages, pk, cfg.Workers)
 }
 
-// newModelProvider builds a model provider for pk from walked rounds, each
-// stage on workers threads (at least one): it checks the key's slots, adds
-// the key's reply terms to each stage's counts and installs the all-Paillier
-// plan. The rounds are copied; their ops and shapes are shared read-only.
-func newModelProvider(rounds []linearStage, pk *paillier.PublicKey, workers int) (*ModelProvider, error) {
-	if err := fits(rounds, pk); err != nil {
+// newModelProvider builds a model provider for pk from a walk, each stage
+// on workers threads (at least one): it refuses a key that cannot hold one
+// reply slot of every round with a *SlotError, adds the key's reply terms
+// to each stage's counts and installs the all-Paillier plan. The stages
+// are copied; their ops and the schedule are shared read-only.
+func newModelProvider(sched []roundSpec, stages []linearStage, pk *paillier.PublicKey, workers int) (*ModelProvider, error) {
+	if err := pk.Validate(); err != nil {
 		return nil, err
 	}
 	mp := &ModelProvider{
-		roundPlan: privacyMax(rounds),
+		roundPlan: privacyMax(sched),
 		pk:        pk,
 		eval:      paillier.NewEvaluator(pk, nil),
 		state:     map[uint64]*obfuscate.Rounds{},
 	}
-	for _, st := range rounds {
+	for r, st := range stages {
+		if pk.Slots(st.slotBits) < 1 {
+			return nil, &SlotError{Stage: sched[r].name, SlotBits: st.slotBits, KeyBits: pk.Bits()}
+		}
 		st.Threads = max(workers, 1)
-		outs := st.OutShape.Size()
+		outs := sched[r].out.Size()
 		st.replies = pk.PackedLen(outs, st.slotBits)
 		replies := uint64(st.replies)
 		st.kernel.Add(obs.CostStats{
@@ -231,67 +241,41 @@ func newModelProvider(rounds []linearStage, pk *paillier.PublicKey, workers int)
 	return mp, nil
 }
 
-// garblesReLU reports whether round r's non-linear stage is intermediate
-// and starts with ReLU: there the ss-gc backend runs the ReLU as a garbled
-// circuit on the shares. The final non-linear stage runs in the clear on
-// the reconstructed result, so it never garbles.
-func garblesReLU(merged []*nn.PrimitiveLayer, r int) bool {
-	next := merged[2*r+1]
-	if 2*r+2 == len(merged) || len(next.Layers) == 0 {
-		return false
-	}
-	_, relu := next.Layers[0].(*nn.ReLU)
-	return relu
-}
-
 // BuildDataProvider constructs the data-provider role alone, from the
-// private key and the network. The architecture fixes each round's shapes
-// and reply exponent; the linear weights are quantized too (qnn.Walk,
-// which refuses one out of range) for the slot width their chained output
-// bound needs, below which a packed reply is refused. A zeroed skeleton
-// builds, with one-bit slot widths that loosen that check to nothing.
+// private key and the network's architecture: its shapes and layer kinds
+// fix the round schedule, and no linear weight is ever read, so a network
+// whose weights are all NaN builds the same role. A reply is decoded at
+// the slot width it carries; a key too small for a round's slots is
+// refused by the model provider, at the Hello.
 func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*DataProvider, error) {
-	merged, rounds, err := walk(net, cfg.Factor)
+	merged, sched, err := schedule(net, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}
-	if err := fits(rounds, &sk.PublicKey); err != nil {
-		return nil, err
-	}
-	return newDataProvider(net.InputMax, merged, rounds, sk, cfg), nil
-}
-
-func newDataProvider(inputMax float64, merged []*nn.PrimitiveLayer, rounds []linearStage, sk *paillier.PrivateKey, cfg Config) *DataProvider {
 	dp := &DataProvider{
-		roundPlan: privacyMax(rounds),
+		roundPlan: privacyMax(sched),
 		sk:        sk,
 		factor:    cfg.Factor,
-		inputMax:  inputMax,
+		inputMax:  net.InputMax,
 	}
-	for r, st := range rounds {
-		m := merged[2*r+1]
-		dp.stages = append(dp.stages, &nonLinearStage{
-			layers:     m.Layers,
-			slotBits:   st.slotBits,
-			inShape:    m.InShape.Clone(),
-			threads:    max(cfg.Workers, 1),
-			garbleReLU: st.reluFollows,
-		})
+	for r := range sched {
+		dp.stages = append(dp.stages, &nonLinearStage{layers: merged[2*r+1].Layers, threads: max(cfg.Workers, 1)})
 	}
-	return dp
+	return dp, nil
 }
 
 // Build validates the network's protocol shape, quantizes its linear
-// stages at cfg.Factor, and wires the two roles in one process (tests,
-// the CipherBase baseline, and the single-host engine). The private key
-// stays inside the data provider; the model provider receives only the
-// public key.
+// stages at cfg.Factor for the model provider, and wires the two roles in
+// one process (tests, the CipherBase baseline, and the single-host
+// engine); the data provider is BuildDataProvider's, built from the
+// architecture alone. The private key stays inside the data provider; the
+// model provider receives only the public key.
 func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, error) {
-	merged, rounds, err := walk(net, cfg.Factor)
+	merged, sched, stages, err := walk(net, cfg.Factor)
 	if err != nil {
 		return nil, err
 	}
-	mp, err := newModelProvider(rounds, &key.PublicKey, cfg.Workers)
+	mp, err := newModelProvider(sched, stages, &key.PublicKey, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +283,10 @@ func Build(net *nn.Network, key *paillier.PrivateKey, cfg Config) (*Protocol, er
 	for i, m := range merged {
 		names[i] = m.Name()
 	}
-	dp := newDataProvider(net.InputMax, merged, rounds, key, cfg)
+	dp, err := BuildDataProvider(net, key, cfg)
+	if err != nil {
+		return nil, err
+	}
 	return &Protocol{Model: mp, Data: dp, StageNames: names}, nil
 }
 
@@ -332,15 +319,15 @@ func (p *Protocol) ApplyProfile(profile backend.Profile, boundary int) (*backend
 //   - encryption: one per input element, each two multiplications and
 //     the key holder's two half-size exponentiations.
 func (p *Protocol) StageCosts() (encrypt obs.CostStats, merged []obs.CostStats) {
-	stages := p.Model.stages
-	for r, st := range stages {
+	sched := p.Model.sched
+	for r, st := range p.Model.stages {
 		nonLinear := decryptions(st.replies)
-		if r+1 < len(stages) {
-			nonLinear.Add(encryptions(stages[r+1].InShape.Size()))
+		if r+1 < len(sched) {
+			nonLinear.Add(encryptions(sched[r+1].in.Size()))
 		}
 		merged = append(merged, st.kernel, nonLinear)
 	}
-	return encryptions(stages[0].InShape.Size()), merged
+	return encryptions(sched[0].in.Size()), merged
 }
 
 // encryptions is what the data provider meters encrypting n values.
@@ -382,36 +369,42 @@ func (p *Protocol) Infer(req uint64, x *tensor.Dense) (*tensor.Dense, error) {
 	return env.Result, nil
 }
 
-// roundPlan is a role's per-round backend assignment. Both roles embed
-// one; it always holds a plan — Build* installs privacy-max's all-Paillier
-// one — and every replacement passes backend.ValidateAssignment against
-// the rounds' slot widths, which both roles derive from the same walk, so
-// the model provider refuses exactly the plans the data provider refuses.
+// roundPlan is a role's round schedule and its per-round backend
+// assignment. Both roles embed one, built from the same schedule; it
+// always holds a plan — Build* installs privacy-max's all-Paillier one —
+// and every replacement passes backend.ValidateAssignment, the rules both
+// roles know. The model provider adds ss-gc's ring, against the slot
+// widths only it holds.
 type roundPlan struct {
-	// slotBits is each round's slot width and exps its reply exponent,
-	// fixed at Build; the client's Hello carries its exps.
-	slotBits []int
-	exps     []int32
-	planMu   sync.RWMutex
-	kinds    []backend.Kind
+	// sched is fixed at Build; the client's Hello carries its exponents.
+	sched  []roundSpec
+	planMu sync.RWMutex
+	kinds  []backend.Kind
 }
 
-// privacyMax is the all-Paillier plan of the walked rounds.
-func privacyMax(rounds []linearStage) roundPlan {
-	slotBits, exps, kinds := make([]int, len(rounds)), make([]int32, len(rounds)), make([]backend.Kind, len(rounds))
-	for r, st := range rounds {
-		slotBits[r], exps[r], kinds[r] = st.slotBits, int32(1+qnn.StageScaleSteps(st.Ops)), backend.PaillierHE
+// privacyMax is the all-Paillier plan of the schedule.
+func privacyMax(sched []roundSpec) roundPlan {
+	kinds := make([]backend.Kind, len(sched))
+	for r := range kinds {
+		kinds[r] = backend.PaillierHE
 	}
-	return roundPlan{slotBits: slotBits, exps: exps, kinds: kinds}
+	return roundPlan{sched: sched, kinds: kinds}
+}
+
+// exps returns each round's reply exponent, the vector a Hello carries.
+func (p *roundPlan) exps() []int32 {
+	exps := make([]int32, len(p.sched))
+	for r, rs := range p.sched {
+		exps[r] = rs.exp
+	}
+	return exps
 }
 
 // SetBackendPlan installs the session's per-round backend assignment once
-// it passes the safety rules: one kind per round, each known, round 0 on
-// paillier-he (the raw input never leaves the data provider unencrypted),
-// ss-gc only where its ring holds the round's values and clear only as a
-// suffix. Safe to call concurrently with round processing.
+// it passes backend.ValidateAssignment. Safe to call concurrently with
+// round processing.
 func (p *roundPlan) SetBackendPlan(plan []backend.Kind) error {
-	if err := backend.ValidateAssignment("", plan, p.slotBits); err != nil {
+	if err := backend.ValidateAssignment("", plan, len(p.sched)); err != nil {
 		return fmt.Errorf("protocol: %w", err)
 	}
 	p.planMu.Lock()
@@ -439,15 +432,13 @@ func (p *roundPlan) labels() []string {
 	return out
 }
 
-// linearStage is one model-provider stage: the backend's view of it plus
-// what the planner and the reply packing need.
+// linearStage is what the model provider adds to a round of the schedule:
+// the backend's view of its linear stage plus what the planner and the
+// reply packing need.
 type linearStage struct {
 	backend.Stage
-	name string
-	// reluFollows marks that the intermediate nonlinear stage after this
-	// round starts with ReLU (the ss-gc backend garbles there).
-	reluFollows bool
-	// slotBits is the reply slot width W (stageSlotBits), fixed at Build.
+	// slotBits is the reply slot width W (qnn.Stage.SlotBits), fixed at
+	// Build.
 	slotBits int
 	// kernel is what a paillier-he pass meters here with no blinding pool:
 	// the walk counts the kernel, and each model provider adds its key's
@@ -484,9 +475,9 @@ func (mp *ModelProvider) Stages() int { return len(mp.stages) }
 func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 	out := make([]backend.LayerInfo, len(mp.stages))
 	for r, st := range mp.stages {
-		outs := st.OutShape.Size()
+		outs := mp.sched[r].out.Size()
 		info := backend.LayerInfo{
-			Name:     st.name,
+			Name:     mp.sched[r].name,
 			Outs:     outs,
 			SlotBits: st.slotBits,
 			Replies:  st.replies,
@@ -497,12 +488,12 @@ func (mp *ModelProvider) LayerInfos() []backend.LayerInfo {
 		info.HE.Add(decryptions(st.replies))
 		if r > 0 {
 			// The data provider encodes the round's input for its backend.
-			in := st.InShape.Size()
+			in := mp.sched[r].in.Size()
 			info.HE.Add(encryptions(in))
 			info.SSGC.PlainOps += uint64(in)
 			info.Clear.PlainOps += uint64(in)
 		}
-		if st.reluFollows {
+		if mp.sched[r].garbleReLU {
 			info.SSGC.Add(backend.ReLUCost(outs))
 		}
 		out[r] = info
@@ -525,6 +516,16 @@ func (mp *ModelProvider) applyProfile(profile backend.Profile, boundary int) (*b
 		return nil, err
 	}
 	return plan, nil
+}
+
+// SetBackendPlan installs the session's per-round backend assignment once
+// it passes the rules both roles check (roundPlan.SetBackendPlan) and
+// ss-gc's ring, against the rounds' slot widths.
+func (mp *ModelProvider) SetBackendPlan(plan []backend.Kind) error {
+	if err := backend.CheckRing(plan, mp.LayerInfos()); err != nil {
+		return fmt.Errorf("protocol: %w", err)
+	}
+	return mp.roundPlan.SetBackendPlan(plan)
 }
 
 // SetBlindPool replaces the evaluator's reply blinding pool (nil: every
@@ -577,7 +578,7 @@ func (mp *ModelProvider) forSession() *ModelProvider {
 	mp.planMu.RLock()
 	defer mp.planMu.RUnlock()
 	return &ModelProvider{
-		roundPlan: roundPlan{slotBits: mp.slotBits, exps: mp.exps, kinds: mp.kinds},
+		roundPlan: roundPlan{sched: mp.sched, kinds: mp.kinds},
 		pk:        mp.pk, eval: mp.eval, pool: mp.pool, stages: mp.stages,
 		state: map[uint64]*obfuscate.Rounds{},
 	}
@@ -648,7 +649,7 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 	// can run.
 	if r < len(mp.stages)-1 {
 		permStart := time.Now()
-		perm, err := mp.rounds(env.Req).Next(st.OutShape.Size())
+		perm, err := mp.rounds(env.Req).Next(mp.sched[r].out.Size())
 		if err != nil {
 			return nil, tm, err
 		}
@@ -678,7 +679,7 @@ func (mp *ModelProvider) ProcessLinearMetered(r int, env *Envelope, m *obs.CostM
 // round's permutation in every round but the first. The stage evaluates
 // the input at scale F¹, where the data provider encodes every round's.
 func (mp *ModelProvider) roundInput(r int, env *Envelope, tm *LinearTiming) (*backend.Payload, error) {
-	st := mp.stages[r]
+	shape := mp.sched[r].in
 	if kind := mp.RoundBackend(r); env.Kind != kind {
 		return nil, fmt.Errorf("protocol: round %d arrived as %q, session plan assigns %q", r, env.Kind, kind)
 	}
@@ -689,40 +690,34 @@ func (mp *ModelProvider) roundInput(r int, env *Envelope, tm *LinearTiming) (*ba
 	if err != nil {
 		return nil, fmt.Errorf("protocol: linear stage %d: %w", r, err)
 	}
-	if size != st.InShape.Size() {
-		return nil, fmt.Errorf("protocol: linear stage %d input size %d, want %v", r, size, st.InShape)
+	if size != shape.Size() {
+		return nil, fmt.Errorf("protocol: linear stage %d input size %d, want %v", r, size, shape)
 	}
 	if r == 0 {
-		return env.Payload.Reshape(st.InShape)
+		return env.Payload.Reshape(shape)
 	}
 	start := time.Now()
 	perm, err := mp.rounds(env.Req).Pop()
 	if err != nil {
 		return nil, err
 	}
-	in, err := env.Payload.InvertPerm(perm, st.InShape)
+	in, err := env.Payload.InvertPerm(perm, shape)
 	tm.Permute += time.Since(start)
 	return in, err
 }
 
-// nonLinearStage is one data-provider stage.
+// nonLinearStage is what the data provider adds to a round of the
+// schedule: the round's non-linear layers and their threads.
 type nonLinearStage struct {
 	layers  []nn.Layer
-	inShape tensor.Shape
 	threads int
-	// slotBits is the slot width this side's copy of the preceding linear
-	// stage implies; a packed reply with narrower slots could overflow
-	// them and is refused.
-	slotBits int
-	// garbleReLU marks an ss-gc round whose leading ReLU runs inside the
-	// garbled circuit on the shares (garblesReLU).
-	garbleReLU bool
 }
 
-// DataProvider holds the private key, encrypts inputs, and evaluates
-// non-linear stages on plaintext. Under a backend plan it also decodes
-// each round's payload per its backend (decrypt / reconstruct shares /
-// pass plaintext through) and re-encodes for the next round's backend.
+// DataProvider holds the private key and the architecture, never a
+// weight: it encrypts inputs and evaluates non-linear stages on plaintext.
+// Under a backend plan it also decodes each round's payload per its
+// backend (decrypt / reconstruct shares / pass plaintext through) and
+// re-encodes for the next round's backend.
 type DataProvider struct {
 	roundPlan
 	sk     *paillier.PrivateKey
@@ -813,7 +808,7 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 	if r < 0 || r >= len(dp.stages) {
 		return nil, fmt.Errorf("protocol: no non-linear stage %d", r)
 	}
-	st := dp.stages[r]
+	st, rs := dp.stages[r], dp.sched[r]
 	if kind := dp.RoundBackend(r); env.Kind != kind {
 		return nil, fmt.Errorf("protocol: round %d reply arrived as %q, session plan assigns %q", r, env.Kind, kind)
 	}
@@ -824,7 +819,7 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 	// Only the last round arrives unpermuted: its SoftMax is
 	// position-dependent.
 	if r == len(dp.stages)-1 {
-		cur, err := vals.Reshape(st.inShape...)
+		cur, err := vals.Reshape(rs.out...)
 		if err != nil {
 			return nil, err
 		}
@@ -842,7 +837,7 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 	flat := vals.Flatten()
 	data := flat.Data()
 	for li, l := range st.layers {
-		if li == 0 && st.garbleReLU && env.Kind == backend.SSGC {
+		if li == 0 && rs.garbleReLU && env.Kind == backend.SSGC {
 			continue
 		}
 		ew, ok := l.(nn.ElementWise)
@@ -861,16 +856,13 @@ func (dp *DataProvider) ProcessNonLinearMetered(r int, env *Envelope, m *obs.Cos
 // ss-gc shares — running a leading ReLU on them through the garbled
 // circuit first (exact on ring integers: a sign test at scale F^exp
 // commutes with descaling), so only the fresh output shares are opened —
-// or take clear integers as they are. The reply must hold the stage's
-// input values — a packed one, PackedLen of them at its slot width — and
-// they are descaled at the preceding linear stage's output exponent.
+// or take clear integers as they are. The reply must hold the round's
+// output values — a packed one, PackedLen of them at the slot width it
+// carries — and they are descaled at the round's reply exponent.
 func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.Dense, error) {
-	st := dp.stages[r]
-	count, want := st.inShape.Size(), st.inShape.Size()
+	st, rs := dp.stages[r], dp.sched[r]
+	count, want := rs.out.Size(), rs.out.Size()
 	if env.Kind == backend.PaillierHE {
-		if env.SlotBits < st.slotBits {
-			return nil, fmt.Errorf("protocol: round %d reply has %d-bit slots, this stage's bound needs %d", r, env.SlotBits, st.slotBits)
-		}
 		want = dp.sk.PackedLen(count, env.SlotBits)
 	}
 	size, err := env.Payload.Size()
@@ -878,7 +870,7 @@ func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.De
 		return nil, fmt.Errorf("protocol: non-linear stage %d: %w", r, err)
 	}
 	if size != want {
-		return nil, fmt.Errorf("protocol: round %d reply has %d elements, stage %v takes %d", r, size, st.inShape, want)
+		return nil, fmt.Errorf("protocol: round %d reply has %d elements, stage %v takes %d", r, size, rs.out, want)
 	}
 	ints := env.Plain
 	switch env.Kind {
@@ -890,7 +882,7 @@ func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.De
 		m.Add(obs.CostStats{Decrypts: n, ModExps: 2 * n})
 	case backend.SSGC:
 		shares := env.Sh.Data()
-		if st.garbleReLU {
+		if rs.garbleReLU {
 			ot, err := dp.gcOT()
 			if err != nil {
 				return nil, err
@@ -906,7 +898,7 @@ func (dp *DataProvider) open(r int, env *Envelope, m *obs.CostMeter) (*tensor.De
 		n := uint64(len(shares))
 		m.Add(obs.CostStats{OpenedWords: 2 * n, PlainOps: n})
 	}
-	return qnn.Descale(ints, dp.factor, int(dp.exps[r]))
+	return qnn.Descale(ints, dp.factor, int(rs.exp))
 }
 
 // encodeFor packs the next round's scaled input in the representation
@@ -968,9 +960,8 @@ func (mp *ModelProvider) StageComm(r, threads int) (withPart, withoutPart int, e
 	if r < 0 || r >= len(mp.stages) {
 		return 0, 0, fmt.Errorf("protocol: no linear stage %d", r)
 	}
-	st := mp.stages[r]
-	shape := st.InShape
-	for _, op := range st.Ops {
+	shape := mp.sched[r].in
+	for _, op := range mp.stages[r].Ops {
 		next, err := op.OutShape(shape)
 		if err != nil {
 			return 0, 0, err

@@ -53,7 +53,7 @@ func serveRounds(t *testing.T, proto *Protocol, cfg SessionConfig, in, out, clie
 	if reply != nil {
 		out = reply(out)
 	}
-	if err := client.Send(ctx, &stream.Message{Payload: &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps}}); err != nil {
+	if err := client.Send(ctx, &stream.Message{Payload: &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps()}}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := openSession(ctx, in, out, cfg, func(*Hello, *paillier.PublicKey) (*ModelProvider, error) { return proto.Model, nil })
@@ -355,7 +355,7 @@ func TestSessionStageCancelReleasesTCPRecv(t *testing.T) {
 	go func() {
 		served <- ServeSession(ctx, accepted, accepted, proto.Model, SessionConfig{Factor: 1000})
 	}()
-	sayHello(ctx, t, dialed, &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps})
+	sayHello(ctx, t, dialed, &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps()})
 	cancel()
 	select {
 	case err := <-served:

@@ -46,7 +46,7 @@ type Hello struct {
 	// Plan, in the answer, is the session's solved per-round backend
 	// assignment (backend.Kind wire codes).
 	Plan []int32
-	// Exps is each round's reply exponent as the client's walk fixes it,
+	// Exps is each round's reply exponent as the client's schedule fixes it,
 	// the power of F it descales the reply by. The server refuses a Hello
 	// whose vector is not its own network's.
 	Exps []int32
@@ -223,8 +223,8 @@ func ServeSession(ctx context.Context, in, out stream.Edge, mp *ModelProvider, c
 // requests (bounded by cfg.MaxWorkers). A network the protocol cannot
 // serve fails the Hello.
 func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Network, cfg SessionConfig) error {
-	_, rounds, err := walk(net, cfg.Factor)
-	return serveSession(ctx, in, out, cfg, building(rounds, err, cfg))
+	_, sched, stages, err := walk(net, cfg.Factor)
+	return serveSession(ctx, in, out, cfg, building(sched, stages, err, cfg))
 }
 
 // Serve is the model provider's server for one network: it walks net once
@@ -238,7 +238,7 @@ func ServeSessionConfig(ctx context.Context, in, out stream.Edge, net *nn.Networ
 // session has ended: nil, or the error that stopped the accept loop. A
 // network the protocol cannot serve is refused before the first accept.
 func Serve(ctx context.Context, ln net.Listener, model *nn.Network, cfg SessionConfig) error {
-	_, rounds, err := walk(model, cfg.Factor)
+	_, sched, stages, err := walk(model, cfg.Factor)
 	if err != nil {
 		return err
 	}
@@ -246,7 +246,7 @@ func Serve(ctx context.Context, ln net.Listener, model *nn.Network, cfg SessionC
 	if log == nil {
 		log = quiet
 	}
-	provide := building(rounds, nil, cfg)
+	provide := building(sched, stages, nil, cfg)
 	defer context.AfterFunc(ctx, func() { ln.Close() })()
 	// down ends with ctx or the accept loop and closes the live connections.
 	down, stop := context.WithCancel(ctx)
@@ -279,11 +279,12 @@ func Serve(ctx context.Context, ln net.Listener, model *nn.Network, cfg SessionC
 	}
 }
 
-// building is the provider that builds one from the walked rounds for each
-// client's key, on the threads the Hello asks for up to cfg.MaxWorkers (or
+// building is the provider that builds one from a walk for each client's
+// key, on the threads the Hello asks for up to cfg.MaxWorkers (or
 // GOMAXPROCS); walkErr, when not nil, is why the network was not walked,
-// and fails every Hello.
-func building(rounds []linearStage, walkErr error, cfg SessionConfig) provider {
+// and fails every Hello. A key too small for a round's reply slots fails
+// the Hello with the *SlotError.
+func building(sched []roundSpec, stages []linearStage, walkErr error, cfg SessionConfig) provider {
 	limit := cfg.MaxWorkers
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
@@ -293,7 +294,7 @@ func building(rounds []linearStage, walkErr error, cfg SessionConfig) provider {
 		err := walkErr
 		var mp *ModelProvider
 		if err == nil {
-			mp, err = newModelProvider(rounds, pk, workers)
+			mp, err = newModelProvider(sched, stages, pk, workers)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("protocol: building provider for session: %w", err)
@@ -566,8 +567,8 @@ func acceptHello(first *stream.Message, cfg SessionConfig, provide provider) (*M
 	if err != nil {
 		return nil, nil, err
 	}
-	if !slices.Equal(hello.Exps, mp.exps) {
-		return nil, nil, fmt.Errorf("protocol: client reply exponents %v do not match the served network's %v", hello.Exps, mp.exps)
+	if exps := mp.exps(); !slices.Equal(hello.Exps, exps) {
+		return nil, nil, fmt.Errorf("protocol: client reply exponents %v do not match the served network's %v", hello.Exps, exps)
 	}
 	plan, err := mp.applyProfile(backend.Stricter(policy, requested), cfg.ClearBoundary)
 	return mp, plan, err

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	mathrand "math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ppstream/internal/models"
 	"ppstream/internal/nn"
 	"ppstream/internal/obs"
 	"ppstream/internal/paillier"
@@ -199,48 +202,65 @@ func TestHelloPublicKeyAcceptsValid(t *testing.T) {
 }
 
 // TestDataProviderNeedsNoWeights: the client role builds from an
-// architecture whose linear weights are zeroed and still infers correctly
-// against the real model provider. BuildDataProvider does quantize the
-// weights it is given, for the reply slot widths; zeroed ones only loosen
-// the narrow-slot check.
+// architecture whose every linear weight and bias is NaN — a fully
+// connected one and MNIST-2's convolution — and a session against a server
+// of the real network returns what Protocol.Infer does, bit for bit. The
+// data provider never reads a weight: quantizing a NaN one is refused with
+// a *qnn.WeightRangeError, so a client that did would not build.
 func TestDataProviderNeedsNoWeights(t *testing.T) {
-	k := key(t)
-	netw := buildNet(t)
-	skeleton := netw.Clone()
-	for _, l := range skeleton.Layers {
-		if fc, ok := l.(*nn.FC); ok {
-			fc.W.Fill(0)
-			fc.B.Fill(0)
-		}
-	}
-	dp, err := BuildDataProvider(skeleton, k, Config{Factor: 1000})
+	spec, err := models.ByName("MNIST-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pair the skeleton-built data provider with the real model
-	// provider and run a full inference.
-	mp, err := BuildModelProvider(netw, &k.PublicKey, Config{Factor: 1000})
+	mnist, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.MustFromSlice([]float64{0.4, -0.2, 1.0, 0.3}, 4)
-	env, err := dp.EncryptMetered(1, x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < mp.Stages(); r++ {
-		env, _, err = mp.ProcessLinearMetered(r, env, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, err = dp.ProcessNonLinearMetered(r, env, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _ := netw.Forward(x)
-	if !tensor.AllClose(want, env.Result, 1e-2) {
-		t.Error("skeleton-built data provider produced wrong result")
+	for _, netw := range []*nn.Network{buildNet(t), mnist} {
+		t.Run(netw.ModelName, func(t *testing.T) {
+			const factor = 1000
+			k := key(t)
+			x := tensor.Zeros(netw.InputShape...)
+			for i := range x.Data() {
+				x.Data()[i] = float64(i%5) / 4
+			}
+			proto, err := Build(netw, k, Config{Factor: factor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := proto.Infer(1, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arch := netw.Clone()
+			for _, l := range arch.Layers {
+				if p, ok := l.(nn.Trainable); ok && l.Kind() == nn.Linear {
+					for _, param := range p.Params() {
+						param.Fill(math.NaN())
+					}
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			toServer, toClient := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
+			served := make(chan error, 1)
+			go func() { served <- ServeSessionConfig(ctx, toServer, toClient, netw, SessionConfig{Factor: factor}) }()
+			client, err := NewClientOpts(ctx, toClient, toServer, arch, k, factor, ClientOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := client.Infer(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Data(), want.Data()) {
+				t.Errorf("weightless client: %v, Protocol.Infer: %v", got.Data(), want.Data())
+			}
+			client.Close()
+			if err := <-served; err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

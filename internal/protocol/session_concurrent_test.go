@@ -152,7 +152,7 @@ func TestSessionIdleEviction(t *testing.T) {
 			Registry: reg,
 		})
 	}()
-	sayHello(ctx, t, edge, &Hello{N: k.N.Bytes(), Factor: factor, Workers: 1, Exps: proto.Data.exps})
+	sayHello(ctx, t, edge, &Hello{N: k.N.Bytes(), Factor: factor, Workers: 1, Exps: proto.Data.exps()})
 	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(4), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -25,19 +25,20 @@ func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, cha
 	edge, serverEdge := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	t.Cleanup(cancel)
-	_, rounds, err := walk(buildNet(t), cfg.Factor)
+	_, sched, stages, err := walk(buildNet(t), cfg.Factor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opened := make(chan *session, 1)
 	go func() {
-		s, err := openSession(ctx, serverEdge, serverEdge, cfg, building(rounds, nil, cfg))
+		s, err := openSession(ctx, serverEdge, serverEdge, cfg, building(sched, stages, nil, cfg))
 		if err != nil {
 			t.Error(err)
 		}
 		opened <- s
 	}()
-	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1, Exps: privacyMax(rounds).exps})
+	plan := privacyMax(sched)
+	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1, Exps: plan.exps()})
 	s := <-opened
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.serve(serverEdge) }()

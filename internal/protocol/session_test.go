@@ -258,7 +258,7 @@ func TestSessionDeadlineMidRound(t *testing.T) {
 		cfg := SessionConfig{Factor: 1000, IdleTTL: 20 * time.Millisecond, Gate: gate, Registry: reg}
 		serveErr <- serveSession(ctx, serverEdge, serverEdge, cfg, observing(proto.Model, &own))
 	}()
-	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1, Exps: proto.Data.exps})
+	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1, Exps: proto.Data.exps()})
 	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(256), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +353,7 @@ func TestSessionOwnsItsPermutations(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- ServeSession(ctx, toModel, toData, proto.Model, SessionConfig{Factor: 1000}) }()
 	client := duplex{out: toModel, in: toData}
-	sayHello(ctx, t, client, &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps})
+	sayHello(ctx, t, client, &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps()})
 	// round sends req's round-r envelope and returns the data provider's
 	// step on the reply.
 	round := func(r int, env *Envelope) *Envelope {

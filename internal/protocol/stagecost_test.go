@@ -73,14 +73,14 @@ func TestProvidersShareTheWalksKernelCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rounds, err := walk(net, 100)
+	_, sched, rounds, err := walk(net, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	walked := append([]linearStage(nil), rounds...)
 	for _, bits := range []int{256, 512} {
 		pk := &keyOfBits(t, bits).PublicKey
-		mp, err := newModelProvider(rounds, pk, 1)
+		mp, err := newModelProvider(sched, rounds, pk, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestProvidersShareTheWalksKernelCounts(t *testing.T) {
 			if w.kernel.IsZero() || w.Muls == 0 {
 				t.Fatalf("the walk left round %d uncounted", r)
 			}
-			outs := st.OutShape.Size()
+			outs := sched[r].out.Size()
 			replies := uint64(pk.PackedLen(outs, st.slotBits))
 			want := w.kernel
 			want.Add(obs.CostStats{MulMods: pk.PackMulMods(outs, st.slotBits), Rerands: replies, ModExps: replies, PoolMisses: replies})

@@ -18,9 +18,9 @@ import (
 // TestOversizedWeightRefused: a weight whose w·F does not fit the int32 a
 // served weight is held in — 3000 at F = 10⁶ — is refused with the one
 // typed error naming the stage, the weight and the factor, by every way
-// into a model: Build, BuildDataProvider, BuildModelProvider and Serve,
-// which refuses before its first accept (a Serve that accepts instead
-// returns nil when its context ends).
+// into a model provider: Build, BuildModelProvider and Serve, which
+// refuses before its first accept (a Serve that accepts instead returns
+// nil when its context ends). The data provider reads no weight.
 func TestOversizedWeightRefused(t *testing.T) {
 	const factor = 1_000_000
 	r := mathrand.New(mathrand.NewSource(9))
@@ -37,12 +37,11 @@ func TestOversizedWeightRefused(t *testing.T) {
 	defer ln.Close()
 	k := key(t)
 	_, errBuild := Build(model, k, Config{Factor: factor})
-	_, errData := BuildDataProvider(model, k, Config{Factor: factor})
 	_, errModel := BuildModelProvider(model, &k.PublicKey, Config{Factor: factor})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	errServe := Serve(ctx, ln, model, SessionConfig{Factor: factor})
-	for via, err := range map[string]error{"Build": errBuild, "BuildDataProvider": errData, "BuildModelProvider": errModel, "Serve": errServe} {
+	for via, err := range map[string]error{"Build": errBuild, "BuildModelProvider": errModel, "Serve": errServe} {
 		var wr *qnn.WeightRangeError
 		if !errors.As(err, &wr) {
 			t.Errorf("%s = %v, want a *qnn.WeightRangeError", via, err)
@@ -78,7 +77,7 @@ func TestWalkHoldsFourBytesAWeight(t *testing.T) {
 	runtime.GC()
 	runtime.GC() // the second empties what sync.Pools kept through the first
 	runtime.ReadMemStats(&before)
-	_, rounds, err := walk(model, 100)
+	_, _, rounds, err := walk(model, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

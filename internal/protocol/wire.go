@@ -40,8 +40,8 @@ func (w *WireEnvelope) CipherBytes() uint64 {
 // share words per element, and a clear round — past the operator's clear
 // boundary — carries signed integers.
 //
-// It carries only what the receiver cannot derive from its own walk of the
-// network and the session plan: the request ID, the round's elements in
+// It carries only what the receiver cannot derive from its own schedule of
+// the network and the session plan: the request ID, the round's elements in
 // one non-empty vector, and a packed reply's slot width.
 //
 // The slices are shared, not copied: ToWire points them at the envelope's
@@ -153,7 +153,7 @@ func ToWire(env *Envelope) (*WireEnvelope, error) {
 // vector or with more than one, an out-of-range ciphertext or an over-wide
 // integer is refused — the receiving provider treats the network as
 // untrusted. The element count and the backend are the receiving role's
-// to check against its own walk and the session plan.
+// to check against its own schedule and the session plan.
 func FromWire(w *WireEnvelope, pk *paillier.PublicKey) (*Envelope, error) {
 	if w == nil {
 		return nil, errors.New("protocol: nil wire envelope")

@@ -111,7 +111,7 @@ func TestWalkSoundOnTableIIIModels(t *testing.T) {
 				if r == len(stages)-1 {
 					break
 				}
-				vals, err := Descale(out, F, 1+StageScaleSteps(st.Ops))
+				vals, err := Descale(out, F, 1+ScaleSteps(merged[2*r].Layers))
 				if err != nil {
 					t.Fatal(err)
 				}

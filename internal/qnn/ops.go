@@ -24,9 +24,6 @@ func quantizeFC(l *nn.FC, qz *quantizer) *QFC {
 // Name implements Op.
 func (q *QFC) Name() string { return q.name }
 
-// ScaleSteps implements Op.
-func (q *QFC) ScaleSteps() int { return 1 }
-
 // OutShape implements Op.
 func (q *QFC) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	if in.Size() != len(q.W[0]) {
@@ -132,9 +129,6 @@ func GatherRows(p tensor.ConvParams) [][]int32 {
 
 // Name implements Op.
 func (q *QConv) Name() string { return q.name }
-
-// ScaleSteps implements Op.
-func (q *QConv) ScaleSteps() int { return 1 }
 
 // OutShape implements Op.
 func (q *QConv) OutShape(in tensor.Shape) (tensor.Shape, error) {
@@ -246,9 +240,6 @@ func quantizeElemScale(l *nn.ElemScale, qz *quantizer) *QAffine {
 // Name implements Op.
 func (q *QAffine) Name() string { return q.name }
 
-// ScaleSteps implements Op.
-func (q *QAffine) ScaleSteps() int { return 1 }
-
 // OutShape implements Op.
 func (q *QAffine) OutShape(in tensor.Shape) (tensor.Shape, error) {
 	if q.coeffSpan(in) == 0 {
@@ -324,9 +315,6 @@ type QFlatten struct {
 
 // Name implements Op.
 func (q *QFlatten) Name() string { return q.name }
-
-// ScaleSteps implements Op.
-func (q *QFlatten) ScaleSteps() int { return 0 }
 
 // OutShape implements Op.
 func (q *QFlatten) OutShape(in tensor.Shape) (tensor.Shape, error) {

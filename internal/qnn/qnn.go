@@ -32,9 +32,6 @@ type Op interface {
 	Name() string
 	// OutShape computes the output tensor shape.
 	OutShape(in tensor.Shape) (tensor.Shape, error)
-	// ScaleSteps reports how many powers of F the op multiplies into the
-	// result (1 for parameterized ops, 0 for structural ones).
-	ScaleSteps() int
 	// InputNeeds lists the flat input offsets that output element outIdx
 	// reads over an input of shape in; nil means the whole input (a
 	// fully-connected row). It is what tensor partitioning accounts
@@ -99,21 +96,37 @@ func QuantizeStage(p *nn.PrimitiveLayer, F int64) ([]Op, error) {
 	if p.Kind != nn.Linear {
 		return nil, fmt.Errorf("qnn: stage %s is %v, want linear", p.Name(), p.Kind)
 	}
-	qz := &quantizer{stage: p.Name(), F: F, exp: 1}
+	qz := &quantizer{stage: p.Name(), F: F}
 	ops := make([]Op, len(p.Layers))
 	for i, l := range p.Layers {
+		qz.exp = 1 + ScaleSteps(p.Layers[:i])
 		op, err := quantize(l, qz)
 		if err != nil {
 			return nil, err
 		}
 		ops[i] = op
-		qz.exp += op.ScaleSteps()
 	}
 	return ops, nil
 }
 
+// ScaleSteps returns how many powers of F a linear stage's layers multiply
+// into its input's scale: one per weighted layer, none for a reshape. It
+// reads only the layers' kinds, never a weight, so a stage's reply
+// exponent, 1 + ScaleSteps, is public: both protocol roles take it from
+// the architecture.
+func ScaleSteps(layers []nn.Layer) int {
+	steps := 0
+	for _, l := range layers {
+		if _, reshape := l.(*nn.Flatten); !reshape {
+			steps++
+		}
+	}
+	return steps
+}
+
 // WeightRangeError refuses a linear stage holding a weight whose w·F, at
-// Factor, does not fit the int32 every served weight is held in.
+// Factor, does not fit the int32 every served weight is held in, or a NaN
+// or infinite bias, which no integer holds.
 type WeightRangeError struct {
 	Stage  string
 	Weight float64
@@ -126,7 +139,7 @@ func (e *WeightRangeError) Error() string {
 
 // quantizer rounds one stage's weights to w·F, and the biases of its op
 // at input exponent exp to that op's output scale, and keeps the first
-// weight that does not fit an int32.
+// parameter it refuses.
 type quantizer struct {
 	stage string
 	F     int64
@@ -139,10 +152,14 @@ func (qz *quantizer) weight(w float64) int32 {
 	if v >= math.MinInt32 && v <= math.MaxInt32 {
 		return int32(v)
 	}
-	if qz.err == nil {
-		qz.err = &WeightRangeError{Stage: qz.stage, Weight: w, Factor: qz.F}
-	}
+	qz.refuse(w)
 	return 0
+}
+
+func (qz *quantizer) refuse(p float64) {
+	if qz.err == nil {
+		qz.err = &WeightRangeError{Stage: qz.stage, Weight: p, Factor: qz.F}
+	}
 }
 
 // matrix quantizes the row-major ws into a rows×cols matrix over one
@@ -164,21 +181,14 @@ func (qz *quantizer) biases(bs []float64) []*big.Int {
 	scale := new(big.Float).SetInt(powF(qz.F, qz.exp+1))
 	out := make([]*big.Int, len(bs))
 	for i, b := range bs {
-		if b != 0 {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			qz.refuse(b)
+		} else if b != 0 {
 			bf := new(big.Float).SetFloat64(b)
 			out[i], _ = bf.Mul(bf, scale).Int(nil)
 		}
 	}
 	return out
-}
-
-// StageScaleSteps sums the scale steps of a stage's ops.
-func StageScaleSteps(ops []Op) int {
-	total := 0
-	for _, op := range ops {
-		total += op.ScaleSteps()
-	}
-	return total
 }
 
 // ApplyStage runs a stage's ops in sequence over ciphertexts. It is the
@@ -363,7 +373,7 @@ func StageBound(ops []Op, in *big.Int) *big.Int {
 type Stage struct {
 	Ops []Op
 	// In bounds the stage's input elements and Out its output elements,
-	// as integers at scale F¹ and F^(1+StageScaleSteps(Ops)).
+	// as integers at scale F¹ and F^(1+ScaleSteps) of the stage's layers.
 	In, Out *big.Int
 }
 
@@ -379,19 +389,19 @@ func (s Stage) SlotBits() int { return 1 + s.Out.BitLen() }
 // StageBound, and the next round starts from that bound descaled, pushed
 // through the element-wise layers between the two stages and rescaled the
 // way the data provider does it (scaledBound). It is the one derivation of
-// the slot widths both protocol roles and the planners use.
+// the slot widths the model provider and the planners use.
 func Walk(merged []*nn.PrimitiveLayer, inputMax float64, F int64) ([]Stage, error) {
 	in := int64Bound
 	if inputMax > 0 {
 		in = scaledBound(inputMax, F)
 	}
 	var stages []Stage
+	// div is the last linear stage's output scale, F^(1+ScaleSteps).
+	var div *big.Float
 	for _, m := range merged {
 		if m.Kind != nn.Linear {
 			if n := len(stages); n > 0 {
-				last := &stages[n-1]
-				div := new(big.Float).SetInt(powF(F, 1+StageScaleSteps(last.Ops)))
-				real := descale(last.Out, div)
+				real := descale(stages[n-1].Out, div)
 				in = scaledBound(nn.ElementWiseBound(m.Layers, real), F)
 			}
 			continue
@@ -401,6 +411,7 @@ func Walk(merged []*nn.PrimitiveLayer, inputMax float64, F int64) ([]Stage, erro
 			return nil, err
 		}
 		stages = append(stages, Stage{Ops: ops, In: in, Out: StageBound(ops, in)})
+		div = new(big.Float).SetInt(powF(F, 1+ScaleSteps(m.Layers)))
 	}
 	return stages, nil
 }

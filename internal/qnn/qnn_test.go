@@ -2,6 +2,8 @@ package qnn
 
 import (
 	"crypto/rand"
+	"errors"
+	"math"
 	"math/big"
 	mathrand "math/rand"
 	"sync"
@@ -63,6 +65,15 @@ func TestQuantizeRejects(t *testing.T) {
 	if _, err := Quantize(nn.NewFC("fc", 2, 2, rng()), 0); err == nil {
 		t.Error("zero factor accepted")
 	}
+	// A bias no integer holds is refused like an oversized weight.
+	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		fc := nn.NewFC("fc", 2, 2, rng())
+		fc.B.Fill(b)
+		var wr *WeightRangeError
+		if _, err := Quantize(fc, 100); !errors.As(err, &wr) {
+			t.Errorf("bias %v: err = %v, want a *WeightRangeError", b, err)
+		}
+	}
 }
 
 // TestQFCMatchesPlaintext verifies the homomorphic FC equals the float FC
@@ -85,7 +96,7 @@ func TestQFCMatchesPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := decryptFloats(t, k, outCT, F, 1+op.ScaleSteps())
+	got := decryptFloats(t, k, outCT, F, 1+ScaleSteps([]nn.Layer{fc}))
 	if !tensor.AllClose(want, got, 0.01) {
 		t.Errorf("homomorphic FC %v, plaintext %v", got.Data(), want.Data())
 	}
@@ -177,11 +188,12 @@ func TestQElemScale(t *testing.T) {
 }
 
 func TestQFlattenNoScaleStep(t *testing.T) {
-	op, err := Quantize(nn.NewFlatten("f"), 10)
+	fl := nn.NewFlatten("f")
+	op, err := Quantize(fl, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.ScaleSteps() != 0 {
+	if ScaleSteps([]nn.Layer{fl}) != 0 {
 		t.Error("flatten must not change scale")
 	}
 	out, err := op.OutShape(tensor.Shape{2, 3})
@@ -209,7 +221,7 @@ func TestApplyStageMergedLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := StageScaleSteps(ops); got != 2 {
+	if got := ScaleSteps(stage.Layers); got != 2 {
 		t.Fatalf("stage scale steps %d, want 2", got)
 	}
 	x := tensor.Zeros(1, 4, 4)
@@ -225,7 +237,7 @@ func TestApplyStageMergedLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := decryptFloats(t, k, outCT, F, 1+StageScaleSteps(ops))
+	got := decryptFloats(t, k, outCT, F, 1+ScaleSteps(stage.Layers))
 	// F=100 is coarse; tolerance reflects quantization error.
 	if !tensor.AllClose(want, got, 0.15) {
 		t.Errorf("merged stage diverges:\n got %v\nwant %v", got.Data(), want.Data())

@@ -162,7 +162,7 @@ func TestApplySharedThenTruncate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shift := uint(bits * op.ScaleSteps())
+			shift := uint(bits * ScaleSteps([]nn.Layer{c.layer}))
 			for i, s := range got.Data() {
 				g := secshare.SignedOfRing(secshare.Truncate(s, shift).Reconstruct())
 				w := new(big.Int).Rsh(want.Data()[i], shift).Int64()
