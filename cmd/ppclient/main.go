@@ -13,9 +13,10 @@
 //
 //	ppclient -model models/Heart.gob -addr 127.0.0.1:7100 -factor 10000 -n 3
 //
-// The connection speaks wire format v6 (DESIGN.md); client and server must
-// be builds of the same wire version, and a mismatch ends the session with
-// an "unsupported wire version" error instead of a misparse.
+// The connection speaks the wire format at stream.WireVersion (DESIGN.md
+// §4e); client and server must be builds of the same wire version, and a
+// mismatch ends the session with an "unsupported wire version" error
+// instead of a misparse.
 //
 // With -concurrency C > 1, C goroutines share the single multiplexed
 // session: their round frames interleave on one connection and the

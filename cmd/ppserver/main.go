@@ -8,10 +8,11 @@
 //
 //	ppserver -model models/Heart.gob -listen :7100 -factor 10000 -metrics :7200
 //
-// Connections speak wire format v6 (DESIGN.md): a client that opens with
-// anything else — another version, or the gob stream of a build before the
-// format existed — is answered with one "unsupported wire version" error
-// frame and dropped; the model file is the only gob left.
+// Connections speak the wire format at stream.WireVersion (DESIGN.md §4e):
+// a client that opens with anything else — another version, or the gob
+// stream of a build before the format existed — is answered with one
+// "unsupported wire version" error frame and dropped; the model file is
+// the only gob left.
 //
 // Each session is multiplexed: round frames from different in-flight
 // requests interleave on one connection; each linear round is a stage

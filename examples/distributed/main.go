@@ -1,9 +1,10 @@
 // Distributed: runs the two providers as separate services connected by a
-// real TCP socket on loopback, speaking wire format v6 — the deployment
-// shape of the paper's testbed and of cmd/ppserver / cmd/ppclient. The
-// model-provider service owns the weights and the obfuscation state and
-// only ever sees the client's public key; the data-provider client owns
-// the private key and the raw inputs. Only ciphertexts cross the wire.
+// real TCP socket on loopback, speaking the wire format at
+// stream.WireVersion — the deployment shape of the paper's testbed and of
+// cmd/ppserver / cmd/ppclient. The model-provider service owns the weights
+// and the obfuscation state and only ever sees the client's public key;
+// the data-provider client owns the private key and the raw inputs. Only
+// ciphertexts cross the wire.
 //
 //	go run ./examples/distributed
 package main

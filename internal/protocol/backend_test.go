@@ -1,50 +1,21 @@
 package protocol
 
 import (
-	"context"
 	"crypto/rand"
 	"fmt"
 	"math/big"
 	mathrand "math/rand"
-	gonet "net"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"ppstream/internal/backend"
 	"ppstream/internal/garble"
 	"ppstream/internal/nn"
 	"ppstream/internal/obs"
-	"ppstream/internal/paillier"
 	"ppstream/internal/secshare"
-	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
-
-// buildNet3 makes a three-round FC network (L,N,L,N,L,N): round 0 is
-// forced Paillier, round 1 is followed by a ReLU (the garbled-circuit
-// case), and round 2 can sit past a certified clear boundary. Its inputs
-// are declared within ±4, which keeps every round's values inside ss-gc's
-// 64-bit ring at factor 1000.
-func buildNet3(t testing.TB) *nn.Network {
-	t.Helper()
-	r := mathrand.New(mathrand.NewSource(41))
-	net, err := nn.NewNetwork("proto-test-3r", tensor.Shape{4},
-		nn.NewFC("fc1", 4, 6, r),
-		nn.NewReLU("relu1"),
-		nn.NewFC("fc2", 6, 5, r),
-		nn.NewReLU("relu2"),
-		nn.NewFC("fc3", 5, 3, r),
-		nn.NewSoftMax("softmax"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.InputMax = 4
-	return net
-}
 
 // TestWireRoundTripSharedEnvelope round-trips an ss-gc envelope: the
 // share words must survive the wire exactly, in flat order, and the
@@ -298,27 +269,6 @@ func applyPlan(p *Protocol, plan []backend.Kind) error {
 	return p.Data.SetBackendPlan(plan)
 }
 
-var (
-	e2eKeyOnce sync.Once
-	e2eKey     *paillier.PrivateKey
-	e2eKeyErr  error
-)
-
-// e2eKey2048 returns a shared 2048-bit key: large enough that the planner's
-// Paillier cost estimate genuinely loses to ss-gc on ReLU-followed
-// rounds even when the round's outputs pack into one reply ciphertext,
-// so the mixed plan picks all three backends on its own.
-func e2eKey2048(t *testing.T) *paillier.PrivateKey {
-	t.Helper()
-	e2eKeyOnce.Do(func() {
-		e2eKey, e2eKeyErr = paillier.GenerateKey(rand.Reader, 2048)
-	})
-	if e2eKeyErr != nil {
-		t.Fatal(e2eKeyErr)
-	}
-	return e2eKey
-}
-
 // TestMixedProfileEndToEndAllBackends is the tentpole acceptance test:
 // a mixed-profile session over live TCP runs at least one round on each
 // backend within a single request, the merged TraceTree labels every
@@ -327,28 +277,21 @@ func e2eKey2048(t *testing.T) *paillier.PrivateKey {
 // plaintext forward pass.
 func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 	netw := buildNet3(t)
-	k := e2eKey2048(t)
 	reg := obs.NewRegistry("mixed-e2e")
-
-	clientEdge, serverEdge := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverEdge, serverEdge, netw, SessionConfig{
-			Factor:        1000,
+	// A 2048-bit key: large enough that the planner's Paillier cost
+	// estimate genuinely loses to ss-gc on ReLU-followed rounds even when
+	// the round's outputs pack into one reply ciphertext, so the mixed plan
+	// picks all three backends on its own.
+	h := open(t, opening{tcp: true, net: netw, key: keyOfBits(t, 2048),
+		cfg: SessionConfig{
 			MaxWorkers:    2,
 			Window:        2,
 			Registry:      reg,
 			Profile:       backend.ProfileLatency, // permissive policy: the client's ask decides
 			ClearBoundary: 2,
-		})
-	}()
-	client, err := NewClientOpts(ctx, clientEdge, clientEdge, netw, k, 1000,
-		ClientOptions{Workers: 1, Window: 2, Profile: backend.ProfileMixed})
-	if err != nil {
-		t.Fatal(err)
-	}
+		},
+		opts: ClientOptions{Workers: 1, Window: 2, Profile: backend.ProfileMixed}})
+	client, ctx := h.client, h.ctx
 
 	r := mathrand.New(mathrand.NewSource(47))
 	x := tensor.Zeros(4)
@@ -397,7 +340,7 @@ func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 	}
 
 	client.Close()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 
@@ -427,27 +370,10 @@ func TestMixedProfileEndToEndAllBackends(t *testing.T) {
 // certified boundary still gets the all-Paillier plan — the stricter
 // side wins — installed by NewClient before the first request.
 func TestPrivacyMaxClientNeverWeakens(t *testing.T) {
-	netw := buildNet3(t)
-	k := e2eKey2048(t)
-
-	clientEdge, serverEdge := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverEdge, serverEdge, netw, SessionConfig{
-			Factor:        1000,
-			MaxWorkers:    2,
-			Window:        2,
-			Profile:       backend.ProfileLatency,
-			ClearBoundary: 2,
-		})
-	}()
-	client, err := NewClientOpts(ctx, clientEdge, clientEdge, netw, k, 1000,
-		ClientOptions{Workers: 1, Window: 2, Profile: backend.ProfilePrivacyMax})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := open(t, opening{tcp: true, net: buildNet3(t), key: keyOfBits(t, 2048),
+		cfg:  SessionConfig{MaxWorkers: 2, Window: 2, Profile: backend.ProfileLatency, ClearBoundary: 2},
+		opts: ClientOptions{Workers: 1, Window: 2, Profile: backend.ProfilePrivacyMax}})
+	client, ctx := h.client, h.ctx
 	for r := range client.dp.stages {
 		if kind := client.dp.RoundBackend(r); kind != backend.PaillierHE {
 			t.Fatalf("privacy-max client opened with round %d on %q", r, kind)
@@ -465,7 +391,7 @@ func TestPrivacyMaxClientNeverWeakens(t *testing.T) {
 		}
 	}
 	client.Close()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -492,25 +418,13 @@ func TestSessionRunsBaseOTsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	netw.InputMax = 1
-	k := keyOfBits(t, 1024)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
 	const factor, requests = 100, 3
 	var setups []*garble.OTSetup
 	for session := 0; session < 2; session++ {
-		c2s, s2cIn := gonet.Pipe()
-		s2c, c2sIn := gonet.Pipe()
-		serveErr := make(chan error, 1)
-		go func() {
-			serveErr <- ServeSessionConfig(ctx, stream.NewTCPEdge(s2cIn), stream.NewTCPEdge(s2c), netw, SessionConfig{
-				Factor: factor, MaxWorkers: 1, Window: 1, Profile: backend.ProfileMixed, ClearBoundary: 2,
-			})
-		}()
-		client, err := NewClientOpts(ctx, stream.NewTCPEdge(c2sIn), stream.NewTCPEdge(c2s), netw, k, factor,
-			ClientOptions{Workers: 1, Window: 1, Profile: backend.ProfileMixed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := open(t, opening{tcp: true, net: netw, key: keyOfBits(t, 1024),
+			cfg:  SessionConfig{Factor: factor, MaxWorkers: 1, Window: 1, Profile: backend.ProfileMixed, ClearBoundary: 2},
+			opts: ClientOptions{Workers: 1, Window: 1, Profile: backend.ProfileMixed}})
+		client := h.client
 		if client.dp.ot != nil {
 			t.Fatal("the OT setup ran before any request needed it")
 		}
@@ -520,7 +434,7 @@ func TestSessionRunsBaseOTsOnce(t *testing.T) {
 			for j := range x.Data() {
 				x.Data()[j] = float64((i+j)%7)/4 - 0.75
 			}
-			got, err := client.Infer(ctx, x)
+			got, err := client.Infer(h.ctx, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -538,7 +452,7 @@ func TestSessionRunsBaseOTsOnce(t *testing.T) {
 			}
 		}
 		client.Close()
-		if err := <-serveErr; err != nil {
+		if err := h.wait(); err != nil {
 			t.Fatalf("server: %v", err)
 		}
 		setups = append(setups, setup)

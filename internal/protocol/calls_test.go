@@ -208,70 +208,31 @@ func TestStepReleasesLockOnPanic(t *testing.T) {
 	}
 }
 
-// scripted is a client on a real data provider joined over in-process
-// edges to a server the test plays frame by frame, answering rounds off
-// the real model provider when it chooses to.
-type scripted struct {
-	t        *testing.T
-	ctx      context.Context
-	proto    *Protocol
-	client   *Client
-	toServer stream.Edge // the client's frames
-	toClient stream.Edge // the script's frames
-}
-
-func newScripted(t *testing.T, opts ClientOptions) *scripted {
-	t.Helper()
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	t.Cleanup(cancel)
-	s := &scripted{t: t, ctx: ctx, proto: proto, toServer: stream.NewChannelEdge(1), toClient: stream.NewChannelEdge(1)}
-	opened := make(chan error, 1)
-	go func() {
-		var err error
-		s.client, err = NewClient(ctx, s.toClient, s.toServer, proto.Data, opts)
-		opened <- err
-	}()
-	if msg, err := s.recv(); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.Payload.(*Hello); !ok {
-		t.Fatalf("first frame %T, want the Hello", msg.Payload)
-	}
-	if err := s.send(allPaillier(proto.Rounds())); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-opened; err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// recv is the client's next frame, waiting at most 5 s for it.
-func (s *scripted) recv() (*stream.Message, error) {
-	ctx, cancel := context.WithTimeout(s.ctx, 5*time.Second)
+// fromClient is a script's next frame from the client, waiting at most 5 s
+// for it.
+func (h *harness) fromClient() (*stream.Message, error) {
+	ctx, cancel := context.WithTimeout(h.ctx, 5*time.Second)
 	defer cancel()
-	return s.toServer.Recv(ctx)
+	return h.peer.Recv(ctx)
 }
 
-// send hands msg to the client, waiting at most 5 s for room on the edge.
-func (s *scripted) send(msg *stream.Message) error {
-	ctx, cancel := context.WithTimeout(s.ctx, 5*time.Second)
+// toClient hands msg to a script's client, waiting at most 5 s for room on
+// the edge.
+func (h *harness) toClient(msg *stream.Message) error {
+	ctx, cancel := context.WithTimeout(h.ctx, 5*time.Second)
 	defer cancel()
-	return s.toClient.Send(ctx, msg)
+	return h.peer.Send(ctx, msg)
 }
 
-// serve answers the client's round frame msg as the model provider does.
-func (s *scripted) serve(msg *stream.Message) error {
+// answer answers the client's round frame msg as the model provider does.
+func (h *harness) answer(msg *stream.Message) error {
 	frame := msg.Payload.(*roundFrame)
-	env, err := FromWire(frame.Env, &key(s.t).PublicKey)
+	env, err := FromWire(frame.Env, h.proto.Model.pk)
 	if err != nil {
 		return err
 	}
 	env.Req = msg.Seq
-	out, _, err := s.proto.Model.ProcessLinearMetered(frame.Round, env, nil)
+	out, _, err := h.proto.Model.ProcessLinearMetered(frame.Round, env, nil)
 	if err != nil {
 		return err
 	}
@@ -279,14 +240,14 @@ func (s *scripted) serve(msg *stream.Message) error {
 	if err != nil {
 		return err
 	}
-	return s.send(&stream.Message{Seq: msg.Seq, Payload: &roundFrame{Round: frame.Round, Env: w}})
+	return h.toClient(&stream.Message{Seq: msg.Seq, Payload: &roundFrame{Round: frame.Round, Env: w}})
 }
 
 // infer starts an Infer of x under ctx and returns where its error goes.
-func (s *scripted) infer(ctx context.Context, x *tensor.Dense) chan error {
+func (h *harness) infer(ctx context.Context, x *tensor.Dense) chan error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.client.Infer(ctx, x)
+		_, err := h.client.Infer(ctx, x)
 		done <- err
 	}()
 	return done
@@ -299,11 +260,11 @@ func (s *scripted) infer(ctx context.Context, x *tensor.Dense) chan error {
 // follow the error frame, so its last send returns only once the client
 // has handled it.
 func TestClientKeepsSessionAfterAbandonedRequest(t *testing.T) {
-	s := newScripted(t, ClientOptions{Workers: 1})
+	s := open(t, opening{proto: true, script: true, opts: ClientOptions{Workers: 1}})
 	x := tensor.MustFromSlice([]float64{0.5, -0.25, 1, 0.75}, 4)
 	ctx, abandon := context.WithCancel(s.ctx)
 	done := s.infer(ctx, x)
-	first, err := s.recv()
+	first, err := s.fromClient()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,17 +277,17 @@ func TestClientKeepsSessionAfterAbandonedRequest(t *testing.T) {
 		{Seq: 99, Payload: &roundFrame{}},
 		{Seq: 99, Payload: &roundFrame{}},
 	} {
-		if err := s.send(msg); err != nil {
+		if err := s.toClient(msg); err != nil {
 			t.Fatalf("the client stopped reading after the abandoned request's error frame: %v", err)
 		}
 	}
 	done = s.infer(s.ctx, x)
 	for round := 0; round < 2; round++ {
-		msg, err := s.recv()
+		msg, err := s.fromClient()
 		if err != nil {
 			t.Fatalf("round %d of the next Infer never reached the server: %v", round, err)
 		}
-		if err := s.serve(msg); err != nil {
+		if err := s.answer(msg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,10 +303,10 @@ func TestClientKeepsSessionAfterAbandonedRequest(t *testing.T) {
 // carried a budget of at most 40 ms.
 func TestClientDeadlineBoundsInfer(t *testing.T) {
 	const deadline, slack = 40 * time.Millisecond, 60 * time.Millisecond
-	s := newScripted(t, ClientOptions{Workers: 1, Deadline: deadline})
+	s := open(t, opening{proto: true, script: true, opts: ClientOptions{Workers: 1, Deadline: deadline}})
 	begin := time.Now()
 	done := s.infer(s.ctx, tensor.Zeros(4))
-	msg, err := s.recv()
+	msg, err := s.fromClient()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +316,7 @@ func TestClientDeadlineBoundsInfer(t *testing.T) {
 	served := make(chan error, 1)
 	go func() {
 		time.Sleep(150 * time.Millisecond)
-		served <- s.serve(msg)
+		served <- s.answer(msg)
 	}()
 	err = <-done
 	if took := time.Since(begin); took > deadline+slack {
@@ -377,21 +338,21 @@ func TestClientDeadlineBoundsInfer(t *testing.T) {
 // in one loop: two resends and one give-up, no redial.
 func TestRedialerSendsShedRoundZeroOnce(t *testing.T) {
 	reg := obs.NewRegistry("redial-shed")
-	s := newScripted(t, ClientOptions{
+	s := open(t, opening{proto: true, script: true, opts: ClientOptions{
 		Workers: 1, Registry: reg,
 		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-	})
+	}})
 	sends := make(chan int, 1)
 	go func() {
 		n := 0
 		defer func() { sends <- n }()
 		for {
-			msg, err := s.toServer.Recv(s.ctx)
+			msg, err := s.peer.Recv(s.ctx)
 			if err != nil {
 				return
 			}
 			n++
-			if s.toClient.Send(s.ctx, &stream.Message{Seq: msg.Seq, Err: ErrShed}) != nil {
+			if s.peer.Send(s.ctx, &stream.Message{Seq: msg.Seq, Err: ErrShed}) != nil {
 				return
 			}
 		}

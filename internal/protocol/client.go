@@ -105,7 +105,7 @@ func NewClient(ctx context.Context, in, out stream.Edge, dp *DataProvider, opts 
 	if err != nil {
 		return nil, err
 	}
-	hello := &Hello{N: dp.sk.N.Bytes(), Factor: dp.factor, Workers: opts.Workers, Profile: string(profile), Exps: dp.exps()}
+	hello := &Hello{N: dp.sk.N.Bytes(), Factor: dp.factor, Workers: opts.Workers, Profile: string(profile), Exps: dp.exps(), InputMax: dp.inputMax}
 	if err := out.Send(ctx, &stream.Message{Payload: hello}); err != nil {
 		return nil, err
 	}

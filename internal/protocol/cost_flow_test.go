@@ -45,7 +45,8 @@ func costInput(seed int64) *tensor.Dense {
 func TestInferTracedCarriesCostAnnotations(t *testing.T) {
 	reg := obs.NewRegistry("cost-flow-test")
 	flight := obs.NewFlightRecorder(8, 4, 8)
-	client, _, ctx := traceSession(t, SessionConfig{Registry: reg, Flight: flight})
+	h := open(t, opening{tcp: true, cfg: SessionConfig{MaxWorkers: 4, Registry: reg, Flight: flight}, opts: ClientOptions{Workers: 2}})
+	client, ctx := h.client, h.ctx
 	defer client.Close()
 
 	_, tree, err := client.InferTraced(ctx, costInput(99))
@@ -121,7 +122,8 @@ func TestInferTracedCarriesCostAnnotations(t *testing.T) {
 // -race in CI this also exercises the concurrent metering paths.
 func TestCostNoCrossRequestBleed(t *testing.T) {
 	reg := obs.NewRegistry("bleed-test")
-	client, _, ctx := traceSession(t, SessionConfig{Registry: reg})
+	h := open(t, opening{tcp: true, cfg: SessionConfig{MaxWorkers: 4, Registry: reg}, opts: ClientOptions{Workers: 2}})
+	client, ctx := h.client, h.ctx
 	defer client.Close()
 
 	x := costInput(7)

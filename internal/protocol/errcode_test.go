@@ -61,7 +61,8 @@ func TestRoundErrorUnwrap(t *testing.T) {
 // matching none. This is what keeps server-side raising and client-side
 // matching on one table.
 func TestCodeRoundTrip(t *testing.T) {
-	send, recv := tcpPair(t)
+	dialed, accepted := loopback(t)
+	send, recv := stream.NewTCPEdge(dialed), stream.NewTCPEdge(accepted)
 	defer send.CloseSend()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -60,11 +60,12 @@ func FuzzWireFrameDecode(f *testing.F) {
 		f.Add(withPreface(frame(0, tagEnvelope, uint32(len(env.b)), env.b)))
 	}
 	// Hellos whose reply exponents are empty, one over maxWirePlan, and
-	// cut off mid-vector.
+	// cut off mid-vector, and one cut off inside its input domain.
 	f.Add(encodeFrames(f, false, &stream.Message{Payload: &Hello{N: []byte{0xC5}, Factor: 1000}}))
 	for _, body := range []*wb{
 		helloToPlan().u32(0).u32(maxWirePlan + 1).raw(make([]byte, 4*(maxWirePlan+1))...),
 		helloToPlan().u32(0).u32(3).u32(2).raw(0, 0),
+		helloToPlan().u32(0).u32(1).u32(2).raw(0x40, 0x50, 0),
 	} {
 		f.Add(withPreface(frame(0, tagHello, uint32(len(body.b)), body.b)))
 	}

@@ -170,15 +170,11 @@ func TestGateNil(t *testing.T) {
 // starts, at admission, not rounds: a first request runs all its rounds,
 // and a second one's start within the window is refused.
 func TestModelProviderEnforcesLimit(t *testing.T) {
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gate, err := NewGate(GateConfig{RateLimit: 1, RateWindow: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := inProcessSession(t, proto, SessionConfig{Gate: gate}, 2)
+	c := open(t, opening{cfg: SessionConfig{Gate: gate}}).client
 	x := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4)
 	if _, err := c.Infer(context.Background(), x); err != nil {
 		t.Fatalf("first request rejected: %v", err)
@@ -194,16 +190,12 @@ func TestModelProviderEnforcesLimit(t *testing.T) {
 // an error matching ErrThrottled through errors.Is — the client's retry
 // loop keys on it — with the throttle's wire code.
 func TestThrottleErrorTyped(t *testing.T) {
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gate, err := NewGate(GateConfig{RateLimit: 1, RateWindow: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry("throttle")
-	c, _ := inProcessSession(t, proto, SessionConfig{Gate: gate, Registry: reg}, 2)
+	c := open(t, opening{cfg: SessionConfig{Gate: gate, Registry: reg}}).client
 	x := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4)
 	if _, err := c.Infer(context.Background(), x); err != nil {
 		t.Fatalf("first request rejected: %v", err)

@@ -3,8 +3,6 @@ package protocol
 import (
 	"context"
 	"errors"
-	mathrand "math/rand"
-	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,79 +10,8 @@ import (
 
 	"ppstream/internal/backend"
 	"ppstream/internal/nn"
-	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
-
-// tcpPair returns the two ends of a loopback TCP connection as edges,
-// closed when the test ends.
-func tcpPair(t testing.TB) (dialed, accepted stream.Edge) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	client, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close(); server.Close() })
-	return stream.NewTCPEdge(client), stream.NewTCPEdge(server)
-}
-
-// sayHello sends hello on edge, as a client's opening frame, and requires
-// the server's answer to accept it.
-func sayHello(ctx context.Context, t *testing.T, edge stream.Edge, hello *Hello) {
-	t.Helper()
-	if err := edge.Send(ctx, &stream.Message{Payload: hello}); err != nil {
-		t.Fatal(err)
-	}
-	answer, err := edge.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := answer.Payload.(*Hello); !ok || answer.Err != nil {
-		t.Fatalf("hello answered with %T, %v; want the accepting Hello", answer.Payload, answer.Err)
-	}
-}
-
-// allPaillier is a server's answer accepting a privacy-max client's Hello
-// for a model of rounds linear rounds: paillier-he's wire code is 0.
-func allPaillier(rounds int) *stream.Message {
-	return &stream.Message{Payload: &Hello{Profile: string(backend.ProfilePrivacyMax), Plan: make([]int32, rounds)}}
-}
-
-// rewritten is a client's edge to the server that puts rewrite's frame on
-// the wire in place of the client's Hello.
-type rewritten struct {
-	stream.Edge
-	rewrite func(*Hello) any
-}
-
-func (e rewritten) Send(ctx context.Context, m *stream.Message) error {
-	if h, ok := m.Payload.(*Hello); ok && e.rewrite != nil {
-		m = &stream.Message{Payload: e.rewrite(h)}
-	}
-	return e.Edge.Send(ctx, m)
-}
-
-// deeperNet is buildNet with a second FC merged into round 0: its rounds
-// carry buildNet's element counts, but round 0 replies at F³, not F².
-func deeperNet(t *testing.T) *nn.Network {
-	t.Helper()
-	r := mathrand.New(mathrand.NewSource(9))
-	net, err := nn.NewNetwork("proto-deeper", tensor.Shape{4}, nn.NewFC("fc1", 4, 6, r), nn.NewFC("fc1b", 6, 6, r),
-		nn.NewReLU("relu1"), nn.NewFC("fc2", 6, 3, r), nn.NewSoftMax("softmax"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
-}
 
 // TestHelloOutcomes: every refused Hello gets its one answer. Whichever
 // party refuses — the server with an error frame, or a privacy-max client
@@ -92,12 +19,11 @@ func deeperNet(t *testing.T) *nn.Network {
 // ErrRefused within a second and the server's session returns, over
 // in-process edges and over TCP; a Redialer meets the refusal at its one
 // dial and does not dial again. A client whose schedule fixes other reply
-// exponents than the served network's is refused at the Hello, and so is a
+// exponents than the served network's is refused at the Hello, and so are
+// one that declares another input domain — a wider one, or none — and a
 // key too small for the served network's reply slots, which only the
 // server knows.
 func TestHelloOutcomes(t *testing.T) {
-	netw := buildNet(t)
-	k := key(t)
 	// wide is deeperNet with every weight 2·10⁶, 2·10⁹ once scaled: with no
 	// declared input domain, round 0's two merged layers need 131-bit
 	// reply slots.
@@ -107,9 +33,11 @@ func TestHelloOutcomes(t *testing.T) {
 			fc.W.Fill(2e6)
 		}
 	}
-	served, err := BuildModelProvider(netw, &k.PublicKey, Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
+	// domain is buildNet declaring its inputs within ±max.
+	domain := func(max float64) *nn.Network {
+		net := buildNet(t)
+		net.InputMax = max
+		return net
 	}
 	// The server's policy lets the client's request decide, and certifies
 	// round 1 for the clear backend, so a latency request gets a plan that
@@ -122,7 +50,7 @@ func TestHelloOutcomes(t *testing.T) {
 		// foreign: the server serves one provider, for another key.
 		foreign bool
 		// serves is the network the server serves and arch the one the
-		// client is built from; nil is netw.
+		// client is built from; nil is buildNet and serves.
 		serves, arch *nn.Network
 		// keyBits sizes the client's key; 0 is key(t)'s.
 		keyBits int
@@ -132,74 +60,37 @@ func TestHelloOutcomes(t *testing.T) {
 		{name: "round frame first", rewrite: func(*Hello) any { return &roundFrame{} }, cause: "expected Hello, got *protocol.roundFrame"},
 		{name: "unparseable key", rewrite: func(h *Hello) any { h.N = []byte{7}; return h }, cause: "hello public key rejected"},
 		{name: "unknown profile", rewrite: func(h *Hello) any { h.Profile = "fastest"; return h }, cause: `unknown profile "fastest"`},
-		{name: "foreign key", foreign: true, cause: "not the served model provider's key"},
+		{name: "foreign key", foreign: true, keyBits: 512, cause: "not the served model provider's key"},
 		{name: "plan privacy-max refuses", rewrite: func(h *Hello) any { h.Profile = string(backend.ProfileLatency); return h }, cause: "rejecting server plan"},
-		{name: "another network", serves: deeperNet(t), cause: "client reply exponents [2 2] do not match the served network's [3 2]"},
+		{name: "another network", serves: deeperNet(t), arch: buildNet(t), cause: "client reply exponents [2 2] do not match the served network's [3 2]"},
 		{name: "reply exponent rewritten", rewrite: func(h *Hello) any { h.Exps[0]++; return h }, cause: "client reply exponents [3 2] do not match the served network's [2 2]"},
-		{name: "key holds no slot", serves: wide, arch: wide, keyBits: 128, cause: "needs 131-bit reply slots, more than a 128-bit key holds"},
-	}
-	// A transport is the edges from the server to the client and from the
-	// client to the server, as each end holds them.
-	type ends struct{ clientIn, clientOut, serverIn, serverOut stream.Edge }
-	transports := map[string]func(t *testing.T) ends{
-		"channel": func(*testing.T) ends {
-			toServer, toClient := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
-			return ends{toClient, toServer, toServer, toClient}
-		},
-		"tcp": func(t *testing.T) ends {
-			client, server := tcpPair(t)
-			return ends{client, client, server, server}
-		},
+		{name: "key holds no slot", serves: wide, keyBits: 128, cause: "needs 131-bit reply slots, more than a 128-bit key holds"},
+		{name: "wider input domain", serves: domain(1), arch: domain(1000), cause: "client input domain 1000 does not match the served network's 1"},
+		{name: "undeclared input domain", serves: domain(1), arch: buildNet(t), cause: "client input domain 0 does not match the served network's 1"},
 	}
 	for _, row := range rows {
-		for name, transport := range transports {
-			t.Run(row.name+"/"+name, func(t *testing.T) {
+		for _, transport := range []string{"channel", "tcp"} {
+			t.Run(row.name+"/"+transport, func(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				defer cancel()
-				factor := int64(1000)
-				if row.factor != 0 {
-					factor = row.factor
-				}
-				serves := netw
-				if row.serves != nil {
-					serves = row.serves
-				}
-				arch := netw
-				if row.arch != nil {
-					arch = row.arch
-				}
-				ownKey := k
-				if row.foreign {
-					ownKey = keyOfBits(t, 512)
-				}
+				o := opening{tcp: transport == "tcp", net: row.serves, proto: row.foreign, cfg: cfg,
+					arch: row.arch, factor: row.factor, hello: row.rewrite}
 				if row.keyBits != 0 {
-					ownKey = keyOfBits(t, row.keyBits)
+					o.key = keyOfBits(t, row.keyBits)
 				}
-				dp, err := BuildDataProvider(arch, ownKey, Config{Factor: factor})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sessions []chan error
-				// dial opens one session: the server first, then the client.
-				dial := func(ctx context.Context) (*Client, error) {
-					e := transport(t)
-					done := make(chan error, 1)
-					sessions = append(sessions, done)
-					go func() {
-						if row.foreign {
-							done <- ServeSession(ctx, e.serverIn, e.serverOut, served, cfg)
-						} else {
-							done <- ServeSessionConfig(ctx, e.serverIn, e.serverOut, serves, cfg)
-						}
-					}()
-					return NewClient(ctx, e.clientIn, rewritten{e.clientOut, row.rewrite}, dp, ClientOptions{})
+				var sessions []*harness
+				// connect opens one session: the server first, then the client.
+				connect := func(context.Context) (*Client, error) {
+					h, err := dial(t, o)
+					sessions = append(sessions, h)
+					return h.client, err
 				}
 				// ended waits for the sessions dialed so far to return.
 				ended := func() {
 					t.Helper()
-					for _, done := range sessions {
+					for _, h := range sessions {
 						select {
-						case <-done:
+						case <-h.done:
 						case <-time.After(time.Second):
 							t.Fatal("the server's session did not return within 1 s of the refusal")
 						}
@@ -208,7 +99,7 @@ func TestHelloOutcomes(t *testing.T) {
 				}
 
 				begin := time.Now()
-				c, err := dial(ctx)
+				c, err := connect(ctx)
 				if took := time.Since(begin); err == nil || took > time.Second {
 					if c != nil {
 						c.Close()
@@ -223,7 +114,7 @@ func TestHelloOutcomes(t *testing.T) {
 				dials := 0
 				r := NewRedialer(func(ctx context.Context) (*Client, error) {
 					dials++
-					return dial(ctx)
+					return connect(ctx)
 				}, RetryPolicy{BaseBackoff: time.Millisecond}, nil)
 				defer r.Close()
 				if _, err := r.Infer(ctx, tensor.Zeros(4)); err == nil || !strings.Contains(err.Error(), row.cause) || errors.Is(err, ErrSessionDown) {

@@ -89,8 +89,10 @@ func (e *countingEdge) Send(ctx context.Context, m *stream.Message) error {
 // frame sent and no pending entry or window permit left behind — and the
 // session keeps serving.
 func TestClientInferRefusesOutOfRangeInput(t *testing.T) {
-	client, serveErr, ctx := traceSession(t, SessionConfig{})
-	client.dp.inputMax = 4
+	netw := buildNet(t)
+	netw.InputMax = 4
+	h := open(t, opening{tcp: true, net: netw, cfg: SessionConfig{MaxWorkers: 4}, opts: ClientOptions{Workers: 2}})
+	client, ctx := h.client, h.ctx
 	out := &countingEdge{Edge: client.out}
 	client.out = out
 
@@ -115,12 +117,12 @@ func TestClientInferRefusesOutOfRangeInput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-domain request after a refused one: %v", err)
 	}
-	want, _ := buildNet(t).Forward(good)
+	want, _ := netw.Forward(good)
 	if !tensor.AllClose(want, got, 1e-2) {
 		t.Error("in-domain request after a refused one diverges")
 	}
 	client.Close()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }

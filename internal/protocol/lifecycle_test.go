@@ -7,102 +7,8 @@ import (
 	"time"
 
 	"ppstream/internal/obs"
-	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
-
-// rawClient drives one raw session by hand: it builds legitimate round
-// frames with its own copy of the data-provider role and reads the
-// server's replies off the wire.
-type rawClient struct {
-	t     *testing.T
-	s     *session
-	edge  stream.Edge
-	proto *Protocol
-}
-
-func (c *rawClient) send(seq uint64, frame *roundFrame) {
-	c.t.Helper()
-	if err := c.edge.Send(c.s.ctx, &stream.Message{Seq: seq, Payload: frame}); err != nil {
-		c.t.Fatal(err)
-	}
-}
-
-// replyOK is recv's want for a reply that carries no error.
-const replyOK = -1
-
-// recv returns the next reply, which must be an error frame with wire
-// code want, or a round reply for replyOK.
-func (c *rawClient) recv(want int) *stream.Message {
-	c.t.Helper()
-	m, err := c.edge.Recv(c.s.ctx)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if got := errCode(m.Err); (m.Err == nil) != (want == replyOK) || (m.Err != nil && got != want) {
-		c.t.Fatalf("reply for request %d: code %d err %v, want code %d", m.Seq, got, m.Err, want)
-	}
-	return m
-}
-
-// roundZero is req's first frame for input x.
-func (c *rawClient) roundZero(req uint64, x *tensor.Dense) *roundFrame {
-	c.t.Helper()
-	env, err := c.proto.Data.EncryptMetered(req, x, nil)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	w, err := ToWire(env)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	return &roundFrame{Round: 0, Env: w}
-}
-
-// open runs req's round 0 and returns its round-1 frame, unsent.
-func (c *rawClient) open(req uint64, deadlineMS int64) *roundFrame {
-	c.t.Helper()
-	f := c.roundZero(req, tensor.Zeros(4))
-	f.DeadlineMS = deadlineMS
-	c.send(req, f)
-	reply := c.recv(replyOK)
-	env, err := FromWire(reply.Payload.(*roundFrame).Env, c.s.mp.pk)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	env.Req = req
-	if env, err = c.proto.Data.ProcessNonLinearMetered(0, env, nil); err != nil {
-		c.t.Fatal(err)
-	}
-	w, err := ToWire(env)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	return &roundFrame{Round: 1, Env: w}
-}
-
-// complete runs req through both rounds of the two-round test network.
-func (c *rawClient) complete(req uint64) {
-	c.t.Helper()
-	c.send(req, c.open(req, 0))
-	c.recv(replyOK)
-}
-
-// waitOutcomes blocks until the session has published n terminal outcomes.
-func (c *rawClient) waitOutcomes(n uint64) {
-	c.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap := c.s.reg.Snapshot().Counters
-		if snap["serve.requests.ok"]+snap["serve.requests.err"]+snap["serve.requests.shed"] >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			c.t.Fatalf("only %v of %d outcomes published", snap, n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // TestSessionTerminalOutcomes drives every way a request can end over a
 // raw session and checks the session's one invariant on each: every
@@ -117,15 +23,15 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 		name          string
 		cfg           SessionConfig
 		rateLimit     int // the gate's starts per minute; 0 is unlimited
-		drive         func(c *rawClient)
+		drive         func(c *harness)
 		ok, err, shed uint64
 		counter       string // cause counter expected at 1, if any
 	}{
 		{name: "success", ok: 1,
-			drive: func(c *rawClient) { c.complete(1) }},
+			drive: func(c *harness) { c.complete(1) }},
 		{name: "shed", ok: 1, shed: 1,
-			drive: func(c *rawClient) {
-				last := c.open(1, 0) // holds the only slot mid-protocol
+			drive: func(c *harness) {
+				last := c.midway(1, 0) // holds the only slot mid-protocol
 				c.send(2, c.roundZero(2, tensor.Zeros(4)))
 				c.recv(CodeShed)
 				c.send(1, last)
@@ -134,7 +40,7 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 		// A throttle is a refusal at admission, like a shed: counted as one,
 		// and retryable.
 		{name: "throttle", rateLimit: 1, ok: 1, shed: 1,
-			drive: func(c *rawClient) {
+			drive: func(c *harness) {
 				c.complete(1)
 				c.send(2, c.roundZero(2, tensor.Zeros(4)))
 				if m := c.recv(CodeThrottled); !errors.Is(m.Err, ErrThrottled) || !Retryable(m.Err) {
@@ -142,7 +48,7 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 				}
 			}},
 		{name: "deadline in queue", err: 1, counter: "requests.deadline_expired",
-			drive: func(c *rawClient) {
+			drive: func(c *harness) {
 				// A frame whose 10 ms budget ran out while it waited a second
 				// in its round's queue: it arrived a second ago, and the test
 				// is the round's goroutine that picks it up now.
@@ -158,31 +64,31 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 				}
 			}},
 		{name: "janitor deadline eviction", cfg: SessionConfig{IdleTTL: 400 * time.Millisecond}, err: 1, counter: "requests.deadline_evicted",
-			drive: func(c *rawClient) {
-				last := c.open(1, 30)
+			drive: func(c *harness) {
+				last := c.midway(1, 30)
 				c.waitOutcomes(1)
 				c.send(1, last)
 				c.recv(CodeEvicted) // stale: not a second outcome
 			}},
 		{name: "idle eviction", cfg: SessionConfig{IdleTTL: 60 * time.Millisecond}, err: 1, counter: "requests.evicted",
-			drive: func(c *rawClient) {
-				c.open(1, 0)
+			drive: func(c *harness) {
+				c.midway(1, 0)
 				c.waitOutcomes(1)
 			}},
 		// Round 0 again once it was served: the request expects round 1.
 		{name: "repeated round", err: 1,
-			drive: func(c *rawClient) {
-				c.open(1, 0)
+			drive: func(c *harness) {
+				c.midway(1, 0)
 				c.send(1, c.roundZero(1, tensor.Zeros(4)))
 				c.recv(CodeBadRound)
 			}},
 		{name: "kernel failure", err: 1,
-			drive: func(c *rawClient) {
+			drive: func(c *harness) {
 				c.send(1, c.roundZero(1, tensor.Zeros(9))) // wrong input size
 				c.recv(CodeNone)
 			}},
 		{name: "session close with a request live", err: 1,
-			drive: func(c *rawClient) { c.open(1, 0) }},
+			drive: func(c *harness) { c.midway(1, 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,14 +107,11 @@ func TestSessionTerminalOutcomes(t *testing.T) {
 			traces, flight := obs.NewFlightRecorder(0, 0, 0), obs.NewFlightRecorder(0, 0, 0)
 			cfg := tc.cfg
 			cfg.Registry, cfg.SLO, cfg.Gate, cfg.Traces, cfg.Flight = reg, slo, gate, traces, flight
-			s, edge, serveErr, _ := openRawSession(t, cfg)
-			proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.drive(&rawClient{t: t, s: s, edge: edge, proto: proto})
-			edge.CloseSend()
-			if err := <-serveErr; err != nil {
+			c := open(t, opening{tcp: true, raw: true, cfg: cfg})
+			s := c.s
+			tc.drive(c)
+			c.edge.CloseSend()
+			if err := c.wait(); err != nil {
 				t.Fatalf("server: %v", err)
 			}
 			snap, live := reg.Snapshot(), reg.LiveSnapshot()
@@ -269,12 +172,8 @@ func TestSessionHostileRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Gate: gate, Registry: reg})
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &rawClient{t: t, s: s, edge: edge, proto: proto}
+	c := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{Gate: gate, Registry: reg}})
+	s := c.s
 	c.complete(1)
 	histograms := len(s.reg.Snapshot().Histograms)
 	const n = 50
@@ -300,8 +199,8 @@ func TestSessionHostileRound(t *testing.T) {
 		t.Errorf("rounds.errors = %d, want %d", got, n)
 	}
 	c.complete(2)
-	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	c.edge.CloseSend()
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -318,23 +217,18 @@ func TestSessionShedTargetIsRequestLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Gate: gate})
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &rawClient{t: t, s: s, edge: edge, proto: proto}
-	last := c.open(1, 0)
+	c := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{Gate: gate}})
+	last := c.midway(1, 0)
 	time.Sleep(target + 50*time.Millisecond)
 	c.send(1, last)
 	c.recv(replyOK)
-	if slowest := s.reg.Histogram("round.linear").Snapshot().Max; slowest >= target {
+	if slowest := c.reg.Histogram("round.linear").Snapshot().Max; slowest >= target {
 		t.Skipf("a single round took %v on this machine: the request says nothing about rounds versus requests", slowest)
 	}
 	c.send(2, c.roundZero(2, tensor.Zeros(4)))
 	c.recv(CodeShed)
-	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	c.edge.CloseSend()
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -350,12 +244,8 @@ func TestSessionAdmitTwins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Gate: gate, Registry: reg})
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &rawClient{t: t, s: s, edge: edge, proto: proto}
+	c := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{Gate: gate, Registry: reg}})
+	s := c.s
 	// The test is the receive loop and round 0's goroutine: the first frame
 	// is queued, its twin arrives before the round picks the first up.
 	first, twin := c.roundZero(7, tensor.Zeros(4)), c.roundZero(7, tensor.Zeros(4))
@@ -377,8 +267,8 @@ func TestSessionAdmitTwins(t *testing.T) {
 		t.Errorf("%d slots, requests.active %d, %d err, %d permutation chains; want 0, 0, 1, 0",
 			snap.Gauges["shed.inflight"], snap.Gauges["requests.active"], snap.Counters["serve.requests.err"], len(s.mp.state))
 	}
-	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	c.edge.CloseSend()
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }

@@ -1,13 +1,10 @@
 package protocol
 
 import (
-	"context"
-	"net"
 	"testing"
 	"time"
 
 	"ppstream/internal/obs"
-	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
 
@@ -15,29 +12,9 @@ import (
 // edges and checks the registry records rounds, session counts, and
 // wire bytes.
 func TestServeSessionObservedMetrics(t *testing.T) {
-	k := key(t)
-	netw := buildNet(t)
-	const factor = 1000
 	reg := obs.NewRegistry("server")
-
-	c2s1, s2c1 := net.Pipe()
-	c2s2, s2c2 := net.Pipe()
-	serverIn := stream.NewInstrumentedTCPEdge(s2c1, reg, "tcp")
-	serverOut := stream.NewInstrumentedTCPEdge(c2s2, reg, "tcp")
-	clientOut := stream.NewTCPEdge(c2s1)
-	clientIn := stream.NewTCPEdge(s2c2)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverIn, serverOut, netw, SessionConfig{Factor: factor, MaxWorkers: 4, Registry: reg})
-	}()
-	client, err := NewClientOpts(ctx, clientIn, clientOut, netw, k, factor, ClientOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := open(t, opening{tcp: true, cfg: SessionConfig{MaxWorkers: 4, Registry: reg}, opts: ClientOptions{Workers: 2}})
+	client, ctx := h.client, h.ctx
 	const inferences = 2
 	for i := 0; i < inferences; i++ {
 		if _, err := client.Infer(ctx, tensor.Zeros(4)); err != nil {
@@ -45,7 +22,7 @@ func TestServeSessionObservedMetrics(t *testing.T) {
 		}
 	}
 	client.Close()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 
@@ -60,9 +37,9 @@ func TestServeSessionObservedMetrics(t *testing.T) {
 	if rounds == 0 || rounds%inferences != 0 {
 		t.Errorf("rounds.served %d, want a positive multiple of %d", rounds, inferences)
 	}
-	h := s.Histograms["round.linear"]
-	if h.Count != rounds || h.P50 <= 0 {
-		t.Errorf("round.linear histogram %+v, want count %d with positive p50", h, rounds)
+	hist := s.Histograms["round.linear"]
+	if hist.Count != rounds || hist.P50 <= 0 {
+		t.Errorf("round.linear histogram %+v, want count %d with positive p50", hist, rounds)
 	}
 	if _, ok := s.Histograms["round.0.linear"]; !ok {
 		t.Error("per-round histogram round.0.linear missing")
@@ -89,7 +66,8 @@ func TestServeSessionObservedMetrics(t *testing.T) {
 func TestRoundFoldAllocatesNothing(t *testing.T) {
 	reg := obs.NewRegistry("fold")
 	reg.KeepWindows()
-	s, edge, serveErr, _ := openRawSession(t, SessionConfig{Registry: reg})
+	h := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{Registry: reg}})
+	s := h.s
 	timing := LinearTiming{Kernel: 2 * time.Millisecond, Permute: time.Millisecond}
 	cost := obs.CostStats{ModExps: 3, MulMods: 40, PoolHits: 2, CipherBytesIn: 512, CipherBytesOut: 256}
 	fold := func() {
@@ -114,8 +92,8 @@ func TestRoundFoldAllocatesNothing(t *testing.T) {
 	if got := reg.LiveSnapshot().Counters["cost."+backend+".modexps"].Count; got != n*3 {
 		t.Errorf("cost.%s.modexps window %d, want %d", backend, got, n*3)
 	}
-	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	h.edge.CloseSend()
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }

@@ -1,58 +1,18 @@
 package protocol
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"math/big"
 	mathrand "math/rand"
-	"sync"
 	"testing"
 
 	"ppstream/internal/backend"
 	"ppstream/internal/models"
 	"ppstream/internal/nn"
 	"ppstream/internal/obs"
-	"ppstream/internal/paillier"
 	"ppstream/internal/tensor"
 )
-
-var (
-	sizedKeysMu sync.Mutex
-	sizedKeys   = map[int]*paillier.PrivateKey{}
-)
-
-// keyOfBits returns a shared test key of the given size.
-func keyOfBits(t testing.TB, bits int) *paillier.PrivateKey {
-	t.Helper()
-	sizedKeysMu.Lock()
-	defer sizedKeysMu.Unlock()
-	if k := sizedKeys[bits]; k != nil {
-		return k
-	}
-	k, err := paillier.GenerateKey(rand.Reader, bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizedKeys[bits] = k
-	return k
-}
-
-// zeroWeightNet is buildNet3 with every weight zeroed and every bias 0.5:
-// each kernel row is then the deterministic embedding of the same bias,
-// whatever the input and whatever the permutation — the case that leaked
-// before rows were blinded, and that only Pack's blinding hides now.
-func zeroWeightNet(t *testing.T) *nn.Network {
-	t.Helper()
-	net := buildNet3(t)
-	for _, l := range net.Layers {
-		if fc, ok := l.(*nn.FC); ok {
-			fc.W.Fill(0)
-			fc.B.Fill(0.5)
-		}
-	}
-	return net
-}
 
 // TestReplyEgressInvariant runs an all-zero-weight model twice on
 // identical inputs, round by round, and requires of every reply that its

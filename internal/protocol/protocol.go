@@ -130,6 +130,15 @@ type roundSpec struct {
 	garbleReLU bool
 }
 
+// roundSchedule is the public schedule both roles follow: a roundSpec per
+// round, and the network's declared input domain (nn.Network.InputMax, 0
+// when undeclared), which the data provider holds its inputs to, the model
+// provider's reply slot widths start from, and the Hello compares.
+type roundSchedule struct {
+	sched    []roundSpec
+	inputMax float64
+}
+
 // schedule is the shared front of every role builder and of Serve: it
 // checks the factor and the workflow's structural requirements
 // (alternation, linear start, non-linear finish, element-wise intermediate
@@ -137,66 +146,66 @@ type roundSpec struct {
 // schedule. The workflow alternates from a linear start to a non-linear
 // finish, so round r's linear stage is merged[2r] and its non-linear stage
 // merged[2r+1].
-func schedule(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, sched []roundSpec, err error) {
+func schedule(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, s roundSchedule, err error) {
 	if factor <= 0 {
-		return nil, nil, fmt.Errorf("protocol: scaling factor %d must be positive", factor)
+		return nil, s, fmt.Errorf("protocol: scaling factor %d must be positive", factor)
 	}
 	if merged, err = nn.Merge(net); err != nil {
-		return nil, nil, err
+		return nil, s, err
 	}
 	if err := nn.CheckAlternating(merged); err != nil {
-		return nil, nil, err
+		return nil, s, err
 	}
 	if err := nn.ProtocolShape(merged); err != nil {
-		return nil, nil, err
+		return nil, s, err
 	}
 	// Middle non-linear stages run on permuted tensors: they must be
 	// element-wise (Section III-C). The final stage may contain SoftMax.
 	for i, m := range merged {
 		if m.Kind == nn.NonLinear && i != len(merged)-1 && !m.ElementWiseOnly() {
-			return nil, nil, fmt.Errorf("protocol: intermediate non-linear stage %s contains position-dependent operations; replace MaxPool (nn.ReplaceMaxPool) or move SoftMax to the last layer", m.Name())
+			return nil, s, fmt.Errorf("protocol: intermediate non-linear stage %s contains position-dependent operations; replace MaxPool (nn.ReplaceMaxPool) or move SoftMax to the last layer", m.Name())
 		}
 	}
-	sched = make([]roundSpec, len(merged)/2)
-	for r := range sched {
+	s = roundSchedule{sched: make([]roundSpec, len(merged)/2), inputMax: net.InputMax}
+	for r := range s.sched {
 		linear, next := merged[2*r], merged[2*r+1]
 		relu := false
 		if 2*r+2 < len(merged) {
 			_, relu = next.Layers[0].(*nn.ReLU)
 		}
-		sched[r] = roundSpec{name: linear.Name(), in: linear.InShape, out: linear.OutShape,
+		s.sched[r] = roundSpec{name: linear.Name(), in: linear.InShape, out: linear.OutShape,
 			exp: int32(1 + qnn.ScaleSteps(linear.Layers)), garbleReLU: relu}
 	}
-	return merged, sched, nil
+	return merged, s, nil
 }
 
 // walk is the model provider's front: the schedule, then the one stage
 // walk (qnn.Walk) that quantizes every linear stage at factor — refusing a
 // weight whose w·F does not fit an int32 with *qnn.WeightRangeError — and
-// chains the network's declared input domain into each stage's reply slot
-// width. Per round it adds what a model provider needs under any key: the
+// chains the schedule's input domain into each stage's reply slot width.
+// Per round it adds what a model provider needs under any key: the
 // quantized ops, the slot width and the key-independent operation counts.
 // No round refers to the float network.
-func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, sched []roundSpec, stages []linearStage, err error) {
-	if merged, sched, err = schedule(net, factor); err != nil {
-		return nil, nil, nil, err
+func walk(net *nn.Network, factor int64) (merged []*nn.PrimitiveLayer, s roundSchedule, stages []linearStage, err error) {
+	if merged, s, err = schedule(net, factor); err != nil {
+		return nil, s, nil, err
 	}
-	walked, err := qnn.Walk(merged, net.InputMax, factor)
+	walked, err := qnn.Walk(merged, s.inputMax, factor)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, s, nil, err
 	}
 	for r, st := range walked {
-		kernel, err := qnn.StageCost(st.Ops, sched[r].in)
+		kernel, err := qnn.StageCost(st.Ops, s.sched[r].in)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, s, nil, err
 		}
-		muls, err := qnn.MulCount(st.Ops, sched[r].in)
+		muls, err := qnn.MulCount(st.Ops, s.sched[r].in)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, s, nil, err
 		}
 		stages = append(stages, linearStage{Stage: backend.Stage{Ops: st.Ops, Muls: muls}, slotBits: st.SlotBits(), kernel: kernel})
 	}
-	return merged, sched, stages, nil
+	return merged, s, stages, nil
 }
 
 // BuildModelProvider constructs the model-provider role alone: it needs
@@ -214,22 +223,22 @@ func BuildModelProvider(net *nn.Network, pk *paillier.PublicKey, cfg Config) (*M
 // reply slot of every round with a *SlotError, adds the key's reply terms
 // to each stage's counts and installs the all-Paillier plan. The stages
 // are copied; their ops and the schedule are shared read-only.
-func newModelProvider(sched []roundSpec, stages []linearStage, pk *paillier.PublicKey, workers int) (*ModelProvider, error) {
+func newModelProvider(s roundSchedule, stages []linearStage, pk *paillier.PublicKey, workers int) (*ModelProvider, error) {
 	if err := pk.Validate(); err != nil {
 		return nil, err
 	}
 	mp := &ModelProvider{
-		roundPlan: privacyMax(sched),
+		roundPlan: privacyMax(s),
 		pk:        pk,
 		eval:      paillier.NewEvaluator(pk, nil),
 		state:     map[uint64]*obfuscate.Rounds{},
 	}
 	for r, st := range stages {
 		if pk.Slots(st.slotBits) < 1 {
-			return nil, &SlotError{Stage: sched[r].name, SlotBits: st.slotBits, KeyBits: pk.Bits()}
+			return nil, &SlotError{Stage: s.sched[r].name, SlotBits: st.slotBits, KeyBits: pk.Bits()}
 		}
 		st.Threads = max(workers, 1)
-		outs := sched[r].out.Size()
+		outs := s.sched[r].out.Size()
 		st.replies = pk.PackedLen(outs, st.slotBits)
 		replies := uint64(st.replies)
 		st.kernel.Add(obs.CostStats{
@@ -256,9 +265,8 @@ func BuildDataProvider(net *nn.Network, sk *paillier.PrivateKey, cfg Config) (*D
 		roundPlan: privacyMax(sched),
 		sk:        sk,
 		factor:    cfg.Factor,
-		inputMax:  net.InputMax,
 	}
-	for r := range sched {
+	for r := range sched.sched {
 		dp.stages = append(dp.stages, &nonLinearStage{layers: merged[2*r+1].Layers, threads: max(cfg.Workers, 1)})
 	}
 	return dp, nil
@@ -376,19 +384,20 @@ func (p *Protocol) Infer(req uint64, x *tensor.Dense) (*tensor.Dense, error) {
 // roles know. The model provider adds ss-gc's ring, against the slot
 // widths only it holds.
 type roundPlan struct {
-	// sched is fixed at Build; the client's Hello carries its exponents.
-	sched  []roundSpec
+	// The schedule is fixed at Build; the client's Hello carries its
+	// exponents and its input domain.
+	roundSchedule
 	planMu sync.RWMutex
 	kinds  []backend.Kind
 }
 
 // privacyMax is the all-Paillier plan of the schedule.
-func privacyMax(sched []roundSpec) roundPlan {
-	kinds := make([]backend.Kind, len(sched))
+func privacyMax(s roundSchedule) roundPlan {
+	kinds := make([]backend.Kind, len(s.sched))
 	for r := range kinds {
 		kinds[r] = backend.PaillierHE
 	}
-	return roundPlan{sched: sched, kinds: kinds}
+	return roundPlan{roundSchedule: s, kinds: kinds}
 }
 
 // exps returns each round's reply exponent, the vector a Hello carries.
@@ -578,7 +587,7 @@ func (mp *ModelProvider) forSession() *ModelProvider {
 	mp.planMu.RLock()
 	defer mp.planMu.RUnlock()
 	return &ModelProvider{
-		roundPlan: roundPlan{sched: mp.sched, kinds: mp.kinds},
+		roundPlan: roundPlan{roundSchedule: mp.roundSchedule, kinds: mp.kinds},
 		pk:        mp.pk, eval: mp.eval, pool: mp.pool, stages: mp.stages,
 		state: map[uint64]*obfuscate.Rounds{},
 	}
@@ -722,9 +731,7 @@ type DataProvider struct {
 	roundPlan
 	sk     *paillier.PrivateKey
 	factor int64
-	// inputMax is the network's declared input domain (0 = undeclared).
-	inputMax float64
-	stages   []*nonLinearStage
+	stages []*nonLinearStage
 
 	// ot is the OT extension every garbled ReLU of this data provider
 	// draws its batches from: its base OTs run once, at the first ss-gc

@@ -1,10 +1,8 @@
 package protocol
 
 import (
-	"crypto/rand"
 	"math/big"
 	mathrand "math/rand"
-	"sync"
 	"testing"
 
 	"ppstream/internal/backend"
@@ -12,60 +10,6 @@ import (
 	"ppstream/internal/paillier"
 	"ppstream/internal/tensor"
 )
-
-var (
-	keyOnce sync.Once
-	testKey *paillier.PrivateKey
-)
-
-func key(t testing.TB) *paillier.PrivateKey {
-	keyOnce.Do(func() {
-		k, err := paillier.GenerateKey(rand.Reader, 256)
-		if err != nil {
-			t.Fatalf("GenerateKey: %v", err)
-		}
-		testKey = k
-	})
-	return testKey
-}
-
-// buildNet makes a small FC network: two rounds (L,N,L,N).
-func buildNet(t *testing.T) *nn.Network {
-	t.Helper()
-	r := mathrand.New(mathrand.NewSource(9))
-	net, err := nn.NewNetwork("proto-test", tensor.Shape{4},
-		nn.NewFC("fc1", 4, 6, r),
-		nn.NewReLU("relu1"),
-		nn.NewFC("fc2", 6, 3, r),
-		nn.NewSoftMax("softmax"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
-}
-
-// buildConvNet makes a conv network: conv+relu+fc+softmax.
-func buildConvNet(t *testing.T) *nn.Network {
-	t.Helper()
-	r := mathrand.New(mathrand.NewSource(10))
-	p := tensor.ConvParams{InC: 1, InH: 6, InW: 6, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv, err := nn.NewConv("conv1", p, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := nn.NewNetwork("proto-conv", tensor.Shape{1, 6, 6},
-		conv,
-		nn.NewReLU("relu1"),
-		nn.NewFlatten("flatten"),
-		nn.NewFC("fc", 2*6*6, 3, r),
-		nn.NewSoftMax("softmax"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
-}
 
 func TestBuildValidation(t *testing.T) {
 	k := key(t)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ppstream/internal/obs"
-	"ppstream/internal/paillier"
 	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
@@ -21,120 +20,21 @@ import (
 // its one-frame-at-a-time goroutine, how a failure stays in its frame, and
 // how the session ends.
 
-// duplex is the test's end of a session over two channel edges.
-type duplex struct{ out, in stream.Edge }
-
-func (d duplex) Send(ctx context.Context, m *stream.Message) error { return d.out.Send(ctx, m) }
-
-func (d duplex) Recv(ctx context.Context) (*stream.Message, error) { return d.in.Recv(ctx) }
-
-func (d duplex) CloseSend() error { return d.out.CloseSend() }
-
-// roundSession serves proto's model provider under cfg over two channel
-// edges of the given depth, after answering the Hello, and returns a raw
-// client on the test's end, the session's return and the cancel of the
-// session's ctx. reply, when not nil, wraps the session's outgoing edge.
-func roundSession(t *testing.T, proto *Protocol, cfg SessionConfig, depth int, reply func(stream.Edge) stream.Edge) (*rawClient, <-chan error, context.CancelFunc) {
-	t.Helper()
-	toModel, toData := stream.NewChannelEdge(depth), stream.NewChannelEdge(depth)
-	return serveRounds(t, proto, cfg, toModel, toData, duplex{out: toModel, in: toData}, reply)
-}
-
-// serveRounds is roundSession over any edges: the session reads in and
-// answers on out, and the raw client's end is client.
-func serveRounds(t *testing.T, proto *Protocol, cfg SessionConfig, in, out, client stream.Edge, reply func(stream.Edge) stream.Edge) (*rawClient, <-chan error, context.CancelFunc) {
-	t.Helper()
-	cfg.Factor = 1000
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry(t.Name())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	t.Cleanup(cancel)
-	if reply != nil {
-		out = reply(out)
-	}
-	if err := client.Send(ctx, &stream.Message{Payload: &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps()}}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := openSession(ctx, in, out, cfg, func(*Hello, *paillier.PublicKey) (*ModelProvider, error) { return proto.Model, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Recv(ctx); err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- s.serve(in) }()
-	return &rawClient{t: t, s: s, edge: client, proto: proto}, served, cancel
-}
-
-// roundOne decodes req's round-0 reply and returns its round-1 frame.
-func (c *rawClient) roundOne(req uint64, reply *stream.Message) *roundFrame {
-	c.t.Helper()
-	w, err := ToWire(c.decode(0, req, reply))
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	return &roundFrame{Round: 1, Env: w}
-}
-
-// result is req's prediction from its last round's reply.
-func (c *rawClient) result(req uint64, reply *stream.Message) *tensor.Dense {
-	c.t.Helper()
-	return c.decode(1, req, reply).Result
-}
-
-// decode runs the data provider's round r on req's reply.
-func (c *rawClient) decode(r int, req uint64, reply *stream.Message) *Envelope {
-	c.t.Helper()
-	env, err := FromWire(reply.Payload.(*roundFrame).Env, c.s.mp.pk)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	env.Req = req
-	if env, err = c.proto.Data.ProcessNonLinearMetered(r, env, nil); err != nil {
-		c.t.Fatal(err)
-	}
-	return env
-}
-
-// waitServed returns the session's return, failing the test if it takes
-// longer than ten seconds.
-func waitServed(t *testing.T, served <-chan error) error {
-	t.Helper()
-	select {
-	case err := <-served:
-		return err
-	case <-time.After(10 * time.Second):
-		t.Fatal("the session did not end")
-		return nil
-	}
-}
-
-func buildProto(t *testing.T) *Protocol {
-	t.Helper()
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return proto
-}
-
 // TestStagesConcurrentSubmitters: many goroutines infer through one
 // session at once, and each gets its own input's result.
 func TestStagesConcurrentSubmitters(t *testing.T) {
-	proto := buildProto(t)
+	reg := obs.NewRegistry("concurrent-submitters")
+	h := open(t, opening{proto: true, depth: 2, cfg: SessionConfig{Registry: reg, Window: 2}, opts: ClientOptions{Window: 2}})
+	c := h.client
 	const n = 12
 	inputs, want := make([]*tensor.Dense, n), make([]*tensor.Dense, n)
 	for i := range inputs {
 		inputs[i] = tensor.MustFromSlice([]float64{float64(i) / 4, -1, 0.5, float64(n-i) / 8}, 4)
 		var err error
-		if want[i], err = proto.Infer(uint64(1000+i), inputs[i]); err != nil {
+		if want[i], err = h.proto.Infer(uint64(1000+i), inputs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reg := obs.NewRegistry("concurrent-submitters")
-	c, _ := inProcessSession(t, proto, SessionConfig{Registry: reg}, 2)
 	var wg sync.WaitGroup
 	for i := range inputs {
 		wg.Add(1)
@@ -160,7 +60,7 @@ func TestStagesConcurrentSubmitters(t *testing.T) {
 // under its own Seq, and the frame queued behind it in the same round is
 // served undisturbed.
 func TestStagesErrorIsolation(t *testing.T) {
-	c, served, _ := roundSession(t, buildProto(t), SessionConfig{}, 4, nil)
+	c := open(t, opening{proto: true, raw: true, depth: 4})
 	c.send(1, c.roundZero(1, tensor.Zeros(9))) // wrong input size
 	c.send(2, c.roundZero(2, tensor.Zeros(4)))
 	bad := c.recv(CodeNone)
@@ -174,7 +74,7 @@ func TestStagesErrorIsolation(t *testing.T) {
 	c.send(2, c.roundOne(2, good))
 	c.recv(replyOK)
 	c.edge.CloseSend()
-	if err := waitServed(t, served); err != nil {
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -184,17 +84,16 @@ func TestStagesErrorIsolation(t *testing.T) {
 // incoming edge fills and the peer's next send waits. Once the round moves
 // again, every frame is answered.
 func TestStagesWindowBounds(t *testing.T) {
-	proto := buildProto(t)
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int64
-	hookRound(proto, 0, func() {
+	hold := func() {
 		if calls.Add(1) == 1 {
 			close(entered)
 			<-gate
 		}
-	})
+	}
 	const window = 2
-	c, served, _ := roundSession(t, proto, SessionConfig{Window: window, IdleTTL: time.Hour}, 1, nil)
+	c := open(t, opening{proto: true, hooks: map[int]func(){0: hold}, raw: true, cfg: SessionConfig{Window: window, IdleTTL: time.Hour}})
 	c.send(1, c.roundZero(1, tensor.Zeros(4)))
 	<-entered // round 0 holds request 1
 	// Two frames fill the queue, the loop holds the next one, and the edge
@@ -218,7 +117,7 @@ func TestStagesWindowBounds(t *testing.T) {
 		}
 	}
 	c.edge.CloseSend()
-	if err := waitServed(t, served); err != nil {
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -227,16 +126,15 @@ func TestStagesWindowBounds(t *testing.T) {
 // the session answers every queued frame before it closes its outgoing
 // edge and returns.
 func TestStagesClose(t *testing.T) {
-	proto := buildProto(t)
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int64
-	hookRound(proto, 0, func() {
+	hold := func() {
 		if calls.Add(1) == 1 {
 			close(entered)
 			<-gate
 		}
-	})
-	c, served, _ := roundSession(t, proto, SessionConfig{IdleTTL: time.Hour}, 4, nil)
+	}
+	c := open(t, opening{proto: true, hooks: map[int]func(){0: hold}, raw: true, depth: 4, cfg: SessionConfig{IdleTTL: time.Hour}})
 	c.send(1, c.roundZero(1, tensor.Zeros(4)))
 	<-entered
 	c.send(2, c.roundZero(2, tensor.Zeros(4)))
@@ -248,10 +146,10 @@ func TestStagesClose(t *testing.T) {
 			t.Errorf("reply Seq %d, want %d", m.Seq, req)
 		}
 	}
-	if _, err := c.edge.Recv(c.s.ctx); !errors.Is(err, stream.ErrEdgeClosed) {
+	if _, err := c.edge.Recv(c.ctx); !errors.Is(err, stream.ErrEdgeClosed) {
 		t.Errorf("after the last reply: %v, want the session's close", err)
 	}
-	if err := waitServed(t, served); err != nil {
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -262,29 +160,27 @@ func TestStagesClose(t *testing.T) {
 // answered, and no handler runs after ServeSession returned. Run under
 // -race.
 func TestStagesSubmitCloseRace(t *testing.T) {
-	proto := buildProto(t)
 	// busy takes a signal per handler entry, without blocking: a full
 	// buffer drops it, and the test only needs one after each drain.
 	var running atomic.Int32
 	busy := make(chan struct{}, 64)
-	for r := range 2 {
-		hookRound(proto, r, func() {
-			running.Add(1)
-			defer running.Add(-1)
-			select {
-			case busy <- struct{}{}:
-			default:
-			}
-			time.Sleep(time.Millisecond)
-		})
+	handler := func() {
+		running.Add(1)
+		defer running.Add(-1)
+		select {
+		case busy <- struct{}{}:
+		default:
+		}
+		time.Sleep(time.Millisecond)
 	}
 	for iter := 0; iter < 5; iter++ {
 		const n = 4
-		c, served, _ := roundSession(t, proto, SessionConfig{Window: n, IdleTTL: time.Hour}, 4*n, nil)
+		c := open(t, opening{proto: true, hooks: map[int]func(){0: handler, 1: handler}, raw: true, depth: 4 * n,
+			cfg: SessionConfig{Window: n, IdleTTL: time.Hour}})
 		base := uint64(100*iter + 1)
 		next := make([]*roundFrame, n)
 		for i := range next {
-			next[i] = c.open(base+uint64(i), 0)
+			next[i] = c.midway(base+uint64(i), 0)
 		}
 		for len(busy) > 0 {
 			<-busy
@@ -295,7 +191,7 @@ func TestStagesSubmitCloseRace(t *testing.T) {
 		}
 		<-busy // a round is inside its handler
 		c.edge.CloseSend()
-		if err := waitServed(t, served); err != nil {
+		if err := c.wait(); err != nil {
 			t.Fatalf("server: %v", err)
 		}
 		if r := running.Load(); r != 0 {
@@ -304,7 +200,7 @@ func TestStagesSubmitCloseRace(t *testing.T) {
 		for range 2 * n {
 			c.recv(replyOK)
 		}
-		if _, err := c.edge.Recv(c.s.ctx); !errors.Is(err, stream.ErrEdgeClosed) {
+		if _, err := c.edge.Recv(c.ctx); !errors.Is(err, stream.ErrEdgeClosed) {
 			t.Fatalf("after %d replies: %v, want the session's close", 2*n, err)
 		}
 	}
@@ -315,20 +211,16 @@ func TestStagesSubmitCloseRace(t *testing.T) {
 // is released and ServeSession returns the ctx error instead of waiting
 // forever on a queue no one drains.
 func TestStagesFailReleasesWindow(t *testing.T) {
-	proto := buildProto(t)
-	entered := make(chan struct{})
-	var (
-		calls atomic.Int64
-		sctx  context.Context
-	)
-	hookRound(proto, 0, func() {
+	entered, cancelled := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	hold := func() {
 		if calls.Add(1) == 1 {
 			close(entered)
-			<-sctx.Done()
+			<-cancelled
 		}
-	})
-	c, served, cancel := roundSession(t, proto, SessionConfig{Window: 1, IdleTTL: time.Hour}, 1, nil)
-	sctx = c.s.ctx
+	}
+	c := open(t, opening{proto: true, hooks: map[int]func(){0: hold}, raw: true, cfg: SessionConfig{Window: 1, IdleTTL: time.Hour}})
+	context.AfterFunc(c.ctx, func() { close(cancelled) })
 	c.send(1, c.roundZero(1, tensor.Zeros(4)))
 	<-entered
 	// One frame fills the queue, the loop holds the next, the edge buffers
@@ -336,8 +228,8 @@ func TestStagesFailReleasesWindow(t *testing.T) {
 	for req := uint64(2); req <= 4; req++ {
 		c.send(req, c.roundZero(req, tensor.Zeros(4)))
 	}
-	cancel()
-	if err := waitServed(t, served); !errors.Is(err, context.Canceled) {
+	c.cancel()
+	if err := c.wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("session whose ctx ended under a full queue: %v, want context.Canceled", err)
 	}
 }
@@ -347,20 +239,12 @@ func TestStagesFailReleasesWindow(t *testing.T) {
 // the ctx error within a second although the client keeps the connection
 // open.
 func TestSessionStageCancelReleasesTCPRecv(t *testing.T) {
-	proto := buildProto(t)
-	dialed, accepted := tcpPair(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	served := make(chan error, 1)
-	go func() {
-		served <- ServeSession(ctx, accepted, accepted, proto.Model, SessionConfig{Factor: 1000})
-	}()
-	sayHello(ctx, t, dialed, &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps()})
-	cancel()
+	h := open(t, opening{tcp: true, proto: true, raw: true})
+	h.cancel()
 	select {
-	case err := <-served:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("session cancelled while waiting for a frame: %v, want context.Canceled", err)
+	case <-h.done:
+		if !errors.Is(h.err, context.Canceled) {
+			t.Errorf("session cancelled while waiting for a frame: %v, want context.Canceled", h.err)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("a session over TCP did not return within 1s of its ctx's cancel")
@@ -371,24 +255,20 @@ func TestSessionStageCancelReleasesTCPRecv(t *testing.T) {
 // blocked in its handler and the receive loop waits on the incoming edge
 // ends ServeSession with the ctx error once the round returns.
 func TestContextCancellation(t *testing.T) {
-	proto := buildProto(t)
-	entered := make(chan struct{})
-	var (
-		calls atomic.Int64
-		sctx  context.Context
-	)
-	hookRound(proto, 0, func() {
+	entered, cancelled := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	hold := func() {
 		if calls.Add(1) == 1 {
 			close(entered)
-			<-sctx.Done()
+			<-cancelled
 		}
-	})
-	c, served, cancel := roundSession(t, proto, SessionConfig{IdleTTL: time.Hour}, 4, nil)
-	sctx = c.s.ctx
+	}
+	c := open(t, opening{proto: true, hooks: map[int]func(){0: hold}, raw: true, depth: 4, cfg: SessionConfig{IdleTTL: time.Hour}})
+	context.AfterFunc(c.ctx, func() { close(cancelled) })
 	c.send(1, c.roundZero(1, tensor.Zeros(4)))
 	<-entered
-	cancel()
-	if err := waitServed(t, served); !errors.Is(err, context.Canceled) {
+	c.cancel()
+	if err := c.wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("session after cancellation: %v, want context.Canceled", err)
 	}
 }
@@ -415,37 +295,27 @@ func (e *failingEdge) Send(ctx context.Context, m *stream.Message) error {
 func TestSessionReplySendFailure(t *testing.T) {
 	for _, transport := range []string{"channel", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
-			proto := buildProto(t)
 			entered, gate := make(chan struct{}), make(chan struct{})
 			var calls atomic.Int64
-			hookRound(proto, 0, func() {
+			hold := func() {
 				if calls.Add(1) == 1 {
 					close(entered)
 					<-gate
 				}
-			})
+			}
 			before := runtime.NumGoroutine()
 			out := &failingEdge{}
 			breakable := func(e stream.Edge) stream.Edge {
 				out.Edge = e
 				return out
 			}
-			cfg := SessionConfig{IdleTTL: time.Hour}
-			var (
-				c      *rawClient
-				served <-chan error
-			)
-			if transport == "tcp" {
-				dialed, accepted := tcpPair(t)
-				c, served, _ = serveRounds(t, proto, cfg, accepted, accepted, dialed, breakable)
-			} else {
-				c, served, _ = roundSession(t, proto, cfg, 4, breakable)
-			}
+			c := open(t, opening{tcp: transport == "tcp", depth: 4, proto: true, hooks: map[int]func(){0: hold}, raw: true,
+				cfg: SessionConfig{IdleTTL: time.Hour}, answers: breakable})
 			c.send(1, c.roundZero(1, tensor.Zeros(4)))
 			<-entered
 			out.broken.Store(true)
 			close(gate)
-			if err := waitServed(t, served); !errors.Is(err, errReplyLost) {
+			if err := c.wait(); !errors.Is(err, errReplyLost) {
 				t.Fatalf("session whose reply edge failed: %v, want %v", err, errReplyLost)
 			}
 			deadline := time.Now().Add(5 * time.Second)
@@ -462,14 +332,13 @@ func TestSessionReplySendFailure(t *testing.T) {
 // TestPanicContainment: a round whose kernel panics fails only the request
 // that raised it; the round keeps serving the requests after it.
 func TestPanicContainment(t *testing.T) {
-	proto := buildProto(t)
 	var calls atomic.Int64
-	hookRound(proto, 0, func() {
+	boom := func() {
 		if calls.Add(1) == 3 {
 			panic("boom on request 3")
 		}
-	})
-	c, _ := inProcessSession(t, proto, SessionConfig{}, 2)
+	}
+	c := open(t, opening{proto: true, hooks: map[int]func(){0: boom}, depth: 2, cfg: SessionConfig{Window: 2}, opts: ClientOptions{Window: 2}}).client
 	var failed, ok int
 	for i := 0; i < 5; i++ {
 		_, err := c.Infer(context.Background(), tensor.MustFromSlice([]float64{float64(i), 0, -1, 0.5}, 4))
@@ -491,17 +360,16 @@ func TestPanicContainment(t *testing.T) {
 // arrived, and every request that passes both rounds gets the sequential
 // workflow's result.
 func TestPipelineOrderAndValues(t *testing.T) {
-	proto := buildProto(t)
 	const n = 6
+	c := open(t, opening{proto: true, raw: true, depth: 2 * n, cfg: SessionConfig{Window: n}})
 	inputs, want := make([]*tensor.Dense, n+1), make([]*tensor.Dense, n+1)
 	for req := 1; req <= n; req++ {
 		inputs[req] = tensor.MustFromSlice([]float64{float64(req), -0.5, 1, float64(-req) / 2}, 4)
 		var err error
-		if want[req], err = proto.Infer(uint64(1000+req), inputs[req]); err != nil {
+		if want[req], err = c.proto.Infer(uint64(1000+req), inputs[req]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c, served, _ := roundSession(t, proto, SessionConfig{Window: n}, 2*n, nil)
 	for req := uint64(1); req <= n; req++ {
 		c.send(req, c.roundZero(req, inputs[req]))
 	}
@@ -526,7 +394,7 @@ func TestPipelineOrderAndValues(t *testing.T) {
 		}
 	}
 	c.edge.CloseSend()
-	if err := waitServed(t, served); err != nil {
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -535,15 +403,14 @@ func TestPipelineOrderAndValues(t *testing.T) {
 // arrives under the request's Seq carrying the cause's text, and the
 // session keeps serving the requests after it.
 func TestRoundFailurePropagatesAndContains(t *testing.T) {
-	s, edge, serveErr, _ := openRawSession(t, SessionConfig{})
-	c := &rawClient{t: t, s: s, edge: edge, proto: buildProto(t)}
+	c := open(t, opening{tcp: true, raw: true})
 	c.send(1, c.roundZero(1, tensor.Zeros(9))) // wrong input size
 	if m := c.recv(CodeNone); m.Seq != 1 || m.Payload != nil || !strings.Contains(m.Err.Error(), "input size 9") {
 		t.Errorf("failed round's reply over TCP: Seq %d payload %T err %v, want Seq 1 carrying its cause alone", m.Seq, m.Payload, m.Err)
 	}
 	c.complete(2)
-	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	c.edge.CloseSend()
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -554,7 +421,7 @@ func TestRoundFailurePropagatesAndContains(t *testing.T) {
 func TestPipelineSnapshotAndInstrument(t *testing.T) {
 	reg := obs.NewRegistry("round-instrument")
 	reg.KeepWindows()
-	c, _ := inProcessSession(t, buildProto(t), SessionConfig{Registry: reg}, 2)
+	c := open(t, opening{proto: true, depth: 2, cfg: SessionConfig{Registry: reg, Window: 2}, opts: ClientOptions{Window: 2}}).client
 	const n = 3
 	for i := 0; i < n; i++ {
 		if _, err := c.Infer(context.Background(), tensor.MustFromSlice([]float64{1, float64(i), -1, 0}, 4)); err != nil {
@@ -576,12 +443,10 @@ func TestPipelineSnapshotAndInstrument(t *testing.T) {
 // concurrent requests finish in about (n+1)·d, not the 2·n·d of running
 // them one after another.
 func TestPipelineIsActuallyPipelined(t *testing.T) {
-	proto := buildProto(t)
 	const d, n = 40 * time.Millisecond, 8
-	for r := range 2 {
-		hookRound(proto, r, func() { time.Sleep(d) })
-	}
-	c, _ := inProcessSession(t, proto, SessionConfig{}, n)
+	sleep := func() { time.Sleep(d) }
+	c := open(t, opening{proto: true, hooks: map[int]func(){0: sleep, 1: sleep}, depth: n,
+		cfg: SessionConfig{Window: n}, opts: ClientOptions{Window: n}}).client
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -603,17 +468,16 @@ func TestPipelineIsActuallyPipelined(t *testing.T) {
 // answered under their own Seq: every request then completes with its own
 // input's result.
 func TestSubmitConcurrentSeq(t *testing.T) {
-	proto := buildProto(t)
 	const senders, per = 4, 4
+	c := open(t, opening{proto: true, raw: true, depth: senders * per, cfg: SessionConfig{Window: senders * per}})
 	inputs, want := map[uint64]*tensor.Dense{}, map[uint64]*tensor.Dense{}
 	for req := uint64(1); req <= senders*per; req++ {
 		inputs[req] = tensor.MustFromSlice([]float64{float64(req) / 4, 1, -0.5, 0}, 4)
 		var err error
-		if want[req], err = proto.Infer(1000+req, inputs[req]); err != nil {
+		if want[req], err = c.proto.Infer(1000+req, inputs[req]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c, served, _ := roundSession(t, proto, SessionConfig{Window: senders * per}, senders*per, nil)
 	frames := map[uint64]*roundFrame{}
 	for req, x := range inputs {
 		frames[req] = c.roundZero(req, x)
@@ -625,7 +489,7 @@ func TestSubmitConcurrentSeq(t *testing.T) {
 			defer wg.Done()
 			for i := 1; i <= per; i++ {
 				req := uint64(w*per + i)
-				if err := c.edge.Send(c.s.ctx, &stream.Message{Seq: req, Payload: frames[req]}); err != nil {
+				if err := c.edge.Send(c.ctx, &stream.Message{Seq: req, Payload: frames[req]}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -649,7 +513,7 @@ func TestSubmitConcurrentSeq(t *testing.T) {
 		}
 	}
 	c.edge.CloseSend()
-	if err := waitServed(t, served); err != nil {
+	if err := c.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }

@@ -47,9 +47,13 @@ type Hello struct {
 	// assignment (backend.Kind wire codes).
 	Plan []int32
 	// Exps is each round's reply exponent as the client's schedule fixes it,
-	// the power of F it descales the reply by. The server refuses a Hello
-	// whose vector is not its own network's.
-	Exps []int32
+	// the power of F it descales the reply by, and InputMax the input domain
+	// it declares (nn.Network.InputMax, 0 when undeclared), on the wire as
+	// its float64 bits. The server refuses a Hello whose exponents or domain
+	// are not its own network's: its reply slots hold only the values of
+	// inputs inside its own domain.
+	Exps     []int32
+	InputMax float64
 }
 
 // maxHelloKeyBytes bounds the modulus a client may announce (16384-bit
@@ -284,7 +288,7 @@ func Serve(ctx context.Context, ln net.Listener, model *nn.Network, cfg SessionC
 // GOMAXPROCS); walkErr, when not nil, is why the network was not walked,
 // and fails every Hello. A key too small for a round's reply slots fails
 // the Hello with the *SlotError.
-func building(sched []roundSpec, stages []linearStage, walkErr error, cfg SessionConfig) provider {
+func building(sched roundSchedule, stages []linearStage, walkErr error, cfg SessionConfig) provider {
 	limit := cfg.MaxWorkers
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
@@ -569,6 +573,9 @@ func acceptHello(first *stream.Message, cfg SessionConfig, provide provider) (*M
 	}
 	if exps := mp.exps(); !slices.Equal(hello.Exps, exps) {
 		return nil, nil, fmt.Errorf("protocol: client reply exponents %v do not match the served network's %v", hello.Exps, exps)
+	}
+	if math.Float64bits(hello.InputMax) != math.Float64bits(mp.inputMax) {
+		return nil, nil, fmt.Errorf("protocol: client input domain %v does not match the served network's %v", hello.InputMax, mp.inputMax)
 	}
 	plan, err := mp.applyProfile(backend.Stricter(policy, requested), cfg.ClearBoundary)
 	return mp, plan, err

@@ -27,29 +27,9 @@ import (
 // an in-memory connection pair: the deployment path of cmd/ppserver and
 // cmd/ppclient.
 func TestServiceSessionEndToEnd(t *testing.T) {
-	k := key(t)
 	netw := buildNet(t)
-	const factor = 1000
-
-	c2s1, s2c1 := net.Pipe() // client -> server
-	c2s2, s2c2 := net.Pipe() // server -> client
-	serverIn := stream.NewTCPEdge(s2c1)
-	serverOut := stream.NewTCPEdge(c2s2)
-	clientOut := stream.NewTCPEdge(c2s1)
-	clientIn := stream.NewTCPEdge(s2c2)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverIn, serverOut, netw, SessionConfig{Factor: factor, MaxWorkers: 4})
-	}()
-
-	client, err := NewClientOpts(ctx, clientIn, clientOut, netw, k, factor, ClientOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := open(t, opening{tcp: true, net: netw, cfg: SessionConfig{MaxWorkers: 4}, opts: ClientOptions{Workers: 2}})
+	client, ctx := h.client, h.ctx
 	r := mathrand.New(mathrand.NewSource(201))
 	for trial := 0; trial < 3; trial++ {
 		x := tensor.Zeros(4)
@@ -66,7 +46,7 @@ func TestServiceSessionEndToEnd(t *testing.T) {
 		}
 	}
 	client.Close()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -75,56 +55,32 @@ func TestServiceSessionEndToEnd(t *testing.T) {
 // scaling factor differs (the quantized weights would not match), and the
 // client's NewClient fails with the refusal.
 func TestServiceRejectsFactorMismatch(t *testing.T) {
-	netw := buildNet(t)
-	client, server := net.Pipe()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	serveErr := make(chan error, 1)
-	go func() {
-		defer server.Close()
-		edge := stream.NewTCPEdge(server)
-		serveErr <- ServeSessionConfig(ctx, edge, edge, netw, SessionConfig{Factor: 1000, MaxWorkers: 4})
-	}()
-	edge := stream.NewTCPEdge(client)
-	if _, err := NewClientOpts(ctx, edge, edge, netw, key(t), 999, ClientOptions{Workers: 1}); !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "factor 999") {
+	h, err := dial(t, opening{tcp: true, factor: 999, cfg: SessionConfig{MaxWorkers: 4}, opts: ClientOptions{Workers: 1}})
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "factor 999") {
 		t.Errorf("client at factor 999: %v, want the refusal", err)
 	}
-	if err := <-serveErr; err == nil {
+	if err := h.wait(); err == nil {
 		t.Error("factor mismatch accepted")
 	}
 }
 
-// hostileHello sends a handcrafted Hello to a server over a full
-// connection pair and returns the server's exit error plus the first frame
-// (if any) the server sent back.
-func hostileHello(t *testing.T, hello *Hello) (error, *stream.Message) {
+// hostile opens a session over TCP, sends hello as its first frame, and
+// returns the session's end and the first frame it sent back, if any.
+func hostile(t *testing.T, hello *Hello) (error, *stream.Message) {
 	t.Helper()
-	netw := buildNet(t)
-	c2s1, s2c1 := net.Pipe()
-	c2s2, s2c2 := net.Pipe()
-	serverIn := stream.NewTCPEdge(s2c1)
-	serverOut := stream.NewTCPEdge(c2s2)
-	clientOut := stream.NewTCPEdge(c2s1)
-	clientIn := stream.NewTCPEdge(s2c2)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverIn, serverOut, netw, SessionConfig{Factor: 1000, MaxWorkers: 4})
-	}()
-	if err := clientOut.Send(ctx, &stream.Message{Payload: hello}); err != nil {
+	h := open(t, opening{tcp: true, hostile: true, cfg: SessionConfig{MaxWorkers: 4}})
+	if err := h.edge.Send(h.ctx, &stream.Message{Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
-	reply, _ := clientIn.Recv(ctx)
-	return <-serveErr, reply
+	reply, _ := h.edge.Recv(h.ctx)
+	return h.wait(), reply
 }
 
 // TestServiceRejectsTinyModulus: a Hello announcing a modulus far below
 // the minimum key size must be rejected at session setup with a clear
 // error frame — not fail deep inside the linear kernel.
 func TestServiceRejectsTinyModulus(t *testing.T) {
-	err, reply := hostileHello(t, &Hello{N: []byte{7}, Factor: 1000, Workers: 1})
+	err, reply := hostile(t, &Hello{N: []byte{7}, Factor: 1000, Workers: 1})
 	if err == nil {
 		t.Fatal("tiny modulus accepted")
 	}
@@ -138,7 +94,7 @@ func TestServiceRejectsTinyModulus(t *testing.T) {
 
 // TestServiceRejectsEmptyKey: a Hello with no modulus bytes fails fast.
 func TestServiceRejectsEmptyKey(t *testing.T) {
-	err, reply := hostileHello(t, &Hello{Factor: 1000, Workers: 1})
+	err, reply := hostile(t, &Hello{Factor: 1000, Workers: 1})
 	if err == nil {
 		t.Fatal("empty public key accepted")
 	}
@@ -152,7 +108,7 @@ func TestServiceRejectsEmptyKey(t *testing.T) {
 func TestServiceRejectsOversizedKey(t *testing.T) {
 	huge := make([]byte, maxHelloKeyBytes+1)
 	huge[0] = 1
-	err, reply := hostileHello(t, &Hello{N: huge, Factor: 1000, Workers: 1})
+	err, reply := hostile(t, &Hello{N: huge, Factor: 1000, Workers: 1})
 	if err == nil {
 		t.Fatal("oversized public key accepted")
 	}
@@ -169,21 +125,15 @@ func TestServiceRejectsOversizedKey(t *testing.T) {
 // before wire format v1 sent — ends the session with stream.ErrWireVersion
 // and is told why in an error frame; nothing hangs and nothing panics.
 func TestServiceRefusesForeignWire(t *testing.T) {
-	netw := buildNet(t)
-	c2s1, s2c1 := net.Pipe()
-	c2s2, s2c2 := net.Pipe()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, stream.NewTCPEdge(s2c1), stream.NewTCPEdge(c2s2), netw, SessionConfig{Factor: 1000, MaxWorkers: 4})
-	}()
-	go c2s1.Write([]byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'w', 'i', 'r', 'e', 'F', 'r', 'a', 'm', 'e'})
-	reply, err := stream.NewTCPEdge(s2c2).Recv(ctx)
+	h := open(t, opening{tcp: true, hostile: true, cfg: SessionConfig{MaxWorkers: 4}})
+	if _, err := h.conn.Write([]byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'w', 'i', 'r', 'e', 'F', 'r', 'a', 'm', 'e'}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := h.edge.Recv(h.ctx)
 	if err != nil || reply.Err == nil || !strings.Contains(reply.Err.Error(), "unsupported wire version") {
 		t.Errorf("peer received %+v, %v; want the version error", reply, err)
 	}
-	if err := <-serveErr; !errors.Is(err, stream.ErrWireVersion) {
+	if err := h.wait(); !errors.Is(err, stream.ErrWireVersion) {
 		t.Errorf("server ended with %v, want stream.ErrWireVersion", err)
 	}
 }
@@ -240,24 +190,16 @@ func TestDataProviderNeedsNoWeights(t *testing.T) {
 					}
 				}
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			toServer, toClient := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
-			served := make(chan error, 1)
-			go func() { served <- ServeSessionConfig(ctx, toServer, toClient, netw, SessionConfig{Factor: factor}) }()
-			client, err := NewClientOpts(ctx, toClient, toServer, arch, k, factor, ClientOptions{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := client.Infer(ctx, x)
+			h := open(t, opening{net: netw, arch: arch, cfg: SessionConfig{Factor: factor}, opts: ClientOptions{Workers: 1}})
+			got, err := h.client.Infer(h.ctx, x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got.Data(), want.Data()) {
 				t.Errorf("weightless client: %v, Protocol.Infer: %v", got.Data(), want.Data())
 			}
-			client.Close()
-			if err := <-served; err != nil {
+			h.client.Close()
+			if err := h.wait(); err != nil {
 				t.Error(err)
 			}
 		})

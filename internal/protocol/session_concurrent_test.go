@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"context"
 	mathrand "math/rand"
 	"strings"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"ppstream/internal/obs"
-	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
 
@@ -21,30 +19,12 @@ import (
 // must complete with its own error without disturbing the others.
 // Run under -race in CI.
 func TestSessionConcurrentClients(t *testing.T) {
-	k := key(t)
 	netw := buildNet(t)
-	const factor = 1000
-
-	clientEdge, serverEdge := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
 	reg := obs.NewRegistry("session")
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverEdge, serverEdge, netw, SessionConfig{
-			Factor:     factor,
-			MaxWorkers: 2,
-			Window:     4,
-			IdleTTL:    time.Minute,
-			Registry:   reg,
-		})
-	}()
-
-	client, err := NewClientOpts(ctx, clientEdge, clientEdge, netw, k, factor, ClientOptions{Workers: 1, Window: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := open(t, opening{tcp: true, net: netw,
+		cfg:  SessionConfig{MaxWorkers: 2, Window: 4, IdleTTL: time.Minute, Registry: reg},
+		opts: ClientOptions{Workers: 1, Window: 8}})
+	client, ctx := h.client, h.ctx
 
 	const n = 8
 	const badSlot = 3
@@ -111,7 +91,7 @@ func TestSessionConcurrentClients(t *testing.T) {
 	if err := client.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 	s := reg.Snapshot()
@@ -131,40 +111,11 @@ func TestSessionConcurrentClients(t *testing.T) {
 // session's idle TTL — the server does not leak state for crashed or
 // stalled clients.
 func TestSessionIdleEviction(t *testing.T) {
-	k := key(t)
-	netw := buildNet(t)
-	const factor = 1000
-	proto, err := Build(netw, k, Config{Factor: factor})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	edge, serverEdge := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
 	reg := obs.NewRegistry("evict")
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverEdge, serverEdge, netw, SessionConfig{
-			Factor:   factor,
-			IdleTTL:  50 * time.Millisecond,
-			Registry: reg,
-		})
-	}()
-	sayHello(ctx, t, edge, &Hello{N: k.N.Bytes(), Factor: factor, Workers: 1, Exps: proto.Data.exps()})
-	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := ToWire(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: 0, Env: w}}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := edge.Recv(ctx); err != nil || msg.Err != nil {
+	h := open(t, opening{tcp: true, raw: true, opts: ClientOptions{Workers: 1},
+		cfg: SessionConfig{IdleTTL: 50 * time.Millisecond, Registry: reg}})
+	h.send(1, h.roundZero(1, tensor.Zeros(4)))
+	if msg, err := h.edge.Recv(h.ctx); err != nil || msg.Err != nil {
 		t.Fatalf("round 0 reply: %v %q", err, msg.Err)
 	}
 	// Abandon the request: never send round 1. The janitor must evict it.
@@ -172,8 +123,8 @@ func TestSessionIdleEviction(t *testing.T) {
 	for time.Now().Before(deadline) {
 		s := reg.Snapshot()
 		if s.Counters["requests.evicted"] == 1 && s.Gauges["requests.active"] == 0 {
-			edge.CloseSend()
-			if err := <-serveErr; err != nil {
+			h.edge.CloseSend()
+			if err := h.wait(); err != nil {
 				t.Fatalf("server: %v", err)
 			}
 			return

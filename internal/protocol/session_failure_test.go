@@ -12,107 +12,21 @@ import (
 	"ppstream/internal/tensor"
 )
 
-// openRawSession spins up a server session over TCP with the Hello already
-// answered and returns the session value beside a raw client edge — the
-// harness for tests that drive round frames by hand and inspect what the
-// session still holds afterwards.
-func openRawSession(t *testing.T, cfg SessionConfig) (*session, stream.Edge, chan error, context.Context) {
-	t.Helper()
-	cfg.Factor = 1000
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry("raw-session")
-	}
-	edge, serverEdge := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	t.Cleanup(cancel)
-	_, sched, stages, err := walk(buildNet(t), cfg.Factor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened := make(chan *session, 1)
-	go func() {
-		s, err := openSession(ctx, serverEdge, serverEdge, cfg, building(sched, stages, nil, cfg))
-		if err != nil {
-			t.Error(err)
-		}
-		opened <- s
-	}()
-	plan := privacyMax(sched)
-	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1, Exps: plan.exps()})
-	s := <-opened
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.serve(serverEdge) }()
-	return s, edge, serveErr, ctx
-}
-
-// startRawSession is openRawSession for tests that need only the wire and
-// the registry.
-func startRawSession(t *testing.T, cfg SessionConfig) (stream.Edge, *obs.Registry, chan error, context.Context) {
-	t.Helper()
-	s, edge, serveErr, ctx := openRawSession(t, cfg)
-	return edge, s.reg, serveErr, ctx
-}
-
-// roundZero encrypts a fresh input for req and returns its round-0 wire
-// envelope.
-func roundZero(t *testing.T, req uint64) *WireEnvelope {
-	t.Helper()
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := proto.Data.EncryptMetered(req, tensor.Zeros(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := ToWire(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
 // TestSessionEvictionRaceTypedError: a round frame arriving after the
 // janitor evicted the request's state must get a clean typed
 // CodeEvicted error frame — not stale permutation state — and the
 // session must keep serving new requests. Run under -race.
 func TestSessionEvictionRaceTypedError(t *testing.T) {
-	edge, reg, serveErr, ctx := startRawSession(t, SessionConfig{IdleTTL: 60 * time.Millisecond})
-	k := key(t)
-	proto, err := Build(buildNet(t), k, Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := ToWire(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: 0, Env: w}}); err != nil {
-		t.Fatal(err)
-	}
+	h := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{IdleTTL: 60 * time.Millisecond}})
+	edge, reg, ctx := h.edge, h.reg, h.ctx
+	h.send(1, h.roundZero(1, tensor.Zeros(4)))
 	reply, err := edge.Recv(ctx)
 	if err != nil || reply.Err != nil {
 		t.Fatalf("round 0: %v %q", err, reply.Err)
 	}
 	// Build a legitimate round-1 frame from the reply, but stall past the
 	// idle TTL first so the janitor evicts the request under us.
-	renv, err := FromWire(reply.Payload.(*roundFrame).Env, &k.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	renv.Req = 1
-	renv, err = proto.Data.ProcessNonLinearMetered(0, renv, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := ToWire(renv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	next := h.roundOne(1, reply)
 	deadline := time.Now().Add(10 * time.Second)
 	for reg.Snapshot().Counters["requests.evicted"] == 0 {
 		if time.Now().After(deadline) {
@@ -120,7 +34,7 @@ func TestSessionEvictionRaceTypedError(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: 1, Env: w1}}); err != nil {
+	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: next}); err != nil {
 		t.Fatal(err)
 	}
 	late, err := edge.Recv(ctx)
@@ -137,14 +51,12 @@ func TestSessionEvictionRaceTypedError(t *testing.T) {
 		t.Errorf("requests.stale_rounds = %d", got)
 	}
 	// The session survives: a fresh request completes normally.
-	if err := edge.Send(ctx, &stream.Message{Seq: 2, Payload: &roundFrame{Round: 0, Env: roundZero(t, 2)}}); err != nil {
-		t.Fatal(err)
-	}
+	h.send(2, h.roundZero(2, tensor.Zeros(4)))
 	if reply, err := edge.Recv(ctx); err != nil || reply.Err != nil {
 		t.Fatalf("fresh request after eviction: %v %q", err, reply.Err)
 	}
 	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -155,13 +67,12 @@ func TestSessionEvictionRaceTypedError(t *testing.T) {
 // idle cutoff) and is accounted by the deadline counter, not the idle
 // one.
 func TestSessionDeadlineEviction(t *testing.T) {
-	edge, reg, serveErr, ctx := startRawSession(t, SessionConfig{IdleTTL: 400 * time.Millisecond})
-	if err := edge.Send(ctx, &stream.Message{Seq: 7, Payload: &roundFrame{
-		Round: 0, Env: roundZero(t, 7), DeadlineMS: 30,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := edge.Recv(ctx)
+	h := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{IdleTTL: 400 * time.Millisecond}})
+	edge, reg := h.edge, h.reg
+	f := h.roundZero(7, tensor.Zeros(4))
+	f.DeadlineMS = 30
+	h.send(7, f)
+	reply, err := edge.Recv(h.ctx)
 	if err != nil || reply.Err != nil {
 		t.Fatalf("round 0: %v %q", err, reply.Err)
 	}
@@ -180,7 +91,7 @@ func TestSessionDeadlineEviction(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -195,31 +106,15 @@ func TestSessionShedTypedRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge, _, serveErr, ctx := startRawSession(t, SessionConfig{Gate: gate, Registry: reg})
-	k := key(t)
-	proto, err := Build(buildNet(t), k, Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := ToWire(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: 0, Env: w}}); err != nil {
-		t.Fatal(err)
-	}
+	h := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{Gate: gate, Registry: reg}})
+	edge, ctx := h.edge, h.ctx
+	h.send(1, h.roundZero(1, tensor.Zeros(4)))
 	reply, err := edge.Recv(ctx)
 	if err != nil || reply.Err != nil {
 		t.Fatalf("request 1 round 0: %v %q", err, reply.Err)
 	}
 	// Request 1 holds the only slot mid-protocol: request 2 must shed.
-	if err := edge.Send(ctx, &stream.Message{Seq: 2, Payload: &roundFrame{Round: 0, Env: roundZero(t, 2)}}); err != nil {
-		t.Fatal(err)
-	}
+	h.send(2, h.roundZero(2, tensor.Zeros(4)))
 	shedReply, err := edge.Recv(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -228,29 +123,12 @@ func TestSessionShedTypedRejection(t *testing.T) {
 		t.Fatalf("second request not shed: err %v", shedReply.Err)
 	}
 	// Complete request 1 (round 1 is the last for the 2-round net).
-	renv, err := FromWire(reply.Payload.(*roundFrame).Env, &k.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	renv.Req = 1
-	renv, err = proto.Data.ProcessNonLinearMetered(0, renv, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := ToWire(renv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: 1, Env: w1}}); err != nil {
-		t.Fatal(err)
-	}
+	h.send(1, h.roundOne(1, reply))
 	if fin, err := edge.Recv(ctx); err != nil || fin.Err != nil {
 		t.Fatalf("request 1 final round: %v %q", err, fin.Err)
 	}
 	// Slot released with the completed request: request 2 now admits.
-	if err := edge.Send(ctx, &stream.Message{Seq: 2, Payload: &roundFrame{Round: 0, Env: roundZero(t, 2)}}); err != nil {
-		t.Fatal(err)
-	}
+	h.send(2, h.roundZero(2, tensor.Zeros(4)))
 	if retry, err := edge.Recv(ctx); err != nil || retry.Err != nil {
 		t.Fatalf("request 2 after release: %v %q", err, retry.Err)
 	}
@@ -258,7 +136,7 @@ func TestSessionShedTypedRejection(t *testing.T) {
 		t.Errorf("shed.rejected.total = %d", got)
 	}
 	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 	if n := reg.Snapshot().Gauges["shed.inflight"]; n != 0 {
@@ -270,15 +148,14 @@ func TestSessionShedTypedRejection(t *testing.T) {
 // round-0 shed rejection with backoff and succeeds on the next attempt,
 // counting the retry; the deadline budget rides every frame.
 func TestClientRetriesRoundZero(t *testing.T) {
-	k := key(t)
-	netw := buildNet(t)
-	proto, err := Build(netw, k, Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientEdge, serverEdge := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	reg := obs.NewRegistry("client-retry")
+	h := open(t, opening{tcp: true, proto: true, script: true, opts: ClientOptions{
+		Workers:  1,
+		Deadline: 30 * time.Second,
+		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+		Registry: reg,
+	}})
+	client, ctx, serverEdge := h.client, h.ctx, h.peer
 
 	// Synthetic server: sheds the first round-0 frame it sees, then
 	// serves every later frame off the real model provider — a
@@ -287,16 +164,6 @@ func TestClientRetriesRoundZero(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- func() error {
-			first, err := serverEdge.Recv(ctx)
-			if err != nil {
-				return err
-			}
-			if _, ok := first.Payload.(*Hello); !ok {
-				return errors.New("expected hello")
-			}
-			if err := serverEdge.Send(ctx, allPaillier(proto.Rounds())); err != nil {
-				return err
-			}
 			rejected := false
 			for {
 				msg, err := serverEdge.Recv(ctx)
@@ -319,37 +186,13 @@ func TestClientRetriesRoundZero(t *testing.T) {
 					}
 					continue
 				}
-				env, err := FromWire(frame.Env, &k.PublicKey)
-				if err != nil {
-					return err
-				}
-				out, _, err := proto.Model.ProcessLinearMetered(frame.Round, env, nil)
-				if err != nil {
-					return err
-				}
-				wout, err := ToWire(out)
-				if err != nil {
-					return err
-				}
-				if err := serverEdge.Send(ctx, &stream.Message{
-					Seq: msg.Seq, Payload: &roundFrame{Round: frame.Round, Env: wout, Trace: frame.Trace},
-				}); err != nil {
+				if err := h.answer(msg); err != nil {
 					return err
 				}
 			}
 		}()
 	}()
 
-	reg := obs.NewRegistry("client-retry")
-	client, err := NewClientOpts(ctx, clientEdge, clientEdge, netw, k, 1000, ClientOptions{
-		Workers:  1,
-		Deadline: 30 * time.Second,
-		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		Registry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	out, err := client.Infer(ctx, tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4))
 	if err != nil {
 		t.Fatalf("inference did not survive a retryable round-0 rejection: %v", err)
@@ -375,26 +218,10 @@ func TestClientRetriesRoundZero(t *testing.T) {
 // locally with ErrDeadline before any frame is sent — terminal, not
 // retryable.
 func TestClientDeadlineLocal(t *testing.T) {
-	k := key(t)
-	netw := buildNet(t)
-	edge, serverEdge := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverEdge, serverEdge, netw, SessionConfig{
-			Factor:   1000,
-			Registry: obs.NewRegistry("deadline-local"),
-		})
-	}()
-	client, err := NewClientOpts(ctx, edge, edge, netw, k, 1000, ClientOptions{
-		Workers:  1,
-		Deadline: time.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.Infer(ctx, tensor.Zeros(4))
+	h := open(t, opening{tcp: true, cfg: SessionConfig{Registry: obs.NewRegistry("deadline-local")},
+		opts: ClientOptions{Workers: 1, Deadline: time.Nanosecond}})
+	client := h.client
+	_, err := client.Infer(h.ctx, tensor.Zeros(4))
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("spent budget returned %v, want ErrDeadline", err)
 	}
@@ -404,7 +231,7 @@ func TestClientDeadlineLocal(t *testing.T) {
 	if err := client.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }
@@ -443,17 +270,9 @@ func TestClientSurvivesDuplicateReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, round := range []int{1, 0} {
-		edge, serverEdge := tcpPair(t)
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		serveErr := make(chan error, 1)
-		go func() {
-			serveErr <- ServeSessionConfig(ctx, serverEdge, dupEdge{serverEdge, round}, netw, SessionConfig{Factor: 1000})
-		}()
-		client, err := NewClientOpts(ctx, edge, edge, netw, key(t), 1000, ClientOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := open(t, opening{tcp: true, net: netw, opts: ClientOptions{Workers: 1},
+			answers: func(e stream.Edge) stream.Edge { return dupEdge{e, round} }})
+		client, ctx := h.client, h.ctx
 		for i := 0; i < 3; i++ {
 			reqCtx, done := context.WithTimeout(ctx, 5*time.Second)
 			got, err := client.Infer(reqCtx, x)
@@ -468,7 +287,7 @@ func TestClientSurvivesDuplicateReplies(t *testing.T) {
 		if err := client.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := <-serveErr; err != nil {
+		if err := h.wait(); err != nil {
 			t.Fatalf("server: %v", err)
 		}
 	}

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"context"
 	"errors"
 	"go/ast"
 	"go/parser"
@@ -234,48 +233,26 @@ func TestSessionTableRefusesOutOfOrder(t *testing.T) {
 // over the model provider holds no permutation state for it.
 func TestSessionDeadlineMidRound(t *testing.T) {
 	r := mathrand.New(mathrand.NewSource(5))
-	net, err := nn.NewNetwork("wide", tensor.Shape{256},
+	wide := network(t, "wide", tensor.Shape{256},
 		nn.NewFC("fc1", 256, 256, r), nn.NewReLU("relu1"),
 		nn.NewFC("fc2", 256, 2, r), nn.NewSoftMax("softmax"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := Build(net, key(t), Config{Factor: 1000, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry("deadline-mid-round")
 	gate, err := NewGate(GateConfig{MaxInFlight: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge, serverEdge := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serveErr := make(chan error, 1)
-	var own *ModelProvider
-	go func() {
-		cfg := SessionConfig{Factor: 1000, IdleTTL: 20 * time.Millisecond, Gate: gate, Registry: reg}
-		serveErr <- serveSession(ctx, serverEdge, serverEdge, cfg, observing(proto.Model, &own))
-	}()
-	sayHello(ctx, t, edge, &Hello{N: key(t).N.Bytes(), Factor: 1000, Workers: 1, Exps: proto.Data.exps()})
-	env, err := proto.Data.EncryptMetered(1, tensor.Zeros(256), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := ToWire(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edge.Send(ctx, &stream.Message{Seq: 1, Payload: &roundFrame{Round: 0, Env: w, DeadlineMS: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := edge.Recv(ctx)
+	h := open(t, opening{tcp: true, net: wide, proto: true, raw: true, opts: ClientOptions{Workers: 1},
+		cfg: SessionConfig{IdleTTL: 20 * time.Millisecond, Gate: gate, Registry: reg}})
+	edge := h.edge
+	f := h.roundZero(1, tensor.Zeros(256))
+	f.DeadlineMS = 5
+	h.send(1, f)
+	reply, err := edge.Recv(h.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edge.CloseSend()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 	if slowest := reg.Histogram("round.linear").Snapshot().Max; slowest < 30*time.Millisecond {
@@ -292,6 +269,7 @@ func TestSessionDeadlineMidRound(t *testing.T) {
 	if snap.Gauges["shed.inflight"] != 0 || snap.Gauges["requests.active"] != 0 {
 		t.Errorf("%d gate slots held, requests.active %d after the session", snap.Gauges["shed.inflight"], snap.Gauges["requests.active"])
 	}
+	own := h.own.Load()
 	own.mu.Lock()
 	chains := len(own.state)
 	own.mu.Unlock()
@@ -306,23 +284,18 @@ func TestSessionDeadlineMidRound(t *testing.T) {
 // 0 once that request ends.
 func TestSessionsShareActiveGauge(t *testing.T) {
 	reg := obs.NewRegistry("shared-active")
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, edge1, serveErr1, _ := openRawSession(t, SessionConfig{Registry: reg})
-	c := &rawClient{t: t, s: s1, edge: edge1, proto: proto}
-	last := c.open(1, 0)
+	c := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{Registry: reg}})
+	last := c.midway(1, 0)
 	active := func() int64 { return reg.Snapshot().Gauges["requests.active"] }
 	if n := active(); n != 1 {
 		t.Fatalf("requests.active %d with one request mid-protocol", n)
 	}
-	_, edge2, serveErr2, _ := openRawSession(t, SessionConfig{Registry: reg})
+	idle := open(t, opening{tcp: true, raw: true, cfg: SessionConfig{Registry: reg}})
 	if n := active(); n != 1 {
 		t.Errorf("requests.active %d once an idle second session opened, want 1", n)
 	}
-	edge2.CloseSend()
-	if err := <-serveErr2; err != nil {
+	idle.edge.CloseSend()
+	if err := idle.wait(); err != nil {
 		t.Fatalf("second session: %v", err)
 	}
 	if n := active(); n != 1 {
@@ -333,8 +306,8 @@ func TestSessionsShareActiveGauge(t *testing.T) {
 	if n := active(); n != 0 {
 		t.Errorf("requests.active %d after the last request ended, want 0", n)
 	}
-	edge1.CloseSend()
-	if err := <-serveErr1; err != nil {
+	c.edge.CloseSend()
+	if err := c.wait(); err != nil {
 		t.Fatalf("first session: %v", err)
 	}
 }
@@ -346,14 +319,8 @@ func TestSessionsShareActiveGauge(t *testing.T) {
 // forgets permutations under an ID the session's in-flight request holds.
 // The session's request still completes, with the right result.
 func TestSessionOwnsItsPermutations(t *testing.T) {
-	proto := buildProto(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	toModel, toData := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
-	served := make(chan error, 1)
-	go func() { served <- ServeSession(ctx, toModel, toData, proto.Model, SessionConfig{Factor: 1000}) }()
-	client := duplex{out: toModel, in: toData}
-	sayHello(ctx, t, client, &Hello{N: proto.Model.pk.N.Bytes(), Factor: 1000, Exps: proto.Data.exps()})
+	h := open(t, opening{proto: true, raw: true})
+	proto, client, ctx := h.proto, h.edge, h.ctx
 	// round sends req's round-r envelope and returns the data provider's
 	// step on the reply.
 	round := func(r int, env *Envelope) *Envelope {
@@ -393,7 +360,7 @@ func TestSessionOwnsItsPermutations(t *testing.T) {
 		t.Errorf("session request: %v, want %v", got.Data(), want.Data())
 	}
 	client.CloseSend()
-	if err := waitServed(t, served); err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("session: %v", err)
 	}
 }

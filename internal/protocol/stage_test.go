@@ -10,67 +10,9 @@ import (
 	"time"
 
 	"ppstream/internal/obs"
-	"ppstream/internal/paillier"
-	"ppstream/internal/qnn"
 	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
-
-// hookedOp runs hook whenever the op it wraps is asked for its kernel
-// rows, which paillier-he and ss-gc do before they evaluate the op.
-type hookedOp struct {
-	qnn.Op
-	hook func()
-}
-
-func (o hookedOp) KernelRows(in tensor.Shape, lo, hi int) []paillier.Row {
-	o.hook()
-	return o.Op.KernelRows(in, lo, hi)
-}
-
-// hookRound makes round r of proto's model provider run hook first.
-func hookRound(proto *Protocol, r int, hook func()) {
-	st := proto.Model.stages[r]
-	st.Ops = append([]qnn.Op(nil), st.Ops...)
-	st.Ops[0] = hookedOp{Op: st.Ops[0], hook: hook}
-}
-
-// inProcessSession serves proto's model provider under cfg over a pair of
-// channel edges to a client driving its data provider, both with the given
-// window, until the test ends. It returns the client and the session's own
-// copy of the provider (ServeSession).
-func inProcessSession(t *testing.T, proto *Protocol, cfg SessionConfig, window int) (*Client, *ModelProvider) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	toModel, toData := stream.NewChannelEdge(window), stream.NewChannelEdge(window)
-	served := make(chan error, 1)
-	cfg.Factor, cfg.Window = 1000, window
-	var own *ModelProvider
-	go func() {
-		served <- serveSession(ctx, toModel, toData, cfg, observing(proto.Model, &own))
-	}()
-	c, err := NewClient(ctx, toData, toModel, proto.Data, ClientOptions{Window: window})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		c.Close()
-		if err := <-served; err != nil {
-			t.Errorf("session: %v", err)
-		}
-		cancel()
-	})
-	return c, own
-}
-
-// observing is ServeSession's provider for mp, a copy of mp of the
-// session's own, which it also stores in *own for the test to inspect.
-func observing(mp *ModelProvider, own **ModelProvider) provider {
-	return func(*Hello, *paillier.PublicKey) (*ModelProvider, error) {
-		*own = mp.forSession()
-		return *own, nil
-	}
-}
 
 // TestSessionStagePanicContained: a round whose kernel panics fails only
 // the request it was running — the client's call fails with a *RoundError
@@ -80,22 +22,20 @@ func observing(mp *ModelProvider, own **ModelProvider) provider {
 // permutation state is gone, so the next request over the same session is
 // admitted at once and completes.
 func TestSessionStagePanicContained(t *testing.T) {
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var calls atomic.Int64
-	hookRound(proto, 1, func() {
+	boom := func() {
 		if calls.Add(1) == 1 {
 			panic("boom in round 1")
 		}
-	})
+	}
 	reg := obs.NewRegistry("stage-panic")
 	gate, err := NewGate(GateConfig{MaxInFlight: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, own := inProcessSession(t, proto, SessionConfig{Registry: reg, Gate: gate, IdleTTL: time.Hour}, 2)
+	h := open(t, opening{proto: true, hooks: map[int]func(){1: boom}, depth: 2,
+		cfg: SessionConfig{Registry: reg, Gate: gate, IdleTTL: time.Hour, Window: 2}, opts: ClientOptions{Window: 2}})
+	c, own := h.client, h.own.Load()
 	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
 	_, err = c.Infer(context.Background(), x)
 	var roundErr *RoundError
@@ -117,7 +57,7 @@ func TestSessionStagePanicContained(t *testing.T) {
 	if n := reg.Snapshot().Counters["shed.rejected.total"]; n != 0 {
 		t.Errorf("the request after the panic was shed %d times waiting for the panicked one's slot", n)
 	}
-	want, err := proto.Infer(99, x)
+	want, err := h.proto.Infer(99, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,23 +75,20 @@ func TestSessionStagePanicContained(t *testing.T) {
 // is held inside its round 0 until the abandoned frame's budget is spent
 // by the session's own clock, so no measured duration decides the outcome.
 func TestSessionStageExpiresInQueue(t *testing.T) {
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
 	defer free() // a failed check must not leave the session's round 0 held
 	var calls atomic.Int64
-	hookRound(proto, 0, func() {
+	hold := func() {
 		if calls.Add(1) == 1 {
 			close(entered)
 			<-release
 		}
-	})
+	}
 	reg := obs.NewRegistry("stage-expires")
-	c, _ := inProcessSession(t, proto, SessionConfig{Registry: reg, IdleTTL: time.Hour}, 2)
+	c := open(t, opening{proto: true, hooks: map[int]func(){0: hold}, depth: 2,
+		cfg: SessionConfig{Registry: reg, IdleTTL: time.Hour, Window: 2}, opts: ClientOptions{Window: 2}}).client
 	ctx := context.Background()
 	x := tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4)
 	ahead := make(chan error, 1)
@@ -219,39 +156,22 @@ func (e roundBudget) Send(ctx context.Context, m *stream.Message) error {
 func TestSessionStageFailureReachesClient(t *testing.T) {
 	for _, transport := range []string{"channel", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
-			proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-			if err != nil {
-				t.Fatal(err)
-			}
 			reg := obs.NewRegistry(t.Name())
-			hookRound(proto, 1, func() {
+			evicted := func() {
 				for end := time.Now().Add(10 * time.Second); reg.Snapshot().Counters["requests.deadline_evicted"] == 0 && time.Now().Before(end); {
 					time.Sleep(time.Millisecond)
 				}
-			})
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			toModel, toData := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
-			in, out, serverIn, serverOut := toData, toModel, toModel, toData
-			if transport == "tcp" {
-				dialed, accepted := tcpPair(t)
-				in, out, serverIn, serverOut = dialed, dialed, accepted, accepted
 			}
-			served := make(chan error, 1)
-			go func() {
-				served <- ServeSession(ctx, serverIn, serverOut, proto.Model, SessionConfig{Factor: 1000, Registry: reg, IdleTTL: time.Second})
-			}()
-			c, err := NewClient(ctx, in, roundBudget{out}, proto.Data, ClientOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = c.Infer(ctx, tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4))
+			h := open(t, opening{tcp: transport == "tcp", proto: true, hooks: map[int]func(){1: evicted},
+				cfg: SessionConfig{Registry: reg, IdleTTL: time.Second}, sends: func(e stream.Edge) stream.Edge { return roundBudget{e} }})
+			c := h.client
+			_, err := c.Infer(h.ctx, tensor.MustFromSlice([]float64{0.5, -1, 2, 0.25}, 4))
 			var roundErr *RoundError
 			if !errors.As(err, &roundErr) || roundErr.Round != 1 || !errors.Is(err, ErrDeadline) {
 				t.Errorf("request whose round 1 outlived its budget: %v, want a *RoundError for round 1 matching ErrDeadline", err)
 			}
 			c.Close()
-			if err := <-served; err != nil {
+			if err := h.wait(); err != nil {
 				t.Errorf("session: %v", err)
 			}
 		})
@@ -262,17 +182,14 @@ func TestSessionStageFailureReachesClient(t *testing.T) {
 // frame at a time, while requests in different rounds run at once — the
 // pipeline parallelism of the paper's staged runtime.
 func TestSessionStagesOverlap(t *testing.T) {
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var (
 		mu              sync.Mutex
 		running         [2]int
 		sameRound, both bool
 	)
+	hooks := map[int]func(){}
 	for r := range running {
-		hookRound(proto, r, func() {
+		hooks[r] = func() {
 			mu.Lock()
 			running[r]++
 			sameRound = sameRound || running[r] > 1
@@ -282,9 +199,10 @@ func TestSessionStagesOverlap(t *testing.T) {
 			mu.Lock()
 			running[r]--
 			mu.Unlock()
-		})
+		}
 	}
-	c, _ := inProcessSession(t, proto, SessionConfig{Registry: obs.NewRegistry("stage-overlap")}, 4)
+	c := open(t, opening{proto: true, hooks: hooks, depth: 4,
+		cfg: SessionConfig{Registry: obs.NewRegistry("stage-overlap"), Window: 4}, opts: ClientOptions{Window: 4}}).client
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -308,23 +226,11 @@ func TestSessionStagesOverlap(t *testing.T) {
 // provider answers a Hello carrying another key with an error frame and
 // ends, and the client's NewClient fails with that refusal.
 func TestServeSessionRefusesForeignKey(t *testing.T) {
-	proto, err := Build(buildNet(t), key(t), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := BuildDataProvider(buildNet(t), keyOfBits(t, 512), Config{Factor: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	toModel, toData := stream.NewChannelEdge(1), stream.NewChannelEdge(1)
-	served := make(chan error, 1)
-	go func() { served <- ServeSession(ctx, toModel, toData, proto.Model, SessionConfig{Factor: 1000}) }()
-	if _, err := NewClient(ctx, toData, toModel, other, ClientOptions{}); !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "not the served model provider's key") {
+	h, err := dial(t, opening{proto: true, key: keyOfBits(t, 512)})
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "not the served model provider's key") {
 		t.Errorf("client of the refused session: %v, want the refusal", err)
 	}
-	if err := <-served; err == nil || !strings.Contains(err.Error(), "not the served model provider's key") {
+	if err := h.wait(); err == nil || !strings.Contains(err.Error(), "not the served model provider's key") {
 		t.Errorf("session on a foreign key: %v, want the key refusal", err)
 	}
 }

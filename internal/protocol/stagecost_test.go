@@ -89,7 +89,7 @@ func TestProvidersShareTheWalksKernelCounts(t *testing.T) {
 			if w.kernel.IsZero() || w.Muls == 0 {
 				t.Fatalf("the walk left round %d uncounted", r)
 			}
-			outs := sched[r].out.Size()
+			outs := sched.sched[r].out.Size()
 			replies := uint64(pk.PackedLen(outs, st.slotBits))
 			want := w.kernel
 			want.Add(obs.CostStats{MulMods: pk.PackMulMods(outs, st.slotBits), Rerands: replies, ModExps: replies, PoolMisses: replies})

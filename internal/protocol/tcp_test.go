@@ -23,8 +23,12 @@ func TestProtocolOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	requests, toModel := tcpPair(t)
-	replies, toData := tcpPair(t)
+	edge := func() (sender, receiver stream.Edge) {
+		dialed, accepted := loopback(t)
+		return stream.NewTCPEdge(dialed), stream.NewTCPEdge(accepted)
+	}
+	requests, toModel := edge()
+	replies, toData := edge()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -2,50 +2,15 @@ package protocol
 
 import (
 	"bytes"
-	"context"
 	mathrand "math/rand"
-	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ppstream/internal/obs"
-	"ppstream/internal/stream"
 	"ppstream/internal/tensor"
 )
-
-// traceSession starts a served session over a wire-encoded connection
-// pair and returns the client plus the server's error channel.
-func traceSession(t *testing.T, cfg SessionConfig) (*Client, chan error, context.Context) {
-	t.Helper()
-	k := key(t)
-	netw := buildNet(t)
-	cfg.Factor = 1000
-	if cfg.MaxWorkers == 0 {
-		cfg.MaxWorkers = 4
-	}
-
-	c2s1, s2c1 := net.Pipe()
-	c2s2, s2c2 := net.Pipe()
-	serverIn := stream.NewTCPEdge(s2c1)
-	serverOut := stream.NewTCPEdge(c2s2)
-	clientOut := stream.NewTCPEdge(c2s1)
-	clientIn := stream.NewTCPEdge(s2c2)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	t.Cleanup(cancel)
-
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- ServeSessionConfig(ctx, serverIn, serverOut, netw, cfg)
-	}()
-	client, err := NewClientOpts(ctx, clientIn, clientOut, netw, k, cfg.Factor, ClientOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return client, serveErr, ctx
-}
 
 // TestInferTracedMergesBothParties runs real inferences through the
 // session layer and checks the tentpole invariant: one trace, one ID,
@@ -58,7 +23,9 @@ func TestInferTracedMergesBothParties(t *testing.T) {
 	logger := obs.NewLogger(&lockedWriter{mu: logMu, b: &logBuf}, obs.LevelDebug)
 	reg := obs.NewRegistry("trace-test")
 	// Every round is "slow": forces trace-correlated log lines.
-	client, serveErr, ctx := traceSession(t, SessionConfig{Registry: reg, Log: logger, SlowRound: time.Nanosecond})
+	h := open(t, opening{tcp: true, cfg: SessionConfig{MaxWorkers: 4, Registry: reg, Log: logger, SlowRound: time.Nanosecond},
+		opts: ClientOptions{Workers: 2}})
+	client, ctx := h.client, h.ctx
 
 	netw := buildNet(t)
 	r := mathrand.New(mathrand.NewSource(77))
@@ -135,7 +102,7 @@ func TestInferTracedMergesBothParties(t *testing.T) {
 	}
 
 	client.Close()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 
@@ -165,7 +132,8 @@ func TestInferTracedMergesBothParties(t *testing.T) {
 // multiplexed session and checks every request keeps its own trace
 // identity — the demux + per-request span accumulation under load.
 func TestInferTracedConcurrent(t *testing.T) {
-	client, serveErr, ctx := traceSession(t, SessionConfig{Window: 4})
+	h := open(t, opening{tcp: true, cfg: SessionConfig{MaxWorkers: 4, Window: 4}, opts: ClientOptions{Workers: 2}})
+	client, ctx := h.client, h.ctx
 	const n = 4
 	var (
 		wg    sync.WaitGroup
@@ -197,7 +165,7 @@ func TestInferTracedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	client.Close()
-	if err := <-serveErr; err != nil {
+	if err := h.wait(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 
@@ -261,13 +229,15 @@ func TestSessionSlowRoundLog(t *testing.T) {
 			var logBuf bytes.Buffer
 			logMu := &sync.Mutex{}
 			logger := obs.NewLogger(&lockedWriter{mu: logMu, b: &logBuf}, obs.LevelInfo)
-			client, serveErr, ctx := traceSession(t, SessionConfig{Log: logger, SlowRound: tc.slowRound})
+			h := open(t, opening{tcp: true, cfg: SessionConfig{MaxWorkers: 4, Log: logger, SlowRound: tc.slowRound},
+				opts: ClientOptions{Workers: 2}})
+			client, ctx := h.client, h.ctx
 			_, tree, err := client.InferTraced(ctx, tensor.Zeros(4))
 			if err != nil {
 				t.Fatal(err)
 			}
 			client.Close()
-			if err := <-serveErr; err != nil {
+			if err := h.wait(); err != nil {
 				t.Fatalf("server: %v", err)
 			}
 			logMu.Lock()

@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"time"
 
@@ -296,12 +297,14 @@ func (h *Hello) EncodeWire(w *stream.WireWriter) {
 	for _, exp := range h.Exps {
 		w.U32(uint32(exp))
 	}
+	w.U64(math.Float64bits(h.InputMax))
 }
 
 func decodeHello(r *stream.WireReader) *Hello {
 	h := &Hello{N: r.Bytes("hello key bytes", maxHelloKeyBytes), Factor: r.I64(), Workers: r.I32(), Profile: r.String("profile")}
 	h.Plan = stream.ReadVec(r, "plan length", maxWirePlan, 4, func() int32 { return int32(r.U32()) })
 	h.Exps = stream.ReadVec(r, "exponents length", maxWirePlan, 4, func() int32 { return int32(r.U32()) })
+	h.InputMax = math.Float64frombits(r.U64())
 	return h
 }
 

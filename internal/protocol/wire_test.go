@@ -85,7 +85,7 @@ func ct(hexDigits string) *paillier.Ciphertext {
 func goldenFrames() map[string]*stream.Message {
 	const trace = "00c0ffee00000001"
 	return map[string]*stream.Message{
-		"hello":        {Seq: 0, Payload: &Hello{N: []byte{0xC5, 0x3D, 0x01, 0x77}, Factor: 10000, Workers: 2, Profile: "mixed", Exps: []int32{3, 2, 2}}},
+		"hello":        {Seq: 0, Payload: &Hello{N: []byte{0xC5, 0x3D, 0x01, 0x77}, Factor: 10000, Workers: 2, Profile: "mixed", Exps: []int32{3, 2, 2}, InputMax: 64}},
 		"hello_answer": {Seq: 0, Payload: &Hello{Profile: "mixed", Plan: []int32{0, 1, 2}}},
 		"round_unpacked": {Seq: 7, Payload: &roundFrame{Round: 0, DeadlineMS: 1500, Trace: trace, Env: &WireEnvelope{
 			Req: 7, Cipher: []*paillier.Ciphertext{ct("0102030405"), ct("ff"), ct("a0b0c0d0e0f0")},

@@ -67,8 +67,8 @@ func (e *channelEdge) CloseSend() error {
 	return nil
 }
 
-// tcpEdge carries messages over a TCP connection in wire format v6 (see
-// wire.go). Payloads must implement WirePayload and have their tag
+// tcpEdge carries messages over a TCP connection in the wire format at
+// WireVersion (see wire.go). Payloads must implement WirePayload and have their tag
 // registered (RegisterWireType). Each direction's state — the fixed buffer
 // and, on the sending side, the preface — is set up by that direction's
 // first frame, so an edge used one way pays for one way.

@@ -4,11 +4,11 @@
 // messages cross a connection in, and fault injection beneath that format.
 //
 // Inside one process an edge is a bounded channel (NewChannelEdge); the
-// TCP edge carries wire-format v5 frames (wire.go) between servers; the
-// chaos connection (chaos.go) delays and resets the bytes under a TCP
-// edge. The staged runtime — a bounded queue and one goroutine per
-// linear round — is the protocol session's, and core.Engine is that
-// session over a pair of in-process edges.
+// TCP edge carries frames of the wire format at WireVersion (wire.go)
+// between servers; the chaos connection (chaos.go) delays and resets the
+// bytes under a TCP edge. The staged runtime — a bounded queue and one
+// goroutine per linear round — is the protocol session's, and core.Engine
+// is that session over a pair of in-process edges.
 package stream
 
 import "time"

@@ -10,11 +10,11 @@ import (
 	"sync"
 )
 
-// Wire format v6: what a TCP edge writes to its connection. Each direction
-// opens with a six-byte preface (magic, version) and then carries frames: a
-// fixed 20-byte header followed by a body of the length the header
-// announces. All integers are big-endian. DESIGN.md ("Wire format v6") has
-// the byte layout and the limits table; the golden frames in
+// The wire format, at version WireVersion: what a TCP edge writes to its
+// connection. Each direction opens with a six-byte preface (magic, version)
+// and then carries frames: a fixed 20-byte header followed by a body of the
+// length the header announces. All integers are big-endian. DESIGN.md §4e
+// has the byte layout and the limits table; the golden frames in
 // internal/protocol/testdata/wire_v1 (TestGoldenFrames) pin the bytes of
 // every frame type at this WireVersion.
 
@@ -22,7 +22,7 @@ import (
 // opens with any other version (or with no preface at all, as a gob peer
 // would) is refused with ErrWireVersion. Bump it whenever a frame struct's
 // field set or encoding changes; there is no negotiation and no fallback.
-const WireVersion = 6
+const WireVersion = 7
 
 const (
 	wireMagic  = "PPSW"
